@@ -67,12 +67,6 @@ def parallel_size():
     return 4000 if FULL else 1500
 
 
-def factorised_size():
-    if TINY:
-        return 250
-    return 4000 if FULL else 1000
-
-
 def sn_index_size():
     if TINY:
         return 300

@@ -236,7 +236,6 @@ class ResolutionSpec:
     cache: bool = True
     cache_limit: int = DEFAULT_CACHE_LIMIT
     workers: int = 1
-    factorised: bool = True
     obs_enabled: bool = False
     trace_path: Optional[str] = None
     trace_format: str = "chrome"
@@ -511,13 +510,12 @@ class ResolutionSpec:
         max_rounds, max_cascade = 100, 256
         cache, cache_limit = True, DEFAULT_CACHE_LIMIT
         workers = 1
-        factorised = True
         if not isinstance(execution, dict):
             errors.append(f"execution: expected an object, got {execution!r}")
         else:
             unknown_exec = set(execution) - {
                 "mode", "max_rounds", "max_cascade", "cache", "cache_limit",
-                "workers", "factorised",
+                "workers",
             }
             if unknown_exec:
                 errors.append(f"execution: unknown key(s) {sorted(unknown_exec)}")
@@ -540,12 +538,6 @@ class ResolutionSpec:
             _check_int(errors, "execution.cache_limit", cache_limit, 1)
             workers = execution.get("workers", 1)
             _check_int(errors, "execution.workers", workers, 1)
-            factorised = execution.get("factorised", True)
-            if not isinstance(factorised, bool):
-                errors.append(
-                    f"execution.factorised: expected true or false, "
-                    f"got {factorised!r}"
-                )
 
         # -- observability ----------------------------------------------
         observability = document.get("observability", {})
@@ -692,7 +684,6 @@ class ResolutionSpec:
             cache=cache,
             cache_limit=cache_limit,
             workers=workers,
-            factorised=factorised,
             obs_enabled=obs_enabled,
             trace_path=trace_path,
             trace_format=trace_format,
@@ -759,7 +750,6 @@ class ResolutionSpec:
                 "cache": self.cache,
                 "cache_limit": self.cache_limit,
                 "workers": self.workers,
-                "factorised": self.factorised,
             },
             "observability": {
                 "enabled": self.obs_enabled,
@@ -796,14 +786,11 @@ class ResolutionSpec:
         changes it.  Engine snapshots embed it to reject restores under
         an incompatible spec.
 
-        ``execution.workers`` and ``execution.factorised`` are excluded:
-        both are deployment knobs that provably never change results —
-        the parallel/serial differential suite pins the former, the
-        factorised/pairwise differential suite
-        (``tests/plan/test_factorised_equivalence.py``) the latter — so
-        specs differing only in them share a fingerprint, and a snapshot
-        built serially (or pairwise) restores under a parallel (or
-        factorised) spec.  The whole ``observability`` section is
+        ``execution.workers`` is excluded: it is a deployment knob that
+        provably never changes results (the parallel/serial differential
+        suite pins that), so specs differing only in it share a
+        fingerprint, and a snapshot built serially restores under a
+        parallel spec.  The whole ``observability`` section is
         excluded for the same reason: tracing observes a run, it never
         alters one, so turning it on must not invalidate snapshots or
         change what a report claims it ran.  ``persistence`` is excluded
@@ -824,7 +811,6 @@ class ResolutionSpec:
             document = self.to_dict()
             execution = dict(document["execution"])
             execution.pop("workers")
-            execution.pop("factorised")
             document["execution"] = execution
             document.pop("observability")
             document.pop("persistence")

@@ -309,14 +309,8 @@ class Workspace:
                 spec_document=(
                     self.spec.to_dict() if self.spec.workers > 1 else None
                 ),
-                factorised=self.spec.factorised,
             )
-            target_pairs = plan.target.attribute_pairs()
-            matches = [
-                pair
-                for pair in candidates
-                if result.identified(pair[0], pair[1], target_pairs)
-            ]
+            matches = result.matches(candidates, plan.target.attribute_pairs())
             rule_names: Dict[Pair, Tuple[str, ...]] = {}
             if provenance:
                 with self.tracer.span("provenance"):
@@ -444,7 +438,6 @@ class Workspace:
                 window=spec.window,
                 key_pairs=spec.key_pairs,
                 max_cascade=spec.max_cascade,
-                factorised=spec.factorised,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -507,8 +500,7 @@ class Workspace:
             f"fingerprint {self.fingerprint}",
             f"# execution: mode={spec.mode}, policy={spec.policy}, "
             f"top_k={spec.top_k}, cache={'on' if spec.cache else 'off'}, "
-            f"workers={spec.workers}, "
-            f"factorised={'on' if spec.factorised else 'off'}",
+            f"workers={spec.workers}",
             self.plan.explain(),
         ]
         return "\n".join(lines)

@@ -403,30 +403,6 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _factorisation_stats(plan, left_path: Path, right_path: Path):
-    """Factorise the blocking output of two CSVs: the dedup the kernel gets.
-
-    ``blocks`` counts the connected components of the candidate pairs
-    (the units the parallel executor shards); ``value_pair_groups`` the
-    distinct LHS value-pair signatures (the units the factorised chase
-    evaluates); ``dedup_ratio`` is pairs per group.
-    """
-    from repro.core.semantics import InstancePair
-    from repro.plan.factorise import PairGroupIndex
-    from repro.plan.shard import shard_pairs
-
-    left = _load_csv_relation(plan.pair.left, left_path)
-    right = _load_csv_relation(plan.pair.right, right_path)
-    pairs = plan.candidates(left, right)
-    index = PairGroupIndex(plan, InstancePair(plan.pair, left, right), pairs)
-    return {
-        "candidate_pairs": len(pairs),
-        "blocks": len(shard_pairs(pairs)),
-        "value_pair_groups": index.group_count,
-        "dedup_ratio": round(index.ratio, 4),
-    }
-
-
 def cmd_plan_explain(args) -> int:
     spec = _resolve_spec(
         args,
@@ -438,30 +414,12 @@ def cmd_plan_explain(args) -> int:
     workspace = _workspace(spec)
     if not workspace.plan.keys:
         raise CliError("no RCKs deducible from the given MDs")
-    if bool(args.left) != bool(args.right):
-        raise CliError(
-            "plan explain takes --left and --right together (or neither)"
-        )
-    factorisation = None
-    if args.left and args.right:
-        factorisation = _factorisation_stats(
-            workspace.plan, Path(args.left), Path(args.right)
-        )
     if args.json:
         document = workspace.plan.to_dict()
         document["spec_fingerprint"] = workspace.fingerprint
-        if factorisation is not None:
-            document["factorisation"] = factorisation
         print(json.dumps(document, sort_keys=True))
     else:
         print(workspace.explain())
-        if factorisation is not None:
-            print(
-                f"factorisation: {factorisation['candidate_pairs']} "
-                f"candidate pair(s) in {factorisation['blocks']} block(s) "
-                f"-> {factorisation['value_pair_groups']} distinct-value "
-                f"group(s) (dedup ratio {factorisation['dedup_ratio']}x)"
-            )
     return 0
 
 
@@ -852,13 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a spec (or MD file) and print the EnforcementPlan",
     )
     _add_spec_options(explain)
-    explain.add_argument(
-        "--left",
-        help="left relation CSV: block and factorise it for dedup stats",
-    )
-    explain.add_argument(
-        "--right", help="right relation CSV (required with --left)"
-    )
     explain.add_argument("--top-k", type=int, help="RCKs to deduce (default 5)")
     explain.add_argument(
         "--backend", choices=("sorted-neighborhood", "hash"),

@@ -71,6 +71,10 @@ class RelationSchema:
             attr if isinstance(attr, Attribute) else Attribute(attr)
             for attr in attributes
         )
+        #: The attribute names, in declaration order.
+        self.attribute_names: Tuple[str, ...] = tuple(
+            attr.name for attr in self._attributes
+        )
         self._by_name: Dict[str, Attribute] = {}
         for attr in self._attributes:
             if attr.name in self._by_name:
@@ -85,11 +89,6 @@ class RelationSchema:
     def attributes(self) -> Tuple[Attribute, ...]:
         """The attributes, in declaration order."""
         return self._attributes
-
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        """The attribute names, in declaration order."""
-        return tuple(attr.name for attr in self._attributes)
 
     @property
     def arity(self) -> int:

@@ -193,26 +193,33 @@ class _CellUnionFind:
 
     def find(self, cell: Cell) -> Cell:
         parent = self._parent
-        if cell not in parent:
+        root = parent.get(cell)
+        if root is None:
             parent[cell] = cell
             self._members[cell] = {cell}
             return cell
-        root = cell
-        while parent[root] != root:
-            root = parent[root]
-        while parent[cell] != root:
+        # Every stored parent is the one tuple object its class was first
+        # seen as, so roots are told apart by identity, not by comparing
+        # three fields.
+        up = parent[root]
+        if up is root:
+            return root
+        while up is not root:
+            root, up = up, parent[up]
+        while cell is not root:
             parent[cell], cell = root, parent[cell]
         return root
 
     def union(self, a: Cell, b: Cell) -> bool:
         """Merge the classes of ``a`` and ``b``; True when they differed."""
         root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
+        if root_a is root_b:
             return False
-        if len(self._members[root_a]) < len(self._members[root_b]):
+        members = self._members
+        if len(members[root_a]) < len(members[root_b]):
             root_a, root_b = root_b, root_a
         self._parent[root_b] = root_a
-        self._members[root_a] |= self._members.pop(root_b)
+        members[root_a] |= members.pop(root_b)
         return True
 
     def members(self, cell: Cell) -> Set[Cell]:
@@ -282,6 +289,35 @@ class EnforcementResult:
             for left_attr, right_attr in attribute_pairs
         )
 
+    def matches(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        attribute_pairs: Iterable[Tuple[str, str]],
+    ) -> List[Tuple[int, int]]:
+        """The ``pairs`` (in order) for which :meth:`identified` holds.
+
+        The read-off every matcher ends with, a column at a time: per
+        attribute pair, one class root per distinct tid still in play,
+        then one root comparison per surviving pair.
+        """
+        find = self.merged_cells.find
+        selection = list(pairs)
+        for left_attr, right_attr in attribute_pairs:
+            left_roots = {
+                tid: find((LEFT, tid, left_attr))
+                for tid in {left_tid for left_tid, _ in selection}
+            }
+            right_roots = {
+                tid: find((RIGHT, tid, right_attr))
+                for tid in {right_tid for _, right_tid in selection}
+            }
+            selection = [
+                pair
+                for pair in selection
+                if left_roots[pair[0]] == right_roots[pair[1]]
+            ]
+        return selection
+
 
 def enforce(
     instance: InstancePair,
@@ -315,10 +351,3 @@ def enforce(
         max_rounds=max_rounds,
     )
 
-
-def _cell_value(instance: InstancePair, cell: Cell, shared: bool) -> object:
-    # When both sides share one Relation object, side only tags the cell;
-    # reads and writes land in the same storage either way.
-    side, tid, attribute = cell
-    relation = instance.left if side == LEFT else instance.right
-    return relation[tid][attribute]

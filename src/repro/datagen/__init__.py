@@ -4,7 +4,6 @@ from .generator import (
     MatchingDataset,
     figure1_instances,
     generate_dataset,
-    high_duplication_dataset,
 )
 from .mdgen import (
     DEFAULT_OPERATORS,
@@ -47,7 +46,6 @@ __all__ = [
     "figure1_instances",
     "generate_dataset",
     "generate_workload",
-    "high_duplication_dataset",
     "light_noise",
     "paper_mds",
     "paper_target",

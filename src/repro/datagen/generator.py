@@ -27,7 +27,7 @@ from repro.core.schema import ComparableLists, SchemaPair
 from repro.relations.relation import Relation
 
 from . import corpora
-from .noise import NoiseModel, typo
+from .noise import NoiseModel
 from .schemas import extended_pair, extended_target
 
 
@@ -353,106 +353,6 @@ def generate_dataset(
                 values[attribute] = noise.apply_operator(rng, str(current))
         billing_tid = billing.insert(values)
         billing_entity[billing_tid] = entity
-
-    by_entity: Dict[int, List[int]] = {}
-    for billing_tid, entity in billing_entity.items():
-        by_entity.setdefault(entity, []).append(billing_tid)
-    true_matches = frozenset(
-        (credit_tid, billing_tid)
-        for credit_tid, entity in credit_entity.items()
-        for billing_tid in by_entity.get(entity, ())
-    )
-    return MatchingDataset(
-        pair=pair,
-        target=target,
-        credit=credit,
-        billing=billing,
-        true_matches=true_matches,
-        credit_entity=credit_entity,
-        billing_entity=billing_entity,
-    )
-
-
-def high_duplication_dataset(
-    size: int,
-    entities: Optional[int] = None,
-    noise: Optional[NoiseModel] = None,
-    seed: int = 0,
-) -> MatchingDataset:
-    """Generate a dataset with few distinct holders and many records each.
-
-    The merge/purge regime of Section 6.2 pushed to its duplication
-    extreme: ``entities`` distinct card holders (default ``size // 50``,
-    at least 2) account for all ``size`` billing tuples, and duplicates
-    copy the holder's identity attributes verbatim except for a light
-    typo rate.  Candidate pairs therefore collapse onto a small number of
-    distinct LHS value-pair signatures — the best case for the factorised
-    chase kernel (:mod:`repro.plan.factorise`), and the workload used by
-    ``benchmarks/test_plan_factorised.py`` to measure the predicate-
-    evaluation saving of group-at-a-time enforcement.
-
-    Parameters
-    ----------
-    size:
-        Number of billing tuples.
-    entities:
-        Number of distinct card holders; each also gets one credit tuple.
-    noise:
-        Error model for duplicates.  The default is deliberately light
-        (10 % of duplicates get one typo) so that most duplicates of a
-        holder are value-identical on the comparison attributes.
-    seed:
-        RNG seed; identical seeds yield identical datasets.
-
-    >>> dataset = high_duplication_dataset(100, entities=4, seed=1)
-    >>> len(dataset.billing), len(dataset.credit)
-    (100, 4)
-    """
-    if size < 2:
-        raise ValueError(f"size must be >= 2, got {size}")
-    if entities is None:
-        entities = max(2, size // 50)
-    if not 2 <= entities <= size:
-        raise ValueError(
-            f"entities must be in [2, size], got {entities} for size {size}"
-        )
-    if noise is None:
-        noise = NoiseModel(
-            tuple_rate=0.1,
-            damage_counts=((1, 1.0),),
-            mixture=((typo, 1.0),),
-        )
-    rng = random.Random(seed)
-    pair = extended_pair()
-    target = extended_target(pair)
-
-    factory = _HolderFactory(rng)
-    holders = [factory.make() for _ in range(entities)]
-
-    credit = Relation(pair.left)
-    billing = Relation(pair.right)
-    credit_entity: Dict[int, int] = {}
-    billing_entity: Dict[int, int] = {}
-    for entity, holder in enumerate(holders):
-        credit_entity[credit.insert(holder)] = entity
-
-    identity_attributes = list(target.right_list) + ["c#"]
-    for index in range(size):
-        # Round-robin over holders so every entity gets records even at
-        # small sizes, then let noise decide which few records deviate.
-        entity = index % entities
-        values = _billing_values(holders[entity], _purchase(rng))
-        if noise.is_noisy_tuple(rng):
-            count = noise.draw_damage_count(rng, len(identity_attributes))
-            damaged = _weighted_attribute_sample(
-                rng, values, identity_attributes, count
-            )
-            for attribute in damaged:
-                current = values.get(attribute)
-                if current is None:
-                    continue
-                values[attribute] = noise.apply_operator(rng, str(current))
-        billing_entity[billing.insert(values)] = entity
 
     by_entity: Dict[int, List[int]] = {}
     for billing_tid, entity in billing_entity.items():

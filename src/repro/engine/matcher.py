@@ -165,7 +165,6 @@ class IncrementalMatcher:
         key_pairs=None,
         max_cascade: int = 256,
         plan: Optional[EnforcementPlan] = None,
-        factorised: bool = True,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -200,11 +199,6 @@ class IncrementalMatcher:
         self.registry = plan.registry
         self.resolver = resolver
         self.max_cascade = max_cascade
-        #: Chase each delta factorised (repro.plan.factorise).  The group
-        #: verdict cache lives on the shared plan, so a stream of
-        #: near-duplicates keeps reusing verdicts across ingests — the
-        #: incremental counterpart of the similarity memo.
-        self.factorised = factorised
         if store is None:
             store = MatchStore(
                 self.target,
@@ -658,10 +652,7 @@ class IncrementalMatcher:
         identified all target cells, exactly the batch matcher's decision
         rule: both run :meth:`EnforcementPlan.enforce` on the same
         compiled rules, and the plan's similarity cache persists across
-        ingests (a stream of near-duplicates keeps hitting it).  On the
-        factorised path the plan's group-verdict cache persists the same
-        way: a delta whose pairs present already-seen value-pair
-        signatures costs zero predicate probes.
+        ingests (a stream of near-duplicates keeps hitting it).
         """
         store = self.store
         involved_left = sorted({left_tid for left_tid, _ in pairs})
@@ -684,13 +675,8 @@ class IncrementalMatcher:
             instance,
             resolver=self.resolver,
             candidate_pairs=list(pairs),
-            factorised=self.factorised,
         )
-        matches = [
-            (left_tid, right_tid)
-            for left_tid, right_tid in pairs
-            if result.identified(left_tid, right_tid, self._target_pairs)
-        ]
+        matches = result.matches(pairs, self._target_pairs)
         if not collect_changed:
             return matches
         # Which involved records did the chase move?  Compare the chased

@@ -222,10 +222,5 @@ class EnforcementMatcher:
         result = self.plan.enforce(
             instance, candidate_pairs=list(candidates), workers=self.workers
         )
-        target_pairs = self.target.attribute_pairs()
-        matches = [
-            (left_tid, right_tid)
-            for left_tid, right_tid in candidates
-            if result.identified(left_tid, right_tid, target_pairs)
-        ]
+        matches = result.matches(candidates, self.target.attribute_pairs())
         return PipelineResult(tuple(matches), tuple(candidates))

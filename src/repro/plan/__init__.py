@@ -3,11 +3,10 @@
 MDs and RCKs are declarative; this package lowers a rule set into one
 executable :class:`~repro.plan.compile.EnforcementPlan` — deduplicated
 comparison predicates with metrics resolved at compile time, a value-keyed
-similarity memo cache, a pluggable blocking backend, and the
-enforcement-chase kernel (:mod:`repro.plan.executor`), which by default
-runs **factorised**: candidate pairs grouped by distinct LHS value-pair
-signature (:mod:`repro.plan.factorise`), one rule verdict per group
-instead of per record pair — shared by the batch
+similarity memo cache, a pluggable blocking backend, and the one
+enforcement-chase kernel (:mod:`repro.plan.executor`): columnar and
+rule-at-a-time, it narrows the candidate pairs through each rule's
+equality atoms before a similarity atom runs — shared by the batch
 matchers (:mod:`repro.matching.pipeline`), the streaming engine
 (:mod:`repro.engine`), the experiments, and the CLI
 (``repro plan explain``).  Large instances shard: candidate pairs split
@@ -54,8 +53,7 @@ from .compile import (
     PlanStats,
     compile_plan,
 )
-from .executor import chase, chase_factorised
-from .factorise import PairGroup, PairGroupIndex
+from .executor import chase
 from .parallel import PARALLEL_MIN_PAIRS, parallel_chase, plan_spec_document
 from .shard import Shard, assign_shards, shard_pairs
 from .sn_index import WindowedSNIndex
@@ -72,8 +70,6 @@ __all__ = [
     "EnforcementPlan",
     "HashBlockingBackend",
     "Pair",
-    "PairGroup",
-    "PairGroupIndex",
     "PlanStats",
     "RCKIndex",
     "RowKey",
@@ -82,7 +78,6 @@ __all__ = [
     "assign_shards",
     "attribute_key",
     "chase",
-    "chase_factorised",
     "compile_plan",
     "hash_candidates",
     "indexes_from_rcks",

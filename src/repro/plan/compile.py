@@ -4,7 +4,7 @@ The paper's rules are declarative; every execution layer used to lower
 them independently — the batch matchers resolved operator names per
 comparison, the streaming engine re-derived the same blocking keys, and
 each re-implemented the pair/rule evaluation loop.  Following the
-compile-then-execute designs of factorised query engines (FDB, FAQ), this
+compile-then-execute designs of the FDB and FAQ query engines, this
 module lowers a rule set **once**:
 
 * every LHS conjunct and RCK atom is normalized to a
@@ -17,17 +17,17 @@ module lowers a rule set **once**:
   applied twice to the same value pair (across rules, chase rounds,
   matchers, or stream ingests) is computed once and then served from the
   cache;
-* the chase runs **factorised** by default (:mod:`repro.plan.factorise`):
-  candidate pairs group by their distinct LHS value-pair signature and
-  every rule verdict is computed once per group
-  (:meth:`EnforcementPlan.group_verdict`), not once per record pair —
-  O(distinct-value-pairs × atoms) on the hot path;
+* every rule's LHS is put in **selection order** — equality atoms first,
+  similarity atoms last (:attr:`EnforcementPlan.selections`) — which is
+  the order the one chase kernel (:mod:`repro.plan.executor`) narrows its
+  candidate pairs in, so a metric only ever sees pairs every cheaper
+  atom of the rule let through;
 * a pluggable :class:`~repro.plan.blocking.BlockingBackend` supplies
   candidate generation, so batch and streaming share one blocking
   implementation;
-* :class:`PlanStats` counts the work actually done (metric evaluations,
-  cache hits, chase rounds), making "fewer evaluations than the naive
-  path" a measurable claim (``benchmarks/test_plan_kernel.py``).
+* :class:`PlanStats` counts the work actually done (predicate calls,
+  memo hits, chase rounds) — diagnostics; what an execution strategy is
+  worth is a wall-clock number from ``python3 -m bench``.
 
 Both the batch matchers (:mod:`repro.matching.pipeline`) and the streaming
 engine (:mod:`repro.engine.matcher`) execute through the same plan; the
@@ -51,7 +51,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
 from .blocking import BlockingBackend, Pair, SortedNeighborhoodBackend
-from .executor import chase, chase_factorised
+from .executor import chase
 
 #: Default bound on memoized (predicate, value, value) entries; the cache
 #: is cleared wholesale when it fills (simple, allocation-free policy).
@@ -106,6 +106,8 @@ class PlanStats:
     """Work counters of one plan, cumulative across executions."""
 
     compiles: int = 0
+    #: Predicate calls executed (equality atoms included) and similarity
+    #: memo hits; together, the predicate probes made.
     metric_evaluations: int = 0
     cache_hits: int = 0
     pairs_compared: int = 0
@@ -121,12 +123,9 @@ class PlanStats:
     #: such chase also sets ``EnforcementResult.rounds_exhausted``; the
     #: CLI surfaces this as a warning).
     rounds_exhausted: int = 0
-    #: Factorised-path counters (:mod:`repro.plan.factorise`):
-    #: group-level predicate probes made while computing LHS verdicts
-    #: (the factorised twin of ``metric_evaluations + cache_hits``),
-    #: distinct value-pair groups built across chases, and the latest
-    #: chase's pairs-per-group dedup factor.
-    value_pairs_evaluated: int = 0
+    #: Always 0: the kernel does not group candidate pairs.  The names
+    #: exist because the frozen benchmark (``bench/match.py``) reads them
+    #: for its ``plan.factorise.*`` rows.
     groups_built: int = 0
     factorisation_ratio: float = 0.0
     #: Why the last ``workers > 1`` enforcement ran serially after all
@@ -199,24 +198,38 @@ class EnforcementPlan:
         self.tracer = NULL_TRACER
         self.metrics = MetricsRegistry()
         self._cache: Dict[Tuple[int, object, object], bool] = {}
-        #: Ordered distinct predicate slots appearing in any rule's LHS —
-        #: the axes of a factorised value-pair signature
-        #: (:mod:`repro.plan.factorise`).
-        ordered_slots: List[int] = []
+        #: Per rule, its LHS in the order the chase kernel narrows a
+        #: selection by: the equality atoms as ``(left, right)`` column
+        #: names, then the similarity predicates (declared order within
+        #: each kind).  ``chase_attributes`` names the (left, right)
+        #: columns a chase reads or writes — every LHS atom and RHS pair.
+        #: Both are derived here, once, because the streaming engine runs
+        #: thousands of tiny chases over one plan.
+        selections = []
+        left_names: Dict[str, None] = {}
+        right_names: Dict[str, None] = {}
         for rule in self.rules:
-            for slot in rule.lhs:
-                if slot not in ordered_slots:
-                    ordered_slots.append(slot)
-        self.lhs_slots: Tuple[CompiledPredicate, ...] = tuple(
-            self.predicates[slot] for slot in ordered_slots
+            lhs = [self.predicates[slot] for slot in rule.lhs]
+            selections.append(
+                (
+                    tuple((p.left, p.right) for p in lhs if p.operator == EQ),
+                    tuple(p for p in lhs if p.operator != EQ),
+                )
+            )
+            for predicate in lhs:
+                left_names[predicate.left] = None
+                right_names[predicate.right] = None
+            for left_attr, right_attr in rule.rhs:
+                left_names[left_attr] = None
+                right_names[right_attr] = None
+        self.selections: Tuple[
+            Tuple[Tuple[Tuple[str, str], ...], Tuple[CompiledPredicate, ...]],
+            ...,
+        ] = tuple(selections)
+        self.chase_attributes: Tuple[Tuple[str, ...], Tuple[str, ...]] = (
+            tuple(left_names),
+            tuple(right_names),
         )
-        self._lhs_positions: Dict[int, int] = {
-            slot: position for position, slot in enumerate(ordered_slots)
-        }
-        #: signature -> tuple of firing rule indices, memoized plan-wide
-        #: (across groups, rounds, chases and stream ingests) under the
-        #: same bound/clear policy as the similarity cache.
-        self._verdicts: Dict[Tuple, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Predicate evaluation (the memoized hot path)
@@ -260,44 +273,6 @@ class EnforcementPlan:
                 return False
         return True
 
-    def group_verdict(self, signature) -> Tuple[int, ...]:
-        """Indices of the rules whose LHS fires on one value-pair signature.
-
-        The factorised chase (:func:`repro.plan.executor.chase_factorised`)
-        calls this once per distinct signature instead of once per record
-        pair: a rule's LHS reads nothing but the signature's value pairs,
-        so the verdict is a pure function of the signature and is memoized
-        plan-wide.  ``stats.value_pairs_evaluated`` counts the group-level
-        predicate probes actually made (a verdict-cache hit makes none) —
-        the number to compare against ``metric_evaluations + cache_hits``
-        of the pairwise path (``benchmarks/test_plan_factorised.py``).
-        """
-        try:
-            cached = self._verdicts.get(signature)
-            hashable = True
-        except TypeError:
-            cached, hashable = None, False
-        if cached is not None:
-            return cached
-        stats = self.stats
-        firing: List[int] = []
-        for index, rule in enumerate(self.rules):
-            for slot in rule.lhs:
-                left_value, right_value = signature[self._lhs_positions[slot]]
-                stats.value_pairs_evaluated += 1
-                if not self.evaluate(
-                    self.predicates[slot], left_value, right_value
-                ):
-                    break
-            else:
-                firing.append(index)
-        verdict = tuple(firing)
-        if hashable:
-            if len(self._verdicts) >= self.cache_limit:
-                self._verdicts.clear()
-            self._verdicts[signature] = verdict
-        return verdict
-
     def key_matches(self, key: CompiledKey, t1: Row, t2: Row) -> bool:
         """Do two rows agree on every comparison of one compiled key?"""
         for slot in key.predicates:
@@ -323,15 +298,10 @@ class EnforcementPlan:
         workers: int = 1,
         spec_document: Optional[Dict[str, object]] = None,
         start_method: Optional[str] = None,
-        factorised: bool = True,
     ):
         """Run the enforcement chase; see :func:`repro.plan.executor.chase`.
 
-        ``factorised`` (the default) chases over distinct value-pair
-        groups (:func:`repro.plan.executor.chase_factorised`) instead of
-        record pairs — provably the same result, asymptotically fewer
-        predicate probes on duplicate-heavy data.  ``workers > 1`` routes
-        through the sharded parallel executor
+        ``workers > 1`` routes through the sharded parallel executor
         (:func:`repro.plan.parallel.parallel_chase`), which needs a
         ``spec_document`` to rebuild this plan in worker processes — it
         falls back to the serial loop when one cannot be derived, when
@@ -355,15 +325,6 @@ class EnforcementPlan:
                 workers=workers,
                 max_rounds=max_rounds,
                 start_method=start_method,
-                factorised=factorised,
-            )
-        if factorised and self.rules:
-            return chase_factorised(
-                self,
-                instance,
-                resolver=resolver,
-                candidate_pairs=candidate_pairs,
-                max_rounds=max_rounds,
             )
         return chase(
             self,
@@ -380,10 +341,8 @@ class EnforcementPlan:
         return self.blocking.candidates(left, right)
 
     def clear_cache(self) -> None:
-        """Drop every memoized predicate result and group verdict
-        (counters are kept)."""
+        """Drop every memoized predicate result (counters are kept)."""
         self._cache.clear()
-        self._verdicts.clear()
 
     # ------------------------------------------------------------------
     # Introspection (``repro plan explain``)
@@ -405,7 +364,7 @@ class EnforcementPlan:
             ],
             "spans": [
                 "compile", "match", "enforce", "blocking", "chase",
-                "chase-round", "factorise", "resolve-merged",
+                "chase-round", "resolve-merged",
                 "stability-check", "provenance", "parallel-chase",
                 "shard-pairs", "pool", "merge-shards", "ingest",
             ],

@@ -1,29 +1,30 @@
 """The enforcement chase, executed over a compiled plan.
 
-Two executions of one semantics live here: :func:`chase`, the pairwise
-loop (the former :func:`repro.core.semantics.enforce` body re-targeted to
-compiled rules), and :func:`chase_factorised`, the default since the
-factorised kernel landed — it chases distinct value-pair groups
-(:mod:`repro.plan.factorise`) and expands to record pairs only when a
-group's LHS verdict fires.  Every LHS conjunct is a pre-resolved
-predicate evaluated through the plan's similarity cache, so repeated
-chase rounds (and rules sharing atoms) never recompute a metric on the
-same value pair; the factorised path additionally computes each rule
-verdict once per distinct signature instead of once per pair.  Both
-produce identical :class:`~repro.core.semantics.EnforcementResult`
-contents (the differential suite pins it).
+One kernel, :func:`chase`, columnar and rule-at-a-time.  Column views of
+the working copy (``attribute -> {tid: value}``) are built once per
+chase; each round narrows, per rule, a selection list of the active
+pairs atom by atom — equality atoms first, each one comprehension over
+two columns, similarity atoms last through the plan's value-keyed memo
+(:meth:`~repro.plan.compile.EnforcementPlan.evaluate`) — and unions the
+RHS cells of the survivors only.  Cheap selective atoms prune before an
+expensive one runs (the FAQ ordering), and a metric is computed once per
+distinct value pair (the FDB saving) without materialising anything per
+candidate pair.
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
-here; the batch :class:`~repro.matching.pipeline.EnforcementMatcher` and
-the streaming :class:`~repro.engine.matcher.IncrementalMatcher` hold a
-long-lived plan and call :meth:`EnforcementPlan.enforce`, sharing the
-cache across runs and ingests.
+here; :class:`~repro.api.workspace.Workspace`, the batch
+:class:`~repro.matching.pipeline.EnforcementMatcher` and the streaming
+:class:`~repro.engine.matcher.IncrementalMatcher` hold a long-lived plan
+and call :meth:`EnforcementPlan.enforce`, sharing the memo across runs
+and ingests; the pool workers of :mod:`repro.plan.parallel` call the same
+function on their shard bins.
 """
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.semantics import (
     Cell,
@@ -31,35 +32,44 @@ from repro.core.semantics import (
     InstancePair,
     ValueResolver,
     _CellUnionFind,
-    _cell_value,
     prefer_informative,
 )
 from repro.core.schema import LEFT, RIGHT
 
-from .factorise import PairGroupIndex
+from .blocking import Pair
+
+#: ``attribute -> {tid: value}`` for one side of the working copy.
+Columns = Dict[str, Dict[int, object]]
 
 
 def _resolve_touched(
     working: InstancePair,
+    columns: Tuple[Columns, Columns],
     cells: _CellUnionFind,
-    touched: Sequence[Cell],
+    touched: Iterable[Cell],
     resolver: ValueResolver,
-    shared: bool,
     tracer,
-) -> Set[Tuple[int, int]]:
+) -> Tuple[Set[int], Set[int]]:
     """Re-resolve every class that gained a member this round.
 
     ``touched`` holds one anchor cell per successful union of the round;
-    resolving only their classes is equivalent to the former full
-    pair × side × attribute rescan: a class whose membership did not
-    change already carries the one value the previous round's resolution
-    wrote everywhere, so re-resolving it is a no-op for any resolver that
-    is a function of the member value multiset (all named policies are).
+    a class whose membership did not change already carries the one value
+    the previous round's resolution wrote everywhere, so re-resolving it
+    is a no-op for any resolver that is a function of the member value
+    multiset (all named policies are).  Repairs write through to both the
+    relation and its column.
 
-    Returns the ``(side, tid)`` tuples a write actually changed — only
-    their pairs can behave differently next round.
+    Returns the left and right tids a write actually changed — only their
+    pairs can behave differently next round.
     """
-    changed: Set[Tuple[int, int]] = set()
+    relations = (working.left, working.right)
+    changed_left: Set[int] = set()
+    # One storage serving both sides: a write through either side tag
+    # dirties the tuple's pairs on both.
+    changed = (
+        changed_left,
+        changed_left if working.left is working.right else set(),
+    )
     with tracer.span("resolve-merged") as resolve_span:
         seen_roots: Set[Cell] = set()
         repairs = 0
@@ -68,30 +78,22 @@ def _resolve_touched(
             if root in seen_roots:
                 continue
             seen_roots.add(root)
-            members = cells.members(anchor)
-            # Feed the resolver a *sorted* member order: members()
-            # returns a set, and set iteration order depends on the
-            # process hash seed — an order-dependent policy
-            # (first-non-null) would otherwise resolve differently in
-            # spawn workers than in the serial parent.
-            values = [
-                _cell_value(working, member, shared)
-                for member in sorted(members)
-            ]
-            resolved = resolver(values)
-            for member in members:
-                member_side, member_tid, member_attr = member
-                member_relation = (
-                    working.left if member_side == LEFT else working.right
-                )
-                if member_relation[member_tid][member_attr] != resolved:
-                    member_relation.set_value(member_tid, member_attr, resolved)
+            # The resolver sees a *sorted* member order: the class is a
+            # set, and set iteration order depends on the process hash
+            # seed — an order-dependent policy (first-non-null) would
+            # otherwise resolve differently in spawn workers than in the
+            # serial parent.
+            members = sorted(cells.members(root))
+            resolved = resolver(
+                [columns[side][attr][tid] for side, tid, attr in members]
+            )
+            for side, tid, attr in members:
+                column = columns[side][attr]
+                if column[tid] != resolved:
+                    column[tid] = resolved
+                    relations[side].set_value(tid, attr, resolved)
+                    changed[side].add(tid)
                     repairs += 1
-                    changed.add((member_side, member_tid))
-                    if shared:
-                        # One storage serves both sides: a write through
-                        # either tag dirties the tuple's pairs on both.
-                        changed.add((LEFT + RIGHT - member_side, member_tid))
         resolve_span.set("repairs", repairs)
     return changed
 
@@ -100,33 +102,34 @@ def chase(
     plan,
     instance: InstancePair,
     resolver: ValueResolver = prefer_informative,
-    candidate_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+    candidate_pairs: Optional[Sequence[Pair]] = None,
     max_rounds: int = 100,
 ) -> EnforcementResult:
     """Chase ``instance`` with the plan's compiled rules to a stable extension.
 
-    Each round scans the candidate tuple pairs; whenever a pair matches a
-    rule's LHS in the *current* instance, the RHS cells are merged and every
-    merged class is re-resolved to a single value.  Rounds repeat until no
-    merge happens.  The original ``instance`` is never mutated (the paper:
-    "in the matching process instance D may not be updated").
+    Each round evaluates every rule's LHS on the active pairs against the
+    *current* instance, a column at a time, merges the RHS cells of the
+    pairs that matched, and re-resolves every class that grew to a single
+    value.  Rounds repeat until no merge happens.  The original
+    ``instance`` is never mutated (the paper: "in the matching process
+    instance D may not be updated").
 
-    Three kernel refinements over the naive loop, none observable in the
-    result: rounds after the first only re-scan pairs at least one of
-    whose tuples a consensus repair actually changed (an unchanged pair's
-    LHS verdict cannot change and its RHS cells are already merged); the
-    resolve-merged step visits only classes that gained a member this
-    round (:func:`_resolve_touched`) instead of rescanning every
-    pair × side × attribute; and the final stability check evaluates each
-    rule's LHS once through the compiled predicates instead of twice per
-    (pair, rule) through the registry.
+    None of the kernel's economies is observable in the result.  Within a
+    round the instance is fixed, so the set of firing (rule, pair)s does
+    not depend on evaluation order, and the count of successful unions is
+    the drop in the number of cell classes whatever order they run in.
+    Rounds after the first re-examine only pairs one of whose tuples a
+    repair actually changed (an unchanged pair's verdicts cannot change),
+    and skip a (rule, pair) that already fired (its RHS cells are merged
+    for good, so its unions would all be idempotent); the final
+    stability check re-examines only what fired or is still active.
 
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
     output of the plan's blocking backend here.
     """
     working = instance.copy()
     cells = _CellUnionFind()
-    pairs: List[Tuple[int, int]] = (
+    pairs: List[Pair] = (
         list(candidate_pairs)
         if candidate_pairs is not None
         else list(instance.tuple_pairs())
@@ -141,70 +144,138 @@ def chase(
         "chase", pairs=len(pairs), rules=len(plan.rules), max_rounds=max_rounds
     )
     chase_span.__enter__()
+    shared = working.left is working.right
+    left_names, right_names = plan.chase_attributes
+    if shared:
+        # One storage serves both sides, so one set of columns does too:
+        # a repair through either side tag lands where both read it.
+        left_columns = right_columns = {
+            name: working.left.column(name)
+            for name in dict.fromkeys(left_names + right_names)
+        }
+    else:
+        left_columns = {name: working.left.column(name) for name in left_names}
+        right_columns = {name: working.right.column(name) for name in right_names}
+    columns = (left_columns, right_columns)
+    # A selection is a list of positions into ``pairs``.
+    lefts = [left_tid for left_tid, _ in pairs]
+    rights = [right_tid for _, right_tid in pairs]
+    evaluate = plan.evaluate
+
+    def select(selection, equalities, similarities):
+        """The positions of ``selection`` whose pair matches one rule's LHS.
+
+        Equality is the paper's ``=``: never true on a null
+        (:func:`repro.metrics.base.exact_equality`, inlined).
+        """
+        for left_attr, right_attr in equalities:
+            if not selection:
+                break
+            stats.metric_evaluations += len(selection)
+            cl, cr = left_columns[left_attr], right_columns[right_attr]
+            selection = [
+                i
+                for i in selection
+                if (v := cl[lefts[i]]) is not None
+                and (w := cr[rights[i]]) is not None
+                and v == w
+            ]
+        for predicate in similarities:
+            if not selection:
+                break
+            cl, cr = left_columns[predicate.left], right_columns[predicate.right]
+            selection = [
+                i
+                for i in selection
+                if evaluate(predicate, cl[lefts[i]], cr[rights[i]])
+            ]
+        return selection
+
+    everything = range(len(pairs))
+    union = cells.union
     applications = 0
     rounds = 0
-    shared = working.left is working.right
-    active = pairs
+    active = everything
+    fired: List[Set[int]] = [set() for _ in plan.rules]
     merged_this_round = False
     while rounds < max_rounds:
         rounds += 1
-        merged_this_round = False
         round_span = tracer.span("chase-round", round=rounds, active=len(active))
         round_span.__enter__()
-        before = applications
+        firing: List[Tuple[int, object]] = []
+        for rule, (equalities, similarities), already in zip(
+            plan.rules, plan.selections, fired
+        ):
+            selection = select(
+                [i for i in active if i not in already] if already else active,
+                equalities,
+                similarities,
+            )
+            already.update(selection)
+            firing += [(i, rule.rhs) for i in selection]
+        if shared:
+            # Over shared storage one tuple's cell can sit in two classes
+            # (tagged left in one, right in the other), and then the order
+            # classes are resolved in is observable.  It follows the order
+            # of the unions: keep that pair-major, rules in declared order
+            # within a pair (the sort is stable).  Between two relations
+            # classes never share storage and no order is observable.
+            firing.sort(key=lambda entry: entry[0])
         touched: List[Cell] = []
-        for left_tid, right_tid in active:
-            t1 = working.left[left_tid]
-            t2 = working.right[right_tid]
-            for rule in plan.rules:
-                if not plan.lhs_matches(rule, t1, t2):
-                    continue
-                for left_attr, right_attr in rule.rhs:
-                    left_cell: Cell = (LEFT, left_tid, left_attr)
-                    right_cell: Cell = (RIGHT, right_tid, right_attr)
-                    if cells.union(left_cell, right_cell):
-                        merged_this_round = True
-                        applications += 1
-                        touched.append(left_cell)
-        round_span.set("merges", applications - before)
+        for i, rhs in firing:
+            left_tid, right_tid = lefts[i], rights[i]
+            for left_attr, right_attr in rhs:
+                left_cell: Cell = (LEFT, left_tid, left_attr)
+                if union(left_cell, (RIGHT, right_tid, right_attr)):
+                    touched.append(left_cell)
+        merged_this_round = bool(touched)
+        applications += len(touched)
+        round_span.set("merges", len(touched))
         if not merged_this_round:
+            # Nothing was repaired: every active pair has just been
+            # examined against the final instance.
+            active = []
             round_span.__exit__(None, None, None)
             break
-        # Re-resolve every class that gained a member to one value —
-        # only the cells actually unioned this round, not a full
-        # pair × side × attribute rescan.
-        changed = _resolve_touched(
-            working, cells, touched, resolver, shared, tracer
+        changed_left, changed_right = _resolve_touched(
+            working, columns, cells, touched, resolver, tracer
         )
         active = [
-            (left_tid, right_tid)
-            for left_tid, right_tid in pairs
-            if (LEFT, left_tid) in changed or (RIGHT, right_tid) in changed
+            i
+            for i in everything
+            if lefts[i] in changed_left or rights[i] in changed_right
         ]
         round_span.__exit__(None, None, None)
 
     # Stability: (D', D') ⊨ Σ — for every pair matching a rule's LHS in
     # D', the RHS cells must carry equal values.  (With original and
     # extended both D', the "LHS still matches" recheck is the same
-    # evaluation, so one pass through the compiled predicates suffices.)
-    stable = True
+    # evaluation.)  Only a (rule, pair) that fired, or a pair still active
+    # — dirtied by the last permitted round's repairs, or never examined
+    # because no round was permitted — can match now: any other was last
+    # evaluated against the values its tuples still carry, and did not
+    # match.
     unstable_rule = None
     with tracer.span("stability-check"):
-        for left_tid, right_tid in pairs:
-            t1 = working.left[left_tid]
-            t2 = working.right[right_tid]
-            for rule in plan.rules:
-                if not plan.lhs_matches(rule, t1, t2):
-                    continue
-                for left_attr, right_attr in rule.rhs:
-                    if t1[left_attr] != t2[right_attr]:
-                        stable = False
-                        unstable_rule = rule.name
-                        break
-                if not stable:
+        for rule, (equalities, similarities), already in zip(
+            plan.rules, plan.selections, fired
+        ):
+            selection = select(
+                list(already.union(active)), equalities, similarities
+            )
+            left_tids = [lefts[i] for i in selection]
+            right_tids = [rights[i] for i in selection]
+            for left_attr, right_attr in rule.rhs:
+                if any(map(
+                    operator.ne,
+                    map(left_columns[left_attr].__getitem__, left_tids),
+                    map(right_columns[right_attr].__getitem__, right_tids),
+                )):
+                    unstable_rule = rule.name
                     break
-            if not stable:
+            if unstable_rule is not None:
                 break
+    stable = unstable_rule is None
     # Exhaustion: the round budget ran out AND the result is not a
     # fixpoint — the last permitted round still merged, or no round was
     # permitted at all.  A chase whose last permitted round merged but
@@ -219,159 +290,8 @@ def chase(
     chase_span.set("stable", stable)
     if rounds_exhausted:
         stats.rounds_exhausted += 1
-        # Record what triggered the cut-off: the rule whose RHS was
-        # still unequal at the budget, and the full rule set in play.
-        chase_span.set("rounds_exhausted", True)
-        chase_span.set("unstable_rule", unstable_rule)
-        chase_span.set("rule_set", [rule.name for rule in plan.rules])
-    chase_span.__exit__(None, None, None)
-    plan.metrics.observe("chase.rounds", rounds)
-    plan.metrics.observe("chase.seconds", time.perf_counter() - chase_start)
-    return EnforcementResult(
-        working, stable, rounds, cells, applications, rounds_exhausted
-    )
-
-
-def chase_factorised(
-    plan,
-    instance: InstancePair,
-    resolver: ValueResolver = prefer_informative,
-    candidate_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    max_rounds: int = 100,
-) -> EnforcementResult:
-    """The factorised twin of :func:`chase` — same result, grouped work.
-
-    Candidate pairs are grouped by their distinct LHS value-pair
-    signature (:class:`~repro.plan.factorise.PairGroupIndex`); each round
-    computes one verdict per distinct signature
-    (:meth:`~repro.plan.compile.EnforcementPlan.group_verdict`) and
-    expands a group back to record pairs only when its verdict fires.
-    After repairs, only the dirty pairs migrate to their re-computed
-    signature groups — the factorisation is maintained incrementally,
-    never rebuilt.
-
-    Equivalence with the pairwise loop (the differential suite in
-    ``tests/plan/test_factorised_equivalence.py`` pins it): within a
-    round the instance is fixed, and a rule's LHS reads exactly the
-    signature's value pairs, so the group verdict equals every member
-    pair's verdict; the per-round count of *successful* unions is
-    order-independent (it equals the drop in the number of cell classes);
-    and the dirty sets coincide because repairs are applied to the same
-    classes.  Hence rounds, applications, stability, merged classes and
-    repaired values are all identical — which is why the
-    ``execution.factorised`` spec knob stays out of the fingerprint.
-    """
-    working = instance.copy()
-    cells = _CellUnionFind()
-    pairs: List[Tuple[int, int]] = (
-        list(candidate_pairs)
-        if candidate_pairs is not None
-        else list(instance.tuple_pairs())
-    )
-    stats = plan.stats
-    stats.enforcements += 1
-    stats.pairs_compared += len(pairs)
-    tracer = plan.tracer
-    chase_start = time.perf_counter()
-
-    chase_span = tracer.span(
-        "chase",
-        pairs=len(pairs),
-        rules=len(plan.rules),
-        max_rounds=max_rounds,
-        factorised=True,
-    )
-    chase_span.__enter__()
-    with tracer.span("factorise") as factorise_span:
-        index = PairGroupIndex(plan, working, pairs)
-        factorise_span.set("groups", index.group_count)
-    stats.groups_built += index.group_count
-    stats.factorisation_ratio = round(index.ratio, 4)
-    chase_span.set("groups", index.group_count)
-    chase_span.set("factorisation_ratio", stats.factorisation_ratio)
-
-    applications = 0
-    rounds = 0
-    shared = working.left is working.right
-    active_groups = list(index.groups.values())
-    merged_this_round = False
-    while rounds < max_rounds:
-        rounds += 1
-        merged_this_round = False
-        round_span = tracer.span(
-            "chase-round",
-            round=rounds,
-            active=sum(len(group) for group in active_groups),
-            groups=len(active_groups),
-        )
-        round_span.__enter__()
-        before = applications
-        touched: List[Cell] = []
-        for group in active_groups:
-            verdict = plan.group_verdict(group.signature)
-            if not verdict:
-                continue
-            # Expansion: the verdict holds for every member pair, so the
-            # RHS merges apply per record pair.  Pairs that already fired
-            # in an earlier round union idempotently (no application
-            # counted), exactly as on the pairwise path.
-            for rule_index in verdict:
-                rule = plan.rules[rule_index]
-                for left_tid, right_tid in group.pairs:
-                    for left_attr, right_attr in rule.rhs:
-                        left_cell: Cell = (LEFT, left_tid, left_attr)
-                        right_cell: Cell = (RIGHT, right_tid, right_attr)
-                        if cells.union(left_cell, right_cell):
-                            merged_this_round = True
-                            applications += 1
-                            touched.append(left_cell)
-        round_span.set("merges", applications - before)
-        if not merged_this_round:
-            round_span.__exit__(None, None, None)
-            break
-        changed = _resolve_touched(
-            working, cells, touched, resolver, shared, tracer
-        )
-        dirty = [
-            (left_tid, right_tid)
-            for left_tid, right_tid in pairs
-            if (LEFT, left_tid) in changed or (RIGHT, right_tid) in changed
-        ]
-        active_groups = index.migrate(working, dirty)
-        round_span.__exit__(None, None, None)
-
-    # Stability over the factorisation: the index is current (repairs and
-    # migration happen in the same round iteration), so one verdict per
-    # group — usually a verdict-cache hit — plus RHS equality per member
-    # pair of the firing groups.
-    stable = True
-    unstable_rule = None
-    with tracer.span("stability-check"):
-        for group in index.groups.values():
-            for rule_index in plan.group_verdict(group.signature):
-                rule = plan.rules[rule_index]
-                for left_tid, right_tid in group.pairs:
-                    t1 = working.left[left_tid]
-                    t2 = working.right[right_tid]
-                    for left_attr, right_attr in rule.rhs:
-                        if t1[left_attr] != t2[right_attr]:
-                            stable = False
-                            unstable_rule = rule.name
-                            break
-                    if not stable:
-                        break
-                if not stable:
-                    break
-            if not stable:
-                break
-    rounds_exhausted = (merged_this_round or rounds == 0) and not stable
-    stats.chase_rounds += rounds
-    stats.rule_applications += applications
-    chase_span.set("rounds", rounds)
-    chase_span.set("applications", applications)
-    chase_span.set("stable", stable)
-    if rounds_exhausted:
-        stats.rounds_exhausted += 1
+        # Record what triggered the cut-off: a rule whose RHS was still
+        # unequal at the budget, and the full rule set in play.
         chase_span.set("rounds_exhausted", True)
         chase_span.set("unstable_rule", unstable_rule)
         chase_span.set("rule_set", [rule.name for rule in plan.rules])

@@ -8,12 +8,11 @@
    independently (see that module for why this is sound);
 2. the shards are packed into per-worker bins
    (:func:`~repro.plan.shard.assign_shards`) and each bin is chased in a
-   worker process — factorised by default, each worker grouping its own
-   bin's pairs by value-pair signature (:mod:`repro.plan.factorise`).  Compiled plans hold resolved metric callables and
-   closures, so they do not pickle; every worker instead **rebuilds the
-   plan from the pickled** :class:`~repro.api.spec.ResolutionSpec`
-   **document** once (pool initializer) and receives only its bin's rows
-   and pairs;
+   worker process by the same kernel.  Compiled plans hold resolved
+   metric callables and closures, so they do not pickle; every worker
+   instead **rebuilds the plan from the pickled**
+   :class:`~repro.api.spec.ResolutionSpec` **document** once (pool
+   initializer) and receives only its bin's rows and pairs;
 3. the parent merges the per-shard results: it unions the per-shard
    ``_CellUnionFind`` merge classes, applies the per-shard cell repairs,
    and re-resolves every merged class once — idempotent when the shard
@@ -65,7 +64,7 @@ from repro.obs.trace import Tracer
 from repro.relations.relation import Relation
 
 from .blocking import Pair
-from .executor import chase, chase_factorised
+from .executor import chase
 from .shard import assign_shards, shard_pairs
 
 #: Below this many candidate pairs the serial loop runs instead — pool
@@ -97,9 +96,6 @@ class ShardTask:
     pairs: Tuple[Pair, ...]
     max_rounds: int
     trace: bool = False
-    #: Chase this bin factorised (the worker groups its own shard's
-    #: pairs by value-pair signature; see repro.plan.factorise).
-    factorised: bool = True
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,6 @@ class ShardOutcome:
     rounds_exhausted: bool
     metric_evaluations: int
     cache_hits: int
-    #: Factorised-path counter deltas (zero on the pairwise path).
-    value_pairs_evaluated: int = 0
-    groups_built: int = 0
     #: Serialized root spans of the worker's chase (empty unless the
     #: task asked for tracing).
     spans: Tuple[Dict[str, object], ...] = ()
@@ -158,8 +151,6 @@ def _run_task(task: ShardTask) -> ShardOutcome:
     stats = plan.stats
     evaluations_before = stats.metric_evaluations
     hits_before = stats.cache_hits
-    value_pairs_before = stats.value_pairs_evaluated
-    groups_before = stats.groups_built
     # A traced parent asks each worker to record its own span tree; the
     # worker's plan is rebuilt per process, so swapping the tracer in
     # and out around one task is safe (tasks run sequentially per
@@ -168,9 +159,8 @@ def _run_task(task: ShardTask) -> ShardOutcome:
     saved_tracer = plan.tracer
     if worker_tracer is not None:
         plan.tracer = worker_tracer
-    kernel = chase_factorised if task.factorised and plan.rules else chase
     try:
-        result = kernel(
+        result = chase(
             plan,
             instance,
             resolver=resolver,
@@ -202,8 +192,6 @@ def _run_task(task: ShardTask) -> ShardOutcome:
         rounds_exhausted=result.rounds_exhausted,
         metric_evaluations=stats.metric_evaluations - evaluations_before,
         cache_hits=stats.cache_hits - hits_before,
-        value_pairs_evaluated=stats.value_pairs_evaluated - value_pairs_before,
-        groups_built=stats.groups_built - groups_before,
         spans=(
             tuple(span.to_dict() for span in worker_tracer.spans())
             if worker_tracer is not None
@@ -275,7 +263,6 @@ def _bin_tasks(
     shared: bool,
     max_rounds: int,
     trace: bool = False,
-    factorised: bool = True,
 ) -> List[ShardTask]:
     tasks = []
     for bin_ in bins:
@@ -299,7 +286,6 @@ def _bin_tasks(
                 pairs=tuple(pair for shard in bin_ for pair in shard.pairs),
                 max_rounds=max_rounds,
                 trace=trace,
-                factorised=factorised,
             )
         )
     return tasks
@@ -330,7 +316,6 @@ def parallel_chase(
     max_rounds: int = 100,
     min_pairs: Optional[int] = None,
     start_method: Optional[str] = None,
-    factorised: bool = True,
 ) -> EnforcementResult:
     """Chase ``instance`` in parallel; serial fallback when it cannot pay.
 
@@ -350,8 +335,6 @@ def parallel_chase(
     threshold = PARALLEL_MIN_PAIRS if min_pairs is None else min_pairs
     shared = instance.left is instance.right
     tracer = plan.tracer
-    # The serial fallback honors the caller's kernel choice.
-    kernel = chase_factorised if factorised and plan.rules else chase
 
     def serial(reason: str) -> EnforcementResult:
         # The satellite guarantee: why a workers>1 request ran serially
@@ -360,7 +343,7 @@ def parallel_chase(
         plan.stats.serial_fallback_reason = reason
         with tracer.span("parallel-chase", pairs=len(pairs), workers=workers) as span:
             span.set("serial_fallback_reason", reason)
-            return kernel(
+            return chase(
                 plan,
                 instance,
                 resolver=resolver,
@@ -389,7 +372,7 @@ def parallel_chase(
         plan.stats.serial_fallback_reason = "single-component"
         parallel_span.set("serial_fallback_reason", "single-component")
         try:
-            return kernel(
+            return chase(
                 plan,
                 instance,
                 resolver=resolver,
@@ -401,8 +384,7 @@ def parallel_chase(
 
     bins = assign_shards(shards, workers)
     tasks = _bin_tasks(
-        instance, bins, shared, max_rounds,
-        trace=tracer.enabled, factorised=factorised,
+        instance, bins, shared, max_rounds, trace=tracer.enabled
     )
     method = start_method or os.environ.get(START_METHOD_ENV) or None
     context = multiprocessing.get_context(method)
@@ -455,11 +437,6 @@ def parallel_chase(
     stats.rule_applications += sum(o.applications for o in outcomes)
     stats.metric_evaluations += sum(o.metric_evaluations for o in outcomes)
     stats.cache_hits += sum(o.cache_hits for o in outcomes)
-    stats.value_pairs_evaluated += sum(o.value_pairs_evaluated for o in outcomes)
-    merged_groups = sum(o.groups_built for o in outcomes)
-    stats.groups_built += merged_groups
-    if merged_groups:
-        stats.factorisation_ratio = round(len(pairs) / merged_groups, 4)
     stats.shards += len(shards)
     stats.parallel_chases += 1
     stats.workers_spawned += len(bins)

@@ -96,9 +96,11 @@ class Relation:
         """Insert a row; missing schema attributes are filled with ``None``.
 
         Unknown attribute names are rejected.  An explicit ``tid`` may be
-        supplied (used by :meth:`copy`); it must be fresh.
+        supplied (the engine and the pool workers preserve ids); it must
+        be fresh.
         """
-        unknown = set(values) - set(self.schema.attribute_names)
+        names = self.schema.attribute_names
+        unknown = set(values).difference(names)
         if unknown:
             raise KeyError(
                 f"attributes {sorted(unknown)} not in schema {self.schema.name!r}"
@@ -107,10 +109,7 @@ class Relation:
             tid = self._next_tid
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
-        complete = {
-            name: values.get(name) for name in self.schema.attribute_names
-        }
-        self._rows[tid] = Row(tid, complete)
+        self._rows[tid] = Row(tid, {name: values.get(name) for name in names})
         self._next_tid = max(self._next_tid, tid + 1)
         return tid
 
@@ -151,6 +150,15 @@ class Relation:
         """All rows, in insertion order."""
         return list(self._rows.values())
 
+    def column(self, attribute: str) -> Dict[int, object]:
+        """One attribute as a fresh ``{tid: value}`` mapping (a snapshot,
+        not a live view: later :meth:`set_value` calls do not reach it)."""
+        if attribute not in self.schema:
+            raise KeyError(
+                f"{attribute!r} is not an attribute of {self.schema.name!r}"
+            )
+        return {tid: row._values[attribute] for tid, row in self._rows.items()}
+
     # ------------------------------------------------------------------
     # Extension semantics
     # ------------------------------------------------------------------
@@ -158,8 +166,12 @@ class Relation:
     def copy(self) -> "Relation":
         """A deep-enough copy preserving tuple ids (an extension of self)."""
         duplicate = Relation(self.schema)
-        for tid, row in self._rows.items():
-            duplicate.insert(row.values(), tid=tid)
+        # Every stored row is already schema-complete and its tid unique,
+        # so the value dicts are copied without insert()'s validation.
+        duplicate._rows = {
+            tid: Row(tid, dict(row._values)) for tid, row in self._rows.items()
+        }
+        duplicate._next_tid = self._next_tid
         return duplicate
 
     def extends(self, original: "Relation") -> bool:

@@ -180,6 +180,17 @@ class TestValidation:
         errors = ResolutionSpec.validate_document(document)
         assert any("execution.workers" in error for error in errors)
 
+    def test_removed_kernel_knob_is_an_unknown_key(self, document):
+        # There is one chase kernel; the knob that chose between two is
+        # rejected like any other misspelt key (the benchmark's strategy
+        # probe relies on this to report the strategy as gone).
+        document["execution"] = {"factorised": False}
+        with pytest.raises(SpecError) as excinfo:
+            ResolutionSpec.from_dict(document)
+        assert list(excinfo.value.errors) == [
+            "execution: unknown key(s) ['factorised']"
+        ]
+
     def test_all_errors_reported_at_once(self, document):
         document["version"] = 2
         document["blocking"] = {"backend": "bogus"}

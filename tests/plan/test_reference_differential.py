@@ -1,0 +1,333 @@
+"""Differential suite: the chase kernel ≡ the naive reference chase.
+
+``reference.py`` is the paper's chase written the slow, obvious way; the
+kernel (:func:`repro.plan.executor.chase`) reorders, prunes and memoizes.
+Nothing of that may be observable: on every instance here the two agree
+on ``rounds``, ``applications``, ``stable``, ``rounds_exhausted``, the
+merged cell classes and every cell value, and a
+:class:`~repro.api.Workspace` run agrees on matches, clusters and
+provenance.  Inputs are the three :mod:`repro.datagen.streams` arrival
+scenarios, Hypothesis instances under :mod:`repro.datagen.mdgen` rule
+sets, and one explicit case per input shape the kernel treats specially.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import reference_chase
+
+from repro.api import Workspace
+from repro.api.spec import VALUE_POLICIES
+from repro.core.parser import parse_md
+from repro.core.schema import LEFT, RIGHT, RelationSchema, SchemaPair
+from repro.core.semantics import InstancePair, prefer_informative
+from repro.datagen.generator import generate_dataset
+from repro.datagen.mdgen import generate_workload
+from repro.datagen.schemas import extended_mds
+from repro.datagen.streams import (
+    arrival_stream,
+    duplicate_burst_stream,
+    late_duplicate_stream,
+)
+from repro.experiments.harness import resolution_spec_document
+from repro.matching.clustering import cluster_matches
+from repro.plan import compile_plan
+from repro.relations.relation import Relation
+
+SCENARIOS = {
+    "arrival": arrival_stream,
+    "duplicate-burst": duplicate_burst_stream,
+    "late-duplicate": late_duplicate_stream,
+}
+
+
+def _values(instance):
+    return {
+        (side, row.tid): row.values()
+        for side, relation in ((LEFT, instance.left), (RIGHT, instance.right))
+        for row in relation
+    }
+
+
+def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
+                      max_rounds=100):
+    """Chase with the kernel and the reference; every observable agrees."""
+    result = plan.enforce(
+        instance, resolver=resolver, candidate_pairs=pairs, max_rounds=max_rounds
+    )
+    expected = reference_chase(
+        plan.sigma, instance, resolver, pairs, max_rounds, plan.registry
+    )
+    assert result.rounds == expected.rounds
+    assert result.applications == expected.applications
+    assert result.stable == expected.stable
+    assert result.rounds_exhausted == expected.rounds_exhausted
+    assert {
+        frozenset(group) for group in result.merged_cells.classes()
+    } == expected.classes
+    assert _values(result.instance) == expected.values
+    return result, expected
+
+
+# ----------------------------------------------------------------------
+# The arrival scenarios, through the whole Workspace
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", (3, 11))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_scenarios_match_the_reference(scenario, seed):
+    dataset = generate_dataset(120, seed=seed)
+    left = Relation(dataset.pair.left)
+    right = Relation(dataset.pair.right)
+    for event in SCENARIOS[scenario](dataset, seed=seed).events:
+        (left if event.side == LEFT else right).insert(event.values, tid=event.tid)
+    workspace = Workspace.from_dict(
+        resolution_spec_document(
+            dataset.pair,
+            dataset.target,
+            extended_mds(dataset.pair),
+            blocking={"backend": "hash", "key_length": 2},
+            execution={"mode": "enforce"},
+        )
+    )
+    plan = workspace.plan
+    candidates = workspace.candidates(left, right)
+    _, expected = assert_same_chase(
+        plan, InstancePair(plan.pair, left, right), pairs=candidates
+    )
+
+    report = workspace.match(left, right, candidates=candidates)
+    matches = expected.matches(plan.target.attribute_pairs())
+    assert matches  # the scenario exercises merges, not only rejections
+    assert list(report.matches) == matches
+    assert list(report.clusters) == cluster_matches(matches)
+    assert report.provenance == {
+        pair: tuple(plan.rules[position].name for position in expected.firing(*pair))
+        for pair in matches
+    }
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: random instances under generated rule sets
+# ----------------------------------------------------------------------
+
+ARITY = 4
+
+#: Near-duplicates make the similarity operators fire, differing lengths
+#: make the resolvers rewrite, nulls exercise the null rule of ``=``.
+VALUES = st.sampled_from([None, "mark", "marx", "mark s", "clare", "claire", "x"])
+
+
+def _rows(prefix):
+    return st.lists(
+        st.fixed_dictionaries({f"{prefix}{i}": VALUES for i in range(ARITY)}),
+        min_size=1,
+        max_size=6,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 4),
+    _rows("A"),
+    _rows("B"),
+    st.sampled_from(sorted(VALUE_POLICIES)),
+    st.sampled_from([1, 2, 100]),
+)
+def test_generated_instances_match_the_reference(
+    seed, md_count, left_rows, right_rows, policy, max_rounds
+):
+    workload = generate_workload(
+        md_count, target_length=2, arity=ARITY, max_lhs=3, seed=seed,
+        rhs_target_bias=0.5,
+    )
+    plan = compile_plan(sigma=workload.sigma)
+    instance = InstancePair(
+        workload.pair,
+        Relation(workload.pair.left, left_rows),
+        Relation(workload.pair.right, right_rows),
+    )
+    assert_same_chase(
+        plan, instance, VALUE_POLICIES[policy], max_rounds=max_rounds
+    )
+
+
+# ----------------------------------------------------------------------
+# Explicit cases
+# ----------------------------------------------------------------------
+
+ABC = ("A", "B", "C")
+
+
+def _abc_plan(*mds):
+    pair = SchemaPair(RelationSchema("R", ABC), RelationSchema("S", ABC))
+    return compile_plan(sigma=[parse_md(text, pair) for text in mds]), pair
+
+
+#: A → B feeds B → C: the second rule only fires on repaired values.
+CASCADE = ("R[A] = S[A] -> R[B] <=> S[B]", "R[B] = S[B] -> R[C] <=> S[C]")
+
+
+def test_null_cells_never_satisfy_equality():
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [
+            {"A": None, "B": "b", "C": "c"},
+            {"A": "k", "B": None, "C": "left-c"},
+        ]),
+        Relation(pair.right, [
+            {"A": None, "B": "b2", "C": None},
+            {"A": "k", "B": None, "C": None},
+        ]),
+    )
+    result, _ = assert_same_chase(plan, instance)
+    # null = null is false on A, and B stays null on the k-pair, so the
+    # second rule never fires for it.
+    assert result.instance.right[0]["B"] == "b2"
+    assert result.instance.right[1]["C"] is None
+
+
+def test_unhashable_cell_values():
+    # A list under an equality atom is compared in place; under a
+    # similarity atom it cannot key the memo and is evaluated directly.
+    pair = SchemaPair(RelationSchema("R", ABC), RelationSchema("S", ABC))
+    plan = compile_plan(sigma=[
+        parse_md("R[A] = S[A] & R[B] ~dl(0.8) S[B] -> R[C] <=> S[C]", pair),
+    ])
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [
+            {"A": ["k"], "B": ["mark"], "C": "value"},
+            {"A": "plain", "B": ["clare"], "C": "kept"},
+        ]),
+        Relation(pair.right, [
+            {"A": ["k"], "B": ["marx"], "C": None},
+            {"A": "plain", "B": ["x"], "C": None},
+        ]),
+    )
+    result, _ = assert_same_chase(plan, instance, pairs=[(0, 0), (1, 1)])
+    assert result.instance.right[0]["C"] == "value"
+    assert result.instance.right[1]["C"] is None
+    assert plan.stats.cache_hits == 0
+
+
+def test_shared_instance_self_match():
+    schema = RelationSchema("R", ABC)
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md(text, pair)
+        for text in ("R[A] = R[A] -> R[B] <=> R[B]", "R[B] = R[B] -> R[C] <=> R[C]")
+    ])
+    shared = Relation(schema, [
+        {"A": "k", "B": "long-b", "C": "c"},
+        {"A": "k", "B": None, "C": "long-c"},
+        {"A": "z", "B": "long-b", "C": None},
+    ])
+    instance = InstancePair(pair, shared, shared)
+    result, _ = assert_same_chase(plan, instance, pairs=[(0, 1), (1, 2)])
+    assert result.instance.left is result.instance.right
+    # Pair (0, 1) repairs tuple 1's B through its *right* cell; pair
+    # (1, 2) reads the same storage through its *left* cell, and only
+    # that repair lets the C rule fire on it.
+    assert result.instance.left[1]["B"] == "long-b"
+    assert result.instance.left[2]["C"] == "long-c"
+
+
+def test_shared_storage_resolves_in_pair_major_union_order():
+    """The one observable the reference is no oracle for.
+
+    In a self-match a tuple's cell can sit in two merged classes at once
+    (tagged left in one, right in the other), so the values a round
+    leaves behind depend on the order its classes are resolved in — and
+    the reference, which re-resolves every class every round, takes a
+    different one.  The kernel's order is fixed: classes resolve in the
+    order of their first successful union, unions running pair by pair
+    with the rules in declared order.  Pinned on an instance where a
+    rule-major union order repairs differently and fires a 15th union.
+    """
+    schema = RelationSchema("R", ABC)
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md("R[B] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
+        parse_md("R[C] = R[C] -> R[B] <=> R[B] & R[C] <=> R[C]", pair),
+    ])
+    shared = Relation(schema, [
+        {"A": "a", "B": None, "C": "ab"},
+        {"A": None, "B": "b", "C": "abc"},
+        {"A": None, "B": "abc", "C": "ab"},
+        {"A": "ba", "B": "abc", "C": "abc"},
+    ])
+    result = plan.enforce(InstancePair(pair, shared, shared), max_rounds=2)
+    assert (result.rounds, result.applications, result.stable) == (2, 14, True)
+    assert not result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
+    assert {row.tid: row.values() for row in result.instance.left} == {
+        tid: {"A": "ba", "B": "abc", "C": "abc"} for tid in range(4)
+    }
+
+
+def test_sparse_tuple_ids():
+    # The engine's local instances keep store tids: neither dense nor
+    # starting at 0, and different on each side.
+    plan, pair = _abc_plan(*CASCADE)
+    left = Relation(pair.left)
+    right = Relation(pair.right)
+    left.insert({"A": "k", "B": "long-b", "C": "long-c"}, tid=907)
+    left.insert({"A": "j", "B": "b", "C": "c"}, tid=12)
+    right.insert({"A": "k", "B": None, "C": None}, tid=40_001)
+    right.insert({"A": "j", "B": "bb", "C": None}, tid=3)
+    result, _ = assert_same_chase(
+        plan, InstancePair(pair, left, right),
+        pairs=[(907, 40_001), (12, 3), (907, 3)],
+    )
+    assert result.instance.right[40_001]["C"] == "long-c"
+
+
+def test_order_dependent_resolver():
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": "zz", "C": "left"}]),
+        Relation(pair.right, [
+            {"A": "k", "B": "a-much-longer-b", "C": "right"},
+            {"A": "k", "B": None, "C": None},
+        ]),
+    )
+    result, _ = assert_same_chase(plan, instance, VALUE_POLICIES["first-non-null"])
+    # first-non-null takes the first value in sorted cell order (the left
+    # cell), where prefer-informative would take the longest.
+    assert result.instance.right[0]["B"] == "zz"
+    assert result.instance.right[1]["C"] == "left"
+
+
+@pytest.mark.parametrize("max_rounds", (0, 1, 2, 3))
+def test_max_rounds_cut_off(max_rounds):
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "x", "B": "long-b", "C": "long-c"}]),
+        Relation(pair.right, [{"A": "x", "B": None, "C": None}]),
+    )
+    result, _ = assert_same_chase(plan, instance, max_rounds=max_rounds)
+    # Round 1 repairs B, round 2 merges C: budgets 0 and 1 stop short of
+    # the fixpoint, and only then is the cut-off reported.
+    assert result.rounds_exhausted == (max_rounds < 2)
+    assert result.stable == (max_rounds >= 2)
+
+
+def test_empty_candidate_list():
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "x", "B": "b", "C": "c"}]),
+        Relation(pair.right, [{"A": "x", "B": None, "C": None}]),
+    )
+    result, _ = assert_same_chase(plan, instance, pairs=[])
+    assert (result.rounds, result.applications, result.stable) == (1, 0, True)
+    assert result.matches([], [("B", "B")]) == []
+    assert _values(result.instance) == _values(instance)

@@ -92,6 +92,22 @@ class TestRow:
         assert first[0] == second[0]
 
 
+class TestColumn:
+    def test_column_is_a_snapshot_by_tid(self, schema):
+        relation = Relation(schema)
+        relation.insert({"A": "x"}, tid=5)
+        relation.insert({"B": "y"}, tid=2)
+        column = relation.column("A")
+        assert column == {5: "x", 2: None}
+        relation.set_value(5, "A", "changed")
+        column[2] = "local"
+        assert column[5] == "x" and relation[2]["A"] is None
+
+    def test_unknown_attribute(self, schema):
+        with pytest.raises(KeyError, match="not an attribute"):
+            Relation(schema).column("Z")
+
+
 class TestExtension:
     def test_copy_preserves_tids_and_is_extension(self, schema):
         relation = Relation(schema, [{"A": 1}, {"A": 2}])
@@ -102,6 +118,18 @@ class TestExtension:
         # Values may differ — still an extension (⊑ tracks tuple ids).
         assert duplicate.extends(relation)
         assert relation[0]["A"] == 1
+
+    def test_copy_keeps_sparse_tids_and_the_next_fresh_one(self, schema):
+        relation = Relation(schema)
+        relation.insert({"A": 1}, tid=7)
+        relation.insert({"A": 2}, tid=3)
+        duplicate = relation.copy()
+        assert duplicate.tids() == [7, 3]
+        assert [row.values() for row in duplicate] == [
+            {"A": 1, "B": None}, {"A": 2, "B": None},
+        ]
+        # Auto ids continue past the largest copied one on both.
+        assert duplicate.insert({"A": 3}) == relation.insert({"A": 3}) == 8
 
     def test_missing_tuple_breaks_extension(self, schema):
         relation = Relation(schema, [{"A": 1}, {"A": 2}])
