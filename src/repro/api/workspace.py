@@ -310,19 +310,20 @@ class Workspace:
                     self.spec.to_dict() if self.spec.workers > 1 else None
                 ),
             )
-            matches = result.matches(candidates, plan.target.attribute_pairs())
+            matches = result.matches(plan.target.attribute_pairs())
             rule_names: Dict[Pair, Tuple[str, ...]] = {}
             if provenance:
                 with self.tracer.span("provenance"):
-                    chased = result.instance
-                    for left_tid, right_tid in matches:
-                        t1 = chased.left[left_tid]
-                        t2 = chased.right[right_tid]
-                        rule_names[(left_tid, right_tid)] = tuple(
-                            rule.name
-                            for rule in plan.rules
-                            if plan.lhs_matches(rule, t1, t2)
-                        )
+                    # The chase already knows which rules' LHS hold in the
+                    # chased instance, pair by pair: read them off.
+                    names: Dict[Pair, List[str]] = {pair: [] for pair in matches}
+                    for rule, positions in zip(plan.rules, result.holding):
+                        for i in positions:
+                            held = names.get(candidates[i])
+                            # (a pair listed twice holds at two positions)
+                            if held is not None and rule.name not in held[-1:]:
+                                held.append(rule.name)
+                    rule_names = {pair: tuple(held) for pair, held in names.items()}
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)
         return self._report("enforce", matches, candidates, rule_names)

@@ -13,17 +13,27 @@ enforcement.  Deduction (Σ ⊨m φ) quantifies over stable instances; the
 *used* to match records: two tuples are declared a match when enforcement
 identified their target attributes.
 
-Enforcement merges *cells* — (side, tuple id, attribute) triples — with a
-union-find, then assigns every merged class a single value chosen by a
+Enforcement merges *cells* — (side, tuple id, attribute) triples — into
+classes, then assigns every merged class a single value chosen by a
 :data:`ValueResolver` policy.  Merging is monotone, so the chase
 terminates; stability of the result is re-checked (and returned), because
 a resolver that changes a value may in principle break a similarity that
 an earlier rule application relied on.
+
+There is one representation of the classes, :class:`CellClasses`: cells
+are int-encoded per chase (``side_base + position * width + rank``, int
+order = cell order) and the classes live in flat lists; the tuple form
+above appears only at its boundary (``same`` / ``members`` / ``classes``).
+An :class:`EnforcementResult` is ``D`` plus what the chase did to it —
+the ``repairs``, the classes, and per rule the pairs it ``holding``-s on;
+the extension ``D'`` itself is materialised only when someone asks for
+``instance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
@@ -56,6 +66,8 @@ def prefer_informative(values: Sequence[object]) -> object:
     counts: Dict[object, int] = {}
     for value in non_null:
         counts[value] = counts.get(value, 0) + 1
+    if len(counts) == 1:
+        return non_null[0]
     return max(
         counts,
         key=lambda value: (len(str(value)), counts[value], str(value)),
@@ -184,84 +196,190 @@ def is_stable(
     return satisfies_all(instance, instance, sigma, registry)
 
 
-class _CellUnionFind:
-    """Union-find over instance cells, tracking class members."""
+class CellClasses:
+    """The merged cell classes of one chase, over a flat int encoding.
 
-    def __init__(self) -> None:
-        self._parent: Dict[Cell, Cell] = {}
-        self._members: Dict[Cell, Set[Cell]] = {}
+    Built over the candidate pair list of one chase.  The tuples the
+    pairs mention get positions in sorted-tid order, the chase attributes
+    of each side ranks in sorted-name order, and a cell is the int
+    ``side_base + position * width + rank`` — left cells first, so **int
+    order is** ``(side, tid, attribute)`` **order** and a sorted member
+    list needs no decoding.  ``root``/``size`` are flat lists; the members
+    of a class form a circular list through ``next``, which a union joins
+    by swapping two pointers.  ``root`` is kept flat (a union relabels
+    the smaller class), so a class test is one list comparison.
 
-    def find(self, cell: Cell) -> Cell:
-        parent = self._parent
-        root = parent.get(cell)
-        if root is None:
-            parent[cell] = cell
-            self._members[cell] = {cell}
-            return cell
-        # Every stored parent is the one tuple object its class was first
-        # seen as, so roots are told apart by identity, not by comparing
-        # three fields.
-        up = parent[root]
-        if up is root:
-            return root
-        while up is not root:
-            root, up = up, parent[up]
-        while cell is not root:
-            parent[cell], cell = root, parent[cell]
-        return root
+    Over shared storage (``left is right``) both sides use one tid and
+    one attribute table; a tuple's cell then still exists once per side
+    tag — ``right_base`` apart — because the chase identifies *qualified*
+    cells.
 
-    def union(self, a: Cell, b: Cell) -> bool:
-        """Merge the classes of ``a`` and ``b``; True when they differed."""
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a is root_b:
+    :func:`repro.plan.executor.chase` inlines the union steps in its
+    round loop; everything tuple-facing (:meth:`same`, :meth:`members`,
+    :meth:`classes`) decodes at the boundary.
+    """
+
+    def __init__(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        attributes: Tuple[Sequence[str], Sequence[str]],
+        shared: bool = False,
+    ) -> None:
+        left_tids = {left_tid for left_tid, _ in pairs}
+        right_tids = {right_tid for _, right_tid in pairs}
+        left_names, right_names = set(attributes[0]), set(attributes[1])
+        if shared:
+            left_tids = right_tids = left_tids | right_tids
+            left_names = right_names = left_names | right_names
+        self.pairs = pairs
+        self.left_tids: List[int] = sorted(left_tids)
+        self.right_tids: List[int] = sorted(right_tids)
+        self.left_names: List[str] = sorted(left_names)
+        self.right_names: List[str] = sorted(right_names)
+        self.left_rank = {name: rank for rank, name in enumerate(self.left_names)}
+        self.right_rank = {name: rank for rank, name in enumerate(self.right_names)}
+        left_width, right_width = len(self.left_names), len(self.right_names)
+        #: The first right cell; over shared storage also the distance
+        #: between a tuple's left cell and its right twin.
+        self.right_base = len(self.left_tids) * left_width
+        left_first = {
+            tid: position * left_width
+            for position, tid in enumerate(self.left_tids)
+        }
+        right_first = {
+            tid: self.right_base + position * right_width
+            for position, tid in enumerate(self.right_tids)
+        }
+        #: Per side, ``tid -> the tuple's first cell`` (its rank-0 attribute).
+        self._first = (left_first, right_first)
+        #: Per pair, the first cell of its left and of its right tuple.
+        self.left_cells = [left_first[left_tid] for left_tid, _ in pairs]
+        self.right_cells = [right_first[right_tid] for _, right_tid in pairs]
+        count = self.right_base + len(self.right_tids) * right_width
+        self.root = list(range(count))
+        self.size = [1] * count
+        self.next = list(range(count))
+
+    # -- the encoding ----------------------------------------------------
+
+    def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
+        """The int of a cell, ``None`` for one outside the encoding (a
+        tuple no pair mentions, or an attribute no rule reads or writes)."""
+        first = self._first[side].get(tid)
+        rank = (self.left_rank if side == LEFT else self.right_rank).get(attribute)
+        if first is None or rank is None:
+            return None
+        return first + rank
+
+    def decode(self, cell: int) -> Cell:
+        """The ``(side, tid, attribute)`` an int stands for."""
+        if cell < self.right_base:
+            position, rank = divmod(cell, len(self.left_names))
+            return (LEFT, self.left_tids[position], self.left_names[rank])
+        position, rank = divmod(cell - self.right_base, len(self.right_names))
+        return (RIGHT, self.right_tids[position], self.right_names[rank])
+
+    # -- int-facing ------------------------------------------------------
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of two cells; True when they differed."""
+        root, size, ring = self.root, self.size, self.next
+        a, b = root[a], root[b]
+        if a == b:
             return False
-        members = self._members
-        if len(members[root_a]) < len(members[root_b]):
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        members[root_a] |= members.pop(root_b)
+        if size[a] < size[b]:
+            a, b = b, a
+        size[a] += size[b]
+        for member in self.ring(b):
+            root[member] = a
+        ring[a], ring[b] = ring[b], ring[a]
         return True
+
+    def ring(self, cell: int) -> List[int]:
+        """The members of ``cell``'s class, from ``cell`` round (unsorted)."""
+        ring = self.next
+        members = [cell]
+        member = ring[cell]
+        while member != cell:
+            members.append(member)
+            member = ring[member]
+        return members
+
+    # -- tuple-facing ----------------------------------------------------
+
+    def same(self, a: Cell, b: Cell) -> bool:
+        """Whether the two cells are in one class.  A cell outside the
+        encoding was never merged: it is only ever in a class with itself."""
+        if a == b:
+            return True
+        a, b = self.cell(*a), self.cell(*b)
+        return a is not None and b is not None and self.root[a] == self.root[b]
 
     def members(self, cell: Cell) -> Set[Cell]:
         """All cells in the class of ``cell``."""
-        return set(self._members[self.find(cell)])
+        encoded = self.cell(*cell)
+        if encoded is None:
+            return {cell}
+        return {self.decode(member) for member in self.ring(encoded)}
 
     def classes(self) -> List[Set[Cell]]:
-        """Every merged class with more than one member.
-
-        Singleton classes (cells only ever touched by :meth:`find`) carry
-        no identification and are omitted; the parallel merge step unions
-        per-shard results through this view.
-        """
+        """Every merged class with more than one member (a singleton
+        carries no identification)."""
+        root, size = self.root, self.size
         return [
-            set(members)
-            for members in self._members.values()
-            if len(members) > 1
+            {self.decode(member) for member in self.ring(cell)}
+            for cell in range(len(root))
+            if root[cell] == cell and size[cell] > 1
         ]
 
-    def same(self, a: Cell, b: Cell) -> bool:
-        """Whether the two cells are currently in one class."""
-        return self.find(a) == self.find(b)
+    def matches(
+        self, attribute_pairs: Iterable[Tuple[str, str]]
+    ) -> List[Tuple[int, int]]:
+        """The pairs (in order) whose cells of every given attribute pair
+        were identified: one root comparison per pair and attribute pair."""
+        root, left_cells, right_cells = self.root, self.left_cells, self.right_cells
+        selection: Sequence[int] = range(len(self.pairs))
+        for left_attr, right_attr in attribute_pairs:
+            left_rank = self.left_rank.get(left_attr)
+            right_rank = self.right_rank.get(right_attr)
+            if left_rank is None or right_rank is None:
+                return []
+            selection = [
+                i
+                for i in selection
+                if root[left_cells[i] + left_rank] == root[right_cells[i] + right_rank]
+            ]
+        pairs = self.pairs
+        return [pairs[i] for i in selection]
 
 
 @dataclass
 class EnforcementResult:
-    """Outcome of :func:`enforce`.
+    """Outcome of :func:`enforce`: ``D`` plus what the chase did to it.
 
     Attributes
     ----------
-    instance:
-        The resulting extension ``D'``.
+    original:
+        The instance ``D`` that was chased (never mutated).
+    repairs:
+        ``cell -> final value`` for every cell whose value in ``D'``
+        differs from ``D`` — the cell-wise diff.  Over shared storage
+        (``left is right``) a repaired cell appears under both side tags.
     stable:
         Whether ``(D', D') ⊨ Σ`` — true in all but adversarial resolver
         cases; callers that need a guarantee should assert it.
     rounds:
         Number of chase rounds executed.
     merged_cells:
-        The cell union-find after the chase, exposing which cells were
-        identified (the matcher reads match decisions from it).
+        The cell classes after the chase, exposing which cells were
+        identified (the matcher reads match decisions from them).
     applications:
         Count of successful rule applications (new cell merges).
+    holding:
+        Per rule (in ``plan.rules`` order), the ascending positions into
+        the chased pair list of the pairs whose LHS holds in ``D'`` —
+        the stability check's own selections, kept because they are also
+        every match's provenance.
     rounds_exhausted:
         True when the chase stopped because ``max_rounds`` ran out while
         merges were still happening *and* the result is not stable — a
@@ -271,12 +389,24 @@ class EnforcementResult:
         callers that bound the chase should check (or assert) this flag.
     """
 
-    instance: InstancePair
+    original: InstancePair
+    repairs: Dict[Cell, object]
     stable: bool
     rounds: int
-    merged_cells: _CellUnionFind
+    merged_cells: CellClasses
     applications: int
+    holding: Sequence[Sequence[int]]
     rounds_exhausted: bool = False
+
+    @cached_property
+    def instance(self) -> InstancePair:
+        """The resulting extension ``D'`` = ``D`` + :attr:`repairs`,
+        materialised on first access (a match read-off never needs it)."""
+        extended = self.original.copy()
+        for (side, tid, attribute), value in self.repairs.items():
+            relation = extended.left if side == LEFT else extended.right
+            relation.set_value(tid, attribute, value)
+        return extended
 
     def identified(
         self, left_tid: int, right_tid: int, attribute_pairs: Iterable[Tuple[str, str]]
@@ -290,33 +420,11 @@ class EnforcementResult:
         )
 
     def matches(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        attribute_pairs: Iterable[Tuple[str, str]],
+        self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> List[Tuple[int, int]]:
-        """The ``pairs`` (in order) for which :meth:`identified` holds.
-
-        The read-off every matcher ends with, a column at a time: per
-        attribute pair, one class root per distinct tid still in play,
-        then one root comparison per surviving pair.
-        """
-        find = self.merged_cells.find
-        selection = list(pairs)
-        for left_attr, right_attr in attribute_pairs:
-            left_roots = {
-                tid: find((LEFT, tid, left_attr))
-                for tid in {left_tid for left_tid, _ in selection}
-            }
-            right_roots = {
-                tid: find((RIGHT, tid, right_attr))
-                for tid in {right_tid for _, right_tid in selection}
-            }
-            selection = [
-                pair
-                for pair in selection
-                if left_roots[pair[0]] == right_roots[pair[1]]
-            ]
-        return selection
+        """The chased pairs (in order) for which :meth:`identified` holds —
+        the read-off every matcher ends with."""
+        return self.merged_cells.matches(attribute_pairs)
 
 
 def enforce(

@@ -655,46 +655,30 @@ class IncrementalMatcher:
         ingests (a stream of near-duplicates keeps hitting it).
         """
         store = self.store
-        involved_left = sorted({left_tid for left_tid, _ in pairs})
-        involved_right = sorted({right_tid for _, right_tid in pairs})
         local_left = Relation(store.pair.left)
         local_right = Relation(store.pair.right)
+        # Store rows are schema-complete and handed out as fresh dicts.
         for local, stored, side, tids in (
-            (local_left, store.left, LEFT, involved_left),
-            (local_right, store.right, RIGHT, involved_right),
+            (local_left, store.left, LEFT, {left_tid for left_tid, _ in pairs}),
+            (local_right, store.right, RIGHT, {right_tid for _, right_tid in pairs}),
         ):
             for tid in tids:
-                values = (
+                local.adopt(
+                    tid,
                     store.arrival_values(side, tid)
                     if use_arrival
-                    else stored[tid].values()
+                    else stored[tid].values(),
                 )
-                local.insert(values, tid=tid)
-        instance = InstancePair(store.pair, local_left, local_right)
         result = self.plan.enforce(
-            instance,
+            InstancePair(store.pair, local_left, local_right),
             resolver=self.resolver,
             candidate_pairs=list(pairs),
         )
-        matches = result.matches(pairs, self._target_pairs)
+        matches = result.matches(self._target_pairs)
         if not collect_changed:
             return matches
-        # Which involved records did the chase move?  Compare the chased
-        # extension against the values the sub-instance was built from.
-        changed: Set[Tuple[int, int]] = set()
-        for out, stored, side, tids in (
-            (result.instance.left, store.left, LEFT, involved_left),
-            (result.instance.right, store.right, RIGHT, involved_right),
-        ):
-            for tid in tids:
-                baseline = (
-                    store.arrival_values(side, tid)
-                    if use_arrival
-                    else stored[tid].values()
-                )
-                if out[tid].values() != baseline:
-                    changed.add((side, tid))
-        return matches, changed
+        # The involved records the chase moved.
+        return matches, {(side, tid) for side, tid, _ in result.repairs}
 
     def _resolve_cluster(self, node: Node) -> List[Tuple[int, int]]:
         """Re-resolve a cluster's target values to the member consensus.

@@ -21,6 +21,7 @@ counters — but every structure lives in one embedded SQLite database:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -428,11 +429,13 @@ class SQLiteMatchStore:
 
     def disk_bytes(self) -> int:
         """Bytes on disk, including the WAL and shared-memory sidecars."""
+        # One stat per file: this runs after every commit.
         total = 0
         for suffix in ("", "-wal", "-shm"):
-            sidecar = Path(str(self.path) + suffix)
-            if sidecar.exists():
-                total += sidecar.stat().st_size
+            try:
+                total += os.stat(str(self.path) + suffix).st_size
+            except FileNotFoundError:
+                pass
         return total
 
     # ------------------------------------------------------------------

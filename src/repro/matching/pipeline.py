@@ -222,5 +222,5 @@ class EnforcementMatcher:
         result = self.plan.enforce(
             instance, candidate_pairs=list(candidates), workers=self.workers
         )
-        matches = result.matches(candidates, self.target.attribute_pairs())
+        matches = result.matches(self.target.attribute_pairs())
         return PipelineResult(tuple(matches), tuple(candidates))

@@ -4,11 +4,11 @@ MDs and RCKs are declarative; this package lowers a rule set into one
 executable :class:`~repro.plan.compile.EnforcementPlan` — deduplicated
 comparison predicates with metrics resolved at compile time, a value-keyed
 similarity memo cache, a pluggable blocking backend, and the one
-enforcement-chase kernel (:mod:`repro.plan.executor`): columnar and
-rule-at-a-time, it narrows the candidate pairs through each rule's
-equality atoms before a similarity atom runs — shared by the batch
-matchers (:mod:`repro.matching.pipeline`), the streaming engine
-(:mod:`repro.engine`), the experiments, and the CLI
+enforcement-chase kernel (:mod:`repro.plan.executor`): rule-at-a-time
+over int-encoded cells in flat lists, it narrows the candidate pairs
+through each rule's equality atoms before a similarity atom runs —
+shared by the batch matchers (:mod:`repro.matching.pipeline`), the
+streaming engine (:mod:`repro.engine`), the experiments, and the CLI
 (``repro plan explain``).  Large instances shard: candidate pairs split
 into connected components (:mod:`repro.plan.shard`) that chase in
 parallel worker processes (:mod:`repro.plan.parallel`), provably

@@ -199,10 +199,11 @@ class EnforcementPlan:
         self.metrics = MetricsRegistry()
         self._cache: Dict[Tuple[int, object, object], bool] = {}
         #: Per rule, its LHS in the order the chase kernel narrows a
-        #: selection by: the equality atoms as ``(left, right)`` column
+        #: selection by: the equality atoms as ``(left, right)`` attribute
         #: names, then the similarity predicates (declared order within
         #: each kind).  ``chase_attributes`` names the (left, right)
-        #: columns a chase reads or writes — every LHS atom and RHS pair.
+        #: attributes a chase reads or writes — every LHS atom and RHS
+        #: pair; only they get cells in the chase's encoding.
         #: Both are derived here, once, because the streaming engine runs
         #: thousands of tiny chases over one plan.
         selections = []
@@ -264,14 +265,6 @@ class EnforcementPlan:
             self._cache.clear()
         self._cache[key] = result
         return result
-
-    def lhs_matches(self, rule: CompiledRule, t1: Row, t2: Row) -> bool:
-        """Do two rows match the rule's LHS? (short-circuiting)"""
-        for slot in rule.lhs:
-            predicate = self.predicates[slot]
-            if not self.evaluate(predicate, t1[predicate.left], t2[predicate.right]):
-                return False
-        return True
 
     def key_matches(self, key: CompiledKey, t1: Row, t2: Row) -> bool:
         """Do two rows agree on every comparison of one compiled key?"""

@@ -1,15 +1,38 @@
 """The enforcement chase, executed over a compiled plan.
 
-One kernel, :func:`chase`, columnar and rule-at-a-time.  Column views of
-the working copy (``attribute -> {tid: value}``) are built once per
-chase; each round narrows, per rule, a selection list of the active
-pairs atom by atom — equality atoms first, each one comprehension over
-two columns, similarity atoms last through the plan's value-keyed memo
-(:meth:`~repro.plan.compile.EnforcementPlan.evaluate`) — and unions the
-RHS cells of the survivors only.  Cheap selective atoms prune before an
-expensive one runs (the FAQ ordering), and a metric is computed once per
-distinct value pair (the FDB saving) without materialising anything per
-candidate pair.
+One kernel, :func:`chase`, rule-at-a-time over **flat arrays**.  One
+encoding is built per chase (:class:`~repro.core.semantics.CellClasses`):
+the tuples the candidate pairs mention get positions in sorted-tid order,
+the plan's chase attributes ranks in sorted-name order, and a cell is the
+int ``side_base + position * width + rank``, so int order is
+``(side, tid, attribute)`` order.  Everything the chase keeps is a list
+indexed by such ints:
+
+* **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``; the
+  round loop inlines the union (relabel the smaller class along its
+  ``next`` ring, swap two pointers to join the rings);
+* **values** — one flat working list indexed by *slot*, filled by
+  :meth:`~repro.relations.relation.Relation.project`.  Between two
+  relations a cell is its own slot.  Over shared storage
+  (``left is right``) a right cell's slot is its left twin's, so a
+  repair through either side tag lands where both read it — and only
+  there is the order of the unions observable, so only there it is kept
+  pair-major;
+* **selections** — lists of positions into the candidate list, narrowed
+  per rule atom by atom: equality atoms first, each one comprehension
+  reading ``values[left_slot[i] + rank]``, similarity atoms last through
+  the plan's value-keyed memo
+  (:meth:`~repro.plan.compile.EnforcementPlan.evaluate`).  Cheap
+  selective atoms prune before an expensive one runs (the FAQ ordering),
+  and a metric is computed once per distinct value pair (the FDB saving).
+
+The input instance is only read.  The result
+(:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
+already knows instead of making callers re-derive it: ``repairs`` (the
+cell-wise diff; ``instance`` is ``D`` + repairs, built on first access),
+``holding`` (per rule, the pairs whose LHS holds in ``D'`` — the
+stability check's own selections, which are also every match's
+provenance) and ``matches`` (a root comparison per pair).
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
 here; :class:`~repro.api.workspace.Workspace`, the batch
@@ -22,80 +45,19 @@ function on their shard bins.
 
 from __future__ import annotations
 
-import operator
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter, ne
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.semantics import (
-    Cell,
+    CellClasses,
     EnforcementResult,
     InstancePair,
     ValueResolver,
-    _CellUnionFind,
     prefer_informative,
 )
-from repro.core.schema import LEFT, RIGHT
 
 from .blocking import Pair
-
-#: ``attribute -> {tid: value}`` for one side of the working copy.
-Columns = Dict[str, Dict[int, object]]
-
-
-def _resolve_touched(
-    working: InstancePair,
-    columns: Tuple[Columns, Columns],
-    cells: _CellUnionFind,
-    touched: Iterable[Cell],
-    resolver: ValueResolver,
-    tracer,
-) -> Tuple[Set[int], Set[int]]:
-    """Re-resolve every class that gained a member this round.
-
-    ``touched`` holds one anchor cell per successful union of the round;
-    a class whose membership did not change already carries the one value
-    the previous round's resolution wrote everywhere, so re-resolving it
-    is a no-op for any resolver that is a function of the member value
-    multiset (all named policies are).  Repairs write through to both the
-    relation and its column.
-
-    Returns the left and right tids a write actually changed — only their
-    pairs can behave differently next round.
-    """
-    relations = (working.left, working.right)
-    changed_left: Set[int] = set()
-    # One storage serving both sides: a write through either side tag
-    # dirties the tuple's pairs on both.
-    changed = (
-        changed_left,
-        changed_left if working.left is working.right else set(),
-    )
-    with tracer.span("resolve-merged") as resolve_span:
-        seen_roots: Set[Cell] = set()
-        repairs = 0
-        for anchor in touched:
-            root = cells.find(anchor)
-            if root in seen_roots:
-                continue
-            seen_roots.add(root)
-            # The resolver sees a *sorted* member order: the class is a
-            # set, and set iteration order depends on the process hash
-            # seed — an order-dependent policy (first-non-null) would
-            # otherwise resolve differently in spawn workers than in the
-            # serial parent.
-            members = sorted(cells.members(root))
-            resolved = resolver(
-                [columns[side][attr][tid] for side, tid, attr in members]
-            )
-            for side, tid, attr in members:
-                column = columns[side][attr]
-                if column[tid] != resolved:
-                    column[tid] = resolved
-                    relations[side].set_value(tid, attr, resolved)
-                    changed[side].add(tid)
-                    repairs += 1
-        resolve_span.set("repairs", repairs)
-    return changed
 
 
 def chase(
@@ -108,11 +70,12 @@ def chase(
     """Chase ``instance`` with the plan's compiled rules to a stable extension.
 
     Each round evaluates every rule's LHS on the active pairs against the
-    *current* instance, a column at a time, merges the RHS cells of the
-    pairs that matched, and re-resolves every class that grew to a single
-    value.  Rounds repeat until no merge happens.  The original
-    ``instance`` is never mutated (the paper: "in the matching process
-    instance D may not be updated").
+    *current* values, a slot at a time, merges the RHS cells of the pairs
+    that matched, and re-resolves every class that grew to a single
+    value.  Rounds repeat until no merge happens.  ``instance`` is only
+    ever read (the paper: "in the matching process instance D may not be
+    updated"): the result carries the repairs, and builds ``D'`` from
+    them when asked.
 
     None of the kernel's economies is observable in the result.  Within a
     round the instance is fixed, so the set of firing (rule, pair)s does
@@ -127,8 +90,6 @@ def chase(
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
     output of the plan's blocking backend here.
     """
-    working = instance.copy()
-    cells = _CellUnionFind()
     pairs: List[Pair] = (
         list(candidate_pairs)
         if candidate_pairs is not None
@@ -144,22 +105,33 @@ def chase(
         "chase", pairs=len(pairs), rules=len(plan.rules), max_rounds=max_rounds
     )
     chase_span.__enter__()
-    shared = working.left is working.right
-    left_names, right_names = plan.chase_attributes
+    shared = instance.left is instance.right
+    cells = CellClasses(pairs, plan.chase_attributes, shared)
+    root, size, ring = cells.root, cells.size, cells.next
+    left_cells, right_cells = cells.left_cells, cells.right_cells
+    right_base = cells.right_base
+    left_width, right_width = len(cells.left_names), len(cells.right_names)
+    # The working values, one per slot.  Between two relations a cell is
+    # its own slot.  Over shared storage a right cell's slot is its left
+    # twin's: a repair through either side tag lands where both read it.
+    values = instance.left.project(cells.left_tids, cells.left_names)
     if shared:
-        # One storage serves both sides, so one set of columns does too:
-        # a repair through either side tag lands where both read it.
-        left_columns = right_columns = {
-            name: working.left.column(name)
-            for name in dict.fromkeys(left_names + right_names)
-        }
+        left_slots = left_cells
+        right_slots = [cell - right_base for cell in right_cells]
     else:
-        left_columns = {name: working.left.column(name) for name in left_names}
-        right_columns = {name: working.right.column(name) for name in right_names}
-    columns = (left_columns, right_columns)
-    # A selection is a list of positions into ``pairs``.
-    lefts = [left_tid for left_tid, _ in pairs]
-    rights = [right_tid for _, right_tid in pairs]
+        values += instance.right.project(cells.right_tids, cells.right_names)
+        left_slots, right_slots = left_cells, right_cells
+    left_rank, right_rank = cells.left_rank, cells.right_rank
+    # Every rule with its atoms as (left rank, right rank) offsets from a
+    # pair's two tuples, in the plan's selection order.
+    rules = [
+        (
+            [(left_rank[left], right_rank[right]) for left, right in equalities],
+            [(p, left_rank[p.left], right_rank[p.right]) for p in similarities],
+            [(left_rank[left], right_rank[right]) for left, right in rule.rhs],
+        )
+        for rule, (equalities, similarities) in zip(plan.rules, plan.selections)
+    ]
     evaluate = plan.evaluate
 
     def select(selection, equalities, similarities):
@@ -168,66 +140,85 @@ def chase(
         Equality is the paper's ``=``: never true on a null
         (:func:`repro.metrics.base.exact_equality`, inlined).
         """
-        for left_attr, right_attr in equalities:
+        for left, right in equalities:
             if not selection:
                 break
             stats.metric_evaluations += len(selection)
-            cl, cr = left_columns[left_attr], right_columns[right_attr]
             selection = [
                 i
                 for i in selection
-                if (v := cl[lefts[i]]) is not None
-                and (w := cr[rights[i]]) is not None
+                if (v := values[left_slots[i] + left]) is not None
+                and (w := values[right_slots[i] + right]) is not None
                 and v == w
             ]
-        for predicate in similarities:
+        for predicate, left, right in similarities:
             if not selection:
                 break
-            cl, cr = left_columns[predicate.left], right_columns[predicate.right]
             selection = [
                 i
                 for i in selection
-                if evaluate(predicate, cl[lefts[i]], cr[rights[i]])
+                if evaluate(
+                    predicate,
+                    values[left_slots[i] + left],
+                    values[right_slots[i] + right],
+                )
             ]
         return selection
 
     everything = range(len(pairs))
-    union = cells.union
     applications = 0
     rounds = 0
-    active = everything
-    fired: List[Set[int]] = [set() for _ in plan.rules]
+    active: Sequence[int] = everything
+    fired: List[Set[int]] = [set() for _ in rules]
+    #: slot -> the value it held in ``instance``, for every slot written.
+    written: Dict[int, object] = {}
     merged_this_round = False
     while rounds < max_rounds:
         rounds += 1
         round_span = tracer.span("chase-round", round=rounds, active=len(active))
         round_span.__enter__()
-        firing: List[Tuple[int, object]] = []
-        for rule, (equalities, similarities), already in zip(
-            plan.rules, plan.selections, fired
-        ):
+        firing = []
+        for (equalities, similarities, rhs), already in zip(rules, fired):
             selection = select(
                 [i for i in active if i not in already] if already else active,
                 equalities,
                 similarities,
             )
             already.update(selection)
-            firing += [(i, rule.rhs) for i in selection]
+            firing.append((selection, rhs))
         if shared:
-            # Over shared storage one tuple's cell can sit in two classes
+            # Over shared storage one tuple's slot can sit in two classes
             # (tagged left in one, right in the other), and then the order
             # classes are resolved in is observable.  It follows the order
             # of the unions: keep that pair-major, rules in declared order
             # within a pair (the sort is stable).  Between two relations
             # classes never share storage and no order is observable.
-            firing.sort(key=lambda entry: entry[0])
-        touched: List[Cell] = []
-        for i, rhs in firing:
-            left_tid, right_tid = lefts[i], rights[i]
-            for left_attr, right_attr in rhs:
-                left_cell: Cell = (LEFT, left_tid, left_attr)
-                if union(left_cell, (RIGHT, right_tid, right_attr)):
-                    touched.append(left_cell)
+            firing = [
+                ((i,), rhs)
+                for i, rhs in sorted(
+                    ((i, rhs) for selection, rhs in firing for i in selection),
+                    key=itemgetter(0),
+                )
+            ]
+        touched: List[int] = []
+        for selection, rhs in firing:
+            for left, right in rhs:
+                for i in selection:
+                    # CellClasses.union, inlined.
+                    a = root[left_cells[i] + left]
+                    b = root[right_cells[i] + right]
+                    if a != b:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        size[a] += size[b]
+                        member = b
+                        while True:
+                            root[member] = a
+                            member = ring[member]
+                            if member == b:
+                                break
+                        ring[a], ring[b] = ring[b], ring[a]
+                        touched.append(a)
         merged_this_round = bool(touched)
         applications += len(touched)
         round_span.set("merges", len(touched))
@@ -237,13 +228,44 @@ def chase(
             active = []
             round_span.__exit__(None, None, None)
             break
-        changed_left, changed_right = _resolve_touched(
-            working, columns, cells, touched, resolver, tracer
-        )
+        # Re-resolve every class that gained a member this round
+        # (``touched`` holds one member per successful union).  A class
+        # whose membership did not change already carries the one value
+        # the previous round's resolution wrote everywhere, so
+        # re-resolving it is a no-op for any resolver that is a function
+        # of the member value multiset (all named policies are).
+        changed: Set[int] = set()
+        with tracer.span("resolve-merged") as resolve_span:
+            seen: Set[int] = set()
+            repaired = 0
+            for anchor in touched:
+                anchor = root[anchor]
+                if anchor in seen:
+                    continue
+                seen.add(anchor)
+                # The resolver sees the members in (side, tid, attribute)
+                # order — int order — not in the order of the unions.
+                slots = sorted(cells.ring(anchor))
+                if shared:
+                    slots = [slot % right_base for slot in slots]
+                resolved = resolver([values[slot] for slot in slots])
+                for slot in slots:
+                    if values[slot] != resolved:
+                        written.setdefault(slot, values[slot])
+                        values[slot] = resolved
+                        repaired += 1
+                        # The first slot of the tuple written to: only its
+                        # pairs can behave differently next round.
+                        changed.add(
+                            slot - slot % left_width
+                            if slot < right_base
+                            else slot - (slot - right_base) % right_width
+                        )
+            resolve_span.set("repairs", repaired)
         active = [
             i
             for i in everything
-            if lefts[i] in changed_left or rights[i] in changed_right
+            if left_slots[i] in changed or right_slots[i] in changed
         ]
         round_span.__exit__(None, None, None)
 
@@ -254,27 +276,31 @@ def chase(
     # — dirtied by the last permitted round's repairs, or never examined
     # because no round was permitted — can match now: any other was last
     # evaluated against the values its tuples still carry, and did not
-    # match.
+    # match.  The selections are kept for every rule, also past the first
+    # unstable one: they are the result's ``holding``.  The RHS test
+    # compares values, not classes — merged cells that carry a value
+    # unequal to itself (NaN) are not identified.
     unstable_rule = None
+    holding: List[List[int]] = []
     with tracer.span("stability-check"):
-        for rule, (equalities, similarities), already in zip(
-            plan.rules, plan.selections, fired
+        for rule, (equalities, similarities, rhs), already in zip(
+            plan.rules, rules, fired
         ):
             selection = select(
-                list(already.union(active)), equalities, similarities
+                sorted(already.union(active)), equalities, similarities
             )
-            left_tids = [lefts[i] for i in selection]
-            right_tids = [rights[i] for i in selection]
-            for left_attr, right_attr in rule.rhs:
-                if any(map(
-                    operator.ne,
-                    map(left_columns[left_attr].__getitem__, left_tids),
-                    map(right_columns[right_attr].__getitem__, right_tids),
-                )):
-                    unstable_rule = rule.name
-                    break
-            if unstable_rule is not None:
-                break
+            holding.append(selection)
+            if unstable_rule is None and selection:
+                lefts = [left_slots[i] for i in selection]
+                rights = [right_slots[i] for i in selection]
+                for left, right in rhs:
+                    if any(map(
+                        ne,
+                        [values[slot + left] for slot in lefts],
+                        [values[slot + right] for slot in rights],
+                    )):
+                        unstable_rule = rule.name
+                        break
     stable = unstable_rule is None
     # Exhaustion: the round budget ran out AND the result is not a
     # fixpoint — the last permitted round still merged, or no round was
@@ -283,6 +309,12 @@ def chase(
     # merge cells that already carry equal values, never rewrite one —
     # so only instability makes the cut-off observable.
     rounds_exhausted = (merged_this_round or rounds == 0) and not stable
+    repairs = {}
+    for slot, before in written.items():
+        if values[slot] != before:
+            repairs[cells.decode(slot)] = values[slot]
+            if shared:
+                repairs[cells.decode(slot + right_base)] = values[slot]
     stats.chase_rounds += rounds
     stats.rule_applications += applications
     chase_span.set("rounds", rounds)
@@ -299,5 +331,6 @@ def chase(
     plan.metrics.observe("chase.rounds", rounds)
     plan.metrics.observe("chase.seconds", time.perf_counter() - chase_start)
     return EnforcementResult(
-        working, stable, rounds, cells, applications, rounds_exhausted
+        instance, repairs, stable, rounds, cells, applications, holding,
+        rounds_exhausted,
     )

@@ -14,10 +14,10 @@
    :class:`~repro.api.spec.ResolutionSpec` **document** once (pool
    initializer) and receives only its bin's rows and pairs;
 3. the parent merges the per-shard results: it unions the per-shard
-   ``_CellUnionFind`` merge classes, applies the per-shard cell repairs,
-   and re-resolves every merged class once — idempotent when the shard
-   chases converged, and the safety net that keeps the merged instance
-   on-policy when they did not.
+   merge classes into one :class:`~repro.core.semantics.CellClasses` over
+   the full pair list and collects the per-shard repairs and ``holding``
+   pairs.  Shards share no tuple, so that union *is* the result: every
+   class already carries the value its shard's last resolution wrote.
 
 **Fallback to the serial loop** (documented guarantee): the serial
 :func:`~repro.plan.executor.chase` runs instead whenever parallelism
@@ -51,13 +51,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.parser import format_md
-from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import (
     Cell,
+    CellClasses,
     EnforcementResult,
     InstancePair,
     ValueResolver,
-    _CellUnionFind,
     prefer_informative,
 )
 from repro.obs.trace import Tracer
@@ -103,7 +102,10 @@ class ShardOutcome:
     """What one worker bin's chase produced, in picklable form."""
 
     groups: Tuple[Tuple[Cell, ...], ...]
-    updates: Tuple[Tuple[Cell, object], ...]
+    repairs: Dict[Cell, object]
+    #: Per rule, the pairs whose LHS holds in the chased bin (pairs, not
+    #: positions: the parent re-indexes them into the full pair list).
+    holding: Tuple[Tuple[Pair, ...], ...]
     stable: bool
     rounds: int
     applications: int
@@ -170,22 +172,15 @@ def _run_task(task: ShardTask) -> ShardOutcome:
     finally:
         plan.tracer = saved_tracer
 
-    updates: List[Tuple[Cell, object]] = []
-    sides = ((LEFT, task.left_rows, result.instance.left),)
-    if task.right_rows is not None:
-        sides += ((RIGHT, task.right_rows, result.instance.right),)
-    for side, original_rows, chased in sides:
-        for tid, original in original_rows.items():
-            row = chased[tid]
-            for attribute, value in original.items():
-                after = row[attribute]
-                if after != value:
-                    updates.append(((side, tid, attribute), after))
     return ShardOutcome(
         groups=tuple(
             tuple(sorted(group)) for group in result.merged_cells.classes()
         ),
-        updates=tuple(updates),
+        repairs=result.repairs,
+        holding=tuple(
+            tuple(task.pairs[i] for i in positions)
+            for positions in result.holding
+        ),
         stable=result.stable,
         rounds=result.rounds,
         applications=result.applications,
@@ -402,33 +397,30 @@ def parallel_chase(
                     outcome.spans, rebase_to=pool_span.start, worker=index
                 )
 
-    working = instance.copy()
-    cells = _CellUnionFind()
+    cells = CellClasses(pairs, plan.chase_attributes, shared)
+    repairs: Dict[Cell, object] = {}
     with tracer.span("merge-shards") as merge_span:
         for outcome in outcomes:
             for group in outcome.groups:
-                anchor = group[0]
+                anchor = cells.cell(*group[0])
                 for member in group[1:]:
-                    cells.union(anchor, member)
-            for (side, tid, attribute), value in outcome.updates:
-                relation = working.left if side == LEFT else working.right
-                relation.set_value(tid, attribute, value)
+                    cells.union(anchor, cells.cell(*member))
+            repairs.update(outcome.repairs)
 
-        # Re-resolve every merged class once over the merged instance — a
-        # no-op when the shard chases converged (each class already carries
-        # its resolved value), and the documented single resolution pass
-        # otherwise.
-        for members in cells.classes():
-            values = []
-            for side, tid, attribute in sorted(members):
-                relation = working.left if side == LEFT else working.right
-                values.append(relation[tid][attribute])
-            resolved = resolver(values)
-            for side, tid, attribute in members:
-                relation = working.left if side == LEFT else working.right
-                if relation[tid][attribute] != resolved:
-                    relation.set_value(tid, attribute, resolved)
-        merge_span.set("classes", len(cells.classes()))
+        # Shards are connected components: no class, repair or pair of
+        # one shard touches a tuple of another, so the union of the shard
+        # results is the result — every class already carries the value
+        # its own shard's last resolution wrote.
+        merge_span.set(
+            "classes", sum(len(outcome.groups) for outcome in outcomes)
+        )
+    position = {pair: i for i, pair in enumerate(pairs)}
+    holding = [
+        sorted(
+            position[pair] for outcome in outcomes for pair in outcome.holding[rule]
+        )
+        for rule in range(len(plan.rules))
+    ]
 
     stats = plan.stats
     stats.enforcements += 1
@@ -450,10 +442,12 @@ def parallel_chase(
     parallel_span.set("shards", len(shards))
     parallel_span.__exit__(None, None, None)
     return EnforcementResult(
-        instance=working,
+        original=instance,
+        repairs=repairs,
         stable=all(outcome.stable for outcome in outcomes),
         rounds=max(outcome.rounds for outcome in outcomes),
         merged_cells=cells,
         applications=sum(outcome.applications for outcome in outcomes),
+        holding=holding,
         rounds_exhausted=rounds_exhausted,
     )

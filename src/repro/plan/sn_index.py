@@ -110,9 +110,7 @@ def run_pairs(run: Sequence[Entry], window: int) -> Set[Pair]:
     """
     pairs: Set[Pair] = set()
     for position, (_, side, tid) in enumerate(run):
-        upper = min(len(run), position + window)
-        for other_position in range(position + 1, upper):
-            _, other_side, other_tid = run[other_position]
+        for _, other_side, other_tid in run[position + 1 : position + window]:
             if side == other_side:
                 continue
             if side == _LEFT:
@@ -312,22 +310,22 @@ class WindowedSNIndex(BlockingBackend):
         """
         if self.window < 2:
             return []
+        # Pass i's key is pass 0's tuple rotated by i: encode every row
+        # once, rotate per pass.
+        entries: List[Entry] = [
+            (self._left_keys[0](row), _LEFT, row.tid) for row in left
+        ] + [(self._right_keys[0](row), _RIGHT, row.tid) for row in right]
         pairs: Set[Pair] = set()
         for position in range(self.pass_count):
+            if position:
+                entries = [(key[1:] + key[:1], side, tid) for key, side, tid in entries]
             blocks: Dict[str, List[Entry]] = {}
-            for row in left:
-                key = self._left_keys[position](row)
-                blocks.setdefault(self.block_of(key), []).append(
-                    (key, _LEFT, row.tid)
-                )
-            for row in right:
-                key = self._right_keys[position](row)
-                blocks.setdefault(self.block_of(key), []).append(
-                    (key, _RIGHT, row.tid)
-                )
+            for entry in entries:
+                blocks.setdefault(self.block_of(entry[0]), []).append(entry)
             for run in blocks.values():
-                run.sort()
-                pairs.update(run_pairs(run, self.window))
+                if len(run) > 1:
+                    run.sort()
+                    pairs.update(run_pairs(run, self.window))
         return sorted(pairs)
 
     # -- introspection -------------------------------------------------

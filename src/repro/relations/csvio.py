@@ -61,11 +61,18 @@ def load_relation(
                 f"CSV header {header} does not match schema "
                 f"{schema.name!r} ({expected})"
             )
+        # The header was checked, so every record is adopted as a
+        # schema-complete row (a short record reads as trailing nulls).
+        names = schema.attribute_names
         for record in reader:
-            tid = int(record[0])
-            values = {
-                name: (None if text == _NULL else text)
-                for name, text in zip(schema.attribute_names, record[1:])
-            }
-            relation.insert(values, tid=tid)
+            fields = record[1:]
+            if len(fields) < len(names):
+                fields += [_NULL] * (len(names) - len(fields))
+            relation.adopt(
+                int(record[0]),
+                {
+                    name: (None if text == _NULL else text)
+                    for name, text in zip(names, fields)
+                },
+            )
     return relation

@@ -15,7 +15,7 @@ updates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.schema import RelationSchema
 
@@ -113,6 +113,19 @@ class Relation:
         self._next_tid = max(self._next_tid, tid + 1)
         return tid
 
+    def adopt(self, tid: int, values: Dict[str, object]) -> None:
+        """Take over an already schema-complete row under a fresh ``tid``.
+
+        The trusted twin of :meth:`insert` for rows that came out of a
+        relation of this schema (a store's rows, a CSV whose header was
+        checked): ``values`` is kept as is — not validated, not copied —
+        so the caller must hand over a dict nothing else will write to.
+        """
+        if tid in self._rows:
+            raise ValueError(f"tuple id {tid} already present")
+        self._rows[tid] = Row(tid, values)
+        self._next_tid = max(self._next_tid, tid + 1)
+
     def set_value(self, tid: int, attribute: str, value: object) -> None:
         """Update one cell of the row with id ``tid``."""
         if attribute not in self.schema:
@@ -150,14 +163,26 @@ class Relation:
         """All rows, in insertion order."""
         return list(self._rows.values())
 
-    def column(self, attribute: str) -> Dict[int, object]:
-        """One attribute as a fresh ``{tid: value}`` mapping (a snapshot,
-        not a live view: later :meth:`set_value` calls do not reach it)."""
-        if attribute not in self.schema:
+    def project(
+        self, tids: Iterable[int], attributes: Sequence[str]
+    ) -> List[object]:
+        """The listed tuples' values of the listed attributes as one flat,
+        row-major list (a snapshot: later :meth:`set_value` calls do not
+        reach it) — the value of ``tids[p]``'s ``attributes[k]`` sits at
+        ``p * len(attributes) + k``."""
+        for attribute in attributes:
+            if attribute not in self.schema:
+                raise KeyError(
+                    f"{attribute!r} is not an attribute of {self.schema.name!r}"
+                )
+        rows = self._rows
+        try:
+            selected = [rows[tid]._values for tid in tids]
+        except KeyError as error:
             raise KeyError(
-                f"{attribute!r} is not an attribute of {self.schema.name!r}"
-            )
-        return {tid: row._values[attribute] for tid, row in self._rows.items()}
+                f"no tuple with id {error.args[0]} in {self.schema.name!r}"
+            ) from None
+        return [values[attribute] for values in selected for attribute in attributes]
 
     # ------------------------------------------------------------------
     # Extension semantics

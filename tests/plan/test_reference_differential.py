@@ -4,9 +4,9 @@
 kernel (:func:`repro.plan.executor.chase`) reorders, prunes and memoizes.
 Nothing of that may be observable: on every instance here the two agree
 on ``rounds``, ``applications``, ``stable``, ``rounds_exhausted``, the
-merged cell classes and every cell value, and a
-:class:`~repro.api.Workspace` run agrees on matches, clusters and
-provenance.  Inputs are the three :mod:`repro.datagen.streams` arrival
+merged cell classes, every cell value, the repairs and the pairs each
+rule's LHS holds on, and a :class:`~repro.api.Workspace` run agrees on
+matches, clusters and provenance.  Inputs are the three :mod:`repro.datagen.streams` arrival
 scenarios, Hypothesis instances under :mod:`repro.datagen.mdgen` rule
 sets, and one explicit case per input shape the kernel treats specially.
 """
@@ -52,9 +52,14 @@ def _values(instance):
     }
 
 
+def _no_copy(relation):
+    raise AssertionError(f"{relation!r} was copied")
+
+
 def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
                       max_rounds=100):
     """Chase with the kernel and the reference; every observable agrees."""
+    before = _values(instance)
     result = plan.enforce(
         instance, resolver=resolver, candidate_pairs=pairs, max_rounds=max_rounds
     )
@@ -68,7 +73,23 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     assert {
         frozenset(group) for group in result.merged_cells.classes()
     } == expected.classes
-    assert _values(result.instance) == expected.values
+    after = _values(result.instance)
+    assert after == expected.values
+    # D is only read; D' is D plus the repairs, cell by cell.
+    assert _values(instance) == before
+    assert result.repairs == {
+        (side, tid, attribute): value
+        for (side, tid), row in after.items()
+        for attribute, value in row.items()
+        if value != before[(side, tid)][attribute]
+    }
+    # Per rule, exactly the pairs whose LHS holds in D' — whatever the
+    # chase ended on (stable, unstable, cut off).
+    chased = list(instance.tuple_pairs() if pairs is None else pairs)
+    assert [[chased[i] for i in positions] for positions in result.holding] == [
+        [pair for pair in chased if rule in expected.firing(*pair)]
+        for rule in range(len(plan.rules))
+    ]
     return result, expected
 
 
@@ -79,7 +100,7 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
 
 @pytest.mark.parametrize("seed", (3, 11))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_scenarios_match_the_reference(scenario, seed):
+def test_scenarios_match_the_reference(scenario, seed, monkeypatch):
     dataset = generate_dataset(120, seed=seed)
     left = Relation(dataset.pair.left)
     right = Relation(dataset.pair.right)
@@ -100,6 +121,8 @@ def test_scenarios_match_the_reference(scenario, seed):
         plan, InstancePair(plan.pair, left, right), pairs=candidates
     )
 
+    # A match reads matches and provenance off the chase: D' is never built.
+    monkeypatch.setattr(Relation, "copy", _no_copy)
     report = workspace.match(left, right, candidates=candidates)
     matches = expected.matches(plan.target.attribute_pairs())
     assert matches  # the scenario exercises merges, not only rejections
@@ -305,9 +328,12 @@ def test_order_dependent_resolver():
     assert result.instance.right[1]["C"] == "left"
 
 
+@pytest.mark.parametrize("rules", (CASCADE, CASCADE[::-1]))
 @pytest.mark.parametrize("max_rounds", (0, 1, 2, 3))
-def test_max_rounds_cut_off(max_rounds):
-    plan, pair = _abc_plan(*CASCADE)
+def test_max_rounds_cut_off(max_rounds, rules):
+    # Reversed, the rule left unstable at budget 1 comes *first*: the
+    # later rule's holding pairs must be reported all the same.
+    plan, pair = _abc_plan(*rules)
     instance = InstancePair(
         pair,
         Relation(pair.left, [{"A": "x", "B": "long-b", "C": "long-c"}]),
@@ -329,5 +355,79 @@ def test_empty_candidate_list():
     )
     result, _ = assert_same_chase(plan, instance, pairs=[])
     assert (result.rounds, result.applications, result.stable) == (1, 0, True)
-    assert result.matches([], [("B", "B")]) == []
+    assert result.matches([("B", "B")]) == []
     assert _values(result.instance) == _values(instance)
+
+
+def test_cells_outside_the_encoding():
+    # C is no chase attribute (no rule reads or writes it) and right
+    # tuple 1 is in no pair: neither has a cell, none was ever merged.
+    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": "b", "C": "c"}]),
+        Relation(pair.right, [
+            {"A": "k", "B": None, "C": "c"},
+            {"A": "k", "B": None, "C": "c"},
+        ]),
+    )
+    result, _ = assert_same_chase(plan, instance, pairs=[(0, 0)])
+    cells = result.merged_cells
+    assert cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert not cells.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
+    assert not cells.same((LEFT, 0, "C"), (RIGHT, 0, "C"))
+    assert cells.same((RIGHT, 1, "C"), (RIGHT, 1, "C"))
+    assert cells.members((RIGHT, 1, "C")) == {(RIGHT, 1, "C")}
+    assert result.matches([("B", "B")]) == [(0, 0)]
+    # A target attribute no rule writes is never identified.
+    assert result.matches([("B", "B"), ("C", "C")]) == []
+    assert not result.identified(0, 0, [("C", "C")])
+
+
+def test_nan_class_is_merged_but_not_stable():
+    # The stability check compares values, not classes: a merged class
+    # carrying NaN does not have equal RHS values.
+    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": float("nan"), "C": None}]),
+        Relation(pair.right, [{"A": "k", "B": None, "C": None}]),
+    )
+    result, _ = assert_same_chase(plan, instance)
+    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert not result.stable
+
+
+SPARSE_TIDS = st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SPARSE_TIDS, SPARSE_TIDS, st.data())
+def test_int_order_is_cell_order(left_tids, right_tids, data):
+    """Sorted int members decode to sorted ``(side, tid, attribute)``
+    cells — the order ``first-non-null`` observes — for tids that are
+    sparse and differ per side (the engine's local instances)."""
+    # Cross-attribute identifications put several attributes of one tuple
+    # in one class, so the attribute ranks matter as well as the tids.
+    plan, pair = _abc_plan(
+        "R[A] = S[A] -> R[B] <=> S[B] & R[C] <=> S[B]",
+        "R[B] = S[B] -> R[A] <=> S[C] & R[C] <=> S[C]",
+    )
+    row = st.fixed_dictionaries({name: VALUES for name in ABC})
+    left, right = Relation(pair.left), Relation(pair.right)
+    for tid in left_tids:
+        left.insert(data.draw(row), tid=tid)
+    for tid in right_tids:
+        right.insert(data.draw(row), tid=tid)
+    pairs = data.draw(st.lists(
+        st.sampled_from([(l, r) for l in left_tids for r in right_tids]),
+        unique=True,
+    ))
+    result, _ = assert_same_chase(
+        plan, InstancePair(pair, left, right),
+        VALUE_POLICIES["first-non-null"], pairs=pairs,
+    )
+    cells = result.merged_cells
+    for root in set(cells.root):
+        members = [cells.decode(member) for member in sorted(cells.ring(root))]
+        assert members == sorted(members)

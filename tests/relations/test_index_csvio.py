@@ -98,3 +98,15 @@ class TestCsvRoundTrip:
         save_relation(relation, path)
         loaded = load_relation(schema, path)
         assert 7 in loaded
+
+    def test_short_records_fill_with_nulls_and_duplicate_tids_raise(self, tmp_path):
+        schema = RelationSchema("R", ["A", "B", "C"])
+        path = tmp_path / "s.csv"
+        path.write_text("__tid__,A,B,C\n4,x\n9,p,q,r,extra\n")
+        loaded = load_relation(schema, path)
+        assert loaded[4].values() == {"A": "x", "B": None, "C": None}
+        assert loaded[9].values() == {"A": "p", "B": "q", "C": "r"}
+        assert loaded.insert({"A": "next"}) == 10
+        path.write_text("__tid__,A,B,C\n4,x,y,z\n4,x,y,z\n")
+        with pytest.raises(ValueError, match="already present"):
+            load_relation(schema, path)

@@ -92,20 +92,33 @@ class TestRow:
         assert first[0] == second[0]
 
 
-class TestColumn:
-    def test_column_is_a_snapshot_by_tid(self, schema):
+class TestProject:
+    def test_project_is_a_row_major_snapshot(self, schema):
         relation = Relation(schema)
         relation.insert({"A": "x"}, tid=5)
         relation.insert({"B": "y"}, tid=2)
-        column = relation.column("A")
-        assert column == {5: "x", 2: None}
+        flat = relation.project([2, 5], ["B", "A"])
+        assert flat == ["y", None, None, "x"]
         relation.set_value(5, "A", "changed")
-        column[2] = "local"
-        assert column[5] == "x" and relation[2]["A"] is None
+        flat[0] = "local"
+        assert flat[3] == "x" and relation[2]["B"] == "y"
 
-    def test_unknown_attribute(self, schema):
+    def test_unknown_attribute_or_tid(self, schema):
         with pytest.raises(KeyError, match="not an attribute"):
-            Relation(schema).column("Z")
+            Relation(schema).project([], ["Z"])
+        with pytest.raises(KeyError, match="no tuple with id 7"):
+            Relation(schema).project([7], ["A"])
+
+
+class TestAdopt:
+    def test_adopt_keeps_the_dict_and_checks_only_the_tid(self, schema):
+        relation = Relation(schema)
+        values = {"A": "x", "B": None}
+        relation.adopt(4, values)
+        assert relation[4]["A"] == "x" and relation.tids() == [4]
+        assert relation.insert({"A": "next"}) == 5
+        with pytest.raises(ValueError, match="already present"):
+            relation.adopt(4, {"A": "again", "B": None})
 
 
 class TestExtension:
