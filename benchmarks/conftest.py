@@ -61,12 +61,6 @@ def kernel_size():
     return 2000 if FULL else 1000
 
 
-def parallel_size():
-    if TINY:
-        return 300
-    return 4000 if FULL else 1500
-
-
 def sn_index_size():
     if TINY:
         return 300

@@ -2,25 +2,11 @@
 
 Acceptance benchmark for ``repro.plan.sn_index``: on the generated
 K-record credit/billing dataset under a sorted-neighborhood spec
-(window 10), the rank-encoded index must
-
-* split its window candidates at block boundaries into **more shards
-  than workers**, so the parallel chase actually shards — the legacy
-  global-window backend chained every pair into one component and fell
-  back to the serial loop unconditionally;
-* decide **identical matches** through the 4-worker pool and the serial
-  loop (checked pair by pair before anything is reported);
-* carry a ``critical_path_speedup`` of **≥ 1.5×** — the deterministic,
-  machine-independent quantity the shard partitioner controls, asserted
-  everywhere including single-core CI runners;
-* **stream to the batch candidate universe**: replaying the dataset
-  through ``Workspace.stream`` (the incremental rank encoding, one
-  ``bisect.insort`` per pass per record) must leave the live index
-  describing exactly the batch run's candidate pairs.
-
-``wallclock_speedup`` is reported but asserted only on explicit
-full-scale runs (``REPRO_BENCH_FULL=1``) with ≥ 4 CPUs, per the suite's
-standing rule: CI checks structure and counts, not timings.
+(window 10), the rank-encoded index must split its runs into more than
+one block and **stream to the batch candidate universe**: replaying the
+dataset through ``Workspace.stream`` (the incremental rank encoding, one
+``bisect.insort`` per pass per record) must leave the live index
+describing exactly the batch run's candidate pairs.
 
 Results are printed as one JSON document and appended to
 ``REPRO_BENCH_JSON`` when set; CI schema-checks the output with
@@ -34,16 +20,13 @@ import os
 from pathlib import Path
 
 from repro.api import Workspace
-from repro.core.semantics import InstancePair
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import arrival_stream
-from repro.experiments.harness import resolution_spec_document, timed
-from repro.plan.shard import assign_shards, shard_pairs
+from repro.experiments.harness import resolution_spec_document
 
-from conftest import FULL, sn_index_size
+from conftest import sn_index_size
 
-WORKERS = 4
 WINDOW = 10
 
 
@@ -68,80 +51,36 @@ def _document(dataset):
 
 
 def run_sn_point(size: int, seed: int = 3):
-    """Serial vs 4-worker SN chase, plus the streamed-index differential."""
+    """The batch SN match, plus the streamed-index differential."""
     dataset = generate_dataset(size, seed=seed)
     workspace = Workspace.from_dict(_document(dataset))
-    plan = workspace.plan
-    candidates = plan.candidates(dataset.credit, dataset.billing)
-    instance = InstancePair(plan.pair, dataset.credit, dataset.billing)
-    target_pairs = plan.target.attribute_pairs()
-
-    def matches(result):
-        return [
-            pair
-            for pair in candidates
-            if result.identified(*pair, target_pairs)
-        ]
-
-    serial_result, serial_seconds = timed(
-        plan.enforce, instance, candidate_pairs=candidates
+    candidates = workspace.candidates(dataset.credit, dataset.billing)
+    report = workspace.match(
+        dataset.credit, dataset.billing, candidates=candidates
     )
-    parallel_result, parallel_seconds = timed(
-        plan.enforce,
-        instance,
-        candidate_pairs=candidates,
-        workers=WORKERS,
-        spec_document=workspace.spec.to_dict(),
-    )
-
-    shards = shard_pairs(candidates)
-    loads = [
-        sum(len(shard) for shard in bin_)
-        for bin_ in assign_shards(shards, WORKERS)
-    ]
-    serial_matches = matches(serial_result)
-    parallel_matches = matches(parallel_result)
 
     # Streamed-index differential: replay the dataset through the
     # incremental rank encoding and compare candidate universes.
-    stream_workspace = Workspace.from_dict(_document(dataset))
-    matcher = stream_workspace.stream()
+    matcher = Workspace.from_dict(_document(dataset)).stream()
     for event in arrival_stream(dataset, seed=seed).events:
         matcher.ingest(event.side, event.values, tid=event.tid)
     stream_index = matcher.store.blocking
-    stream_candidates = stream_index.scan_candidates()
 
-    registry = workspace.metrics
-    registry.count("parallel.shards", len(shards))
-    registry.count("parallel.workers", WORKERS)
-    registry.observe("parallel.serial_seconds", serial_seconds)
-    registry.observe("parallel.parallel_seconds", parallel_seconds)
     return {
-        "metrics": registry.as_dict(),
+        "metrics": workspace.metrics.as_dict(),
         "benchmark": "sn_index",
         "K": size,
         "candidates": len(candidates),
         "blocks": stream_index.block_count(),
-        "shards": len(shards),
-        "workers": WORKERS,
-        "heaviest_bin_pairs": max(loads),
-        "matches": len(serial_matches),
-        "matches_identical": int(serial_matches == parallel_matches),
+        "matches": len(report.matches),
         "stream_candidates_identical": int(
-            stream_candidates == sorted(candidates)
+            stream_index.scan_candidates() == sorted(candidates)
         ),
-        "parallel_chases": plan.stats.parallel_chases,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "wallclock_speedup": (
-            serial_seconds / parallel_seconds if parallel_seconds else 0.0
-        ),
-        "critical_path_speedup": len(candidates) / max(loads),
     }
 
 
 def test_sn_index_shards_and_streams(benchmark):
-    """Window-boundary sharding ≥ 1.5×; streamed candidates ≡ batch."""
+    """Runs split into blocks; streamed candidates ≡ batch."""
     record = benchmark.pedantic(
         run_sn_point, args=(sn_index_size(),),
         rounds=1, iterations=1, warmup_rounds=0,
@@ -150,15 +89,5 @@ def test_sn_index_shards_and_streams(benchmark):
     assert record["candidates"] > 0
     assert record["matches"] > 0
     assert record["blocks"] > 1
-    # Differential acceptance: same matches, actually through the pool.
-    assert record["matches_identical"] == 1
-    assert record["parallel_chases"] == 1
-    assert record["shards"] > WORKERS
     # The streamed index converges on the batch candidate universe.
     assert record["stream_candidates_identical"] == 1
-    # The partitioner's deterministic claim, on any machine.
-    assert record["critical_path_speedup"] >= 1.5
-    # The wall-clock claim: only on explicit full-scale runs, and only
-    # where the hardware can express it.
-    if FULL and (os.cpu_count() or 1) >= WORKERS:
-        assert record["wallclock_speedup"] >= 1.5

@@ -235,7 +235,6 @@ class ResolutionSpec:
     max_cascade: int = 256
     cache: bool = True
     cache_limit: int = DEFAULT_CACHE_LIMIT
-    workers: int = 1
     obs_enabled: bool = False
     trace_path: Optional[str] = None
     trace_format: str = "chrome"
@@ -509,13 +508,11 @@ class ResolutionSpec:
         mode = "enforce"
         max_rounds, max_cascade = 100, 256
         cache, cache_limit = True, DEFAULT_CACHE_LIMIT
-        workers = 1
         if not isinstance(execution, dict):
             errors.append(f"execution: expected an object, got {execution!r}")
         else:
             unknown_exec = set(execution) - {
                 "mode", "max_rounds", "max_cascade", "cache", "cache_limit",
-                "workers",
             }
             if unknown_exec:
                 errors.append(f"execution: unknown key(s) {sorted(unknown_exec)}")
@@ -536,8 +533,6 @@ class ResolutionSpec:
                 )
             cache_limit = execution.get("cache_limit", DEFAULT_CACHE_LIMIT)
             _check_int(errors, "execution.cache_limit", cache_limit, 1)
-            workers = execution.get("workers", 1)
-            _check_int(errors, "execution.workers", workers, 1)
 
         # -- observability ----------------------------------------------
         observability = document.get("observability", {})
@@ -683,7 +678,6 @@ class ResolutionSpec:
             max_cascade=max_cascade,
             cache=cache,
             cache_limit=cache_limit,
-            workers=workers,
             obs_enabled=obs_enabled,
             trace_path=trace_path,
             trace_format=trace_format,
@@ -749,7 +743,6 @@ class ResolutionSpec:
                 "max_cascade": self.max_cascade,
                 "cache": self.cache,
                 "cache_limit": self.cache_limit,
-                "workers": self.workers,
             },
             "observability": {
                 "enabled": self.obs_enabled,
@@ -786,16 +779,12 @@ class ResolutionSpec:
         changes it.  Engine snapshots embed it to reject restores under
         an incompatible spec.
 
-        ``execution.workers`` is excluded: it is a deployment knob that
-        provably never changes results (the parallel/serial differential
-        suite pins that), so specs differing only in it share a
-        fingerprint, and a snapshot built serially restores under a
-        parallel spec.  The whole ``observability`` section is
-        excluded for the same reason: tracing observes a run, it never
-        alters one, so turning it on must not invalidate snapshots or
-        change what a report claims it ran.  ``persistence`` is excluded
-        too: *where* the store lives (memory, a SQLite file, which path)
-        never changes what is matched — the backend differential suite
+        The whole ``observability`` section is excluded: tracing
+        observes a run, it never alters one, so turning it on must not
+        invalidate snapshots or change what a report claims it ran.
+        ``persistence`` is excluded too: *where* the store lives
+        (memory, a SQLite file, which path) never changes what is
+        matched — the backend differential suite
         (``tests/engine/test_sqlite_differential.py``) pins that — so a
         store built under a memory spec resumes under a sqlite one and
         vice versa.  The ``serve`` section is excluded for the same
@@ -809,9 +798,6 @@ class ResolutionSpec:
         cached = self._fingerprint
         if cached is None:
             document = self.to_dict()
-            execution = dict(document["execution"])
-            execution.pop("workers")
-            document["execution"] = execution
             document.pop("observability")
             document.pop("persistence")
             document.pop("serve")

@@ -12,8 +12,7 @@ internally — but emits a ``DeprecationWarning``.
 * ``deduce``  — print the spec's quality RCKs;
 * ``check``   — decide Σ ⊨m φ for an MD given on the command line;
 * ``match``   — match two CSV files (``--json`` prints the full
-  :class:`~repro.api.workspace.MatchReport`; ``--workers N`` shards the
-  enforcement chase across a process pool on large inputs);
+  :class:`~repro.api.workspace.MatchReport`);
 * ``plan``    — ``plan explain`` prints the compiled ``EnforcementPlan``;
 * ``demo``    — run the paper's Fig. 1 example end to end;
 * ``engine``  — the incremental streaming engine: ``engine ingest``
@@ -345,19 +344,6 @@ def cmd_match(args) -> int:
     spec = _resolve_spec(
         args, mode="direct", top_k=args.top_k, window=args.window
     )
-    if args.workers is not None:
-        # Never silently ignore a typed flag: direct-mode matching has
-        # no chase to parallelize, so combining the two is an error.
-        if spec.mode != "enforce":
-            raise CliError(
-                "--workers applies to the 'enforce' execution mode, but "
-                f"this run uses {spec.mode!r}; set execution.mode to "
-                "\"enforce\" in the spec to chase in parallel"
-            )
-        try:
-            spec = _override_spec(spec, **{"execution.workers": args.workers})
-        except SpecError as error:
-            raise CliError("\n".join(error.errors)) from None
     spec = _trace_spec(spec, args)
     workspace = _workspace(spec)
     plan = workspace.plan
@@ -787,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("-o", "--output", help="write pairs CSV here")
     match.add_argument("--top-k", type=int, help="RCKs to use (default 5)")
     match.add_argument("--window", type=int, help="window size (default 10)")
-    match.add_argument(
-        "--workers", type=int,
-        help="chase worker processes for the 'enforce' execution mode "
-        "(default: the spec's execution.workers, i.e. 1 = serial; "
-        "large instances shard into connected components)",
-    )
     match.add_argument(
         "--json", action="store_true",
         help="print the full MatchReport as JSON (pairs, clusters, "

@@ -214,8 +214,8 @@ class CellClasses:
     tag — ``right_base`` apart — because the chase identifies *qualified*
     cells.
 
-    :func:`repro.plan.executor.chase` inlines the union steps in its
-    round loop; everything tuple-facing (:meth:`same`, :meth:`members`,
+    :func:`repro.plan.executor.chase` does the unions, in its round
+    loop; everything tuple-facing (:meth:`same`, :meth:`members`,
     :meth:`classes`) decodes at the boundary.
     """
 
@@ -280,20 +280,6 @@ class CellClasses:
         return (RIGHT, self.right_tids[position], self.right_names[rank])
 
     # -- int-facing ------------------------------------------------------
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of two cells; True when they differed."""
-        root, size, ring = self.root, self.size, self.next
-        a, b = root[a], root[b]
-        if a == b:
-            return False
-        if size[a] < size[b]:
-            a, b = b, a
-        size[a] += size[b]
-        for member in self.ring(b):
-            root[member] = a
-        ring[a], ring[b] = ring[b], ring[a]
-        return True
 
     def ring(self, cell: int) -> List[int]:
         """The members of ``cell``'s class, from ``cell`` round (unsorted)."""

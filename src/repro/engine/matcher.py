@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -251,10 +252,31 @@ class IncrementalMatcher:
         record re-enforcements per ingest as a safety valve, and hitting
         it is reported via :attr:`IngestResult.cascade_truncated`.
         """
-        store = self.store
+        # One ingest = one durable transaction (no-op for memory stores).
+        with self._transaction():
+            result = self._ingest_one(side, values, tid)
+            self._gauge_store()
+        return result
+
+    @contextmanager
+    def _transaction(self):
+        """One durable transaction around the body: commit when it
+        completes, roll the store back when it raises — a failed ingest
+        or micro-batch leaves nothing for a later commit to persist."""
+        try:
+            yield
+        except BaseException:
+            self.store.rollback()
+            raise
+        self.store.commit()
+
+    def _ingest_one(
+        self, side: int, values: Dict[str, object], tid: Optional[int]
+    ) -> IngestResult:
+        """Add one record, run its merge phase, count it; no commit."""
         started = time.perf_counter()
         with self.tracer.span("ingest", side=side) as span:
-            tid = store.add(side, values, tid=tid)
+            tid = self.store.add(side, values, tid=tid)
             outcome = self._merge_phase(side, tid)
             span.set("tid", tid)
             span.set("candidates", len(outcome.pairs))
@@ -265,9 +287,6 @@ class IncrementalMatcher:
         metrics.count("engine.ingests")
         if outcome.merged:
             metrics.count("engine.merges")
-        self._gauge_store()
-        # One ingest = one durable transaction (no-op for memory stores).
-        store.commit()
         return IngestResult(
             side,
             tid,
@@ -414,24 +433,36 @@ class IncrementalMatcher:
         (ranks shift with every insertion, so a batch added up front
         cannot reproduce record-at-a-time windows); they still amortize
         the durable commit.  One ``commit()`` covers the whole batch, so
-        a crash re-presents the batch as a unit instead of splitting it.
+        a crash re-presents the batch as a unit instead of splitting it,
+        and a batch that raises is rolled back as a unit.
         """
         normalized = [_normalize_event(event) for event in events]
         if not normalized:
             return []
-        store = self.store
         metrics = self.metrics
         started = time.perf_counter()
-        if self._sn_blocking or len(normalized) == 1:
-            results = []
-            for side, values, tid in normalized:
-                results.append(self.ingest(side, values, tid=tid))
-            metrics.count("engine.batches")
-            metrics.observe("engine.batch_size", len(results))
+        # One micro-batch = one durable transaction.
+        with self._transaction():
+            if self._sn_blocking or len(normalized) == 1:
+                results = [
+                    self._ingest_one(side, values, tid)
+                    for side, values, tid in normalized
+                ]
+            else:
+                results = self._ingest_pooled(normalized)
             metrics.observe(
                 "engine.batch_seconds", time.perf_counter() - started
             )
-            return results
+            metrics.count("engine.batches")
+            metrics.observe("engine.batch_size", len(results))
+            self._gauge_store()
+        return results
+
+    def _ingest_pooled(
+        self, normalized: Sequence[Tuple[int, Dict[str, object], Optional[int]]]
+    ) -> List[IngestResult]:
+        """Phases 1-3 of :meth:`ingest_batch` (hash-blocked stores)."""
+        store = self.store
         with self.tracer.span("ingest_batch", size=len(normalized)) as span:
             # Phase 1: add every record and capture its arrival-time
             # neighborhood — the store grows between probes exactly as it
@@ -503,15 +534,9 @@ class IncrementalMatcher:
             span.set("size", len(results))
             span.set("chased", chased)
             span.set("merged", merges)
-        metrics.observe("engine.batch_seconds", time.perf_counter() - started)
-        metrics.count("engine.batches")
-        metrics.observe("engine.batch_size", len(results))
-        metrics.count("engine.ingests", len(results))
+        self.metrics.count("engine.ingests", len(results))
         if merges:
-            metrics.count("engine.merges", merges)
-        self._gauge_store()
-        # One micro-batch = one durable transaction.
-        store.commit()
+            self.metrics.count("engine.merges", merges)
         return results
 
     # ------------------------------------------------------------------
@@ -536,25 +561,25 @@ class IncrementalMatcher:
         store = self.store
         if len(store.left) or len(store.right):
             raise ValueError("bootstrap requires an empty store")
-        for row in left.rows():
-            store.add(LEFT, row.values(), tid=row.tid if preserve_tids else None)
-        for row in right.rows():
-            store.add(RIGHT, row.values(), tid=row.tid if preserve_tids else None)
-        pairs = set(store.blocking.candidates(store.left, store.right))
-        if window is not None:
-            sn = SortedNeighborhoodBackend.from_rcks(store.rcks, window=window)
-            pairs.update(sn.candidates(store.left, store.right))
-        ordered = sorted(pairs)
-        store.comparisons += len(ordered)
-        matches = self._match_pairs(ordered) if ordered else []
-        touched: List[Node] = []
-        for left_tid, right_tid in matches:
-            left_node = node_of(LEFT, left_tid)
-            if store.union(left_node, node_of(RIGHT, right_tid)):
-                touched.append(left_node)
-        for root in {store.find(node) for node in touched}:
-            self._resolve_cluster(root)
-        store.commit()
+        with self._transaction():
+            for row in left.rows():
+                store.add(LEFT, row.values(), tid=row.tid if preserve_tids else None)
+            for row in right.rows():
+                store.add(RIGHT, row.values(), tid=row.tid if preserve_tids else None)
+            pairs = set(store.blocking.candidates(store.left, store.right))
+            if window is not None:
+                sn = SortedNeighborhoodBackend.from_rcks(store.rcks, window=window)
+                pairs.update(sn.candidates(store.left, store.right))
+            ordered = sorted(pairs)
+            store.comparisons += len(ordered)
+            matches = self._match_pairs(ordered) if ordered else []
+            touched: List[Node] = []
+            for left_tid, right_tid in matches:
+                left_node = node_of(LEFT, left_tid)
+                if store.union(left_node, node_of(RIGHT, right_tid)):
+                    touched.append(left_node)
+            for root in {store.find(node) for node in touched}:
+                self._resolve_cluster(root)
         return BootstrapResult(
             left_rows=len(store.left),
             right_rows=len(store.right),

@@ -279,7 +279,11 @@ class MatchStore:
         once per ingest) can invoke it unconditionally."""
 
     def rollback(self) -> None:
-        """Discard uncommitted changes (no-op in memory)."""
+        """No-op: the memory store has no transaction to roll back.
+
+        The matcher calls this when an ingest or micro-batch raises.  The
+        durable store discards the failed unit; here what the unit wrote
+        before failing stays (records added and indexed, never chased)."""
 
     def close(self, commit: bool = True) -> None:
         """Release backing resources (no-op in memory)."""

@@ -172,7 +172,6 @@ class EnforcementMatcher:
         window: int = 10,
         registry: MetricRegistry = DEFAULT_REGISTRY,
         plan: Optional[EnforcementPlan] = None,
-        workers: int = 1,
     ) -> None:
         _warn_deprecated(
             "EnforcementMatcher",
@@ -198,10 +197,6 @@ class EnforcementMatcher:
         self.target = plan.target
         self.window = window
         self.registry = plan.registry
-        #: Chase worker processes; > 1 shards the candidate pairs through
-        #: repro.plan.parallel (the plan is re-derived in workers from a
-        #: spec document, so plans with custom registries stay serial).
-        self.workers = workers
 
     def candidate_pairs(
         self, left: Relation, right: Relation
@@ -219,8 +214,6 @@ class EnforcementMatcher:
         if candidates is None:
             candidates = self.candidate_pairs(left, right)
         instance = InstancePair(self.target.pair, left, right)
-        result = self.plan.enforce(
-            instance, candidate_pairs=list(candidates), workers=self.workers
-        )
+        result = self.plan.enforce(instance, candidate_pairs=list(candidates))
         matches = result.matches(self.target.attribute_pairs())
         return PipelineResult(tuple(matches), tuple(candidates))

@@ -1,7 +1,7 @@
 """``repro.obs`` — zero-dependency observability for the resolution stack.
 
 Three pieces, threaded through every layer (workspace, plan kernel,
-parallel executor, streaming engine, CLI, benchmarks):
+streaming engine, CLI, benchmarks):
 
 * :mod:`~repro.obs.trace` — a :class:`Tracer` of nested monotonic-clock
   spans with a no-op :data:`NULL_TRACER` default, so instrumentation

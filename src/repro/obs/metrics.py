@@ -129,8 +129,8 @@ class MetricsRegistry:
     def absorb_counters(self, counters: Dict[str, object]) -> None:
         """Adopt a plain counter dict (e.g. ``PlanStats.as_dict()``).
 
-        Non-numeric entries (such as ``serial_fallback_reason``) are
-        recorded as gauges so nothing is silently dropped.
+        Non-numeric entries are recorded as gauges so nothing is
+        silently dropped.
         """
         for name, value in counters.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):

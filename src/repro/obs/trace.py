@@ -5,9 +5,8 @@ The tracing model is deliberately small: a :class:`Tracer` hands out
 tracer's stack (so spans nest lexically), exiting records its
 monotonic-clock duration and attaches it to its parent (or to the
 tracer's roots).  Spans carry an ``attrs`` dict of counters and
-annotations (:meth:`Span.add` / :meth:`Span.set`), serialize to plain
-dicts (:meth:`Span.to_dict`) so worker processes can ship their span
-trees back to the parent, and re-attach via :meth:`Tracer.attach`.
+annotations (:meth:`Span.add` / :meth:`Span.set`) and serialize to
+plain dicts (:meth:`Span.to_dict`).
 
 **The hot path pays ~nothing when tracing is off**: the module-level
 :data:`NULL_TRACER` singleton returns one shared, stateless
@@ -23,7 +22,7 @@ Everything here is pure standard library; exporters (JSONL, Chrome
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 class Span:
@@ -86,7 +85,7 @@ class Span:
         """Set an annotation attribute on this span."""
         self.attrs[key] = value
 
-    # -- (de)serialization for cross-process merging -------------------
+    # -- serialization -------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         """A picklable/JSON-able rendering of this span subtree."""
@@ -97,17 +96,6 @@ class Span:
             "attrs": dict(self.attrs),
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, object]) -> "Span":
-        """Rebuild a span subtree shipped from another process."""
-        span = cls(str(document["name"]), dict(document.get("attrs", {})), None)
-        span.start = float(document.get("start", 0.0))
-        span.duration = float(document.get("duration", 0.0))
-        span.children = [
-            cls.from_dict(child) for child in document.get("children", ())
-        ]
-        return span
 
     def walk(self, depth: int = 0):
         """Yield ``(span, depth)`` over this subtree, pre-order."""
@@ -157,9 +145,6 @@ class NullTracer:
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
-    def attach(self, documents, rebase_to=None, **attrs) -> None:
-        pass
-
     def spans(self) -> Tuple[Span, ...]:
         return ()
 
@@ -174,9 +159,7 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects nested spans with monotonic wall times.
 
-    Not thread-safe by design: one tracer belongs to one workspace (and
-    one worker process builds its own); the parallel executor merges
-    worker trees explicitly via :meth:`attach`.
+    Not thread-safe by design: one tracer belongs to one workspace.
     """
 
     enabled = True
@@ -188,37 +171,6 @@ class Tracer:
     def span(self, name: str, **attrs) -> Span:
         """A new span to enter; nests under the currently open span."""
         return Span(name, attrs, self)
-
-    def attach(
-        self,
-        documents: Sequence[Dict[str, object]],
-        rebase_to: Optional[float] = None,
-        **attrs,
-    ) -> None:
-        """Attach serialized span trees (e.g. from a worker process).
-
-        The trees become children of the currently open span (or new
-        roots).  With ``rebase_to``, the earliest start among the trees
-        is shifted to that timestamp — worker clocks need not share an
-        epoch with the parent's.  Extra ``attrs`` are set on each
-        attached root (the parallel executor tags ``worker=N``).
-        """
-        spans = [Span.from_dict(document) for document in documents]
-        if not spans:
-            return
-        if rebase_to is not None:
-            earliest = min(span.start for span in spans)
-            delta = rebase_to - earliest
-            for span in spans:
-                for node, _ in span.walk():
-                    node.start += delta
-        for span in spans:
-            for key, value in attrs.items():
-                span.set(key, value)
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self.roots.append(span)
 
     def spans(self) -> Tuple[Span, ...]:
         """The completed root spans, in completion order."""

@@ -9,10 +9,8 @@ over int-encoded cells in flat lists, it narrows the candidate pairs
 through each rule's equality atoms before a similarity atom runs —
 shared by the batch matchers (:mod:`repro.matching.pipeline`), the
 streaming engine (:mod:`repro.engine`), the experiments, and the CLI
-(``repro plan explain``).  Large instances shard: candidate pairs split
-into connected components (:mod:`repro.plan.shard`) that chase in
-parallel worker processes (:mod:`repro.plan.parallel`), provably
-equivalent to the serial loop.
+(``repro plan explain``).  The chase is serial and runs in the calling
+process; README "Execution" has the measurements behind that.
 
 Layering: :mod:`repro.plan` depends only on ``core``, ``metrics`` and
 ``relations``; the matching and engine layers depend on it, never the
@@ -54,13 +52,9 @@ from .compile import (
     compile_plan,
 )
 from .executor import chase
-from .parallel import PARALLEL_MIN_PAIRS, parallel_chase, plan_spec_document
-from .shard import Shard, assign_shards, shard_pairs
 from .sn_index import WindowedSNIndex
 
 __all__ = [
-    "PARALLEL_MIN_PAIRS",
-    "Shard",
     "BlockingBackend",
     "CompiledKey",
     "CompiledPredicate",
@@ -75,16 +69,12 @@ __all__ = [
     "RowKey",
     "SortedNeighborhoodBackend",
     "WindowedSNIndex",
-    "assign_shards",
     "attribute_key",
     "chase",
     "compile_plan",
     "hash_candidates",
     "indexes_from_rcks",
     "leading_attribute_pairs",
-    "parallel_chase",
-    "plan_spec_document",
     "rck_sort_keys",
-    "shard_pairs",
     "window_candidates",
 ]

@@ -114,11 +114,6 @@ class PlanStats:
     rule_applications: int = 0
     chase_rounds: int = 0
     enforcements: int = 0
-    #: Parallel execution counters (repro.plan.parallel): connected
-    #: components chased, pool executions, and pool processes started.
-    shards: int = 0
-    parallel_chases: int = 0
-    workers_spawned: int = 0
     #: Chases that hit ``max_rounds`` before reaching a fixpoint (each
     #: such chase also sets ``EnforcementResult.rounds_exhausted``; the
     #: CLI surfaces this as a warning).
@@ -128,11 +123,6 @@ class PlanStats:
     #: for its ``plan.factorise.*`` rows.
     groups_built: int = 0
     factorisation_ratio: float = 0.0
-    #: Why the last ``workers > 1`` enforcement ran serially after all
-    #: (``None`` while no fallback has happened, or after a successful
-    #: parallel chase).  The one non-counter field — previously the
-    #: reason was undiscoverable at runtime.
-    serial_fallback_reason: Optional[str] = None
 
     def reset(self) -> None:
         """Restore every field to its default (0 for the counters)."""
@@ -140,7 +130,7 @@ class PlanStats:
             setattr(self, spec.name, spec.default)
 
     def as_dict(self) -> Dict[str, object]:
-        """The counters (plus the fallback reason) as a JSON dict."""
+        """The counters as a JSON dict."""
         return dict(vars(self))
 
 
@@ -288,37 +278,11 @@ class EnforcementPlan:
         resolver=None,
         candidate_pairs: Optional[Sequence[Pair]] = None,
         max_rounds: int = 100,
-        workers: int = 1,
-        spec_document: Optional[Dict[str, object]] = None,
-        start_method: Optional[str] = None,
     ):
-        """Run the enforcement chase; see :func:`repro.plan.executor.chase`.
-
-        ``workers > 1`` routes through the sharded parallel executor
-        (:func:`repro.plan.parallel.parallel_chase`), which needs a
-        ``spec_document`` to rebuild this plan in worker processes — it
-        falls back to the serial loop when one cannot be derived, when
-        the input is small, or when the pairs form one connected
-        component (the exact conditions are documented there).
-        """
+        """Run the enforcement chase; see :func:`repro.plan.executor.chase`."""
         from repro.core.semantics import prefer_informative
 
         resolver = resolver if resolver is not None else prefer_informative
-        if workers > 1:
-            from .parallel import parallel_chase, plan_spec_document
-
-            if spec_document is None:
-                spec_document = plan_spec_document(self)
-            return parallel_chase(
-                self,
-                instance,
-                spec_document=spec_document,
-                resolver=resolver,
-                candidate_pairs=candidate_pairs,
-                workers=workers,
-                max_rounds=max_rounds,
-                start_method=start_method,
-            )
         return chase(
             self,
             instance,
@@ -358,8 +322,7 @@ class EnforcementPlan:
             "spans": [
                 "compile", "match", "enforce", "blocking", "chase",
                 "chase-round", "resolve-merged",
-                "stability-check", "provenance", "parallel-chase",
-                "shard-pairs", "pool", "merge-shards", "ingest",
+                "stability-check", "provenance", "ingest",
             ],
         }
 

@@ -39,8 +39,7 @@ here; :class:`~repro.api.workspace.Workspace`, the batch
 :class:`~repro.matching.pipeline.EnforcementMatcher` and the streaming
 :class:`~repro.engine.matcher.IncrementalMatcher` hold a long-lived plan
 and call :meth:`EnforcementPlan.enforce`, sharing the memo across runs
-and ingests; the pool workers of :mod:`repro.plan.parallel` call the same
-function on their shard bins.
+and ingests.
 """
 
 from __future__ import annotations
@@ -204,7 +203,7 @@ def chase(
         for selection, rhs in firing:
             for left, right in rhs:
                 for i in selection:
-                    # CellClasses.union, inlined.
+                    # Union by size over the flat root / size / next lists.
                     a = root[left_cells[i] + left]
                     b = root[right_cells[i] + right]
                     if a != b:

@@ -1,14 +1,12 @@
 """Window-encoded sorted-neighborhood index: rank ranges over block runs.
 
 The legacy :class:`~repro.plan.blocking.SortedNeighborhoodBackend` is
-batch-only — it sorts the merged sequence from scratch per call, and its
-overlapping windows chain every pair into a single connected component,
-defeating the shard executor (the documented ``single-component`` serial
-fallback).  The streaming engine could not use it at all, which is how
+batch-only — it sorts the merged sequence from scratch per call.  The
+streaming engine could not use it at all, which is how
 sorted-neighborhood specs ended up silently streaming under *hash*
 semantics.
 
-:class:`WindowedSNIndex` fixes both by maintaining a **rank encoding** of
+:class:`WindowedSNIndex` fixes that by maintaining a **rank encoding** of
 each pass's sort keys, in the spirit of pre/post-order tree encodings
 that turn traversals into range scans:
 
@@ -19,10 +17,9 @@ that turn traversals into range scans:
   record's rank and scans the ±(window−1) rank interval around it;
 * the sorted sequence is **split at block boundaries** — runs are
   partitioned by the leading key component (the encoded leading
-  attribute), and windows never span a boundary.  Adjacent windows in
-  different blocks therefore share no pairs, sorted-neighborhood
-  workloads decompose into many connected components, and the parallel
-  executor shards them instead of falling back to serial.
+  attribute), and windows never span a boundary.  An arrival then
+  touches one short run per pass, and (with the rotated passes below)
+  each keyed attribute gets its own partition to recover recall in.
 
 Block confinement alone would be lossy: two records that disagree on the
 leading attribute (a typo'd first name, say) can never share a block, no

@@ -96,8 +96,7 @@ class Relation:
         """Insert a row; missing schema attributes are filled with ``None``.
 
         Unknown attribute names are rejected.  An explicit ``tid`` may be
-        supplied (the engine and the pool workers preserve ids); it must
-        be fresh.
+        supplied (the engine's stores preserve ids); it must be fresh.
         """
         names = self.schema.attribute_names
         unknown = set(values).difference(names)

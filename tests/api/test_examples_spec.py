@@ -42,6 +42,13 @@ def test_example_spec_is_valid_and_versioned():
     assert ResolutionSpec.validate_document(document) == []
 
 
+def test_example_spec_fingerprint_is_pinned():
+    """A literal, so that no edit to the spec layer — a key dropped from
+    the fingerprint included — can move it silently: stores and
+    snapshots written under this spec must keep opening."""
+    assert ResolutionSpec.from_file(SPEC_PATH).fingerprint() == "bb08144399820b1a"
+
+
 def test_cli_spec_validate_accepts_it(capsys):
     assert main(["spec", "validate", str(SPEC_PATH)]) == 0
     assert "OK:" in capsys.readouterr().out

@@ -86,18 +86,6 @@ class TestFingerprint:
         document["rules"]["top_k"] = 3
         assert ResolutionSpec.from_dict(document).fingerprint() != base
 
-    def test_workers_is_not_material(self, document):
-        """The worker count never changes results, so never the hash.
-
-        Engine snapshots embed the fingerprint; a store built serially
-        must restore under a spec that merely turns parallelism on.
-        """
-        base = ResolutionSpec.from_dict(document).fingerprint()
-        document["execution"] = {"workers": 8}
-        spec = ResolutionSpec.from_dict(document)
-        assert spec.workers == 8
-        assert spec.fingerprint() == base
-
 
 class TestValidation:
     def test_unknown_version_is_actionable(self, document):
@@ -175,11 +163,6 @@ class TestValidation:
         assert any("coin-flip" in error for error in errors)
         assert any("psychic" in error for error in errors)
 
-    def test_workers_must_be_a_positive_int(self, document):
-        document["execution"] = {"workers": 0}
-        errors = ResolutionSpec.validate_document(document)
-        assert any("execution.workers" in error for error in errors)
-
     def test_removed_kernel_knob_is_an_unknown_key(self, document):
         # There is one chase kernel; the knob that chose between two is
         # rejected like any other misspelt key (the benchmark's strategy
@@ -190,6 +173,17 @@ class TestValidation:
         assert list(excinfo.value.errors) == [
             "execution: unknown key(s) ['factorised']"
         ]
+
+    @pytest.mark.parametrize("value", [1, 2, 0])
+    def test_removed_workers_key_is_an_unknown_key(self, document, value):
+        # There is one executor.  Any value is rejected — also the 1 that
+        # every spec saved by an earlier ``to_dict()`` carries.
+        document["execution"] = {"mode": "enforce", "workers": value}
+        with pytest.raises(SpecError) as excinfo:
+            ResolutionSpec.from_dict(document)
+        assert excinfo.value.errors[0] == (
+            "execution: unknown key(s) ['workers']"
+        )
 
     def test_all_errors_reported_at_once(self, document):
         document["version"] = 2

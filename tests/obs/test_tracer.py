@@ -1,4 +1,4 @@
-"""Tracer unit tests: nesting, the null tracer, (de)serialization, export."""
+"""Tracer unit tests: nesting, the null tracer, serialization, export."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
-    Span,
     Tracer,
     read_trace,
     run_manifest,
@@ -93,10 +92,6 @@ class TestNullTracer:
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
         assert NULL_TRACER.span("a") is _NULL_SPAN
 
-    def test_attach_is_a_noop(self):
-        NULL_TRACER.attach([{"name": "x"}], worker=0)
-        assert NULL_TRACER.spans() == ()
-
 
 class TestSerialization:
     def _tree(self):
@@ -106,15 +101,16 @@ class TestSerialization:
                 child.add("merges", 2)
         return root
 
-    def test_round_trip(self):
+    def test_to_dict_carries_the_subtree(self):
         root = self._tree()
-        rebuilt = Span.from_dict(root.to_dict())
-        assert rebuilt.name == "root"
-        assert rebuilt.attrs == {"pairs": 4}
-        assert rebuilt.start == root.start
-        assert rebuilt.duration == root.duration
-        assert [child.name for child in rebuilt.children] == ["child"]
-        assert rebuilt.children[0].attrs == {"merges": 2}
+        document = root.to_dict()
+        assert document["name"] == "root"
+        assert document["attrs"] == {"pairs": 4}
+        assert document["start"] == root.start
+        assert document["duration"] == root.duration
+        (child,) = document["children"]
+        assert child["name"] == "child"
+        assert child["attrs"] == {"merges": 2}
 
     def test_to_dict_is_json_and_pickle_safe(self):
         import pickle
@@ -123,29 +119,6 @@ class TestSerialization:
         assert json.loads(json.dumps(document)) == document
         assert pickle.loads(pickle.dumps(document)) == document
 
-    def test_attach_rebases_and_tags(self):
-        worker = Tracer()
-        with worker.span("chase") as chase:
-            with worker.span("chase-round"):
-                pass
-        parent = Tracer()
-        with parent.span("pool") as pool:
-            parent.attach(
-                [span.to_dict() for span in worker.spans()],
-                rebase_to=pool.start,
-                worker=3,
-            )
-        (pool_span,) = parent.spans()
-        (attached,) = pool_span.children
-        assert attached.name == "chase"
-        assert attached.attrs["worker"] == 3
-        # The earliest attached start aligns with the pool span's start,
-        # and the parent/child offset inside the worker tree is kept.
-        assert attached.start == pool.start
-        offset = attached.children[0].start - attached.start
-        original_offset = chase.children[0].start - chase.start
-        assert offset == pytest.approx(original_offset)
-
 
 class TestExport:
     def _traced_run(self):
@@ -153,15 +126,6 @@ class TestExport:
         with tracer.span("enforce", candidates=8):
             with tracer.span("chase", rounds=2):
                 pass
-        worker = Tracer()
-        with worker.span("chase"):
-            pass
-        with tracer.span("pool") as pool:
-            tracer.attach(
-                [span.to_dict() for span in worker.spans()],
-                rebase_to=pool.start,
-                worker=0,
-            )
         return tracer
 
     def test_chrome_document_shape(self):
@@ -174,18 +138,15 @@ class TestExport:
         assert validate_trace(document) == []
         spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
         names = {event["name"] for event in spans}
-        assert {"enforce", "chase", "pool"} <= names
-        # The worker-tagged span renders on its own thread row...
-        worker_rows = {e["tid"] for e in spans if e["args"].get("worker") == 0}
-        assert worker_rows == {1}
-        # ...and that row is named for the viewer.
+        assert names == {"enforce", "chase"}
+        # Every span renders on the one thread row, named for the viewer.
+        assert {event["tid"] for event in spans} == {0}
         thread_names = {
             e["tid"]: e["args"]["name"]
             for e in document["traceEvents"]
             if e.get("ph") == "M"
         }
-        assert thread_names[0] == "main"
-        assert thread_names[1] == "worker-0"
+        assert thread_names == {0: "main"}
 
     @pytest.mark.parametrize("format", ["chrome", "jsonl"])
     def test_write_read_round_trip(self, tmp_path, format):

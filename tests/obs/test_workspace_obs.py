@@ -1,18 +1,14 @@
-"""Observability through the façade: spans, stats, and worker merging.
+"""Observability through the façade: spans and stats.
 
 The acceptance criteria for ``repro.obs`` live here: a traced
 :class:`~repro.api.Workspace` match records the whole pipeline
-(compile → blocking → chase rounds), a traced *parallel* match merges
-every worker's span tree under the pool span (under both ``fork`` and
-``spawn``), an untraced run records exactly nothing and decides exactly
-the same matches, every serial fallback is named in the stats AND on the
-trace, and ``MatchReport.stats`` keeps every pre-existing ``PlanStats``
-key.
+(compile → blocking → chase rounds), an untraced run records exactly
+nothing and decides exactly the same matches, and ``MatchReport.stats``
+carries every ``PlanStats`` key.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import fields
 
 import pytest
@@ -23,17 +19,16 @@ from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.experiments.harness import resolution_spec_document
 from repro.obs import NULL_TRACER, read_trace, validate_trace
-from repro.plan import parallel
 from repro.plan.compile import PlanStats
 
 
-def _document(dataset, workers=1, traced=True, **blocking):
+def _document(dataset, traced=True, **blocking):
     document = resolution_spec_document(
         dataset.pair,
         dataset.target,
         extended_mds(dataset.pair),
         blocking={"backend": "hash", "key_length": 2, **blocking},
-        execution={"mode": "enforce", "workers": workers},
+        execution={"mode": "enforce"},
     )
     if traced:
         document["observability"] = {"enabled": True}
@@ -97,162 +92,28 @@ class TestTracedMatch:
         assert plain.fingerprint == observed.fingerprint
 
 
-class TestWorkerSpanMerge:
-    @pytest.fixture(autouse=True)
-    def force_pool(self, monkeypatch):
-        monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_worker_span_trees_merge_under_the_pool(self, method, monkeypatch):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"platform has no {method} start method")
-        monkeypatch.setenv(parallel.START_METHOD_ENV, method)
-
-        dataset = generate_dataset(120, seed=3)
-        workspace = Workspace.from_dict(_document(dataset, workers=4))
-        workspace.match(dataset.credit, dataset.billing)
-        stats = workspace.plan.stats
-        assert stats.parallel_chases == 1
-        assert stats.serial_fallback_reason is None
-
-        tracer = workspace.tracer
-        (pool,) = _named(tracer, "pool")
-        assert pool.attrs["start_method"] == method
-        # One worker chase tree per bin, tagged with its worker index
-        # and re-based into the parent's clock (inside the pool span).
-        attached = [c for c in pool.children if "worker" in c.attrs]
-        assert {span.attrs["worker"] for span in attached} == set(
-            range(stats.workers_spawned)
-        )
-        for span in attached:
-            assert span.name == "chase"
-            assert span.start >= pool.start
-            assert any(c.name == "chase-round" for c in span.children)
-
-        # The surrounding structure is recorded too.
-        (parallel_span,) = _named(tracer, "parallel-chase")
-        assert "serial_fallback_reason" not in parallel_span.attrs
-        assert parallel_span.attrs["shards"] == stats.shards
-        assert _named(tracer, "shard-pairs")
-        (merge,) = _named(tracer, "merge-shards")
-        assert merge.attrs["classes"] >= 0
-
-
-class TestSerialFallbackReasons:
-    """Satellite (b): every fallback names its reason, nothing is silent."""
-
-    def _reason_on_trace(self, workspace):
-        (span,) = _named(workspace.tracer, "parallel-chase")
-        return span.attrs["serial_fallback_reason"]
-
-    def test_below_min_pairs(self):
-        # The default threshold (64) exceeds this workload's candidates.
-        dataset = generate_dataset(30, seed=3)
-        workspace = Workspace.from_dict(_document(dataset, workers=4))
-        report = workspace.match(dataset.credit, dataset.billing)
-        reason = report.stats["serial_fallback_reason"]
-        assert reason.startswith("below-min-pairs(")
-        assert reason.endswith("<64)")
-        assert workspace.plan.stats.parallel_chases == 0
-        assert self._reason_on_trace(workspace) == reason
-
-    def test_single_component(self, monkeypatch):
-        # A one-block SN instance: every row shares the keyed value, so
-        # overlapping windows genuinely chain all pairs into a single
-        # component.  (Ordinary SN workloads now shard — the rank index
-        # splits runs at block boundaries — so forcing this fallback
-        # takes a deliberately degenerate instance.)
-        monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-        from repro.relations.relation import Relation
-
-        document = {
-            "version": 1,
-            "schema": {
-                "left": {"name": "L", "attributes": ["A", "B"]},
-                "right": {"name": "R", "attributes": ["A", "B"]},
-            },
-            "target": {"left": ["B"], "right": ["B"]},
-            "rules": {"mds": ["L[A] = R[A] -> L[B] <=> R[B]"]},
-            "blocking": {
-                "backend": "sorted-neighborhood",
-                "window": 10,
-                "key_pairs": [["A", "A"]],
-                "encode": [],
-            },
-            "execution": {"mode": "enforce", "workers": 4},
-            "observability": {"enabled": True},
-        }
-        workspace = Workspace.from_dict(document)
-        left = Relation(workspace.plan.pair.left)
-        right = Relation(workspace.plan.pair.right)
-        for tid in range(30):
-            left.insert({"A": "shared", "B": f"value-{tid}"})
-            right.insert({"A": "shared", "B": None})
-        report = workspace.match(left, right)
-        assert report.stats["serial_fallback_reason"] == "single-component"
-        assert self._reason_on_trace(workspace) == "single-component"
-
-    def test_unnamed_resolver(self, monkeypatch):
-        monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-        dataset = generate_dataset(60, seed=3)
-        workspace = Workspace.from_dict(_document(dataset, workers=4))
-        plan = workspace.plan
-        from repro.core.semantics import InstancePair
-
-        plan.enforce(
-            InstancePair(plan.pair, dataset.credit, dataset.billing),
-            resolver=lambda values: values[0],  # not a named policy
-            workers=4,
-            spec_document=workspace.spec.to_dict(),
-        )
-        assert plan.stats.serial_fallback_reason == "unnamed-resolver"
-
-    def test_no_spec_document(self, monkeypatch):
-        monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-        dataset = generate_dataset(60, seed=3)
-        workspace = Workspace.from_dict(_document(dataset, workers=4))
-        plan = workspace.plan
-        from repro.core.semantics import InstancePair
-        from repro.metrics.registry import default_registry
-
-        # A plan on a custom registry cannot ship a spec to workers.
-        plan.registry = default_registry()
-        plan.enforce(
-            InstancePair(plan.pair, dataset.credit, dataset.billing),
-            workers=4,
-        )
-        assert plan.stats.serial_fallback_reason == "no-spec-document"
-
-    def test_workers_at_most_one(self):
-        dataset = generate_dataset(30, seed=3)
-        workspace = Workspace.from_dict(_document(dataset, workers=1))
-        from repro.core.semantics import InstancePair
-
-        parallel.parallel_chase(
-            workspace.plan,
-            InstancePair(workspace.plan.pair, dataset.credit, dataset.billing),
-            candidate_pairs=workspace.plan.candidates(
-                dataset.credit, dataset.billing
-            ),
-            workers=1,
-        )
-        assert workspace.plan.stats.serial_fallback_reason == "workers<=1"
-
-
 class TestStatsBackwardCompat:
     def test_every_planstats_key_survives(self):
-        """Satellite (c): old consumers of ``report.stats`` keep working."""
+        """Consumers of ``report.stats`` keep working: the surviving keys
+        are listed, so dropping one (the frozen benchmark reads
+        ``groups_built`` / ``factorisation_ratio`` unconditionally) or
+        growing one back is a visible edit here."""
         dataset = generate_dataset(60, seed=3)
         workspace = Workspace.from_dict(_document(dataset, traced=False))
         report = workspace.match(dataset.credit, dataset.billing)
 
-        for spec in fields(PlanStats):
-            assert spec.name in report.stats
+        surviving = [
+            "compiles", "metric_evaluations", "cache_hits", "pairs_compared",
+            "rule_applications", "chase_rounds", "enforcements",
+            "rounds_exhausted", "groups_built", "factorisation_ratio",
+        ]
+        assert [spec.name for spec in fields(PlanStats)] == surviving
+        for name in surviving:
+            assert name in report.stats
         # The counters stay plain ints at the top level.
         assert report.stats["compiles"] == 1
         assert report.stats["enforcements"] == 1
         assert isinstance(report.stats["pairs_compared"], int)
-        assert report.stats["serial_fallback_reason"] is None
         # The registry's richer sections ride along without colliding.
         assert isinstance(report.stats["gauges"], dict)
         assert report.stats["histograms"]["match.seconds"]["count"] == 1
@@ -275,7 +136,6 @@ class TestWriteTrace:
         manifest = reread["manifest"]
         assert manifest["spec_fingerprint"] == workspace.fingerprint
         assert manifest["mode"] == "enforce"
-        assert manifest["workers"] == 1
         assert manifest["policy"] == workspace.spec.policy
         assert manifest["command"] == "test-run"
 

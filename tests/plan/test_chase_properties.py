@@ -1,8 +1,7 @@
 """Property-based tests (Hypothesis) for the enforcement chase.
 
 Randomized small instances and MD sets over a fixed schema pair check
-the kernel's algebraic contracts — the ones the sharded parallel
-executor (:mod:`repro.plan.parallel`) relies on:
+the kernel's algebraic contracts:
 
 * **immutability** — the original instance is never mutated, whatever
   the rules do ("in the matching process instance D may not be
@@ -12,11 +11,7 @@ executor (:mod:`repro.plan.parallel`) relies on:
 * **monotonicity of merges** — identifications only grow with more
   rounds: every cell pair merged under ``max_rounds=k`` stays merged
   under any larger bound, and a chase that did not exhaust its rounds
-  decides exactly what the unbounded chase decides;
-* **shard-union == full-run** — chasing each connected component of the
-  candidate pairs separately (in process, no pool) and unioning the
-  results reproduces the full chase's identifications and repaired
-  values, the soundness argument behind ``plan/parallel.py``.
+  decides exactly what the unbounded chase decides.
 
 The shapes are deliberately tiny (≤ 8 rows per side, ≤ 3 MDs over a
 3-attribute schema with equality operators): the properties are about
@@ -33,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.parser import parse_md
 from repro.core.schema import LEFT, RIGHT, RelationSchema, SchemaPair
 from repro.core.semantics import InstancePair
-from repro.plan import compile_plan, shard_pairs
+from repro.plan import compile_plan
 from repro.plan.executor import chase
 from repro.relations.relation import Relation
 
@@ -144,36 +139,3 @@ def test_merges_grow_monotonically_with_rounds(
     # the bounded chase IS the full chase, identifications included.
     if bounded.rounds < bound:
         assert _identified_cells(bounded) == _identified_cells(full)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows, rows, mds, st.data())
-def test_shard_union_equals_full_run(left_rows, right_rows, md_shapes, data):
-    """Chasing each connected component separately ≡ one full chase.
-
-    The candidate pairs are a drawn *subset* of the cross product — the
-    full cross product is always one connected component (every pair
-    shares a tuple with every same-row pair), so only sparse pair sets,
-    like the ones blocking produces, exercise real multi-shard splits.
-    """
-    plan, instance = _build(left_rows, right_rows, md_shapes)
-    universe = list(instance.tuple_pairs())
-    pairs = data.draw(
-        st.lists(st.sampled_from(universe), unique=True, max_size=12),
-        label="candidate_pairs",
-    )
-    full = chase(plan, instance, candidate_pairs=pairs)
-
-    union_identified = set()
-    union_values = _values(instance)
-    for shard in shard_pairs(pairs):
-        result = chase(plan, instance, candidate_pairs=list(shard.pairs))
-        union_identified |= _identified_cells(result)
-        after = _values(result.instance)
-        for tid in shard.left_tids:
-            union_values[(LEFT, tid)] = after[(LEFT, tid)]
-        for tid in shard.right_tids:
-            union_values[(RIGHT, tid)] = after[(RIGHT, tid)]
-
-    assert union_identified == _identified_cells(full)
-    assert union_values == _values(full.instance)

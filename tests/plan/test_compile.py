@@ -118,12 +118,9 @@ class TestSimilarityCache:
         plan = compile_plan(sigma, target)
         dl = next(p for p in plan.predicates if p.operator.startswith("dl"))
         plan.evaluate(dl, "Mark", "Marx")
-        plan.stats.serial_fallback_reason = "single-component"
         plan.stats.reset()
-        # Every counter back to 0, the fallback annotation back to None.
-        expected = {key: 0 for key in plan.stats.as_dict()}
-        expected["serial_fallback_reason"] = None
-        assert plan.stats.as_dict() == expected
+        # Every counter back to 0.
+        assert plan.stats.as_dict() == {key: 0 for key in plan.stats.as_dict()}
 
 
 class TestKernelChase:

@@ -6,20 +6,16 @@ more rule and a chain of length K needs K+1 rounds to converge.  A
 ``max_rounds`` below that used to exhaust silently, returning a partial
 extension indistinguishable from a converged one; now
 :class:`~repro.core.semantics.EnforcementResult.rounds_exhausted` says
-so, through the serial kernel, the reference ``enforce`` entry point,
-and the parallel executor alike.
+so, through the kernel and the reference ``enforce`` entry point alike.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Workspace
 from repro.core.parser import parse_md
 from repro.core.schema import RelationSchema, SchemaPair
 from repro.core.semantics import InstancePair, enforce
-from repro.plan import compile_plan
-from repro.plan import parallel
 from repro.relations.relation import Relation
 
 #: Chain length: rule i reads A{i}, repairs A{i+1}.
@@ -28,8 +24,8 @@ CHAIN = 4
 ATTRIBUTES = tuple(f"A{index}" for index in range(CHAIN + 1))
 
 
-def _chain_setup(copies: int = 1):
-    """``copies`` independent pair components, each needing CHAIN+1 rounds."""
+def _chain_setup():
+    """One candidate pair that needs CHAIN+1 rounds to converge."""
     pair = SchemaPair(
         RelationSchema("R", ATTRIBUTES), RelationSchema("S", ATTRIBUTES)
     )
@@ -42,19 +38,15 @@ def _chain_setup(copies: int = 1):
     ]
     left = Relation(pair.left)
     right = Relation(pair.right)
-    pairs = []
-    for copy in range(copies):
-        # A0 agrees (the fuse); every later attribute disagrees until the
-        # cascade of repairs reaches it.
-        anchor = f"match-{copy}"
-        left_tid = left.insert(
-            {"A0": anchor, **{f"A{i}": f"left-{copy}-{i}-long" for i in range(1, CHAIN + 1)}}
-        )
-        right_tid = right.insert(
-            {"A0": anchor, **{f"A{i}": None for i in range(1, CHAIN + 1)}}
-        )
-        pairs.append((left_tid, right_tid))
-    return pair, sigma, InstancePair(pair, left, right), pairs
+    # A0 agrees (the fuse); every later attribute disagrees until the
+    # cascade of repairs reaches it.
+    left_tid = left.insert(
+        {"A0": "match", **{f"A{i}": f"left-{i}-long" for i in range(1, CHAIN + 1)}}
+    )
+    right_tid = right.insert(
+        {"A0": "match", **{f"A{i}": None for i in range(1, CHAIN + 1)}}
+    )
+    return pair, sigma, InstancePair(pair, left, right), [(left_tid, right_tid)]
 
 
 def test_chain_converges_and_reports_no_exhaustion():
@@ -110,47 +102,3 @@ def test_merging_on_the_last_round_but_stable_is_not_exhaustion():
     assert result.rounds == CHAIN
     assert result.stable
     assert not result.rounds_exhausted
-
-
-def test_parallel_chase_propagates_exhaustion(monkeypatch):
-    """Any exhausted shard marks the merged parallel result exhausted."""
-    monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-    _, sigma, instance, pairs = _chain_setup(copies=6)
-    document = {
-        "version": 1,
-        "schema": {
-            "left": {"name": "R", "attributes": list(ATTRIBUTES)},
-            "right": {"name": "S", "attributes": list(ATTRIBUTES)},
-        },
-        "target": {"left": ["A1"], "right": ["A1"]},
-        "rules": {
-            "mds": [
-                f"R[A{i}] = S[A{i}] -> R[A{i + 1}] <=> S[A{i + 1}]"
-                for i in range(CHAIN)
-            ]
-        },
-        "execution": {"mode": "enforce", "workers": 2, "max_rounds": 2},
-    }
-    workspace = Workspace.from_dict(document)
-    plan = compile_plan(sigma=sigma)
-    exhausted = parallel.parallel_chase(
-        plan,
-        instance,
-        spec_document=workspace.spec.to_dict(),
-        candidate_pairs=pairs,
-        workers=2,
-        max_rounds=2,
-    )
-    assert plan.stats.parallel_chases == 1
-    assert exhausted.rounds_exhausted
-    assert not exhausted.stable
-
-    converged = parallel.parallel_chase(
-        plan,
-        instance,
-        spec_document=workspace.spec.to_dict(),
-        candidate_pairs=pairs,
-        workers=2,
-    )
-    assert not converged.rounds_exhausted
-    assert converged.stable

@@ -1,4 +1,4 @@
-"""Differential suite for sorted-neighborhood specs: stream ≡ batch, shard ≡ serial.
+"""Differential suite for sorted-neighborhood specs: stream ≡ batch.
 
 The acceptance criteria of the window-encoded SN index, end-to-end
 through the spec API:
@@ -7,16 +7,10 @@ through the spec API:
   clusters and the same candidate universe as the **batch** run of the
   same spec — for every :mod:`repro.datagen.streams` arrival scenario,
   on both store backends (memory and SQLite);
-* a **sharded** SN run (workers 2 and 4) produces a report identical to
-  the serial one, with real shards and no serial fallback — the legacy
-  backend's unconditional ``single-component`` fallback is retired;
 * a store that cannot honor the spec's declared blocking backend is
   rejected with :class:`~repro.api.spec.SpecError` — never the silent
   hash substitution this suite exists to prevent (CLI exit 2 covered in
   ``tests/test_cli.py``).
-
-CI runs this file under both ``fork`` and ``spawn`` start methods as
-part of the parallel differential matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.datagen.streams import (
 )
 from repro.engine.store import MatchStore
 from repro.experiments.harness import resolution_spec_document
-from repro.plan import parallel
 
 SCENARIOS = {
     "arrival": arrival_stream,
@@ -52,13 +45,13 @@ def dataset():
     return generate_dataset(120, seed=3)
 
 
-def _document(dataset, workers=1, **overrides):
+def _document(dataset, **overrides):
     document = resolution_spec_document(
         dataset.pair,
         dataset.target,
         extended_mds(dataset.pair),
         blocking={"backend": "sorted-neighborhood", "window": 10},
-        execution={"mode": "enforce", "workers": workers},
+        execution={"mode": "enforce"},
     )
     document.update(overrides)
     return document
@@ -66,8 +59,8 @@ def _document(dataset, workers=1, **overrides):
 
 @pytest.fixture(scope="module")
 def batch_reference(dataset):
-    """The serial batch run every other run must agree with."""
-    workspace = Workspace.from_dict(_document(dataset, workers=1))
+    """The batch run every other run must agree with."""
+    workspace = Workspace.from_dict(_document(dataset))
     report = workspace.match(dataset.credit, dataset.billing)
     candidates = workspace.plan.candidates(dataset.credit, dataset.billing)
     return {
@@ -130,22 +123,6 @@ def test_streaming_sn_equals_batch(
     assert workspace.metrics.counters["engine.sn_probes"] > 0
     assert workspace.metrics.gauges["engine.sn_blocks"] > 1
     store.close()
-
-
-@pytest.mark.parametrize("workers", (2, 4))
-def test_sharded_sn_equals_serial(workers, dataset, batch_reference, monkeypatch):
-    """Satellite (3): SN workloads shard; the report does not change."""
-    monkeypatch.setattr(parallel, "PARALLEL_MIN_PAIRS", 0)
-    workspace = Workspace.from_dict(_document(dataset, workers=workers))
-    report = workspace.match(dataset.credit, dataset.billing)
-    stats = workspace.plan.stats
-    assert stats.parallel_chases == 1
-    assert stats.shards > 1
-    assert stats.serial_fallback_reason is None
-    assert stats.workers_spawned <= workers
-    assert report.matches == batch_reference["matches"]
-    assert report.clusters == batch_reference["clusters"]
-    assert report.fingerprint == batch_reference["fingerprint"]
 
 
 class TestStreamGuard:

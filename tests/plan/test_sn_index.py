@@ -2,7 +2,7 @@
 
 The rank-encoding invariants in isolation: incremental insertion equals
 batch construction, a probe is exactly the rank-range query, runs split
-at block boundaries (so candidates shard), multi-pass rotation recovers
+at block boundaries (no candidate pair spans one), multi-pass rotation recovers
 pairs that disagree on one leading attribute, and the degenerate
 window < 2 yields no candidates.  End-to-end stream/batch equivalence
 lives in ``test_sn_differential.py``.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.schema import LEFT, RIGHT, RelationSchema
 from repro.plan.blocking import SortedNeighborhoodBackend
-from repro.plan.shard import shard_pairs
 from repro.plan.sn_index import WindowedSNIndex, run_pairs, window_neighbors
 from repro.relations.relation import Relation
 
@@ -100,7 +99,7 @@ class TestBlockConfinement:
             assert left[left_tid]["K"] == right[right_tid]["K"]
 
     def test_blocks_become_shards(self):
-        # Disjoint blocks produce disjoint pair-graph components.
+        # Disjoint blocks produce disjoint groups of candidate pairs.
         left = _blocked(
             [(block, f"l{i}") for block in "abcd" for i in range(3)]
         )
@@ -109,21 +108,26 @@ class TestBlockConfinement:
         )
         index = _index(window=10, pairs=BLOCKED_PAIRS)
         pairs = index.candidates(left, right)
-        assert pairs
-        assert len(shard_pairs(pairs)) == 4
+        assert {(left[l]["K"], right[r]["K"]) for l, r in pairs} == {
+            (block, block) for block in "abcd"
+        }
 
     def test_legacy_backend_chains_what_the_index_splits(self):
         # The contrast that motivates the index: same rows, same window,
-        # legacy global-window candidates form ONE component.
+        # legacy global-window candidates pair records across the blocks.
         from repro.plan.blocking import attribute_key
 
         left = _blocked([(block, f"l{i}") for block in "ab" for i in range(3)])
         right = _blocked([(block, f"r{i}") for block in "ab" for i in range(3)])
         sort_key = attribute_key(["K", "V"], [None, None])
         legacy = SortedNeighborhoodBackend([(sort_key, sort_key)], window=10)
-        assert len(shard_pairs(legacy.candidates(left, right))) == 1
         index = _index(window=10, pairs=BLOCKED_PAIRS)
-        assert len(shard_pairs(index.candidates(left, right))) == 2
+
+        def crossing(pairs):
+            return [(l, r) for l, r in pairs if left[l]["K"] != right[r]["K"]]
+
+        assert crossing(legacy.candidates(left, right))
+        assert not crossing(index.candidates(left, right))
 
 
 class TestMultiPassRotation:

@@ -115,3 +115,28 @@ def test_one_big_batch_equals_stream(tmp_path):
     assert _result_log(durable_results) == _result_log(reference_results)
     assert state(durable.store) == state(reference.store)
     durable.store.close()
+
+
+def test_sorted_neighborhood_batch_commits_once(tmp_path):
+    """The SN fallback is sequential in what it computes, not in what it
+    commits: one durable transaction per ``ingest_batch`` call, with the
+    per-event results and final state of per-record ingest."""
+    events = _events()
+    expected_state, expected_results = _reference(backend="sorted-neighborhood")
+
+    durable = (
+        builder(dataset(60, seed=7), backend="sorted-neighborhood")
+        .persistence("sqlite", str(tmp_path / "sn.db"))
+        .workspace()
+        .stream()
+    )
+    counters = durable.metrics.counters
+    results = []
+    for batch in _partition(events, [len(events) // 2]):
+        before = counters.get("store.commits", 0)
+        results.extend(durable.ingest_batch(batch))
+        assert counters["store.commits"] == before + 1
+
+    assert _result_log(results) == expected_results
+    assert state(durable.store) == expected_state
+    durable.store.close()

@@ -15,12 +15,20 @@ Two service guarantees under stress:
   events fail) therefore loses nothing acked; a fresh server over the
   same SQLite file resumes and the final clusters equal an offline
   replay of exactly the acked prefix plus the post-restart traffic.
+
+* **A micro-batch fails as a unit**: when the engine raises on one event
+  of a batch (every request riding it gets the error), the store is
+  rolled back — nothing of the batch is durable, a later batch's commit
+  cannot persist its half-applied records, and re-sending the good
+  events succeeds.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+
+import pytest
 
 from repro.datagen.streams import arrival_stream, duplicate_burst_stream
 
@@ -316,4 +324,39 @@ def test_kill_and_restart_resumes_to_same_clusters(tmp_path):
     # offline run over the full stream.
     offline = builder(dataset(120)).workspace().stream()
     offline.ingest_stream(events)
+    assert resumed_state == state(offline.store)
+
+
+def test_failed_micro_batch_is_rolled_back_as_a_unit(tmp_path):
+    events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:16]
+    failed = events[8:12]
+
+    def reopen():
+        return (
+            builder(dataset(60, seed=7))
+            .persistence("sqlite", str(tmp_path / "rollback.db"))
+            .workspace()
+            .stream()
+        )
+
+    matcher = reopen()
+    matcher.ingest_batch(events[:8])
+    # The last event re-uses a live tid: the engine raises only after the
+    # four before it were added and indexed.
+    with pytest.raises(ValueError):
+        matcher.ingest_batch(failed + [events[0]])
+    # The next good batch commits — and must not commit the leftovers.
+    matcher.ingest_batch(events[12:])
+    matcher.store.close()
+
+    matcher = reopen()
+    for event in failed:
+        assert event.tid not in matcher.store.relation(event.side)
+    matcher.ingest_batch(failed)
+    resumed_state = state(matcher.store)
+    matcher.store.close()
+
+    # As if the failed batch had never been sent.
+    offline = builder(dataset(60, seed=7)).workspace().stream()
+    offline.ingest_stream(events[:8] + events[12:] + failed)
     assert resumed_state == state(offline.store)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,19 @@ def md_file(tmp_path):
         "credit[FN] <=> billing[FN] & credit[LN] <=> billing[LN]\n"
     )
     return path
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    """The chase runs in the calling process; start-up pays for no pool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
 
 
 class TestSpecLoading:
@@ -169,27 +185,16 @@ class TestMatch:
         assert matched
         assert all(left == 0 for left, _ in matched)  # only t1 matches
 
-    def test_match_workers_rejected_in_direct_mode(
-        self, schema_file, md_file, tmp_path, capsys
-    ):
-        """--workers must never be silently ignored.
-
-        The legacy flag form lowers to direct-mode matching, which has
-        no chase to parallelize — combining it with --workers is an
-        explicit error, not a no-op.
-        """
-        _, credit, billing = figure1_instances()
-        left_path = tmp_path / "credit.csv"
-        right_path = tmp_path / "billing.csv"
-        save_relation(credit, left_path)
-        save_relation(billing, right_path)
-        with pytest.warns(DeprecationWarning):
-            code = main(
-                ["match", "--schema", str(schema_file), "--mds", str(md_file),
-                 "--left", str(left_path), "--right", str(right_path),
-                 "--workers", "4"]
+    def test_match_workers_flag_is_gone(self, spec_file, tmp_path, capsys):
+        """There is one executor: argparse rejects the flag (exit 2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["match", "--spec", str(spec_file),
+                 "--left", str(tmp_path / "credit.csv"),
+                 "--right", str(tmp_path / "billing.csv"),
+                 "--workers", "2"]
             )
-        assert code == 2
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_match_plain_csv_without_tids(self, schema_file, md_file, tmp_path):
@@ -483,6 +488,16 @@ class TestSpecValidate:
         assert "bogus" in err
         assert "coin-flip" in err
         assert "error(s)" in err
+
+    def test_saved_workers_key_is_rejected(self, spec_file, capsys):
+        """A spec saved by an earlier ``to_dict()`` carries ``workers: 1``;
+        the upgrade is to delete the key, and validate says which."""
+        document = json.loads(spec_file.read_text())
+        document["execution"]["workers"] = 1
+        spec_file.write_text(json.dumps(document))
+        assert main(["spec", "validate", str(spec_file)]) == 2
+        first_error = capsys.readouterr().err.splitlines()[0]
+        assert "execution" in first_error and "workers" in first_error
 
     def test_missing_spec_file_exits_two(self, tmp_path, capsys):
         assert main(["spec", "validate", str(tmp_path / "no.json")]) == 2
