@@ -10,7 +10,8 @@ runners:
 * every known benchmark document carries its required keys with the
   right types;
 * cross-field invariants hold (the kernel charges fewer evaluations
-  than the naive path, the streaming engine beats batch re-runs, ...);
+  than the naive path, the streamed rank index equals the batch
+  candidate universe, ...);
 * an optional ``metrics`` key must be a
   :class:`repro.obs.metrics.MetricsRegistry` rendering — ``counters`` /
   ``gauges`` / ``histograms`` objects, each histogram summary carrying
@@ -35,22 +36,6 @@ from pathlib import Path
 
 #: Required keys (name -> type) per benchmark document.
 SCHEMAS = {
-    "engine_streaming_ingest": {
-        "scenario": str,
-        "records": int,
-        "seconds_per_stream": float,
-        "records_per_sec": float,
-        "comparisons": int,
-        "matched_clusters": int,
-    },
-    "engine_vs_batch_rerun": {
-        "records": int,
-        "batch_seconds_per_run": float,
-        "batch_candidates": int,
-        "stream_comparisons": int,
-        "batch_rerun_comparisons": int,
-        "saving_factor": float,
-    },
     "plan_kernel_vs_naive": {
         "K": int,
         "candidates": int,
@@ -167,20 +152,7 @@ def check_document(document: dict) -> list:
         return problems
 
     # Cross-field invariants (regression checks, not timing checks).
-    if name == "engine_streaming_ingest":
-        if document["records"] <= 0 or document["matched_clusters"] <= 0:
-            problems.append(f"{name}: empty run")
-        if document["comparisons"] <= 0:
-            problems.append(f"{name}: no comparisons charged")
-    elif name == "engine_vs_batch_rerun":
-        if document["saving_factor"] <= 10:
-            problems.append(
-                f"{name}: saving_factor {document['saving_factor']:.1f} "
-                "regressed below the asserted 10x"
-            )
-        if document["stream_comparisons"] >= document["batch_rerun_comparisons"]:
-            problems.append(f"{name}: stream costs more than batch re-runs")
-    elif name == "plan_kernel_vs_naive":
+    if name == "plan_kernel_vs_naive":
         if document["plan_evaluations"] >= document["naive_evaluations"]:
             problems.append(
                 f"{name}: compiled plan no longer saves evaluations "

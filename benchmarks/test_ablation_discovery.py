@@ -22,17 +22,17 @@ from repro.discovery import (
     random_labelled_pairs,
     sample_labelled_pairs,
 )
-from repro.experiments.harness import Table
+from repro.api import Workspace
+from repro.experiments.harness import Table, resolution_spec_document
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.pipeline import RCKMatcher
-from repro.matching.windowing import attribute_key, window_pairs
+from repro.plan.blocking import attribute_key, window_candidates
 
 
 @pytest.fixture(scope="module")
 def pipeline_outputs():
     train = generate_dataset(800, seed=5)
     key = attribute_key(["zip", "LN"])
-    candidates = window_pairs(train.credit, train.billing, key, key, 10)
+    candidates = window_candidates(train.credit, train.billing, key, key, 10)
     sample = sample_labelled_pairs(
         candidates, train.true_matches, limit=5000, seed=0
     )
@@ -53,7 +53,12 @@ def pipeline_outputs():
     results = {}
     for label, sigma in (("mined", mined_sigma), ("expert", expert_sigma)):
         rcks = find_rcks(sigma, train.target, m=5)
-        matcher = RCKMatcher(rcks)
+        matcher = Workspace.from_dict(
+            resolution_spec_document(
+                train.pair, train.target, [], rcks=rcks,
+                execution={"mode": "direct"},
+            )
+        )
         outcome = matcher.match(held_out.credit, held_out.billing)
         results[label] = (
             len(sigma),
@@ -72,7 +77,7 @@ def test_ablation_discovery_vs_expert(benchmark, pipeline_outputs):
 
     train = generate_dataset(400, seed=5)
     key = attribute_key(["zip", "LN"])
-    candidates = window_pairs(train.credit, train.billing, key, key, 10)
+    candidates = window_candidates(train.credit, train.billing, key, key, 10)
     sample = sample_labelled_pairs(
         candidates, train.true_matches, limit=3000, seed=0
     ) + random_labelled_pairs(

@@ -16,15 +16,20 @@ from repro.core.findrcks import find_rcks
 from repro.datagen.generator import generate_dataset
 from repro.datagen.noise import NoiseModel, harsh_noise, light_noise
 from repro.datagen.schemas import extended_mds
-from repro.experiments.harness import Table
+from repro.api import Workspace
+from repro.experiments.harness import Table, resolution_spec_document
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.pipeline import RCKMatcher
 
 
 def _run(noise, seed=0, size=800):
     dataset = generate_dataset(size, noise=noise, seed=seed)
     rcks = find_rcks(extended_mds(dataset.pair), dataset.target, m=5)
-    matcher = RCKMatcher(rcks)
+    matcher = Workspace.from_dict(
+        resolution_spec_document(
+            dataset.pair, dataset.target, [], rcks=rcks,
+            execution={"mode": "direct"},
+        )
+    )
     result = matcher.match(dataset.credit, dataset.billing)
     return evaluate_matches(result.matches, dataset.true_matches)
 

@@ -16,7 +16,7 @@ from repro.experiments.harness import Table
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
 from repro.matching.rules import rules_from_rcks
 from repro.matching.sorted_neighborhood import SortedNeighborhood
-from repro.matching.windowing import multi_pass_window_pairs, rck_sort_keys
+from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
 
 _WINDOWS = (2, 5, 10, 20, 40)
 
@@ -28,8 +28,8 @@ def sweep():
     matcher = SortedNeighborhood(rules_from_rcks(rcks), window=10)
     records = []
     for window in _WINDOWS:
-        candidates = multi_pass_window_pairs(
-            dataset.credit, dataset.billing, keys, window
+        candidates = SortedNeighborhoodBackend(keys, window).candidates(
+            dataset.credit, dataset.billing
         )
         reduction = evaluate_reduction(
             candidates, dataset.true_matches, dataset.total_pairs
@@ -50,7 +50,8 @@ def test_ablation_window_size(benchmark, sweep):
     keys = [rck_sort_keys([key]) for key in rcks[:3]]
 
     benchmark(
-        multi_pass_window_pairs, dataset.credit, dataset.billing, keys, 10
+        SortedNeighborhoodBackend(keys, 10).candidates,
+        dataset.credit, dataset.billing,
     )
 
     table = Table(

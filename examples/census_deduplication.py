@@ -22,7 +22,7 @@ from repro.experiments.exp_fs import deduce_rcks
 from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.matching.windowing import multi_pass_window_pairs, rck_sort_keys
+from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
 
 
 def run_matcher(name, spec, dataset, candidates):
@@ -51,8 +51,8 @@ def main() -> None:
 
     # Shared candidates: multi-pass windowing on the top three RCKs.
     keys = [rck_sort_keys([key]) for key in rcks[:3]]
-    candidates = multi_pass_window_pairs(
-        dataset.credit, dataset.billing, keys, window=10
+    candidates = SortedNeighborhoodBackend(keys, window=10).candidates(
+        dataset.credit, dataset.billing
     )
     print(f"\nWindowing produced {len(candidates)} candidate pairs "
           f"(of {dataset.total_pairs} possible).")

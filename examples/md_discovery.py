@@ -27,7 +27,6 @@ from repro.discovery import (
 from repro.api import Workspace
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.rules import rules_from_rcks
-from repro.matching.windowing import attribute_key, window_pairs
 from repro.metrics.registry import default_registry
 from repro.metrics.synonyms import (
     common_nickname_synonyms,
@@ -35,6 +34,7 @@ from repro.metrics.synonyms import (
     us_address_synonyms,
     merged_tables,
 )
+from repro.plan.blocking import attribute_key, window_candidates
 
 
 def main() -> None:
@@ -44,7 +44,7 @@ def main() -> None:
     print("Generating training data (600 billing tuples) ...")
     dataset = generate_dataset(600, seed=31)
     key = attribute_key(["zip", "LN"])
-    candidates = window_pairs(dataset.credit, dataset.billing, key, key, 10)
+    candidates = window_candidates(dataset.credit, dataset.billing, key, key, 10)
     sample = sample_labelled_pairs(
         candidates, dataset.true_matches, limit=4000, seed=0
     )

@@ -21,7 +21,7 @@ Underneath, the library implements the paper's full stack:
 * :mod:`repro.metrics` — similarity metrics and the Soundex encoder;
 * :mod:`repro.relations` — the in-memory relational substrate;
 * :mod:`repro.matching` — Fellegi–Sunter (with EM), Sorted Neighborhood,
-  blocking, windowing, and evaluation metrics;
+  clustering, and evaluation metrics;
 * :mod:`repro.engine` — the incremental streaming entity-resolution
   engine (what ``Workspace.stream()`` returns);
 * :mod:`repro.datagen` — the paper's schemas and MDs, synthetic datasets
@@ -34,7 +34,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.

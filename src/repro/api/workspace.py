@@ -27,12 +27,7 @@ from repro.core.rck import RelativeKey
 from repro.core.semantics import InstancePair
 from repro.matching.clustering import Cluster, cluster_matches
 from repro.matching.evaluate import Pair
-from repro.plan.blocking import (
-    BlockingBackend,
-    HashBlockingBackend,
-    RCKIndex,
-)
-from repro.plan.sn_index import WindowedSNIndex
+from repro.plan.blocking import BlockingBackend, build_blocking
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
@@ -198,7 +193,6 @@ class Workspace:
                         rcks=rcks,
                         registry=registry,
                         blocking=blocking,
-                        window=spec.window,
                         cached=spec.cache,
                         cache_limit=spec.cache_limit,
                     )
@@ -220,26 +214,24 @@ class Workspace:
         Soundex-encoded before keying in every backend, so the setting
         always means something when it appears in the fingerprint.
         ``key_length`` configures the hash backend (per-RCK index keys).
+        The stores a stream runs over resolve the same section through
+        the same function.
         """
-        spec = self.spec
-        if spec.key_pairs is not None:
-            # An explicit derived key: one pass over the named attribute
-            # pairs, Soundex-encoding the attributes the spec asks for.
-            if spec.blocking_backend == "hash":
-                return HashBlockingBackend(
-                    [RCKIndex("spec", spec.key_pairs, spec.encode)]
-                )
-            return WindowedSNIndex(spec.key_pairs, spec.window, spec.encode)
-        if not rcks:
+        if not rcks and not self.spec.key_pairs:
             return None
-        if spec.blocking_backend == "hash":
-            return HashBlockingBackend.per_rck(
-                rcks, spec.key_length, spec.encode
-            )
-        # The rank-encoded, block-splitting SN index — the same class the
-        # streaming store maintains incrementally, so batch and stream
-        # share one set of window semantics.
-        return WindowedSNIndex.from_rcks(rcks, spec.window, spec.encode)
+        return build_blocking(rcks, *self._blocking_section())
+
+    def _blocking_section(self) -> tuple:
+        """The spec's blocking section, in the order ``build_blocking`` and
+        both store constructors take it after the RCKs."""
+        spec = self.spec
+        return (
+            spec.key_length,
+            spec.encode,
+            spec.blocking_backend,
+            spec.window,
+            spec.key_pairs,
+        )
 
     # ------------------------------------------------------------------
     # Execution modes
@@ -376,13 +368,19 @@ class Workspace:
         restart) thereafter — under the same fingerprint semantics.
         """
         from repro.engine.matcher import IncrementalMatcher
+        from repro.engine.store import MatchStore
 
         spec = self.spec
         opened_here = False
         if store is None and spec.persistence_backend == "sqlite":
             store = self.open_store()
             opened_here = True
-        if store is not None:
+        if store is None:
+            # A fresh memory store, built from this spec: nothing to check.
+            store = MatchStore(
+                self.plan.target, self.plan.rcks, *self._blocking_section()
+            )
+        else:
             errors = []
             stamp = getattr(store, "spec_fingerprint", None)
             if stamp is not None and stamp != self.fingerprint:
@@ -420,14 +418,9 @@ class Workspace:
         # here would hold a file handle for the life of the process.
         try:
             matcher = IncrementalMatcher(
-                plan=self.plan,
+                self.plan,
+                store,
                 resolver=spec.resolver(),
-                store=store,
-                key_length=spec.key_length,
-                encode_attributes=spec.encode,
-                blocking_backend=spec.blocking_backend,
-                window=spec.window,
-                key_pairs=spec.key_pairs,
                 max_cascade=spec.max_cascade,
                 tracer=self.tracer,
                 metrics=self.metrics,
@@ -465,11 +458,7 @@ class Workspace:
                 target,
                 self.plan.target,
                 self.plan.rcks,
-                key_length=spec.key_length,
-                encode_attributes=spec.encode,
-                blocking_backend=spec.blocking_backend,
-                window=spec.window,
-                key_pairs=spec.key_pairs,
+                *self._blocking_section(),
                 tracer=self.tracer,
                 metrics=self.metrics,
             )

@@ -3,9 +3,7 @@
 Drives the full pipeline from plain files, so the library is usable
 without writing Python.  Every pipeline command is **spec-driven**: pass
 ``--spec spec.json`` (a :class:`repro.api.ResolutionSpec` document) and
-the command builds a :class:`repro.api.Workspace` from it.  The legacy
-``--schema``/``--mds`` flag form still works — it is lowered into a spec
-internally — but emits a ``DeprecationWarning``.
+the command builds a :class:`repro.api.Workspace` from it.
 
 * ``spec``    — the spec itself: ``spec validate`` checks a document and
   reports **all** problems at once (exit 2 when invalid);
@@ -26,17 +24,6 @@ internally — but emits a ``DeprecationWarning``.
   or ``engine ingest``: ``trace summarize`` aggregates per-span timings,
   ``trace validate`` schema-checks a file (what CI smoke runs).
 
-The legacy schema spec is JSON::
-
-    {
-      "left":   {"name": "credit",  "attributes": ["c#", "FN", ...]},
-      "right":  {"name": "billing", "attributes": ["c#", "FN", ...]},
-      "target": {"left": ["FN", "LN", ...], "right": ["FN", "LN", ...]}
-    }
-
-MD files contain one MD per line in the :mod:`repro.core.parser` syntax;
-blank lines and ``#`` comments are ignored.
-
 Exit codes: 0 on success, 1 for a negative ``check`` verdict, 2 for any
 user-facing error (bad input, missing file, invalid spec) — every such
 error is printed to stderr, never raised as a traceback.
@@ -50,57 +37,19 @@ import json
 import os
 import sqlite3
 import sys
-import warnings
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.api import ResolutionSpec, SpecBuilder, SpecError, Workspace
+from repro.api import ResolutionSpec, SpecError, Workspace
 from repro.obs import TRACE_FORMATS, read_trace, summarize_trace, validate_trace
 from repro.core.closure import deduces
-from repro.core.parser import parse_md, parse_mds
-from repro.core.schema import ComparableLists, RelationSchema, SchemaPair
+from repro.core.parser import parse_md
 from repro.relations.csvio import load_relation
 from repro.relations.relation import Relation
 
 
 class CliError(Exception):
     """A user-facing CLI failure (bad input, missing file, ...)."""
-
-
-def load_schema_spec(path: Path) -> Tuple[SchemaPair, ComparableLists]:
-    """Parse the legacy JSON schema spec into a pair and target lists."""
-    try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"schema spec not found: {path}") from None
-    except json.JSONDecodeError as error:
-        raise CliError(f"invalid JSON in {path}: {error}") from None
-    for key in ("left", "right", "target"):
-        if key not in spec:
-            raise CliError(f"schema spec is missing the {key!r} section")
-    try:
-        pair = SchemaPair(
-            RelationSchema(spec["left"]["name"], spec["left"]["attributes"]),
-            RelationSchema(spec["right"]["name"], spec["right"]["attributes"]),
-        )
-        target = ComparableLists(
-            pair, spec["target"]["left"], spec["target"]["right"]
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise CliError(f"invalid schema spec: {error}") from None
-    return pair, target
-
-
-def load_md_file(path: Path, pair: SchemaPair):
-    """Parse the MD file against the schema pair."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(f"MD file not found: {path}") from None
-    try:
-        return parse_mds(text, pair)
-    except ValueError as error:
-        raise CliError(f"cannot parse {path}: {error}") from None
 
 
 def _load_csv_relation(schema, path: Path) -> Relation:
@@ -130,7 +79,7 @@ def _load_csv_relation(schema, path: Path) -> Relation:
 
 
 # ----------------------------------------------------------------------
-# Spec resolution: --spec, or legacy flags lowered into a spec
+# Spec resolution: --spec, with explicitly passed tuning flags applied
 # ----------------------------------------------------------------------
 
 
@@ -140,40 +89,6 @@ def _spec_from_file(path: Path) -> ResolutionSpec:
         return ResolutionSpec.from_file(path)
     except SpecError as error:
         raise CliError("\n".join(error.errors)) from None
-
-
-def _legacy_spec(
-    args,
-    mode: str,
-    top_k: int,
-    window: int = 10,
-    backend: str = "sorted-neighborhood",
-) -> ResolutionSpec:
-    """Lower the deprecated --schema/--mds flag form into a spec."""
-    pair, target = load_schema_spec(Path(args.schema))
-    sigma = load_md_file(Path(args.mds), pair)
-    warnings.warn(
-        "the --schema/--mds flag form is deprecated; write a "
-        "ResolutionSpec document and pass --spec spec.json "
-        "(see `repro spec validate`)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        return (
-            SpecBuilder()
-            .pair(pair)
-            .target(target)
-            .mds(sigma)
-            .blocking(backend, window=window)
-            .execution(mode=mode, top_k=top_k)
-            .build()
-        )
-    except SpecError as error:
-        raise CliError(
-            "cannot lower the given flags into a spec:\n"
-            + "\n".join(error.errors)
-        ) from None
 
 
 def _override_spec(spec: ResolutionSpec, **overrides) -> ResolutionSpec:
@@ -197,48 +112,28 @@ def _override_spec(spec: ResolutionSpec, **overrides) -> ResolutionSpec:
 
 def _resolve_spec(
     args,
-    mode: str,
     top_k: Optional[int] = None,
     window: Optional[int] = None,
     backend: Optional[str] = None,
-    default_top_k: int = 5,
 ) -> ResolutionSpec:
-    """The command's spec: --spec when given, lowered flags otherwise.
+    """The command's spec: the ``--spec`` file with tuning flags applied.
 
-    With ``--spec``, explicitly passed tuning flags (``--top-k``,
-    ``--window``, ``--backend``, ``-m``) override the corresponding spec
-    fields — a flag the user typed is never silently ignored — and
-    combining ``--spec`` with ``--schema``/``--mds`` is an error.
+    Explicitly passed tuning flags (``--top-k``, ``--window``,
+    ``--backend``, ``-m``) override the corresponding spec fields — a
+    flag the user typed is never silently ignored.
     """
-    spec_path = getattr(args, "spec", None)
-    if spec_path:
-        if getattr(args, "schema", None) or getattr(args, "mds", None):
-            raise CliError(
-                "--spec conflicts with --schema/--mds; pass one form only"
-            )
-        spec = _spec_from_file(Path(spec_path))
-        try:
-            return _override_spec(
-                spec,
-                **{
-                    "rules.top_k": top_k,
-                    "blocking.window": window,
-                    "blocking.backend": backend,
-                },
-            )
-        except SpecError as error:
-            raise CliError("\n".join(error.errors)) from None
-    if not getattr(args, "schema", None) or not getattr(args, "mds", None):
-        raise CliError(
-            "pass --spec spec.json, or both --schema and --mds"
+    spec = _spec_from_file(Path(args.spec))
+    try:
+        return _override_spec(
+            spec,
+            **{
+                "rules.top_k": top_k,
+                "blocking.window": window,
+                "blocking.backend": backend,
+            },
         )
-    return _legacy_spec(
-        args,
-        mode,
-        top_k if top_k is not None else default_top_k,
-        window if window is not None else 10,
-        backend if backend is not None else "sorted-neighborhood",
-    )
+    except SpecError as error:
+        raise CliError("\n".join(error.errors)) from None
 
 
 def _trace_spec(spec: ResolutionSpec, args) -> ResolutionSpec:
@@ -309,7 +204,7 @@ def cmd_spec_validate(args) -> int:
 
 
 def cmd_deduce(args) -> int:
-    spec = _resolve_spec(args, mode="direct", top_k=args.m, default_top_k=10)
+    spec = _resolve_spec(args, top_k=args.m)
     workspace = _workspace(spec)
     keys = workspace.deduce()
     print(f"# {len(keys)} RCK(s) relative to {workspace.plan.target}")
@@ -319,7 +214,7 @@ def cmd_deduce(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _resolve_spec(args, mode="enforce")
+    spec = _resolve_spec(args)
     pair = spec.schema_pair()
     try:
         sigma = spec.parsed_mds(pair)
@@ -341,9 +236,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_match(args) -> int:
-    spec = _resolve_spec(
-        args, mode="direct", top_k=args.top_k, window=args.window
-    )
+    spec = _resolve_spec(args, top_k=args.top_k, window=args.window)
     spec = _trace_spec(spec, args)
     workspace = _workspace(spec)
     plan = workspace.plan
@@ -391,11 +284,7 @@ def cmd_match(args) -> int:
 
 def cmd_plan_explain(args) -> int:
     spec = _resolve_spec(
-        args,
-        mode="enforce",
-        top_k=args.top_k,
-        window=args.window,
-        backend=args.backend,
+        args, top_k=args.top_k, window=args.window, backend=args.backend
     )
     workspace = _workspace(spec)
     if not workspace.plan.keys:
@@ -452,7 +341,7 @@ def cmd_engine_ingest(args) -> int:
     from repro.core.schema import LEFT, RIGHT
     from repro.engine import save_store
 
-    spec = _resolve_spec(args, mode="enforce", top_k=args.top_k)
+    spec = _resolve_spec(args, top_k=args.top_k)
     spec = _trace_spec(spec, args)
     workspace = _workspace(spec)
     pair = workspace.plan.pair
@@ -638,7 +527,7 @@ def cmd_serve(args) -> int:
     """Run the asyncio resolution service until SIGINT/SIGTERM."""
     from repro.serve import ResolutionServer, serve_forever
 
-    spec = _resolve_spec(args, mode="enforce")
+    spec = _resolve_spec(args)
     server = ResolutionServer(
         spec,
         host=args.host,
@@ -722,14 +611,8 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--spec",
+        "--spec", required=True,
         help="ResolutionSpec JSON (the declarative form of every other flag)",
-    )
-    parser.add_argument(
-        "--schema", help="legacy schema spec JSON (deprecated; use --spec)"
-    )
-    parser.add_argument(
-        "--mds", help="legacy MD file, one per line (deprecated; use --spec)"
     )
 
 
@@ -754,7 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     deduce = sub.add_parser("deduce", help="deduce quality RCKs from MDs")
     _add_spec_options(deduce)
-    deduce.add_argument("-m", type=int, help="max RCKs (default 10)")
+    deduce.add_argument(
+        "-m", type=int, help="max RCKs (default: the spec's rules.top_k)"
+    )
     deduce.set_defaults(func=cmd_deduce)
 
     check = sub.add_parser("check", help="decide Sigma |=m phi")
@@ -771,8 +656,14 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--left", required=True, help="left relation CSV")
     match.add_argument("--right", required=True, help="right relation CSV")
     match.add_argument("-o", "--output", help="write pairs CSV here")
-    match.add_argument("--top-k", type=int, help="RCKs to use (default 5)")
-    match.add_argument("--window", type=int, help="window size (default 10)")
+    match.add_argument(
+        "--top-k", type=int,
+        help="RCKs to use (default: the spec's rules.top_k)",
+    )
+    match.add_argument(
+        "--window", type=int,
+        help="window size (default: the spec's blocking.window)",
+    )
     match.add_argument(
         "--json", action="store_true",
         help="print the full MatchReport as JSON (pairs, clusters, "
@@ -787,17 +678,22 @@ def build_parser() -> argparse.ArgumentParser:
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
     explain = plan_sub.add_parser(
         "explain",
-        help="compile a spec (or MD file) and print the EnforcementPlan",
+        help="compile a spec and print the EnforcementPlan",
     )
     _add_spec_options(explain)
-    explain.add_argument("--top-k", type=int, help="RCKs to deduce (default 5)")
+    explain.add_argument(
+        "--top-k", type=int,
+        help="RCKs to deduce (default: the spec's rules.top_k)",
+    )
     explain.add_argument(
         "--backend", choices=("sorted-neighborhood", "hash"),
-        help="blocking backend to attach (default sorted-neighborhood)",
+        help="blocking backend to attach (default: the spec's "
+        "blocking.backend)",
     )
     explain.add_argument(
         "--window", type=int,
-        help="window size (sorted-neighborhood backend; default 10)",
+        help="window size (sorted-neighborhood backend; default: the "
+        "spec's blocking.window)",
     )
     explain.add_argument(
         "--json", action="store_true", help="print the plan as JSON"
@@ -818,11 +714,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_options(ingest)
     ingest.add_argument(
         "--store", required=True,
-        help="store snapshot path (created when missing, updated in place)",
+        help="store path, JSON snapshot or SQLite (created when missing, "
+        "updated in place)",
     )
     ingest.add_argument("--left", help="left relation CSV to ingest")
     ingest.add_argument("--right", help="right relation CSV to ingest")
-    ingest.add_argument("--top-k", type=int, help="RCKs to use (default 5)")
+    ingest.add_argument(
+        "--top-k", type=int,
+        help="RCKs to use (default: the spec's rules.top_k)",
+    )
     ingest.add_argument(
         "--json", action="store_true", help="print stats as JSON"
     )
@@ -830,7 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=cmd_engine_ingest)
 
     stats = engine_sub.add_parser("stats", help="report store counters")
-    stats.add_argument("--store", required=True, help="store snapshot path")
+    stats.add_argument(
+        "--store", required=True, help="store path (JSON snapshot or SQLite)"
+    )
     stats.add_argument(
         "--json", action="store_true", help="print stats as JSON"
     )
@@ -839,7 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     query = engine_sub.add_parser(
         "query", help="print the identity cluster of a record"
     )
-    query.add_argument("--store", required=True, help="store snapshot path")
+    query.add_argument(
+        "--store", required=True, help="store path (JSON snapshot or SQLite)"
+    )
     query.add_argument(
         "--side", required=True, choices=("left", "right"),
         help="which relation the record belongs to",

@@ -1,14 +1,15 @@
 """Incremental streaming entity-resolution engine.
 
-Where :mod:`repro.matching` re-runs blocking, comparison and enforcement
-from scratch on each batch, this subsystem matches records *as they
-arrive*:
+Where a batch run (:meth:`repro.api.Workspace.match`) re-runs blocking,
+comparison and enforcement from scratch, this subsystem matches records
+*as they arrive*:
 
 * :class:`~repro.engine.store.MatchStore` — the warm state: ingested
-  records, one inverted index per deduced RCK, an incremental union-find
-  over record identities, and cost counters;
+  records, the spec's blocking backend maintained incrementally, an
+  incremental union-find over record identities, and cost counters;
 * :class:`~repro.engine.matcher.IncrementalMatcher` — per-record ingest
-  that probes only the affected index buckets and chases MDs on the delta;
+  that probes only the affected index buckets and chases MDs on the
+  delta, over the workspace's compiled plan;
 * :mod:`~repro.engine.snapshot` — save/restore the store to disk so
   ingestion resumes exactly where it stopped;
 * :mod:`~repro.engine.sqlite` — the durable backend: the same store
@@ -17,18 +18,17 @@ arrive*:
 * ``repro engine ingest|stats|query|migrate`` — the CLI surface
   (:mod:`repro.cli`).
 
-Typical use::
+Typical use — :meth:`repro.api.Workspace.stream` is the way in::
 
+    from repro.api import Workspace
     from repro.core.schema import RIGHT
-    from repro.engine import IncrementalMatcher
 
-    matcher = IncrementalMatcher(sigma, target, top_k=5)
+    matcher = Workspace.from_file("spec.json").stream()
     matcher.bootstrap(credit, billing)          # warm-start from batch data
     result = matcher.ingest(RIGHT, new_record)  # then stream
     print(matcher.store.cluster_of(result.side, result.tid))
 """
 
-from .indexes import DEFAULT_ENCODED_ATTRIBUTES, RCKIndex, indexes_from_rcks
 from .matcher import BootstrapResult, IncrementalMatcher, IngestResult
 from .snapshot import (
     SNAPSHOT_VERSION,
@@ -48,16 +48,13 @@ from .store import MatchStore, Node, node_of
 
 __all__ = [
     "BootstrapResult",
-    "DEFAULT_ENCODED_ATTRIBUTES",
     "IncrementalMatcher",
     "IngestResult",
     "MatchStore",
     "Node",
-    "RCKIndex",
     "SNAPSHOT_VERSION",
     "SQLITE_SCHEMA_VERSION",
     "SQLiteMatchStore",
-    "indexes_from_rcks",
     "is_sqlite_file",
     "load_store",
     "node_of",

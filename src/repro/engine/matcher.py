@@ -1,9 +1,10 @@
 """Incremental entity resolution: match records as they arrive.
 
-The batch pipelines (:mod:`repro.matching.pipeline`) re-block, re-compare
-and re-enforce the full instance on every run.  The
-:class:`IncrementalMatcher` instead keeps a warm :class:`~repro.engine.store.MatchStore`
-and, for each arriving record:
+A batch run (:meth:`repro.api.Workspace.match`) re-blocks, re-compares
+and re-enforces the full instance every time.  The
+:class:`IncrementalMatcher` — built by :meth:`repro.api.Workspace.stream`
+over the workspace's compiled plan — instead keeps a warm
+:class:`~repro.engine.store.MatchStore` and, for each arriving record:
 
 1. inserts and indexes it (:meth:`~repro.engine.store.MatchStore.add`);
 2. probes only the affected index buckets for the candidate neighborhood;
@@ -24,7 +25,6 @@ comparison counter).
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -38,25 +38,18 @@ from typing import (
     Tuple,
 )
 
-from repro.core.md import MatchingDependency
-from repro.core.schema import LEFT, RIGHT, ComparableLists
+from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import (
     InstancePair,
     ValueResolver,
     prefer_informative,
 )
 from repro.matching.evaluate import Pair
-from repro.plan.blocking import (
-    DEFAULT_ENCODED_ATTRIBUTES,
-    SortedNeighborhoodBackend,
-)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER
-from repro.plan.compile import EnforcementPlan, compile_plan
+from repro.plan.compile import EnforcementPlan
 from repro.relations.relation import Relation
-from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
 
-from .store import MatchStore, Node, node_of
+from .store import Node, node_of
 
 _SIDES = {"L": LEFT, "R": RIGHT}
 
@@ -139,79 +132,44 @@ class _MergeOutcome:
 
 
 class IncrementalMatcher:
-    """Streaming counterpart of :class:`~repro.matching.pipeline.EnforcementMatcher`.
+    """Streaming execution of a compiled plan over a warm store.
 
-    Matching decisions use the same machinery as the batch matcher — RCK
-    deduction for candidate generation and the enforcement chase for
+    Matching decisions use the same machinery as the batch run — the
+    plan's RCKs for candidate generation and its enforcement chase for
     decisions — so a stream ingested record-by-record converges to the
-    clusters the batch matcher finds on the same data with the same
-    candidate keys.
+    clusters :meth:`repro.api.Workspace.match` finds on the same data.
+    :meth:`repro.api.Workspace.stream` builds one from a spec: ``plan`` is
+    the workspace's plan, ``store`` a :class:`~repro.engine.store.MatchStore`
+    or :class:`~repro.engine.sqlite.SQLiteMatchStore` configured from the
+    same spec.
 
-    >>> # matcher = IncrementalMatcher(sigma, target, top_k=5)
+    >>> # matcher = workspace.stream()
     >>> # matcher.ingest(RIGHT, {"FN": "Mark", ...})
     """
 
     def __init__(
         self,
-        sigma: Sequence[MatchingDependency] = (),
-        target: Optional[ComparableLists] = None,
-        top_k: int = 5,
-        registry: MetricRegistry = DEFAULT_REGISTRY,
+        plan: EnforcementPlan,
+        store,
         resolver: ValueResolver = prefer_informative,
-        store: Optional[MatchStore] = None,
-        key_length: int = 1,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-        blocking_backend: str = "hash",
-        window: int = 10,
-        key_pairs=None,
         max_cascade: int = 256,
-        plan: Optional[EnforcementPlan] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if plan is None:
-            # The raw-MD constructor predates the spec-driven API; the
-            # plan-sharing form (what Workspace.stream builds) stays.
-            warnings.warn(
-                "constructing IncrementalMatcher from raw MDs is "
-                "deprecated; build a repro.api.Workspace and call "
-                "Workspace.stream()",
-                DeprecationWarning,
-                stacklevel=2,
+        if not isinstance(plan, EnforcementPlan):
+            raise TypeError(
+                "IncrementalMatcher takes a compiled EnforcementPlan and a "
+                f"store, got {type(plan).__name__}; build one from a spec "
+                "with repro.api.Workspace.stream()"
             )
-            if not sigma:
-                raise ValueError("need at least one MD")
-            if target is None:
-                raise ValueError("need a match target")
-            # A restored store already carries its deduced RCKs; compile
-            # the plan over them so probing and matching stay consistent.
-            plan = compile_plan(
-                sigma,
-                target,
-                rcks=store.rcks if store is not None else None,
-                top_k=top_k,
-                registry=registry,
-            )
-        elif not plan.sigma or plan.target is None:
+        if not plan.sigma or plan.target is None:
             raise ValueError("the given plan was compiled without MDs or target")
+        if store.target != plan.target:
+            raise ValueError("store was built for a different target")
         self.plan = plan
-        self.sigma = list(plan.sigma)
         self.target = plan.target
-        self.registry = plan.registry
         self.resolver = resolver
         self.max_cascade = max_cascade
-        if store is None:
-            store = MatchStore(
-                self.target,
-                plan.rcks,
-                key_length,
-                encode_attributes,
-                blocking_backend=blocking_backend,
-                window=window,
-                key_pairs=key_pairs,
-            )
-        elif store.target != self.target:
-            raise ValueError("store was built for a different target")
         self.store = store
         #: Whether the store streams under sorted-neighborhood semantics
         #: (drives the engine.sn_* observability signals).
@@ -221,12 +179,8 @@ class IncrementalMatcher:
         self._target_pairs = self.target.attribute_pairs()
         # Observability: default to the plan's tracer/registry (a
         # Workspace hands its own to the plan), or explicit overrides.
-        self.tracer = tracer if tracer is not None else getattr(
-            plan, "tracer", NULL_TRACER
-        )
-        self.metrics = metrics if metrics is not None else getattr(
-            plan, "metrics", None
-        ) or MetricsRegistry()
+        self.tracer = tracer if tracer is not None else plan.tracer
+        self.metrics = metrics if metrics is not None else plan.metrics
         if tracer is not None:
             # A standalone tracer must also see the delta-chase spans the
             # plan's executor emits.
@@ -548,13 +502,11 @@ class IncrementalMatcher:
         left: Relation,
         right: Relation,
         preserve_tids: bool = True,
-        window: Optional[int] = None,
     ) -> BootstrapResult:
         """Warm-start an empty store from existing batch relations.
 
-        Candidate generation runs through the store's hash-blocking
-        backend (the same one batch pipelines use), optionally unioned
-        with a sorted-neighborhood pass of the given ``window`` — then a
+        Candidate generation runs through the store's blocking backend
+        (the batch run's, built from the same configuration) — then a
         single enforcement chase matches the candidates and seeds the
         clusters.
         """
@@ -566,11 +518,9 @@ class IncrementalMatcher:
                 store.add(LEFT, row.values(), tid=row.tid if preserve_tids else None)
             for row in right.rows():
                 store.add(RIGHT, row.values(), tid=row.tid if preserve_tids else None)
-            pairs = set(store.blocking.candidates(store.left, store.right))
-            if window is not None:
-                sn = SortedNeighborhoodBackend.from_rcks(store.rcks, window=window)
-                pairs.update(sn.candidates(store.left, store.right))
-            ordered = sorted(pairs)
+            ordered = sorted(
+                set(store.blocking.candidates(store.left, store.right))
+            )
             store.comparisons += len(ordered)
             matches = self._match_pairs(ordered) if ordered else []
             touched: List[Node] = []

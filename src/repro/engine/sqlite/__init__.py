@@ -18,7 +18,6 @@ convertible with the JSON snapshot format via :mod:`.migrate` /
 
 from .connection import SQLITE_MAGIC, connect, is_sqlite_file
 from .migrate import (
-    json_roundtrip_equal,
     snapshot_to_sqlite,
     sqlite_from_dict,
     sqlite_to_snapshot,
@@ -32,7 +31,6 @@ __all__ = [
     "SQLiteMatchStore",
     "connect",
     "is_sqlite_file",
-    "json_roundtrip_equal",
     "snapshot_to_sqlite",
     "sqlite_from_dict",
     "sqlite_to_snapshot",

@@ -30,17 +30,10 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT
-from repro.plan.blocking import (
-    DEFAULT_ENCODED_ATTRIBUTES,
-    BlockingBackend,
-    Pair,
-    RCKIndex,
-    indexes_from_rcks,
-)
+from repro.plan.blocking import BlockingBackend, Pair, RCKIndex
 from repro.plan.sn_index import (
     Entry,
     WindowedSNIndex,
@@ -70,18 +63,34 @@ class SQLiteHashBlockingBackend(BlockingBackend):
         #: The key-deriving index specs (their in-memory buckets unused).
         self.indexes: List[RCKIndex] = list(indexes)
 
-    @classmethod
-    def per_rck(
-        cls,
-        connection: sqlite3.Connection,
-        rcks: Sequence[RelativeKey],
-        key_length: int = 1,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-    ) -> "SQLiteHashBlockingBackend":
-        """One pass per RCK's leading ``key_length`` attribute pairs."""
-        return cls(
-            connection, indexes_from_rcks(rcks, key_length, encode_attributes)
-        )
+    def indexed_under_its_keys(self) -> bool:
+        """Whether the stored postings were written under these passes.
+
+        A probe is only as good as the keys the postings were written
+        under, and hash stores created before 2.0 under ``key_pairs``
+        were indexed per RCK: every stored pass must be one of this
+        backend's, and one posting sampled from each must re-derive from
+        its record's arrival values.  A handful of point reads, whatever
+        the store's size.
+        """
+        (top,) = self.connection.execute(
+            "SELECT MAX(idx) FROM buckets"
+        ).fetchone()
+        if top is not None and top >= len(self.indexes):
+            return False
+        for position, index in enumerate(self.indexes):
+            posting = self.connection.execute(
+                "SELECT b.key, b.side, b.tid, r.arrival FROM buckets b "
+                "JOIN records r ON r.side = b.side AND r.tid = b.tid "
+                "WHERE b.idx = ? LIMIT 1",
+                (position,),
+            ).fetchone()
+            if posting is not None:
+                key, side, tid, arrival = posting
+                row = Row(tid, json.loads(arrival))
+                if _encode_key(index.key_for(side, row)) != key:
+                    return False
+        return True
 
     # -- streaming -----------------------------------------------------
 
@@ -171,17 +180,6 @@ class SQLiteSNBlockingBackend(BlockingBackend):
         self.index = index
         self.pairs = index.pairs
         self.window = index.window
-
-    @classmethod
-    def from_pairs(
-        cls,
-        connection: sqlite3.Connection,
-        pairs: Sequence[Tuple[str, str]],
-        window: int = 10,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-    ) -> "SQLiteSNBlockingBackend":
-        """One pass over explicit attribute pairs."""
-        return cls(connection, WindowedSNIndex(pairs, window, encode_attributes))
 
     def _block_run(self, position: int, block: str) -> List[Entry]:
         """One pass's block run as sorted (key, side, tid) entries."""

@@ -24,10 +24,8 @@ from typing import Dict
 from repro.engine.snapshot import (
     SNAPSHOT_VERSION,
     config_from_dict,
-    load_store,
     populate_store,
     save_store,
-    store_to_dict,
 )
 
 from .store import SQLiteMatchStore
@@ -78,27 +76,8 @@ def sqlite_to_snapshot(store_path, snapshot_path) -> None:
         store.close(commit=False)
 
 
-def snapshot_from_sqlite_dict(store: SQLiteMatchStore) -> Dict[str, object]:
-    """The store's state as a snapshot document (convenience wrapper)."""
-    return store_to_dict(store)
-
-
-def json_roundtrip_equal(store_a, store_b) -> bool:
-    """Whether two stores (any backends) carry identical engine state.
-
-    Compares the canonical snapshot documents minus the fingerprint —
-    the same equality the differential suite asserts, packaged for
-    callers wanting a quick integrity check after a migration.
-    """
-    doc_a, doc_b = store_to_dict(store_a), store_to_dict(store_b)
-    doc_a.pop("spec_fingerprint"), doc_b.pop("spec_fingerprint")
-    return doc_a == doc_b
-
-
 __all__ = [
     "sqlite_from_dict",
     "snapshot_to_sqlite",
     "sqlite_to_snapshot",
-    "snapshot_from_sqlite_dict",
-    "json_roundtrip_equal",
 ]

@@ -29,10 +29,7 @@ from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.plan.blocking import (
-    DEFAULT_ENCODED_ATTRIBUTES,
-    leading_attribute_pairs,
-)
+from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES, build_blocking
 from repro.relations.relation import Row
 
 from ..store import Cluster, Node, _SIDE_TAGS, _as_cluster
@@ -118,20 +115,6 @@ class SQLiteMatchStore:
             )
         self.left = SQLiteRelation(self.connection, self.pair.left, LEFT)
         self.right = SQLiteRelation(self.connection, self.pair.right, RIGHT)
-        if self.blocking_backend == "sorted-neighborhood":
-            self.blocking = SQLiteSNBlockingBackend.from_pairs(
-                self.connection,
-                self.key_pairs,
-                window=self.window,
-                encode_attributes=self.encode_attributes,
-            )
-        else:
-            self.blocking = SQLiteHashBlockingBackend.per_rck(
-                self.connection,
-                self.rcks,
-                key_length=self.key_length,
-                encode_attributes=self.encode_attributes,
-            )
         self._union_find = SQLiteUnionFind(self.connection)
         self._counters: Dict[str, int] = {
             name: int(read_meta_counter(self.connection, name))
@@ -159,12 +142,6 @@ class SQLiteMatchStore:
                 f"creating a new SQLite store at {self.path} requires "
                 "target and rcks"
             )
-        if blocking_backend not in ("hash", "sorted-neighborhood"):
-            raise ValueError(
-                f"unsupported blocking backend {blocking_backend!r}; "
-                "stores stream under 'hash' or 'sorted-neighborhood'"
-            )
-        initialize(self.connection)
         self.target = target
         self.pair = target.pair
         self.rcks = list(rcks)
@@ -172,15 +149,11 @@ class SQLiteMatchStore:
         self.encode_attributes = tuple(encode_attributes)
         self.blocking_backend = blocking_backend
         self.window = int(window)
-        # Resolve the SN sort-key recipe at creation time so the stored
-        # configuration is self-contained (same default as the spec
-        # compiler: the RCKs' leading attribute pairs).
-        if key_pairs:
-            self.key_pairs = tuple(tuple(pair) for pair in key_pairs)
-        elif blocking_backend == "sorted-neighborhood":
-            self.key_pairs = tuple(leading_attribute_pairs(self.rcks, 3))
-        else:
-            self.key_pairs = None
+        self.key_pairs = (
+            tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
+        )
+        self._bind_blocking()
+        initialize(self.connection)
         # Import here to avoid a cycle: snapshot imports the base store.
         from ..snapshot import config_to_dict
 
@@ -240,21 +213,20 @@ class SQLiteMatchStore:
         requested_pairs = (
             tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
         )
+        windowed = blocking_backend == "sorted-neighborhood"
         if target is not None and (
             target != self.target
             or (rcks is not None and list(rcks) != self.rcks)
             or key_length != self.key_length
             or tuple(encode_attributes) != self.encode_attributes
             or blocking_backend != self.blocking_backend
+            or (windowed and int(window) != self.window)
+            # A sorted-neighborhood store records the pairs it resolved:
+            # requesting none asks for the RCKs' recipe, which the RCK
+            # comparison above covers.
             or (
-                blocking_backend == "sorted-neighborhood"
-                and (
-                    int(window) != self.window
-                    or (
-                        requested_pairs is not None
-                        and requested_pairs != self.key_pairs
-                    )
-                )
+                requested_pairs != self.key_pairs
+                and not (windowed and requested_pairs is None)
             )
         ):
             raise ValueError(
@@ -262,6 +234,43 @@ class SQLiteMatchStore:
                 "configuration (target/RCKs/key length/blocking) than "
                 "requested"
             )
+        self._bind_blocking()
+        # Refuse a hash store whose postings its configuration does not
+        # describe, instead of probing it with keys it was not indexed
+        # under.
+        if (
+            self.blocking_backend == "hash"
+            and not self.blocking.indexed_under_its_keys()
+        ):
+            raise ValueError(
+                f"store {self.path} was created with a different "
+                "configuration than it records: its postings are not keyed "
+                "by its blocking passes (hash stores written before 2.0 "
+                "under blocking.key_pairs were indexed per RCK); "
+                "re-bootstrap the store"
+            )
+
+    def _bind_blocking(self) -> None:
+        """The durable backend over the configuration's passes — the key
+        structures :func:`~repro.plan.blocking.build_blocking` resolves
+        for every layer, used here purely for their key functions."""
+        keys = build_blocking(
+            self.rcks,
+            self.key_length,
+            self.encode_attributes,
+            self.blocking_backend,
+            self.window,
+            self.key_pairs,
+        )
+        if keys.family == "hash":
+            self.blocking = SQLiteHashBlockingBackend(
+                self.connection, keys.indexes
+            )
+        else:
+            # Record the resolved sort keys: the stored configuration is
+            # self-contained.
+            self.key_pairs = keys.pairs
+            self.blocking = SQLiteSNBlockingBackend(self.connection, keys)
 
     # ------------------------------------------------------------------
     # Records

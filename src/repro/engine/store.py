@@ -5,13 +5,10 @@ between arrivals:
 
 * the ingested records themselves, one :class:`~repro.relations.relation.Relation`
   per side of the schema pair;
-* a blocking backend updated on every :meth:`MatchStore.add` — by default
-  one inverted index per deduced RCK
-  (:class:`~repro.plan.blocking.HashBlockingBackend`); a spec declaring
-  ``blocking.backend: "sorted-neighborhood"`` gets the rank-encoded
-  :class:`~repro.plan.sn_index.WindowedSNIndex` instead, so streams probe
-  under the same window semantics the batch run uses (they used to be
-  silently substituted with hash);
+* a blocking backend updated on every :meth:`MatchStore.add`, built by
+  :func:`~repro.plan.blocking.build_blocking` — the function the batch
+  plan's backend comes from, so a stream probes under exactly the keys
+  and window semantics the batch run of the same spec uses;
 * an incremental union-find over record identities — the entity clusters
   that pairwise match decisions are folded into as they are made (the
   streaming counterpart of :func:`repro.matching.clustering.cluster_matches`);
@@ -33,11 +30,9 @@ from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.matching.clustering import Cluster
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
-    HashBlockingBackend,
     RCKIndex,
-    leading_attribute_pairs,
+    build_blocking,
 )
-from repro.plan.sn_index import WindowedSNIndex
 from repro.relations.relation import Relation, Row
 
 #: A clustered record identity: ("L" | "R", tuple id) — the same node
@@ -50,40 +45,6 @@ _SIDE_TAGS = {LEFT: "L", RIGHT: "R"}
 def node_of(side: int, tid: int) -> Node:
     """The cluster node of a record given its side and tuple id."""
     return (_SIDE_TAGS[side], tid)
-
-
-def build_blocking(
-    backend: str,
-    rcks: Sequence[RelativeKey],
-    key_length: int = 1,
-    encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-    window: int = 10,
-    key_pairs: Optional[Sequence[Tuple[str, str]]] = None,
-):
-    """The store-side blocking backend for a declared family.
-
-    ``"hash"`` builds the per-RCK inverted indexes;
-    ``"sorted-neighborhood"`` builds the rank-encoded
-    :class:`~repro.plan.sn_index.WindowedSNIndex` over ``key_pairs`` —
-    or, when none are given, the RCKs' leading attribute pairs, the same
-    recipe the spec compiler uses, so a stream and the batch run of one
-    spec derive identical sort keys.
-    """
-    if backend == "hash":
-        return HashBlockingBackend.per_rck(rcks, key_length, encode_attributes)
-    if backend == "sorted-neighborhood":
-        pairs = (
-            [tuple(pair) for pair in key_pairs]
-            if key_pairs
-            else leading_attribute_pairs(rcks, 3)
-        )
-        return WindowedSNIndex(
-            pairs, window=window, encode_attributes=encode_attributes
-        )
-    raise ValueError(
-        f"unsupported blocking backend {backend!r}; "
-        "stores stream under 'hash' or 'sorted-neighborhood'"
-    )
 
 
 class MatchStore:
@@ -129,18 +90,20 @@ class MatchStore:
         #: set: batch bootstrap calls ``blocking.candidates`` and streaming
         #: ingest calls ``blocking.add``/``probe`` on the same structures.
         self.blocking = build_blocking(
-            blocking_backend,
             self.rcks,
-            key_length=key_length,
-            encode_attributes=self.encode_attributes,
-            window=window,
-            key_pairs=key_pairs,
+            key_length,
+            self.encode_attributes,
+            blocking_backend,
+            window,
+            key_pairs,
         )
         self.blocking_backend = self.blocking.family
         self.window = int(window)
+        #: The explicit key pairs; a sorted-neighborhood store records the
+        #: pairs it resolved, so its snapshot is self-contained.
         self.key_pairs: Optional[Tuple[Tuple[str, str], ...]] = (
             tuple(self.blocking.pairs)
-            if isinstance(self.blocking, WindowedSNIndex)
+            if blocking_backend == "sorted-neighborhood"
             else (tuple(tuple(pair) for pair in key_pairs) if key_pairs else None)
         )
         self.indexes: List[RCKIndex] = getattr(self.blocking, "indexes", [])

@@ -32,7 +32,7 @@ from repro.datagen.schemas import extended_mds
 from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.matching.windowing import multi_pass_window_pairs, rck_sort_keys
+from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
 
 from .harness import Table, timed
 
@@ -61,8 +61,8 @@ def prepare(
     # Multi-pass windowing: one sort key per top RCK ("this process is
     # often repeated multiple times ..., each using a different key").
     keys = [rck_sort_keys([key]) for key in rcks[:3]]
-    candidates = multi_pass_window_pairs(
-        dataset.credit, dataset.billing, keys, window
+    candidates = SortedNeighborhoodBackend(keys, window).candidates(
+        dataset.credit, dataset.billing
     )
     return dataset, candidates, rcks
 

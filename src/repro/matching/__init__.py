@@ -1,11 +1,9 @@
-"""Record-matching methods, candidate generation, and evaluation."""
+"""Record-matching methods, clustering, and evaluation.
 
-from .blocking import (
-    attribute_key,
-    block_pairs,
-    multi_pass_block_pairs,
-    rck_blocking_keys,
-)
+Candidate generation lives in :mod:`repro.plan.blocking`; matching from a
+rule set goes through :class:`repro.api.Workspace`.
+"""
+
 from .clustering import Cluster, ClusterQuality, cluster_matches, evaluate_clusters
 from .comparison import (
     ComparisonSpec,
@@ -22,33 +20,22 @@ from .evaluate import (
     evaluate_reduction,
 )
 from .fellegi_sunter import FellegiSunter
-from .pipeline import EnforcementMatcher, PipelineResult, RCKMatcher
 from .rules import MatchRule, RuleSet, default_person_rules, rules_from_rcks
 from .sorted_neighborhood import SNResult, SortedNeighborhood
-from .windowing import (
-    multi_pass_window_pairs,
-    rck_sort_keys,
-    window_pairs,
-)
 
 __all__ = [
     "Cluster",
     "ClusterQuality",
     "ComparisonSpec",
     "EMEstimate",
-    "EnforcementMatcher",
     "FellegiSunter",
     "MatchQuality",
     "MatchRule",
     "Pair",
-    "PipelineResult",
-    "RCKMatcher",
     "ReductionQuality",
     "RuleSet",
     "SNResult",
     "SortedNeighborhood",
-    "attribute_key",
-    "block_pairs",
     "cluster_matches",
     "evaluate_clusters",
     "default_person_rules",
@@ -56,12 +43,7 @@ __all__ = [
     "evaluate_matches",
     "evaluate_reduction",
     "fit_em",
-    "multi_pass_block_pairs",
-    "multi_pass_window_pairs",
-    "rck_blocking_keys",
-    "rck_sort_keys",
     "rules_from_rcks",
     "spec_from_rck",
     "union_of_rcks",
-    "window_pairs",
 ]

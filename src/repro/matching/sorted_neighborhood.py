@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
+from repro.plan.blocking import RowKey, window_candidates
 from repro.relations.relation import Relation
 
-from .blocking import RowKey
 from .evaluate import Pair
 from .rules import RuleSet
-from .windowing import multi_pass_window_pairs, window_pairs
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,12 @@ class SortedNeighborhood:
         ``extra_keys`` adds further sort passes whose window candidates are
         unioned with the first pass before rule evaluation.
         """
-        if extra_keys:
-            keys = [(left_key, right_key)] + list(extra_keys)
-            candidates = multi_pass_window_pairs(
-                left, right, keys, self.window
+        candidates = set()
+        for keys in [(left_key, right_key), *(extra_keys or ())]:
+            candidates.update(
+                window_candidates(left, right, *keys, self.window)
             )
-        else:
-            candidates = window_pairs(
-                left, right, left_key, right_key, self.window
-            )
-        return self.run_on_candidates(left, right, candidates)
+        return self.run_on_candidates(left, right, sorted(candidates))
 
     def run_on_candidates(
         self,

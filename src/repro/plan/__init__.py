@@ -7,8 +7,8 @@ similarity memo cache, a pluggable blocking backend, and the one
 enforcement-chase kernel (:mod:`repro.plan.executor`): rule-at-a-time
 over int-encoded cells in flat lists, it narrows the candidate pairs
 through each rule's equality atoms before a similarity atom runs —
-shared by the batch matchers (:mod:`repro.matching.pipeline`), the
-streaming engine (:mod:`repro.engine`), the experiments, and the CLI
+shared by batch matching (:class:`repro.api.Workspace`), the streaming
+engine (:mod:`repro.engine`), the experiments, and the CLI
 (``repro plan explain``).  The chase is serial and runs in the calling
 process; README "Execution" has the measurements behind that.
 
@@ -19,9 +19,10 @@ kernel through a deliberate lazy import).
 
 Typical use::
 
-    from repro.plan import compile_plan
+    from repro.plan import HashBlockingBackend, compile_plan
 
-    plan = compile_plan(sigma, target, top_k=5)
+    blocking = HashBlockingBackend.per_rck(rcks)
+    plan = compile_plan(sigma, target, rcks=rcks, blocking=blocking)
     pairs = plan.candidates(credit, billing)
     result = plan.enforce(instance, candidate_pairs=pairs)
     print(plan.stats.metric_evaluations, plan.stats.cache_hits)
@@ -36,6 +37,7 @@ from .blocking import (
     RowKey,
     SortedNeighborhoodBackend,
     attribute_key,
+    build_blocking,
     hash_candidates,
     indexes_from_rcks,
     leading_attribute_pairs,
@@ -70,6 +72,7 @@ __all__ = [
     "SortedNeighborhoodBackend",
     "WindowedSNIndex",
     "attribute_key",
+    "build_blocking",
     "chase",
     "compile_plan",
     "hash_candidates",

@@ -9,17 +9,21 @@ behind the :class:`BlockingBackend` protocol so a compiled
 generator as a pluggable component:
 
 * the key-derivation primitives (:func:`attribute_key`,
-  :func:`rck_sort_keys`) and the window-merge loop
-  (:func:`window_candidates`), which :mod:`repro.matching.blocking` and
-  :mod:`repro.matching.windowing` re-export;
-* :class:`RCKIndex` — the incremental inverted index formerly in
-  ``repro.engine.indexes``, one bucket table per RCK-derived key;
+  :func:`rck_sort_keys`), one hash pass (:func:`hash_candidates`) and the
+  window-merge loop (:func:`window_candidates`);
+* :class:`RCKIndex` — the incremental inverted index, one bucket table
+  per RCK-derived key;
 * :class:`HashBlockingBackend` — multi-pass hash blocking over RCK
   indexes, serving batch candidate generation *and* the streaming
   engine's per-record ``add``/``probe``;
-* :class:`SortedNeighborhoodBackend` — multi-pass sorted-neighborhood
-  windowing over RCK sort keys (batch-only; the streaming-capable,
-  block-splitting variant is :class:`~repro.plan.sn_index.WindowedSNIndex`).
+* :class:`SortedNeighborhoodBackend` — the global-window
+  sorted-neighborhood of [20], which only :mod:`repro.experiments`
+  builds (the paper's Figs. 9–10 baseline); a spec, the engine and the
+  service get :class:`~repro.plan.sn_index.WindowedSNIndex`;
+* :func:`build_blocking` — the one place a blocking configuration (a
+  spec's ``blocking`` section plus the RCKs) is resolved to its passes;
+  the batch plan, the memory store and the SQLite store all build their
+  backend from it.
 
 Batch and streaming thereby share one blocking implementation: probing an
 index with a new record yields exactly the pairs a batch
@@ -394,8 +398,7 @@ class SortedNeighborhoodBackend(BlockingBackend):
     """Multi-pass sorted-neighborhood windowing over derived sort keys.
 
     A window below 2 is legal and yields no candidates — no two elements
-    ever share a window — matching the historical ``window_pairs``
-    behavior matchers rely on.
+    ever share a window.
     """
 
     name = "sorted-neighborhood"
@@ -444,3 +447,45 @@ class SortedNeighborhoodBackend(BlockingBackend):
             f"sorted-neighborhood(window={self.window}, "
             f"{len(self.keys)} pass(es){detail})"
         )
+
+
+def build_blocking(
+    rcks: Sequence[RelativeKey],
+    key_length: int,
+    encode_attributes: Iterable[str],
+    backend: str,
+    window: int,
+    key_pairs: Optional[Sequence[Tuple[str, str]]],
+) -> BlockingBackend:
+    """A blocking configuration resolved to its passes, as a backend.
+
+    Arguments in the order the store constructors take them.
+
+    ``"hash"`` blocks on one pass over the explicit ``key_pairs`` when
+    given, else on one pass per RCK's leading ``key_length`` attribute
+    pairs; ``"sorted-neighborhood"`` sorts on ``key_pairs`` when given,
+    else on the RCKs' first three distinct attribute pairs (one rotated
+    pass each).  ``Workspace`` compiles the result into its plan, the
+    memory store streams over a second instance, and the SQLite store
+    wraps one for its key functions — so a configuration never means
+    different keys to different layers.
+    """
+    if backend == "hash":
+        if key_pairs:
+            return HashBlockingBackend(
+                [RCKIndex("spec", key_pairs, encode_attributes)]
+            )
+        return HashBlockingBackend.per_rck(rcks, key_length, encode_attributes)
+    if backend == "sorted-neighborhood":
+        # sn_index builds on this module.
+        from .sn_index import WindowedSNIndex
+
+        return WindowedSNIndex(
+            key_pairs or leading_attribute_pairs(rcks, 3),
+            window,
+            encode_attributes,
+        )
+    raise ValueError(
+        f"unsupported blocking backend {backend!r}; "
+        "stores stream under 'hash' or 'sorted-neighborhood'"
+    )

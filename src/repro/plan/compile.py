@@ -29,8 +29,8 @@ module lowers a rule set **once**:
   memo hits, chase rounds) — diagnostics; what an execution strategy is
   worth is a wall-clock number from ``python3 -m bench``.
 
-Both the batch matchers (:mod:`repro.matching.pipeline`) and the streaming
-engine (:mod:`repro.engine.matcher`) execute through the same plan; the
+Batch matching (:class:`repro.api.Workspace`) and the streaming engine
+(:mod:`repro.engine.matcher`) execute through the same plan; the
 reference entry point :func:`repro.core.semantics.enforce` compiles a
 throwaway plan and delegates to the same kernel.
 """
@@ -50,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
-from .blocking import BlockingBackend, Pair, SortedNeighborhoodBackend
+from .blocking import BlockingBackend, Pair
 from .executor import chase
 
 #: Default bound on memoized (predicate, value, value) entries; the cache
@@ -420,18 +420,18 @@ def compile_plan(
     top_k: int = 5,
     registry: MetricRegistry = DEFAULT_REGISTRY,
     blocking: Optional[BlockingBackend] = None,
-    window: int = 10,
     cached: bool = True,
     cache_limit: int = DEFAULT_CACHE_LIMIT,
 ) -> EnforcementPlan:
     """Compile MDs (and/or RCKs) into an :class:`EnforcementPlan`.
 
     ``rcks=None`` with a ``target`` deduces the top ``top_k`` RCKs from
-    Σ (the usual matcher path); ``target=None`` compiles a chase-only
-    plan with no keys or blocking (what :func:`repro.core.semantics.enforce`
-    uses).  The default blocking backend is sorted-neighborhood windowing
-    on the deduced keys' attributes — pass any
-    :class:`~repro.plan.blocking.BlockingBackend` to override.
+    Σ; ``target=None`` compiles a chase-only plan with no keys (what
+    :func:`repro.core.semantics.enforce` uses).  The plan generates
+    candidates with the ``blocking`` backend it is handed
+    (:func:`~repro.plan.blocking.build_blocking` resolves a spec's
+    ``blocking`` section to one); without one,
+    :meth:`EnforcementPlan.candidates` raises.
     """
     sigma = list(sigma)
     if rcks is None:
@@ -445,7 +445,7 @@ def compile_plan(
         raise ValueError("need at least one MD or RCK to compile a plan")
     if target is None and rcks:
         # Every relative key carries its target; adopt it so key-only
-        # plans (RCKMatcher) still get blocking and match read-off.
+        # plans still get the match read-off.
         target = rcks[0].target
 
     if sigma:
@@ -505,9 +505,6 @@ def compile_plan(
         )
         for position, key in enumerate(rcks)
     )
-
-    if blocking is None and rcks and target is not None:
-        blocking = SortedNeighborhoodBackend.from_rcks(rcks, window=window)
 
     plan = EnforcementPlan(
         pair=pair,

@@ -35,11 +35,10 @@ stability check's own selections, which are also every match's
 provenance) and ``matches`` (a root comparison per pair).
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
-here; :class:`~repro.api.workspace.Workspace`, the batch
-:class:`~repro.matching.pipeline.EnforcementMatcher` and the streaming
-:class:`~repro.engine.matcher.IncrementalMatcher` hold a long-lived plan
-and call :meth:`EnforcementPlan.enforce`, sharing the memo across runs
-and ingests.
+here; :class:`~repro.api.workspace.Workspace` and the streaming
+:class:`~repro.engine.matcher.IncrementalMatcher` it builds hold one
+long-lived plan and call :meth:`EnforcementPlan.enforce`, sharing the
+memo across runs and ingests.
 """
 
 from __future__ import annotations

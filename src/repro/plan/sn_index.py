@@ -1,14 +1,12 @@
 """Window-encoded sorted-neighborhood index: rank ranges over block runs.
 
-The legacy :class:`~repro.plan.blocking.SortedNeighborhoodBackend` is
-batch-only — it sorts the merged sequence from scratch per call.  The
-streaming engine could not use it at all, which is how
-sorted-neighborhood specs ended up silently streaming under *hash*
-semantics.
-
-:class:`WindowedSNIndex` fixes that by maintaining a **rank encoding** of
-each pass's sort keys, in the spirit of pre/post-order tree encodings
-that turn traversals into range scans:
+The global-window :class:`~repro.plan.blocking.SortedNeighborhoodBackend`
+is batch-only — it sorts the merged sequence from scratch per call — so
+only :mod:`repro.experiments` builds it.  :class:`WindowedSNIndex` is the
+sorted-neighborhood every spec, store and service gets
+(:func:`~repro.plan.blocking.build_blocking`): it maintains a **rank
+encoding** of each pass's sort keys, in the spirit of pre/post-order tree
+encodings that turn traversals into range scans:
 
 * every element is kept at its rank in a sorted run of
   ``(key, side, tid)`` entries, maintained incrementally by binary
@@ -49,7 +47,6 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT
 from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
@@ -60,7 +57,6 @@ from repro.plan.blocking import (
     Pair,
     RowKey,
     attribute_key,
-    leading_attribute_pairs,
 )
 from repro.relations.relation import Relation, Row
 
@@ -138,8 +134,8 @@ class WindowedSNIndex(BlockingBackend):
     runs derive identical keys.
 
     A window below 2 is legal at this level and yields no candidates —
-    no two elements ever share a window — matching the historical
-    ``window_candidates`` behavior.  (Spec *validation* rejects it
+    no two elements ever share a window, as in
+    :func:`~repro.plan.blocking.window_candidates`.  (Spec *validation* rejects it
     upstream, because a silent empty candidate set is never what a spec
     author meant.)
 
@@ -205,32 +201,6 @@ class WindowedSNIndex(BlockingBackend):
         self._blocks: List[Dict[str, List[Entry]]] = [
             {} for _ in self.passes
         ]
-
-    # -- construction recipes ------------------------------------------
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Sequence[Tuple[str, str]],
-        window: int = 10,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-    ) -> "WindowedSNIndex":
-        """An index over explicit spec ``key_pairs``."""
-        return cls(pairs, window, encode_attributes)
-
-    @classmethod
-    def from_rcks(
-        cls,
-        rcks: Sequence[RelativeKey],
-        window: int = 10,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-        attribute_count: int = 3,
-    ) -> "WindowedSNIndex":
-        """Passes over the leading attribute pairs of the given RCKs."""
-        if not rcks:
-            raise ValueError("need at least one RCK")
-        chosen = leading_attribute_pairs(rcks, attribute_count)
-        return cls(chosen, window, encode_attributes)
 
     # -- keys and blocks -----------------------------------------------
 

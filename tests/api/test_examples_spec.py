@@ -3,10 +3,14 @@
 ``Workspace.match``, ``Workspace.stream().ingest_stream`` and
 ``repro match --spec`` must produce identical match pairs on the
 checked-in Fig. 1 data, each run compiling its plan exactly once
-(asserted via ``PlanStats.compiles``).
+(asserted via ``PlanStats.compiles``).  The example *scripts* beside it
+must at least import: nothing else runs them.
 """
 
 import json
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,28 @@ def test_engine_ingest_embeds_the_spec_fingerprint(tmp_path, capsys):
     assert stats["spec_fingerprint"] == expected
     snapshot = json.loads(store_path.read_text())
     assert snapshot["spec_fingerprint"] == expected
+
+
+def test_plain_spec_run_raises_no_deprecation_warning():
+    """``src/`` reaches nothing deprecated — its own or the standard
+    library's — on the path every workload runs."""
+    run = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-m", "repro",
+         "match", "--spec", str(SPEC_PATH),
+         "--left", str(CREDIT_CSV), "--right", str(BILLING_CSV)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["0,0", "0,1", "0,2", "0,3"]
+
+
+@pytest.mark.parametrize(
+    "script",
+    sorted((REPO_ROOT / "examples").glob("*.py")),
+    ids=lambda path: path.stem,
+)
+def test_example_script_imports(script):
+    """Run under a name other than ``__main__``: only import-time
+    breakage (a module or name an example uses being removed) shows."""
+    runpy.run_path(str(script), run_name=script.stem)

@@ -1,5 +1,7 @@
 """Workspace: one compile, agreeing execution modes, fingerprinted stores,
-and deprecation shims for the pre-spec entry points."""
+and pins that the pre-1.1 entry points are gone."""
+
+import importlib
 
 import pytest
 
@@ -131,6 +133,31 @@ class TestModesAgree:
             assert report.provenance[pair]
             assert all(name.startswith("rck") for name in report.provenance[pair])
 
+    def test_enforcement_beats_direct_rules_on_fig1(
+        self, workspace_for, sigma, target
+    ):
+        """Enforcement finds matches single-rule application cannot.
+
+        With only ϕ1 (the given matching key) as a *direct* rule, t1–t4
+        is unmatchable; enforcement of Σc = {ϕ1, ϕ2, ϕ3} first equalizes
+        addresses/names through ϕ2/ϕ3 and then fires ϕ1 — one rule set,
+        two execution modes.
+        """
+        from repro.core.rck import RelativeKey
+
+        _, credit, billing = figure1_instances()
+        phi1_as_key = RelativeKey.from_triples(
+            target,
+            [("LN", "LN", "="), ("addr", "post", "="), ("FN", "FN", "dl(0.8)")],
+        )
+        matches = {
+            mode: workspace_for(
+                target, sigma, rcks=[phi1_as_key], execution={"mode": mode}
+            ).match(credit, billing, candidates=[(0, 1)]).matches
+            for mode in ("direct", "enforce")
+        }
+        assert matches == {"direct": (), "enforce": ((0, 1),)}
+
     def test_enforce_mode_provenance_names_rules(self, fig1_workspace):
         workspace, credit, billing = fig1_workspace
         report = workspace.match(credit, billing)
@@ -192,52 +219,29 @@ class TestSnapshotFingerprint:
         assert resumed.store.spec_fingerprint == workspace.fingerprint
 
 
-class TestDeprecationShims:
-    def test_rck_matcher_warns_but_works(self, fig1_workspace):
-        from repro.matching.pipeline import RCKMatcher
+class TestRemovedEntryPoints:
+    """2.0 removed the pre-1.1 surface: ``Workspace`` is the only way in."""
 
-        workspace, credit, billing = fig1_workspace
-        keys = workspace.deduce()
-        with pytest.warns(DeprecationWarning, match="RCKMatcher"):
-            matcher = RCKMatcher(keys)
-        result = matcher.match(
-            credit, billing, candidates=list(workspace.candidates(credit, billing))
-        )
-        assert result.matches
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.matching.pipeline",
+            "repro.matching.blocking",
+            "repro.matching.windowing",
+            "repro.engine.indexes",
+        ],
+    )
+    def test_shim_modules_are_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
-    def test_rck_matcher_from_mds_warns_once(self, pair, target, sigma, recwarn):
-        from repro.matching.pipeline import RCKMatcher
-
-        with pytest.warns(DeprecationWarning) as captured:
-            RCKMatcher.from_mds(sigma, target, top_k=5)
-        deprecations = [
-            warning
-            for warning in captured
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_enforcement_matcher_warns_and_agrees(self, fig1_workspace):
-        from repro.matching.pipeline import EnforcementMatcher
-
-        workspace, credit, billing = fig1_workspace
-        with pytest.warns(DeprecationWarning, match="EnforcementMatcher"):
-            matcher = EnforcementMatcher(plan=workspace.plan)
-        result = matcher.match(credit, billing)
-        assert set(result.matches) == set(workspace.match(credit, billing).matches)
-
-    def test_incremental_matcher_legacy_ctor_warns(self, pair, target, sigma):
+    def test_incremental_matcher_takes_a_plan_not_raw_mds(
+        self, fig1_workspace, sigma, target
+    ):
         from repro.engine import IncrementalMatcher
 
-        with pytest.warns(DeprecationWarning, match="Workspace.stream"):
-            IncrementalMatcher(sigma, target, top_k=5)
-
-    def test_plan_sharing_ctor_does_not_warn(self, fig1_workspace, recwarn):
-        import warnings
-
-        from repro.engine import IncrementalMatcher
-
+        with pytest.raises(TypeError, match="Workspace.stream"):
+            IncrementalMatcher(sigma, target)
         workspace, _, _ = fig1_workspace
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            IncrementalMatcher(plan=workspace.plan)
+        with pytest.raises(TypeError):
+            IncrementalMatcher(workspace.plan, top_k=5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Workspace
 from repro.core.schema import ComparableLists, RelationSchema, SchemaPair
 from repro.datagen.generator import figure1_instances, generate_dataset
 from repro.datagen.schemas import (
@@ -14,6 +15,7 @@ from repro.datagen.schemas import (
     paper_mds,
     paper_target,
 )
+from repro.experiments.harness import resolution_spec_document
 
 
 @pytest.fixture
@@ -69,3 +71,33 @@ def ext_sigma(ext_pair):
 def small_dataset():
     """A small deterministic matching dataset shared across tests."""
     return generate_dataset(300, seed=42)
+
+
+@pytest.fixture(scope="session")
+def workspace_for():
+    """The one way tests get from rules to an execution.
+
+    ``workspace_for(source, sigma=None, rcks=None, **sections)`` builds a
+    :class:`~repro.api.Workspace` over ``source`` — a generated dataset,
+    or a target (``ComparableLists``) — with ``sigma`` defaulting to the
+    Section 6.2 MDs the datasets are generated for and ``rcks`` pinning
+    the keys instead of deducing five.  It blocks on each RCK's leading
+    attribute pair (hash) and matches by enforcement unless a spec
+    section passed by name (``blocking=``, ``execution=``,
+    ``persistence=``, ...) says otherwise.
+    """
+
+    def build(source, sigma=None, rcks=None, **sections) -> Workspace:
+        target = getattr(source, "target", source)
+        document = resolution_spec_document(
+            target.pair,
+            target,
+            extended_mds(target.pair) if sigma is None else sigma,
+            rcks=rcks,
+            blocking={"backend": "hash"},
+            execution={"mode": "enforce"},
+        )
+        document.update(sections)
+        return Workspace.from_dict(document)
+
+    return build

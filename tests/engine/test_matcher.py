@@ -6,14 +6,17 @@ import pytest
 
 from repro.core.schema import LEFT, RIGHT
 from repro.engine import IncrementalMatcher, MatchStore
-from repro.matching.clustering import cluster_matches
-from repro.matching.pipeline import EnforcementMatcher
 from repro.relations.relation import Relation
 
 
 @pytest.fixture
-def matcher(sigma, target):
-    return IncrementalMatcher(sigma, target, top_k=5)
+def workspace(workspace_for, sigma, target):
+    return workspace_for(target, sigma)
+
+
+@pytest.fixture
+def matcher(workspace):
+    return workspace.stream()
 
 
 def _ingest_fig1(matcher, fig1):
@@ -42,39 +45,32 @@ class TestStreamingFig1:
         other = matcher.store.cluster_of(LEFT, 1)
         assert other.size == 1
 
-    def test_matches_batch_enforcement(self, matcher, sigma, target, fig1):
-        """Streaming reaches the batch matcher's clusters on Fig. 1."""
+    def test_matches_batch_enforcement(self, workspace, matcher, fig1):
+        """Streaming reaches the batch run's clusters on Fig. 1."""
         _, credit, billing = fig1
         _ingest_fig1(matcher, fig1)
-        streaming = {
-            (cluster.left_tids, cluster.right_tids)
-            for cluster in matcher.store.clusters()
-        }
-        batch = EnforcementMatcher(sigma, target)
         candidates = [
             (left_tid, right_tid)
             for left_tid in credit.tids()
             for right_tid in billing.tids()
         ]
-        result = batch.match(credit, billing, candidates=candidates)
-        expected = {
-            (cluster.left_tids, cluster.right_tids)
-            for cluster in cluster_matches(result.matches)
-        }
-        assert streaming == expected
+        report = workspace.match(credit, billing, candidates=candidates)
+        assert matcher.store.clusters() == list(report.clusters)
 
 
 class TestEdgeCases:
-    def test_needs_mds(self, target):
-        with pytest.raises(ValueError):
-            IncrementalMatcher([], target)
+    def test_needs_mds(self, workspace_for, workspace, target):
+        """A plan compiled from keys alone has no MDs to chase with."""
+        keys_only = workspace_for(
+            target, sigma=[], rcks=workspace.deduce()
+        ).plan
+        with pytest.raises(ValueError, match="without MDs"):
+            IncrementalMatcher(keys_only, MatchStore(target, keys_only.rcks))
 
-    def test_store_target_mismatch(self, sigma, target, ext_sigma, ext_target):
-        from repro.core.findrcks import find_rcks
-
-        foreign = MatchStore(ext_target, find_rcks(ext_sigma, ext_target, m=3))
+    def test_store_target_mismatch(self, workspace, workspace_for, ext_target):
+        foreign = workspace_for(ext_target).stream().store
         with pytest.raises(ValueError, match="different target"):
-            IncrementalMatcher(sigma, target, store=foreign)
+            IncrementalMatcher(workspace.plan, foreign)
 
     def test_empty_store_bootstrap(self, matcher, pair):
         """Bootstrapping from empty relations is a no-op, not an error."""
@@ -131,21 +127,20 @@ class TestEdgeCases:
 
 
 class TestBootstrap:
-    def test_bootstrap_matches_streaming(self, sigma, target, fig1):
+    def test_bootstrap_matches_streaming(self, workspace, fig1):
         """Warm-starting from batch data equals streaming the same rows."""
         _, credit, billing = fig1
-        warm = IncrementalMatcher(sigma, target, top_k=5)
+        warm = workspace.stream()
         warm.bootstrap(credit, billing)
-        cold = IncrementalMatcher(sigma, target, top_k=5)
+        cold = workspace.stream()
         _ingest_fig1(cold, fig1)
         assert warm.store.clusters() == cold.store.clusters()
         # Tuple ids were preserved, so rows line up with the sources.
         assert sorted(warm.store.left.tids()) == sorted(credit.tids())
 
-    def test_bootstrap_then_stream(self, sigma, target, fig1):
+    def test_bootstrap_then_stream(self, matcher, target, fig1):
         """Ingesting after a bootstrap matches against the warm state."""
         _, credit, billing = fig1
-        matcher = IncrementalMatcher(sigma, target, top_k=5)
         matcher.bootstrap(credit, Relation(target.pair.right))
         result = matcher.ingest(RIGHT, billing[3].values())
         assert (0, result.tid) in result.matches

@@ -6,10 +6,8 @@ import json
 
 import pytest
 
-from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import duplicate_burst_stream
 from repro.engine import (
-    IncrementalMatcher,
     SNAPSHOT_VERSION,
     load_store,
     save_store,
@@ -37,9 +35,8 @@ def _state(store):
     }
 
 
-def test_roundtrip_preserves_state(small_dataset, stream, tmp_path):
-    sigma = extended_mds(small_dataset.pair)
-    matcher = IncrementalMatcher(sigma, small_dataset.target, top_k=5)
+def test_roundtrip_preserves_state(small_dataset, workspace_for, stream, tmp_path):
+    matcher = workspace_for(small_dataset).stream()
     matcher.ingest_stream(stream.events[:100])
     path = tmp_path / "store.json"
     save_store(matcher.store, path)
@@ -51,30 +48,29 @@ def test_roundtrip_preserves_state(small_dataset, stream, tmp_path):
             matcher.store.arrival_values(1, row.tid)
 
 
-def test_restore_then_ingest_equals_cold_run(small_dataset, stream, tmp_path):
+def test_restore_then_ingest_equals_cold_run(
+    small_dataset, workspace_for, stream, tmp_path
+):
     """Pause/resume anywhere in the stream without changing the outcome."""
-    sigma = extended_mds(small_dataset.pair)
+    workspace = workspace_for(small_dataset)
     events = stream.events[:200]
     cut = 120
 
-    cold = IncrementalMatcher(sigma, small_dataset.target, top_k=5)
+    cold = workspace.stream()
     cold.ingest_stream(events)
 
-    first_half = IncrementalMatcher(sigma, small_dataset.target, top_k=5)
+    first_half = workspace.stream()
     first_half.ingest_stream(events[:cut])
     path = tmp_path / "checkpoint.json"
     save_store(first_half.store, path)
 
-    resumed = IncrementalMatcher(
-        sigma, small_dataset.target, store=load_store(path)
-    )
+    resumed = workspace.stream(store=load_store(path))
     resumed.ingest_stream(events[cut:])
     assert _state(resumed.store) == _state(cold.store)
 
 
-def test_snapshot_is_plain_json(small_dataset, stream, tmp_path):
-    sigma = extended_mds(small_dataset.pair)
-    matcher = IncrementalMatcher(sigma, small_dataset.target, top_k=5)
+def test_snapshot_is_plain_json(small_dataset, workspace_for, stream, tmp_path):
+    matcher = workspace_for(small_dataset).stream()
     matcher.ingest_stream(stream.events[:20])
     path = tmp_path / "store.json"
     save_store(matcher.store, path)
@@ -84,9 +80,8 @@ def test_snapshot_is_plain_json(small_dataset, stream, tmp_path):
     assert data["counters"]["comparisons"] == matcher.store.comparisons
 
 
-def test_version_mismatch_rejected(small_dataset):
-    sigma = extended_mds(small_dataset.pair)
-    matcher = IncrementalMatcher(sigma, small_dataset.target, top_k=5)
+def test_version_mismatch_rejected(small_dataset, workspace_for):
+    matcher = workspace_for(small_dataset).stream()
     data = store_to_dict(matcher.store)
     data["version"] = 99
     with pytest.raises(ValueError, match="snapshot version"):

@@ -14,15 +14,8 @@ import pytest
 
 from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
-from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import duplicate_burst_stream
-from repro.engine import (
-    IncrementalMatcher,
-    MatchStore,
-    SQLiteMatchStore,
-    load_store,
-    save_store,
-)
+from repro.engine import SQLiteMatchStore, load_store, save_store
 from repro.engine.snapshot import store_to_dict
 
 
@@ -31,17 +24,11 @@ def dataset():
     return generate_dataset(100, seed=23)
 
 
-@pytest.fixture(scope="module")
-def sigma(dataset):
-    return extended_mds(dataset.pair)
-
-
 @pytest.fixture(params=["memory", "sqlite"])
-def backend(request, tmp_path):
-    """(make_store, roundtrip) for one backend."""
+def backend(request, dataset, workspace_for, tmp_path):
+    """(matcher over a fresh store, roundtrip) for one backend."""
     if request.param == "memory":
-        def make_store(target, rcks):
-            return MatchStore(target, rcks)
+        matcher = workspace_for(dataset).stream()
 
         def roundtrip(store):
             path = tmp_path / "snapshot.json"
@@ -49,27 +36,21 @@ def backend(request, tmp_path):
             return load_store(path)
 
     else:
-        def make_store(target, rcks):
-            return SQLiteMatchStore(tmp_path / "store.db", target, rcks)
+        matcher = workspace_for(
+            dataset,
+            persistence={"backend": "sqlite", "path": str(tmp_path / "store.db")},
+        ).stream()
 
         def roundtrip(store):
             store.close()
             return SQLiteMatchStore(store.path)
 
-    return make_store, roundtrip
+    return matcher, roundtrip
 
 
-def _matcher(sigma, dataset, store=None):
-    if store is None:
-        return IncrementalMatcher(sigma, dataset.target, top_k=5)
-    return IncrementalMatcher(sigma, dataset.target, store=store)
-
-
-def test_counters_round_trip_exactly(dataset, sigma, backend):
-    make_store, roundtrip = backend
-    reference = _matcher(sigma, dataset)
-    store = make_store(dataset.target, reference.store.rcks)
-    matcher = _matcher(sigma, dataset, store)
+def test_counters_round_trip_exactly(dataset, backend):
+    matcher, roundtrip = backend
+    store = matcher.store
     matcher.ingest_stream(duplicate_burst_stream(dataset, seed=3).events[:60])
     assert store.comparisons > 0 and store.merges > 0
     reloaded = roundtrip(store)
@@ -77,13 +58,11 @@ def test_counters_round_trip_exactly(dataset, sigma, backend):
     assert reloaded.merges == matcher.store.merges
 
 
-def test_arrival_values_survive_consensus_repair(dataset, sigma, backend):
+def test_arrival_values_survive_consensus_repair(dataset, backend):
     """After a repair rewrites current values, *both* value sets persist
     and probing still derives keys from the arrival ones."""
-    make_store, roundtrip = backend
-    reference = _matcher(sigma, dataset)
-    store = make_store(dataset.target, reference.store.rcks)
-    matcher = _matcher(sigma, dataset, store)
+    matcher, roundtrip = backend
+    store = matcher.store
     matcher.ingest_stream(duplicate_burst_stream(dataset, seed=3).events[:80])
     repaired = [
         (side, row.tid)
@@ -110,10 +89,9 @@ def test_arrival_values_survive_consensus_repair(dataset, sigma, backend):
         ) == neighbors
 
 
-def test_singleton_clusters_round_trip(dataset, sigma, backend):
-    make_store, roundtrip = backend
-    reference = _matcher(sigma, dataset)
-    store = make_store(dataset.target, reference.store.rcks)
+def test_singleton_clusters_round_trip(backend):
+    matcher, roundtrip = backend
+    store = matcher.store
     # Two records that match nothing: both stay singleton clusters.
     left_tid = store.add(LEFT, {"FN": "Zebulon", "LN": "Quixote"})
     right_tid = store.add(RIGHT, {"FN": "Aurelia", "LN": "Xanthos"})

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.findrcks import find_rcks
 from repro.core.schema import LEFT, RIGHT
-from repro.engine import MatchStore, RCKIndex, indexes_from_rcks, node_of
+from repro.engine import MatchStore, node_of
+from repro.plan import RCKIndex, indexes_from_rcks
 from repro.relations.relation import Relation
 
 

@@ -4,18 +4,17 @@ import pytest
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import RelationSchema
-from repro.matching.blocking import (
-    attribute_key,
-    block_pairs,
-    multi_pass_block_pairs,
-    rck_blocking_keys,
-)
-from repro.matching.windowing import (
-    multi_pass_window_pairs,
-    rck_sort_keys,
-    window_pairs,
-)
+from repro.experiments.exp_blocking import rck_backend
 from repro.metrics.soundex import soundex
+from repro.plan.blocking import (
+    HashBlockingBackend,
+    RCKIndex,
+    SortedNeighborhoodBackend,
+    attribute_key,
+    hash_candidates,
+    rck_sort_keys,
+    window_candidates,
+)
 from repro.relations.relation import Relation
 
 
@@ -68,30 +67,32 @@ class TestBlocking:
     def test_exact_blocking(self, left_relation, right_relation):
         key_left = attribute_key(["zip"])
         key_right = attribute_key(["zip"])
-        pairs = block_pairs(left_relation, right_relation, key_left, key_right)
+        pairs = hash_candidates(left_relation, right_relation, key_left, key_right)
         assert set(pairs) == {(0, 0), (1, 0)}
 
     def test_soundex_blocking_bridges_typos(self, left_relation, right_relation):
         key = attribute_key(["name"], [soundex])
-        pairs = block_pairs(left_relation, right_relation, key, key)
+        pairs = hash_candidates(left_relation, right_relation, key, key)
         assert (0, 0) in pairs  # Clifford ~ Clivord
 
     def test_multi_pass_union(self, left_relation, right_relation):
         zip_key = attribute_key(["zip"])
-        name_key = attribute_key(["name"], [soundex])
-        pairs = multi_pass_block_pairs(
-            left_relation,
-            right_relation,
-            [(zip_key, zip_key), (name_key, name_key)],
-        )
+        pairs = HashBlockingBackend(
+            [
+                RCKIndex("zip", [("zip", "zip")], encode_attributes=()),
+                RCKIndex("name", [("name", "name")], encode_attributes=["name"]),
+            ]
+        ).candidates(left_relation, right_relation)
         single_zip = set(
-            block_pairs(left_relation, right_relation, zip_key, zip_key)
+            hash_candidates(left_relation, right_relation, zip_key, zip_key)
         )
         assert single_zip <= set(pairs)
         assert (1, 1) in pairs  # Smith/Smith found by the name pass only
 
 
 class TestRckBlockingKeys:
+    """The Exp-4 recipe: three attribute pairs from the top two RCKs."""
+
     def test_keys_from_rcks(self, target):
         rcks = [
             RelativeKey.from_triples(
@@ -99,45 +100,45 @@ class TestRckBlockingKeys:
             ),
             RelativeKey.from_triples(target, [("email", "email", "=")]),
         ]
-        left_key, right_key = rck_blocking_keys(rcks, attribute_count=3)
+        (index,) = rck_backend(rcks).indexes
         # Needs a row-like object over credit/billing; use Fig. 1.
         from repro.datagen.generator import figure1_instances
 
         _, credit, billing = figure1_instances()
-        assert len(left_key(credit[0])) == 3
-        assert len(right_key(billing[0])) == 3
+        assert len(index.left_key(credit[0])) == 3
+        assert len(index.right_key(billing[0])) == 3
 
     def test_too_few_pairs_rejected(self, target):
         rcks = [RelativeKey.from_triples(target, [("email", "email", "=")])]
         with pytest.raises(ValueError, match="distinct attribute"):
-            rck_blocking_keys(rcks, attribute_count=3)
+            rck_backend(rcks)
 
     def test_requires_rcks(self):
         with pytest.raises(ValueError):
-            rck_blocking_keys([])
+            rck_backend([])
 
 
 class TestWindowing:
     def test_window_two_adjacent_only(self, left_relation, right_relation):
         key = attribute_key(["zip"])
-        pairs = window_pairs(left_relation, right_relation, key, key, window=2)
+        pairs = window_candidates(left_relation, right_relation, key, key, window=2)
         # sorted by zip: (L0, L1, R0 @07974), (L2 @10001), (R1 @99999)
         assert (1, 0) in pairs
 
     def test_window_grows_candidates(self, left_relation, right_relation):
         key = attribute_key(["zip"])
-        small = set(window_pairs(left_relation, right_relation, key, key, 2))
-        large = set(window_pairs(left_relation, right_relation, key, key, 5))
+        small = set(window_candidates(left_relation, right_relation, key, key, 2))
+        large = set(window_candidates(left_relation, right_relation, key, key, 5))
         assert small <= large
         assert len(large) == 6  # all cross pairs within one window of 5
 
     def test_window_below_two_empty(self, left_relation, right_relation):
         key = attribute_key(["zip"])
-        assert window_pairs(left_relation, right_relation, key, key, 1) == []
+        assert window_candidates(left_relation, right_relation, key, key, 1) == []
 
     def test_only_cross_side_pairs(self, left_relation, right_relation):
         key = attribute_key(["zip"])
-        pairs = window_pairs(left_relation, right_relation, key, key, 10)
+        pairs = window_candidates(left_relation, right_relation, key, key, 10)
         for left_tid, right_tid in pairs:
             assert left_tid in left_relation
             assert right_tid in right_relation
@@ -145,14 +146,11 @@ class TestWindowing:
     def test_multi_pass_window(self, left_relation, right_relation):
         zip_key = attribute_key(["zip"])
         name_key = attribute_key(["name"], [soundex])
-        union = multi_pass_window_pairs(
-            left_relation,
-            right_relation,
-            [(zip_key, zip_key), (name_key, name_key)],
-            window=2,
-        )
+        union = SortedNeighborhoodBackend(
+            [(zip_key, zip_key), (name_key, name_key)], window=2
+        ).candidates(left_relation, right_relation)
         assert set(
-            window_pairs(left_relation, right_relation, zip_key, zip_key, 2)
+            window_candidates(left_relation, right_relation, zip_key, zip_key, 2)
         ) <= set(union)
 
     def test_rck_sort_keys(self, target):

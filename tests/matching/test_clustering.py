@@ -83,14 +83,11 @@ class TestEvaluateClusters:
 
 
 class TestOnGeneratedData:
-    def test_rck_matches_cluster_cleanly(self, small_dataset, ext_sigma):
-        from repro.matching.pipeline import RCKMatcher
-
-        matcher = RCKMatcher.from_mds(ext_sigma, small_dataset.target, top_k=5)
+    def test_rck_matches_cluster_cleanly(self, small_dataset, workspace_for):
+        matcher = workspace_for(small_dataset, execution={"mode": "direct"})
         result = matcher.match(small_dataset.credit, small_dataset.billing)
-        clusters = cluster_matches(result.matches)
         quality = evaluate_clusters(
-            clusters,
+            result.clusters,
             small_dataset.true_matches,
             left_entity=small_dataset.credit_entity,
             right_entity=small_dataset.billing_entity,

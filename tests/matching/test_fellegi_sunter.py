@@ -5,7 +5,7 @@ import pytest
 from repro.matching.comparison import ComparisonSpec, equality_spec
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.matching.windowing import attribute_key, window_pairs
+from repro.plan.blocking import attribute_key, window_candidates
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def fitted(small_dataset_module):
     )
     left_key = attribute_key(["zip", "LN"])
     right_key = attribute_key(["zip", "LN"])
-    candidates = window_pairs(
+    candidates = window_candidates(
         dataset.credit, dataset.billing, left_key, right_key, 10
     )
     matcher = FellegiSunter(spec)

@@ -12,7 +12,7 @@ from repro.matching.rules import (
     rules_from_rcks,
 )
 from repro.matching.sorted_neighborhood import SortedNeighborhood
-from repro.matching.windowing import attribute_key
+from repro.plan.blocking import attribute_key
 
 
 class TestRuleSet:

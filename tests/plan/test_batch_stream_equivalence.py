@@ -1,79 +1,22 @@
-"""Satellite acceptance: one plan, two matchers, identical clusters.
+"""One workspace, one plan: batch and streaming charge the same counters.
 
-The batch :class:`~repro.matching.pipeline.EnforcementMatcher` and the
-streaming :class:`~repro.engine.matcher.IncrementalMatcher` are driven
-through the *same* compiled :class:`~repro.plan.compile.EnforcementPlan`
-object, on all three :mod:`repro.datagen.streams` arrival scenarios, and
-must produce identical entity clusters.
+(That the two *agree* — clusters, candidate universe, fingerprint — is
+``tests/plan/test_sn_differential.py``'s job, for every blocking family.)
 """
 
-import pytest
-
-from repro.datagen.schemas import extended_mds
-from repro.datagen.streams import (
-    arrival_stream,
-    duplicate_burst_stream,
-    late_duplicate_stream,
-)
-from repro.engine import IncrementalMatcher
-from repro.matching.clustering import cluster_matches
-from repro.matching.pipeline import EnforcementMatcher
-from repro.plan import compile_plan
+from repro.datagen.streams import duplicate_burst_stream
 
 
-@pytest.fixture(scope="module")
-def shared_plan(small_dataset):
-    sigma = extended_mds(small_dataset.pair)
-    return compile_plan(sigma, small_dataset.target, top_k=5)
-
-
-@pytest.mark.parametrize(
-    "make_stream",
-    [duplicate_burst_stream, arrival_stream, late_duplicate_stream],
-    ids=["duplicate-burst", "arrival", "late-duplicate"],
-)
-def test_batch_and_streaming_agree_through_one_plan(
-    small_dataset, shared_plan, make_stream
-):
-    streaming = IncrementalMatcher(plan=shared_plan)
-    streaming.ingest_stream(make_stream(small_dataset, seed=5).events)
-    streamed_clusters = {
-        (cluster.left_tids, cluster.right_tids)
-        for cluster in streaming.store.clusters()
-    }
-
-    # The batch matcher consumes the same candidate universe the engine's
-    # hash-blocking backend maintains, through the same plan object.
-    candidates = streaming.store.blocking.candidates(
-        small_dataset.credit, small_dataset.billing
-    )
-    batch = EnforcementMatcher(plan=shared_plan)
-    result = batch.match(
-        small_dataset.credit, small_dataset.billing, candidates=candidates
-    )
-    batch_clusters = {
-        (cluster.left_tids, cluster.right_tids)
-        for cluster in cluster_matches(result.matches)
-    }
-
-    assert streamed_clusters == batch_clusters
-
-
-def test_shared_plan_counters_cover_both_matchers(small_dataset, shared_plan):
+def test_shared_plan_counters_cover_both_matchers(small_dataset, workspace_for):
     """Both executions charge the same plan's work counters."""
-    before = shared_plan.stats.enforcements
-    matcher = IncrementalMatcher(plan=shared_plan)
+    workspace = workspace_for(small_dataset)
+    stats = workspace.plan.stats
+    matcher = workspace.stream()
+    assert matcher.plan is workspace.plan
     matcher.ingest_stream(duplicate_burst_stream(small_dataset, seed=1).events)
-    after_stream = shared_plan.stats.enforcements
-    assert after_stream > before
+    after_stream = stats.enforcements
+    assert after_stream > 0
 
-    batch = EnforcementMatcher(plan=shared_plan)
-    batch.match(
-        small_dataset.credit,
-        small_dataset.billing,
-        candidates=matcher.store.blocking.candidates(
-            small_dataset.credit, small_dataset.billing
-        ),
-    )
-    assert shared_plan.stats.enforcements == after_stream + 1
-    assert shared_plan.stats.metric_evaluations > 0
+    workspace.match(small_dataset.credit, small_dataset.billing)
+    assert stats.enforcements == after_stream + 1
+    assert stats.metric_evaluations > 0

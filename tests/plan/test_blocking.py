@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.findrcks import find_rcks
 from repro.core.schema import LEFT, RIGHT
-from repro.matching.blocking import multi_pass_block_pairs
-from repro.matching.windowing import window_pairs
 from repro.plan.blocking import (
     HashBlockingBackend,
     SortedNeighborhoodBackend,
+    hash_candidates,
     rck_sort_keys,
+    window_candidates,
 )
 
 
@@ -27,15 +27,17 @@ class TestHashBlockingBackend:
         self, rcks, small_dataset
     ):
         backend = HashBlockingBackend.per_rck(rcks)
-        keys = [
-            (index.left_key, index.right_key) for index in backend.indexes
-        ]
-        expected = multi_pass_block_pairs(
-            small_dataset.credit, small_dataset.billing, keys
-        )
+        expected = {
+            pair
+            for index in backend.indexes
+            for pair in hash_candidates(
+                small_dataset.credit, small_dataset.billing,
+                index.left_key, index.right_key,
+            )
+        }
         assert backend.candidates(
             small_dataset.credit, small_dataset.billing
-        ) == expected
+        ) == sorted(expected)
 
     def test_incremental_probe_agrees_with_batch(self, rcks, small_dataset):
         """add/probe yields exactly the pairs batch blocking generates."""
@@ -67,7 +69,7 @@ class TestSortedNeighborhoodBackend:
             SortedNeighborhoodBackend([])
 
     def test_window_below_two_yields_no_candidates(self, rcks, small_dataset):
-        """Historical window_pairs behavior: w < 2 means no shared window."""
+        """w < 2 means no two elements ever share a window."""
         backend = SortedNeighborhoodBackend.from_rcks(rcks, window=1)
         assert backend.candidates(
             small_dataset.credit, small_dataset.billing
@@ -76,7 +78,7 @@ class TestSortedNeighborhoodBackend:
     def test_candidates_match_window_pairs(self, rcks, small_dataset):
         backend = SortedNeighborhoodBackend.from_rcks(rcks, window=10)
         left_key, right_key = rck_sort_keys(rcks)
-        expected = window_pairs(
+        expected = window_candidates(
             small_dataset.credit, small_dataset.billing,
             left_key, right_key, 10,
         )

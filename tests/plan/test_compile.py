@@ -62,15 +62,6 @@ class TestCompilation:
         rcks = find_rcks(sigma, target, m=3)
         plan = compile_plan(rcks=rcks)
         assert plan.target == target
-        assert plan.blocking is not None
-
-    def test_enforcement_matcher_rejects_keys_only_plan(self, sigma, target):
-        from repro.core.findrcks import find_rcks as _find
-        from repro.matching.pipeline import EnforcementMatcher
-
-        keys_only = compile_plan(rcks=_find(sigma, target, m=3))
-        with pytest.raises(ValueError, match="without MDs"):
-            EnforcementMatcher(plan=keys_only)
 
     def test_chase_only_plan_has_no_blocking(self, sigma, fig1):
         plan = compile_plan(sigma)
@@ -79,6 +70,19 @@ class TestCompilation:
         _, credit, billing = fig1
         with pytest.raises(ValueError, match="without a blocking backend"):
             plan.candidates(credit, billing)
+
+    def test_no_backend_given_is_never_silently_windowed(
+        self, sigma, target, fig1
+    ):
+        """Removal pin: a plan blocks with the backend it is handed; the
+        pre-2.0 default (a global-window sort on the RCKs) is gone."""
+        plan = compile_plan(sigma, target)
+        assert plan.keys and plan.blocking is None
+        _, credit, billing = fig1
+        with pytest.raises(ValueError, match="without a blocking backend"):
+            plan.candidates(credit, billing)
+        with pytest.raises(TypeError):
+            compile_plan(sigma, target, window=10)
 
 
 class TestSimilarityCache:

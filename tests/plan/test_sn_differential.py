@@ -1,35 +1,33 @@
-"""Differential suite for sorted-neighborhood specs: stream ≡ batch.
+"""Differential suite: stream ≡ batch for every blocking a spec can declare.
 
-The acceptance criteria of the window-encoded SN index, end-to-end
-through the spec API:
+One spec, one front door: :meth:`Workspace.match` and
+:meth:`Workspace.stream` of the same workspace must agree —
 
-* a **streaming** SN run (``Workspace.stream``) converges to the same
-  clusters and the same candidate universe as the **batch** run of the
-  same spec — for every :mod:`repro.datagen.streams` arrival scenario,
-  on both store backends (memory and SQLite);
-* a store that cannot honor the spec's declared blocking backend is
-  rejected with :class:`~repro.api.spec.SpecError` — never the silent
-  hash substitution this suite exists to prevent (CLI exit 2 covered in
-  ``tests/test_cli.py``).
+* a **streaming** run converges to the same clusters and the same
+  candidate universe as the **batch** run, under sorted-neighborhood,
+  per-RCK hash and explicit-``key_pairs`` hash blocking, for every
+  :mod:`repro.datagen.streams` arrival scenario, on both store backends
+  (memory and SQLite);
+* a store that cannot honor the spec's declared blocking is rejected
+  with :class:`~repro.api.spec.SpecError` — never silently substituted
+  (CLI exit 2 covered in ``tests/test_cli.py``).
 """
 
 from __future__ import annotations
 
-import json
+import sqlite3
 
 import pytest
 
-from repro.api import Workspace
-from repro.api.spec import ResolutionSpec, SpecError
+from repro.api.spec import SpecError
+from repro.core.schema import LEFT
 from repro.datagen.generator import generate_dataset
-from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import (
     arrival_stream,
     duplicate_burst_stream,
     late_duplicate_stream,
 )
 from repro.engine.store import MatchStore
-from repro.experiments.harness import resolution_spec_document
 
 SCENARIOS = {
     "arrival": arrival_stream,
@@ -39,97 +37,101 @@ SCENARIOS = {
 
 STORE_BACKENDS = ("memory", "sqlite")
 
+SN = {"backend": "sorted-neighborhood", "window": 10}
+
+HASH_BLOCKING = {
+    "per-rck": {"backend": "hash", "key_length": 1},
+    "key-pairs": {"backend": "hash", "key_pairs": [["zip", "zip"]]},
+}
+
 
 @pytest.fixture(scope="module")
 def dataset():
     return generate_dataset(120, seed=3)
 
 
-def _document(dataset, **overrides):
-    document = resolution_spec_document(
-        dataset.pair,
-        dataset.target,
-        extended_mds(dataset.pair),
-        blocking={"backend": "sorted-neighborhood", "window": 10},
-        execution={"mode": "enforce"},
-    )
-    document.update(overrides)
-    return document
-
-
-@pytest.fixture(scope="module")
-def batch_reference(dataset):
-    """The batch run every other run must agree with."""
-    workspace = Workspace.from_dict(_document(dataset))
-    report = workspace.match(dataset.credit, dataset.billing)
-    candidates = workspace.plan.candidates(dataset.credit, dataset.billing)
-    return {
-        "matches": report.matches,
-        "clusters": report.clusters,
-        "fingerprint": report.fingerprint,
-        "candidates": sorted(candidates),
-    }
-
-
-def _cluster_set(store):
-    return sorted(
-        (tuple(sorted(cluster.left_tids)), tuple(sorted(cluster.right_tids)))
-        for cluster in store.clusters()
-    )
-
-
-def _batch_cluster_set(clusters):
+def _cluster_set(clusters):
     return sorted(
         (tuple(sorted(cluster.left_tids)), tuple(sorted(cluster.right_tids)))
         for cluster in clusters
     )
 
 
-@pytest.mark.parametrize("store_backend", STORE_BACKENDS)
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS), ids=sorted(SCENARIOS))
-def test_streaming_sn_equals_batch(
-    scenario, store_backend, dataset, batch_reference, tmp_path
+def _stream_against_batch(
+    workspace_for, dataset, blocking, scenario, store_backend, tmp_path
 ):
-    """Satellite (1): an SN-spec stream converges to the batch run."""
-    overrides = {}
+    """Stream one scenario under ``blocking``; hold it to the batch run.
+
+    Returns the workspace, for family-specific assertions.
+    """
+    sections = {"blocking": blocking}
     if store_backend == "sqlite":
-        overrides["persistence"] = {
+        sections["persistence"] = {
             "backend": "sqlite",
             "path": str(tmp_path / f"{scenario}.db"),
         }
-    workspace = Workspace.from_dict(_document(dataset, **overrides))
+    workspace = workspace_for(dataset, **sections)
+    report = workspace.match(dataset.credit, dataset.billing)
+
     matcher = workspace.stream()
     store = matcher.store
-    assert store.blocking.family == "sorted-neighborhood"
+    assert store.backend_name == store_backend
+    assert store.blocking.family == blocking["backend"]
     for event in SCENARIOS[scenario](dataset, seed=5).events:
         # Dataset tids are preserved so clusters and candidate pairs are
         # directly comparable with the batch run's.
         matcher.ingest(event.side, event.values, tid=event.tid)
 
-    # Identical clusters, and the identical candidate universe: the
-    # live rank runs describe exactly the batch window pairs.
-    assert _cluster_set(store) == _batch_cluster_set(
-        batch_reference["clusters"]
+    # Identical clusters, and the identical candidate universe: probing
+    # the live index with every record yields exactly the batch pairs.
+    assert _cluster_set(store.clusters()) == _cluster_set(report.clusters)
+    live = sorted(
+        (row.tid, other)
+        for row in store.left
+        for other in store.neighbors(LEFT, store.arrival_row(LEFT, row.tid))
     )
-    if store_backend == "memory":
-        assert (
-            store.blocking.scan_candidates() == batch_reference["candidates"]
-        )
-    else:
-        assert store.blocking.candidates() == batch_reference["candidates"]
-    assert workspace.fingerprint == batch_reference["fingerprint"]
+    assert live == sorted(report.candidates)
+    assert store.spec_fingerprint == report.fingerprint
+    store.close()
+    return workspace
 
+
+@pytest.mark.parametrize("store_backend", STORE_BACKENDS)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS), ids=sorted(SCENARIOS))
+def test_streaming_sn_equals_batch(
+    scenario, store_backend, dataset, workspace_for, tmp_path
+):
+    workspace = _stream_against_batch(
+        workspace_for, dataset, SN, scenario, store_backend, tmp_path
+    )
     # The obs counters prove the SN path actually ran.
     assert workspace.metrics.counters["engine.sn_probes"] > 0
     assert workspace.metrics.gauges["engine.sn_blocks"] > 1
-    store.close()
+
+
+@pytest.mark.parametrize("store_backend", STORE_BACKENDS)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS), ids=sorted(SCENARIOS))
+@pytest.mark.parametrize("blocking", sorted(HASH_BLOCKING))
+def test_streaming_hash_equals_batch(
+    blocking, scenario, store_backend, dataset, workspace_for, tmp_path
+):
+    """The ``key-pairs`` rows fail before 2.0: both stores ignored an
+    explicit hash key and indexed per RCK, so a stream saw other
+    candidates — and ended in other clusters — than its batch run."""
+    workspace = _stream_against_batch(
+        workspace_for, dataset, HASH_BLOCKING[blocking], scenario,
+        store_backend, tmp_path,
+    )
+    assert "engine.sn_probes" not in workspace.metrics.counters
 
 
 class TestStreamGuard:
-    """The silent hash substitution is dead: mismatches raise SpecError."""
+    """No silent substitution: a store built under other blocking raises."""
 
-    def test_hash_built_store_rejected_under_sn_spec(self, dataset):
-        sn_workspace = Workspace.from_dict(_document(dataset))
+    def test_hash_built_store_rejected_under_sn_spec(
+        self, dataset, workspace_for
+    ):
+        sn_workspace = workspace_for(dataset, blocking=SN)
         plan = sn_workspace.plan
         hash_store = MatchStore(
             plan.target, plan.rcks, blocking_backend="hash"
@@ -138,8 +140,10 @@ class TestStreamGuard:
         with pytest.raises(SpecError, match="streams under 'hash'"):
             sn_workspace.stream(store=hash_store)
 
-    def test_unsupported_backend_rejected(self, dataset, monkeypatch):
-        workspace = Workspace.from_dict(_document(dataset))
+    def test_unsupported_backend_rejected(
+        self, dataset, workspace_for, monkeypatch
+    ):
+        workspace = workspace_for(dataset, blocking=SN)
         monkeypatch.setattr(MatchStore, "supported_blocking", ("hash",))
         store = MatchStore(
             workspace.plan.target, workspace.plan.rcks,
@@ -150,38 +154,68 @@ class TestStreamGuard:
             workspace.stream(store=store)
 
     def test_sqlite_store_from_other_blocking_config_rejected(
-        self, dataset, tmp_path
+        self, dataset, workspace_for, tmp_path
     ):
-        path = str(tmp_path / "store.db")
-        hash_doc = _document(
-            dataset, persistence={"backend": "sqlite", "path": path}
-        )
-        hash_doc["blocking"] = {"backend": "hash", "key_length": 1}
-        Workspace.from_dict(hash_doc).open_store().close()
-        sn_doc = _document(
-            dataset, persistence={"backend": "sqlite", "path": path}
-        )
-        with pytest.raises(SpecError, match="blocking"):
-            Workspace.from_dict(sn_doc).open_store()
+        durable = {"backend": "sqlite", "path": str(tmp_path / "store.db")}
+        workspace_for(dataset, persistence=durable).open_store().close()
+        for other in (SN, HASH_BLOCKING["key-pairs"]):
+            with pytest.raises(SpecError, match="blocking"):
+                workspace_for(
+                    dataset, blocking=other, persistence=durable
+                ).open_store()
 
-    def test_matching_sn_store_streams_fine(self, dataset, tmp_path):
-        document = _document(
-            dataset,
-            persistence={
-                "backend": "sqlite",
-                "path": str(tmp_path / "ok.db"),
-            },
+    def test_store_indexed_per_rck_under_key_pairs_is_refused(
+        self, dataset, workspace_for, tmp_path
+    ):
+        """What a pre-2.0 build wrote under ``hash`` + ``key_pairs``: the
+        configuration names the key, the postings are keyed per RCK.  It
+        is refused on every way in, never probed under the wrong keys."""
+        from repro.engine import SQLiteMatchStore
+
+        path = tmp_path / "parent.db"
+        durable = {"backend": "sqlite", "path": str(path)}
+        per_rck = workspace_for(dataset, persistence=durable)
+        matcher = per_rck.stream()
+        for event in arrival_stream(dataset, seed=5).events[:40]:
+            matcher.ingest(event.side, event.values, tid=event.tid)
+        matcher.store.close()
+
+        keyed = workspace_for(
+            dataset, blocking=HASH_BLOCKING["key-pairs"], persistence=durable
         )
-        workspace = Workspace.from_dict(document)
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'spec_fingerprint'",
+                (keyed.fingerprint,),
+            )
+            connection.execute(
+                "UPDATE meta SET value = replace(value, "
+                "'\"key_pairs\": null', '\"key_pairs\": [[\"zip\", \"zip\"]]') "
+                "WHERE key = 'config'"
+            )
+        connection.close()
+
+        with pytest.raises(SpecError, match="different configuration"):
+            keyed.stream()
+        with pytest.raises(ValueError, match="re-bootstrap"):
+            SQLiteMatchStore(path)
+
+    def test_matching_sn_store_streams_fine(
+        self, dataset, workspace_for, tmp_path
+    ):
+        workspace = workspace_for(
+            dataset,
+            blocking=SN,
+            persistence={"backend": "sqlite", "path": str(tmp_path / "ok.db")},
+        )
         matcher = workspace.stream()
         assert matcher.store.blocking.family == "sorted-neighborhood"
         matcher.store.close()
 
 
-def test_sn_spec_window_in_fingerprint(dataset):
+def test_sn_spec_window_in_fingerprint(dataset, workspace_for):
     """The window is semantics, not a deployment knob: it fingerprints."""
-    narrow = Workspace.from_dict(_document(dataset))
-    wide_doc = _document(dataset)
-    wide_doc["blocking"]["window"] = 20
-    wide = Workspace.from_dict(wide_doc)
+    narrow = workspace_for(dataset, blocking=SN)
+    wide = workspace_for(dataset, blocking={**SN, "window": 20})
     assert narrow.fingerprint != wide.fingerprint

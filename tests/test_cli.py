@@ -8,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import CliError, load_md_file, load_schema_spec, main
+from repro.cli import main
 from repro.datagen.generator import figure1_instances
 from repro.relations.csvio import save_relation
 
 
-@pytest.fixture
-def schema_file(tmp_path):
-    spec = {
+#: Example 1.1's schemas and target with the three MDs of Example 2.1.
+SPEC_DOCUMENT = {
+    "version": 1,
+    "schema": {
         "left": {
             "name": "credit",
             "attributes": ["c#", "SSN", "FN", "LN", "addr", "tel", "email",
@@ -26,31 +27,37 @@ def schema_file(tmp_path):
             "attributes": ["c#", "FN", "LN", "post", "phn", "email",
                            "gender", "item", "price"],
         },
-        "target": {
-            "left": ["FN", "LN", "addr", "tel", "gender"],
-            "right": ["FN", "LN", "post", "phn", "gender"],
-        },
-    }
-    path = tmp_path / "schema.json"
-    path.write_text(json.dumps(spec))
+    },
+    "target": {
+        "left": ["FN", "LN", "addr", "tel", "gender"],
+        "right": ["FN", "LN", "post", "phn", "gender"],
+    },
+    "rules": {
+        "mds": [
+            "credit[LN] = billing[LN] & credit[addr] = billing[post] & "
+            "credit[FN] ~dl(0.8) billing[FN] -> "
+            "credit[FN] <=> billing[FN] & credit[LN] <=> billing[LN] & "
+            "credit[addr] <=> billing[post] & credit[tel] <=> billing[phn] & "
+            "credit[gender] <=> billing[gender]",
+            "credit[tel] = billing[phn] -> credit[addr] <=> billing[post]",
+            "credit[email] = billing[email] -> "
+            "credit[FN] <=> billing[FN] & credit[LN] <=> billing[LN]",
+        ],
+        "top_k": 5,
+    },
+    "execution": {"mode": "direct"},
+}
+
+
+def _write_spec(path, **sections):
+    path.write_text(json.dumps({**SPEC_DOCUMENT, **sections}))
     return path
 
 
 @pytest.fixture
-def md_file(tmp_path):
-    path = tmp_path / "mds.txt"
-    path.write_text(
-        "# Example 2.1\n"
-        "credit[LN] = billing[LN] & credit[addr] = billing[post] & "
-        "credit[FN] ~dl(0.8) billing[FN] -> "
-        "credit[FN] <=> billing[FN] & credit[LN] <=> billing[LN] & "
-        "credit[addr] <=> billing[post] & credit[tel] <=> billing[phn] & "
-        "credit[gender] <=> billing[gender]\n"
-        "credit[tel] = billing[phn] -> credit[addr] <=> billing[post]\n"
-        "credit[email] = billing[email] -> "
-        "credit[FN] <=> billing[FN] & credit[LN] <=> billing[LN]\n"
-    )
-    return path
+def spec_file(tmp_path):
+    """The Fig. 1 ResolutionSpec every command below is driven by."""
+    return _write_spec(tmp_path / "spec.json")
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
@@ -67,43 +74,38 @@ def test_importing_the_cli_does_not_import_multiprocessing():
 
 
 class TestSpecLoading:
-    def test_load_schema_spec(self, schema_file):
-        pair, target = load_schema_spec(schema_file)
-        assert pair.left.name == "credit"
-        assert len(target) == 5
+    """``--spec`` is the only loader: its failures exit 2 with a message."""
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CliError, match="not found"):
-            load_schema_spec(tmp_path / "nope.json")
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["deduce", "--spec", str(tmp_path / "nope.json")]) == 2
+        assert "not found" in capsys.readouterr().err
 
-    def test_bad_json(self, tmp_path):
+    def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(CliError, match="invalid JSON"):
-            load_schema_spec(path)
+        assert main(["deduce", "--spec", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
-    def test_missing_section(self, tmp_path):
+    def test_missing_section(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"left": {"name": "a", "attributes": ["x"]}}))
-        with pytest.raises(CliError, match="right"):
-            load_schema_spec(path)
+        path.write_text(json.dumps(
+            {"version": 1, "schema": {"left": SPEC_DOCUMENT["schema"]["left"]}}
+        ))
+        assert main(["deduce", "--spec", str(path)]) == 2
+        assert "right" in capsys.readouterr().err
 
-    def test_load_md_file(self, schema_file, md_file):
-        pair, _ = load_schema_spec(schema_file)
-        assert len(load_md_file(md_file, pair)) == 3
-
-    def test_md_parse_error_reported(self, schema_file, tmp_path):
-        pair, _ = load_schema_spec(schema_file)
-        bad = tmp_path / "bad.txt"
-        bad.write_text("garbage -> nonsense\n")
-        with pytest.raises(CliError, match="cannot parse"):
-            load_md_file(bad, pair)
+    def test_md_parse_error_reported(self, tmp_path, capsys):
+        bad = _write_spec(
+            tmp_path / "bad.json", rules={"mds": ["garbage -> nonsense"]}
+        )
+        assert main(["deduce", "--spec", str(bad)]) == 2
+        assert "rules.mds[0]" in capsys.readouterr().err
 
 
 class TestDeduce:
-    def test_deduce_prints_keys(self, schema_file, md_file, capsys):
+    def test_deduce_prints_keys(self, spec_file, capsys):
         code = main(
-            ["deduce", "--schema", str(schema_file), "--mds", str(md_file),
+            ["deduce", "--spec", str(spec_file),
              "-m", "6"]
         )
         assert code == 0
@@ -111,40 +113,35 @@ class TestDeduce:
         assert "RCK(s) relative to" in output
         assert "email" in output  # rck3/rck4 mention email
 
-    def test_deduce_missing_schema(self, md_file, capsys):
-        code = main(["deduce", "--schema", "/nope.json", "--mds", str(md_file)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
 
 class TestCheck:
-    def test_deducible_md_exit_zero(self, schema_file, md_file, capsys):
+    def test_deducible_md_exit_zero(self, spec_file, capsys):
         code = main(
-            ["check", "--schema", str(schema_file), "--mds", str(md_file),
+            ["check", "--spec", str(spec_file),
              "credit[email] = billing[email] & credit[tel] = billing[phn] -> "
              "credit[gender] <=> billing[gender]"]
         )
         assert code == 0
         assert "True" in capsys.readouterr().out
 
-    def test_non_deducible_md_exit_one(self, schema_file, md_file, capsys):
+    def test_non_deducible_md_exit_one(self, spec_file, capsys):
         code = main(
-            ["check", "--schema", str(schema_file), "--mds", str(md_file),
+            ["check", "--spec", str(spec_file),
              "credit[email] = billing[email] -> credit[addr] <=> billing[post]"]
         )
         assert code == 1
         assert "False" in capsys.readouterr().out
 
-    def test_bad_md_syntax(self, schema_file, md_file, capsys):
+    def test_bad_md_syntax(self, spec_file, capsys):
         code = main(
-            ["check", "--schema", str(schema_file), "--mds", str(md_file),
+            ["check", "--spec", str(spec_file),
              "garbage"]
         )
         assert code == 2
 
-    def test_explain_prints_derivation(self, schema_file, md_file, capsys):
+    def test_explain_prints_derivation(self, spec_file, capsys):
         code = main(
-            ["check", "--schema", str(schema_file), "--mds", str(md_file),
+            ["check", "--spec", str(spec_file),
              "--explain",
              "credit[email] = billing[email] & credit[tel] = billing[phn] -> "
              "credit[gender] <=> billing[gender]"]
@@ -154,9 +151,9 @@ class TestCheck:
         assert "Derivation:" in output
         assert "[by MD:" in output
 
-    def test_explain_failure_report(self, schema_file, md_file, capsys):
+    def test_explain_failure_report(self, spec_file, capsys):
         code = main(
-            ["check", "--schema", str(schema_file), "--mds", str(md_file),
+            ["check", "--spec", str(spec_file),
              "--explain",
              "credit[email] = billing[email] -> credit[addr] <=> billing[post]"]
         )
@@ -165,7 +162,7 @@ class TestCheck:
 
 
 class TestMatch:
-    def test_match_fig1(self, schema_file, md_file, tmp_path, capsys):
+    def test_match_fig1(self, spec_file, tmp_path, capsys):
         _, credit, billing = figure1_instances()
         left_path = tmp_path / "credit.csv"
         right_path = tmp_path / "billing.csv"
@@ -173,7 +170,7 @@ class TestMatch:
         save_relation(billing, right_path)
         out_path = tmp_path / "matches.csv"
         code = main(
-            ["match", "--schema", str(schema_file), "--mds", str(md_file),
+            ["match", "--spec", str(spec_file),
              "--left", str(left_path), "--right", str(right_path),
              "-o", str(out_path), "--window", "10"]
         )
@@ -197,7 +194,7 @@ class TestMatch:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_match_plain_csv_without_tids(self, schema_file, md_file, tmp_path):
+    def test_match_plain_csv_without_tids(self, spec_file, tmp_path):
         left_path = tmp_path / "credit.csv"
         left_path.write_text(
             "FN,LN,addr,tel,email,gender\n"
@@ -209,18 +206,18 @@ class TestMatch:
             "Marx,Clifford,10 Oak Street,908-1111111,mc@gm.com,M\n"
         )
         code = main(
-            ["match", "--schema", str(schema_file), "--mds", str(md_file),
+            ["match", "--spec", str(spec_file),
              "--left", str(left_path), "--right", str(right_path)]
         )
         assert code == 0
 
-    def test_match_unknown_column_rejected(self, schema_file, md_file, tmp_path, capsys):
+    def test_match_unknown_column_rejected(self, spec_file, tmp_path, capsys):
         left_path = tmp_path / "credit.csv"
         left_path.write_text("WRONG\nx\n")
         right_path = tmp_path / "billing.csv"
         right_path.write_text("FN\nMarx\n")
         code = main(
-            ["match", "--schema", str(schema_file), "--mds", str(md_file),
+            ["match", "--spec", str(spec_file),
              "--left", str(left_path), "--right", str(right_path)]
         )
         assert code == 2
@@ -228,10 +225,9 @@ class TestMatch:
 
 
 class TestPlanExplain:
-    def test_explain_prints_compiled_plan(self, schema_file, md_file, capsys):
+    def test_explain_prints_compiled_plan(self, spec_file, capsys):
         code = main(
-            ["plan", "explain", "--schema", str(schema_file),
-             "--mds", str(md_file)]
+            ["plan", "explain", "--spec", str(spec_file)]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -241,32 +237,22 @@ class TestPlanExplain:
         assert "DamerauLevenshtein >= 0.8" in output
         assert "sorted-neighborhood(window=10" in output
 
-    def test_explain_hash_backend(self, schema_file, md_file, capsys):
+    def test_explain_hash_backend(self, spec_file, capsys):
         code = main(
-            ["plan", "explain", "--schema", str(schema_file),
-             "--mds", str(md_file), "--backend", "hash"]
+            ["plan", "explain", "--spec", str(spec_file), "--backend", "hash"]
         )
         assert code == 0
         assert "hash(" in capsys.readouterr().out
 
-    def test_explain_json(self, schema_file, md_file, capsys):
+    def test_explain_json(self, spec_file, capsys):
         code = main(
-            ["plan", "explain", "--schema", str(schema_file),
-             "--mds", str(md_file), "--json"]
+            ["plan", "explain", "--spec", str(spec_file), "--json"]
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["unique_predicates"] < document["atoms_before_dedup"]
         assert len(document["rules"]) == 3
         assert document["keys"]
-
-    def test_explain_missing_schema(self, md_file, capsys):
-        code = main(
-            ["plan", "explain", "--schema", "/nope.json",
-             "--mds", str(md_file)]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestDemo:
@@ -287,13 +273,12 @@ class TestEngine:
         save_relation(billing, right_path)
         return left_path, right_path
 
-    def test_ingest_creates_store(self, schema_file, md_file, fig1_csvs,
+    def test_ingest_creates_store(self, spec_file, fig1_csvs,
                                   tmp_path, capsys):
         left_path, right_path = fig1_csvs
         store_path = tmp_path / "store.json"
         code = main(
-            ["engine", "ingest", "--schema", str(schema_file),
-             "--mds", str(md_file), "--store", str(store_path),
+            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path), "--right", str(right_path)]
         )
         assert code == 0
@@ -301,19 +286,17 @@ class TestEngine:
         output = capsys.readouterr().out
         assert "ingested 6 record(s)" in output
 
-    def test_ingest_resumes_existing_store(self, schema_file, md_file,
+    def test_ingest_resumes_existing_store(self, spec_file,
                                            fig1_csvs, tmp_path, capsys):
         left_path, right_path = fig1_csvs
         store_path = tmp_path / "store.json"
         assert main(
-            ["engine", "ingest", "--schema", str(schema_file),
-             "--mds", str(md_file), "--store", str(store_path),
+            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path)]
         ) == 0
         capsys.readouterr()
         code = main(
-            ["engine", "ingest", "--schema", str(schema_file),
-             "--mds", str(md_file), "--store", str(store_path),
+            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--right", str(right_path), "--json"]
         )
         assert code == 0
@@ -323,13 +306,12 @@ class TestEngine:
         assert stats["matched_clusters"] == 1
         assert stats["new_merges"] > 0
 
-    def test_stats_and_query(self, schema_file, md_file, fig1_csvs,
+    def test_stats_and_query(self, spec_file, fig1_csvs,
                              tmp_path, capsys):
         left_path, right_path = fig1_csvs
         store_path = tmp_path / "store.json"
         assert main(
-            ["engine", "ingest", "--schema", str(schema_file),
-             "--mds", str(md_file), "--store", str(store_path),
+            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path), "--right", str(right_path)]
         ) == 0
         capsys.readouterr()
@@ -346,13 +328,12 @@ class TestEngine:
         assert cluster["left_tids"] == [0]
         assert cluster["right_tids"] == [0, 1, 2, 3]
 
-    def test_query_unknown_tid(self, schema_file, md_file, fig1_csvs,
+    def test_query_unknown_tid(self, spec_file, fig1_csvs,
                                tmp_path, capsys):
         left_path, _ = fig1_csvs
         store_path = tmp_path / "store.json"
         assert main(
-            ["engine", "ingest", "--schema", str(schema_file),
-             "--mds", str(md_file), "--store", str(store_path),
+            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path)]
         ) == 0
         capsys.readouterr()
@@ -378,26 +359,12 @@ class TestEngineStreamGuard:
     """
 
     @pytest.fixture
-    def sn_spec_file(self, schema_file, md_file, tmp_path):
-        schema = json.loads(schema_file.read_text())
-        document = {
-            "version": 1,
-            "schema": {"left": schema["left"], "right": schema["right"]},
-            "target": schema["target"],
-            "rules": {
-                "mds": [
-                    line.strip()
-                    for line in md_file.read_text().splitlines()
-                    if line.strip() and not line.strip().startswith("#")
-                ],
-                "top_k": 5,
-            },
-            "blocking": {"backend": "sorted-neighborhood", "window": 10},
-            "execution": {"mode": "enforce"},
-        }
-        path = tmp_path / "sn-spec.json"
-        path.write_text(json.dumps(document))
-        return path
+    def sn_spec_file(self, tmp_path):
+        return _write_spec(
+            tmp_path / "sn-spec.json",
+            blocking={"backend": "sorted-neighborhood", "window": 10},
+            execution={"mode": "enforce"},
+        )
 
     def test_legacy_hash_snapshot_under_sn_spec_exits_two(
         self, sn_spec_file, tmp_path, capsys
@@ -440,31 +407,8 @@ class TestEngineStreamGuard:
 
 
 # ----------------------------------------------------------------------
-# The spec-driven surface (PR 3): --spec, spec validate, deprecations
+# The spec-driven surface: spec validate, tuning flags, removed flags
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def spec_file(schema_file, md_file, tmp_path):
-    """A ResolutionSpec equivalent to the legacy schema+MD fixtures."""
-    schema = json.loads(schema_file.read_text())
-    document = {
-        "version": 1,
-        "schema": {"left": schema["left"], "right": schema["right"]},
-        "target": schema["target"],
-        "rules": {
-            "mds": [
-                line.strip()
-                for line in md_file.read_text().splitlines()
-                if line.strip() and not line.strip().startswith("#")
-            ],
-            "top_k": 5,
-        },
-        "execution": {"mode": "direct"},
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(document))
-    return path
 
 
 class TestSpecValidate:
@@ -511,27 +455,6 @@ class TestSpecValidate:
 
 
 class TestSpecDrivenCommands:
-    def test_match_spec_equals_flag_form(self, schema_file, md_file, spec_file,
-                                         tmp_path, capsys):
-        _, credit, billing = figure1_instances()
-        left_path = tmp_path / "credit.csv"
-        right_path = tmp_path / "billing.csv"
-        save_relation(credit, left_path)
-        save_relation(billing, right_path)
-
-        assert main(
-            ["match", "--spec", str(spec_file),
-             "--left", str(left_path), "--right", str(right_path)]
-        ) == 0
-        spec_out = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert main(
-                ["match", "--schema", str(schema_file), "--mds", str(md_file),
-                 "--left", str(left_path), "--right", str(right_path)]
-            ) == 0
-        flag_out = capsys.readouterr().out
-        assert spec_out == flag_out
-
     def test_deduce_with_spec(self, spec_file, capsys):
         assert main(["deduce", "--spec", str(spec_file)]) == 0
         assert "RCK(s) relative to" in capsys.readouterr().out
@@ -557,13 +480,6 @@ class TestSpecDrivenCommands:
         assert main(["deduce", "--spec", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_spec_conflicts_with_schema_flags(self, spec_file, schema_file, capsys):
-        code = main(
-            ["deduce", "--spec", str(spec_file), "--schema", str(schema_file)]
-        )
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
-
     def test_tuning_flag_overrides_spec(self, spec_file, capsys):
         assert main(["deduce", "--spec", str(spec_file), "-m", "1"]) == 0
         assert "# 1 RCK(s)" in capsys.readouterr().out
@@ -586,14 +502,22 @@ class TestSpecDrivenCommands:
         assert len(rows) == len(report["matches"])
 
     def test_neither_spec_nor_flags_exits_two(self, capsys):
-        assert main(["deduce"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["deduce"])
+        assert excinfo.value.code == 2
         assert "--spec" in capsys.readouterr().err
 
-    def test_flag_form_warns_deprecation(self, schema_file, md_file, capsys):
-        with pytest.warns(DeprecationWarning, match="--schema/--mds"):
-            assert main(
-                ["deduce", "--schema", str(schema_file), "--mds", str(md_file)]
-            ) == 0
+    def test_flag_form_is_gone(self, spec_file, tmp_path, capsys):
+        """Removal pin: argparse rejects ``--schema``/``--mds`` (exit 2),
+        with or without ``--spec`` beside them."""
+        legacy = ["--schema", str(tmp_path / "s.json"),
+                  "--mds", str(tmp_path / "m.txt")]
+        for argv in (["deduce", *legacy],
+                     ["deduce", "--spec", str(spec_file), *legacy]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            capsys.readouterr()
 
 
 class TestEngineSpecFingerprint:

@@ -11,8 +11,7 @@ from repro.discovery import (
     sample_labelled_pairs,
 )
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.pipeline import RCKMatcher
-from repro.matching.windowing import attribute_key, window_pairs
+from repro.plan.blocking import attribute_key, window_candidates
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +20,7 @@ def training():
     dataset = generate_dataset(600, seed=31)
     left_key = attribute_key(["zip", "LN"])
     right_key = attribute_key(["zip", "LN"])
-    candidates = window_pairs(
+    candidates = window_candidates(
         dataset.credit, dataset.billing, left_key, right_key, 10
     )
     sample = sample_labelled_pairs(
@@ -113,7 +112,7 @@ class TestMining:
 class TestMinedToMatching:
     """The Section 7 pipeline: discover MDs → deduce RCKs → match."""
 
-    def test_mined_mds_drive_matching(self, training):
+    def test_mined_mds_drive_matching(self, training, workspace_for):
         dataset, sample = training
         mined = discover_mds(
             dataset.credit,
@@ -127,7 +126,13 @@ class TestMinedToMatching:
         rcks = find_rcks(sigma, dataset.target, m=5)
         # Evaluate on a *fresh* dataset (same distribution, new seed).
         fresh = generate_dataset(600, seed=77)
-        matcher = RCKMatcher(rcks)
+        matcher = workspace_for(
+            fresh,
+            sigma,
+            rcks=rcks,
+            blocking={"backend": "sorted-neighborhood", "window": 10},
+            execution={"mode": "direct"},
+        )
         result = matcher.match(fresh.credit, fresh.billing)
         quality = evaluate_matches(result.matches, fresh.true_matches)
         assert quality.precision > 0.9

@@ -18,14 +18,13 @@ from repro.datagen.schemas import extended_mds
 from repro.matching.comparison import union_of_rcks
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.matching.pipeline import RCKMatcher
 from repro.matching.rules import default_person_rules, rules_from_rcks
 from repro.matching.sorted_neighborhood import SortedNeighborhood
-from repro.matching.windowing import rck_sort_keys, window_pairs
+from repro.plan.blocking import rck_sort_keys, window_candidates
 
 
 class TestTextToKeysWorkflow:
-    def test_parse_deduce_match(self, pair, target, fig1):
+    def test_parse_deduce_match(self, pair, target, fig1, workspace_for):
         """MDs written as text drive the whole Fig. 1 narrative."""
         text = """
         # Example 2.1
@@ -36,7 +35,9 @@ class TestTextToKeysWorkflow:
         sigma = parse_mds(text, pair)
         assert len(sigma) == 3
         keys = find_rcks(sigma, target, m=6)
-        matcher = RCKMatcher(keys)
+        matcher = workspace_for(
+            target, sigma, rcks=keys, execution={"mode": "direct"}
+        )
         _, credit, billing = fig1
         result = matcher.match(
             credit,
@@ -105,7 +106,7 @@ class TestFullMatchingPipeline:
     @pytest.fixture(scope="class")
     def candidates(self, dataset, rcks):
         left_key, right_key = rck_sort_keys(rcks)
-        return window_pairs(
+        return window_candidates(
             dataset.credit, dataset.billing, left_key, right_key, 10
         )
 
@@ -148,7 +149,7 @@ class TestFullMatchingPipeline:
         assert fs_quality.f1 > 0.7
         assert rck_quality.f1 > 0.8
 
-    def test_deduced_keys_are_sound_on_clean_data(self, rcks):
+    def test_deduced_keys_are_sound_on_clean_data(self, rcks, workspace_for):
         """On noise-free data RCK matching has perfect precision."""
         from repro.datagen.noise import NoiseModel
 
@@ -159,7 +160,9 @@ class TestFullMatchingPipeline:
             household_fraction=0.2,
             namesake_fraction=0.1,
         )
-        matcher = RCKMatcher(rcks)
+        matcher = workspace_for(
+            clean, rcks=rcks, execution={"mode": "direct"}
+        )
         candidates = [
             (credit_tid, billing_tid)
             for credit_tid in clean.credit.tids()[:40]
