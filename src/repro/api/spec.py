@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,12 +57,13 @@ EXECUTION_MODES = ("enforce", "direct")
 #: Store backends a spec may name in its ``persistence`` section.
 PERSISTENCE_BACKENDS = ("memory", "sqlite")
 
-#: Sections a v1 document may contain.
-_SECTIONS = (
-    "version", "schema", "target", "rules", "metrics",
-    "blocking", "resolution", "execution", "observability",
-    "persistence", "serve",
-)
+#: Sections parsed by hand; every other section of a v1 document is made
+#: of declared options only (``OPTION_SECTIONS``, below the dataclass).
+_CORE_SECTIONS = ("version", "schema", "target", "rules", "metrics")
+
+#: Sections that shape a deployment, never a result: they stay out of
+#: :meth:`ResolutionSpec.fingerprint` (which says why, section by section).
+DEPLOYMENT_SECTIONS = ("observability", "persistence", "serve")
 
 
 def _first_non_null(values: Sequence[object]) -> object:
@@ -110,29 +111,127 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
+# Option checks: ``check(value, **params)`` returns the normalized value
+# or raises ``ValueError`` saying what it expected.  Each tests the type
+# first, so no JSON value can crash one.
+# ----------------------------------------------------------------------
+
+
+def _integer(
+    value: object, minimum: int, maximum: Optional[int] = None, why: str = ""
+) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}, got {value}{why}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"must be <= {maximum}, got {value}")
+    return value
+
+
+def _one_of(value: object, choices: Sequence[str]) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(
+            f"unknown value {value!r}; choose one of {list(choices)}"
+        )
+    return value
+
+
+def _boolean(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _optional_path(value: object) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"expected null or a file path string, got {value!r}")
+    return value
+
+
+def _non_empty_string(value: object) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
+    return value
+
+
+def _string_list(value: object) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _attribute_pairs(value: object) -> Optional[Tuple[Tuple[str, str], ...]]:
+    if value is None:
+        return None
+    try:
+        pairs = tuple((str(l), str(r)) for l, r in value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"expected [left, right] attribute pairs, got {value!r}"
+        ) from None
+    # Every layer reads "no pairs" as "derive the keys from the RCKs",
+    # so ``[]`` is ``null`` here too: one meaning, one fingerprint.
+    return pairs or None
+
+
+def _option(path: str, default, check, **params):
+    """A spec option, declared once on its dataclass field.
+
+    ``path`` is where the option lives in the document
+    (``"serve.max_batch"``), ``default`` what an absent key means and
+    ``check(value, **params)`` its validation.  Parsing, ``to_dict``,
+    the fingerprint, :class:`SpecBuilder` and the CLI's tuning flags all
+    read the option off the field, so none of them can disagree about
+    its key, default or legal values.
+    """
+    return field(
+        default=default,
+        metadata={"path": path, "check": check, "params": params},
+    )
+
+
+# ----------------------------------------------------------------------
 # Validation helpers (each appends to a shared error list)
 # ----------------------------------------------------------------------
 
 
-def _check_int(
-    errors: List[str], where: str, value: object, minimum: int
-) -> bool:
-    if not isinstance(value, int) or isinstance(value, bool):
-        errors.append(f"{where}: expected an integer, got {value!r}")
-        return False
-    if value < minimum:
-        errors.append(f"{where}: must be >= {minimum}, got {value}")
-        return False
-    return True
+def _checked(errors: List[str], where: str, check, value: object, **params):
+    """``check(value, **params)``; a refusal is filed under ``where``
+    and yields ``None``."""
+    try:
+        return check(value, **params)
+    except ValueError as error:
+        errors.append(f"{where}: {error}")
+        return None
+
+
+def _option_value(
+    errors: List[str], section: Dict[str, object], option: Field
+) -> object:
+    """``option`` as its section object gives it: the declared default
+    when the key is absent, the checked value otherwise."""
+    path = option.metadata["path"]
+    key = path.rpartition(".")[2]
+    if key not in section:
+        return option.default
+    return _checked(
+        errors, path, option.metadata["check"], section[key],
+        **option.metadata["params"],
+    )
 
 
 def _check_str_list(errors: List[str], where: str, value: object) -> bool:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(item, str) for item in value
-    ):
-        errors.append(f"{where}: expected a list of strings, got {value!r}")
-        return False
-    return True
+    return _checked(errors, where, _string_list, value) is not None
+
+
+def _plain(value: object) -> object:
+    """The spec's frozen tuples as the JSON lists they were parsed from."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _schema_from(errors: List[str], where: str, section: object):
@@ -222,29 +321,47 @@ class ResolutionSpec:
     target_right: Tuple[str, ...]
     mds: Tuple[str, ...]
     rcks: Optional[Tuple[Tuple[Tuple[str, str, str], ...], ...]] = None
-    top_k: int = 5
+    top_k: int = _option("rules.top_k", 5, _integer, minimum=1)
     metrics: Tuple[Tuple[str, str], ...] = ()
-    blocking_backend: str = "sorted-neighborhood"
-    window: int = 10
-    key_length: int = 1
-    encode: Tuple[str, ...] = DEFAULT_ENCODED_ATTRIBUTES
-    key_pairs: Optional[Tuple[Tuple[str, str], ...]] = None
-    policy: str = "prefer-informative"
-    mode: str = "enforce"
-    max_rounds: int = 100
-    max_cascade: int = 256
-    cache: bool = True
-    cache_limit: int = DEFAULT_CACHE_LIMIT
-    obs_enabled: bool = False
-    trace_path: Optional[str] = None
-    trace_format: str = "chrome"
-    persistence_backend: str = "memory"
-    persistence_path: Optional[str] = None
-    serve_host: str = "127.0.0.1"
-    serve_port: int = 8080
-    serve_max_batch: int = 16
-    serve_max_delay_ms: int = 10
-    serve_queue_limit: int = 1024
+    blocking_backend: str = _option(
+        "blocking.backend", "sorted-neighborhood", _one_of, choices=BLOCKING_BACKENDS
+    )
+    # A window of 0 or 1 is legal at the backend level but can never
+    # pair two records — a spec declaring one would silently resolve
+    # nothing, so validation refuses it.
+    window: int = _option(
+        "blocking.window", 10, _integer, minimum=2,
+        why=" — a sorted-neighborhood window needs at least 2 slots to "
+        "ever pair two records",
+    )
+    key_length: int = _option("blocking.key_length", 1, _integer, minimum=1)
+    encode: Tuple[str, ...] = _option("blocking.encode", DEFAULT_ENCODED_ATTRIBUTES, _string_list)
+    key_pairs: Optional[Tuple[Tuple[str, str], ...]] = _option(
+        "blocking.key_pairs", None, _attribute_pairs
+    )
+    policy: str = _option(
+        "resolution.policy", "prefer-informative", _one_of, choices=tuple(sorted(VALUE_POLICIES))
+    )
+    mode: str = _option("execution.mode", "enforce", _one_of, choices=EXECUTION_MODES)
+    max_rounds: int = _option("execution.max_rounds", 100, _integer, minimum=1)
+    max_cascade: int = _option("execution.max_cascade", 256, _integer, minimum=1)
+    cache: bool = _option("execution.cache", True, _boolean)
+    cache_limit: int = _option("execution.cache_limit", DEFAULT_CACHE_LIMIT, _integer, minimum=1)
+    obs_enabled: bool = _option("observability.enabled", False, _boolean)
+    trace_path: Optional[str] = _option("observability.trace", None, _optional_path)
+    trace_format: str = _option(
+        "observability.trace_format", "chrome", _one_of, choices=TRACE_FORMATS
+    )
+    persistence_backend: str = _option(
+        "persistence.backend", "memory", _one_of, choices=PERSISTENCE_BACKENDS
+    )
+    persistence_path: Optional[str] = _option("persistence.path", None, _optional_path)
+    serve_host: str = _option("serve.host", "127.0.0.1", _non_empty_string)
+    # Port 0 is legal: bind an ephemeral port (tests do this).
+    serve_port: int = _option("serve.port", 8080, _integer, minimum=0, maximum=65535)
+    serve_max_batch: int = _option("serve.max_batch", 16, _integer, minimum=1)
+    serve_max_delay_ms: int = _option("serve.max_delay_ms", 10, _integer, minimum=0)
+    serve_queue_limit: int = _option("serve.queue_limit", 1024, _integer, minimum=1)
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -302,11 +419,12 @@ class ResolutionSpec:
         if not isinstance(document, dict):
             return None, [f"expected a JSON object, got {type(document).__name__}"]
 
-        unknown = set(document) - set(_SECTIONS)
+        sections = _CORE_SECTIONS + tuple(OPTION_SECTIONS)
+        unknown = set(document) - set(sections)
         if unknown:
             errors.append(
                 f"unknown section(s) {sorted(unknown)}; "
-                f"a v{SPEC_VERSION} spec may contain {list(_SECTIONS)}"
+                f"a v{SPEC_VERSION} spec may contain {list(sections)}"
             )
 
         version = document.get("version")
@@ -362,7 +480,7 @@ class ResolutionSpec:
         rules = document.get("rules")
         md_lines: Tuple[str, ...] = ()
         rck_triples = None
-        top_k = 5
+        top_k = None
         if not isinstance(rules, dict):
             errors.append(
                 "missing or invalid 'rules' section; expected "
@@ -422,228 +540,44 @@ class ResolutionSpec:
                                 continue
                             _check_operators(errors, where, key.atoms, registry)
                     rck_triples = tuple(parsed_keys)
-            top_k = rules.get("top_k", 5)
-            _check_int(errors, "rules.top_k", top_k, 1)
+            top_k = _option_value(errors, rules, OPTIONS["rules.top_k"])
             if not md_lines and not raw_rcks:
                 errors.append(
                     "rules: need at least one MD in 'mds' or one key in 'rcks'"
                 )
 
-        # -- blocking ---------------------------------------------------
-        blocking = document.get("blocking", {})
-        backend = "sorted-neighborhood"
-        window, key_length = 10, 1
-        encode: Tuple[str, ...] = DEFAULT_ENCODED_ATTRIBUTES
-        key_pairs = None
-        if not isinstance(blocking, dict):
-            errors.append(f"blocking: expected an object, got {blocking!r}")
-        else:
-            unknown_blocking = set(blocking) - {
-                "backend", "window", "key_length", "encode", "key_pairs"
-            }
-            if unknown_blocking:
+        # -- the option sections: one walk over the declared fields ------
+        options: Dict[str, object] = {}
+        for section, declared in OPTION_SECTIONS.items():
+            body = document.get(section, {})
+            if not isinstance(body, dict):
+                errors.append(f"{section}: expected an object, got {body!r}")
+                continue
+            unknown_keys = set(body) - set(declared)
+            if unknown_keys:
                 errors.append(
-                    f"blocking: unknown key(s) {sorted(unknown_blocking)}"
+                    f"{section}: unknown key(s) {sorted(unknown_keys)}"
                 )
-            backend = blocking.get("backend", "sorted-neighborhood")
-            if backend not in BLOCKING_BACKENDS:
-                errors.append(
-                    f"blocking.backend: unknown backend {backend!r}; "
-                    f"choose one of {list(BLOCKING_BACKENDS)}"
-                )
-            window = blocking.get("window", 10)
-            # A window of 0 or 1 is legal at the backend level but can
-            # never pair two records — a spec declaring one would
-            # silently resolve nothing, so validation refuses it.
-            if not isinstance(window, int) or isinstance(window, bool):
-                _check_int(errors, "blocking.window", window, 2)
-            elif window < 2:
-                errors.append(
-                    f"blocking.window: must be >= 2, got {window} — a "
-                    "sorted-neighborhood window needs at least 2 slots to "
-                    "ever pair two records"
-                )
-            key_length = blocking.get("key_length", 1)
-            _check_int(errors, "blocking.key_length", key_length, 1)
-            raw_encode = blocking.get("encode", list(DEFAULT_ENCODED_ATTRIBUTES))
-            if _check_str_list(errors, "blocking.encode", raw_encode):
-                encode = tuple(raw_encode)
-            raw_pairs = blocking.get("key_pairs")
-            if raw_pairs is not None:
-                try:
-                    key_pairs = tuple((str(l), str(r)) for l, r in raw_pairs)
-                except (TypeError, ValueError):
+            for option in declared.values():
+                options[option.name] = _option_value(errors, body, option)
+
+        # -- the two rules that span fields ------------------------------
+        if pair is not None:
+            for l, r in options.get("key_pairs") or ():
+                if l not in pair.left or r not in pair.right:
                     errors.append(
-                        "blocking.key_pairs: expected [left, right] "
-                        f"attribute pairs, got {raw_pairs!r}"
+                        f"blocking.key_pairs: ({l!r}, {r!r}) is not "
+                        f"an attribute pair of "
+                        f"({pair.left.name}, {pair.right.name})"
                     )
-                    key_pairs = None
-                if key_pairs is not None and pair is not None:
-                    for l, r in key_pairs:
-                        if l not in pair.left or r not in pair.right:
-                            errors.append(
-                                f"blocking.key_pairs: ({l!r}, {r!r}) is not "
-                                f"an attribute pair of "
-                                f"({pair.left.name}, {pair.right.name})"
-                            )
-
-        # -- resolution -------------------------------------------------
-        resolution = document.get("resolution", {})
-        policy = "prefer-informative"
-        if not isinstance(resolution, dict):
-            errors.append(f"resolution: expected an object, got {resolution!r}")
-        else:
-            unknown_res = set(resolution) - {"policy"}
-            if unknown_res:
-                errors.append(f"resolution: unknown key(s) {sorted(unknown_res)}")
-            policy = resolution.get("policy", "prefer-informative")
-            if policy not in VALUE_POLICIES:
-                errors.append(
-                    f"resolution.policy: unknown policy {policy!r}; "
-                    f"choose one of {sorted(VALUE_POLICIES)}"
-                )
-
-        # -- execution --------------------------------------------------
-        execution = document.get("execution", {})
-        mode = "enforce"
-        max_rounds, max_cascade = 100, 256
-        cache, cache_limit = True, DEFAULT_CACHE_LIMIT
-        if not isinstance(execution, dict):
-            errors.append(f"execution: expected an object, got {execution!r}")
-        else:
-            unknown_exec = set(execution) - {
-                "mode", "max_rounds", "max_cascade", "cache", "cache_limit",
-            }
-            if unknown_exec:
-                errors.append(f"execution: unknown key(s) {sorted(unknown_exec)}")
-            mode = execution.get("mode", "enforce")
-            if mode not in EXECUTION_MODES:
-                errors.append(
-                    f"execution.mode: unknown mode {mode!r}; "
-                    f"choose one of {list(EXECUTION_MODES)}"
-                )
-            max_rounds = execution.get("max_rounds", 100)
-            _check_int(errors, "execution.max_rounds", max_rounds, 1)
-            max_cascade = execution.get("max_cascade", 256)
-            _check_int(errors, "execution.max_cascade", max_cascade, 1)
-            cache = execution.get("cache", True)
-            if not isinstance(cache, bool):
-                errors.append(
-                    f"execution.cache: expected true or false, got {cache!r}"
-                )
-            cache_limit = execution.get("cache_limit", DEFAULT_CACHE_LIMIT)
-            _check_int(errors, "execution.cache_limit", cache_limit, 1)
-
-        # -- observability ----------------------------------------------
-        observability = document.get("observability", {})
-        obs_enabled = False
-        trace_path: Optional[str] = None
-        trace_format = "chrome"
-        if not isinstance(observability, dict):
+        if (
+            options.get("persistence_backend") == "sqlite"
+            and options.get("persistence_path") is None
+        ):
             errors.append(
-                f"observability: expected an object, got {observability!r}"
+                "persistence.path: the sqlite backend needs a store "
+                "file path (e.g. \"store.db\")"
             )
-        else:
-            unknown_obs = set(observability) - {
-                "enabled", "trace", "trace_format"
-            }
-            if unknown_obs:
-                errors.append(
-                    f"observability: unknown key(s) {sorted(unknown_obs)}"
-                )
-            obs_enabled = observability.get("enabled", False)
-            if not isinstance(obs_enabled, bool):
-                errors.append(
-                    f"observability.enabled: expected true or false, "
-                    f"got {obs_enabled!r}"
-                )
-                obs_enabled = False
-            trace_path = observability.get("trace")
-            if trace_path is not None and not isinstance(trace_path, str):
-                errors.append(
-                    f"observability.trace: expected null or a file path "
-                    f"string, got {trace_path!r}"
-                )
-                trace_path = None
-            trace_format = observability.get("trace_format", "chrome")
-            if trace_format not in TRACE_FORMATS:
-                errors.append(
-                    f"observability.trace_format: unknown format "
-                    f"{trace_format!r}; choose one of {list(TRACE_FORMATS)}"
-                )
-                trace_format = "chrome"
-
-        # -- persistence ------------------------------------------------
-        persistence = document.get("persistence", {})
-        persistence_backend = "memory"
-        persistence_path: Optional[str] = None
-        if not isinstance(persistence, dict):
-            errors.append(
-                f"persistence: expected an object, got {persistence!r}"
-            )
-        else:
-            unknown_persist = set(persistence) - {"backend", "path"}
-            if unknown_persist:
-                errors.append(
-                    f"persistence: unknown key(s) {sorted(unknown_persist)}"
-                )
-            persistence_backend = persistence.get("backend", "memory")
-            if persistence_backend not in PERSISTENCE_BACKENDS:
-                errors.append(
-                    f"persistence.backend: unknown backend "
-                    f"{persistence_backend!r}; choose one of "
-                    f"{list(PERSISTENCE_BACKENDS)}"
-                )
-                persistence_backend = "memory"
-            persistence_path = persistence.get("path")
-            if persistence_path is not None and not isinstance(
-                persistence_path, str
-            ):
-                errors.append(
-                    f"persistence.path: expected null or a file path "
-                    f"string, got {persistence_path!r}"
-                )
-                persistence_path = None
-            if persistence_backend == "sqlite" and persistence_path is None:
-                errors.append(
-                    "persistence.path: the sqlite backend needs a store "
-                    "file path (e.g. \"store.db\")"
-                )
-
-        # -- serve ------------------------------------------------------
-        serve = document.get("serve", {})
-        serve_host = "127.0.0.1"
-        serve_port = 8080
-        serve_max_batch, serve_max_delay_ms = 16, 10
-        serve_queue_limit = 1024
-        if not isinstance(serve, dict):
-            errors.append(f"serve: expected an object, got {serve!r}")
-        else:
-            unknown_serve = set(serve) - {
-                "host", "port", "max_batch", "max_delay_ms", "queue_limit",
-            }
-            if unknown_serve:
-                errors.append(f"serve: unknown key(s) {sorted(unknown_serve)}")
-            serve_host = serve.get("host", "127.0.0.1")
-            if not isinstance(serve_host, str) or not serve_host:
-                errors.append(
-                    f"serve.host: expected a non-empty string, "
-                    f"got {serve_host!r}"
-                )
-                serve_host = "127.0.0.1"
-            # Port 0 is legal: bind an ephemeral port (tests do this).
-            serve_port = serve.get("port", 8080)
-            if _check_int(errors, "serve.port", serve_port, 0):
-                if serve_port > 65535:
-                    errors.append(
-                        f"serve.port: must be <= 65535, got {serve_port}"
-                    )
-            serve_max_batch = serve.get("max_batch", 16)
-            _check_int(errors, "serve.max_batch", serve_max_batch, 1)
-            serve_max_delay_ms = serve.get("max_delay_ms", 10)
-            _check_int(errors, "serve.max_delay_ms", serve_max_delay_ms, 0)
-            serve_queue_limit = serve.get("queue_limit", 1024)
-            _check_int(errors, "serve.queue_limit", serve_queue_limit, 1)
 
         metrics_section = document.get("metrics", {})
         metric_items: Tuple[Tuple[str, str], ...] = ()
@@ -667,27 +601,7 @@ class ResolutionSpec:
             rcks=rck_triples,
             top_k=top_k,
             metrics=metric_items,
-            blocking_backend=backend,
-            window=window,
-            key_length=key_length,
-            encode=encode,
-            key_pairs=key_pairs,
-            policy=policy,
-            mode=mode,
-            max_rounds=max_rounds,
-            max_cascade=max_cascade,
-            cache=cache,
-            cache_limit=cache_limit,
-            obs_enabled=obs_enabled,
-            trace_path=trace_path,
-            trace_format=trace_format,
-            persistence_backend=persistence_backend,
-            persistence_path=persistence_path,
-            serve_host=serve_host,
-            serve_port=serve_port,
-            serve_max_batch=serve_max_batch,
-            serve_max_delay_ms=serve_max_delay_ms,
-            serve_queue_limit=serve_queue_limit,
+            **options,
         )
         return spec, []
 
@@ -697,7 +611,7 @@ class ResolutionSpec:
 
     def to_dict(self) -> Dict[str, object]:
         """The canonical document; a fixed point of :meth:`from_dict`."""
-        return {
+        document: Dict[str, object] = {
             "version": self.version,
             "schema": {
                 "left": {
@@ -715,52 +629,17 @@ class ResolutionSpec:
             },
             "rules": {
                 "mds": list(self.mds),
-                "rcks": (
-                    None
-                    if self.rcks is None
-                    else [
-                        [list(triple) for triple in key] for key in self.rcks
-                    ]
-                ),
+                "rcks": _plain(self.rcks),
                 "top_k": self.top_k,
             },
             "metrics": {alias: existing for alias, existing in self.metrics},
-            "blocking": {
-                "backend": self.blocking_backend,
-                "window": self.window,
-                "key_length": self.key_length,
-                "encode": list(self.encode),
-                "key_pairs": (
-                    None
-                    if self.key_pairs is None
-                    else [list(pair) for pair in self.key_pairs]
-                ),
-            },
-            "resolution": {"policy": self.policy},
-            "execution": {
-                "mode": self.mode,
-                "max_rounds": self.max_rounds,
-                "max_cascade": self.max_cascade,
-                "cache": self.cache,
-                "cache_limit": self.cache_limit,
-            },
-            "observability": {
-                "enabled": self.obs_enabled,
-                "trace": self.trace_path,
-                "trace_format": self.trace_format,
-            },
-            "persistence": {
-                "backend": self.persistence_backend,
-                "path": self.persistence_path,
-            },
-            "serve": {
-                "host": self.serve_host,
-                "port": self.serve_port,
-                "max_batch": self.serve_max_batch,
-                "max_delay_ms": self.serve_max_delay_ms,
-                "queue_limit": self.serve_queue_limit,
-            },
         }
+        for section, declared in OPTION_SECTIONS.items():
+            document[section] = {
+                key: _plain(getattr(self, option.name))
+                for key, option in declared.items()
+            }
+        return document
 
     def to_json(self, indent: int = 1) -> str:
         """The canonical document as JSON text."""
@@ -798,9 +677,8 @@ class ResolutionSpec:
         cached = self._fingerprint
         if cached is None:
             document = self.to_dict()
-            document.pop("observability")
-            document.pop("persistence")
-            document.pop("serve")
+            for section in DEPLOYMENT_SECTIONS:
+                del document[section]
             payload = json.dumps(
                 document, sort_keys=True, separators=(",", ":")
             )
@@ -872,6 +750,29 @@ class ResolutionSpec:
         trace output path.
         """
         return self.obs_enabled or self.trace_path is not None
+
+
+#: Every declared option by document path — the table ``_parse``,
+#: ``to_dict`` and the CLI's tuning flags are views of.
+OPTIONS: Dict[str, Field] = {
+    option.metadata["path"]: option
+    for option in fields(ResolutionSpec)
+    if "path" in option.metadata
+}
+
+
+def _option_sections() -> Dict[str, Dict[str, Field]]:
+    grouped: Dict[str, Dict[str, Field]] = {}
+    for path, option in OPTIONS.items():
+        section, _, key = path.partition(".")
+        if section not in _CORE_SECTIONS:
+            grouped.setdefault(section, {})[key] = option
+    return grouped
+
+
+#: ``section -> key -> field`` for the sections made of options only
+#: (``rules.top_k`` is read inside the hand-parsed ``rules`` section).
+OPTION_SECTIONS = _option_sections()
 
 
 class SpecBuilder:
@@ -973,22 +874,14 @@ class SpecBuilder:
         self._document["resolution"] = {"policy": policy}
         return self
 
-    def observability(
-        self,
-        enabled: bool = True,
-        trace: Optional[str] = None,
-        trace_format: str = "chrome",
-    ) -> "SpecBuilder":
-        """Turn on span tracing, optionally naming a trace output file.
+    def observability(self, enabled: bool = True, **options) -> "SpecBuilder":
+        """Turn on span tracing; ``trace=`` names a trace output file and
+        ``trace_format=`` its format.
 
         The section never enters the fingerprint — observing a run does
         not change it.
         """
-        self._document["observability"] = {
-            "enabled": enabled,
-            "trace": trace,
-            "trace_format": trace_format,
-        }
+        self._document["observability"] = {"enabled": enabled, **options}
         return self
 
     def persistence(
@@ -1004,29 +897,16 @@ class SpecBuilder:
         self._document["persistence"] = {"backend": backend, "path": path}
         return self
 
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        max_batch: int = 16,
-        max_delay_ms: int = 10,
-        queue_limit: int = 1024,
-    ) -> "SpecBuilder":
-        """Configure the resolution service (``repro serve``).
-
-        ``max_batch``/``max_delay_ms`` bound the ingest micro-batches
-        (one pooled chase per batch), ``queue_limit`` bounds the
-        per-tenant queue before backpressure (HTTP 429).  Like
-        :meth:`observability`, the section never enters the fingerprint
-        — deployment shape does not change what is matched.
+    def serve(self, **options) -> "SpecBuilder":
+        """Configure the resolution service (``repro serve``): ``host``,
+        ``port``, and the ingest path's ``max_batch``/``max_delay_ms``
+        (micro-batch bounds, one pooled chase per batch) and
+        ``queue_limit`` (per-tenant queue bound before backpressure,
+        HTTP 429).  Like :meth:`observability`, the section never enters
+        the fingerprint — deployment shape does not change what is
+        matched.
         """
-        self._document["serve"] = {
-            "host": host,
-            "port": port,
-            "max_batch": max_batch,
-            "max_delay_ms": max_delay_ms,
-            "queue_limit": queue_limit,
-        }
+        self._document["serve"] = options
         return self
 
     def execution(self, **options) -> "SpecBuilder":

@@ -109,7 +109,7 @@ class Workspace:
     ...     .mds(["R[B] = S[B] -> R[A] <=> S[A]"])
     ...     .workspace())
     >>> len(workspace.deduce())
-    1
+    2
     """
 
     def __init__(self, spec) -> None:
@@ -356,11 +356,11 @@ class Workspace:
         are stamped with this spec's fingerprint.
 
         The stream always runs under the spec's declared
-        ``blocking.backend``: a store that cannot stream under it — or
-        one whose live blocking structures were built under different
-        semantics (e.g. a snapshot from the era when sorted-neighborhood
-        specs silently streamed under hash) — is rejected with
-        :class:`SpecError` rather than silently substituting semantics.
+        ``blocking.backend``: a store whose live blocking structures
+        were built under different semantics (e.g. a snapshot from the
+        era when sorted-neighborhood specs silently streamed under hash)
+        is rejected with :class:`SpecError` rather than silently
+        substituting semantics.
 
         With ``persistence.backend = "sqlite"`` in the spec and no
         explicit ``store``, the durable store at ``persistence.path`` is
@@ -389,16 +389,8 @@ class Workspace:
                     f"workspace's spec is {self.fingerprint}; "
                     "re-bootstrap the store or load the matching spec"
                 )
-            supported = getattr(store, "supported_blocking", ("hash",))
             family = getattr(store.blocking, "family", None)
-            if spec.blocking_backend not in supported:
-                errors.append(
-                    f"this store cannot stream under "
-                    f"blocking.backend {spec.blocking_backend!r} "
-                    f"(it supports: {', '.join(supported)}); "
-                    "use a store backend that supports it"
-                )
-            elif family != spec.blocking_backend:
+            if family != spec.blocking_backend:
                 errors.append(
                     f"store streams under {family!r} blocking, but the "
                     f"spec declares {spec.blocking_backend!r}; its "

@@ -14,15 +14,19 @@ the command builds a :class:`repro.api.Workspace` from it.
 * ``plan``    — ``plan explain`` prints the compiled ``EnforcementPlan``;
 * ``demo``    — run the paper's Fig. 1 example end to end;
 * ``engine``  — the incremental streaming engine: ``engine ingest``
-  streams CSV records into a persistent match store — a JSON snapshot or
-  a durable SQLite database (``.db``/``.sqlite`` paths or a spec
-  ``persistence`` section select SQLite; stores embed the spec
-  fingerprint and resuming under a different spec is rejected),
+  streams CSV records into a persistent match store — a durable SQLite
+  database whatever the ``--store`` file is called (stores embed the
+  spec fingerprint and resuming under a different spec is rejected),
   ``engine stats`` reports counters, ``engine query`` prints a cluster,
-  ``engine migrate`` converts between the two store formats;
+  ``engine migrate`` exports a store to a JSON snapshot and imports one;
+* ``serve``   — run the asyncio HTTP resolution service (``repro.serve``);
 * ``trace``   — inspect trace files written with ``--trace`` on ``match``
   or ``engine ingest``: ``trace summarize`` aggregates per-span timings,
   ``trace validate`` schema-checks a file (what CI smoke runs).
+
+The tuning flags (``--top-k``, ``--window``, ``--port``, ...) are views
+of spec options: ``_TUNING_FLAGS`` maps each to its document path, and a
+flag the user typed is lowered into the spec and validated there.
 
 Exit codes: 0 on success, 1 for a negative ``check`` verdict, 2 for any
 user-facing error (bad input, missing file, invalid spec) — every such
@@ -41,7 +45,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import ResolutionSpec, SpecError, Workspace
-from repro.obs import TRACE_FORMATS, read_trace, summarize_trace, validate_trace
+from repro.api.spec import OPTIONS
+from repro.obs import read_trace, summarize_trace, validate_trace
 from repro.core.closure import deduces
 from repro.core.parser import parse_md
 from repro.relations.csvio import load_relation
@@ -82,76 +87,73 @@ def _load_csv_relation(schema, path: Path) -> Relation:
 # Spec resolution: --spec, with explicitly passed tuning flags applied
 # ----------------------------------------------------------------------
 
+#: The tuning flags, each a view of one spec option: ``flag -> (document
+#: path, what it tunes)``.  The option's field supplies the flag's type,
+#: choices and default, and its check validates what the user typed.
+_TUNING_FLAGS = {
+    "-m": ("rules.top_k", "max RCKs"),
+    "--top-k": ("rules.top_k", "RCKs to use"),
+    "--window": ("blocking.window", "sorted-neighborhood window size"),
+    "--backend": ("blocking.backend", "blocking backend to attach"),
+    "--trace": (
+        "observability.trace",
+        "write a span trace of this run to this file, loadable in "
+        "about:tracing or ui.perfetto.dev (inspect it with `repro trace "
+        "summarize`)",
+    ),
+    "--trace-format": (
+        "observability.trace_format",
+        "trace file format (jsonl = one event per line)",
+    ),
+    "--host": ("serve.host", "bind address"),
+    "--port": ("serve.port", "bind port, 0 for ephemeral"),
+    "--max-batch": ("serve.max_batch", "ingest micro-batch size cap"),
+    "--max-delay-ms": ("serve.max_delay_ms", "micro-batch linger in milliseconds"),
+    "--queue-limit": (
+        "serve.queue_limit",
+        "per-tenant ingest queue bound before 429 backpressure",
+    ),
+}
 
-def _spec_from_file(path: Path) -> ResolutionSpec:
-    """Read a ResolutionSpec, folding all its errors into one CliError."""
-    try:
-        return ResolutionSpec.from_file(path)
-    except SpecError as error:
-        raise CliError("\n".join(error.errors)) from None
+
+def _add_tuning_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give ``parser`` the named rows of ``_TUNING_FLAGS``; each parses
+    into ``args`` under its option's document path."""
+    for flag in flags:
+        path, what = _TUNING_FLAGS[flag]
+        option = OPTIONS[path]
+        choices = option.metadata["params"].get("choices")
+        parser.add_argument(
+            flag,
+            dest=path,
+            type=int if isinstance(option.default, int) else str,
+            choices=choices,
+            metavar=None if choices else path.rpartition(".")[2].upper(),
+            help=f"{what}; default: the spec's {path}",
+        )
 
 
-def _override_spec(spec: ResolutionSpec, **overrides) -> ResolutionSpec:
-    """Rebuild a spec with explicitly passed tuning flags applied.
+def _effective_spec(args) -> ResolutionSpec:
+    """The command's spec: the ``--spec`` file with the typed flags applied.
 
-    ``overrides`` maps dotted document paths (e.g. ``"rules.top_k"``) to
-    values; ``None`` values (flag not given) are skipped, so a plain
+    Each tuning flag the user typed is written into the document at its
+    option's path and the result is validated again, so a flag value is
+    held to the spec's own check and is never silently ignored; a plain
     ``--spec`` run uses the file verbatim.
     """
-    effective = {
-        path: value for path, value in overrides.items() if value is not None
+    spec = ResolutionSpec.from_file(args.spec)
+    typed = {
+        path: value
+        for path, value in vars(args).items()
+        if path in OPTIONS and value is not None
     }
-    if not effective:
+    if not typed:
         return spec
     document = spec.to_dict()
-    for path, value in effective.items():
+    for path, value in typed.items():
         section, _, key = path.partition(".")
         document[section][key] = value
     return ResolutionSpec.from_dict(document)
-
-
-def _resolve_spec(
-    args,
-    top_k: Optional[int] = None,
-    window: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> ResolutionSpec:
-    """The command's spec: the ``--spec`` file with tuning flags applied.
-
-    Explicitly passed tuning flags (``--top-k``, ``--window``,
-    ``--backend``, ``-m``) override the corresponding spec fields — a
-    flag the user typed is never silently ignored.
-    """
-    spec = _spec_from_file(Path(args.spec))
-    try:
-        return _override_spec(
-            spec,
-            **{
-                "rules.top_k": top_k,
-                "blocking.window": window,
-                "blocking.backend": backend,
-            },
-        )
-    except SpecError as error:
-        raise CliError("\n".join(error.errors)) from None
-
-
-def _trace_spec(spec: ResolutionSpec, args) -> ResolutionSpec:
-    """Lower --trace/--trace-format into the spec's observability section."""
-    if getattr(args, "trace", None) is None and (
-        getattr(args, "trace_format", None) is None
-    ):
-        return spec
-    try:
-        return _override_spec(
-            spec,
-            **{
-                "observability.trace": getattr(args, "trace", None),
-                "observability.trace_format": getattr(args, "trace_format", None),
-            },
-        )
-    except SpecError as error:
-        raise CliError("\n".join(error.errors)) from None
 
 
 def _write_cli_trace(workspace: Workspace, args, **manifest_fields) -> None:
@@ -204,7 +206,7 @@ def cmd_spec_validate(args) -> int:
 
 
 def cmd_deduce(args) -> int:
-    spec = _resolve_spec(args, top_k=args.m)
+    spec = _effective_spec(args)
     workspace = _workspace(spec)
     keys = workspace.deduce()
     print(f"# {len(keys)} RCK(s) relative to {workspace.plan.target}")
@@ -214,7 +216,7 @@ def cmd_deduce(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _resolve_spec(args)
+    spec = _effective_spec(args)
     pair = spec.schema_pair()
     try:
         sigma = spec.parsed_mds(pair)
@@ -236,8 +238,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_match(args) -> int:
-    spec = _resolve_spec(args, top_k=args.top_k, window=args.window)
-    spec = _trace_spec(spec, args)
+    spec = _effective_spec(args)
     workspace = _workspace(spec)
     plan = workspace.plan
     if not plan.keys:
@@ -283,10 +284,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_plan_explain(args) -> int:
-    spec = _resolve_spec(
-        args, top_k=args.top_k, window=args.window, backend=args.backend
-    )
-    workspace = _workspace(spec)
+    workspace = _workspace(_effective_spec(args))
     if not workspace.plan.keys:
         raise CliError("no RCKs deducible from the given MDs")
     if args.json:
@@ -298,65 +296,54 @@ def cmd_plan_explain(args) -> int:
     return 0
 
 
-#: Path suffixes that select the SQLite backend for a *new* store file.
-_SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+def _open_engine_store(path: Path):
+    """Open an existing ``--store``: a SQLite database, whatever its name.
 
-
-def _load_engine_store(path: Path):
-    """Open an existing store of either backend, sniffing the format.
-
-    SQLite files are recognized by their magic bytes, so a store keeps
-    working however it is named; everything else is read as a JSON
-    snapshot.  All failure modes (missing file, unreadable or corrupt
-    content, wrong version) surface as actionable :class:`CliError`.
+    Anything else is refused — a JSON snapshot with the ``engine
+    migrate`` command that imports it, since snapshots are the export
+    format, not a live one.  Every failure mode (missing file, foreign
+    or corrupt content, wrong version) is an actionable :class:`CliError`.
     """
-    from repro.engine import SQLiteMatchStore, is_sqlite_file, load_store
+    from repro.engine import SQLiteMatchStore, is_sqlite_file
 
     if not path.exists():
         raise CliError(f"store not found: {path}")
-    if is_sqlite_file(path):
+    if not is_sqlite_file(path):
         try:
-            return SQLiteMatchStore(path)
-        except (ValueError, KeyError, TypeError, sqlite3.Error) as error:
-            raise CliError(f"cannot open store {path}: {error}") from None
+            document = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            document = None
+        hint = (
+            f"; it is a JSON snapshot — import it with "
+            f"`repro engine migrate {path} {path}.db`"
+            if isinstance(document, dict) and "rows" in document
+            else ""
+        )
+        raise CliError(f"cannot open store {path}: not a SQLite store{hint}")
     try:
-        return load_store(path)
-    except (ValueError, KeyError, TypeError) as error:
-        raise CliError(f"cannot read store {path}: {error}") from None
-
-
-def _wants_sqlite(spec, store_path: Path) -> bool:
-    """Whether a *new* store at ``store_path`` should be SQLite-backed.
-
-    Either the spec asks for it (``persistence.backend``) or the path's
-    suffix does (``.db``/``.sqlite``/``.sqlite3``).
-    """
-    return (
-        spec.persistence_backend == "sqlite"
-        or store_path.suffix.lower() in _SQLITE_SUFFIXES
-    )
+        return SQLiteMatchStore(path)
+    except (ValueError, KeyError, TypeError, sqlite3.Error) as error:
+        raise CliError(f"cannot open store {path}: {error}") from None
 
 
 def cmd_engine_ingest(args) -> int:
     from repro.core.schema import LEFT, RIGHT
-    from repro.engine import save_store
 
-    spec = _resolve_spec(args, top_k=args.top_k)
-    spec = _trace_spec(spec, args)
+    spec = _effective_spec(args)
     workspace = _workspace(spec)
     pair = workspace.plan.pair
     store_path = Path(args.store)
-    store = None
-    if store_path.exists():
-        store = _load_engine_store(store_path)
-    elif _wants_sqlite(spec, store_path):
-        store = workspace.open_store(store_path)
     try:
+        store = (
+            _open_engine_store(store_path)
+            if store_path.exists()
+            else workspace.open_store(store_path)
+        )
         matcher = workspace.stream(store=store)
     except SpecError as error:
         raise CliError(f"{store_path}: {'; '.join(error.errors)}") from None
     except ValueError as error:
-        # Covers e.g. a store snapshot built for a different schema/target.
+        # Covers e.g. a store built for a different schema/target.
         raise CliError(f"{store_path}: {error}") from None
     merges_before = matcher.store.merges
     ingested = 0
@@ -370,11 +357,8 @@ def cmd_engine_ingest(args) -> int:
         for row in relation:
             matcher.ingest(side, row.values())
             ingested += 1
-    if matcher.store.backend_name == "sqlite":
-        # Every ingest already committed durably; just flush the tail.
-        matcher.store.commit()
-    else:
-        save_store(matcher.store, store_path)
+    # Every ingest already committed durably; just flush the tail.
+    matcher.store.commit()
     _write_cli_trace(
         workspace,
         args,
@@ -387,7 +371,7 @@ def cmd_engine_ingest(args) -> int:
     stats["new_merges"] = matcher.store.merges - merges_before
     stats["spec_fingerprint"] = matcher.store.spec_fingerprint
     # Work counters of this run's compiled plan (cache state is
-    # per-process; it is not persisted in the snapshot).
+    # per-process; it is not persisted in the store).
     stats["plan"] = matcher.plan.stats.as_dict()
     if args.json:
         print(json.dumps(stats, sort_keys=True))
@@ -405,7 +389,7 @@ def cmd_engine_ingest(args) -> int:
 
 
 def cmd_engine_stats(args) -> int:
-    store = _load_engine_store(Path(args.store))
+    store = _open_engine_store(Path(args.store))
     stats = store.stats()
     if args.json:
         print(json.dumps(stats, sort_keys=True))
@@ -430,7 +414,7 @@ def cmd_engine_stats(args) -> int:
 def cmd_engine_query(args) -> int:
     from repro.core.schema import LEFT, RIGHT
 
-    store = _load_engine_store(Path(args.store))
+    store = _open_engine_store(Path(args.store))
     side = LEFT if args.side == "left" else RIGHT
     relation = store.relation(side)
     if args.tid not in relation:
@@ -474,6 +458,7 @@ def cmd_engine_migrate(args) -> int:
     """
     from repro.engine import (
         is_sqlite_file,
+        load_store,
         snapshot_to_sqlite,
         sqlite_to_snapshot,
     )
@@ -493,7 +478,7 @@ def cmd_engine_migrate(args) -> int:
             store.close(commit=False)
         else:
             sqlite_to_snapshot(source, destination)
-            stats = _load_engine_store(destination).stats()
+            stats = load_store(destination).stats()
     except (ValueError, KeyError, TypeError, sqlite3.Error) as error:
         raise CliError(f"cannot migrate {source}: {error}") from None
     direction = "snapshot -> sqlite" if to_sqlite else "sqlite -> snapshot"
@@ -527,16 +512,7 @@ def cmd_serve(args) -> int:
     """Run the asyncio resolution service until SIGINT/SIGTERM."""
     from repro.serve import ResolutionServer, serve_forever
 
-    spec = _resolve_spec(args)
-    server = ResolutionServer(
-        spec,
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        queue_limit=args.queue_limit,
-    )
-    serve_forever(server)
+    serve_forever(ResolutionServer(_effective_spec(args)))
     return 0
 
 
@@ -595,20 +571,6 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def _add_trace_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        help="write a span trace of this run to FILE (Chrome trace_event "
-        "JSON by default: load it in about:tracing or ui.perfetto.dev; "
-        "inspect with `repro trace summarize FILE`)",
-        metavar="FILE",
-    )
-    parser.add_argument(
-        "--trace-format", choices=TRACE_FORMATS,
-        help="trace file format (default chrome; jsonl = one event per line)",
-    )
-
-
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--spec", required=True,
@@ -637,9 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     deduce = sub.add_parser("deduce", help="deduce quality RCKs from MDs")
     _add_spec_options(deduce)
-    deduce.add_argument(
-        "-m", type=int, help="max RCKs (default: the spec's rules.top_k)"
-    )
+    _add_tuning_flags(deduce, "-m")
     deduce.set_defaults(func=cmd_deduce)
 
     check = sub.add_parser("check", help="decide Sigma |=m phi")
@@ -657,19 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--right", required=True, help="right relation CSV")
     match.add_argument("-o", "--output", help="write pairs CSV here")
     match.add_argument(
-        "--top-k", type=int,
-        help="RCKs to use (default: the spec's rules.top_k)",
-    )
-    match.add_argument(
-        "--window", type=int,
-        help="window size (default: the spec's blocking.window)",
-    )
-    match.add_argument(
         "--json", action="store_true",
         help="print the full MatchReport as JSON (pairs, clusters, "
         "provenance, plan stats, spec fingerprint)",
     )
-    _add_trace_options(match)
+    _add_tuning_flags(match, "--top-k", "--window", "--trace", "--trace-format")
     match.set_defaults(func=cmd_match)
 
     plan = sub.add_parser(
@@ -681,20 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile a spec and print the EnforcementPlan",
     )
     _add_spec_options(explain)
-    explain.add_argument(
-        "--top-k", type=int,
-        help="RCKs to deduce (default: the spec's rules.top_k)",
-    )
-    explain.add_argument(
-        "--backend", choices=("sorted-neighborhood", "hash"),
-        help="blocking backend to attach (default: the spec's "
-        "blocking.backend)",
-    )
-    explain.add_argument(
-        "--window", type=int,
-        help="window size (sorted-neighborhood backend; default: the "
-        "spec's blocking.window)",
-    )
+    _add_tuning_flags(explain, "--top-k", "--backend", "--window")
     explain.add_argument(
         "--json", action="store_true", help="print the plan as JSON"
     )
@@ -714,25 +653,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_options(ingest)
     ingest.add_argument(
         "--store", required=True,
-        help="store path, JSON snapshot or SQLite (created when missing, "
-        "updated in place)",
+        help="SQLite store file, whatever its suffix (created when "
+        "missing, updated in place)",
     )
     ingest.add_argument("--left", help="left relation CSV to ingest")
     ingest.add_argument("--right", help="right relation CSV to ingest")
     ingest.add_argument(
-        "--top-k", type=int,
-        help="RCKs to use (default: the spec's rules.top_k)",
-    )
-    ingest.add_argument(
         "--json", action="store_true", help="print stats as JSON"
     )
-    _add_trace_options(ingest)
+    _add_tuning_flags(ingest, "--top-k", "--trace", "--trace-format")
     ingest.set_defaults(func=cmd_engine_ingest)
 
     stats = engine_sub.add_parser("stats", help="report store counters")
-    stats.add_argument(
-        "--store", required=True, help="store path (JSON snapshot or SQLite)"
-    )
+    stats.add_argument("--store", required=True, help="SQLite store file")
     stats.add_argument(
         "--json", action="store_true", help="print stats as JSON"
     )
@@ -741,9 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = engine_sub.add_parser(
         "query", help="print the identity cluster of a record"
     )
-    query.add_argument(
-        "--store", required=True, help="store path (JSON snapshot or SQLite)"
-    )
+    query.add_argument("--store", required=True, help="SQLite store file")
     query.add_argument(
         "--side", required=True, choices=("left", "right"),
         help="which relation the record belongs to",
@@ -775,25 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the asyncio HTTP resolution service (repro.serve)",
     )
     _add_spec_options(serve)
-    serve.add_argument(
-        "--host", help="bind address (default: the spec's serve.host)"
-    )
-    serve.add_argument(
-        "--port", type=int,
-        help="bind port, 0 for ephemeral (default: the spec's serve.port)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int,
-        help="ingest micro-batch size cap (default: serve.max_batch)",
-    )
-    serve.add_argument(
-        "--max-delay-ms", type=int,
-        help="micro-batch linger in milliseconds (default: serve.max_delay_ms)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int,
-        help="per-tenant ingest queue bound before 429 backpressure "
-        "(default: serve.queue_limit)",
+    _add_tuning_flags(
+        serve, "--host", "--port", "--max-batch", "--max-delay-ms", "--queue-limit"
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -3,9 +3,11 @@
 One function, :func:`connect`, owns every pragma decision so the store,
 the migration tool and the tests all open databases the same way:
 
-* **WAL journal mode** — readers (``repro engine stats|query``) never
-  block the single writer, and a crash mid-transaction rolls back to the
-  last committed ingest instead of corrupting the file.  Filesystems
+* **WAL journal mode** — readers and the single writer do not block
+  each other (``repro engine stats|query`` open a live store like any
+  other client; there is no read-only mode), and a crash
+  mid-transaction rolls back to the last committed ingest instead of
+  corrupting the file.  Filesystems
   that cannot support WAL (some network mounts) silently keep SQLite's
   default journal; the store works either way, durability is just
   coarser.
@@ -17,9 +19,6 @@ the migration tool and the tests all open databases the same way:
   and ends at ``commit()``/``rollback()``), so
   :meth:`~repro.engine.sqlite.store.SQLiteMatchStore.commit` maps one
   ingest onto exactly one SQLite transaction.
-
-Read-only opens go through a ``file:...?mode=ro`` URI so ``engine
-stats``/``query`` against a live store never take the write lock.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ SQLITE_MAGIC = b"SQLite format 3\x00"
 def is_sqlite_file(path) -> bool:
     """Whether ``path`` exists and carries the SQLite file magic.
 
-    The CLI uses this to route an existing ``--store`` file to the right
-    backend without trusting its extension.
+    The CLI uses this to tell a store from a JSON snapshot (or anything
+    else) without trusting the file's extension.
     """
     path = Path(path)
     try:
@@ -45,21 +44,11 @@ def is_sqlite_file(path) -> bool:
         return False
 
 
-def connect(path, readonly: bool = False) -> sqlite3.Connection:
-    """Open (or create) a store database with the canonical pragmas.
-
-    ``readonly=True`` opens via URI ``mode=ro`` — the file must exist —
-    and skips the write-side pragmas.
-    """
-    path = Path(path)
-    if readonly:
-        connection = sqlite3.connect(
-            f"file:{path}?mode=ro", uri=True, check_same_thread=False
-        )
-    else:
-        connection = sqlite3.connect(str(path), check_same_thread=False)
-        # Executed outside any transaction (nothing has written yet).
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
+def connect(path) -> sqlite3.Connection:
+    """Open (or create) a store database with the canonical pragmas."""
+    connection = sqlite3.connect(str(path), check_same_thread=False)
+    # Executed outside any transaction (nothing has written yet).
+    connection.execute("PRAGMA journal_mode=WAL")
+    connection.execute("PRAGMA synchronous=NORMAL")
     connection.execute("PRAGMA foreign_keys=OFF")
     return connection

@@ -71,10 +71,6 @@ class SQLiteMatchStore:
 
     backend_name = "sqlite"
 
-    #: Blocking families this store class can stream under;
-    #: ``Workspace.stream`` refuses specs declaring anything else.
-    supported_blocking = ("hash", "sorted-neighborhood")
-
     def __init__(
         self,
         path,

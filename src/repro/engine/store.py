@@ -63,10 +63,6 @@ class MatchStore:
     #: Persistence backend identifier, reported by :meth:`stats`.
     backend_name = "memory"
 
-    #: Blocking families this store class can stream under;
-    #: ``Workspace.stream`` refuses specs declaring anything else.
-    supported_blocking = ("hash", "sorted-neighborhood")
-
     def __init__(
         self,
         target: ComparableLists,

@@ -114,31 +114,6 @@ class MetricsRegistry:
         """The named histogram, or ``None`` when nothing was observed."""
         return self.histograms.get(name)
 
-    # -- composition ---------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges last-wins,
-        histograms pool their observations."""
-        for name, amount in other.counters.items():
-            self.count(name, amount)
-        self.gauges.update(other.gauges)
-        for name, histogram in other.histograms.items():
-            for value in histogram.values:
-                self.observe(name, value)
-
-    def absorb_counters(self, counters: Dict[str, object]) -> None:
-        """Adopt a plain counter dict (e.g. ``PlanStats.as_dict()``).
-
-        Non-numeric entries are recorded as gauges so nothing is
-        silently dropped.
-        """
-        for name, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                if value is not None:
-                    self.gauges[name] = value
-            else:
-                self.counters[name] = self.counters.get(name, 0) + int(value)
-
     # -- rendering -----------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:

@@ -1,15 +1,11 @@
-"""In-memory relational substrate: instances, indexes, CSV I/O."""
+"""In-memory relational substrate: instances and CSV I/O."""
 
 from .csvio import load_relation, save_relation
-from .index import HashIndex, KeyFunction, SortedIndex
 from .relation import Relation, Row
 
 __all__ = [
-    "HashIndex",
-    "KeyFunction",
     "Relation",
     "Row",
-    "SortedIndex",
     "load_relation",
     "save_relation",
 ]

@@ -45,24 +45,15 @@ from .tenants import Tenant, TenantClosed, parse_side
 class ResolutionServer:
     """One listening socket, one primary tenant, any number draining."""
 
-    def __init__(
-        self,
-        spec: ResolutionSpec,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        max_batch: Optional[int] = None,
-        max_delay_ms: Optional[int] = None,
-        queue_limit: Optional[int] = None,
-    ) -> None:
-        self.host = host if host is not None else spec.serve_host
-        self.port = port if port is not None else spec.serve_port
-        self.max_batch = max_batch if max_batch is not None else spec.serve_max_batch
-        self.max_delay_ms = (
-            max_delay_ms if max_delay_ms is not None else spec.serve_max_delay_ms
-        )
-        self.queue_limit = (
-            queue_limit if queue_limit is not None else spec.serve_queue_limit
-        )
+    def __init__(self, spec: ResolutionSpec) -> None:
+        # The spec's ``serve`` section is the whole deployment shape; the
+        # CLI lowers its flags into the spec before it gets here.  (A
+        # reload swaps the rules, not the shape: later tenants keep it.)
+        self.host = spec.serve_host
+        self.port = spec.serve_port
+        self.max_batch = spec.serve_max_batch
+        self.max_delay_ms = spec.serve_max_delay_ms
+        self.queue_limit = spec.serve_queue_limit
         self.metrics = MetricsRegistry()
         self.tenants: Dict[str, Tenant] = {}
         self.primary: str = ""

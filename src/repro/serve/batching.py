@@ -39,12 +39,7 @@ class _Entry(Generic[T]):
 class MicroBatchQueue(Generic[T]):
     """Bounded single-consumer queue that hands out micro-batches."""
 
-    def __init__(
-        self,
-        max_batch: int = 16,
-        max_delay: float = 0.01,
-        limit: int = 1024,
-    ) -> None:
+    def __init__(self, max_batch: int, max_delay: float, limit: int) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if limit < 1:

@@ -5,8 +5,9 @@ shuts the server down gracefully (drain queues, commit, close stores).
 
 :class:`ServerThread` runs the same server on a dedicated loop thread so
 synchronous test code can drive it with plain ``http.client`` calls;
-``start()`` returns the bound address (pass ``port=0`` for an ephemeral
-port), ``stop(abort=True)`` models a crash for the fault suite.
+``start()`` returns the bound address (set ``serve.port`` to 0 in the
+spec for an ephemeral port), ``stop(abort=True)`` models a crash for the
+fault suite.
 """
 
 from __future__ import annotations

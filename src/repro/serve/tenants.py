@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.schema import LEFT, RIGHT
 from repro.relations.relation import Relation
@@ -49,11 +49,7 @@ class Tenant:
     """One spec's serving state: workspace, matcher, queue, drain task."""
 
     def __init__(
-        self,
-        workspace,
-        max_batch: int = 16,
-        max_delay_ms: int = 10,
-        queue_limit: int = 1024,
+        self, workspace, max_batch: int, max_delay_ms: int, queue_limit: int
     ) -> None:
         self.workspace = workspace
         self.fingerprint: str = workspace.fingerprint

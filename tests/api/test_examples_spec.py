@@ -18,6 +18,7 @@ import pytest
 from repro.api import ResolutionSpec, Workspace
 from repro.cli import main
 from repro.core.schema import LEFT, RIGHT
+from repro.engine import SQLiteMatchStore
 from repro.relations.csvio import load_relation
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -97,7 +98,7 @@ def test_three_modes_produce_identical_pairs(example_workspace, example_relation
 
 
 def test_engine_ingest_embeds_the_spec_fingerprint(tmp_path, capsys):
-    store_path = tmp_path / "store.json"
+    store_path = tmp_path / "store.db"
     assert main([
         "engine", "ingest", "--spec", str(SPEC_PATH),
         "--store", str(store_path),
@@ -107,8 +108,9 @@ def test_engine_ingest_embeds_the_spec_fingerprint(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)
     expected = ResolutionSpec.from_file(SPEC_PATH).fingerprint()
     assert stats["spec_fingerprint"] == expected
-    snapshot = json.loads(store_path.read_text())
-    assert snapshot["spec_fingerprint"] == expected
+    store = SQLiteMatchStore(store_path)
+    assert store.spec_fingerprint == expected
+    store.close(commit=False)
 
 
 def test_plain_spec_run_raises_no_deprecation_warning():

@@ -268,7 +268,7 @@ class TestEngineIngestTrace:
         self, matching_run, tmp_path, capsys
     ):
         spec, left, right = matching_run
-        store = tmp_path / "store.json"
+        store = tmp_path / "store.db"
         trace = tmp_path / "ingest-trace.json"
         code = main(
             ["engine", "ingest", "--spec", str(spec), "--store", str(store),

@@ -73,28 +73,3 @@ class TestMetricsRegistry:
         assert summary["p50"] == 50.0
         assert summary["p95"] == 95.0
         assert summary["p99"] == 99.0
-
-    def test_merge_pools_everything(self):
-        one, two = MetricsRegistry(), MetricsRegistry()
-        one.count("c", 1)
-        two.count("c", 2)
-        two.count("only-two")
-        one.gauge("g", 1)
-        two.gauge("g", 9)
-        one.observe("h", 1.0)
-        two.observe("h", 3.0)
-        one.merge(two)
-        rendered = one.as_dict()
-        assert rendered["counters"] == {"c": 3, "only-two": 1}
-        assert rendered["gauges"]["g"] == 9
-        assert rendered["histograms"]["h"]["count"] == 2
-        assert rendered["histograms"]["h"]["mean"] == 2.0
-
-    def test_absorb_counters_routes_non_numeric_to_gauges(self):
-        registry = MetricsRegistry()
-        registry.absorb_counters(
-            {"pairs_compared": 5, "unstable_rule": "md2"}
-        )
-        rendered = registry.as_dict()
-        assert rendered["counters"]["pairs_compared"] == 5
-        assert rendered["gauges"]["unstable_rule"] == "md2"

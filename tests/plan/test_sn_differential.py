@@ -140,19 +140,6 @@ class TestStreamGuard:
         with pytest.raises(SpecError, match="streams under 'hash'"):
             sn_workspace.stream(store=hash_store)
 
-    def test_unsupported_backend_rejected(
-        self, dataset, workspace_for, monkeypatch
-    ):
-        workspace = workspace_for(dataset, blocking=SN)
-        monkeypatch.setattr(MatchStore, "supported_blocking", ("hash",))
-        store = MatchStore(
-            workspace.plan.target, workspace.plan.rcks,
-            blocking_backend="hash",
-        )
-        store.spec_fingerprint = workspace.fingerprint
-        with pytest.raises(SpecError, match="cannot stream under"):
-            workspace.stream(store=store)
-
     def test_sqlite_store_from_other_blocking_config_rejected(
         self, dataset, workspace_for, tmp_path
     ):

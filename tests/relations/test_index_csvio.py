@@ -1,10 +1,9 @@
-"""Unit tests for indexes and CSV round-trips."""
+"""Unit tests for CSV round-trips."""
 
 import pytest
 
 from repro.core.schema import RelationSchema
 from repro.relations.csvio import load_relation, save_relation
-from repro.relations.index import HashIndex, SortedIndex
 from repro.relations.relation import Relation
 
 
@@ -19,45 +18,6 @@ def relation():
             {"name": "Anna", "city": "NY"},
         ],
     )
-
-
-class TestHashIndex:
-    def test_lookup(self, relation):
-        index = HashIndex(relation, lambda row: row["city"])
-        assert sorted(index.lookup("NJ")) == [0, 1]
-        assert index.lookup("NY") == [2]
-        assert index.lookup("TX") == []
-
-    def test_bucket_count(self, relation):
-        index = HashIndex(relation, lambda row: row["city"])
-        assert len(index) == 2
-
-    def test_buckets_are_copies(self, relation):
-        index = HashIndex(relation, lambda row: row["city"])
-        buckets = index.buckets()
-        buckets["NJ"].append(99)
-        assert 99 not in index.lookup("NJ")
-
-    def test_derived_key(self, relation):
-        index = HashIndex(relation, lambda row: str(row["name"])[0])
-        assert sorted(index.lookup("M")) == [0, 1]
-
-
-class TestSortedIndex:
-    def test_order(self, relation):
-        index = SortedIndex(relation, lambda row: row["name"])
-        assert index.ordered_tids() == [2, 0, 1]  # Anna, Mark, Marx
-
-    def test_key_at(self, relation):
-        index = SortedIndex(relation, lambda row: row["name"])
-        assert index.key_at(0) == "Anna"
-
-    def test_stable_on_ties(self, relation):
-        index = SortedIndex(relation, lambda row: row["city"])
-        assert index.ordered_tids() == [0, 1, 2]
-
-    def test_len(self, relation):
-        assert len(SortedIndex(relation, lambda row: row["name"])) == 3
 
 
 class TestCsvRoundTrip:

@@ -11,6 +11,7 @@ not a shortcut into the handler functions.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 from typing import Dict, Optional, Tuple
@@ -97,9 +98,9 @@ class ServeClient:
         self.connection.close()
 
 
-def start_server(spec, **overrides) -> Tuple[ServerThread, str, int]:
+def start_server(spec) -> Tuple[ServerThread, str, int]:
     """A running server on an ephemeral port; caller stops the thread."""
-    server = ResolutionServer(spec, port=0, **overrides)
+    server = ResolutionServer(dataclasses.replace(spec, serve_port=0))
     thread = ServerThread(server)
     host, port = thread.start()
     return thread, host, port

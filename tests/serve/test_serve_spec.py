@@ -255,3 +255,25 @@ def test_reload_onto_mismatched_store_fails_requests_not_server(
     assert opened
     for store in opened:
         _assert_closed(store)
+
+
+def test_reload_with_an_unhashable_enum_value_is_a_400_not_a_500():
+    """``policy: ["x"]`` used to crash the validator itself (500)."""
+    spec = builder(dataset()).serve(max_delay_ms=0).build()
+    thread, host, port = start_server(spec)
+    try:
+        client = ServeClient(host, port)
+        try:
+            document = spec.to_dict()
+            document["resolution"] = {"policy": ["x"]}
+            status, body, _ = client.request("POST", "/admin/reload", document)
+            assert status == 400
+            assert any(
+                error.startswith("resolution.policy:") for error in body["errors"]
+            )
+            status, body, _ = client.request("GET", "/healthz")
+            assert status == 200 and body["fingerprint"] == spec.fingerprint()
+        finally:
+            client.close()
+    finally:
+        thread.stop()

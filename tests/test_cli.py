@@ -276,7 +276,7 @@ class TestEngine:
     def test_ingest_creates_store(self, spec_file, fig1_csvs,
                                   tmp_path, capsys):
         left_path, right_path = fig1_csvs
-        store_path = tmp_path / "store.json"
+        store_path = tmp_path / "store.db"
         code = main(
             ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path), "--right", str(right_path)]
@@ -286,30 +286,10 @@ class TestEngine:
         output = capsys.readouterr().out
         assert "ingested 6 record(s)" in output
 
-    def test_ingest_resumes_existing_store(self, spec_file,
-                                           fig1_csvs, tmp_path, capsys):
-        left_path, right_path = fig1_csvs
-        store_path = tmp_path / "store.json"
-        assert main(
-            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
-             "--left", str(left_path)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
-             "--right", str(right_path), "--json"]
-        )
-        assert code == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["left_rows"] == 2
-        assert stats["right_rows"] == 4
-        assert stats["matched_clusters"] == 1
-        assert stats["new_merges"] > 0
-
     def test_stats_and_query(self, spec_file, fig1_csvs,
                              tmp_path, capsys):
         left_path, right_path = fig1_csvs
-        store_path = tmp_path / "store.json"
+        store_path = tmp_path / "store.db"
         assert main(
             ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path), "--right", str(right_path)]
@@ -331,7 +311,7 @@ class TestEngine:
     def test_query_unknown_tid(self, spec_file, fig1_csvs,
                                tmp_path, capsys):
         left_path, _ = fig1_csvs
-        store_path = tmp_path / "store.json"
+        store_path = tmp_path / "store.db"
         assert main(
             ["engine", "ingest", "--spec", str(spec_file), "--store", str(store_path),
              "--left", str(left_path)]
@@ -345,7 +325,7 @@ class TestEngine:
         assert "no right record" in capsys.readouterr().err
 
     def test_stats_missing_store(self, tmp_path, capsys):
-        code = main(["engine", "stats", "--store", str(tmp_path / "no.json")])
+        code = main(["engine", "stats", "--store", str(tmp_path / "no.db")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
@@ -376,7 +356,7 @@ class TestEngineStreamGuard:
         right_path = tmp_path / "billing.csv"
         save_relation(credit, left_path)
         save_relation(billing, right_path)
-        store_path = tmp_path / "store.json"
+        store_path = tmp_path / "store.db"
         assert main(
             ["engine", "ingest", "--spec", str(sn_spec_file),
              "--store", str(store_path), "--left", str(left_path)]
@@ -391,14 +371,21 @@ class TestEngineStreamGuard:
         capsys.readouterr()
 
         # A snapshot from the era before the blocking section existed
-        # restores as a hash-blocked store: same fingerprint, different
+        # imports as a hash-blocked store: same fingerprint, different
         # streaming semantics — refused, not silently substituted.
-        snapshot = json.loads(store_path.read_text())
+        snapshot_path = tmp_path / "legacy.json"
+        assert main(["engine", "migrate", str(store_path),
+                     str(snapshot_path)]) == 0
+        snapshot = json.loads(snapshot_path.read_text())
         del snapshot["blocking"]
-        store_path.write_text(json.dumps(snapshot))
+        snapshot_path.write_text(json.dumps(snapshot))
+        legacy_path = tmp_path / "legacy.db"
+        assert main(["engine", "migrate", str(snapshot_path),
+                     str(legacy_path)]) == 0
+        capsys.readouterr()
         code = main(
             ["engine", "ingest", "--spec", str(sn_spec_file),
-             "--store", str(store_path), "--right", str(right_path)]
+             "--store", str(legacy_path), "--right", str(right_path)]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -525,7 +512,7 @@ class TestEngineSpecFingerprint:
         _, credit, billing = figure1_instances()
         left_path = tmp_path / "credit.csv"
         save_relation(credit, left_path)
-        store_path = tmp_path / "store.json"
+        store_path = tmp_path / "store.db"
         assert main(
             ["engine", "ingest", "--spec", str(spec_file),
              "--store", str(store_path), "--left", str(left_path)]
@@ -544,31 +531,9 @@ class TestEngineSpecFingerprint:
         assert code == 2
         assert "built from spec" in capsys.readouterr().err
 
-    def test_ingest_resumes_under_same_spec(self, spec_file, tmp_path, capsys):
-        _, credit, billing = figure1_instances()
-        left_path = tmp_path / "credit.csv"
-        right_path = tmp_path / "billing.csv"
-        save_relation(credit, left_path)
-        save_relation(billing, right_path)
-        store_path = tmp_path / "store.json"
-        assert main(
-            ["engine", "ingest", "--spec", str(spec_file),
-             "--store", str(store_path), "--left", str(left_path)]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["engine", "ingest", "--spec", str(spec_file),
-             "--store", str(store_path), "--right", str(right_path), "--json"]
-        ) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["left_rows"] == 2
-        assert stats["right_rows"] == 4
-        assert stats["matched_clusters"] == 1
-        assert stats["spec_fingerprint"]
-
 
 # ----------------------------------------------------------------------
-# The durable SQLite backend: routing, migration, and error surfaces
+# The durable SQLite store: one live format, migration, error surfaces
 # ----------------------------------------------------------------------
 
 
@@ -589,6 +554,15 @@ class TestEngineSQLite:
              "--store", str(store_path), "--left", str(left_path),
              "--right", str(right_path), *extra]
         )
+
+    @pytest.mark.parametrize("name", ["store.json", "store"])
+    def test_a_store_is_sqlite_whatever_its_suffix(self, name, spec_file,
+                                                   fig1_csvs, tmp_path):
+        from repro.engine import is_sqlite_file
+
+        store_path = tmp_path / name
+        assert self._ingest(spec_file, fig1_csvs, store_path) == 0
+        assert is_sqlite_file(store_path)
 
     def test_db_suffix_creates_sqlite_store(self, spec_file, fig1_csvs,
                                             tmp_path, capsys):
@@ -611,7 +585,7 @@ class TestEngineSQLite:
         from repro.engine import is_sqlite_file
 
         document = json.loads(spec_file.read_text())
-        # An extension-less path: only the spec says it is durable.
+        # The path the spec's persistence section names, given as --store.
         store_path = tmp_path / "durable-store"
         document["persistence"] = {"backend": "sqlite",
                                    "path": str(store_path)}
@@ -638,6 +612,8 @@ class TestEngineSQLite:
         assert stats["left_rows"] == 2
         assert stats["right_rows"] == 4
         assert stats["matched_clusters"] == 1
+        assert stats["new_merges"] > 0
+        assert stats["spec_fingerprint"]
         assert main(
             ["engine", "query", "--store", str(store_path),
              "--side", "left", "--tid", "0"]
@@ -654,21 +630,38 @@ class TestEngineSQLite:
         assert "backend: sqlite" in output
         assert "disk_bytes:" in output
 
-    def test_json_store_stats_print_memory_backend(self, spec_file,
-                                                   fig1_csvs, tmp_path,
-                                                   capsys):
-        store_path = tmp_path / "store.json"
-        assert self._ingest(spec_file, fig1_csvs, store_path) == 0
+    def _snapshot(self, spec_file, fig1_csvs, tmp_path):
+        """A JSON snapshot of the Fig. 1 store (``engine migrate``'s export)."""
+        db_path = tmp_path / "source.db"
+        assert self._ingest(spec_file, fig1_csvs, db_path) == 0
+        json_path = tmp_path / "snapshot.json"
+        assert main(["engine", "migrate", str(db_path), str(json_path)]) == 0
+        return json_path
+
+    @pytest.mark.parametrize("command", ["ingest", "stats", "query"])
+    def test_snapshot_as_live_store_is_refused_naming_migrate(
+            self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        """JSON is ``engine migrate``'s format, not a second live one."""
+        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
+        before = json_path.read_bytes()
         capsys.readouterr()
-        assert main(["engine", "stats", "--store", str(store_path)]) == 0
-        output = capsys.readouterr().out
-        assert "backend: memory" in output
-        assert "disk_bytes:" not in output
+        argv = {
+            "ingest": ["--spec", str(spec_file), "--left", str(fig1_csvs[0])],
+            "stats": [],
+            "query": ["--side", "left", "--tid", "0"],
+        }[command]
+        code = main(["engine", command, "--store", str(json_path), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a SQLite store" in err
+        assert f"repro engine migrate {json_path} {json_path}.db" in err
+        assert json_path.read_bytes() == before
 
     def test_migrate_round_trip(self, spec_file, fig1_csvs, tmp_path,
                                 capsys):
-        json_path = tmp_path / "store.json"
-        assert self._ingest(spec_file, fig1_csvs, json_path) == 0
+        from repro.engine import SQLiteMatchStore, load_store, store_to_dict
+
+        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
         capsys.readouterr()
         db_path = tmp_path / "store.db"
         assert main(["engine", "migrate", str(json_path),
@@ -682,12 +675,16 @@ class TestEngineSQLite:
         original = json.loads(json_path.read_text())
         roundtripped = json.loads(back_path.read_text())
         assert roundtripped == original
+        # JSON -> SQLite -> JSON is lossless at every stop.
+        store = SQLiteMatchStore(db_path)
+        assert store_to_dict(store) == original
+        store.close(commit=False)
+        assert store_to_dict(load_store(back_path)) == original
 
     def test_migrated_store_keeps_fingerprint(self, spec_file, fig1_csvs,
                                               tmp_path, capsys):
         """A migrated store resumes under the same spec it was built from."""
-        json_path = tmp_path / "store.json"
-        assert self._ingest(spec_file, fig1_csvs, json_path) == 0
+        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
         db_path = tmp_path / "store.db"
         assert main(["engine", "migrate", str(json_path),
                      str(db_path)]) == 0
@@ -701,8 +698,7 @@ class TestEngineSQLite:
 
     def test_migrate_refuses_overwrite(self, spec_file, fig1_csvs,
                                        tmp_path, capsys):
-        json_path = tmp_path / "store.json"
-        assert self._ingest(spec_file, fig1_csvs, json_path) == 0
+        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
         existing = tmp_path / "exists.db"
         existing.write_text("precious")
         capsys.readouterr()
@@ -725,6 +721,7 @@ class TestEngineSQLite:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "cannot" in err
+        assert "migrate" not in err  # no snapshot hint for arbitrary bytes
 
     def test_sqlite_store_from_other_spec_exits_two(
             self, spec_file, fig1_csvs, tmp_path, capsys):
@@ -770,6 +767,28 @@ class TestServeCommand:
         defaulted = launched["defaulted"]
         assert (defaulted.host, defaulted.port) == ("127.0.0.1", 8080)
         assert defaulted.max_batch == 16
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-batch", "0", "serve.max_batch: must be >= 1"),
+            ("--queue-limit", "0", "serve.queue_limit: must be >= 1"),
+            ("--port", "70000", "serve.port: must be <= 65535"),
+            ("--max-delay-ms", "-1", "serve.max_delay_ms: must be >= 0"),
+        ],
+    )
+    def test_serve_flags_are_held_to_the_spec_checks(
+            self, flag, value, message, spec_file, monkeypatch, capsys):
+        """Exit 2 with the spec's own message, before any socket is bound."""
+        import repro.serve
+
+        def never(server):
+            raise AssertionError("the server must not be started")
+
+        monkeypatch.setattr(repro.serve, "serve_forever", never)
+        monkeypatch.setattr(repro.serve.ResolutionServer, "start", never)
+        assert main(["serve", "--spec", str(spec_file), flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_serve_missing_spec_exits_two(self, tmp_path, capsys):
         code = main(["serve", "--spec", str(tmp_path / "no.json")])
