@@ -16,25 +16,27 @@ identified their target attributes.
 Enforcement merges *cells* — (side, tuple id, attribute) triples — into
 classes, then assigns every merged class a single value chosen by a
 :data:`ValueResolver` policy.  Merging is monotone, so the chase
-terminates; stability of the result is re-checked (and returned), because
-a resolver that changes a value may in principle break a similarity that
-an earlier rule application relied on.
+terminates; stability of the result can be re-checked, because a resolver
+that changes a value may in principle break a similarity that an earlier
+rule application relied on.
 
 There is one representation of the classes, :class:`CellClasses`: cells
-are int-encoded per chase (``side_base + position * width + rank``, int
-order = cell order) and the classes live in flat lists; the tuple form
-above appears only at its boundary (``same`` / ``members`` / ``classes``).
-An :class:`EnforcementResult` is ``D`` plus what the chase did to it —
-the ``repairs``, the classes, and per rule the pairs it ``holding``-s on;
-the extension ``D'`` itself is materialised only when someone asks for
-``instance``.
+are int-encoded (``side_base + position * width + rank``, int order =
+cell order) — the attribute half of the encoding once per plan
+(:class:`ChaseLayout`), the tuple half per chase — and the classes live
+in flat lists; the tuple form above appears only at its boundary
+(``same`` / ``members`` / ``classes``).  An :class:`EnforcementResult` is
+``D`` plus what the chase did to it — the ``repairs`` and the classes —
+and what it can still be asked: ``stable`` and ``holding`` (per rule, the
+pairs its LHS holds on) run the stability check when first read, the
+extension ``D'`` is materialised when someone asks for ``instance``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
 from repro.relations.relation import Relation
@@ -196,18 +198,57 @@ def is_stable(
     return satisfies_all(instance, instance, sigma, registry)
 
 
+class ChaseLayout(NamedTuple):
+    """The plan's half of a chase's encoding, built once per plan and
+    storage layout (:attr:`~repro.plan.compile.EnforcementPlan.layouts`):
+    per side the chase attributes in sorted-name order and their ranks,
+    and every rule as rank offsets from a pair's two tuples —
+    ``(equalities, similarities, rhs)`` in selection order, an atom as
+    ``(left rank, right rank)``, a similarity led by its predicate.  A
+    chase adds only what its pairs decide (:class:`CellClasses`)."""
+
+    shared: bool
+    left_names: Tuple[str, ...]
+    right_names: Tuple[str, ...]
+    left_rank: Dict[str, int]
+    right_rank: Dict[str, int]
+    rules: Tuple[tuple, ...]
+
+    @classmethod
+    def of(cls, attributes, rules: Iterable[tuple], shared: bool) -> "ChaseLayout":
+        """Lower ``rules`` — ``(equalities, similarities, rhs)`` over the
+        per-side names in ``attributes`` — to rank offsets; over shared
+        storage both sides use one attribute table."""
+        left, right = set(attributes[0]), set(attributes[1])
+        if shared:
+            left = right = left | right
+        left_names, right_names = tuple(sorted(left)), tuple(sorted(right))
+        left_rank = {name: rank for rank, name in enumerate(left_names)}
+        right_rank = {name: rank for rank, name in enumerate(right_names)}
+        lowered = tuple(
+            (
+                [(left_rank[a], right_rank[b]) for a, b in equalities],
+                [(p, left_rank[p.left], right_rank[p.right]) for p in similarities],
+                [(left_rank[a], right_rank[b]) for a, b in rhs],
+            )
+            for equalities, similarities, rhs in rules
+        )
+        return cls(shared, left_names, right_names, left_rank, right_rank, lowered)
+
+
 class CellClasses:
     """The merged cell classes of one chase, over a flat int encoding.
 
-    Built over the candidate pair list of one chase.  The tuples the
-    pairs mention get positions in sorted-tid order, the chase attributes
-    of each side ranks in sorted-name order, and a cell is the int
-    ``side_base + position * width + rank`` — left cells first, so **int
-    order is** ``(side, tid, attribute)`` **order** and a sorted member
-    list needs no decoding.  ``root``/``size`` are flat lists; the members
-    of a class form a circular list through ``next``, which a union joins
-    by swapping two pointers.  ``root`` is kept flat (a union relabels
-    the smaller class), so a class test is one list comparison.
+    Built over the candidate pair list of one chase and the plan's
+    :class:`ChaseLayout`.  The tuples the pairs mention get positions in
+    sorted-tid order, the chase attributes of each side their layout
+    ranks (sorted-name order), and a cell is the int ``side_base +
+    position * width + rank`` — left cells first, so **int order is**
+    ``(side, tid, attribute)`` **order** and a sorted member list needs
+    no decoding.  ``root``/``size`` are flat lists; the members of a
+    class form a circular list through ``next``, which a union joins by
+    swapping two pointers.  ``root`` is kept flat (a union relabels the
+    smaller class), so a class test is one list comparison.
 
     Over shared storage (``left is right``) both sides use one tid and
     one attribute table; a tuple's cell then still exists once per side
@@ -220,24 +261,17 @@ class CellClasses:
     """
 
     def __init__(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        attributes: Tuple[Sequence[str], Sequence[str]],
-        shared: bool = False,
+        self, pairs: Sequence[Tuple[int, int]], layout: ChaseLayout
     ) -> None:
         left_tids = {left_tid for left_tid, _ in pairs}
         right_tids = {right_tid for _, right_tid in pairs}
-        left_names, right_names = set(attributes[0]), set(attributes[1])
-        if shared:
+        if layout.shared:
             left_tids = right_tids = left_tids | right_tids
-            left_names = right_names = left_names | right_names
         self.pairs = pairs
         self.left_tids: List[int] = sorted(left_tids)
         self.right_tids: List[int] = sorted(right_tids)
-        self.left_names: List[str] = sorted(left_names)
-        self.right_names: List[str] = sorted(right_names)
-        self.left_rank = {name: rank for rank, name in enumerate(self.left_names)}
-        self.right_rank = {name: rank for rank, name in enumerate(self.right_names)}
+        self.left_names, self.right_names = layout.left_names, layout.right_names
+        self.left_rank, self.right_rank = layout.left_rank, layout.right_rank
         left_width, right_width = len(self.left_names), len(self.right_names)
         #: The first right cell; over shared storage also the distance
         #: between a tuple's left cell and its right twin.
@@ -351,9 +385,6 @@ class EnforcementResult:
         ``cell -> final value`` for every cell whose value in ``D'``
         differs from ``D`` — the cell-wise diff.  Over shared storage
         (``left is right``) a repaired cell appears under both side tags.
-    stable:
-        Whether ``(D', D') ⊨ Σ`` — true in all but adversarial resolver
-        cases; callers that need a guarantee should assert it.
     rounds:
         Number of chase rounds executed.
     merged_cells:
@@ -361,11 +392,11 @@ class EnforcementResult:
         identified (the matcher reads match decisions from them).
     applications:
         Count of successful rule applications (new cell merges).
-    holding:
-        Per rule (in ``plan.rules`` order), the ascending positions into
-        the chased pair list of the pairs whose LHS holds in ``D'`` —
-        the stability check's own selections, kept because they are also
-        every match's provenance.
+    check:
+        The kernel's stability check over its working lists: run by the
+        first read of :attr:`stable` / :attr:`holding`, then dropped
+        (``None``: an answered result keeps no chase state alive).  Not
+        part of the result's value: left out of ``==`` and ``repr``.
     rounds_exhausted:
         True when the chase stopped because ``max_rounds`` ran out while
         merges were still happening *and* the result is not stable — a
@@ -377,12 +408,33 @@ class EnforcementResult:
 
     original: InstancePair
     repairs: Dict[Cell, object]
-    stable: bool
     rounds: int
     merged_cells: CellClasses
     applications: int
-    holding: Sequence[Sequence[int]]
+    check: Optional[Callable[[], Tuple[bool, Sequence[Sequence[int]]]]] = field(
+        repr=False, compare=False
+    )
     rounds_exhausted: bool = False
+
+    @cached_property
+    def _stability(self) -> Tuple[bool, Sequence[Sequence[int]]]:
+        check, self.check = self.check, None
+        return check()
+
+    @property
+    def stable(self) -> bool:
+        """Whether ``(D', D') ⊨ Σ`` — true in all but adversarial resolver
+        cases.  Checked when first read (a chase cut off by ``max_rounds``
+        already has): a caller that needs the guarantee asserts it, one
+        that does not never pays for the check."""
+        return self._stability[0]
+
+    @property
+    def holding(self) -> Sequence[Sequence[int]]:
+        """Per rule (in ``plan.rules`` order), the ascending positions into
+        the chased pair list of the pairs whose LHS holds in ``D'`` — the
+        stability check's own selections, and every match's provenance."""
+        return self._stability[1]
 
     @cached_property
     def instance(self) -> InstancePair:

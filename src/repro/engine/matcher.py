@@ -6,15 +6,19 @@ and re-enforces the full instance every time.  The
 over the workspace's compiled plan — instead keeps a warm
 :class:`~repro.engine.store.MatchStore` and, for each arriving record:
 
-1. inserts and indexes it (:meth:`~repro.engine.store.MatchStore.add`);
+1. inserts and indexes it (:meth:`~repro.engine.store.MatchStore.add`;
+   its blocking keys are derived here, once, and reused by every probe);
 2. probes only the affected index buckets for the candidate neighborhood;
-3. runs MD enforcement (:func:`repro.core.semantics.enforce`) on a *local
-   sub-instance* containing just the new record and its neighbors — the
-   delta — never copying or rescanning the full instance;
-4. reads match decisions off the identified target cells, merges identity
-   clusters, and re-resolves each grown cluster's target values to the
-   member consensus, so later arrivals compare against the cleaned
-   records (the dynamic semantics accumulating over the stream).
+3. chases the *delta* — the new record's pairs with its neighbors — with
+   the plan's one kernel, the store itself being the instance: the kernel
+   projects the few tuples the pairs mention straight off the store's
+   rows (:meth:`~repro.engine.store.MatchStore.view`), never copying or
+   rescanning the full instance;
+4. reads match decisions off the identified target cells (nothing else:
+   a delta chase runs no stability pass), merges identity clusters, and
+   re-resolves each grown cluster's target values to the member
+   consensus, so later arrivals compare against the cleaned records (the
+   dynamic semantics accumulating over the stream).
 
 Per-ingest work is therefore proportional to the record's bucket
 neighborhood, which is what makes streaming ingest sublinear in the store
@@ -25,6 +29,7 @@ comparison counter).
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -177,6 +182,12 @@ class IncrementalMatcher:
             getattr(store.blocking, "family", "hash") == "sorted-neighborhood"
         )
         self._target_pairs = self.target.attribute_pairs()
+        #: The two instances a delta is chased over — the store's current
+        #: and arrival values, read in place — indexed by "use arrival".
+        self._instances = [
+            InstancePair(store.pair, store.view(LEFT, arrival), store.view(RIGHT, arrival))
+            for arrival in (False, True)
+        ]
         # Observability: default to the plan's tracer/registry (a
         # Workspace hands its own to the plan), or explicit overrides.
         self.tracer = tracer if tracer is not None else plan.tracer
@@ -271,14 +282,15 @@ class IncrementalMatcher:
         store = self.store
         all_pairs: List[Pair] = []
         all_matches: List[Pair] = []
+        matched: Set[Pair] = set()
         merged = False
         affected: Set[Tuple[int, int]] = set()
-        queue: List[Tuple[int, int]] = [(side, tid)]
+        queue = deque([(side, tid)])
         queued = {(side, tid)}
         rounds = 0
         while queue and rounds < self.max_cascade:
             rounds += 1
-            round_side, round_tid = queue.pop(0)
+            round_side, round_tid = queue.popleft()
             queued.discard((round_side, round_tid))
             if first_pairs is not None:
                 # Already probed and charged by the caller, at the store
@@ -286,9 +298,9 @@ class IncrementalMatcher:
                 pairs: List[Pair] = list(first_pairs)
                 first_pairs = None
             else:
-                # Probe with arrival values: the buckets were keyed on them.
-                row = store.arrival_row(round_side, round_tid)
-                other_tids = store.neighbors(round_side, row)
+                # Probed under the keys the record was indexed with (its
+                # arrival values': the buckets were keyed on them).
+                other_tids = store.neighbors(round_side, round_tid)
                 if self._sn_blocking:
                     self.metrics.count("engine.sn_probes")
                 other_side = RIGHT if round_side == LEFT else LEFT
@@ -308,7 +320,8 @@ class IncrementalMatcher:
             all_pairs.extend(pairs)
             touched: List[Node] = []
             for match in self._match_pairs(pairs):
-                if match not in all_matches:
+                if match not in matched:
+                    matched.add(match)
                     all_matches.append(match)
                 left_tid, right_tid = match
                 left_node = node_of(LEFT, left_tid)
@@ -425,8 +438,7 @@ class IncrementalMatcher:
             pending: List[Tuple[int, int, List[Pair]]] = []
             for side, values, tid in normalized:
                 tid = store.add(side, values, tid=tid)
-                row = store.arrival_row(side, tid)
-                other_tids = store.neighbors(side, row)
+                other_tids = store.neighbors(side, tid)
                 if side == LEFT:
                     pairs: List[Pair] = [(tid, other) for other in other_tids]
                 else:
@@ -554,16 +566,7 @@ class IncrementalMatcher:
         streaming analogue of the batch chase's later rounds.
         """
         matches = self._chase(pairs, use_arrival=True)
-        store = self.store
-        repaired = any(
-            store.relation(side)[tid].values() != store.arrival_values(side, tid)
-            for side, tids in (
-                (LEFT, {left_tid for left_tid, _ in pairs}),
-                (RIGHT, {right_tid for _, right_tid in pairs}),
-            )
-            for tid in tids
-        )
-        if repaired:
+        if self._any_repaired(pairs):
             for match in self._chase(pairs, use_arrival=False):
                 if match not in matches:
                     matches.append(match)
@@ -588,19 +591,10 @@ class IncrementalMatcher:
         record's own delta chase — which is what lets
         :meth:`ingest_batch` skip their per-record chase.
         """
-        store = self.store
         matches, changed = self._chase(
             pairs, use_arrival=True, collect_changed=True
         )
-        involved = {(LEFT, left_tid) for left_tid, _ in pairs} | {
-            (RIGHT, right_tid) for _, right_tid in pairs
-        }
-        repaired = any(
-            store.relation(side)[tid].values()
-            != store.arrival_values(side, tid)
-            for side, tid in involved
-        )
-        if repaired:
+        if self._any_repaired(pairs):
             # Union-wide trigger where _match_pairs triggers per record —
             # a superset of the chases any single record would run, so
             # the screen's verdict still subsumes each of them.
@@ -613,41 +607,33 @@ class IncrementalMatcher:
             changed |= second_changed
         return matches, changed
 
+    def _any_repaired(self, pairs: Sequence[Pair]) -> bool:
+        """Whether a consensus repair moved any record the pairs involve
+        off its arrival values (the store compares them in place)."""
+        involved = {(LEFT, tid) for tid, _ in pairs} | {(RIGHT, tid) for _, tid in pairs}
+        return any(self.store.is_repaired(side, tid) for side, tid in involved)
+
     def _chase(
         self,
         pairs: Sequence[Pair],
         use_arrival: bool,
         collect_changed: bool = False,
     ):
-        """One enforcement chase over a local sub-instance of the delta.
+        """One enforcement chase over the delta, read off the store.
 
-        The sub-instance holds only the tuples occurring in ``pairs`` (ids
-        preserved), so the chase never copies or rescans the full store —
-        its cost is bounded by the delta.  A pair matches when the chase
-        identified all target cells, exactly the batch matcher's decision
-        rule: both run :meth:`EnforcementPlan.enforce` on the same
-        compiled rules, and the plan's similarity cache persists across
-        ingests (a stream of near-duplicates keeps hitting it).
+        The instance is the store itself (its arrival or its current
+        values) and the kernel projects only the tuples occurring in
+        ``pairs``, so nothing is copied or rescanned: the cost is bounded
+        by the delta.  A pair matches when the chase identified all
+        target cells, exactly the batch matcher's decision rule: both run
+        :meth:`EnforcementPlan.enforce` on the same compiled rules, and
+        the plan's similarity cache persists across ingests (a stream of
+        near-duplicates keeps hitting it).
         """
-        store = self.store
-        local_left = Relation(store.pair.left)
-        local_right = Relation(store.pair.right)
-        # Store rows are schema-complete and handed out as fresh dicts.
-        for local, stored, side, tids in (
-            (local_left, store.left, LEFT, {left_tid for left_tid, _ in pairs}),
-            (local_right, store.right, RIGHT, {right_tid for _, right_tid in pairs}),
-        ):
-            for tid in tids:
-                local.adopt(
-                    tid,
-                    store.arrival_values(side, tid)
-                    if use_arrival
-                    else stored[tid].values(),
-                )
         result = self.plan.enforce(
-            InstancePair(store.pair, local_left, local_right),
+            self._instances[use_arrival],
             resolver=self.resolver,
-            candidate_pairs=list(pairs),
+            candidate_pairs=pairs,
         )
         matches = result.matches(self._target_pairs)
         if not collect_changed:
@@ -664,35 +650,33 @@ class IncrementalMatcher:
         analogue of the batch chase resolving each merged cell class.
         Resolving from arrival values keeps the outcome independent of
         arrival order (the same member multiset always yields the same
-        consensus, where chaining pairwise repairs would not).
+        consensus, where chaining pairwise repairs would not).  Each
+        member's rows are read once, each changed record written once.
 
-        Returns the ``(side, tid)`` records whose current values changed —
-        their neighborhoods must be re-examined by the caller.
+        Returns the ``(side, tid)`` records whose current values changed,
+        in the order their first cell changed — their neighborhoods must
+        be re-examined by the caller.
         """
         store = self.store
         members = store.cluster_nodes(*_side_tid(node))
         if len(members) < 2:
             return []
-        lefts = sorted(tid for tag, tid in members if tag == "L")
-        rights = sorted(tid for tag, tid in members if tag == "R")
-        changed: List[Tuple[int, int]] = []
-        changed_seen = set()
-        for left_attr, right_attr in self._target_pairs:
-            values = [
-                store.arrival_values(LEFT, tid)[left_attr] for tid in lefts
-            ] + [
-                store.arrival_values(RIGHT, tid)[right_attr] for tid in rights
-            ]
-            resolved = self.resolver(values)
-            for side, tids, attribute in (
-                (LEFT, lefts, left_attr),
-                (RIGHT, rights, right_attr),
-            ):
-                relation = store.relation(side)
-                for tid in tids:
-                    if relation[tid][attribute] != resolved:
-                        relation.set_value(tid, attribute, resolved)
-                        if (side, tid) not in changed_seen:
-                            changed_seen.add((side, tid))
-                            changed.append((side, tid))
-        return changed
+        records = sorted(_side_tid(member) for member in members)
+        arrivals = [store.arrival_row(side, tid) for side, tid in records]
+        currents = [store.relation(side)[tid] for side, tid in records]
+        changes: List[Dict[str, object]] = [{} for _ in records]
+        changed: List[int] = []
+        for target_pair in self._target_pairs:
+            names = [target_pair[side] for side, _ in records]
+            resolved = self.resolver(
+                [row[name] for row, name in zip(arrivals, names)]
+            )
+            for position, (row, name) in enumerate(zip(currents, names)):
+                change = changes[position]
+                if change.get(name, row[name]) != resolved:
+                    if not change:
+                        changed.append(position)
+                    change[name] = resolved
+        for position in changed:
+            store.repair(*records[position], changes[position])
+        return [records[position] for position in changed]

@@ -114,12 +114,16 @@ def populate_store(store, data: Dict[str, object]):
     """Replay a snapshot document's rows, clusters and counters into an
     empty store (either backend); returns the store."""
     for side_name, side in (("left", LEFT), ("right", RIGHT)):
-        relation = store.relation(side)
         for tid, arrival, current in data["rows"][side_name]:
             tid = store.add(side, arrival, tid=int(tid))
-            for attribute, value in current.items():
-                if relation[tid][attribute] != value:
-                    relation.set_value(tid, attribute, value)
+            row = store.relation(side)[tid]
+            changes = {
+                attribute: value
+                for attribute, value in current.items()
+                if row[attribute] != value
+            }
+            if changes:
+                store.repair(side, tid, changes)
     for members in data["clusters"]:
         nodes = [(tag, int(tid)) for tag, tid in members]
         first = nodes[0]

@@ -62,6 +62,16 @@ class SQLiteHashBlockingBackend(BlockingBackend):
         self.connection = connection
         #: The key-deriving index specs (their in-memory buckets unused).
         self.indexes: List[RCKIndex] = list(indexes)
+        #: Per probing side, one statement over every pass: an index
+        #: range scan per arm, bound to the record's key of that pass.
+        self._probe_sql = tuple(
+            " UNION ".join(
+                f"SELECT tid FROM buckets WHERE idx = {position} "
+                f"AND key = ? AND side = {other}"
+                for position in range(len(self.indexes))
+            )
+            for other in (RIGHT, LEFT)
+        )
 
     def indexed_under_its_keys(self) -> bool:
         """Whether the stored postings were written under these passes.
@@ -94,30 +104,26 @@ class SQLiteHashBlockingBackend(BlockingBackend):
 
     # -- streaming -----------------------------------------------------
 
-    def add(self, side: int, row: Row) -> None:
+    def keys_for(self, side: int, row: Row) -> Tuple[str, ...]:
+        """Every pass's key of ``row`` in its stored (text) form: what
+        :meth:`add` and :meth:`probe` take, so the store derives a
+        record's keys once and holds them beside its cached row."""
+        return tuple(
+            _encode_key(index.key_for(side, row)) for index in self.indexes
+        )
+
+    def add(self, side: int, row: Row, keys: Sequence[str]) -> None:
         """Write one posting per pass for an arriving record."""
         self.connection.executemany(
             "INSERT INTO buckets (idx, key, side, tid) VALUES (?, ?, ?, ?)",
-            [
-                (position, _encode_key(index.key_for(side, row)), side, row.tid)
-                for position, index in enumerate(self.indexes)
-            ],
+            [(position, key, side, row.tid) for position, key in enumerate(keys)],
         )
 
-    def probe(self, side: int, row: Row) -> List[int]:
+    def probe(self, side: int, row: Row, keys: Sequence[str]) -> List[int]:
         """Other-side tids sharing at least one bucket with ``row``."""
-        other = RIGHT if side == LEFT else LEFT
-        seen = set()
-        for position, index in enumerate(self.indexes):
-            seen.update(
-                tid
-                for (tid,) in self.connection.execute(
-                    "SELECT tid FROM buckets "
-                    "WHERE idx = ? AND key = ? AND side = ?",
-                    (position, _encode_key(index.key_for(side, row)), other),
-                )
-            )
-        return sorted(seen)
+        return sorted(
+            tid for (tid,) in self.connection.execute(self._probe_sql[side], keys)
+        )
 
     # -- batch ---------------------------------------------------------
 
@@ -180,6 +186,8 @@ class SQLiteSNBlockingBackend(BlockingBackend):
         self.index = index
         self.pairs = index.pairs
         self.window = index.window
+        #: Every pass's sort key of a row: what ``add`` and ``probe`` take.
+        self.keys_for = index.keys_for
 
     def _block_run(self, position: int, block: str) -> List[Entry]:
         """One pass's block run as sorted (key, side, tid) entries."""
@@ -196,34 +204,25 @@ class SQLiteSNBlockingBackend(BlockingBackend):
 
     # -- streaming -----------------------------------------------------
 
-    def add(self, side: int, row: Row) -> None:
+    def add(self, side: int, row: Row, keys) -> None:
         """Rank one arriving record into its block run per pass."""
-        rows = []
-        for position in range(self.index.pass_count):
-            key = self.index.key_for(side, row, position)
-            rows.append(
-                (
-                    position,
-                    self.index.block_of(key),
-                    _encode_key(key),
-                    side,
-                    row.tid,
-                )
-            )
         self.connection.executemany(
             "INSERT INTO ranks (idx, block, key, side, tid) "
             "VALUES (?, ?, ?, ?, ?)",
-            rows,
+            [
+                (position, self.index.block_of(key), _encode_key(key), side, row.tid)
+                for position, key in enumerate(keys)
+            ],
         )
 
-    def probe(self, side: int, row: Row) -> List[int]:
+    def probe(self, side: int, row: Row, keys) -> List[int]:
         """Other-side tids within the record's rank window in any pass."""
         found = set()
-        for position in range(self.index.pass_count):
-            key = self.index.key_for(side, row, position)
-            entry = (key, side, row.tid)
+        for position, key in enumerate(keys):
             run = self._block_run(position, self.index.block_of(key))
-            found.update(window_neighbors(run, entry, self.window))
+            found.update(
+                window_neighbors(run, (key, side, row.tid), self.window)
+            )
         return sorted(found)
 
     # -- batch ---------------------------------------------------------

@@ -9,15 +9,19 @@ in-memory one:
 * **lazy reads** — opening a store loads *nothing*; a row is fetched
   (and then cached) the first time it is touched, so a warm restart is
   O(1) regardless of store size;
-* **write-through mutation** — :meth:`insert` and :meth:`set_value`
+* **write-through mutation** — :meth:`insert` and :meth:`set_values`
   update the cache and the table in the same (uncommitted) transaction,
   so a rollback leaves both consistent.
 
 Unlike the base ``Relation``, each record carries *two* value sets: the
 arrival values (immutable after insert; index keys and consensus
 resolution derive from them) and the current values (rewritten by
-cluster consensus repairs).  ``Row`` views hand out copies, so the only
-mutation path is :meth:`set_value` — exactly the contract
+cluster consensus repairs, one ``UPDATE`` per repaired record).  A cache
+entry holds both plus the record's blocking keys once derived, so there
+is one cache lifetime: a rollback drops rows and keys together.  ``Row``
+views and the copying accessors hand out copies; the chase reads the
+cached dicts in place through a :class:`ValuesView` and never writes, so
+the only mutation path is :meth:`set_values` — exactly the contract
 :class:`~repro.engine.matcher.IncrementalMatcher` relies on.
 """
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.schema import RelationSchema
 from repro.relations.relation import Row
@@ -40,8 +44,10 @@ class SQLiteRelation:
         self.connection = connection
         self.schema = schema
         self.side = side
-        #: tid -> (arrival values, current values); populated lazily.
-        self._cache: Dict[int, Tuple[Dict[str, object], Dict[str, object]]] = {}
+        self._names = frozenset(schema.attribute_names)
+        #: tid -> [arrival values, current values, blocking keys or None];
+        #: populated lazily.
+        self._cache: Dict[int, list] = {}
         self._count: Optional[int] = None
         self._next_tid: Optional[int] = None
 
@@ -53,11 +59,7 @@ class SQLiteRelation:
         self, values: Dict[str, object], tid: Optional[int] = None
     ) -> int:
         """Insert a record; arrival and current values start identical."""
-        unknown = set(values) - set(self.schema.attribute_names)
-        if unknown:
-            raise KeyError(
-                f"attributes {sorted(unknown)} not in schema {self.schema.name!r}"
-            )
+        self._check(values)
         if tid is None:
             tid = self._allocate_tid()
         elif tid in self:
@@ -71,31 +73,36 @@ class SQLiteRelation:
             "VALUES (?, ?, ?, ?)",
             (self.side, tid, payload, payload),
         )
-        self._cache[tid] = (dict(complete), dict(complete))
+        self._cache[tid] = [dict(complete), complete, None]
         if self._count is not None:
             self._count += 1
         if self._next_tid is not None:
             self._next_tid = max(self._next_tid, tid + 1)
         return tid
 
-    def set_value(self, tid: int, attribute: str, value: object) -> None:
-        """Update one cell of the *current* values (arrival is immutable)."""
-        if attribute not in self.schema:
-            raise KeyError(
-                f"{attribute!r} is not an attribute of {self.schema.name!r}"
-            )
-        _, current = self._fetch(tid)
-        current[attribute] = value
+    def set_values(self, tid: int, changes: Dict[str, object]) -> None:
+        """Update the listed cells of the *current* values (arrival is
+        immutable): one write of the record, however many cells changed."""
+        self._check(changes)
+        current = self._fetch(tid)[1]
+        current.update(changes)
         self.connection.execute(
             "UPDATE records SET current = ? WHERE side = ? AND tid = ?",
             (json.dumps(current, sort_keys=True), self.side, tid),
         )
 
+    def _check(self, names) -> None:
+        if not self._names.issuperset(names):
+            raise KeyError(
+                f"attributes {sorted(set(names) - self._names)} not in "
+                f"schema {self.schema.name!r}"
+            )
+
     # ------------------------------------------------------------------
     # Access (lazy, cached)
     # ------------------------------------------------------------------
 
-    def _fetch(self, tid: int) -> Tuple[Dict[str, object], Dict[str, object]]:
+    def _fetch(self, tid: int) -> list:
         cached = self._cache.get(tid)
         if cached is not None:
             return cached
@@ -107,7 +114,7 @@ class SQLiteRelation:
             raise KeyError(
                 f"no tuple with id {tid} in {self.schema.name!r}"
             )
-        entry = (json.loads(row[0]), json.loads(row[1]))
+        entry = [json.loads(row[0]), json.loads(row[1]), None]
         self._cache[tid] = entry
         return entry
 
@@ -136,7 +143,7 @@ class SQLiteRelation:
             (self.side,),
         ).fetchall():
             if tid not in self._cache:
-                self._cache[tid] = (json.loads(arrival), json.loads(current))
+                self._cache[tid] = [json.loads(arrival), json.loads(current), None]
             yield Row(tid, dict(self._cache[tid][1]))
 
     def __len__(self) -> int:
@@ -171,10 +178,31 @@ class SQLiteRelation:
         return tid
 
     def invalidate_cache(self) -> None:
-        """Drop cached rows (used after a rollback)."""
+        """Drop cached rows and their keys (used after a rollback)."""
         self._cache.clear()
         self._count = None
         self._next_tid = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SQLiteRelation({self.schema.name!r}, side={self.side})"
+
+
+class ValuesView:
+    """A relation's arrival (``which`` 0) or current (1) values as the
+    chase reads a ``Relation`` — ``schema`` and ``project`` — straight
+    off the cached rows, copying none."""
+
+    def __init__(self, relation: SQLiteRelation, which: int) -> None:
+        self.schema = relation.schema
+        self._relation, self._which = relation, which
+
+    def project(self, tids, attributes: Sequence[str]) -> List[object]:
+        """See :meth:`repro.relations.relation.Relation.project` (rows
+        are schema-complete: an unknown attribute is the ``KeyError`` of
+        the first row read)."""
+        fetch, which = self._relation._fetch, self._which
+        return [
+            values[attribute]
+            for values in [fetch(tid)[which] for tid in tids]
+            for attribute in attributes
+        ]

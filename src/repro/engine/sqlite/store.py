@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
@@ -36,7 +36,7 @@ from ..store import Cluster, Node, _SIDE_TAGS, _as_cluster
 from .blocking import SQLiteHashBlockingBackend, SQLiteSNBlockingBackend
 from .clusters import DbNode, SQLiteUnionFind
 from .connection import connect
-from .records import SQLiteRelation
+from .records import SQLiteRelation, ValuesView
 from .schema import (
     SQLITE_SCHEMA_VERSION,
     initialize,
@@ -291,24 +291,49 @@ class SQLiteMatchStore:
             "store.upsert", side=_SIDE_TAGS[side]
         ):
             tid = self.relation(side).insert(values, tid=tid)
-            self.blocking.add(side, self.relation(side)[tid])
+            self.blocking.add(side, *self._indexed(side, tid))
             self._union_find.find((side, tid))
         if self.metrics is not None:
             self.metrics.count("store.upserts")
         return tid
 
+    def _indexed(self, side: int, tid: int) -> Tuple[Row, tuple]:
+        """The record's arrival row and its blocking keys: derived once,
+        then held beside the cached row — a rollback drops both."""
+        entry = self.relation(side)._fetch(tid)
+        row = Row(tid, entry[0])
+        if entry[2] is None:
+            entry[2] = self.blocking.keys_for(side, row)
+        return row, entry[2]
+
     def arrival_values(self, side: int, tid: int) -> Dict[str, object]:
-        """The record's values as ingested (pre-repair)."""
+        """The record's values as ingested (pre-repair); a copy."""
         return self.relation(side).arrival_values(tid)
 
     def arrival_row(self, side: int, tid: int) -> Row:
-        """A row view over the arrival values."""
-        return Row(tid, self.arrival_values(side, tid))
+        """A read-only row over the arrival values (not a copy)."""
+        return Row(tid, self.relation(side)._fetch(tid)[0])
 
-    def neighbors(self, side: int, row: Row) -> List[int]:
-        """Other-side candidates sharing an index bucket with ``row``."""
+    def view(self, side: int, arrival: bool) -> ValuesView:
+        """One side's arrival or current values as the chase reads a
+        relation (``schema`` + ``project``), off the row cache."""
+        return ValuesView(self.relation(side), 0 if arrival else 1)
+
+    def is_repaired(self, side: int, tid: int) -> bool:
+        """Whether the record's current values differ from its arrivals."""
+        arrival, current, _ = self.relation(side)._fetch(tid)
+        return arrival != current
+
+    def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
+        """Overwrite the listed cells of the record's current values —
+        one ``UPDATE`` of the record."""
+        self.relation(side).set_values(tid, changes)
+
+    def neighbors(self, side: int, tid: int) -> List[int]:
+        """Other-side candidates sharing an index bucket with the stored
+        record, probed under the keys it was indexed with."""
         with self.tracer.span("store.probe", side=_SIDE_TAGS[side]):
-            found = self.blocking.probe(side, row)
+            found = self.blocking.probe(side, *self._indexed(side, tid))
         if self.metrics is not None:
             self.metrics.count("store.probes")
         return found

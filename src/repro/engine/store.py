@@ -105,7 +105,11 @@ class MatchStore:
         self.indexes: List[RCKIndex] = getattr(self.blocking, "indexes", [])
         self._parent: Dict[Node, Node] = {}
         self._members: Dict[Node, Set[Node]] = {}
-        self._arrival: Dict[Node, Dict[str, object]] = {}
+        #: Per side, the records as ingested (a second relation: the chase
+        #: projects it like the current one) and ``tid -> blocking keys``,
+        #: derived once at :meth:`add`.
+        self._arrival = (Relation(self.pair.left), Relation(self.pair.right))
+        self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
         #: Candidate pair comparisons charged so far (ingest + bootstrap).
         self.comparisons = 0
         #: Cluster merges performed (successful unions).
@@ -138,8 +142,9 @@ class MatchStore:
         relation = self.relation(side)
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
-        self.blocking.add(side, row)
-        self._arrival[node_of(side, tid)] = row.values()
+        keys = self._keys[side][tid] = self.blocking.keys_for(side, row)
+        self.blocking.add(side, row, keys)
+        self._arrival[side].adopt(tid, row.values())
         self.find(node_of(side, tid))  # register the singleton cluster
         return tid
 
@@ -148,27 +153,39 @@ class MatchStore:
 
         Index keys and cluster value resolution both work from arrival
         values; the relations' *current* values carry the per-cluster
-        consensus written by the matcher.
+        consensus written by the matcher.  A copy.
         """
-        return dict(self._arrival[node_of(side, tid)])
+        return self._arrival[side][tid].values()
 
     def arrival_row(self, side: int, tid: int) -> Row:
-        """A row view of the arrival values, for index probing.
+        """A read-only row over the arrival values (what the record's
+        bucket keys were derived from, whatever a repair rewrote since)."""
+        return self._arrival[side][tid]
 
-        Buckets are keyed by arrival values, so probing must derive keys
-        from them too — a consensus repair that rewrites a key attribute
-        would otherwise hash a record into a bucket it was never added to.
-        """
-        return Row(tid, self._arrival[node_of(side, tid)])
+    def view(self, side: int, arrival: bool) -> Relation:
+        """One side's arrival or current values as the chase reads them
+        (``schema`` + ``project``): here, the relations themselves."""
+        return self._arrival[side] if arrival else self.relation(side)
 
-    def neighbors(self, side: int, row: Row) -> List[int]:
-        """Other-side tuple ids sharing at least one index bucket with ``row``.
+    def is_repaired(self, side: int, tid: int) -> bool:
+        """Whether the record's current values differ from its arrivals."""
+        return self.relation(side)[tid] != self._arrival[side][tid]
+
+    def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
+        """Overwrite the listed cells of the record's current values."""
+        relation = self.relation(side)
+        for attribute, value in changes.items():
+            relation.set_value(tid, attribute, value)
+
+    def neighbors(self, side: int, tid: int) -> List[int]:
+        """Other-side tuple ids sharing at least one index bucket with the
+        stored record, probed under the keys it was indexed with.
 
         This is the record's candidate neighborhood — the union of one
         bucket probe per index, exactly the pairs the backend's batch
         ``candidates`` over the same keys would generate for it.
         """
-        return self.blocking.probe(side, row)
+        return self.blocking.probe(side, self._arrival[side][tid], self._keys[side][tid])
 
     # ------------------------------------------------------------------
     # Identity clusters (incremental union-find)

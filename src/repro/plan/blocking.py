@@ -202,10 +202,11 @@ class RCKIndex:
     >>> index = RCKIndex("ln", [("LN", "LN")])
     >>> relation = Relation(schema)
     >>> tid = relation.insert({"LN": "Clifford", "zip": "07974"})
-    >>> index.add(LEFT, relation[tid])
+    >>> row = relation[tid]
+    >>> index.add(LEFT, row, index.key_for(LEFT, row))
     ('C416',)
-    >>> other = relation.insert({"LN": "Clivord", "zip": "07974"})
-    >>> index.probe(1, relation[other])  # right-side probe hits the left row
+    >>> other = relation[relation.insert({"LN": "Clivord", "zip": "07974"})]
+    >>> index.probe(1, other, index.key_for(1, other))  # hits the left row
     [0]
     """
 
@@ -236,16 +237,15 @@ class RCKIndex:
         """The derived blocking key of ``row`` on the given side."""
         return self.left_key(row) if side == LEFT else self.right_key(row)
 
-    def add(self, side: int, row: Row) -> Hashable:
-        """Index ``row``; returns the bucket key it landed in."""
-        key = self.key_for(side, row)
+    def add(self, side: int, row: Row, key: Hashable) -> Hashable:
+        """Index ``row`` under its :meth:`key_for`; returns that key."""
         bucket = self._buckets.setdefault(key, ([], []))
         bucket[0 if side == LEFT else 1].append(row.tid)
         return key
 
-    def probe(self, side: int, row: Row) -> List[int]:
-        """Tuple ids of the *other* side sharing ``row``'s bucket."""
-        bucket = self._buckets.get(self.key_for(side, row))
+    def probe(self, side: int, row: Row, key: Hashable) -> List[int]:
+        """Tuple ids of the *other* side in the bucket of ``row``'s key."""
+        bucket = self._buckets.get(key)
         if bucket is None:
             return []
         return list(bucket[1 if side == LEFT else 0])
@@ -364,16 +364,21 @@ class HashBlockingBackend(BlockingBackend):
 
     # -- streaming -----------------------------------------------------
 
-    def add(self, side: int, row: Row) -> None:
-        """Index one arriving record in every pass."""
-        for index in self.indexes:
-            index.add(side, row)
+    def keys_for(self, side: int, row: Row) -> Tuple[Hashable, ...]:
+        """Every pass's key of ``row``: what :meth:`add` and :meth:`probe`
+        take, so a store derives a record's keys once."""
+        return tuple(index.key_for(side, row) for index in self.indexes)
 
-    def probe(self, side: int, row: Row) -> List[int]:
+    def add(self, side: int, row: Row, keys: Sequence[Hashable]) -> None:
+        """Index one arriving record in every pass."""
+        for index, key in zip(self.indexes, keys):
+            index.add(side, row, key)
+
+    def probe(self, side: int, row: Row, keys: Sequence[Hashable]) -> List[int]:
         """Other-side tuple ids sharing at least one bucket with ``row``."""
         seen: Set[int] = set()
-        for index in self.indexes:
-            seen.update(index.probe(side, row))
+        for index, key in zip(self.indexes, keys):
+            seen.update(index.probe(side, row, key))
         return sorted(seen)
 
     def index_stats(self) -> Dict[str, Dict[str, int]]:

@@ -44,6 +44,7 @@ from repro.core.findrcks import find_rcks
 from repro.core.md import MatchingDependency
 from repro.core.rck import RelativeKey
 from repro.core.schema import ComparableLists, SchemaPair
+from repro.core.semantics import ChaseLayout, prefer_informative
 from repro.metrics.base import SimilarityPredicate
 from repro.metrics.registry import DEFAULT_REGISTRY, EQ, MetricRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -194,8 +195,11 @@ class EnforcementPlan:
         #: each kind).  ``chase_attributes`` names the (left, right)
         #: attributes a chase reads or writes — every LHS atom and RHS
         #: pair; only they get cells in the chase's encoding.
-        #: Both are derived here, once, because the streaming engine runs
-        #: thousands of tiny chases over one plan.
+        #: ``layouts[shared]`` is that encoding's plan-side half — sorted
+        #: names, ranks, the rules as rank offsets — for two relations
+        #: and for shared storage.  All are derived here, once, because
+        #: the streaming engine runs thousands of tiny chases over one
+        #: plan.
         selections = []
         left_names: Dict[str, None] = {}
         right_names: Dict[str, None] = {}
@@ -220,6 +224,13 @@ class EnforcementPlan:
         self.chase_attributes: Tuple[Tuple[str, ...], Tuple[str, ...]] = (
             tuple(left_names),
             tuple(right_names),
+        )
+        by_name = [
+            (*selection, rule.rhs) for rule, selection in zip(self.rules, selections)
+        ]
+        self.layouts: Tuple[ChaseLayout, ChaseLayout] = (
+            ChaseLayout.of(self.chase_attributes, by_name, shared=False),
+            ChaseLayout.of(self.chase_attributes, by_name, shared=True),
         )
 
     # ------------------------------------------------------------------
@@ -280,8 +291,6 @@ class EnforcementPlan:
         max_rounds: int = 100,
     ):
         """Run the enforcement chase; see :func:`repro.plan.executor.chase`."""
-        from repro.core.semantics import prefer_informative
-
         resolver = resolver if resolver is not None else prefer_informative
         return chase(
             self,

@@ -1,19 +1,21 @@
 """The enforcement chase, executed over a compiled plan.
 
-One kernel, :func:`chase`, rule-at-a-time over **flat arrays**.  One
-encoding is built per chase (:class:`~repro.core.semantics.CellClasses`):
-the tuples the candidate pairs mention get positions in sorted-tid order,
-the plan's chase attributes ranks in sorted-name order, and a cell is the
-int ``side_base + position * width + rank``, so int order is
-``(side, tid, attribute)`` order.  Everything the chase keeps is a list
-indexed by such ints:
+One kernel, :func:`chase`, rule-at-a-time over **flat arrays**.  The
+encoding has a half per plan (:class:`~repro.core.semantics.ChaseLayout`:
+the chase attributes' ranks in sorted-name order and the rules as rank
+offsets, built at compile time) and a half per chase
+(:class:`~repro.core.semantics.CellClasses`: the tuples the candidate
+pairs mention get positions in sorted-tid order); a cell is the int
+``side_base + position * width + rank``, so int order is ``(side, tid,
+attribute)`` order.  Everything the chase keeps is a list indexed by
+such ints:
 
 * **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``; the
   round loop inlines the union (relabel the smaller class along its
   ``next`` ring, swap two pointers to join the rings);
-* **values** — one flat working list indexed by *slot*, filled by
-  :meth:`~repro.relations.relation.Relation.project`.  Between two
-  relations a cell is its own slot.  Over shared storage
+* **values** — one flat working list indexed by *slot*, filled by the
+  instance's ``project`` (a ``Relation``'s, or a store view's).  Between
+  two relations a cell is its own slot.  Over shared storage
   (``left is right``) a right cell's slot is its left twin's, so a
   repair through either side tag lands where both read it — and only
   there is the order of the unions observable, so only there it is kept
@@ -28,17 +30,20 @@ indexed by such ints:
 
 The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
-already knows instead of making callers re-derive it: ``repairs`` (the
-cell-wise diff; ``instance`` is ``D`` + repairs, built on first access),
-``holding`` (per rule, the pairs whose LHS holds in ``D'`` — the
-stability check's own selections, which are also every match's
-provenance) and ``matches`` (a root comparison per pair).
+already knows instead of making callers re-derive it — ``repairs`` (the
+cell-wise diff; ``instance`` is ``D`` + repairs, built on first access)
+and ``matches`` (a root comparison per pair) — and answers the rest when
+asked: ``stable`` and ``holding`` (per rule, the pairs whose LHS holds in
+``D'`` — the stability check's own selections, which are also every
+match's provenance) run the check on first read.  The kernel reads them
+itself only where ``rounds_exhausted`` depends on the answer.
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
 here; :class:`~repro.api.workspace.Workspace` and the streaming
 :class:`~repro.engine.matcher.IncrementalMatcher` it builds hold one
 long-lived plan and call :meth:`EnforcementPlan.enforce`, sharing the
-memo across runs and ingests.
+layouts and the memo across runs and ingests (the engine reads matches
+only, so its delta chases run no stability pass).
 """
 
 from __future__ import annotations
@@ -82,8 +87,9 @@ def chase(
     Rounds after the first re-examine only pairs one of whose tuples a
     repair actually changed (an unchanged pair's verdicts cannot change),
     and skip a (rule, pair) that already fired (its RHS cells are merged
-    for good, so its unions would all be idempotent); the final
-    stability check re-examines only what fired or is still active.
+    for good, so its unions would all be idempotent); the stability
+    check, run when the result is first asked, re-examines only what
+    fired or is still active.
 
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
     output of the plan's blocking backend here.
@@ -103,33 +109,23 @@ def chase(
         "chase", pairs=len(pairs), rules=len(plan.rules), max_rounds=max_rounds
     )
     chase_span.__enter__()
-    shared = instance.left is instance.right
-    cells = CellClasses(pairs, plan.chase_attributes, shared)
+    layout = plan.layouts[instance.left is instance.right]
+    shared, rules = layout.shared, layout.rules
+    cells = CellClasses(pairs, layout)
     root, size, ring = cells.root, cells.size, cells.next
     left_cells, right_cells = cells.left_cells, cells.right_cells
     right_base = cells.right_base
-    left_width, right_width = len(cells.left_names), len(cells.right_names)
+    left_width, right_width = len(layout.left_names), len(layout.right_names)
     # The working values, one per slot.  Between two relations a cell is
     # its own slot.  Over shared storage a right cell's slot is its left
     # twin's: a repair through either side tag lands where both read it.
-    values = instance.left.project(cells.left_tids, cells.left_names)
+    values = instance.left.project(cells.left_tids, layout.left_names)
     if shared:
         left_slots = left_cells
         right_slots = [cell - right_base for cell in right_cells]
     else:
-        values += instance.right.project(cells.right_tids, cells.right_names)
+        values += instance.right.project(cells.right_tids, layout.right_names)
         left_slots, right_slots = left_cells, right_cells
-    left_rank, right_rank = cells.left_rank, cells.right_rank
-    # Every rule with its atoms as (left rank, right rank) offsets from a
-    # pair's two tuples, in the plan's selection order.
-    rules = [
-        (
-            [(left_rank[left], right_rank[right]) for left, right in equalities],
-            [(p, left_rank[p.left], right_rank[p.right]) for p in similarities],
-            [(left_rank[left], right_rank[right]) for left, right in rule.rhs],
-        )
-        for rule, (equalities, similarities) in zip(plan.rules, plan.selections)
-    ]
     evaluate = plan.evaluate
 
     def select(selection, equalities, similarities):
@@ -267,68 +263,75 @@ def chase(
         ]
         round_span.__exit__(None, None, None)
 
-    # Stability: (D', D') ⊨ Σ — for every pair matching a rule's LHS in
-    # D', the RHS cells must carry equal values.  (With original and
-    # extended both D', the "LHS still matches" recheck is the same
-    # evaluation.)  Only a (rule, pair) that fired, or a pair still active
-    # — dirtied by the last permitted round's repairs, or never examined
-    # because no round was permitted — can match now: any other was last
-    # evaluated against the values its tuples still carry, and did not
-    # match.  The selections are kept for every rule, also past the first
-    # unstable one: they are the result's ``holding``.  The RHS test
-    # compares values, not classes — merged cells that carry a value
-    # unequal to itself (NaN) are not identified.
-    unstable_rule = None
-    holding: List[List[int]] = []
-    with tracer.span("stability-check"):
-        for rule, (equalities, similarities, rhs), already in zip(
-            plan.rules, rules, fired
-        ):
-            selection = select(
-                sorted(already.union(active)), equalities, similarities
-            )
-            holding.append(selection)
-            if unstable_rule is None and selection:
-                lefts = [left_slots[i] for i in selection]
-                rights = [right_slots[i] for i in selection]
-                for left, right in rhs:
-                    if any(map(
-                        ne,
-                        [values[slot + left] for slot in lefts],
-                        [values[slot + right] for slot in rights],
-                    )):
-                        unstable_rule = rule.name
-                        break
-    stable = unstable_rule is None
-    # Exhaustion: the round budget ran out AND the result is not a
-    # fixpoint — the last permitted round still merged, or no round was
-    # permitted at all.  A chase whose last permitted round merged but
-    # left a stable instance did converge — further rounds could only
-    # merge cells that already carry equal values, never rewrite one —
-    # so only instability makes the cut-off observable.
-    rounds_exhausted = (merged_this_round or rounds == 0) and not stable
+    def check():
+        """Stability: ``(D', D') ⊨ Σ`` — for every pair matching a rule's
+        LHS in D', the RHS cells must carry equal values.  (With original
+        and extended both D', the "LHS still matches" recheck is the same
+        evaluation.)  Only a (rule, pair) that fired, or a pair still
+        active — dirtied by the last permitted round's repairs, or never
+        examined because no round was permitted — can match now: any
+        other was last evaluated against the values its tuples still
+        carry, and did not match.  The selections are kept for every
+        rule, also past the first unstable one: they are ``holding``.
+        The RHS test compares values, not classes — merged cells that
+        carry a value unequal to itself (NaN) are not identified.
+        Returns ``(stable, holding)``; the span nests under whoever asked.
+        """
+        stable = True
+        holding: List[List[int]] = []
+        with tracer.span("stability-check") as span:
+            for rule, (equalities, similarities, rhs), already in zip(
+                plan.rules, rules, fired
+            ):
+                selection = select(
+                    sorted(already.union(active)), equalities, similarities
+                )
+                holding.append(selection)
+                if stable and selection:
+                    lefts = [left_slots[i] for i in selection]
+                    rights = [right_slots[i] for i in selection]
+                    for left, right in rhs:
+                        if any(map(
+                            ne,
+                            [values[slot + left] for slot in lefts],
+                            [values[slot + right] for slot in rights],
+                        )):
+                            stable = False
+                            span.set("unstable_rule", rule.name)
+                            break
+        return stable, holding
+
     repairs = {}
     for slot, before in written.items():
         if values[slot] != before:
             repairs[cells.decode(slot)] = values[slot]
             if shared:
                 repairs[cells.decode(slot + right_base)] = values[slot]
+    result = EnforcementResult(
+        instance, repairs, rounds, cells, applications, check
+    )
     stats.chase_rounds += rounds
     stats.rule_applications += applications
     chase_span.set("rounds", rounds)
     chase_span.set("applications", applications)
-    chase_span.set("stable", stable)
-    if rounds_exhausted:
-        stats.rounds_exhausted += 1
-        # Record what triggered the cut-off: a rule whose RHS was still
-        # unequal at the budget, and the full rule set in play.
-        chase_span.set("rounds_exhausted", True)
-        chase_span.set("unstable_rule", unstable_rule)
-        chase_span.set("rule_set", [rule.name for rule in plan.rules])
+    # Exhaustion: the round budget ran out AND the result is not a
+    # fixpoint — the last permitted round still merged, or no round was
+    # permitted at all.  A chase whose last permitted round merged but
+    # left a stable instance did converge — further rounds could only
+    # merge cells that already carry equal values, never rewrite one —
+    # so only instability makes the cut-off observable, and only here
+    # does the kernel itself need the stability check's answer.
+    if merged_this_round or rounds == 0:
+        chase_span.set("stable", result.stable)
+        if not result.stable:
+            result.rounds_exhausted = True
+            stats.rounds_exhausted += 1
+            # Record the cut-off (the ``stability-check`` child span
+            # names the rule whose RHS was still unequal at the budget)
+            # and the full rule set in play.
+            chase_span.set("rounds_exhausted", True)
+            chase_span.set("rule_set", [rule.name for rule in plan.rules])
     chase_span.__exit__(None, None, None)
     plan.metrics.observe("chase.rounds", rounds)
     plan.metrics.observe("chase.seconds", time.perf_counter() - chase_start)
-    return EnforcementResult(
-        instance, repairs, stable, rounds, cells, applications, holding,
-        rounds_exhausted,
-    )
+    return result

@@ -144,10 +144,10 @@ class WindowedSNIndex(BlockingBackend):
     >>> schema = RelationSchema("R", ["LN", "FN"])
     >>> index = WindowedSNIndex([("LN", "LN"), ("FN", "FN")], window=3)
     >>> relation = Relation(schema)
-    >>> tid = relation.insert({"LN": "Clifford", "FN": "Alice"})
-    >>> index.add(0, relation[tid])
-    >>> other = relation.insert({"LN": "Clivord", "FN": "Alyce"})
-    >>> index.probe(1, relation[other])  # same Soundex block, ranked near
+    >>> row = relation[relation.insert({"LN": "Clifford", "FN": "Alice"})]
+    >>> index.add(0, row, index.keys_for(0, row))
+    >>> other = relation[relation.insert({"LN": "Clivord", "FN": "Alyce"})]
+    >>> index.probe(1, other, index.keys_for(1, other))  # same block, near
     [0]
     """
 
@@ -219,25 +219,26 @@ class WindowedSNIndex(BlockingBackend):
         """The block a key ranks in: its leading encoded component."""
         return key[0]
 
-    def _entry(self, side: int, row: Row, position: int) -> Entry:
-        return (
-            self.key_for(side, row, position),
-            _LEFT if side == LEFT else _RIGHT,
-            row.tid,
+    def keys_for(self, side: int, row: Row) -> Tuple[Tuple[str, ...], ...]:
+        """Every pass's sort key of ``row``: what :meth:`add` and
+        :meth:`probe` take."""
+        return tuple(
+            self.key_for(side, row, position)
+            for position in range(self.pass_count)
         )
+
+    def _entries(self, side: int, row: Row, keys) -> List[Entry]:
+        marker = _LEFT if side == LEFT else _RIGHT
+        return [(key, marker, row.tid) for key in keys]
 
     # -- streaming -----------------------------------------------------
 
-    def add(self, side: int, row: Row) -> None:
+    def add(self, side: int, row: Row, keys) -> None:
         """Rank one arriving record into its block run per pass."""
-        for position in range(self.pass_count):
-            entry = self._entry(side, row, position)
-            run = self._blocks[position].setdefault(
-                self.block_of(entry[0]), []
-            )
-            bisect.insort(run, entry)
+        for blocks, entry in zip(self._blocks, self._entries(side, row, keys)):
+            bisect.insort(blocks.setdefault(self.block_of(entry[0]), []), entry)
 
-    def probe(self, side: int, row: Row) -> List[int]:
+    def probe(self, side: int, row: Row, keys) -> List[int]:
         """Other-side tuple ids within ``row``'s rank window in any pass.
 
         A rank-range query per pass: bisect to the record's rank in its
@@ -246,9 +247,8 @@ class WindowedSNIndex(BlockingBackend):
         semantics), then scan the ±(window−1) rank interval.
         """
         found: Set[int] = set()
-        for position in range(self.pass_count):
-            entry = self._entry(side, row, position)
-            run = self._blocks[position].get(self.block_of(entry[0]), [])
+        for blocks, entry in zip(self._blocks, self._entries(side, row, keys)):
+            run = blocks.get(self.block_of(entry[0]), [])
             found.update(window_neighbors(run, entry, self.window))
         return sorted(found)
 

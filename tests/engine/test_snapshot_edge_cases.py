@@ -75,7 +75,7 @@ def test_arrival_values_survive_consensus_repair(dataset, backend):
         (side, tid): (
             store.arrival_values(side, tid),
             store.relation(side)[tid].values(),
-            store.neighbors(side, store.arrival_row(side, tid)),
+            store.neighbors(side, tid),
         )
         for side, tid in repaired
     }
@@ -84,9 +84,7 @@ def test_arrival_values_survive_consensus_repair(dataset, backend):
         assert reloaded.arrival_values(side, tid) == arrival
         assert reloaded.relation(side)[tid].values() == current
         # The store still probes by arrival values after the trip.
-        assert reloaded.neighbors(
-            side, reloaded.arrival_row(side, tid)
-        ) == neighbors
+        assert reloaded.neighbors(side, tid) == neighbors
 
 
 def test_singleton_clusters_round_trip(backend):

@@ -11,6 +11,8 @@ from the database equals a never-interrupted run.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.api import Workspace
@@ -23,6 +25,7 @@ from repro.datagen.streams import (
 )
 from repro.engine import SQLiteMatchStore
 from repro.engine.snapshot import store_to_dict
+from repro.relations.relation import Row
 
 SCENARIOS = [duplicate_burst_stream, arrival_stream, late_duplicate_stream]
 SCENARIO_IDS = ["duplicate-burst", "arrival", "late-duplicate"]
@@ -166,3 +169,175 @@ def test_resume_under_changed_spec_is_rejected(dataset, tmp_path):
     )
     with pytest.raises(ValueError, match="different"):
         different_rules.stream()
+
+
+# ----------------------------------------------------------------------
+# Micro-batches over the durable store, and the failure paths around them
+# ----------------------------------------------------------------------
+
+
+def _chase_counters(workspace):
+    stats = workspace.plan.stats
+    return (
+        stats.enforcements, stats.pairs_compared, stats.chase_rounds,
+        stats.rule_applications, stats.rounds_exhausted,
+    )
+
+
+@pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
+@pytest.mark.parametrize("seed", (7, 3))
+def test_batches_of_32_equal_per_record_ingest_on_both_stores(
+    seed, blocking, tmp_path
+):
+    """The two axes the other suites cross only one at a time: the
+    batch-invariance suite runs ``ingest_batch`` on the memory store, the
+    scenarios above run ``ingest`` on both stores.  Here every cell of
+    {memory, SQLite} × {per record, batches of 32} ends in the same
+    results and the same store, and the two stores did the same chases —
+    under hash blocking (the pooled screening chase) and under
+    sorted-neighborhood (the sequential fallback)."""
+    source = generate_dataset(150, seed=seed)
+    events = list(arrival_stream(source, seed=seed).events)
+    runs = {}
+    for backend in ("memory", "sqlite"):
+        for batch in (None, 32):
+            builder = _builder(source).blocking(blocking)
+            if backend == "sqlite":
+                builder.persistence("sqlite", str(tmp_path / f"b{batch}.db"))
+            workspace = builder.workspace()
+            matcher = workspace.stream()
+            if batch is None:
+                results = matcher.ingest_stream(events)
+            else:
+                results = [
+                    result
+                    for start in range(0, len(events), batch)
+                    for result in matcher.ingest_batch(events[start:start + batch])
+                ]
+            runs[backend, batch] = (
+                _result_log(results), _state(matcher.store),
+                _chase_counters(workspace),
+            )
+            matcher.store.close()
+    log, state, _ = runs["memory", None]
+    assert any(merged for *_, merged, _ in log)
+    for run_log, run_state, _ in runs.values():
+        assert run_log == log
+        assert run_state == state
+    for batch in (None, 32):
+        assert runs["sqlite", batch][2] == runs["memory", batch][2]
+
+
+def _postings(store):
+    """Every hash posting and every sorted-neighborhood rank entry."""
+    return [
+        store.connection.execute(
+            f"SELECT * FROM {table} ORDER BY idx, key, side, tid"
+        ).fetchall()
+        for table in ("buckets", "ranks")
+    ]
+
+
+@pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
+def test_a_rolled_back_record_leaves_no_keys_behind(dataset, blocking, tmp_path):
+    """What the store derives from a record dies with a rollback.
+
+    A batch adds tid T (values V1, indexed under V1's keys) and then
+    raises; the unit is rolled back; T then arrives with V2, whose keys
+    differ.  Everything — postings, probes, results, the whole store —
+    must be as if only the surviving events had ever been seen; a key
+    cache that outlived the rollback would index and probe T under V1.
+    """
+    events = list(arrival_stream(dataset, seed=5).events)
+    survivors = events[:40]
+    side = survivors[-1].side
+    first, second = [e for e in events[40:] if e.side == side][:2]
+    tid = first.tid
+
+    def stream(name):
+        return (
+            _builder(dataset)
+            .blocking(blocking)
+            .persistence("sqlite", str(tmp_path / name))
+            .workspace()
+            .stream()
+        )
+
+    matcher = stream("rolled.db")
+    store = matcher.store
+    assert store.blocking.keys_for(side, Row(tid, dict(first.values))) != (
+        store.blocking.keys_for(side, Row(tid, dict(second.values)))
+    )
+    matcher.ingest_batch(survivors)
+    with pytest.raises(ValueError, match="already present"):
+        # The second event re-uses a live tid: T is added, indexed and
+        # probed before the batch fails.
+        matcher.ingest_batch([(side, first.values, tid), survivors[0]])
+    assert tid not in store.relation(side)
+    result = matcher.ingest(side, second.values, tid=tid)
+
+    fresh = stream("fresh.db")
+    fresh.ingest_batch(survivors)
+    expected = fresh.ingest(side, second.values, tid=tid)
+    assert result == expected
+    assert _postings(store) == _postings(fresh.store) != [[], []]
+    assert store.neighbors(side, tid) == fresh.store.neighbors(side, tid)
+    assert _state(store) == _state(fresh.store)
+    # ... and the next arrivals still agree.
+    tail = [e for e in events[40:] if e.tid != tid or e.side != side][:20]
+    assert matcher.ingest_stream(tail) == fresh.ingest_stream(tail)
+    assert _state(store) == _state(fresh.store)
+    store.close()
+    fresh.store.close()
+
+
+def test_second_writer_gets_database_is_locked_and_nothing_half_applied(
+    dataset, tmp_path
+):
+    """Two matchers on one store file: while the first holds a write
+    transaction the second's ingest fails with ``database is locked``
+    (after the busy timeout: 5 s by default, 50 ms here), rolled back
+    whole; once the first commits, the retry succeeds as if alone."""
+    events = list(arrival_stream(dataset, seed=5).events)
+    path = tmp_path / "shared.db"
+    first = _sqlite_workspace(dataset, path).stream()
+    first.ingest_stream(events[:10])
+    second = _sqlite_workspace(dataset, path).stream()
+    (default_timeout,) = second.store.connection.execute(
+        "PRAGMA busy_timeout"
+    ).fetchone()
+    assert default_timeout == 5000
+    second.store.connection.execute("PRAGMA busy_timeout=50")
+
+    held, late = events[10], events[11]
+    first.store.add(held.side, held.values, tid=held.tid)  # no commit
+    store = second.store
+    store.neighbors(events[0].side, events[0].tid)  # a cached row with keys
+
+    def observed():
+        # (Counted in SQL: ``len(relation)`` is cached per connection, and
+        # the other writer is about to commit a row.)
+        return (
+            store.connection.execute("SELECT COUNT(*) FROM records").fetchone(),
+            store.comparisons, store.merges,
+        )
+
+    before = observed()
+    with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+        second.ingest(late.side, late.values, tid=late.tid)
+    # _transaction rolled the unit back: nothing of it is left in the
+    # table, the row cache (rows and their keys) or the counters.
+    assert observed() == before
+    assert store.left._cache == {} == store.right._cache
+    assert not store.connection.in_transaction
+
+    first.store.commit()
+    retried = second.ingest(late.side, late.values, tid=late.tid)
+
+    alone = _memory_workspace(dataset).stream()
+    alone.ingest_stream(events[:10])
+    alone.store.add(held.side, held.values, tid=held.tid)
+    assert retried == alone.ingest(late.side, late.values, tid=late.tid)
+    assert _state(store) == _state(alone.store)
+    first.store.close()
+    second.store.close()

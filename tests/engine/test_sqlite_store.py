@@ -112,7 +112,7 @@ class TestRecords:
 
     def test_set_value_keeps_arrival_immutable(self, store):
         tid = store.add(LEFT, ROW)
-        store.left.set_value(tid, "FN", "Marcus")
+        store.repair(LEFT, tid, {"FN": "Marcus"})
         assert store.left[tid]["FN"] == "Marcus"
         assert store.arrival_values(LEFT, tid)["FN"] == "Mark"
         store.commit()
@@ -132,12 +132,8 @@ class TestMatchingInterface:
     def test_neighbors_probe_other_side(self, store):
         left_tid = store.add(LEFT, ROW)
         right_tid = store.add(RIGHT, MATCHING_ROW)
-        assert store.neighbors(LEFT, store.arrival_row(LEFT, left_tid)) == [
-            right_tid
-        ]
-        assert store.neighbors(
-            RIGHT, store.arrival_row(RIGHT, right_tid)
-        ) == [left_tid]
+        assert store.neighbors(LEFT, left_tid) == [right_tid]
+        assert store.neighbors(RIGHT, right_tid) == [left_tid]
 
     def test_union_find_and_clusters(self, store):
         left_tid = store.add(LEFT, ROW)

@@ -21,18 +21,20 @@ class TestRCKIndex:
         index = RCKIndex("ln", [("LN", "LN")])
         credit = Relation(pair.left)
         tid = credit.insert({"LN": "Clifford"})
-        index.add(LEFT, credit[tid])
+        key = index.add(LEFT, credit[tid], index.key_for(LEFT, credit[tid]))
         billing = Relation(pair.right)
         other = billing.insert({"LN": "Clivord"})  # same Soundex code
-        assert index.probe(RIGHT, billing[other]) == [tid]
+        row = billing[other]
+        assert index.probe(RIGHT, row, index.key_for(RIGHT, row)) == [tid]
         # A left-side probe must not return the left-side entry itself.
-        assert index.probe(LEFT, credit[tid]) == []
+        assert index.probe(LEFT, credit[tid], key) == []
 
     def test_unknown_key_probes_empty(self, pair):
         index = RCKIndex("ln", [("LN", "LN")])
         billing = Relation(pair.right)
         tid = billing.insert({"LN": "Smith"})
-        assert index.probe(RIGHT, billing[tid]) == []
+        row = billing[tid]
+        assert index.probe(RIGHT, row, index.key_for(RIGHT, row)) == []
 
     def test_needs_pairs(self):
         with pytest.raises(ValueError):
@@ -87,8 +89,7 @@ class TestMatchStore:
             {"FN": "Zed", "LN": "Zz", "phn": "908-1111111",
              "post": "elsewhere", "email": "zz@xx.com"},
         )
-        row = store.right[right_tid]
-        assert store.neighbors(RIGHT, row) == [left_tid]
+        assert store.neighbors(RIGHT, right_tid) == [left_tid]
 
     def test_union_and_counters(self, store):
         left_tid = store.add(LEFT, {"FN": "Mark"})

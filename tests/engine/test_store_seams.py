@@ -1,0 +1,277 @@
+"""The seams between the engine and its stores, by counts and equalities.
+
+The matcher chases the store's own rows (``store.view`` — the part of a
+``Relation`` the kernel reads, over arrival and over current values),
+asks the store whether a record was repaired, writes a repaired record
+once, and probes under the keys a record was indexed with.  Each of
+those is pinned here against the slow, obvious read — row by row,
+statement by statement — on both stores; nothing here looks at a clock.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api import Workspace
+from repro.core.schema import LEFT, RIGHT
+from repro.datagen.generator import generate_dataset
+from repro.datagen.schemas import extended_mds
+from repro.datagen.streams import arrival_stream
+from repro.engine import SQLiteMatchStore
+from repro.engine.snapshot import config_from_dict, populate_store, store_to_dict
+from repro.plan.blocking import RCKIndex
+
+SIDES = (LEFT, RIGHT)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_dataset(260, seed=7)
+
+
+@pytest.fixture(scope="module")
+def events(dataset):
+    return list(arrival_stream(dataset, seed=7).events)
+
+
+def _workspace(dataset, path=None) -> Workspace:
+    builder = (
+        Workspace.builder()
+        .pair(dataset.pair)
+        .target(dataset.target)
+        .mds(extended_mds(dataset.pair))
+        .blocking("hash")
+        .execution(top_k=5)
+    )
+    if path is not None:
+        builder.persistence("sqlite", str(path))
+    return builder.workspace()
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def matcher(request, dataset, tmp_path):
+    path = tmp_path / "seams.db" if request.param == "sqlite" else None
+    matcher = _workspace(dataset, path).stream()
+    yield matcher
+    matcher.store.close(commit=False)
+
+
+# ----------------------------------------------------------------------
+# (i) project over the store ≡ the row-by-row read
+# ----------------------------------------------------------------------
+
+
+def _row_by_row(store, side, arrival):
+    """``{tid: values}`` read one record at a time through the copying
+    accessors the views replace."""
+    return {
+        tid: (
+            store.arrival_values(side, tid)
+            if arrival
+            else store.relation(side)[tid].values()
+        )
+        for tid in store.relation(side).tids()
+    }
+
+
+def assert_views_read_the_rows(store, expected=None):
+    """Every view's ``project`` equals the row-by-row read (``expected``:
+    one taken earlier, to compare a cold cache against)."""
+    for side in SIDES:
+        names = list(store.relation(side).schema.attribute_names)
+        for arrival in (True, False):
+            view = store.view(side, arrival)
+            assert view.schema == store.relation(side).schema
+            rows = (
+                expected[side, arrival]
+                if expected is not None
+                else _row_by_row(store, side, arrival)
+            )
+            # Any tid order, any attribute order, a subset of either.
+            tids = sorted(rows, reverse=True)[::2]
+            attributes = names[::-1][:5]
+            assert view.project(tids, attributes) == [
+                rows[tid][attribute] for tid in tids for attribute in attributes
+            ]
+            assert view.project([], names) == []
+            assert tids  # (a view validates against the rows it reads)
+            with pytest.raises(KeyError):
+                view.project(tids[:1], ["FN", "no-such-attribute"])
+            with pytest.raises(KeyError):
+                view.project([max(rows, default=0) + 10_000], names[:1])
+
+
+def test_views_project_what_the_rows_hold(matcher, events):
+    store = matcher.store
+    for event in events[:20]:
+        store.add(event.side, event.values, tid=event.tid)
+    # Before any repair the two value sets coincide.
+    assert_views_read_the_rows(store)
+    assert not any(
+        store.is_repaired(side, tid)
+        for side in SIDES
+        for tid in store.relation(side).tids()
+    )
+    matcher.ingest_stream(events[20:120])
+    repaired = [
+        (side, tid)
+        for side in SIDES
+        for tid in store.relation(side).tids()
+        if store.is_repaired(side, tid)
+    ]
+    assert repaired  # consensus repairs happened: the views now differ
+    assert_views_read_the_rows(store)
+    for side, tid in repaired:
+        names = store.relation(side).schema.attribute_names
+        assert store.view(side, True).project([tid], names) != store.view(
+            side, False
+        ).project([tid], names)
+        assert store.arrival_values(side, tid) != store.relation(side)[tid].values()
+
+
+def test_views_follow_a_rollback(matcher, events):
+    store = matcher.store
+    matcher.ingest_stream(events[:60])
+    before = {
+        (side, arrival): _row_by_row(store, side, arrival)
+        for side in SIDES
+        for arrival in (True, False)
+    }
+    late = events[60]
+    store.add(late.side, late.values, tid=late.tid)
+    changed = dict(late.values, FN="Changed")
+    store.repair(late.side, late.tid, {"FN": "Changed"})
+    assert store.view(late.side, False).project([late.tid], ["FN"]) == ["Changed"]
+    assert store.view(late.side, True).project([late.tid], ["FN"]) == [
+        late.values["FN"]
+    ]
+    assert store.is_repaired(late.side, late.tid)
+    assert store.relation(late.side)[late.tid].values() == {
+        name: changed.get(name)
+        for name in store.relation(late.side).schema.attribute_names
+    }
+    store.rollback()
+    if store.backend_name == "sqlite":
+        # The durable store forgets the uncommitted record, views included.
+        with pytest.raises(KeyError):
+            store.view(late.side, True).project([late.tid], ["FN"])
+        assert_views_read_the_rows(store, before)
+    assert_views_read_the_rows(store)
+
+
+def test_views_read_a_cold_reopened_store(dataset, events, tmp_path):
+    path = tmp_path / "cold.db"
+    first = _workspace(dataset, path).stream()
+    first.ingest_stream(events[:120])
+    expected = {
+        (side, arrival): _row_by_row(first.store, side, arrival)
+        for side in SIDES
+        for arrival in (True, False)
+    }
+    first.store.close()
+
+    reopened = SQLiteMatchStore(path)
+    assert reopened.left._cache == {} == reopened.right._cache
+    assert_views_read_the_rows(reopened, expected)
+    # ... and the matcher built over it chases the same views.
+    resumed = _workspace(dataset, path).stream(store=reopened)
+    uninterrupted = _workspace(dataset).stream()
+    uninterrupted.ingest_stream(events[:120])
+    assert resumed.ingest_stream(events[120:150]) == uninterrupted.ingest_stream(
+        events[120:150]
+    )
+    reopened.close()
+
+
+def test_a_cluster_is_resolved_once_per_record_in_first_change_order(matcher):
+    """``_resolve_cluster`` hands the cascade the changed records in the
+    order their first cell changed (target-attribute order, then side and
+    tid) — the order the cascade re-probes in, hence an observable of
+    every later ``IngestResult`` — and writes each of them once."""
+    store = matcher.store
+    left = store.add(LEFT, {"FN": "Marcus", "LN": "Cl", "tel": "908-1111111"})
+    right = store.add(RIGHT, {"FN": "M", "LN": "Clifford", "phn": "908-1111111"})
+    other = store.add(RIGHT, {"FN": "Marcus", "LN": "Clifford", "phn": None})
+    store.union(("L", left), ("R", right))
+    store.union(("L", left), ("R", other))
+    writes = []
+    repair = store.repair
+    store.repair = lambda *args: writes.append(args[:2]) or repair(*args)
+    # FN moves ``right`` first; LN then moves ``left``; tel/phn moves
+    # ``other`` last — not (side, tid) order.
+    changed = matcher._resolve_cluster(store.find(("L", left)))
+    assert changed == [(RIGHT, right), (LEFT, left), (RIGHT, other)] == writes
+    for side, tid in changed:
+        row = store.relation(side)[tid]
+        assert (row["FN"], row["LN"]) == ("Marcus", "Clifford")
+        assert row["tel" if side == LEFT else "phn"] == "908-1111111"
+        assert store.is_repaired(side, tid)
+    # Resolved already: a second pass changes and writes nothing.
+    assert matcher._resolve_cluster(store.find(("L", left))) == []
+    assert len(writes) == 3
+
+
+# ----------------------------------------------------------------------
+# (iii) what one ingest costs, in statements and derivations
+# ----------------------------------------------------------------------
+
+
+def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypatch):
+    """300 events: every changed record is written once, every record's
+    keys are derived once, every posting is written once."""
+    stream = events[:300]
+    assert len(stream) == 300
+    matcher = _workspace(dataset, tmp_path / "cost.db").stream()
+    store = matcher.store
+
+    derivations = []
+    key_for = RCKIndex.key_for
+    monkeypatch.setattr(
+        RCKIndex,
+        "key_for",
+        lambda index, side, row: derivations.append(row.tid) or key_for(index, side, row),
+    )
+    changed_records = []
+    resolve = matcher._resolve_cluster
+    monkeypatch.setattr(
+        matcher,
+        "_resolve_cluster",
+        lambda node: changed_records.extend(changed := resolve(node)) or changed,
+    )
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    results = matcher.ingest_stream(stream)
+    store.connection.set_trace_callback(None)
+
+    def count(prefix):
+        return sum(statement.startswith(prefix) for statement in statements)
+
+    assert len(store.indexes) > 1 and any(result.merged for result in results)
+    # One UPDATE per record whose current values changed (a cluster's
+    # consensus moves several cells of a record at once)...
+    assert count("UPDATE records") == len(changed_records) > 0
+    # ... the cascade re-probes records (more probes than records), yet a
+    # record's keys are derived once, at add ...
+    assert count("SELECT tid FROM buckets") > len(stream)
+    assert len(derivations) == len(store.indexes) * len(stream)
+    # ... and written once per index.
+    assert count("INSERT INTO buckets") == len(store.indexes) * len(stream)
+    assert count("INSERT INTO records") == len(stream)
+
+    # Replaying the store from its snapshot document (``engine migrate``)
+    # pays the same: one UPDATE per record that carries a repair.
+    document = store_to_dict(store)
+    store.close()
+    repaired = sum(
+        arrival != current
+        for rows in document["rows"].values()
+        for _, arrival, current in rows
+    )
+    replayed = SQLiteMatchStore(tmp_path / "replayed.db", **config_from_dict(document))
+    del statements[:]
+    replayed.connection.set_trace_callback(statements.append)
+    populate_store(replayed, document)
+    replayed.connection.set_trace_callback(None)
+    assert count("UPDATE records") == repaired > 0
+    assert store_to_dict(replayed) == document
+    replayed.close()

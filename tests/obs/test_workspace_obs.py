@@ -66,6 +66,12 @@ class TestTracedMatch:
         (chase,) = _named(workspace.tracer, "chase")
         rounds = [c for c in chase.children if c.name == "chase-round"]
         assert len(rounds) == chase.attrs["rounds"] > 0
+        # Stability is checked once per chase, under whoever asked: here
+        # the provenance read-off, after the chase span closed (which is
+        # why that span does not know ``stable``).
+        (provenance,) = _named(workspace.tracer, "provenance")
+        (check,) = _named(workspace.tracer, "stability-check")
+        assert check in provenance.children and "stable" not in chase.attrs
         assert all(span.duration >= 0.0 for span in _all_spans(workspace.tracer))
 
         # The registry's view of the same run lands in the report.
@@ -174,6 +180,10 @@ class TestEngineStreamTracing:
         for span in spans:
             assert span.attrs["side"] in (LEFT, RIGHT)
             assert "tid" in span.attrs
+        # The engine reads matches off its delta chases and nothing else:
+        # none of them runs a stability pass.
+        assert _named(workspace.tracer, "chase")
+        assert _named(workspace.tracer, "stability-check") == []
 
         rendered = workspace.metrics.as_dict()
         assert rendered["counters"]["engine.ingests"] == ingested

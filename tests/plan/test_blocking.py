@@ -13,6 +13,15 @@ from repro.plan.blocking import (
 )
 
 
+def _add(backend, side, row):
+    """Index ``row`` the way a store does: under the keys derived once."""
+    backend.add(side, row, backend.keys_for(side, row))
+
+
+def _probe(backend, side, row):
+    return backend.probe(side, row, backend.keys_for(side, row))
+
+
 @pytest.fixture
 def rcks(ext_sigma, ext_target):
     return find_rcks(ext_sigma, ext_target, m=5)
@@ -44,12 +53,12 @@ class TestHashBlockingBackend:
         backend = HashBlockingBackend.per_rck(rcks)
         credit, billing = small_dataset.credit, small_dataset.billing
         for row in credit:
-            backend.add(LEFT, row)
+            _add(backend, LEFT, row)
         batch = set(backend.candidates(credit, billing))
         probed = {
             (left_tid, row.tid)
             for row in billing
-            for left_tid in backend.probe(RIGHT, row)
+            for left_tid in _probe(backend, RIGHT, row)
         }
         assert probed == batch
 
@@ -57,7 +66,7 @@ class TestHashBlockingBackend:
         backend = HashBlockingBackend.per_rck(rcks)
         backend.candidates(small_dataset.credit, small_dataset.billing)
         row = small_dataset.billing.rows()[0]
-        assert backend.probe(RIGHT, row) == []
+        assert _probe(backend, RIGHT, row) == []
 
     def test_describe_names_keys(self, rcks):
         assert "hash(" in HashBlockingBackend.per_rck(rcks).describe()

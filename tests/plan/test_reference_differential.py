@@ -13,6 +13,8 @@ sets, and one explicit case per input shape the kernel treats specially.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,9 +68,16 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     expected = reference_chase(
         plan.sigma, instance, resolver, pairs, max_rounds, plan.registry
     )
+    # Stability is computed on demand: the kernel has run the check only
+    # where ``rounds_exhausted`` depends on it (the budget cut the chase
+    # off), and ``stable`` / ``holding`` are read below after everything
+    # else — what they answer may not depend on when they are asked.
+    if expected.rounds_exhausted:
+        assert result.check is None
+    elif 0 < expected.rounds < max_rounds:
+        assert result.check is not None
     assert result.rounds == expected.rounds
     assert result.applications == expected.applications
-    assert result.stable == expected.stable
     assert result.rounds_exhausted == expected.rounds_exhausted
     assert {
         frozenset(group) for group in result.merged_cells.classes()
@@ -86,10 +95,20 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # Per rule, exactly the pairs whose LHS holds in D' — whatever the
     # chase ended on (stable, unstable, cut off).
     chased = list(instance.tuple_pairs() if pairs is None else pairs)
-    assert [[chased[i] for i in positions] for positions in result.holding] == [
+    pending = None if result.check is None else weakref.ref(result.check)
+    shown = repr(result)
+    holding = result.holding
+    assert [[chased[i] for i in positions] for positions in holding] == [
         [pair for pair in chased if rule in expected.firing(*pair)]
         for rule in range(len(plan.rules))
     ]
+    assert result.stable == expected.stable
+    # Answered once: the same objects on every later read, and the check
+    # — with the chase's working lists it closed over — is let go.
+    assert result.holding is holding and result.check is None
+    assert pending is None or pending() is None
+    # ... and is no part of the result's value: asking changes nothing.
+    assert repr(result) == shown and "check" not in shown
     return result, expected
 
 
@@ -344,6 +363,31 @@ def test_max_rounds_cut_off(max_rounds, rules):
     # the fixpoint, and only then is the cut-off reported.
     assert result.rounds_exhausted == (max_rounds < 2)
     assert result.stable == (max_rounds >= 2)
+    # The flag and its counter are set by the chase itself, not by the
+    # first read of ``stable`` (assert_same_chase reads it late).
+    fresh = plan.enforce(instance, max_rounds=max_rounds)
+    assert fresh.rounds_exhausted == (max_rounds < 2)
+    assert plan.stats.rounds_exhausted == 2 * (max_rounds < 2)
+    # Budget 2 ends on a merging round too, so the check ran eagerly and
+    # found the instance stable; budget 3 converged and left it unasked.
+    assert (fresh.check is None) == (max_rounds <= 2)
+
+
+def test_an_unread_stability_check_costs_nothing():
+    """A caller that reads matches only (the streaming engine) pays for
+    no stability pass: no predicate is evaluated after the last round."""
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "x", "B": "long-b", "C": "long-c"}]),
+        Relation(pair.right, [{"A": "x", "B": None, "C": None}]),
+    )
+    result = plan.enforce(instance)
+    assert result.matches([("C", "C")]) == [(0, 0)]
+    unread = plan.stats.metric_evaluations
+    assert result.stable and result.holding == [[0], [0]]
+    assert plan.stats.metric_evaluations > unread
+    assert not result.rounds_exhausted and plan.stats.rounds_exhausted == 0
 
 
 def test_empty_candidate_list():

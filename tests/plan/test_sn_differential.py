@@ -88,7 +88,7 @@ def _stream_against_batch(
     live = sorted(
         (row.tid, other)
         for row in store.left
-        for other in store.neighbors(LEFT, store.arrival_row(LEFT, row.tid))
+        for other in store.neighbors(LEFT, row.tid)
     )
     assert live == sorted(report.candidates)
     assert store.spec_fingerprint == report.fingerprint

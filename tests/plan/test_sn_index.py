@@ -28,6 +28,15 @@ def _relation(values, attribute="K"):
     return relation
 
 
+def _add(backend, side, row):
+    """Index ``row`` the way a store does: under the keys derived once."""
+    backend.add(side, row, backend.keys_for(side, row))
+
+
+def _probe(backend, side, row):
+    return backend.probe(side, row, backend.keys_for(side, row))
+
+
 def _index(window=3, pairs=(("K", "K"),)):
     # encode_attributes=() keeps keys raw: tests control blocks exactly.
     return WindowedSNIndex(pairs, window=window, encode_attributes=())
@@ -39,9 +48,9 @@ class TestIncrementalEqualsBatch:
         right = _relation(["a1", "a9", "b2", "c1"])
         index = _index(window=3)
         for row in left:
-            index.add(LEFT, row)
+            _add(index, LEFT, row)
         for row in right:
-            index.add(RIGHT, row)
+            _add(index, RIGHT, row)
         assert index.scan_candidates() == index.candidates(left, right)
 
     def test_arrival_order_is_irrelevant(self):
@@ -51,9 +60,9 @@ class TestIncrementalEqualsBatch:
         backward = _index(window=2)
         rows = [(LEFT, row) for row in left] + [(RIGHT, row) for row in right]
         for side, row in rows:
-            forward.add(side, row)
+            _add(forward, side, row)
         for side, row in reversed(rows):
-            backward.add(side, row)
+            _add(backward, side, row)
         assert forward.scan_candidates() == backward.scan_candidates()
 
     def test_probe_of_ranked_row_is_the_window(self):
@@ -64,14 +73,14 @@ class TestIncrementalEqualsBatch:
         # All rows share V=None, so block confinement keeps pass 0 in a
         # single run ordered by (V, K); pass 1 splits per K value.
         for row in left:
-            index.add(LEFT, row)
+            _add(index, LEFT, row)
         for row in right:
-            index.add(RIGHT, row)
+            _add(index, RIGHT, row)
         # Pass 0's run order is x1 x2 x3 x4 x5 x6 (K tie-breaks); each
         # probe sees its rank neighbors on the other side only.
-        assert index.probe(LEFT, left[0]) == [0]          # x1 -> x2
-        assert index.probe(LEFT, left[1]) == [0, 1]       # x3 -> x2, x4
-        assert index.probe(RIGHT, right[2]) == [2]        # x6 -> x5
+        assert _probe(index, LEFT, left[0]) == [0]          # x1 -> x2
+        assert _probe(index, LEFT, left[1]) == [0, 1]       # x3 -> x2, x4
+        assert _probe(index, RIGHT, right[2]) == [2]        # x6 -> x5
 
 
 def _blocked(values):
@@ -174,12 +183,12 @@ class TestDegenerateWindows:
         right = _relation(["a", "a", "a"])
         index = _index(window=window)
         for row in left:
-            index.add(LEFT, row)
+            _add(index, LEFT, row)
         for row in right:
-            index.add(RIGHT, row)
+            _add(index, RIGHT, row)
         assert index.candidates(left, right) == []
         assert index.scan_candidates() == []
-        assert index.probe(LEFT, left[0]) == []
+        assert _probe(index, LEFT, left[0]) == []
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least one attribute pair"):
@@ -205,7 +214,7 @@ class TestHelpers:
         )
         left = _relation(["a1", "b1"])
         for row in left:
-            index.add(LEFT, row)
+            _add(index, LEFT, row)
         stats = index.index_stats()
         assert set(stats) == {"sn:K+V", "sn:V+K"}
         assert stats["sn:K+V"]["buckets"] == 2      # blocks a, b
