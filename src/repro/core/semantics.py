@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import le
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
@@ -255,6 +257,13 @@ class CellClasses:
     tag — ``right_base`` apart — because the chase identifies *qualified*
     cells.
 
+    Beside the per-pair lists (``left_cells`` / ``right_cells``) the
+    encoding has a per-tuple face — ``left_tuples`` / ``right_tuples``,
+    every tuple's first cell — which is what the kernel hash-joins an
+    equality atom over, and knows whether the pair list is
+    :attr:`ordered`, which is what lets a joined pair be found in it by
+    bisection.
+
     :func:`repro.plan.executor.chase` does the unions, in its round
     loop; everything tuple-facing (:meth:`same`, :meth:`members`,
     :meth:`classes`) decodes at the boundary.
@@ -290,11 +299,23 @@ class CellClasses:
         self.left_cells = [left_first[left_tid] for left_tid, _ in pairs]
         self.right_cells = [right_first[right_tid] for _, right_tid in pairs]
         count = self.right_base + len(self.right_tids) * right_width
+        #: Per side, every tuple's first cell, in tid order.
+        self.left_tuples = range(0, self.right_base, left_width or 1)
+        self.right_tuples = range(self.right_base, count, right_width or 1)
         self.root = list(range(count))
         self.size = [1] * count
         self.next = list(range(count))
 
     # -- the encoding ----------------------------------------------------
+
+    @cached_property
+    def ordered(self) -> bool:
+        """Whether the pair list ascends by ``(left tid, right tid)`` —
+        then so do ``left_cells`` and, among one left tuple's pairs,
+        ``right_cells`` (a pair listed twice sits at adjacent positions),
+        and a pair is found by bisection.  One pass, on first read."""
+        pairs = self.pairs
+        return all(map(le, pairs, islice(pairs, 1, None)))
 
     def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
         """The int of a cell, ``None`` for one outside the encoding (a

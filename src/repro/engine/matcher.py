@@ -530,9 +530,8 @@ class IncrementalMatcher:
                 store.add(LEFT, row.values(), tid=row.tid if preserve_tids else None)
             for row in right.rows():
                 store.add(RIGHT, row.values(), tid=row.tid if preserve_tids else None)
-            ordered = sorted(
-                set(store.blocking.candidates(store.left, store.right))
-            )
+            # (each pair once, ascending: the backends' contract)
+            ordered = store.blocking.candidates(store.left, store.right)
             store.comparisons += len(ordered)
             matches = self._match_pairs(ordered) if ordered else []
             touched: List[Node] = []

@@ -10,6 +10,8 @@ separators.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .base import StringMetric
 
 _CODES = {
@@ -27,11 +29,14 @@ _SKIP_TRANSPARENT = {"H", "W"}
 _SKIP_SEPARATOR = {"A", "E", "I", "O", "U", "Y"}
 
 
+@lru_cache(maxsize=1 << 16)
 def soundex(value: str) -> str:
     """Return the 4-character Soundex code of ``value``.
 
     Non-alphabetic characters are ignored; an empty or fully non-alphabetic
     input encodes to ``"0000"`` so blocking on the code never raises.
+    Memoised per distinct value (bounded): blocking encodes every record's
+    name attributes, and names repeat.
 
     >>> soundex("Robert")
     'R163'

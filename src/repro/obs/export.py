@@ -14,7 +14,8 @@ format, directly loadable in ``about:tracing`` or https://ui.perfetto.dev
   of the run's counters/gauges/histograms.
 
 :func:`summarize_trace` aggregates a document back into a per-span-name
-text table (``repro trace summarize``); :func:`validate_trace` is the
+text table plus one line on how the chase rounds selected — joined or
+scanned (``repro trace summarize``); :func:`validate_trace` is the
 structural schema check CI runs on smoke traces.
 """
 
@@ -241,6 +242,21 @@ def summarize_trace(document: Dict[str, object]) -> str:
         lines.append(
             f"{name:<24} {len(durations):>6} {sum(durations):>10.3f} "
             f"{sum(durations) / len(durations):>9.3f} {max(durations):>9.3f}"
+        )
+    rounds = [
+        event.get("args") or {} for event in events if event["name"] == "chase-round"
+    ]
+    if rounds:
+        # How the rounds selected: equality atoms served by a hash join
+        # (and what the joins probed) against pairs read by scanning.
+        joined, probes, scanned = (
+            sum(int(args.get(key, 0)) for args in rounds)
+            for key in ("joined", "join_probes", "scanned")
+        )
+        lines.append("")
+        lines.append(
+            f"selection over {len(rounds)} chase round(s): {joined} rule(s) "
+            f"joined ({probes} probes), {scanned} pair(s) scanned"
         )
     metrics = document.get("metrics")
     if isinstance(metrics, dict):

@@ -307,7 +307,14 @@ class BlockingBackend:
     family: str = "none"
 
     def candidates(self, left: Relation, right: Relation) -> List[Pair]:
-        """All candidate pairs for a batch instance pair."""
+        """All candidate pairs for a batch instance pair: each pair once,
+        ascending by ``(left_tid, right_tid)``.
+
+        The order is part of the contract — it is what lets the chase
+        find a pair by bisection and serve an equality atom by a hash
+        join; a list in any other order is chased all the same, every
+        atom filtering it.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:

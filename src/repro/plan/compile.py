@@ -107,8 +107,10 @@ class PlanStats:
     """Work counters of one plan, cumulative across executions."""
 
     compiles: int = 0
-    #: Predicate calls executed (equality atoms included) and similarity
-    #: memo hits; together, the predicate probes made.
+    #: Predicate calls executed — an equality atom counts one per pair it
+    #: filters or, served by a hash join, one per (left, right) tuple hit
+    #: it looks up in the pair list — and similarity memo hits; together,
+    #: the predicate probes made.
     metric_evaluations: int = 0
     cache_hits: int = 0
     pairs_compared: int = 0
@@ -188,7 +190,7 @@ class EnforcementPlan:
         #: granularity, never per predicate).
         self.tracer = NULL_TRACER
         self.metrics = MetricsRegistry()
-        self._cache: Dict[Tuple[int, object, object], bool] = {}
+        self._cache: Dict[Tuple[int, Optional[str], Optional[str]], bool] = {}
         #: Per rule, its LHS in the order the chase kernel narrows a
         #: selection by: the equality atoms as ``(left, right)`` attribute
         #: names, then the similarity predicates (declared order within
@@ -245,18 +247,24 @@ class EnforcementPlan:
         The cache is keyed by values (not tuple ids): chase repairs rewrite
         tuple values mid-run, so value keys stay correct where id keys
         would not — and equal values across different pairs share entries.
-        Equality predicates and unhashable values are evaluated directly
-        (the comparison is cheaper than the probe).
+        The key is what the predicate reads: a memoized predicate is a
+        thresholded string metric
+        (:class:`~repro.metrics.base.ThresholdOperator`), which rejects a
+        null and otherwise compares the ``str()`` forms — so ``1``,
+        ``1.0`` and ``True``, equal and hashed alike but spelled
+        differently, each get their own answer, and an unhashable value
+        keys the memo like any other.  Equality predicates are evaluated
+        directly (the comparison is cheaper than the probe).
         """
         if not (self.cached and predicate.cacheable):
             self.stats.metric_evaluations += 1
             return bool(predicate.predicate(left_value, right_value))
-        key = (predicate.index, left_value, right_value)
-        try:
-            cached = self._cache.get(key)
-        except TypeError:
-            self.stats.metric_evaluations += 1
-            return bool(predicate.predicate(left_value, right_value))
+        key = (
+            predicate.index,
+            left_value if left_value is None else str(left_value),
+            right_value if right_value is None else str(right_value),
+        )
+        cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached

@@ -138,6 +138,18 @@ class TestBootstrap:
         # Tuple ids were preserved, so rows line up with the sources.
         assert sorted(warm.store.left.tids()) == sorted(credit.tids())
 
+    def test_bootstrap_chases_the_candidates_in_list_order(self, matcher, fig1):
+        """Bootstrap hands the chase what blocking returned — each pair
+        once, ascending by ``(left_tid, right_tid)``: the order the
+        chase's hash joins bisect in."""
+        _, credit, billing = fig1
+        chased = []
+        match_pairs = matcher._match_pairs
+        matcher._match_pairs = lambda pairs: chased.append(list(pairs)) or match_pairs(pairs)
+        result = matcher.bootstrap(credit, billing)
+        (pairs,) = chased
+        assert pairs == sorted(set(pairs)) and len(pairs) == result.candidates > 1
+
     def test_bootstrap_then_stream(self, matcher, target, fig1):
         """Ingesting after a bootstrap matches against the warm state."""
         _, credit, billing = fig1

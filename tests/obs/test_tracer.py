@@ -187,9 +187,11 @@ class TestExport:
 
     def test_summarize_aggregates_by_name(self):
         tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("chase-round"):
-                pass
+        for round_ in range(3):
+            with tracer.span("chase-round", round=round_) as span:
+                span.set("joined", 2 - round_)
+                span.set("join_probes", 100 * (2 - round_))
+                span.set("scanned", 7 * round_)
         metrics = MetricsRegistry()
         metrics.observe("chase.rounds", 3)
         document = trace_document(
@@ -200,3 +202,7 @@ class TestExport:
         row = next(line for line in text.splitlines() if "chase-round" in line)
         assert " 3 " in row
         assert "chase.rounds" in text
+        assert (
+            "selection over 3 chase round(s): 3 rule(s) joined (300 probes), "
+            "21 pair(s) scanned"
+        ) in text

@@ -66,6 +66,13 @@ class TestTracedMatch:
         (chase,) = _named(workspace.tracer, "chase")
         rounds = [c for c in chase.children if c.name == "chase-round"]
         assert len(rounds) == chase.attrs["rounds"] > 0
+        # Every round says how it selected: rules served by a hash join
+        # (and the probes those made) against pairs read by scanning.
+        for span in rounds:
+            assert {"round", "joined", "join_probes", "scanned",
+                    "merges"} <= set(span.attrs)
+            assert 0 <= span.attrs["joined"] <= len(workspace.plan.rules)
+            assert (span.attrs["join_probes"] > 0) == (span.attrs["joined"] > 0)
         # Stability is checked once per chase, under whoever asked: here
         # the provenance read-off, after the chase span closed (which is
         # why that span does not know ``stable``).

@@ -8,9 +8,11 @@ from repro.plan.blocking import (
     HashBlockingBackend,
     SortedNeighborhoodBackend,
     hash_candidates,
+    leading_attribute_pairs,
     rck_sort_keys,
     window_candidates,
 )
+from repro.plan.sn_index import WindowedSNIndex
 
 
 def _add(backend, side, row):
@@ -98,3 +100,16 @@ class TestSortedNeighborhoodBackend:
     def test_describe_reports_window(self, rcks):
         backend = SortedNeighborhoodBackend.from_rcks(rcks, window=4)
         assert "window=4" in backend.describe()
+
+
+@pytest.mark.parametrize("build", (
+    HashBlockingBackend.per_rck,
+    lambda rcks: SortedNeighborhoodBackend.from_rcks(rcks, window=10),
+    lambda rcks: WindowedSNIndex(leading_attribute_pairs(rcks), window=10),
+), ids=("hash", "sorted-neighborhood", "windowed-sn"))
+def test_candidates_come_back_once_each_ascending(build, rcks, small_dataset):
+    """The contract of ``BlockingBackend.candidates``, and the precondition
+    of the chase's hash joins: an unordered list silently scans."""
+    candidates = build(rcks).candidates(small_dataset.credit, small_dataset.billing)
+    assert len(candidates) > 100
+    assert candidates == sorted(set(candidates))
