@@ -18,12 +18,36 @@ over the workspace's compiled plan — instead keeps a warm
    a delta chase runs no stability pass), merges identity clusters, and
    re-resolves each grown cluster's target values to the member
    consensus, so later arrivals compare against the cleaned records (the
-   dynamic semantics accumulating over the stream).
+   dynamic semantics accumulating over the stream);
+5. re-examines the neighborhood of every record that consensus repaired.
 
 Per-ingest work is therefore proportional to the record's bucket
 neighborhood, which is what makes streaming ingest sublinear in the store
 size (asserted by ``tests/engine/test_equivalence.py`` via the store's
 comparison counter).
+
+**A chase runs only when its verdict can change the store.**  The paper's
+dynamic semantics evaluates an MD's LHS on ``D`` once and afterwards on
+the updated ``D'``; a record's arrival values never change, so (1) a
+*re-examination* chases current values only — arrival evidence is read
+once per pair, in the delta of the later of its two arrivals (the
+streaming counterpart of the batch kernel's rounds ≥ 2).  (2) A
+re-examination none of whose pairs leaves the record's cluster is not
+chased: no pair could union.  (3) Which cells a chase identifies depends
+only on the values of the attributes a rule reads
+(:attr:`~repro.plan.compile.EnforcementPlan.read_attributes`), so a
+repair that moves none of them is written to the store and otherwise
+ignored: it queues no re-examination and does not count as "repaired"
+for the second chase.  (4) An arriving delta's second, current-values
+chase is skipped when the first matched every pair.  Rules 2, 4 and the
+second-chase half of 3 cannot change what the store ends up holding
+(``tests/engine/test_chase_pruning.py`` runs the engine with each forced
+off and compares); rule 1 and the re-examination half of 3 give up
+re-chasing a neighborhood on evidence every pair of it was already
+judged on — in a different pair context, which on rare streams decided a
+pair differently (README, "One ingest pays for its delta").  The chases
+that ran and the ones skipped are counted by kind in the metrics
+registry (``engine.chases.*``).
 """
 
 from __future__ import annotations
@@ -89,9 +113,12 @@ class IngestResult:
     side, tid:
         Where the record landed in the store.
     candidates:
-        The delta pairs actually compared (new record × neighborhood).
+        The pairs probed: the new record × its neighborhood, then every
+        re-examined record × its neighborhood.
     matches:
-        The subset declared matches by enforcement.
+        What the chases that ran found among them (a re-examination
+        reports current-value matches only, and none when it was skipped
+        because no pair left the record's cluster).
     merged:
         Whether any cluster merge happened (False for re-ingested
         duplicates that were already in the right cluster).
@@ -127,12 +154,13 @@ class _MergeOutcome:
     merged: bool
     rounds: int
     truncated: bool
-    #: ``(side, tid)`` records whose *current values* changed (consensus
-    #: repairs) — the dynamic dirt frontier
+    #: ``(side, tid)`` records a consensus repair moved on an attribute
+    #: some rule reads — the dynamic dirt frontier
     #: :meth:`IncrementalMatcher.ingest_batch` uses to decide which later
-    #: batch records may skip their chase.  Merges that repair nothing
-    #: are deliberately not dirt: a chase reads values, never cluster
-    #: membership, so they cannot change a later record's verdict.
+    #: batch records may skip their chase.  Merges that repair nothing a
+    #: rule reads are deliberately not dirt: a chase reads those values,
+    #: never cluster membership, so they cannot change a later record's
+    #: verdict.
     touched: Set[Tuple[int, int]]
 
 
@@ -209,13 +237,14 @@ class IncrementalMatcher:
         """Ingest one record: index, probe, enforce on the delta, merge.
 
         When a merge changes a cluster's consensus values (see
-        :meth:`_resolve_cluster`), every repaired record's neighborhood is
-        re-enforced — the streaming counterpart of the batch chase
-        re-scanning its candidate pairs after a round of updates.  The
-        cascade stops immediately when no merge repairs anything (the
+        :meth:`_resolve_cluster`) on an attribute some rule reads, the
+        repaired record's neighborhood is re-examined on current values —
+        the streaming counterpart of the batch chase re-scanning its
+        candidate pairs after a round of updates.  The cascade stops
+        immediately when no merge repairs anything a rule can read (the
         common, clean-data case); ``max_cascade`` bounds the number of
-        record re-enforcements per ingest as a safety valve, and hitting
-        it is reported via :attr:`IngestResult.cascade_truncated`.
+        re-examinations per ingest as a safety valve, and hitting it is
+        reported via :attr:`IngestResult.cascade_truncated`.
         """
         # One ingest = one durable transaction (no-op for memory stores).
         with self._transaction():
@@ -241,12 +270,14 @@ class IncrementalMatcher:
         """Add one record, run its merge phase, count it; no commit."""
         started = time.perf_counter()
         with self.tracer.span("ingest", side=side) as span:
+            chases = self.plan.stats.enforcements
             tid = self.store.add(side, values, tid=tid)
             outcome = self._merge_phase(side, tid)
             span.set("tid", tid)
             span.set("candidates", len(outcome.pairs))
             span.set("matches", len(outcome.matches))
             span.set("cascade", outcome.rounds)
+            span.set("chases", self.plan.stats.enforcements - chases)
         metrics = self.metrics
         metrics.observe("engine.ingest_seconds", time.perf_counter() - started)
         metrics.count("engine.ingests")
@@ -270,6 +301,11 @@ class IncrementalMatcher:
     ) -> _MergeOutcome:
         """One record's cascade loop: probe, chase, merge, repair, repeat.
 
+        Round 1 is the arriving record's delta (:meth:`_match_pairs`:
+        arrival values, then current ones if that can add a match); every
+        later round re-examines one repaired record's neighborhood on
+        current values, unless no pair of it leaves the record's cluster.
+
         ``first_pairs`` supplies the record's round-1 candidate pairs when
         the caller already probed (and charged) them —
         :meth:`ingest_batch` computes them at add time so they reflect the
@@ -280,6 +316,7 @@ class IncrementalMatcher:
         sets; sorted-neighborhood never takes this path).
         """
         store = self.store
+        read = self.plan.read_attributes
         all_pairs: List[Pair] = []
         all_matches: List[Pair] = []
         matched: Set[Pair] = set()
@@ -318,8 +355,15 @@ class IncrementalMatcher:
             if not pairs:
                 continue
             all_pairs.extend(pairs)
+            if rounds == 1:
+                found = self._match_pairs(pairs)
+            elif self._no_cross_pair(round_side, round_tid, pairs):
+                self.metrics.count("engine.chases.skipped.no_cross_pair")
+                continue
+            else:
+                found = self._chase(pairs, "reexamination")
             touched: List[Node] = []
-            for match in self._match_pairs(pairs):
+            for match in found:
                 if match not in matched:
                     matched.add(match)
                     all_matches.append(match)
@@ -329,11 +373,16 @@ class IncrementalMatcher:
                     merged = True
                     touched.append(left_node)
             for root in {store.find(node) for node in touched}:
-                for changed_record in self._resolve_cluster(root):
-                    affected.add(changed_record)
-                    if changed_record not in queued:
-                        queue.append(changed_record)
-                        queued.add(changed_record)
+                for record, cells in self._resolve_cluster(root).items():
+                    if read[record[0]].isdisjoint(cells):
+                        # Written, but where no rule reads: no verdict
+                        # can change, nothing to re-examine.
+                        self.metrics.count("engine.chases.skipped.unread_repair")
+                        continue
+                    affected.add(record)
+                    if record not in queued:
+                        queue.append(record)
+                        queued.add(record)
         return _MergeOutcome(
             pairs=all_pairs,
             matches=all_matches,
@@ -385,16 +434,20 @@ class IncrementalMatcher:
            charged) as it would have been record-at-a-time;
         2. **one** pooled chase screens the union of all delta pairs;
         3. only records with skin in the game — one of their *own* pairs
-           matched in the screen, or one of their involved records had
-           its values moved by a chase repair (before or during the
-           batch) — replay the exact per-record merge phase.
+           matched in the screen, or one of their involved records was
+           moved by a repair (the screen's, or a consensus repair during
+           the batch) on an attribute some rule reads — replay the exact
+           per-record merge phase.
 
-        A record with no own-pair match and no moved neighbor is sound
-        to skip without its own chase: with every involved value
-        unchanged, the chase is purely monotone cell identification, so
-        the pooled screen's verdict over the superset of pairs subsumes
-        what the record's own delta chase could have found — and with no
-        match among its own pairs there is no merge to apply.
+        A record with no own-pair match and no such neighbor is sound to
+        skip without its own chases: which cells a chase identifies
+        depends on the read-attribute values alone, and with every
+        involved one unchanged the chase is purely monotone cell
+        identification, so the pooled screen's verdict over the superset
+        of pairs subsumes what the record's own arrival and
+        current-values chases could have found (:meth:`_screen_pairs`
+        spells out the chase set) — and with no match among its own
+        pairs there is no merge to apply, hence no re-examination.
 
         Sorted-neighborhood stores fall back to plain sequential ingest
         (ranks shift with every insertion, so a batch added up front
@@ -552,23 +605,34 @@ class IncrementalMatcher:
     # Delta enforcement
     # ------------------------------------------------------------------
 
-    def _match_pairs(self, pairs: Sequence[Pair]) -> List[Pair]:
-        """Decide the delta pairs by local enforcement; no store side effects.
+    def _match_pairs(
+        self,
+        pairs: Sequence[Pair],
+        moved: Optional[Set[Tuple[int, int]]] = None,
+    ) -> List[Pair]:
+        """Decide an arriving delta by local enforcement; no store side effects.
 
         Every pair is chased over the involved records' *arrival* values —
         the batch chase evaluates every candidate pair on pristine values
         in its first round, and this keeps that guarantee under streaming
         (a consensus repair can never destroy evidence two records arrived
-        with).  When some involved record's current values differ from its
-        arrivals (a consensus repaired it), a second chase over the
-        current values adds the matches that only repairs enable — the
-        streaming analogue of the batch chase's later rounds.
+        with).  A second chase over the *current* values adds the matches
+        that only repairs enable — the streaming analogue of the batch
+        chase's later rounds — and runs only when it can add one: some
+        involved record was repaired where a rule reads
+        (:meth:`_any_repaired`; on equal read values the two chases
+        identify the same cells) and the first chase left a pair
+        undecided (:meth:`_all_matched`).  ``moved`` collects the records
+        either chase repaired (see :meth:`_chase`).
         """
-        matches = self._chase(pairs, use_arrival=True)
+        matches = self._chase(pairs, "arrival", moved)
         if self._any_repaired(pairs):
-            for match in self._chase(pairs, use_arrival=False):
-                if match not in matches:
-                    matches.append(match)
+            if self._all_matched(pairs, matches):
+                self.metrics.count("engine.chases.skipped.all_matched")
+            else:
+                for match in self._chase(pairs, "current", moved):
+                    if match not in matches:
+                        matches.append(match)
         return matches
 
     def _screen_pairs(
@@ -576,71 +640,98 @@ class IncrementalMatcher:
     ) -> Tuple[List[Pair], Set[Tuple[int, int]]]:
         """Pooled pre-chase over a batch's delta: matches plus the dirt set.
 
-        Mirrors :meth:`_match_pairs` (arrival chase, plus a current-values
-        chase when any involved record is repaired) but additionally
-        reports every ``(side, tid)`` whose chased values differ from its
-        inputs — the *value dirt*.  Match endpoints whose values did not
-        move are deliberately not dirt: a chase reads values, never
-        cluster membership, so a merge that repairs nothing cannot change
-        a neighbor's verdict.  A record none of whose own pairs matched
-        and none of whose involved records moved is sound to skip — with
-        all involved values fixed, cell identification is monotone in the
-        pair set, so the pooled chase (which ran every chase variant a
-        per-record :meth:`_match_pairs` would have) subsumes each
-        record's own delta chase — which is what lets
-        :meth:`ingest_batch` skip their per-record chase.
+        :meth:`_match_pairs` over the union of the batch's deltas, plus
+        every ``(side, tid)`` a chase moved on an attribute some rule
+        reads — the *value dirt*.  Match endpoints whose read values did
+        not move are deliberately not dirt: a chase reads those values,
+        never cluster membership or any other cell, so such a merge
+        cannot change a neighbor's verdict.
+
+        A record none of whose own pairs matched here and none of whose
+        involved records is dirt is sound to skip.  Arriving, it would
+        run an arrival chase over its own pairs and — if an involved
+        record is repaired where a rule reads and a pair stayed undecided
+        — a current-values chase over them; never a re-examination, which
+        only a match of its own could queue.  The screen ran the arrival
+        chase over a superset of its pairs, and the current-values chase
+        too unless no record of the whole union was repaired (then none
+        of the record's own is: a later repair would be dirt) or the
+        arrival chase matched every pair of the union (then every record
+        with pairs has a match of its own and replays).  With every
+        involved read value fixed, cell identification is monotone in the
+        pair set, so the screen's verdict over the superset subsumes what
+        the record's own chases could have found.
         """
-        matches, changed = self._chase(
-            pairs, use_arrival=True, collect_changed=True
-        )
-        if self._any_repaired(pairs):
-            # Union-wide trigger where _match_pairs triggers per record —
-            # a superset of the chases any single record would run, so
-            # the screen's verdict still subsumes each of them.
-            second, second_changed = self._chase(
-                pairs, use_arrival=False, collect_changed=True
-            )
-            for match in second:
-                if match not in matches:
-                    matches.append(match)
-            changed |= second_changed
-        return matches, changed
+        moved: Set[Tuple[int, int]] = set()
+        return self._match_pairs(pairs, moved), moved
+
+    # The three exact skips: each answers "can this chase add anything?"
+    # from state the engine already holds, and the store ends up the same
+    # whatever they answer (tests/engine/test_chase_pruning.py forces
+    # each to "run it anyway" and compares).
 
     def _any_repaired(self, pairs: Sequence[Pair]) -> bool:
         """Whether a consensus repair moved any record the pairs involve
-        off its arrival values (the store compares them in place)."""
+        off its arrival values on an attribute some rule reads (the store
+        compares the two rows in place)."""
+        read = self.plan.read_attributes
         involved = {(LEFT, tid) for tid, _ in pairs} | {(RIGHT, tid) for _, tid in pairs}
-        return any(self.store.is_repaired(side, tid) for side, tid in involved)
+        return any(
+            self.store.is_repaired(side, tid, read[side]) for side, tid in involved
+        )
+
+    @staticmethod
+    def _all_matched(pairs: Sequence[Pair], matches: Sequence[Pair]) -> bool:
+        """Whether a chase matched every pair of its delta (both hold
+        each pair once): no further chase of these pairs can add one."""
+        return len(matches) == len(pairs)
+
+    def _no_cross_pair(self, side: int, tid: int, pairs: Sequence[Pair]) -> bool:
+        """Whether every record ``(side, tid)``'s pairs reach is already
+        in its cluster: whatever a chase of them matched, no union."""
+        members = self.store.cluster_nodes(side, tid)
+        other_tag, position = ("R", 1) if side == LEFT else ("L", 0)
+        return all((other_tag, pair[position]) in members for pair in pairs)
 
     def _chase(
         self,
         pairs: Sequence[Pair],
-        use_arrival: bool,
-        collect_changed: bool = False,
-    ):
+        kind: str,
+        moved: Optional[Set[Tuple[int, int]]] = None,
+    ) -> List[Pair]:
         """One enforcement chase over the delta, read off the store.
 
-        The instance is the store itself (its arrival or its current
-        values) and the kernel projects only the tuples occurring in
-        ``pairs``, so nothing is copied or rescanned: the cost is bounded
-        by the delta.  A pair matches when the chase identified all
-        target cells, exactly the batch matcher's decision rule: both run
+        ``kind`` names who asked and thereby the values read: an
+        ``"arrival"`` chase reads the records as ingested; a
+        ``"current"`` chase (an arriving delta's second) and a
+        ``"reexamination"`` (a repaired record's neighborhood, chased
+        again) read the current values.  The instance is the store itself
+        and the kernel projects only the tuples occurring in ``pairs``,
+        so nothing is copied or rescanned: the cost is bounded by the
+        delta.  A pair matches when the chase identified all target
+        cells, exactly the batch matcher's decision rule: both run
         :meth:`EnforcementPlan.enforce` on the same compiled rules, and
         the plan's similarity cache persists across ingests (a stream of
-        near-duplicates keeps hitting it).
+        near-duplicates keeps hitting it).  ``moved`` collects the
+        involved records the chase repaired on an attribute some rule
+        reads.
         """
+        self.metrics.count("engine.chases." + kind)
         result = self.plan.enforce(
-            self._instances[use_arrival],
+            self._instances[kind == "arrival"],
             resolver=self.resolver,
             candidate_pairs=pairs,
         )
-        matches = result.matches(self._target_pairs)
-        if not collect_changed:
-            return matches
-        # The involved records the chase moved.
-        return matches, {(side, tid) for side, tid, _ in result.repairs}
+        if moved is not None:
+            read = self.plan.read_attributes
+            moved.update(
+                (side, tid)
+                for side, tid, attribute in result.repairs
+                if attribute in read[side]
+            )
+        return result.matches(self._target_pairs)
 
-    def _resolve_cluster(self, node: Node) -> List[Tuple[int, int]]:
+    def _resolve_cluster(self, node: Node) -> Dict[Tuple[int, int], Dict[str, object]]:
         """Re-resolve a cluster's target values to the member consensus.
 
         For every identified attribute pair, the resolver picks one value
@@ -652,14 +743,14 @@ class IncrementalMatcher:
         consensus, where chaining pairwise repairs would not).  Each
         member's rows are read once, each changed record written once.
 
-        Returns the ``(side, tid)`` records whose current values changed,
-        in the order their first cell changed — their neighborhoods must
-        be re-examined by the caller.
+        Returns ``{(side, tid): {attribute: value}}`` — per record whose
+        current values changed the cells that moved, records in the order
+        their first cell changed (the order the caller re-examines in).
         """
         store = self.store
         members = store.cluster_nodes(*_side_tid(node))
         if len(members) < 2:
-            return []
+            return {}
         records = sorted(_side_tid(member) for member in members)
         arrivals = [store.arrival_row(side, tid) for side, tid in records]
         currents = [store.relation(side)[tid] for side, tid in records]
@@ -678,4 +769,4 @@ class IncrementalMatcher:
                     change[name] = resolved
         for position in changed:
             store.repair(*records[position], changes[position])
-        return [records[position] for position in changed]
+        return {records[position]: changes[position] for position in changed}

@@ -319,10 +319,11 @@ class SQLiteMatchStore:
         relation (``schema`` + ``project``), off the row cache."""
         return ValuesView(self.relation(side), 0 if arrival else 1)
 
-    def is_repaired(self, side: int, tid: int) -> bool:
-        """Whether the record's current values differ from its arrivals."""
+    def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
+        """Whether the record's current value differs from its arrival
+        value on any of ``attributes``."""
         arrival, current, _ = self.relation(side)._fetch(tid)
-        return arrival != current
+        return any(current[name] != arrival[name] for name in attributes)
 
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
         """Overwrite the listed cells of the record's current values —

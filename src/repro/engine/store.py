@@ -167,9 +167,11 @@ class MatchStore:
         (``schema`` + ``project``): here, the relations themselves."""
         return self._arrival[side] if arrival else self.relation(side)
 
-    def is_repaired(self, side: int, tid: int) -> bool:
-        """Whether the record's current values differ from its arrivals."""
-        return self.relation(side)[tid] != self._arrival[side][tid]
+    def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
+        """Whether the record's current value differs from its arrival
+        value on any of ``attributes``."""
+        current, arrival = self.relation(side)[tid], self._arrival[side][tid]
+        return any(current[name] != arrival[name] for name in attributes)
 
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
         """Overwrite the listed cells of the record's current values."""

@@ -38,7 +38,7 @@ throwaway plan and delegates to the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.findrcks import find_rcks
 from repro.core.md import MatchingDependency
@@ -137,6 +137,33 @@ class PlanStats:
         return dict(vars(self))
 
 
+def read_attributes(
+    rules: Sequence[CompiledRule], predicates: Sequence[CompiledPredicate]
+) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """Per side, the attributes whose values a chase over two relations
+    can depend on: every LHS attribute, closed under sharing an RHS pair
+    with one (an identified pair's cells take one resolved value, so
+    what the other cell held reaches the LHS).
+
+    Which cells a chase identifies — hence which pairs it matches — is a
+    function of these values alone; a cell outside them is written, never
+    read.  The streaming engine uses that to tell a repair that can
+    change a verdict from one that cannot.
+    """
+    left = {predicates[slot].left for rule in rules for slot in rule.lhs}
+    right = {predicates[slot].right for rule in rules for slot in rule.lhs}
+    rhs_pairs = {pair for rule in rules for pair in rule.rhs}
+    grew = True
+    while grew:
+        grew = False
+        for left_attr, right_attr in rhs_pairs:
+            if (left_attr in left) != (right_attr in right):
+                left.add(left_attr)
+                right.add(right_attr)
+                grew = True
+    return frozenset(left), frozenset(right)
+
+
 class EnforcementPlan:
     """An executable lowering of a set of MDs and RCKs.
 
@@ -199,7 +226,9 @@ class EnforcementPlan:
         #: pair; only they get cells in the chase's encoding.
         #: ``layouts[shared]`` is that encoding's plan-side half — sorted
         #: names, ranks, the rules as rank offsets — for two relations
-        #: and for shared storage.  All are derived here, once, because
+        #: and for shared storage.  ``read_attributes`` is the per-side
+        #: subset of them whose *values* a chase can depend on (see
+        #: :func:`read_attributes`).  All are derived here, once, because
         #: the streaming engine runs thousands of tiny chases over one
         #: plan.
         selections = []
@@ -219,6 +248,7 @@ class EnforcementPlan:
             for left_attr, right_attr in rule.rhs:
                 left_names[left_attr] = None
                 right_names[right_attr] = None
+        self.read_attributes = read_attributes(self.rules, self.predicates)
         self.selections: Tuple[
             Tuple[Tuple[Tuple[str, str], ...], Tuple[CompiledPredicate, ...]],
             ...,

@@ -187,6 +187,15 @@ class TestEngineStreamTracing:
         for span in spans:
             assert span.attrs["side"] in (LEFT, RIGHT)
             assert "tid" in span.attrs
+            # ``chases`` = the delta chases this ingest ran (its children).
+            assert span.attrs["chases"] == sum(
+                child.name == "chase" for child in span.children
+            )
+        assert sum(span.attrs["chases"] for span in spans) == sum(
+            count
+            for name, count in workspace.metrics.counters.items()
+            if name.startswith("engine.chases.") and ".skipped." not in name
+        ) > 0
         # The engine reads matches off its delta chases and nothing else:
         # none of them runs a stability pass.
         assert _named(workspace.tracer, "chase")

@@ -101,6 +101,22 @@ def test_http_ingest_equals_offline_stream(make_stream, backend, tmp_path):
         server_store = thread.server.tenant.matcher.store
         server_state = state(server_store)
         server_fingerprint = server_store.spec_fingerprint
+        # /metrics carries the tenant's engine counters: every chase the
+        # engine ran, by kind, and the ones it skipped, by reason.
+        client = ServeClient(host, port)
+        try:
+            status, metrics, _ = client.request("GET", "/metrics")
+        finally:
+            client.close()
+        assert status == 200
+        (tenant,) = metrics["tenants"].values()
+        counters = tenant["metrics"]["counters"]
+        assert tenant["plan"]["enforcements"] == sum(
+            counters.get(f"engine.chases.{kind}", 0)
+            for kind in ("arrival", "current", "reexamination")
+        )
+        assert counters["engine.chases.arrival"] > 0
+        assert any(name.startswith("engine.chases.skipped.") for name in counters)
     finally:
         thread.stop()
 
