@@ -74,7 +74,7 @@ def _spec(source):
         .mds(extended_mds(source.pair))
         .blocking("hash")
         .execution(top_k=5)
-        .serve(port=0, max_batch=BATCH, max_delay_ms=20)
+        .serve(port=0, max_batch=BATCH)
         .build()
     )
 

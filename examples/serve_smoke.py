@@ -3,8 +3,9 @@
 CI starts ``repro serve --spec examples/spec.json`` in the background,
 then runs this script against it: wait for ``/healthz``, ingest the
 example CSVs (credit cards left, billings right), query one record's
-cluster, and round-trip one ``/match`` request.  Exit status 0 means
-every step answered correctly.
+cluster, round-trip one ``/match`` request, and read the queue-wait
+percentiles off ``/metrics``.  Exit status 0 means every step answered
+correctly.
 
 Usage::
 
@@ -113,6 +114,17 @@ def main() -> int:
 
     status, metrics = request(host, port, "GET", "/metrics")
     assert status == 200
+    # Time in queue is the service's own number (no batching timer to
+    # report: a batch is whatever is queued when the engine comes free).
+    queue = metrics["tenants"][health["fingerprint"]]["queue"]
+    assert "max_delay_ms" not in queue, f"removed key is back: {queue}"
+    wait = queue["wait_seconds"]
+    assert wait["count"] == len(results), f"queue waits: {wait}"
+    assert 0.0 <= wait["p50"] <= wait["p95"], f"queue waits: {wait}"
+    print(
+        f"queue wait p50 {wait['p50'] * 1000:.2f} ms, "
+        f"p95 {wait['p95'] * 1000:.2f} ms over {wait['count']} events"
+    )
     requests_served = metrics["server"]["counters"]["serve.requests"]
     print(f"ok: server answered {requests_served} requests")
     return 0

@@ -29,7 +29,7 @@ import hashlib
 import json
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.md import MatchingDependency
 from repro.core.parser import format_md, parse_md
@@ -360,8 +360,11 @@ class ResolutionSpec:
     # Port 0 is legal: bind an ephemeral port (tests do this).
     serve_port: int = _option("serve.port", 8080, _integer, minimum=0, maximum=65535)
     serve_max_batch: int = _option("serve.max_batch", 16, _integer, minimum=1)
-    serve_max_delay_ms: int = _option("serve.max_delay_ms", 10, _integer, minimum=0)
     serve_queue_limit: int = _option("serve.queue_limit", 1024, _integer, minimum=1)
+    # Not an option (4.0 removed the batching linger): the frozen
+    # bench/serve.py::_timings still reads the linger here, and 0 is the
+    # truth.  ROADMAP item 1(d) deletes that read and this line.
+    serve_max_delay_ms: ClassVar[int] = 0
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -899,8 +902,8 @@ class SpecBuilder:
 
     def serve(self, **options) -> "SpecBuilder":
         """Configure the resolution service (``repro serve``): ``host``,
-        ``port``, and the ingest path's ``max_batch``/``max_delay_ms``
-        (micro-batch bounds, one pooled chase per batch) and
+        ``port``, and the ingest path's ``max_batch`` (micro-batch
+        bound, one pooled chase and one commit per batch) and
         ``queue_limit`` (per-tenant queue bound before backpressure,
         HTTP 429).  Like :meth:`observability`, the section never enters
         the fingerprint — deployment shape does not change what is

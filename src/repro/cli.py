@@ -108,7 +108,6 @@ _TUNING_FLAGS = {
     "--host": ("serve.host", "bind address"),
     "--port": ("serve.port", "bind port, 0 for ephemeral"),
     "--max-batch": ("serve.max_batch", "ingest micro-batch size cap"),
-    "--max-delay-ms": ("serve.max_delay_ms", "micro-batch linger in milliseconds"),
     "--queue-limit": (
         "serve.queue_limit",
         "per-tenant ingest queue bound before 429 backpressure",
@@ -706,9 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the asyncio HTTP resolution service (repro.serve)",
     )
     _add_spec_options(serve)
-    _add_tuning_flags(
-        serve, "--host", "--port", "--max-batch", "--max-delay-ms", "--queue-limit"
-    )
+    _add_tuning_flags(serve, "--host", "--port", "--max-batch", "--queue-limit")
     serve.set_defaults(func=cmd_serve)
 
     trace = sub.add_parser(

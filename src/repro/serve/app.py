@@ -4,16 +4,18 @@ Endpoints (all JSON unless noted):
 
 - ``POST /ingest`` — one record (``{"side", "values", "tid"?}``) or a
   list (``{"records": [...]}``); each event rides a per-tenant
-  micro-batch (one pooled chase per batch) and resolves to its
+  micro-batch (what is queued when the engine comes free; one pooled
+  chase and one commit per batch) and resolves to its
   ``seq``/``tid``/``matches``.  A full queue answers **429** with
-  ``Retry-After`` — backpressure, never silent loss.
+  ``Retry-After`` — backpressure, never silent loss — and is counted
+  (``serve.ingest.shed`` requests, ``serve.ingest.shed_records``).
 - ``POST /match`` — batch matching over inline rows
   (``{"left": [...], "right": [...]}``); the CLI's report shape.
 - ``GET /query/<tid>?side=left|right`` — the record's live cluster.
 - ``GET /explain`` — the compiled plan, human-readable (text/plain).
 - ``GET /healthz`` — liveness + tenant roster (never opens stores).
 - ``GET /metrics`` — per-endpoint latency summaries (p50/p95/p99) and
-  request counters, plus each tenant's engine/plan/store counters.
+  request counters, plus each tenant's engine/plan/store/queue counters.
 - ``POST /admin/reload`` — hot spec swap: a document with a *new*
   fingerprint becomes a fresh tenant (lazily opening its store) and
   takes over serving; the old tenant drains its queue, commits, and
@@ -41,6 +43,9 @@ from .http import (
 )
 from .tenants import Tenant, TenantClosed, parse_side
 
+#: What a 429 says to wait; a full queue drains at the engine's pace.
+RETRY_AFTER_SECONDS = 1
+
 
 class ResolutionServer:
     """One listening socket, one primary tenant, any number draining."""
@@ -52,7 +57,6 @@ class ResolutionServer:
         self.host = spec.serve_host
         self.port = spec.serve_port
         self.max_batch = spec.serve_max_batch
-        self.max_delay_ms = spec.serve_max_delay_ms
         self.queue_limit = spec.serve_queue_limit
         self.metrics = MetricsRegistry()
         self.tenants: Dict[str, Tenant] = {}
@@ -65,10 +69,7 @@ class ResolutionServer:
 
     def _adopt(self, workspace: Workspace) -> Tenant:
         tenant = Tenant(
-            workspace,
-            max_batch=self.max_batch,
-            max_delay_ms=self.max_delay_ms,
-            queue_limit=self.queue_limit,
+            workspace, max_batch=self.max_batch, queue_limit=self.queue_limit
         )
         self.tenants[tenant.fingerprint] = tenant
         self.primary = tenant.fingerprint
@@ -186,15 +187,14 @@ class ResolutionServer:
         except (KeyError, ValueError) as error:
             status, body, extra = 400, error_body(str(error)), None
         except QueueFull:
-            retry_after = max(1, round(self.max_delay_ms / 1000) + 1)
             status, body, extra = (
                 429,
                 error_body(
                     "ingest queue full",
-                    retry_after=retry_after,
+                    retry_after=RETRY_AFTER_SECONDS,
                     queue_limit=self.queue_limit,
                 ),
-                {"Retry-After": str(retry_after)},
+                {"Retry-After": str(RETRY_AFTER_SECONDS)},
             )
         except (TenantClosed, RuntimeError) as error:
             status, body, extra = (
@@ -324,6 +324,8 @@ class ResolutionServer:
         # 429.  The capacity check and the submits run without an await
         # in between, so no other handler can take the headroom first.
         if len(futures) > tenant.queue.limit - tenant.queue.pending:
+            self.metrics.count("serve.ingest.shed")
+            self.metrics.count("serve.ingest.shed_records", len(futures))
             raise QueueFull()
         enqueued = [
             tenant.submit(side, values, tid) for side, values, tid in futures

@@ -2,12 +2,13 @@
 
 One producer side (HTTP handlers) submits single ingest events and gets
 back futures; one consumer (the tenant's drain task) pulls *batches*:
-the first event is awaited, then the batch grows until ``max_batch``
-events are in hand or ``max_delay`` seconds have passed since the first
-— whichever comes first.  The engine then amortizes one pooled
-screening chase over the whole batch
-(:meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch`), which
-is where the service's throughput over per-record ingest comes from.
+the first event is awaited, the rest of the batch is whatever is already
+queued behind it, up to ``max_batch`` — nothing here waits on a clock.
+The consumer returns as soon as the engine has committed the previous
+batch, so batches grow exactly when the engine is the bottleneck (one
+pooled screening chase of
+:meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch` then serves
+everything that piled up) and are one event long when it is not.
 
 The queue is bounded: past ``limit`` pending events :meth:`submit`
 raises :class:`QueueFull` and the HTTP layer answers 429 with a
@@ -17,8 +18,11 @@ raises :class:`QueueFull` and the HTTP layer answers 429 with a
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass
 from typing import Generic, List, Optional, TypeVar
+
+from repro.obs.metrics import Histogram
 
 T = TypeVar("T")
 
@@ -34,18 +38,18 @@ class QueueFull(Exception):
 class _Entry(Generic[T]):
     item: T
     future: "asyncio.Future"
+    submitted: float  # perf_counter() at submit
 
 
 class MicroBatchQueue(Generic[T]):
     """Bounded single-consumer queue that hands out micro-batches."""
 
-    def __init__(self, max_batch: int, max_delay: float, limit: int) -> None:
+    def __init__(self, max_batch: int, limit: int) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.max_batch = max_batch
-        self.max_delay = max(0.0, max_delay)
         self.limit = limit
         # Unbounded at the asyncio level; the limit is enforced in
         # submit() so producers get QueueFull synchronously instead of
@@ -54,6 +58,9 @@ class MicroBatchQueue(Generic[T]):
         self._pending = 0
         self._taken = 0
         self._closed = False
+        #: Submit → handed to the consumer, per event (``/metrics`` shows
+        #: it beside ``engine.batch_seconds``: time queued vs time worked).
+        self.wait_seconds = Histogram()
 
     @property
     def pending(self) -> int:
@@ -86,7 +93,7 @@ class MicroBatchQueue(Generic[T]):
             raise QueueFull()
         future = asyncio.get_running_loop().create_future()
         self._pending += 1
-        self._queue.put_nowait(_Entry(item, future))
+        self._queue.put_nowait(_Entry(item, future, time.perf_counter()))
         return future
 
     def close(self) -> None:
@@ -98,31 +105,18 @@ class MicroBatchQueue(Generic[T]):
     async def next_batch(self) -> Optional[List["_Entry[T]"]]:
         """The next micro-batch, or ``None`` when closed and drained.
 
-        Waits for the first event, then collects greedily (whatever is
-        already queued) and patiently (up to ``max_delay`` seconds from
-        the first event) until ``max_batch`` events are in hand.
+        Waits for the first event only; the rest of the batch is what
+        is queued behind it right now, up to ``max_batch``.
         """
         first = await self._queue.get()
         if first is _CLOSE:
             return None
         batch: List[_Entry[T]] = [first]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_delay
         while len(batch) < self.max_batch:
-            # Greedy phase: take whatever is already there.
             try:
                 entry = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                # Patient phase: wait out the rest of the delay budget.
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    entry = await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
+                break
             if entry is _CLOSE:
                 # Keep the sentinel for the next call so the consumer
                 # still sees the close after this batch.
@@ -131,6 +125,9 @@ class MicroBatchQueue(Generic[T]):
             batch.append(entry)
         self._pending -= len(batch)
         self._taken += len(batch)
+        now = time.perf_counter()
+        for entry in batch:
+            self.wait_seconds.observe(now - entry.submitted)
         return batch
 
     def abort_pending(self, error: BaseException) -> int:

@@ -10,10 +10,13 @@ reload against a mismatched store fails without holding a handle.
 All engine work — ingest batches, batch matches, cluster queries — runs
 in worker threads (``asyncio.to_thread``) serialized by one per-tenant
 lock, keeping the event loop free to accept connections while a chase
-runs.  The drain task is the queue's single consumer: it pulls a
-micro-batch, runs one pooled-chase ingest over it, assigns each event a
+runs.  The drain task is the queue's single consumer: it takes what is
+queued (at most ``max_batch`` events, never waiting for more), runs one
+pooled-chase ingest and one commit over it, assigns each event a
 monotonically increasing ``seq`` in processing order (what the
-differential suite replays offline), and resolves the waiting futures.
+differential suite replays offline), resolves the waiting futures and
+goes straight back to the queue — whatever arrived while the engine was
+busy is the next batch.
 """
 
 from __future__ import annotations
@@ -48,15 +51,11 @@ def side_name(side: int) -> str:
 class Tenant:
     """One spec's serving state: workspace, matcher, queue, drain task."""
 
-    def __init__(
-        self, workspace, max_batch: int, max_delay_ms: int, queue_limit: int
-    ) -> None:
+    def __init__(self, workspace, max_batch: int, queue_limit: int) -> None:
         self.workspace = workspace
         self.fingerprint: str = workspace.fingerprint
         self.queue: MicroBatchQueue = MicroBatchQueue(
-            max_batch=max_batch,
-            max_delay=max_delay_ms / 1000.0,
-            limit=queue_limit,
+            max_batch=max_batch, limit=queue_limit
         )
         self._matcher = None
         self._lock = threading.Lock()
@@ -131,8 +130,6 @@ class Tenant:
             batch = await self.queue.next_batch()
             if batch is None:
                 return
-            if not batch:
-                continue
             events = [entry.item for entry in batch]
             try:
                 numbered = await asyncio.to_thread(self._ingest_batch, events)
@@ -193,7 +190,7 @@ class Tenant:
                 "pending": self.queue.pending,
                 "limit": self.queue.limit,
                 "max_batch": self.queue.max_batch,
-                "max_delay_ms": round(self.queue.max_delay * 1000),
+                "wait_seconds": self.queue.wait_seconds.summary(),
             },
             "processed": self._seq,
             "metrics": self.workspace.metrics.as_dict(),

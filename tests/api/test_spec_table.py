@@ -48,7 +48,6 @@ OTHER_VALUES = {
     "serve.host": "0.0.0.0",
     "serve.port": 0,
     "serve.max_batch": 3,
-    "serve.max_delay_ms": 0,
     "serve.queue_limit": 5,
 }
 
@@ -82,7 +81,7 @@ def test_the_table_covers_the_six_option_sections():
         "blocking", "resolution", "execution",
         "observability", "persistence", "serve",
     ]
-    assert len(SECTION_OPTIONS) == 21
+    assert len(SECTION_OPTIONS) == 20
     assert len(ONE_OF) == 5
     assert set(OTHER_VALUES) == set(IDS)
     assert set(DEPLOYMENT_SECTIONS) <= set(OPTION_SECTIONS)
@@ -257,7 +256,6 @@ FLAG_USES = {
     "--host": (["serve"], "0.0.0.0"),
     "--port": (["serve"], "0"),
     "--max-batch": (["serve"], "3"),
-    "--max-delay-ms": (["serve"], "0"),
     "--queue-limit": (["serve"], "5"),
 }
 

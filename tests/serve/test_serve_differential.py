@@ -42,9 +42,7 @@ CLIENTS = 4
 
 
 def _spec(tmp_path, backend):
-    spec_builder = builder(dataset()).serve(
-        port=0, max_batch=8, max_delay_ms=20
-    )
+    spec_builder = builder(dataset()).serve(port=0, max_batch=8)
     if backend == "sqlite":
         spec_builder = spec_builder.persistence(
             "sqlite", str(tmp_path / "serve.db")
@@ -172,7 +170,7 @@ def test_batched_service_does_fewer_chases_than_per_record():
 
     spec = (
         builder(source)
-        .serve(port=0, max_batch=32, max_delay_ms=20)
+        .serve(port=0, max_batch=32)
         .build()
     )
     thread, host, port = start_server(spec)

@@ -66,7 +66,7 @@ def test_saturated_queue_returns_429_without_loss_or_double_apply():
     events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:4]
     spec = (
         builder(dataset(60, seed=7))
-        .serve(port=0, max_batch=1, max_delay_ms=0, queue_limit=2)
+        .serve(port=0, max_batch=1, queue_limit=2)
         .build()
     )
     thread, host, port = start_server(spec)
@@ -107,6 +107,9 @@ def test_saturated_queue_returns_429_without_loss_or_double_apply():
             assert int(headers["retry-after"]) >= 1
             assert body["retry_after"] == int(headers["retry-after"])
             assert body["queue_limit"] == 2
+            # A constant: there is no timer left to derive it from.
+            assert headers["retry-after"] == "1"
+            assert body["error"] == "ingest queue full"
         finally:
             tenant._lock.release()
 
@@ -126,10 +129,14 @@ def test_saturated_queue_returns_429_without_loss_or_double_apply():
             status, body, _ = retry_client.request(
                 "POST", "/ingest", event_record(events[3])
             )
+            _, metrics, _ = retry_client.request("GET", "/metrics")
         finally:
             retry_client.close()
         assert status == 200
         accepted.append(({"status": status, "body": body}, events[3]))
+        # The shed is on the server's own books, not only the client's.
+        assert metrics["server"]["counters"]["serve.ingest.shed"] == 1
+        assert metrics["server"]["counters"]["serve.ingest.shed_records"] == 1
 
         # seq order is the server's processing order (the two queued
         # events may drain in either order) — replay offline in it.
@@ -158,7 +165,7 @@ def test_bulk_request_is_shed_whole_never_half_applied():
     events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:6]
     spec = (
         builder(dataset(60, seed=7))
-        .serve(port=0, max_batch=1, max_delay_ms=0, queue_limit=2)
+        .serve(port=0, max_batch=1, queue_limit=2)
         .build()
     )
     thread, host, port = start_server(spec)
@@ -193,6 +200,9 @@ def test_bulk_request_is_shed_whole_never_half_applied():
             assert status == 429
             assert "retry-after" in headers
             assert tenant.queue.pending == 1  # nothing admitted
+            counters = thread.server.metrics.counters
+            assert counters["serve.ingest.shed"] == 1
+            assert counters["serve.ingest.shed_records"] == 2
         finally:
             tenant._lock.release()
         first_thread.join()
@@ -224,7 +234,7 @@ def test_abortive_stop_fails_queued_ingests_with_503():
     events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:3]
     spec = (
         builder(dataset(60, seed=7))
-        .serve(port=0, max_batch=1, max_delay_ms=0, queue_limit=8)
+        .serve(port=0, max_batch=1, queue_limit=8)
         .build()
     )
     thread, host, port = start_server(spec)
@@ -254,6 +264,9 @@ def test_abortive_stop_fails_queued_ingests_with_503():
             )
             stopper.start()
             stopped = True
+            # Release the engine only once the abort has swept the queue,
+            # or the drain may take a queued event before it is failed.
+            _wait_for(lambda: tenant.queue.pending == 0)
         finally:
             tenant._lock.release()
         stopper.join()
@@ -277,7 +290,7 @@ def test_kill_and_restart_resumes_to_same_clusters(tmp_path):
     spec = (
         builder(dataset(120))
         .persistence("sqlite", str(tmp_path / "crash.db"))
-        .serve(port=0, max_batch=4, max_delay_ms=10)
+        .serve(port=0, max_batch=4)
         .build()
     )
 

@@ -11,14 +11,22 @@ closes a store the call opened itself.
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
 
 import pytest
 
-from repro.api.spec import ResolutionSpec, SpecError
+from repro.api.spec import OPTIONS, ResolutionSpec, SpecError
 from repro.api.workspace import Workspace
+from repro.datagen.streams import arrival_stream
 
-from serve_helpers import ServeClient, builder, dataset, start_server
+from serve_helpers import (
+    ServeClient,
+    builder,
+    dataset,
+    event_record,
+    start_server,
+)
 
 
 def _spec_document(**serve):
@@ -40,15 +48,13 @@ def test_serve_section_defaults_when_absent():
     assert spec.serve_host == "127.0.0.1"
     assert spec.serve_port == 8080
     assert spec.serve_max_batch == 16
-    assert spec.serve_max_delay_ms == 10
     assert spec.serve_queue_limit == 1024
 
 
 def test_builder_serve_round_trips_to_fixed_point():
     spec = (
         builder(dataset())
-        .serve(host="0.0.0.0", port=9090, max_batch=64, max_delay_ms=25,
-               queue_limit=4096)
+        .serve(host="0.0.0.0", port=9090, max_batch=64, queue_limit=4096)
         .build()
     )
     document = spec.to_dict()
@@ -56,7 +62,6 @@ def test_builder_serve_round_trips_to_fixed_point():
         "host": "0.0.0.0",
         "port": 9090,
         "max_batch": 64,
-        "max_delay_ms": 25,
         "queue_limit": 4096,
     }
     again = ResolutionSpec.from_dict(document)
@@ -72,7 +77,7 @@ def test_builder_serve_round_trips_to_fixed_point():
         ({"port": -1}, "port"),
         ({"host": ""}, "host"),
         ({"max_batch": 0}, "max_batch"),
-        ({"max_delay_ms": -1}, "max_delay_ms"),
+        ({"max_delay_ms": 10}, "max_delay_ms"),  # removed in 4.0: unknown
         ({"queue_limit": 0}, "queue_limit"),
     ],
 )
@@ -88,6 +93,30 @@ def test_port_zero_is_legal_ephemeral():
 
 
 # ----------------------------------------------------------------------
+# The removed linger: no option, one class constant for the frozen bench
+# ----------------------------------------------------------------------
+
+
+def test_max_delay_is_a_class_constant_not_an_option():
+    """``bench/serve.py::_timings`` reads ``spec.serve_max_delay_ms`` as
+    the linger it leaves uncompensated; there is none, so it reads 0 —
+    and nothing else can see or set the name."""
+    spec = ResolutionSpec.from_dict(_spec_document())
+    assert ResolutionSpec.serve_max_delay_ms == 0
+    assert spec.serve_max_delay_ms == 0
+    assert "serve_max_delay_ms" not in {
+        field.name for field in dataclasses.fields(ResolutionSpec)
+    }
+    assert "serve.max_delay_ms" not in OPTIONS
+    assert "max_delay_ms" not in spec.to_dict()["serve"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, serve_max_delay_ms=5)
+    with pytest.raises(SpecError) as excinfo:
+        builder(dataset()).serve(max_delay_ms=5).build()
+    assert "serve: unknown key(s) ['max_delay_ms']" in excinfo.value.errors
+
+
+# ----------------------------------------------------------------------
 # Fingerprint exclusion
 # ----------------------------------------------------------------------
 
@@ -96,8 +125,7 @@ def test_serve_knobs_never_enter_the_fingerprint():
     base = ResolutionSpec.from_dict(_spec_document())
     retuned = ResolutionSpec.from_dict(
         _spec_document(
-            host="0.0.0.0", port=9999, max_batch=128, max_delay_ms=50,
-            queue_limit=9
+            host="0.0.0.0", port=9999, max_batch=128, queue_limit=9
         )
     )
     assert base.fingerprint() == retuned.fingerprint()
@@ -213,7 +241,7 @@ def test_reload_onto_mismatched_store_fails_requests_not_server(
     stamped.stream().store.close()
 
     opened = _capture_open_store(monkeypatch)
-    spec = builder(dataset()).serve(port=0, max_delay_ms=0).build()
+    spec = builder(dataset()).serve(port=0).build()
     thread, host, port = start_server(spec)
     try:
         client = ServeClient(host, port)
@@ -259,7 +287,7 @@ def test_reload_onto_mismatched_store_fails_requests_not_server(
 
 def test_reload_with_an_unhashable_enum_value_is_a_400_not_a_500():
     """``policy: ["x"]`` used to crash the validator itself (500)."""
-    spec = builder(dataset()).serve(max_delay_ms=0).build()
+    spec = builder(dataset()).build()
     thread, host, port = start_server(spec)
     try:
         client = ServeClient(host, port)
@@ -277,3 +305,56 @@ def test_reload_with_an_unhashable_enum_value_is_a_400_not_a_500():
             client.close()
     finally:
         thread.stop()
+
+
+def test_reload_with_the_removed_linger_key_is_a_400_naming_it():
+    spec = builder(dataset()).build()
+    thread, host, port = start_server(spec)
+    try:
+        client = ServeClient(host, port)
+        try:
+            document = spec.to_dict()
+            document["serve"]["max_delay_ms"] = 10
+            status, body, _ = client.request("POST", "/admin/reload", document)
+            assert status == 400
+            assert "serve: unknown key(s) ['max_delay_ms']" in body["errors"]
+        finally:
+            client.close()
+    finally:
+        thread.stop()
+
+
+# ----------------------------------------------------------------------
+# Natural batching over HTTP: an idle engine never waits for company
+# ----------------------------------------------------------------------
+
+
+def test_sequential_ingests_on_an_idle_server_are_batches_of_one():
+    events = list(arrival_stream(dataset(60, seed=7), seed=3).events)[:12]
+    spec = builder(dataset(60, seed=7)).serve(port=0, max_batch=8).build()
+    thread, host, port = start_server(spec)
+    try:
+        client = ServeClient(host, port)
+        try:
+            for event in events:
+                status, _, _ = client.request(
+                    "POST", "/ingest", event_record(event)
+                )
+                assert status == 200
+            status, metrics, _ = client.request("GET", "/metrics")
+            assert status == 200
+        finally:
+            client.close()
+    finally:
+        thread.stop()
+    tenant = metrics["tenants"][spec.fingerprint()]
+    # Each request was answered before the next was sent, so the drain
+    # task never found a second event queued — and never waited for one.
+    assert tenant["metrics"]["counters"]["engine.batches"] == len(events)
+    assert tenant["processed"] == len(events)
+    queue = tenant["queue"]
+    assert set(queue) == {"pending", "limit", "max_batch", "wait_seconds"}
+    assert (queue["pending"], queue["max_batch"]) == (0, 8)
+    wait = queue["wait_seconds"]
+    assert wait["count"] == len(events)
+    assert 0.0 <= wait["p50"] <= wait["p95"] <= wait["max"]

@@ -749,14 +749,12 @@ class TestServeCommand:
         )
         code = main([
             "serve", "--spec", str(spec_file), "--host", "0.0.0.0",
-            "--port", "0", "--max-batch", "4", "--max-delay-ms", "3",
-            "--queue-limit", "7",
+            "--port", "0", "--max-batch", "4", "--queue-limit", "7",
         ])
         assert code == 0
         server = launched["server"]
         assert (server.host, server.port) == ("0.0.0.0", 0)
         assert server.max_batch == 4
-        assert server.max_delay_ms == 3
         assert server.queue_limit == 7
         # No flags -> the spec's serve section (here: its defaults).
         monkeypatch.setattr(
@@ -774,7 +772,6 @@ class TestServeCommand:
             ("--max-batch", "0", "serve.max_batch: must be >= 1"),
             ("--queue-limit", "0", "serve.queue_limit: must be >= 1"),
             ("--port", "70000", "serve.port: must be <= 65535"),
-            ("--max-delay-ms", "-1", "serve.max_delay_ms: must be >= 0"),
         ],
     )
     def test_serve_flags_are_held_to_the_spec_checks(
@@ -789,6 +786,26 @@ class TestServeCommand:
         monkeypatch.setattr(repro.serve.ResolutionServer, "start", never)
         assert main(["serve", "--spec", str(spec_file), flag, value]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_serve_max_delay_flag_is_gone(self, spec_file, capsys):
+        """Nothing on the ingest path waits on a clock: no flag to set one."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--spec", str(spec_file), "--max-delay-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "--max-delay-ms" in capsys.readouterr().err
+
+    def test_saved_max_delay_key_is_rejected(self, spec_file, capsys):
+        """A spec saved by 3.0's ``to_dict()`` carries ``max_delay_ms: 10``;
+        the upgrade is to delete the key, and validate says which."""
+        document = json.loads(spec_file.read_text())
+        document["serve"] = {"max_batch": 16, "max_delay_ms": 10}
+        spec_file.write_text(json.dumps(document))
+        assert main(["spec", "validate", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert "serve: unknown key(s) ['max_delay_ms']" in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert main(["serve", "--spec", str(spec_file)]) == 2
+        assert "serve: unknown key(s) ['max_delay_ms']" in capsys.readouterr().err
 
     def test_serve_missing_spec_exits_two(self, tmp_path, capsys):
         code = main(["serve", "--spec", str(tmp_path / "no.json")])
