@@ -84,7 +84,8 @@ SCHEMAS = {
         "match_p99_ms": float,
         "chases_batched": int,
         "chases_unbatched": int,
-        "chase_ratio": float,
+        "commits_batched": int,
+        "commits_unbatched": int,
         "clusters_equal": int,
     },
 }
@@ -221,19 +222,23 @@ def check_document(document: dict) -> list:
                 f"{name}: batched service and per-record ingest decided "
                 "different clusters"
             )
-        if document["chases_batched"] >= document["chases_unbatched"]:
+        if document["chases_batched"] != document["chases_unbatched"]:
             problems.append(
-                f"{name}: micro-batching no longer amortizes the chase "
-                f"({document['chases_batched']} >= "
+                f"{name}: micro-batches ran other chases than per-record "
+                f"ingest runs ({document['chases_batched']} != "
                 f"{document['chases_unbatched']})"
             )
-        # The service's acceptance bound: one pooled screening chase
-        # per micro-batch must at least halve chase invocations.
-        if document["chase_ratio"] < 2:
+        # The service's acceptance bound: one commit per micro-batch, where
+        # per-record ingest commits once per record.
+        if document["commits_batched"] != document["batches"]:
             problems.append(
-                f"{name}: chase amortization "
-                f"{document['chase_ratio']:.2f} regressed below the "
-                "asserted 2x"
+                f"{name}: {document['commits_batched']} commit(s) for "
+                f"{document['batches']} micro-batch(es)"
+            )
+        if document["commits_unbatched"] != document["records"]:
+            problems.append(
+                f"{name}: per-record ingest made {document['commits_unbatched']} "
+                f"commit(s) for {document['records']} record(s)"
             )
         if document["match_requests"] <= 0:
             problems.append(f"{name}: no match requests measured")

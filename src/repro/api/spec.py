@@ -903,7 +903,7 @@ class SpecBuilder:
     def serve(self, **options) -> "SpecBuilder":
         """Configure the resolution service (``repro serve``): ``host``,
         ``port``, and the ingest path's ``max_batch`` (micro-batch
-        bound, one pooled chase and one commit per batch) and
+        bound: one commit, and one unit of rollback, per batch) and
         ``queue_limit`` (per-tenant queue bound before backpressure,
         HTTP 429).  Like :meth:`observability`, the section never enters
         the fingerprint — deployment shape does not change what is

@@ -48,6 +48,12 @@ judged on — in a different pair context, which on rare streams decided a
 pair differently (README, "One ingest pays for its delta").  The chases
 that ran and the ones skipped are counted by kind in the metrics
 registry (``engine.chases.*``).
+
+A micro-batch (:meth:`IncrementalMatcher.ingest_batch`) is this same
+per-record ingest applied to its events in order, under one durable
+transaction: the stream's outcome is defined record by record, so a
+batch equals the stream by construction and buys one commit — and one
+unit of rollback — per batch.
 """
 
 from __future__ import annotations
@@ -56,16 +62,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import (
@@ -154,14 +151,6 @@ class _MergeOutcome:
     merged: bool
     rounds: int
     truncated: bool
-    #: ``(side, tid)`` records a consensus repair moved on an attribute
-    #: some rule reads — the dynamic dirt frontier
-    #: :meth:`IncrementalMatcher.ingest_batch` uses to decide which later
-    #: batch records may skip their chase.  Merges that repair nothing a
-    #: rule reads are deliberately not dirt: a chase reads those values,
-    #: never cluster membership, so they cannot change a later record's
-    #: verdict.
-    touched: Set[Tuple[int, int]]
 
 
 class IncrementalMatcher:
@@ -292,28 +281,13 @@ class IncrementalMatcher:
             cascade_truncated=outcome.truncated,
         )
 
-    def _merge_phase(
-        self,
-        side: int,
-        tid: int,
-        first_pairs: Optional[Sequence[Pair]] = None,
-        exclude: FrozenSet[Tuple[int, int]] = frozenset(),
-    ) -> _MergeOutcome:
+    def _merge_phase(self, side: int, tid: int) -> _MergeOutcome:
         """One record's cascade loop: probe, chase, merge, repair, repeat.
 
         Round 1 is the arriving record's delta (:meth:`_match_pairs`:
         arrival values, then current ones if that can add a match); every
         later round re-examines one repaired record's neighborhood on
         current values, unless no pair of it leaves the record's cluster.
-
-        ``first_pairs`` supplies the record's round-1 candidate pairs when
-        the caller already probed (and charged) them —
-        :meth:`ingest_batch` computes them at add time so they reflect the
-        store as of the record's arrival.  ``exclude`` removes not-yet
-        ingested batch records from cascade re-probes, keeping every
-        neighborhood identical to what a record-at-a-time ingest would
-        have seen (exact for hash blocking, whose buckets are unordered
-        sets; sorted-neighborhood never takes this path).
         """
         store = self.store
         read = self.plan.read_attributes
@@ -321,7 +295,6 @@ class IncrementalMatcher:
         all_matches: List[Pair] = []
         matched: Set[Pair] = set()
         merged = False
-        affected: Set[Tuple[int, int]] = set()
         queue = deque([(side, tid)])
         queued = {(side, tid)}
         rounds = 0
@@ -329,29 +302,16 @@ class IncrementalMatcher:
             rounds += 1
             round_side, round_tid = queue.popleft()
             queued.discard((round_side, round_tid))
-            if first_pairs is not None:
-                # Already probed and charged by the caller, at the store
-                # state of the record's arrival.
-                pairs: List[Pair] = list(first_pairs)
-                first_pairs = None
+            # Probed under the keys the record was indexed with (its
+            # arrival values': the buckets were keyed on them).
+            other_tids = store.neighbors(round_side, round_tid)
+            if self._sn_blocking:
+                self.metrics.count("engine.sn_probes")
+            if round_side == LEFT:
+                pairs: List[Pair] = [(round_tid, other) for other in other_tids]
             else:
-                # Probed under the keys the record was indexed with (its
-                # arrival values': the buckets were keyed on them).
-                other_tids = store.neighbors(round_side, round_tid)
-                if self._sn_blocking:
-                    self.metrics.count("engine.sn_probes")
-                other_side = RIGHT if round_side == LEFT else LEFT
-                if exclude:
-                    other_tids = [
-                        other
-                        for other in other_tids
-                        if (other_side, other) not in exclude
-                    ]
-                if round_side == LEFT:
-                    pairs = [(round_tid, other) for other in other_tids]
-                else:
-                    pairs = [(other, round_tid) for other in other_tids]
-                store.comparisons += len(pairs)
+                pairs = [(other, round_tid) for other in other_tids]
+            store.comparisons += len(pairs)
             if not pairs:
                 continue
             all_pairs.extend(pairs)
@@ -379,7 +339,6 @@ class IncrementalMatcher:
                         # can change, nothing to re-examine.
                         self.metrics.count("engine.chases.skipped.unread_repair")
                         continue
-                    affected.add(record)
                     if record not in queued:
                         queue.append(record)
                         queued.add(record)
@@ -389,7 +348,6 @@ class IncrementalMatcher:
             merged=merged,
             rounds=rounds,
             truncated=bool(queue),
-            touched=affected,
         )
 
     def _gauge_store(self) -> None:
@@ -422,140 +380,31 @@ class IncrementalMatcher:
         return results
 
     def ingest_batch(self, events: Iterable) -> List[IngestResult]:
-        """Ingest a micro-batch of events with one pooled screening chase.
+        """Ingest a micro-batch: :meth:`ingest` per event, one commit.
 
-        Semantically this is exactly :meth:`ingest` applied to the events
-        in order — same final store state, same per-event results, same
-        ``comparisons``/``merges`` counters, pinned by the batch-boundary
-        invariance property test (``tests/serve/test_batch_invariance.py``)
-        and the service differential suite — but the work is amortized:
-
-        1. every record is added and its arrival neighborhood probed (and
-           charged) as it would have been record-at-a-time;
-        2. **one** pooled chase screens the union of all delta pairs;
-        3. only records with skin in the game — one of their *own* pairs
-           matched in the screen, or one of their involved records was
-           moved by a repair (the screen's, or a consensus repair during
-           the batch) on an attribute some rule reads — replay the exact
-           per-record merge phase.
-
-        A record with no own-pair match and no such neighbor is sound to
-        skip without its own chases: which cells a chase identifies
-        depends on the read-attribute values alone, and with every
-        involved one unchanged the chase is purely monotone cell
-        identification, so the pooled screen's verdict over the superset
-        of pairs subsumes what the record's own arrival and
-        current-values chases could have found (:meth:`_screen_pairs`
-        spells out the chase set) — and with no match among its own
-        pairs there is no merge to apply, hence no re-examination.
-
-        Sorted-neighborhood stores fall back to plain sequential ingest
-        (ranks shift with every insertion, so a batch added up front
-        cannot reproduce record-at-a-time windows); they still amortize
-        the durable commit.  One ``commit()`` covers the whole batch, so
-        a crash re-presents the batch as a unit instead of splitting it,
-        and a batch that raises is rolled back as a unit.
+        Each event runs the exact per-record ingest, in order, so the
+        per-event results, the final store, the ``comparisons`` /
+        ``merges`` counters and the chases run are those of
+        :meth:`ingest_stream` over the same events by construction
+        (``tests/serve/test_batch_invariance.py`` and the service
+        differential suite pin it).  What the batch amortises is the
+        durable transaction: one ``commit()`` covers the whole batch, so a
+        crash re-presents the batch as a unit instead of splitting it, and
+        a batch that raises is rolled back as a unit.
         """
         normalized = [_normalize_event(event) for event in events]
         if not normalized:
             return []
         metrics = self.metrics
         started = time.perf_counter()
-        # One micro-batch = one durable transaction.
-        with self._transaction():
-            if self._sn_blocking or len(normalized) == 1:
-                results = [
-                    self._ingest_one(side, values, tid)
-                    for side, values, tid in normalized
-                ]
-            else:
-                results = self._ingest_pooled(normalized)
-            metrics.observe(
-                "engine.batch_seconds", time.perf_counter() - started
-            )
+        with self._transaction(), self.tracer.span("ingest_batch", size=len(normalized)):
+            results = [
+                self._ingest_one(side, values, tid) for side, values, tid in normalized
+            ]
+            metrics.observe("engine.batch_seconds", time.perf_counter() - started)
             metrics.count("engine.batches")
             metrics.observe("engine.batch_size", len(results))
             self._gauge_store()
-        return results
-
-    def _ingest_pooled(
-        self, normalized: Sequence[Tuple[int, Dict[str, object], Optional[int]]]
-    ) -> List[IngestResult]:
-        """Phases 1-3 of :meth:`ingest_batch` (hash-blocked stores)."""
-        store = self.store
-        with self.tracer.span("ingest_batch", size=len(normalized)) as span:
-            # Phase 1: add every record and capture its arrival-time
-            # neighborhood — the store grows between probes exactly as it
-            # would record-at-a-time, so each pair set (and its
-            # comparisons charge) is what sequential ingest computes.
-            pending: List[Tuple[int, int, List[Pair]]] = []
-            for side, values, tid in normalized:
-                tid = store.add(side, values, tid=tid)
-                other_tids = store.neighbors(side, tid)
-                if side == LEFT:
-                    pairs: List[Pair] = [(tid, other) for other in other_tids]
-                else:
-                    pairs = [(other, tid) for other in other_tids]
-                store.comparisons += len(pairs)
-                pending.append((side, tid, pairs))
-            # Phase 2: one pooled chase over the whole batch delta.
-            union: List[Pair] = []
-            seen: Set[Pair] = set()
-            for _, _, pairs in pending:
-                for pair in pairs:
-                    if pair not in seen:
-                        seen.add(pair)
-                        union.append(pair)
-            screen_matches: Set[Pair] = set()
-            dirty: Set[Tuple[int, int]] = set()
-            if union:
-                matched_pairs, dirty = self._screen_pairs(union)
-                screen_matches = set(matched_pairs)
-            # Phase 3: replay the exact merge phase for records adjacent
-            # to dirt; skip the rest.  ``later`` shrinks as the batch is
-            # walked so cascade re-probes never see a record that had not
-            # arrived yet.
-            later: Set[Tuple[int, int]] = {
-                (side, tid) for side, tid, _ in pending
-            }
-            results = []
-            merges = 0
-            chased = 0
-            for side, tid, pairs in pending:
-                later.discard((side, tid))
-                involved = {(side, tid)}
-                for left_tid, right_tid in pairs:
-                    involved.add((LEFT, left_tid))
-                    involved.add((RIGHT, right_tid))
-                replay = pairs and (
-                    any(pair in screen_matches for pair in pairs)
-                    or not involved.isdisjoint(dirty)
-                )
-                if replay:
-                    chased += 1
-                    outcome = self._merge_phase(
-                        side, tid, first_pairs=pairs, exclude=frozenset(later)
-                    )
-                    dirty |= outcome.touched
-                    result = IngestResult(
-                        side,
-                        tid,
-                        tuple(outcome.pairs),
-                        tuple(outcome.matches),
-                        outcome.merged,
-                        cascade_truncated=outcome.truncated,
-                    )
-                else:
-                    result = IngestResult(side, tid, tuple(pairs), (), False)
-                if result.merged:
-                    merges += 1
-                results.append(result)
-            span.set("size", len(results))
-            span.set("chased", chased)
-            span.set("merged", merges)
-        self.metrics.count("engine.ingests", len(results))
-        if merges:
-            self.metrics.count("engine.merges", merges)
         return results
 
     # ------------------------------------------------------------------
@@ -605,11 +454,7 @@ class IncrementalMatcher:
     # Delta enforcement
     # ------------------------------------------------------------------
 
-    def _match_pairs(
-        self,
-        pairs: Sequence[Pair],
-        moved: Optional[Set[Tuple[int, int]]] = None,
-    ) -> List[Pair]:
+    def _match_pairs(self, pairs: Sequence[Pair]) -> List[Pair]:
         """Decide an arriving delta by local enforcement; no store side effects.
 
         Every pair is chased over the involved records' *arrival* values —
@@ -622,48 +467,17 @@ class IncrementalMatcher:
         involved record was repaired where a rule reads
         (:meth:`_any_repaired`; on equal read values the two chases
         identify the same cells) and the first chase left a pair
-        undecided (:meth:`_all_matched`).  ``moved`` collects the records
-        either chase repaired (see :meth:`_chase`).
+        undecided (:meth:`_all_matched`).
         """
-        matches = self._chase(pairs, "arrival", moved)
+        matches = self._chase(pairs, "arrival")
         if self._any_repaired(pairs):
             if self._all_matched(pairs, matches):
                 self.metrics.count("engine.chases.skipped.all_matched")
             else:
-                for match in self._chase(pairs, "current", moved):
+                for match in self._chase(pairs, "current"):
                     if match not in matches:
                         matches.append(match)
         return matches
-
-    def _screen_pairs(
-        self, pairs: Sequence[Pair]
-    ) -> Tuple[List[Pair], Set[Tuple[int, int]]]:
-        """Pooled pre-chase over a batch's delta: matches plus the dirt set.
-
-        :meth:`_match_pairs` over the union of the batch's deltas, plus
-        every ``(side, tid)`` a chase moved on an attribute some rule
-        reads — the *value dirt*.  Match endpoints whose read values did
-        not move are deliberately not dirt: a chase reads those values,
-        never cluster membership or any other cell, so such a merge
-        cannot change a neighbor's verdict.
-
-        A record none of whose own pairs matched here and none of whose
-        involved records is dirt is sound to skip.  Arriving, it would
-        run an arrival chase over its own pairs and — if an involved
-        record is repaired where a rule reads and a pair stayed undecided
-        — a current-values chase over them; never a re-examination, which
-        only a match of its own could queue.  The screen ran the arrival
-        chase over a superset of its pairs, and the current-values chase
-        too unless no record of the whole union was repaired (then none
-        of the record's own is: a later repair would be dirt) or the
-        arrival chase matched every pair of the union (then every record
-        with pairs has a match of its own and replays).  With every
-        involved read value fixed, cell identification is monotone in the
-        pair set, so the screen's verdict over the superset subsumes what
-        the record's own chases could have found.
-        """
-        moved: Set[Tuple[int, int]] = set()
-        return self._match_pairs(pairs, moved), moved
 
     # The three exact skips: each answers "can this chase add anything?"
     # from state the engine already holds, and the store ends up the same
@@ -693,12 +507,7 @@ class IncrementalMatcher:
         other_tag, position = ("R", 1) if side == LEFT else ("L", 0)
         return all((other_tag, pair[position]) in members for pair in pairs)
 
-    def _chase(
-        self,
-        pairs: Sequence[Pair],
-        kind: str,
-        moved: Optional[Set[Tuple[int, int]]] = None,
-    ) -> List[Pair]:
+    def _chase(self, pairs: Sequence[Pair], kind: str) -> List[Pair]:
         """One enforcement chase over the delta, read off the store.
 
         ``kind`` names who asked and thereby the values read: an
@@ -712,9 +521,7 @@ class IncrementalMatcher:
         cells, exactly the batch matcher's decision rule: both run
         :meth:`EnforcementPlan.enforce` on the same compiled rules, and
         the plan's similarity cache persists across ingests (a stream of
-        near-duplicates keeps hitting it).  ``moved`` collects the
-        involved records the chase repaired on an attribute some rule
-        reads.
+        near-duplicates keeps hitting it).
         """
         self.metrics.count("engine.chases." + kind)
         result = self.plan.enforce(
@@ -722,13 +529,6 @@ class IncrementalMatcher:
             resolver=self.resolver,
             candidate_pairs=pairs,
         )
-        if moved is not None:
-            read = self.plan.read_attributes
-            moved.update(
-                (side, tid)
-                for side, tid, attribute in result.repairs
-                if attribute in read[side]
-            )
         return result.matches(self._target_pairs)
 
     def _resolve_cluster(self, node: Node) -> Dict[Tuple[int, int], Dict[str, object]]:

@@ -19,6 +19,7 @@ interpolating between the neighboring observations.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, List, Optional, Sequence
 
 #: The percentiles every histogram summary reports.
@@ -31,11 +32,15 @@ def percentile(values: Sequence[float], q: float) -> float:
     >>> percentile(range(101), 95)
     95.0
     """
-    if not values:
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of observations already in ascending order."""
+    if not ordered:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
     rank = (q / 100.0) * (len(ordered) - 1)
     lower = math.floor(rank)
     upper = math.ceil(rank)
@@ -50,36 +55,49 @@ class Histogram:
 
     Runs here are bounded (one process, one workload), so the histogram
     keeps every observation exactly rather than approximating with
-    buckets — percentiles are then exact by construction.
+    buckets — percentiles are then exact by construction.  A summary
+    sorts ``values`` in place, once: the next one re-sorts a sorted
+    prefix plus what was observed since, which costs only the new
+    observations (a service renders its metrics into every report).  A
+    service also summarises in one thread while the engine observes in
+    another, so observing and summarising hold the histogram's lock: no
+    observation lands unsorted between a summary's sort and its reads.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_lock")
 
     def __init__(self) -> None:
         self.values: List[float] = []
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        with self._lock:
+            self.values.append(float(value))
 
     @property
     def count(self) -> int:
         return len(self.values)
 
     def percentile(self, q: float) -> float:
-        return percentile(self.values, q)
+        with self._lock:
+            self.values.sort()
+            return _sorted_percentile(self.values, q)
 
     def summary(self) -> Dict[str, float]:
         """count/min/max/mean plus p50/p95/p99, JSON-ready."""
-        if not self.values:
-            return {"count": 0}
-        out: Dict[str, float] = {
-            "count": len(self.values),
-            "min": min(self.values),
-            "max": max(self.values),
-            "mean": sum(self.values) / len(self.values),
-        }
-        for q in SUMMARY_PERCENTILES:
-            out[f"p{q:g}"] = percentile(self.values, q)
+        with self._lock:
+            ordered = self.values
+            if not ordered:
+                return {"count": 0}
+            ordered.sort()
+            out: Dict[str, float] = {
+                "count": len(ordered),
+                "min": ordered[0],
+                "max": ordered[-1],
+                "mean": sum(ordered) / len(ordered),
+            }
+            for q in SUMMARY_PERCENTILES:
+                out[f"p{q:g}"] = _sorted_percentile(ordered, q)
         return out
 
 

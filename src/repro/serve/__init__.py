@@ -1,8 +1,8 @@
 """`repro.serve`: the zero-dependency asyncio resolution service.
 
 The paper's operators become a long-running, multi-tenant HTTP service:
-ingest events ride per-tenant micro-batch queues so one pooled
-enforcement chase is amortized across a batch
+ingest events ride per-tenant micro-batch queues so one durable commit
+is amortized across a batch
 (:meth:`~repro.engine.matcher.IncrementalMatcher.ingest_batch`), with
 bounded-queue backpressure (429 + ``Retry-After``), hot spec reload by
 fingerprint, and graceful drain on shutdown.  Everything served over

@@ -4,8 +4,8 @@ Endpoints (all JSON unless noted):
 
 - ``POST /ingest`` — one record (``{"side", "values", "tid"?}``) or a
   list (``{"records": [...]}``); each event rides a per-tenant
-  micro-batch (what is queued when the engine comes free; one pooled
-  chase and one commit per batch) and resolves to its
+  micro-batch (what is queued when the engine comes free; per-record
+  ingest and one commit per batch) and resolves to its
   ``seq``/``tid``/``matches``.  A full queue answers **429** with
   ``Retry-After`` — backpressure, never silent loss — and is counted
   (``serve.ingest.shed`` requests, ``serve.ingest.shed_records``).

@@ -6,9 +6,9 @@ the first event is awaited, the rest of the batch is whatever is already
 queued behind it, up to ``max_batch`` — nothing here waits on a clock.
 The consumer returns as soon as the engine has committed the previous
 batch, so batches grow exactly when the engine is the bottleneck (one
-pooled screening chase of
-:meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch` then serves
-everything that piled up) and are one event long when it is not.
+commit of :meth:`repro.engine.matcher.IncrementalMatcher.ingest_batch`
+then covers everything that piled up) and are one event long when it is
+not.
 
 The queue is bounded: past ``limit`` pending events :meth:`submit`
 raises :class:`QueueFull` and the HTTP layer answers 429 with a

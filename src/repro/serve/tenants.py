@@ -11,8 +11,8 @@ All engine work — ingest batches, batch matches, cluster queries — runs
 in worker threads (``asyncio.to_thread``) serialized by one per-tenant
 lock, keeping the event loop free to accept connections while a chase
 runs.  The drain task is the queue's single consumer: it takes what is
-queued (at most ``max_batch`` events, never waiting for more), runs one
-pooled-chase ingest and one commit over it, assigns each event a
+queued (at most ``max_batch`` events, never waiting for more), ingests
+it record by record under one commit, assigns each event a
 monotonically increasing ``seq`` in processing order (what the
 differential suite replays offline), resolves the waiting futures and
 goes straight back to the queue — whatever arrived while the engine was

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry, percentile
@@ -54,6 +58,108 @@ class TestHistogram:
 
     def test_empty_summary(self):
         assert Histogram().summary() == {"count": 0}
+
+    def test_summaries_interleaved_with_observations_sort_in_place(self):
+        """Each summary equals the :func:`percentile` reference over
+        everything observed so far, and leaves ``values`` sorted — so the
+        next summary sorts only what was observed since."""
+        shuffled = [float(value) for value in range(500)]
+        random.Random(7).shuffle(shuffled)
+        histogram = Histogram()
+        seen = []
+        for start in range(0, len(shuffled), 37):
+            for value in shuffled[start:start + 37]:
+                histogram.observe(value)
+                seen.append(value)
+            summary = histogram.summary()
+            assert histogram.values == sorted(seen)
+            assert summary == {
+                "count": len(seen),
+                "min": min(seen),
+                "max": max(seen),
+                "mean": pytest.approx(sum(seen) / len(seen)),
+                "p50": percentile(seen, 50.0),
+                "p95": percentile(seen, 95.0),
+                "p99": percentile(seen, 99.0),
+            }
+            assert histogram.percentile(25.0) == percentile(seen, 25.0)
+
+    def test_an_observation_racing_a_summary_waits_for_it(self):
+        """Another thread observing right after a summary's in-place sort
+        cannot land an unsorted value under the summary's reads: it waits,
+        and the summary is exact over what was there."""
+        histogram = Histogram()
+        racer = threading.Thread(target=histogram.observe, args=(-1.0,))
+
+        class ObservedRightAfterSort(list):
+            def sort(self, *args, **kwargs):
+                super().sort(*args, **kwargs)
+                if racer.ident is None:  # the first sort only
+                    racer.start()
+                    racer.join(timeout=0.05)
+
+        histogram.values = ObservedRightAfterSort([3.0, 1.0, 2.0])
+        assert histogram.summary() == {
+            "count": 3, "min": 1.0, "max": 3.0, "mean": 2.0,
+            "p50": 2.0, "p95": percentile([1.0, 2.0, 3.0], 95.0),
+            "p99": percentile([1.0, 2.0, 3.0], 99.0),
+        }
+        racer.join(timeout=10)
+        assert histogram.percentile(0.0) == -1.0
+
+    def test_summaries_racing_observers_stay_exact(self):
+        """``/metrics`` summarises (and so sorts) a histogram in one thread
+        while the engine observes into it in another: every summary is
+        ordered and its max is the largest value observed when it was
+        taken, no observation is lost and no sort fails."""
+        histogram = Histogram()
+        errors = []
+        # Each observer's values rise; ``started[n]`` is raised before an
+        # observation and ``finished[n]`` after it, so a summary's max lies
+        # between the largest finished before it and the largest started
+        # after it.
+        started = [-1.0] * 8
+        finished = [-1.0] * 8
+
+        def observe(offset):
+            for value in range(2000):
+                value = float(value * 8 + offset)
+                started[offset] = value
+                histogram.observe(value)
+                finished[offset] = value
+
+        def summarise():
+            try:
+                for _ in range(200):
+                    floor = max(finished)
+                    summary = histogram.summary()
+                    ceiling = max(started)
+                    if summary["count"] == 0:
+                        continue
+                    assert (
+                        summary["min"] <= summary["p50"] <= summary["p95"]
+                        <= summary["p99"] <= summary["max"]
+                    ), summary
+                    assert summary["min"] <= summary["mean"] <= summary["max"], summary
+                    assert floor <= summary["max"] <= ceiling, (floor, summary, ceiling)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=observe, args=(n,)) for n in range(8)]
+            threads += [threading.Thread(target=summarise) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert histogram.summary()["count"] == 16000
+        assert histogram.values == [float(value) for value in range(16000)]
 
 
 class TestMetricsRegistry:

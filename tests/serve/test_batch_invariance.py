@@ -2,17 +2,18 @@
 
 The service's correctness argument leans on one property: however the
 micro-batch queue happens to slice the arrival order — load bursts,
-timer expiries, queue drains — running
-:meth:`IncrementalMatcher.ingest_batch` over the slices produces the
-same store state *and the same per-event results* as ingesting every
-record individually.  Hypothesis draws random partitions of a record
-stream into consecutive micro-batches and checks exactly that, against
-both chase paths: the pooled-screen hash path and the
-sorted-neighborhood sequential fallback.
+queue drains — running :meth:`IncrementalMatcher.ingest_batch` over the
+slices produces the same store state *and the same per-event results*
+as ingesting every record individually, while committing once per
+slice.  ``ingest_batch`` is per-record ingest under one transaction, so
+this holds by construction; Hypothesis draws random partitions of a
+record stream into consecutive micro-batches and checks it under both
+blocking families.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,43 +52,21 @@ def _reference(backend="hash"):
     return state(matcher.store), _result_log(results)
 
 
+BACKENDS = ("hash", "sorted-neighborhood")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(
     cut_points=st.lists(
         st.integers(min_value=1, max_value=200), max_size=12
     )
 )
-def test_any_partition_equals_one_at_a_time(cut_points):
+def test_any_partition_equals_one_at_a_time(backend, cut_points):
     events = _events()
-    expected_state, expected_results = _reference()
+    expected_state, expected_results = _reference(backend)
 
-    matcher = builder(dataset(60, seed=7)).workspace().stream()
-    results = []
-    for batch in _partition(events, cut_points):
-        results.extend(matcher.ingest_batch(batch))
-
-    assert _result_log(results) == expected_results
-    assert state(matcher.store) == expected_state
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    cut_points=st.lists(
-        st.integers(min_value=1, max_value=200), max_size=6
-    )
-)
-def test_sorted_neighborhood_fallback_is_invariant_too(cut_points):
-    """SN blocking cannot pool the chase (ranks shift with every add) —
-    ``ingest_batch`` falls back to exact sequential ingest, so the same
-    invariance must hold along that path."""
-    events = _events()
-    expected_state, expected_results = _reference(backend="sorted-neighborhood")
-
-    matcher = (
-        builder(dataset(60, seed=7), backend="sorted-neighborhood")
-        .workspace()
-        .stream()
-    )
+    matcher = builder(dataset(60, seed=7), backend=backend).workspace().stream()
     results = []
     for batch in _partition(events, cut_points):
         results.extend(matcher.ingest_batch(batch))
@@ -117,16 +96,16 @@ def test_one_big_batch_equals_stream(tmp_path):
     durable.store.close()
 
 
-def test_sorted_neighborhood_batch_commits_once(tmp_path):
-    """The SN fallback is sequential in what it computes, not in what it
-    commits: one durable transaction per ``ingest_batch`` call, with the
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_batch_commits_once(tmp_path, backend):
+    """One durable transaction per ``ingest_batch`` call, with the
     per-event results and final state of per-record ingest."""
     events = _events()
-    expected_state, expected_results = _reference(backend="sorted-neighborhood")
+    expected_state, expected_results = _reference(backend)
 
     durable = (
-        builder(dataset(60, seed=7), backend="sorted-neighborhood")
-        .persistence("sqlite", str(tmp_path / "sn.db"))
+        builder(dataset(60, seed=7), backend=backend)
+        .persistence("sqlite", str(tmp_path / "batch.db"))
         .workspace()
         .stream()
     )

@@ -147,61 +147,50 @@ def test_http_ingest_equals_offline_stream(make_stream, backend, tmp_path):
             reopened.close(commit=False)
 
 
-def test_batched_service_does_fewer_chases_than_per_record():
-    """The micro-batch queue actually amortizes: ingesting through the
-    service costs strictly fewer enforcement chases than one-at-a-time
-    offline ingest of the same events.  The workload is serving-shaped —
-    a warm partial customer base, then live billing traffic, most of it
-    from unknown holders — because an all-duplicates stream leaves
-    nothing to amortize (every record's neighborhood is dirty).  The
-    full ≥2× claim at scale is ``benchmarks/test_serve.py``.
-    """
-    from repro.core.schema import LEFT
-    from repro.datagen.generator import generate_dataset
+def _chase_counters(counters):
+    return {name: n for name, n in counters.items() if name.startswith("engine.chases.")}
 
-    source = generate_dataset(
-        300, duplicate_fraction=0.15, namesake_fraction=0.35, seed=13
-    )
-    events = list(arrival_stream(source).events)
-    credit = [e for e in events if e.side == LEFT]
-    billing = [e for e in events if e.side != LEFT]
-    warm = {e.entity for e in credit if (e.entity % 100) < 20}
-    stream = [e for e in credit if e.entity in warm] + billing
 
+def test_batched_service_commits_once_per_batch(tmp_path):
+    """What the micro-batch queue amortises is the commit: bulk posts
+    through the service commit once per engine batch, far fewer times
+    than there are records, and end in the state — having run exactly the
+    chases — of one-at-a-time offline ingest of the same events."""
+    events = list(arrival_stream(dataset(), seed=5).events)
     spec = (
-        builder(source)
+        builder(dataset())
         .serve(port=0, max_batch=32)
+        .persistence("sqlite", str(tmp_path / "serve.db"))
         .build()
     )
     thread, host, port = start_server(spec)
     try:
+        # Open the store (creating it commits once) before any traffic.
+        thread.server.tenant.matcher
+        metrics = thread.server.tenant.workspace.metrics
+        created = metrics.counters["store.commits"]
         client = ServeClient(host, port)
         try:
             # Bulk posts fill whole micro-batches (the steady-traffic
             # shape); each record still gets its own seq and result.
-            for start in range(0, len(stream), 32):
-                status, body, _ = client.request(
+            for start in range(0, len(events), 32):
+                status, _, _ = client.request(
                     "POST",
                     "/ingest",
-                    {
-                        "records": [
-                            event_record(event)
-                            for event in stream[start : start + 32]
-                        ]
-                    },
+                    {"records": [event_record(event) for event in events[start:start + 32]]},
                 )
                 assert status == 200
         finally:
             client.close()
-        server_chases = thread.server.tenant.workspace.plan.stats.enforcements
+        counters = dict(metrics.counters)
         server_state = state(thread.server.tenant.matcher.store)
     finally:
         thread.stop()
 
-    offline = builder(source).workspace()
+    offline = builder(dataset()).workspace()
     offline_matcher = offline.stream()
-    offline_matcher.ingest_stream(stream)
-    offline_chases = offline.plan.stats.enforcements
-    # Fewer chases, identical answers.
-    assert server_chases < offline_chases
+    offline_matcher.ingest_stream(events)
+    commits = counters["store.commits"] - created
+    assert counters["engine.batches"] == commits < len(events)
     assert server_state == state(offline_matcher.store)
+    assert _chase_counters(counters) == _chase_counters(offline.metrics.counters)
