@@ -51,6 +51,13 @@ Cell = Tuple[int, int, str]
 
 #: Policy choosing the value a merged cell class takes.  Receives the
 #: multiset of current values (nulls included) and returns the resolved one.
+#:
+#: The contract the chase relies on: given values that are all ``==`` to
+#: one another, a policy returns a value ``==`` to them — or ``None`` when
+#: they are all null.  Resolving such a class then writes nothing, so the
+#: chase skips it (a union of two classes that agree calls no resolver).
+#: Every entry of ``repro.api.spec.VALUE_POLICIES`` is held to it by a
+#: test.
 ValueResolver = Callable[[Sequence[object]], object]
 
 
@@ -415,9 +422,11 @@ class EnforcementResult:
         Count of successful rule applications (new cell merges).
     check:
         The kernel's stability check over its working lists: run by the
-        first read of :attr:`stable` / :attr:`holding`, then dropped
-        (``None``: an answered result keeps no chase state alive).  Not
-        part of the result's value: left out of ``==`` and ``repr``.
+        first read of :attr:`holding` (or :attr:`stable`), then dropped.
+        It answers ``holding`` and leaves the RHS test behind, which only
+        the first read of :attr:`stable` runs (a result answered both
+        ways keeps no chase state alive).  Not part of the result's
+        value: left out of ``==`` and ``repr``.
     rounds_exhausted:
         True when the chase stopped because ``max_rounds`` ran out while
         merges were still happening *and* the result is not stable — a
@@ -432,30 +441,34 @@ class EnforcementResult:
     rounds: int
     merged_cells: CellClasses
     applications: int
-    check: Optional[Callable[[], Tuple[bool, Sequence[Sequence[int]]]]] = field(
-        repr=False, compare=False
-    )
+    check: Optional[
+        Callable[[], Tuple[Sequence[Sequence[int]], Callable[[], bool]]]
+    ] = field(repr=False, compare=False)
     rounds_exhausted: bool = False
+    #: The RHS test ``check`` left behind, until :attr:`stable` runs it.
+    _rhs_test: Optional[Callable[[], bool]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @cached_property
-    def _stability(self) -> Tuple[bool, Sequence[Sequence[int]]]:
-        check, self.check = self.check, None
-        return check()
-
-    @property
     def stable(self) -> bool:
         """Whether ``(D', D') ⊨ Σ`` — true in all but adversarial resolver
-        cases.  Checked when first read (a chase cut off by ``max_rounds``
-        already has): a caller that needs the guarantee asserts it, one
-        that does not never pays for the check."""
-        return self._stability[0]
+        cases: :attr:`holding` plus the test that every holding pair's RHS
+        cells carry equal values.  Checked when first read (a chase cut
+        off by ``max_rounds`` already has): a caller that needs the
+        guarantee asserts it, one that does not never pays for the test."""
+        self.holding
+        test, self._rhs_test = self._rhs_test, None
+        return test()
 
-    @property
+    @cached_property
     def holding(self) -> Sequence[Sequence[int]]:
         """Per rule (in ``plan.rules`` order), the ascending positions into
         the chased pair list of the pairs whose LHS holds in ``D'`` — the
         stability check's own selections, and every match's provenance."""
-        return self._stability[1]
+        check, self.check = self.check, None
+        holding, self._rhs_test = check()
+        return holding
 
     @cached_property
     def instance(self) -> InstancePair:

@@ -14,8 +14,10 @@ format, directly loadable in ``about:tracing`` or https://ui.perfetto.dev
   of the run's counters/gauges/histograms.
 
 :func:`summarize_trace` aggregates a document back into a per-span-name
-text table plus one line on how the chase rounds selected — joined or
-scanned (``repro trace summarize``); :func:`validate_trace` is the
+text table plus a line each on how the chase rounds selected — joined or
+scanned — how many grown classes resolve-merged resolved or skipped as
+uniform, and how the stability check split fired pairs into fresh and
+re-evaluated (``repro trace summarize``); :func:`validate_trace` is the
 structural schema check CI runs on smoke traces.
 """
 
@@ -243,21 +245,44 @@ def summarize_trace(document: Dict[str, object]) -> str:
             f"{name:<24} {len(durations):>6} {sum(durations):>10.3f} "
             f"{sum(durations) / len(durations):>9.3f} {max(durations):>9.3f}"
         )
-    rounds = [
-        event.get("args") or {} for event in events if event["name"] == "chase-round"
-    ]
+    def args(name):
+        return [event.get("args") or {} for event in events if event["name"] == name]
+
+    def totals(spans, *keys):
+        return [sum(int(attrs.get(key, 0)) for attrs in spans) for key in keys]
+
+    kernel = []
+    rounds = args("chase-round")
     if rounds:
         # How the rounds selected: equality atoms served by a hash join
         # (and what the joins probed) against pairs read by scanning.
-        joined, probes, scanned = (
-            sum(int(args.get(key, 0)) for args in rounds)
-            for key in ("joined", "join_probes", "scanned")
-        )
-        lines.append("")
-        lines.append(
+        joined, probes, scanned = totals(rounds, "joined", "join_probes", "scanned")
+        kernel.append(
             f"selection over {len(rounds)} chase round(s): {joined} rule(s) "
             f"joined ({probes} probes), {scanned} pair(s) scanned"
         )
+    resolves = args("resolve-merged")
+    if resolves:
+        # Grown classes resolved, against those whose members agreed.
+        classes, uniform = totals(resolves, "classes", "uniform")
+        kernel.append(
+            f"resolve-merged over {len(resolves)} round(s): {classes} "
+            f"class(es) resolved, {uniform} uniform skipped"
+        )
+    checks = args("stability-check")
+    if checks:
+        # Fired pairs that hold unevaluated, pairs selected again, and the
+        # RHS test of the checks whose ``stable`` was read.
+        fresh, reevaluated = totals(checks, "fresh", "reevaluated")
+        tested = [attrs for attrs in checks if "rhs_tested" in attrs]
+        kernel.append(
+            f"stability over {len(checks)} check(s): {fresh} fired pair(s) "
+            f"fresh, {reevaluated} re-evaluated; RHS test run in {len(tested)} "
+            f"({totals(tested, 'rhs_tested')[0]} pair(s))"
+        )
+    if kernel:
+        lines.append("")
+        lines.extend(kernel)
     metrics = document.get("metrics")
     if isinstance(metrics, dict):
         histograms = metrics.get("histograms") or {}

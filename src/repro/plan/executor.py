@@ -46,10 +46,15 @@ The input instance is only read.  The result
 already knows instead of making callers re-derive it — ``repairs`` (the
 cell-wise diff; ``instance`` is ``D`` + repairs, built on first access)
 and ``matches`` (a root comparison per pair) — and answers the rest when
-asked: ``stable`` and ``holding`` (per rule, the pairs whose LHS holds in
-``D'`` — the stability check's own selections, which are also every
-match's provenance) run the check on first read.  The kernel reads them
-itself only where ``rounds_exhausted`` depends on the answer.
+asked: ``holding`` (per rule, the pairs whose LHS holds in ``D'``, which
+are also every match's provenance) runs the stability check on first
+read, and ``stable`` adds the RHS test to it on its own first read.
+Both end-of-chase passes pay only for what the repairs touched: the
+check re-selects a fired (rule, pair) only if a later repair wrote one
+of its LHS cells, and ``resolve-merged`` resolves only the classes a
+round's unions made *mixed* (a union of classes that agree resolves to
+the value they share).  The kernel reads ``stable`` itself only where
+``rounds_exhausted`` depends on the answer.
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
 here; :class:`~repro.api.workspace.Workspace` and the streaming
@@ -104,9 +109,11 @@ def chase(
     Rounds after the first re-examine only pairs one of whose tuples a
     repair actually changed (an unchanged pair's verdicts cannot change),
     and skip a (rule, pair) that already fired (its RHS cells are merged
-    for good, so its unions would all be idempotent); the stability
-    check, run when the result is first asked, re-examines only what
-    fired or is still active.
+    for good, so its unions would all be idempotent).  A union of two
+    classes whose values agree is not resolved: it would write nothing.
+    The stability check, run when the result is first asked, re-examines
+    only a fired pair one of whose LHS cells a later repair wrote, and the
+    pairs still active; the RHS test waits until ``stable`` is read.
 
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
     output of the plan's blocking backend here — ascending by ``(left,
@@ -287,8 +294,12 @@ def chase(
     #: Tuple hits the joins have looked up so far.
     probed = 0
     fired: List[Set[int]] = [set() for _ in rules]
+    #: Per rule, ``(round, positions)`` for every round it fired in.
+    fired_in: List[List[tuple]] = [[] for _ in rules]
     #: slot -> the value it held in ``instance``, for every slot written.
     written: Dict[int, object] = {}
+    #: slot -> the last round whose resolution wrote it.
+    last_write: Dict[int, int] = {}
     merged_this_round = False
 
     def list_active():
@@ -307,7 +318,9 @@ def chase(
         firing = []
         joins = scanned = 0
         probed_before = probed
-        for (equalities, similarities, rhs), already in zip(rules, fired):
+        for (equalities, similarities, rhs), already, history in zip(
+            rules, fired, fired_in
+        ):
             # What a scan would read — the active pairs: their count once
             # they are listed, until then a repaired tuple's mean number
             # of pairs for each tuple repaired.
@@ -332,7 +345,9 @@ def chase(
                     and (left_slots[i] in changed or right_slots[i] in changed)
                 ]
             selection = select(selection, equalities, similarities)
-            already.update(selection)
+            if selection:
+                already.update(selection)
+                history.append((rounds, selection))
             firing.append((selection, rhs))
         round_span.set("joined", joins)
         round_span.set("join_probes", probed - probed_before)
@@ -354,6 +369,12 @@ def chase(
                 )
             ]
         touched: List[int] = []
+        #: The roots of the classes whose members may disagree.  Between
+        #: two relations every class leaves a round's resolution carrying
+        #: one value (all ``==``), so a union of two such classes whose
+        #: roots agree is still uniform; over shared storage one slot can
+        #: sit in two classes and every union counts as mixed.
+        mixed: Set[int] = set()
         for selection, rhs in firing:
             for left, right in rhs:
                 for i in selection:
@@ -361,6 +382,14 @@ def chase(
                     a = root[left_cells[i] + left]
                     b = root[right_cells[i] + right]
                     if a != b:
+                        if (
+                            shared
+                            or a in mixed
+                            or b in mixed
+                            or values[a] != values[b]
+                        ):
+                            mixed.add(a)
+                            mixed.add(b)
                         if size[a] < size[b]:
                             a, b = b, a
                         size[a] += size[b]
@@ -375,14 +404,13 @@ def chase(
         merged_this_round = bool(touched)
         applications += len(touched)
         round_span.set("merges", len(touched))
-        # Re-resolve every class that gained a member this round
-        # (``touched`` holds one member per successful union; none means
-        # nothing was repaired, and every active pair has just been
-        # examined against the final instance).  A class
-        # whose membership did not change already carries the one value
-        # the previous round's resolution wrote everywhere, so
-        # re-resolving it is a no-op for any resolver that is a function
-        # of the member value multiset (all named policies are).
+        # Re-resolve every class that gained a member this round and may
+        # disagree (``touched`` holds one member per successful union;
+        # none means nothing was repaired, and every active pair has just
+        # been examined against the final instance).  A class whose
+        # members all carry ``==`` values — one whose membership did not
+        # change, or a union of such classes that agree — resolves to one
+        # of them (the ``ValueResolver`` contract), which writes nothing.
         changed = set()
         active = None if merged_this_round else []
         if not merged_this_round:
@@ -390,12 +418,15 @@ def chase(
             break
         with tracer.span("resolve-merged") as resolve_span:
             seen: Set[int] = set()
-            repaired = 0
+            repaired = uniform = 0
             for anchor in touched:
                 anchor = root[anchor]
                 if anchor in seen:
                     continue
                 seen.add(anchor)
+                if anchor not in mixed:
+                    uniform += 1
+                    continue
                 # The resolver sees the members in (side, tid, attribute)
                 # order — int order — not in the order of the unions.
                 slots = sorted(cells.ring(anchor))
@@ -405,6 +436,7 @@ def chase(
                 for slot in slots:
                     if values[slot] != resolved:
                         written.setdefault(slot, values[slot])
+                        last_write[slot] = rounds
                         values[slot] = resolved
                         repaired += 1
                         # The first slot of the tuple written to: only its
@@ -414,57 +446,126 @@ def chase(
                             if slot < right_base
                             else slot - (slot - right_base) % right_width
                         )
+            resolve_span.set("classes", len(seen) - uniform)
+            resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)
         round_span.__exit__(None, None, None)
 
     def check():
-        """Stability: ``(D', D') ⊨ Σ`` — for every pair matching a rule's
-        LHS in D', the RHS cells must carry equal values.  (With original
-        and extended both D', the "LHS still matches" recheck is the same
-        evaluation.)  Only a (rule, pair) that fired, or a pair still
-        active — dirtied by the last permitted round's repairs, or never
-        examined because no round was permitted — can match now: any
-        other was last evaluated against the values its tuples still
-        carry, and did not match.  The selections are kept for every
-        rule, also past the first unstable one: they are ``holding``.
-        The RHS test compares values, not classes — merged cells that
-        carry a value unequal to itself (NaN) are not identified.
-        Returns ``(stable, holding)``; the span nests under whoever asked.
+        """``holding`` — per rule, the pairs whose LHS holds in ``D'`` —
+        and the RHS test that makes it stability.
+
+        Only a (rule, pair) that fired, or a pair still active — dirtied
+        by the last permitted round's repairs, or never examined because
+        no round was permitted — can match now: any other was last
+        evaluated against the values its tuples still carry, and did not
+        match.  A fired pair is *fresh* when no repair wrote one of the
+        rule's LHS cells of its two tuples in or after the round it fired
+        in: its LHS reads what it read then, and holds unevaluated.  Only
+        the stale and the active pairs are selected again.
+
+        Returns ``(holding, test)``.  ``test()`` is ``(D', D') ⊨ Σ``:
+        every holding pair's RHS cells carry equal values — values, not
+        classes, so merged cells that carry a value unequal to itself
+        (NaN) are not identified.  The span nests under whoever asked;
+        the test, run only if ``stable`` is read, records on it later.
         """
-        stable = True
+        # Per side, rank -> {a tuple's first slot: the last round a repair
+        # wrote its cell of that rank}.  Over shared storage a right tuple
+        # is its left twin's storage.
+        left_writes: List[Dict[int, int]] = [{} for _ in range(left_width)]
+        right_writes = (
+            left_writes if shared else [{} for _ in range(right_width)]
+        )
+        for slot, last in last_write.items():
+            if slot < right_base:
+                rank = slot % left_width
+                left_writes[rank][slot - rank] = last
+            else:
+                rank = (slot - right_base) % right_width
+                right_writes[rank][slot - rank] = last
+
+        def last_lhs_write(writes, ranks):
+            """tuple slot -> the last round a repair wrote one of ``ranks``."""
+            ranks = set(ranks)
+            if len(ranks) == 1:
+                return writes[ranks.pop()]
+            merged: Dict[int, int] = {}
+            for rank in ranks:
+                for first, last in writes[rank].items():
+                    if merged.get(first, 0) < last:
+                        merged[first] = last
+            return merged
+
         holding: List[List[int]] = []
         with tracer.span("stability-check") as span:
-            joins = 0
-            for rule, (equalities, similarities, rhs), already in zip(
-                plan.rules, rules, fired
+            joins = fresh_pairs = reevaluated = 0
+            listed = active if active is not None else list_active()
+            for (equalities, similarities, _), already, history in zip(
+                rules, fired, fired_in
             ):
-                listed = active if active is not None else list_active()
-                # (at most that many: a fired pair can be active too)
-                joined = dense and join(equalities, len(already) + len(listed))
-                if not joined:
-                    selection = sorted(already.union(listed))
-                else:
+                lefts = last_lhs_write(
+                    left_writes,
+                    [left for left, _ in equalities]
+                    + [left for _, left, _ in similarities],
+                )
+                rights = last_lhs_write(
+                    right_writes,
+                    [right for _, right in equalities]
+                    + [right for _, _, right in similarities],
+                )
+                fresh: List[int] = []
+                stale: List[int] = []
+                for fired_round, positions in history:
+                    if not lefts and not rights:
+                        fresh += positions
+                        continue
+                    for i in positions:
+                        if (
+                            lefts.get(left_slots[i], 0) < fired_round
+                            and rights.get(right_slots[i], 0) < fired_round
+                        ):
+                            fresh.append(i)
+                        else:
+                            stale.append(i)
+                selection = stale + [i for i in listed if i not in already]
+                joined = dense and join(equalities, len(selection))
+                if joined:
                     joins += 1
                     hits, equalities = joined
-                    selection = sorted(already.union(listed).intersection(hits))
-                selection = select(selection, equalities, similarities)
-                holding.append(selection)
-                if stable and selection:
-                    lefts = [left_slots[i] for i in selection]
-                    rights = [right_slots[i] for i in selection]
-                    for left, right in rhs:
-                        if any(map(
-                            ne,
-                            [values[slot + left] for slot in lefts],
-                            [values[slot + right] for slot in rights],
-                        )):
-                            stable = False
-                            span.set("unstable_rule", rule.name)
-                            break
+                    selection = list(set(selection).intersection(hits))
+                fresh_pairs += len(fresh)
+                reevaluated += len(selection)
+                holds = fresh + select(selection, equalities, similarities)
+                holds.sort()
+                holding.append(holds)
             span.set("joined", joins)
+            span.set("fresh", fresh_pairs)
+            span.set("reevaluated", reevaluated)
             partners.clear()
             satisfying.clear()
-        return stable, holding
+
+        def test():
+            tested = 0
+            for rule, (_, _, rhs), selection in zip(plan.rules, rules, holding):
+                if not selection:
+                    continue
+                tested += len(selection)
+                lefts = [left_slots[i] for i in selection]
+                rights = [right_slots[i] for i in selection]
+                for left, right in rhs:
+                    if any(map(
+                        ne,
+                        [values[slot + left] for slot in lefts],
+                        [values[slot + right] for slot in rights],
+                    )):
+                        span.set("rhs_tested", tested)
+                        span.set("unstable_rule", rule.name)
+                        return False
+            span.set("rhs_tested", tested)
+            return True
+
+        return holding, test
 
     repairs = {}
     for slot, before in written.items():

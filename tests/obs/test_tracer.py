@@ -192,6 +192,15 @@ class TestExport:
                 span.set("joined", 2 - round_)
                 span.set("join_probes", 100 * (2 - round_))
                 span.set("scanned", 7 * round_)
+                with tracer.span("resolve-merged") as resolve:
+                    resolve.set("classes", round_)
+                    resolve.set("uniform", 10)
+        for read, fresh in ((False, 5), (True, 8)):
+            with tracer.span("stability-check") as span:
+                span.set("fresh", fresh)
+                span.set("reevaluated", 1)
+                if read:
+                    span.set("rhs_tested", 9)
         metrics = MetricsRegistry()
         metrics.observe("chase.rounds", 3)
         document = trace_document(
@@ -205,4 +214,13 @@ class TestExport:
         assert (
             "selection over 3 chase round(s): 3 rule(s) joined (300 probes), "
             "21 pair(s) scanned"
+        ) in text
+        assert (
+            "resolve-merged over 3 round(s): 3 class(es) resolved, "
+            "30 uniform skipped"
+        ) in text
+        # Only the check whose ``stable`` was read ran the RHS test.
+        assert (
+            "stability over 2 check(s): 13 fired pair(s) fresh, 2 re-evaluated; "
+            "RHS test run in 1 (9 pair(s))"
         ) in text

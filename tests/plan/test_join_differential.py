@@ -357,9 +357,11 @@ def test_a_pair_no_repair_touched_is_evaluated_once():
         assert rounds > 0 and (checks > 0) == (max_rounds == 1)
         assert len(result.holding[0]) == 5
         assert seen.count(("abcdefgh", "stuvwxyz")) == 1
-        # ... and a pair that fired is read again by the check only, not
-        # by the round its own repair made it active in.
-        assert seen.count(("mark", "marx")) == 2 * 5
+        # ... and a pair that fired is read once, in the round it fired
+        # in: not by the round its own repair made it active in, nor by
+        # the check — the repair wrote C, which the rule does not read,
+        # so its LHS still holds without being re-read.
+        assert seen.count(("mark", "marx")) == 1 * 5
 
 
 # ----------------------------------------------------------------------

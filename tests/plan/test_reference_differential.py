@@ -16,7 +16,7 @@ from __future__ import annotations
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_chase
@@ -36,6 +36,7 @@ from repro.datagen.streams import (
 )
 from repro.experiments.harness import resolution_spec_document
 from repro.matching.clustering import cluster_matches
+from repro.obs.trace import Tracer
 from repro.plan import compile_plan
 from repro.relations.relation import Relation
 
@@ -257,8 +258,9 @@ def test_unhashable_cell_values():
     result, _ = assert_same_chase(plan, instance, pairs=[(0, 0), (1, 1)])
     assert result.instance.right[0]["C"] == "value"
     assert result.instance.right[1]["C"] is None
-    # (one hit: the stability check re-reads the pair that fired)
-    assert plan.stats.cache_hits == 1
+    # (no hit: the stability check does not re-read the pair that fired,
+    # as its repair wrote C and the rule reads only A and B)
+    assert plan.stats.cache_hits == 0
 
 
 def test_shared_instance_self_match():
@@ -386,9 +388,14 @@ def test_an_unread_stability_check_costs_nothing():
     )
     result = plan.enforce(instance)
     assert result.matches([("C", "C")]) == [(0, 0)]
-    unread = plan.stats.metric_evaluations
+    # Rounds 1 and 2 each fire one rule on the pair; round 3 re-reads
+    # nothing that fired.
+    assert plan.stats.metric_evaluations == 3
+    # Read, the check costs nothing here either: the A rule fired in
+    # round 1 and no repair ever wrote A; the B rule fired in round 2,
+    # after round 1 last wrote B.  Both pairs hold unevaluated.
     assert result.stable and result.holding == [[0], [0]]
-    assert plan.stats.metric_evaluations > unread
+    assert plan.stats.metric_evaluations == 3
     assert not result.rounds_exhausted and plan.stats.rounds_exhausted == 0
 
 
@@ -442,6 +449,272 @@ def test_nan_class_is_merged_but_not_stable():
     result, _ = assert_same_chase(plan, instance)
     assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
     assert not result.stable
+
+
+# ----------------------------------------------------------------------
+# The end-of-chase passes pay only for what the repairs touched
+# ----------------------------------------------------------------------
+
+
+def _spans(plan, name):
+    """The attributes of every ``name`` span the plan's tracer recorded."""
+    return [
+        span.attrs
+        for root in plan.tracer.roots
+        for span, _ in root.walk()
+        if span.name == name
+    ]
+
+
+#: One NaN object: ``=`` never holds on it, and ``nan != nan``.
+NAN = float("nan")
+
+#: Each rule's RHS writes another rule's LHS: ``C`` repairs ``A``, which
+#: the first rule reads, and the third rule repairs ``C``.
+OVERLAP = (
+    "R[A] = S[A] -> R[B] <=> S[B]",
+    "R[C] = S[C] -> R[A] <=> S[A]",
+    "R[B] = S[A] -> R[C] <=> S[C]",
+)
+
+
+def test_a_later_repair_takes_a_fired_pair_out_of_holding():
+    """The A rule fires on (0, 0) in round 1, on ``k = k``.  Round 1's C
+    repair of right tuple 1 (through the pair (1, 1)) lets the C rule
+    fire on (0, 1) in round 2, and its A merge rewrites left tuple 0's A
+    to ``kkkkk``: (0, 0) no longer satisfies the A rule, and nothing
+    merges its A cells again.  It must leave ``holding`` re-evaluated —
+    a check that took every fired pair to still hold would keep it."""
+    plan, pair = _abc_plan(*OVERLAP)
+    plan.tracer = Tracer()
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [
+            {"A": "k", "B": "b", "C": "c"},
+            {"A": "z", "B": "kkkkk", "C": "c"},
+        ]),
+        Relation(pair.right, [
+            {"A": "k", "B": None, "C": "d"},
+            {"A": "kkkkk", "B": None, "C": None},
+        ]),
+    )
+    result, expected = assert_same_chase(
+        plan, instance, pairs=[(0, 0), (0, 1), (1, 1)]
+    )
+    assert result.rounds > 2 and result.stable
+    assert result.instance.left[0]["A"] == "kkkkk"
+    assert result.holding[0] == [1, 2] and 0 not in expected.firing(0, 0)
+    (check,) = _spans(plan, "stability-check")
+    assert check["reevaluated"] == 1
+
+
+@st.composite
+def overlapping_rules(draw):
+    """Two or three rules over ``A``, ``B``, ``C`` whose RHS attributes
+    are drawn from what the rule set's LHSs read — so repairs land on LHS
+    cells after their rules fired, and fired pairs go stale."""
+    lhss = [
+        draw(st.lists(
+            st.tuples(
+                st.sampled_from(ABC), st.sampled_from(ABC),
+                st.sampled_from(["=", "=", "~dl(0.6)"]),
+            ),
+            min_size=1, max_size=2, unique_by=lambda atom: atom[:2],
+        ))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    read = sorted({name for atoms in lhss for a, b, _ in atoms for name in (a, b)})
+    rules = []
+    for atoms in lhss:
+        written = draw(st.sampled_from(read))
+        lhs = " & ".join(f"R[{a}] {operator} S[{b}]" for a, b, operator in atoms)
+        rules.append(f"{lhs} -> R[{written}] <=> S[{written}]")
+    return rules
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    overlapping_rules(),
+    st.lists(st.fixed_dictionaries({name: VALUES for name in ABC}), min_size=2,
+             max_size=4),
+    st.lists(st.fixed_dictionaries({name: VALUES for name in ABC}), min_size=2,
+             max_size=4),
+    st.sampled_from(sorted(VALUE_POLICIES)),
+    st.sampled_from([1, 2, 100]),
+)
+def test_repairs_onto_lhs_cells_match_the_reference(
+    rules, left_rows, right_rows, policy, max_rounds
+):
+    plan, pair = _abc_plan(*rules)
+    plan.tracer = Tracer()
+    instance = InstancePair(
+        pair, Relation(pair.left, left_rows), Relation(pair.right, right_rows)
+    )
+    result, _ = assert_same_chase(
+        plan, instance, VALUE_POLICIES[policy], max_rounds=max_rounds
+    )
+    (check,) = _spans(plan, "stability-check")
+    event(f"fired pairs re-evaluated: {check['reevaluated'] > 0}")
+
+
+def _spy(resolver):
+    calls = []
+
+    def spy(values):
+        calls.append(list(values))
+        return resolver(values)
+
+    return spy, calls
+
+
+@pytest.mark.parametrize(
+    "left_b, right_b, calls",
+    (
+        ("same", "same", 0),  # agreeing classes: nothing to resolve
+        (None, None, 0),
+        ("long-b", None, 1),  # a disagreeing union resolves once
+        ("x", "y", 1),
+    ),
+)
+def test_a_union_of_agreeing_classes_calls_no_resolver(left_b, right_b, calls):
+    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+    plan.tracer = Tracer()
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": left_b, "C": None}]),
+        Relation(pair.right, [{"A": "k", "B": right_b, "C": None}]),
+    )
+    assert_same_chase(plan, instance)
+    plan.tracer = Tracer()
+    spy, seen = _spy(prefer_informative)
+    result = plan.enforce(instance, resolver=spy)
+    assert len(seen) == calls
+    (resolve,) = _spans(plan, "resolve-merged")
+    assert (resolve["classes"], resolve["uniform"]) == (calls, 1 - calls)
+    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+
+
+@pytest.mark.parametrize("spellings", ((1, 1.0), (1.0, True), (True, 1)))
+def test_equal_spellings_stay_as_they_were(spellings):
+    # ``1``, ``1.0`` and ``True`` agree under ``==``: their union resolves
+    # nothing, and each cell keeps its spelling, as a resolution that
+    # writes only unequal cells always left it.
+    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+    left_b, right_b = spellings
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": left_b, "C": None}]),
+        Relation(pair.right, [{"A": "k", "B": right_b, "C": None}]),
+    )
+    spy, seen = _spy(prefer_informative)
+    result = plan.enforce(instance, resolver=spy)
+    assert seen == [] and result.repairs == {}
+    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert repr(result.instance.left[0]["B"]) == repr(left_b)
+    assert repr(result.instance.right[0]["B"]) == repr(right_b)
+    assert result.stable
+
+
+@pytest.mark.parametrize("right_b", (None, NAN))
+def test_a_nan_class_is_resolved_and_unstable(right_b):
+    # NaN agrees with nothing, not even itself: its union is mixed.
+    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "k", "B": NAN, "C": None}]),
+        Relation(pair.right, [{"A": "k", "B": right_b, "C": None}]),
+    )
+    spy, seen = _spy(prefer_informative)
+    result = plan.enforce(instance, resolver=spy)
+    assert len(seen) == 1
+    assert not result.stable
+
+
+def test_shared_storage_resolves_every_union():
+    """Over shared storage one slot can sit in two classes, so no class is
+    known to agree: the resolver is called as often as it always was —
+    once per grown class per round (pinned, with its arguments)."""
+    schema = RelationSchema("R", ABC)
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md("R[B] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
+        parse_md("R[C] = R[C] -> R[B] <=> R[B] & R[C] <=> R[C]", pair),
+    ])
+    plan.tracer = Tracer()
+    shared = Relation(schema, [
+        {"A": "a", "B": None, "C": "ab"},
+        {"A": None, "B": "b", "C": "abc"},
+        {"A": None, "B": "abc", "C": "ab"},
+        {"A": "ba", "B": "abc", "C": "abc"},
+    ])
+    spy, seen = _spy(prefer_informative)
+    result = plan.enforce(InstancePair(pair, shared, shared), resolver=spy,
+                          max_rounds=2)
+    assert (result.rounds, result.applications) == (2, 14)
+    # (``['ab', 'ab']`` and the all-``abc`` class agree, and are resolved)
+    assert seen == [
+        [None, "abc"], ["ab", "ab"], ["b", "abc"], ["abc", "ab", "abc"],
+        [None, "ba"], ["a", None, "ba", None, "ba", "ba"],
+        ["ab", "abc", "abc", "abc", "abc", "abc"],
+        ["abc", "abc", "abc", "abc", "abc"],
+    ]
+    assert all(resolve["uniform"] == 0 for resolve in _spans(plan, "resolve-merged"))
+
+
+def test_reading_holding_runs_no_rhs_test():
+    """A converged chase asked for ``holding`` only (provenance, the
+    ``repro match`` path) compares no RHS value; ``stable``, read after,
+    runs the test then and answers as the reference does."""
+    plan, pair = _abc_plan(*CASCADE)
+    plan.tracer = Tracer()
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [
+            {"A": "x", "B": "long-b", "C": "long-c"},
+            {"A": "y", "B": "b", "C": NAN},
+        ]),
+        Relation(pair.right, [
+            {"A": "x", "B": None, "C": None},
+            {"A": "y", "B": "b", "C": None},
+        ]),
+    )
+    result = plan.enforce(instance, candidate_pairs=[(0, 0), (1, 1)])
+    expected = reference_chase(plan.sigma, instance, prefer_informative,
+                               [(0, 0), (1, 1)], 100, plan.registry)
+    assert not result.rounds_exhausted
+    assert result.holding == [[0, 1], [0, 1]]
+    (check,) = _spans(plan, "stability-check")
+    assert "rhs_tested" not in check and result.check is None
+    assert result.stable == expected.stable
+    assert not expected.stable
+    assert check["rhs_tested"] > 0 and check["unstable_rule"] == plan.rules[1].name
+
+
+EQUAL_VALUES = st.one_of(
+    st.lists(st.sampled_from([1, 1.0, True]), min_size=1, max_size=5),
+    st.lists(st.sampled_from([0, 0.0, -0.0, False]), min_size=1, max_size=5),
+    st.builds(
+        lambda value, count: [value] * count,
+        st.one_of(
+            st.none(), st.text(max_size=6), st.integers(),
+            st.floats(allow_nan=False),
+        ),
+        st.integers(1, 5),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(VALUE_POLICIES)), EQUAL_VALUES)
+def test_every_policy_keeps_the_resolver_contract(policy, values):
+    """The ``ValueResolver`` contract the chase's uniform skip relies on:
+    values all ``==`` resolve to one ``==`` to them, all nulls to
+    ``None``."""
+    resolved = VALUE_POLICIES[policy](values)
+    if values[0] is None:
+        assert resolved is None
+    else:
+        assert all(resolved == value for value in values)
 
 
 SPARSE_TIDS = st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True)
