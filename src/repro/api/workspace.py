@@ -389,7 +389,7 @@ class Workspace:
                     f"workspace's spec is {self.fingerprint}; "
                     "re-bootstrap the store or load the matching spec"
                 )
-            family = getattr(store.blocking, "family", None)
+            family = store.blocking_backend
             if family != spec.blocking_backend:
                 errors.append(
                     f"store streams under {family!r} blocking, but the "

@@ -195,9 +195,7 @@ class IncrementalMatcher:
         self.store = store
         #: Whether the store streams under sorted-neighborhood semantics
         #: (drives the engine.sn_* observability signals).
-        self._sn_blocking = (
-            getattr(store.blocking, "family", "hash") == "sorted-neighborhood"
-        )
+        self._sn_blocking = store.blocking_backend == "sorted-neighborhood"
         self._target_pairs = self.target.attribute_pairs()
         #: The two instances a delta is chased over — the store's current
         #: and arrival values, read in place — indexed by "use arrival".

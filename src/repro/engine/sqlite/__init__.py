@@ -1,13 +1,14 @@
 """`repro.engine.sqlite` — the durable SQLite-backed match store.
 
-A drop-in persistence backend for the streaming engine: everything a
+A drop-in persistence backend for the streaming engine: the state a
 :class:`~repro.engine.store.MatchStore` keeps in RAM — records with
-arrival and consensus values, per-RCK inverted-index buckets, union-find
-cluster membership, cost counters, the owning spec's fingerprint — lives
-in one embedded SQLite database (WAL journal mode, one transaction per
-ingest).  Opening an existing database is an O(1) warm restart: only the
-``meta`` table is read; state is paged in lazily as the matcher touches
-it.
+arrival and consensus values, union-find cluster membership, cost
+counters, the owning spec's fingerprint — lives in one embedded SQLite
+database (WAL journal mode, one transaction per ingest).  Opening an
+existing database is an O(1) warm restart: only the ``meta`` table is
+read; state is paged in lazily as the matcher touches it.  The blocking
+index is the memory store's, derived from the records' arrival values
+on the first call that needs it.
 
 The backend is behaviorally identical to the in-memory store (same
 matches, clusters, provenance, stats) — proven by the differential suite

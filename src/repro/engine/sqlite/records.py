@@ -14,11 +14,11 @@ in-memory one:
   so a rollback leaves both consistent.
 
 Unlike the base ``Relation``, each record carries *two* value sets: the
-arrival values (immutable after insert; index keys and consensus
+arrival values (immutable after insert; blocking keys and consensus
 resolution derive from them) and the current values (rewritten by
 cluster consensus repairs, one ``UPDATE`` per repaired record).  A cache
-entry holds both plus the record's blocking keys once derived, so there
-is one cache lifetime: a rollback drops rows and keys together.  ``Row``
+entry holds both; a rollback drops them, as it drops the store's blocking
+index.  ``Row``
 views and the copying accessors hand out copies; the chase reads the
 cached dicts in place through a :class:`ValuesView` and never writes, so
 the only mutation path is :meth:`set_values` — exactly the contract
@@ -45,8 +45,7 @@ class SQLiteRelation:
         self.schema = schema
         self.side = side
         self._names = frozenset(schema.attribute_names)
-        #: tid -> [arrival values, current values, blocking keys or None];
-        #: populated lazily.
+        #: tid -> [arrival values, current values]; populated lazily.
         self._cache: Dict[int, list] = {}
         self._count: Optional[int] = None
         self._next_tid: Optional[int] = None
@@ -73,7 +72,7 @@ class SQLiteRelation:
             "VALUES (?, ?, ?, ?)",
             (self.side, tid, payload, payload),
         )
-        self._cache[tid] = [dict(complete), complete, None]
+        self._cache[tid] = [dict(complete), complete]
         if self._count is not None:
             self._count += 1
         if self._next_tid is not None:
@@ -114,7 +113,7 @@ class SQLiteRelation:
             raise KeyError(
                 f"no tuple with id {tid} in {self.schema.name!r}"
             )
-        entry = [json.loads(row[0]), json.loads(row[1]), None]
+        entry = [json.loads(row[0]), json.loads(row[1])]
         self._cache[tid] = entry
         return entry
 
@@ -143,7 +142,7 @@ class SQLiteRelation:
             (self.side,),
         ).fetchall():
             if tid not in self._cache:
-                self._cache[tid] = [json.loads(arrival), json.loads(current), None]
+                self._cache[tid] = [json.loads(arrival), json.loads(current)]
             yield Row(tid, dict(self._cache[tid][1]))
 
     def __len__(self) -> int:
@@ -178,7 +177,7 @@ class SQLiteRelation:
         return tid
 
     def invalidate_cache(self) -> None:
-        """Drop cached rows and their keys (used after a rollback)."""
+        """Drop cached rows (used after a rollback)."""
         self._cache.clear()
         self._count = None
         self._next_tid = None

@@ -1,30 +1,24 @@
 """The durable store's relational schema.
 
-Five tables hold everything a :class:`~repro.engine.store.MatchStore`
-keeps in RAM, normalized so every ingest touches only the rows it
-changes (the FDB lesson: keep the derived structures — inverted index
-buckets, cluster membership — materialized *beside* the base records so
-incremental maintenance is row-at-a-time, and a restart reads nothing):
+Four tables hold the state a :class:`~repro.engine.store.MatchStore`
+keeps in RAM that cannot be recomputed, normalized so every ingest
+touches only the rows it changes (cluster membership is materialized
+*beside* the base records so incremental maintenance is row-at-a-time,
+and a restart reads nothing).  The blocking index is not among them: a
+record's keys are a function of its arrival values and the
+configuration, so the store derives the index from ``records`` in memory
+on first use, as a JSON snapshot restore does:
 
 ``meta``
     Key/value strings: schema version, the store configuration (the same
     JSON document a snapshot carries: schema pair, target, RCK triples,
-    key length, encoded attributes) and the owning spec's fingerprint.
+    key length, encoded attributes, blocking) and the owning spec's
+    fingerprint.
 ``records``
     One row per ingested record, keyed ``(side, tid)``, holding both the
-    *arrival* values (what indexes and consensus resolution work from)
-    and the *current* values (the per-cluster consensus repairs) as JSON
-    objects.
-``buckets``
-    The per-RCK inverted indexes: one row per (index, derived key, side,
-    tid) posting.  ``buckets_probe`` makes a streaming probe one range
-    scan; a batch candidates call is one self-join on (idx, key).
-``ranks``
-    The sorted-neighborhood rank encoding: one row per (pass, block,
-    sort key, side, tid) element.  ``ranks_window`` keeps a block run
-    retrievable in sorted order, so a window probe is one range scan
-    over the run (the table is only populated by stores created with
-    ``blocking.backend: "sorted-neighborhood"``).
+    *arrival* values (what blocking keys and consensus resolution work
+    from) and the *current* values (the per-cluster consensus repairs) as
+    JSON objects.
 ``clusters``
     Union-find with *direct root pointers*: every node stores its
     cluster root, so ``find`` is one point lookup and ``union``
@@ -33,6 +27,9 @@ incremental maintenance is row-at-a-time, and a restart reads nothing):
 ``counters``
     The store's cost ledger (``comparisons``, ``merges``), flushed once
     per commit rather than once per increment.
+
+Version 1 also kept the blocking index on disk, in two tables of
+postings; :func:`upgrade_from_v1` drops them.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from __future__ import annotations
 import sqlite3
 
 #: Version of the on-disk layout; bumped on any incompatible change.
-SQLITE_SCHEMA_VERSION = 1
+SQLITE_SCHEMA_VERSION = 2
 
 _TABLES = (
     """
@@ -57,31 +54,6 @@ _TABLES = (
         current TEXT NOT NULL,
         PRIMARY KEY (side, tid)
     )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS buckets (
-        idx  INTEGER NOT NULL,
-        key  TEXT NOT NULL,
-        side INTEGER NOT NULL,
-        tid  INTEGER NOT NULL
-    )
-    """,
-    """
-    CREATE INDEX IF NOT EXISTS buckets_probe
-        ON buckets (idx, key, side)
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS ranks (
-        idx   INTEGER NOT NULL,
-        block TEXT NOT NULL,
-        key   TEXT NOT NULL,
-        side  INTEGER NOT NULL,
-        tid   INTEGER NOT NULL
-    )
-    """,
-    """
-    CREATE INDEX IF NOT EXISTS ranks_window
-        ON ranks (idx, block, key, side, tid)
     """,
     """
     CREATE TABLE IF NOT EXISTS clusters (
@@ -109,6 +81,18 @@ def initialize(connection: sqlite3.Connection) -> None:
     """Create the store tables in a fresh database (idempotent)."""
     for statement in _TABLES:
         connection.execute(statement)
+
+
+def upgrade_from_v1(connection: sqlite3.Connection) -> None:
+    """Bring a version-1 store to this version in one transaction: drop
+    its on-disk blocking index and stamp the version, so a version-1
+    build refuses the file instead of probing postings that no longer
+    follow its records."""
+    connection.execute("BEGIN")
+    connection.execute("DROP TABLE IF EXISTS buckets")
+    connection.execute("DROP TABLE IF EXISTS ranks")
+    write_meta(connection, "schema_version", str(SQLITE_SCHEMA_VERSION))
+    connection.commit()
 
 
 def read_meta(connection: sqlite3.Connection, key: str):

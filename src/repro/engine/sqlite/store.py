@@ -1,21 +1,31 @@
 """`SQLiteMatchStore`: the durable drop-in for :class:`~repro.engine.store.MatchStore`.
 
 Same duck-typed interface the :class:`~repro.engine.matcher.IncrementalMatcher`
-drives — records, per-RCK inverted indexes, incremental union-find, cost
-counters — but every structure lives in one embedded SQLite database:
+drives — records, blocking index, incremental union-find, cost counters —
+with the records, clusters and counters in one embedded SQLite database:
 
 * **one ingest = one transaction** — the matcher calls :meth:`commit` at
   the end of each ``ingest``, so a crash mid-record leaves the previous
   consistent state (WAL journal mode; readers never block on the writer);
 * **O(1) warm restart** — opening an existing store reads only the
   ``meta`` table (schema version, configuration, fingerprint, counters);
-  records, buckets and clusters stay on disk until touched, so resume
-  cost is independent of how much has been ingested;
-* **identical matching behavior** — key derivation is shared with the
-  in-memory backend (:mod:`repro.engine.sqlite.blocking`) and union is
-  by size with the same tie order, so both backends produce the same
+  records and clusters stay on disk until touched, so resume cost is
+  independent of how much has been ingested;
+* **the memory store's blocking index** — the backend
+  :func:`~repro.plan.blocking.build_blocking` returns, held in memory
+  and derived from the records' arrival values (one scan of the
+  ``records`` table) on the first call that needs it: a record's keys
+  are a function of those values and the configuration, so there is
+  nothing to persist and nothing that can disagree with the
+  configuration;
+* **identical matching behavior** — the same blocking backend, and union
+  by size with the same tie order, so both stores produce the same
   matches, clusters, provenance and stats (proven by
   ``tests/engine/test_sqlite_differential.py``).
+
+The writer holds every record's keys in RAM, as the memory store does.
+A second writer's commits do not reach this process's index until a
+rollback drops it — one more reason a store has one writer.
 """
 
 from __future__ import annotations
@@ -23,17 +33,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES, build_blocking
+from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES, BlockingBackend
 from repro.relations.relation import Row
 
-from ..store import Cluster, Node, _SIDE_TAGS, _as_cluster
-from .blocking import SQLiteHashBlockingBackend, SQLiteSNBlockingBackend
+from ..store import BlockedStore, Cluster, Node, _SIDE_TAGS, _as_cluster
 from .clusters import DbNode, SQLiteUnionFind
 from .connection import connect
 from .records import SQLiteRelation, ValuesView
@@ -41,6 +50,7 @@ from .schema import (
     SQLITE_SCHEMA_VERSION,
     initialize,
     read_meta,
+    upgrade_from_v1,
     write_meta,
 )
 
@@ -60,7 +70,7 @@ def _to_node(db_node: DbNode) -> Node:
     return (_SIDE_TAGS[side], tid)
 
 
-class SQLiteMatchStore:
+class SQLiteMatchStore(BlockedStore):
     """Durable matcher state in one SQLite file.
 
     Creating a store requires ``target`` and ``rcks`` (the configuration
@@ -87,68 +97,51 @@ class SQLiteMatchStore:
         self.path = Path(path)
         self.tracer = tracer
         self.metrics = metrics
+        requested = (
+            target,
+            rcks,
+            key_length,
+            encode_attributes,
+            blocking_backend,
+            window,
+            key_pairs,
+        )
         existing = self.path.exists() and self.path.stat().st_size > 0
+        if not existing:
+            # Refused before connect() writes a file: a failed creation
+            # leaves no table-less database for every later open to fail on.
+            if target is None or rcks is None:
+                raise ValueError(
+                    f"creating a new SQLite store at {self.path} requires "
+                    "target and rcks"
+                )
+            # An empty store's index is complete.
+            self._blocking = self._configure(*requested)
         self.connection = connect(self.path)
-        if existing:
-            self._open_existing(
-                target,
-                rcks,
-                key_length,
-                encode_attributes,
-                blocking_backend,
-                window,
-                key_pairs,
-            )
-        else:
-            self._create_fresh(
-                target,
-                rcks,
-                key_length,
-                encode_attributes,
-                blocking_backend,
-                window,
-                key_pairs,
-            )
-        self.left = SQLiteRelation(self.connection, self.pair.left, LEFT)
-        self.right = SQLiteRelation(self.connection, self.pair.right, RIGHT)
-        self._union_find = SQLiteUnionFind(self.connection)
-        self._counters: Dict[str, int] = {
-            name: int(read_meta_counter(self.connection, name))
-            for name in _COUNTERS
-        }
-        self._counters_dirty = False
-        self._fingerprint = read_meta(self.connection, "spec_fingerprint")
+        try:
+            if existing:
+                self._open_existing(*requested)
+            else:
+                self._create_fresh()
+            self.left = SQLiteRelation(self.connection, self.pair.left, LEFT)
+            self.right = SQLiteRelation(self.connection, self.pair.right, RIGHT)
+            self._union_find = SQLiteUnionFind(self.connection)
+            self._counters: Dict[str, int] = {
+                name: int(read_meta_counter(self.connection, name))
+                for name in _COUNTERS
+            }
+            self._counters_dirty = False
+            self._fingerprint = read_meta(self.connection, "spec_fingerprint")
+        except BaseException:
+            self.connection.close()
+            raise
 
     # ------------------------------------------------------------------
     # Open / create
     # ------------------------------------------------------------------
 
-    def _create_fresh(
-        self,
-        target,
-        rcks,
-        key_length,
-        encode_attributes,
-        blocking_backend,
-        window,
-        key_pairs,
-    ):
-        if target is None or rcks is None:
-            raise ValueError(
-                f"creating a new SQLite store at {self.path} requires "
-                "target and rcks"
-            )
-        self.target = target
-        self.pair = target.pair
-        self.rcks = list(rcks)
-        self.key_length = key_length
-        self.encode_attributes = tuple(encode_attributes)
-        self.blocking_backend = blocking_backend
-        self.window = int(window)
-        self.key_pairs = (
-            tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
-        )
-        self._bind_blocking()
+    def _create_fresh(self) -> None:
+        """Lay out the tables and persist the configuration."""
         initialize(self.connection)
         # Import here to avoid a cycle: snapshot imports the base store.
         from ..snapshot import config_to_dict
@@ -179,7 +172,9 @@ class SQLiteMatchStore:
         key_pairs,
     ):
         version = read_meta(self.connection, "schema_version")
-        if version != str(SQLITE_SCHEMA_VERSION):
+        if version == "1":
+            upgrade_from_v1(self.connection)
+        elif version != str(SQLITE_SCHEMA_VERSION):
             raise ValueError(
                 f"unsupported store schema version {version!r} in "
                 f"{self.path}; this build reads version "
@@ -190,22 +185,10 @@ class SQLiteMatchStore:
             raise ValueError(f"store {self.path} has no configuration")
         from ..snapshot import config_from_dict
 
-        config = config_from_dict(json.loads(raw))
-        self.target = config["target"]
-        self.pair = self.target.pair
-        self.rcks = config["rcks"]
-        self.key_length = config["key_length"]
-        self.encode_attributes = config["encode_attributes"]
         # Stores written before the blocking section existed were all
         # hash-blocked; config_from_dict defaults accordingly.
-        self.blocking_backend = config["blocking_backend"]
-        self.window = config["window"]
-        stored_pairs = config["key_pairs"]
-        self.key_pairs = (
-            tuple(tuple(pair) for pair in stored_pairs)
-            if stored_pairs
-            else None
-        )
+        self._configure(**config_from_dict(json.loads(raw)))
+        self._blocking = None
         requested_pairs = (
             tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
         )
@@ -230,46 +213,9 @@ class SQLiteMatchStore:
                 "configuration (target/RCKs/key length/blocking) than "
                 "requested"
             )
-        self._bind_blocking()
-        # Refuse a hash store whose postings its configuration does not
-        # describe, instead of probing it with keys it was not indexed
-        # under.
-        if (
-            self.blocking_backend == "hash"
-            and not self.blocking.indexed_under_its_keys()
-        ):
-            raise ValueError(
-                f"store {self.path} was created with a different "
-                "configuration than it records: its postings are not keyed "
-                "by its blocking passes (hash stores written before 2.0 "
-                "under blocking.key_pairs were indexed per RCK); "
-                "re-bootstrap the store"
-            )
-
-    def _bind_blocking(self) -> None:
-        """The durable backend over the configuration's passes — the key
-        structures :func:`~repro.plan.blocking.build_blocking` resolves
-        for every layer, used here purely for their key functions."""
-        keys = build_blocking(
-            self.rcks,
-            self.key_length,
-            self.encode_attributes,
-            self.blocking_backend,
-            self.window,
-            self.key_pairs,
-        )
-        if keys.family == "hash":
-            self.blocking = SQLiteHashBlockingBackend(
-                self.connection, keys.indexes
-            )
-        else:
-            # Record the resolved sort keys: the stored configuration is
-            # self-contained.
-            self.key_pairs = keys.pairs
-            self.blocking = SQLiteSNBlockingBackend(self.connection, keys)
 
     # ------------------------------------------------------------------
-    # Records
+    # Records and the blocking index
     # ------------------------------------------------------------------
 
     def relation(self, side: int) -> SQLiteRelation:
@@ -277,34 +223,34 @@ class SQLiteMatchStore:
         return self.left if side == LEFT else self.right
 
     @property
-    def indexes(self):
-        """The key-deriving index specs (shared with the in-memory backend).
-
-        Empty for sorted-neighborhood stores, whose single rank index is
-        not an :class:`~repro.plan.blocking.RCKIndex`.
-        """
-        return getattr(self.blocking, "indexes", [])
+    def blocking(self) -> BlockingBackend:
+        """The blocking index: the memory store's backend, built on first
+        use from one scan of the records' arrival values, joined by every
+        :meth:`add`, and dropped by :meth:`rollback`."""
+        if self._blocking is None:
+            blocking = self._new_blocking()
+            self._keys = ({}, {})
+            for side, tid, arrival in self.connection.execute(
+                "SELECT side, tid, arrival FROM records"
+            ):
+                self._index(blocking, side, Row(tid, json.loads(arrival)))
+            self._blocking = blocking
+        return self._blocking
 
     def add(self, side: int, values: Dict[str, object], tid=None) -> int:
         """Insert an arriving record; index it; register its singleton."""
         with self.tracer.span(
             "store.upsert", side=_SIDE_TAGS[side]
         ):
+            # Built from the stored records before this one joins them,
+            # so the index holds it once.
+            blocking = self.blocking
             tid = self.relation(side).insert(values, tid=tid)
-            self.blocking.add(side, *self._indexed(side, tid))
+            self._index(blocking, side, self.arrival_row(side, tid))
             self._union_find.find((side, tid))
         if self.metrics is not None:
             self.metrics.count("store.upserts")
         return tid
-
-    def _indexed(self, side: int, tid: int) -> Tuple[Row, tuple]:
-        """The record's arrival row and its blocking keys: derived once,
-        then held beside the cached row — a rollback drops both."""
-        entry = self.relation(side)._fetch(tid)
-        row = Row(tid, entry[0])
-        if entry[2] is None:
-            entry[2] = self.blocking.keys_for(side, row)
-        return row, entry[2]
 
     def arrival_values(self, side: int, tid: int) -> Dict[str, object]:
         """The record's values as ingested (pre-repair); a copy."""
@@ -322,7 +268,7 @@ class SQLiteMatchStore:
     def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
         """Whether the record's current value differs from its arrival
         value on any of ``attributes``."""
-        arrival, current, _ = self.relation(side)._fetch(tid)
+        arrival, current = self.relation(side)._fetch(tid)
         return any(current[name] != arrival[name] for name in attributes)
 
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
@@ -331,10 +277,9 @@ class SQLiteMatchStore:
         self.relation(side).set_values(tid, changes)
 
     def neighbors(self, side: int, tid: int) -> List[int]:
-        """Other-side candidates sharing an index bucket with the stored
-        record, probed under the keys it was indexed with."""
+        """See :meth:`BlockedStore.neighbors`; traced and counted."""
         with self.tracer.span("store.probe", side=_SIDE_TAGS[side]):
-            found = self.blocking.probe(side, *self._indexed(side, tid))
+            found = super().neighbors(side, tid)
         if self.metrics is not None:
             self.metrics.count("store.probes")
         return found
@@ -435,10 +380,12 @@ class SQLiteMatchStore:
             self.metrics.gauge("store.disk_bytes", self.disk_bytes())
 
     def rollback(self) -> None:
-        """Discard the uncommitted transaction and drop stale caches."""
+        """Discard the uncommitted transaction and drop stale caches: the
+        rows and the blocking index (rebuilt on next use)."""
         self.connection.rollback()
         self.left.invalidate_cache()
         self.right.invalidate_cache()
+        self._blocking = None
         self._counters = {
             name: int(read_meta_counter(self.connection, name))
             for name in _COUNTERS

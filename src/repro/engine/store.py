@@ -8,7 +8,8 @@ between arrivals:
 * a blocking backend updated on every :meth:`MatchStore.add`, built by
   :func:`~repro.plan.blocking.build_blocking` — the function the batch
   plan's backend comes from, so a stream probes under exactly the keys
-  and window semantics the batch run of the same spec uses;
+  and window semantics the batch run of the same spec uses
+  (:class:`BlockedStore`, which the SQLite store shares);
 * an incremental union-find over record identities — the entity clusters
   that pairwise match decisions are folded into as they are made (the
   streaming counterpart of :func:`repro.matching.clustering.cluster_matches`);
@@ -30,6 +31,7 @@ from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.matching.clustering import Cluster
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
+    BlockingBackend,
     RCKIndex,
     build_blocking,
 )
@@ -47,7 +49,85 @@ def node_of(side: int, tid: int) -> Node:
     return (_SIDE_TAGS[side], tid)
 
 
-class MatchStore:
+class BlockedStore:
+    """The blocking half both stores share: the configuration resolved by
+    :func:`~repro.plan.blocking.build_blocking`, an in-memory backend
+    indexing every record under its arrival values' keys, and the probe.
+
+    A subclass provides ``blocking`` (the backend) and ``arrival_row``.
+    """
+
+    def _configure(
+        self,
+        target: ComparableLists,
+        rcks: Sequence[RelativeKey],
+        key_length: int,
+        encode_attributes: Iterable[str],
+        blocking_backend: str,
+        window: int,
+        key_pairs: Optional[Sequence[Tuple[str, str]]],
+    ) -> BlockingBackend:
+        """Set the store's configuration; return an empty backend for it.
+
+        Raises ``ValueError`` when the configuration cannot block, before
+        anything is stored.
+        """
+        self.target = target
+        self.pair = target.pair
+        self.rcks: List[RelativeKey] = list(rcks)
+        self.key_length = key_length
+        self.encode_attributes: Tuple[str, ...] = tuple(encode_attributes)
+        self.blocking_backend = blocking_backend
+        self.window = int(window)
+        #: The explicit key pairs; a sorted-neighborhood store records the
+        #: pairs it resolved, so its persisted configuration is
+        #: self-contained.
+        self.key_pairs: Optional[Tuple[Tuple[str, str], ...]] = (
+            tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
+        )
+        blocking = self._new_blocking()
+        if blocking.family == "sorted-neighborhood":
+            self.key_pairs = blocking.pairs
+        #: Per side, ``tid -> blocking keys``, derived once per record.
+        self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
+        return blocking
+
+    def _new_blocking(self) -> BlockingBackend:
+        """An empty backend over the configuration's passes."""
+        return build_blocking(
+            self.rcks,
+            self.key_length,
+            self.encode_attributes,
+            self.blocking_backend,
+            self.window,
+            self.key_pairs,
+        )
+
+    def _index(self, blocking: BlockingBackend, side: int, row: Row) -> None:
+        """Derive the record's keys from its arrival ``row`` and add it."""
+        keys = self._keys[side][row.tid] = blocking.keys_for(side, row)
+        blocking.add(side, row, keys)
+
+    @property
+    def indexes(self) -> List[RCKIndex]:
+        """The hash passes' inverted indexes (empty for a
+        sorted-neighborhood store, whose rank index is not an
+        :class:`~repro.plan.blocking.RCKIndex`)."""
+        return getattr(self.blocking, "indexes", [])
+
+    def neighbors(self, side: int, tid: int) -> List[int]:
+        """Other-side tuple ids sharing at least one index bucket with the
+        stored record, probed under the keys it was indexed with.
+
+        This is the record's candidate neighborhood — the union of one
+        bucket probe per index, exactly the pairs the backend's batch
+        ``candidates`` over the same keys would generate for it.
+        """
+        blocking = self.blocking  # first: a lazy ``blocking`` fills ``_keys``
+        return blocking.probe(side, self.arrival_row(side, tid), self._keys[side][tid])
+
+
+class MatchStore(BlockedStore):
     """Incrementally maintained records + indexes + identity clusters.
 
     >>> from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
@@ -75,41 +155,25 @@ class MatchStore:
     ) -> None:
         if not rcks:
             raise ValueError("need at least one RCK to build indexes")
-        self.target = target
-        self.pair = target.pair
-        self.rcks: List[RelativeKey] = list(rcks)
-        self.key_length = key_length
-        self.encode_attributes: Tuple[str, ...] = tuple(encode_attributes)
-        self.left = Relation(self.pair.left)
-        self.right = Relation(self.pair.right)
         #: The kernel's blocking backend doubles as the store's index
         #: set: batch bootstrap calls ``blocking.candidates`` and streaming
         #: ingest calls ``blocking.add``/``probe`` on the same structures.
-        self.blocking = build_blocking(
-            self.rcks,
+        self.blocking = self._configure(
+            target,
+            rcks,
             key_length,
-            self.encode_attributes,
+            encode_attributes,
             blocking_backend,
             window,
             key_pairs,
         )
-        self.blocking_backend = self.blocking.family
-        self.window = int(window)
-        #: The explicit key pairs; a sorted-neighborhood store records the
-        #: pairs it resolved, so its snapshot is self-contained.
-        self.key_pairs: Optional[Tuple[Tuple[str, str], ...]] = (
-            tuple(self.blocking.pairs)
-            if blocking_backend == "sorted-neighborhood"
-            else (tuple(tuple(pair) for pair in key_pairs) if key_pairs else None)
-        )
-        self.indexes: List[RCKIndex] = getattr(self.blocking, "indexes", [])
+        self.left = Relation(self.pair.left)
+        self.right = Relation(self.pair.right)
         self._parent: Dict[Node, Node] = {}
         self._members: Dict[Node, Set[Node]] = {}
         #: Per side, the records as ingested (a second relation: the chase
-        #: projects it like the current one) and ``tid -> blocking keys``,
-        #: derived once at :meth:`add`.
+        #: projects it like the current one).
         self._arrival = (Relation(self.pair.left), Relation(self.pair.right))
-        self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
         #: Candidate pair comparisons charged so far (ingest + bootstrap).
         self.comparisons = 0
         #: Cluster merges performed (successful unions).
@@ -142,8 +206,7 @@ class MatchStore:
         relation = self.relation(side)
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
-        keys = self._keys[side][tid] = self.blocking.keys_for(side, row)
-        self.blocking.add(side, row, keys)
+        self._index(self.blocking, side, row)
         self._arrival[side].adopt(tid, row.values())
         self.find(node_of(side, tid))  # register the singleton cluster
         return tid
@@ -178,16 +241,6 @@ class MatchStore:
         relation = self.relation(side)
         for attribute, value in changes.items():
             relation.set_value(tid, attribute, value)
-
-    def neighbors(self, side: int, tid: int) -> List[int]:
-        """Other-side tuple ids sharing at least one index bucket with the
-        stored record, probed under the keys it was indexed with.
-
-        This is the record's candidate neighborhood — the union of one
-        bucket probe per index, exactly the pairs the backend's batch
-        ``candidates`` over the same keys would generate for it.
-        """
-        return self.blocking.probe(side, self._arrival[side][tid], self._keys[side][tid])
 
     # ------------------------------------------------------------------
     # Identity clusters (incremental union-find)

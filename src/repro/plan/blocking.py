@@ -477,10 +477,9 @@ def build_blocking(
     given, else on one pass per RCK's leading ``key_length`` attribute
     pairs; ``"sorted-neighborhood"`` sorts on ``key_pairs`` when given,
     else on the RCKs' first three distinct attribute pairs (one rotated
-    pass each).  ``Workspace`` compiles the result into its plan, the
-    memory store streams over a second instance, and the SQLite store
-    wraps one for its key functions — so a configuration never means
-    different keys to different layers.
+    pass each).  ``Workspace`` compiles the result into its plan and
+    each store streams over an instance of its own — so a configuration
+    never means different keys to different layers.
     """
     if backend == "hash":
         if key_pairs:

@@ -69,9 +69,9 @@ def window_neighbors(
 ) -> List[int]:
     """Other-side tuple ids within ``entry``'s rank window in a sorted run.
 
-    The rank-range query shared by the in-memory and SQLite SN backends:
-    bisect to the entry's rank (insertion-point semantics when the entry
-    is not ranked yet) and scan the ±(window−1) interval.
+    The rank-range query of :meth:`WindowedSNIndex.probe`: bisect to the
+    entry's rank (insertion-point semantics when the entry is not ranked
+    yet) and scan the ±(window−1) interval.
     """
     if window < 2 or not run:
         return []

@@ -11,11 +11,13 @@ from the database equals a never-interrupted run.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
 
 from repro.api import Workspace
+from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import (
@@ -226,14 +228,13 @@ def test_batches_of_32_equal_per_record_ingest_on_both_stores(
     assert len({chases for *_, chases in runs.values()}) == 1
 
 
-def _postings(store):
-    """Every hash posting and every sorted-neighborhood rank entry."""
-    return [
-        store.connection.execute(
-            f"SELECT * FROM {table} ORDER BY idx, key, side, tid"
-        ).fetchall()
-        for table in ("buckets", "ranks")
-    ]
+def _probes(store):
+    """Every stored record's candidate neighborhood."""
+    return {
+        (side, tid): store.neighbors(side, tid)
+        for side in (LEFT, RIGHT)
+        for tid in store.relation(side).tids()
+    }
 
 
 @pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
@@ -242,9 +243,10 @@ def test_a_rolled_back_record_leaves_no_keys_behind(dataset, blocking, tmp_path)
 
     A batch adds tid T (values V1, indexed under V1's keys) and then
     raises; the unit is rolled back; T then arrives with V2, whose keys
-    differ.  Everything — postings, probes, results, the whole store —
-    must be as if only the surviving events had ever been seen; a key
-    cache that outlived the rollback would index and probe T under V1.
+    differ.  Everything — the index, every probe, results, the whole
+    store — must be as if only the surviving events had ever been seen;
+    an index or key cache that outlived the rollback would hold T under
+    V1.
     """
     events = list(arrival_stream(dataset, seed=5).events)
     survivors = events[:40]
@@ -278,8 +280,9 @@ def test_a_rolled_back_record_leaves_no_keys_behind(dataset, blocking, tmp_path)
     fresh.ingest_batch(survivors)
     expected = fresh.ingest(side, second.values, tid=tid)
     assert result == expected
-    assert _postings(store) == _postings(fresh.store) != [[], []]
-    assert store.neighbors(side, tid) == fresh.store.neighbors(side, tid)
+    probes = _probes(store)
+    assert probes == _probes(fresh.store)
+    assert any(probes.values())
     assert _state(store) == _state(fresh.store)
     # ... and the next arrivals still agree.
     tail = [e for e in events[40:] if e.tid != tid or e.side != side][:20]
@@ -287,6 +290,108 @@ def test_a_rolled_back_record_leaves_no_keys_behind(dataset, blocking, tmp_path)
     assert _state(store) == _state(fresh.store)
     store.close()
     fresh.store.close()
+
+
+def _reads_records(statements):
+    return [statement for statement in statements if re.search(r"\brecords\b", statement)]
+
+
+@pytest.mark.parametrize("first_call", ("add", "neighbors"))
+@pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
+def test_a_reopened_store_builds_its_index_on_first_use(
+    dataset, blocking, first_call, tmp_path
+):
+    """Opening a store, and building a matcher over it, reads no record;
+    the first ``add`` or ``neighbors`` derives the index from one scan of
+    the records, and every probe then equals the probe before close."""
+    events = list(arrival_stream(dataset, seed=5).events)
+    late = events[60]
+    workspace = (
+        _builder(dataset).blocking(blocking).persistence("sqlite", str(tmp_path / "s.db"))
+    ).workspace()
+    first = workspace.stream()
+    first.ingest_stream(events[:60])
+    expected = {"neighbors": _probes(first.store)}
+    first.store.add(late.side, late.values, tid=late.tid)
+    expected["add"] = _probes(first.store)
+    first.store.rollback()
+    first.store.close()
+
+    store = SQLiteMatchStore(workspace.spec.persistence_path)
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    workspace.stream(store=store)
+    assert _reads_records(statements) == []
+    if first_call == "add":
+        store.add(late.side, late.values, tid=late.tid)
+    else:
+        store.neighbors(events[0].side, events[0].tid)
+    assert _probes(store) == expected[first_call]
+    scans = [s for s in _reads_records(statements) if s.startswith("SELECT side, tid, arrival")]
+    assert len(scans) == 1
+    store.close(commit=False)
+
+
+@pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
+def test_a_version_1_store_opens_as_version_2_and_streams_on(
+    dataset, blocking, tmp_path
+):
+    """A file written by a version-1 build kept its blocking index in two
+    tables of postings.  Opening it drops both and stamps version 2 (a
+    version-1 build then refuses the file rather than probe postings that
+    no longer follow it); the stream goes on as if never interrupted."""
+    events = list(arrival_stream(dataset, seed=5).events)
+    cut = len(events) // 2
+    path = tmp_path / "v1.db"
+
+    def workspace():
+        return _builder(dataset).blocking(blocking).persistence("sqlite", str(path)).workspace()
+
+    first = workspace().stream()
+    first_results = first.ingest_stream(events[:cut])
+    first.store.close()
+    connection = sqlite3.connect(path)
+    with connection:
+        # The version-1 blocking tables, populated with postings a probe
+        # would go wrong on: every record under one key.
+        connection.execute(
+            "CREATE TABLE buckets (idx INTEGER NOT NULL, key TEXT NOT NULL, "
+            "side INTEGER NOT NULL, tid INTEGER NOT NULL)"
+        )
+        connection.execute("CREATE INDEX buckets_probe ON buckets (idx, key, side)")
+        connection.execute(
+            "CREATE TABLE ranks (idx INTEGER NOT NULL, block TEXT NOT NULL, "
+            "key TEXT NOT NULL, side INTEGER NOT NULL, tid INTEGER NOT NULL)"
+        )
+        connection.execute(
+            "INSERT INTO buckets SELECT 0, '[\"x\"]', side, tid FROM records"
+        )
+        connection.execute(
+            "INSERT INTO ranks SELECT 0, 'x', '[\"x\"]', side, tid FROM records"
+        )
+        connection.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+    connection.close()
+
+    resumed = workspace().stream()
+    tables = {
+        name
+        for (name,) in resumed.store.connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    assert tables == {"meta", "records", "clusters", "counters"}
+    (version,) = resumed.store.connection.execute(
+        "SELECT value FROM meta WHERE key = 'schema_version'"
+    ).fetchone()
+    assert version == "2"
+    resumed_results = resumed.ingest_stream(events[cut:])
+
+    uninterrupted = _builder(dataset).blocking(blocking).workspace().stream()
+    assert _result_log(first_results) + _result_log(resumed_results) == _result_log(
+        uninterrupted.ingest_stream(events)
+    )
+    assert _state(resumed.store) == _state(uninterrupted.store)
+    resumed.store.close()
 
 
 def test_second_writer_gets_database_is_locked_and_nothing_half_applied(

@@ -40,6 +40,45 @@ class TestCreateAndOpen:
         with pytest.raises(ValueError, match="requires"):
             SQLiteMatchStore(tmp_path / "fresh.db")
 
+    @pytest.mark.parametrize("refused", ["no-configuration", "unknown-backend"])
+    def test_a_refused_creation_leaves_the_path_usable(
+        self, config, tmp_path, refused
+    ):
+        """A creation refused for its arguments writes no file: a
+        table-less database there would fail every later open with
+        ``no such table: meta``, a full configuration included."""
+        target, rcks = config
+        path = tmp_path / "fresh.db"
+        if refused == "no-configuration":
+            with pytest.raises(ValueError, match="requires"):
+                SQLiteMatchStore(path)
+        else:
+            with pytest.raises(ValueError, match="unsupported blocking backend"):
+                SQLiteMatchStore(path, target, rcks, blocking_backend="nope")
+        assert not path.exists()
+        with SQLiteMatchStore(path, target, rcks) as store:
+            store.add(LEFT, ROW)
+        reopened = SQLiteMatchStore(path)
+        assert len(reopened.left) == 1
+        reopened.close(commit=False)
+
+    def test_a_refused_open_closes_its_connection(
+        self, store, config, monkeypatch
+    ):
+        from repro.engine.sqlite import connect
+        from repro.engine.sqlite import store as store_module
+
+        target, rcks = config
+        store.close()
+        opened = []
+        monkeypatch.setattr(
+            store_module, "connect", lambda path: opened.append(connect(path)) or opened[-1]
+        )
+        with pytest.raises(ValueError, match="different"):
+            SQLiteMatchStore(store.path, target, rcks, key_length=2)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+
     def test_file_is_sqlite(self, store, config):
         store.close()
         assert is_sqlite_file(store.path)

@@ -20,7 +20,7 @@ import sqlite3
 import pytest
 
 from repro.api.spec import SpecError
-from repro.core.schema import LEFT
+from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.streams import (
     arrival_stream,
@@ -151,14 +151,14 @@ class TestStreamGuard:
                     dataset, blocking=other, persistence=durable
                 ).open_store()
 
-    def test_store_indexed_per_rck_under_key_pairs_is_refused(
+    def test_store_indexed_per_rck_under_key_pairs_is_reindexed(
         self, dataset, workspace_for, tmp_path
     ):
         """What a pre-2.0 build wrote under ``hash`` + ``key_pairs``: the
-        configuration names the key, the postings are keyed per RCK.  It
-        is refused on every way in, never probed under the wrong keys."""
-        from repro.engine import SQLiteMatchStore
-
+        configuration names the key, the records were indexed per RCK.
+        The index is derived from the configuration, so the store opens
+        and probes exactly like a fresh ``key_pairs`` store over the same
+        records."""
         path = tmp_path / "parent.db"
         durable = {"backend": "sqlite", "path": str(path)}
         per_rck = workspace_for(dataset, persistence=durable)
@@ -183,10 +183,23 @@ class TestStreamGuard:
             )
         connection.close()
 
-        with pytest.raises(SpecError, match="different configuration"):
-            keyed.stream()
-        with pytest.raises(ValueError, match="re-bootstrap"):
-            SQLiteMatchStore(path)
+        store = keyed.stream().store
+        fresh = workspace_for(dataset, blocking=HASH_BLOCKING["key-pairs"]).stream().store
+        records = [
+            (side, tid)
+            for side in (LEFT, RIGHT)
+            for tid in store.relation(side).tids()
+        ]
+        assert len(records) == 40
+        for side, tid in records:
+            fresh.add(side, store.arrival_values(side, tid), tid=tid)
+        assert store.blocking.describe() == fresh.blocking.describe() == (
+            "hash(1 passes: zip~zip)"
+        )
+        probes = {record: store.neighbors(*record) for record in records}
+        assert probes == {record: fresh.neighbors(*record) for record in records}
+        assert any(probes.values())
+        store.close()
 
     def test_matching_sn_store_streams_fine(
         self, dataset, workspace_for, tmp_path
