@@ -12,9 +12,9 @@ comparison and enforcement from scratch, this subsystem matches records
   delta, over the workspace's compiled plan;
 * :mod:`~repro.engine.snapshot` — save/restore the store to disk so
   ingestion resumes exactly where it stopped;
-* :mod:`~repro.engine.sqlite` — the durable backend: the same store
-  interface over one embedded SQLite database (WAL, one transaction per
-  ingest, O(1) warm restart);
+* :mod:`~repro.engine.sqlite` — the durable backend: the memory store
+  plus a write-back, at each commit, of what changed to one embedded
+  SQLite database (WAL, one transaction per ingest, O(1) warm restart);
 * ``repro engine ingest|stats|query|migrate`` — the CLI surface
   (:mod:`repro.cli`).
 

@@ -12,7 +12,7 @@ over the workspace's compiled plan — instead keeps a warm
 3. chases the *delta* — the new record's pairs with its neighbors — with
    the plan's one kernel, the store itself being the instance: the kernel
    projects the few tuples the pairs mention straight off the store's
-   rows (:meth:`~repro.engine.store.MatchStore.view`), never copying or
+   rows (:attr:`~repro.engine.store.MatchStore.instances`), never copying or
    rescanning the full instance;
 4. reads match decisions off the identified target cells (nothing else:
    a delta chase runs no stability pass), merges identity clusters, and
@@ -65,11 +65,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
-from repro.core.semantics import (
-    InstancePair,
-    ValueResolver,
-    prefer_informative,
-)
+from repro.core.semantics import ValueResolver, prefer_informative
 from repro.matching.evaluate import Pair
 from repro.obs.metrics import MetricsRegistry
 from repro.plan.compile import EnforcementPlan
@@ -197,12 +193,6 @@ class IncrementalMatcher:
         #: (drives the engine.sn_* observability signals).
         self._sn_blocking = store.blocking_backend == "sorted-neighborhood"
         self._target_pairs = self.target.attribute_pairs()
-        #: The two instances a delta is chased over — the store's current
-        #: and arrival values, read in place — indexed by "use arrival".
-        self._instances = [
-            InstancePair(store.pair, store.view(LEFT, arrival), store.view(RIGHT, arrival))
-            for arrival in (False, True)
-        ]
         # Observability: default to the plan's tracer/registry (a
         # Workspace hands its own to the plan), or explicit overrides.
         self.tracer = tracer if tracer is not None else plan.tracer
@@ -512,18 +502,20 @@ class IncrementalMatcher:
         ``"arrival"`` chase reads the records as ingested; a
         ``"current"`` chase (an arriving delta's second) and a
         ``"reexamination"`` (a repaired record's neighborhood, chased
-        again) read the current values.  The instance is the store itself
-        and the kernel projects only the tuples occurring in ``pairs``,
-        so nothing is copied or rescanned: the cost is bounded by the
-        delta.  A pair matches when the chase identified all target
-        cells, exactly the batch matcher's decision rule: both run
+        again) read the current values.  The instance is the store's own
+        (:attr:`~repro.engine.store.MatchStore.instances`, taken per chase:
+        a durable store's rollback replaces it) and the kernel projects
+        only the tuples occurring in ``pairs``, so nothing is copied or
+        rescanned: the cost is bounded by the delta.  A pair matches
+        when the chase identified all target cells, exactly the batch
+        matcher's decision rule: both run
         :meth:`EnforcementPlan.enforce` on the same compiled rules, and
         the plan's similarity cache persists across ingests (a stream of
         near-duplicates keeps hitting it).
         """
         self.metrics.count("engine.chases." + kind)
         result = self.plan.enforce(
-            self._instances[kind == "arrival"],
+            self.store.instances[kind == "arrival"],
             resolver=self.resolver,
             candidate_pairs=pairs,
         )

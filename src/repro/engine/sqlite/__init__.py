@@ -1,18 +1,19 @@
 """`repro.engine.sqlite` — the durable SQLite-backed match store.
 
-A drop-in persistence backend for the streaming engine: the state a
-:class:`~repro.engine.store.MatchStore` keeps in RAM — records with
-arrival and consensus values, union-find cluster membership, cost
-counters, the owning spec's fingerprint — lives in one embedded SQLite
-database (WAL journal mode, one transaction per ingest).  Opening an
-existing database is an O(1) warm restart: only the ``meta`` table is
-read; state is paged in lazily as the matcher touches it.  The blocking
-index is the memory store's, derived from the records' arrival values
-on the first call that needs it.
+A persistence backend for the streaming engine that *is* the memory
+store: :class:`SQLiteMatchStore` subclasses
+:class:`~repro.engine.store.MatchStore` and writes back, at each commit,
+what the unit changed — records with arrival and consensus values,
+union-find cluster membership, cost counters, the owning spec's
+fingerprint — to one embedded SQLite database (WAL journal mode, one
+transaction per ingest or micro-batch).  Opening an existing database
+is an O(1) warm restart: only ``meta`` is read; the records half (with
+the blocking index, derived from the arrival values) and the clusters
+half of the in-memory state each load once, on first use.
 
 The backend is behaviorally identical to the in-memory store (same
-matches, clusters, provenance, stats) — proven by the differential suite
-in ``tests/engine/test_sqlite_differential.py`` — and mutually
+matches, clusters, provenance, stats) — checked by the differential
+suite in ``tests/engine/test_sqlite_differential.py`` — and mutually
 convertible with the JSON snapshot format via :mod:`.migrate` /
 ``repro engine migrate``.
 """

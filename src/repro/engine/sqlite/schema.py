@@ -1,13 +1,13 @@
 """The durable store's relational schema.
 
 Four tables hold the state a :class:`~repro.engine.store.MatchStore`
-keeps in RAM that cannot be recomputed, normalized so every ingest
-touches only the rows it changes (cluster membership is materialized
-*beside* the base records so incremental maintenance is row-at-a-time,
-and a restart reads nothing).  The blocking index is not among them: a
-record's keys are a function of its arrival values and the
-configuration, so the store derives the index from ``records`` in memory
-on first use, as a JSON snapshot restore does:
+keeps in RAM that cannot be recomputed, normalized so a commit writes
+only the rows its unit changed (cluster membership is materialized
+*beside* the base records, so the two halves of the in-memory state
+load independently, each from one scan, and a restart reads neither).
+The blocking index is not among them: a record's keys are a function of
+its arrival values and the configuration, so the store derives the
+index from ``records`` in memory, as a JSON snapshot restore does:
 
 ``meta``
     Key/value strings: schema version, the store configuration (the same
@@ -21,12 +21,13 @@ on first use, as a JSON snapshot restore does:
     JSON objects.
 ``clusters``
     Union-find with *direct root pointers*: every node stores its
-    cluster root, so ``find`` is one point lookup and ``union``
-    repoints the smaller cluster's rows (``clusters_root`` makes both
-    the size count and the repoint a range scan).
+    cluster root, so loading the clusters is one scan that never
+    replays merge history; a commit rewrites every member of each
+    cluster its unit created or merged.  (``clusters_root`` stays: the
+    layout does not depend on which build wrote the file.)
 ``counters``
-    The store's cost ledger (``comparisons``, ``merges``), flushed once
-    per commit rather than once per increment.
+    The store's cost ledger (``comparisons``, ``merges``), written by a
+    commit that changed it rather than once per increment.
 
 Version 1 also kept the blocking index on disk, in two tables of
 postings; :func:`upgrade_from_v1` drops them.

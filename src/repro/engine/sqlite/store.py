@@ -1,31 +1,34 @@
-"""`SQLiteMatchStore`: the durable drop-in for :class:`~repro.engine.store.MatchStore`.
+"""`SQLiteMatchStore`: :class:`~repro.engine.store.MatchStore` plus a write-back.
 
-Same duck-typed interface the :class:`~repro.engine.matcher.IncrementalMatcher`
-drives — records, blocking index, incremental union-find, cost counters —
-with the records, clusters and counters in one embedded SQLite database:
+The durable store *is* the memory store — the same relations, union-find
+and blocking index serve every read — with three additions:
 
-* **one ingest = one transaction** — the matcher calls :meth:`commit` at
-  the end of each ``ingest``, so a crash mid-record leaves the previous
-  consistent state (WAL journal mode; readers never block on the writer);
-* **O(1) warm restart** — opening an existing store reads only the
-  ``meta`` table (schema version, configuration, fingerprint, counters);
-  records and clusters stay on disk until touched, so resume cost is
-  independent of how much has been ingested;
-* **the memory store's blocking index** — the backend
-  :func:`~repro.plan.blocking.build_blocking` returns, held in memory
-  and derived from the records' arrival values (one scan of the
-  ``records`` table) on the first call that needs it: a record's keys
-  are a function of those values and the configuration, so there is
-  nothing to persist and nothing that can disagree with the
-  configuration;
-* **identical matching behavior** — the same blocking backend, and union
-  by size with the same tie order, so both stores produce the same
-  matches, clusters, provenance and stats (proven by
-  ``tests/engine/test_sqlite_differential.py``).
+* **open reads only ``meta``** (and the two-row ``counters`` ledger).
+  The in-memory state loads on first use in two independent halves,
+  each from one table scan: the *records* half (both relations and the
+  blocking index, ``records`` in insertion order) and the *clusters*
+  half (the union-find, from ``clusters``' direct root pointers).  A
+  read that needs one half never pays for the other: ``cluster_of``
+  after a reopen scans ``clusters`` only;
+* **dirty marks** — :meth:`add`, :meth:`repair` and :meth:`union` mark
+  the record, or the cluster root, they changed;
+* **write-back at commit** — :meth:`commit` writes the unit's new
+  records (one ``INSERT`` each, in arrival order), the records repaired
+  since an earlier unit (one ``UPDATE`` each, however often the unit
+  repaired them), every member of each changed cluster and the ledger,
+  then commits.  One ingest or micro-batch is therefore one SQLite
+  transaction, and a writer holds SQLite's lock only inside
+  :meth:`commit`.  A step that raises rolls the unit back and re-raises.
 
-The writer holds every record's keys in RAM, as the memory store does.
-A second writer's commits do not reach this process's index until a
-rollback drops it — one more reason a store has one writer.
+:meth:`rollback` rolls the transaction back and drops both halves; the
+next read reloads them from the file, so a failed unit leaves nothing
+behind in memory either.  The blocking index is never persisted: a
+record's keys are a function of its arrival values and the
+configuration.  A second writer's commits reach this process only after
+a rollback — one more reason a store has one writer.
+
+Both stores produce the same matches, clusters, provenance and stats by
+construction; ``tests/engine/test_sqlite_differential.py`` checks it.
 """
 
 from __future__ import annotations
@@ -33,19 +36,18 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rck import RelativeKey
-from repro.core.schema import LEFT, RIGHT, ComparableLists
+from repro.core.schema import ComparableLists
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES, BlockingBackend
+from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES
 from repro.relations.relation import Row
 
-from ..store import BlockedStore, Cluster, Node, _SIDE_TAGS, _as_cluster
-from .clusters import DbNode, SQLiteUnionFind
+from ..snapshot import config_from_dict, config_to_dict
+from ..store import MatchStore, Node, _SIDE_TAGS, node_of
 from .connection import connect
-from .records import SQLiteRelation, ValuesView
 from .schema import (
     SQLITE_SCHEMA_VERSION,
     initialize,
@@ -56,21 +58,18 @@ from .schema import (
 
 _TAG_SIDES = {tag: side for side, tag in _SIDE_TAGS.items()}
 
-#: Names of the persisted cost counters.
-_COUNTERS = ("comparisons", "merges")
+#: The attributes each half of the in-memory state sets; reading one
+#: that is not set loads its half.
+_RECORDS_HALF = ("blocking", "left", "right", "_arrival", "_keys", "instances")
+_CLUSTERS_HALF = ("_parent", "_members")
 
 
-def _to_db(node: Node) -> DbNode:
-    tag, tid = node
-    return (_TAG_SIDES[tag], tid)
+def _encode(row: Row) -> str:
+    """A record's values as the ``records`` table holds them."""
+    return json.dumps(row.values(), sort_keys=True)
 
 
-def _to_node(db_node: DbNode) -> Node:
-    side, tid = db_node
-    return (_SIDE_TAGS[side], tid)
-
-
-class SQLiteMatchStore(BlockedStore):
+class SQLiteMatchStore(MatchStore):
     """Durable matcher state in one SQLite file.
 
     Creating a store requires ``target`` and ``rcks`` (the configuration
@@ -115,26 +114,20 @@ class SQLiteMatchStore(BlockedStore):
                     f"creating a new SQLite store at {self.path} requires "
                     "target and rcks"
                 )
-            # An empty store's index is complete.
-            self._blocking = self._configure(*requested)
+            # An empty store's halves are complete.
+            self._start_records(self._configure(*requested))
+            self._start_clusters()
         self.connection = connect(self.path)
         try:
             if existing:
                 self._open_existing(*requested)
             else:
                 self._create_fresh()
-            self.left = SQLiteRelation(self.connection, self.pair.left, LEFT)
-            self.right = SQLiteRelation(self.connection, self.pair.right, RIGHT)
-            self._union_find = SQLiteUnionFind(self.connection)
-            self._counters: Dict[str, int] = {
-                name: int(read_meta_counter(self.connection, name))
-                for name in _COUNTERS
-            }
-            self._counters_dirty = False
-            self._fingerprint = read_meta(self.connection, "spec_fingerprint")
+            self._read_ledger()
         except BaseException:
             self.connection.close()
             raise
+        self._clean()
 
     # ------------------------------------------------------------------
     # Open / create
@@ -143,9 +136,6 @@ class SQLiteMatchStore(BlockedStore):
     def _create_fresh(self) -> None:
         """Lay out the tables and persist the configuration."""
         initialize(self.connection)
-        # Import here to avoid a cycle: snapshot imports the base store.
-        from ..snapshot import config_to_dict
-
         write_meta(
             self.connection, "schema_version", str(SQLITE_SCHEMA_VERSION)
         )
@@ -154,11 +144,10 @@ class SQLiteMatchStore(BlockedStore):
             "config",
             json.dumps(config_to_dict(self), sort_keys=True),
         )
-        for name in _COUNTERS:
-            self.connection.execute(
-                "INSERT OR IGNORE INTO counters (name, value) VALUES (?, 0)",
-                (name,),
-            )
+        self.connection.executemany(
+            "INSERT OR IGNORE INTO counters (name, value) VALUES (?, 0)",
+            [("comparisons",), ("merges",)],
+        )
         self.connection.commit()
 
     def _open_existing(
@@ -183,12 +172,9 @@ class SQLiteMatchStore(BlockedStore):
         raw = read_meta(self.connection, "config")
         if raw is None:
             raise ValueError(f"store {self.path} has no configuration")
-        from ..snapshot import config_from_dict
-
         # Stores written before the blocking section existed were all
         # hash-blocked; config_from_dict defaults accordingly.
         self._configure(**config_from_dict(json.loads(raw)))
-        self._blocking = None
         requested_pairs = (
             tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
         )
@@ -214,184 +200,181 @@ class SQLiteMatchStore(BlockedStore):
                 "requested"
             )
 
+    def _read_ledger(self) -> None:
+        """The counters and the spec fingerprint as last committed."""
+        counters = dict(self.connection.execute("SELECT name, value FROM counters"))
+        self.comparisons = int(counters.get("comparisons", 0))
+        self.merges = int(counters.get("merges", 0))
+        self.spec_fingerprint = read_meta(self.connection, "spec_fingerprint")
+        self._saved = (self.comparisons, self.merges, self.spec_fingerprint)
+
     # ------------------------------------------------------------------
-    # Records and the blocking index
+    # The two halves, loaded on first use
     # ------------------------------------------------------------------
 
-    def relation(self, side: int) -> SQLiteRelation:
-        """The relation holding ``side``'s records."""
-        return self.left if side == LEFT else self.right
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: a half that is
+        # not loaded (yet, or since a rollback).
+        for half, load in (
+            (_RECORDS_HALF, self._load_records),
+            (_CLUSTERS_HALF, self._load_clusters),
+        ):
+            if name in half:
+                try:
+                    load()
+                except BaseException:
+                    self._drop(half)
+                    raise
+                return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
-    @property
-    def blocking(self) -> BlockingBackend:
-        """The blocking index: the memory store's backend, built on first
-        use from one scan of the records' arrival values, joined by every
-        :meth:`add`, and dropped by :meth:`rollback`."""
-        if self._blocking is None:
-            blocking = self._new_blocking()
-            self._keys = ({}, {})
-            for side, tid, arrival in self.connection.execute(
-                "SELECT side, tid, arrival FROM records"
-            ):
-                self._index(blocking, side, Row(tid, json.loads(arrival)))
-            self._blocking = blocking
-        return self._blocking
+    def _load_records(self) -> None:
+        """Both relations from one scan of ``records`` in insertion order,
+        and the blocking index derived from the arrival values."""
+        self._start_records(self._new_blocking())
+        arrivals = self._arrival
+        for side, tid, arrival, current in self.connection.execute(
+            "SELECT side, tid, arrival, current FROM records ORDER BY rowid"
+        ):
+            arrivals[side].adopt(tid, json.loads(arrival))
+            self.relation(side).adopt(tid, json.loads(current))
+            self._index(side, arrivals[side][tid])
+
+    def _load_clusters(self) -> None:
+        """The union-find from one scan of the direct root pointers."""
+        self._start_clusters()
+        parent, members = self._parent, self._members
+        for side, tid, root_side, root_tid in self.connection.execute(
+            "SELECT side, tid, root_side, root_tid FROM clusters"
+        ):
+            node, root = node_of(side, tid), node_of(root_side, root_tid)
+            parent[node] = root
+            members.setdefault(root, set()).add(node)
+
+    def _drop(self, names: Sequence[str]) -> None:
+        for name in names:
+            self.__dict__.pop(name, None)
+
+    # ------------------------------------------------------------------
+    # Writes: the memory store's, marked for the write-back
+    # ------------------------------------------------------------------
 
     def add(self, side: int, values: Dict[str, object], tid=None) -> int:
-        """Insert an arriving record; index it; register its singleton."""
-        with self.tracer.span(
-            "store.upsert", side=_SIDE_TAGS[side]
-        ):
-            # Built from the stored records before this one joins them,
-            # so the index holds it once.
-            blocking = self.blocking
-            tid = self.relation(side).insert(values, tid=tid)
-            self._index(blocking, side, self.arrival_row(side, tid))
-            self._union_find.find((side, tid))
+        """See :meth:`MatchStore.add`; traced, counted and marked new."""
+        with self.tracer.span("store.upsert", side=_SIDE_TAGS[side]):
+            tid = super().add(side, values, tid)
+        self._added[side, tid] = None
+        self._moved[node_of(side, tid)] = None
         if self.metrics is not None:
             self.metrics.count("store.upserts")
         return tid
 
-    def arrival_values(self, side: int, tid: int) -> Dict[str, object]:
-        """The record's values as ingested (pre-repair); a copy."""
-        return self.relation(side).arrival_values(tid)
-
-    def arrival_row(self, side: int, tid: int) -> Row:
-        """A read-only row over the arrival values (not a copy)."""
-        return Row(tid, self.relation(side)._fetch(tid)[0])
-
-    def view(self, side: int, arrival: bool) -> ValuesView:
-        """One side's arrival or current values as the chase reads a
-        relation (``schema`` + ``project``), off the row cache."""
-        return ValuesView(self.relation(side), 0 if arrival else 1)
-
-    def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
-        """Whether the record's current value differs from its arrival
-        value on any of ``attributes``."""
-        arrival, current = self.relation(side)._fetch(tid)
-        return any(current[name] != arrival[name] for name in attributes)
-
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
-        """Overwrite the listed cells of the record's current values —
-        one ``UPDATE`` of the record."""
-        self.relation(side).set_values(tid, changes)
+        """See :meth:`MatchStore.repair`; marks the record repaired."""
+        super().repair(side, tid, changes)
+        self._repaired[side, tid] = None
+
+    def union(self, a: Node, b: Node) -> bool:
+        """See :meth:`MatchStore.union`; marks the merged cluster."""
+        if not super().union(a, b):
+            return False
+        self._moved[a] = None
+        return True
 
     def neighbors(self, side: int, tid: int) -> List[int]:
-        """See :meth:`BlockedStore.neighbors`; traced and counted."""
+        """See :meth:`MatchStore.neighbors`; traced and counted."""
         with self.tracer.span("store.probe", side=_SIDE_TAGS[side]):
             found = super().neighbors(side, tid)
         if self.metrics is not None:
             self.metrics.count("store.probes")
         return found
 
-    # ------------------------------------------------------------------
-    # Clusters (incremental union-find)
-    # ------------------------------------------------------------------
-
-    def find(self, node: Node) -> Node:
-        """Root of ``node``'s cluster, registering it when unseen."""
-        return _to_node(self._union_find.find(_to_db(node)))
-
-    def union(self, a: Node, b: Node) -> bool:
-        """Merge two clusters; True when they were distinct."""
-        merged = self._union_find.union(_to_db(a), _to_db(b))
-        if merged:
-            self.merges += 1
-        return merged
-
-    def same(self, a: Node, b: Node) -> bool:
-        """Whether two records are currently in one cluster."""
-        return self._union_find.find(_to_db(a)) == self._union_find.find(
-            _to_db(b)
-        )
-
-    def cluster_nodes(self, side: int, tid: int) -> Set[Node]:
-        """All nodes in the cluster of the given record."""
-        root = self._union_find.find((side, tid))
-        return {_to_node(member) for member in self._union_find.members(root)}
-
-    def cluster_of(self, side: int, tid: int) -> Cluster:
-        """The record's cluster as a :class:`~repro.matching.clustering.Cluster`."""
-        return _as_cluster(self.cluster_nodes(side, tid))
-
-    def clusters(self, include_singletons: bool = False) -> List[Cluster]:
-        """All clusters, deterministically ordered."""
-        found = [
-            _as_cluster({_to_node(member) for member in members})
-            for members in self._union_find.all_clusters()
-            if include_singletons or len(members) > 1
-        ]
-        found.sort(
-            key=lambda c: (sorted(c.left_tids), sorted(c.right_tids))
-        )
-        return found
-
-    # ------------------------------------------------------------------
-    # Counters (memory-cached, flushed per commit)
-    # ------------------------------------------------------------------
-
-    @property
-    def comparisons(self) -> int:
-        return self._counters["comparisons"]
-
-    @comparisons.setter
-    def comparisons(self, value: int) -> None:
-        self._counters["comparisons"] = value
-        self._counters_dirty = True
-
-    @property
-    def merges(self) -> int:
-        return self._counters["merges"]
-
-    @merges.setter
-    def merges(self, value: int) -> None:
-        self._counters["merges"] = value
-        self._counters_dirty = True
-
-    # ------------------------------------------------------------------
-    # Fingerprint
-    # ------------------------------------------------------------------
-
-    @property
-    def spec_fingerprint(self) -> Optional[str]:
-        return self._fingerprint
-
-    @spec_fingerprint.setter
-    def spec_fingerprint(self, value: Optional[str]) -> None:
-        self._fingerprint = value
-        write_meta(self.connection, "spec_fingerprint", value)
+    def _clean(self) -> None:
+        """Forget the dirty marks: the file holds what memory does.  (Each
+        mark set is a dict, so the write-back's order is the order the
+        unit made its changes in, whatever the hash seed.)"""
+        #: New records, in arrival order.
+        self._added: Dict[Tuple[int, int], None] = {}
+        #: Records whose current values a repair wrote.
+        self._repaired: Dict[Tuple[int, int], None] = {}
+        #: Nodes whose cluster was created or merged into.
+        self._moved: Dict[Node, None] = {}
 
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
 
     def commit(self) -> None:
-        """Flush counters and commit the current transaction."""
-        if self._counters_dirty:
-            self.connection.executemany(
-                "INSERT INTO counters (name, value) VALUES (?, ?) "
-                "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                list(self._counters.items()),
-            )
-            self._counters_dirty = False
-        self.connection.commit()
+        """Write back what changed since the last commit, then commit; on
+        any error roll the unit back and re-raise."""
+        try:
+            self._write_back()
+            self.connection.commit()
+        except BaseException:
+            self.rollback()
+            raise
+        self._clean()
+        self._saved = (self.comparisons, self.merges, self.spec_fingerprint)
         if self.metrics is not None:
             self.metrics.count("store.commits")
             self.metrics.gauge("store.disk_bytes", self.disk_bytes())
 
+    def _write_back(self) -> None:
+        """One statement per kind of change: new records, repaired older
+        records, every member of each changed cluster, the ledger."""
+        write = self.connection.executemany
+        added = self._added
+        if added:
+            write(
+                "INSERT INTO records (side, tid, arrival, current) "
+                "VALUES (?, ?, ?, ?)",
+                [
+                    (side, tid, _encode(self.arrival_row(side, tid)),
+                     _encode(self.relation(side)[tid]))
+                    for side, tid in added
+                ],
+            )
+        repaired = [
+            (_encode(self.relation(side)[tid]), side, tid)
+            for side, tid in self._repaired
+            if (side, tid) not in added
+        ]
+        if repaired:
+            write(
+                "UPDATE records SET current = ? WHERE side = ? AND tid = ?",
+                repaired,
+            )
+        roots = dict.fromkeys(self.find(node) for node in self._moved)
+        if roots:
+            write(
+                "INSERT INTO clusters (side, tid, root_side, root_tid) "
+                "VALUES (?, ?, ?, ?) ON CONFLICT(side, tid) DO UPDATE SET "
+                "root_side = excluded.root_side, root_tid = excluded.root_tid",
+                [
+                    (_TAG_SIDES[tag], tid, _TAG_SIDES[root[0]], root[1])
+                    for root in roots
+                    for tag, tid in sorted(self._members[root])
+                ],
+            )
+        comparisons, merges, fingerprint = self._saved
+        if (comparisons, merges) != (self.comparisons, self.merges):
+            write(
+                "INSERT INTO counters (name, value) VALUES (?, ?) "
+                "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
+                [("comparisons", self.comparisons), ("merges", self.merges)],
+            )
+        if fingerprint != self.spec_fingerprint:
+            write_meta(self.connection, "spec_fingerprint", self.spec_fingerprint)
+
     def rollback(self) -> None:
-        """Discard the uncommitted transaction and drop stale caches: the
-        rows and the blocking index (rebuilt on next use)."""
+        """Discard the unit: roll the transaction back and drop both
+        halves, which the next read reloads from the file."""
         self.connection.rollback()
-        self.left.invalidate_cache()
-        self.right.invalidate_cache()
-        self._blocking = None
-        self._counters = {
-            name: int(read_meta_counter(self.connection, name))
-            for name in _COUNTERS
-        }
-        self._counters_dirty = False
-        self._fingerprint = read_meta(self.connection, "spec_fingerprint")
+        self._drop(_RECORDS_HALF + _CLUSTERS_HALF)
+        self._read_ledger()
+        self._clean()
 
     def close(self, commit: bool = True) -> None:
         """Commit (by default) and close the connection."""
@@ -416,36 +399,12 @@ class SQLiteMatchStore(BlockedStore):
                 pass
         return total
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
     def stats(self) -> Dict[str, object]:
-        """Cost and size counters, mirroring the in-memory store's shape."""
-        clusters = self.clusters()
+        """The memory store's stats, plus where the file is and its size."""
+        stats = super().stats()
         return {
-            "backend": self.backend_name,
+            "backend": stats.pop("backend"),
             "path": str(self.path),
             "disk_bytes": self.disk_bytes(),
-            "left_rows": len(self.left),
-            "right_rows": len(self.right),
-            "matched_clusters": len(clusters),
-            "largest_cluster": max((c.size for c in clusters), default=0),
-            "comparisons": self.comparisons,
-            "merges": self.merges,
-            "indexes": self.blocking.index_stats(),
+            **stats,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SQLiteMatchStore({str(self.path)!r}, "
-            f"left={len(self.left)}, right={len(self.right)})"
-        )
-
-
-def read_meta_counter(connection, name: str) -> int:
-    """One persisted counter's value (0 when the row is absent)."""
-    row = connection.execute(
-        "SELECT value FROM counters WHERE name = ?", (name,)
-    ).fetchone()
-    return 0 if row is None else int(row[0])

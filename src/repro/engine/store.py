@@ -1,20 +1,28 @@
 """The engine's persistent state: records, indexes, identity clusters.
 
 A :class:`MatchStore` is everything the incremental matcher needs to keep
-between arrivals:
+between arrivals — the instance ``D`` the matching runs over, with stable
+tuple ids, and the clusters folded from its matches:
 
 * the ingested records themselves, one :class:`~repro.relations.relation.Relation`
-  per side of the schema pair;
+  per side of the schema pair for the current values and one for the
+  values as they arrived;
 * a blocking backend updated on every :meth:`MatchStore.add`, built by
   :func:`~repro.plan.blocking.build_blocking` — the function the batch
   plan's backend comes from, so a stream probes under exactly the keys
-  and window semantics the batch run of the same spec uses
-  (:class:`BlockedStore`, which the SQLite store shares);
+  and window semantics the batch run of the same spec uses;
 * an incremental union-find over record identities — the entity clusters
   that pairwise match decisions are folded into as they are made (the
   streaming counterpart of :func:`repro.matching.clustering.cluster_matches`);
 * counters (``comparisons``, ``merges``) so the cost of incremental
   matching is measurable against batch re-runs.
+
+This is the only implementation of that state: the durable
+:class:`~repro.engine.sqlite.SQLiteMatchStore` is this class plus a
+write-back, at each commit, of what the unit changed.  It keeps the
+state in two halves, *records* (:meth:`MatchStore._start_records`) and
+*clusters* (:meth:`MatchStore._start_clusters`), which the durable store
+loads independently.
 
 The store deliberately knows nothing about MDs or enforcement; that logic
 lives in :class:`repro.engine.matcher.IncrementalMatcher`.  Keeping state
@@ -28,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
+from repro.core.semantics import InstancePair
 from repro.matching.clustering import Cluster
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
@@ -49,13 +58,54 @@ def node_of(side: int, tid: int) -> Node:
     return (_SIDE_TAGS[side], tid)
 
 
-class BlockedStore:
-    """The blocking half both stores share: the configuration resolved by
-    :func:`~repro.plan.blocking.build_blocking`, an in-memory backend
-    indexing every record under its arrival values' keys, and the probe.
+class MatchStore:
+    """Incrementally maintained records + indexes + identity clusters.
 
-    A subclass provides ``blocking`` (the backend) and ``arrival_row``.
+    >>> from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
+    >>> from repro.core.findrcks import find_rcks
+    >>> pair = credit_billing_pair()
+    >>> target = paper_target(pair)
+    >>> store = MatchStore(target, find_rcks(paper_mds(pair), target, m=5))
+    >>> tid = store.add(LEFT, {"c#": "111", "FN": "Mark", "LN": "Clifford"})
+    >>> store.stats()["left_rows"]
+    1
     """
+
+    #: Persistence backend identifier, reported by :meth:`stats`.
+    backend_name = "memory"
+
+    def __init__(
+        self,
+        target: ComparableLists,
+        rcks: Sequence[RelativeKey],
+        key_length: int = 1,
+        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
+        blocking_backend: str = "hash",
+        window: int = 10,
+        key_pairs: Optional[Sequence[Tuple[str, str]]] = None,
+    ) -> None:
+        if not rcks:
+            raise ValueError("need at least one RCK to build indexes")
+        blocking = self._configure(
+            target,
+            rcks,
+            key_length,
+            encode_attributes,
+            blocking_backend,
+            window,
+            key_pairs,
+        )
+        self._start_records(blocking)
+        self._start_clusters()
+        #: Candidate pair comparisons charged so far (ingest + bootstrap).
+        self.comparisons = 0
+        #: Cluster merges performed (successful unions).
+        self.merges = 0
+        #: Fingerprint of the :class:`repro.api.ResolutionSpec` this store
+        #: was built under (``None`` for stores built outside the spec
+        #: API).  Snapshots persist it; ``Workspace.stream`` refuses to
+        #: resume a store fingerprinted by a different spec.
+        self.spec_fingerprint: Optional[str] = None
 
     def _configure(
         self,
@@ -88,8 +138,6 @@ class BlockedStore:
         blocking = self._new_blocking()
         if blocking.family == "sorted-neighborhood":
             self.key_pairs = blocking.pairs
-        #: Per side, ``tid -> blocking keys``, derived once per record.
-        self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
         return blocking
 
     def _new_blocking(self) -> BlockingBackend:
@@ -103,86 +151,31 @@ class BlockedStore:
             self.key_pairs,
         )
 
-    def _index(self, blocking: BlockingBackend, side: int, row: Row) -> None:
-        """Derive the record's keys from its arrival ``row`` and add it."""
-        keys = self._keys[side][row.tid] = blocking.keys_for(side, row)
-        blocking.add(side, row, keys)
-
-    @property
-    def indexes(self) -> List[RCKIndex]:
-        """The hash passes' inverted indexes (empty for a
-        sorted-neighborhood store, whose rank index is not an
-        :class:`~repro.plan.blocking.RCKIndex`)."""
-        return getattr(self.blocking, "indexes", [])
-
-    def neighbors(self, side: int, tid: int) -> List[int]:
-        """Other-side tuple ids sharing at least one index bucket with the
-        stored record, probed under the keys it was indexed with.
-
-        This is the record's candidate neighborhood — the union of one
-        bucket probe per index, exactly the pairs the backend's batch
-        ``candidates`` over the same keys would generate for it.
-        """
-        blocking = self.blocking  # first: a lazy ``blocking`` fills ``_keys``
-        return blocking.probe(side, self.arrival_row(side, tid), self._keys[side][tid])
-
-
-class MatchStore(BlockedStore):
-    """Incrementally maintained records + indexes + identity clusters.
-
-    >>> from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
-    >>> from repro.core.findrcks import find_rcks
-    >>> pair = credit_billing_pair()
-    >>> target = paper_target(pair)
-    >>> store = MatchStore(target, find_rcks(paper_mds(pair), target, m=5))
-    >>> tid = store.add(LEFT, {"c#": "111", "FN": "Mark", "LN": "Clifford"})
-    >>> store.stats()["left_rows"]
-    1
-    """
-
-    #: Persistence backend identifier, reported by :meth:`stats`.
-    backend_name = "memory"
-
-    def __init__(
-        self,
-        target: ComparableLists,
-        rcks: Sequence[RelativeKey],
-        key_length: int = 1,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-        blocking_backend: str = "hash",
-        window: int = 10,
-        key_pairs: Optional[Sequence[Tuple[str, str]]] = None,
-    ) -> None:
-        if not rcks:
-            raise ValueError("need at least one RCK to build indexes")
+    def _start_records(self, blocking: BlockingBackend) -> None:
+        """The records half, empty: both value sets of both sides, the
+        blocking index over them and the instances the chase reads."""
         #: The kernel's blocking backend doubles as the store's index
         #: set: batch bootstrap calls ``blocking.candidates`` and streaming
         #: ingest calls ``blocking.add``/``probe`` on the same structures.
-        self.blocking = self._configure(
-            target,
-            rcks,
-            key_length,
-            encode_attributes,
-            blocking_backend,
-            window,
-            key_pairs,
-        )
+        self.blocking = blocking
         self.left = Relation(self.pair.left)
         self.right = Relation(self.pair.right)
-        self._parent: Dict[Node, Node] = {}
-        self._members: Dict[Node, Set[Node]] = {}
         #: Per side, the records as ingested (a second relation: the chase
         #: projects it like the current one).
         self._arrival = (Relation(self.pair.left), Relation(self.pair.right))
-        #: Candidate pair comparisons charged so far (ingest + bootstrap).
-        self.comparisons = 0
-        #: Cluster merges performed (successful unions).
-        self.merges = 0
-        #: Fingerprint of the :class:`repro.api.ResolutionSpec` this store
-        #: was built under (``None`` for stores built outside the spec
-        #: API).  Snapshots persist it; ``Workspace.stream`` refuses to
-        #: resume a store fingerprinted by a different spec.
-        self.spec_fingerprint: Optional[str] = None
+        #: Per side, ``tid -> blocking keys``, derived once per record.
+        self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
+        #: The instance a delta is chased over, indexed by "read the
+        #: arrival values": the current values, then the arrival values.
+        self.instances = (
+            InstancePair(self.pair, self.left, self.right),
+            InstancePair(self.pair, *self._arrival),
+        )
+
+    def _start_clusters(self) -> None:
+        """The clusters half, empty: union-find parents and member sets."""
+        self._parent: Dict[Node, Node] = {}
+        self._members: Dict[Node, Set[Node]] = {}
 
     # ------------------------------------------------------------------
     # Records and indexes
@@ -206,10 +199,33 @@ class MatchStore(BlockedStore):
         relation = self.relation(side)
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
-        self._index(self.blocking, side, row)
+        self._index(side, row)
         self._arrival[side].adopt(tid, row.values())
         self.find(node_of(side, tid))  # register the singleton cluster
         return tid
+
+    def _index(self, side: int, row: Row) -> None:
+        """Derive the record's keys from its arrival ``row`` and add it."""
+        blocking = self.blocking
+        keys = self._keys[side][row.tid] = blocking.keys_for(side, row)
+        blocking.add(side, row, keys)
+
+    @property
+    def indexes(self) -> List[RCKIndex]:
+        """The hash passes' inverted indexes (empty for a
+        sorted-neighborhood store, whose rank index is not an
+        :class:`~repro.plan.blocking.RCKIndex`)."""
+        return getattr(self.blocking, "indexes", [])
+
+    def neighbors(self, side: int, tid: int) -> List[int]:
+        """Other-side tuple ids sharing at least one index bucket with the
+        stored record, probed under the keys it was indexed with.
+
+        This is the record's candidate neighborhood — the union of one
+        bucket probe per index, exactly the pairs the backend's batch
+        ``candidates`` over the same keys would generate for it.
+        """
+        return self.blocking.probe(side, self.arrival_row(side, tid), self._keys[side][tid])
 
     def arrival_values(self, side: int, tid: int) -> Dict[str, object]:
         """The record's values as ingested, before any consensus repair.
@@ -224,11 +240,6 @@ class MatchStore(BlockedStore):
         """A read-only row over the arrival values (what the record's
         bucket keys were derived from, whatever a repair rewrote since)."""
         return self._arrival[side][tid]
-
-    def view(self, side: int, arrival: bool) -> Relation:
-        """One side's arrival or current values as the chase reads them
-        (``schema`` + ``project``): here, the relations themselves."""
-        return self._arrival[side] if arrival else self.relation(side)
 
     def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
         """Whether the record's current value differs from its arrival
@@ -339,7 +350,7 @@ class MatchStore(BlockedStore):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MatchStore({len(self.left)}+{len(self.right)} rows, "
+            f"{type(self).__name__}({len(self.left)}+{len(self.right)} rows, "
             f"{self.blocking.name} blocking, {self.merges} merges)"
         )
 

@@ -292,6 +292,58 @@ def test_a_rolled_back_record_leaves_no_keys_behind(dataset, blocking, tmp_path)
     fresh.store.close()
 
 
+@pytest.mark.parametrize("batch", (None, 8), ids=("ingest", "ingest_batch"))
+def test_a_full_disk_mid_unit_leaves_the_last_commit_and_a_retry_goes_on(
+    dataset, batch, tmp_path
+):
+    """``SQLITE_FULL`` in the middle of a unit: the file stops growing
+    (``max_page_count`` capped at its size after 100 events) and ingest
+    goes on until a commit's write-back fails with ``database or disk is
+    full``.  The unit is rolled back whole — no transaction open, the
+    store in process and reopened equal to its state before the unit —
+    and once the cap is lifted, retrying the same unit and streaming on
+    ends where an uninterrupted memory-store run does."""
+    events = list(arrival_stream(dataset, seed=5).events)
+    path = tmp_path / "full.db"
+    matcher = _sqlite_workspace(dataset, path).stream()
+    matcher.ingest_stream(events[:100])
+    store = matcher.store
+    (pages,) = store.connection.execute("PRAGMA page_count").fetchone()
+    store.connection.execute(f"PRAGMA max_page_count = {pages}")
+
+    def run(unit):
+        if batch is None:
+            (event,) = unit
+            return [matcher.ingest(event.side, event.values, tid=event.tid)]
+        return matcher.ingest_batch(unit)
+
+    size = batch or 1
+    for start in range(100, len(events), size):
+        unit = events[start:start + size]
+        before = _state(store)
+        try:
+            run(unit)
+        except sqlite3.OperationalError as error:
+            assert "database or disk is full" in str(error)
+            break
+    else:
+        pytest.fail("the capped file never filled up")
+    assert not store.connection.in_transaction
+    assert _state(store) == before
+    reopened = SQLiteMatchStore(path)
+    assert _state(reopened) == before
+    reopened.close(commit=False)
+
+    store.connection.execute("PRAGMA max_page_count = 1073741823")
+    run(unit)
+    for rest in range(start + size, len(events), size):
+        run(events[rest:rest + size])
+    uninterrupted = _memory_workspace(dataset).stream()
+    uninterrupted.ingest_stream(events)
+    assert _state(store) == _state(uninterrupted.store)
+    store.close()
+
+
 def _reads_records(statements):
     return [statement for statement in statements if re.search(r"\brecords\b", statement)]
 
@@ -397,29 +449,24 @@ def test_a_version_1_store_opens_as_version_2_and_streams_on(
 def test_second_writer_gets_database_is_locked_and_nothing_half_applied(
     dataset, tmp_path
 ):
-    """Two matchers on one store file: while the first holds a write
-    transaction the second's ingest fails with ``database is locked``
+    """A writer holds SQLite's lock only inside ``commit()``, so another
+    connection's write transaction is what it can meet: while one is
+    open, an ingest fails at its commit with ``database is locked``
     (after the busy timeout: 5 s by default, 50 ms here), rolled back
-    whole; once the first commits, the retry succeeds as if alone."""
+    whole; once the lock is released, the retry succeeds as if alone."""
     events = list(arrival_stream(dataset, seed=5).events)
     path = tmp_path / "shared.db"
-    first = _sqlite_workspace(dataset, path).stream()
-    first.ingest_stream(events[:10])
-    second = _sqlite_workspace(dataset, path).stream()
-    (default_timeout,) = second.store.connection.execute(
-        "PRAGMA busy_timeout"
-    ).fetchone()
+    matcher = _sqlite_workspace(dataset, path).stream()
+    matcher.ingest_stream(events[:10])
+    store = matcher.store
+    (default_timeout,) = store.connection.execute("PRAGMA busy_timeout").fetchone()
     assert default_timeout == 5000
-    second.store.connection.execute("PRAGMA busy_timeout=50")
-
-    held, late = events[10], events[11]
-    first.store.add(held.side, held.values, tid=held.tid)  # no commit
-    store = second.store
-    store.neighbors(events[0].side, events[0].tid)  # a cached row with keys
+    store.connection.execute("PRAGMA busy_timeout=50")
+    held = events[10]
+    other = sqlite3.connect(path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")  # the write lock, held
 
     def observed():
-        # (Counted in SQL: ``len(relation)`` is cached per connection, and
-        # the other writer is about to commit a row.)
         return (
             store.connection.execute("SELECT COUNT(*) FROM records").fetchone(),
             store.comparisons, store.merges,
@@ -427,20 +474,20 @@ def test_second_writer_gets_database_is_locked_and_nothing_half_applied(
 
     before = observed()
     with pytest.raises(sqlite3.OperationalError, match="database is locked"):
-        second.ingest(late.side, late.values, tid=late.tid)
-    # _transaction rolled the unit back: nothing of it is left in the
-    # table, the row cache (rows and their keys) or the counters.
+        matcher.ingest(held.side, held.values, tid=held.tid)
+    # The failed commit rolled the unit back: nothing of it is left in
+    # the table, in memory (both halves reload on next use) or in the
+    # counters, and no transaction is open.
     assert observed() == before
-    assert store.left._cache == {} == store.right._cache
+    assert "left" not in store.__dict__ and "_parent" not in store.__dict__
     assert not store.connection.in_transaction
 
-    first.store.commit()
-    retried = second.ingest(late.side, late.values, tid=late.tid)
+    other.execute("ROLLBACK")
+    other.close()
+    retried = matcher.ingest(held.side, held.values, tid=held.tid)
 
     alone = _memory_workspace(dataset).stream()
     alone.ingest_stream(events[:10])
-    alone.store.add(held.side, held.values, tid=held.tid)
-    assert retried == alone.ingest(late.side, late.values, tid=late.tid)
+    assert retried == alone.ingest(held.side, held.values, tid=held.tid)
     assert _state(store) == _state(alone.store)
-    first.store.close()
-    second.store.close()
+    store.close()

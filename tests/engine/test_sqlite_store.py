@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
@@ -118,17 +119,42 @@ class TestCreateAndOpen:
         with pytest.raises(ValueError, match="schema version"):
             SQLiteMatchStore(store.path)
 
-    def test_warm_open_reads_no_records(self, store):
-        """Opening is O(1): no record rows are fetched until touched."""
+    def test_warm_open_reads_no_records(self, store, monkeypatch):
+        """Opening reads neither records nor clusters; each half of the
+        state loads once, on first use, from one scan of its table."""
+        from repro.engine.sqlite import connect
+        from repro.engine.sqlite import store as store_module
+
         for position in range(50):
             store.add(LEFT, dict(ROW, FN=f"N{position}"))
+        store.union(("L", 3), ("L", 4))
         store.close()
+        statements = []
+
+        def traced(path):
+            connection = connect(path)
+            connection.set_trace_callback(statements.append)
+            return connection
+
+        monkeypatch.setattr(store_module, "connect", traced)
         reopened = SQLiteMatchStore(store.path)
-        assert reopened.left._cache == {}
-        assert reopened.right._cache == {}
-        # First touch pages exactly the requested row in.
+
+        def read(table):
+            return [s for s in statements if re.search(rf"\bFROM {table}\b", s)]
+
+        assert read("records") == read("clusters") == []
+        halves = {"left", "right", "_arrival", "blocking", "_parent", "_members"}
+        assert not set(reopened.__dict__) & halves
+        # A cluster read scans ``clusters`` once and no record ...
+        assert reopened.cluster_of(LEFT, 3).left_tids == {3, 4}
+        assert reopened.cluster_of(LEFT, 5).left_tids == {5}
+        assert len(read("clusters")) == 1 and read("records") == []
+        assert "left" not in reopened.__dict__
+        # ... and a record read scans ``records`` once.
         assert reopened.left[3]["FN"] == "N3"
-        assert set(reopened.left._cache) == {3}
+        assert reopened.arrival_values(LEFT, 49)["FN"] == "N49"
+        assert len(reopened.right) == 0
+        assert len(read("records")) == 1 and len(read("clusters")) == 1
         reopened.close(commit=False)
 
 

@@ -1,7 +1,7 @@
 """The seams between the engine and its stores, by counts and equalities.
 
-The matcher chases the store's own rows (``store.view`` — the part of a
-``Relation`` the kernel reads, over arrival and over current values),
+The matcher chases the store's own rows (``store.instances`` — the part
+of a ``Relation`` the kernel reads, over current and over arrival values),
 asks the store whether a record was repaired, writes a repaired record
 once, and probes under the keys a record was indexed with.  Each of
 those is pinned here against the slow, obvious read — row by row,
@@ -63,6 +63,12 @@ def matcher(request, dataset, tmp_path):
 # ----------------------------------------------------------------------
 
 
+def _view(store, side, arrival):
+    """One side of the instance the chase reads: arrival or current values."""
+    instance = store.instances[arrival]
+    return instance.left if side == LEFT else instance.right
+
+
 def _names(store, side):
     return store.relation(side).schema.attribute_names
 
@@ -86,7 +92,7 @@ def assert_views_read_the_rows(store, expected=None):
     for side in SIDES:
         names = list(store.relation(side).schema.attribute_names)
         for arrival in (True, False):
-            view = store.view(side, arrival)
+            view = _view(store, side, arrival)
             assert view.schema == store.relation(side).schema
             rows = (
                 expected[side, arrival]
@@ -129,8 +135,8 @@ def test_views_project_what_the_rows_hold(matcher, events):
     assert_views_read_the_rows(store)
     for side, tid in repaired:
         names = store.relation(side).schema.attribute_names
-        assert store.view(side, True).project([tid], names) != store.view(
-            side, False
+        assert _view(store, side, True).project([tid], names) != _view(
+            store, side, False
         ).project([tid], names)
         assert store.arrival_values(side, tid) != store.relation(side)[tid].values()
 
@@ -147,8 +153,8 @@ def test_views_follow_a_rollback(matcher, events):
     store.add(late.side, late.values, tid=late.tid)
     changed = dict(late.values, FN="Changed")
     store.repair(late.side, late.tid, {"FN": "Changed"})
-    assert store.view(late.side, False).project([late.tid], ["FN"]) == ["Changed"]
-    assert store.view(late.side, True).project([late.tid], ["FN"]) == [
+    assert _view(store, late.side, False).project([late.tid], ["FN"]) == ["Changed"]
+    assert _view(store, late.side, True).project([late.tid], ["FN"]) == [
         late.values["FN"]
     ]
     assert store.is_repaired(late.side, late.tid, ["LN", "FN"])
@@ -163,7 +169,7 @@ def test_views_follow_a_rollback(matcher, events):
     if store.backend_name == "sqlite":
         # The durable store forgets the uncommitted record, views included.
         with pytest.raises(KeyError):
-            store.view(late.side, True).project([late.tid], ["FN"])
+            _view(store, late.side, True).project([late.tid], ["FN"])
         assert_views_read_the_rows(store, before)
     assert_views_read_the_rows(store)
 
@@ -180,8 +186,15 @@ def test_views_read_a_cold_reopened_store(dataset, events, tmp_path):
     first.store.close()
 
     reopened = SQLiteMatchStore(path)
-    assert reopened.left._cache == {} == reopened.right._cache
+    # Neither half is loaded; the views load the records half with one
+    # scan of ``records`` and read no cluster.
+    assert not set(reopened.__dict__) & {"left", "right", "blocking", "_parent", "_members"}
+    statements = []
+    reopened.connection.set_trace_callback(statements.append)
     assert_views_read_the_rows(reopened, expected)
+    reopened.connection.set_trace_callback(None)
+    assert statements == ["SELECT side, tid, arrival, current FROM records ORDER BY rowid"]
+    assert "_parent" not in reopened.__dict__
     # ... and the matcher built over it chases the same views.
     resumed = _workspace(dataset, path).stream(store=reopened)
     uninterrupted = _workspace(dataset).stream()
@@ -234,8 +247,9 @@ def test_a_cluster_is_resolved_once_per_record_in_first_change_order(matcher):
 
 
 def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypatch):
-    """300 events: every changed record is written once, every record's
-    keys are derived once, and the blocking index costs no statement."""
+    """300 events: a commit writes each new record once and each record
+    an earlier unit stored at most once, every record's keys are derived
+    once, and nothing is read back from the file."""
     stream = events[:300]
     assert len(stream) == 300
     matcher = _workspace(dataset, tmp_path / "cost.db").stream()
@@ -249,11 +263,15 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
         lambda index, side, row: derivations.append(row.tid) or key_for(index, side, row),
     )
     changed_records = []
-    resolve = matcher._resolve_cluster
+    #: Per ingest (one commit each), the records its cascade repaired.
+    units = []
+    add, resolve = store.add, matcher._resolve_cluster
+    monkeypatch.setattr(store, "add", lambda *args, **kw: units.append(set()) or add(*args, **kw))
 
     def recording_resolve(node):
         changed = resolve(node)  # {record: moved cells}
         changed_records.extend(changed)
+        units[-1].update(changed)
         return changed
 
     monkeypatch.setattr(matcher, "_resolve_cluster", recording_resolve)
@@ -266,16 +284,31 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
         return sum(statement.startswith(prefix) for statement in statements)
 
     assert len(store.indexes) > 1 and any(result.merged for result in results)
-    # One UPDATE per record whose current values changed (a cluster's
-    # consensus moves several cells of a record at once)...
-    assert count("UPDATE records") == len(changed_records) > 0
-    # ... the cascade re-probes records (more probes than records), yet a
+    # One INSERT per new record, its repairs in that unit included ...
+    assert count("INSERT INTO records") == len(stream)
+    # ... and one UPDATE per record an earlier unit stored and this one
+    # repaired, however often (a cascade repairs a record once per
+    # cluster it resolves, and a consensus moves several cells at once).
+    updated = [
+        (int(side), int(tid))
+        for statement in statements
+        for side, tid in re.findall(r"^UPDATE records .* WHERE side = (\d+) AND tid = (\d+)$", statement)
+    ]
+    assert len(updated) == count("UPDATE records") == sum(
+        len(unit - {(result.side, result.tid)}) for unit, result in zip(units, results)
+    )
+    assert 0 < len(updated) < len(changed_records)
+    commits = " ".join(statements).split("COMMIT")
+    for unit in commits:
+        written = re.findall(r"UPDATE records .*? WHERE side = (\d+) AND tid = (\d+)", unit)
+        assert len(written) == len(set(written))
+    # The cascade re-probes records (more probes than records), yet a
     # record's keys are derived once, at add ...
     assert matcher.metrics.counters["store.probes"] > len(stream)
     assert len(derivations) == len(store.indexes) * len(stream)
-    # ... and the index lives in memory: an ingest reads and writes the
-    # records, the clusters and the ledger, nothing else.
-    assert count("INSERT INTO records") == len(stream)
+    # ... and the state lives in memory: an ingest reads nothing back and
+    # writes the records, the clusters and the ledger, nothing else.
+    assert not [statement for statement in statements if statement.startswith("SELECT")]
     tables = {
         table
         for statement in statements
@@ -290,10 +323,12 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
     )
 
     # Replaying the store from its snapshot document (``engine migrate``)
-    # pays the same: one UPDATE per record that carries a repair.
+    # is one unit: each record is inserted once, repairs applied, and
+    # each node's cluster row written once.
     document = store_to_dict(store)
     store.close()
-    repaired = sum(
+    records = sum(len(rows) for rows in document["rows"].values())
+    assert any(
         arrival != current
         for rows in document["rows"].values()
         for _, arrival, current in rows
@@ -302,10 +337,12 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
     del statements[:]
     replayed.connection.set_trace_callback(statements.append)
     populate_store(replayed, document)
-    replayed.connection.set_trace_callback(None)
-    assert count("UPDATE records") == repaired > 0
     assert store_to_dict(replayed) == document
     replayed.close()
+    assert count("INSERT INTO records") == count("INSERT INTO clusters") == records
+    assert count("UPDATE records") == 0
+    with SQLiteMatchStore(tmp_path / "replayed.db") as reopened:
+        assert store_to_dict(reopened) == document
 
 
 #: Chases for the 300-event stream, by blocking: now, and (beside it)
