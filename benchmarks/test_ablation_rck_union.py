@@ -13,10 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import exp_fs
+from repro.experiments.exp_sn import match_on_keys
 from repro.experiments.harness import Table
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.rules import rules_from_rcks
-from repro.matching.sorted_neighborhood import SortedNeighborhood
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +32,12 @@ def test_ablation_rck_union(benchmark, prepared):
     )
     recalls = {}
     for k in (1, 3, 5):
-        matcher = SortedNeighborhood(rules_from_rcks(rcks[:k]), window=10)
-        result = matcher.run_on_candidates(
-            dataset.credit, dataset.billing, candidates
-        )
-        quality = evaluate_matches(result.matches, dataset.true_matches)
+        matches = match_on_keys(dataset, rcks[:k], candidates)
+        quality = evaluate_matches(matches, dataset.true_matches)
         recalls[k] = quality.recall
         table.add(k, quality.precision, quality.recall, quality.f1)
 
-    matcher5 = SortedNeighborhood(rules_from_rcks(rcks[:5]), window=10)
-    benchmark(
-        matcher5.run_on_candidates, dataset.credit, dataset.billing, candidates
-    )
+    benchmark(match_on_keys, dataset, rcks[:5], candidates)
 
     print()
     print(table.render())

@@ -12,11 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import exp_fs
+from repro.experiments.exp_sn import match_on_keys
 from repro.experiments.harness import Table
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
-from repro.matching.rules import rules_from_rcks
-from repro.matching.sorted_neighborhood import SortedNeighborhood
-from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
 
 _WINDOWS = (2, 5, 10, 20, 40)
 
@@ -24,20 +22,15 @@ _WINDOWS = (2, 5, 10, 20, 40)
 @pytest.fixture(scope="module")
 def sweep():
     dataset, _, rcks = exp_fs.prepare(1000, seed=0)
-    keys = [rck_sort_keys([key]) for key in rcks[:3]]
-    matcher = SortedNeighborhood(rules_from_rcks(rcks), window=10)
     records = []
     for window in _WINDOWS:
-        candidates = SortedNeighborhoodBackend(keys, window).candidates(
-            dataset.credit, dataset.billing
-        )
+        candidates = exp_fs.windowing_candidates(dataset, rcks, window)
         reduction = evaluate_reduction(
             candidates, dataset.true_matches, dataset.total_pairs
         )
-        result = matcher.run_on_candidates(
-            dataset.credit, dataset.billing, candidates
+        quality = evaluate_matches(
+            match_on_keys(dataset, rcks, candidates), dataset.true_matches
         )
-        quality = evaluate_matches(result.matches, dataset.true_matches)
         records.append(
             (window, reduction.pairs_completeness, reduction.reduction_ratio,
              len(candidates), quality.recall)
@@ -47,12 +40,8 @@ def sweep():
 
 def test_ablation_window_size(benchmark, sweep):
     dataset, _, rcks = exp_fs.prepare(1000, seed=0)
-    keys = [rck_sort_keys([key]) for key in rcks[:3]]
 
-    benchmark(
-        SortedNeighborhoodBackend(keys, 10).candidates,
-        dataset.credit, dataset.billing,
-    )
+    benchmark(exp_fs.windowing_candidates, dataset, rcks, 10)
 
     table = Table(
         "Ablation: window size (K=1000, multi-pass RCK sort keys)",

@@ -1,8 +1,9 @@
 """Fig. 10(a–c) — Sorted Neighborhood with vs without RCKs (Exp-3).
 
 Regenerates the precision (10a), recall (10b) and runtime (10c) series:
-SNrck (rules from the top five deduced RCKs) against SN (the 25-rule hand
-theory), on shared windowing candidates.
+SNrck (the top five deduced RCKs as rules) against SN (the 25-rule hand
+theory), both matched through ``Workspace`` direct mode on shared
+windowing candidates.
 
 Reproduction target (shape): SNrck precision strictly above SN at every K,
 and SNrck faster than SN (fewer, tighter rules).  Note (EXPERIMENTS.md):
@@ -16,8 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import exp_fs, exp_sn
-from repro.matching.rules import rules_from_rcks
-from repro.matching.sorted_neighborhood import SortedNeighborhood
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +27,9 @@ def series(bench_sizes):
 def test_fig10_sorted_neighborhood(benchmark, series, bench_sizes):
     size = max(bench_sizes)
     dataset, candidates, rcks = exp_fs.prepare(size, seed=0)
-    matcher = SortedNeighborhood(rules_from_rcks(rcks), window=10)
 
-    result = benchmark(
-        matcher.run_on_candidates, dataset.credit, dataset.billing, candidates
-    )
-    assert result.match_count > 0
+    matches = benchmark(exp_sn.match_on_keys, dataset, rcks, candidates)
+    assert matches
 
     print()
     print(exp_sn.render(series))

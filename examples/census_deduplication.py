@@ -16,13 +16,10 @@ of each feature) and the resulting match quality.
 Run:  python examples/census_deduplication.py
 """
 
-from repro.datagen.generator import generate_dataset
-from repro.datagen.schemas import extended_mds
-from repro.experiments.exp_fs import deduce_rcks
+from repro.experiments.exp_fs import prepare
 from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
 
 
 def run_matcher(name, spec, dataset, candidates):
@@ -41,19 +38,14 @@ def run_matcher(name, spec, dataset, candidates):
 
 def main() -> None:
     print("Generating 3,000 records with duplicates and noise...")
-    dataset = generate_dataset(3000, seed=11)
-    sigma = extended_mds(dataset.pair)
-    rcks = deduce_rcks(dataset, sigma, m=5)
+    # Exp-2's setup: the dataset, its top-5 deduced RCKs, and shared
+    # candidates from multi-pass windowing on the top three RCKs.
+    dataset, candidates, rcks = prepare(3000, seed=11)
 
     print("Top-5 deduced RCKs:")
     for key in rcks:
         print(f"  {key}")
 
-    # Shared candidates: multi-pass windowing on the top three RCKs.
-    keys = [rck_sort_keys([key]) for key in rcks[:3]]
-    candidates = SortedNeighborhoodBackend(keys, window=10).candidates(
-        dataset.credit, dataset.billing
-    )
     print(f"\nWindowing produced {len(candidates)} candidate pairs "
           f"(of {dataset.total_pairs} possible).")
 

@@ -26,7 +26,6 @@ from repro.discovery import (
 )
 from repro.api import Workspace
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.rules import rules_from_rcks
 from repro.metrics.registry import default_registry
 from repro.metrics.synonyms import (
     common_nickname_synonyms,
@@ -109,7 +108,8 @@ def main() -> None:
     for conflict in conflicts:
         print(f"  CONFLICT: {conflict}")
 
-    guarded = GuardedRuleSet(rules_from_rcks(rcks), [household_veto])
+    # The veto wraps the same compiled keys the workspace matched with.
+    guarded = GuardedRuleSet(workspace.plan, [household_veto])
     vetoed = sum(
         1
         for left_tid, right_tid in result.matches

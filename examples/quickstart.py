@@ -19,7 +19,7 @@ from repro.core.parser import format_md
 from repro.core.rck import RelativeKey
 from repro.datagen.generator import figure1_instances
 from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
-from repro.matching.comparison import spec_from_rck
+from repro.plan import compile_plan
 
 
 def main() -> None:
@@ -63,13 +63,14 @@ def main() -> None:
     # ------------------------------------------------------------------
     _, credit, billing = figure1_instances()
     t1 = credit[0]
+    plan = compile_plan(rcks=rcks)  # each key compiled to predicate slots
     print("\nMatching credit tuple t1 against billing tuples t3..t6:")
     for billing_tid, label in zip(range(4), ("t3", "t4", "t5", "t6")):
         row = billing[billing_tid]
         matched_by = [
-            str(key)
-            for key in rcks
-            if spec_from_rck(key).agrees_on_all(t1, row)
+            str(key.source)
+            for key in plan.keys
+            if plan.key_matches(key, t1, row)
         ]
         verdict = "MATCH via " + matched_by[0] if matched_by else "no match"
         print(f"  t1 ~ {label}: {verdict}")

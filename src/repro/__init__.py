@@ -20,8 +20,8 @@ Underneath, the library implements the paper's full stack:
   an ``EnforcementPlan`` shared by every execution layer;
 * :mod:`repro.metrics` — similarity metrics and the Soundex encoder;
 * :mod:`repro.relations` — the in-memory relational substrate;
-* :mod:`repro.matching` — Fellegi–Sunter (with EM), Sorted Neighborhood,
-  clustering, and evaluation metrics;
+* :mod:`repro.matching` — Fellegi–Sunter (with EM), clustering, and
+  evaluation metrics;
 * :mod:`repro.engine` — the incremental streaming entity-resolution
   engine (what ``Workspace.stream()`` returns);
 * :mod:`repro.datagen` — the paper's schemas and MDs, synthetic datasets
@@ -34,7 +34,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.

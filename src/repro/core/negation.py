@@ -15,9 +15,10 @@ Two facilities are provided:
   *forces* the identification it forbids.  Such a Σ would both identify
   and un-identify the same cells on some instance: the rule set is
   inconsistent and should be repaired before deployment.
-* **runtime vetoing** — :class:`GuardedRuleSet` wraps a positive
-  :class:`~repro.matching.rules.RuleSet` so that a pair matched by a
-  positive rule is rejected when any negative rule fires on it.
+* **runtime vetoing** — :class:`GuardedRuleSet` wraps the keys of a
+  compiled :class:`~repro.plan.compile.EnforcementPlan` (the evaluator
+  behind ``Workspace`` direct mode) so that a pair some key matches is
+  rejected when any negative rule fires on it.
 """
 
 from __future__ import annotations
@@ -210,12 +211,12 @@ def find_conflicts(
 
 
 class GuardedRuleSet:
-    """Positive rules guarded by negative vetoes.
+    """A compiled plan's keys guarded by negative vetoes.
 
-    A pair matches iff some positive rule fires AND no negative rule
-    fires.  Drop-in compatible with
-    :class:`~repro.matching.rules.RuleSet` for the matchers (duck-typed
-    ``matches``).
+    A pair matches iff some key of the ``positive`` plan matches it
+    (:meth:`~repro.plan.compile.EnforcementPlan.matches_any_key`, through
+    the plan's own registry) AND no negative rule fires (through
+    ``registry``).
     """
 
     def __init__(self, positive, negatives: Sequence[NegativeRule]) -> None:
@@ -223,7 +224,7 @@ class GuardedRuleSet:
         self.negatives = tuple(negatives)
 
     def __len__(self) -> int:
-        return len(self.positive) + len(self.negatives)
+        return len(self.positive.keys) + len(self.negatives)
 
     def matches(
         self,
@@ -232,7 +233,7 @@ class GuardedRuleSet:
         registry: MetricRegistry = DEFAULT_REGISTRY,
     ) -> bool:
         """Positive match not vetoed by any negative rule."""
-        if not self.positive.matches(left_row, right_row, registry):
+        if not self.positive.matches_any_key(left_row, right_row):
             return False
         return not any(
             rule.fires(left_row, right_row, registry)

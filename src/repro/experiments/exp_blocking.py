@@ -13,9 +13,9 @@ Protocol (Section 6.2, Exp-4):
 * the windowing variant (reported in the text as "comparable") repeats
   the comparison with sorted-window candidate generation.
 
-Candidate generation runs through the enforcement kernel's pluggable
-:class:`~repro.plan.blocking.BlockingBackend` implementations — the same
-backends the batch matchers and the streaming engine execute.
+Candidate generation runs through the kernel's blocking layer: the hash
+backend the batch matchers and the streaming engine execute, and the
+global window of :func:`~repro.plan.blocking.window_candidates`.
 :func:`run_kernel_point` additionally chases the blocking candidates
 through a compiled :class:`~repro.plan.compile.EnforcementPlan` with its
 similarity memo on and off, reporting both runs' predicate-call counts
@@ -32,14 +32,12 @@ from repro.datagen.noise import NoiseModel
 from repro.datagen.schemas import extended_mds
 from repro.matching.evaluate import evaluate_reduction
 from repro.plan.blocking import (
-    BlockingBackend,
     HashBlockingBackend,
+    Pair,
     RCKIndex,
-    SortedNeighborhoodBackend,
-    attribute_key,
     leading_attribute_pairs,
+    window_candidates,
 )
-from repro.metrics.soundex import soundex
 
 from .exp_fs import DEFAULT_SIZES, TOP_K_RCKS, deduce_rcks
 from .harness import Table, resolution_spec_document, timed
@@ -66,45 +64,29 @@ def exp4_key_pairs(rcks):
     return pairs
 
 
-def rck_backend(rcks, mode: str = "blocking", window: int = 10) -> BlockingBackend:
-    """The RCK-derived candidate backend for one Exp-4 configuration.
-
-    Blocking uses one hash pass over three attributes from the top two
-    RCKs (names Soundex-encoded, per the paper); windowing slides the
-    standard window over the same derived key.
-    """
-    pairs = exp4_key_pairs(rcks)
-    index = RCKIndex("exp4-rck", pairs, encode_attributes=("FN", "LN"))
-    if mode == "blocking":
-        return HashBlockingBackend([index])
-    return SortedNeighborhoodBackend(
-        [(index.left_key, index.right_key)],
-        window,
-        "+".join(left for left, _ in pairs),
-    )
+def rck_index(rcks) -> RCKIndex:
+    """The RCK-derived key: three attribute pairs from the top two RCKs,
+    names Soundex-encoded (per the paper)."""
+    return RCKIndex("exp4-rck", exp4_key_pairs(rcks), encode_attributes=("FN", "LN"))
 
 
-def manual_backend(mode: str = "blocking", window: int = 10) -> BlockingBackend:
-    """The baseline backend over the manually chosen key."""
-    index = RCKIndex(
+def manual_index() -> RCKIndex:
+    """The baseline's manually chosen key, last name Soundex-encoded."""
+    return RCKIndex(
         "manual",
         [(attribute, attribute) for attribute in MANUAL_ATTRIBUTES],
         encode_attributes=("LN",),
     )
+
+
+def key_candidates(
+    index: RCKIndex, left, right, mode: str = "blocking", window: int = 10
+) -> List[Pair]:
+    """One Exp-4 configuration's candidates: one hash pass over the key
+    (``blocking``), or one global window sorted on it (``windowing``)."""
     if mode == "blocking":
-        return HashBlockingBackend([index])
-    return SortedNeighborhoodBackend(
-        [(index.left_key, index.right_key)], window, "+".join(MANUAL_ATTRIBUTES)
-    )
-
-
-def manual_keys():
-    """The baseline's manually chosen blocking/sorting key functions."""
-    encoders = [soundex, None, None]
-    return (
-        attribute_key(list(MANUAL_ATTRIBUTES), encoders),
-        attribute_key(list(MANUAL_ATTRIBUTES), encoders),
-    )
+        return HashBlockingBackend([index]).candidates(left, right)
+    return window_candidates(left, right, index.left_key, index.right_key, window)
 
 
 def run_point(
@@ -121,11 +103,11 @@ def run_point(
     sigma = extended_mds(dataset.pair)
     rcks = deduce_rcks(dataset, sigma, m=TOP_K_RCKS)
 
-    rck_candidates = rck_backend(rcks, mode, window).candidates(
-        dataset.credit, dataset.billing
+    rck_candidates = key_candidates(
+        rck_index(rcks), dataset.credit, dataset.billing, mode, window
     )
-    manual_candidates = manual_backend(mode, window).candidates(
-        dataset.credit, dataset.billing
+    manual_candidates = key_candidates(
+        manual_index(), dataset.credit, dataset.billing, mode, window
     )
 
     rck_reduction = evaluate_reduction(

@@ -32,7 +32,7 @@ from repro.datagen.schemas import extended_mds
 from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.plan.blocking import SortedNeighborhoodBackend, rck_sort_keys
+from repro.plan.blocking import rck_sort_keys, window_candidates
 
 from .harness import Table, timed
 
@@ -51,20 +51,28 @@ def prepare(
 ):
     """Dataset + shared candidate pairs + deduced RCKs for one K.
 
-    Returns ``(dataset, candidates, rcks)``.  Candidates come from one
-    windowing pass sorted on RCK attributes — the same candidate set is
-    fed to both matcher configurations.
+    Returns ``(dataset, candidates, rcks)``.  Candidates come from three
+    windowing passes (:func:`windowing_candidates`) — the same candidate
+    set is fed to both matcher configurations.
     """
     dataset = generate_dataset(size, noise=noise, seed=seed)
     sigma = extended_mds(dataset.pair)
     rcks = deduce_rcks(dataset, sigma, m=TOP_K_RCKS)
-    # Multi-pass windowing: one sort key per top RCK ("this process is
-    # often repeated multiple times ..., each using a different key").
-    keys = [rck_sort_keys([key]) for key in rcks[:3]]
-    candidates = SortedNeighborhoodBackend(keys, window).candidates(
-        dataset.credit, dataset.billing
-    )
-    return dataset, candidates, rcks
+    return dataset, windowing_candidates(dataset, rcks, window), rcks
+
+
+def windowing_candidates(dataset: MatchingDataset, rcks, window: int = 10):
+    """Three global-window passes, one sorted on each of the top three
+    RCKs' attributes, unioned ("this process is often repeated multiple
+    times ..., each using a different key")."""
+    candidates = set()
+    for left_key, right_key in (rck_sort_keys([key]) for key in rcks[:3]):
+        candidates.update(
+            window_candidates(
+                dataset.credit, dataset.billing, left_key, right_key, window
+            )
+        )
+    return sorted(candidates)
 
 
 def deduce_rcks(dataset: MatchingDataset, sigma, m: int = TOP_K_RCKS):

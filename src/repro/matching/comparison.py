@@ -1,15 +1,15 @@
 """Comparison vectors: from RCKs (or raw attribute pairs) to features.
 
 A *comparison vector* is the per-attribute-pair agreement pattern computed
-for a candidate tuple pair — the input of the Fellegi–Sunter model and the
-unit of work of rule-based matchers.  RCKs are precisely specifications of
-comparison vectors: they say which attribute pairs to compare and with
-which operator (Section 1, "Applications — Matching").
+for a candidate tuple pair — the input of the Fellegi–Sunter model.  RCKs
+are precisely specifications of comparison vectors: they say which
+attribute pairs to compare and with which operator (Section 1,
+"Applications — Matching").
 
 :class:`ComparisonSpec` holds an ordered list of features
 ``(left_attr, right_attr, operator_name)``; :meth:`ComparisonSpec.compare`
 evaluates them on a pair of rows.  :func:`union_of_rcks` builds the spec
-the paper uses for FSrck/SNrck: "the union of top five RCKs derived by our
+the paper uses for FSrck: "the union of top five RCKs derived by our
 algorithms".
 """
 
@@ -34,10 +34,10 @@ class ComparisonSpec:
     (through the bound ``registry``) — evaluating a spec never goes back
     to the registry, which ``tests/matching/test_comparison.py`` pins
     with a lookup-count regression test.  Passing a *different* registry
-    to :meth:`compare`/:meth:`agrees_on_all` still works and resolves
-    through that registry instead; an operator the bound registry does
-    not know defers its resolution to call time (so specs naming
-    custom-registry metrics still construct, exactly as before).
+    to :meth:`compare` still works and resolves through that registry
+    instead; an operator the bound registry does not know defers its
+    resolution to call time (so specs naming custom-registry metrics
+    still construct, exactly as before).
 
     >>> spec = ComparisonSpec((("FN", "FN", "dl(0.8)"), ("LN", "LN", "=")))
     >>> len(spec)
@@ -94,37 +94,11 @@ class ComparisonSpec:
             )
         )
 
-    def agrees_on_all(
-        self,
-        left_row: Row,
-        right_row: Row,
-        registry: Optional[MetricRegistry] = None,
-    ) -> bool:
-        """True when every feature agrees (short-circuiting).
-
-        This is exactly "the pair matches the LHS of the key".
-        """
-        for (left_attr, right_attr, _), predicate in zip(
-            self.features, self._bound_predicates(registry)
-        ):
-            if not predicate(left_row[left_attr], right_row[right_attr]):
-                return False
-        return True
-
     def attribute_pairs(self) -> Tuple[Tuple[str, str], ...]:
         """The (left, right) attribute pairs, operators dropped."""
         return tuple(
             (left_attr, right_attr) for left_attr, right_attr, _ in self.features
         )
-
-
-def spec_from_rck(key: RelativeKey) -> ComparisonSpec:
-    """The comparison spec of a single relative key."""
-    return ComparisonSpec(
-        tuple(
-            (atom.left, atom.right, atom.operator.name) for atom in key.atoms
-        )
-    )
 
 
 def union_of_rcks(keys: Sequence[RelativeKey]) -> ComparisonSpec:

@@ -35,7 +35,6 @@ from .blocking import (
     Pair,
     RCKIndex,
     RowKey,
-    SortedNeighborhoodBackend,
     attribute_key,
     build_blocking,
     hash_candidates,
@@ -69,7 +68,6 @@ __all__ = [
     "PlanStats",
     "RCKIndex",
     "RowKey",
-    "SortedNeighborhoodBackend",
     "WindowedSNIndex",
     "attribute_key",
     "build_blocking",

@@ -9,21 +9,22 @@ behind the :class:`BlockingBackend` protocol so a compiled
 generator as a pluggable component:
 
 * the key-derivation primitives (:func:`attribute_key`,
-  :func:`rck_sort_keys`), one hash pass (:func:`hash_candidates`) and the
-  window-merge loop (:func:`window_candidates`);
+  :func:`rck_sort_keys`), one hash pass (:func:`hash_candidates`), the
+  cross-side window loop over a sorted run (:func:`run_pairs`) and one
+  global-window pass of [20] (:func:`window_candidates`: sort the merged
+  sequence, then :func:`run_pairs` across all of it — the paper's
+  Figs. 9–10 protocol, which only :mod:`repro.experiments` runs; a
+  multi-pass run is the union of its passes);
 * :class:`RCKIndex` — the incremental inverted index, one bucket table
   per RCK-derived key;
 * :class:`HashBlockingBackend` — multi-pass hash blocking over RCK
   indexes, serving batch candidate generation *and* the streaming
   engine's per-record ``add``/``probe``;
-* :class:`SortedNeighborhoodBackend` — the global-window
-  sorted-neighborhood of [20], which only :mod:`repro.experiments`
-  builds (the paper's Figs. 9–10 baseline); a spec, the engine and the
-  service get :class:`~repro.plan.sn_index.WindowedSNIndex`;
 * :func:`build_blocking` — the one place a blocking configuration (a
   spec's ``blocking`` section plus the RCKs) is resolved to its passes;
   the batch plan, the memory store and the SQLite store all build their
-  backend from it.
+  backend from it: hash, or the sorted-neighborhood
+  :class:`~repro.plan.sn_index.WindowedSNIndex`.
 
 Batch and streaming thereby share one blocking implementation: probing an
 index with a new record yields exactly the pairs a batch
@@ -67,6 +68,9 @@ DEFAULT_ENCODED_ATTRIBUTES = ("FN", "LN")
 #: Sides in a merged window sequence.
 _LEFT = 0
 _RIGHT = 1
+
+#: One ranked element of a sorted run: (sort key, side marker, tuple id).
+Entry = Tuple[Tuple[str, ...], int, int]
 
 
 def _encode(value: object, encoder: Optional[Encoder]) -> str:
@@ -154,6 +158,20 @@ def hash_candidates(
     return candidates
 
 
+def run_pairs(run: Sequence[Entry], window: int) -> Set[Pair]:
+    """Cross-side pairs at rank distance < ``window`` in a sorted run."""
+    pairs: Set[Pair] = set()
+    for position, (_, side, tid) in enumerate(run):
+        for _, other_side, other_tid in run[position + 1 : position + window]:
+            if side == other_side:
+                continue
+            if side == _LEFT:
+                pairs.add((tid, other_tid))
+            else:
+                pairs.add((other_tid, tid))
+    return pairs
+
+
 def window_candidates(
     left: Relation,
     right: Relation,
@@ -161,7 +179,7 @@ def window_candidates(
     right_key: RowKey,
     window: int = 10,
 ) -> List[Pair]:
-    """Candidate pairs from one sorted-neighborhood pass.
+    """Candidate pairs from one global-window sorted-neighborhood pass.
 
     The merged sequence is sorted by the derived key (ties broken by side
     then tuple id, keeping runs deterministic); every pair of a left and a
@@ -172,25 +190,10 @@ def window_candidates(
     """
     if window < 2:
         return []
-    merged: List[Tuple[object, int, int]] = []
-    for row in left:
-        merged.append((left_key(row), _LEFT, row.tid))
-    for row in right:
-        merged.append((right_key(row), _RIGHT, row.tid))
-    merged.sort(key=lambda item: (item[0], item[1], item[2]))
-
-    candidates: Set[Pair] = set()
-    for position, (_, side, tid) in enumerate(merged):
-        upper = min(len(merged), position + window)
-        for other_position in range(position + 1, upper):
-            _, other_side, other_tid = merged[other_position]
-            if side == other_side:
-                continue
-            if side == _LEFT:
-                candidates.add((tid, other_tid))
-            else:
-                candidates.add((other_tid, tid))
-    return sorted(candidates)
+    merged: List[Entry] = [(left_key(row), _LEFT, row.tid) for row in left]
+    merged += [(right_key(row), _RIGHT, row.tid) for row in right]
+    merged.sort()
+    return sorted(run_pairs(merged, window))
 
 
 class RCKIndex:
@@ -404,61 +407,6 @@ class HashBlockingBackend(BlockingBackend):
             for index in self.indexes
         )
         return f"hash({len(self.indexes)} passes: {keys})"
-
-
-class SortedNeighborhoodBackend(BlockingBackend):
-    """Multi-pass sorted-neighborhood windowing over derived sort keys.
-
-    A window below 2 is legal and yields no candidates — no two elements
-    ever share a window.
-    """
-
-    name = "sorted-neighborhood"
-    family = "sorted-neighborhood"
-
-    def __init__(
-        self,
-        keys: Sequence[Tuple[RowKey, RowKey]],
-        window: int = 10,
-        description: str = "",
-    ) -> None:
-        if not keys:
-            raise ValueError("windowing needs at least one sort key pair")
-        self.keys: List[Tuple[RowKey, RowKey]] = list(keys)
-        self.window = window
-        self._description = description
-
-    @classmethod
-    def from_rcks(
-        cls,
-        rcks: Sequence[RelativeKey],
-        window: int = 10,
-        attribute_count: int = 3,
-    ) -> "SortedNeighborhoodBackend":
-        """One sort pass on the leading attributes of the given RCKs."""
-        if not rcks:
-            raise ValueError("need at least one RCK")
-        chosen = leading_attribute_pairs(rcks, attribute_count)
-        left_key = attribute_key([left for left, _ in chosen])
-        right_key = attribute_key([right for _, right in chosen])
-        description = "+".join(f"{left}~{right}" for left, right in chosen)
-        return cls([(left_key, right_key)], window, description)
-
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
-        """Union of window candidates over every sort pass."""
-        seen: Set[Pair] = set()
-        for left_key, right_key in self.keys:
-            seen.update(
-                window_candidates(left, right, left_key, right_key, self.window)
-            )
-        return sorted(seen)
-
-    def describe(self) -> str:
-        detail = f" on {self._description}" if self._description else ""
-        return (
-            f"sorted-neighborhood(window={self.window}, "
-            f"{len(self.keys)} pass(es){detail})"
-        )
 
 
 def build_blocking(

@@ -1,8 +1,8 @@
 """Window-encoded sorted-neighborhood index: rank ranges over block runs.
 
-The global-window :class:`~repro.plan.blocking.SortedNeighborhoodBackend`
-is batch-only — it sorts the merged sequence from scratch per call — so
-only :mod:`repro.experiments` builds it.  :class:`WindowedSNIndex` is the
+The global window of :func:`~repro.plan.blocking.window_candidates` is
+batch-only — it sorts the merged sequence from scratch per call — so
+only :mod:`repro.experiments` runs it.  :class:`WindowedSNIndex` is the
 sorted-neighborhood every spec, store and service gets
 (:func:`~repro.plan.blocking.build_blocking`): it maintains a **rank
 encoding** of each pass's sort keys, in the spirit of pre/post-order tree
@@ -54,14 +54,13 @@ from repro.plan.blocking import (
     _RIGHT,
     DEFAULT_ENCODED_ATTRIBUTES,
     BlockingBackend,
+    Entry,
     Pair,
     RowKey,
     attribute_key,
+    run_pairs,
 )
 from repro.relations.relation import Relation, Row
-
-#: One ranked element of a run: (sort key, side marker, tuple id).
-Entry = Tuple[Tuple[str, ...], int, int]
 
 
 def window_neighbors(
@@ -93,24 +92,6 @@ def window_neighbors(
         if candidate[1] != entry[1]:
             found.add(candidate[2])
     return sorted(found)
-
-
-def run_pairs(run: Sequence[Entry], window: int) -> Set[Pair]:
-    """Cross-side pairs at rank distance < ``window`` within one run.
-
-    The same merge loop as :func:`~repro.plan.blocking.window_candidates`,
-    restricted to a single block run.
-    """
-    pairs: Set[Pair] = set()
-    for position, (_, side, tid) in enumerate(run):
-        for _, other_side, other_tid in run[position + 1 : position + window]:
-            if side == other_side:
-                continue
-            if side == _LEFT:
-                pairs.add((tid, other_tid))
-            else:
-                pairs.add((other_tid, tid))
-    return pairs
 
 
 def _rotations(

@@ -41,6 +41,23 @@ def test_unknown_attribute_mentions_the_public_api():
         repro.NoSuchThing
 
 
+def test_plan_exports_one_backend_per_blocking_family():
+    import repro.plan as plan
+
+    backends = {
+        name: getattr(plan, name)
+        for name in plan.__all__
+        if isinstance(getattr(plan, name), type)
+        and issubclass(getattr(plan, name), plan.BlockingBackend)
+        and getattr(plan, name) is not plan.BlockingBackend
+    }
+    assert {name: cls.family for name, cls in backends.items()} == {
+        "HashBlockingBackend": "hash",
+        "WindowedSNIndex": "sorted-neighborhood",
+    }
+    assert not hasattr(plan, "SortedNeighborhoodBackend")
+
+
 def test_import_repro_is_lazy():
     """``import repro`` must not drag in the heavy submodules."""
     code = (

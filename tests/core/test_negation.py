@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.negation import GuardedRuleSet, NegativeRule, find_conflicts
-from repro.matching.comparison import ComparisonSpec
-from repro.matching.rules import MatchRule, RuleSet
+from repro.core.rck import RelativeKey
+from repro.plan import compile_plan
 
 
 @pytest.fixture
@@ -130,17 +130,13 @@ class TestConflicts:
 
 class TestGuardedRuleSet:
     @pytest.fixture
-    def guarded(self, pair, no_match_rule):
-        positive = RuleSet(
-            [
-                MatchRule(
-                    "same-name",
-                    ComparisonSpec((("FN", "FN", "="), ("LN", "LN", "="))),
+    def guarded(self, target, no_match_rule):
+        positive = compile_plan(
+            rcks=[
+                RelativeKey.from_triples(
+                    target, [("FN", "FN", "="), ("LN", "LN", "=")]
                 ),
-                MatchRule(
-                    "same-email",
-                    ComparisonSpec((("email", "email", "="),)),
-                ),
+                RelativeKey.from_triples(target, [("email", "email", "=")]),
             ]
         )
         return GuardedRuleSet(positive, [no_match_rule])
@@ -153,10 +149,10 @@ class TestGuardedRuleSet:
         assert guarded.matches(credit[0], billing[3])
         assert guarded.veto_reason(credit[0], billing[3]) == ""
 
-    def test_negative_rule_vetoes(self, pair, fig1, no_match_rule):
+    def test_negative_rule_vetoes(self, pair, target, fig1, no_match_rule):
         _, credit, billing = fig1
-        positive = RuleSet(
-            [MatchRule("same-ln", ComparisonSpec((("LN", "LN", "="),)))]
+        positive = compile_plan(
+            rcks=[RelativeKey.from_triples(target, [("LN", "LN", "=")])]
         )
         guarded = GuardedRuleSet(positive, [no_match_rule])
         # t1 vs t3: LN matches (positive fires) and the namesake veto
@@ -172,3 +168,29 @@ class TestGuardedRuleSet:
 
     def test_len(self, guarded):
         assert len(guarded) == 3
+
+    def test_wraps_the_front_doors_key_evaluator(
+        self, small_dataset, workspace_for
+    ):
+        """Over a workspace's plan, an unguarded set matches exactly what
+        direct mode does, and a veto only takes pairs away."""
+        dataset = small_dataset
+        workspace = workspace_for(dataset, execution={"mode": "direct"})
+        candidates = workspace.candidates(dataset.credit, dataset.billing)
+        matched = set(
+            workspace.match(dataset.credit, dataset.billing, candidates).matches
+        )
+        veto = NegativeRule.build(
+            dataset.pair, [("gender", "gender", "=")], [("FN", "FN")]
+        )
+
+        def kept(guarded):
+            return {
+                (l, r)
+                for l, r in candidates
+                if guarded.matches(dataset.credit[l], dataset.billing[r])
+            }
+
+        assert matched
+        assert kept(GuardedRuleSet(workspace.plan, [])) == matched
+        assert kept(GuardedRuleSet(workspace.plan, [veto])) < matched

@@ -15,7 +15,13 @@ from repro.core.closure import ClosureEngine, deduces
 from repro.core.findrcks import find_rcks, is_complete
 from repro.core.rck import RelativeKey
 from repro.core.similarity import EQUALITY
-from repro.matching.comparison import spec_from_rck
+from repro.plan import compile_plan
+
+
+def agrees(key, t1, t2):
+    """Does the pair agree on every comparison of ``key``?"""
+    plan = compile_plan(rcks=[key])
+    return plan.key_matches(plan.keys[0], t1, t2)
 
 
 @pytest.fixture
@@ -117,32 +123,30 @@ class TestFigure1Matching:
 
     def test_given_key_matches_only_t3(self, fig1, rcks):
         pair, credit, billing = fig1
-        rck1 = spec_from_rck(rcks["rck1"])
         t1 = credit[0]
         # t3 (tid 0 in billing) matches the given key …
-        assert rck1.agrees_on_all(t1, billing[0])
+        assert agrees(rcks["rck1"], t1, billing[0])
         # … but t4, t5, t6 do not.
-        assert not rck1.agrees_on_all(t1, billing[1])
-        assert not rck1.agrees_on_all(t1, billing[2])
-        assert not rck1.agrees_on_all(t1, billing[3])
+        assert not agrees(rcks["rck1"], t1, billing[1])
+        assert not agrees(rcks["rck1"], t1, billing[2])
+        assert not agrees(rcks["rck1"], t1, billing[3])
 
     def test_deduced_keys_match_t4_t5_t6(self, fig1, rcks):
         pair, credit, billing = fig1
         t1 = credit[0]
         # Key (1) = rck2 matches t1–t4 (same LN, phone; similar FN).
-        assert spec_from_rck(rcks["rck2"]).agrees_on_all(t1, billing[1])
+        assert agrees(rcks["rck2"], t1, billing[1])
         # Key (2) = rck3 matches t1–t5 (same address and email).
-        assert spec_from_rck(rcks["rck3"]).agrees_on_all(t1, billing[2])
+        assert agrees(rcks["rck3"], t1, billing[2])
         # Key (3) = rck4 matches t1–t6 (same phone and email).
-        assert spec_from_rck(rcks["rck4"]).agrees_on_all(t1, billing[3])
+        assert agrees(rcks["rck4"], t1, billing[3])
 
     def test_t2_matches_nothing(self, fig1, rcks):
         pair, credit, billing = fig1
         t2 = credit[1]
         for key in rcks.values():
-            spec = spec_from_rck(key)
             for row in billing:
-                assert not spec.agrees_on_all(t2, row)
+                assert not agrees(key, t2, row)
 
     def test_mark_marx_similar(self, fig1):
         # The concrete similarity claim of Example 1.1.

@@ -115,6 +115,26 @@ class TestMatchingExperiments:
         assert "Fellegi-Sunter" in exp_fs.render([fs_record])
         assert "Sorted Neighborhood" in exp_sn.render([sn_record])
 
+    # Exact K=300, seed 3 readings of Exps 2-3: a change that moves one
+    # candidate or one match behind Figs. 9-10 fails here.
+    def test_exp2_shared_candidates_pinned(self, fs_record):
+        assert fs_record["candidates"] == 2205
+
+    def test_exp2_candidates_are_the_union_of_three_passes(self):
+        dataset, candidates, rcks = exp_fs.prepare(200, seed=3)
+        passes = [
+            set(exp_fs.windowing_candidates(dataset, [key])) for key in rcks[:3]
+        ]
+        assert candidates == sorted(set.union(*passes))
+        assert all(len(one) < len(candidates) for one in passes)
+
+    def test_exp3_quality_pinned(self, sn_record):
+        assert sn_record["candidates"] == 2205
+        assert sn_record["SN precision"] == 0.9036144578313253
+        assert sn_record["SN recall"] == 1.0
+        assert sn_record["SNrck precision"] == 1.0
+        assert sn_record["SNrck recall"] == 0.96
+
 
 class TestBlockingExperiment:
     @pytest.fixture(scope="class")
@@ -130,8 +150,13 @@ class TestBlockingExperiment:
         assert record["RCK PC"] >= record["manual PC"] - 0.05
 
     def test_windowing_mode(self):
-        record = exp_blocking.run_point(200, seed=3, mode="windowing")
+        # Exp-4's global-window candidates at K=300, seed 3, exactly.
+        record = exp_blocking.run_point(300, seed=3, mode="windowing")
         assert record["mode"] == "windowing"
+        assert record["RCK candidates"] == 943
+        assert record["manual candidates"] == 927
+        assert record["RCK PC"] == 0.97
+        assert record["manual PC"] == 0.9533333333333334
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.rck import RelativeKey
-from repro.matching.comparison import (
-    ComparisonSpec,
-    equality_spec,
-    spec_from_rck,
-    union_of_rcks,
-)
+from repro.matching.comparison import ComparisonSpec, equality_spec, union_of_rcks
 from repro.metrics.registry import default_registry
 
 
@@ -41,12 +36,6 @@ class TestComparisonSpec:
         vector = spec.compare(credit[0], billing[0])  # t1 vs t3
         assert vector == (True, True, False)
 
-    def test_agrees_on_all_short_circuit(self, fig1):
-        _, credit, billing = fig1
-        spec = ComparisonSpec((("email", "email", "="), ("tel", "phn", "=")))
-        assert not spec.agrees_on_all(credit[0], billing[0])  # t3: email "mc"
-        assert spec.agrees_on_all(credit[0], billing[3])  # t6: both agree
-
     def test_attribute_pairs(self):
         spec = ComparisonSpec((("tel", "phn", "="),))
         assert spec.attribute_pairs() == (("tel", "phn"),)
@@ -55,8 +44,8 @@ class TestComparisonSpec:
         """Regression: evaluation must never re-resolve operator names.
 
         The spec resolves its predicates exactly once per feature when
-        built; any number of ``compare``/``agrees_on_all`` calls keeps the
-        lookup count flat.
+        built; any number of ``compare`` calls keeps the lookup count
+        flat.
         """
         _, credit, billing = fig1
         registry = CountingRegistry()
@@ -71,7 +60,6 @@ class TestComparisonSpec:
         assert registry.resolve_calls == 3
         for _ in range(10):
             spec.compare(credit[0], billing[0])
-            spec.agrees_on_all(credit[0], billing[0])
         assert registry.resolve_calls == 3
 
     def test_explicit_foreign_registry_still_honored(self, fig1):
@@ -79,14 +67,14 @@ class TestComparisonSpec:
         _, credit, billing = fig1
         spec = ComparisonSpec((("LN", "LN", "="),))
         other = CountingRegistry()
-        assert spec.agrees_on_all(credit[0], billing[0], other)
+        assert spec.compare(credit[0], billing[0], other) == (True,)
         assert other.resolve_calls == 1
 
     def test_unknown_operator_deferred_to_call_time(self, fig1):
         """An operator the bound registry lacks must not break construction.
 
         Custom-registry metrics are supplied at evaluation time
-        (Fellegi–Sunter, RuleSet); the spec resolves them lazily through
+        (Fellegi–Sunter); the spec resolves them lazily through
         whichever registry the call provides.
         """
         _, credit, billing = fig1
@@ -98,20 +86,10 @@ class TestComparisonSpec:
             def resolve(self, operator_name):
                 return lambda left, right: True
 
-        assert spec.agrees_on_all(credit[0], billing[0], NopeRegistry())
+        assert spec.compare(credit[0], billing[0], NopeRegistry()) == (True,)
 
 
 class TestSpecBuilders:
-    def test_spec_from_rck(self, target):
-        key = RelativeKey.from_triples(
-            target, [("email", "email", "="), ("tel", "phn", "=")]
-        )
-        spec = spec_from_rck(key)
-        assert spec.features == (
-            ("email", "email", "="),
-            ("tel", "phn", "="),
-        )
-
     def test_union_dedups_by_pair_prefers_similarity(self, target):
         first = RelativeKey.from_triples(
             target, [("FN", "FN", "="), ("tel", "phn", "=")]

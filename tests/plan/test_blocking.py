@@ -5,14 +5,13 @@ import pytest
 from repro.core.findrcks import find_rcks
 from repro.core.schema import LEFT, RIGHT
 from repro.plan.blocking import (
+    DEFAULT_ENCODED_ATTRIBUTES,
     HashBlockingBackend,
-    SortedNeighborhoodBackend,
+    build_blocking,
     hash_candidates,
-    leading_attribute_pairs,
     rck_sort_keys,
     window_candidates,
 )
-from repro.plan.sn_index import WindowedSNIndex
 
 
 def _add(backend, side, row):
@@ -74,42 +73,63 @@ class TestHashBlockingBackend:
         assert "hash(" in HashBlockingBackend.per_rck(rcks).describe()
 
 
-class TestSortedNeighborhoodBackend:
-    def test_requires_keys(self):
-        with pytest.raises(ValueError, match="at least one sort key"):
-            SortedNeighborhoodBackend([])
-
+class TestGlobalWindow:
     def test_window_below_two_yields_no_candidates(self, rcks, small_dataset):
         """w < 2 means no two elements ever share a window."""
-        backend = SortedNeighborhoodBackend.from_rcks(rcks, window=1)
-        assert backend.candidates(
-            small_dataset.credit, small_dataset.billing
+        left_key, right_key = rck_sort_keys(rcks)
+        assert window_candidates(
+            small_dataset.credit, small_dataset.billing, left_key, right_key, 1
         ) == []
 
-    def test_candidates_match_window_pairs(self, rcks, small_dataset):
-        backend = SortedNeighborhoodBackend.from_rcks(rcks, window=10)
+    def test_candidates_are_cross_side_pairs_within_the_window(
+        self, rcks, small_dataset
+    ):
+        """Sort the merged sequence once, pair across it at rank < w."""
+        credit, billing = small_dataset.credit, small_dataset.billing
         left_key, right_key = rck_sort_keys(rcks)
-        expected = window_candidates(
-            small_dataset.credit, small_dataset.billing,
-            left_key, right_key, 10,
+        merged = sorted(
+            [(left_key(row), 0, row.tid) for row in credit]
+            + [(right_key(row), 1, row.tid) for row in billing]
         )
-        assert backend.candidates(
-            small_dataset.credit, small_dataset.billing
-        ) == expected
+        expected = {
+            (a[2], b[2]) if a[1] == 0 else (b[2], a[2])
+            for i, a in enumerate(merged)
+            for b in merged[i + 1 : i + 10]
+            if a[1] != b[1]
+        }
+        assert window_candidates(
+            credit, billing, left_key, right_key, 10
+        ) == sorted(expected)
 
-    def test_describe_reports_window(self, rcks):
-        backend = SortedNeighborhoodBackend.from_rcks(rcks, window=4)
-        assert "window=4" in backend.describe()
+
+def _sorted_neighborhood(rcks, window):
+    return build_blocking(
+        rcks, 1, DEFAULT_ENCODED_ATTRIBUTES, "sorted-neighborhood", window, None
+    )
 
 
-@pytest.mark.parametrize("build", (
-    HashBlockingBackend.per_rck,
-    lambda rcks: SortedNeighborhoodBackend.from_rcks(rcks, window=10),
-    lambda rcks: WindowedSNIndex(leading_attribute_pairs(rcks), window=10),
-), ids=("hash", "sorted-neighborhood", "windowed-sn"))
-def test_candidates_come_back_once_each_ascending(build, rcks, small_dataset):
+def test_sorted_neighborhood_describe_reports_window(rcks):
+    assert "window=4" in _sorted_neighborhood(rcks, 4).describe()
+
+
+@pytest.mark.parametrize("candidates_of", (
+    lambda rcks, left, right: HashBlockingBackend.per_rck(rcks).candidates(
+        left, right
+    ),
+    lambda rcks, left, right: window_candidates(
+        left, right, *rck_sort_keys(rcks), 10
+    ),
+    lambda rcks, left, right: _sorted_neighborhood(rcks, 10).candidates(
+        left, right
+    ),
+), ids=("hash", "global-window", "windowed-sn"))
+def test_candidates_come_back_once_each_ascending(
+    candidates_of, rcks, small_dataset
+):
     """The contract of ``BlockingBackend.candidates``, and the precondition
     of the chase's hash joins: an unordered list silently scans."""
-    candidates = build(rcks).candidates(small_dataset.credit, small_dataset.billing)
+    candidates = candidates_of(
+        rcks, small_dataset.credit, small_dataset.billing
+    )
     assert len(candidates) > 100
     assert candidates == sorted(set(candidates))

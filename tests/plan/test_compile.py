@@ -6,8 +6,9 @@ from repro.core.findrcks import find_rcks
 from repro.core.semantics import InstancePair, enforce
 from repro.metrics.registry import MetricRegistry, default_registry
 from repro.plan import (
+    DEFAULT_ENCODED_ATTRIBUTES,
     HashBlockingBackend,
-    SortedNeighborhoodBackend,
+    build_blocking,
     compile_plan,
 )
 
@@ -192,6 +193,8 @@ class TestExplain:
         rcks = find_rcks(sigma, target, m=3)
         plan = compile_plan(
             sigma, target, rcks=rcks,
-            blocking=SortedNeighborhoodBackend.from_rcks(rcks, window=7),
+            blocking=build_blocking(
+                rcks, 1, DEFAULT_ENCODED_ATTRIBUTES, "sorted-neighborhood", 7, None
+            ),
         )
         assert "window=7" in plan.explain()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schema import LEFT, RIGHT, RelationSchema
-from repro.plan.blocking import SortedNeighborhoodBackend
+from repro.plan.blocking import attribute_key, window_candidates
 from repro.plan.sn_index import WindowedSNIndex, run_pairs, window_neighbors
 from repro.relations.relation import Relation
 
@@ -121,22 +121,31 @@ class TestBlockConfinement:
             (block, block) for block in "abcd"
         }
 
-    def test_legacy_backend_chains_what_the_index_splits(self):
+    def test_global_window_chains_what_the_index_splits(self):
         # The contrast that motivates the index: same rows, same window,
-        # legacy global-window candidates pair records across the blocks.
-        from repro.plan.blocking import attribute_key
-
+        # global-window candidates pair records across the blocks.
         left = _blocked([(block, f"l{i}") for block in "ab" for i in range(3)])
         right = _blocked([(block, f"r{i}") for block in "ab" for i in range(3)])
         sort_key = attribute_key(["K", "V"], [None, None])
-        legacy = SortedNeighborhoodBackend([(sort_key, sort_key)], window=10)
         index = _index(window=10, pairs=BLOCKED_PAIRS)
 
         def crossing(pairs):
             return [(l, r) for l, r in pairs if left[l]["K"] != right[r]["K"]]
 
-        assert crossing(legacy.candidates(left, right))
+        assert crossing(window_candidates(left, right, sort_key, sort_key, 10))
         assert not crossing(index.candidates(left, right))
+
+    def test_one_block_is_the_global_window(self):
+        # Both slide the same window loop: with every row in block 'a',
+        # the K-led pass is the global window on the same key (the V-led
+        # pass pairs nothing, no V value occurring on both sides).
+        left = _blocked([("a", f"{i:02d}") for i in range(0, 40, 2)])
+        right = _blocked([("a", f"{i:02d}") for i in range(1, 40, 4)])
+        index = _index(window=4, pairs=BLOCKED_PAIRS)
+        sort_key = attribute_key(["K", "V"])
+        assert index.candidates(left, right) == window_candidates(
+            left, right, sort_key, sort_key, 4
+        )
 
 
 class TestMultiPassRotation:

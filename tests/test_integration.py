@@ -8,7 +8,7 @@ evaluate against truth — plus the semantic round trip between deduction
 
 import pytest
 
-from repro.core.closure import ClosureEngine, deduces
+from repro.core.closure import ClosureEngine
 from repro.core.findrcks import find_rcks
 from repro.core.parser import parse_mds
 from repro.core.semantics import InstancePair, enforce, satisfies
@@ -17,9 +17,8 @@ from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
 from repro.matching.comparison import union_of_rcks
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
+from repro.experiments.exp_sn import hand_rule_keys, match_on_keys
 from repro.matching.fellegi_sunter import FellegiSunter
-from repro.matching.rules import default_person_rules, rules_from_rcks
-from repro.matching.sorted_neighborhood import SortedNeighborhood
 from repro.plan.blocking import rck_sort_keys, window_candidates
 
 
@@ -121,21 +120,14 @@ class TestFullMatchingPipeline:
         self, dataset, rcks, candidates
     ):
         # RCK rules
-        sn_rck = SortedNeighborhood(rules_from_rcks(rcks))
-        rck_result = sn_rck.run_on_candidates(
-            dataset.credit, dataset.billing, candidates
-        )
         rck_quality = evaluate_matches(
-            rck_result.matches, dataset.true_matches
+            match_on_keys(dataset, rcks, candidates), dataset.true_matches
         )
 
         # 25 hand rules
-        sn_base = SortedNeighborhood(default_person_rules())
-        base_result = sn_base.run_on_candidates(
-            dataset.credit, dataset.billing, candidates
-        )
         base_quality = evaluate_matches(
-            base_result.matches, dataset.true_matches
+            match_on_keys(dataset, hand_rule_keys(dataset.target), candidates),
+            dataset.true_matches,
         )
 
         # FS with the RCK-union vector
