@@ -70,7 +70,7 @@ def main() -> None:
         matched_by = [
             str(key.source)
             for key in plan.keys
-            if plan.key_matches(key, t1, row)
+            if plan.key_matches(key.predicates, t1, row)
         ]
         verdict = "MATCH via " + matched_by[0] if matched_by else "no match"
         print(f"  t1 ~ {label}: {verdict}")

@@ -339,7 +339,7 @@ class Workspace:
                     key_names[(left_tid, right_tid)] = tuple(
                         key.name
                         for key in plan.keys
-                        if plan.key_matches(key, t1, t2)
+                        if plan.key_matches(key.predicates, t1, t2)
                     )
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)

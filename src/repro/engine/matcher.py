@@ -32,9 +32,15 @@ the updated ``D'``; a record's arrival values never change, so (1) a
 *re-examination* chases current values only — arrival evidence is read
 once per pair, in the delta of the later of its two arrivals (the
 streaming counterpart of the batch kernel's rounds ≥ 2).  (2) A
-re-examination none of whose pairs leaves the record's cluster is not
-chased: no pair could union.  (3) Which cells a chase identifies depends
-only on the values of the attributes a rule reads
+re-examination is not chased when, on current values, no rule's LHS
+holds on a pair leaving the record's cluster and every pair inside it
+already carries equal values on every rule's RHS pairs: enforcing the
+rules would then identify only cells that agree — no cell changes, so
+nothing beyond the first round fires, and that round's matches all lie
+in the cluster (:meth:`IncrementalMatcher._cannot_union`; a
+re-examination with no pair leaving the cluster is the plainest case).
+(3) Which cells a chase identifies depends only on the values of the
+attributes a rule reads
 (:attr:`~repro.plan.compile.EnforcementPlan.read_attributes`), so a
 repair that moves none of them is written to the store and otherwise
 ignored: it queues no re-examination and does not count as "repaired"
@@ -111,7 +117,7 @@ class IngestResult:
     matches:
         What the chases that ran found among them (a re-examination
         reports current-value matches only, and none when it was skipped
-        because no pair left the record's cluster).
+        because its chase could union nothing).
     merged:
         Whether any cluster merge happened (False for re-ingested
         duplicates that were already in the right cluster).
@@ -275,7 +281,8 @@ class IncrementalMatcher:
         Round 1 is the arriving record's delta (:meth:`_match_pairs`:
         arrival values, then current ones if that can add a match); every
         later round re-examines one repaired record's neighborhood on
-        current values, unless no pair of it leaves the record's cluster.
+        current values, unless that chase could union nothing
+        (:meth:`_cannot_union`).
         """
         store = self.store
         read = self.plan.read_attributes
@@ -305,8 +312,8 @@ class IncrementalMatcher:
             all_pairs.extend(pairs)
             if rounds == 1:
                 found = self._match_pairs(pairs)
-            elif self._no_cross_pair(round_side, round_tid, pairs):
-                self.metrics.count("engine.chases.skipped.no_cross_pair")
+            elif self._cannot_union(round_side, round_tid, pairs):
+                self.metrics.count("engine.chases.skipped.cannot_union")
                 continue
             else:
                 found = self._chase(pairs, "reexamination")
@@ -345,14 +352,9 @@ class IncrementalMatcher:
         metrics.gauge("engine.left_rows", len(store.left))
         metrics.gauge("engine.right_rows", len(store.right))
         if self._sn_blocking:
-            # Live block-run count: how far the window chain is split.
-            metrics.gauge(
-                "engine.sn_blocks",
-                sum(
-                    entry["buckets"]
-                    for entry in store.blocking.index_stats().values()
-                ),
-            )
+            # Live block-run count: how far the window chain is split
+            # (counted per pass, never by scanning the runs).
+            metrics.gauge("engine.sn_blocks", store.blocking.block_count())
 
     def ingest_stream(self, events: Iterable) -> List[IngestResult]:
         """Ingest a sequence of events in arrival order.
@@ -488,12 +490,36 @@ class IncrementalMatcher:
         each pair once): no further chase of these pairs can add one."""
         return len(matches) == len(pairs)
 
-    def _no_cross_pair(self, side: int, tid: int, pairs: Sequence[Pair]) -> bool:
-        """Whether every record ``(side, tid)``'s pairs reach is already
-        in its cluster: whatever a chase of them matched, no union."""
-        members = self.store.cluster_nodes(side, tid)
-        other_tag, position = ("R", 1) if side == LEFT else ("L", 0)
-        return all((other_tag, pair[position]) in members for pair in pairs)
+    def _cannot_union(self, side: int, tid: int, pairs: Sequence[Pair]) -> bool:
+        """Whether a chase of record ``(side, tid)``'s re-examined pairs
+        can union nothing, read off current values: (b) every pair inside
+        its cluster carries equal values (``==``) on every rule's RHS
+        pairs, and (a) no rule's LHS holds on a pair leaving it.
+
+        Under (b) round 1's unions all merge agreeing classes, which
+        resolve to nothing: no cell changes, so no round 2.  Under (a)
+        round 1 fires only pairs inside the cluster, where every match
+        is refused by ``store.union``.  With no pair leaving the cluster
+        (a) holds outright.
+        """
+        store, plan = self.store, self.plan
+        members = store.cluster_nodes(side, tid)
+        record = store.relation(side)[tid]
+        other, position = (RIGHT, 1) if side == LEFT else (LEFT, 0)
+        others = store.relation(other)
+        leaving = []
+        for pair in pairs:
+            row = others[pair[position]]
+            t1, t2 = (record, row) if side == LEFT else (row, record)
+            if node_of(other, pair[position]) not in members:
+                leaving.append((t1, t2))
+            elif any(t1[left] != t2[right] for left, right in plan.rhs_pairs):
+                return False
+        return not any(
+            plan.key_matches(rule.lhs, t1, t2)
+            for t1, t2 in leaving
+            for rule in plan.rules
+        )
 
     def _chase(self, pairs: Sequence[Pair], kind: str) -> List[Pair]:
         """One enforcement chase over the delta, read off the store.

@@ -319,7 +319,6 @@ class SQLiteMatchStore(MatchStore):
         self._saved = (self.comparisons, self.merges, self.spec_fingerprint)
         if self.metrics is not None:
             self.metrics.count("store.commits")
-            self.metrics.gauge("store.disk_bytes", self.disk_bytes())
 
     def _write_back(self) -> None:
         """One statement per kind of change: new records, repaired older
@@ -390,7 +389,6 @@ class SQLiteMatchStore(MatchStore):
 
     def disk_bytes(self) -> int:
         """Bytes on disk, including the WAL and shared-memory sidecars."""
-        # One stat per file: this runs after every commit.
         total = 0
         for suffix in ("", "-wal", "-shm"):
             try:

@@ -228,12 +228,14 @@ class EnforcementPlan:
         #: names, ranks, the rules as rank offsets — for two relations
         #: and for shared storage.  ``read_attributes`` is the per-side
         #: subset of them whose *values* a chase can depend on (see
-        #: :func:`read_attributes`).  All are derived here, once, because
-        #: the streaming engine runs thousands of tiny chases over one
-        #: plan.
+        #: :func:`read_attributes`); ``rhs_pairs`` the distinct
+        #: ``(left, right)`` pairs some rule identifies.  All are derived
+        #: here, once, because the streaming engine runs thousands of tiny
+        #: chases over one plan.
         selections = []
         left_names: Dict[str, None] = {}
         right_names: Dict[str, None] = {}
+        rhs_pairs: Dict[Tuple[str, str], None] = {}
         for rule in self.rules:
             lhs = [self.predicates[slot] for slot in rule.lhs]
             selections.append(
@@ -248,7 +250,9 @@ class EnforcementPlan:
             for left_attr, right_attr in rule.rhs:
                 left_names[left_attr] = None
                 right_names[right_attr] = None
+                rhs_pairs[left_attr, right_attr] = None
         self.read_attributes = read_attributes(self.rules, self.predicates)
+        self.rhs_pairs: Tuple[Tuple[str, str], ...] = tuple(rhs_pairs)
         self.selections: Tuple[
             Tuple[Tuple[Tuple[str, str], ...], Tuple[CompiledPredicate, ...]],
             ...,
@@ -305,9 +309,11 @@ class EnforcementPlan:
         self._cache[key] = result
         return result
 
-    def key_matches(self, key: CompiledKey, t1: Row, t2: Row) -> bool:
-        """Do two rows agree on every comparison of one compiled key?"""
-        for slot in key.predicates:
+    def key_matches(self, slots: Sequence[int], t1: Row, t2: Row) -> bool:
+        """Do two rows agree on every predicate slot of ``slots`` — a
+        key's comparisons (:attr:`CompiledKey.predicates`) or a rule's
+        LHS (:attr:`CompiledRule.lhs`)?"""
+        for slot in slots:
             predicate = self.predicates[slot]
             if not self.evaluate(predicate, t1[predicate.left], t2[predicate.right]):
                 return False
@@ -315,7 +321,7 @@ class EnforcementPlan:
 
     def matches_any_key(self, t1: Row, t2: Row) -> bool:
         """Direct rule matching: some RCK's comparisons all agree."""
-        return any(self.key_matches(key, t1, t2) for key in self.keys)
+        return any(self.key_matches(key.predicates, t1, t2) for key in self.keys)
 
     # ------------------------------------------------------------------
     # Execution

@@ -21,7 +21,7 @@ from repro.plan import compile_plan
 def agrees(key, t1, t2):
     """Does the pair agree on every comparison of ``key``?"""
     plan = compile_plan(rcks=[key])
-    return plan.key_matches(plan.keys[0], t1, t2)
+    return plan.key_matches(plan.keys[0].predicates, t1, t2)
 
 
 @pytest.fixture

@@ -349,9 +349,10 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
 #: before a chase ran only when its verdict could change the store —
 #: every re-examination then chased arrival *and* current values, pairs
 #: all at home and repairs no rule reads included.  Per record: hash
-#: 1.33 from 2.78, sorted-neighborhood 0.60 from 2.37 (the full bench
-#: stream: 2.37 from 3.61, 0.67 from 2.79).
-CHASES = {"hash": (398, 835), "sorted-neighborhood": (180, 711)}
+#: 1.12 from 2.78, sorted-neighborhood 0.59 from 2.37 (the full bench
+#: stream: 1.69 from 3.61, 0.66 from 2.79).  The skip counts hold under
+#: any hash seed (CI runs this file under PYTHONHASHSEED 0 and 1).
+CHASES = {"hash": (337, 835), "sorted-neighborhood": (177, 711)}
 
 
 @pytest.mark.parametrize("blocking", sorted(CHASES))
@@ -377,6 +378,6 @@ def test_chases_of_a_fixed_stream(dataset, events, blocking):
         if name.startswith("engine.chases.skipped.")
     }
     assert skipped == {
-        "hash": {"all_matched": 23, "no_cross_pair": 114, "unread_repair": 36},
-        "sorted-neighborhood": {"all_matched": 37, "no_cross_pair": 197, "unread_repair": 36},
+        "hash": {"all_matched": 23, "cannot_union": 175, "unread_repair": 36},
+        "sorted-neighborhood": {"all_matched": 37, "cannot_union": 200, "unread_repair": 36},
     }[blocking]

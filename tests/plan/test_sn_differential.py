@@ -28,6 +28,7 @@ from repro.datagen.streams import (
     late_duplicate_stream,
 )
 from repro.engine.store import MatchStore
+from repro.plan.sn_index import WindowedSNIndex
 
 SCENARIOS = {
     "arrival": arrival_stream,
@@ -107,6 +108,29 @@ def test_streaming_sn_equals_batch(
     # The obs counters prove the SN path actually ran.
     assert workspace.metrics.counters["engine.sn_probes"] > 0
     assert workspace.metrics.gauges["engine.sn_blocks"] > 1
+
+
+def test_sn_ingest_gauges_block_runs_without_measuring_them(
+    dataset, workspace_for, monkeypatch
+):
+    """``engine.sn_blocks`` is the live run count, read per pass after
+    every ingest.  ``index_stats`` also measures the longest run — a scan
+    of every run, on every ingest, which grows with the stream — so an
+    ingest must not call it."""
+    workspace = workspace_for(dataset, blocking=SN)
+    matcher = workspace.stream()
+
+    def measured(self):
+        raise AssertionError("an ingest scanned every block run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WindowedSNIndex, "index_stats", measured)
+        matcher.ingest_stream(arrival_stream(dataset, seed=5).events[:40])
+        matcher.ingest_batch(arrival_stream(dataset, seed=5).events[40:60])
+    stats = matcher.store.blocking.index_stats()
+    assert workspace.metrics.gauges["engine.sn_blocks"] == sum(
+        entry["buckets"] for entry in stats.values()
+    )
 
 
 @pytest.mark.parametrize("store_backend", STORE_BACKENDS)
