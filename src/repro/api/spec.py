@@ -573,6 +573,17 @@ class ResolutionSpec:
                         f"an attribute pair of "
                         f"({pair.left.name}, {pair.right.name})"
                     )
+            # The default names the paper's name attributes, and every
+            # canonical document carries it whatever its schema: only a
+            # list the author chose is held to the schema.
+            encode = options.get("encode")
+            if encode is not None and encode != DEFAULT_ENCODED_ATTRIBUTES:
+                for name in encode:
+                    if name not in pair.left and name not in pair.right:
+                        errors.append(
+                            f"blocking.encode: {name!r} is an attribute of "
+                            f"neither {pair.left.name} nor {pair.right.name}"
+                        )
         if (
             options.get("persistence_backend") == "sqlite"
             and options.get("persistence_path") is None

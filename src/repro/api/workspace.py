@@ -210,9 +210,10 @@ class Workspace:
     ) -> Optional[BlockingBackend]:
         """The spec's blocking section realized as a kernel backend.
 
-        ``encode`` applies uniformly: the named attributes are
-        Soundex-encoded before keying in every backend, so the setting
-        always means something when it appears in the fingerprint.
+        ``encode`` applies uniformly, per attribute pair: a pair either
+        of whose names is listed is Soundex-encoded on both sides before
+        keying in every backend, so the setting always means something
+        when it appears in the fingerprint.
         ``key_length`` configures the hash backend (per-RCK index keys).
         The stores a stream runs over resolve the same section through
         the same function.

@@ -8,13 +8,14 @@ behind the :class:`BlockingBackend` protocol so a compiled
 :class:`~repro.plan.compile.EnforcementPlan` can carry its candidate
 generator as a pluggable component:
 
-* the key-derivation primitives (:func:`attribute_key`,
-  :func:`rck_sort_keys`), one hash pass (:func:`hash_candidates`), the
-  cross-side window loop over a sorted run (:func:`run_pairs`) and one
-  global-window pass of [20] (:func:`window_candidates`: sort the merged
-  sequence, then :func:`run_pairs` across all of it — the paper's
-  Figs. 9–10 protocol, which only :mod:`repro.experiments` runs; a
-  multi-pass run is the union of its passes);
+* the key-derivation primitives (:func:`attribute_key`, :func:`pair_keys`,
+  :func:`rck_sort_keys`), the one hash loop (:func:`hash_candidates` is
+  its one-pass case), the cross-side window loop over a sorted run
+  (:func:`run_pairs`) and one global-window pass of [20]
+  (:func:`window_candidates`: sort the merged sequence, then
+  :func:`run_pairs` across all of it — the paper's Figs. 9–10 protocol,
+  which only :mod:`repro.experiments` runs; a multi-pass run is the union
+  of its passes);
 * :class:`RCKIndex` — the incremental inverted index, one bucket table
   per RCK-derived key;
 * :class:`HashBlockingBackend` — multi-pass hash blocking over RCK
@@ -29,13 +30,16 @@ generator as a pluggable component:
 Batch and streaming thereby share one blocking implementation: probing an
 index with a new record yields exactly the pairs a batch
 ``candidates(left, right)`` call over the same keys would have generated
-for it.  Every backend carries a ``family`` marker (``"hash"`` or
+for it — both are the union of the record's buckets across passes.  Every
+backend carries a ``family`` marker (``"hash"`` or
 ``"sorted-neighborhood"``) so stores can be checked against the blocking
 semantics a spec declares.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -72,10 +76,7 @@ _RIGHT = 1
 #: One ranked element of a sorted run: (sort key, side marker, tuple id).
 Entry = Tuple[Tuple[str, ...], int, int]
 
-
-def _encode(value: object, encoder: Optional[Encoder]) -> str:
-    text = "" if value is None else str(value)
-    return encoder(text) if encoder is not None else text
+_tid = attrgetter("tid")
 
 
 def attribute_key(
@@ -85,21 +86,57 @@ def attribute_key(
     """A key function concatenating (encoded) attribute values.
 
     ``encoders[i]`` (when given) transforms the i-th attribute's value —
-    e.g. :func:`~repro.metrics.soundex.soundex` for names.
+    e.g. :func:`~repro.metrics.soundex.soundex` for names.  A null is
+    keyed as ``""`` (then encoded), so nulls share a block.
 
     >>> key = attribute_key(["LN"], [soundex])
     >>> # rows with phonetically equal last names collide
     """
     if encoders is not None and len(encoders) != len(attributes):
         raise ValueError("encoders must align with attributes")
+    # Every row of every pass is keyed here: one closure per shape and no
+    # per-row generator.  ``str`` stands in for "no encoder": it returns
+    # a str argument itself.
+    fields = [
+        (attribute, encoder or str)
+        for attribute, encoder in zip(attributes, encoders or repeat(None))
+    ]
+    if len(fields) == 1:
+        ((attribute, encoder),) = fields
+
+        def derive_one(row: Row) -> Tuple[str, ...]:
+            value = row[attribute]
+            return (encoder("" if value is None else str(value)),)
+
+        return derive_one
 
     def derive(row: Row) -> Tuple[str, ...]:
-        return tuple(
-            _encode(row[attribute], encoders[index] if encoders else None)
-            for index, attribute in enumerate(attributes)
-        )
+        return tuple([
+            encoder("" if (value := row[attribute]) is None else str(value))
+            for attribute, encoder in fields
+        ])
 
     return derive
+
+
+def pair_keys(
+    pairs: Sequence[Tuple[str, str]], encode_attributes: Iterable[str]
+) -> Tuple[RowKey, RowKey]:
+    """The left and right key functions of one pass over attribute pairs.
+
+    A pair is Soundex-encoded on both sides when either of its names is
+    in ``encode_attributes``: encoding one side only would key the two
+    sides in different alphabets, and the pass would block nothing.
+    """
+    encode = set(encode_attributes)
+    encoders = [
+        soundex if left in encode or right in encode else None
+        for left, right in pairs
+    ]
+    return (
+        attribute_key([left for left, _ in pairs], encoders),
+        attribute_key([right for _, right in pairs], encoders),
+    )
 
 
 def leading_attribute_pairs(
@@ -141,21 +178,46 @@ def rck_sort_keys(
     return attribute_key(left_attrs), attribute_key(right_attrs)
 
 
+def _union_candidates(
+    left: Relation,
+    right: Relation,
+    passes: Sequence[Tuple[RowKey, RowKey]],
+) -> List[Pair]:
+    """The hash loop: cross-relation pairs sharing a bucket in some pass.
+
+    Per pass the right rows are bucketed by key in tid order, so every
+    bucket is ascending.  The left rows are then walked in tid order, and
+    each one's candidates are the union of its buckets across passes,
+    sorted.  The list comes out once each and ascending by
+    ``(left_tid, right_tid)`` by construction: no set of pair tuples, no
+    global sort.
+    """
+    right_rows = sorted(right, key=_tid)
+    tables = []
+    for left_key, right_key in passes:
+        buckets: Dict[Hashable, List[int]] = {}
+        for row in right_rows:
+            buckets.setdefault(right_key(row), []).append(row.tid)
+        tables.append((left_key, buckets.get))
+    candidates: List[Pair] = []
+    for row in sorted(left, key=_tid):
+        hits = [bucket for left_key, lookup in tables if (bucket := lookup(left_key(row)))]
+        if hits:
+            # One bucket is ascending already; several are unioned.
+            tids = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+            candidates.extend(zip(repeat(row.tid), tids))
+    return candidates
+
+
 def hash_candidates(
     left: Relation,
     right: Relation,
     left_key: RowKey,
     right_key: RowKey,
 ) -> List[Pair]:
-    """Candidate pairs: all cross-relation pairs sharing a block key."""
-    buckets: Dict[Hashable, List[int]] = {}
-    for row in left:
-        buckets.setdefault(left_key(row), []).append(row.tid)
-    candidates: List[Pair] = []
-    for right_row in right:
-        for left_tid in buckets.get(right_key(right_row), ()):
-            candidates.append((left_tid, right_row.tid))
-    return candidates
+    """Candidate pairs: all cross-relation pairs sharing a block key,
+    ascending by ``(left_tid, right_tid)``."""
+    return _union_candidates(left, right, [(left_key, right_key)])
 
 
 def run_pairs(run: Sequence[Entry], window: int) -> Set[Pair]:
@@ -223,17 +285,7 @@ class RCKIndex:
             raise ValueError("an index needs at least one attribute pair")
         self.name = name
         self.pairs: Tuple[Tuple[str, str], ...] = tuple(pairs)
-        encode = set(encode_attributes)
-        left_attrs = [left for left, _ in self.pairs]
-        right_attrs = [right for _, right in self.pairs]
-        self.left_key: RowKey = attribute_key(
-            left_attrs,
-            [soundex if attr in encode else None for attr in left_attrs],
-        )
-        self.right_key: RowKey = attribute_key(
-            right_attrs,
-            [soundex if attr in encode else None for attr in right_attrs],
-        )
+        self.left_key, self.right_key = pair_keys(self.pairs, encode_attributes)
         self._buckets: Dict[Hashable, Tuple[List[int], List[int]]] = {}
 
     def key_for(self, side: int, row: Row) -> Hashable:
@@ -246,12 +298,15 @@ class RCKIndex:
         bucket[0 if side == LEFT else 1].append(row.tid)
         return key
 
+    def postings(self, side: int, key: Hashable) -> Sequence[int]:
+        """The live *other*-side tuple ids in ``key``'s bucket: read it,
+        don't keep it — a later :meth:`add` extends it."""
+        bucket = self._buckets.get(key)
+        return () if bucket is None else bucket[1 if side == LEFT else 0]
+
     def probe(self, side: int, row: Row, key: Hashable) -> List[int]:
         """Tuple ids of the *other* side in the bucket of ``row``'s key."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return []
-        return list(bucket[1 if side == LEFT else 0])
+        return list(self.postings(side, key))
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -328,11 +383,12 @@ class BlockingBackend:
 class HashBlockingBackend(BlockingBackend):
     """Multi-pass hash blocking over per-RCK inverted indexes.
 
-    The same index structures serve two access patterns:
+    The same index structures serve two access patterns, each the union
+    of a record's buckets across passes:
 
-    * **batch** — :meth:`candidates` unions, over every index, the
-      cross-relation pairs sharing a bucket (the classic multi-pass
-      blocking of Section 1);
+    * **batch** — :meth:`candidates` pairs every left tuple with the right
+      tuples sharing one of its buckets (the classic multi-pass blocking
+      of Section 1);
     * **streaming** — :meth:`add` maintains the postings on every ingest
       and :meth:`probe` returns a record's candidate neighborhood, which
       is exactly the pair set a batch run over the same keys would have
@@ -365,12 +421,9 @@ class HashBlockingBackend(BlockingBackend):
         Runs on transient bucket tables — the incremental postings of a
         live store are never touched or rebuilt.
         """
-        seen: Set[Pair] = set()
-        for index in self.indexes:
-            seen.update(
-                hash_candidates(left, right, index.left_key, index.right_key)
-            )
-        return sorted(seen)
+        return _union_candidates(
+            left, right, [(index.left_key, index.right_key) for index in self.indexes]
+        )
 
     # -- streaming -----------------------------------------------------
 
@@ -386,10 +439,10 @@ class HashBlockingBackend(BlockingBackend):
 
     def probe(self, side: int, row: Row, keys: Sequence[Hashable]) -> List[int]:
         """Other-side tuple ids sharing at least one bucket with ``row``."""
-        seen: Set[int] = set()
+        hits: Set[int] = set()
         for index, key in zip(self.indexes, keys):
-            seen.update(index.probe(side, row, key))
-        return sorted(seen)
+            hits.update(index.postings(side, key))
+        return sorted(hits)
 
     def index_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-index bucket stats, keyed by index name."""
@@ -425,9 +478,11 @@ def build_blocking(
     given, else on one pass per RCK's leading ``key_length`` attribute
     pairs; ``"sorted-neighborhood"`` sorts on ``key_pairs`` when given,
     else on the RCKs' first three distinct attribute pairs (one rotated
-    pass each).  ``Workspace`` compiles the result into its plan and
-    each store streams over an instance of its own — so a configuration
-    never means different keys to different layers.
+    pass each).  Either way a pair is encoded on both sides when either
+    of its names is in ``encode_attributes`` (:func:`pair_keys`).
+    ``Workspace`` compiles the result into its plan and each store
+    streams over an instance of its own — so a configuration never means
+    different keys to different layers.
     """
     if backend == "hash":
         if key_pairs:

@@ -48,7 +48,6 @@ import bisect
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT
-from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
     _LEFT,
     _RIGHT,
@@ -57,7 +56,7 @@ from repro.plan.blocking import (
     Entry,
     Pair,
     RowKey,
-    attribute_key,
+    pair_keys,
     run_pairs,
 )
 from repro.relations.relation import Relation, Row
@@ -109,10 +108,11 @@ class WindowedSNIndex(BlockingBackend):
     One pass per attribute pair in ``pairs`` (left attribute, right
     attribute): pass *i* sorts by the rotation of ``pairs`` starting at
     pair *i*, so each attribute leads exactly one pass and partitions its
-    blocks.  Values of attributes named in ``encode_attributes`` are
-    Soundex-encoded before keying, exactly like the hash backend's
-    :class:`~repro.plan.blocking.RCKIndex`, so a spec's stream and batch
-    runs derive identical keys.
+    blocks.  A pair either of whose names is in ``encode_attributes`` is
+    Soundex-encoded on both sides before keying, exactly like the hash
+    backend's :class:`~repro.plan.blocking.RCKIndex`
+    (:func:`~repro.plan.blocking.pair_keys`), so a spec's stream and
+    batch runs derive identical keys.
 
     A window below 2 is legal at this level and yields no candidates —
     no two elements ever share a window, as in
@@ -150,7 +150,6 @@ class WindowedSNIndex(BlockingBackend):
         )
         self.window = int(window)
         self.encode_attributes: Tuple[str, ...] = tuple(encode_attributes)
-        encode = set(self.encode_attributes)
         #: Per-pass sort keys: rotation *i* leads with ``pairs[i]``.
         self.passes: Tuple[Tuple[Tuple[str, str], ...], ...] = _rotations(
             self.pairs
@@ -158,26 +157,9 @@ class WindowedSNIndex(BlockingBackend):
         self._left_keys: List[RowKey] = []
         self._right_keys: List[RowKey] = []
         for rotation in self.passes:
-            left_attrs = [left for left, _ in rotation]
-            right_attrs = [right for _, right in rotation]
-            self._left_keys.append(
-                attribute_key(
-                    left_attrs,
-                    [
-                        soundex if attr in encode else None
-                        for attr in left_attrs
-                    ],
-                )
-            )
-            self._right_keys.append(
-                attribute_key(
-                    right_attrs,
-                    [
-                        soundex if attr in encode else None
-                        for attr in right_attrs
-                    ],
-                )
-            )
+            left_key, right_key = pair_keys(rotation, self.encode_attributes)
+            self._left_keys.append(left_key)
+            self._right_keys.append(right_key)
         #: Live rank runs: one ``{block: run}`` map per pass.
         self._blocks: List[Dict[str, List[Entry]]] = [
             {} for _ in self.passes

@@ -11,6 +11,7 @@ from repro.api import (
     SpecError,
     Workspace,
 )
+from repro.cli import main
 from repro.datagen.schemas import paper_mds
 
 
@@ -215,6 +216,22 @@ class TestValidation:
         }
         with pytest.raises(SpecError, match="key_pairs"):
             ResolutionSpec.from_dict(document)
+
+    def test_encode_names_an_attribute_of_either_relation(self, document):
+        # FN is on both sides, post on billing only; nope on neither.
+        document["blocking"] = {"encode": ["FN", "post", "nope"]}
+        assert ResolutionSpec.validate_document(document) == [
+            "blocking.encode: 'nope' is an attribute of neither credit nor billing"
+        ]
+
+    def test_spec_validate_reports_an_unknown_encode_name(
+        self, document, tmp_path, capsys
+    ):
+        document["blocking"] = {"encode": ["nope"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        assert main(["spec", "validate", str(path)]) == 2
+        assert "error: blocking.encode: 'nope'" in capsys.readouterr().err
 
     def test_not_a_dict(self):
         errors = ResolutionSpec.validate_document([1, 2, 3])

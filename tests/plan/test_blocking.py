@@ -1,17 +1,26 @@
 """Unit tests for the kernel's blocking backends."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.findrcks import find_rcks
-from repro.core.schema import LEFT, RIGHT
+from repro.core.rck import RelativeKey
+from repro.core.schema import LEFT, RIGHT, ComparableLists, RelationSchema, SchemaPair
+from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
     HashBlockingBackend,
+    RCKIndex,
+    attribute_key,
     build_blocking,
     hash_candidates,
     rck_sort_keys,
     window_candidates,
 )
+from repro.relations.relation import Relation
 
 
 def _add(backend, side, row):
@@ -21,6 +30,20 @@ def _add(backend, side, row):
 
 def _probe(backend, side, row):
     return backend.probe(side, row, backend.keys_for(side, row))
+
+
+def _one_pass(left, right, left_key, right_key):
+    """One hash pass by its definition: bucket the left rows by key, pair
+    every right row with its bucket.  Multi-pass candidates are the
+    sorted union of the passes' pairs."""
+    buckets = {}
+    for row in left:
+        buckets.setdefault(left_key(row), []).append(row.tid)
+    return [
+        (left_tid, row.tid)
+        for row in right
+        for left_tid in buckets.get(right_key(row), ())
+    ]
 
 
 @pytest.fixture
@@ -40,7 +63,7 @@ class TestHashBlockingBackend:
         expected = {
             pair
             for index in backend.indexes
-            for pair in hash_candidates(
+            for pair in _one_pass(
                 small_dataset.credit, small_dataset.billing,
                 index.left_key, index.right_key,
             )
@@ -133,3 +156,163 @@ def test_candidates_come_back_once_each_ascending(
     )
     assert len(candidates) > 100
     assert candidates == sorted(set(candidates))
+
+
+# ----------------------------------------------------------------------
+# The one hash loop, held to the definition
+# ----------------------------------------------------------------------
+
+NAMES = ("FN", "LN", "zip")
+PAIR = SchemaPair(RelationSchema("L", NAMES), RelationSchema("R", NAMES))
+TARGET = ComparableLists(PAIR, list(NAMES), list(NAMES))
+
+#: So few values that buckets collide and passes overlap; ``None`` keys
+#: like ``""``, so nulls share a bucket.
+VALUES = st.sampled_from([None, "", "Ann", "Anne", "Smith", "Smyth", "07974"])
+
+#: One pass's attribute pairs, one of them across attributes.
+KEY_PAIRS = st.lists(
+    st.sampled_from([("FN", "FN"), ("LN", "LN"), ("zip", "zip"), ("FN", "LN")]),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+
+
+@st.composite
+def relations(draw, schema):
+    """Rows under explicit tids inserted in drawn order, not ascending;
+    possibly none."""
+    relation = Relation(schema)
+    for tid in draw(st.lists(st.integers(0, 400), max_size=10, unique=True)):
+        row = draw(st.fixed_dictionaries({name: VALUES for name in NAMES}))
+        relation.insert(row, tid=tid)
+    return relation
+
+
+@st.composite
+def hash_backends(draw):
+    """What a spec can declare: one pass per RCK at key length 1 or 2, or
+    one explicit ``key_pairs`` pass, under any encode set."""
+    encode = draw(st.lists(st.sampled_from(NAMES), unique=True))
+    if draw(st.booleans()):
+        return build_blocking([], 1, encode, "hash", 10, draw(KEY_PAIRS))
+    rcks = [
+        RelativeKey.from_triples(TARGET, [(l, r, "=") for l, r in pairs])
+        for pairs in draw(st.lists(KEY_PAIRS, min_size=1, max_size=3))
+    ]
+    key_length = draw(st.sampled_from((1, 2)))
+    return build_blocking(rcks, key_length, encode, "hash", 10, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hash_backends(), relations(PAIR.left), relations(PAIR.right), st.booleans())
+def test_candidates_are_the_sorted_union_of_the_passes(
+    backend, left, right, self_match
+):
+    """Batch, one pass and probe are the same union, in the same order."""
+    if self_match:
+        right = left
+    passes = [
+        _one_pass(left, right, index.left_key, index.right_key)
+        for index in backend.indexes
+    ]
+    expected = sorted(set().union(*passes))
+    assert backend.candidates(left, right) == expected
+    for index, pairs in zip(backend.indexes, passes):
+        assert hash_candidates(
+            left, right, index.left_key, index.right_key
+        ) == sorted(pairs)
+    for row in right:
+        _add(backend, RIGHT, row)
+    for row in left:
+        assert [(row.tid, tid) for tid in _probe(backend, LEFT, row)] == [
+            pair for pair in expected if pair[0] == row.tid
+        ]
+
+
+def test_a_pair_several_passes_find_comes_back_once():
+    left, right = Relation(PAIR.left), Relation(PAIR.right)
+    left.insert({"FN": "Ann", "LN": "Smith", "zip": "1"}, tid=5)
+    left.insert({"FN": "Bob", "LN": "Smith", "zip": "2"}, tid=2)
+    right.insert({"FN": "Ann", "LN": "Smith", "zip": "2"}, tid=9)
+    right.insert({"FN": "Ann", "LN": "Jones", "zip": "1"}, tid=4)
+    backend = HashBlockingBackend(
+        [RCKIndex(name, [(name, name)], ()) for name in NAMES]
+    )
+    # (2, 9) by LN and zip, (5, 9) by FN and LN, (5, 4) by FN and zip.
+    assert backend.candidates(left, right) == [(2, 9), (5, 4), (5, 9)]
+
+
+@pytest.mark.parametrize("encoder", (None, soundex, str.upper), ids=("raw", "soundex", "upper"))
+@pytest.mark.parametrize("value", (None, "", "Clifford", 7), ids=repr)
+def test_one_attribute_keys_like_a_column_of_many(encoder, value):
+    """The one- and many-attribute key closures agree: ``None`` keys as
+    ``""``, then the encoder runs."""
+    row = Relation(RelationSchema("R", ["A", "B"]), [{"A": value, "B": None}])[0]
+    text = "" if value is None else str(value)
+    expected = encoder(text) if encoder is not None else text
+    assert attribute_key(["A"], [encoder])(row) == (expected,)
+    assert attribute_key(["A", "B"], [encoder, None])(row) == (expected, "")
+    assert attribute_key(["B", "A"], [None, encoder])(row) == ("", expected)
+    if encoder is None:
+        assert attribute_key(["A"])(row) == (expected,)
+        assert attribute_key(["B", "A"])(row) == ("", expected)
+
+
+def test_candidates_hold_no_pair_set_beside_their_list():
+    """Generating the list peaks within 1.3x of what the list holds: no
+    set of pair tuples, no per-pass lists, no sorted copy (the union of
+    per-pass lists through a set peaks above twice the list here)."""
+    pair = SchemaPair(RelationSchema("L", ["K", "V"]), RelationSchema("R", ["K", "V"]))
+    left, right = Relation(pair.left), Relation(pair.right)
+    # 40 blocks of 30 x 30 tuples; the K and V passes find the same pairs.
+    for tid in range(1200):
+        for relation in (left, right):
+            relation.insert({"K": f"k{tid // 30}", "V": f"v{tid // 30}"}, tid=tid)
+    backend = HashBlockingBackend(
+        [RCKIndex("k", [("K", "K")], ()), RCKIndex("v", [("V", "V")], ())]
+    )
+    tracemalloc.start()
+    candidates = backend.candidates(left, right)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(candidates) == 40 * 30 * 30
+    assert peak <= 1.3 * held
+
+
+# ----------------------------------------------------------------------
+# A pass encodes both of its attributes or neither
+# ----------------------------------------------------------------------
+
+NAME_PAIR = SchemaPair(RelationSchema("L", ["name"]), RelationSchema("R", ["fullname"]))
+
+#: ``blocking.encode`` naming either side of the pair, or both.
+ENCODE_EITHER = pytest.mark.parametrize(
+    "encode", (["name"], ["fullname"], ["name", "fullname"]), ids=("left", "right", "both")
+)
+BOTH_FAMILIES = pytest.mark.parametrize("family", ("hash", "sorted-neighborhood"))
+
+
+def _clifford(family, encode):
+    left = Relation(NAME_PAIR.left, [{"name": "Clifford"}])
+    right = Relation(NAME_PAIR.right, [{"fullname": "Clifford"}, {"fullname": "Clivord"}])
+    return build_blocking([], 1, encode, family, 3, [("name", "fullname")]), left, right
+
+
+@ENCODE_EITHER
+@BOTH_FAMILIES
+def test_a_pair_named_on_one_side_is_encoded_on_both_in_batch(family, encode):
+    blocking, left, right = _clifford(family, encode)
+    assert blocking.candidates(left, right) == [(0, 0), (0, 1)]
+
+
+@ENCODE_EITHER
+@BOTH_FAMILIES
+def test_a_pair_named_on_one_side_is_encoded_on_both_when_probed(family, encode):
+    blocking, left, right = _clifford(family, encode)
+    for row in right:
+        _add(blocking, RIGHT, row)
+    _add(blocking, LEFT, left[0])
+    assert _probe(blocking, LEFT, left[0]) == [0, 1]
+    assert _probe(blocking, RIGHT, right[1]) == [0]
