@@ -70,8 +70,6 @@ SCHEMAS = {
         "disk_bytes": int,
         "matched_clusters": int,
         "warm_restart_seconds": float,
-        "snapshot_rebuild_seconds": float,
-        "restart_speedup": float,
         "clusters_identical": int,
     },
     "serve": {
@@ -203,16 +201,8 @@ def check_document(document: dict) -> list:
             problems.append(f"{name}: store wrote nothing to disk")
         if document["clusters_identical"] != 1:
             problems.append(
-                f"{name}: warm-restarted and snapshot-rebuilt stores "
+                f"{name}: the warm-restarted store and its saved copy "
                 "report different clusters"
-            )
-        # The durable backend's acceptance bound: reopening the database
-        # (meta read only) must beat replaying the JSON snapshot.
-        if document["restart_speedup"] < 5:
-            problems.append(
-                f"{name}: warm-restart speedup "
-                f"{document['restart_speedup']:.1f} regressed below the "
-                "asserted 5x"
             )
     elif name == "serve":
         if document["records"] <= 0 or document["batches"] <= 0:

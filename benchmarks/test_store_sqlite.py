@@ -1,12 +1,10 @@
 """BENCH — durable SQLite store: ingest throughput and warm restarts.
 
 Measures records/sec for a fully durable ingest (one committed SQLite
-transaction per record) and the payoff the durability buys: reopening
-the database is O(1) — only the meta table is read — where restoring a
-JSON snapshot replays every record through the matcher's indexes and
-union-find.  The headline invariant is ``restart_speedup``: the warm
-restart must beat the snapshot rebuild by at least 5x, and both restored
-stores must report identical clusters.
+transaction per record) and the time to reopen the database (O(1): only
+the meta table is read).  The invariant is ``clusters_identical``: the
+warm-restarted store and its ``save_store`` copy report the clusters the
+ingest ended with.
 
 One JSON document is emitted (appended to ``REPRO_BENCH_JSON`` when
 set), schema-checked in CI by ``benchmarks/check_bench_json.py``.
@@ -25,7 +23,7 @@ from repro.api import Workspace
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import duplicate_burst_stream
-from repro.engine import SQLiteMatchStore, load_store, save_store
+from repro.engine import SQLiteMatchStore, save_store
 
 from conftest import engine_stream_size
 
@@ -90,10 +88,9 @@ def test_durable_ingest_and_warm_restart(benchmark, dataset, workload,
                        warmup_rounds=0)
     ingest_seconds = benchmark.stats.stats.mean
 
-    # The same final state as a JSON snapshot, for the restart race.
     store = SQLiteMatchStore(db_path)
-    snapshot_path = tmp_path / "bench-store.json"
-    save_store(store, snapshot_path)
+    copy_path = tmp_path / "bench-copy.db"
+    save_store(store, copy_path)
     disk_bytes = store.disk_bytes()
     clusters = store.clusters()
     store.close(commit=False)
@@ -103,16 +100,11 @@ def test_durable_ingest_and_warm_restart(benchmark, dataset, workload,
         reopened.close(commit=False)
         return SQLiteMatchStore(db_path)
 
-    def snapshot_rebuild():
-        return load_store(snapshot_path)
-
     warm_seconds, warm_store = _best_of(5, warm_restart)
-    rebuild_seconds, rebuilt_store = _best_of(5, snapshot_rebuild)
-    clusters_identical = int(
-        warm_store.clusters() == clusters == rebuilt_store.clusters()
-    )
+    copy = SQLiteMatchStore(copy_path)
+    clusters_identical = int(warm_store.clusters() == clusters == copy.clusters())
     warm_store.close(commit=False)
-    speedup = rebuild_seconds / max(warm_seconds, 1e-9)
+    copy.close(commit=False)
 
     _emit({
         "benchmark": "store_sqlite",
@@ -122,9 +114,6 @@ def test_durable_ingest_and_warm_restart(benchmark, dataset, workload,
         "disk_bytes": disk_bytes,
         "matched_clusters": len(clusters),
         "warm_restart_seconds": warm_seconds,
-        "snapshot_rebuild_seconds": rebuild_seconds,
-        "restart_speedup": speedup,
         "clusters_identical": clusters_identical,
     })
     assert clusters_identical == 1
-    assert speedup >= 5.0

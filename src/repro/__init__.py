@@ -34,7 +34,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.
@@ -55,7 +55,6 @@ _LAZY_ATTRIBUTES = {
     "IncrementalMatcher": "repro.engine",
     "MatchStore": "repro.engine",
     "SQLiteMatchStore": "repro.engine",
-    "load_store": "repro.engine",
     "save_store": "repro.engine",
     # Core reasoning (repro.core).
     "ComparableLists": "repro.core",

@@ -13,8 +13,8 @@ parse → validate → serialize round trip:
 * :meth:`ResolutionSpec.to_dict` emits the canonical document, a fixed
   point of the round trip (``from_dict(spec.to_dict()) == spec``);
 * :meth:`ResolutionSpec.fingerprint` hashes the canonical document —
-  engine snapshots embed it so restoring a store under a different spec
-  is rejected instead of silently mis-matching.
+  engine stores embed it so resuming a store under a different spec is
+  rejected instead of silently mis-matching.
 
 A :class:`~repro.api.workspace.Workspace` built from the spec compiles
 it through the :mod:`repro.plan` kernel exactly once and executes it in
@@ -669,12 +669,12 @@ class ResolutionSpec:
         Two specs with the same semantics (same canonical document) have
         the same fingerprint regardless of key order or formatting; any
         material change — a rule, a threshold, a backend parameter —
-        changes it.  Engine snapshots embed it to reject restores under
-        an incompatible spec.
+        changes it.  Engine stores embed it to reject resuming under an
+        incompatible spec.
 
         The whole ``observability`` section is excluded: tracing
         observes a run, it never alters one, so turning it on must not
-        invalidate snapshots or change what a report claims it ran.
+        invalidate stores or change what a report claims it ran.
         ``persistence`` is excluded too: *where* the store lives
         (memory, a SQLite file, which path) never changes what is
         matched — the backend differential suite

@@ -159,7 +159,7 @@ class Workspace:
 
     @property
     def fingerprint(self) -> str:
-        """The spec's fingerprint (what snapshots embed)."""
+        """The spec's fingerprint (what stores embed)."""
         return self.spec.fingerprint()
 
     @property
@@ -358,7 +358,7 @@ class Workspace:
 
         The stream always runs under the spec's declared
         ``blocking.backend``: a store whose live blocking structures
-        were built under different semantics (e.g. a snapshot from the
+        were built under different semantics (e.g. a store from the
         era when sorted-neighborhood specs silently streamed under hash)
         is rejected with :class:`SpecError` rather than silently
         substituting semantics.

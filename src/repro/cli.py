@@ -17,8 +17,7 @@ the command builds a :class:`repro.api.Workspace` from it.
   streams CSV records into a persistent match store — a durable SQLite
   database whatever the ``--store`` file is called (stores embed the
   spec fingerprint and resuming under a different spec is rejected),
-  ``engine stats`` reports counters, ``engine query`` prints a cluster,
-  ``engine migrate`` exports a store to a JSON snapshot and imports one;
+  ``engine stats`` reports counters, ``engine query`` prints a cluster;
 * ``serve``   — run the asyncio HTTP resolution service (``repro.serve``);
 * ``trace``   — inspect trace files written with ``--trace`` on ``match``
   or ``engine ingest``: ``trace summarize`` aggregates per-span timings,
@@ -296,29 +295,16 @@ def cmd_plan_explain(args) -> int:
 
 
 def _open_engine_store(path: Path):
-    """Open an existing ``--store``: a SQLite database, whatever its name.
+    """Open an existing ``--store``: a SQLite store, whatever its name.
 
-    Anything else is refused — a JSON snapshot with the ``engine
-    migrate`` command that imports it, since snapshots are the export
-    format, not a live one.  Every failure mode (missing file, foreign
-    or corrupt content, wrong version) is an actionable :class:`CliError`.
+    Anything else — a missing file, foreign or corrupt content, a wrong
+    version — is an actionable :class:`CliError`, and a file that is not
+    a store is left as it was found.
     """
-    from repro.engine import SQLiteMatchStore, is_sqlite_file
+    from repro.engine import SQLiteMatchStore
 
     if not path.exists():
         raise CliError(f"store not found: {path}")
-    if not is_sqlite_file(path):
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            document = None
-        hint = (
-            f"; it is a JSON snapshot — import it with "
-            f"`repro engine migrate {path} {path}.db`"
-            if isinstance(document, dict) and "rows" in document
-            else ""
-        )
-        raise CliError(f"cannot open store {path}: not a SQLite store{hint}")
     try:
         return SQLiteMatchStore(path)
     except (ValueError, KeyError, TypeError, sqlite3.Error) as error:
@@ -445,56 +431,6 @@ def cmd_engine_query(args) -> int:
                 if value is not None
             )
             print(f"{name}[{tid}]: {rendered}")
-    return 0
-
-
-def cmd_engine_migrate(args) -> int:
-    """Convert a store file between the JSON snapshot and SQLite formats.
-
-    The direction is inferred from the source's format: a SQLite store
-    exports to a JSON snapshot, a JSON snapshot imports to a SQLite
-    store.  The destination must not already exist.
-    """
-    from repro.engine import (
-        is_sqlite_file,
-        load_store,
-        snapshot_to_sqlite,
-        sqlite_to_snapshot,
-    )
-
-    source, destination = Path(args.source), Path(args.dest)
-    if not source.exists():
-        raise CliError(f"store not found: {source}")
-    if destination.exists():
-        raise CliError(
-            f"refusing to overwrite existing file: {destination}"
-        )
-    to_sqlite = not is_sqlite_file(source)
-    try:
-        if to_sqlite:
-            store = snapshot_to_sqlite(source, destination)
-            stats = store.stats()
-            store.close(commit=False)
-        else:
-            sqlite_to_snapshot(source, destination)
-            stats = load_store(destination).stats()
-    except (ValueError, KeyError, TypeError, sqlite3.Error) as error:
-        raise CliError(f"cannot migrate {source}: {error}") from None
-    direction = "snapshot -> sqlite" if to_sqlite else "sqlite -> snapshot"
-    if args.json:
-        print(json.dumps({
-            "source": str(source),
-            "dest": str(destination),
-            "direction": direction,
-            "stats": stats,
-        }, sort_keys=True))
-        return 0
-    print(f"# migrated {source} -> {destination} ({direction})")
-    print(
-        f"# {stats['left_rows']}+{stats['right_rows']} rows, "
-        f"{stats['matched_clusters']} matched cluster(s), "
-        f"{stats['merges']} merge(s) carried over"
-    )
     return 0
 
 
@@ -683,22 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the cluster as JSON"
     )
     query.set_defaults(func=cmd_engine_query)
-
-    migrate = engine_sub.add_parser(
-        "migrate",
-        help="convert a store between JSON snapshot and SQLite formats",
-    )
-    migrate.add_argument(
-        "source", help="existing store file (snapshot or SQLite)"
-    )
-    migrate.add_argument(
-        "dest", help="destination store file (must not exist; the "
-        "opposite format of the source)",
-    )
-    migrate.add_argument(
-        "--json", action="store_true", help="print a migration report as JSON"
-    )
-    migrate.set_defaults(func=cmd_engine_migrate)
 
     serve = sub.add_parser(
         "serve",

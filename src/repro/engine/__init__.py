@@ -10,12 +10,12 @@ comparison and enforcement from scratch, this subsystem matches records
 * :class:`~repro.engine.matcher.IncrementalMatcher` — per-record ingest
   that probes only the affected index buckets and chases MDs on the
   delta, over the workspace's compiled plan;
-* :mod:`~repro.engine.snapshot` — save/restore the store to disk so
-  ingestion resumes exactly where it stopped;
-* :mod:`~repro.engine.sqlite` — the durable backend: the memory store
-  plus a write-back, at each commit, of what changed to one embedded
-  SQLite database (WAL, one transaction per ingest, O(1) warm restart);
-* ``repro engine ingest|stats|query|migrate`` — the CLI surface
+* :mod:`~repro.engine.sqlite` — the durable backend and the one on-disk
+  format: the memory store plus a write-back, at each commit, of what
+  changed to one embedded SQLite database (WAL, one transaction per
+  ingest, O(1) warm restart); ``save_store`` writes any store to a new
+  file, so ingestion resumes exactly where it stopped;
+* ``repro engine ingest|stats|query`` — the CLI surface
   (:mod:`repro.cli`).
 
 Typical use — :meth:`repro.api.Workspace.stream` is the way in::
@@ -30,19 +30,11 @@ Typical use — :meth:`repro.api.Workspace.stream` is the way in::
 """
 
 from .matcher import BootstrapResult, IncrementalMatcher, IngestResult
-from .snapshot import (
-    SNAPSHOT_VERSION,
-    load_store,
-    save_store,
-    store_from_dict,
-    store_to_dict,
-)
 from .sqlite import (
     SQLITE_SCHEMA_VERSION,
     SQLiteMatchStore,
     is_sqlite_file,
-    snapshot_to_sqlite,
-    sqlite_to_snapshot,
+    save_store,
 )
 from .store import MatchStore, Node, node_of
 
@@ -52,15 +44,9 @@ __all__ = [
     "IngestResult",
     "MatchStore",
     "Node",
-    "SNAPSHOT_VERSION",
     "SQLITE_SCHEMA_VERSION",
     "SQLiteMatchStore",
     "is_sqlite_file",
-    "load_store",
     "node_of",
     "save_store",
-    "snapshot_to_sqlite",
-    "sqlite_to_snapshot",
-    "store_from_dict",
-    "store_to_dict",
 ]

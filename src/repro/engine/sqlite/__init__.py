@@ -13,19 +13,14 @@ half of the in-memory state each load once, on first use.
 
 The backend is behaviorally identical to the in-memory store (same
 matches, clusters, provenance, stats) — checked by the differential
-suite in ``tests/engine/test_sqlite_differential.py`` — and mutually
-convertible with the JSON snapshot format via :mod:`.migrate` /
-``repro engine migrate``.
+suite in ``tests/engine/test_sqlite_differential.py``.  It is the
+engine's one on-disk format: :func:`save_store` writes any store, an
+in-memory one included, to a new store file.
 """
 
 from .connection import SQLITE_MAGIC, connect, is_sqlite_file
-from .migrate import (
-    snapshot_to_sqlite,
-    sqlite_from_dict,
-    sqlite_to_snapshot,
-)
 from .schema import SQLITE_SCHEMA_VERSION
-from .store import SQLiteMatchStore
+from .store import SQLiteMatchStore, save_store
 
 __all__ = [
     "SQLITE_MAGIC",
@@ -33,7 +28,5 @@ __all__ = [
     "SQLiteMatchStore",
     "connect",
     "is_sqlite_file",
-    "snapshot_to_sqlite",
-    "sqlite_from_dict",
-    "sqlite_to_snapshot",
+    "save_store",
 ]

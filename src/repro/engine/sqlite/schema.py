@@ -7,11 +7,11 @@ only the rows its unit changed (cluster membership is materialized
 load independently, each from one scan, and a restart reads neither).
 The blocking index is not among them: a record's keys are a function of
 its arrival values and the configuration, so the store derives the
-index from ``records`` in memory, as a JSON snapshot restore does:
+index from ``records`` in memory:
 
 ``meta``
-    Key/value strings: schema version, the store configuration (the same
-    JSON document a snapshot carries: schema pair, target, RCK triples,
+    Key/value strings: schema version, the store configuration (the JSON
+    document of :func:`config_to_dict`: schema pair, target, RCK triples,
     key length, encoded attributes, blocking) and the owning spec's
     fingerprint.
 ``records``
@@ -36,6 +36,10 @@ postings; :func:`upgrade_from_v1` drops them.
 from __future__ import annotations
 
 import sqlite3
+from typing import Dict
+
+from repro.core.rck import RelativeKey
+from repro.core.schema import ComparableLists, RelationSchema, SchemaPair
 
 #: Version of the on-disk layout; bumped on any incompatible change.
 SQLITE_SCHEMA_VERSION = 2
@@ -111,3 +115,71 @@ def write_meta(connection: sqlite3.Connection, key: str, value) -> None:
         "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
         (key, value),
     )
+
+
+def config_to_dict(store) -> Dict[str, object]:
+    """The store's *configuration*, as ``meta.config`` holds it:
+    everything needed to rebuild an empty store probing identically —
+    schema pair, target lists, RCK operator triples, key length, encoded
+    attributes, blocking."""
+    return {
+        "schema": {
+            "left": {
+                "name": store.pair.left.name,
+                "attributes": list(store.pair.left.attribute_names),
+            },
+            "right": {
+                "name": store.pair.right.name,
+                "attributes": list(store.pair.right.attribute_names),
+            },
+        },
+        "target": {
+            "left": list(store.target.left_list),
+            "right": list(store.target.right_list),
+        },
+        "rcks": [
+            [[atom.left, atom.right, atom.operator.name] for atom in key.atoms]
+            for key in store.rcks
+        ],
+        "key_length": store.key_length,
+        "encode_attributes": list(store.encode_attributes),
+        "blocking": {
+            "backend": store.blocking_backend,
+            "window": store.window,
+            "key_pairs": (
+                [list(pair) for pair in store.key_pairs]
+                if store.key_pairs
+                else None
+            ),
+        },
+    }
+
+
+def config_from_dict(data: Dict[str, object]) -> Dict[str, object]:
+    """The store constructor's keyword arguments (``target``, ``rcks``,
+    ``key_length``, ``encode_attributes`` and the blocking configuration)
+    from a :func:`config_to_dict` document.  Stores written before the
+    blocking section existed were all hash-blocked, and open as such."""
+    schema = data["schema"]
+    pair = SchemaPair(
+        RelationSchema(schema["left"]["name"], schema["left"]["attributes"]),
+        RelationSchema(schema["right"]["name"], schema["right"]["attributes"]),
+    )
+    target = ComparableLists(pair, data["target"]["left"], data["target"]["right"])
+    rcks = [
+        RelativeKey.from_triples(target, [tuple(triple) for triple in triples])
+        for triples in data["rcks"]
+    ]
+    blocking = data.get("blocking") or {}
+    key_pairs = blocking.get("key_pairs")
+    return {
+        "target": target,
+        "rcks": rcks,
+        "key_length": int(data["key_length"]),
+        "encode_attributes": tuple(data["encode_attributes"]),
+        "blocking_backend": blocking.get("backend", "hash"),
+        "window": int(blocking.get("window", 10)),
+        "key_pairs": (
+            [tuple(pair) for pair in key_pairs] if key_pairs else None
+        ),
+    }

@@ -29,6 +29,8 @@ a rollback — one more reason a store has one writer.
 
 Both stores produce the same matches, clusters, provenance and stats by
 construction; ``tests/engine/test_sqlite_differential.py`` checks it.
+:func:`save_store` makes any store durable by replaying it into a fresh
+file, through the same write-back.
 """
 
 from __future__ import annotations
@@ -39,17 +41,18 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rck import RelativeKey
-from repro.core.schema import ComparableLists
+from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES
 from repro.relations.relation import Row
 
-from ..snapshot import config_from_dict, config_to_dict
 from ..store import MatchStore, Node, _SIDE_TAGS, node_of
 from .connection import connect
 from .schema import (
     SQLITE_SCHEMA_VERSION,
+    config_from_dict,
+    config_to_dict,
     initialize,
     read_meta,
     upgrade_from_v1,
@@ -57,6 +60,9 @@ from .schema import (
 )
 
 _TAG_SIDES = {tag: side for side, tag in _SIDE_TAGS.items()}
+
+#: A database's own file and its WAL sidecars, by suffix.
+_FILES = ("", "-wal", "-shm")
 
 #: The attributes each half of the in-memory state sets; reading one
 #: that is not set loads its half.
@@ -376,10 +382,13 @@ class SQLiteMatchStore(MatchStore):
         self._clean()
 
     def close(self, commit: bool = True) -> None:
-        """Commit (by default) and close the connection."""
-        if commit:
-            self.commit()
-        self.connection.close()
+        """Commit (by default) and close the connection — closed even
+        when the commit raises."""
+        try:
+            if commit:
+                self.commit()
+        finally:
+            self.connection.close()
 
     def __enter__(self) -> "SQLiteMatchStore":
         return self
@@ -390,7 +399,7 @@ class SQLiteMatchStore(MatchStore):
     def disk_bytes(self) -> int:
         """Bytes on disk, including the WAL and shared-memory sidecars."""
         total = 0
-        for suffix in ("", "-wal", "-shm"):
+        for suffix in _FILES:
             try:
                 total += os.stat(str(self.path) + suffix).st_size
             except FileNotFoundError:
@@ -406,3 +415,62 @@ class SQLiteMatchStore(MatchStore):
             "disk_bytes": self.disk_bytes(),
             **stats,
         }
+
+
+def save_store(store: MatchStore, path) -> None:
+    """Write ``store`` (either kind, as it is in memory) to a new SQLite
+    store file at ``path``; open it with ``SQLiteMatchStore(path)``.
+
+    The copy is replayed into a fresh store — records (arrival values,
+    then the repairs to their current values), clusters, counters and
+    spec fingerprint — and committed once, so the commit's write-back is
+    what writes it.  It is built at a sibling scratch path and renamed
+    into place: ``path`` never holds a half-written store, and an
+    existing ``path`` is refused.
+    """
+    path = Path(path)
+    if path.exists():
+        raise ValueError(f"refusing to overwrite existing file {path}")
+    scratch = path.with_name(path.name + ".tmp")
+    _remove(scratch)
+    copy = SQLiteMatchStore(
+        scratch,
+        store.target,
+        store.rcks,
+        store.key_length,
+        store.encode_attributes,
+        store.blocking_backend,
+        store.window,
+        store.key_pairs,
+    )
+    try:
+        for side in (LEFT, RIGHT):
+            for row in store.relation(side):
+                arrival = store.arrival_values(side, row.tid)
+                copy.add(side, arrival, tid=row.tid)
+                changes = {
+                    name: value
+                    for name, value in row.values().items()
+                    if arrival[name] != value
+                }
+                if changes:
+                    copy.repair(side, row.tid, changes)
+        for members in store._members.values():
+            first, *rest = sorted(members)
+            for node in rest:
+                copy.union(first, node)
+        copy.comparisons, copy.merges = store.comparisons, store.merges
+        copy.spec_fingerprint = store.spec_fingerprint
+        copy.close()
+    except BaseException:
+        copy.close(commit=False)
+        _remove(scratch)
+        raise
+    os.replace(scratch, path)
+
+
+def _remove(path: Path) -> None:
+    """Delete a database file and its WAL sidecars (a stale ``-wal``
+    would otherwise be replayed into a new file at the same path)."""
+    for suffix in _FILES:
+        Path(str(path) + suffix).unlink(missing_ok=True)

@@ -26,8 +26,9 @@ loads independently.
 
 The store deliberately knows nothing about MDs or enforcement; that logic
 lives in :class:`repro.engine.matcher.IncrementalMatcher`.  Keeping state
-and policy separate is what lets the store be snapshotted to disk and
-warmed back up (:mod:`repro.engine.snapshot`) without re-matching.
+and policy separate is what lets the store be saved to disk
+(:func:`~repro.engine.sqlite.save_store`) and warmed back up without
+re-matching.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class MatchStore:
         self.merges = 0
         #: Fingerprint of the :class:`repro.api.ResolutionSpec` this store
         #: was built under (``None`` for stores built outside the spec
-        #: API).  Snapshots persist it; ``Workspace.stream`` refuses to
+        #: API).  Store files persist it; ``Workspace.stream`` refuses to
         #: resume a store fingerprinted by a different spec.
         self.spec_fingerprint: Optional[str] = None
 

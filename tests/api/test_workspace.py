@@ -9,7 +9,7 @@ from repro.api import SpecBuilder, SpecError, Workspace
 from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import figure1_instances
 from repro.datagen.schemas import paper_mds, paper_target
-from repro.engine import load_store, save_store
+from repro.engine import SQLiteMatchStore, save_store
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ class TestValuePolicies:
         spec_doc["resolution"] = {"policy": "lexicographic-min"}
         lexical = Workspace.from_dict(spec_doc)
         assert lexical.spec.resolver()(["b", None, "a"]) == "a"
-        # Different policy, different fingerprint — snapshots can't mix.
+        # Different policy, different fingerprint — stores can't mix.
         assert lexical.fingerprint != workspace.fingerprint
 
 
@@ -184,39 +184,45 @@ class TestSnapshotFingerprint:
         workspace, credit, billing = fig1_workspace
         matcher = workspace.stream()
         matcher.ingest_stream(fig1_events(credit, billing))
-        path = tmp_path / "store.json"
+        path = tmp_path / "store.db"
         save_store(matcher.store, path)
 
-        restored = load_store(path)
+        restored = SQLiteMatchStore(path)
         assert restored.spec_fingerprint == workspace.fingerprint
         resumed = workspace.stream(store=restored)
         assert resumed.store.clusters() == matcher.store.clusters()
+        restored.close()
 
     def test_stream_rejects_store_from_other_spec(self, fig1_workspace, tmp_path):
         workspace, credit, billing = fig1_workspace
         matcher = workspace.stream()
         matcher.ingest_stream(fig1_events(credit, billing))
-        path = tmp_path / "store.json"
+        path = tmp_path / "store.db"
         save_store(matcher.store, path)
 
         other_doc = workspace.spec.to_dict()
         other_doc["rules"]["top_k"] = 2
         other = Workspace.from_dict(other_doc)
-        with pytest.raises(SpecError, match="built from spec"):
-            other.stream(store=load_store(path))
+        with SQLiteMatchStore(path) as restored:
+            with pytest.raises(SpecError, match="built from spec"):
+                other.stream(store=restored)
 
     def test_legacy_store_is_stamped_on_first_use(self, fig1_workspace, tmp_path):
         workspace, credit, billing = fig1_workspace
         matcher = workspace.stream()
         matcher.ingest_stream(fig1_events(credit, billing))
-        matcher.store.spec_fingerprint = None  # as restored from an old snapshot
-        path = tmp_path / "store.json"
+        matcher.store.spec_fingerprint = None  # as built outside the spec API
+        path = tmp_path / "store.db"
         save_store(matcher.store, path)
 
-        restored = load_store(path)
+        restored = SQLiteMatchStore(path)
         assert restored.spec_fingerprint is None
         resumed = workspace.stream(store=restored)
         assert resumed.store.spec_fingerprint == workspace.fingerprint
+        restored.close()
+        # ... and the stamp was committed with the store.
+        with SQLiteMatchStore(path) as reopened:
+            assert reopened.spec_fingerprint == workspace.fingerprint
 
 
 class TestRemovedEntryPoints:

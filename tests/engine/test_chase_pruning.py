@@ -35,8 +35,9 @@ from repro.core.schema import LEFT, RIGHT, ComparableLists, RelationSchema, Sche
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.streams import arrival_stream
-from repro.engine.snapshot import store_to_dict
 from repro.matching.evaluate import evaluate_matches
+
+import store_state
 
 SKIPS = ("cannot_union", "all_matched", "unread_repair")
 
@@ -75,7 +76,7 @@ def _run(workspace, events, cuts=None, skip=None):
             for result in matcher.ingest_batch(events[start:end])
         ]
     observed = (
-        store_to_dict(matcher.store),
+        store_state.state(matcher.store),
         [(result.merged, result.candidates, result.cascade_truncated) for result in results],
     )
     counters = dict(workspace.metrics.counters)
@@ -583,7 +584,7 @@ def _bench_stream(workspace_for, seed, blocking):
     clusters = store.clusters()
     after = (
         _digest([[sorted(c.left_tids), sorted(c.right_tids)] for c in clusters]),
-        _digest(store_to_dict(store)["rows"]),
+        _digest(store_state.rows(store)),
         store.merges,
     )
     return workspace, clusters, after

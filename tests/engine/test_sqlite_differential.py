@@ -26,8 +26,9 @@ from repro.datagen.streams import (
     late_duplicate_stream,
 )
 from repro.engine import SQLiteMatchStore
-from repro.engine.snapshot import store_to_dict
 from repro.relations.relation import Row
+
+from store_state import state as _state
 
 SCENARIOS = [duplicate_burst_stream, arrival_stream, late_duplicate_stream]
 SCENARIO_IDS = ["duplicate-burst", "arrival", "late-duplicate"]
@@ -54,16 +55,6 @@ def _memory_workspace(dataset) -> Workspace:
 
 def _sqlite_workspace(dataset, path) -> Workspace:
     return _builder(dataset).persistence("sqlite", str(path)).workspace()
-
-
-def _state(store):
-    """The store's full observable state as one comparable document."""
-    document = store_to_dict(store)
-    document.update(stats=store.stats())
-    # Backend identity and location legitimately differ.
-    for key in ("backend", "path", "disk_bytes"):
-        document["stats"].pop(key, None)
-    return document
 
 
 def _result_log(results):
@@ -342,6 +333,27 @@ def test_a_full_disk_mid_unit_leaves_the_last_commit_and_a_retry_goes_on(
     uninterrupted.ingest_stream(events)
     assert _state(store) == _state(uninterrupted.store)
     store.close()
+
+
+def test_close_closes_the_connection_when_its_commit_fails(dataset, tmp_path):
+    """``close()`` commits first; when that commit fails (``SQLITE_FULL``,
+    as above) the error propagates and the connection is closed anyway."""
+    events = list(arrival_stream(dataset, seed=5).events)
+    path = tmp_path / "full.db"
+    matcher = _sqlite_workspace(dataset, path).stream()
+    matcher.ingest_stream(events[:100])
+    store = matcher.store
+    before = _state(store)
+    (pages,) = store.connection.execute("PRAGMA page_count").fetchone()
+    store.connection.execute(f"PRAGMA max_page_count = {pages}")
+    for event in events[100:]:
+        store.add(event.side, event.values, tid=event.tid)
+    with pytest.raises(sqlite3.OperationalError, match="database or disk is full"):
+        store.close()
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        store.connection.execute("SELECT 1")
+    with SQLiteMatchStore(path) as reopened:
+        assert _state(reopened) == before
 
 
 def _reads_records(statements):

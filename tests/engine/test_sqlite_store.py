@@ -289,5 +289,34 @@ def test_garbage_file_is_not_sqlite(tmp_path):
     path = tmp_path / "garbage.db"
     path.write_text("not a database")
     assert not is_sqlite_file(path)
-    with pytest.raises((ValueError, sqlite3.DatabaseError)):
+    with pytest.raises(ValueError, match="not a SQLite store"):
         SQLiteMatchStore(path)
+    assert path.read_text() == "not a database"
+
+
+def test_a_foreign_sqlite_file_is_refused_unchanged(config, tmp_path):
+    """A SQLite database without a store's ``meta`` is refused before any
+    pragma runs: its journal mode (``wal`` persists in the file) and its
+    schema are as they were, whether or not a configuration is given."""
+    target, rcks = config
+    path = tmp_path / "foreign.db"
+    with sqlite3.connect(path) as connection:
+        connection.execute("CREATE TABLE readings (at TEXT, value REAL)")
+        connection.execute("CREATE TABLE meta (key TEXT, value TEXT)")
+    connection.close()
+
+    def observed():
+        with sqlite3.connect(path) as connection:
+            seen = (
+                connection.execute("PRAGMA journal_mode").fetchone(),
+                connection.execute("SELECT * FROM sqlite_master").fetchall(),
+            )
+        connection.close()
+        return seen
+
+    before = observed()
+    assert before[0] == ("delete",)
+    for arguments in ((), (target, rcks)):
+        with pytest.raises(ValueError, match="schema_version|schema version"):
+            SQLiteMatchStore(path, *arguments)
+        assert observed() == before

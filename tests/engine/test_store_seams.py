@@ -19,9 +19,12 @@ from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import arrival_stream
-from repro.engine import SQLiteMatchStore
-from repro.engine.snapshot import config_from_dict, populate_store, store_to_dict
+from repro.engine import SQLiteMatchStore, save_store
+from repro.engine.sqlite import connect
+from repro.engine.sqlite import store as store_module
 from repro.plan.blocking import RCKIndex
+
+from store_state import rows, state
 
 SIDES = (LEFT, RIGHT)
 
@@ -322,27 +325,30 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
         if statement.strip() not in ("BEGIN", "COMMIT")
     )
 
-    # Replaying the store from its snapshot document (``engine migrate``)
-    # is one unit: each record is inserted once, repairs applied, and
-    # each node's cluster row written once.
-    document = store_to_dict(store)
-    store.close()
-    records = sum(len(rows) for rows in document["rows"].values())
+    # Saving the store (``save_store``) replays it into a new file as one
+    # unit: each record is inserted once, its repairs applied before the
+    # write-back, and each node's cluster row written once.
+    expected = state(store)
+    records = len(store.left) + len(store.right)
     assert any(
         arrival != current
-        for rows in document["rows"].values()
-        for _, arrival, current in rows
+        for side_rows in rows(store).values()
+        for _, arrival, current in side_rows
     )
-    replayed = SQLiteMatchStore(tmp_path / "replayed.db", **config_from_dict(document))
     del statements[:]
-    replayed.connection.set_trace_callback(statements.append)
-    populate_store(replayed, document)
-    assert store_to_dict(replayed) == document
-    replayed.close()
+
+    def traced(path):
+        connection = connect(path)
+        connection.set_trace_callback(statements.append)
+        return connection
+
+    monkeypatch.setattr(store_module, "connect", traced)
+    save_store(store, tmp_path / "saved.db")
+    store.close()
     assert count("INSERT INTO records") == count("INSERT INTO clusters") == records
     assert count("UPDATE records") == 0
-    with SQLiteMatchStore(tmp_path / "replayed.db") as reopened:
-        assert store_to_dict(reopened) == document
+    with SQLiteMatchStore(tmp_path / "saved.db") as saved:
+        assert state(saved) == expected
 
 
 #: Chases for the 300-event stream, by blocking: now, and (beside it)

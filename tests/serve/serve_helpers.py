@@ -2,10 +2,9 @@
 
 Everything here keeps one invariant front and center: what the HTTP
 service does must be *bit-identical* to the offline ``Workspace`` path.
-The helpers therefore expose the same ``_state`` comparison surface the
-backend differential suite uses (full snapshot document plus cost
-counters, minus backend identity keys) and a tiny synchronous HTTP
-client (stdlib ``http.client``) so tests drive the real wire protocol,
+The suites compare stores with ``store_state.state`` (the surface the
+backend differential suite uses too); the helpers here add the spec
+builder, wire-shape records and a tiny synchronous HTTP client (stdlib ``http.client``) so tests drive the real wire protocol,
 not a shortcut into the handler functions.
 """
 
@@ -20,7 +19,6 @@ from repro.api import Workspace
 from repro.core.schema import LEFT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
-from repro.engine.snapshot import store_to_dict
 from repro.serve import ResolutionServer, ServerThread
 
 _DATASETS: Dict[Tuple[int, int], object] = {}
@@ -44,15 +42,6 @@ def builder(dataset, backend: str = "hash"):
         .blocking(backend)
         .execution(top_k=5)
     )
-
-
-def state(store) -> Dict[str, object]:
-    """The store's full observable state as one comparable document."""
-    document = store_to_dict(store)
-    document.update(stats=store.stats())
-    for key in ("backend", "path", "disk_bytes"):
-        document["stats"].pop(key, None)
-    return document
 
 
 def event_record(event) -> Dict[str, object]:

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.datagen.streams import arrival_stream, duplicate_burst_stream
 
-from serve_helpers import builder, dataset, state
+from serve_helpers import builder, dataset
+from store_state import state
 
 
 def _events():

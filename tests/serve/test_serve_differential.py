@@ -2,7 +2,7 @@
 
 Concurrent clients ingest every stream scenario over the real wire
 protocol (stdlib ``http.client`` against the asyncio server) and the
-final store state — snapshot document, clusters, consensus values,
+final store state — records, clusters, consensus values,
 comparisons/merges counters — must equal an offline
 ``Workspace.stream()`` replay *one record at a time*, for both store
 backends.  The server assigns each ingest a monotonically increasing
@@ -31,8 +31,8 @@ from serve_helpers import (
     dataset,
     event_record,
     start_server,
-    state,
 )
+from store_state import state
 
 SCENARIOS = [duplicate_burst_stream, arrival_stream, late_duplicate_stream]
 SCENARIO_IDS = ["duplicate-burst", "arrival", "late-duplicate"]

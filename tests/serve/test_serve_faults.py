@@ -32,7 +32,8 @@ import pytest
 
 from repro.datagen.streams import arrival_stream, duplicate_burst_stream
 
-from serve_helpers import ServeClient, builder, dataset, event_record, start_server, state
+from serve_helpers import ServeClient, builder, dataset, event_record, start_server
+from store_state import state
 
 
 def _post_in_thread(host, port, record):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -370,22 +371,23 @@ class TestEngineStreamGuard:
         ) == 0
         capsys.readouterr()
 
-        # A snapshot from the era before the blocking section existed
-        # imports as a hash-blocked store: same fingerprint, different
-        # streaming semantics — refused, not silently substituted.
-        snapshot_path = tmp_path / "legacy.json"
-        assert main(["engine", "migrate", str(store_path),
-                     str(snapshot_path)]) == 0
-        snapshot = json.loads(snapshot_path.read_text())
-        del snapshot["blocking"]
-        snapshot_path.write_text(json.dumps(snapshot))
-        legacy_path = tmp_path / "legacy.db"
-        assert main(["engine", "migrate", str(snapshot_path),
-                     str(legacy_path)]) == 0
-        capsys.readouterr()
+        # A store from the era before the blocking section existed opens
+        # as a hash-blocked store: same fingerprint, different streaming
+        # semantics — refused, not silently substituted.
+        with sqlite3.connect(store_path) as connection:
+            (raw,) = connection.execute(
+                "SELECT value FROM meta WHERE key = 'config'"
+            ).fetchone()
+            config = json.loads(raw)
+            del config["blocking"]
+            connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'config'",
+                (json.dumps(config),),
+            )
+        connection.close()
         code = main(
             ["engine", "ingest", "--spec", str(sn_spec_file),
-             "--store", str(legacy_path), "--right", str(right_path)]
+             "--store", str(store_path), "--right", str(right_path)]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -533,7 +535,7 @@ class TestEngineSpecFingerprint:
 
 
 # ----------------------------------------------------------------------
-# The durable SQLite store: one live format, migration, error surfaces
+# The durable SQLite store: the one format, and its error surfaces
 # ----------------------------------------------------------------------
 
 
@@ -630,88 +632,83 @@ class TestEngineSQLite:
         assert "backend: sqlite" in output
         assert "disk_bytes:" in output
 
-    def _snapshot(self, spec_file, fig1_csvs, tmp_path):
-        """A JSON snapshot of the Fig. 1 store (``engine migrate``'s export)."""
-        db_path = tmp_path / "source.db"
-        assert self._ingest(spec_file, fig1_csvs, db_path) == 0
-        json_path = tmp_path / "snapshot.json"
-        assert main(["engine", "migrate", str(db_path), str(json_path)]) == 0
-        return json_path
+    #: The arguments besides ``--store`` each engine command needs.
+    _ARGV = {
+        "ingest": lambda spec, csvs: ["--spec", str(spec), "--left", str(csvs[0])],
+        "stats": lambda spec, csvs: [],
+        "query": lambda spec, csvs: ["--side", "left", "--tid", "0"],
+    }
 
     @pytest.mark.parametrize("command", ["ingest", "stats", "query"])
-    def test_snapshot_as_live_store_is_refused_naming_migrate(
+    def test_a_json_file_as_store_is_refused_unchanged(
             self, command, spec_file, fig1_csvs, tmp_path, capsys):
-        """JSON is ``engine migrate``'s format, not a second live one."""
-        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
+        """A store is a SQLite file; a JSON document is not one."""
+        json_path = tmp_path / "store.json"
+        json_path.write_text(json.dumps({"rows": {"left": [], "right": []}}))
         before = json_path.read_bytes()
-        capsys.readouterr()
-        argv = {
-            "ingest": ["--spec", str(spec_file), "--left", str(fig1_csvs[0])],
-            "stats": [],
-            "query": ["--side", "left", "--tid", "0"],
-        }[command]
-        code = main(["engine", command, "--store", str(json_path), *argv])
+        code = main(["engine", command, "--store", str(json_path),
+                     *self._ARGV[command](spec_file, fig1_csvs)])
         assert code == 2
         err = capsys.readouterr().err
         assert "not a SQLite store" in err
-        assert f"repro engine migrate {json_path} {json_path}.db" in err
+        assert "migrate" not in err
         assert json_path.read_bytes() == before
 
-    def test_migrate_round_trip(self, spec_file, fig1_csvs, tmp_path,
-                                capsys):
-        from repro.engine import SQLiteMatchStore, load_store, store_to_dict
+    @pytest.mark.parametrize("command", ["ingest", "stats", "query"])
+    def test_a_foreign_sqlite_file_is_refused_unchanged(
+            self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        """Refusing a SQLite database that is not a store leaves it as it
+        was found: no pragma runs first (``journal_mode`` would persist
+        as ``wal``), no table is created."""
+        path = tmp_path / "foreign.db"
+        with sqlite3.connect(path) as connection:
+            connection.execute("CREATE TABLE readings (at TEXT, value REAL)")
+            connection.execute("INSERT INTO readings VALUES ('noon', 1.5)")
+        connection.close()
 
-        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
-        capsys.readouterr()
-        db_path = tmp_path / "store.db"
-        assert main(["engine", "migrate", str(json_path),
-                     str(db_path)]) == 0
-        assert "snapshot -> sqlite" in capsys.readouterr().out
-        back_path = tmp_path / "back.json"
-        assert main(["engine", "migrate", str(db_path), str(back_path),
-                     "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["direction"] == "sqlite -> snapshot"
-        original = json.loads(json_path.read_text())
-        roundtripped = json.loads(back_path.read_text())
-        assert roundtripped == original
-        # JSON -> SQLite -> JSON is lossless at every stop.
-        store = SQLiteMatchStore(db_path)
-        assert store_to_dict(store) == original
-        store.close(commit=False)
-        assert store_to_dict(load_store(back_path)) == original
+        def observed():
+            with sqlite3.connect(path) as connection:
+                seen = (
+                    connection.execute("PRAGMA journal_mode").fetchone(),
+                    connection.execute("SELECT * FROM sqlite_master").fetchall(),
+                )
+            connection.close()
+            return seen
 
-    def test_migrated_store_keeps_fingerprint(self, spec_file, fig1_csvs,
-                                              tmp_path, capsys):
-        """A migrated store resumes under the same spec it was built from."""
-        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
-        db_path = tmp_path / "store.db"
-        assert main(["engine", "migrate", str(json_path),
-                     str(db_path)]) == 0
+        before = observed()
+        assert before[0] == ("delete",)
+        code = main(["engine", command, "--store", str(path),
+                     *self._ARGV[command](spec_file, fig1_csvs)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no such table: meta" in err
+        assert observed() == before
+
+    def test_a_saved_copy_resumes_under_its_spec(self, spec_file, fig1_csvs,
+                                                 tmp_path, capsys):
+        """A ``save_store`` copy resumes under the spec it was built from."""
+        from repro.engine import SQLiteMatchStore, save_store
+
+        source = tmp_path / "source.db"
+        assert self._ingest(spec_file, fig1_csvs, source) == 0
+        copy = tmp_path / "copy.db"
+        with SQLiteMatchStore(source) as store:
+            save_store(store, copy)
         capsys.readouterr()
-        assert self._ingest(spec_file, fig1_csvs, db_path,
+        assert self._ingest(spec_file, fig1_csvs, copy,
                             extra=["--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["backend"] == "sqlite"
         # Re-ingesting the same CSVs appends: the resume was accepted.
         assert stats["left_rows"] == 4
 
-    def test_migrate_refuses_overwrite(self, spec_file, fig1_csvs,
-                                       tmp_path, capsys):
-        json_path = self._snapshot(spec_file, fig1_csvs, tmp_path)
-        existing = tmp_path / "exists.db"
-        existing.write_text("precious")
-        capsys.readouterr()
-        code = main(["engine", "migrate", str(json_path), str(existing)])
-        assert code == 2
-        assert "refusing to overwrite" in capsys.readouterr().err
-        assert existing.read_text() == "precious"
-
-    def test_migrate_missing_source_exits_two(self, tmp_path, capsys):
-        code = main(["engine", "migrate", str(tmp_path / "no.json"),
-                     str(tmp_path / "out.db")])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
+    def test_engine_migrate_is_gone(self, tmp_path, capsys):
+        """6.0 removed ``engine migrate`` with the JSON snapshot format."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["engine", "migrate", str(tmp_path / "a.db"),
+                  str(tmp_path / "b.json")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
     def test_corrupt_store_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.db"
@@ -721,7 +718,7 @@ class TestEngineSQLite:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "cannot" in err
-        assert "migrate" not in err  # no snapshot hint for arbitrary bytes
+        assert "not a SQLite store" in err
 
     def test_sqlite_store_from_other_spec_exits_two(
             self, spec_file, fig1_csvs, tmp_path, capsys):
