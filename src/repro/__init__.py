@@ -34,7 +34,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.

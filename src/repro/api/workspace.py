@@ -367,6 +367,9 @@ class Workspace:
         explicit ``store``, the durable store at ``persistence.path`` is
         opened — created empty on first use, resumed (an O(1) warm
         restart) thereafter — under the same fingerprint semantics.
+        Building the matcher replays the events a durable store committed
+        since its last checkpoint, then checkpoints; a tail another
+        ``repro`` release wrote raises ``ValueError``.
         """
         from repro.engine.matcher import IncrementalMatcher
         from repro.engine.store import MatchStore

@@ -64,7 +64,10 @@ def _load_csv_relation(schema, path: Path) -> Relation:
     except FileNotFoundError:
         raise CliError(f"data file not found: {path}") from None
     if header and header[0] == "__tid__":
-        return load_relation(schema, path)
+        try:
+            return load_relation(schema, path)
+        except ValueError as error:
+            raise CliError(str(error)) from None
     # Plain CSV: columns must cover a subset of the schema.
     relation = Relation(schema)
     with path.open("r", newline="", encoding="utf-8") as handle:
@@ -76,6 +79,12 @@ def _load_csv_relation(schema, path: Path) -> Relation:
                 f"{schema.name!r}"
             )
         for record in reader:
+            if None in record:  # DictReader's key for surplus fields
+                raise CliError(
+                    f"{path}, line {reader.line_num}: "
+                    f"{len(reader.fieldnames) + len(record[None])} fields, "
+                    f"the header has {len(reader.fieldnames)}"
+                )
             relation.insert(
                 {key: (value if value != "" else None) for key, value in record.items()}
             )
@@ -318,6 +327,17 @@ def cmd_engine_ingest(args) -> int:
     workspace = _workspace(spec)
     pair = workspace.plan.pair
     store_path = Path(args.store)
+    # Both files are read before the store is touched: a malformed row
+    # leaves it as it was.
+    arrivals = [
+        (side, _load_csv_relation(schema, Path(data_path)))
+        for side, schema, data_path in (
+            (LEFT, pair.left, args.left),
+            (RIGHT, pair.right, args.right),
+        )
+        if data_path is not None
+    ]
+    store = None
     try:
         store = (
             _open_engine_store(store_path)
@@ -325,25 +345,22 @@ def cmd_engine_ingest(args) -> int:
             else workspace.open_store(store_path)
         )
         matcher = workspace.stream(store=store)
-    except SpecError as error:
-        raise CliError(f"{store_path}: {'; '.join(error.errors)}") from None
-    except ValueError as error:
-        # Covers e.g. a store built for a different schema/target.
-        raise CliError(f"{store_path}: {error}") from None
-    merges_before = matcher.store.merges
+    except (SpecError, ValueError) as error:
+        # Covers e.g. a store built for a different schema/target, or a
+        # tail another release wrote.
+        if store is not None:
+            store.close(commit=False)
+        reason = "; ".join(error.errors) if isinstance(error, SpecError) else error
+        raise CliError(f"{store_path}: {reason}") from None
+    merges_before = store.merges
     ingested = 0
-    for side, schema, data_path in (
-        (LEFT, pair.left, args.left),
-        (RIGHT, pair.right, args.right),
-    ):
-        if data_path is None:
-            continue
-        relation = _load_csv_relation(schema, Path(data_path))
+    for side, relation in arrivals:
         for row in relation:
             matcher.ingest(side, row.values())
             ingested += 1
-    # Every ingest already committed durably; just flush the tail.
-    matcher.store.commit()
+    # Every ingest already committed durably, as its input; an empty
+    # unit folds the tail into the checkpoint the stats below describe.
+    store.commit()
     _write_cli_trace(
         workspace,
         args,
@@ -351,10 +368,11 @@ def cmd_engine_ingest(args) -> int:
         store=str(store_path),
         ingested=ingested,
     )
-    stats = matcher.store.stats()
+    stats = store.stats()
+    store.close()
     stats["ingested"] = ingested
-    stats["new_merges"] = matcher.store.merges - merges_before
-    stats["spec_fingerprint"] = matcher.store.spec_fingerprint
+    stats["new_merges"] = store.merges - merges_before
+    stats["spec_fingerprint"] = store.spec_fingerprint
     # Work counters of this run's compiled plan (cache state is
     # per-process; it is not persisted in the store).
     stats["plan"] = matcher.plan.stats.as_dict()
@@ -384,7 +402,7 @@ def cmd_engine_stats(args) -> int:
     if "disk_bytes" in stats:
         print(f"disk_bytes: {stats['disk_bytes']}")
     for key in (
-        "left_rows", "right_rows", "matched_clusters",
+        "pending_events", "left_rows", "right_rows", "matched_clusters",
         "largest_cluster", "comparisons", "merges",
     ):
         print(f"{key}: {stats[key]}")
@@ -400,6 +418,13 @@ def cmd_engine_query(args) -> int:
     from repro.core.schema import LEFT, RIGHT
 
     store = _open_engine_store(Path(args.store))
+    pending = store.pending_events
+    if pending:
+        print(
+            f"note: {args.store} has {pending} event(s) ingested since its "
+            "last checkpoint; this answer is from the checkpoint",
+            file=sys.stderr,
+        )
     side = LEFT if args.side == "left" else RIGHT
     relation = store.relation(side)
     if args.tid not in relation:

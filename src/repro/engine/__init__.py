@@ -11,10 +11,12 @@ comparison and enforcement from scratch, this subsystem matches records
   that probes only the affected index buckets and chases MDs on the
   delta, over the workspace's compiled plan;
 * :mod:`~repro.engine.sqlite` — the durable backend and the one on-disk
-  format: the memory store plus a write-back, at each commit, of what
-  changed to one embedded SQLite database (WAL, one transaction per
-  ingest, O(1) warm restart); ``save_store`` writes any store to a new
-  file, so ingestion resumes exactly where it stopped;
+  format: the memory store plus one embedded SQLite database (WAL)
+  holding a checkpoint of its state and the tail of records ingested
+  since — one transaction per ingest or micro-batch writes its records,
+  a matcher replays the tail at open, so ingestion resumes exactly where
+  it stopped (O(1) warm restart); ``save_store`` writes any store to a
+  new file;
 * ``repro engine ingest|stats|query`` — the CLI surface
   (:mod:`repro.cli`).
 

@@ -60,6 +60,13 @@ per-record ingest applied to its events in order, under one durable
 transaction: the stream's outcome is defined record by record, so a
 batch equals the stream by construction and buys one commit — and one
 unit of rollback — per batch.
+
+Because the outcome is a function of the records in arrival order, a
+durable store commits an ingest as its *input*: each ingest runs inside
+:meth:`~repro.engine.store.MatchStore.ingesting`, which logs the record
+it adds, and a matcher built over a store replays the logged tail
+through :meth:`IncrementalMatcher._ingest_one` before it serves
+(:meth:`~repro.engine.store.MatchStore.attach`).
 """
 
 from __future__ import annotations
@@ -209,6 +216,9 @@ class IncrementalMatcher:
             plan.tracer = tracer
         if metrics is not None:
             plan.metrics = metrics
+        # A durable store's committed tail is replayed through this
+        # matcher's per-record ingest before it serves.
+        store.attach(self._ingest_one)
 
     # ------------------------------------------------------------------
     # Streaming ingestion
@@ -252,7 +262,7 @@ class IncrementalMatcher:
     ) -> IngestResult:
         """Add one record, run its merge phase, count it; no commit."""
         started = time.perf_counter()
-        with self.tracer.span("ingest", side=side) as span:
+        with self.tracer.span("ingest", side=side) as span, self.store.ingesting():
             chases = self.plan.stats.enforcements
             tid = self.store.add(side, values, tid=tid)
             outcome = self._merge_phase(side, tid)

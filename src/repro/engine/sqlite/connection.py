@@ -14,7 +14,8 @@ Pragma            Value     Why
                             commit.  A filesystem without WAL support
                             keeps SQLite's default journal: the store
                             works, durability is coarser.
-``synchronous``   NORMAL    The WAL pairing: fsync per checkpoint, not per
+``synchronous``   NORMAL    The WAL pairing: fsync per WAL checkpoint
+                            (SQLite's, every ~1 000 pages), not per
                             commit, which makes a commit per ingest
                             affordable.
 ``foreign_keys``  OFF       The tables reference each other by

@@ -1,19 +1,21 @@
 """The durable store's relational schema.
 
-Four tables hold the state a :class:`~repro.engine.store.MatchStore`
-keeps in RAM that cannot be recomputed, normalized so a commit writes
-only the rows its unit changed (cluster membership is materialized
-*beside* the base records, so the two halves of the in-memory state
-load independently, each from one scan, and a restart reads neither).
-The blocking index is not among them: a record's keys are a function of
-its arrival values and the configuration, so the store derives the
-index from ``records`` in memory:
+A store file is a *checkpoint* plus the *tail* of input events
+ingested since.  Four tables hold the checkpoint — the state a
+:class:`~repro.engine.store.MatchStore` keeps in RAM that cannot be
+recomputed, normalized so a checkpoint writes only the rows changed
+since the last one (cluster membership is materialized *beside* the
+base records, so the two halves of the in-memory state load
+independently, each from one scan, and a restart reads neither).  The
+blocking index is not among them: a record's keys are a function of its
+arrival values and the configuration, so the store derives the index
+from ``records`` in memory.  The fifth, ``events``, is the tail:
 
 ``meta``
     Key/value strings: schema version, the store configuration (the JSON
     document of :func:`config_to_dict`: schema pair, target, RCK triples,
-    key length, encoded attributes, blocking) and the owning spec's
-    fingerprint.
+    key length, encoded attributes, blocking), the owning spec's
+    fingerprint and the ``release`` of ``repro`` that wrote the tail.
 ``records``
     One row per ingested record, keyed ``(side, tid)``, holding both the
     *arrival* values (what blocking keys and consensus resolution work
@@ -27,10 +29,18 @@ index from ``records`` in memory:
     layout does not depend on which build wrote the file.)
 ``counters``
     The store's cost ledger (``comparisons``, ``merges``), written by a
-    commit that changed it rather than once per increment.
+    checkpoint that changed it rather than once per increment.
+``events``
+    One row per record a matcher ingested since the last checkpoint, in
+    arrival order: ``seq`` (its position in the tail), ``side``, ``tid``
+    and the *arrival* values as a JSON object.  The rest of the store
+    after those arrivals is a deterministic function of them, the
+    checkpoint and the spec, so opening a matcher replays the tail; a
+    checkpoint empties it.
 
 Version 1 also kept the blocking index on disk, in two tables of
-postings; :func:`upgrade_from_v1` drops them.
+postings; version 2 had no ``events``.  :func:`upgrade` brings either
+to this version.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from repro.core.rck import RelativeKey
 from repro.core.schema import ComparableLists, RelationSchema, SchemaPair
 
 #: Version of the on-disk layout; bumped on any incompatible change.
-SQLITE_SCHEMA_VERSION = 2
+SQLITE_SCHEMA_VERSION = 3
 
 _TABLES = (
     """
@@ -79,6 +89,14 @@ _TABLES = (
         value INTEGER NOT NULL
     )
     """,
+    """
+    CREATE TABLE IF NOT EXISTS events (
+        seq     INTEGER PRIMARY KEY,
+        side    INTEGER NOT NULL,
+        tid     INTEGER NOT NULL,
+        arrival TEXT NOT NULL
+    )
+    """,
 )
 
 
@@ -88,14 +106,16 @@ def initialize(connection: sqlite3.Connection) -> None:
         connection.execute(statement)
 
 
-def upgrade_from_v1(connection: sqlite3.Connection) -> None:
-    """Bring a version-1 store to this version in one transaction: drop
-    its on-disk blocking index and stamp the version, so a version-1
-    build refuses the file instead of probing postings that no longer
-    follow its records."""
+def upgrade(connection: sqlite3.Connection) -> None:
+    """Bring a version-1 or version-2 store to this version in one
+    transaction: drop a version-1 on-disk blocking index, add the empty
+    ``events`` tail and stamp the version, so an older build refuses the
+    file instead of probing postings that no longer follow its records
+    or missing the records its tail holds."""
     connection.execute("BEGIN")
     connection.execute("DROP TABLE IF EXISTS buckets")
     connection.execute("DROP TABLE IF EXISTS ranks")
+    initialize(connection)
     write_meta(connection, "schema_version", str(SQLITE_SCHEMA_VERSION))
     connection.commit()
 

@@ -1,45 +1,69 @@
-"""`SQLiteMatchStore`: :class:`~repro.engine.store.MatchStore` plus a write-back.
+"""`SQLiteMatchStore`: :class:`~repro.engine.store.MatchStore` plus an input log.
 
 The durable store *is* the memory store — the same relations, union-find
-and blocking index serve every read — with three additions:
+and blocking index serve every read — and its file is a *checkpoint*
+(``records``, ``clusters``, ``counters``) plus the *tail* of input
+events ingested since (``events``).  Under the paper's dynamic
+semantics the arriving records are never updated, and everything the
+engine derives from them — current values, clusters, counters — is a
+deterministic function of the records in arrival order and the spec.
+So a unit made only of matcher ingests is durable as its input:
 
-* **open reads only ``meta``** (and the two-row ``counters`` ledger).
-  The in-memory state loads on first use in two independent halves,
-  each from one table scan: the *records* half (both relations and the
-  blocking index, ``records`` in insertion order) and the *clusters*
-  half (the union-find, from ``clusters``' direct root pointers).  A
-  read that needs one half never pays for the other: ``cluster_of``
-  after a reopen scans ``clusters`` only;
-* **dirty marks** — :meth:`add`, :meth:`repair` and :meth:`union` mark
-  the record, or the cluster root, they changed;
-* **write-back at commit** — :meth:`commit` writes the unit's new
-  records (one ``INSERT`` each, in arrival order), the records repaired
-  since an earlier unit (one ``UPDATE`` each, however often the unit
-  repaired them), every member of each changed cluster and the ledger,
-  then commits.  One ingest or micro-batch is therefore one SQLite
-  transaction, and a writer holds SQLite's lock only inside
-  :meth:`commit`.  A step that raises rolls the unit back and re-raises.
+* **open reads only ``meta``** (and the two-row ``counters`` ledger and
+  the tail's length).  The in-memory state loads on first use in two
+  independent halves, each from one table scan: the *records* half
+  (both relations and the blocking index, ``records`` in insertion
+  order) and the *clusters* half (the union-find, from ``clusters``'
+  direct root pointers).  A read that needs one half never pays for the
+  other: ``cluster_of`` after a reopen scans ``clusters`` only;
+* **a unit of ingests commits its events** — :meth:`commit` writes one
+  ``events`` row per record the unit's ingests added (side, tid,
+  arrival values), then commits.  The matcher marks its ingests
+  (:meth:`ingesting`); a change made outside one — ``bootstrap``,
+  ``save_store``, a fingerprint stamp, a direct :meth:`add` /
+  :meth:`repair` / :meth:`union` — makes its unit a checkpoint;
+* **dirty marks and a checkpoint** — :meth:`add`, :meth:`repair` and
+  :meth:`union` mark the record, or the cluster root, they changed.  A
+  checkpoint writes the records new since the last one (one ``INSERT``
+  each, in arrival order), the older records repaired since (one
+  ``UPDATE`` each, however often they were repaired), every member of
+  each changed cluster and the ledger, empties ``events`` and stamps
+  the ``release`` — in one transaction.  It runs for every unit that is
+  not made only of ingests, for the unit that would bring the tail to
+  :data:`CHECKPOINT_EVENTS` events, and at :meth:`close`;
+* **replay** — a matcher built over the store (:meth:`attach`) runs the
+  tail through its per-record ingest, event by event, and checkpoints;
+  a tail written by another ``repro`` release is refused.  A store no
+  matcher replayed serves its last checkpoint, at most
+  ``CHECKPOINT_EVENTS - 1`` acknowledged events behind, and refuses
+  writes.
 
-:meth:`rollback` rolls the transaction back and drops both halves; the
-next read reloads them from the file, so a failed unit leaves nothing
-behind in memory either.  The blocking index is never persisted: a
-record's keys are a function of its arrival values and the
-configuration.  A second writer's commits reach this process only after
-a rollback — one more reason a store has one writer.
+A writer holds SQLite's lock only inside :meth:`commit`; a step that
+raises rolls the unit back and re-raises.  :meth:`rollback` rolls the
+transaction back, drops both halves (the next read reloads them from
+the checkpoint) and, when a matcher is attached, replays the committed
+tail, so a failed unit leaves memory at the last commit too.  The
+blocking index is never persisted: a record's keys are a function of
+its arrival values and the configuration.  A second writer's commits
+reach this process only after a rollback — one more reason a store has
+one writer.
 
 Both stores produce the same matches, clusters, provenance and stats by
 construction; ``tests/engine/test_sqlite_differential.py`` checks it.
 :func:`save_store` makes any store durable by replaying it into a fresh
-file, through the same write-back.
+file, through the same checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import __version__
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.obs.metrics import MetricsRegistry
@@ -55,11 +79,17 @@ from .schema import (
     config_to_dict,
     initialize,
     read_meta,
-    upgrade_from_v1,
+    upgrade,
     write_meta,
 )
 
 _TAG_SIDES = {tag: side for side, tag in _SIDE_TAGS.items()}
+
+#: The tail's bound: the unit that would bring it to this many events is
+#: written as a checkpoint instead.  Replaying the longest tail, 1 023
+#: events, and checkpointing it takes ~0.4 s for the benchmark stream on
+#: a 2-vCPU Xeon host; it is also how far a reader may lag.
+CHECKPOINT_EVENTS = 1024
 
 #: A database's own file and its WAL sidecars, by suffix.
 _FILES = ("", "-wal", "-shm")
@@ -133,7 +163,16 @@ class SQLiteMatchStore(MatchStore):
         except BaseException:
             self.connection.close()
             raise
+        #: The attached matcher's per-record ingest (:meth:`attach`), held
+        #: weakly: the matcher holds the store, and a cycle would keep
+        #: both, every record in RAM, until a full garbage collection.
+        self._ingest: Optional[weakref.WeakMethod] = None
+        #: Whether memory holds the committed tail (an empty one included).
+        self._caught_up = not self._tail
+        #: Whether a matcher ingest is running (:meth:`ingesting`).
+        self._ingesting = False
         self._clean()
+        self._clean_unit()
 
     # ------------------------------------------------------------------
     # Open / create
@@ -150,6 +189,7 @@ class SQLiteMatchStore(MatchStore):
             "config",
             json.dumps(config_to_dict(self), sort_keys=True),
         )
+        write_meta(self.connection, "release", __version__)
         self.connection.executemany(
             "INSERT OR IGNORE INTO counters (name, value) VALUES (?, 0)",
             [("comparisons",), ("merges",)],
@@ -167,8 +207,8 @@ class SQLiteMatchStore(MatchStore):
         key_pairs,
     ):
         version = read_meta(self.connection, "schema_version")
-        if version == "1":
-            upgrade_from_v1(self.connection)
+        if version in ("1", "2"):
+            upgrade(self.connection)
         elif version != str(SQLITE_SCHEMA_VERSION):
             raise ValueError(
                 f"unsupported store schema version {version!r} in "
@@ -207,12 +247,16 @@ class SQLiteMatchStore(MatchStore):
             )
 
     def _read_ledger(self) -> None:
-        """The counters and the spec fingerprint as last committed."""
-        counters = dict(self.connection.execute("SELECT name, value FROM counters"))
+        """The counters and the spec fingerprint as last checkpointed, the
+        length of the tail since and the release that wrote it."""
+        connection = self.connection
+        counters = dict(connection.execute("SELECT name, value FROM counters"))
         self.comparisons = int(counters.get("comparisons", 0))
         self.merges = int(counters.get("merges", 0))
-        self.spec_fingerprint = read_meta(self.connection, "spec_fingerprint")
+        self.spec_fingerprint = read_meta(connection, "spec_fingerprint")
         self._saved = (self.comparisons, self.merges, self.spec_fingerprint)
+        (self._tail,) = connection.execute("SELECT COUNT(*) FROM events").fetchone()
+        self._release = read_meta(connection, "release")
 
     # ------------------------------------------------------------------
     # The two halves, loaded on first use
@@ -273,6 +317,10 @@ class SQLiteMatchStore(MatchStore):
             tid = super().add(side, values, tid)
         self._added[side, tid] = None
         self._moved[node_of(side, tid)] = None
+        if self._ingesting:
+            self._events.append((side, tid))
+        else:
+            self._foreign = True
         if self.metrics is not None:
             self.metrics.count("store.upserts")
         return tid
@@ -281,12 +329,14 @@ class SQLiteMatchStore(MatchStore):
         """See :meth:`MatchStore.repair`; marks the record repaired."""
         super().repair(side, tid, changes)
         self._repaired[side, tid] = None
+        self._foreign |= not self._ingesting
 
     def union(self, a: Node, b: Node) -> bool:
         """See :meth:`MatchStore.union`; marks the merged cluster."""
         if not super().union(a, b):
             return False
         self._moved[a] = None
+        self._foreign |= not self._ingesting
         return True
 
     def neighbors(self, side: int, tid: int) -> List[int]:
@@ -298,52 +348,187 @@ class SQLiteMatchStore(MatchStore):
         return found
 
     def _clean(self) -> None:
-        """Forget the dirty marks: the file holds what memory does.  (Each
-        mark set is a dict, so the write-back's order is the order the
-        unit made its changes in, whatever the hash seed.)"""
+        """Forget the dirty marks: the checkpoint holds what memory does.
+        (Each mark set is a dict, so the write-back's order is the order
+        the changes were made in, whatever the hash seed.)"""
         #: New records, in arrival order.
         self._added: Dict[Tuple[int, int], None] = {}
         #: Records whose current values a repair wrote.
         self._repaired: Dict[Tuple[int, int], None] = {}
         #: Nodes whose cluster was created or merged into.
         self._moved: Dict[Node, None] = {}
+        #: The arrival values of the logged records, as their events rows
+        #: hold them (and their ``records`` rows will).
+        self._encoded: Dict[Tuple[int, int], str] = {}
+
+    def _clean_unit(self) -> None:
+        """Start a unit: no events logged, nothing changed outside an
+        ingest."""
+        #: The records this unit's ingests added, in arrival order.
+        self._events: List[Tuple[int, int]] = []
+        #: Whether the unit changed the store outside a matcher ingest.
+        self._foreign = False
+
+    @contextmanager
+    def ingesting(self):
+        """See :meth:`MatchStore.ingesting`: the record the body adds is
+        the unit's next event, and its repairs and unions are the
+        ingest's own."""
+        self._ingesting = True
+        try:
+            yield
+        finally:
+            self._ingesting = False
+
+    def _dirty(self) -> bool:
+        """Whether memory holds a change the checkpoint does not."""
+        return bool(
+            self._added
+            or self._repaired
+            or self._moved
+            or (self.comparisons, self.merges, self.spec_fingerprint) != self._saved
+        )
 
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
 
+    def attach(self, ingest: Callable[[int, Dict[str, object], int], object]) -> None:
+        """See :meth:`MatchStore.attach`: replay the committed tail through
+        ``ingest`` when memory does not hold it yet, then checkpoint.  The
+        store keeps ``ingest`` (a bound method) weakly, to replay the tail
+        again after a :meth:`rollback` while its matcher lives.
+
+        A tail written by another ``repro`` release is refused with
+        ``ValueError``: its replay is only defined under the release that
+        acknowledged it.
+        """
+        self._ingest = weakref.WeakMethod(ingest)
+        if not self._caught_up:
+            self._replay()
+            self.commit()  # a unit of no ingest: the checkpoint
+
+    def _replay(self) -> None:
+        """Run the committed tail through the attached ingest, in order;
+        nothing is logged again."""
+        if self._release != __version__:
+            raise ValueError(
+                f"store {self.path} holds {self._tail} event(s) ingested by "
+                f"repro {self._release} and not yet checkpointed; this is repro "
+                f"{__version__}: open and close the store once with repro "
+                f"{self._release} first"
+            )
+        events = self.connection.execute(
+            "SELECT side, tid, arrival FROM events ORDER BY seq"
+        ).fetchall()
+        ingest = self._ingest()
+        with self.tracer.span("store.replay", events=len(events)):
+            for side, tid, arrival in events:
+                ingest(side, json.loads(arrival), tid)
+        self._clean_unit()
+        self._caught_up = True
+
     def commit(self) -> None:
-        """Write back what changed since the last commit, then commit; on
-        any error roll the unit back and re-raise."""
+        """Make the unit durable; on any error roll it back and re-raise.
+
+        A unit made only of matcher ingests commits its events.  Any other
+        unit — an empty one included, which folds the tail in — and the
+        one that would bring the tail to :data:`CHECKPOINT_EVENTS` commit
+        a checkpoint (none when nothing changed since the last).  A store
+        whose tail no matcher replayed refuses to write.
+        """
+        events = self._events
+        if not self._caught_up:
+            if events or self._dirty():
+                raise ValueError(
+                    f"store {self.path} has {self._tail} pending event(s) that "
+                    "no matcher replayed; build one over it "
+                    "(Workspace.stream()) before writing"
+                )
+            return
+        logged = bool(
+            events
+            and not self._foreign
+            and self.spec_fingerprint == self._saved[2]
+            and self._tail + len(events) < CHECKPOINT_EVENTS
+        )
         try:
-            self._write_back()
-            self.connection.commit()
+            if logged:
+                self._log(events)
+            elif self._tail or self._dirty():
+                self._checkpoint()
+            else:
+                self.connection.commit()
         except BaseException:
             self.rollback()
             raise
+        self._clean_unit()
+        if self.metrics is not None:
+            self.metrics.count("store.commits")
+            self.metrics.gauge("store.pending_events", self._tail)
+
+    def _log(self, events: List[Tuple[int, int]]) -> None:
+        """Commit the unit's events: one row per record its ingests added."""
+        connection = self.connection
+        encoded = self._encoded
+        for side, tid in events:
+            encoded[side, tid] = _encode(self.arrival_row(side, tid))
+        connection.executemany(
+            "INSERT INTO events (seq, side, tid, arrival) VALUES (?, ?, ?, ?)",
+            [
+                (self._tail + position, side, tid, encoded[side, tid])
+                for position, (side, tid) in enumerate(events)
+            ],
+        )
+        if self._release != __version__:
+            # The tail's first unit after a checkpoint by another release.
+            write_meta(connection, "release", __version__)
+        connection.commit()
+        self._tail += len(events)
+        self._release = __version__
+
+    def _checkpoint(self) -> None:
+        """Write back what changed since the last checkpoint, empty the
+        tail and stamp the release, in one transaction."""
+        with self.tracer.span("store.checkpoint", events=self._tail) as span:
+            records, clusters = self._write_back()
+            span.set("records", records)
+            span.set("clusters", clusters)
+            connection = self.connection
+            connection.execute("DELETE FROM events")
+            write_meta(connection, "release", __version__)
+            connection.commit()
+        self._tail = 0
+        self._release = __version__
         self._clean()
         self._saved = (self.comparisons, self.merges, self.spec_fingerprint)
         if self.metrics is not None:
-            self.metrics.count("store.commits")
+            self.metrics.count("store.checkpoints")
 
-    def _write_back(self) -> None:
+    def _write_back(self) -> Tuple[int, int]:
         """One statement per kind of change: new records, repaired older
-        records, every member of each changed cluster, the ledger."""
+        records, every member of each changed cluster, the ledger.
+        Returns the ``records`` and ``clusters`` rows written."""
         write = self.connection.executemany
-        added = self._added
+        added, repaired, encoded = self._added, self._repaired, self._encoded
         if added:
+            rows = []
+            for record in added:
+                side, tid = record
+                arrival = encoded.get(record) or _encode(self.arrival_row(side, tid))
+                # (a record no repair touched still holds its arrival values)
+                current = (
+                    _encode(self.relation(side)[tid]) if record in repaired else arrival
+                )
+                rows.append((side, tid, arrival, current))
             write(
                 "INSERT INTO records (side, tid, arrival, current) "
                 "VALUES (?, ?, ?, ?)",
-                [
-                    (side, tid, _encode(self.arrival_row(side, tid)),
-                     _encode(self.relation(side)[tid]))
-                    for side, tid in added
-                ],
+                rows,
             )
         repaired = [
             (_encode(self.relation(side)[tid]), side, tid)
-            for side, tid in self._repaired
+            for side, tid in repaired
             if (side, tid) not in added
         ]
         if repaired:
@@ -352,16 +537,17 @@ class SQLiteMatchStore(MatchStore):
                 repaired,
             )
         roots = dict.fromkeys(self.find(node) for node in self._moved)
-        if roots:
+        members = [
+            (_TAG_SIDES[tag], tid, _TAG_SIDES[root[0]], root[1])
+            for root in roots
+            for tag, tid in sorted(self._members[root])
+        ]
+        if members:
             write(
                 "INSERT INTO clusters (side, tid, root_side, root_tid) "
                 "VALUES (?, ?, ?, ?) ON CONFLICT(side, tid) DO UPDATE SET "
                 "root_side = excluded.root_side, root_tid = excluded.root_tid",
-                [
-                    (_TAG_SIDES[tag], tid, _TAG_SIDES[root[0]], root[1])
-                    for root in roots
-                    for tag, tid in sorted(self._members[root])
-                ],
+                members,
             )
         comparisons, merges, fingerprint = self._saved
         if (comparisons, merges) != (self.comparisons, self.merges):
@@ -372,18 +558,27 @@ class SQLiteMatchStore(MatchStore):
             )
         if fingerprint != self.spec_fingerprint:
             write_meta(self.connection, "spec_fingerprint", self.spec_fingerprint)
+        return len(added) + len(repaired), len(members)
 
     def rollback(self) -> None:
-        """Discard the unit: roll the transaction back and drop both
-        halves, which the next read reloads from the file."""
+        """Discard the unit: roll the transaction back, drop both halves,
+        which the next read reloads from the checkpoint, and replay the
+        committed tail through the attached matcher."""
         self.connection.rollback()
         self._drop(_RECORDS_HALF + _CLUSTERS_HALF)
         self._read_ledger()
         self._clean()
+        self._clean_unit()
+        self._caught_up = not self._tail
+        if not self._caught_up and self._ingest is not None and self._ingest():
+            self._replay()
 
     def close(self, commit: bool = True) -> None:
         """Commit (by default) and close the connection — closed even
-        when the commit raises."""
+        when the commit raises.  The matcher commits each of its units,
+        so what is left to commit is an empty unit: the checkpoint.
+        ``commit=False`` discards the open unit and leaves the tail for
+        the next matcher to replay."""
         try:
             if commit:
                 self.commit()
@@ -396,6 +591,12 @@ class SQLiteMatchStore(MatchStore):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(commit=exc_type is None)
 
+    @property
+    def pending_events(self) -> int:
+        """Events committed since the last checkpoint: the tail a matcher
+        replays at open, and how far a reader's view lags."""
+        return self._tail
+
     def disk_bytes(self) -> int:
         """Bytes on disk, including the WAL and shared-memory sidecars."""
         total = 0
@@ -407,12 +608,14 @@ class SQLiteMatchStore(MatchStore):
         return total
 
     def stats(self) -> Dict[str, object]:
-        """The memory store's stats, plus where the file is and its size."""
+        """The memory store's stats, plus where the file is, its size and
+        the events committed since the last checkpoint."""
         stats = super().stats()
         return {
             "backend": stats.pop("backend"),
             "path": str(self.path),
             "disk_bytes": self.disk_bytes(),
+            "pending_events": self.pending_events,
             **stats,
         }
 
@@ -423,14 +626,20 @@ def save_store(store: MatchStore, path) -> None:
 
     The copy is replayed into a fresh store — records (arrival values,
     then the repairs to their current values), clusters, counters and
-    spec fingerprint — and committed once, so the commit's write-back is
+    spec fingerprint — and closed, so one checkpoint's write-back is
     what writes it.  It is built at a sibling scratch path and renamed
     into place: ``path`` never holds a half-written store, and an
-    existing ``path`` is refused.
+    existing ``path`` is refused, as is a durable store whose tail no
+    matcher replayed (memory holds its last checkpoint only).
     """
     path = Path(path)
     if path.exists():
         raise ValueError(f"refusing to overwrite existing file {path}")
+    if not getattr(store, "_caught_up", True):
+        raise ValueError(
+            f"store {store.path} has {store.pending_events} pending event(s) that no "
+            "matcher replayed; build one over it (Workspace.stream()) first"
+        )
     scratch = path.with_name(path.name + ".tmp")
     _remove(scratch)
     copy = SQLiteMatchStore(

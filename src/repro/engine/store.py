@@ -18,8 +18,8 @@ tuple ids, and the clusters folded from its matches:
   matching is measurable against batch re-runs.
 
 This is the only implementation of that state: the durable
-:class:`~repro.engine.sqlite.SQLiteMatchStore` is this class plus a
-write-back, at each commit, of what the unit changed.  It keeps the
+:class:`~repro.engine.sqlite.SQLiteMatchStore` is this class plus a log
+of the records each unit ingested and a checkpoint of what changed.  It keeps the
 state in two halves, *records* (:meth:`MatchStore._start_records`) and
 *clusters* (:meth:`MatchStore._start_clusters`), which the durable store
 loads independently.
@@ -33,7 +33,8 @@ re-matching.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
@@ -320,6 +321,18 @@ class MatchStore:
         """Make the current state durable.  In-memory stores have no
         durability, so this is a no-op — callers (the matcher commits
         once per ingest) can invoke it unconditionally."""
+
+    @contextmanager
+    def ingesting(self):
+        """Scope one matcher ingest: the body adds the arriving record and
+        makes the repairs and unions its chases decide.  A durable store
+        logs the record as its unit's input; here nothing happens."""
+        yield
+
+    def attach(self, ingest: Callable[[int, Dict[str, object], int], object]) -> None:
+        """Take a matcher's per-record ingest (``ingest(side, values,
+        tid)``) as the way to replay input this store committed but holds
+        only as a log, and replay it.  A memory store has no log."""
 
     def rollback(self) -> None:
         """No-op: the memory store has no transaction to roll back.

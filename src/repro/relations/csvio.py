@@ -46,7 +46,9 @@ def load_relation(
 
     The file's header must list exactly the schema's attributes (after the
     tuple-id column); a mismatch raises ``ValueError`` rather than silently
-    mis-aligning columns.
+    mis-aligning columns.  Blank records are skipped; a record whose tuple
+    id is not an integer, or repeats an earlier one, raises ``ValueError``
+    naming the file and line (every error names the file).
     """
     path = Path(path)
     relation = Relation(schema)
@@ -58,21 +60,33 @@ def load_relation(
         expected = ["__tid__"] + list(schema.attribute_names)
         if header != expected:
             raise ValueError(
-                f"CSV header {header} does not match schema "
+                f"{path}: CSV header {header} does not match schema "
                 f"{schema.name!r} ({expected})"
             )
         # The header was checked, so every record is adopted as a
         # schema-complete row (a short record reads as trailing nulls).
         names = schema.attribute_names
         for record in reader:
+            if not record:
+                continue
             fields = record[1:]
             if len(fields) < len(names):
                 fields += [_NULL] * (len(names) - len(fields))
-            relation.adopt(
-                int(record[0]),
-                {
-                    name: (None if text == _NULL else text)
-                    for name, text in zip(names, fields)
-                },
-            )
+            try:
+                tid = int(record[0])
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: "
+                    f"tuple id {record[0]!r} is not an integer"
+                ) from None
+            try:
+                relation.adopt(
+                    tid,
+                    {
+                        name: (None if text == _NULL else text)
+                        for name, text in zip(names, fields)
+                    },
+                )
+            except ValueError as error:
+                raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
     return relation

@@ -117,7 +117,9 @@ def test_kill_and_resume_equals_uninterrupted(dataset, make_stream, tmp_path):
 
 
 def test_uncommitted_tail_is_invisible_after_crash(dataset, tmp_path):
-    """A transaction in flight when the process dies never surfaces."""
+    """A transaction in flight when the process dies never surfaces: a
+    matcher reopening the file replays the ten committed ingests, and
+    only those."""
     path = tmp_path / "crash.db"
     events = list(arrival_stream(dataset, seed=5).events)
     matcher = _sqlite_workspace(dataset, path).stream()
@@ -127,9 +129,12 @@ def test_uncommitted_tail_is_invisible_after_crash(dataset, tmp_path):
     matcher.store.comparisons += 999
     matcher.store.connection.close()  # die without commit
 
-    reopened = SQLiteMatchStore(path)
+    reopened = _sqlite_workspace(dataset, path).stream().store
     assert len(reopened.left) + len(reopened.right) == 10
     assert reopened.comparisons != 999
+    alone = _memory_workspace(dataset).stream()
+    alone.ingest_stream(events[:10])
+    assert _state(reopened) == _state(alone.store)
     reopened.close(commit=False)
 
 
@@ -321,9 +326,7 @@ def test_a_full_disk_mid_unit_leaves_the_last_commit_and_a_retry_goes_on(
         pytest.fail("the capped file never filled up")
     assert not store.connection.in_transaction
     assert _state(store) == before
-    reopened = SQLiteMatchStore(path)
-    assert _state(reopened) == before
-    reopened.close(commit=False)
+    assert _replayed_state(dataset, store, tmp_path) == before
 
     store.connection.execute("PRAGMA max_page_count = 1073741823")
     run(unit)
@@ -335,9 +338,26 @@ def test_a_full_disk_mid_unit_leaves_the_last_commit_and_a_retry_goes_on(
     store.close()
 
 
+def _replayed_state(dataset, store, tmp_path):
+    """What a matcher reopening ``store``'s file sees: the checkpoint with
+    the committed tail replayed.  It opens a snapshot, so ``store`` stays
+    the file's one writer."""
+    copy = tmp_path / "snapshot.db"
+    target = sqlite3.connect(copy)
+    store.connection.backup(target)
+    target.close()
+    reopened = _sqlite_workspace(dataset, copy).stream().store
+    try:
+        return _state(reopened)
+    finally:
+        reopened.close()
+        for suffix in ("", "-wal", "-shm"):
+            (tmp_path / f"snapshot.db{suffix}").unlink(missing_ok=True)
+
+
 def test_close_closes_the_connection_when_its_commit_fails(dataset, tmp_path):
-    """``close()`` commits first; when that commit fails (``SQLITE_FULL``,
-    as above) the error propagates and the connection is closed anyway."""
+    """``close()`` checkpoints first; when that fails (``SQLITE_FULL``, as
+    above) the error propagates and the connection is closed anyway."""
     events = list(arrival_stream(dataset, seed=5).events)
     path = tmp_path / "full.db"
     matcher = _sqlite_workspace(dataset, path).stream()
@@ -352,8 +372,9 @@ def test_close_closes_the_connection_when_its_commit_fails(dataset, tmp_path):
         store.close()
     with pytest.raises(sqlite3.ProgrammingError, match="closed"):
         store.connection.execute("SELECT 1")
-    with SQLiteMatchStore(path) as reopened:
-        assert _state(reopened) == before
+    reopened = _sqlite_workspace(dataset, path).stream().store
+    assert _state(reopened) == before
+    reopened.close()
 
 
 def _reads_records(statements):
@@ -397,16 +418,20 @@ def test_a_reopened_store_builds_its_index_on_first_use(
 
 
 @pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
-def test_a_version_1_store_opens_as_version_2_and_streams_on(
-    dataset, blocking, tmp_path
+@pytest.mark.parametrize("version", (1, 2))
+def test_an_older_store_opens_as_version_3_and_streams_on(
+    dataset, version, blocking, tmp_path
 ):
-    """A file written by a version-1 build kept its blocking index in two
-    tables of postings.  Opening it drops both and stamps version 2 (a
-    version-1 build then refuses the file rather than probe postings that
-    no longer follow it); the stream goes on as if never interrupted."""
+    """A file written by a version-2 build has no ``events`` tail (nor a
+    ``release`` stamp); one by a version-1 build also kept its blocking
+    index in two tables of postings.  Opening either upgrades it in one
+    transaction — the postings dropped, an empty tail added, version 3
+    stamped, so an older build refuses the file rather than probe
+    postings that no longer follow it or miss the records its tail
+    holds — and the stream goes on as if never interrupted."""
     events = list(arrival_stream(dataset, seed=5).events)
     cut = len(events) // 2
-    path = tmp_path / "v1.db"
+    path = tmp_path / f"v{version}.db"
 
     def workspace():
         return _builder(dataset).blocking(blocking).persistence("sqlite", str(path)).workspace()
@@ -416,24 +441,29 @@ def test_a_version_1_store_opens_as_version_2_and_streams_on(
     first.store.close()
     connection = sqlite3.connect(path)
     with connection:
-        # The version-1 blocking tables, populated with postings a probe
-        # would go wrong on: every record under one key.
+        connection.execute("DROP TABLE events")
+        connection.execute("DELETE FROM meta WHERE key = 'release'")
+        if version == 1:
+            # The version-1 blocking tables, populated with postings a
+            # probe would go wrong on: every record under one key.
+            connection.execute(
+                "CREATE TABLE buckets (idx INTEGER NOT NULL, key TEXT NOT NULL, "
+                "side INTEGER NOT NULL, tid INTEGER NOT NULL)"
+            )
+            connection.execute("CREATE INDEX buckets_probe ON buckets (idx, key, side)")
+            connection.execute(
+                "CREATE TABLE ranks (idx INTEGER NOT NULL, block TEXT NOT NULL, "
+                "key TEXT NOT NULL, side INTEGER NOT NULL, tid INTEGER NOT NULL)"
+            )
+            connection.execute(
+                "INSERT INTO buckets SELECT 0, '[\"x\"]', side, tid FROM records"
+            )
+            connection.execute(
+                "INSERT INTO ranks SELECT 0, 'x', '[\"x\"]', side, tid FROM records"
+            )
         connection.execute(
-            "CREATE TABLE buckets (idx INTEGER NOT NULL, key TEXT NOT NULL, "
-            "side INTEGER NOT NULL, tid INTEGER NOT NULL)"
+            "UPDATE meta SET value = ? WHERE key = 'schema_version'", (str(version),)
         )
-        connection.execute("CREATE INDEX buckets_probe ON buckets (idx, key, side)")
-        connection.execute(
-            "CREATE TABLE ranks (idx INTEGER NOT NULL, block TEXT NOT NULL, "
-            "key TEXT NOT NULL, side INTEGER NOT NULL, tid INTEGER NOT NULL)"
-        )
-        connection.execute(
-            "INSERT INTO buckets SELECT 0, '[\"x\"]', side, tid FROM records"
-        )
-        connection.execute(
-            "INSERT INTO ranks SELECT 0, 'x', '[\"x\"]', side, tid FROM records"
-        )
-        connection.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
     connection.close()
 
     resumed = workspace().stream()
@@ -443,12 +473,13 @@ def test_a_version_1_store_opens_as_version_2_and_streams_on(
             "SELECT name FROM sqlite_master WHERE type = 'table'"
         )
     }
-    assert tables == {"meta", "records", "clusters", "counters"}
+    assert tables == {"meta", "records", "clusters", "counters", "events"}
     (version,) = resumed.store.connection.execute(
         "SELECT value FROM meta WHERE key = 'schema_version'"
     ).fetchone()
-    assert version == "2"
+    assert version == "3"
     resumed_results = resumed.ingest_stream(events[cut:])
+    assert resumed.store.pending_events == len(events) - cut
 
     uninterrupted = _builder(dataset).blocking(blocking).workspace().stream()
     assert _result_log(first_results) + _result_log(resumed_results) == _result_log(
@@ -456,6 +487,8 @@ def test_a_version_1_store_opens_as_version_2_and_streams_on(
     )
     assert _state(resumed.store) == _state(uninterrupted.store)
     resumed.store.close()
+    # ... and the tail the upgraded file took resumes in another process.
+    assert _state(workspace().stream().store) == _state(uninterrupted.store)
 
 
 def test_second_writer_gets_database_is_locked_and_nothing_half_applied(
@@ -480,18 +513,21 @@ def test_second_writer_gets_database_is_locked_and_nothing_half_applied(
 
     def observed():
         return (
-            store.connection.execute("SELECT COUNT(*) FROM records").fetchone(),
+            store.connection.execute(
+                "SELECT COUNT(*) FROM records UNION ALL SELECT COUNT(*) FROM events"
+            ).fetchall(),
             store.comparisons, store.merges,
         )
 
     before = observed()
+    state_before = _state(store)
     with pytest.raises(sqlite3.OperationalError, match="database is locked"):
         matcher.ingest(held.side, held.values, tid=held.tid)
     # The failed commit rolled the unit back: nothing of it is left in
-    # the table, in memory (both halves reload on next use) or in the
-    # counters, and no transaction is open.
+    # the file, in memory (reloaded from the checkpoint, the committed
+    # tail replayed) or in the counters, and no transaction is open.
     assert observed() == before
-    assert "left" not in store.__dict__ and "_parent" not in store.__dict__
+    assert _state(store) == state_before
     assert not store.connection.in_transaction
 
     other.execute("ROLLBACK")

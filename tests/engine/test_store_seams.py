@@ -250,11 +250,14 @@ def test_a_cluster_is_resolved_once_per_record_in_first_change_order(matcher):
 
 
 def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypatch):
-    """300 events: a commit writes each new record once and each record
-    an earlier unit stored at most once, every record's keys are derived
+    """300 events, a checkpoint due every 64: a unit of one ingest
+    writes its one event and nothing else, a checkpoint writes each
+    record new since the last one once and each record an earlier
+    checkpoint stored at most once, every record's keys are derived
     once, and nothing is read back from the file."""
     stream = events[:300]
     assert len(stream) == 300
+    monkeypatch.setattr(store_module, "CHECKPOINT_EVENTS", 64)
     matcher = _workspace(dataset, tmp_path / "cost.db").stream()
     store = matcher.store
 
@@ -287,30 +290,55 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
         return sum(statement.startswith(prefix) for statement in statements)
 
     assert len(store.indexes) > 1 and any(result.merged for result in results)
-    # One INSERT per new record, its repairs in that unit included ...
-    assert count("INSERT INTO records") == len(stream)
-    # ... and one UPDATE per record an earlier unit stored and this one
-    # repaired, however often (a cascade repairs a record once per
-    # cluster it resolves, and a consensus moves several cells at once).
+    # The unit that would bring the tail to 64 events is a checkpoint:
+    # the 64th, 128th, 192nd and 256th ingests; 44 events stay pending.
+    units_written = " ".join(statements).split("COMMIT")[:-1]
+    assert len(units_written) == len(stream)
+    checkpoints = [63, 127, 191, 255]
+    assert [
+        position for position, unit in enumerate(units_written) if "DELETE FROM events" in unit
+    ] == checkpoints
+    assert count("INSERT INTO events") == len(stream) - len(checkpoints)
+    assert store.pending_events == 44 == store.stats()["pending_events"]
+    for position, unit in enumerate(units_written):
+        if position not in checkpoints:
+            # One ingest is one events row (its tid and arrival values).
+            assert unit.split(None, 1)[0] == "BEGIN"
+            assert unit.count("INSERT INTO events (seq, side, tid, arrival)") == 1
+            assert re.findall(r"\b(?:INTO|UPDATE|FROM)\s+(\w+)", unit) == ["events"]
+    # A checkpoint inserts the records its window ingested, their repairs
+    # in that window included ...
+    assert count("INSERT INTO records") == checkpoints[-1] + 1
+    # ... and updates each record an earlier checkpoint stored that its
+    # window repaired, once however often (a cascade repairs a record once
+    # per cluster it resolves, and a consensus moves several cells at once).
     updated = [
         (int(side), int(tid))
         for statement in statements
         for side, tid in re.findall(r"^UPDATE records .* WHERE side = (\d+) AND tid = (\d+)$", statement)
     ]
-    assert len(updated) == count("UPDATE records") == sum(
-        len(unit - {(result.side, result.tid)}) for unit, result in zip(units, results)
-    )
+    expected_updates = 0
+    for first, last in zip([-1] + checkpoints, checkpoints):
+        stored = {(result.side, result.tid) for result in results[: first + 1]}
+        repaired = set().union(*units[first + 1 : last + 1])
+        expected_updates += len(repaired & stored)
+    assert len(updated) == count("UPDATE records") == expected_updates
     assert 0 < len(updated) < len(changed_records)
-    commits = " ".join(statements).split("COMMIT")
-    for unit in commits:
+    for unit in units_written:
         written = re.findall(r"UPDATE records .*? WHERE side = (\d+) AND tid = (\d+)", unit)
         assert len(written) == len(set(written))
     # The cascade re-probes records (more probes than records), yet a
     # record's keys are derived once, at add ...
-    assert matcher.metrics.counters["store.probes"] > len(stream)
+    counters = matcher.metrics.counters
+    assert counters["store.probes"] > len(stream)
     assert len(derivations) == len(store.indexes) * len(stream)
+    # ... a unit is counted as a commit, a checkpoint as a checkpoint
+    # too (the fingerprint stamp at stream() was the first of each) ...
+    assert counters["store.commits"] == len(stream) + 1
+    assert counters["store.checkpoints"] == len(checkpoints) + 1
+    assert matcher.metrics.gauges["store.pending_events"] == 44
     # ... and the state lives in memory: an ingest reads nothing back and
-    # writes the records, the clusters and the ledger, nothing else.
+    # writes the events, or the records, the clusters and the ledger.
     assert not [statement for statement in statements if statement.startswith("SELECT")]
     tables = {
         table
@@ -318,12 +346,20 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
         # (``ON CONFLICT ... DO UPDATE SET`` names no table)
         for table in re.findall(r"\b(?:FROM|INTO|(?<!DO )UPDATE)\s+(\w+)", statement)
     }
-    assert tables <= {"records", "clusters", "counters", "meta"}
+    assert tables == {"events", "records", "clusters", "counters", "meta"}
     assert all(
         re.search(r"\b(?:FROM|INTO|UPDATE)\s", statement)
         for statement in statements
         if statement.strip() not in ("BEGIN", "COMMIT")
     )
+    # Closing is the last checkpoint: the 44 pending records, once each.
+    del statements[:]
+    store.connection.set_trace_callback(statements.append)
+    store.commit()  # an empty unit: the checkpoint close() makes
+    store.connection.set_trace_callback(None)
+    assert count("INSERT INTO records") == 44
+    assert count("INSERT INTO events") == 0 and count("DELETE FROM events") == 1
+    assert store.pending_events == 0
 
     # Saving the store (``save_store``) replays it into a new file as one
     # unit: each record is inserted once, its repairs applied before the

@@ -28,7 +28,8 @@ def rows(store) -> Dict[str, list]:
 def state(store) -> Dict[str, object]:
     """Configuration, fingerprint, records, clusters, counters and stats;
     the stats without what legitimately differs between two stores
-    (backend, file path, size on disk)."""
+    (backend, file path, size on disk, events since the last
+    checkpoint)."""
     return {
         "config": config_to_dict(store),
         "spec_fingerprint": store.spec_fingerprint,
@@ -42,6 +43,6 @@ def state(store) -> Dict[str, object]:
         "stats": {
             key: value
             for key, value in store.stats().items()
-            if key not in ("backend", "path", "disk_bytes")
+            if key not in ("backend", "path", "disk_bytes", "pending_events")
         },
     }

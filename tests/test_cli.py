@@ -225,6 +225,92 @@ class TestMatch:
         assert "WRONG" in capsys.readouterr().err
 
 
+class TestMalformedCsv:
+    """A malformed data row is exit 2 with one ``error:`` line naming the
+    file and line — never a traceback — from ``match`` and ``engine
+    ingest`` alike, and ``engine ingest`` reads both files before it
+    touches the store."""
+
+    @pytest.fixture
+    def fig1_csvs(self, tmp_path):
+        _, credit, billing = figure1_instances()
+        left_path = tmp_path / "credit.csv"
+        right_path = tmp_path / "billing.csv"
+        save_relation(credit, left_path)
+        save_relation(billing, right_path)
+        return left_path, right_path
+
+    def _run(self, command, spec_file, left_path, right_path, tmp_path):
+        store = tmp_path / "store.db"
+        arguments = (
+            ["match", "--spec", str(spec_file)]
+            if command == "match"
+            else ["engine", "ingest", "--spec", str(spec_file), "--store", str(store)]
+        )
+        return main(
+            [*arguments, "--left", str(left_path), "--right", str(right_path)]
+        ), store
+
+    def _refused(self, capsys, code, store, *fragments):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        for fragment in fragments:
+            assert fragment in err
+        assert "Traceback" not in err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_blank_record_is_skipped(self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        left_path, right_path = fig1_csvs
+        for name in "ab":
+            (tmp_path / name).mkdir()
+        expected, _ = self._run(command, spec_file, left_path, right_path, tmp_path / "a")
+        clean = capsys.readouterr().out
+        lines = left_path.read_text().splitlines(keepends=True)
+        left_path.write_text("".join(lines[:2] + ["\n"] + lines[2:] + ["\n"]))
+        code, _ = self._run(command, spec_file, left_path, right_path, tmp_path / "b")
+        assert code == expected == 0
+        assert capsys.readouterr().out == clean.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_non_integer_tid(self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        left_path, right_path = fig1_csvs
+        lines = left_path.read_text().splitlines(keepends=True)
+        lines[2] = "x" + lines[2][lines[2].index(","):]
+        left_path.write_text("".join(lines))
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(
+            capsys, code, store, f"{left_path}, line 3", "tuple id 'x' is not an integer"
+        )
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_duplicate_tid(self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        left_path, right_path = fig1_csvs
+        lines = right_path.read_text().splitlines(keepends=True)
+        right_path.write_text("".join(lines + lines[1:2]))
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(
+            capsys, code, store, f"{right_path}, line {len(lines) + 1}",
+            "tuple id 0 already present",
+        )
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_plain_csv_row_with_an_extra_field(
+        self, command, spec_file, fig1_csvs, tmp_path, capsys
+    ):
+        left_path, right_path = fig1_csvs
+        left_path.write_text(
+            "FN,LN,addr\n"
+            "Mark,Clifford,10 Oak Street\n"
+            "Mark,Clifford,10 Oak Street,908-1111111\n"
+        )
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(
+            capsys, code, store, f"{left_path}, line 3", "4 fields, the header has 3"
+        )
+
+
 class TestPlanExplain:
     def test_explain_prints_compiled_plan(self, spec_file, capsys):
         code = main(
