@@ -293,20 +293,33 @@ class Workspace:
                 candidate_pairs=candidates,
                 max_rounds=self.spec.max_rounds,
             )
-            matches = result.matches(plan.target.attribute_pairs())
+            matched = result.matching(plan.target.attribute_pairs())
+            matches = [candidates[i] for i in matched]
             rule_names: Dict[Pair, Tuple[str, ...]] = {}
             if provenance:
                 with self.tracer.span("provenance"):
                     # The chase already knows which rules' LHS hold in the
-                    # chased instance, pair by pair: read them off.
-                    names: Dict[Pair, List[str]] = {pair: [] for pair in matches}
-                    for rule, positions in zip(plan.rules, result.holding):
+                    # chased instance, position by position: read them off
+                    # as a bit per rule, and name each distinct set once.
+                    held = [0] * len(candidates)
+                    for index, positions in enumerate(result.holding):
+                        bit = 1 << index
                         for i in positions:
-                            held = names.get(candidates[i])
-                            # (a pair listed twice holds at two positions)
-                            if held is not None and rule.name not in held[-1:]:
-                                held.append(rule.name)
-                    rule_names = {pair: tuple(held) for pair, held in names.items()}
+                            held[i] |= bit
+                    masks: Dict[Pair, int] = {}
+                    for i in matched:
+                        # (a pair listed twice holds at two positions)
+                        pair = candidates[i]
+                        masks[pair] = masks.get(pair, 0) | held[i]
+                    names: Dict[int, Tuple[str, ...]] = {}
+                    for pair, mask in masks.items():
+                        if mask not in names:
+                            names[mask] = tuple(
+                                rule.name
+                                for index, rule in enumerate(plan.rules)
+                                if mask >> index & 1
+                            )
+                        rule_names[pair] = names[mask]
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)
         return self._report("enforce", matches, candidates, rule_names)

@@ -34,6 +34,7 @@ extension ``D'`` is materialised when someone asks for ``instance``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -207,6 +208,15 @@ def is_stable(
     return satisfies_all(instance, instance, sigma, registry)
 
 
+#: Where a rank's cells live (:attr:`ChaseLayout.left_places`): the
+#: offset from a cell to its group representative's cell, the cell's
+#: lane (the index of its RHS pair in the group), and the group's lanes —
+#: per RHS pair, its ``(left, right)`` rank offsets from the
+#: representative pair.  Outside a group: ``(0, 0, ((0, 0),))``.
+Place = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+_ALONE: Place = (0, 0, ((0, 0),))
+
+
 class ChaseLayout(NamedTuple):
     """The plan's half of a chase's encoding, built once per plan and
     storage layout (:attr:`~repro.plan.compile.EnforcementPlan.layouts`):
@@ -214,7 +224,19 @@ class ChaseLayout(NamedTuple):
     and every rule as rank offsets from a pair's two tuples —
     ``(equalities, similarities, rhs)`` in selection order, an atom as
     ``(left rank, right rank)``, a similarity led by its predicate.  A
-    chase adds only what its pairs decide (:class:`CellClasses`)."""
+    chase adds only what its pairs decide (:class:`CellClasses`).
+
+    An MD identifies attribute *lists*, so the RHS pairs one set of rules
+    writes are identified by the same firings: when none of their
+    attributes sits in another RHS pair, their cell classes are copies of
+    one partition of the tuples.  Such pairs form an **RHS group**
+    (``groups``, each a tuple of rank pairs, its representative first),
+    and the chase unions only the representative's cells; every other
+    RHS pair — and every one over shared storage, where the order of the
+    unions is observable — is a group of one.  ``writes`` is per rule the
+    bitmask of the groups it writes, ``left_places`` / ``right_places``
+    per rank where its cells live (:data:`Place`), and :meth:`unions`
+    the group unions a set of firing rules makes at one pair."""
 
     shared: bool
     left_names: Tuple[str, ...]
@@ -222,12 +244,21 @@ class ChaseLayout(NamedTuple):
     left_rank: Dict[str, int]
     right_rank: Dict[str, int]
     rules: Tuple[tuple, ...]
+    groups: Tuple[Tuple[Tuple[int, int], ...], ...]
+    writes: Tuple[int, ...]
+    left_places: Tuple[Place, ...]
+    right_places: Tuple[Place, ...]
+    #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
+    union_memo: Dict[int, tuple]
+    #: attribute pairs -> :meth:`homes`' answer, filled as they are read.
+    home_memo: Dict[tuple, Optional[Tuple[Tuple[int, int], ...]]]
 
     @classmethod
     def of(cls, attributes, rules: Iterable[tuple], shared: bool) -> "ChaseLayout":
         """Lower ``rules`` — ``(equalities, similarities, rhs)`` over the
-        per-side names in ``attributes`` — to rank offsets; over shared
-        storage both sides use one attribute table."""
+        per-side names in ``attributes`` — to rank offsets, and group
+        their RHS pairs; over shared storage both sides use one attribute
+        table."""
         left, right = set(attributes[0]), set(attributes[1])
         if shared:
             left = right = left | right
@@ -242,7 +273,102 @@ class ChaseLayout(NamedTuple):
             )
             for equalities, similarities, rhs in rules
         )
-        return cls(shared, left_names, right_names, left_rank, right_rank, lowered)
+        # The distinct RHS pairs in first-occurrence order, with the
+        # bitmask of the rules writing each.
+        writers: Dict[Tuple[int, int], int] = {}
+        for position, (_, _, rhs) in enumerate(lowered):
+            for pair in rhs:
+                writers[pair] = writers.get(pair, 0) | 1 << position
+        lefts = Counter(left for left, _ in writers)
+        rights = Counter(right for _, right in writers)
+        grouped: Dict[object, List[Tuple[int, int]]] = {}
+        for pair, mask in writers.items():
+            private = not shared and lefts[pair[0]] == 1 and rights[pair[1]] == 1
+            grouped.setdefault(mask if private else pair, []).append(pair)
+        groups = tuple(tuple(pairs) for pairs in grouped.values())
+        group_of = {pair: g for g, pairs in enumerate(groups) for pair in pairs}
+        writes = tuple(
+            sum({1 << group_of[pair] for pair in rhs}) for _, _, rhs in lowered
+        )
+        left_places = [_ALONE] * len(left_names)
+        right_places = [_ALONE] * len(right_names)
+        for pairs in groups:
+            if len(pairs) == 1:
+                continue
+            (left0, right0) = pairs[0]
+            lanes = tuple((left - left0, right - right0) for left, right in pairs)
+            for lane, (left, right) in enumerate(pairs):
+                left_places[left] = (left0 - left, lane, lanes)
+                right_places[right] = (right0 - right, lane, lanes)
+        return cls(
+            shared, left_names, right_names, left_rank, right_rank, lowered,
+            groups, writes, tuple(left_places), tuple(right_places), {}, {},
+        )
+
+    def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:
+        """The unions the rules in ``mask`` (bit ``k`` = rule ``k``) make
+        at one pair: a ``(left rank, right rank, size, lanes)`` per group,
+        the representative's ranks, the group's size and, per further
+        RHS pair, ``(its bit, left offset, right offset)``.  In the order
+        the rules and their RHS name the groups — over shared storage the
+        order of the unions is observable, and this is the order the
+        rules declare.  Memoized per mask."""
+        found = self.union_memo.get(mask)
+        if found is not None:
+            return found
+        group_of = {pair: g for g, pairs in enumerate(self.groups) for pair in pairs}
+        seen: Dict[int, None] = {}
+        for position, (_, _, rhs) in enumerate(self.rules):
+            if mask >> position & 1:
+                for pair in rhs:
+                    seen[group_of[pair]] = None
+        unions = []
+        for g in seen:
+            (left0, right0), *others = self.groups[g]
+            lanes = tuple(
+                (1 << lane, left - left0, right - right0)
+                for lane, (left, right) in enumerate(others, 1)
+            )
+            unions.append((left0, right0, 1 + len(others), lanes))
+        found = self.union_memo[mask] = tuple(unions)
+        return found
+
+    def homes(
+        self, attribute_pairs: Iterable[Tuple[str, str]]
+    ) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """The ``(left rank, right rank)`` cells a pair is read at to tell
+        whether its cells of every given attribute pair were identified:
+        one representative pair per RHS group the attribute pairs fall in.
+        ``None`` when no pair can be — an attribute outside the encoding,
+        or two cells of different lanes, which never share a class.
+        Memoized per attribute pair sequence."""
+        key = tuple(attribute_pairs)
+        try:
+            return self.home_memo[key]
+        except KeyError:
+            pass
+        homes: Optional[Dict[Tuple[int, int], None]] = {}
+        for left_attr, right_attr in key:
+            left_rank = self.left_rank.get(left_attr)
+            right_rank = self.right_rank.get(right_attr)
+            if left_rank is None or right_rank is None:
+                homes = None
+                break
+            left_offset, lane, _ = self.left_places[left_rank]
+            right_offset, other, _ = self.right_places[right_rank]
+            if lane != other:
+                homes = None
+                break
+            homes[left_rank + left_offset, right_rank + right_offset] = None
+        found = self.home_memo[key] = None if homes is None else tuple(homes)
+        return found
+
+    def place(self, cell: int, right_base: int) -> Place:
+        """Where ``cell`` of a chase whose right cells start at
+        ``right_base`` lives (:data:`Place`)."""
+        if cell < right_base:
+            return self.left_places[cell % len(self.left_names)]
+        return self.right_places[(cell - right_base) % len(self.right_names)]
 
 
 class CellClasses:
@@ -272,8 +398,11 @@ class CellClasses:
     bisection.
 
     :func:`repro.plan.executor.chase` does the unions, in its round
-    loop; everything tuple-facing (:meth:`same`, :meth:`members`,
-    :meth:`classes`) decodes at the boundary.
+    loop, over the representative cells of the layout's RHS groups only
+    (a cell of another pair in a group stays a singleton in the lists);
+    everything tuple-facing (:meth:`same`, :meth:`members`,
+    :meth:`classes`, :meth:`matches`) maps a cell to its representative
+    and decodes at the boundary.
     """
 
     def __init__(
@@ -284,6 +413,7 @@ class CellClasses:
         if layout.shared:
             left_tids = right_tids = left_tids | right_tids
         self.pairs = pairs
+        self.layout = layout
         self.left_tids: List[int] = sorted(left_tids)
         self.right_tids: List[int] = sorted(right_tids)
         self.left_names, self.right_names = layout.left_names, layout.right_names
@@ -354,6 +484,27 @@ class CellClasses:
         return members
 
     # -- tuple-facing ----------------------------------------------------
+    #
+    # Only a group representative's cells are ever unioned: a cell of
+    # another pair in its group is read through the representative's cell
+    # of its tuple (``offset`` away), and a representative class stands
+    # for one class per lane — its members shifted by the lane's offsets.
+
+    def _home(self, cell: int) -> Tuple[int, int]:
+        """The representative cell ``cell`` is read through, and its lane."""
+        offset, lane, _ = self.layout.place(cell, self.right_base)
+        return cell + offset, lane
+
+    def _lanes(self, home: int) -> Iterable[List[int]]:
+        """Per lane of ``home``'s group, the (sorted) members of the class
+        the representative class of ``home`` stands for there."""
+        right_base = self.right_base
+        members = sorted(self.ring(home))
+        for left, right in self.layout.place(home, right_base)[2]:
+            yield [
+                member + (left if member < right_base else right)
+                for member in members
+            ]
 
     def same(self, a: Cell, b: Cell) -> bool:
         """Whether the two cells are in one class.  A cell outside the
@@ -361,44 +512,54 @@ class CellClasses:
         if a == b:
             return True
         a, b = self.cell(*a), self.cell(*b)
-        return a is not None and b is not None and self.root[a] == self.root[b]
+        if a is None or b is None:
+            return False
+        (a, lane), (b, other) = self._home(a), self._home(b)
+        return lane == other and self.root[a] == self.root[b]
 
     def members(self, cell: Cell) -> Set[Cell]:
         """All cells in the class of ``cell``."""
         encoded = self.cell(*cell)
         if encoded is None:
             return {cell}
-        return {self.decode(member) for member in self.ring(encoded)}
+        home, lane = self._home(encoded)
+        members = list(self._lanes(home))[lane]
+        return {self.decode(member) for member in members}
 
     def classes(self) -> List[Set[Cell]]:
         """Every merged class with more than one member (a singleton
         carries no identification)."""
         root, size = self.root, self.size
         return [
-            {self.decode(member) for member in self.ring(cell)}
+            {self.decode(member) for member in members}
             for cell in range(len(root))
             if root[cell] == cell and size[cell] > 1
+            for members in self._lanes(cell)
         ]
 
-    def matches(
-        self, attribute_pairs: Iterable[Tuple[str, str]]
-    ) -> List[Tuple[int, int]]:
-        """The pairs (in order) whose cells of every given attribute pair
-        were identified: one root comparison per pair and attribute pair."""
+    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
+        """The positions (ascending) of the pairs whose cells of every
+        given attribute pair were identified: one root comparison per pair
+        and RHS group the attribute pairs fall in."""
+        homes = self.layout.homes(attribute_pairs)
+        if homes is None:
+            return []
         root, left_cells, right_cells = self.root, self.left_cells, self.right_cells
         selection: Sequence[int] = range(len(self.pairs))
-        for left_attr, right_attr in attribute_pairs:
-            left_rank = self.left_rank.get(left_attr)
-            right_rank = self.right_rank.get(right_attr)
-            if left_rank is None or right_rank is None:
-                return []
+        for left_rank, right_rank in homes:
             selection = [
                 i
                 for i in selection
                 if root[left_cells[i] + left_rank] == root[right_cells[i] + right_rank]
             ]
+        return list(selection)
+
+    def matches(
+        self, attribute_pairs: Iterable[Tuple[str, str]]
+    ) -> List[Tuple[int, int]]:
+        """The pairs (in order) at the positions :meth:`matching` names."""
         pairs = self.pairs
-        return [pairs[i] for i in selection]
+        return [pairs[i] for i in self.matching(attribute_pairs)]
 
 
 @dataclass
@@ -409,17 +570,18 @@ class EnforcementResult:
     ----------
     original:
         The instance ``D`` that was chased (never mutated).
-    repairs:
-        ``cell -> final value`` for every cell whose value in ``D'``
-        differs from ``D`` — the cell-wise diff.  Over shared storage
-        (``left is right``) a repaired cell appears under both side tags.
     rounds:
         Number of chase rounds executed.
     merged_cells:
         The cell classes after the chase, exposing which cells were
         identified (the matcher reads match decisions from them).
     applications:
-        Count of successful rule applications (new cell merges).
+        Count of successful rule applications (new cell merges: a union
+        of an RHS group's representative cells counts one per RHS pair of
+        the group).
+    diff:
+        Builds :attr:`repairs` from the chase's working lists, on its
+        first read; then dropped.  Not part of the result's value.
     check:
         The kernel's stability check over its working lists: run by the
         first read of :attr:`holding` (or :attr:`stable`), then dropped.
@@ -437,10 +599,12 @@ class EnforcementResult:
     """
 
     original: InstancePair
-    repairs: Dict[Cell, object]
     rounds: int
     merged_cells: CellClasses
     applications: int
+    diff: Optional[Callable[[], Dict[Cell, object]]] = field(
+        repr=False, compare=False
+    )
     check: Optional[
         Callable[[], Tuple[Sequence[Sequence[int]], Callable[[], bool]]]
     ] = field(repr=False, compare=False)
@@ -449,6 +613,15 @@ class EnforcementResult:
     _rhs_test: Optional[Callable[[], bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def repairs(self) -> Dict[Cell, object]:
+        """``cell -> final value`` for every cell whose value in ``D'``
+        differs from ``D`` — the cell-wise diff, decoded on first read (a
+        match read-off never needs it).  Over shared storage (``left is
+        right``) a repaired cell appears under both side tags."""
+        diff, self.diff = self.diff, None
+        return diff()
 
     @cached_property
     def stable(self) -> bool:
@@ -497,6 +670,10 @@ class EnforcementResult:
         """The chased pairs (in order) for which :meth:`identified` holds —
         the read-off every matcher ends with."""
         return self.merged_cells.matches(attribute_pairs)
+
+    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
+        """The positions into the chased pair list of :meth:`matches`."""
+        return self.merged_cells.matching(attribute_pairs)
 
 
 def enforce(

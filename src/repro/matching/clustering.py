@@ -22,8 +22,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .evaluate import MatchQuality, Pair
 
-#: A node of the match graph: ("L", tid) or ("R", tid).
-Node = Tuple[str, int]
+#: A node of the match graph: ``2 * tid`` for a left tuple, ``2 * tid + 1``
+#: for a right one.
+Node = int
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,13 @@ def cluster_matches(matches: Iterable[Pair]) -> List[Cluster]:
             parent[root_b] = root_a
 
     for left_tid, right_tid in matches:
-        union(("L", left_tid), ("R", right_tid))
+        union(2 * left_tid, 2 * right_tid + 1)
 
     members: Dict[Node, Tuple[Set[int], Set[int]]] = {}
     for node in list(parent):
         root = find(node)
         lefts, rights = members.setdefault(root, (set(), set()))
-        side, tid = node
-        (lefts if side == "L" else rights).add(tid)
+        (rights if node & 1 else lefts).add(node >> 1)
 
     return [
         Cluster(frozenset(lefts), frozenset(rights))

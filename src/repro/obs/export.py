@@ -261,6 +261,13 @@ def summarize_trace(document: Dict[str, object]) -> str:
             f"selection over {len(rounds)} chase round(s): {joined} rule(s) "
             f"joined ({probes} probes), {scanned} pair(s) scanned"
         )
+        # One union per (pair, RHS group), against the cell merges they
+        # made (a group union merges one cell per RHS pair of the group).
+        attempts, merges = totals(rounds, "union_attempts", "merges")
+        kernel.append(
+            f"unions over {len(rounds)} chase round(s): {attempts} group "
+            f"union(s) attempted, {merges} cell merge(s)"
+        )
     resolves = args("resolve-merged")
     if resolves:
         # Grown classes resolved, against those whose members agreed.

@@ -387,6 +387,27 @@ class EnforcementPlan:
         metric = self.registry.metric(name)
         return f"{type(metric).__name__} >= {theta.rstrip(')')}"
 
+    def rhs_groups(self) -> List[Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]]:
+        """The RHS attribute groups of a chase over two relations —
+        ``(its (left, right) attribute pairs, the rules writing them)``,
+        one union per pair and group (:class:`ChaseLayout`; over shared
+        storage every RHS pair is a group of its own)."""
+        layout = self.layouts[False]
+        return [
+            (
+                tuple(
+                    (layout.left_names[left], layout.right_names[right])
+                    for left, right in pairs
+                ),
+                tuple(
+                    rule.name
+                    for rule, writes in zip(self.rules, layout.writes)
+                    if writes >> group & 1
+                ),
+            )
+            for group, pairs in enumerate(layout.groups)
+        ]
+
     def to_dict(self) -> Dict[str, object]:
         """The compiled plan as a JSON-serializable document."""
         return {
@@ -408,6 +429,10 @@ class EnforcementPlan:
                     "rhs": [list(pair) for pair in rule.rhs],
                 }
                 for rule in self.rules
+            ],
+            "rhs_groups": [
+                {"rhs": [list(pair) for pair in pairs], "rules": list(writers)}
+                for pairs, writers in self.rhs_groups()
             ],
             "keys": [
                 {"name": key.name, "predicates": list(key.predicates)}
@@ -444,6 +469,10 @@ class EnforcementPlan:
                 lines.append(
                     f"  {rule.name}: lhs {list(rule.lhs)} -> identify {rhs}"
                 )
+            lines.append("rhs groups (one union per pair and group):")
+            for pairs, writers in self.rhs_groups():
+                rhs = ", ".join(f"{l}<=>{r}" for l, r in pairs)
+                lines.append(f"  {rhs}: written by {', '.join(writers)}")
         if self.keys:
             lines.append("keys:")
             for key in self.keys:

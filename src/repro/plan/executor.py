@@ -12,7 +12,10 @@ such ints:
 
 * **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``; the
   round loop inlines the union (relabel the smaller class along its
-  ``next`` ring, swap two pointers to join the rings);
+  ``next`` ring, swap two pointers to join the rings), once per (pair,
+  RHS group) and only over the group representative's cells (the
+  layout's RHS groups: pairs whose classes are copies of one tuple
+  partition; see :class:`~repro.core.semantics.ChaseLayout`);
 * **values** — one flat working list indexed by *slot*, filled by the
   instance's ``project`` (a ``Relation``'s, or a store view's).  Between
   two relations a cell is its own slot.  Over shared storage
@@ -44,11 +47,12 @@ such ints:
 The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
 already knows instead of making callers re-derive it — ``repairs`` (the
-cell-wise diff; ``instance`` is ``D`` + repairs, built on first access)
-and ``matches`` (a root comparison per pair) — and answers the rest when
-asked: ``holding`` (per rule, the pairs whose LHS holds in ``D'``, which
-are also every match's provenance) runs the stability check on first
-read, and ``stable`` adds the RHS test to it on its own first read.
+cell-wise diff, decoded on first read; ``instance`` is ``D`` + repairs,
+built on first access) and ``matches`` (a root comparison per pair and
+RHS group) — and answers the rest when asked: ``holding`` (per rule, the
+pairs whose LHS holds in ``D'``, which are also every match's
+provenance) runs the stability check on first read, and ``stable`` adds
+the RHS test to it on its own first read.
 Both end-of-chase passes pay only for what the repairs touched: the
 check re-selects a fired (rule, pair) only if a later repair wrote one
 of its LHS cells, and ``resolve-merged`` resolves only the classes a
@@ -69,7 +73,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import itemgetter, ne
+from operator import ne
 from typing import Container, Dict, List, Optional, Sequence, Set
 
 from repro.core.semantics import (
@@ -104,8 +108,11 @@ def chase(
     round the instance is fixed, so the set of firing (rule, pair)s does
     not depend on evaluation order — or on whether an equality atom was
     evaluated as a filter over the pairs or as a hash join over the
-    tuples — and the count of successful unions is the drop in the
-    number of cell classes whatever order they run in.
+    tuples — and the count of cell merges is the drop in the number of
+    cell classes whatever order they run in.  A union of an RHS group's
+    representative cells stands for one union per RHS pair of the group
+    (their classes are copies of one partition of the tuples) and counts
+    as that many.
     Rounds after the first re-examine only pairs one of whose tuples a
     repair actually changed (an unchanged pair's verdicts cannot change),
     and skip a (rule, pair) that already fired (its RHS cells are merged
@@ -137,6 +144,8 @@ def chase(
     chase_span.__enter__()
     layout = plan.layouts[instance.left is instance.right]
     shared, rules = layout.shared, layout.rules
+    union_memo = layout.union_memo
+    left_places, right_places = layout.left_places, layout.right_places
     cells = CellClasses(pairs, layout)
     root, size, ring = cells.root, cells.size, cells.next
     left_cells, right_cells = cells.left_cells, cells.right_cells
@@ -318,8 +327,8 @@ def chase(
         firing = []
         joins = scanned = 0
         probed_before = probed
-        for (equalities, similarities, rhs), already, history in zip(
-            rules, fired, fired_in
+        for index, ((equalities, similarities, _), already, history) in enumerate(
+            zip(rules, fired, fired_in)
         ):
             # What a scan would read — the active pairs: their count once
             # they are listed, until then a repaired tuple's mean number
@@ -348,62 +357,80 @@ def chase(
             if selection:
                 already.update(selection)
                 history.append((rounds, selection))
-            firing.append((selection, rhs))
+                firing.append((selection, 1 << index))
         round_span.set("joined", joins)
         round_span.set("join_probes", probed - probed_before)
         round_span.set("scanned", scanned)
         partners.clear()
         satisfying.clear()
-        if shared:
-            # Over shared storage one tuple's slot can sit in two classes
-            # (tagged left in one, right in the other), and then the order
-            # classes are resolved in is observable.  It follows the order
-            # of the unions: keep that pair-major, rules in declared order
-            # within a pair (the sort is stable).  Between two relations
-            # classes never share storage and no order is observable.
-            firing = [
-                ((i,), rhs)
-                for i, rhs in sorted(
-                    ((i, rhs) for selection, rhs in firing for i in selection),
-                    key=itemgetter(0),
-                )
-            ]
+        # One union per (pair, RHS group): OR the firing rules into one
+        # mask per position, then union each group's representative cells
+        # once (``ChaseLayout.unions``).  Over shared storage one tuple's
+        # slot can sit in two classes (tagged left in one, right in the
+        # other), and then the order classes are resolved in is
+        # observable.  It follows the order of the unions: keep that
+        # pair-major, the groups in the order the rules declare them
+        # within a pair.  Between two relations classes never share
+        # storage and no order is observable.
+        masks: Dict[int, int] = {}
+        for selection, bit in firing:
+            if not masks:
+                masks = dict.fromkeys(selection, bit)
+                continue
+            get = masks.get
+            for i in selection:
+                masks[i] = get(i, 0) | bit
+        positions = sorted(masks.items()) if shared else masks.items()
         touched: List[int] = []
-        #: The roots of the classes whose members may disagree.  Between
-        #: two relations every class leaves a round's resolution carrying
-        #: one value (all ``==``), so a union of two such classes whose
-        #: roots agree is still uniform; over shared storage one slot can
-        #: sit in two classes and every union counts as mixed.
-        mixed: Set[int] = set()
-        for selection, rhs in firing:
-            for left, right in rhs:
-                for i in selection:
-                    # Union by size over the flat root / size / next lists.
-                    a = root[left_cells[i] + left]
-                    b = root[right_cells[i] + right]
-                    if a != b:
-                        if (
-                            shared
-                            or a in mixed
-                            or b in mixed
-                            or values[a] != values[b]
-                        ):
-                            mixed.add(a)
-                            mixed.add(b)
-                        if size[a] < size[b]:
-                            a, b = b, a
-                        size[a] += size[b]
-                        member = b
-                        while True:
-                            root[member] = a
-                            member = ring[member]
-                            if member == b:
-                                break
-                        ring[a], ring[b] = ring[b], ring[a]
-                        touched.append(a)
+        #: Root -> a bit per lane of its group whose class may disagree.
+        #: Between two relations every class leaves a round's resolution
+        #: carrying one value (all ``==``), so a union of two such classes
+        #: whose cells agree lane by lane is still uniform; over shared
+        #: storage one slot can sit in two classes and every union counts
+        #: as mixed.
+        mixed: Dict[int, int] = {}
+        mixed_get = mixed.get
+        merges = attempts = 0
+        for i, mask in positions:
+            unions = union_memo.get(mask) or layout.unions(mask)
+            attempts += len(unions)
+            left_cell, right_cell = left_cells[i], right_cells[i]
+            for left, right, width, lanes in unions:
+                # Union by size over the flat root / size / next lists.
+                a = root[left_cell + left]
+                b = root[right_cell + right]
+                if a != b:
+                    if shared:
+                        bits = 1
+                    else:
+                        bits = mixed_get(a, 0) | mixed_get(b, 0)
+                        if not bits & 1 and values[a] != values[b]:
+                            bits |= 1
+                        for bit, left_offset, right_offset in lanes:
+                            if not bits & bit and values[
+                                a + (left_offset if a < right_base else right_offset)
+                            ] != values[
+                                b + (left_offset if b < right_base else right_offset)
+                            ]:
+                                bits |= bit
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    size[a] += size[b]
+                    member = b
+                    while True:
+                        root[member] = a
+                        member = ring[member]
+                        if member == b:
+                            break
+                    ring[a], ring[b] = ring[b], ring[a]
+                    if bits:
+                        mixed[a] = bits
+                    touched.append(a)
+                    merges += width
         merged_this_round = bool(touched)
-        applications += len(touched)
-        round_span.set("merges", len(touched))
+        applications += merges
+        round_span.set("union_attempts", attempts)
+        round_span.set("merges", merges)
         # Re-resolve every class that gained a member this round and may
         # disagree (``touched`` holds one member per successful union;
         # none means nothing was repaired, and every active pair has just
@@ -418,35 +445,54 @@ def chase(
             break
         with tracer.span("resolve-merged") as resolve_span:
             seen: Set[int] = set()
-            repaired = uniform = 0
+            repaired = uniform = resolved_classes = 0
             for anchor in touched:
                 anchor = root[anchor]
                 if anchor in seen:
                     continue
                 seen.add(anchor)
-                if anchor not in mixed:
-                    uniform += 1
+                lanes = (
+                    left_places[anchor % left_width]
+                    if anchor < right_base
+                    else right_places[(anchor - right_base) % right_width]
+                )[2]
+                bits = mixed_get(anchor, 0)
+                if not bits:
+                    uniform += len(lanes)
                     continue
                 # The resolver sees the members in (side, tid, attribute)
-                # order — int order — not in the order of the unions.
-                slots = sorted(cells.ring(anchor))
-                if shared:
-                    slots = [slot % right_base for slot in slots]
-                resolved = resolver([values[slot] for slot in slots])
-                for slot in slots:
-                    if values[slot] != resolved:
-                        written.setdefault(slot, values[slot])
-                        last_write[slot] = rounds
-                        values[slot] = resolved
-                        repaired += 1
-                        # The first slot of the tuple written to: only its
-                        # pairs can behave differently next round.
-                        changed.add(
-                            slot - slot % left_width
-                            if slot < right_base
-                            else slot - (slot - right_base) % right_width
-                        )
-            resolve_span.set("classes", len(seen) - uniform)
+                # order — int order — not in the order of the unions; a
+                # lane's members are the representative's, shifted.
+                members = sorted(cells.ring(anchor))
+                split = bisect_left(members, right_base)
+                for lane, (left_offset, right_offset) in enumerate(lanes):
+                    if not bits >> lane & 1:
+                        uniform += 1
+                        continue
+                    resolved_classes += 1
+                    if shared:
+                        slots = [member % right_base for member in members]
+                    elif left_offset or right_offset:
+                        slots = [
+                            member + left_offset for member in members[:split]
+                        ] + [member + right_offset for member in members[split:]]
+                    else:
+                        slots = members
+                    resolved = resolver([values[slot] for slot in slots])
+                    for slot in slots:
+                        if values[slot] != resolved:
+                            written.setdefault(slot, values[slot])
+                            last_write[slot] = rounds
+                            values[slot] = resolved
+                            repaired += 1
+                            # The first slot of the tuple written to: only
+                            # its pairs can behave differently next round.
+                            changed.add(
+                                slot - slot % left_width
+                                if slot < right_base
+                                else slot - (slot - right_base) % right_width
+                            )
+            resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)
         round_span.__exit__(None, None, None)
@@ -567,14 +613,18 @@ def chase(
 
         return holding, test
 
-    repairs = {}
-    for slot, before in written.items():
-        if values[slot] != before:
-            repairs[cells.decode(slot)] = values[slot]
-            if shared:
-                repairs[cells.decode(slot + right_base)] = values[slot]
+    def diff():
+        """``repairs``: every written slot whose value moved, decoded."""
+        repairs = {}
+        for slot, before in written.items():
+            if values[slot] != before:
+                repairs[cells.decode(slot)] = values[slot]
+                if shared:
+                    repairs[cells.decode(slot + right_base)] = values[slot]
+        return repairs
+
     result = EnforcementResult(
-        instance, repairs, rounds, cells, applications, check
+        instance, rounds, cells, applications, diff, check
     )
     stats.chase_rounds += rounds
     stats.rule_applications += applications

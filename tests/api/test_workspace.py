@@ -10,6 +10,7 @@ from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import figure1_instances
 from repro.datagen.schemas import paper_mds, paper_target
 from repro.engine import SQLiteMatchStore, save_store
+from repro.relations.relation import Relation
 
 
 @pytest.fixture
@@ -166,6 +167,43 @@ class TestModesAgree:
             for pair in report.matches
             for name in report.provenance[pair]
         )
+
+    def test_a_pair_listed_twice_names_the_rules_of_both_positions(
+        self, monkeypatch
+    ):
+        """Provenance is per pair: a pair the candidate list holds twice
+        gets the rules holding at either position, each once, in declared
+        rule order — even when its two positions hold different rules."""
+        workspace = (
+            Workspace.builder()
+            .schema("R", ["A", "B"], "S", ["A", "B"])
+            .target(["A"], ["A"])
+            .mds([
+                "R[B] = S[B] -> R[A] <=> S[A]",
+                "R[A] = S[A] -> R[B] <=> S[B]",
+                "R[B] = S[B] -> R[B] <=> S[B]",
+            ])
+            .workspace()
+        )
+        plan = workspace.plan
+        left = Relation(plan.pair.left, [{"A": "a", "B": "b"}])
+        right = Relation(plan.pair.right, [{"A": "a", "B": "b"}, {"A": "x", "B": "y"}])
+        enforce = plan.enforce
+
+        def crafted(*args, **kwargs):
+            result = enforce(*args, **kwargs)
+            # Position 0 and 2 are the same pair; each holds one rule of
+            # its own, and both hold the last one.
+            result.__dict__["holding"] = [[2], [0], [0, 2]]
+            return result
+
+        monkeypatch.setattr(plan, "enforce", crafted)
+        report = workspace.match(left, right, candidates=[(0, 0), (0, 1), (0, 0)])
+        assert report.matches == ((0, 0), (0, 0))
+        assert report.provenance == {(0, 0): ("md0", "md1", "md2")}
+        assert report.to_dict()["provenance"] == [
+            {"pair": [0, 0], "rules": ["md0", "md1", "md2"]}
+        ] * 2
 
 
 class TestValuePolicies:

@@ -192,6 +192,8 @@ class TestExport:
                 span.set("joined", 2 - round_)
                 span.set("join_probes", 100 * (2 - round_))
                 span.set("scanned", 7 * round_)
+                span.set("union_attempts", 4 * round_)
+                span.set("merges", 5 * round_)
                 with tracer.span("resolve-merged") as resolve:
                     resolve.set("classes", round_)
                     resolve.set("uniform", 10)
@@ -214,6 +216,10 @@ class TestExport:
         assert (
             "selection over 3 chase round(s): 3 rule(s) joined (300 probes), "
             "21 pair(s) scanned"
+        ) in text
+        assert (
+            "unions over 3 chase round(s): 12 group union(s) attempted, "
+            "15 cell merge(s)"
         ) in text
         assert (
             "resolve-merged over 3 round(s): 3 class(es) resolved, "

@@ -180,6 +180,39 @@ class TestExplain:
         assert document["unique_predicates"] == len(plan.predicates)
         assert document["atoms_before_dedup"] == plan.atom_count
         assert len(document["rules"]) == len(sigma)
+        assert document["rhs_groups"] == [
+            {"rhs": [list(pair) for pair in pairs], "rules": list(rules)}
+            for pairs, rules in plan.rhs_groups()
+        ]
+
+    def test_rhs_groups_of_the_extended_rules(self):
+        """The seven card-holder MDs write 11 RHS pairs, each attribute in
+        one pair: the pairs written by the same rules form six groups."""
+        from repro.datagen.schemas import (
+            extended_mds, extended_pair, extended_target,
+        )
+
+        pair = extended_pair()
+        plan = compile_plan(extended_mds(pair), extended_target(pair))
+        groups = {
+            tuple(left for left, _ in pairs): rules
+            for pairs, rules in plan.rhs_groups()
+        }
+        assert groups == {
+            ("FN", "LN"): ("md0", "md2", "md4"),
+            ("MI", "gender"): ("md0", "md4"),
+            ("street", "zip"): ("md0", "md1", "md4"),
+            ("city", "county", "state"): ("md0", "md1", "md3", "md4"),
+            ("tel",): ("md0", "md4", "md5"),
+            ("email",): ("md0", "md4", "md6"),
+        }
+        # Over shared storage the order of the unions is observable:
+        # every RHS pair is a group of its own.
+        assert all(len(group) == 1 for group in plan.layouts[True].groups)
+        text = plan.explain()
+        assert "rhs groups (one union per pair and group):" in text
+        assert "  city<=>city, county<=>county, state<=>state: written by " \
+            "md0, md1, md3, md4" in text
 
     def test_explain_with_hash_backend(self, sigma, target):
         rcks = find_rcks(sigma, target, m=3)

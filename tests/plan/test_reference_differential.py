@@ -25,7 +25,7 @@ from repro.api import Workspace
 from repro.api.spec import VALUE_POLICIES
 from repro.core.parser import parse_md
 from repro.core.schema import LEFT, RIGHT, RelationSchema, SchemaPair
-from repro.core.semantics import InstancePair, prefer_informative
+from repro.core.semantics import CellClasses, InstancePair, prefer_informative
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
@@ -57,6 +57,10 @@ def _values(instance):
 
 def _no_copy(relation):
     raise AssertionError(f"{relation!r} was copied")
+
+
+def _no_decode(cells, cell):
+    raise AssertionError(f"cell {cell} was decoded")
 
 
 def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
@@ -141,8 +145,10 @@ def test_scenarios_match_the_reference(scenario, seed, monkeypatch):
         plan, InstancePair(plan.pair, left, right), pairs=candidates
     )
 
-    # A match reads matches and provenance off the chase: D' is never built.
+    # A match reads matches and provenance off the chase: D' is never
+    # built, and the repairs are never decoded.
     monkeypatch.setattr(Relation, "copy", _no_copy)
+    monkeypatch.setattr(CellClasses, "decode", _no_decode)
     report = workspace.match(left, right, candidates=candidates)
     matches = expected.matches(plan.target.attribute_pairs())
     assert matches  # the scenario exercises merges, not only rejections
@@ -567,22 +573,42 @@ def _spy(resolver):
     return spy, calls
 
 
-@pytest.mark.parametrize(
-    "left_b, right_b, calls",
-    (
-        ("same", "same", 0),  # agreeing classes: nothing to resolve
-        (None, None, 0),
-        ("long-b", None, 1),  # a disagreeing union resolves once
-        ("x", "y", 1),
-    ),
+#: ``(RHS attributes, their left values, their right values, resolver
+#: calls)`` for one pair whose rule fires.
+AGREEING = (
+    ("B", ("same",), ("same",), 0),  # agreeing classes: nothing to resolve
+    ("B", (None,), (None,), 0),
+    ("B", ("long-b",), (None,), 1),  # a disagreeing union resolves once
+    ("B", ("x",), ("y",), 1),
+    # One union of a two-attribute group: each attribute's class is
+    # resolved only if its own cells disagree.
+    ("BC", ("same", "x"), ("same", "y"), 1),
+    ("BC", ("x", "same"), ("y", "same"), 1),
+    ("BC", ("same", None), ("same", None), 0),
+    ("BC", ("x", "x"), ("y", None), 2),
 )
-def test_a_union_of_agreeing_classes_calls_no_resolver(left_b, right_b, calls):
-    plan, pair = _abc_plan("R[A] = S[A] -> R[B] <=> S[B]")
+
+
+@pytest.mark.parametrize(
+    "rhs, left, right, calls",
+    AGREEING,
+    ids=[
+        "-".join(map(str, (*left, *right, calls)))
+        if rhs == "B"
+        else "-".join(map(str, (rhs, *left, *right, calls)))
+        for rhs, left, right, calls in AGREEING
+    ],
+)
+def test_a_union_of_agreeing_classes_calls_no_resolver(rhs, left, right, calls):
+    plan, pair = _abc_plan(
+        "R[A] = S[A] -> " + " & ".join(f"R[{name}] <=> S[{name}]" for name in rhs)
+    )
+    assert [len(group) for group in plan.layouts[False].groups] == [len(rhs)]
     plan.tracer = Tracer()
     instance = InstancePair(
         pair,
-        Relation(pair.left, [{"A": "k", "B": left_b, "C": None}]),
-        Relation(pair.right, [{"A": "k", "B": right_b, "C": None}]),
+        Relation(pair.left, [{"A": "k", "C": None, **dict(zip(rhs, left))}]),
+        Relation(pair.right, [{"A": "k", "C": None, **dict(zip(rhs, right))}]),
     )
     assert_same_chase(plan, instance)
     plan.tracer = Tracer()
@@ -590,8 +616,13 @@ def test_a_union_of_agreeing_classes_calls_no_resolver(left_b, right_b, calls):
     result = plan.enforce(instance, resolver=spy)
     assert len(seen) == calls
     (resolve,) = _spans(plan, "resolve-merged")
-    assert (resolve["classes"], resolve["uniform"]) == (calls, 1 - calls)
-    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert (resolve["classes"], resolve["uniform"]) == (calls, len(rhs) - calls)
+    (round_, _) = _spans(plan, "chase-round")
+    assert (round_["union_attempts"], round_["merges"]) == (1, len(rhs))
+    assert result.applications == len(rhs)
+    for name in rhs:
+        assert result.merged_cells.same((LEFT, 0, name), (RIGHT, 0, name))
+    assert not result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "C"))
 
 
 @pytest.mark.parametrize("spellings", ((1, 1.0), (1.0, True), (True, 1)))
@@ -750,3 +781,127 @@ def test_int_order_is_cell_order(left_tids, right_tids, data):
     for root in set(cells.root):
         members = [cells.decode(member) for member in sorted(cells.ring(root))]
         assert members == sorted(members)
+
+
+# ----------------------------------------------------------------------
+# RHS groups: one union per (pair, group), one class per lane
+# ----------------------------------------------------------------------
+
+#: ``E`` is always null, so ``=`` never holds on it (see below).
+ABCDE = ("A", "B", "C", "D", "E")
+
+#: The RHS pairs rules draw from: the diagonal, plus two pairs that put
+#: ``C`` (left) and ``B`` / ``D`` (right) in a second RHS pair each.
+RHS_POOL = (("A", "A"), ("B", "B"), ("C", "C"), ("D", "D"), ("C", "B"), ("A", "D"))
+
+
+@st.composite
+def grouped_rules(draw):
+    """Two to four rules over a bundle of RHS pairs drawn once for the
+    rule set: each rule writes all of the bundle or none of it — so its
+    pairs share their writers, and form a group unless another RHS pair
+    reads one of their attributes — plus RHS pairs of its own."""
+    bundle = draw(st.lists(
+        st.sampled_from(RHS_POOL[:4]), min_size=2, max_size=3, unique=True
+    ))
+    rules = []
+    for _ in range(draw(st.integers(2, 4))):
+        lhs = draw(st.lists(
+            st.tuples(
+                st.sampled_from(ABCDE[:4]), st.sampled_from(ABCDE[:4]),
+                st.sampled_from(["=", "=", "~dl(0.6)"]),
+            ),
+            min_size=1, max_size=2, unique_by=lambda atom: atom[:2],
+        ))
+        own = draw(st.lists(st.sampled_from(RHS_POOL), max_size=2, unique=True))
+        rhs = (bundle if draw(st.booleans()) else []) + [
+            pair for pair in own if pair not in bundle
+        ]
+        rules.append((lhs, rhs or bundle))
+    return rules
+
+
+def _grouped_plans(rules, pair):
+    """The plan of ``rules``, and its twin with every RHS group split.
+
+    The twin adds, per RHS pair, a rule that writes that pair alone and
+    never fires (its LHS reads ``E``, always null): no two RHS pairs then
+    share their writers, every group is a group of one, and the chase is
+    otherwise the same."""
+    left, right = pair.left.name, pair.right.name
+    texts = [
+        " & ".join(f"{left}[{a}] {operator} {right}[{b}]" for a, b, operator in lhs)
+        + " -> "
+        + " & ".join(f"{left}[{a}] <=> {right}[{b}]" for a, b in rhs)
+        for lhs, rhs in rules
+    ]
+    written = {(a, b) for _, rhs in rules for a, b in rhs}
+    never = [
+        f"{left}[E] = {right}[E] -> {left}[{a}] <=> {right}[{b}]"
+        for a, b in sorted(written)
+    ]
+    plan = compile_plan(sigma=[parse_md(text, pair) for text in texts])
+    twin = compile_plan(sigma=[parse_md(text, pair) for text in texts + never])
+    assert all(len(group) == 1 for group in twin.layouts[False].groups)
+    return plan, twin
+
+
+ROWS = st.lists(
+    st.fixed_dictionaries({name: VALUES for name in ABCDE[:4]}),
+    min_size=2, max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_rules(), ROWS, ROWS, st.booleans(), st.sampled_from(sorted(VALUE_POLICIES)))
+def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, policy):
+    """Grouped unions are invisible: ``same`` and ``members`` answer for
+    every encoded cell what the classes say, and the resolver is called
+    with what the same chase without groups calls it with.  Between two
+    relations the classes are the reference's (and the whole chase agrees
+    with it); over shared storage they are the kernel's own, because
+    there the reference is no oracle for what an order-dependent
+    resolution leaves behind (see
+    ``test_shared_storage_resolves_in_pair_major_union_order``)."""
+    left_schema = RelationSchema("R", ABCDE)
+    pair = SchemaPair(
+        left_schema, left_schema if shared else RelationSchema("S", ABCDE)
+    )
+    plan, twin = _grouped_plans(rules, pair)
+    left = Relation(pair.left, left_rows)
+    right = left if shared else Relation(pair.right, right_rows)
+    instance = InstancePair(pair, left, right)
+    resolver = VALUE_POLICIES[policy]
+    event(f"shared storage: {shared}")
+    event(
+        "largest RHS group: "
+        f"{max(len(group) for group in plan.layouts[shared].groups)}"
+    )
+    if shared:
+        result = plan.enforce(instance, resolver=resolver)
+        classes = {frozenset(members) for members in result.merged_cells.classes()}
+    else:
+        result, expected = assert_same_chase(plan, instance, resolver)
+        classes = expected.classes
+
+    cells = result.merged_cells
+    class_of = {cell: members for members in classes for cell in members}
+    encoded = [cells.decode(cell) for cell in range(len(cells.root))]
+    for cell in encoded:
+        members = class_of.get(cell, {cell})
+        assert cells.members(cell) == members
+        for other in encoded:
+            assert cells.same(cell, other) == (other in members)
+
+    spy, seen = _spy(resolver)
+    twin_spy, twin_seen = _spy(resolver)
+    grouped = plan.enforce(instance, resolver=spy)
+    split = twin.enforce(instance, resolver=twin_spy)
+    assert grouped.applications == split.applications
+    assert grouped.repairs == split.repairs
+    assert {frozenset(members) for members in split.merged_cells.classes()} == classes
+    if shared:
+        # The order of the unions, and so of the resolutions, is kept.
+        assert seen == twin_seen
+    else:
+        assert sorted(map(repr, seen)) == sorted(map(repr, twin_seen))
