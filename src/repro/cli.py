@@ -57,38 +57,15 @@ class CliError(Exception):
 
 
 def _load_csv_relation(schema, path: Path) -> Relation:
-    """Load a CSV with or without the __tid__ column."""
+    """Load a CSV with or without the __tid__ column
+    (:func:`~repro.relations.csvio.load_relation`); a file it cannot
+    open or read is one ``error: <path>: ...`` line."""
     try:
-        with path.open("r", newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle), None)
-    except FileNotFoundError:
-        raise CliError(f"data file not found: {path}") from None
-    if header and header[0] == "__tid__":
-        try:
-            return load_relation(schema, path)
-        except ValueError as error:
-            raise CliError(str(error)) from None
-    # Plain CSV: columns must cover a subset of the schema.
-    relation = Relation(schema)
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        unknown = set(reader.fieldnames or ()) - set(schema.attribute_names)
-        if unknown:
-            raise CliError(
-                f"{path}: columns {sorted(unknown)} not in schema "
-                f"{schema.name!r}"
-            )
-        for record in reader:
-            if None in record:  # DictReader's key for surplus fields
-                raise CliError(
-                    f"{path}, line {reader.line_num}: "
-                    f"{len(reader.fieldnames) + len(record[None])} fields, "
-                    f"the header has {len(reader.fieldnames)}"
-                )
-            relation.insert(
-                {key: (value if value != "" else None) for key, value in record.items()}
-            )
-    return relation
+        return load_relation(schema, path)
+    except OSError as error:
+        raise CliError(f"{path}: {error.strerror or error}") from None
+    except ValueError as error:
+        raise CliError(str(error)) from None
 
 
 # ----------------------------------------------------------------------

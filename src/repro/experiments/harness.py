@@ -2,11 +2,11 @@
 
 Each ``exp_*`` module computes one figure of Section 6 and returns plain
 record lists; this harness renders them as the aligned text tables that
-EXPERIMENTS.md records and the benchmark suite prints.  It also builds
-the :class:`repro.api.ResolutionSpec` documents the experiments execute
-through (:func:`resolution_spec_document`), so an experiment
-configuration is the same kind of artifact a user would pass to
-``repro match --spec``.
+EXPERIMENTS.md records and ``examples/run_all_experiments.py`` prints.
+It also builds the :class:`repro.api.ResolutionSpec` documents the
+experiments execute through (:func:`resolution_spec_document`), so an
+experiment configuration is the same kind of artifact a user would pass
+to ``repro match --spec``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """``repro.obs`` — zero-dependency observability for the resolution stack.
 
 Three pieces, threaded through every layer (workspace, plan kernel,
-streaming engine, CLI, benchmarks):
+streaming engine, CLI, service):
 
 * :mod:`~repro.obs.trace` — a :class:`Tracer` of nested monotonic-clock
   spans with a no-op :data:`NULL_TRACER` default, so instrumentation
   stays in place and untraced hot paths pay ~nothing;
 * :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and exact-percentile histograms (p50/p95/p99), the one render
-  path behind ``MatchReport.stats``, trace files, and ``BENCH_*.json``;
+  path behind ``MatchReport.stats`` and trace files;
 * :mod:`~repro.obs.export` — run manifests plus exporters: Chrome
   ``trace_event`` JSON (``about:tracing`` / Perfetto), JSONL, and the
   ``repro trace summarize`` text table.

@@ -28,7 +28,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer

@@ -5,10 +5,8 @@ This unifies the ad-hoc counter structs scattered through the stack
 one render path: counters accumulate, gauges record the latest value,
 histograms keep raw observations and summarize to count/min/max/mean and
 p50/p95/p99.  :meth:`MetricsRegistry.as_dict` is the single JSON shape
-every consumer sees — ``MatchReport.stats``, the trace file's
-``metrics`` section, and the ``BENCH_*.json`` benchmark documents all
-render through it (``benchmarks/check_bench_json.py`` schema-checks that
-shape).
+every consumer sees — ``MatchReport.stats`` and the trace file's
+``metrics`` section both render through it.
 
 Percentiles use linear interpolation between closest ranks (the same
 definition as ``numpy.percentile``'s default): for sorted observations

@@ -12,8 +12,8 @@ plain dicts (:meth:`Span.to_dict`).
 :data:`NULL_TRACER` singleton returns one shared, stateless
 :class:`_NullSpan` from every call — no allocation, no clock read, no
 stack — so instrumentation can stay unconditionally in place.  The
-overhead of those no-op calls is measured (not assumed) by
-``benchmarks/test_obs_overhead.py``.
+overhead of those no-op calls is measured (not assumed) by the
+wall-clock benchmark, ``python3 -m bench`` (``obs.trace_overhead_frac``).
 
 Everything here is pure standard library; exporters (JSONL, Chrome
 ``trace_event``) live in :mod:`repro.obs.export`.

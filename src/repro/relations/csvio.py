@@ -42,51 +42,91 @@ def save_relation(relation: Relation, path: Union[str, Path]) -> None:
 def load_relation(
     schema: RelationSchema, path: Union[str, Path]
 ) -> Relation:
-    """Read a relation saved by :func:`save_relation`.
+    """Read a relation from a headered CSV file.
 
-    The file's header must list exactly the schema's attributes (after the
-    tuple-id column); a mismatch raises ``ValueError`` rather than silently
-    mis-aligning columns.  Blank records are skipped; a record whose tuple
-    id is not an integer, or repeats an earlier one, raises ``ValueError``
-    naming the file and line (every error names the file).
+    Two headers are accepted.  The one :func:`save_relation` writes —
+    ``__tid__``, then exactly the schema's attributes — keeps the tuple
+    ids; any other header led by ``__tid__`` raises ``ValueError`` rather
+    than silently mis-aligning columns, and a short record reads as
+    trailing nulls.  A *plain* header names some of the schema's
+    attributes, in any order: its records get fresh ids in file order,
+    the attributes it does not name read as null, and a record with more
+    fields than the header raises ``ValueError``.
+
+    Blank records are skipped.  A tuple id that is not an integer or
+    repeats an earlier one, a column the schema lacks, and text that is
+    not UTF-8 raise ``ValueError`` naming the file; a file that cannot be
+    opened raises ``OSError``.
     """
     path = Path(path)
     relation = Relation(schema)
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return relation
-        expected = ["__tid__"] + list(schema.attribute_names)
-        if header != expected:
-            raise ValueError(
-                f"{path}: CSV header {header} does not match schema "
-                f"{schema.name!r} ({expected})"
-            )
-        # The header was checked, so every record is adopted as a
-        # schema-complete row (a short record reads as trailing nulls).
-        names = schema.attribute_names
-        for record in reader:
-            if not record:
-                continue
-            fields = record[1:]
-            if len(fields) < len(names):
-                fields += [_NULL] * (len(names) - len(fields))
-            try:
-                tid = int(record[0])
-            except ValueError:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: "
-                    f"tuple id {record[0]!r} is not an integer"
-                ) from None
-            try:
-                relation.adopt(
-                    tid,
-                    {
-                        name: (None if text == _NULL else text)
-                        for name, text in zip(names, fields)
-                    },
-                )
-            except ValueError as error:
-                raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
+    try:
+        with path.open("r", newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is not None:
+                read = _read_saved if header[:1] == ["__tid__"] else _read_plain
+                read(relation, header, reader, path)
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path}: not UTF-8 text ({error.reason})") from None
     return relation
+
+
+def _read_saved(relation: Relation, header, reader, path: Path) -> None:
+    """The records under a :func:`save_relation` header, ids kept."""
+    names = relation.schema.attribute_names
+    expected = ["__tid__"] + list(names)
+    if header != expected:
+        raise ValueError(
+            f"{path}: CSV header {header} does not match schema "
+            f"{relation.schema.name!r} ({expected})"
+        )
+    # The header was checked, so every record is adopted as a
+    # schema-complete row (a short record reads as trailing nulls).
+    for record in reader:
+        if not record:
+            continue
+        fields = record[1:]
+        if len(fields) < len(names):
+            fields += [_NULL] * (len(names) - len(fields))
+        try:
+            tid = int(record[0])
+        except ValueError:
+            raise ValueError(
+                f"{path}, line {reader.line_num}: "
+                f"tuple id {record[0]!r} is not an integer"
+            ) from None
+        try:
+            relation.adopt(
+                tid,
+                {
+                    name: (None if text == _NULL else text)
+                    for name, text in zip(names, fields)
+                },
+            )
+        except ValueError as error:
+            raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
+
+
+def _read_plain(relation: Relation, header, reader, path: Path) -> None:
+    """The records under a plain header of attribute names, fresh ids."""
+    unknown = set(header) - set(relation.schema.attribute_names)
+    if unknown:
+        raise ValueError(
+            f"{path}: columns {sorted(unknown)} not in schema "
+            f"{relation.schema.name!r}"
+        )
+    for record in reader:
+        if not record:
+            continue
+        if len(record) > len(header):
+            raise ValueError(
+                f"{path}, line {reader.line_num}: "
+                f"{len(record)} fields, the header has {len(header)}"
+            )
+        relation.insert(
+            {
+                name: (None if text == _NULL else text)
+                for name, text in zip(header, record)
+            }
+        )

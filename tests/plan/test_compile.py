@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.findrcks import find_rcks
 from repro.core.semantics import InstancePair, enforce
+from repro.datagen.generator import generate_dataset
+from repro.datagen.schemas import extended_mds
+from repro.experiments.exp_blocking import exp4_key_pairs
+from repro.experiments.exp_fs import deduce_rcks
 from repro.metrics.registry import MetricRegistry, default_registry
 from repro.plan import (
     DEFAULT_ENCODED_ATTRIBUTES,
@@ -111,6 +115,42 @@ class TestSimilarityCache:
         plan.evaluate(dl, "Mark", "Marx")
         assert plan.stats.metric_evaluations == 2
         assert plan.stats.cache_hits == 0
+
+    def test_a_whole_chase_decides_the_same_with_and_without_the_memo(
+        self, workspace_for
+    ):
+        """Exp-4's RCK-blocking candidates at K=250, chased through a
+        cached and an uncached plan: the memo only saves evaluations."""
+        dataset = generate_dataset(250, seed=3)
+        rcks = deduce_rcks(dataset, extended_mds(dataset.pair))
+        blocking = {
+            "backend": "hash",
+            "key_pairs": [list(pair) for pair in exp4_key_pairs(rcks)],
+            "encode": ["FN", "LN"],
+        }
+        cached, uncached = (
+            workspace_for(
+                dataset, rcks=rcks, blocking=blocking,
+                execution={"mode": "enforce", "cache": cache},
+            )
+            for cache in (True, False)
+        )
+        candidates = cached.candidates(dataset.credit, dataset.billing)
+        cached_matches, uncached_matches = (
+            workspace.enforce(
+                dataset.credit, dataset.billing,
+                candidates=candidates, provenance=False,
+            ).matches
+            for workspace in (cached, uncached)
+        )
+        assert candidates and cached_matches
+        assert cached_matches == uncached_matches
+        assert cached.plan.stats.cache_hits > 0
+        assert uncached.plan.stats.cache_hits == 0
+        assert (
+            cached.plan.stats.metric_evaluations
+            < uncached.plan.stats.metric_evaluations
+        )
 
     def test_cache_overflow_clears_and_stays_correct(self, sigma, target):
         plan = compile_plan(sigma, target, cache_limit=4)

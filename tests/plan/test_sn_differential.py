@@ -92,6 +92,10 @@ def _stream_against_batch(
         for other in store.neighbors(LEFT, row.tid)
     )
     assert live == sorted(report.candidates)
+    if blocking["backend"] == "sorted-neighborhood":
+        # The streamed rank encoding enumerates that universe by itself.
+        assert report.matches
+        assert store.blocking.scan_candidates() == live
     assert store.spec_fingerprint == report.fingerprint
     store.close()
     return workspace

@@ -70,3 +70,28 @@ class TestCsvRoundTrip:
         path.write_text("__tid__,A,B,C\n4,x,y,z\n4,x,y,z\n")
         with pytest.raises(ValueError, match="already present"):
             load_relation(schema, path)
+
+    def test_plain_header_names_a_subset_in_any_order(self, tmp_path):
+        schema = RelationSchema("R", ["A", "B", "C"])
+        path = tmp_path / "p.csv"
+        path.write_text("C,A\nz,x\n\nw\n")
+        loaded = load_relation(schema, path)
+        assert [row.values() for row in loaded] == [
+            {"A": "x", "B": None, "C": "z"},
+            {"A": None, "B": None, "C": "w"},
+        ]
+        path.write_text("A,D\nx,y\n")
+        with pytest.raises(ValueError, match=r"columns \['D'\] not in schema 'R'"):
+            load_relation(schema, path)
+        path.write_text("A,B\nx,y\nx,y,z\n")
+        with pytest.raises(ValueError, match="line 3: 3 fields, the header has 2"):
+            load_relation(schema, path)
+
+    def test_unreadable_files_name_the_path(self, tmp_path):
+        schema = RelationSchema("R", ["A"])
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"A\n\xff\n")
+        with pytest.raises(ValueError, match=f"{path}: not UTF-8 text"):
+            load_relation(schema, path)
+        with pytest.raises(IsADirectoryError):
+            load_relation(schema, tmp_path)

@@ -310,6 +310,28 @@ class TestMalformedCsv:
             capsys, code, store, f"{left_path}, line 3", "4 fields, the header has 3"
         )
 
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_directory_for_a_file(self, command, spec_file, fig1_csvs, tmp_path, capsys):
+        _, right_path = fig1_csvs
+        directory = tmp_path / "data"
+        directory.mkdir()
+        code, store = self._run(command, spec_file, directory, right_path, tmp_path)
+        self._refused(capsys, code, store, f"error: {directory}: ")
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    @pytest.mark.parametrize(
+        "header",
+        ["FN,LN,addr", "__tid__,c#,SSN,FN,LN,addr,tel,email,gender,type"],
+        ids=["plain", "saved"],
+    )
+    def test_a_file_that_is_not_utf8(
+        self, command, header, spec_file, fig1_csvs, tmp_path, capsys
+    ):
+        left_path, right_path = fig1_csvs
+        left_path.write_bytes(header.encode() + b"\nMa\xffrk,Clifford,10 Oak Street\n")
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(capsys, code, store, f"error: {left_path}: not UTF-8 text")
+
 
 class TestPlanExplain:
     def test_explain_prints_compiled_plan(self, spec_file, capsys):
