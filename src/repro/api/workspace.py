@@ -285,7 +285,8 @@ class Workspace:
                 with self.tracer.span("blocking") as blocking_span:
                     candidates = plan.candidates(instance.left, instance.right)
                     blocking_span.set("candidates", len(candidates))
-            candidates = list(candidates)
+            # One tuple, held by the chase and the report alike.
+            candidates = tuple(candidates)
             span.set("candidates", len(candidates))
             result = plan.enforce(
                 instance,
@@ -339,7 +340,7 @@ class Workspace:
                 with self.tracer.span("blocking") as blocking_span:
                     candidates = plan.candidates(left, right)
                     blocking_span.set("candidates", len(candidates))
-            candidates = list(candidates)
+            candidates = tuple(candidates)
             span.set("candidates", len(candidates))
             plan.stats.pairs_compared += len(candidates)
             matches: List[Pair] = []

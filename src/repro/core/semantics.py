@@ -441,7 +441,9 @@ class CellClasses:
         self.right_tuples = range(self.right_base, count, right_width or 1)
         self.root = list(range(count))
         self.size = [1] * count
-        self.next = list(range(count))
+        # A copy, not a second ``range``: the two lists then share one int
+        # object per cell (a union rewrites entries, never the objects).
+        self.next = self.root.copy()
 
     # -- the encoding ----------------------------------------------------
 

@@ -42,7 +42,9 @@ such ints:
   small selections, unordered lists and unhashable values are filtered
   as before.  The lookup is a bisection and not a ``pair -> position``
   table because the table is no faster and costs memory the lists do not
-  (+18 % peak RSS on the dense benchmark workload when it was tried).
+  (+18 % peak RSS on the dense benchmark workload when it was tried);
+* **firings** — one small-int mask per position, a bit per rule that
+  fired at the pair, rather than a set of positions per rule.
 
 The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
@@ -127,10 +129,13 @@ def chase(
     right)``, which is what lets a large selection be joined instead of
     scanned (any other order is chased to the same result, by scans).
     """
-    pairs: List[Pair] = (
-        list(candidate_pairs)
-        if candidate_pairs is not None
-        else list(instance.tuple_pairs())
+    if candidate_pairs is None:
+        candidate_pairs = instance.tuple_pairs()
+    # A list or tuple is read as it is, never copied.
+    pairs: Sequence[Pair] = (
+        candidate_pairs
+        if isinstance(candidate_pairs, (list, tuple))
+        else list(candidate_pairs)
     )
     stats = plan.stats
     stats.enforcements += 1
@@ -287,12 +292,14 @@ def chase(
                     partner = right_tuples[head]
                     at = bisect_left(right_slots, partner, start, end)
                     while at < end and right_slots[at] == partner:
-                        hits.append(at)
+                        hits.append(everything[at])
                         at += 1
                     head = earlier[head]
         return hits, [other for other in equalities if other != atom]
 
-    everything = range(len(pairs))
+    #: Every position, listed once: each selection is filtered from it
+    #: (or from a join's hits, taken from it), so they all share its ints.
+    everything = list(range(len(pairs)))
     applications = 0
     rounds = 0
     #: The first slots of the tuples the last round repaired (only their
@@ -302,7 +309,8 @@ def chase(
     active: Optional[Sequence[int]] = everything
     #: Tuple hits the joins have looked up so far.
     probed = 0
-    fired: List[Set[int]] = [set() for _ in rules]
+    #: Per position, a bit per rule that fired at it (``1 << index``).
+    fired = [0] * len(pairs)
     #: Per rule, ``(round, positions)`` for every round it fired in.
     fired_in: List[List[tuple]] = [[] for _ in rules]
     #: slot -> the value it held in ``instance``, for every slot written.
@@ -327,9 +335,10 @@ def chase(
         firing = []
         joins = scanned = 0
         probed_before = probed
-        for index, ((equalities, similarities, _), already, history) in enumerate(
-            zip(rules, fired, fired_in)
+        for index, ((equalities, similarities, _), history) in enumerate(
+            zip(rules, fired_in)
         ):
+            bit = 1 << index
             # What a scan would read — the active pairs: their count once
             # they are listed, until then a repaired tuple's mean number
             # of pairs for each tuple repaired.
@@ -342,22 +351,23 @@ def chase(
             if not joined:
                 selection = active if active is not None else list_active()
                 scanned += len(selection)
-                if already:
-                    selection = [i for i in selection if i not in already]
+                if history:
+                    selection = [i for i in selection if not fired[i] & bit]
             else:
                 joins += 1
                 hits, equalities = joined
                 selection = [
                     i
                     for i in hits
-                    if i not in already
+                    if not fired[i] & bit
                     and (left_slots[i] in changed or right_slots[i] in changed)
                 ]
             selection = select(selection, equalities, similarities)
             if selection:
-                already.update(selection)
+                for i in selection:
+                    fired[i] |= bit
                 history.append((rounds, selection))
-                firing.append((selection, 1 << index))
+                firing.append((selection, bit))
         round_span.set("joined", joins)
         round_span.set("join_probes", probed - probed_before)
         round_span.set("scanned", scanned)
@@ -547,9 +557,10 @@ def chase(
         with tracer.span("stability-check") as span:
             joins = fresh_pairs = reevaluated = 0
             listed = active if active is not None else list_active()
-            for (equalities, similarities, _), already, history in zip(
-                rules, fired, fired_in
+            for index, ((equalities, similarities, _), history) in enumerate(
+                zip(rules, fired_in)
             ):
+                bit = 1 << index
                 lefts = last_lhs_write(
                     left_writes,
                     [left for left, _ in equalities]
@@ -574,7 +585,7 @@ def chase(
                             fresh.append(i)
                         else:
                             stale.append(i)
-                selection = stale + [i for i in listed if i not in already]
+                selection = stale + [i for i in listed if not fired[i] & bit]
                 joined = dense and join(equalities, len(selection))
                 if joined:
                     joins += 1

@@ -50,8 +50,13 @@ def load_relation(
     than silently mis-aligning columns, and a short record reads as
     trailing nulls.  A *plain* header names some of the schema's
     attributes, in any order: its records get fresh ids in file order,
-    the attributes it does not name read as null, and a record with more
-    fields than the header raises ``ValueError``.
+    and the attributes it does not name read as null.  Under either
+    header a record with more fields than the header raises
+    ``ValueError``.
+
+    Equal field texts are read as one ``str`` object (one table per
+    call): a column repeats its values many times over, and matching
+    only ever reads them.
 
     Blank records are skipped.  A tuple id that is not an integer or
     repeats an earlier one, a column the schema lacks, and text that is
@@ -66,14 +71,18 @@ def load_relation(
             header = next(reader, None)
             if header is not None:
                 read = _read_saved if header[:1] == ["__tid__"] else _read_plain
-                read(relation, header, reader, path)
+                # One table per call: it maps a text to the one object
+                # every equal field is read as, and the empty text to null.
+                read(relation, header, reader, path, {_NULL: None}.setdefault)
     except UnicodeDecodeError as error:
         raise ValueError(f"{path}: not UTF-8 text ({error.reason})") from None
     return relation
 
 
-def _read_saved(relation: Relation, header, reader, path: Path) -> None:
-    """The records under a :func:`save_relation` header, ids kept."""
+def _read_saved(relation: Relation, header, reader, path: Path, intern) -> None:
+    """The records under a :func:`save_relation` header, ids kept; every
+    field text passes through ``intern`` (``intern(text, text)`` is the
+    value it reads as)."""
     names = relation.schema.attribute_names
     expected = ["__tid__"] + list(names)
     if header != expected:
@@ -86,6 +95,11 @@ def _read_saved(relation: Relation, header, reader, path: Path) -> None:
     for record in reader:
         if not record:
             continue
+        if len(record) > len(header):
+            raise ValueError(
+                f"{path}, line {reader.line_num}: "
+                f"{len(record)} fields, the header has {len(header)}"
+            )
         fields = record[1:]
         if len(fields) < len(names):
             fields += [_NULL] * (len(names) - len(fields))
@@ -97,19 +111,14 @@ def _read_saved(relation: Relation, header, reader, path: Path) -> None:
                 f"tuple id {record[0]!r} is not an integer"
             ) from None
         try:
-            relation.adopt(
-                tid,
-                {
-                    name: (None if text == _NULL else text)
-                    for name, text in zip(names, fields)
-                },
-            )
+            relation.adopt(tid, dict(zip(names, map(intern, fields, fields))))
         except ValueError as error:
             raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
 
 
-def _read_plain(relation: Relation, header, reader, path: Path) -> None:
-    """The records under a plain header of attribute names, fresh ids."""
+def _read_plain(relation: Relation, header, reader, path: Path, intern) -> None:
+    """The records under a plain header of attribute names, fresh ids;
+    every field text passes through ``intern``."""
     unknown = set(header) - set(relation.schema.attribute_names)
     if unknown:
         raise ValueError(
@@ -124,9 +133,4 @@ def _read_plain(relation: Relation, header, reader, path: Path) -> None:
                 f"{path}, line {reader.line_num}: "
                 f"{len(record)} fields, the header has {len(header)}"
             )
-        relation.insert(
-            {
-                name: (None if text == _NULL else text)
-                for name, text in zip(header, record)
-            }
-        )
+        relation.insert(dict(zip(header, map(intern, record, record))))

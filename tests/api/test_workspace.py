@@ -66,6 +66,25 @@ class TestSingleCompile:
         assert document["spec_fingerprint"] == workspace.fingerprint
         assert document["matches"]
 
+    def test_the_candidate_list_is_held_once(self, fig1_workspace, monkeypatch):
+        """``enforce`` makes one tuple of the candidates; the chase and the
+        report hold that tuple, not copies of it."""
+        workspace, credit, billing = fig1_workspace
+        plan = workspace.plan
+        chased = []
+        enforce = plan.enforce
+
+        def keep(instance, **options):
+            result = enforce(instance, **options)
+            chased.append((options["candidate_pairs"], result.merged_cells.pairs))
+            return result
+
+        monkeypatch.setattr(plan, "enforce", keep)
+        report = workspace.match(credit, billing, candidates=[(0, 0), (0, 1)])
+        (handed, held), = chased
+        assert report.candidates == ((0, 0), (0, 1))
+        assert handed is held is report.candidates
+
 
 class TestModesAgree:
     def test_batch_stream_and_enforce_agree_from_one_spec(self, fig1_workspace):

@@ -62,7 +62,7 @@ class TestCsvRoundTrip:
     def test_short_records_fill_with_nulls_and_duplicate_tids_raise(self, tmp_path):
         schema = RelationSchema("R", ["A", "B", "C"])
         path = tmp_path / "s.csv"
-        path.write_text("__tid__,A,B,C\n4,x\n9,p,q,r,extra\n")
+        path.write_text("__tid__,A,B,C\n4,x\n9,p,q,r\n")
         loaded = load_relation(schema, path)
         assert loaded[4].values() == {"A": "x", "B": None, "C": None}
         assert loaded[9].values() == {"A": "p", "B": "q", "C": "r"}
@@ -70,6 +70,31 @@ class TestCsvRoundTrip:
         path.write_text("__tid__,A,B,C\n4,x,y,z\n4,x,y,z\n")
         with pytest.raises(ValueError, match="already present"):
             load_relation(schema, path)
+
+    def test_a_saved_record_longer_than_the_header_raises(self, tmp_path):
+        """An extra field is data the header has no column for: refused,
+        as under a plain header, never dropped."""
+        schema = RelationSchema("R", ["A", "B"])
+        path = tmp_path / "long.csv"
+        path.write_text("__tid__,A,B\n0,x,y\n1,p,q,EXTRA\n")
+        with pytest.raises(
+            ValueError, match=f"{path}, line 3: 4 fields, the header has 3"
+        ):
+            load_relation(schema, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["__tid__,A,B\n0,NJ,x\n1,NJ,NJ\n", "B,A\nx,NJ\nNJ,NJ\n"],
+        ids=["saved", "plain"],
+    )
+    def test_equal_fields_are_one_object(self, text, tmp_path):
+        """A value is held once per load, however many fields repeat it."""
+        schema = RelationSchema("R", ["A", "B"])
+        path = tmp_path / "i.csv"
+        path.write_text(text)
+        first, second = load_relation(schema, path).rows()
+        assert first["A"] is second["A"] is second["B"]
+        assert first["A"] == "NJ"
 
     def test_plain_header_names_a_subset_in_any_order(self, tmp_path):
         schema = RelationSchema("R", ["A", "B", "C"])

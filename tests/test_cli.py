@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import gc
 import json
 import sqlite3
 import subprocess
@@ -225,6 +226,83 @@ class TestMatch:
         assert "WRONG" in capsys.readouterr().err
 
 
+class TestMatchCollectorPause:
+    """``match`` runs with the cyclic garbage collector off.  That is safe
+    only while what it leaves for the collector does not grow with the
+    input, and ``main()`` must hand the collector back as it found it."""
+
+    @staticmethod
+    def _instance(directory, size, backend):
+        from repro.api import Workspace
+        from repro.datagen.generator import generate_dataset
+        from repro.datagen.schemas import extended_mds
+
+        data = generate_dataset(size, seed=7)
+        options = {"window": 10} if backend == "sorted-neighborhood" else {}
+        spec = (
+            Workspace.builder()
+            .pair(data.pair)
+            .target(data.target)
+            .mds(extended_mds(data.pair))
+            .blocking(backend, **options)
+            .execution(top_k=5)
+            .build()
+        )
+        directory.mkdir()
+        spec.save(directory / "spec.json")
+        save_relation(data.credit, directory / "credit.csv")
+        save_relation(data.billing, directory / "billing.csv")
+        return [
+            "match", "--spec", str(directory / "spec.json"),
+            "--left", str(directory / "credit.csv"),
+            "--right", str(directory / "billing.csv"), "--json",
+        ]
+
+    @pytest.mark.parametrize("backend", ["sorted-neighborhood", "hash"])
+    def test_the_cyclic_garbage_of_a_match_does_not_grow_with_the_input(
+        self, backend, tmp_path, capsys
+    ):
+        left_behind = []
+        for size in (200, 1000):
+            argv = self._instance(tmp_path / str(size), size, backend)
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                left_behind.append(gc.collect())
+            finally:
+                gc.enable()
+            capsys.readouterr()
+        small, large = left_behind
+        assert small == large
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_collector_after_success_and_error(
+        self, enabled, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        argv = self._instance(tmp_path / "data", 30, "hash")
+        broken = argv[:4] + [str(tmp_path / "missing.csv")] + argv[5:]
+        during = []
+        match = repro.cli._match
+        monkeypatch.setattr(
+            repro.cli, "_match",
+            lambda args: during.append(gc.isenabled()) or match(args),
+        )
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == 0
+            assert gc.isenabled() is enabled
+            assert main(broken) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False, False]
+        assert "missing.csv" in capsys.readouterr().err
+
+
 class TestMalformedCsv:
     """A malformed data row is exit 2 with one ``error:`` line naming the
     file and line — never a traceback — from ``match`` and ``engine
@@ -308,6 +386,21 @@ class TestMalformedCsv:
         code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
         self._refused(
             capsys, code, store, f"{left_path}, line 3", "4 fields, the header has 3"
+        )
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_saved_csv_row_with_an_extra_field(
+        self, command, spec_file, fig1_csvs, tmp_path, capsys
+    ):
+        left_path, right_path = fig1_csvs
+        lines = right_path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\r\n") + ",EXTRA\n"
+        right_path.write_text("".join(lines))
+        fields = len(SPEC_DOCUMENT["schema"]["right"]["attributes"]) + 1
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(
+            capsys, code, store, f"{right_path}, line 3",
+            f"{fields + 1} fields, the header has {fields}",
         )
 
     @pytest.mark.parametrize("command", ["match", "ingest"])
