@@ -18,6 +18,7 @@ batch entry point returns one result type, :class:`MatchReport`.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -97,6 +98,46 @@ class MatchReport:
             ],
             "stats": dict(self.stats),
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte,
+        without building the tree: what ``repro match --json`` prints.
+
+        The pair lists are formatted straight from the tid pairs, each
+        distinct provenance rule tuple is encoded once, and only the
+        clusters and the small ``stats`` mapping go through the encoder.
+        """
+        provenance = self.provenance
+        encoded_rules: Dict[Tuple[str, ...], str] = {}
+        entries = []
+        for pair in self.matches:
+            rules = provenance.get(pair)
+            if rules is None:
+                continue
+            text = encoded_rules.get(rules)
+            if text is None:
+                text = encoded_rules[rules] = json.dumps(list(rules))
+            entries.append('{"pair": [%d, %d], "rules": %s}' % (*pair, text))
+        clusters = json.dumps([
+            {
+                "left_tids": sorted(cluster.left_tids),
+                "right_tids": sorted(cluster.right_tids),
+            }
+            for cluster in self.clusters
+        ])
+        return (
+            '{"candidate_count": %d, "clusters": %s, "matches": [%s], '
+            '"mode": %s, "provenance": [%s], "spec_fingerprint": %s, '
+            '"stats": %s}'
+        ) % (
+            len(self.candidates),
+            clusters,
+            ", ".join(map("[%d, %d]".__mod__, self.matches)),
+            json.dumps(self.mode),
+            ", ".join(entries),
+            json.dumps(self.fingerprint),
+            json.dumps(dict(self.stats), sort_keys=True),
+        )
 
 
 class Workspace:

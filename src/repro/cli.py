@@ -270,7 +270,7 @@ def _match(args) -> int:
             writer.writerow(["left_tid", "right_tid"])
             writer.writerows(rows)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        print(report.to_json())
         return 0
     if not args.output:
         for left_tid, right_tid in rows:

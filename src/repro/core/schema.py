@@ -16,7 +16,7 @@ pairwise comparable: ``X1[j] ∈ R1``, ``X2[j] ∈ R2`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 #: Side tags for the two positions in a schema pair.
 LEFT = 0
@@ -84,6 +84,8 @@ class RelationSchema:
             self._by_name[attr.name] = attr
         if not self._attributes:
             raise ValueError(f"schema {name!r} must have at least one attribute")
+        #: The attribute names as a set, for one-call subset tests.
+        self.name_set: FrozenSet[str] = frozenset(self.attribute_names)
 
     @property
     def attributes(self) -> Tuple[Attribute, ...]:

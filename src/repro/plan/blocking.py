@@ -10,8 +10,9 @@ generator as a pluggable component:
 
 * the key-derivation primitives (:func:`attribute_key`, :func:`pair_keys`,
   :func:`rck_sort_keys`), the one hash loop (:func:`hash_candidates` is
-  its one-pass case), the cross-side window loop over a sorted run
-  (:func:`run_pairs`) and one global-window pass of [20]
+  its one-pass case; its per-left emission, :func:`emit_unions`, is the
+  sorted-neighborhood batch's too), the cross-side window loop over a
+  sorted run (:func:`run_pairs`) and one global-window pass of [20]
   (:func:`window_candidates`: sort the merged sequence, then
   :func:`run_pairs` across all of it — the paper's Figs. 9–10 protocol,
   which only :mod:`repro.experiments` runs; a multi-pass run is the union
@@ -75,6 +76,12 @@ _RIGHT = 1
 
 #: One ranked element of a sorted run: (sort key, side marker, tuple id).
 Entry = Tuple[Tuple[str, ...], int, int]
+
+#: One pass of :func:`emit_unions`: a left row's lookup key, and the
+#: lookup from it to that pass's ascending right tids.
+PartnerTable = Tuple[
+    Callable[[Row], Hashable], Callable[[Hashable], Optional[Sequence[int]]]
+]
 
 _tid = attrgetter("tid")
 
@@ -178,6 +185,26 @@ def rck_sort_keys(
     return attribute_key(left_attrs), attribute_key(right_attrs)
 
 
+def emit_unions(left_rows: Iterable[Row], tables: Sequence[PartnerTable]) -> List[Pair]:
+    """Each left row, in the order given, paired with the sorted union of
+    its partner lists: the emission both blocking families share.
+
+    A table is ``(key, lookup)``: ``lookup(key(row))`` is ``row``'s
+    ascending list of right tids in that pass, or ``None``/empty.  Given
+    the rows in tid order, the list comes out once each and ascending by
+    ``(left_tid, right_tid)`` by construction: no set of pair tuples, no
+    global sort.
+    """
+    candidates: List[Pair] = []
+    for row in left_rows:
+        hits = [bucket for key, lookup in tables if (bucket := lookup(key(row)))]
+        if hits:
+            # One bucket is ascending already; several are unioned.
+            tids = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+            candidates.extend(zip(repeat(row.tid), tids))
+    return candidates
+
+
 def _union_candidates(
     left: Relation,
     right: Relation,
@@ -186,11 +213,8 @@ def _union_candidates(
     """The hash loop: cross-relation pairs sharing a bucket in some pass.
 
     Per pass the right rows are bucketed by key in tid order, so every
-    bucket is ascending.  The left rows are then walked in tid order, and
-    each one's candidates are the union of its buckets across passes,
-    sorted.  The list comes out once each and ascending by
-    ``(left_tid, right_tid)`` by construction: no set of pair tuples, no
-    global sort.
+    bucket is ascending; :func:`emit_unions` then walks the left rows in
+    tid order.
     """
     right_rows = sorted(right, key=_tid)
     tables = []
@@ -199,14 +223,7 @@ def _union_candidates(
         for row in right_rows:
             buckets.setdefault(right_key(row), []).append(row.tid)
         tables.append((left_key, buckets.get))
-    candidates: List[Pair] = []
-    for row in sorted(left, key=_tid):
-        hits = [bucket for left_key, lookup in tables if (bucket := lookup(left_key(row)))]
-        if hits:
-            # One bucket is ascending already; several are unioned.
-            tids = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
-            candidates.extend(zip(repeat(row.tid), tids))
-    return candidates
+    return emit_unions(sorted(left, key=_tid), tables)
 
 
 def hash_candidates(

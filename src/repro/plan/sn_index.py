@@ -30,6 +30,18 @@ records agree on the encoded leading value of *any* pass — dropped pairs
 disagree on **every** keyed attribute's encoded value, and such pairs
 were never going to satisfy an RCK built from those comparisons.
 
+A batch :meth:`~WindowedSNIndex.candidates` call is the hash loop of
+:mod:`repro.plan.blocking` run on each pass's leading encoded key.  Every
+row is keyed once (pass *i*'s block is component *i* of pass 0's key),
+and per pass the right tids are bucketed by block in tid order.  A block
+of at most ``window`` entries is its own window, so each of its left
+tuples is paired with its whole right bucket; only a longer block is
+sorted by (rotated key, side, tid) and windowed into per-left partner
+lists.  Each left tuple, in tid order, then emits the sorted union of
+its partners across passes (:func:`~repro.plan.blocking.emit_unions`):
+no entry is rotated outside a long block, and no set of pairs is built
+or sorted.
+
 Streaming and batch agree by construction on the *final* state: a run's
 layout depends only on the key/side/tid triples, never on arrival order,
 so :meth:`scan_candidates` over a live index equals :meth:`candidates`
@@ -45,17 +57,21 @@ clusters still converge to the batch run's.
 from __future__ import annotations
 
 import bisect
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT
 from repro.plan.blocking import (
     _LEFT,
     _RIGHT,
+    _tid,
     DEFAULT_ENCODED_ATTRIBUTES,
     BlockingBackend,
     Entry,
     Pair,
+    PartnerTable,
     RowKey,
+    emit_unions,
     pair_keys,
     run_pairs,
 )
@@ -235,28 +251,52 @@ class WindowedSNIndex(BlockingBackend):
     def candidates(self, left: Relation, right: Relation) -> List[Pair]:
         """Block-confined window candidates for a batch instance pair.
 
-        Runs on transient rank runs — the live runs of a streaming store
-        are never touched or rebuilt.
+        The hash loop (:func:`~repro.plan.blocking.emit_unions`) on each
+        pass's leading encoded key: a block no longer than the window is
+        its own window, so its left tuples' partners are its whole right
+        bucket; only a longer block is sorted and windowed.  Runs on
+        transient tables — the live runs of a streaming store are never
+        touched or rebuilt.
         """
-        if self.window < 2:
+        window = self.window
+        if window < 2:
             return []
-        # Pass i's key is pass 0's tuple rotated by i: encode every row
-        # once, rotate per pass.
-        entries: List[Entry] = [
-            (self._left_keys[0](row), _LEFT, row.tid) for row in left
-        ] + [(self._right_keys[0](row), _RIGHT, row.tid) for row in right]
-        pairs: Set[Pair] = set()
+        left_rows = sorted(left, key=_tid)
+        # Pass i's key is pass 0's rotated by i, so its block is pass 0's
+        # component i: every row is keyed once.
+        left_key, right_key = self._left_keys[0], self._right_keys[0]
+        left_keys = {row.tid: left_key(row) for row in left_rows}
+        right_keys = {row.tid: right_key(row) for row in sorted(right, key=_tid)}
+        tables: List[PartnerTable] = []
         for position in range(self.pass_count):
-            if position:
-                entries = [(key[1:] + key[:1], side, tid) for key, side, tid in entries]
-            blocks: Dict[str, List[Entry]] = {}
-            for entry in entries:
-                blocks.setdefault(self.block_of(entry[0]), []).append(entry)
-            for run in blocks.values():
-                if len(run) > 1:
-                    run.sort()
-                    pairs.update(run_pairs(run, self.window))
-        return sorted(pairs)
+            rights: Dict[str, List[int]] = {}
+            for tid, key in right_keys.items():
+                rights.setdefault(key[position], []).append(tid)
+            lefts: Dict[str, List[int]] = {}
+            for tid, key in left_keys.items():
+                lefts.setdefault(key[position], []).append(tid)
+            partners: Dict[int, Sequence[int]] = {}
+            for block, block_lefts in lefts.items():
+                block_rights = rights.get(block)
+                if block_rights is None:
+                    continue
+                # Rank distances in a block reach its length - 1: below
+                # the window, every left-right pair of it is a candidate.
+                if window > len(block_lefts) + len(block_rights) - 1:
+                    partners.update(zip(block_lefts, repeat(block_rights)))
+                    continue
+                run: List[Entry] = [
+                    (right_keys[tid][position:] + right_keys[tid][:position], _RIGHT, tid)
+                    for tid in block_rights
+                ] + [
+                    (left_keys[tid][position:] + left_keys[tid][:position], _LEFT, tid)
+                    for tid in block_lefts
+                ]
+                run.sort()
+                for left_tid, right_tid in sorted(run_pairs(run, window)):
+                    partners.setdefault(left_tid, []).append(right_tid)
+            tables.append((_tid, partners.get))
+        return emit_unions(left_rows, tables)
 
     # -- introspection -------------------------------------------------
 

@@ -169,11 +169,11 @@ class Relation:
         row-major list (a snapshot: later :meth:`set_value` calls do not
         reach it) — the value of ``tids[p]``'s ``attributes[k]`` sits at
         ``p * len(attributes) + k``."""
-        for attribute in attributes:
-            if attribute not in self.schema:
-                raise KeyError(
-                    f"{attribute!r} is not an attribute of {self.schema.name!r}"
-                )
+        if not self.schema.name_set.issuperset(attributes):
+            unknown = next(a for a in attributes if a not in self.schema.name_set)
+            raise KeyError(
+                f"{unknown!r} is not an attribute of {self.schema.name!r}"
+            )
         rows = self._rows
         try:
             selected = [rows[tid]._values for tid in tids]

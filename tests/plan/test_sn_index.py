@@ -4,13 +4,16 @@ The rank-encoding invariants in isolation: incremental insertion equals
 batch construction, a probe is exactly the rank-range query, runs split
 at block boundaries (no candidate pair spans one), multi-pass rotation recovers
 pairs that disagree on one leading attribute, and the degenerate
-window < 2 yields no candidates.  End-to-end stream/batch equivalence
-lives in ``test_sn_differential.py``.
+window < 2 yields no candidates.  The batch loop is held to the per-pass
+definition it replaced, on generated blocks around the window size.
+End-to-end stream/batch equivalence lives in ``test_sn_differential.py``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.schema import LEFT, RIGHT, RelationSchema
 from repro.plan.blocking import attribute_key, window_candidates
@@ -42,11 +45,100 @@ def _index(window=3, pairs=(("K", "K"),)):
     return WindowedSNIndex(pairs, window=window, encode_attributes=())
 
 
+# ----------------------------------------------------------------------
+# The batch loop, held to the per-pass definition
+# ----------------------------------------------------------------------
+
+def _per_pass_definition(index, left, right):
+    """The batch loop the index ran before it bucketed: key every row once,
+    rotate every entry per pass, sort every block by (key, side, tid),
+    window it, union the pairs in a set and sort them."""
+    if index.window < 2:
+        return []
+    entries = [(index.key_for(LEFT, row), 0, row.tid) for row in left] + [
+        (index.key_for(RIGHT, row), 1, row.tid) for row in right
+    ]
+    pairs = set()
+    for position in range(index.pass_count):
+        if position:
+            entries = [(key[1:] + key[:1], side, tid) for key, side, tid in entries]
+        blocks = {}
+        for entry in entries:
+            blocks.setdefault(entry[0][0], []).append(entry)
+        for run in blocks.values():
+            run.sort()
+            pairs.update(run_pairs(run, index.window))
+    return sorted(pairs)
+
+
+GENERATED = RelationSchema("R", ["FN", "K", "V"])
+
+#: Few values, so blocks run past the window; ``None`` and ``""`` both
+#: key as ``""`` (the null block), and "Ann" / "Anne" share a Soundex code.
+GENERATED_VALUES = st.sampled_from([None, "", "Ann", "Anne", "x", "y"])
+
+
+@st.composite
+def generated_relations(draw):
+    """Rows under explicit tids inserted in drawn order, not ascending;
+    possibly none."""
+    relation = Relation(GENERATED)
+    for tid in draw(st.lists(st.integers(0, 60), max_size=14, unique=True)):
+        row = draw(st.fixed_dictionaries({name: GENERATED_VALUES for name in ("FN", "K", "V")}))
+        relation.insert(row, tid=tid)
+    return relation
+
+
+@st.composite
+def generated_indexes(draw):
+    """One to three passes, a window from 2 to 12 (sometimes below 2), and
+    the FN pass Soundex-encoded or raw."""
+    pairs = draw(st.lists(
+        st.sampled_from([("FN", "FN"), ("K", "K"), ("V", "V"), ("K", "V")]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    window = draw(st.one_of(st.integers(2, 12), st.integers(-1, 1)))
+    encode = draw(st.sampled_from([(), ("FN",)]))
+    return WindowedSNIndex(pairs, window=window, encode_attributes=encode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_indexes(), generated_relations(), generated_relations(), st.booleans())
+def test_batch_candidates_are_the_per_pass_definition(index, left, right, self_match):
+    """Same pairs, same order.  Killed by windowing blocks of exactly
+    ``window + 1`` entries as one product, by sorting a long block by its
+    leading component only, and by dropping the (side, tid) tie-break."""
+    if self_match:
+        right = left
+    assert index.candidates(left, right) == _per_pass_definition(index, left, right)
+
+
+@pytest.mark.parametrize("window", range(2, 7))
+def test_a_block_one_past_the_window_is_windowed(window):
+    """At ``window`` entries a block is its own window; at ``window + 1``
+    its first and last entries are a window apart and do not pair."""
+    index = _index(window=window, pairs=BLOCKED_PAIRS)
+    left = _blocked([("a", "0")])
+    right = _blocked([("a", f"{rank}") for rank in range(1, window + 1)])
+    assert index.candidates(left, right) == [(0, tid) for tid in range(window - 1)]
+    right = _blocked([("a", f"{rank}") for rank in range(1, window)])
+    assert index.candidates(left, right) == [(0, tid) for tid in range(window - 1)]
+
+
 class TestIncrementalEqualsBatch:
-    def test_scan_candidates_matches_batch(self):
-        left = _relation(["a1", "a2", "b1", "b2", "b3"])
-        right = _relation(["a1", "a9", "b2", "c1"])
-        index = _index(window=3)
+    @settings(max_examples=200, deadline=None)
+    @given(generated_indexes(), generated_relations(), generated_relations(), st.booleans())
+    @example(
+        _index(window=3),
+        _relation(["a1", "a2", "b1", "b2", "b3"]),
+        _relation(["a1", "a9", "b2", "c1"]),
+        False,
+    )
+    def test_scan_candidates_matches_batch(self, index, left, right, self_match):
+        if self_match:
+            right = left
+        # A fresh index each time Hypothesis runs a case, the example too.
+        index = WindowedSNIndex(index.pairs, index.window, index.encode_attributes)
         for row in left:
             _add(index, LEFT, row)
         for row in right:

@@ -109,6 +109,12 @@ class TestProject:
         with pytest.raises(KeyError, match="no tuple with id 7"):
             Relation(schema).project([7], ["A"])
 
+    def test_the_first_unknown_attribute_is_named(self, schema):
+        relation = Relation(schema, [{"A": 1}])
+        with pytest.raises(KeyError) as raised:
+            relation.project([0], ["A", "Y", "B", "Z"])
+        assert raised.value.args == (f"'Y' is not an attribute of {schema.name!r}",)
+
 
 class TestAdopt:
     def test_adopt_keeps_the_dict_and_checks_only_the_tid(self, schema):
