@@ -8,7 +8,8 @@ the command builds a :class:`repro.api.Workspace` from it.
 * ``spec``    — the spec itself: ``spec validate`` checks a document and
   reports **all** problems at once (exit 2 when invalid);
 * ``deduce``  — print the spec's quality RCKs;
-* ``check``   — decide Σ ⊨m φ for an MD given on the command line;
+* ``check``   — decide Σ ⊨m φ for an MD given on the command line
+  (``--explain`` prints the closure's derivation, or what it misses);
 * ``match``   — match two CSV files (``--json`` prints the full
   :class:`~repro.api.workspace.MatchReport`);
 * ``plan``    — ``plan explain`` prints the compiled ``EnforcementPlan``;
@@ -47,7 +48,7 @@ from typing import List, Optional
 from repro.api import ResolutionSpec, SpecError, Workspace
 from repro.api.spec import OPTIONS
 from repro.obs import read_trace, summarize_trace, validate_trace
-from repro.core.closure import deduces
+from repro.core.explain import explain
 from repro.core.parser import parse_md
 from repro.relations.csvio import load_relation
 from repro.relations.relation import Relation
@@ -211,15 +212,12 @@ def cmd_check(args) -> int:
         phi = parse_md(args.md, pair)
     except ValueError as error:
         raise CliError(f"cannot parse the MD to check: {error}") from None
+    explanation = explain(pair, sigma, phi)
     if args.explain:
-        from repro.core.explain import explain
-
-        explanation = explain(pair, sigma, phi)
         print(explanation.render())
-        return 0 if explanation.deduced else 1
-    verdict = deduces(pair, sigma, phi)
-    print(f"Sigma |=m phi: {verdict}")
-    return 0 if verdict else 1
+    else:
+        print(f"Sigma |=m phi: {explanation.deduced}")
+    return 0 if explanation.deduced else 1
 
 
 def cmd_match(args) -> int:

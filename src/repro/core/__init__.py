@@ -13,11 +13,11 @@ Public surface:
 * dynamic semantics and the enforcement chase — :mod:`repro.core.semantics`
 """
 
-from .closure import ClosureEngine, ClosureStats, deduces, md_closure_paper_loop
+from .closure import ClosureEngine, ClosureStats, Justification, deduces
 from .explain import Explanation, Step, explain
 from .negation import Conflict, GuardedRuleSet, NegativeRule, find_conflicts
 from .findrcks import all_rcks, find_rcks, is_complete, minimize, pairing, sort_mds
-from .matrix import AxiomaticClosure, SimilarityMatrix
+from .matrix import SimilarityMatrix
 from .md import (
     IdentificationAtom,
     MatchingDependency,
@@ -55,7 +55,6 @@ __all__ = [
     "LEFT",
     "RIGHT",
     "Attribute",
-    "AxiomaticClosure",
     "ClosureEngine",
     "ClosureStats",
     "ComparableLists",
@@ -65,6 +64,7 @@ __all__ = [
     "Step",
     "explain",
     "GuardedRuleSet",
+    "Justification",
     "NegativeRule",
     "find_conflicts",
     "EnforcementResult",
@@ -92,7 +92,6 @@ __all__ = [
     "length_statistics_from_rows",
     "lhs_matches",
     "md",
-    "md_closure_paper_loop",
     "minimize",
     "operator_universe",
     "pairing",

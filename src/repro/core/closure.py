@@ -7,39 +7,38 @@ holds — and answers yes iff every RHS pair of φ appears in the closure with
 equality (Lemma 3.2 lets the matching operator ``⇌`` be read as ``=`` on
 stable instances).
 
-Two implementations are provided:
+:class:`ClosureEngine` indexes LHS conjuncts so each MD in Σ is
+re-examined only when one of its conjuncts becomes satisfied, the
+index-based refinement the paper points to via [8, 25] ("the algorithm can
+possibly be improved to O(n + h³) time").  Building the engine costs
+``O(n)`` and is amortized across many queries — exactly the access pattern
+of ``findRCKs``, which calls the closure once per candidate attribute
+removal.
 
-* :class:`ClosureEngine` — the production engine.  It indexes LHS conjuncts
-  so each MD in Σ is re-examined only when one of its conjuncts becomes
-  satisfied, the index-based refinement the paper points to via [8, 25]
-  ("the algorithm can possibly be improved to O(n + h³) time").  Building
-  the engine costs ``O(n)`` and is amortized across many queries — exactly
-  the access pattern of ``findRCKs``, which calls the closure once per
-  candidate attribute removal.
-* :func:`md_closure_paper_loop` — the literal repeat-until-no-change scan of
-  Fig. 5 (``O(n²)`` in the size of Σ).  Kept for fidelity, used in tests to
-  cross-check the engine and in an ablation benchmark.
-
-Both use the corrected symmetric propagation discussed in DESIGN.md: each
-newly derived edge is combined with existing equality edges at *both*
-endpoints, and each newly derived equality transports the similarity edges
-of *both* endpoints.  This is the closure of the generic axioms:
+Propagation is symmetric: each newly derived edge is combined with
+existing equality edges at *both* endpoints, and each newly derived
+equality transports the similarity edges of *both* endpoints.  This is
+the closure of the generic axioms:
 
 * ``x ≈ y  ∧  x = z   ⟹   z ≈ y``      (equality substitution)
 * ``x = y  ∧  x ≈ z   ⟹   y ≈ z``      (equality transport; with ``≈`` = ``=``
   this is transitivity of equality)
 
-The fixpoint is validated in tests against the independent union-find model
-:class:`repro.core.matrix.AxiomaticClosure`.
+Every entry of the closure is set together with its :class:`Justification`
+— a premise, a fired MD with the entries that satisfied its LHS, or the
+two entries an equality axiom combined — so the matrix is also the
+derivation :func:`repro.core.explain.explain` reads.  The tests check the
+fixpoint against the literal repeat-scan loop of Fig. 5 and an independent
+union-find model of the axioms (``tests/core/closure_oracles.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .matrix import SimilarityMatrix
+from .matrix import Entry, SimilarityMatrix
 from .md import MatchingDependency, SimilarityAtom
 from .schema import QualifiedAttribute, SchemaPair
 from .similarity import EQUALITY, SimilarityOperator
@@ -52,6 +51,21 @@ class ClosureStats:
     mds_fired: int = 0
     entries_set: int = 0
     queue_pops: int = 0
+
+
+class Justification(NamedTuple):
+    """Why an entry of the closure holds: the one step that set it.
+
+    ``kind`` is ``"premise"`` (an atom of LHS(φ)), ``"fired"`` (``rule``, an
+    MD of normalized Σ, fired; ``parents`` holds the entry that satisfied
+    each of its LHS conjuncts, in order) or ``"equality"`` (``parents`` is
+    the entry being propagated and the entry the equality axioms combined
+    it with).  Parents are always entries set earlier.
+    """
+
+    kind: str
+    rule: Optional[MatchingDependency] = None
+    parents: Tuple[Entry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -129,33 +143,38 @@ class ClosureEngine:
     ) -> Tuple[SimilarityMatrix, ClosureStats]:
         """Compute the closure of Σ and the given LHS conjuncts.
 
-        Returns the similarity matrix ``M`` and computation statistics.
+        Returns the similarity matrix ``M`` — each entry set with its
+        :class:`Justification`, in derivation order — and computation
+        statistics.
         """
         matrix = SimilarityMatrix()
         stats = ClosureStats()
         remaining = list(self._lhs_sizes)
-        satisfied = set()  # {(md_index, position)}
+        # (md_index, position) -> the entry that satisfied that conjunct.
+        satisfied: Dict[Tuple[int, int], Entry] = {}
         fired = [False] * len(self._mds)
         queue = deque()
 
         def assign(
-            a: QualifiedAttribute, b: QualifiedAttribute, op: SimilarityOperator
+            a: QualifiedAttribute,
+            b: QualifiedAttribute,
+            op: SimilarityOperator,
+            kind: str,
+            rule: Optional[MatchingDependency] = None,
+            parents: Tuple[Entry, ...] = (),
         ) -> None:
             """The paper's AssignVal: set the entry unless redundant."""
-            if a == b:
-                return
             if matrix.get(a, b, EQUALITY):
-                return  # = subsumes every operator, nothing to record
+                return  # reflexive, or = subsumes every operator
             if not op.is_equality and matrix.get(a, b, op):
                 return
-            matrix.set(a, b, op)
+            matrix.set(a, b, op, Justification(kind, rule, parents))
             stats.entries_set += 1
             queue.append((a, b, op))
 
-        def notify(
-            a: QualifiedAttribute, b: QualifiedAttribute, op: SimilarityOperator
-        ) -> None:
+        def notify(entry: Entry) -> None:
             """Decrement waiting counts of conjuncts satisfied by the entry."""
+            a, b, op = entry
             key = None
             if a.side == 0 and b.side == 1:
                 key = (a, b)
@@ -164,47 +183,62 @@ class ClosureEngine:
             if key is None:
                 return  # intra-relation entries never match an LHS conjunct
             for conjunct in self._triggers.get(key, ()):
-                if (conjunct.md_index, conjunct.position) in satisfied:
+                index = conjunct.md_index
+                if (index, conjunct.position) in satisfied:
                     continue
                 if not op.is_equality and op != conjunct.operator:
                     continue  # only the exact operator or = satisfies a test
-                satisfied.add((conjunct.md_index, conjunct.position))
-                remaining[conjunct.md_index] -= 1
-                if remaining[conjunct.md_index] == 0 and not fired[conjunct.md_index]:
-                    fired[conjunct.md_index] = True
+                satisfied[index, conjunct.position] = entry
+                remaining[index] -= 1
+                if remaining[index] == 0 and not fired[index]:
+                    fired[index] = True
                     stats.mds_fired += 1
-                    rhs_left, rhs_right = self._rhs[conjunct.md_index]
-                    assign(rhs_left, rhs_right, EQUALITY)
+                    rhs_left, rhs_right = self._rhs[index]
+                    if matrix.get(rhs_left, rhs_right, EQUALITY):
+                        continue  # RHS already identified (most firings): no parents to collect
+                    parents = tuple([
+                        satisfied[index, position]
+                        for position in range(self._lhs_sizes[index])
+                    ])
+                    assign(
+                        rhs_left, rhs_right, EQUALITY, "fired", self._mds[index], parents
+                    )
 
-        def propagate(
-            a: QualifiedAttribute, b: QualifiedAttribute, op: SimilarityOperator
-        ) -> None:
-            """Derive consequences of the new edge under the axioms."""
+        def propagate(entry: Entry) -> None:
+            """Derive consequences of the new edge under the axioms.
+
+            ``assign`` never sets an entry at the attribute whose edges are
+            being iterated, so the live views are safe to walk.
+            """
+            a, b, op = entry
             # Equality substitution at both endpoints: z = a gives z op b,
             # and z = b gives a op z.
-            for z in matrix.neighbours(a, EQUALITY):
-                assign(z, b, op)
-            for z in matrix.neighbours(b, EQUALITY):
-                assign(a, z, op)
+            for z, edge in matrix.edges(a, EQUALITY).items():
+                assign(z, b, op, "equality", None, (entry, edge))
+            for z, edge in matrix.edges(b, EQUALITY).items():
+                assign(a, z, op, "equality", None, (entry, edge))
             if op.is_equality:
                 # Equality transport: similarity edges move across the new
                 # equality, in both directions (Lemma 3.4 interactions).
-                for other_op, z in list(matrix.similarity_edges_at(a)):
-                    assign(z, b, other_op)
-                for other_op, z in list(matrix.similarity_edges_at(b)):
-                    assign(a, z, other_op)
+                for other_op, z in matrix.similarity_edges_at(a):
+                    edge = matrix.entry(a, z, other_op)
+                    assign(z, b, other_op, "equality", None, (entry, edge))
+                for other_op, z in matrix.similarity_edges_at(b):
+                    edge = matrix.entry(b, z, other_op)
+                    assign(a, z, other_op, "equality", None, (entry, edge))
 
         for atom in lhs:
             assign(
                 self.pair.left_attr(atom.left),
                 self.pair.right_attr(atom.right),
                 atom.operator,
+                "premise",
             )
         while queue:
-            a, b, op = queue.popleft()
+            entry = queue.popleft()
             stats.queue_pops += 1
-            notify(a, b, op)
-            propagate(a, b, op)
+            notify(entry)
+            propagate(entry)
         return matrix, stats
 
     # ------------------------------------------------------------------
@@ -241,75 +275,3 @@ def deduces(
     the same Σ, construct the engine once instead.
     """
     return ClosureEngine(pair, sigma).deduces(phi)
-
-
-def md_closure_paper_loop(
-    pair: SchemaPair,
-    sigma: Iterable[MatchingDependency],
-    lhs: Sequence[SimilarityAtom],
-) -> SimilarityMatrix:
-    """The literal repeat-scan loop of Fig. 5 (``O(n²)``), for cross-checks.
-
-    Semantics are identical to :meth:`ClosureEngine.closure`; only the MD
-    application strategy differs (full rescans of Σ until no change instead
-    of conjunct-indexed wake-ups).
-    """
-    normalized: List[MatchingDependency] = []
-    for dependency in sigma:
-        normalized.extend(dependency.normalize())
-
-    matrix = SimilarityMatrix()
-    queue = deque()
-
-    def assign(a, b, op) -> None:
-        if a == b or matrix.get(a, b, EQUALITY):
-            return
-        if not op.is_equality and matrix.get(a, b, op):
-            return
-        matrix.set(a, b, op)
-        queue.append((a, b, op))
-
-    def drain() -> None:
-        while queue:
-            a, b, op = queue.popleft()
-            for z in matrix.neighbours(a, EQUALITY):
-                assign(z, b, op)
-            for z in matrix.neighbours(b, EQUALITY):
-                assign(a, z, op)
-            if op.is_equality:
-                for other_op, z in list(matrix.similarity_edges_at(a)):
-                    assign(z, b, other_op)
-                for other_op, z in list(matrix.similarity_edges_at(b)):
-                    assign(a, z, other_op)
-
-    for atom in lhs:
-        assign(pair.left_attr(atom.left), pair.right_attr(atom.right), atom.operator)
-    drain()
-
-    pending = list(normalized)
-    changed = True
-    while changed:
-        changed = False
-        still_pending = []
-        for dependency in pending:
-            lhs_matched = all(
-                matrix.holds(
-                    pair.left_attr(atom.left),
-                    pair.right_attr(atom.right),
-                    atom.operator,
-                )
-                for atom in dependency.lhs
-            )
-            if not lhs_matched:
-                still_pending.append(dependency)
-                continue
-            rhs_atom = dependency.rhs[0]
-            assign(
-                pair.left_attr(rhs_atom.left),
-                pair.right_attr(rhs_atom.right),
-                EQUALITY,
-            )
-            drain()
-            changed = True
-        pending = still_pending
-    return matrix

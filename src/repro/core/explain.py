@@ -1,40 +1,36 @@
 """Explainable deduction: *why* does Σ ⊨m φ hold?
 
 ``MDClosure`` answers yes/no; rule authors debugging a surprising
-deduction (or its absence) need the derivation.  This module re-runs the
-closure with provenance: every derived fact carries a justification —
+deduction (or its absence) need the derivation.  The closure engine
+already sets every entry with its justification
+(:class:`repro.core.closure.Justification`) —
 
 * ``premise``: asserted by LHS(φ);
 * ``fired``: produced by an MD of Σ whose LHS tests are all satisfied
   (with pointers to the facts that satisfied them);
 * ``equality``: derived from two parent facts by the equality axioms
-  (substitution/transport).
+  (substitution/transport) —
 
-:func:`explain` returns a :class:`Explanation` whose ``steps`` are in
-derivation order and print as a proof trace like Example 4.1's table.
-Tracing costs more than the production engine, so it lives here rather
-than in :mod:`repro.core.closure`; tests assert both agree.
+so :func:`explain` runs one closure and reads the answer off it: the goals
+(the RHS pairs of φ), the backward slice of the facts they depend on, and
+those facts in the engine's derivation order.  The result is an
+:class:`Explanation` whose ``steps`` print as a proof trace like
+Example 4.1's table.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .md import MatchingDependency, SimilarityAtom
-from .schema import QualifiedAttribute, SchemaPair
-from .similarity import EQUALITY, SimilarityOperator
+from .closure import ClosureEngine
+from .matrix import Entry
+from .md import IdentificationAtom, MatchingDependency
+from .schema import SchemaPair
+from .similarity import EQUALITY
 
 #: A derived fact: (attribute, attribute, operator), symmetric in a, b.
-Fact = Tuple[QualifiedAttribute, QualifiedAttribute, SimilarityOperator]
-
-
-def _canonical(fact: Fact) -> Fact:
-    a, b, op = fact
-    if (b.side, b.relation, b.attribute) < (a.side, a.relation, a.attribute):
-        return (b, a, op)
-    return fact
+Fact = Entry
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,16 @@ class Step:
 
 @dataclass
 class Explanation:
-    """The outcome of :func:`explain`."""
+    """The outcome of :func:`explain`.
+
+    ``missing`` lists the RHS pairs of φ the closure does not identify
+    (empty iff ``deduced``).
+    """
 
     deduced: bool
     phi: MatchingDependency
     steps: List[Step] = field(default_factory=list)
+    missing: Tuple[IdentificationAtom, ...] = ()
 
     def render(self) -> str:
         """A readable proof trace (or a failure report)."""
@@ -74,11 +75,9 @@ class Explanation:
             f"phi: {self.phi}\n"
         )
         if not self.deduced:
-            missing = ", ".join(
-                f"{atom.left}~{atom.right}" for atom in self.phi.rhs
-            )
+            missing = ", ".join(f"{atom.left}~{atom.right}" for atom in self.missing)
             return header + (
-                f"No derivation reaches every RHS pair ({missing}); "
+                f"No derivation reaches {missing}; "
                 f"{len(self.steps)} fact(s) were derivable from the premise."
             )
         lines = [header + "Derivation:"]
@@ -95,132 +94,6 @@ class Explanation:
         return seen
 
 
-class _TracingClosure:
-    """A closure run that records one justification per derived fact."""
-
-    def __init__(self, pair: SchemaPair, sigma: Sequence[MatchingDependency]):
-        self.pair = pair
-        self.sigma: List[MatchingDependency] = []
-        for dependency in sigma:
-            self.sigma.extend(dependency.normalize())
-        self.justification: Dict[Fact, Step] = {}
-        self._queue: deque = deque()
-
-    def _holds(self, a, b, op) -> bool:
-        if a == b:
-            return True
-        if _canonical((a, b, op)) in self.justification:
-            return True
-        return _canonical((a, b, EQUALITY)) in self.justification
-
-    def _add(self, fact: Fact, step: Step) -> None:
-        fact = _canonical(fact)
-        a, b, op = fact
-        if a == b or self._holds(a, b, op):
-            return
-        self.justification[fact] = step
-        self._queue.append(fact)
-
-    def run(self, lhs: Sequence[SimilarityAtom]) -> None:
-        for atom in lhs:
-            fact = (
-                self.pair.left_attr(atom.left),
-                self.pair.right_attr(atom.right),
-                atom.operator,
-            )
-            self._add(fact, Step(_canonical(fact), "premise"))
-        pending = list(self.sigma)
-        progress = True
-        while progress:
-            self._drain()
-            progress = False
-            still = []
-            for dependency in pending:
-                satisfied_by: List[Fact] = []
-                ok = True
-                for atom in dependency.lhs:
-                    a = self.pair.left_attr(atom.left)
-                    b = self.pair.right_attr(atom.right)
-                    if _canonical((a, b, EQUALITY)) in self.justification:
-                        satisfied_by.append(_canonical((a, b, EQUALITY)))
-                    elif _canonical((a, b, atom.operator)) in self.justification:
-                        satisfied_by.append(_canonical((a, b, atom.operator)))
-                    else:
-                        ok = False
-                        break
-                if not ok:
-                    still.append(dependency)
-                    continue
-                rhs_atom = dependency.rhs[0]
-                fact = (
-                    self.pair.left_attr(rhs_atom.left),
-                    self.pair.right_attr(rhs_atom.right),
-                    EQUALITY,
-                )
-                self._add(
-                    fact,
-                    Step(
-                        _canonical(fact),
-                        "fired",
-                        rule=dependency,
-                        parents=tuple(satisfied_by),
-                    ),
-                )
-                progress = True
-            pending = still
-
-    def _drain(self) -> None:
-        """Close under the equality axioms, justifying each new fact."""
-        while self._queue:
-            fact = self._queue.popleft()
-            a, b, op = fact
-            # Combine with every equality fact sharing an endpoint
-            # (substitution), and, when this fact is an equality, carry
-            # similarity facts across it (transport).
-            for other in list(self.justification):
-                oa, ob, oop = other
-                if oop.is_equality:
-                    for x, y in ((oa, ob), (ob, oa)):
-                        if x == a:
-                            self._add(
-                                (y, b, op),
-                                Step(
-                                    _canonical((y, b, op)),
-                                    "equality",
-                                    parents=(fact, other),
-                                ),
-                            )
-                        if x == b:
-                            self._add(
-                                (a, y, op),
-                                Step(
-                                    _canonical((a, y, op)),
-                                    "equality",
-                                    parents=(fact, other),
-                                ),
-                            )
-                if op.is_equality and not oop.is_equality:
-                    for x, y in ((a, b), (b, a)):
-                        if oa == x:
-                            self._add(
-                                (y, ob, oop),
-                                Step(
-                                    _canonical((y, ob, oop)),
-                                    "equality",
-                                    parents=(other, fact),
-                                ),
-                            )
-                        if ob == x:
-                            self._add(
-                                (oa, y, oop),
-                                Step(
-                                    _canonical((oa, y, oop)),
-                                    "equality",
-                                    parents=(other, fact),
-                                ),
-                            )
-
-
 def explain(
     pair: SchemaPair,
     sigma: Sequence[MatchingDependency],
@@ -228,46 +101,35 @@ def explain(
 ) -> Explanation:
     """Decide Σ ⊨m φ and return the derivation (or a failure report).
 
-    The returned steps are the *relevant* ones: facts on which some RHS
-    pair of φ transitively depends, in a valid derivation order.
+    When φ is deduced the steps are the *relevant* ones: facts on which
+    some RHS pair of φ transitively depends, in derivation order.
+    Otherwise they are every fact of the closure.
     """
-    tracer = _TracingClosure(pair, sigma)
-    tracer.run(phi.lhs)
+    if phi.pair != pair:
+        raise ValueError("phi is defined over a different schema pair")
+    matrix, _ = ClosureEngine(pair, sigma).closure(phi.lhs)
 
-    goals: List[Fact] = []
-    deduced = True
+    goals: List[Entry] = []
+    missing: List[IdentificationAtom] = []
     for atom in phi.rhs:
-        fact = _canonical(
-            (
-                pair.left_attr(atom.left),
-                pair.right_attr(atom.right),
-                EQUALITY,
-            )
-        )
-        if fact in tracer.justification:
-            goals.append(fact)
+        goal = matrix.entry(pair.left_attr(atom.left), pair.right_attr(atom.right), EQUALITY)
+        if goal is None:
+            missing.append(atom)
         else:
-            deduced = False
+            goals.append(goal)
 
-    explanation = Explanation(deduced=deduced, phi=phi)
-    if not deduced:
-        explanation.steps = list(tracer.justification.values())
-        return explanation
-
-    # Backward slice from the goals, then emit in derivation order.
-    needed: List[Fact] = []
-    seen = set()
-    frontier = list(goals)
-    while frontier:
-        fact = frontier.pop()
-        if fact in seen:
-            continue
-        seen.add(fact)
-        needed.append(fact)
-        step = tracer.justification[fact]
-        frontier.extend(step.parents)
-
-    order = {fact: index for index, fact in enumerate(tracer.justification)}
-    needed.sort(key=lambda fact: order[fact])
-    explanation.steps = [tracer.justification[fact] for fact in needed]
-    return explanation
+    entries = matrix.entries()
+    if not missing:
+        # Backward slice from the goals, then the engine's derivation order.
+        needed = set()
+        frontier = goals
+        while frontier:
+            entry = frontier.pop()
+            if entry not in needed:
+                needed.add(entry)
+                frontier.extend(matrix.why(entry).parents)
+        entries = [entry for entry in entries if entry in needed]
+    steps = [Step(entry, *matrix.why(entry)) for entry in entries]
+    return Explanation(
+        deduced=not missing, phi=phi, steps=steps, missing=tuple(missing)
+    )

@@ -211,11 +211,12 @@ def all_rcks(
 ) -> List[RelativeKey]:
     """Enumerate the complete set of RCKs (small Σ only — Fig. 8(c)).
 
-    ``limit`` guards against the theoretical exponential blow-up; hitting
-    it raises ``RuntimeError`` rather than silently truncating.
+    ``limit`` guards against the theoretical exponential blow-up: more than
+    ``limit`` keys raise ``RuntimeError`` rather than silently truncating,
+    exactly ``limit`` is a complete answer.
     """
-    keys = find_rcks(sigma, target, m=limit, cost_model=cost_model)
-    if len(keys) >= limit:
+    keys = find_rcks(sigma, target, m=limit + 1, cost_model=cost_model)
+    if len(keys) > limit:
         raise RuntimeError(
             f"more than {limit} RCKs; refusing to enumerate exhaustively"
         )

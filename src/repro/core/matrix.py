@@ -1,4 +1,4 @@
-"""The similarity matrix ``M`` of Section 4, plus a reference closure model.
+"""The similarity matrix ``M`` of Section 4.
 
 Algorithm ``MDClosure`` stores the closure of Σ and LHS(φ) in an
 ``h × h × p`` array ``M`` indexed by two qualified attributes and a
@@ -8,28 +8,25 @@ attributes, and both intra-relation (``R = R'``) and cross-relation entries
 occur — Lemma 3.4 shows intra-relation facts arise from the interaction of
 the matching operator with equality and similarity.
 
-:class:`SimilarityMatrix` implements the array with sparse adjacency sets so
+:class:`SimilarityMatrix` implements the array as sparse adjacency maps, so
 neighbour scans (the heart of ``Propagate``/``Infer``) are proportional to
-the number of set entries rather than ``h``.
-
-:class:`AxiomaticClosure` is an *independent* model of the same facts,
-implemented directly from the generic axioms of Section 2.1:
-
-* ``=`` edges form equivalence classes (a union-find);
-* a ``≈`` edge relates two classes (because ``x ≈ y ∧ y = z ⟹ x ≈ z``);
-* ``M(a, b, ≈) = 1`` iff ``class(a) = class(b)`` or the classes are
-  ``≈``-linked.
-
-Property-based tests assert that the queue-driven matrix closure and this
-union-find model always agree; see ``tests/core/test_closure_reference.py``.
+the number of set entries rather than ``h``.  Each entry is stored once, as
+the triple it was first set with, next to the justification its setter
+gave; entries and neighbours iterate in the order they were set, so a
+closure's derivation order does not depend on the interpreter's hash seed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Any, Dict, Iterator, KeysView, Mapping, Optional, Tuple
 
 from .schema import QualifiedAttribute
 from .similarity import EQUALITY, SimilarityOperator
+
+#: One entry of ``M``: ``(a, b, op)`` in the orientation it was first set.
+Entry = Tuple[QualifiedAttribute, QualifiedAttribute, SimilarityOperator]
+
+_NO_EDGES: Mapping[QualifiedAttribute, Entry] = {}
 
 
 class SimilarityMatrix:
@@ -41,11 +38,12 @@ class SimilarityMatrix:
     """
 
     def __init__(self) -> None:
-        # op -> attribute -> set of neighbours under that operator.
+        # op -> attribute -> neighbour under that operator -> stored entry.
         self._links: Dict[
-            SimilarityOperator, Dict[QualifiedAttribute, Set[QualifiedAttribute]]
+            SimilarityOperator, Dict[QualifiedAttribute, Dict[QualifiedAttribute, Entry]]
         ] = {}
-        self._entry_count = 0
+        # Every stored entry, in the order set, with its justification.
+        self._why: Dict[Entry, Any] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -56,24 +54,27 @@ class SimilarityMatrix:
         a: QualifiedAttribute,
         b: QualifiedAttribute,
         op: SimilarityOperator,
+        why: Any = None,
     ) -> bool:
-        """Set ``M(a, b, op) = M(b, a, op) = 1``.
+        """Set ``M(a, b, op) = M(b, a, op) = 1``, justified by ``why``.
 
         Returns ``True`` when the entry was newly set, ``False`` when it was
-        already present or trivially reflexive.  This is the storage half of
-        the paper's ``AssignVal``; the equality-subsumption check (skip
-        setting ``≈`` when ``=`` already holds) is done by the caller so the
-        matrix itself stays a dumb array.
+        already present or trivially reflexive (a present entry keeps its
+        first justification).  This is the storage half of the paper's
+        ``AssignVal``; the equality-subsumption check (skip setting ``≈``
+        when ``=`` already holds) is done by the caller so the matrix itself
+        stays a dumb array.
         """
         if a == b:
             return False
         by_attr = self._links.setdefault(op, {})
-        neighbours = by_attr.setdefault(a, set())
+        neighbours = by_attr.setdefault(a, {})
         if b in neighbours:
             return False
-        neighbours.add(b)
-        by_attr.setdefault(b, set()).add(a)
-        self._entry_count += 1
+        entry = (a, b, op)
+        neighbours[b] = entry
+        by_attr.setdefault(b, {})[a] = entry
+        self._why[entry] = why
         return True
 
     # ------------------------------------------------------------------
@@ -112,25 +113,34 @@ class SimilarityMatrix:
             return self.get(a, b, EQUALITY)
         return False
 
+    def entry(
+        self,
+        a: QualifiedAttribute,
+        b: QualifiedAttribute,
+        op: SimilarityOperator,
+    ) -> Optional[Entry]:
+        """The stored entry between ``a`` and ``b`` under ``op``, or ``None``."""
+        return self.edges(a, op).get(b)
+
+    def why(self, entry: Entry) -> Any:
+        """The justification ``entry`` was set with."""
+        return self._why[entry]
+
+    def edges(
+        self, a: QualifiedAttribute, op: SimilarityOperator
+    ) -> Mapping[QualifiedAttribute, Entry]:
+        """Each ``b`` with ``(a, b, op)`` set, mapped to its stored entry.
+
+        A live view in the order set: setting an entry at ``a`` under
+        ``op`` while iterating it is an error.
+        """
+        return self._links.get(op, _NO_EDGES).get(a, _NO_EDGES)
+
     def neighbours(
         self, a: QualifiedAttribute, op: SimilarityOperator
-    ) -> FrozenSet[QualifiedAttribute]:
-        """All ``b`` with the entry ``(a, b, op)`` set (excluding ``a``)."""
-        by_attr = self._links.get(op)
-        if by_attr is None:
-            return frozenset()
-        return frozenset(by_attr.get(a, ()))
-
-    def operators_between(
-        self, a: QualifiedAttribute, b: QualifiedAttribute
-    ) -> FrozenSet[SimilarityOperator]:
-        """All operators with a set entry between ``a`` and ``b``."""
-        found = set()
-        for op, by_attr in self._links.items():
-            neighbours = by_attr.get(a)
-            if neighbours is not None and b in neighbours:
-                found.add(op)
-        return frozenset(found)
+    ) -> KeysView[QualifiedAttribute]:
+        """All ``b`` with the entry ``(a, b, op)`` set (a live view, as :meth:`edges`)."""
+        return self.edges(a, op).keys()
 
     def similarity_edges_at(
         self, a: QualifiedAttribute
@@ -142,111 +152,14 @@ class SimilarityMatrix:
             for b in by_attr.get(a, ()):
                 yield op, b
 
-    def entries(
-        self,
-    ) -> Iterator[Tuple[QualifiedAttribute, QualifiedAttribute, SimilarityOperator]]:
-        """Iterate every set entry once (each symmetric pair reported once)."""
-        for op, by_attr in self._links.items():
-            seen = set()
-            for a, neighbours in by_attr.items():
-                for b in neighbours:
-                    key = frozenset((a, b))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield a, b, op
+    def entries(self) -> Iterator[Entry]:
+        """Iterate every set entry once, in the order set."""
+        return iter(self._why)
 
     @property
     def entry_count(self) -> int:
         """Number of distinct symmetric entries set so far."""
-        return self._entry_count
+        return len(self._why)
 
     def __len__(self) -> int:
-        return self._entry_count
-
-
-class AxiomaticClosure:
-    """Union-find model of the generic similarity axioms.
-
-    Used as an oracle to validate :class:`SimilarityMatrix`-based closures:
-    both must derive exactly the same facts from the same base edges.
-    """
-
-    def __init__(self) -> None:
-        self._parent: Dict[QualifiedAttribute, QualifiedAttribute] = {}
-        self._rank: Dict[QualifiedAttribute, int] = {}
-        # op -> set of frozensets {root_a, root_b} linking two classes.
-        self._sim: Dict[SimilarityOperator, Set[FrozenSet[QualifiedAttribute]]] = {}
-
-    # -- union-find ----------------------------------------------------
-
-    def _find(self, a: QualifiedAttribute) -> QualifiedAttribute:
-        parent = self._parent
-        if a not in parent:
-            parent[a] = a
-            self._rank[a] = 0
-            return a
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    def _union(self, a: QualifiedAttribute, b: QualifiedAttribute) -> None:
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a == root_b:
-            return
-        if self._rank[root_a] < self._rank[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-        # Re-root similarity links that mentioned the absorbed root.
-        for links in self._sim.values():
-            stale = [link for link in links if root_b in link]
-            for link in stale:
-                links.discard(link)
-                others = [attr for attr in link if attr != root_b]
-                other = others[0] if others else root_a
-                new_other = self._find(other)
-                if new_other != root_a:
-                    links.add(frozenset((root_a, new_other)))
-
-    # -- public API ------------------------------------------------------
-
-    def add(
-        self,
-        a: QualifiedAttribute,
-        b: QualifiedAttribute,
-        op: SimilarityOperator,
-    ) -> None:
-        """Assert the base fact ``a op b``."""
-        if op.is_equality:
-            self._union(a, b)
-        else:
-            root_a, root_b = self._find(a), self._find(b)
-            if root_a != root_b:
-                self._sim.setdefault(op, set()).add(frozenset((root_a, root_b)))
-
-    def holds(
-        self,
-        a: QualifiedAttribute,
-        b: QualifiedAttribute,
-        op: SimilarityOperator,
-    ) -> bool:
-        """Is ``a op b`` derivable from the asserted facts and the axioms?"""
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a == root_b:
-            return True  # reflexivity / equality, which every op subsumes
-        if op.is_equality:
-            return False
-        links = self._sim.get(op)
-        return links is not None and frozenset((root_a, root_b)) in links
-
-    def equivalence_classes(self) -> Iterable[FrozenSet[QualifiedAttribute]]:
-        """The equality classes over every attribute seen so far."""
-        classes: Dict[QualifiedAttribute, Set[QualifiedAttribute]] = {}
-        for attr in list(self._parent):
-            classes.setdefault(self._find(attr), set()).add(attr)
-        return [frozenset(members) for members in classes.values()]
+        return len(self._why)

@@ -1,8 +1,8 @@
 """Executable forms of the inference lemmas of Section 3.2.
 
 The paper's sound-and-complete inference system I has 11 axioms; the text
-presents four lemmas that the deduction algorithm leans on.  This module
-exposes them as MD-rewriting helpers so that tests (and curious users) can
+presents four lemmas that the deduction algorithm leans on.  This test
+helper module states them as MD rewritings so ``test_inference.py`` can
 check each one against :func:`repro.core.closure.deduces` — every MD built
 by these constructors must be deducible from its premises.
 
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .md import MatchingDependency, SimilarityAtom
-from .similarity import EQUALITY
+from repro.core.md import MatchingDependency, SimilarityAtom
+from repro.core.similarity import EQUALITY
 
 
 def augment_lhs(

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.closure import ClosureEngine, deduces, md_closure_paper_loop
+from closure_oracles import md_closure_paper_loop
+
+from repro.core.closure import ClosureEngine, deduces
 from repro.core.md import MatchingDependency
 from repro.core.rck import RelativeKey
 from repro.core.similarity import EQUALITY

@@ -13,8 +13,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.closure import ClosureEngine, md_closure_paper_loop
-from repro.core.matrix import AxiomaticClosure
+from closure_oracles import AxiomaticClosure, md_closure_paper_loop
+
+from repro.core.closure import ClosureEngine
 from repro.core.similarity import EQUALITY
 from repro.datagen.mdgen import generate_workload
 

@@ -125,6 +125,15 @@ class TestCompleteness:
         with pytest.raises(RuntimeError):
             all_rcks(sigma, target, limit=2)
 
+    def test_all_rcks_accepts_exactly_limit_keys(self, sigma, target):
+        """The paper's Σ has exactly 5 RCKs: ``limit=5`` is a complete answer."""
+        assert all_rcks(sigma, target, limit=5) == all_rcks(sigma, target)
+        assert len(all_rcks(sigma, target)) == 5
+
+    def test_all_rcks_refuses_one_key_over_limit(self, sigma, target):
+        with pytest.raises(RuntimeError, match="more than 4 RCKs"):
+            all_rcks(sigma, target, limit=4)
+
 
 class TestRandomWorkloads:
     @given(seed=st.integers(min_value=0, max_value=500))

@@ -6,14 +6,15 @@ consequences of their inputs; we verify each against MDClosure.
 
 import pytest
 
-from repro.core.closure import deduces
-from repro.core.inference import (
+from inference import (
     augment_both,
     augment_lhs,
     reflexive_key_md,
     transitivity,
     weaken_similarity_to_equality,
 )
+
+from repro.core.closure import deduces
 from repro.core.md import MatchingDependency
 
 

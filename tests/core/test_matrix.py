@@ -1,7 +1,8 @@
 """Unit tests for the similarity matrix and the union-find closure model."""
 
+from closure_oracles import AxiomaticClosure
 
-from repro.core.matrix import AxiomaticClosure, SimilarityMatrix
+from repro.core.matrix import SimilarityMatrix
 from repro.core.schema import LEFT, RIGHT, QualifiedAttribute
 from repro.core.similarity import EQUALITY, SimilarityOperator
 
@@ -52,12 +53,6 @@ class TestSimilarityMatrix:
         matrix.set(A, D, EQUALITY)
         assert matrix.neighbours(A, EQUALITY) == {B, D}
         assert matrix.neighbours(C, EQUALITY) == frozenset()
-
-    def test_operators_between(self):
-        matrix = SimilarityMatrix()
-        matrix.set(A, B, DL)
-        matrix.set(A, B, EQUALITY)
-        assert matrix.operators_between(A, B) == {DL, EQUALITY}
 
     def test_similarity_edges_at_excludes_equality(self):
         matrix = SimilarityMatrix()
