@@ -329,42 +329,56 @@ class Workspace:
             # One tuple, held by the chase and the report alike.
             candidates = tuple(candidates)
             span.set("candidates", len(candidates))
-            result = plan.enforce(
-                instance,
-                resolver=self.spec.resolver(),
-                candidate_pairs=candidates,
-                max_rounds=self.spec.max_rounds,
-            )
-            matched = result.matching(plan.target.attribute_pairs())
-            matches = [candidates[i] for i in matched]
-            rule_names: Dict[Pair, Tuple[str, ...]] = {}
-            if provenance:
-                with self.tracer.span("provenance"):
-                    # The chase already knows which rules' LHS hold in the
-                    # chased instance, position by position: read them off
-                    # as a bit per rule, and name each distinct set once.
-                    held = [0] * len(candidates)
-                    for index, positions in enumerate(result.holding):
-                        bit = 1 << index
-                        for i in positions:
-                            held[i] |= bit
-                    masks: Dict[Pair, int] = {}
-                    for i in matched:
-                        # (a pair listed twice holds at two positions)
-                        pair = candidates[i]
-                        masks[pair] = masks.get(pair, 0) | held[i]
-                    names: Dict[int, Tuple[str, ...]] = {}
-                    for pair, mask in masks.items():
-                        if mask not in names:
-                            names[mask] = tuple(
-                                rule.name
-                                for index, rule in enumerate(plan.rules)
-                                if mask >> index & 1
-                            )
-                        rule_names[pair] = names[mask]
+            matches, rule_names = self._chase(instance, candidates, provenance)
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)
         return self._report("enforce", matches, candidates, rule_names)
+
+    def _chase(
+        self,
+        instance: InstancePair,
+        candidates: Tuple[Pair, ...],
+        provenance: bool,
+    ) -> Tuple[List[Pair], Dict[Pair, Tuple[str, ...]]]:
+        """Chase ``instance`` over ``candidates`` and read off the matches
+        and, if asked, each match's rules.  The chase's result is dropped
+        on return: clustering and the report need only what is read here.
+        """
+        plan = self.plan
+        result = plan.enforce(
+            instance,
+            resolver=self.spec.resolver(),
+            candidate_pairs=candidates,
+            max_rounds=self.spec.max_rounds,
+        )
+        matched = result.matching(plan.target.attribute_pairs())
+        matches = [candidates[i] for i in matched]
+        rule_names: Dict[Pair, Tuple[str, ...]] = {}
+        if provenance:
+            with self.tracer.span("provenance"):
+                # The chase already knows which rules' LHS hold in the
+                # chased instance, position by position: read them off
+                # as a bit per rule, and name each distinct set once.
+                held = [0] * len(candidates)
+                for index, positions in enumerate(result.holding):
+                    bit = 1 << index
+                    for i in positions:
+                        held[i] |= bit
+                masks: Dict[Pair, int] = {}
+                for i in matched:
+                    # (a pair listed twice holds at two positions)
+                    pair = candidates[i]
+                    masks[pair] = masks.get(pair, 0) | held[i]
+                names: Dict[int, Tuple[str, ...]] = {}
+                for pair, mask in masks.items():
+                    if mask not in names:
+                        names[mask] = tuple(
+                            rule.name
+                            for index, rule in enumerate(plan.rules)
+                            if mask >> index & 1
+                        )
+                    rule_names[pair] = names[mask]
+        return matches, rule_names
 
     def _match_direct(
         self,

@@ -399,7 +399,9 @@ class CellClasses:
 
     :func:`repro.plan.executor.chase` does the unions, in its round
     loop, over the representative cells of the layout's RHS groups only
-    (a cell of another pair in a group stays a singleton in the lists);
+    (a cell of another pair in a group, a *follower*, is never unioned
+    nor walked, so its ``root`` / ``next`` entries are a shared ``None``
+    rather than an int object of its own);
     everything tuple-facing (:meth:`same`, :meth:`members`,
     :meth:`classes`, :meth:`matches`) maps a cell to its representative
     and decodes at the boundary.
@@ -439,11 +441,22 @@ class CellClasses:
         #: Per side, every tuple's first cell, in tid order.
         self.left_tuples = range(0, self.right_base, left_width or 1)
         self.right_tuples = range(self.right_base, count, right_width or 1)
-        self.root = list(range(count))
+        # Only a representative's cells and read-only ones are ever
+        # unioned or walked; a follower is read through its representative
+        # and its entries stay ``None``, so it costs no int object.
+        root: List[Optional[int]] = [None] * count
+        for base, end, width, places in (
+            (0, self.right_base, left_width, layout.left_places),
+            (self.right_base, count, right_width, layout.right_places),
+        ):
+            for rank, (_, lane, _) in enumerate(places):
+                if not lane:
+                    root[base + rank:end:width] = range(base + rank, end, width)
+        self.root = root
         self.size = [1] * count
-        # A copy, not a second ``range``: the two lists then share one int
+        # A copy, not a second build: the two lists then share one int
         # object per cell (a union rewrites entries, never the objects).
-        self.next = self.root.copy()
+        self.next = root.copy()
 
     # -- the encoding ----------------------------------------------------
 
@@ -476,10 +489,13 @@ class CellClasses:
     # -- int-facing ------------------------------------------------------
 
     def ring(self, cell: int) -> List[int]:
-        """The members of ``cell``'s class, from ``cell`` round (unsorted)."""
+        """The members of ``cell``'s class, from ``cell`` round (unsorted);
+        a follower cell is never unioned, so it is alone in its ring."""
         ring = self.next
         members = [cell]
         member = ring[cell]
+        if member is None:
+            return members
         while member != cell:
             members.append(member)
             member = ring[member]

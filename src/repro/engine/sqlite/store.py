@@ -288,6 +288,7 @@ class SQLiteMatchStore(MatchStore):
         for side, tid, arrival, current in self.connection.execute(
             "SELECT side, tid, arrival, current FROM records ORDER BY rowid"
         ):
+            # Each name-keyed record is read into a positional row.
             arrivals[side].adopt(tid, json.loads(arrival))
             self.relation(side).adopt(tid, json.loads(current))
             self._index(side, arrivals[side][tid])

@@ -202,7 +202,7 @@ class MatchStore:
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
         self._index(side, row)
-        self._arrival[side].adopt(tid, row.values())
+        self._arrival[side].insert(values, tid=tid)
         self.find(node_of(side, tid))  # register the singleton cluster
         return tid
 

@@ -22,7 +22,8 @@ such ints:
   (``left is right``) a right cell's slot is its left twin's, so a
   repair through either side tag lands where both read it — and only
   there is the order of the unions observable, so only there it is kept
-  pair-major;
+  pair-major, classes resolve in the order of their first union, and a
+  class another's resolution rewrote a slot of is resolved again;
 * **selections** — lists of positions into the candidate list, narrowed
   per rule atom by atom: equality atoms first, each one comprehension
   reading ``values[left_slot[i] + rank]``, similarity atoms last through
@@ -75,8 +76,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from operator import ne
-from typing import Container, Dict, List, Optional, Sequence, Set
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.semantics import (
     CellClasses,
@@ -101,10 +103,11 @@ def chase(
     Each round evaluates every rule's LHS on the active pairs against the
     *current* values, a slot at a time, merges the RHS cells of the pairs
     that matched, and re-resolves every class that grew to a single
-    value.  Rounds repeat until no merge happens.  ``instance`` is only
-    ever read (the paper: "in the matching process instance D may not be
-    updated"): the result carries the repairs, and builds ``D'`` from
-    them when asked.
+    value (over shared storage also every class whose slot another's
+    resolution rewrote).  Rounds repeat until no merge happens.
+    ``instance`` is only ever read (the paper: "in the matching process
+    instance D may not be updated"): the result carries the repairs, and
+    builds ``D'`` from them when asked.
 
     None of the kernel's economies is observable in the result.  Within a
     round the instance is fixed, so the set of firing (rule, pair)s does
@@ -318,6 +321,22 @@ def chase(
     #: slot -> the last round whose resolution wrote it.
     last_write: Dict[int, int] = {}
     merged_this_round = False
+    # Over shared storage one slot sits in two classes, so resolving one
+    # can rewrite a slot of another and the order classes resolve in is
+    # observable.  It is the order of their first cell's first union
+    # (``first``: root -> that position, counted by ``involved``), which
+    # is the paper's chase re-resolving every class each round; a class
+    # whose slot an earlier one rewrote is resolved later in the same
+    # round, one a later class rewrote is ``dirty`` until the next.
+    first: Dict[int, int] = {}
+    involved = 0
+    dirty: Set[int] = set()
+
+    def by_first_union(queue: List[tuple]) -> Iterable[int]:
+        """Pop the roots in ``queue`` — a heap of ``(first[root], root)``,
+        which may grow while it is read — in order."""
+        while queue:
+            yield heappop(queue)[1]
 
     def list_active():
         nonlocal active
@@ -412,6 +431,10 @@ def chase(
                 if a != b:
                     if shared:
                         bits = 1
+                        for fresh in (a, b):
+                            if fresh not in first:
+                                first[fresh] = involved
+                                involved += 1
                     else:
                         bits = mixed_get(a, 0) | mixed_get(b, 0)
                         if not bits & 1 and values[a] != values[b]:
@@ -425,6 +448,8 @@ def chase(
                                 bits |= bit
                     if size[a] < size[b]:
                         a, b = b, a
+                    if shared:
+                        first[a] = min(first[a], first.pop(b))
                     size[a] += size[b]
                     member = b
                     while True:
@@ -456,7 +481,13 @@ def chase(
         with tracer.span("resolve-merged") as resolve_span:
             seen: Set[int] = set()
             repaired = uniform = resolved_classes = 0
-            for anchor in touched:
+            if shared:
+                anchors = {root[cell] for cell in touched}
+                anchors.update(root[cell] for cell in dirty)
+                queue = [(first[anchor], anchor) for anchor in anchors]
+                heapify(queue)
+                dirty = set()
+            for anchor in by_first_union(queue) if shared else touched:
                 anchor = root[anchor]
                 if anchor in seen:
                     continue
@@ -466,7 +497,7 @@ def chase(
                     if anchor < right_base
                     else right_places[(anchor - right_base) % right_width]
                 )[2]
-                bits = mixed_get(anchor, 0)
+                bits = 1 if shared else mixed_get(anchor, 0)
                 if not bits:
                     uniform += len(lanes)
                     continue
@@ -502,6 +533,16 @@ def chase(
                                 if slot < right_base
                                 else slot - (slot - right_base) % right_width
                             )
+                            if shared:
+                                # The other class over this slot may now
+                                # disagree: resolve it after this one, or
+                                # next round if it came first.
+                                for twin in (root[slot], root[slot + right_base]):
+                                    if twin != anchor and size[twin] > 1:
+                                        if first[twin] > first[anchor]:
+                                            heappush(queue, (first[twin], twin))
+                                        else:
+                                            dirty.add(twin)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)

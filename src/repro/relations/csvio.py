@@ -90,8 +90,9 @@ def _read_saved(relation: Relation, header, reader, path: Path, intern) -> None:
             f"{path}: CSV header {header} does not match schema "
             f"{relation.schema.name!r} ({expected})"
         )
-    # The header was checked, so every record is adopted as a
-    # schema-complete row (a short record reads as trailing nulls).
+    # The header was checked, so every record's interned field list is
+    # adopted as a schema-complete positional row (a short record reads
+    # as trailing nulls).
     for record in reader:
         if not record:
             continue
@@ -111,7 +112,7 @@ def _read_saved(relation: Relation, header, reader, path: Path, intern) -> None:
                 f"tuple id {record[0]!r} is not an integer"
             ) from None
         try:
-            relation.adopt(tid, dict(zip(names, map(intern, fields, fields))))
+            relation.adopt(tid, list(map(intern, fields, fields)))
         except ValueError as error:
             raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
 

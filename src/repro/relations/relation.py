@@ -15,7 +15,9 @@ updates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.schema import RelationSchema
 
@@ -23,42 +25,56 @@ from repro.core.schema import RelationSchema
 class Row:
     """A single tuple: an id plus attribute values.
 
-    Access values with ``row[attr]``; missing attributes raise ``KeyError``
-    at construction, so every row always covers the full schema (``None``
-    stands for null).
+    Access values with ``row[attr]``; every row covers the full schema
+    (``None`` stands for null).  ``Row(tid, mapping)`` builds a row from
+    an attribute → value mapping.  A relation's rows are *positional*
+    instead: ``values`` is a list in ``schema.attribute_names`` order and
+    ``positions`` the relation's one ``name -> index`` map, shared by all
+    its rows, so a row holds one list rather than a dict of its own.
     """
 
-    __slots__ = ("tid", "_values")
+    __slots__ = ("tid", "_values", "_positions")
 
-    def __init__(self, tid: int, values: Dict[str, object]) -> None:
+    def __init__(
+        self,
+        tid: int,
+        values: Union[Mapping[str, object], List[object]],
+        positions: Optional[Dict[str, int]] = None,
+    ) -> None:
         self.tid = tid
+        if positions is None:
+            positions = {name: k for k, name in enumerate(values)}
+            values = list(values.values())
         self._values = values
+        self._positions = positions
 
     def __getitem__(self, attribute: str) -> object:
-        return self._values[attribute]
+        return self._values[self._positions[attribute]]
 
     def get(self, attribute: str, default: object = None) -> object:
         """Value of ``attribute`` or ``default`` when absent."""
-        return self._values.get(attribute, default)
+        k = self._positions.get(attribute)
+        return default if k is None else self._values[k]
 
     def values(self) -> Dict[str, object]:
         """A copy of the attribute → value mapping."""
-        return dict(self._values)
+        return dict(zip(self._positions, self._values))
 
     def project(self, attributes: Iterable[str]) -> Tuple[object, ...]:
         """The tuple of values for the listed attributes, in order."""
-        return tuple(self._values[attr] for attr in attributes)
+        values, positions = self._values, self._positions
+        return tuple(values[positions[attr]] for attr in attributes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        return self.tid == other.tid and self._values == other._values
+        return self.tid == other.tid and self.values() == other.values()
 
     def __hash__(self) -> int:
         return hash(self.tid)
 
     def __repr__(self) -> str:
-        return f"Row(tid={self.tid}, {self._values!r})"
+        return f"Row(tid={self.tid}, {self.values()!r})"
 
 
 class Relation:
@@ -80,6 +96,10 @@ class Relation:
         rows: Optional[Iterable[Dict[str, object]]] = None,
     ) -> None:
         self.schema = schema
+        #: ``name -> index`` into every row's value list, shared by the rows.
+        self._positions: Dict[str, int] = {
+            name: k for k, name in enumerate(schema.attribute_names)
+        }
         self._rows: Dict[int, Row] = {}
         self._next_tid = 0
         if rows is not None:
@@ -108,21 +128,28 @@ class Relation:
             tid = self._next_tid
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
-        self._rows[tid] = Row(tid, {name: values.get(name) for name in names})
+        self._rows[tid] = Row(tid, list(map(values.get, names)), self._positions)
         self._next_tid = max(self._next_tid, tid + 1)
         return tid
 
-    def adopt(self, tid: int, values: Dict[str, object]) -> None:
+    def adopt(
+        self, tid: int, values: Union[List[object], Mapping[str, object]]
+    ) -> None:
         """Take over an already schema-complete row under a fresh ``tid``.
 
         The trusted twin of :meth:`insert` for rows that came out of a
         relation of this schema (a store's rows, a CSV whose header was
-        checked): ``values`` is kept as is — not validated, not copied —
-        so the caller must hand over a dict nothing else will write to.
+        checked).  A list is *positional* — one value per attribute, in
+        ``schema.attribute_names`` order — and becomes the row's storage
+        as is, not validated, not copied: the caller must hand over a list
+        of the schema's length that nothing else will write to.  A mapping
+        (a stored record's name-keyed form) is read into such a list.
         """
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
-        self._rows[tid] = Row(tid, values)
+        if not isinstance(values, list):
+            values = list(map(values.get, self.schema.attribute_names))
+        self._rows[tid] = Row(tid, values, self._positions)
         self._next_tid = max(self._next_tid, tid + 1)
 
     def set_value(self, tid: int, attribute: str, value: object) -> None:
@@ -131,7 +158,7 @@ class Relation:
             raise KeyError(
                 f"{attribute!r} is not an attribute of {self.schema.name!r}"
             )
-        self._rows[tid]._values[attribute] = value
+        self._rows[tid]._values[self._positions[attribute]] = value
 
     # ------------------------------------------------------------------
     # Access
@@ -181,7 +208,8 @@ class Relation:
             raise KeyError(
                 f"no tuple with id {error.args[0]} in {self.schema.name!r}"
             ) from None
-        return [values[attribute] for values in selected for attribute in attributes]
+        indexes = [self._positions[attribute] for attribute in attributes]
+        return [values[k] for values in selected for k in indexes]
 
     # ------------------------------------------------------------------
     # Extension semantics
@@ -191,9 +219,11 @@ class Relation:
         """A deep-enough copy preserving tuple ids (an extension of self)."""
         duplicate = Relation(self.schema)
         # Every stored row is already schema-complete and its tid unique,
-        # so the value dicts are copied without insert()'s validation.
+        # so the value lists are copied without insert()'s validation.
+        positions = duplicate._positions = self._positions
         duplicate._rows = {
-            tid: Row(tid, dict(row._values)) for tid, row in self._rows.items()
+            tid: Row(tid, row._values.copy(), positions)
+            for tid, row in self._rows.items()
         }
         duplicate._next_tid = self._next_tid
         return duplicate

@@ -1,7 +1,9 @@
 """Workspace: one compile, agreeing execution modes, fingerprinted stores,
 and pins that the pre-1.1 entry points are gone."""
 
+import gc
 import importlib
+import weakref
 
 import pytest
 
@@ -84,6 +86,45 @@ class TestSingleCompile:
         (handed, held), = chased
         assert report.candidates == ((0, 0), (0, 1))
         assert handed is held is report.candidates
+
+
+    def test_the_chase_result_is_let_go_before_clustering(
+        self, fig1_workspace, monkeypatch
+    ):
+        """Matches and provenance are read off the chase's result, then it
+        is dropped — its classes, working values and stability state are
+        freed by their reference counts (the collector is off, as in
+        ``repro match``) before ``cluster_matches`` runs."""
+        import repro.api.workspace as workspace_module
+
+        workspace, credit, billing = fig1_workspace
+        plan = workspace.plan
+        results = []
+        enforce = plan.enforce
+
+        def watch(instance, **options):
+            result = enforce(instance, **options)
+            results.append(weakref.ref(result))
+            return result
+
+        alive = []
+        cluster = workspace_module.cluster_matches
+
+        def clustering(matches):
+            alive.extend(result() is not None for result in results)
+            return cluster(matches)
+
+        monkeypatch.setattr(plan, "enforce", watch)
+        monkeypatch.setattr(workspace_module, "cluster_matches", clustering)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = workspace.match(credit, billing)
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [False]
+        assert report.matches and report.provenance
 
 
 class TestModesAgree:

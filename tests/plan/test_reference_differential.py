@@ -292,16 +292,13 @@ def test_shared_instance_self_match():
 
 
 def test_shared_storage_resolves_in_pair_major_union_order():
-    """The one observable the reference is no oracle for.
-
-    In a self-match a tuple's cell can sit in two merged classes at once
-    (tagged left in one, right in the other), so the values a round
-    leaves behind depend on the order its classes are resolved in — and
-    the reference, which re-resolves every class every round, takes a
-    different one.  The kernel's order is fixed: classes resolve in the
-    order of their first successful union, unions running pair by pair
-    with the rules in declared order.  Pinned on an instance where a
-    rule-major union order repairs differently and fires a 15th union.
+    """In a self-match a tuple's cell can sit in two merged classes at
+    once (tagged left in one, right in the other), so the values a round
+    leaves behind depend on the order its classes are resolved in.  The
+    kernel takes the reference's: classes resolve in the order of their
+    first cell's first union, unions running pair by pair with the rules
+    in declared order.  Pinned on an instance where a rule-major union
+    order repairs differently and fires a 15th union.
     """
     schema = RelationSchema("R", ABC)
     pair = SchemaPair(schema, schema)
@@ -315,12 +312,37 @@ def test_shared_storage_resolves_in_pair_major_union_order():
         {"A": None, "B": "abc", "C": "ab"},
         {"A": "ba", "B": "abc", "C": "abc"},
     ])
-    result = plan.enforce(InstancePair(pair, shared, shared), max_rounds=2)
+    result, _ = assert_same_chase(
+        plan, InstancePair(pair, shared, shared), max_rounds=2
+    )
     assert (result.rounds, result.applications, result.stable) == (2, 14, True)
     assert not result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
     assert {row.tid: row.values() for row in result.instance.left} == {
         tid: {"A": "ba", "B": "abc", "C": "abc"} for tid in range(4)
     }
+
+
+def test_shared_storage_resolves_a_class_whose_twin_slot_was_rewritten():
+    """Resolving one class can rewrite a slot another class holds under
+    the other side tag.  That class is resolved again, later in the same
+    round if it comes later in the order, else in the next round, as the
+    reference re-resolving every class does.  Without it the kernel made
+    11 cell merges here and the reference 13."""
+    schema = RelationSchema("R", ("A", "B", "C", "D"))
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md("R[A] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
+        parse_md("R[A] = R[D] -> R[B] <=> R[B]", pair),
+    ])
+    shared = Relation(schema, [
+        {"A": "mark"}, {"A": "mark"}, {"A": "marx", "D": "mark"},
+        {"B": "mark", "D": "marx"},
+    ])
+    result, expected = assert_same_chase(
+        plan, InstancePair(pair, shared, shared),
+        VALUE_POLICIES["first-non-null"],
+    )
+    assert result.applications == expected.applications == 13
 
 
 def test_sparse_tuple_ids():
@@ -663,8 +685,10 @@ def test_a_nan_class_is_resolved_and_unstable(right_b):
 
 def test_shared_storage_resolves_every_union():
     """Over shared storage one slot can sit in two classes, so no class is
-    known to agree: the resolver is called as often as it always was —
-    once per grown class per round (pinned, with its arguments)."""
+    known to agree: the resolver is called once per grown class per round,
+    and once more for a class another's resolution rewrote a slot of, in
+    the order of the classes' first unions — the reference's calls (pinned,
+    with their arguments)."""
     schema = RelationSchema("R", ABC)
     pair = SchemaPair(schema, schema)
     plan = compile_plan(sigma=[
@@ -685,10 +709,14 @@ def test_shared_storage_resolves_every_union():
     # (``['ab', 'ab']`` and the all-``abc`` class agree, and are resolved)
     assert seen == [
         [None, "abc"], ["ab", "ab"], ["b", "abc"], ["abc", "ab", "abc"],
-        [None, "ba"], ["a", None, "ba", None, "ba", "ba"],
+        [None, "ba"], ["abc", "abc", "abc", "abc", "abc"],
         ["ab", "abc", "abc", "abc", "abc", "abc"],
-        ["abc", "abc", "abc", "abc", "abc"],
+        ["a", None, "ba", None, "ba", "ba"],
     ]
+    reference_spy, reference_seen = _spy(prefer_informative)
+    reference_chase(plan.sigma, InstancePair(pair, shared, shared),
+                    reference_spy, None, 2, plan.registry)
+    assert seen == reference_seen
     assert all(resolve["uniform"] == 0 for resolve in _spans(plan, "resolve-merged"))
 
 
@@ -857,11 +885,9 @@ ROWS = st.lists(
 def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, policy):
     """Grouped unions are invisible: ``same`` and ``members`` answer for
     every encoded cell what the classes say, and the resolver is called
-    with what the same chase without groups calls it with.  Between two
-    relations the classes are the reference's (and the whole chase agrees
-    with it); over shared storage they are the kernel's own, because
-    there the reference is no oracle for what an order-dependent
-    resolution leaves behind (see
+    with what the same chase without groups calls it with.  The classes
+    are the reference's, and the whole chase agrees with it — over shared
+    storage too, where resolution is order-dependent (see
     ``test_shared_storage_resolves_in_pair_major_union_order``)."""
     left_schema = RelationSchema("R", ABCDE)
     pair = SchemaPair(
@@ -877,12 +903,8 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
         "largest RHS group: "
         f"{max(len(group) for group in plan.layouts[shared].groups)}"
     )
-    if shared:
-        result = plan.enforce(instance, resolver=resolver)
-        classes = {frozenset(members) for members in result.merged_cells.classes()}
-    else:
-        result, expected = assert_same_chase(plan, instance, resolver)
-        classes = expected.classes
+    result, expected = assert_same_chase(plan, instance, resolver)
+    classes = expected.classes
 
     cells = result.merged_cells
     class_of = {cell: members for members in classes for cell in members}

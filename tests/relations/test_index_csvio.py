@@ -1,8 +1,12 @@
 """Unit tests for CSV round-trips."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.schema import RelationSchema
+from repro.datagen.generator import generate_dataset
 from repro.relations.csvio import load_relation, save_relation
 from repro.relations.relation import Relation
 
@@ -120,3 +124,32 @@ class TestCsvRoundTrip:
             load_relation(schema, path)
         with pytest.raises(IsADirectoryError):
             load_relation(schema, tmp_path)
+
+
+#: Bytes ``load_relation`` keeps per row of the K=1000 seed-7 credit and
+#: billing files: 556 on CPython 3.11 with positional rows, + 15 %.  A
+#: dict per row (22 keys on billing) kept 774.
+BYTES_PER_ROW_BOUND = 640
+
+
+def test_a_loaded_row_holds_one_list_not_a_dict(tmp_path):
+    """What a loaded relation keeps, per row: the row, its value list and
+    the values no earlier row shares — traced, not sampled from RSS."""
+    data = generate_dataset(1000, seed=7)
+    files = []
+    for relation in (data.credit, data.billing):
+        path = tmp_path / f"{relation.schema.name}.csv"
+        save_relation(relation, path)
+        files.append((relation.schema, path))
+    kept = rows = 0
+    for schema, path in files:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_relation(schema, path)
+            kept += tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows += len(loaded)
+        del loaded
+    assert kept / rows <= BYTES_PER_ROW_BOUND
