@@ -487,8 +487,6 @@ class Workspace:
                 store,
                 resolver=spec.resolver(),
                 max_cascade=spec.max_cascade,
-                tracer=self.tracer,
-                metrics=self.metrics,
             )
             if matcher.store.spec_fingerprint is None:
                 matcher.store.spec_fingerprint = self.fingerprint

@@ -80,7 +80,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import ValueResolver, prefer_informative
 from repro.matching.evaluate import Pair
-from repro.obs.metrics import MetricsRegistry
 from repro.plan.compile import EnforcementPlan
 from repro.relations.relation import Relation
 
@@ -184,8 +183,6 @@ class IncrementalMatcher:
         store,
         resolver: ValueResolver = prefer_informative,
         max_cascade: int = 256,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(plan, EnforcementPlan):
             raise TypeError(
@@ -206,16 +203,10 @@ class IncrementalMatcher:
         #: (drives the engine.sn_* observability signals).
         self._sn_blocking = store.blocking_backend == "sorted-neighborhood"
         self._target_pairs = self.target.attribute_pairs()
-        # Observability: default to the plan's tracer/registry (a
-        # Workspace hands its own to the plan), or explicit overrides.
-        self.tracer = tracer if tracer is not None else plan.tracer
-        self.metrics = metrics if metrics is not None else plan.metrics
-        if tracer is not None:
-            # A standalone tracer must also see the delta-chase spans the
-            # plan's executor emits.
-            plan.tracer = tracer
-        if metrics is not None:
-            plan.metrics = metrics
+        # Observability: the plan's tracer and registry (a Workspace hands
+        # its own to the plan), which the delta chases record into too.
+        self.tracer = plan.tracer
+        self.metrics = plan.metrics
         # A durable store's committed tail is replayed through this
         # matcher's per-record ingest before it serves.
         store.attach(self._ingest_one)

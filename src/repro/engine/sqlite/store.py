@@ -66,12 +66,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import __version__
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
+from repro.matching.clustering import _SIDE_TAGS, Node, node_of
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES
 from repro.relations.relation import Row
 
-from ..store import MatchStore, Node, _SIDE_TAGS, node_of
+from ..store import MatchStore
 from .connection import connect
 from .schema import (
     SQLITE_SCHEMA_VERSION,
@@ -97,7 +98,7 @@ _FILES = ("", "-wal", "-shm")
 #: The attributes each half of the in-memory state sets; reading one
 #: that is not set loads its half.
 _RECORDS_HALF = ("blocking", "left", "right", "_arrival", "_keys", "instances")
-_CLUSTERS_HALF = ("_parent", "_members")
+_CLUSTERS_HALF = ("identities",)
 
 
 def _encode(row: Row) -> str:
@@ -296,13 +297,11 @@ class SQLiteMatchStore(MatchStore):
     def _load_clusters(self) -> None:
         """The union-find from one scan of the direct root pointers."""
         self._start_clusters()
-        parent, members = self._parent, self._members
+        adopt = self.identities.adopt
         for side, tid, root_side, root_tid in self.connection.execute(
             "SELECT side, tid, root_side, root_tid FROM clusters"
         ):
-            node, root = node_of(side, tid), node_of(root_side, root_tid)
-            parent[node] = root
-            members.setdefault(root, set()).add(node)
+            adopt(node_of(side, tid), node_of(root_side, root_tid))
 
     def _drop(self, names: Sequence[str]) -> None:
         for name in names:
@@ -537,11 +536,12 @@ class SQLiteMatchStore(MatchStore):
                 "UPDATE records SET current = ? WHERE side = ? AND tid = ?",
                 repaired,
             )
-        roots = dict.fromkeys(self.find(node) for node in self._moved)
+        identities = self.identities
+        roots = dict.fromkeys(identities.find(node) for node in self._moved)
         members = [
             (_TAG_SIDES[tag], tid, _TAG_SIDES[root[0]], root[1])
             for root in roots
-            for tag, tid in sorted(self._members[root])
+            for tag, tid in sorted(identities.members[root])
         ]
         if members:
             write(
@@ -665,7 +665,7 @@ def save_store(store: MatchStore, path) -> None:
                 }
                 if changes:
                     copy.repair(side, row.tid, changes)
-        for members in store._members.values():
+        for members in store.identities.members.values():
             first, *rest = sorted(members)
             for node in rest:
                 copy.union(first, node)

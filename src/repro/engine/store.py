@@ -11,9 +11,11 @@ tuple ids, and the clusters folded from its matches:
   :func:`~repro.plan.blocking.build_blocking` — the function the batch
   plan's backend comes from, so a stream probes under exactly the keys
   and window semantics the batch run of the same spec uses;
-* an incremental union-find over record identities — the entity clusters
-  that pairwise match decisions are folded into as they are made (the
-  streaming counterpart of :func:`repro.matching.clustering.cluster_matches`);
+* the entity clusters that pairwise match decisions are folded into as
+  they are made: a :class:`~repro.matching.clustering.Clusters` — the
+  same union-find, over the same ``("L" | "R", tid)`` nodes, that
+  :func:`~repro.matching.clustering.cluster_matches` folds a batch run's
+  matches into;
 * counters (``comparisons``, ``merges``) so the cost of incremental
   matching is measurable against batch re-runs.
 
@@ -39,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.core.semantics import InstancePair
-from repro.matching.clustering import Cluster
+from repro.matching.clustering import Cluster, Clusters, Node, node_of
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
     BlockingBackend,
@@ -47,18 +49,6 @@ from repro.plan.blocking import (
     build_blocking,
 )
 from repro.relations.relation import Relation, Row
-
-#: A clustered record identity: ("L" | "R", tuple id) — the same node
-#: convention as :mod:`repro.matching.clustering`.
-Node = Tuple[str, int]
-
-_SIDE_TAGS = {LEFT: "L", RIGHT: "R"}
-
-
-def node_of(side: int, tid: int) -> Node:
-    """The cluster node of a record given its side and tuple id."""
-    return (_SIDE_TAGS[side], tid)
-
 
 class MatchStore:
     """Incrementally maintained records + indexes + identity clusters.
@@ -175,9 +165,8 @@ class MatchStore:
         )
 
     def _start_clusters(self) -> None:
-        """The clusters half, empty: union-find parents and member sets."""
-        self._parent: Dict[Node, Node] = {}
-        self._members: Dict[Node, Set[Node]] = {}
+        """The clusters half, empty: the record-level union-find."""
+        self.identities = Clusters()
 
     # ------------------------------------------------------------------
     # Records and indexes
@@ -256,46 +245,31 @@ class MatchStore:
             relation.set_value(tid, attribute, value)
 
     # ------------------------------------------------------------------
-    # Identity clusters (incremental union-find)
+    # Identity clusters (``identities``, a Clusters union-find)
     # ------------------------------------------------------------------
 
     def find(self, node: Node) -> Node:
         """Root of ``node``'s cluster, registering it when unseen."""
-        parent = self._parent
-        if node not in parent:
-            parent[node] = node
-            self._members[node] = {node}
-            return node
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
+        return self.identities.find(node)
 
     def union(self, a: Node, b: Node) -> bool:
         """Merge two clusters; True when they were distinct."""
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
+        if not self.identities.union(a, b):
             return False
-        if len(self._members[root_a]) < len(self._members[root_b]):
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._members[root_a] |= self._members.pop(root_b)
         self.merges += 1
         return True
 
     def same(self, a: Node, b: Node) -> bool:
         """Whether two records are currently in one cluster."""
-        return self.find(a) == self.find(b)
+        return self.identities.same(a, b)
 
     def cluster_nodes(self, side: int, tid: int) -> Set[Node]:
         """All nodes in the cluster of the given record."""
-        return set(self._members[self.find(node_of(side, tid))])
+        return set(self.identities.members[self.find(node_of(side, tid))])
 
     def cluster_of(self, side: int, tid: int) -> Cluster:
         """The record's cluster as a :class:`~repro.matching.clustering.Cluster`."""
-        return _as_cluster(self.cluster_nodes(side, tid))
+        return Cluster.of(self.cluster_nodes(side, tid))
 
     def clusters(self, include_singletons: bool = False) -> List[Cluster]:
         """All identity clusters (only merged ones unless asked otherwise).
@@ -305,11 +279,7 @@ class MatchStore:
         :func:`~repro.matching.clustering.cluster_matches`, which never
         reports unmatched records.
         """
-        result = [
-            _as_cluster(members)
-            for members in self._members.values()
-            if include_singletons or len(members) > 1
-        ]
+        result = self.identities.groups(include_singletons)
         result.sort(key=lambda cluster: (sorted(cluster.left_tids), sorted(cluster.right_tids)))
         return result
 
@@ -367,9 +337,3 @@ class MatchStore:
             f"{type(self).__name__}({len(self.left)}+{len(self.right)} rows, "
             f"{self.blocking.name} blocking, {self.merges} merges)"
         )
-
-
-def _as_cluster(members: Iterable[Node]) -> Cluster:
-    lefts = frozenset(tid for tag, tid in members if tag == "L")
-    rights = frozenset(tid for tag, tid in members if tag == "R")
-    return Cluster(lefts, rights)

@@ -20,11 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core.schema import LEFT, RIGHT
+
 from .evaluate import MatchQuality, Pair
 
-#: A node of the match graph: ``2 * tid`` for a left tuple, ``2 * tid + 1``
-#: for a right one.
-Node = int
+#: A record identity, a node of the match graph: ``("L" | "R", tid)``.
+Node = Tuple[str, int]
+
+_SIDE_TAGS = {LEFT: "L", RIGHT: "R"}
+
+
+def node_of(side: int, tid: int) -> Node:
+    """The cluster node of a record given its side and tuple id."""
+    return (_SIDE_TAGS[side], tid)
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,12 @@ class Cluster:
 
     left_tids: FrozenSet[int]
     right_tids: FrozenSet[int]
+
+    @classmethod
+    def of(cls, nodes: Iterable[Node]) -> "Cluster":
+        """The cluster of a set of record nodes."""
+        lefts = frozenset(tid for tag, tid in nodes if tag == "L")
+        return cls(lefts, frozenset(tid for tag, tid in nodes if tag == "R"))
 
     @property
     def size(self) -> int:
@@ -48,21 +62,32 @@ class Cluster:
         }
 
 
-def cluster_matches(matches: Iterable[Pair]) -> List[Cluster]:
-    """Transitive closure of pairwise matches into clusters.
+class Clusters:
+    """The record-level union-find: which records are one entity.
 
-    Singleton tuples (never matched) do not appear — callers that need
-    them can add one cluster per unmatched tid.
+    Union by size — a tie keeps the first argument's root — with path
+    compression, and the member set of every root.  The batch report
+    (:func:`cluster_matches`) and the engine's stores
+    (:class:`~repro.engine.store.MatchStore`) both fold matches into one.
 
-    >>> clusters = cluster_matches([(0, 0), (0, 1), (2, 3)])
-    >>> sorted(cluster.size for cluster in clusters)
-    [2, 3]
+    >>> clusters = Clusters()
+    >>> clusters.union(("L", 0), ("R", 3)), clusters.find(("R", 3))
+    (True, ('L', 0))
     """
-    parent: Dict[Node, Node] = {}
 
-    def find(node: Node) -> Node:
+    def __init__(self) -> None:
+        #: Node -> its parent; a root is its own.  Keys are in the order
+        #: the nodes were found.
+        self.parent: Dict[Node, Node] = {}
+        #: Root -> the nodes of its cluster.
+        self.members: Dict[Node, Set[Node]] = {}
+
+    def find(self, node: Node) -> Node:
+        """Root of ``node``'s cluster, registering it when unseen."""
+        parent = self.parent
         if node not in parent:
             parent[node] = node
+            self.members[node] = {node}
             return node
         root = node
         while parent[root] != root:
@@ -71,24 +96,54 @@ def cluster_matches(matches: Iterable[Pair]) -> List[Cluster]:
             parent[node], node = root, parent[node]
         return root
 
-    def union(a: Node, b: Node) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
+    def union(self, a: Node, b: Node) -> bool:
+        """Merge two clusters; True when they were distinct."""
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a == root_b:
+            return False
+        members = self.members
+        if len(members[root_a]) < len(members[root_b]):
+            root_a, root_b = root_b, root_a
+        self.parent[root_b] = root_a
+        members[root_a] |= members.pop(root_b)
+        return True
 
+    def same(self, a: Node, b: Node) -> bool:
+        """Whether two nodes are in one cluster."""
+        return self.find(a) == self.find(b)
+
+    def groups(self, include_singletons: bool = False) -> List[Cluster]:
+        """Every cluster (only merged ones unless asked otherwise), in the
+        order their first node was found."""
+        members = self.members
+        return [
+            Cluster.of(members[root])
+            for root in dict.fromkeys(map(self.find, self.parent))
+            if include_singletons or len(members[root]) > 1
+        ]
+
+    def adopt(self, node: Node, root: Node) -> None:
+        """Register ``node`` directly under ``root`` — loading a saved
+        clustering from its root pointers, one node at a time."""
+        self.parent[node] = root
+        self.members.setdefault(root, set()).add(node)
+
+
+def cluster_matches(matches: Iterable[Pair]) -> List[Cluster]:
+    """Transitive closure of pairwise matches into clusters, in the order
+    their first record appears in ``matches``.
+
+    Singleton tuples (never matched) do not appear — callers that need
+    them can add one cluster per unmatched tid.
+
+    >>> clusters = cluster_matches([(0, 0), (0, 1), (2, 3)])
+    >>> sorted(cluster.size for cluster in clusters)
+    [2, 3]
+    """
+    clusters = Clusters()
     for left_tid, right_tid in matches:
-        union(2 * left_tid, 2 * right_tid + 1)
-
-    members: Dict[Node, Tuple[Set[int], Set[int]]] = {}
-    for node in list(parent):
-        root = find(node)
-        lefts, rights = members.setdefault(root, (set(), set()))
-        (rights if node & 1 else lefts).add(node >> 1)
-
-    return [
-        Cluster(frozenset(lefts), frozenset(rights))
-        for lefts, rights in members.values()
-    ]
+        clusters.union(("L", left_tid), ("R", right_tid))
+    return clusters.groups()
 
 
 @dataclass(frozen=True)

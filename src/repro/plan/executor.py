@@ -22,8 +22,9 @@ such ints:
   (``left is right``) a right cell's slot is its left twin's, so a
   repair through either side tag lands where both read it — and only
   there is the order of the unions observable, so only there it is kept
-  pair-major, classes resolve in the order of their first union, and a
-  class another's resolution rewrote a slot of is resolved again;
+  pair-major and, after a round that merged, every merged class is
+  resolved again, in the order of its first union (the reference's
+  rule);
 * **selections** — lists of positions into the candidate list, narrowed
   per rule atom by atom: equality atoms first, each one comprehension
   reading ``values[left_slot[i] + rank]``, similarity atoms last through
@@ -58,10 +59,10 @@ provenance) runs the stability check on first read, and ``stable`` adds
 the RHS test to it on its own first read.
 Both end-of-chase passes pay only for what the repairs touched: the
 check re-selects a fired (rule, pair) only if a later repair wrote one
-of its LHS cells, and ``resolve-merged`` resolves only the classes a
-round's unions made *mixed* (a union of classes that agree resolves to
-the value they share).  The kernel reads ``stable`` itself only where
-``rounds_exhausted`` depends on the answer.
+of its LHS cells, and between two relations ``resolve-merged`` resolves
+only the classes a round's unions made *mixed* (a union of classes that
+agree resolves to the value they share).  The kernel reads ``stable``
+itself only where ``rounds_exhausted`` depends on the answer.
 
 ``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
 here; :class:`~repro.api.workspace.Workspace` and the streaming
@@ -76,9 +77,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from heapq import heapify, heappop, heappush
 from operator import ne
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Container, Dict, List, Optional, Sequence, Set
 
 from repro.core.semantics import (
     CellClasses,
@@ -103,8 +103,8 @@ def chase(
     Each round evaluates every rule's LHS on the active pairs against the
     *current* values, a slot at a time, merges the RHS cells of the pairs
     that matched, and re-resolves every class that grew to a single
-    value (over shared storage also every class whose slot another's
-    resolution rewrote).  Rounds repeat until no merge happens.
+    value (over shared storage every merged class, in first-union
+    order).  Rounds repeat until no merge happens.
     ``instance`` is only ever read (the paper: "in the matching process
     instance D may not be updated"): the result carries the repairs, and
     builds ``D'`` from them when asked.
@@ -121,8 +121,9 @@ def chase(
     Rounds after the first re-examine only pairs one of whose tuples a
     repair actually changed (an unchanged pair's verdicts cannot change),
     and skip a (rule, pair) that already fired (its RHS cells are merged
-    for good, so its unions would all be idempotent).  A union of two
-    classes whose values agree is not resolved: it would write nothing.
+    for good, so its unions would all be idempotent).  Between two
+    relations a union of two classes whose values agree is not resolved:
+    it would write nothing.
     The stability check, run when the result is first asked, re-examines
     only a fired pair one of whose LHS cells a later repair wrote, and the
     pairs still active; the RHS test waits until ``stable`` is read.
@@ -323,20 +324,12 @@ def chase(
     merged_this_round = False
     # Over shared storage one slot sits in two classes, so resolving one
     # can rewrite a slot of another and the order classes resolve in is
-    # observable.  It is the order of their first cell's first union
-    # (``first``: root -> that position, counted by ``involved``), which
-    # is the paper's chase re-resolving every class each round; a class
-    # whose slot an earlier one rewrote is resolved later in the same
-    # round, one a later class rewrote is ``dirty`` until the next.
+    # observable.  After a round that merged, every merged class is
+    # resolved again in the order of its first cell's first union
+    # (``first``: root -> that position, counted by ``involved``) — the
+    # paper's chase, as the reference runs it.
     first: Dict[int, int] = {}
     involved = 0
-    dirty: Set[int] = set()
-
-    def by_first_union(queue: List[tuple]) -> Iterable[int]:
-        """Pop the roots in ``queue`` — a heap of ``(first[root], root)``,
-        which may grow while it is read — in order."""
-        while queue:
-            yield heappop(queue)[1]
 
     def list_active():
         nonlocal active
@@ -467,9 +460,10 @@ def chase(
         round_span.set("union_attempts", attempts)
         round_span.set("merges", merges)
         # Re-resolve every class that gained a member this round and may
-        # disagree (``touched`` holds one member per successful union;
-        # none means nothing was repaired, and every active pair has just
-        # been examined against the final instance).  A class whose
+        # disagree — over shared storage, every merged class (``touched``
+        # holds one member per successful union; none means nothing was
+        # repaired, and every active pair has just been examined against
+        # the final instance).  A class whose
         # members all carry ``==`` values — one whose membership did not
         # change, or a union of such classes that agree — resolves to one
         # of them (the ``ValueResolver`` contract), which writes nothing.
@@ -481,13 +475,9 @@ def chase(
         with tracer.span("resolve-merged") as resolve_span:
             seen: Set[int] = set()
             repaired = uniform = resolved_classes = 0
-            if shared:
-                anchors = {root[cell] for cell in touched}
-                anchors.update(root[cell] for cell in dirty)
-                queue = [(first[anchor], anchor) for anchor in anchors]
-                heapify(queue)
-                dirty = set()
-            for anchor in by_first_union(queue) if shared else touched:
+            # ``first`` holds the root of every merged class.
+            anchors = sorted(first, key=first.__getitem__) if shared else touched
+            for anchor in anchors:
                 anchor = root[anchor]
                 if anchor in seen:
                     continue
@@ -533,16 +523,6 @@ def chase(
                                 if slot < right_base
                                 else slot - (slot - right_base) % right_width
                             )
-                            if shared:
-                                # The other class over this slot may now
-                                # disagree: resolve it after this one, or
-                                # next round if it came first.
-                                for twin in (root[slot], root[slot + right_base]):
-                                    if twin != anchor and size[twin] > 1:
-                                        if first[twin] > first[anchor]:
-                                            heappush(queue, (first[twin], twin))
-                                        else:
-                                            dirty.add(twin)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)

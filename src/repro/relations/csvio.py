@@ -104,7 +104,12 @@ def _read_saved(relation: Relation, header, reader, path: Path, intern) -> None:
         fields = record[1:]
         if len(fields) < len(names):
             fields += [_NULL] * (len(names) - len(fields))
+        # The form ``save_relation`` writes: an optional ``-``, then ASCII
+        # digits (``int()`` alone would also take ``+``, ``_`` and spaces).
+        digits = record[0].removeprefix("-")
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(record[0])
             tid = int(record[0])
         except ValueError:
             raise ValueError(

@@ -110,14 +110,14 @@ async def read_request(
     body = b""
     length_text = headers.get("content-length")
     if length_text is not None:
+        # ``1*DIGIT`` (RFC 9110, 8.6): ``int()`` alone would also take a
+        # sign, underscores and non-ASCII digits.
         try:
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise ValueError(length_text)
             length = int(length_text)
         except ValueError:
-            raise BadRequest(
-                f"invalid Content-Length {length_text!r}"
-            ) from None
-        if length < 0:
-            raise BadRequest(f"invalid Content-Length {length}")
+            raise BadRequest(f"invalid Content-Length {length_text!r}") from None
         if length > max_body:
             raise BadRequest(f"body of {length} bytes exceeds {max_body}")
         if length:

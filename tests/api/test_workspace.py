@@ -349,3 +349,21 @@ class TestRemovedEntryPoints:
         workspace, _, _ = fig1_workspace
         with pytest.raises(TypeError):
             IncrementalMatcher(workspace.plan, top_k=5)
+
+    @pytest.mark.parametrize("knob", ["tracer", "metrics"])
+    def test_incremental_matcher_records_into_its_plans_tracer_and_registry(
+        self, fig1_workspace, knob
+    ):
+        """A matcher has no tracer or registry of its own: one passed in
+        would have replaced the shared plan's, and the workspace's batch
+        runs would have recorded into it."""
+        from repro.engine import IncrementalMatcher, MatchStore
+
+        workspace, _, _ = fig1_workspace
+        plan = workspace.plan
+        store = MatchStore(plan.target, plan.rcks)
+        with pytest.raises(TypeError, match=knob):
+            IncrementalMatcher(plan, store, **{knob: None})
+        matcher = IncrementalMatcher(plan, store)
+        assert matcher.tracer is plan.tracer is workspace.tracer
+        assert matcher.metrics is plan.metrics is workspace.metrics

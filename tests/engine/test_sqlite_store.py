@@ -143,7 +143,7 @@ class TestCreateAndOpen:
             return [s for s in statements if re.search(rf"\bFROM {table}\b", s)]
 
         assert read("records") == read("clusters") == []
-        halves = {"left", "right", "_arrival", "blocking", "_parent", "_members"}
+        halves = set(store_module._RECORDS_HALF + store_module._CLUSTERS_HALF)
         assert not set(reopened.__dict__) & halves
         # A cluster read scans ``clusters`` once and no record ...
         assert reopened.cluster_of(LEFT, 3).left_tids == {3, 4}

@@ -191,13 +191,14 @@ def test_views_read_a_cold_reopened_store(dataset, events, tmp_path):
     reopened = SQLiteMatchStore(path)
     # Neither half is loaded; the views load the records half with one
     # scan of ``records`` and read no cluster.
-    assert not set(reopened.__dict__) & {"left", "right", "blocking", "_parent", "_members"}
+    halves = store_module._RECORDS_HALF + store_module._CLUSTERS_HALF
+    assert not set(reopened.__dict__) & set(halves)
     statements = []
     reopened.connection.set_trace_callback(statements.append)
     assert_views_read_the_rows(reopened, expected)
     reopened.connection.set_trace_callback(None)
     assert statements == ["SELECT side, tid, arrival, current FROM records ORDER BY rowid"]
-    assert "_parent" not in reopened.__dict__
+    assert not set(reopened.__dict__) & set(store_module._CLUSTERS_HALF)
     # ... and the matcher built over it chases the same views.
     resumed = _workspace(dataset, path).stream(store=reopened)
     uninterrupted = _workspace(dataset).stream()

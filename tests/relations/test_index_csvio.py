@@ -1,6 +1,7 @@
 """Unit tests for CSV round-trips."""
 
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -85,6 +86,21 @@ class TestCsvRoundTrip:
             ValueError, match=f"{path}, line 3: 4 fields, the header has 3"
         ):
             load_relation(schema, path)
+
+    def test_a_saved_tid_is_an_optional_minus_then_ascii_digits(self, tmp_path):
+        """``int()`` would read ``1_0`` as 10, ``+3`` as 3 and ``٣`` as 3;
+        only what ``save_relation`` writes is a tuple id."""
+        schema = RelationSchema("R", ["A"])
+        path = tmp_path / "ids.csv"
+        path.write_text("__tid__,A\n-2,x\n12,y\n", encoding="utf-8")
+        assert load_relation(schema, path).tids() == [-2, 12]
+        for bad in ("1_0", "+3", " 4", "\u0663", "-", "", "9" * 5000):
+            path.write_text(f"__tid__,A\n0,x\n{bad},y\n", encoding="utf-8")
+            with pytest.raises(
+                ValueError,
+                match=re.escape(f"line 3: tuple id {bad!r} is not an integer"),
+            ):
+                load_relation(schema, path)
 
     @pytest.mark.parametrize(
         "text",

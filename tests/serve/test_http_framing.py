@@ -80,6 +80,14 @@ def test_percent_encoded_path_is_decoded():
             "invalid Content-Length",
         ),
         (
+            b"POST / HTTP/1.1\r\nContent-Length: +10\r\n\r\n0123456789",
+            "invalid Content-Length",
+        ),
+        (
+            b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            "invalid Content-Length",
+        ),
+        (
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
             "truncated body",
         ),
@@ -92,6 +100,12 @@ def test_percent_encoded_path_is_decoded():
 def test_malformed_requests_are_bad_requests(raw, fragment):
     with pytest.raises(BadRequest, match=fragment):
         _read(raw)
+
+
+def test_content_length_past_ints_digit_limit_is_a_bad_request():
+    """``int()`` refuses more than 4 300 digits with a ``ValueError``."""
+    with pytest.raises(BadRequest, match="invalid Content-Length"):
+        _read(b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
 
 
 def test_oversized_request_line_rejected():
