@@ -521,6 +521,11 @@ class ResolutionSpec:
                         "rules.rcks: expected null or a list of keys, "
                         "each a list of [left, right, operator] triples"
                     )
+                elif not raw_rcks:
+                    errors.append(
+                        "rules.rcks: an empty list pins no key; pin at "
+                        "least one key, or omit 'rcks' to deduce them"
+                    )
                 else:
                     for position, triples in enumerate(raw_rcks):
                         where = f"rules.rcks[{position}]"
@@ -544,7 +549,7 @@ class ResolutionSpec:
                             _check_operators(errors, where, key.atoms, registry)
                     rck_triples = tuple(parsed_keys)
             top_k = _option_value(errors, rules, OPTIONS["rules.top_k"])
-            if not md_lines and not raw_rcks:
+            if not md_lines and raw_rcks is None:
                 errors.append(
                     "rules: need at least one MD in 'mds' or one key in 'rcks'"
                 )

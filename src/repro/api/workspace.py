@@ -4,16 +4,20 @@ A workspace is constructed from a :class:`~repro.api.spec.ResolutionSpec`
 (or its document / file) and is the single front door to the system:
 
 * :meth:`Workspace.deduce` — the RCKs the spec's rules yield;
-* :meth:`Workspace.match` — batch matching in the spec's execution mode
-  (``direct`` RCK agreement or ``enforce`` chase);
-* :meth:`Workspace.enforce` — the enforcement chase explicitly;
+* :meth:`Workspace.match` — batch matching: the chase over the blocked
+  candidates, read off in the spec's execution mode;
 * :meth:`Workspace.stream` — a spec-configured
   :class:`~repro.engine.matcher.IncrementalMatcher` over the same plan;
 * :meth:`Workspace.explain` — the spec header plus the compiled plan.
 
 Everything compiles through the :mod:`repro.plan` kernel **exactly
-once** per workspace (observable via ``plan.stats.compiles``), and every
-batch entry point returns one result type, :class:`MatchReport`.
+once** per workspace (observable via ``plan.stats.compiles``) into one
+rule set: Σ under an ``enforce`` spec, the keys as MDs (Σ_Γ) under a
+``direct`` one.  Batch, stream and serve all chase that rule set;
+``execution.mode`` decides only which rules compile and how a batch
+match is read off (``enforce``: target cells identified; ``direct``:
+some key fired in round 1, i.e. its comparisons all agree on ``D``).
+The one batch method returns one result type, :class:`MatchReport`.
 """
 
 from __future__ import annotations
@@ -140,6 +144,17 @@ class MatchReport:
         )
 
 
+def _rule_masks(per_rule: Sequence[Sequence[int]], size: int) -> List[int]:
+    """Per position of a ``size``-pair list, a bit per rule (``1 << index``)
+    whose positions in ``per_rule`` list it."""
+    masks = [0] * size
+    for index, positions in enumerate(per_rule):
+        bit = 1 << index
+        for i in positions:
+            masks[i] |= bit
+    return masks
+
+
 class Workspace:
     """A compiled, executable view of one :class:`ResolutionSpec`.
 
@@ -209,9 +224,10 @@ class Workspace:
 
         The first access parses the MDs, deduces (or adopts) the RCKs,
         builds the blocking backend, and calls
-        :func:`repro.plan.compile.compile_plan`; every later access and
-        every execution mode reuses the same plan object, its predicate
-        table, and its similarity cache.
+        :func:`repro.plan.compile.compile_plan` — with Σ, or under a
+        ``direct`` spec with no MDs, so that the keys compile as the
+        rules; every later access (batch, stream, explain) reuses the same
+        plan object, its predicate table, and its similarity cache.
         """
         if self._plan is None:
             spec = self.spec
@@ -229,7 +245,7 @@ class Workspace:
                     blocking = self._blocking_backend(rcks)
                 with self.tracer.span("compile-plan"):
                     self._plan = compile_plan(
-                        sigma,
+                        () if spec.mode == "direct" else sigma,
                         target,
                         rcks=rcks,
                         registry=registry,
@@ -294,37 +310,16 @@ class Workspace:
         candidates: Optional[Sequence[Pair]] = None,
         provenance: bool = True,
     ) -> MatchReport:
-        """Batch matching in the spec's execution mode."""
-        if self.spec.mode == "direct":
-            return self._match_direct(left, right, candidates, provenance)
-        return self.enforce(left, right, candidates, provenance)
-
-    def enforce(
-        self,
-        left,
-        right: Optional[Relation] = None,
-        candidates: Optional[Sequence[Pair]] = None,
-        provenance: bool = True,
-    ) -> MatchReport:
-        """Match by chasing the instances with the MDs (dynamic semantics).
-
-        ``left`` may be an :class:`~repro.core.semantics.InstancePair`
-        (then ``right`` must be omitted) or the left relation of a pair.
-        """
+        """Batch matching: chase the plan's rules over ``candidates`` (the
+        blocking backend's, by default) and read the matches off in the
+        spec's execution mode."""
         plan = self.plan
         started = time.perf_counter()
         with self.tracer.span("enforce") as span:
-            if isinstance(left, InstancePair):
-                if right is not None:
-                    raise TypeError(
-                        "pass either an InstancePair or two relations, not both"
-                    )
-                instance = left
-            else:
-                instance = InstancePair(plan.pair, left, right)
+            instance = InstancePair(plan.pair, left, right)
             if candidates is None:
                 with self.tracer.span("blocking") as blocking_span:
-                    candidates = plan.candidates(instance.left, instance.right)
+                    candidates = plan.candidates(left, right)
                     blocking_span.set("candidates", len(candidates))
             # One tuple, held by the chase and the report alike.
             candidates = tuple(candidates)
@@ -332,7 +327,7 @@ class Workspace:
             matches, rule_names = self._chase(instance, candidates, provenance)
             span.set("matches", len(matches))
         self.metrics.observe("match.seconds", time.perf_counter() - started)
-        return self._report("enforce", matches, candidates, rule_names)
+        return self._report(matches, candidates, rule_names)
 
     def _chase(
         self,
@@ -343,6 +338,11 @@ class Workspace:
         """Chase ``instance`` over ``candidates`` and read off the matches
         and, if asked, each match's rules.  The chase's result is dropped
         on return: clustering and the report need only what is read here.
+
+        ``enforce``: a match is a pair whose target cells the chase
+        identified, justified by the rules whose LHS holds in ``D'``.
+        ``direct``: a match is a pair some key fired at in round 1 — its
+        comparisons all agree on ``D`` — justified by those keys.
         """
         plan = self.plan
         result = plan.enforce(
@@ -351,22 +351,24 @@ class Workspace:
             candidate_pairs=candidates,
             max_rounds=self.spec.max_rounds,
         )
-        matched = result.matching(plan.target.attribute_pairs())
+        direct = self.spec.mode == "direct"
+        if direct:
+            held = _rule_masks(result.first_round, len(candidates))
+            matched = [i for i, mask in enumerate(held) if mask]
+        else:
+            matched = result.matching(plan.target.attribute_pairs())
         matches = [candidates[i] for i in matched]
         rule_names: Dict[Pair, Tuple[str, ...]] = {}
         if provenance:
             with self.tracer.span("provenance"):
-                # The chase already knows which rules' LHS hold in the
-                # chased instance, position by position: read them off
-                # as a bit per rule, and name each distinct set once.
-                held = [0] * len(candidates)
-                for index, positions in enumerate(result.holding):
-                    bit = 1 << index
-                    for i in positions:
-                        held[i] |= bit
+                if not direct:
+                    # The chase already knows which rules' LHS hold in
+                    # the chased instance, position by position.
+                    held = _rule_masks(result.holding, len(candidates))
+                # Name each distinct set of rules once (a pair listed
+                # twice holds at two positions).
                 masks: Dict[Pair, int] = {}
                 for i in matched:
-                    # (a pair listed twice holds at two positions)
                     pair = candidates[i]
                     masks[pair] = masks.get(pair, 0) | held[i]
                 names: Dict[int, Tuple[str, ...]] = {}
@@ -379,41 +381,6 @@ class Workspace:
                         )
                     rule_names[pair] = names[mask]
         return matches, rule_names
-
-    def _match_direct(
-        self,
-        left: Relation,
-        right: Relation,
-        candidates: Optional[Sequence[Pair]],
-        provenance: bool,
-    ) -> MatchReport:
-        """Direct rule matching: some RCK's comparisons all agree."""
-        plan = self.plan
-        started = time.perf_counter()
-        with self.tracer.span("match", mode="direct") as span:
-            if candidates is None:
-                with self.tracer.span("blocking") as blocking_span:
-                    candidates = plan.candidates(left, right)
-                    blocking_span.set("candidates", len(candidates))
-            candidates = tuple(candidates)
-            span.set("candidates", len(candidates))
-            plan.stats.pairs_compared += len(candidates)
-            matches: List[Pair] = []
-            key_names: Dict[Pair, Tuple[str, ...]] = {}
-            for left_tid, right_tid in candidates:
-                t1, t2 = left[left_tid], right[right_tid]
-                if not plan.matches_any_key(t1, t2):
-                    continue
-                matches.append((left_tid, right_tid))
-                if provenance:
-                    key_names[(left_tid, right_tid)] = tuple(
-                        key.name
-                        for key in plan.keys
-                        if plan.key_matches(key.predicates, t1, t2)
-                    )
-            span.set("matches", len(matches))
-        self.metrics.observe("match.seconds", time.perf_counter() - started)
-        return self._report("direct", matches, candidates, key_names)
 
     def stream(self, store=None):
         """A spec-configured incremental matcher over this workspace's plan.
@@ -579,7 +546,6 @@ class Workspace:
 
     def _report(
         self,
-        mode: str,
         matches: Sequence[Pair],
         candidates: Sequence[Pair],
         provenance: Dict[Pair, Tuple[str, ...]],
@@ -600,7 +566,7 @@ class Workspace:
             provenance=provenance,
             stats=stats,
             fingerprint=self.fingerprint,
-            mode=mode,
+            mode=self.spec.mode,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

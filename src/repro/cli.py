@@ -239,8 +239,6 @@ def _match(args) -> int:
     spec = _effective_spec(args)
     workspace = _workspace(spec)
     plan = workspace.plan
-    if not plan.keys:
-        raise CliError("no RCKs deducible from the given MDs")
     left = _load_csv_relation(plan.pair.left, Path(args.left))
     right = _load_csv_relation(plan.pair.right, Path(args.right))
     try:
@@ -283,8 +281,6 @@ def _match(args) -> int:
 
 def cmd_plan_explain(args) -> int:
     workspace = _workspace(_effective_spec(args))
-    if not workspace.plan.keys:
-        raise CliError("no RCKs deducible from the given MDs")
     if args.json:
         document = workspace.plan.to_dict()
         document["spec_fingerprint"] = workspace.fingerprint

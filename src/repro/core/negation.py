@@ -16,9 +16,9 @@ Two facilities are provided:
   and un-identify the same cells on some instance: the rule set is
   inconsistent and should be repaired before deployment.
 * **runtime vetoing** — :class:`GuardedRuleSet` wraps the keys of a
-  compiled :class:`~repro.plan.compile.EnforcementPlan` (the evaluator
-  behind ``Workspace`` direct mode) so that a pair some key matches is
-  rejected when any negative rule fires on it.
+  compiled :class:`~repro.plan.compile.EnforcementPlan` so that a pair
+  some key matches (what a ``direct`` spec's batch match reads off the
+  chase's first round) is rejected when any negative rule fires on it.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class GuardedRuleSet:
     """A compiled plan's keys guarded by negative vetoes.
 
     A pair matches iff some key of the ``positive`` plan matches it
-    (:meth:`~repro.plan.compile.EnforcementPlan.matches_any_key`, through
-    the plan's own registry) AND no negative rule fires (through
+    (:meth:`~repro.plan.compile.EnforcementPlan.key_matches`, through the
+    plan's own registry and memo) AND no negative rule fires (through
     ``registry``).
     """
 
@@ -233,7 +233,11 @@ class GuardedRuleSet:
         registry: MetricRegistry = DEFAULT_REGISTRY,
     ) -> bool:
         """Positive match not vetoed by any negative rule."""
-        if not self.positive.matches_any_key(left_row, right_row):
+        plan = self.positive
+        if not any(
+            plan.key_matches(key.predicates, left_row, right_row)
+            for key in plan.keys
+        ):
             return False
         return not any(
             rule.fires(left_row, right_row, registry)

@@ -597,6 +597,12 @@ class EnforcementResult:
         Count of successful rule applications (new cell merges: a union
         of an RHS group's representative cells counts one per RHS pair of
         the group).
+    first_round:
+        Per rule (in ``plan.rules`` order), the positions into the chased
+        pair list it fired at in round 1 — the pairs whose LHS holds on
+        ``D``, since a round reads only its start values.  Not sorted (a
+        rule served by a hash join lists its hits in join order); empty
+        lists when no round ran.
     diff:
         Builds :attr:`repairs` from the chase's working lists, on its
         first read; then dropped.  Not part of the result's value.
@@ -620,6 +626,7 @@ class EnforcementResult:
     rounds: int
     merged_cells: CellClasses
     applications: int
+    first_round: Sequence[Sequence[int]]
     diff: Optional[Callable[[], Dict[Cell, object]]] = field(
         repr=False, compare=False
     )

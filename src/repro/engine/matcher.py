@@ -190,8 +190,8 @@ class IncrementalMatcher:
                 f"store, got {type(plan).__name__}; build one from a spec "
                 "with repro.api.Workspace.stream()"
             )
-        if not plan.sigma or plan.target is None:
-            raise ValueError("the given plan was compiled without MDs or target")
+        if plan.target is None:
+            raise ValueError("the given plan was compiled without a target")
         if store.target != plan.target:
             raise ValueError("store was built for a different target")
         self.plan = plan

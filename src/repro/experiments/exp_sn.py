@@ -94,15 +94,18 @@ def match_on_keys(dataset, keys, candidates) -> List[Pair]:
     """The candidates some key matches, in candidate order.
 
     One spec pinning ``keys`` in ``direct`` mode, compiled and matched
-    by a :class:`repro.api.Workspace` — a rule set runs through the same
-    key evaluator as any spec.
+    by a :class:`repro.api.Workspace`: the keys chased as MDs, a match
+    read off the chase's first round (some key's comparisons all agree
+    on ``D``) — a rule set runs through the same chase kernel as any
+    spec.
     """
     return _probed_match(dataset, keys, candidates)[0]
 
 
 def _probed_match(dataset, keys, candidates) -> Tuple[List[Pair], int]:
     """:func:`match_on_keys`, plus the predicate probes it made: the
-    plan's metric evaluations and similarity-memo hits together."""
+    chase's metric evaluations (a hash-joined equality atom counts its
+    tuple hits) and similarity-memo hits together."""
     document = resolution_spec_document(
         dataset.pair,
         dataset.target,

@@ -30,7 +30,8 @@ module lowers a rule set **once**:
   worth is a wall-clock number from ``python3 -m bench``.
 
 Batch matching (:class:`repro.api.Workspace`) and the streaming engine
-(:mod:`repro.engine.matcher`) execute through the same plan; the
+(:mod:`repro.engine.matcher`) execute through the same plan and the same
+rules — Σ, or under a ``direct`` spec the keys as MDs (Σ_Γ); the
 reference entry point :func:`repro.core.semantics.enforce` compiles a
 throwaway plan and delegates to the same kernel.
 """
@@ -95,7 +96,8 @@ class CompiledRule:
 
 @dataclass(frozen=True)
 class CompiledKey:
-    """An RCK lowered to predicate slots (a direct match rule)."""
+    """An RCK lowered to predicate slots (what ``plan explain`` lists and
+    :class:`~repro.core.negation.GuardedRuleSet` evaluates)."""
 
     name: str
     predicates: Tuple[int, ...]
@@ -172,9 +174,8 @@ class EnforcementPlan:
     every matcher:
 
     * :meth:`enforce` — the chase (dynamic semantics) over a candidate
-      pair set, deciding matches by cell identification;
-    * :meth:`matches_any_key` — direct RCK rule matching (a pair matches
-      when some key's comparisons all agree);
+      pair set: its cell identifications decide an ``enforce`` match, its
+      first round (the rules' LHS on ``D``) a ``direct`` one;
     * :meth:`candidates` — candidate generation through the plan's
       blocking backend.
     """
@@ -319,10 +320,6 @@ class EnforcementPlan:
                 return False
         return True
 
-    def matches_any_key(self, t1: Row, t2: Row) -> bool:
-        """Direct rule matching: some RCK's comparisons all agree."""
-        return any(self.key_matches(key.predicates, t1, t2) for key in self.keys)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -373,7 +370,7 @@ class EnforcementPlan:
                 "engine.ingest_seconds",
             ],
             "spans": [
-                "compile", "match", "enforce", "blocking", "chase",
+                "compile", "enforce", "blocking", "chase",
                 "chase-round", "resolve-merged",
                 "stability-check", "provenance", "ingest",
             ],
@@ -509,7 +506,9 @@ def compile_plan(
 
     ``rcks=None`` with a ``target`` deduces the top ``top_k`` RCKs from
     Σ; ``target=None`` compiles a chase-only plan with no keys (what
-    :func:`repro.core.semantics.enforce` uses).  The plan generates
+    :func:`repro.core.semantics.enforce` uses).  An empty Σ compiles the
+    keys as the rules, Σ_Γ = {ψ.to_md() | ψ ∈ Γ}, named ``rck{i}`` like
+    the keys (what a ``direct`` spec runs).  The plan generates
     candidates with the ``blocking`` backend it is handed
     (:func:`~repro.plan.blocking.build_blocking` resolves a spec's
     ``blocking`` section to one); without one,
@@ -525,17 +524,18 @@ def compile_plan(
         rcks = list(rcks)
     if not sigma and not rcks:
         raise ValueError("need at least one MD or RCK to compile a plan")
+    # A plan with no MDs chases its keys: Σ_Γ, each rule named after its
+    # key (Section 2.2: a key relative to (Y1, Y2) is an MD whose RHS is
+    # the target).
+    prefix = "md"
+    if not sigma:
+        sigma, prefix = [key.to_md() for key in rcks], "rck"
     if target is None and rcks:
         # Every relative key carries its target; adopt it so key-only
         # plans still get the match read-off.
         target = rcks[0].target
 
-    if sigma:
-        pair = sigma[0].pair
-    elif target is not None:
-        pair = target.pair
-    else:
-        pair = rcks[0].target.pair
+    pair = sigma[0].pair
 
     slots: Dict[Tuple[str, str, str], int] = {}
     predicates: List[CompiledPredicate] = []
@@ -564,7 +564,7 @@ def compile_plan(
 
     rules = tuple(
         CompiledRule(
-            name=f"md{position}",
+            name=f"{prefix}{position}",
             lhs=tuple(
                 slot_of(atom.left, atom.right, atom.operator.name)
                 for atom in dependency.lhs

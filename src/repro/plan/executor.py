@@ -52,11 +52,12 @@ The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
 already knows instead of making callers re-derive it — ``repairs`` (the
 cell-wise diff, decoded on first read; ``instance`` is ``D`` + repairs,
-built on first access) and ``matches`` (a root comparison per pair and
-RHS group) — and answers the rest when asked: ``holding`` (per rule, the
-pairs whose LHS holds in ``D'``, which are also every match's
-provenance) runs the stability check on first read, and ``stable`` adds
-the RHS test to it on its own first read.
+built on first access), ``matches`` (a root comparison per pair and RHS
+group) and ``first_round`` (per rule, the pairs it fired at in round 1,
+which reads ``D``: a ``direct`` spec's matches) — and answers the rest
+when asked: ``holding`` (per rule, the pairs whose LHS holds in ``D'``,
+which are also every match's provenance) runs the stability check on
+first read, and ``stable`` adds the RHS test to it on its own first read.
 Both end-of-chase passes pay only for what the repairs touched: the
 check re-selects a fired (rule, pair) only if a later repair wrote one
 of its LHS cells, and between two relations ``resolve-merged`` resolves
@@ -655,8 +656,9 @@ def chase(
                     repairs[cells.decode(slot + right_base)] = values[slot]
         return repairs
 
+    first_round = [h[0][1] if h and h[0][0] == 1 else [] for h in fired_in]
     result = EnforcementResult(
-        instance, rounds, cells, applications, diff, check
+        instance, rounds, cells, applications, first_round, diff, check
     )
     stats.chase_rounds += rounds
     stats.rule_applications += applications

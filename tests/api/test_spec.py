@@ -209,6 +209,18 @@ class TestValidation:
         with pytest.raises(SpecError, match="at least one MD"):
             ResolutionSpec.from_dict(document)
 
+    @pytest.mark.parametrize("mds", ([], None))
+    def test_an_empty_rcks_list_is_rejected(self, document, mds):
+        # An empty list pins no key, so nothing could ever match under
+        # it: one error, whether or not there are MDs to deduce from.
+        if mds is not None:
+            document["rules"]["mds"] = mds
+        document["rules"]["rcks"] = []
+        assert ResolutionSpec.validate_document(document) == [
+            "rules.rcks: an empty list pins no key; pin at least one key, "
+            "or omit 'rcks' to deduce them"
+        ]
+
     def test_bad_key_pairs_rejected(self, document):
         document["blocking"] = {
             "backend": "hash",

@@ -131,8 +131,6 @@ class TestModesAgree:
     def test_batch_stream_and_enforce_agree_from_one_spec(self, fig1_workspace):
         workspace, credit, billing = fig1_workspace
         batch = workspace.match(credit, billing)
-        enforced = workspace.enforce(credit, billing)
-        assert batch.matches == enforced.matches
 
         matcher = workspace.stream()
         matcher.ingest_stream(fig1_events(credit, billing))
@@ -143,39 +141,81 @@ class TestModesAgree:
         }
         assert set(batch.matches) == streamed
 
-    def test_modes_agree_on_generated_stream(self, small_dataset):
+    @pytest.mark.parametrize("seed", (42, 3))
+    @pytest.mark.parametrize("mode", ("enforce", "direct"))
+    def test_modes_agree_on_generated_stream(self, mode, seed):
+        """Under either mode a stream chases the rules a batch match runs
+        (under ``direct``, the keys as MDs), so both end in one set of
+        clusters.  Seed 3 under ``direct`` streamed clusters the
+        row-by-row key matcher never formed."""
+        from repro.datagen.generator import generate_dataset
         from repro.datagen.schemas import extended_mds
         from repro.datagen.streams import duplicate_burst_stream
 
-        sigma = extended_mds(small_dataset.pair)
+        dataset = generate_dataset(300, seed=seed)
         workspace = (
             SpecBuilder()
-            .pair(small_dataset.pair)
-            .target(small_dataset.target)
-            .mds(sigma)
-            .execution(mode="enforce")
+            .pair(dataset.pair)
+            .target(dataset.target)
+            .mds(extended_mds(dataset.pair))
+            .execution(mode=mode)
             .workspace()
         )
         matcher = workspace.stream()
-        matcher.ingest_stream(
-            duplicate_burst_stream(small_dataset, seed=5).events
-        )
+        matcher.ingest_stream(duplicate_burst_stream(dataset, seed=5).events)
         streamed = {
             (cluster.left_tids, cluster.right_tids)
             for cluster in matcher.store.clusters()
         }
 
         candidates = matcher.store.blocking.candidates(
-            small_dataset.credit, small_dataset.billing
+            dataset.credit, dataset.billing
         )
         report = workspace.match(
-            small_dataset.credit, small_dataset.billing, candidates=candidates
+            dataset.credit, dataset.billing, candidates=candidates
         )
         batch = {
             (cluster.left_tids, cluster.right_tids)
             for cluster in report.clusters
         }
         assert streamed == batch
+
+    def test_pinned_keys_without_mds_match_what_direct_matches(
+        self, small_dataset
+    ):
+        """An ``enforce`` spec with no MDs chases its pinned keys: it
+        matches what the same keys match under ``direct``, not nothing."""
+        from repro.datagen.schemas import extended_mds
+
+        dataset = small_dataset
+        direct = (
+            SpecBuilder()
+            .pair(dataset.pair)
+            .target(dataset.target)
+            .mds(extended_mds(dataset.pair))
+            .execution(mode="direct")
+            .workspace()
+        )
+        keys = direct.deduce()
+        assert len(keys) == 5
+        keys_only = (
+            SpecBuilder()
+            .pair(dataset.pair)
+            .target(dataset.target)
+            .mds([])
+            .rcks(keys)
+            .execution(mode="enforce")
+            .workspace()
+        )
+        candidates = direct.candidates(dataset.credit, dataset.billing)
+        assert keys_only.candidates(dataset.credit, dataset.billing) == candidates
+        expected = direct.match(dataset.credit, dataset.billing, candidates)
+        report = keys_only.match(dataset.credit, dataset.billing, candidates)
+        assert len(expected.matches) > 250
+        assert report.matches == expected.matches
+        assert [rule.name for rule in keys_only.plan.rules] == [
+            rule.name for rule in direct.plan.rules
+        ]
 
     def test_direct_mode_provenance_names_keys(self, fig1_workspace):
         workspace, credit, billing = fig1_workspace

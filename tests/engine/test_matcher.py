@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.schema import LEFT, RIGHT
 from repro.engine import IncrementalMatcher, MatchStore
+from repro.plan.compile import compile_plan
 from repro.relations.relation import Relation
 
 
@@ -59,13 +60,32 @@ class TestStreamingFig1:
 
 
 class TestEdgeCases:
-    def test_needs_mds(self, workspace_for, workspace, target):
-        """A plan compiled from keys alone has no MDs to chase with."""
-        keys_only = workspace_for(
-            target, sigma=[], rcks=workspace.deduce()
-        ).plan
-        with pytest.raises(ValueError, match="without MDs"):
-            IncrementalMatcher(keys_only, MatchStore(target, keys_only.rcks))
+    def test_a_keys_only_plan_streams_its_keys(
+        self, workspace_for, workspace, target, fig1
+    ):
+        """A plan compiled from keys alone chases them as MDs (Σ_Γ), each
+        rule named after its key, and a stream over it ends in the batch
+        match's clusters."""
+        keys_only = workspace_for(target, sigma=[], rcks=workspace.deduce())
+        plan = keys_only.plan
+        assert plan.sigma == tuple(key.to_md() for key in plan.rcks)
+        assert [rule.name for rule in plan.rules] == [key.name for key in plan.keys]
+        matcher = keys_only.stream()
+        _ingest_fig1(matcher, fig1)
+        _, credit, billing = fig1
+        report = keys_only.match(credit, billing)
+        assert report.matches
+        assert {
+            pair
+            for cluster in matcher.store.clusters()
+            for pair in cluster.implied_pairs()
+        } == set(report.matches)
+
+    def test_needs_target(self, workspace, target):
+        """A chase-only plan (no target) has no matches to read off."""
+        chase_only = compile_plan(workspace.plan.sigma)
+        with pytest.raises(ValueError, match="without a target"):
+            IncrementalMatcher(chase_only, MatchStore(target, workspace.plan.rcks))
 
     def test_store_target_mismatch(self, workspace, workspace_for, ext_target):
         foreign = workspace_for(ext_target).stream().store

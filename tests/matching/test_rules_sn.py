@@ -123,7 +123,12 @@ class TestWindowedRuleMatching:
         expected = [
             (l, r)
             for l, r in candidates
-            if plan.matches_any_key(dataset.credit[l], dataset.billing[r])
+            if any(
+                plan.key_matches(
+                    key.predicates, dataset.credit[l], dataset.billing[r]
+                )
+                for key in plan.keys
+            )
         ]
         assert expected
         assert match_on_keys(dataset, keys, candidates) == expected

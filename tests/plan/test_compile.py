@@ -137,7 +137,7 @@ class TestSimilarityCache:
         )
         candidates = cached.candidates(dataset.credit, dataset.billing)
         cached_matches, uncached_matches = (
-            workspace.enforce(
+            workspace.match(
                 dataset.credit, dataset.billing,
                 candidates=candidates, provenance=False,
             ).matches

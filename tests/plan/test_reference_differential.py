@@ -63,6 +63,13 @@ def _no_decode(cells, cell):
     raise AssertionError(f"cell {cell} was decoded")
 
 
+def _on_d(plan, instance, resolver=prefer_informative, pairs=None):
+    """(left, right) -> the rules whose LHS holds on D, by the reference."""
+    return reference_chase(
+        plan.sigma, instance, resolver, pairs, 0, plan.registry
+    ).firing
+
+
 def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
                       max_rounds=100):
     """Chase with the kernel and the reference; every observable agrees."""
@@ -100,6 +107,13 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # Per rule, exactly the pairs whose LHS holds in D' — whatever the
     # chase ended on (stable, unstable, cut off).
     chased = list(instance.tuple_pairs() if pairs is None else pairs)
+    # Round 1 reads D: per rule, the pairs whose LHS holds before any
+    # repair (the chase's first round in any order; no round, no pairs).
+    on_d = _on_d(plan, instance, resolver, pairs)
+    assert [sorted(positions) for positions in result.first_round] == [
+        [i for i, pair in enumerate(chased) if max_rounds and rule in on_d(*pair)]
+        for rule in range(len(plan.rules))
+    ]
     pending = None if result.check is None else weakref.ref(result.check)
     shown = repr(result)
     holding = result.holding
@@ -122,9 +136,22 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", (3, 11))
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_scenarios_match_the_reference(scenario, seed, monkeypatch):
+@pytest.mark.parametrize(
+    "scenario, seed, mode",
+    [
+        pytest.param(
+            scenario, seed, mode,
+            id=f"{scenario}-{seed}" + ("-direct" if mode == "direct" else ""),
+        )
+        for seed in (3, 11)
+        for scenario in sorted(SCENARIOS)
+        for mode in ("enforce", "direct")
+    ],
+)
+def test_scenarios_match_the_reference(scenario, seed, mode, monkeypatch):
+    """``enforce`` reads matches off the chased cells and provenance off
+    ``D'``; ``direct`` chases the keys as MDs and reads both off round 1,
+    that is, off ``D``."""
     dataset = generate_dataset(120, seed=seed)
     left = Relation(dataset.pair.left)
     right = Relation(dataset.pair.right)
@@ -136,26 +163,31 @@ def test_scenarios_match_the_reference(scenario, seed, monkeypatch):
             dataset.target,
             extended_mds(dataset.pair),
             blocking={"backend": "hash", "key_length": 2},
-            execution={"mode": "enforce"},
+            execution={"mode": mode},
         )
     )
     plan = workspace.plan
     candidates = workspace.candidates(left, right)
-    _, expected = assert_same_chase(
-        plan, InstancePair(plan.pair, left, right), pairs=candidates
-    )
+    instance = InstancePair(plan.pair, left, right)
+    _, expected = assert_same_chase(plan, instance, pairs=candidates)
+    if mode == "direct":
+        assert [rule.name for rule in plan.rules] == [key.name for key in plan.keys]
+        firing = _on_d(plan, instance, pairs=candidates)
+        matches = [pair for pair in candidates if firing(*pair)]
+    else:
+        firing = expected.firing
+        matches = expected.matches(plan.target.attribute_pairs())
 
     # A match reads matches and provenance off the chase: D' is never
     # built, and the repairs are never decoded.
     monkeypatch.setattr(Relation, "copy", _no_copy)
     monkeypatch.setattr(CellClasses, "decode", _no_decode)
     report = workspace.match(left, right, candidates=candidates)
-    matches = expected.matches(plan.target.attribute_pairs())
     assert matches  # the scenario exercises merges, not only rejections
     assert list(report.matches) == matches
     assert list(report.clusters) == cluster_matches(matches)
     assert report.provenance == {
-        pair: tuple(plan.rules[position].name for position in expected.firing(*pair))
+        pair: tuple(plan.rules[position].name for position in firing(*pair))
         for pair in matches
     }
 
