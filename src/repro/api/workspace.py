@@ -144,17 +144,6 @@ class MatchReport:
         )
 
 
-def _rule_masks(per_rule: Sequence[Sequence[int]], size: int) -> List[int]:
-    """Per position of a ``size``-pair list, a bit per rule (``1 << index``)
-    whose positions in ``per_rule`` list it."""
-    masks = [0] * size
-    for index, positions in enumerate(per_rule):
-        bit = 1 << index
-        for i in positions:
-            masks[i] |= bit
-    return masks
-
-
 class Workspace:
     """A compiled, executable view of one :class:`ResolutionSpec`.
 
@@ -353,7 +342,7 @@ class Workspace:
         )
         direct = self.spec.mode == "direct"
         if direct:
-            held = _rule_masks(result.first_round, len(candidates))
+            held = result.first_round_masks
             matched = [i for i, mask in enumerate(held) if mask]
         else:
             matched = result.matching(plan.target.attribute_pairs())
@@ -364,7 +353,7 @@ class Workspace:
                 if not direct:
                     # The chase already knows which rules' LHS hold in
                     # the chased instance, position by position.
-                    held = _rule_masks(result.holding, len(candidates))
+                    held = result.holding_masks
                 # Name each distinct set of rules once (a pair listed
                 # twice holds at two positions).
                 masks: Dict[Pair, int] = {}

@@ -40,7 +40,6 @@ import csv
 import gc
 import json
 import os
-import sqlite3
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -297,6 +296,8 @@ def _open_engine_store(path: Path):
     version — is an actionable :class:`CliError`, and a file that is not
     a store is left as it was found.
     """
+    import sqlite3
+
     from repro.engine import SQLiteMatchStore
 
     if not path.exists():

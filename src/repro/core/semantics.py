@@ -24,16 +24,19 @@ There is one representation of the classes, :class:`CellClasses`: cells
 are int-encoded (``side_base + position * width + rank``, int order =
 cell order) — the attribute half of the encoding once per plan
 (:class:`ChaseLayout`), the tuple half per chase — and the classes live
-in flat lists; the tuple form above appears only at its boundary
+in flat int arrays; the tuple form above appears only at its boundary
 (``same`` / ``members`` / ``classes``).  An :class:`EnforcementResult` is
 ``D`` plus what the chase did to it — the ``repairs`` and the classes —
-and what it can still be asked: ``stable`` and ``holding`` (per rule, the
-pairs its LHS holds on) run the stability check when first read, the
-extension ``D'`` is materialised when someone asks for ``instance``.
+and what it can still be asked: ``stable`` and ``holding_masks`` (per
+pair, the rules whose LHS holds on it; ``holding`` is the same per rule)
+run the stability check when first read, the extension ``D'`` is
+materialised when someone asks for ``instance``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -371,6 +374,53 @@ class ChaseLayout(NamedTuple):
         return self.right_places[(cell - right_base) % len(self.right_names)]
 
 
+_SENTINEL, _ZERO, _ONE = array("i", [-1]), array("i", [0]), array("i", [1])
+_BYTES = bytes(range(256))
+#: Where each byte of an ``array('i')`` item sits, least significant first.
+_BYTE_ORDER = range(4) if sys.byteorder == "little" else range(3, -1, -1)
+
+
+def _build_identity(count: int) -> array:
+    """``array('i', range(count))``, assembled plane by plane: byte ``k``
+    of item ``v`` is ``v >> 8k & 255``, constant over runs of ``256**k``
+    items and cycling through 256 values.  Only bytes are copied, so it
+    beats converting one int per cell (CPython 3.11, 2 vCPU: 2.1 against
+    17.5 ms at a batch chase's 286 380 cells)."""
+    raw = bytearray(4 * count)
+    for shift, offset in enumerate(_BYTE_ORDER):
+        run = 256 ** shift
+        runs = -(-count // run)
+        if runs <= 1:
+            break  # every item is below ``run``: this plane and the rest are 0
+        period = (
+            _BYTES
+            if run == 1
+            else b"".join(bytes([byte]) * run for byte in range(min(runs, 256)))
+        )
+        raw[offset::4] = (period * -(-runs // 256))[:count]
+    # Copied into an array of exactly ``count`` items (``frombytes``
+    # would leave room to grow).
+    identity = _ZERO * count
+    with memoryview(identity).cast("B") as view:
+        view[:] = raw
+    return identity
+
+
+#: The first 16 384 cells' identity, built at import (64 KB).  The
+#: streaming engine's delta chases fit in it (``stream_durable``: median
+#: 84 cells, at most 1 608, over 4 669 chases) and copy theirs out of it:
+#: one slice, where a build per chase cost ~2 % of ``stream_durable``'s
+#: ``records_per_s``.  A batch chase builds its own.
+_IDENTITY = _build_identity(1 << 14)
+
+
+def _identity(count: int) -> array:
+    """``array('i', range(count))``, a fresh array of ``count`` items."""
+    if count <= len(_IDENTITY):
+        return _IDENTITY[:count]
+    return _build_identity(count)
+
+
 class CellClasses:
     """The merged cell classes of one chase, over a flat int encoding.
 
@@ -380,10 +430,12 @@ class CellClasses:
     ranks (sorted-name order), and a cell is the int ``side_base +
     position * width + rank`` — left cells first, so **int order is**
     ``(side, tid, attribute)`` **order** and a sorted member list needs
-    no decoding.  ``root``/``size`` are flat lists; the members of a
-    class form a circular list through ``next``, which a union joins by
-    swapping two pointers.  ``root`` is kept flat (a union relabels the
-    smaller class), so a class test is one list comparison.
+    no decoding.  ``root``/``size`` are flat int arrays
+    (``array('i')``: four bytes a cell, no int object); the members of
+    a class form a circular list through ``next`` (a third), which a
+    union joins by swapping two entries.  ``root`` is kept flat (a
+    union relabels the smaller class), so a class test is one array
+    comparison.
 
     Over shared storage (``left is right``) both sides use one tid and
     one attribute table; a tuple's cell then still exists once per side
@@ -400,8 +452,7 @@ class CellClasses:
     :func:`repro.plan.executor.chase` does the unions, in its round
     loop, over the representative cells of the layout's RHS groups only
     (a cell of another pair in a group, a *follower*, is never unioned
-    nor walked, so its ``root`` / ``next`` entries are a shared ``None``
-    rather than an int object of its own);
+    nor walked, so its ``root`` / ``next`` entries are ``-1``);
     everything tuple-facing (:meth:`same`, :meth:`members`,
     :meth:`classes`, :meth:`matches`) maps a cell to its representative
     and decodes at the boundary.
@@ -443,20 +494,21 @@ class CellClasses:
         self.right_tuples = range(self.right_base, count, right_width or 1)
         # Only a representative's cells and read-only ones are ever
         # unioned or walked; a follower is read through its representative
-        # and its entries stay ``None``, so it costs no int object.
-        root: List[Optional[int]] = [None] * count
+        # and its entries are ``-1``.
+        root = _identity(count)
         for base, end, width, places in (
             (0, self.right_base, left_width, layout.left_places),
             (self.right_base, count, right_width, layout.right_places),
         ):
+            sentinels = None
             for rank, (_, lane, _) in enumerate(places):
-                if not lane:
-                    root[base + rank:end:width] = range(base + rank, end, width)
+                if lane:
+                    if sentinels is None:
+                        sentinels = _SENTINEL * ((end - base) // width)
+                    root[base + rank:end:width] = sentinels
         self.root = root
-        self.size = [1] * count
-        # A copy, not a second build: the two lists then share one int
-        # object per cell (a union rewrites entries, never the objects).
-        self.next = root.copy()
+        self.size = _ONE * count
+        self.next = root[:]
 
     # -- the encoding ----------------------------------------------------
 
@@ -494,7 +546,7 @@ class CellClasses:
         ring = self.next
         members = [cell]
         member = ring[cell]
-        if member is None:
+        if member < 0:
             return members
         while member != cell:
             members.append(member)
@@ -597,22 +649,26 @@ class EnforcementResult:
         Count of successful rule applications (new cell merges: a union
         of an RHS group's representative cells counts one per RHS pair of
         the group).
-    first_round:
-        Per rule (in ``plan.rules`` order), the positions into the chased
-        pair list it fired at in round 1 — the pairs whose LHS holds on
-        ``D``, since a round reads only its start values.  Not sorted (a
-        rule served by a hash join lists its hits in join order); empty
-        lists when no round ran.
+    rule_count:
+        How many rules the chase ran (``plan.rules``): the bits a rule
+        mask below can carry.
+    first_round_masks:
+        Per position into the chased pair list, a bit per rule (``1 <<
+        index``, ``plan.rules`` order) that fired at the pair in round 1
+        — its LHS holds on ``D``, since a round reads only its start
+        values (a ``direct`` spec's matches and their provenance).  All 0
+        when no round ran.
     diff:
         Builds :attr:`repairs` from the chase's working lists, on its
         first read; then dropped.  Not part of the result's value.
     check:
         The kernel's stability check over its working lists: run by the
-        first read of :attr:`holding` (or :attr:`stable`), then dropped.
-        It answers ``holding`` and leaves the RHS test behind, which only
-        the first read of :attr:`stable` runs (a result answered both
-        ways keeps no chase state alive).  Not part of the result's
-        value: left out of ``==`` and ``repr``.
+        first read of :attr:`holding_masks` (or :attr:`holding`,
+        :attr:`stable`), then dropped.  It answers the masks and leaves
+        the RHS test behind, which only the first read of :attr:`stable`
+        runs over :attr:`holding` (a result answered both ways keeps no
+        chase state alive).
+        Not part of the result's value: left out of ``==`` and ``repr``.
     rounds_exhausted:
         True when the chase stopped because ``max_rounds`` ran out while
         merges were still happening *and* the result is not stable — a
@@ -626,16 +682,19 @@ class EnforcementResult:
     rounds: int
     merged_cells: CellClasses
     applications: int
-    first_round: Sequence[Sequence[int]]
+    rule_count: int
+    first_round_masks: Sequence[int]
     diff: Optional[Callable[[], Dict[Cell, object]]] = field(
         repr=False, compare=False
     )
     check: Optional[
-        Callable[[], Tuple[Sequence[Sequence[int]], Callable[[], bool]]]
+        Callable[
+            [], Tuple[Sequence[int], Callable[[Sequence[Sequence[int]]], bool]]
+        ]
     ] = field(repr=False, compare=False)
     rounds_exhausted: bool = False
     #: The RHS test ``check`` left behind, until :attr:`stable` runs it.
-    _rhs_test: Optional[Callable[[], bool]] = field(
+    _rhs_test: Optional[Callable[[Sequence[Sequence[int]]], bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -643,8 +702,11 @@ class EnforcementResult:
     def repairs(self) -> Dict[Cell, object]:
         """``cell -> final value`` for every cell whose value in ``D'``
         differs from ``D`` — the cell-wise diff, decoded on first read (a
-        match read-off never needs it).  Over shared storage (``left is
-        right``) a repaired cell appears under both side tags."""
+        match read-off never needs it).  The chase keeps no copy of a
+        written cell's value before: the diff compares against ``D`` as
+        it is when this is first read, so ``D`` must not change between
+        the chase and that read.  Over shared storage (``left is right``)
+        a repaired cell appears under both side tags."""
         diff, self.diff = self.diff, None
         return diff()
 
@@ -655,18 +717,38 @@ class EnforcementResult:
         cells carry equal values.  Checked when first read (a chase cut
         off by ``max_rounds`` already has): a caller that needs the
         guarantee asserts it, one that does not never pays for the test."""
-        self.holding
+        holding = self.holding
         test, self._rhs_test = self._rhs_test, None
-        return test()
+        return test(holding)
+
+    @cached_property
+    def holding_masks(self) -> Sequence[int]:
+        """Per position into the chased pair list, a bit per rule
+        (``1 << index``, ``plan.rules`` order) whose LHS holds on the pair
+        in ``D'`` — what the stability check writes, and every match's
+        provenance."""
+        check, self.check = self.check, None
+        masks, self._rhs_test = check()
+        return masks
 
     @cached_property
     def holding(self) -> Sequence[Sequence[int]]:
-        """Per rule (in ``plan.rules`` order), the ascending positions into
-        the chased pair list of the pairs whose LHS holds in ``D'`` — the
-        stability check's own selections, and every match's provenance."""
-        check, self.check = self.check, None
-        holding, self._rhs_test = check()
-        return holding
+        """Per rule (in ``plan.rules`` order), the ascending positions of
+        the pairs whose LHS holds in ``D'``: :attr:`holding_masks` read
+        rule by rule, on first access."""
+        return self._per_rule(self.holding_masks)
+
+    @cached_property
+    def first_round(self) -> Sequence[Sequence[int]]:
+        """Per rule, the ascending positions it fired at in round 1:
+        :attr:`first_round_masks` read rule by rule, on first access."""
+        return self._per_rule(self.first_round_masks)
+
+    def _per_rule(self, masks: Sequence[int]) -> List[List[int]]:
+        return [
+            [i for i, mask in enumerate(masks) if mask >> index & 1]
+            for index in range(self.rule_count)
+        ]
 
     @cached_property
     def instance(self) -> InstancePair:

@@ -1,12 +1,14 @@
 """Fellegi–Sunter (with EM), clustering, and evaluation.
 
 Candidate generation lives in :mod:`repro.plan.blocking`; matching from a
-rule set goes through :class:`repro.api.Workspace`.
+rule set goes through :class:`repro.api.Workspace`.  The Fig. 9 baselines
+(:mod:`.comparison`, :mod:`.em`, :mod:`.fellegi_sunter`) load on first use
+of one of their names: the engine and ``repro match`` never run them.
 """
 
+from importlib import import_module
+
 from .clustering import Cluster, ClusterQuality, cluster_matches, evaluate_clusters
-from .comparison import ComparisonSpec, equality_spec, union_of_rcks
-from .em import EMEstimate, fit_em
 from .evaluate import (
     MatchQuality,
     Pair,
@@ -14,7 +16,26 @@ from .evaluate import (
     evaluate_matches,
     evaluate_reduction,
 )
-from .fellegi_sunter import FellegiSunter
+
+#: A baseline name -> the module defining it, imported when first read.
+_BASELINES = {
+    "ComparisonSpec": ".comparison",
+    "equality_spec": ".comparison",
+    "union_of_rcks": ".comparison",
+    "EMEstimate": ".em",
+    "fit_em": ".em",
+    "FellegiSunter": ".fellegi_sunter",
+}
+
+
+def __getattr__(name: str):
+    module = _BASELINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Cluster",

@@ -24,7 +24,6 @@ structural schema check CI runs on smoke traces.
 from __future__ import annotations
 
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -43,6 +42,9 @@ def run_manifest(**fields) -> Dict[str, object]:
     Callers layer in what identifies the run — the workspace adds the
     spec fingerprint/mode/policy, the CLI adds its argv and data files.
     """
+    # Imported here: only a traced run writes a manifest.
+    import platform
+
     manifest: Dict[str, object] = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),

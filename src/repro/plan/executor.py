@@ -7,15 +7,15 @@ offsets, built at compile time) and a half per chase
 (:class:`~repro.core.semantics.CellClasses`: the tuples the candidate
 pairs mention get positions in sorted-tid order); a cell is the int
 ``side_base + position * width + rank``, so int order is ``(side, tid,
-attribute)`` order.  Everything the chase keeps is a list indexed by
-such ints:
+attribute)`` order.  Everything the chase keeps is an array or a list
+indexed by such ints:
 
-* **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``; the
-  round loop inlines the union (relabel the smaller class along its
-  ``next`` ring, swap two pointers to join the rings), once per (pair,
-  RHS group) and only over the group representative's cells (the
-  layout's RHS groups: pairs whose classes are copies of one tuple
-  partition; see :class:`~repro.core.semantics.ChaseLayout`);
+* **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``, three
+  ``array('i')``; the round loop inlines the union (relabel the smaller
+  class along its ``next`` ring, swap two entries to join the rings),
+  once per (pair, RHS group) and only over the group representative's
+  cells (the layout's RHS groups: pairs whose classes are copies of one
+  tuple partition; see :class:`~repro.core.semantics.ChaseLayout`);
 * **values** — one flat working list indexed by *slot*, filled by the
   instance's ``project`` (a ``Relation``'s, or a store view's).  Between
   two relations a cell is its own slot.  Over shared storage
@@ -46,18 +46,27 @@ such ints:
   table because the table is no faster and costs memory the lists do not
   (+18 % peak RSS on the dense benchmark workload when it was tried);
 * **firings** — one small-int mask per position, a bit per rule that
-  fired at the pair, rather than a set of positions per rule.
+  fired at the pair, rather than a set of positions per rule; the
+  stability check answers the same way, a mask per position of the
+  rules whose LHS holds;
+* **round state** — a flag per slot for the tuples a round repaired, a
+  flag per cell for the classes it resolved, and ``last_write``, the
+  last round that wrote each slot (what the stability check and the
+  diff read; a slot's value before is the instance's).  None of it
+  holds an int object per cell.
 
 The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
 already knows instead of making callers re-derive it — ``repairs`` (the
 cell-wise diff, decoded on first read; ``instance`` is ``D`` + repairs,
 built on first access), ``matches`` (a root comparison per pair and RHS
-group) and ``first_round`` (per rule, the pairs it fired at in round 1,
-which reads ``D``: a ``direct`` spec's matches) — and answers the rest
-when asked: ``holding`` (per rule, the pairs whose LHS holds in ``D'``,
-which are also every match's provenance) runs the stability check on
-first read, and ``stable`` adds the RHS test to it on its own first read.
+group) and ``first_round_masks`` (per position, the rules that fired at
+it in round 1, which reads ``D``: a ``direct`` spec's matches) — and
+answers the rest when asked: ``holding_masks`` (per position, the rules
+whose LHS holds in ``D'``, which are also every match's provenance) runs
+the stability check on first read, and ``stable`` adds the RHS test to
+it on its own first read.  Provenance is masks throughout; the per-rule
+``first_round`` and ``holding`` are those masks read rule by rule.
 Both end-of-chase passes pay only for what the repairs touched: the
 check re-selects a fired (rule, pair) only if a later repair wrote one
 of its LHS cells, and between two relations ``resolve-merged`` resolves
@@ -76,10 +85,12 @@ only, so its delta chases run no stability pass).
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import compress
 from operator import ne
-from typing import Container, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.semantics import (
     CellClasses,
@@ -307,9 +318,11 @@ def chase(
     everything = list(range(len(pairs)))
     applications = 0
     rounds = 0
-    #: The first slots of the tuples the last round repaired (only their
-    #: pairs can match anew) — before the first round, every slot.
-    changed: Container[int] = range(len(values))
+    #: A flag per slot, set at the first slot of every tuple the last
+    #: round repaired (only their pairs can match anew) — before the
+    #: first round, at every slot — and the count of such tuples.
+    changed = bytearray(b"\x01") * len(values)
+    repaired_tuples = len(values)
     #: Those pairs' positions, listed only if some rule has to scan them.
     active: Optional[Sequence[int]] = everything
     #: Tuple hits the joins have looked up so far.
@@ -318,10 +331,11 @@ def chase(
     fired = [0] * len(pairs)
     #: Per rule, ``(round, positions)`` for every round it fired in.
     fired_in: List[List[tuple]] = [[] for _ in rules]
-    #: slot -> the value it held in ``instance``, for every slot written.
-    written: Dict[int, object] = {}
-    #: slot -> the last round whose resolution wrote it.
-    last_write: Dict[int, int] = {}
+    #: Per position, a bit per rule that fired at it in round 1.
+    first_round = fired
+    #: Per slot, the last round whose resolution wrote it (0: never; the
+    #: value it had before is the instance's).
+    last_write = array("i", [0]) * len(values)
     merged_this_round = False
     # Over shared storage one slot sits in two classes, so resolving one
     # can rewrite a slot of another and the order classes resolve in is
@@ -335,9 +349,7 @@ def chase(
     def list_active():
         nonlocal active
         active = [
-            i
-            for i in everything
-            if left_slots[i] in changed or right_slots[i] in changed
+            i for i in everything if changed[left_slots[i]] or changed[right_slots[i]]
         ]
         return active
 
@@ -359,7 +371,7 @@ def chase(
                 equalities,
                 len(active)
                 if active is not None
-                else min(len(pairs), len(changed) * 2 * len(pairs) // tuples),
+                else min(len(pairs), repaired_tuples * 2 * len(pairs) // tuples),
             )
             if not joined:
                 selection = active if active is not None else list_active()
@@ -373,7 +385,7 @@ def chase(
                     i
                     for i in hits
                     if not fired[i] & bit
-                    and (left_slots[i] in changed or right_slots[i] in changed)
+                    and (changed[left_slots[i]] or changed[right_slots[i]])
                 ]
             selection = select(selection, equalities, similarities)
             if selection:
@@ -381,6 +393,8 @@ def chase(
                     fired[i] |= bit
                 history.append((rounds, selection))
                 firing.append((selection, bit))
+        if rounds == 1:
+            first_round = fired.copy()
         round_span.set("joined", joins)
         round_span.set("join_probes", probed - probed_before)
         round_span.set("scanned", scanned)
@@ -404,7 +418,9 @@ def chase(
             for i in selection:
                 masks[i] = get(i, 0) | bit
         positions = sorted(masks.items()) if shared else masks.items()
-        touched: List[int] = []
+        #: One member of every class a union made (as raw ints: a root
+        #: read from ``root`` is a fresh int object).
+        touched = array("i")
         #: Root -> a bit per lane of its group whose class may disagree.
         #: Between two relations every class leaves a round's resolution
         #: carrying one value (all ``==``), so a union of two such classes
@@ -440,11 +456,12 @@ def chase(
                                 b + (left_offset if b < right_base else right_offset)
                             ]:
                                 bits |= bit
-                    if size[a] < size[b]:
+                    size_a, size_b = size[a], size[b]
+                    if size_a < size_b:
                         a, b = b, a
                     if shared:
                         first[a] = min(first[a], first.pop(b))
-                    size[a] += size[b]
+                    size[a] = size_a + size_b
                     member = b
                     while True:
                         root[member] = a
@@ -468,21 +485,22 @@ def chase(
         # members all carry ``==`` values — one whose membership did not
         # change, or a union of such classes that agree — resolves to one
         # of them (the ``ValueResolver`` contract), which writes nothing.
-        changed = set()
         active = None if merged_this_round else []
         if not merged_this_round:
             round_span.__exit__(None, None, None)
             break
+        changed = bytearray(len(values))
         with tracer.span("resolve-merged") as resolve_span:
-            seen: Set[int] = set()
+            #: A flag per cell: its class was resolved this round.
+            seen = bytearray(len(root))
             repaired = uniform = resolved_classes = 0
             # ``first`` holds the root of every merged class.
             anchors = sorted(first, key=first.__getitem__) if shared else touched
             for anchor in anchors:
                 anchor = root[anchor]
-                if anchor in seen:
+                if seen[anchor]:
                     continue
-                seen.add(anchor)
+                seen[anchor] = 1
                 lanes = (
                     left_places[anchor % left_width]
                     if anchor < right_base
@@ -513,25 +531,25 @@ def chase(
                     resolved = resolver([values[slot] for slot in slots])
                     for slot in slots:
                         if values[slot] != resolved:
-                            written.setdefault(slot, values[slot])
                             last_write[slot] = rounds
                             values[slot] = resolved
                             repaired += 1
                             # The first slot of the tuple written to: only
                             # its pairs can behave differently next round.
-                            changed.add(
+                            changed[
                                 slot - slot % left_width
                                 if slot < right_base
                                 else slot - (slot - right_base) % right_width
-                            )
+                            ] = 1
+            repaired_tuples = changed.count(1)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)
         round_span.__exit__(None, None, None)
 
     def check():
-        """``holding`` — per rule, the pairs whose LHS holds in ``D'`` —
-        and the RHS test that makes it stability.
+        """Per position, the rules whose LHS holds in ``D'``, and the RHS
+        test that makes it stability.
 
         Only a (rule, pair) that fired, or a pair still active — dirtied
         by the last permitted round's repairs, or never examined because
@@ -542,40 +560,31 @@ def chase(
         in: its LHS reads what it read then, and holds unevaluated.  Only
         the stale and the active pairs are selected again.
 
-        Returns ``(holding, test)``.  ``test()`` is ``(D', D') ⊨ Σ``:
+        Returns ``(masks, test)``: per position, a bit per rule whose LHS
+        holds there.  ``test(holding)``, given those masks read per rule,
+        is ``(D', D') ⊨ Σ``:
         every holding pair's RHS cells carry equal values — values, not
         classes, so merged cells that carry a value unequal to itself
         (NaN) are not identified.  The span nests under whoever asked;
         the test, run only if ``stable`` is read, records on it later.
         """
-        # Per side, rank -> {a tuple's first slot: the last round a repair
-        # wrote its cell of that rank}.  Over shared storage a right tuple
-        # is its left twin's storage.
-        left_writes: List[Dict[int, int]] = [{} for _ in range(left_width)]
-        right_writes = (
-            left_writes if shared else [{} for _ in range(right_width)]
-        )
-        for slot, last in last_write.items():
-            if slot < right_base:
-                rank = slot % left_width
-                left_writes[rank][slot - rank] = last
-            else:
-                rank = (slot - right_base) % right_width
-                right_writes[rank][slot - rank] = last
 
-        def last_lhs_write(writes, ranks):
-            """tuple slot -> the last round a repair wrote one of ``ranks``."""
-            ranks = set(ranks)
+        def last_lhs_write(tuples, ranks):
+            """``(writes, offset)``: ``writes[slot + offset]`` is the last
+            round a repair wrote one of ``ranks`` of the tuple whose first
+            slot is ``slot`` (0: none did).  Over shared storage a right
+            tuple is its left twin's storage."""
             if len(ranks) == 1:
-                return writes[ranks.pop()]
-            merged: Dict[int, int] = {}
-            for rank in ranks:
-                for first, last in writes[rank].items():
-                    if merged.get(first, 0) < last:
-                        merged[first] = last
-            return merged
+                return last_write, next(iter(ranks))
+            start, stop, width = tuples.start, tuples.stop, tuples.step
+            # Spanning the side's slots only: a slot is read ``start`` lower.
+            merged = array("i", [0]) * (stop - start)
+            merged[::width] = array("i", map(
+                max, *(last_write[start + rank:stop:width] for rank in ranks)
+            ))
+            return merged, -start
 
-        holding: List[List[int]] = []
+        masks = [0] * len(pairs)
         with tracer.span("stability-check") as span:
             joins = fresh_pairs = reevaluated = 0
             listed = active if active is not None else list_active()
@@ -583,28 +592,24 @@ def chase(
                 zip(rules, fired_in)
             ):
                 bit = 1 << index
-                lefts = last_lhs_write(
-                    left_writes,
-                    [left for left, _ in equalities]
-                    + [left for _, left, _ in similarities],
+                left_ranks = {left for left, _ in equalities}.union(
+                    left for _, left, _ in similarities
                 )
-                rights = last_lhs_write(
-                    right_writes,
-                    [right for _, right in equalities]
-                    + [right for _, _, right in similarities],
+                right_ranks = {right for _, right in equalities}.union(
+                    right for _, _, right in similarities
                 )
-                fresh: List[int] = []
+                if history:
+                    lefts, left_at = last_lhs_write(left_tuples, left_ranks)
+                    rights, right_at = last_lhs_write(right_tuples, right_ranks)
                 stale: List[int] = []
                 for fired_round, positions in history:
-                    if not lefts and not rights:
-                        fresh += positions
-                        continue
                     for i in positions:
                         if (
-                            lefts.get(left_slots[i], 0) < fired_round
-                            and rights.get(right_slots[i], 0) < fired_round
+                            lefts[left_slots[i] + left_at] < fired_round
+                            and rights[right_slots[i] + right_at] < fired_round
                         ):
-                            fresh.append(i)
+                            masks[i] |= bit
+                            fresh_pairs += 1
                         else:
                             stale.append(i)
                 selection = stale + [i for i in listed if not fired[i] & bit]
@@ -613,18 +618,16 @@ def chase(
                     joins += 1
                     hits, equalities = joined
                     selection = list(set(selection).intersection(hits))
-                fresh_pairs += len(fresh)
                 reevaluated += len(selection)
-                holds = fresh + select(selection, equalities, similarities)
-                holds.sort()
-                holding.append(holds)
+                for i in select(selection, equalities, similarities):
+                    masks[i] |= bit
             span.set("joined", joins)
             span.set("fresh", fresh_pairs)
             span.set("reevaluated", reevaluated)
             partners.clear()
             satisfying.clear()
 
-        def test():
+        def test(holding):
             tested = 0
             for rule, (_, _, rhs), selection in zip(plan.rules, rules, holding):
                 if not selection:
@@ -644,21 +647,24 @@ def chase(
             span.set("rhs_tested", tested)
             return True
 
-        return holding, test
+        return masks, test
 
     def diff():
-        """``repairs``: every written slot whose value moved, decoded."""
+        """``repairs``: every written slot whose value moved from the
+        instance's, decoded."""
         repairs = {}
-        for slot, before in written.items():
-            if values[slot] != before:
-                repairs[cells.decode(slot)] = values[slot]
+        relations = (instance.left, instance.right)
+        for slot in compress(range(len(last_write)), last_write):
+            side, tid, attribute = cell = cells.decode(slot)
+            value = values[slot]
+            if value != relations[side][tid][attribute]:
+                repairs[cell] = value
                 if shared:
-                    repairs[cells.decode(slot + right_base)] = values[slot]
+                    repairs[cells.decode(slot + right_base)] = value
         return repairs
 
-    first_round = [h[0][1] if h and h[0][0] == 1 else [] for h in fired_in]
     result = EnforcementResult(
-        instance, rounds, cells, applications, first_round, diff, check
+        instance, rounds, cells, applications, len(rules), first_round, diff, check
     )
     stats.chase_rounds += rounds
     stats.rule_applications += applications

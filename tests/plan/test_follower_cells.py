@@ -1,26 +1,32 @@
-"""Follower cells: no int object of their own, the same answers.
+"""Follower cells: the ``-1`` sentinel, the same answers.
 
 Between two relations the chase unions only an RHS group's
 representative cells (:class:`~repro.core.semantics.ChaseLayout`); a cell
 of another pair in the group, a *follower*, is read through its
 representative and never unioned nor walked.  So
 :class:`~repro.core.semantics.CellClasses` leaves a follower's ``root`` /
-``next`` entries ``None`` and creates int objects only for representative
-and read-only cells.  Everything tuple-facing must answer for every cell
-what an encoding with one int per cell answers (:class:`IntPerCell`).
+``next`` entries ``-1``; only representative and read-only cells carry
+their own.  Everything tuple-facing must answer for every cell what an
+encoding with an entry of its own per cell answers (:class:`IntPerCell`).
+The classes are ``array('i')``: a finished chase holds them in three
+item sizes a cell, and no int object.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+from array import array
 from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import VALUE_POLICIES
 from repro.core.md import MatchingDependency
 from repro.core.schema import LEFT, SchemaPair
-from repro.core.semantics import CellClasses, InstancePair
+from repro.core.semantics import CellClasses, InstancePair, _identity
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
@@ -29,19 +35,32 @@ from repro.relations.relation import Relation
 
 
 class IntPerCell(CellClasses):
-    """The encoding with one int object per cell, followers included."""
+    """The encoding with an entry of its own per cell, followers included."""
 
     def __init__(self, pairs, layout) -> None:
         super().__init__(pairs, layout)
-        self.root = list(range(len(self.root)))
-        self.next = self.root.copy()
+        self.root = array("i", range(len(self.root)))
+        self.next = array("i", self.root)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, 2, 255, 256, 257, 408, 16_383, 16_384, 16_385, 65_536, 65_537, 300_000],
+)
+def test_the_identity_array_is_the_range_it_stands_for(count):
+    identity = _identity(count)
+    assert identity == array("i", range(count))
+    # A chase's own: writing to it changes no later chase's.
+    if count:
+        identity[0] = -1
+        assert _identity(count)[0] == 0
 
 
 def _followers(places):
     return {rank for rank, (_, lane, _) in enumerate(places) if lane}
 
 
-def test_only_representative_and_read_only_cells_get_an_int():
+def test_followers_hold_the_sentinel_and_every_other_cell_its_own():
     data = generate_dataset(40, seed=7)
     plan = compile_plan(sigma=extended_mds(data.pair))
     layout = plan.layouts[False]
@@ -52,18 +71,18 @@ def test_only_representative_and_read_only_cells_get_an_int():
     assert (len(right_followers), len(layout.right_names)) == (5, 12)
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
     cells = CellClasses(pairs, layout)
-    ints = 0
+    assert {cells.root.typecode, cells.next.typecode, cells.size.typecode} == {"i"}
+    owned = 0
     for cell, (entry, following) in enumerate(zip(cells.root, cells.next)):
         side, _, attribute = cells.decode(cell)
         rank = (cells.left_rank if side == LEFT else cells.right_rank)[attribute]
         if rank in (left_followers if side == LEFT else right_followers):
-            assert entry is None and following is None
+            assert entry == following == -1
+            assert cells.ring(cell) == [cell]
         else:
-            # One object per cell, shared by both lists.
-            assert entry == cell and following is entry
-            ints += 1
-    assert ints == 7 * (len(cells.left_tids) + len(cells.right_tids))
-    assert ints == len({id(entry) for entry in cells.root if entry is not None})
+            assert entry == following == cell
+            owned += 1
+    assert owned == 7 * (len(cells.left_tids) + len(cells.right_tids))
 
 
 #: Few values, so ``=`` and the metrics hold often.
@@ -91,7 +110,7 @@ def _ring(cells, cell):
     members = [cell]
     member = ring[cell]
     for _ in range(count):
-        if member is None or member == cell:
+        if member < 0 or member == cell:
             return members
         members.append(member)
         member = ring[member]
@@ -167,3 +186,43 @@ def test_follower_cells_answer_as_an_int_per_cell_encoding(
         names = [(layout.left_names[a], layout.right_names[b]) for a, b in group]
         assert cells.matching(names) == reference.matching(names)
         assert cells.matches(names) == reference.matches(names)
+
+
+def test_a_finished_chase_holds_its_classes_in_three_item_sizes_a_cell():
+    """``root``, ``next`` and ``size`` of a K=2000 sorted-neighbourhood
+    chase (the benchmark's sparse shape) cost what dropping them frees
+    under tracemalloc: 3 × 4 bytes a cell, plus the three array
+    headers.  A list per field costs 8 bytes a cell each, before the int
+    objects its entries point at."""
+    from repro.api import Workspace
+
+    data = generate_dataset(2000, seed=7)
+    workspace = (
+        Workspace.builder()
+        .pair(data.pair)
+        .target(data.target)
+        .mds(extended_mds(data.pair))
+        .blocking("sorted-neighborhood", window=10)
+        .execution(top_k=5)
+        .workspace()
+    )
+    instance = InstancePair(data.pair, data.credit, data.billing)
+    candidates = workspace.candidates(data.credit, data.billing)
+    tracemalloc.start()
+    try:
+        result = workspace.plan.enforce(instance, candidate_pairs=candidates)
+        result.holding_masks, result.repairs
+        cells = result.merged_cells
+        count = len(cells.root)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        cells.root = cells.next = cells.size = None
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.applications > 0 and count > 20_000
+    # At least the three buffers, so the drop did release them ...
+    assert freed >= 3 * array("i").itemsize * count
+    # ... and no more than them and their headers.
+    assert freed <= 3 * array("i").itemsize * count + 3 * 128

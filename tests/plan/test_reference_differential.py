@@ -110,7 +110,11 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # Round 1 reads D: per rule, the pairs whose LHS holds before any
     # repair (the chase's first round in any order; no round, no pairs).
     on_d = _on_d(plan, instance, resolver, pairs)
-    assert [sorted(positions) for positions in result.first_round] == [
+    assert list(result.first_round_masks) == [
+        sum(1 << rule for rule in on_d(*pair)) if max_rounds else 0
+        for pair in chased
+    ]
+    assert result.first_round == [
         [i for i, pair in enumerate(chased) if max_rounds and rule in on_d(*pair)]
         for rule in range(len(plan.rules))
     ]
@@ -121,10 +125,21 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
         [pair for pair in chased if rule in expected.firing(*pair)]
         for rule in range(len(plan.rules))
     ]
+    # The check writes one rule mask per position; ``holding`` is those
+    # masks read rule by rule, and both are the reference's.
+    masks = result.holding_masks
+    assert list(masks) == [
+        sum(1 << rule for rule in expected.firing(*pair)) for pair in chased
+    ]
+    assert holding == [
+        [i for i, mask in enumerate(masks) if mask >> rule & 1]
+        for rule in range(len(plan.rules))
+    ]
     assert result.stable == expected.stable
     # Answered once: the same objects on every later read, and the check
     # — with the chase's working lists it closed over — is let go.
     assert result.holding is holding and result.check is None
+    assert result.holding_masks is masks
     assert pending is None or pending() is None
     # ... and is no part of the result's value: asking changes nothing.
     assert repr(result) == shown and "check" not in shown

@@ -75,6 +75,45 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert probe.stdout.strip() == "False"
 
 
+#: Modules ``repro match`` never runs: the store's ``sqlite3`` (and the
+#: ``datetime`` it pulls in), the trace manifest's ``platform``, and the
+#: Fig. 9 baselines.
+UNUSED_BY_MATCH = (
+    "sqlite3",
+    "datetime",
+    "platform",
+    "repro.matching.comparison",
+    "repro.matching.em",
+    "repro.matching.fellegi_sunter",
+)
+
+
+def test_importing_the_cli_loads_no_module_match_never_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; "
+         f"print([m for m in {UNUSED_BY_MATCH!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_the_baselines_still_import_by_name_from_repro_matching():
+    from repro.matching import ComparisonSpec, FellegiSunter, fit_em
+    from repro.matching.em import fit_em as defined
+    from repro.matching.fellegi_sunter import FellegiSunter as fs
+
+    assert fit_em is defined and FellegiSunter is fs
+    assert ComparisonSpec.__module__ == "repro.matching.comparison"
+    import repro.matching
+
+    with pytest.raises(AttributeError):
+        repro.matching.not_a_name
+
+
 class TestSpecLoading:
     """``--spec`` is the only loader: its failures exit 2 with a message."""
 
