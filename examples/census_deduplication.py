@@ -16,10 +16,10 @@ of each feature) and the resulting match quality.
 Run:  python examples/census_deduplication.py
 """
 
+from repro.experiments.baselines.comparison import equality_spec, union_of_rcks
+from repro.experiments.baselines.fellegi_sunter import FellegiSunter
 from repro.experiments.exp_fs import prepare
-from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.fellegi_sunter import FellegiSunter
 
 
 def run_matcher(name, spec, dataset, candidates):

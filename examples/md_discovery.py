@@ -16,9 +16,9 @@ Run:  python examples/md_discovery.py
 """
 
 from repro.core.findrcks import find_rcks
-from repro.core.negation import GuardedRuleSet, NegativeRule, find_conflicts
+from repro.experiments.extensions.negation import GuardedRuleSet, NegativeRule, find_conflicts
 from repro.datagen.generator import generate_dataset
-from repro.discovery import (
+from repro.experiments.extensions.miner import (
     DiscoveryConfig,
     discover_mds,
     random_labelled_pairs,
@@ -27,13 +27,14 @@ from repro.discovery import (
 from repro.api import Workspace
 from repro.matching.evaluate import evaluate_matches
 from repro.metrics.registry import default_registry
-from repro.metrics.synonyms import (
+from repro.experiments.extensions.synonyms import (
     common_nickname_synonyms,
     register_synonym_metrics,
     us_address_synonyms,
     merged_tables,
 )
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.experiments.baselines.windowing import window_candidates
+from repro.plan.blocking import attribute_key
 
 
 def main() -> None:

@@ -20,13 +20,16 @@ Underneath, the library implements the paper's full stack:
   an ``EnforcementPlan`` shared by every execution layer;
 * :mod:`repro.metrics` — similarity metrics and the Soundex encoder;
 * :mod:`repro.relations` — the in-memory relational substrate;
-* :mod:`repro.matching` — Fellegi–Sunter (with EM), clustering, and
-  evaluation metrics;
+* :mod:`repro.matching` — clustering and evaluation metrics;
 * :mod:`repro.engine` — the incremental streaming entity-resolution
   engine (what ``Workspace.stream()`` returns);
 * :mod:`repro.datagen` — the paper's schemas and MDs, synthetic datasets
   with ground truth, and streaming arrival scenarios;
-* :mod:`repro.experiments` — one module per figure of Section 6.
+* :mod:`repro.experiments` — one module per figure of Section 6, and
+  what only they run: the Fig. 9 Fellegi–Sunter baselines
+  (:mod:`repro.experiments.baselines`) and the Section 8 extensions —
+  negative rules, MD discovery, synonyms
+  (:mod:`repro.experiments.extensions`).
 
 The attributes below are loaded lazily (PEP 562): ``import repro`` stays
 cheap, and ``from repro import Workspace`` pulls in only what it needs.
@@ -34,7 +37,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.

@@ -416,7 +416,7 @@ class Workspace:
                 errors.append(
                     f"store was built from spec {stamp}, but this "
                     f"workspace's spec is {self.fingerprint}; "
-                    "re-bootstrap the store or load the matching spec"
+                    "rebuild the store or load the matching spec"
                 )
             family = store.blocking_backend
             if family != spec.blocking_backend:
@@ -424,7 +424,7 @@ class Workspace:
                     f"store streams under {family!r} blocking, but the "
                     f"spec declares {spec.blocking_backend!r}; its "
                     "candidate semantics would silently diverge from the "
-                    "batch run — re-bootstrap the store under this spec"
+                    "batch run — rebuild the store under this spec"
                 )
             if errors:
                 if opened_here:

@@ -406,14 +406,20 @@ def cmd_engine_query(args) -> int:
     from repro.core.schema import LEFT, RIGHT
 
     store = _open_engine_store(Path(args.store))
+    side = LEFT if args.side == "left" else RIGHT
     pending = store.pending_events
+    if store.is_pending(side, args.tid):
+        raise CliError(
+            f"{args.side} record {args.tid} is among the {pending} acknowledged "
+            f"event(s) {args.store} has not checkpointed yet; `repro engine "
+            f"ingest --spec <spec> --store {args.store}` replays them"
+        )
     if pending:
         print(
             f"note: {args.store} has {pending} event(s) ingested since its "
             "last checkpoint; this answer is from the checkpoint",
             file=sys.stderr,
         )
-    side = LEFT if args.side == "left" else RIGHT
     relation = store.relation(side)
     if args.tid not in relation:
         raise CliError(

@@ -15,7 +15,6 @@ Public surface:
 
 from .closure import ClosureEngine, ClosureStats, Justification, deduces
 from .explain import Explanation, Step, explain
-from .negation import Conflict, GuardedRuleSet, NegativeRule, find_conflicts
 from .findrcks import all_rcks, find_rcks, is_complete, minimize, pairing, sort_mds
 from .matrix import SimilarityMatrix
 from .md import (
@@ -58,15 +57,11 @@ __all__ = [
     "ClosureEngine",
     "ClosureStats",
     "ComparableLists",
-    "Conflict",
     "CostModel",
     "Explanation",
     "Step",
     "explain",
-    "GuardedRuleSet",
     "Justification",
-    "NegativeRule",
-    "find_conflicts",
     "EnforcementResult",
     "IdentificationAtom",
     "InstancePair",

@@ -26,12 +26,12 @@ Typical use — :meth:`repro.api.Workspace.stream` is the way in::
     from repro.core.schema import RIGHT
 
     matcher = Workspace.from_file("spec.json").stream()
-    matcher.bootstrap(credit, billing)          # warm-start from batch data
+    matcher.ingest_batch(events)                # fill the store, one commit
     result = matcher.ingest(RIGHT, new_record)  # then stream
     print(matcher.store.cluster_of(result.side, result.tid))
 """
 
-from .matcher import BootstrapResult, IncrementalMatcher, IngestResult
+from .matcher import IncrementalMatcher, IngestResult
 from .sqlite import (
     SQLITE_SCHEMA_VERSION,
     SQLiteMatchStore,
@@ -41,7 +41,6 @@ from .sqlite import (
 from .store import MatchStore, Node, node_of
 
 __all__ = [
-    "BootstrapResult",
     "IncrementalMatcher",
     "IngestResult",
     "MatchStore",

@@ -81,7 +81,6 @@ from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import ValueResolver, prefer_informative
 from repro.matching.evaluate import Pair
 from repro.plan.compile import EnforcementPlan
-from repro.relations.relation import Relation
 
 from .store import Node, node_of
 
@@ -138,16 +137,6 @@ class IngestResult:
     matches: Tuple[Pair, ...]
     merged: bool
     cascade_truncated: bool = False
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    """Outcome of warm-starting a store from batch relations."""
-
-    left_rows: int
-    right_rows: int
-    candidates: int
-    matches: int
 
 
 @dataclass
@@ -397,49 +386,6 @@ class IncrementalMatcher:
             metrics.observe("engine.batch_size", len(results))
             self._gauge_store()
         return results
-
-    # ------------------------------------------------------------------
-    # Batch warm-start
-    # ------------------------------------------------------------------
-
-    def bootstrap(
-        self,
-        left: Relation,
-        right: Relation,
-        preserve_tids: bool = True,
-    ) -> BootstrapResult:
-        """Warm-start an empty store from existing batch relations.
-
-        Candidate generation runs through the store's blocking backend
-        (the batch run's, built from the same configuration) — then a
-        single enforcement chase matches the candidates and seeds the
-        clusters.
-        """
-        store = self.store
-        if len(store.left) or len(store.right):
-            raise ValueError("bootstrap requires an empty store")
-        with self._transaction():
-            for row in left.rows():
-                store.add(LEFT, row.values(), tid=row.tid if preserve_tids else None)
-            for row in right.rows():
-                store.add(RIGHT, row.values(), tid=row.tid if preserve_tids else None)
-            # (each pair once, ascending: the backends' contract)
-            ordered = store.blocking.candidates(store.left, store.right)
-            store.comparisons += len(ordered)
-            matches = self._match_pairs(ordered) if ordered else []
-            touched: List[Node] = []
-            for left_tid, right_tid in matches:
-                left_node = node_of(LEFT, left_tid)
-                if store.union(left_node, node_of(RIGHT, right_tid)):
-                    touched.append(left_node)
-            for root in {store.find(node) for node in touched}:
-                self._resolve_cluster(root)
-        return BootstrapResult(
-            left_rows=len(store.left),
-            right_rows=len(store.right),
-            candidates=len(ordered),
-            matches=len(matches),
-        )
 
     # ------------------------------------------------------------------
     # Delta enforcement

@@ -19,8 +19,8 @@ So a unit made only of matcher ingests is durable as its input:
 * **a unit of ingests commits its events** — :meth:`commit` writes one
   ``events`` row per record the unit's ingests added (side, tid,
   arrival values), then commits.  The matcher marks its ingests
-  (:meth:`ingesting`); a change made outside one — ``bootstrap``,
-  ``save_store``, a fingerprint stamp, a direct :meth:`add` /
+  (:meth:`ingesting`); a change made outside one — ``save_store``,
+  a fingerprint stamp, a direct :meth:`add` /
   :meth:`repair` / :meth:`union` — makes its unit a checkpoint;
 * **dirty marks and a checkpoint** — :meth:`add`, :meth:`repair` and
   :meth:`union` mark the record, or the cluster root, they changed.  A
@@ -597,6 +597,13 @@ class SQLiteMatchStore(MatchStore):
         """Events committed since the last checkpoint: the tail a matcher
         replays at open, and how far a reader's view lags."""
         return self._tail
+
+    def is_pending(self, side: int, tid: int) -> bool:
+        """Whether record ``(side, tid)`` is in the tail: acknowledged,
+        but in no checkpoint a reader serves yet."""
+        return self._tail > 0 and self.connection.execute(
+            "SELECT 1 FROM events WHERE side = ? AND tid = ? LIMIT 1", (side, tid)
+        ).fetchone() is not None
 
     def disk_bytes(self) -> int:
         """Bytes on disk, including the WAL and shared-memory sidecars."""

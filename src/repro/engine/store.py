@@ -89,7 +89,7 @@ class MatchStore:
         )
         self._start_records(blocking)
         self._start_clusters()
-        #: Candidate pair comparisons charged so far (ingest + bootstrap).
+        #: Candidate pair comparisons charged so far.
         self.comparisons = 0
         #: Cluster merges performed (successful unions).
         self.merges = 0
@@ -147,8 +147,7 @@ class MatchStore:
         """The records half, empty: both value sets of both sides, the
         blocking index over them and the instances the chase reads."""
         #: The kernel's blocking backend doubles as the store's index
-        #: set: batch bootstrap calls ``blocking.candidates`` and streaming
-        #: ingest calls ``blocking.add``/``probe`` on the same structures.
+        #: set: streaming ingest calls ``blocking.add``/``probe`` on it.
         self.blocking = blocking
         self.left = Relation(self.pair.left)
         self.right = Relation(self.pair.right)

@@ -4,7 +4,7 @@ The statistical matcher of [17]: each candidate pair gets a comparison
 vector; the pair's score is the log likelihood ratio
 ``Σ_i log2(P(γ_i | match) / P(γ_i | non-match))`` and pairs scoring above a
 threshold are declared matches.  Parameters come from unsupervised EM
-(:mod:`repro.matching.em`), "a powerful tool to estimate parameters such as
+(:mod:`repro.experiments.baselines.em`), "a powerful tool to estimate parameters such as
 weights and threshold [21]".
 
 Two configurations mirror the paper's Exp-2:
@@ -29,7 +29,7 @@ from repro.relations.relation import Relation
 
 from .comparison import ComparisonSpec
 from .em import EMEstimate, fit_em
-from .evaluate import Pair
+from repro.matching.evaluate import Pair
 
 
 @dataclass

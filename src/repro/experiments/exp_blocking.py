@@ -15,7 +15,7 @@ Protocol (Section 6.2, Exp-4):
 
 Candidate generation runs through the kernel's blocking layer: the hash
 backend the batch matchers and the streaming engine execute, and the
-global window of :func:`~repro.plan.blocking.window_candidates`.
+global window of :func:`~repro.experiments.baselines.windowing.window_candidates`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from repro.plan.blocking import (
     Pair,
     RCKIndex,
     leading_attribute_pairs,
-    window_candidates,
 )
 
+from .baselines.windowing import window_candidates
 from .exp_fs import DEFAULT_SIZES, TOP_K_RCKS, deduce_rcks
 from .harness import Table
 

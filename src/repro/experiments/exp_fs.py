@@ -29,11 +29,11 @@ from repro.core.findrcks import find_rcks
 from repro.datagen.generator import MatchingDataset, generate_dataset
 from repro.datagen.noise import NoiseModel
 from repro.datagen.schemas import extended_mds
-from repro.matching.comparison import equality_spec, union_of_rcks
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.fellegi_sunter import FellegiSunter
-from repro.plan.blocking import rck_sort_keys, window_candidates
 
+from .baselines.comparison import equality_spec, union_of_rcks
+from .baselines.fellegi_sunter import FellegiSunter
+from .baselines.windowing import rck_sort_keys, window_candidates
 from .harness import Table, timed
 
 #: Scaled default K values (paper: 10k..80k).

@@ -29,10 +29,10 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
 from repro.relations.relation import Row
 
-from .closure import ClosureEngine
-from .md import MatchingDependency, SimilarityAtom
-from .schema import SchemaPair
-from .similarity import EQUALITY, as_operator
+from repro.core.closure import ClosureEngine
+from repro.core.md import MatchingDependency, SimilarityAtom
+from repro.core.schema import SchemaPair
+from repro.core.similarity import EQUALITY, as_operator
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .base import StringMetric
+from repro.metrics.base import StringMetric
 
 _TOKEN_RE = re.compile(r"[^\W_]+|\S", re.UNICODE)
 
@@ -166,9 +166,9 @@ def register_synonym_metrics(registry, table: SynonymTable) -> Tuple[str, ...]:
     Adds ``syn_dl``, ``syn_lev`` and ``syn_jw`` to ``registry`` so MDs may
     use operators like ``syn_dl(0.8)``.  Returns the registered names.
     """
-    from .damerau_levenshtein import DamerauLevenshtein
-    from .jaro import JaroWinkler
-    from .levenshtein import Levenshtein
+    from repro.metrics.damerau_levenshtein import DamerauLevenshtein
+    from repro.metrics.jaro import JaroWinkler
+    from repro.metrics.levenshtein import Levenshtein
 
     factories = {
         "syn_dl": lambda: SynonymizedMetric(DamerauLevenshtein(), table),

@@ -40,8 +40,6 @@ from .blocking import (
     hash_candidates,
     indexes_from_rcks,
     leading_attribute_pairs,
-    rck_sort_keys,
-    window_candidates,
 )
 from .compile import (
     DEFAULT_CACHE_LIMIT,
@@ -76,6 +74,4 @@ __all__ = [
     "hash_candidates",
     "indexes_from_rcks",
     "leading_attribute_pairs",
-    "rck_sort_keys",
-    "window_candidates",
 ]

@@ -3,20 +3,19 @@
 Every matcher needs a candidate-pair generator before it compares anything;
 the paper names two families (Section 1): *blocking* — partition by a
 derived key, compare within blocks — and *windowing* — sort by a key and
-slide a fixed window.  This module is the single home of both, exposed
+slide a fixed window.  This module is the kernel's home of both, exposed
 behind the :class:`BlockingBackend` protocol so a compiled
 :class:`~repro.plan.compile.EnforcementPlan` can carry its candidate
 generator as a pluggable component:
 
 * the key-derivation primitives (:func:`attribute_key`, :func:`pair_keys`,
-  :func:`rck_sort_keys`), the one hash loop (:func:`hash_candidates` is
-  its one-pass case; its per-left emission, :func:`emit_unions`, is the
-  sorted-neighborhood batch's too), the cross-side window loop over a
-  sorted run (:func:`run_pairs`) and one global-window pass of [20]
-  (:func:`window_candidates`: sort the merged sequence, then
-  :func:`run_pairs` across all of it — the paper's Figs. 9–10 protocol,
-  which only :mod:`repro.experiments` runs; a multi-pass run is the union
-  of its passes);
+  :func:`leading_attribute_pairs`), the one hash loop
+  (:func:`hash_candidates` is its one-pass case; its per-left emission,
+  :func:`emit_unions`, is the sorted-neighborhood batch's too) and the
+  cross-side window loop over a sorted run (:func:`run_pairs`; the
+  global window of the paper's Figs. 9–10 protocol runs it across a
+  whole merged sequence, in
+  :mod:`repro.experiments.baselines.windowing`);
 * :class:`RCKIndex` — the incremental inverted index, one bucket table
   per RCK-derived key;
 * :class:`HashBlockingBackend` — multi-pass hash blocking over RCK
@@ -167,24 +166,6 @@ def leading_attribute_pairs(
     return chosen
 
 
-def rck_sort_keys(
-    rcks: Sequence[RelativeKey],
-    attribute_count: int = 3,
-) -> Tuple[RowKey, RowKey]:
-    """Sort keys from the first attributes of the given RCKs.
-
-    The derived key concatenates the first ``attribute_count`` distinct
-    attribute pairs of the RCK list — "(part of) RCKs suffice to serve as
-    quality sorting keys" (Section 1, Windowing).
-    """
-    if not rcks:
-        raise ValueError("need at least one RCK")
-    chosen = leading_attribute_pairs(rcks, attribute_count)
-    left_attrs = [left_attr for left_attr, _ in chosen]
-    right_attrs = [right_attr for _, right_attr in chosen]
-    return attribute_key(left_attrs), attribute_key(right_attrs)
-
-
 def emit_unions(left_rows: Iterable[Row], tables: Sequence[PartnerTable]) -> List[Pair]:
     """Each left row, in the order given, paired with the sorted union of
     its partner lists: the emission both blocking families share.
@@ -249,30 +230,6 @@ def run_pairs(run: Sequence[Entry], window: int) -> Set[Pair]:
             else:
                 pairs.add((other_tid, tid))
     return pairs
-
-
-def window_candidates(
-    left: Relation,
-    right: Relation,
-    left_key: RowKey,
-    right_key: RowKey,
-    window: int = 10,
-) -> List[Pair]:
-    """Candidate pairs from one global-window sorted-neighborhood pass.
-
-    The merged sequence is sorted by the derived key (ties broken by side
-    then tuple id, keeping runs deterministic); every pair of a left and a
-    right tuple at distance < ``window`` in the sorted order is a
-    candidate.
-
-    >>> # window=1 yields no pairs: no two elements share a window
-    """
-    if window < 2:
-        return []
-    merged: List[Entry] = [(left_key(row), _LEFT, row.tid) for row in left]
-    merged += [(right_key(row), _RIGHT, row.tid) for row in right]
-    merged.sort()
-    return sorted(run_pairs(merged, window))
 
 
 class RCKIndex:

@@ -97,7 +97,8 @@ class CompiledRule:
 @dataclass(frozen=True)
 class CompiledKey:
     """An RCK lowered to predicate slots (what ``plan explain`` lists and
-    :class:`~repro.core.negation.GuardedRuleSet` evaluates)."""
+    :class:`~repro.experiments.extensions.negation.GuardedRuleSet`
+    evaluates)."""
 
     name: str
     predicates: Tuple[int, ...]

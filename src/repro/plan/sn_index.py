@@ -1,8 +1,9 @@
 """Window-encoded sorted-neighborhood index: rank ranges over block runs.
 
-The global window of :func:`~repro.plan.blocking.window_candidates` is
+The global window of the paper's Figs. 9–10 protocol
+(:func:`~repro.experiments.baselines.windowing.window_candidates`) is
 batch-only — it sorts the merged sequence from scratch per call — so
-only :mod:`repro.experiments` runs it.  :class:`WindowedSNIndex` is the
+only the experiments run it.  :class:`WindowedSNIndex` is the
 sorted-neighborhood every spec, store and service gets
 (:func:`~repro.plan.blocking.build_blocking`): it maintains a **rank
 encoding** of each pass's sort keys, in the spirit of pre/post-order tree
@@ -131,10 +132,9 @@ class WindowedSNIndex(BlockingBackend):
     batch runs derive identical keys.
 
     A window below 2 is legal at this level and yields no candidates —
-    no two elements ever share a window, as in
-    :func:`~repro.plan.blocking.window_candidates`.  (Spec *validation* rejects it
-    upstream, because a silent empty candidate set is never what a spec
-    author meant.)
+    no two elements ever share a window, as in the experiments' global
+    window.  (Spec *validation* rejects it upstream, because a silent
+    empty candidate set is never what a spec author meant.)
 
     >>> from repro.core.schema import RelationSchema
     >>> from repro.relations.relation import Relation

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.negation import GuardedRuleSet, NegativeRule, find_conflicts
+from repro.experiments.extensions.negation import GuardedRuleSet, NegativeRule, find_conflicts
 from repro.core.rck import RelativeKey
 from repro.plan import compile_plan
 

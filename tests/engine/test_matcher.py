@@ -1,4 +1,4 @@
-"""IncrementalMatcher: streaming ingest, bootstrap, and edge cases."""
+"""IncrementalMatcher: streaming ingest, warm starts, and edge cases."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.core.schema import LEFT, RIGHT
 from repro.engine import IncrementalMatcher, MatchStore
 from repro.plan.compile import compile_plan
-from repro.relations.relation import Relation
 
 
 @pytest.fixture
@@ -92,20 +91,13 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="different target"):
             IncrementalMatcher(workspace.plan, foreign)
 
-    def test_empty_store_bootstrap(self, matcher, pair):
-        """Bootstrapping from empty relations is a no-op, not an error."""
-        result = matcher.bootstrap(Relation(pair.left), Relation(pair.right))
-        assert (result.left_rows, result.right_rows) == (0, 0)
-        assert result.candidates == 0
-        assert result.matches == 0
+    def test_empty_store_bootstrap(self, matcher):
+        """Warm-starting from an empty batch is a no-op, not an error."""
+        assert matcher.ingest_batch([]) == []
+        assert matcher.store.clusters() == []
         # The store still works afterwards.
         ingest = matcher.ingest(LEFT, {"FN": "Mark", "LN": "Clifford"})
         assert matcher.store.cluster_of(LEFT, ingest.tid).size == 1
-
-    def test_bootstrap_requires_empty_store(self, matcher, pair):
-        matcher.ingest(LEFT, {"FN": "Mark"})
-        with pytest.raises(ValueError, match="empty store"):
-            matcher.bootstrap(Relation(pair.left), Relation(pair.right))
 
     def test_reingesting_identical_record_is_idempotent(self, matcher, fig1):
         """A replayed record joins the existing cluster, creating none."""
@@ -146,33 +138,29 @@ class TestEdgeCases:
         assert matcher.store.cluster_of(RIGHT, right.tid).size == 1
 
 
+def _fig1_events(credit, billing):
+    return [(LEFT, row.values(), row.tid) for row in credit] + [
+        (RIGHT, row.values(), row.tid) for row in billing
+    ]
+
+
 class TestBootstrap:
+    """A store is warm-started from batch data with one ``ingest_batch``."""
+
     def test_bootstrap_matches_streaming(self, workspace, fig1):
         """Warm-starting from batch data equals streaming the same rows."""
         _, credit, billing = fig1
         warm = workspace.stream()
-        warm.bootstrap(credit, billing)
+        warm.ingest_batch(_fig1_events(credit, billing))
         cold = workspace.stream()
         _ingest_fig1(cold, fig1)
         assert warm.store.clusters() == cold.store.clusters()
         # Tuple ids were preserved, so rows line up with the sources.
         assert sorted(warm.store.left.tids()) == sorted(credit.tids())
 
-    def test_bootstrap_chases_the_candidates_in_list_order(self, matcher, fig1):
-        """Bootstrap hands the chase what blocking returned — each pair
-        once, ascending by ``(left_tid, right_tid)``: the order the
-        chase's hash joins bisect in."""
+    def test_bootstrap_then_stream(self, matcher, fig1):
+        """Ingesting after a warm start matches against the warm state."""
         _, credit, billing = fig1
-        chased = []
-        match_pairs = matcher._match_pairs
-        matcher._match_pairs = lambda pairs: chased.append(list(pairs)) or match_pairs(pairs)
-        result = matcher.bootstrap(credit, billing)
-        (pairs,) = chased
-        assert pairs == sorted(set(pairs)) and len(pairs) == result.candidates > 1
-
-    def test_bootstrap_then_stream(self, matcher, target, fig1):
-        """Ingesting after a bootstrap matches against the warm state."""
-        _, credit, billing = fig1
-        matcher.bootstrap(credit, Relation(target.pair.right))
+        matcher.ingest_batch(_fig1_events(credit, []))
         result = matcher.ingest(RIGHT, billing[3].values())
         assert (0, result.tid) in result.matches

@@ -14,12 +14,13 @@ from repro.core.quality import CostModel, length_statistics_from_rows
 from repro.datagen.generator import generate_dataset
 from repro.datagen.noise import NoiseModel, harsh_noise, light_noise
 from repro.datagen.schemas import extended_mds
-from repro.discovery import (
+from repro.experiments.extensions.miner import (
     DiscoveryConfig,
     discover_mds,
     random_labelled_pairs,
     sample_labelled_pairs,
 )
+from repro.experiments.baselines.windowing import window_candidates
 from repro.experiments import exp_blocking, exp_fs, exp_scalability, exp_sn
 from repro.experiments.harness import (
     Table,
@@ -29,7 +30,7 @@ from repro.experiments.harness import (
     timed,
 )
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.plan.blocking import attribute_key
 
 
 class TestHarness:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import RelationSchema
+from repro.experiments.baselines.windowing import rck_sort_keys, window_candidates
 from repro.experiments.exp_blocking import rck_index
 from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
@@ -11,8 +12,6 @@ from repro.plan.blocking import (
     RCKIndex,
     attribute_key,
     hash_candidates,
-    rck_sort_keys,
-    window_candidates,
 )
 from repro.relations.relation import Relation
 

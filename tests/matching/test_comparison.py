@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.rck import RelativeKey
-from repro.matching.comparison import ComparisonSpec, equality_spec, union_of_rcks
+from repro.experiments.baselines.comparison import ComparisonSpec, equality_spec, union_of_rcks
 from repro.metrics.registry import default_registry
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.em import EMEstimate, fit_em
+from repro.experiments.baselines.em import EMEstimate, fit_em
 
 
 def _synthetic_vectors(

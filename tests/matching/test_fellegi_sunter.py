@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.matching.comparison import ComparisonSpec, equality_spec
+from repro.experiments.baselines.comparison import ComparisonSpec, equality_spec
+from repro.experiments.baselines.fellegi_sunter import FellegiSunter
+from repro.experiments.baselines.windowing import window_candidates
 from repro.matching.evaluate import evaluate_matches
-from repro.matching.fellegi_sunter import FellegiSunter
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.plan.blocking import attribute_key
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,11 @@ keys through the front door (``repro.experiments.exp_sn``).
 from repro.core.findrcks import find_rcks
 from repro.core.rck import RelativeKey
 from repro.datagen.schemas import extended_mds
+from repro.experiments.baselines.windowing import window_candidates
 from repro.experiments.exp_sn import HAND_RULES, hand_rule_keys, match_on_keys
 from repro.matching.evaluate import evaluate_matches
 from repro.plan import compile_plan
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.plan.blocking import attribute_key
 
 
 def _direct(workspace_for, target, sigma, keys):

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.metrics.damerau_levenshtein import DamerauLevenshtein
-from repro.metrics.registry import default_registry
-from repro.metrics.synonyms import (
+from repro.experiments.extensions.synonyms import (
     SynonymTable,
     SynonymizedMetric,
     common_nickname_synonyms,
@@ -12,6 +10,8 @@ from repro.metrics.synonyms import (
     register_synonym_metrics,
     us_address_synonyms,
 )
+from repro.metrics.damerau_levenshtein import DamerauLevenshtein
+from repro.metrics.registry import default_registry
 
 
 class TestSynonymTable:

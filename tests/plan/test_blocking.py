@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.findrcks import find_rcks
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists, RelationSchema, SchemaPair
+from repro.experiments.baselines.windowing import rck_sort_keys, window_candidates
 from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
@@ -17,8 +18,6 @@ from repro.plan.blocking import (
     attribute_key,
     build_blocking,
     hash_candidates,
-    rck_sort_keys,
-    window_candidates,
 )
 from repro.relations.relation import Relation
 

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schema import LEFT, RIGHT, RelationSchema
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.experiments.baselines.windowing import window_candidates
+from repro.plan.blocking import attribute_key
 from repro.plan.sn_index import WindowedSNIndex, run_pairs, window_neighbors
 from repro.relations.relation import Relation
 

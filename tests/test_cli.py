@@ -77,14 +77,14 @@ def test_importing_the_cli_does_not_import_multiprocessing():
 
 #: Modules ``repro match`` never runs: the store's ``sqlite3`` (and the
 #: ``datetime`` it pulls in), the trace manifest's ``platform``, and the
-#: Fig. 9 baselines.
+#: experiments package (the figures, the Fig. 9 baselines and the
+#: Section 8 extensions; ``tests/test_front_door.py`` keeps the rest of
+#: ``repro`` from importing it).
 UNUSED_BY_MATCH = (
     "sqlite3",
     "datetime",
     "platform",
-    "repro.matching.comparison",
-    "repro.matching.em",
-    "repro.matching.fellegi_sunter",
+    "repro.experiments",
 )
 
 
@@ -101,17 +101,19 @@ def test_importing_the_cli_loads_no_module_match_never_runs():
     assert probe.stdout.strip() == "[]"
 
 
-def test_the_baselines_still_import_by_name_from_repro_matching():
-    from repro.matching import ComparisonSpec, FellegiSunter, fit_em
-    from repro.matching.em import fit_em as defined
-    from repro.matching.fellegi_sunter import FellegiSunter as fs
+def test_the_baselines_import_from_the_experiments_only():
+    from repro.experiments.baselines.comparison import ComparisonSpec
+    from repro.experiments.baselines.em import fit_em
+    from repro.experiments.baselines.fellegi_sunter import FellegiSunter
 
-    assert fit_em is defined and FellegiSunter is fs
-    assert ComparisonSpec.__module__ == "repro.matching.comparison"
+    assert ComparisonSpec.__module__ == "repro.experiments.baselines.comparison"
+    assert fit_em.__module__ == "repro.experiments.baselines.em"
+    assert FellegiSunter.__module__ == "repro.experiments.baselines.fellegi_sunter"
     import repro.matching
 
-    with pytest.raises(AttributeError):
-        repro.matching.not_a_name
+    for moved in ("ComparisonSpec", "fit_em", "FellegiSunter"):
+        with pytest.raises(AttributeError):
+            getattr(repro.matching, moved)
 
 
 class TestSpecLoading:
@@ -635,7 +637,7 @@ class TestEngineStreamGuard:
         assert code == 2
         err = capsys.readouterr().err
         assert "streams under 'hash'" in err
-        assert "re-bootstrap" in err
+        assert "rebuild the store under this spec" in err
 
 
 # ----------------------------------------------------------------------
@@ -864,6 +866,46 @@ class TestEngineSQLite:
              "--side", "left", "--tid", "0"]
         ) == 0
         assert "cluster" in capsys.readouterr().out
+
+    def test_query_of_a_record_only_in_the_tail_says_so(
+            self, spec_file, fig1_csvs, tmp_path, capsys):
+        """A writer that dies after two acknowledged ingests leaves them
+        in the tail; a query names them as pending, not as unknown, and
+        answers once an ingest with the spec has replayed them."""
+        left_path, _ = fig1_csvs
+        store_path = tmp_path / "crash.db"
+        writer = (
+            "import os, sys\n"
+            "from repro.api import Workspace\n"
+            "from repro.core.schema import LEFT\n"
+            "from repro.relations.csvio import load_relation\n"
+            "spec, store, left = sys.argv[1:]\n"
+            "workspace = Workspace.from_file(spec)\n"
+            "matcher = workspace.stream(store=workspace.open_store(store))\n"
+            "for row in load_relation(workspace.plan.pair.left, left):\n"
+            "    matcher.ingest(LEFT, row.values())\n"
+            "os._exit(0)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        crashed = subprocess.run(
+            [sys.executable, "-c", writer, str(spec_file), str(store_path), str(left_path)],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(src)},
+        )
+        assert crashed.returncode == 0, crashed.stderr
+        query = ["engine", "query", "--store", str(store_path), "--side", "left", "--tid", "0"]
+        assert main(query) == 2
+        err = capsys.readouterr().err
+        assert "no left record" not in err
+        assert "left record 0 is among the 2 acknowledged event(s)" in err
+        assert "repro engine ingest --spec" in err
+        # A tid in neither the checkpoint nor the tail is still unknown.
+        assert main([*query[:-1], "5"]) == 2
+        assert "no left record with tid 5" in capsys.readouterr().err
+        assert main(["engine", "ingest", "--spec", str(spec_file),
+                     "--store", str(store_path)]) == 0
+        capsys.readouterr()
+        assert main(query) == 0
+        assert "cluster of left tid 0" in capsys.readouterr().out
 
     def test_stats_prints_backend_line(self, spec_file, fig1_csvs,
                                        tmp_path, capsys):

@@ -4,14 +4,15 @@ import pytest
 
 from repro.core.findrcks import find_rcks
 from repro.datagen.generator import generate_dataset
-from repro.discovery import (
+from repro.experiments.baselines.windowing import window_candidates
+from repro.experiments.extensions.miner import (
     DiscoveryConfig,
     discover_mds,
     random_labelled_pairs,
     sample_labelled_pairs,
 )
 from repro.matching.evaluate import evaluate_matches
-from repro.plan.blocking import attribute_key, window_candidates
+from repro.plan.blocking import attribute_key
 
 
 @pytest.fixture(scope="module")

@@ -15,11 +15,11 @@ from repro.core.semantics import InstancePair, enforce, satisfies
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
-from repro.matching.comparison import union_of_rcks
+from repro.experiments.baselines.comparison import union_of_rcks
+from repro.experiments.baselines.fellegi_sunter import FellegiSunter
+from repro.experiments.baselines.windowing import rck_sort_keys, window_candidates
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
 from repro.experiments.exp_sn import hand_rule_keys, match_on_keys
-from repro.matching.fellegi_sunter import FellegiSunter
-from repro.plan.blocking import rck_sort_keys, window_candidates
 
 
 class TestTextToKeysWorkflow:
