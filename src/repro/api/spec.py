@@ -41,9 +41,7 @@ from repro.metrics.registry import (
     MetricRegistry,
     default_registry,
 )
-from repro.obs.export import TRACE_FORMATS
 from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES
-from repro.plan.compile import DEFAULT_CACHE_LIMIT
 
 #: Current specification format version.
 SPEC_VERSION = 1
@@ -344,14 +342,8 @@ class ResolutionSpec:
     )
     mode: str = _option("execution.mode", "enforce", _one_of, choices=EXECUTION_MODES)
     max_rounds: int = _option("execution.max_rounds", 100, _integer, minimum=1)
-    max_cascade: int = _option("execution.max_cascade", 256, _integer, minimum=1)
-    cache: bool = _option("execution.cache", True, _boolean)
-    cache_limit: int = _option("execution.cache_limit", DEFAULT_CACHE_LIMIT, _integer, minimum=1)
     obs_enabled: bool = _option("observability.enabled", False, _boolean)
     trace_path: Optional[str] = _option("observability.trace", None, _optional_path)
-    trace_format: str = _option(
-        "observability.trace_format", "chrome", _one_of, choices=TRACE_FORMATS
-    )
     persistence_backend: str = _option(
         "persistence.backend", "memory", _one_of, choices=PERSISTENCE_BACKENDS
     )
@@ -363,7 +355,7 @@ class ResolutionSpec:
     serve_queue_limit: int = _option("serve.queue_limit", 1024, _integer, minimum=1)
     # Not an option (4.0 removed the batching linger): the frozen
     # bench/serve.py::_timings still reads the linger here, and 0 is the
-    # truth.  ROADMAP item 1(d) deletes that read and this line.
+    # truth.  ROADMAP measuring-stick (b) deletes that read and this line.
     serve_max_delay_ms: ClassVar[int] = 0
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
@@ -698,6 +690,8 @@ class ResolutionSpec:
             document = self.to_dict()
             for section in DEPLOYMENT_SECTIONS:
                 del document[section]
+            # Keys 11.0 retired, at the one value each can still take: no v1 fingerprint moves.
+            document["execution"].update({"cache": True, "cache_limit": 1048576, "max_cascade": 256})
             payload = json.dumps(
                 document, sort_keys=True, separators=(",", ":")
             )
@@ -894,8 +888,8 @@ class SpecBuilder:
         return self
 
     def observability(self, enabled: bool = True, **options) -> "SpecBuilder":
-        """Turn on span tracing; ``trace=`` names a trace output file and
-        ``trace_format=`` its format.
+        """Turn on span tracing; ``trace=`` names a trace output file
+        (a Chrome ``trace_event`` document).
 
         The section never enters the fingerprint — observing a run does
         not change it.
@@ -929,7 +923,7 @@ class SpecBuilder:
         return self
 
     def execution(self, **options) -> "SpecBuilder":
-        """Set execution options (``mode``, ``top_k``, caches, bounds)."""
+        """Set execution options (``mode``, ``max_rounds``, ``top_k``)."""
         if "top_k" in options:
             rules = self._document.setdefault("rules", {})
             rules["top_k"] = options.pop("top_k")

@@ -239,8 +239,6 @@ class Workspace:
                         rcks=rcks,
                         registry=registry,
                         blocking=blocking,
-                        cached=spec.cache,
-                        cache_limit=spec.cache_limit,
                     )
                 span.set("rules", len(self._plan.rules))
                 span.set("keys", len(self._plan.keys))
@@ -442,7 +440,7 @@ class Workspace:
                 self.plan,
                 store,
                 resolver=spec.resolver(),
-                max_cascade=spec.max_cascade,
+                max_rounds=spec.max_rounds,
             )
             if matcher.store.spec_fingerprint is None:
                 matcher.store.spec_fingerprint = self.fingerprint
@@ -498,7 +496,7 @@ class Workspace:
             f"# Workspace: ResolutionSpec v{spec.version}, "
             f"fingerprint {self.fingerprint}",
             f"# execution: mode={spec.mode}, policy={spec.policy}, "
-            f"top_k={spec.top_k}, cache={'on' if spec.cache else 'off'}",
+            f"top_k={spec.top_k}",
             self.plan.explain(),
         ]
         return "\n".join(lines)
@@ -512,13 +510,11 @@ class Workspace:
             **fields,
         )
 
-    def write_trace(
-        self, path=None, format: Optional[str] = None, **manifest_fields
-    ) -> Dict[str, object]:
-        """Export the collected spans and metrics as a trace file.
+    def write_trace(self, path=None, **manifest_fields) -> Dict[str, object]:
+        """Export the collected spans and metrics as a Chrome trace file.
 
-        ``path``/``format`` default to the spec's ``observability``
-        section; returns the Chrome trace document either way.
+        ``path`` defaults to the spec's ``observability.trace``; returns
+        the document written.
         """
         target = path if path is not None else self.spec.trace_path
         if target is None:
@@ -530,7 +526,6 @@ class Workspace:
             target,
             manifest=self.manifest(**manifest_fields),
             metrics=self.metrics,
-            format=format if format is not None else self.spec.trace_format,
         )
 
     def _report(

@@ -87,10 +87,6 @@ _TUNING_FLAGS = {
         "about:tracing or ui.perfetto.dev (inspect it with `repro trace "
         "summarize`)",
     ),
-    "--trace-format": (
-        "observability.trace_format",
-        "trace file format (jsonl = one event per line)",
-    ),
     "--host": ("serve.host", "bind address"),
     "--port": ("serve.port", "bind port, 0 for ephemeral"),
     "--max-batch": ("serve.max_batch", "ingest micro-batch size cap"),
@@ -575,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the full MatchReport as JSON (pairs, clusters, "
         "provenance, plan stats, spec fingerprint)",
     )
-    _add_tuning_flags(match, "--top-k", "--window", "--trace", "--trace-format")
+    _add_tuning_flags(match, "--top-k", "--window", "--trace")
     match.set_defaults(func=cmd_match)
 
     plan = sub.add_parser(
@@ -615,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--json", action="store_true", help="print stats as JSON"
     )
-    _add_tuning_flags(ingest, "--top-k", "--trace", "--trace-format")
+    _add_tuning_flags(ingest, "--top-k", "--trace")
     ingest.set_defaults(func=cmd_engine_ingest)
 
     stats = engine_sub.add_parser("stats", help="report store counters")
@@ -654,13 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     summarize = trace_sub.add_parser(
         "summarize", help="aggregate a trace into a per-span table"
     )
-    summarize.add_argument("file", help="trace file (chrome or jsonl format)")
+    summarize.add_argument("file", help="trace file written with --trace")
     summarize.set_defaults(func=cmd_trace_summarize)
     trace_validate = trace_sub.add_parser(
         "validate", help="schema-check a trace file (exit 2 on problems)"
     )
     trace_validate.add_argument(
-        "file", help="trace file (chrome or jsonl format)"
+        "file", help="trace file written with --trace"
     )
     trace_validate.set_defaults(func=cmd_trace_validate)
     return parser

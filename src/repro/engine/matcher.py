@@ -86,6 +86,11 @@ from .store import Node, node_of
 
 _SIDES = {"L": LEFT, "R": RIGHT}
 
+#: Records one ingest examines at most: the arriving one, then repaired
+#: ones, each a round of the cascade (a safety valve; clean data stops
+#: after the first).
+MAX_CASCADE = 256
+
 
 def _side_tid(node: Node) -> Tuple[int, int]:
     tag, tid = node
@@ -127,7 +132,7 @@ class IngestResult:
         Whether any cluster merge happened (False for re-ingested
         duplicates that were already in the right cluster).
     cascade_truncated:
-        True when the repair cascade hit ``max_cascade`` and left some
+        True when the repair cascade hit :data:`MAX_CASCADE` and left some
         repaired records' neighborhoods unexamined (never on clean data).
     """
 
@@ -160,7 +165,8 @@ class IncrementalMatcher:
     :meth:`repro.api.Workspace.stream` builds one from a spec: ``plan`` is
     the workspace's plan, ``store`` a :class:`~repro.engine.store.MatchStore`
     or :class:`~repro.engine.sqlite.SQLiteMatchStore` configured from the
-    same spec.
+    same spec, and ``max_rounds`` its ``execution.max_rounds``: the round
+    budget of every delta chase.
 
     >>> # matcher = workspace.stream()
     >>> # matcher.ingest(RIGHT, {"FN": "Mark", ...})
@@ -171,7 +177,7 @@ class IncrementalMatcher:
         plan: EnforcementPlan,
         store,
         resolver: ValueResolver = prefer_informative,
-        max_cascade: int = 256,
+        max_rounds: int = 100,
     ) -> None:
         if not isinstance(plan, EnforcementPlan):
             raise TypeError(
@@ -186,7 +192,7 @@ class IncrementalMatcher:
         self.plan = plan
         self.target = plan.target
         self.resolver = resolver
-        self.max_cascade = max_cascade
+        self.max_rounds = max_rounds
         self.store = store
         #: Whether the store streams under sorted-neighborhood semantics
         #: (drives the engine.sn_* observability signals).
@@ -215,7 +221,7 @@ class IncrementalMatcher:
         the streaming counterpart of the batch chase re-scanning its
         candidate pairs after a round of updates.  The cascade stops
         immediately when no merge repairs anything a rule can read (the
-        common, clean-data case); ``max_cascade`` bounds the number of
+        common, clean-data case); :data:`MAX_CASCADE` bounds the number of
         re-examinations per ingest as a safety valve, and hitting it is
         reported via :attr:`IngestResult.cascade_truncated`.
         """
@@ -283,7 +289,7 @@ class IncrementalMatcher:
         queue = deque([(side, tid)])
         queued = {(side, tid)}
         rounds = 0
-        while queue and rounds < self.max_cascade:
+        while queue and rounds < MAX_CASCADE:
             rounds += 1
             round_side, round_tid = queue.popleft()
             queued.discard((round_side, round_tid))
@@ -491,6 +497,7 @@ class IncrementalMatcher:
             self.store.instances[kind == "arrival"],
             resolver=self.resolver,
             candidate_pairs=pairs,
+            max_rounds=self.max_rounds,
         )
         return result.matches(self._target_pairs)
 

@@ -10,12 +10,11 @@ streaming engine, CLI, service):
   gauges, and exact-percentile histograms (p50/p95/p99), the one render
   path behind ``MatchReport.stats`` and trace files;
 * :mod:`~repro.obs.export` — run manifests plus exporters: Chrome
-  ``trace_event`` JSON (``about:tracing`` / Perfetto), JSONL, and the
+  ``trace_event`` JSON (``about:tracing`` / Perfetto) and the
   ``repro trace summarize`` text table.
 """
 
 from .export import (
-    TRACE_FORMATS,
     read_trace,
     run_manifest,
     summarize_trace,
@@ -33,7 +32,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "TRACE_FORMATS",
     "percentile",
     "read_trace",
     "run_manifest",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, JSONL, and a text summary.
+"""Trace exporters: Chrome ``trace_event`` JSON and a text summary.
 
 The on-disk trace is one JSON document in the Chrome trace *object*
 format, directly loadable in ``about:tracing`` or https://ui.perfetto.dev
@@ -31,9 +31,6 @@ from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer
-
-#: Trace file formats the writers/CLI understand.
-TRACE_FORMATS = ("chrome", "jsonl")
 
 
 def run_manifest(**fields) -> Dict[str, object]:
@@ -106,71 +103,24 @@ def write_trace(
     path,
     manifest: Optional[Dict[str, object]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    format: str = "chrome",
 ) -> Dict[str, object]:
-    """Write the trace to ``path``; returns the chrome document either way.
-
-    ``format="chrome"`` writes the single JSON document;
-    ``format="jsonl"`` writes one JSON object per line — a ``manifest``
-    line, a ``metrics`` line, then every span event in timestamp order —
-    for log shippers and ``grep``.
-    """
-    if format not in TRACE_FORMATS:
-        raise ValueError(
-            f"unknown trace format {format!r}; choose one of {list(TRACE_FORMATS)}"
-        )
+    """Write the Chrome trace document to ``path`` and return it."""
     document = trace_document(tracer, manifest=manifest, metrics=metrics)
-    path = Path(path)
-    if format == "chrome":
-        path.write_text(
-            json.dumps(document, sort_keys=True, default=str) + "\n",
-            encoding="utf-8",
-        )
-        return document
-    lines = [
-        json.dumps({"manifest": document["manifest"]}, sort_keys=True, default=str),
-        json.dumps({"metrics": document["metrics"]}, sort_keys=True, default=str),
-    ]
-    spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
-    for event in sorted(spans, key=lambda e: e["ts"]):
-        lines.append(json.dumps({"span": event}, sort_keys=True, default=str))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(
+        json.dumps(document, sort_keys=True, default=str) + "\n",
+        encoding="utf-8",
+    )
     return document
 
 
 def read_trace(path) -> Dict[str, object]:
-    """Read a trace file in either format back into the chrome document."""
+    """Read a trace file back into its document (:func:`validate_trace`
+    says whether it is one)."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"{path}: empty trace file")
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict):
-        return document
-    # JSONL: manifest line, metrics line, span lines.
-    rebuilt: Dict[str, object] = {
-        "displayTimeUnit": "ms",
-        "manifest": {},
-        "metrics": None,
-        "traceEvents": [],
-    }
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}:{number}: invalid JSON ({error})") from None
-        if "manifest" in record:
-            rebuilt["manifest"] = record["manifest"]
-        elif "metrics" in record:
-            rebuilt["metrics"] = record["metrics"]
-        elif "span" in record:
-            rebuilt["traceEvents"].append(record["span"])
-    return rebuilt
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: invalid JSON ({error})") from None
 
 
 def validate_trace(document: object) -> List[str]:

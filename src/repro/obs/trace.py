@@ -15,8 +15,8 @@ stack — so instrumentation can stay unconditionally in place.  The
 overhead of those no-op calls is measured (not assumed) by the
 wall-clock benchmark, ``python3 -m bench`` (``obs.trace_overhead_frac``).
 
-Everything here is pure standard library; exporters (JSONL, Chrome
-``trace_event``) live in :mod:`repro.obs.export`.
+Everything here is pure standard library; the exporter (Chrome
+``trace_event``) lives in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations

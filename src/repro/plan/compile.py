@@ -55,7 +55,7 @@ from repro.relations.relation import Relation, Row
 from .blocking import BlockingBackend, Pair
 from .executor import chase
 
-#: Default bound on memoized (predicate, value, value) entries; the cache
+#: Bound on the memoized (predicate, value, value) entries; the memo
 #: is cleared wholesale when it fills (simple, allocation-free policy).
 DEFAULT_CACHE_LIMIT = 1 << 20
 
@@ -193,8 +193,6 @@ class EnforcementPlan:
         target: Optional[ComparableLists] = None,
         blocking: Optional[BlockingBackend] = None,
         atom_count: int = 0,
-        cached: bool = True,
-        cache_limit: int = DEFAULT_CACHE_LIMIT,
     ) -> None:
         self.pair = pair
         self.sigma: Tuple[MatchingDependency, ...] = tuple(sigma)
@@ -208,8 +206,6 @@ class EnforcementPlan:
         #: Total LHS/RCK atoms before deduplication (explain reports the
         #: compression this plan achieved).
         self.atom_count = atom_count
-        self.cached = cached
-        self.cache_limit = cache_limit
         self.stats = PlanStats()
         #: Observability hooks (repro.obs).  The tracer defaults to the
         #: shared no-op singleton so every instrumentation point in the
@@ -292,7 +288,7 @@ class EnforcementPlan:
         keys the memo like any other.  Equality predicates are evaluated
         directly (the comparison is cheaper than the probe).
         """
-        if not (self.cached and predicate.cacheable):
+        if not predicate.cacheable:
             self.stats.metric_evaluations += 1
             return bool(predicate.predicate(left_value, right_value))
         key = (
@@ -306,7 +302,7 @@ class EnforcementPlan:
             return cached
         self.stats.metric_evaluations += 1
         result = bool(predicate.predicate(left_value, right_value))
-        if len(self._cache) >= self.cache_limit:
+        if len(self._cache) >= DEFAULT_CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = result
         return result
@@ -347,10 +343,6 @@ class EnforcementPlan:
         if self.blocking is None:
             raise ValueError("this plan was compiled without a blocking backend")
         return self.blocking.candidates(left, right)
-
-    def clear_cache(self) -> None:
-        """Drop every memoized predicate result (counters are kept)."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     # Introspection (``repro plan explain``)
@@ -500,8 +492,6 @@ def compile_plan(
     top_k: int = 5,
     registry: MetricRegistry = DEFAULT_REGISTRY,
     blocking: Optional[BlockingBackend] = None,
-    cached: bool = True,
-    cache_limit: int = DEFAULT_CACHE_LIMIT,
 ) -> EnforcementPlan:
     """Compile MDs (and/or RCKs) into an :class:`EnforcementPlan`.
 
@@ -600,8 +590,6 @@ def compile_plan(
         target=target,
         blocking=blocking,
         atom_count=atom_count,
-        cached=cached,
-        cache_limit=cache_limit,
     )
     # Each compile charges the new plan's own counter exactly once, so a
     # caller holding one plan can assert it was compiled once (`compiles``

@@ -304,13 +304,6 @@ class WindowedSNIndex(BlockingBackend):
         """Number of live block runs, summed over passes."""
         return sum(len(blocks) for blocks in self._blocks)
 
-    def largest_block(self) -> int:
-        """Length of the longest live block run across passes."""
-        lengths = [
-            len(run) for blocks in self._blocks for run in blocks.values()
-        ]
-        return max(lengths) if lengths else 0
-
     def index_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-pass stats in the store's index-stats shape.
 

@@ -53,7 +53,7 @@ class TestRoundTrip:
         assert spec.blocking_backend == "sorted-neighborhood"
         assert spec.policy == "prefer-informative"
         assert spec.mode == "enforce"
-        assert spec.cache is True
+        assert spec.max_rounds == 100
 
     def test_explicit_rcks_round_trip(self, document, target):
         document["rules"]["rcks"] = [
@@ -270,7 +270,7 @@ class TestBuilder:
             .mds(sigma)
             .blocking("hash", key_length=2)
             .resolution("first-non-null")
-            .execution(mode="direct", top_k=3, cache=False)
+            .execution(mode="direct", top_k=3, max_rounds=7)
             .build()
         )
         assert built.blocking_backend == "hash"
@@ -278,7 +278,7 @@ class TestBuilder:
         assert built.policy == "first-non-null"
         assert built.mode == "direct"
         assert built.top_k == 3
-        assert built.cache is False
+        assert built.max_rounds == 7
         # And the round trip still holds for builder output.
         assert ResolutionSpec.from_dict(built.to_dict()) == built
 

@@ -37,18 +37,36 @@ OTHER_VALUES = {
     "resolution.policy": "first-non-null",
     "execution.mode": "direct",
     "execution.max_rounds": 9,
-    "execution.max_cascade": 9,
-    "execution.cache": False,
-    "execution.cache_limit": 9,
     "observability.enabled": True,
     "observability.trace": "trace.json",
-    "observability.trace_format": "jsonl",
     "persistence.backend": "sqlite",
     "persistence.path": "store.db",
     "serve.host": "0.0.0.0",
     "serve.port": 0,
     "serve.max_batch": 3,
     "serve.queue_limit": 5,
+}
+
+#: The fingerprint of the fixture document with each option at its
+#: ``OTHER_VALUES`` entry, measured at 10.0.0, before 11.0 retired four
+#: options: a retirement moves no fingerprint, on or off the defaults.
+PINNED_FINGERPRINTS = {
+    "blocking.backend": "e3506776a30a5c35",
+    "blocking.window": "56c1eab7e85e9e1e",
+    "blocking.key_length": "ad67d64b8e07f5d9",
+    "blocking.encode": "7d848396b6161b70",
+    "blocking.key_pairs": "332d7b8be3a2f901",
+    "resolution.policy": "2f93e289ddd31a60",
+    "execution.mode": "e50aa0e9ee7dc150",
+    "execution.max_rounds": "ebe0aa7d3f4ce574",
+    "observability.enabled": "bb08144399820b1a",
+    "observability.trace": "bb08144399820b1a",
+    "persistence.backend": "bb08144399820b1a",
+    "persistence.path": "bb08144399820b1a",
+    "serve.host": "bb08144399820b1a",
+    "serve.port": "bb08144399820b1a",
+    "serve.max_batch": "bb08144399820b1a",
+    "serve.queue_limit": "bb08144399820b1a",
 }
 
 ONE_OF = [
@@ -81,9 +99,9 @@ def test_the_table_covers_the_six_option_sections():
         "blocking", "resolution", "execution",
         "observability", "persistence", "serve",
     ]
-    assert len(SECTION_OPTIONS) == 20
-    assert len(ONE_OF) == 5
-    assert set(OTHER_VALUES) == set(IDS)
+    assert len(SECTION_OPTIONS) == 16
+    assert len(ONE_OF) == 4
+    assert set(OTHER_VALUES) == set(IDS) == set(PINNED_FINGERPRINTS)
     assert set(DEPLOYMENT_SECTIONS) <= set(OPTION_SECTIONS)
     assert set(OPTIONS) == set(IDS) | {"rules.top_k"}
 
@@ -142,6 +160,51 @@ class TestEveryOption:
         moved = ResolutionSpec.from_dict(_with(document, path, OTHER_VALUES[path]))
         deployment_only = path.split(".")[0] in DEPLOYMENT_SECTIONS
         assert (moved.fingerprint() == base.fingerprint()) is deployment_only
+
+    def test_fingerprint_is_pinned_off_the_default(self, field, document):
+        path = field.metadata["path"]
+        spec = ResolutionSpec.from_dict(_with(document, path, OTHER_VALUES[path]))
+        assert spec.fingerprint() == PINNED_FINGERPRINTS[path]
+
+
+# ----------------------------------------------------------------------
+# The options 11.0 retired are unknown keys, at any value
+# ----------------------------------------------------------------------
+
+#: Each retired option -> the default a 10.x spec saved, and a value off it.
+RETIRED = {
+    "execution.cache": (True, False),
+    "execution.cache_limit": (1048576, 9),
+    "execution.max_cascade": (256, 9),
+    "observability.trace_format": ("chrome", "jsonl"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(path, value) for path, values in RETIRED.items() for value in values],
+)
+def test_a_retired_key_is_refused_at_any_value(path, value, document):
+    section, key = path.split(".")
+    message = f"{section}: unknown key(s) ['{key}']"
+    broken = _with(document, path, value)
+    assert message in ResolutionSpec.validate_document(broken)
+    with pytest.raises(SpecError) as excinfo:
+        ResolutionSpec.from_dict(broken)
+    assert message in excinfo.value.errors
+
+
+@pytest.mark.parametrize("path", RETIRED)
+def test_a_retired_key_is_no_option_and_the_builder_refuses_it(
+    path, pair, target, sigma
+):
+    assert path not in OPTIONS
+    section, key = path.split(".")
+    builder = SpecBuilder().pair(pair).target(target).mds(sigma)
+    getattr(builder, section)(**{key: RETIRED[path][0]})
+    with pytest.raises(SpecError) as excinfo:
+        builder.build()
+    assert f"{section}: unknown key(s) ['{key}']" in excinfo.value.errors
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +315,6 @@ FLAG_USES = {
     "--window": (_MATCH, "4"),
     "--backend": (["plan", "explain"], "hash"),
     "--trace": (_MATCH, "run-trace.json"),
-    "--trace-format": (["engine", "ingest", "--store", "s.db"], "jsonl"),
     "--host": (["serve"], "0.0.0.0"),
     "--port": (["serve"], "0"),
     "--max-batch": (["serve"], "3"),

@@ -407,3 +407,63 @@ class TestRemovedEntryPoints:
         matcher = IncrementalMatcher(plan, store)
         assert matcher.tracer is plan.tracer is workspace.tracer
         assert matcher.metrics is plan.metrics is workspace.metrics
+
+
+class TestRetiredTuning:
+    """11.0 retired the similarity-memo switches, the cascade option and
+    the JSONL trace format, and every name that carried them."""
+
+    @pytest.mark.parametrize("keyword, value", [("cached", False), ("cache_limit", 4)])
+    def test_compile_plan_takes_no_memo_switch(self, sigma, target, keyword, value):
+        from repro.plan.compile import compile_plan
+
+        with pytest.raises(TypeError, match=keyword):
+            compile_plan(sigma, target, **{keyword: value})
+
+    def test_incremental_matcher_takes_no_cascade_bound(self, fig1_workspace):
+        from repro.engine import IncrementalMatcher, MatchStore
+
+        workspace, _, _ = fig1_workspace
+        plan = workspace.plan
+        with pytest.raises(TypeError, match="max_cascade"):
+            IncrementalMatcher(plan, MatchStore(plan.target, plan.rcks), max_cascade=1)
+
+    def test_write_trace_takes_no_format(self, tmp_path):
+        from repro.obs import Tracer, write_trace
+
+        with pytest.raises(TypeError, match="format"):
+            write_trace(Tracer(), tmp_path / "trace.json", format="chrome")
+        assert not (tmp_path / "trace.json").exists()
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("plan", "cached"),
+            ("plan", "cache_limit"),
+            ("plan", "clear_cache"),
+            ("matcher", "max_cascade"),
+            ("repro.obs", "TRACE_FORMATS"),
+            ("repro.obs.export", "TRACE_FORMATS"),
+            ("repro.plan.sn_index:WindowedSNIndex", "largest_block"),
+        ],
+    )
+    def test_a_retired_name_is_gone(self, fig1_workspace, owner, name):
+        workspace, _, _ = fig1_workspace
+        if owner == "plan":
+            holder = workspace.plan
+        elif owner == "matcher":
+            holder = workspace.stream()
+        else:
+            module, _, attribute = owner.partition(":")
+            holder = importlib.import_module(module)
+            if attribute:
+                holder = getattr(holder, attribute)
+        assert not hasattr(holder, name)
+
+    def test_explain_header_names_no_cache_switch(self, fig1_workspace):
+        workspace, _, _ = fig1_workspace
+        spec = workspace.spec
+        assert workspace.explain().splitlines()[1] == (
+            f"# execution: mode={spec.mode}, policy={spec.policy}, "
+            f"top_k={spec.top_k}"
+        )

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.matcher as matcher_module
 from repro.core.schema import LEFT, RIGHT
+from repro.datagen.generator import generate_dataset
+from repro.datagen.streams import arrival_stream
 from repro.engine import IncrementalMatcher, MatchStore
 from repro.plan.compile import compile_plan
 
@@ -136,6 +139,52 @@ class TestEdgeCases:
         assert right.matches == ()
         assert matcher.store.cluster_of(LEFT, left.tid).size == 1
         assert matcher.store.cluster_of(RIGHT, right.tid).size == 1
+
+
+class TestBudgets:
+    """The two bounds on one ingest: the round budget of each delta chase
+    (the spec's ``execution.max_rounds``) and the records its cascade
+    examines (``MAX_CASCADE``)."""
+
+    def test_delta_chases_run_under_the_specs_round_budget(self, workspace_for):
+        dataset = generate_dataset(300, seed=7)
+        workspace = workspace_for(
+            dataset, execution={"mode": "enforce", "max_rounds": 1}
+        )
+        matcher = workspace.stream()
+        assert matcher.max_rounds == 1
+        matcher.ingest_stream(arrival_stream(dataset, seed=7).events)
+        rounds = workspace.metrics.histogram("chase.rounds").summary()
+        assert rounds["max"] <= 1
+        assert workspace.plan.stats.rounds_exhausted > 0
+
+    def test_a_truncated_cascade_makes_a_prefix_of_the_unions(
+        self, workspace, monkeypatch
+    ):
+        """Billing 1 matches credit 0 (ϕ2 and ϕ3, then ϕ1 on the repaired
+        address), and the merge repairs credit 0's ``addr``, which ϕ1
+        reads.  Re-examined, credit 0 now matches billing 0 by ϕ1.  With a
+        cascade of one record that second round never runs: the ingest
+        says so, and its unions stop short of the full ingest's."""
+        mark = {"FN": "Mark", "LN": "Smith", "gender": "M"}
+        earlier = [
+            (LEFT, {**mark, "addr": "10 Oak St", "tel": "555", "email": "m@x"}),
+            (RIGHT, {**mark, "post": "10 Oak Street", "phn": "777", "email": None}),
+        ]
+        last = {**mark, "post": "10 Oak Street", "phn": "555", "email": "m@x"}
+        full, cut = workspace.stream(), workspace.stream()
+        for matcher in (full, cut):
+            matcher.ingest_stream(earlier)
+        whole = full.ingest(RIGHT, last)
+        monkeypatch.setattr(matcher_module, "MAX_CASCADE", 1)
+        truncated = cut.ingest(RIGHT, last)
+        assert truncated.cascade_truncated and not whole.cascade_truncated
+        assert whole.matches == ((0, 1), (0, 0))
+        assert truncated.matches == whole.matches[:1]
+        (small,), (big,) = cut.store.clusters(), full.store.clusters()
+        assert small.left_tids == big.left_tids == {0}
+        assert small.right_tids == {1}
+        assert big.right_tids == {0, 1}
 
 
 def _fig1_events(credit, billing):

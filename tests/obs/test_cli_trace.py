@@ -75,20 +75,6 @@ class TestMatchTrace:
             document
         )
 
-    def test_jsonl_format(self, matching_run, tmp_path):
-        spec, left, right = matching_run
-        trace = tmp_path / "trace.jsonl"
-        code = main(
-            ["match", "--spec", str(spec), "--left", str(left),
-             "--right", str(right), "--trace", str(trace),
-             "--trace-format", "jsonl", "--json"]
-        )
-        assert code == 0
-        # One JSON object per line, and read_trace rebuilds the document.
-        for line in trace.read_text().splitlines():
-            json.loads(line)
-        assert validate_trace(read_trace(trace)) == []
-
     def test_no_trace_flag_writes_nothing(self, matching_run, tmp_path, capsys):
         spec, left, right = matching_run
         code = main(
@@ -156,6 +142,14 @@ class TestTraceSubcommands:
         bad.write_text(json.dumps({"traceEvents": []}))
         assert main(["trace", "summarize", str(bad)]) == 2
         assert "not a valid trace" in capsys.readouterr().err
+
+    def test_a_jsonl_trace_is_rejected_with_exit_2(self, tmp_path, capsys):
+        """One JSON object per line, what ``--trace-format jsonl`` wrote
+        before 11.0, is not a trace file any more."""
+        bad = tmp_path / "trace.jsonl"
+        bad.write_text('{"manifest": {}}\n{"metrics": null}\n')
+        assert main(["trace", "validate", str(bad)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_missing_file_is_a_cli_error(self, tmp_path, capsys):
         assert main(["trace", "validate", str(tmp_path / "nope.json")]) == 2

@@ -148,15 +148,11 @@ class TestExport:
         }
         assert thread_names == {0: "main"}
 
-    @pytest.mark.parametrize("format", ["chrome", "jsonl"])
-    def test_write_read_round_trip(self, tmp_path, format):
+    def test_write_read_round_trip(self, tmp_path):
         tracer = self._traced_run()
-        path = tmp_path / f"trace.{format}"
+        path = tmp_path / "trace.json"
         written = write_trace(
-            tracer,
-            path,
-            manifest=run_manifest(spec_fingerprint="abc"),
-            format=format,
+            tracer, path, manifest=run_manifest(spec_fingerprint="abc")
         )
         document = read_trace(path)
         assert validate_trace(document) == []
@@ -172,10 +168,6 @@ class TestExport:
             if e.get("ph") == "X"
         )
         assert got == want
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown trace format"):
-            write_trace(Tracer(), tmp_path / "t", format="xml")
 
     def test_validate_flags_problems(self):
         assert validate_trace([]) != []

@@ -155,10 +155,8 @@ class TestWriteTrace:
     def test_spec_trace_path_is_the_default(self, tmp_path):
         dataset = generate_dataset(60, seed=3)
         document = _document(dataset)
-        target = tmp_path / "spec-trace.jsonl"
-        document["observability"] = {
-            "enabled": True, "trace": str(target), "trace_format": "jsonl",
-        }
+        target = tmp_path / "spec-trace.json"
+        document["observability"] = {"enabled": True, "trace": str(target)}
         workspace = Workspace.from_dict(document)
         workspace.match(dataset.credit, dataset.billing)
         workspace.write_trace()

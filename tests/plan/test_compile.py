@@ -2,6 +2,8 @@
 
 import pytest
 
+from reference import reference_chase
+
 from repro.core.findrcks import find_rcks
 from repro.core.semantics import InstancePair, enforce
 from repro.datagen.generator import generate_dataset
@@ -108,19 +110,12 @@ class TestSimilarityCache:
         assert plan.stats.metric_evaluations == 2
         assert plan.stats.cache_hits == 0
 
-    def test_uncached_plan_recomputes(self, sigma, target):
-        plan = compile_plan(sigma, target, cached=False)
-        dl = next(p for p in plan.predicates if p.operator.startswith("dl"))
-        plan.evaluate(dl, "Mark", "Marx")
-        plan.evaluate(dl, "Mark", "Marx")
-        assert plan.stats.metric_evaluations == 2
-        assert plan.stats.cache_hits == 0
-
     def test_a_whole_chase_decides_the_same_with_and_without_the_memo(
         self, workspace_for
     ):
-        """Exp-4's RCK-blocking candidates at K=250, chased through a
-        cached and an uncached plan: the memo only saves evaluations."""
+        """Exp-4's RCK-blocking candidates at K=250, chased through the
+        plan and through the reference chase, which resolves every
+        operator on every comparison: the memo only saves evaluations."""
         dataset = generate_dataset(250, seed=3)
         rcks = deduce_rcks(dataset, extended_mds(dataset.pair))
         blocking = {
@@ -128,35 +123,33 @@ class TestSimilarityCache:
             "key_pairs": [list(pair) for pair in exp4_key_pairs(rcks)],
             "encode": ["FN", "LN"],
         }
-        cached, uncached = (
-            workspace_for(
-                dataset, rcks=rcks, blocking=blocking,
-                execution={"mode": "enforce", "cache": cache},
-            )
-            for cache in (True, False)
-        )
-        candidates = cached.candidates(dataset.credit, dataset.billing)
-        cached_matches, uncached_matches = (
-            workspace.match(
-                dataset.credit, dataset.billing,
-                candidates=candidates, provenance=False,
-            ).matches
-            for workspace in (cached, uncached)
-        )
-        assert candidates and cached_matches
-        assert cached_matches == uncached_matches
-        assert cached.plan.stats.cache_hits > 0
-        assert uncached.plan.stats.cache_hits == 0
-        assert (
-            cached.plan.stats.metric_evaluations
-            < uncached.plan.stats.metric_evaluations
-        )
+        workspace = workspace_for(dataset, rcks=rcks, blocking=blocking)
+        plan = workspace.plan
+        candidates = workspace.candidates(dataset.credit, dataset.billing)
+        matches = workspace.match(
+            dataset.credit, dataset.billing,
+            candidates=candidates, provenance=False,
+        ).matches
+        expected = reference_chase(
+            plan.sigma,
+            InstancePair(plan.pair, dataset.credit, dataset.billing),
+            workspace.spec.resolver(),
+            candidates,
+            registry=plan.registry,
+        ).matches(plan.target.attribute_pairs())
+        assert candidates and matches
+        assert sorted(matches) == sorted(expected)
+        assert plan.stats.cache_hits > 0
 
-    def test_cache_overflow_clears_and_stays_correct(self, sigma, target):
-        plan = compile_plan(sigma, target, cache_limit=4)
+    def test_cache_overflow_clears_and_stays_correct(
+        self, sigma, target, monkeypatch
+    ):
+        monkeypatch.setattr("repro.plan.compile.DEFAULT_CACHE_LIMIT", 4)
+        plan = compile_plan(sigma, target)
         dl = next(p for p in plan.predicates if p.operator.startswith("dl"))
         for index in range(20):
             assert plan.evaluate(dl, f"name{index}", f"name{index}x") is True
+            assert len(plan._cache) <= 4
         assert plan.evaluate(dl, "Mark", "Kowalski") is False
 
     def test_stats_reset(self, sigma, target):

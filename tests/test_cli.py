@@ -237,6 +237,18 @@ class TestMatch:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_match_trace_format_flag_is_gone(self, spec_file, tmp_path, capsys):
+        """A trace file is the Chrome document only (11.0)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["match", "--spec", str(spec_file),
+                 "--left", str(tmp_path / "credit.csv"),
+                 "--right", str(tmp_path / "billing.csv"),
+                 "--trace-format", "jsonl"]
+            )
+        assert excinfo.value.code == 2
+        assert "--trace-format" in capsys.readouterr().err
+
     def test_match_plain_csv_without_tids(self, spec_file, tmp_path):
         left_path = tmp_path / "credit.csv"
         left_path.write_text(
@@ -676,6 +688,44 @@ class TestSpecValidate:
         assert main(["spec", "validate", str(spec_file)]) == 2
         first_error = capsys.readouterr().err.splitlines()[0]
         assert "execution" in first_error and "workers" in first_error
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("execution", "cache", True),
+            ("execution", "cache_limit", 1048576),
+            ("execution", "max_cascade", 256),
+            ("observability", "trace_format", "chrome"),
+        ],
+    )
+    def test_a_retired_key_is_refused_and_deleting_it_keeps_the_fingerprint(
+        self, tmp_path, capsys, section, key, value
+    ):
+        """11.0 retired four options, and a spec 10.x saved carries each:
+        ``spec validate`` names it, and once it is deleted the spec
+        fingerprints as at 10.0.0 (where the literals were measured),
+        also off the defaults."""
+        tuned = {
+            "blocking": {"backend": "hash", "key_length": 2},
+            "execution": {"mode": "direct", "max_rounds": 7},
+            "resolution": {"policy": "first-non-null"},
+            "rules": {**SPEC_DOCUMENT["rules"], "top_k": 3},
+        }
+        for sections, fingerprint in (
+            ({}, "e50aa0e9ee7dc150"), (tuned, "32fe7815ef088ecd")
+        ):
+            path = _write_spec(tmp_path / "spec.json", **sections)
+            document = json.loads(path.read_text())
+            document.setdefault(section, {})[key] = value
+            path.write_text(json.dumps(document))
+            assert main(["spec", "validate", str(path)]) == 2
+            assert f"error: {section}: unknown key(s) ['{key}']" in (
+                capsys.readouterr().err.splitlines()
+            )
+            del document[section][key]
+            path.write_text(json.dumps(document))
+            assert main(["spec", "validate", str(path)]) == 0
+            assert f"(fingerprint {fingerprint})" in capsys.readouterr().out
 
     def test_missing_spec_file_exits_two(self, tmp_path, capsys):
         assert main(["spec", "validate", str(tmp_path / "no.json")]) == 2
