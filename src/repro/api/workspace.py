@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import islice
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.findrcks import find_rcks
 from repro.core.rck import RelativeKey
 from repro.core.semantics import InstancePair
 from repro.matching.clustering import Cluster, cluster_matches
 from repro.matching.evaluate import Pair
-from repro.plan.blocking import BlockingBackend, build_blocking
+from repro.plan.blocking import BlockingBackend, CandidateSet, build_blocking
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
@@ -53,7 +54,9 @@ class MatchReport:
     Attributes
     ----------
     matches, candidates:
-        The declared matches and the candidate pairs they were drawn from.
+        The declared matches, ascending, and the candidate pairs they were
+        drawn from: the :class:`~repro.plan.blocking.CandidateSet` the
+        chase ran over (pairs handed in another form, sorted into one).
     clusters:
         The matches consolidated into entity clusters (transitive closure).
     provenance:
@@ -74,7 +77,7 @@ class MatchReport:
     """
 
     matches: Tuple[Pair, ...]
-    candidates: Tuple[Pair, ...]
+    candidates: CandidateSet
     clusters: Tuple[Cluster, ...]
     provenance: Mapping[Pair, Tuple[str, ...]]
     stats: Mapping[str, object]
@@ -105,42 +108,53 @@ class MatchReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte,
-        without building the tree: what ``repro match --json`` prints.
+        without building the tree: what ``repro match --json`` prints."""
+        return "".join(self._json_pieces())
 
-        The pair lists are formatted straight from the tid pairs, each
-        distinct provenance rule tuple is encoded once, and only the
-        clusters and the small ``stats`` mapping go through the encoder.
-        """
+    def write_json(self, stream) -> None:
+        """Write :meth:`to_json`'s text to ``stream`` a piece at a time —
+        how ``repro match --json`` prints it, never holding all of it."""
+        for piece in self._json_pieces():
+            stream.write(piece)
+
+    def _json_pieces(self) -> Iterator[str]:
+        """The JSON text in pieces of up to 1 024 list items.  The pair
+        lists are formatted straight from the tid pairs, each distinct
+        provenance rule tuple is encoded once, and only a cluster and the
+        small ``stats`` mapping go through the encoder."""
         provenance = self.provenance
         encoded_rules: Dict[Tuple[str, ...], str] = {}
-        entries = []
-        for pair in self.matches:
-            rules = provenance.get(pair)
-            if rules is None:
-                continue
-            text = encoded_rules.get(rules)
-            if text is None:
-                text = encoded_rules[rules] = json.dumps(list(rules))
-            entries.append('{"pair": [%d, %d], "rules": %s}' % (*pair, text))
-        clusters = json.dumps([
-            {
+
+        def entries(pairs):
+            for pair in pairs:
+                rules = provenance.get(pair)
+                if rules is None:
+                    continue
+                text = encoded_rules.get(rules)
+                if text is None:
+                    text = encoded_rules[rules] = json.dumps(list(rules))
+                yield '{"pair": [%d, %d], "rules": %s}' % (*pair, text)
+
+        def chunks(texts):
+            first = True
+            for chunk in iter(lambda: list(islice(texts, 1024)), []):
+                yield ("" if first else ", ") + ", ".join(chunk)
+                first = False
+
+        yield '{"candidate_count": %d, "clusters": [' % len(self.candidates)
+        yield from chunks(
+            json.dumps({
                 "left_tids": sorted(cluster.left_tids),
                 "right_tids": sorted(cluster.right_tids),
-            }
+            })
             for cluster in self.clusters
-        ])
-        return (
-            '{"candidate_count": %d, "clusters": %s, "matches": [%s], '
-            '"mode": %s, "provenance": [%s], "spec_fingerprint": %s, '
-            '"stats": %s}'
-        ) % (
-            len(self.candidates),
-            clusters,
-            ", ".join(map("[%d, %d]".__mod__, self.matches)),
-            json.dumps(self.mode),
-            ", ".join(entries),
-            json.dumps(self.fingerprint),
-            json.dumps(dict(self.stats), sort_keys=True),
+        )
+        yield '], "matches": ['
+        yield from chunks(map("[%d, %d]".__mod__, self.matches))
+        yield '], "mode": %s, "provenance": [' % json.dumps(self.mode)
+        yield from chunks(entries(self.matches))
+        yield '], "spec_fingerprint": %s, "stats": %s}' % (
+            json.dumps(self.fingerprint), json.dumps(dict(self.stats), sort_keys=True)
         )
 
 
@@ -286,7 +300,7 @@ class Workspace:
         """The plan's relative candidate keys (deduced or pinned)."""
         return self.plan.rcks
 
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
+    def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """Candidate pairs from the spec's blocking backend."""
         return self.plan.candidates(left, right)
 
@@ -298,8 +312,9 @@ class Workspace:
         provenance: bool = True,
     ) -> MatchReport:
         """Batch matching: chase the plan's rules over ``candidates`` (the
-        blocking backend's, by default) and read the matches off in the
-        spec's execution mode."""
+        blocking backend's, by default; pairs in any other form are sorted
+        into a :class:`~repro.plan.blocking.CandidateSet`) and read the
+        matches off in the spec's execution mode."""
         plan = self.plan
         started = time.perf_counter()
         with self.tracer.span("enforce") as span:
@@ -308,8 +323,8 @@ class Workspace:
                 with self.tracer.span("blocking") as blocking_span:
                     candidates = plan.candidates(left, right)
                     blocking_span.set("candidates", len(candidates))
-            # One tuple, held by the chase and the report alike.
-            candidates = tuple(candidates)
+            # One candidate set, held by the chase and the report alike.
+            candidates = CandidateSet.of(candidates)
             span.set("candidates", len(candidates))
             matches, rule_names = self._chase(instance, candidates, provenance)
             span.set("matches", len(matches))
@@ -319,12 +334,14 @@ class Workspace:
     def _chase(
         self,
         instance: InstancePair,
-        candidates: Tuple[Pair, ...],
+        candidates: CandidateSet,
         provenance: bool,
-    ) -> Tuple[List[Pair], Dict[Pair, Tuple[str, ...]]]:
+    ) -> Tuple[Tuple[Pair, ...], Dict[Pair, Tuple[str, ...]]]:
         """Chase ``instance`` over ``candidates`` and read off the matches
         and, if asked, each match's rules.  The chase's result is dropped
         on return: clustering and the report need only what is read here.
+        A match is one tuple, of the tid ints the chase's classes hold,
+        shared by ``matches`` and the provenance keys.
 
         ``enforce``: a match is a pair whose target cells the chase
         identified, justified by the rules whose LHS holds in ``D'``.
@@ -344,7 +361,7 @@ class Workspace:
             matched = [i for i, mask in enumerate(held) if mask]
         else:
             matched = result.matching(plan.target.attribute_pairs())
-        matches = [candidates[i] for i in matched]
+        matches = tuple(result.merged_cells.pairs_at(matched, instance))
         rule_names: Dict[Pair, Tuple[str, ...]] = {}
         if provenance:
             with self.tracer.span("provenance"):
@@ -355,8 +372,7 @@ class Workspace:
                 # Name each distinct set of rules once (a pair listed
                 # twice holds at two positions).
                 masks: Dict[Pair, int] = {}
-                for i in matched:
-                    pair = candidates[i]
+                for pair, i in zip(matches, matched):
                     masks[pair] = masks.get(pair, 0) | held[i]
                 names: Dict[int, Tuple[str, ...]] = {}
                 for pair, mask in masks.items():
@@ -514,8 +530,16 @@ class Workspace:
         """Export the collected spans and metrics as a Chrome trace file.
 
         ``path`` defaults to the spec's ``observability.trace``; returns
-        the document written.
+        the document written.  ``manifest_fields`` land in its manifest —
+        all but ``format``, refused as :func:`repro.obs.write_trace`
+        refuses it: a trace is a Chrome document, the one format since
+        11.0 retired ``observability.trace_format``.
         """
+        if "format" in manifest_fields:
+            raise TypeError(
+                "write_trace() got an unexpected keyword argument 'format': "
+                "a trace is a Chrome document, the one format since 11.0"
+            )
         target = path if path is not None else self.spec.trace_path
         if target is None:
             raise ValueError(
@@ -530,8 +554,8 @@ class Workspace:
 
     def _report(
         self,
-        matches: Sequence[Pair],
-        candidates: Sequence[Pair],
+        matches: Tuple[Pair, ...],
+        candidates: CandidateSet,
         provenance: Dict[Pair, Tuple[str, ...]],
     ) -> MatchReport:
         # One stats mapping for every consumer: the plan's cumulative
@@ -544,8 +568,8 @@ class Workspace:
         stats["gauges"] = rendered["gauges"]
         stats["histograms"] = rendered["histograms"]
         return MatchReport(
-            matches=tuple(matches),
-            candidates=tuple(candidates),
+            matches=matches,
+            candidates=candidates,
             clusters=tuple(cluster_matches(matches)),
             provenance=provenance,
             stats=stats,

@@ -261,7 +261,8 @@ def _match(args) -> int:
             writer.writerow(["left_tid", "right_tid"])
             writer.writerows(rows)
     if args.json:
-        print(report.to_json())
+        report.write_json(sys.stdout)
+        sys.stdout.write("\n")
         return 0
     if not args.output:
         for left_tid, right_tid in rows:

@@ -40,8 +40,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import le
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
@@ -424,13 +424,15 @@ def _identity(count: int) -> array:
 class CellClasses:
     """The merged cell classes of one chase, over a flat int encoding.
 
-    Built over the candidate pair list of one chase and the plan's
-    :class:`ChaseLayout`.  The tuples the pairs mention get positions in
-    sorted-tid order, the chase attributes of each side their layout
-    ranks (sorted-name order), and a cell is the int ``side_base +
-    position * width + rank`` — left cells first, so **int order is**
-    ``(side, tid, attribute)`` **order** and a sorted member list needs
-    no decoding.  ``root``/``size`` are flat int arrays
+    Built over the candidate set of one chase
+    (:class:`~repro.plan.blocking.CandidateSet`: each left tuple's
+    ascending run of right tids; a position is a pair's index into it)
+    and the plan's :class:`ChaseLayout`.  The tuples the pairs mention
+    get positions in sorted-tid order, the chase attributes of each side
+    their layout ranks (sorted-name order), and a cell is the int
+    ``side_base + position * width + rank`` — left cells first, so **int
+    order is** ``(side, tid, attribute)`` **order** and a sorted member
+    list needs no decoding.  ``root``/``size`` are flat int arrays
     (``array('i')``: four bytes a cell, no int object); the members of
     a class form a circular list through ``next`` (a third), which a
     union joins by swapping two entries.  ``root`` is kept flat (a
@@ -445,9 +447,9 @@ class CellClasses:
     Beside the per-pair lists (``left_cells`` / ``right_cells``) the
     encoding has a per-tuple face — ``left_tuples`` / ``right_tuples``,
     every tuple's first cell — which is what the kernel hash-joins an
-    equality atom over, and knows whether the pair list is
-    :attr:`ordered`, which is what lets a joined pair be found in it by
-    bisection.
+    equality atom over, and ``runs``, per left tuple the positions of its
+    pairs (``runs[p]`` to ``runs[p + 1]``), ascending by right tuple:
+    where a joined pair is found by bisection.
 
     :func:`repro.plan.executor.chase` does the unions, in its round
     loop, over the representative cells of the layout's RHS groups only
@@ -458,17 +460,16 @@ class CellClasses:
     and decodes at the boundary.
     """
 
-    def __init__(
-        self, pairs: Sequence[Tuple[int, int]], layout: ChaseLayout
-    ) -> None:
-        left_tids = {left_tid for left_tid, _ in pairs}
-        right_tids = {right_tid for _, right_tid in pairs}
-        if layout.shared:
-            left_tids = right_tids = left_tids | right_tids
+    def __init__(self, pairs, layout: ChaseLayout) -> None:
+        lefts, starts, rights = pairs.lefts, pairs.starts, pairs.rights
         self.pairs = pairs
         self.layout = layout
-        self.left_tids: List[int] = sorted(left_tids)
-        self.right_tids: List[int] = sorted(right_tids)
+        #: Per side, the tids in ascending order.
+        if layout.shared:
+            self.left_tids = self.right_tids = sorted(set(lefts).union(rights))
+        else:
+            self.left_tids = list(lefts)
+            self.right_tids = sorted(set(rights))
         self.left_names, self.right_names = layout.left_names, layout.right_names
         self.left_rank, self.right_rank = layout.left_rank, layout.right_rank
         left_width, right_width = len(self.left_names), len(self.right_names)
@@ -486,8 +487,24 @@ class CellClasses:
         #: Per side, ``tid -> the tuple's first cell`` (its rank-0 attribute).
         self._first = (left_first, right_first)
         #: Per pair, the first cell of its left and of its right tuple.
-        self.left_cells = [left_first[left_tid] for left_tid, _ in pairs]
-        self.right_cells = [right_first[right_tid] for _, right_tid in pairs]
+        self.left_cells: List[int] = list(chain.from_iterable(map(
+            repeat,  # each run's left cell, once per pair of the run
+            map(left_first.__getitem__, lefts),
+            map(sub, islice(starts, 1, None), starts),
+        )))
+        self.right_cells = list(map(right_first.__getitem__, rights))
+        #: Per left tuple (``left_tids`` order), where its run starts; a
+        #: tuple only ever paired on the right has an empty one.
+        if layout.shared:
+            self.runs = array("i")
+            run = 0
+            for tid in self.left_tids:
+                self.runs.append(starts[run])
+                if run < len(lefts) and lefts[run] == tid:
+                    run += 1
+            self.runs.append(len(rights))
+        else:
+            self.runs = starts
         count = self.right_base + len(self.right_tids) * right_width
         #: Per side, every tuple's first cell, in tid order.
         self.left_tuples = range(0, self.right_base, left_width or 1)
@@ -511,15 +528,6 @@ class CellClasses:
         self.next = root[:]
 
     # -- the encoding ----------------------------------------------------
-
-    @cached_property
-    def ordered(self) -> bool:
-        """Whether the pair list ascends by ``(left tid, right tid)`` —
-        then so do ``left_cells`` and, among one left tuple's pairs,
-        ``right_cells`` (a pair listed twice sits at adjacent positions),
-        and a pair is found by bisection.  One pass, on first read."""
-        pairs = self.pairs
-        return all(map(le, pairs, islice(pairs, 1, None)))
 
     def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
         """The int of a cell, ``None`` for one outside the encoding (a
@@ -615,7 +623,7 @@ class CellClasses:
         if homes is None:
             return []
         root, left_cells, right_cells = self.root, self.left_cells, self.right_cells
-        selection: Sequence[int] = range(len(self.pairs))
+        selection: Sequence[int] = range(len(left_cells))
         for left_rank, right_rank in homes:
             selection = [
                 i
@@ -628,8 +636,30 @@ class CellClasses:
         self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> List[Tuple[int, int]]:
         """The pairs (in order) at the positions :meth:`matching` names."""
-        pairs = self.pairs
-        return [pairs[i] for i in self.matching(attribute_pairs)]
+        return self.pairs_at(self.matching(attribute_pairs))
+
+    def pairs_at(
+        self, positions: Sequence[int], instance: Optional[InstancePair] = None
+    ) -> List[Tuple[int, int]]:
+        """The pairs at ``positions``, a tuple each.  Given the chased
+        ``instance``, of the tid ints its relations key their rows by:
+        read out of the candidate set's arrays, every tid would be an int
+        object of its own, kept alive by the pairs."""
+        if not positions:
+            return []
+        left_width = len(self.left_names) or 1
+        right_width = len(self.right_names) or 1
+        right_base = self.right_base
+        left_cells, right_cells = self.left_cells, self.right_cells
+        lefts = [self.left_tids[left_cells[i] // left_width] for i in positions]
+        rights = [
+            self.right_tids[(right_cells[i] - right_base) // right_width]
+            for i in positions
+        ]
+        if instance is not None:
+            lefts = [row.tid for row in instance.left.rows_of(lefts)]
+            rights = [row.tid for row in instance.right.rows_of(rights)]
+        return list(zip(lefts, rights))
 
 
 @dataclass
@@ -697,6 +727,13 @@ class EnforcementResult:
     _rhs_test: Optional[Callable[[Sequence[Sequence[int]]], bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def pairs(self):
+        """The chased candidate set
+        (:class:`~repro.plan.blocking.CandidateSet`): every position in
+        this result — masks, ``holding``, :meth:`matching` — indexes it."""
+        return self.merged_cells.pairs
 
     @cached_property
     def repairs(self) -> Dict[Cell, object]:
@@ -775,8 +812,10 @@ class EnforcementResult:
         self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> List[Tuple[int, int]]:
         """The chased pairs (in order) for which :meth:`identified` holds —
-        the read-off every matcher ends with."""
-        return self.merged_cells.matches(attribute_pairs)
+        the read-off every matcher ends with — each a tuple of the tid
+        ints ``original``'s relations hold (:meth:`CellClasses.pairs_at`)."""
+        cells = self.merged_cells
+        return cells.pairs_at(cells.matching(attribute_pairs), self.original)
 
     def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
         """The positions into the chased pair list of :meth:`matches`."""

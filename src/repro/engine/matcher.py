@@ -75,11 +75,13 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import ValueResolver, prefer_informative
 from repro.matching.evaluate import Pair
+from repro.plan.blocking import CandidateSet
 from repro.plan.compile import EnforcementPlan
 
 from .store import Node, node_of
@@ -306,13 +308,23 @@ class IncrementalMatcher:
             if not pairs:
                 continue
             all_pairs.extend(pairs)
-            if rounds == 1:
-                found = self._match_pairs(pairs)
-            elif self._cannot_union(round_side, round_tid, pairs):
+            if rounds > 1 and self._cannot_union(round_side, round_tid, pairs):
                 self.metrics.count("engine.chases.skipped.cannot_union")
                 continue
+            # The pairs as the chase reads them (a probe's tids ascend, each
+            # once): one run when the record is left, a run of one per
+            # partner when it is right.
+            delta = (
+                CandidateSet((round_tid,), (0, len(pairs)), other_tids)
+                if round_side == LEFT
+                else CandidateSet(
+                    other_tids, range(len(pairs) + 1), repeat(round_tid, len(pairs))
+                )
+            )
+            if rounds == 1:
+                found = self._match_pairs(pairs, delta)
             else:
-                found = self._chase(pairs, "reexamination")
+                found = self._chase(delta, "reexamination")
             touched: List[Node] = []
             for match in found:
                 if match not in matched:
@@ -397,8 +409,9 @@ class IncrementalMatcher:
     # Delta enforcement
     # ------------------------------------------------------------------
 
-    def _match_pairs(self, pairs: Sequence[Pair]) -> List[Pair]:
-        """Decide an arriving delta by local enforcement; no store side effects.
+    def _match_pairs(self, pairs: Sequence[Pair], delta: CandidateSet) -> List[Pair]:
+        """Decide an arriving delta — ``pairs``, and the same pairs as the
+        chase reads them — by local enforcement; no store side effects.
 
         Every pair is chased over the involved records' *arrival* values —
         the batch chase evaluates every candidate pair on pristine values
@@ -412,12 +425,12 @@ class IncrementalMatcher:
         identify the same cells) and the first chase left a pair
         undecided (:meth:`_all_matched`).
         """
-        matches = self._chase(pairs, "arrival")
+        matches = self._chase(delta, "arrival")
         if self._any_repaired(pairs):
             if self._all_matched(pairs, matches):
                 self.metrics.count("engine.chases.skipped.all_matched")
             else:
-                for match in self._chase(pairs, "current"):
+                for match in self._chase(delta, "current"):
                     if match not in matches:
                         matches.append(match)
         return matches
@@ -474,7 +487,7 @@ class IncrementalMatcher:
             for rule in plan.rules
         )
 
-    def _chase(self, pairs: Sequence[Pair], kind: str) -> List[Pair]:
+    def _chase(self, pairs: CandidateSet, kind: str) -> List[Pair]:
         """One enforcement chase over the delta, read off the store.
 
         ``kind`` names who asked and thereby the values read: an

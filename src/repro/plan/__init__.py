@@ -31,6 +31,7 @@ Typical use::
 from .blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
     BlockingBackend,
+    CandidateSet,
     HashBlockingBackend,
     Pair,
     RCKIndex,
@@ -55,6 +56,7 @@ from .sn_index import WindowedSNIndex
 
 __all__ = [
     "BlockingBackend",
+    "CandidateSet",
     "CompiledKey",
     "CompiledPredicate",
     "CompiledRule",

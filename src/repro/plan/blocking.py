@@ -8,6 +8,8 @@ behind the :class:`BlockingBackend` protocol so a compiled
 :class:`~repro.plan.compile.EnforcementPlan` can carry its candidate
 generator as a pluggable component:
 
+* :class:`CandidateSet` — what every backend's batch ``candidates``
+  returns and the chase reads: the pairs as runs, one per left tuple;
 * the key-derivation primitives (:func:`attribute_key`, :func:`pair_keys`,
   :func:`leading_attribute_pairs`), the one hash loop
   (:func:`hash_candidates` is its one-pass case; its per-left emission,
@@ -38,8 +40,10 @@ semantics a spec declares.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import attrgetter
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, ne
 from typing import (
     Callable,
     Dict,
@@ -83,6 +87,112 @@ PartnerTable = Tuple[
 ]
 
 _tid = attrgetter("tid")
+
+
+class CandidateSet(Sequence[Pair]):
+    """A set of candidate pairs as runs: each left tuple once, with the
+    ascending run of right tuples it is paired with.
+
+    Compressed sparse rows over three ``array('i')`` (tids are C ints):
+    ``lefts`` the distinct left tids, ascending; ``rights`` one run per
+    left tid, ascending (a pair listed twice sits at adjacent positions);
+    ``starts`` the runs' offsets into ``rights``, ``len(lefts) + 1`` of
+    them — left tid ``lefts[k]`` is paired with ``rights[starts[k]:
+    starts[k + 1]]``.  About four bytes a pair, where a list of pair
+    tuples holds some sixty.
+
+    As a ``Sequence`` it reads as the pairs ascending by ``(left,
+    right)``: ``len``, iteration (a fresh tuple per pair), ``[i]`` by
+    bisecting ``starts`` and ``in`` by bisecting ``lefts`` then a run.
+    Position ``i`` is the ``i``-th pair in that order, which is what a
+    chase's positions index.  Two sets are ``==`` when they hold the
+    same runs; a set never equals a list or tuple (compare
+    ``list(candidates)``).
+
+    >>> candidates = CandidateSet.of([(2, 9), (0, 4), (0, 1), (2, 9)])
+    >>> list(candidates), len(candidates.lefts), candidates[3]
+    ([(0, 1), (0, 4), (2, 9), (2, 9)], 2, (2, 9))
+    >>> (0, 4) in candidates, (2, 4) in candidates
+    (True, False)
+    """
+
+    __slots__ = ("lefts", "starts", "rights")
+
+    def __init__(
+        self,
+        lefts: Iterable[int] = (),
+        starts: Iterable[int] = (0,),
+        rights: Iterable[int] = (),
+    ) -> None:
+        self.lefts = array("i", lefts)
+        self.starts = array("i", starts)
+        self.rights = array("i", rights)
+
+    @classmethod
+    def of(cls, pairs: Iterable[Pair]) -> "CandidateSet":
+        """``pairs`` as runs, sorted: a candidate set is returned as it is."""
+        if isinstance(pairs, cls):
+            return pairs
+        ordered = sorted(pairs)
+        if not ordered:
+            return cls()
+        lefts = [left for left, _ in ordered]
+        # A run starts at 0 and wherever the left tid changes.
+        firsts = [0, *compress(count(1), map(ne, islice(lefts, 1, None), lefts))]
+        return cls(
+            [lefts[first] for first in firsts],
+            firsts + [len(ordered)],
+            [right for _, right in ordered],
+        )
+
+    def add_run(self, left: int, rights: Iterable[int]) -> None:
+        """Pair ``left`` — above every left tid so far — with ``rights``,
+        ascending; an empty run adds nothing."""
+        self.rights.extend(rights)
+        if len(self.rights) > self.starts[-1]:
+            self.lefts.append(left)
+            self.starts.append(len(self.rights))
+
+    def __len__(self) -> int:
+        return len(self.rights)
+
+    def __iter__(self):
+        rights = self.rights
+        for left, start, end in zip(self.lefts, self.starts, islice(self.starts, 1, None)):
+            yield from zip(repeat(left, end - start), rights[start:end])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self.rights)
+        if not 0 <= index < len(self.rights):
+            raise IndexError("candidate index out of range")
+        return self.lefts[bisect_right(self.starts, index) - 1], self.rights[index]
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            left, right = pair  # type: ignore[misc]
+            run = bisect_left(self.lefts, left)
+            if run == len(self.lefts) or self.lefts[run] != left:
+                return False
+            start, end = self.starts[run], self.starts[run + 1]
+            at = bisect_left(self.rights, right, start, end)
+        except (TypeError, ValueError):
+            return False
+        return at < end and self.rights[at] == right
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateSet):
+            return NotImplemented
+        return (self.lefts, self.starts, self.rights) == (
+            other.lefts, other.starts, other.rights
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CandidateSet({len(self)} pairs, {len(self.lefts)} left tuples)"
 
 
 def attribute_key(
@@ -166,23 +276,26 @@ def leading_attribute_pairs(
     return chosen
 
 
-def emit_unions(left_rows: Iterable[Row], tables: Sequence[PartnerTable]) -> List[Pair]:
+def emit_unions(
+    left_rows: Iterable[Row], tables: Sequence[PartnerTable]
+) -> CandidateSet:
     """Each left row, in the order given, paired with the sorted union of
     its partner lists: the emission both blocking families share.
 
     A table is ``(key, lookup)``: ``lookup(key(row))`` is ``row``'s
     ascending list of right tids in that pass, or ``None``/empty.  Given
-    the rows in tid order, the list comes out once each and ascending by
-    ``(left_tid, right_tid)`` by construction: no set of pair tuples, no
-    global sort.
+    the rows in tid order, each row with a partner is one run of the
+    :class:`CandidateSet`, every pair once and ascending by construction:
+    no pair tuple, no set of them, no global sort.
     """
-    candidates: List[Pair] = []
+    candidates = CandidateSet()
     for row in left_rows:
         hits = [bucket for key, lookup in tables if (bucket := lookup(key(row)))]
         if hits:
             # One bucket is ascending already; several are unioned.
-            tids = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
-            candidates.extend(zip(repeat(row.tid), tids))
+            candidates.add_run(
+                row.tid, hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+            )
     return candidates
 
 
@@ -190,7 +303,7 @@ def _union_candidates(
     left: Relation,
     right: Relation,
     passes: Sequence[Tuple[RowKey, RowKey]],
-) -> List[Pair]:
+) -> CandidateSet:
     """The hash loop: cross-relation pairs sharing a bucket in some pass.
 
     Per pass the right rows are bucketed by key in tid order, so every
@@ -212,7 +325,7 @@ def hash_candidates(
     right: Relation,
     left_key: RowKey,
     right_key: RowKey,
-) -> List[Pair]:
+) -> CandidateSet:
     """Candidate pairs: all cross-relation pairs sharing a block key,
     ascending by ``(left_tid, right_tid)``."""
     return _union_candidates(left, right, [(left_key, right_key)])
@@ -338,15 +451,10 @@ class BlockingBackend:
     #: compare it against the spec's declared ``blocking.backend``.
     family: str = "none"
 
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
-        """All candidate pairs for a batch instance pair: each pair once,
-        ascending by ``(left_tid, right_tid)``.
-
-        The order is part of the contract — it is what lets the chase
-        find a pair by bisection and serve an equality atom by a hash
-        join; a list in any other order is chased all the same, every
-        atom filtering it.
-        """
+    def candidates(self, left: Relation, right: Relation) -> CandidateSet:
+        """All candidate pairs for a batch instance pair, each once: a
+        :class:`CandidateSet`, whose runs are what the chase hash-joins
+        an equality atom over."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -389,7 +497,7 @@ class HashBlockingBackend(BlockingBackend):
 
     # -- batch ---------------------------------------------------------
 
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
+    def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """Union of hash-blocking candidates over every index's keys.
 
         Runs on transient bucket tables — the incremental postings of a

@@ -52,7 +52,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
-from .blocking import BlockingBackend, Pair
+from .blocking import BlockingBackend, CandidateSet, Pair
 from .executor import chase
 
 #: Bound on the memoized (predicate, value, value) entries; the memo
@@ -338,7 +338,7 @@ class EnforcementPlan:
             max_rounds=max_rounds,
         )
 
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
+    def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """Candidate pairs from the plan's blocking backend."""
         if self.blocking is None:
             raise ValueError("this plan was compiled without a blocking backend")

@@ -33,18 +33,18 @@ indexed by such ints:
   selective atoms prune before an expensive one runs (the FAQ ordering),
   and a metric is computed once per distinct value pair (the FDB saving);
 * **joins** — an equality atom is a join between the two sides' tuples
-  restricted to the candidate list, and where a rule's selection holds
+  restricted to the candidate set, and where a rule's selection holds
   more pairs than the chase has tuples the first narrowing step is one:
   the rule's cheapest ``=`` atom is hash-joined tuple against tuple and
-  each hit looked up in the list by bisection (a ``(left, right)``
-  -ordered list — what blocking returns — keeps one left tuple's pairs
-  contiguous and ascending), so that step costs what it keeps, not what
-  it reads.  Join or filter is a cost comparison made from the data,
-  rule by rule and round by round (``tuples + hits < |selection|``);
-  small selections, unordered lists and unhashable values are filtered
-  as before.  The lookup is a bisection and not a ``pair -> position``
-  table because the table is no faster and costs memory the lists do not
-  (+18 % peak RSS on the dense benchmark workload when it was tried);
+  each hit looked up by bisection in its left tuple's run (the candidate
+  set is runs, one per left tuple, each ascending by right tuple), so
+  that step costs what it keeps, not what it reads.  Join or filter is a
+  cost comparison made from the data, rule by rule and round by round
+  (``tuples + hits < |selection|``); small selections and unhashable
+  values are filtered as before.  The lookup is a bisection and not a
+  ``pair -> position`` table because the table is no faster and costs
+  memory the runs do not (+18 % peak RSS on the dense benchmark workload
+  when it was tried);
 * **firings** — one small-int mask per position, a bit per rule that
   fired at the pair, rather than a set of positions per rule; the
   stability check answers the same way, a mask per position of the
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from itertools import compress
 from operator import ne
@@ -100,7 +100,7 @@ from repro.core.semantics import (
     prefer_informative,
 )
 
-from .blocking import Pair
+from .blocking import CandidateSet, Pair
 
 
 def chase(
@@ -141,26 +141,24 @@ def chase(
     pairs still active; the RHS test waits until ``stable`` is read.
 
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
-    output of the plan's blocking backend here — ascending by ``(left,
-    right)``, which is what lets a large selection be joined instead of
-    scanned (any other order is chased to the same result, by scans).
+    output of the plan's blocking backend here, a
+    :class:`~repro.plan.blocking.CandidateSet`, which is chased as it is.
+    Pairs in any other form are sorted into one on entry (the result does
+    not depend on the order they were listed in); every position the
+    result names indexes the set chased (``result.pairs``).
     """
-    if candidate_pairs is None:
-        candidate_pairs = instance.tuple_pairs()
-    # A list or tuple is read as it is, never copied.
-    pairs: Sequence[Pair] = (
-        candidate_pairs
-        if isinstance(candidate_pairs, (list, tuple))
-        else list(candidate_pairs)
+    pairs = CandidateSet.of(
+        instance.tuple_pairs() if candidate_pairs is None else candidate_pairs
     )
+    pair_count = len(pairs)
     stats = plan.stats
     stats.enforcements += 1
-    stats.pairs_compared += len(pairs)
+    stats.pairs_compared += pair_count
     tracer = plan.tracer
     chase_start = time.perf_counter()
 
     chase_span = tracer.span(
-        "chase", pairs=len(pairs), rules=len(plan.rules), max_rounds=max_rounds
+        "chase", pairs=pair_count, rules=len(plan.rules), max_rounds=max_rounds
     )
     chase_span.__enter__()
     layout = plan.layouts[instance.left is instance.right]
@@ -215,20 +213,20 @@ def chase(
             ]
         return selection
 
-    # An equality atom is a join between the two sides' tuples, and a
-    # ``(left, right)``-ordered candidate list can be probed for its
-    # result: one left tuple's pairs are a contiguous run, ascending by
-    # right tuple, so a pair is found by bisection over the lists the
-    # chase already holds — no ``pair -> position`` table to build and
+    # An equality atom is a join between the two sides' tuples, and the
+    # candidate set can be probed for its result: one left tuple's pairs
+    # are a run, ascending by right tuple, so a pair is found by
+    # bisection within it — no ``pair -> position`` table to build and
     # keep.  Both caches below hold for one evaluation of the rules
     # against fixed values (a round's, the stability check's) and are
     # emptied after it.
     left_tuples = cells.left_tuples
+    runs = cells.runs
     right_tuples = left_tuples if shared else cells.right_tuples
     tuples = len(left_tuples) + (0 if shared else len(right_tuples))
     #: No selection outgrows the list: a chase with no more pairs than
     #: tuples (every delta chase of the engine) never considers a join.
-    dense = len(pairs) > tuples
+    dense = pair_count > tuples
     #: atom -> its tuple-level join (see ``match_tuples``), None if a
     #: cell under it is unhashable.
     partners: Dict[tuple, Optional[tuple]] = {}
@@ -276,10 +274,9 @@ def chase(
         ``(positions of the pairs satisfying it, the other atoms)``, else
         ``None``.  Decided from the data — a selection no larger than the
         tuple count is not worth an index, nor is an atom whose join has
-        more hits than the selection has pairs — and only on an ordered
-        list."""
+        more hits than the selection has pairs."""
         nonlocal probed
-        if size <= tuples or not cells.ordered:
+        if size <= tuples:
             return None
         for atom in equalities:
             if atom not in partners:
@@ -296,14 +293,12 @@ def chase(
             probed += probes
             stats.metric_evaluations += probes
             hits = satisfying[atom] = []
-            end = 0
-            for slot, head in zip(left_tuples, heads):
+            for position, head in enumerate(heads):
                 if head is None:
                     continue
-                # One left tuple's pairs are a run of the list, ascending
-                # by right tuple; a pair listed twice is two neighbours.
-                start = bisect_left(left_slots, slot, end)
-                end = bisect_right(left_slots, slot, start)
+                # A left tuple's pairs are its run, ascending by right
+                # tuple; a pair listed twice is two neighbours.
+                start, end = runs[position], runs[position + 1]
                 while head >= 0:
                     partner = right_tuples[head]
                     at = bisect_left(right_slots, partner, start, end)
@@ -315,7 +310,7 @@ def chase(
 
     #: Every position, listed once: each selection is filtered from it
     #: (or from a join's hits, taken from it), so they all share its ints.
-    everything = list(range(len(pairs)))
+    everything = list(range(pair_count))
     applications = 0
     rounds = 0
     #: A flag per slot, set at the first slot of every tuple the last
@@ -328,7 +323,7 @@ def chase(
     #: Tuple hits the joins have looked up so far.
     probed = 0
     #: Per position, a bit per rule that fired at it (``1 << index``).
-    fired = [0] * len(pairs)
+    fired = [0] * pair_count
     #: Per rule, ``(round, positions)`` for every round it fired in.
     fired_in: List[List[tuple]] = [[] for _ in rules]
     #: Per position, a bit per rule that fired at it in round 1.
@@ -371,7 +366,7 @@ def chase(
                 equalities,
                 len(active)
                 if active is not None
-                else min(len(pairs), repaired_tuples * 2 * len(pairs) // tuples),
+                else min(pair_count, repaired_tuples * 2 * pair_count // tuples),
             )
             if not joined:
                 selection = active if active is not None else list_active()
@@ -584,7 +579,7 @@ def chase(
             ))
             return merged, -start
 
-        masks = [0] * len(pairs)
+        masks = [0] * pair_count
         with tracer.span("stability-check") as span:
             joins = fresh_pairs = reevaluated = 0
             listed = active if active is not None else list_active()

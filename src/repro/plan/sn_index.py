@@ -68,6 +68,7 @@ from repro.plan.blocking import (
     _tid,
     DEFAULT_ENCODED_ATTRIBUTES,
     BlockingBackend,
+    CandidateSet,
     Entry,
     Pair,
     PartnerTable,
@@ -231,24 +232,23 @@ class WindowedSNIndex(BlockingBackend):
             found.update(window_neighbors(run, entry, self.window))
         return sorted(found)
 
-    def scan_candidates(self) -> List[Pair]:
+    def scan_candidates(self) -> CandidateSet:
         """All cross-side window pairs over the *live* rank runs.
 
         Arrival-order independent: equals :meth:`candidates` over the
         same rows, because a run's final layout is the sorted entry list
         either way.
         """
-        if self.window < 2:
-            return []
         pairs: Set[Pair] = set()
-        for blocks in self._blocks:
-            for run in blocks.values():
-                pairs.update(run_pairs(run, self.window))
-        return sorted(pairs)
+        if self.window >= 2:
+            for blocks in self._blocks:
+                for run in blocks.values():
+                    pairs.update(run_pairs(run, self.window))
+        return CandidateSet.of(pairs)
 
     # -- batch ---------------------------------------------------------
 
-    def candidates(self, left: Relation, right: Relation) -> List[Pair]:
+    def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """Block-confined window candidates for a batch instance pair.
 
         The hash loop (:func:`~repro.plan.blocking.emit_unions`) on each
@@ -260,7 +260,7 @@ class WindowedSNIndex(BlockingBackend):
         """
         window = self.window
         if window < 2:
-            return []
+            return CandidateSet()
         left_rows = sorted(left, key=_tid)
         # Pass i's key is pass 0's rotated by i, so its block is pass 0's
         # component i: every row is keyed once.

@@ -69,8 +69,8 @@ class TestSingleCompile:
         assert document["matches"]
 
     def test_the_candidate_list_is_held_once(self, fig1_workspace, monkeypatch):
-        """``enforce`` makes one tuple of the candidates; the chase and the
-        report hold that tuple, not copies of it."""
+        """``match`` makes one candidate set of the pairs handed in; the
+        chase and the report hold that set, not copies of it."""
         workspace, credit, billing = fig1_workspace
         plan = workspace.plan
         chased = []
@@ -84,7 +84,7 @@ class TestSingleCompile:
         monkeypatch.setattr(plan, "enforce", keep)
         report = workspace.match(credit, billing, candidates=[(0, 0), (0, 1)])
         (handed, held), = chased
-        assert report.candidates == ((0, 0), (0, 1))
+        assert tuple(report.candidates) == ((0, 0), (0, 1))
         assert handed is held is report.candidates
 
 

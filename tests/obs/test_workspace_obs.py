@@ -18,7 +18,7 @@ from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.experiments.harness import resolution_spec_document
-from repro.obs import NULL_TRACER, read_trace, validate_trace
+from repro.obs import NULL_TRACER, read_trace, validate_trace, write_trace
 from repro.plan.compile import PlanStats
 
 
@@ -151,6 +151,20 @@ class TestWriteTrace:
         assert manifest["mode"] == "enforce"
         assert manifest["policy"] == workspace.spec.policy
         assert manifest["command"] == "test-run"
+
+    def test_the_retired_format_keyword_is_refused(self, tmp_path):
+        """Only a Chrome document is written, so a ``format`` asked for
+        is an error (as ``obs.write_trace`` makes it), not a manifest
+        field over a file of another format."""
+        dataset = generate_dataset(60, seed=3)
+        workspace = Workspace.from_dict(_document(dataset))
+        workspace.match(dataset.credit, dataset.billing)
+        path = tmp_path / "trace.json"
+        with pytest.raises(TypeError, match="'format'"):
+            workspace.write_trace(path, format="jsonl")
+        with pytest.raises(TypeError, match="'format'"):
+            write_trace(workspace.tracer, path, format="jsonl")
+        assert not path.exists()
 
     def test_spec_trace_path_is_the_default(self, tmp_path):
         dataset = generate_dataset(60, seed=3)

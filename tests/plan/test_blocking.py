@@ -1,18 +1,23 @@
 """Unit tests for the kernel's blocking backends."""
 
+import gc
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Workspace
 from repro.core.findrcks import find_rcks
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists, RelationSchema, SchemaPair
 from repro.experiments.baselines.windowing import rck_sort_keys, window_candidates
+from repro.datagen.generator import generate_dataset
+from repro.datagen.schemas import extended_mds
 from repro.metrics.soundex import soundex
 from repro.plan.blocking import (
     DEFAULT_ENCODED_ATTRIBUTES,
+    CandidateSet,
     HashBlockingBackend,
     RCKIndex,
     attribute_key,
@@ -29,6 +34,21 @@ def _add(backend, side, row):
 
 def _probe(backend, side, row):
     return backend.probe(side, row, backend.keys_for(side, row))
+
+
+def assert_runs(candidates):
+    """The CSR shape of a :class:`CandidateSet`: three ``array('i')``,
+    ``lefts`` strictly ascending, ``starts`` from 0 to ``len(rights)``
+    one run per left tid, each run non-empty and ascending."""
+    lefts, starts, rights = candidates.lefts, candidates.starts, candidates.rights
+    assert {lefts.typecode, starts.typecode, rights.typecode} == {"i"}
+    assert all(a < b for a, b in zip(lefts, lefts[1:]))
+    assert len(starts) == len(lefts) + 1
+    assert starts[0] == 0 and starts[-1] == len(rights) == len(candidates)
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    for start, end in zip(starts, starts[1:]):
+        run = rights[start:end]
+        assert list(run) == sorted(run)
 
 
 def _one_pass(left, right, left_key, right_key):
@@ -67,9 +87,9 @@ class TestHashBlockingBackend:
                 index.left_key, index.right_key,
             )
         }
-        assert backend.candidates(
+        assert list(backend.candidates(
             small_dataset.credit, small_dataset.billing
-        ) == sorted(expected)
+        )) == sorted(expected)
 
     def test_incremental_probe_agrees_with_batch(self, rcks, small_dataset):
         """add/probe yields exactly the pairs batch blocking generates."""
@@ -148,13 +168,15 @@ def test_sorted_neighborhood_describe_reports_window(rcks):
 def test_candidates_come_back_once_each_ascending(
     candidates_of, rcks, small_dataset
 ):
-    """The contract of ``BlockingBackend.candidates``, and the precondition
-    of the chase's hash joins: an unordered list silently scans."""
+    """The contract of ``BlockingBackend.candidates``: each pair once,
+    ascending — for a backend, as runs the chase can bisect."""
     candidates = candidates_of(
         rcks, small_dataset.credit, small_dataset.billing
     )
     assert len(candidates) > 100
-    assert candidates == sorted(set(candidates))
+    assert list(candidates) == sorted(set(candidates))
+    if isinstance(candidates, CandidateSet):
+        assert_runs(candidates)
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +239,13 @@ def test_candidates_are_the_sorted_union_of_the_passes(
         for index in backend.indexes
     ]
     expected = sorted(set().union(*passes))
-    assert backend.candidates(left, right) == expected
+    candidates = backend.candidates(left, right)
+    assert list(candidates) == expected
+    assert_runs(candidates)
     for index, pairs in zip(backend.indexes, passes):
-        assert hash_candidates(
-            left, right, index.left_key, index.right_key
-        ) == sorted(pairs)
+        one_pass = hash_candidates(left, right, index.left_key, index.right_key)
+        assert list(one_pass) == sorted(pairs)
+        assert_runs(one_pass)
     for row in right:
         _add(backend, RIGHT, row)
     for row in left:
@@ -240,7 +264,7 @@ def test_a_pair_several_passes_find_comes_back_once():
         [RCKIndex(name, [(name, name)], ()) for name in NAMES]
     )
     # (2, 9) by LN and zip, (5, 9) by FN and LN, (5, 4) by FN and zip.
-    assert backend.candidates(left, right) == [(2, 9), (5, 4), (5, 9)]
+    assert list(backend.candidates(left, right)) == [(2, 9), (5, 4), (5, 9)]
 
 
 @pytest.mark.parametrize("encoder", (None, soundex, str.upper), ids=("raw", "soundex", "upper"))
@@ -280,6 +304,33 @@ def test_candidates_hold_no_pair_set_beside_their_list():
     assert peak <= 1.3 * held
 
 
+def test_a_candidate_set_holds_at_most_twelve_bytes_a_pair():
+    """Runs, not pair tuples: the candidate set of a K=2000 hash match
+    (``key_length=1``, seed 7) holds at most 12 bytes a pair under
+    tracemalloc — a list of ``(left, right)`` tuples holds some 64."""
+    source = generate_dataset(2000, seed=7)
+    workspace = (
+        Workspace.builder()
+        .pair(source.pair)
+        .target(source.target)
+        .mds(extended_mds(source.pair))
+        .blocking("hash", key_length=1)
+        .execution(top_k=5)
+        .workspace()
+    )
+    # Compiled and keyed once before: only the set itself is measured.
+    workspace.candidates(source.credit, source.billing)
+    gc.collect()
+    tracemalloc.start()
+    candidates = workspace.candidates(source.credit, source.billing)
+    gc.collect()
+    held, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert isinstance(candidates, CandidateSet)
+    assert len(candidates) > 15_000
+    assert held <= 12 * len(candidates)
+
+
 # ----------------------------------------------------------------------
 # A pass encodes both of its attributes or neither
 # ----------------------------------------------------------------------
@@ -303,7 +354,7 @@ def _clifford(family, encode):
 @BOTH_FAMILIES
 def test_a_pair_named_on_one_side_is_encoded_on_both_in_batch(family, encode):
     blocking, left, right = _clifford(family, encode)
-    assert blocking.candidates(left, right) == [(0, 0), (0, 1)]
+    assert list(blocking.candidates(left, right)) == [(0, 0), (0, 1)]
 
 
 @ENCODE_EITHER

@@ -30,15 +30,15 @@ from repro.core.semantics import CellClasses, InstancePair, _identity
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
-from repro.plan import compile_plan
+from repro.plan import CandidateSet, compile_plan
 from repro.relations.relation import Relation
 
 
 class IntPerCell(CellClasses):
     """The encoding with an entry of its own per cell, followers included."""
 
-    def __init__(self, pairs, layout) -> None:
-        super().__init__(pairs, layout)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.root = array("i", range(len(self.root)))
         self.next = array("i", self.root)
 
@@ -70,7 +70,7 @@ def test_followers_hold_the_sentinel_and_every_other_cell_its_own():
     assert (len(left_followers), len(layout.left_names)) == (5, 12)
     assert (len(right_followers), len(layout.right_names)) == (5, 12)
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
-    cells = CellClasses(pairs, layout)
+    cells = CellClasses(CandidateSet.of(pairs), layout)
     assert {cells.root.typecode, cells.next.typecode, cells.size.typecode} == {"i"}
     owned = 0
     for cell, (entry, following) in enumerate(zip(cells.root, cells.next)):

@@ -2,17 +2,21 @@
 
 One block-structured instance — 80 blocks of 25 x 25 tuples, 50 000
 candidate pairs over 4 000 tuples, the shape hash blocking produces — is
-chased twice: as blocking hands it over (ascending, so the kernel joins)
-and shuffled (nothing to bisect, so every atom filters the list).  The
-two must agree on everything but the work, and the work must show what
-the join is for: selection costs what it keeps, not what it reads, and
-finding a pair needs no table beside the lists the chase already holds.
+chased three times: as blocking hands it over (the kernel joins),
+shuffled (sorted into the same candidate set on entry: the same chase,
+the same work), and with no atom it can index (every atom filters the
+pairs).  All three must agree on everything but the work, and the work
+must show what the join is for: selection costs what it keeps, not what
+it reads, and finding a pair needs no table beside the runs the chase
+already holds.
 """
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 from repro.core.parser import parse_md
 from repro.core.schema import RelationSchema, SchemaPair
@@ -56,12 +60,16 @@ def _instance():
     return pair, InstancePair(pair, left, right), pairs
 
 
-def _chase(pair, instance, pairs):
-    """One traced-by-tracemalloc chase, stability check included."""
+def _chase(pair, instance, pairs, joins=True):
+    """One traced-by-tracemalloc chase, stability check included; with
+    ``joins`` off no value can be indexed, so every ``=`` atom filters."""
     plan = compile_plan(sigma=[parse_md(text, pair) for text in RULES])
+    unjoinable = mock.patch("repro.plan.executor.Counter", side_effect=TypeError)
     tracemalloc.start()
-    result = plan.enforce(instance, candidate_pairs=pairs)
-    holding = [sorted(pairs[i] for i in positions) for positions in result.holding]
+    with nullcontext() if joins else unjoinable:
+        result = plan.enforce(instance, candidate_pairs=pairs)
+        chased = result.pairs
+        holding = [sorted(chased[i] for i in positions) for positions in result.holding]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return plan.stats, result, holding, peak
@@ -74,8 +82,20 @@ def test_a_joined_chase_does_a_quarter_of_the_work_and_holds_no_table():
     random.Random(4).shuffle(shuffled)
 
     joined_stats, joined, joined_holding, joined_peak = _chase(pair, instance, pairs)
+    shuffled_stats, reordered, reordered_holding, _ = _chase(pair, instance, shuffled)
     scanned_stats, scanned, scanned_holding, scanned_peak = _chase(
-        pair, instance, shuffled
+        pair, instance, pairs, joins=False
+    )
+
+    # A shuffled list is the same candidate set: the same chase, the same
+    # work, join for join.
+    assert list(reordered.pairs) == pairs
+    assert (reordered.rounds, reordered.applications, reordered.repairs) == (
+        joined.rounds, joined.applications, joined.repairs
+    )
+    assert reordered_holding == joined_holding
+    assert (shuffled_stats.metric_evaluations, shuffled_stats.cache_hits) == (
+        joined_stats.metric_evaluations, joined_stats.cache_hits
     )
 
     # Same chase ...

@@ -95,7 +95,7 @@ def _stream_against_batch(
     if blocking["backend"] == "sorted-neighborhood":
         # The streamed rank encoding enumerates that universe by itself.
         assert report.matches
-        assert store.blocking.scan_candidates() == live
+        assert list(store.blocking.scan_candidates()) == live
     assert store.spec_fingerprint == report.fingerprint
     store.close()
     return workspace

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_blocking import assert_runs
+
 from repro.core.schema import LEFT, RIGHT, RelationSchema
 from repro.experiments.baselines.windowing import window_candidates
 from repro.plan.blocking import attribute_key
@@ -111,7 +113,9 @@ def test_batch_candidates_are_the_per_pass_definition(index, left, right, self_m
     leading component only, and by dropping the (side, tid) tie-break."""
     if self_match:
         right = left
-    assert index.candidates(left, right) == _per_pass_definition(index, left, right)
+    candidates = index.candidates(left, right)
+    assert list(candidates) == _per_pass_definition(index, left, right)
+    assert_runs(candidates)
 
 
 @pytest.mark.parametrize("window", range(2, 7))
@@ -121,9 +125,9 @@ def test_a_block_one_past_the_window_is_windowed(window):
     index = _index(window=window, pairs=BLOCKED_PAIRS)
     left = _blocked([("a", "0")])
     right = _blocked([("a", f"{rank}") for rank in range(1, window + 1)])
-    assert index.candidates(left, right) == [(0, tid) for tid in range(window - 1)]
+    assert list(index.candidates(left, right)) == [(0, tid) for tid in range(window - 1)]
     right = _blocked([("a", f"{rank}") for rank in range(1, window)])
-    assert index.candidates(left, right) == [(0, tid) for tid in range(window - 1)]
+    assert list(index.candidates(left, right)) == [(0, tid) for tid in range(window - 1)]
 
 
 class TestIncrementalEqualsBatch:
@@ -236,7 +240,7 @@ class TestBlockConfinement:
         right = _blocked([("a", f"{i:02d}") for i in range(1, 40, 4)])
         index = _index(window=4, pairs=BLOCKED_PAIRS)
         sort_key = attribute_key(["K", "V"])
-        assert index.candidates(left, right) == window_candidates(
+        assert list(index.candidates(left, right)) == window_candidates(
             left, right, sort_key, sort_key, 4
         )
 
@@ -260,11 +264,11 @@ class TestMultiPassRotation:
         left.insert({"K": "alpha", "V": "shared"})
         right.insert({"K": "omega", "V": "shared"})
         single = WindowedSNIndex([("K", "K")], encode_attributes=())
-        assert single.candidates(left, right) == []
+        assert list(single.candidates(left, right)) == []
         multi = WindowedSNIndex(
             [("K", "K"), ("V", "V")], encode_attributes=()
         )
-        assert multi.candidates(left, right) == [(0, 0)]
+        assert list(multi.candidates(left, right)) == [(0, 0)]
 
     def test_disagreement_on_every_attribute_stays_dropped(self):
         schema = RelationSchema("R", ["K", "V"])
@@ -275,7 +279,7 @@ class TestMultiPassRotation:
         multi = WindowedSNIndex(
             [("K", "K"), ("V", "V")], encode_attributes=()
         )
-        assert multi.candidates(left, right) == []
+        assert list(multi.candidates(left, right)) == []
 
 
 class TestDegenerateWindows:
@@ -288,8 +292,8 @@ class TestDegenerateWindows:
             _add(index, LEFT, row)
         for row in right:
             _add(index, RIGHT, row)
-        assert index.candidates(left, right) == []
-        assert index.scan_candidates() == []
+        assert list(index.candidates(left, right)) == []
+        assert list(index.scan_candidates()) == []
         assert _probe(index, LEFT, left[0]) == []
 
     def test_empty_pairs_rejected(self):
@@ -337,4 +341,4 @@ class TestHelpers:
         index = WindowedSNIndex(
             [("LN", "LN")], encode_attributes=("LN",)
         )
-        assert index.candidates(left, right) == [(0, 0)]
+        assert list(index.candidates(left, right)) == [(0, 0)]
