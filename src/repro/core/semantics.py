@@ -237,9 +237,11 @@ class ChaseLayout(NamedTuple):
     and the chase unions only the representative's cells; every other
     RHS pair — and every one over shared storage, where the order of the
     unions is observable — is a group of one.  ``writes`` is per rule the
-    bitmask of the groups it writes, ``left_places`` / ``right_places``
-    per rank where its cells live (:data:`Place`), and :meth:`unions`
-    the group unions a set of firing rules makes at one pair."""
+    bitmask of the groups it writes, ``reads`` per rule the bitmasks of
+    the ranks its LHS reads on the left and on the right (bit ``r`` =
+    rank ``r``), ``left_places`` / ``right_places`` per rank where its
+    cells live (:data:`Place`), and :meth:`unions` the group unions a
+    set of firing rules makes at one pair."""
 
     shared: bool
     left_names: Tuple[str, ...]
@@ -249,6 +251,7 @@ class ChaseLayout(NamedTuple):
     rules: Tuple[tuple, ...]
     groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     writes: Tuple[int, ...]
+    reads: Tuple[Tuple[int, int], ...]
     left_places: Tuple[Place, ...]
     right_places: Tuple[Place, ...]
     #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
@@ -293,6 +296,14 @@ class ChaseLayout(NamedTuple):
         writes = tuple(
             sum({1 << group_of[pair] for pair in rhs}) for _, _, rhs in lowered
         )
+        # An atom ends in its (left rank, right rank), similarity or not.
+        reads = tuple(
+            (
+                sum({1 << atom[-2] for atom in (*equalities, *similarities)}),
+                sum({1 << atom[-1] for atom in (*equalities, *similarities)}),
+            )
+            for equalities, similarities, _ in lowered
+        )
         left_places = [_ALONE] * len(left_names)
         right_places = [_ALONE] * len(right_names)
         for pairs in groups:
@@ -305,7 +316,7 @@ class ChaseLayout(NamedTuple):
                 right_places[right] = (right0 - right, lane, lanes)
         return cls(
             shared, left_names, right_names, left_rank, right_rank, lowered,
-            groups, writes, tuple(left_places), tuple(right_places), {}, {},
+            groups, writes, reads, tuple(left_places), tuple(right_places), {}, {},
         )
 
     def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:

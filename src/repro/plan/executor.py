@@ -130,9 +130,11 @@ def chase(
     representative cells stands for one union per RHS pair of the group
     (their classes are copies of one partition of the tuples) and counts
     as that many.
-    Rounds after the first re-examine only pairs one of whose tuples a
-    repair actually changed (an unchanged pair's verdicts cannot change),
-    and skip a (rule, pair) that already fired (its RHS cells are merged
+    Rounds after the first are semi-naive per rule: a rule re-examines
+    only pairs one of whose tuples the last round's repairs wrote an LHS
+    cell of *that rule* at (its verdict reads nothing else, so any other
+    pair's cannot change), sits out a round in which no tuple had one
+    written, and skips a (rule, pair) that already fired (its RHS cells are merged
     for good, so its unions would all be idempotent).  Between two
     relations a union of two classes whose values agree is not resolved:
     it would write nothing.
@@ -318,6 +320,12 @@ def chase(
     #: first round, at every slot — and the count of such tuples.
     changed = bytearray(b"\x01") * len(values)
     repaired_tuples = len(values)
+    #: Per side, the first slot of every tuple the last round repaired ->
+    #: a bit per rank it wrote there; over shared storage one map, a right
+    #: tuple's slots being its left twin's.
+    left_written: Dict[int, int] = {}
+    right_written = left_written if shared else {}
+    reads = layout.reads
     #: Those pairs' positions, listed only if some rule has to scan them.
     active: Optional[Sequence[int]] = everything
     #: Tuple hits the joins have looked up so far.
@@ -359,6 +367,19 @@ def chase(
             zip(rules, fired_in)
         ):
             bit = 1 << index
+            if rounds > 1:
+                # Semi-naive per rule: the tuples the last round wrote one
+                # of this rule's LHS cells of; no pair of any other tuple
+                # can change its verdict, and with none the rule sits out.
+                left_reads, right_reads = reads[index]
+                dirty_left = {
+                    slot for slot, ranks in left_written.items() if ranks & left_reads
+                }
+                dirty_right = {
+                    slot for slot, ranks in right_written.items() if ranks & right_reads
+                }
+                if not (dirty_left or dirty_right):
+                    continue
             # What a scan would read — the active pairs: their count once
             # they are listed, until then a repaired tuple's mean number
             # of pairs for each tuple repaired.
@@ -371,16 +392,15 @@ def chase(
             if not joined:
                 selection = active if active is not None else list_active()
                 scanned += len(selection)
-                if history:
-                    selection = [i for i in selection if not fired[i] & bit]
             else:
                 joins += 1
-                hits, equalities = joined
+                selection, equalities = joined
+            if rounds > 1:
                 selection = [
                     i
-                    for i in hits
-                    if not fired[i] & bit
-                    and (changed[left_slots[i]] or changed[right_slots[i]])
+                    for i in selection
+                    if (left_slots[i] in dirty_left or right_slots[i] in dirty_right)
+                    and not fired[i] & bit
                 ]
             selection = select(selection, equalities, similarities)
             if selection:
@@ -485,6 +505,8 @@ def chase(
             round_span.__exit__(None, None, None)
             break
         changed = bytearray(len(values))
+        left_written.clear()
+        right_written.clear()
         with tracer.span("resolve-merged") as resolve_span:
             #: A flag per cell: its class was resolved this round.
             seen = bytearray(len(root))
@@ -530,12 +552,15 @@ def chase(
                             values[slot] = resolved
                             repaired += 1
                             # The first slot of the tuple written to: only
-                            # its pairs can behave differently next round.
-                            changed[
-                                slot - slot % left_width
-                                if slot < right_base
-                                else slot - (slot - right_base) % right_width
-                            ] = 1
+                            # its pairs can behave differently next round,
+                            # and only under a rule reading ``rank``.
+                            if slot < right_base:
+                                rank, written = slot % left_width, left_written
+                            else:
+                                rank = (slot - right_base) % right_width
+                                written = right_written
+                            changed[slot - rank] = 1
+                            written[slot - rank] = written.get(slot - rank, 0) | 1 << rank
             repaired_tuples = changed.count(1)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)

@@ -47,19 +47,19 @@ def _stats(cache_hits, metric_evaluations, pairs_compared, chase_rounds, applica
 GOLDEN = {
     ("hash", (("key_length", 1),), 400, 7): (
         "595a29460c1a4aa0af2f66eeeeccde972d86107c7fc085746dee341bd49b10b5",
-        _stats(1506, 12766, 1446, 3, 4355),
+        _stats(1460, 12253, 1446, 3, 4355),
     ),
     ("hash", (("key_length", 1),), 300, 13): (
         "f63a2f437331e91a1e1afd7c085a7d92880a9f16d840715c82bffab70ee68d48",
-        _stats(1316, 11217, 1231, 3, 3285),
+        _stats(1280, 10900, 1231, 3, 3285),
     ),
     ("sorted-neighborhood", (("window", 10),), 600, 7): (
         "7cc12be42324fbe74b3841affcb3395e118c583945f04f3949aed92143e000d0",
-        _stats(1758, 12963, 635, 4, 6450),
+        _stats(1716, 12683, 635, 4, 6450),
     ),
     ("sorted-neighborhood", (("window", 4),), 400, 13): (
         "c351b884ce3465623109be0b45630727a2f6815965baffae41a21005c579b46c",
-        _stats(891, 6656, 340, 3, 3410),
+        _stats(866, 6499, 340, 3, 3410),
     ),
 }
 
