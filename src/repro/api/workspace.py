@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time
-from itertools import islice
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -120,39 +119,43 @@ class MatchReport:
     def _json_pieces(self) -> Iterator[str]:
         """The JSON text in pieces of up to 1 024 list items.  The pair
         lists are formatted straight from the tid pairs, each distinct
-        provenance rule tuple is encoded once, and only a cluster and the
-        small ``stats`` mapping go through the encoder."""
+        provenance rule tuple is encoded once, and only the clusters and
+        the small ``stats`` mapping go through the encoder."""
         provenance = self.provenance
         encoded_rules: Dict[Tuple[str, ...], str] = {}
 
-        def entries(pairs):
-            for pair in pairs:
-                rules = provenance.get(pair)
-                if rules is None:
-                    continue
+        def clusters(chunk) -> str:
+            return json.dumps([
+                {
+                    "left_tids": sorted(cluster.left_tids),
+                    "right_tids": sorted(cluster.right_tids),
+                }
+                for cluster in chunk
+            ])[1:-1]
+
+        def pairs(chunk) -> str:
+            return ", ".join(map("[%d, %d]".__mod__, chunk))
+
+        def entries(chunk) -> str:
+            texts = []
+            for pair in chunk:
+                rules = provenance[pair]
                 text = encoded_rules.get(rules)
                 if text is None:
                     text = encoded_rules[rules] = json.dumps(list(rules))
-                yield '{"pair": [%d, %d], "rules": %s}' % (*pair, text)
+                texts.append('{"pair": [%d, %d], "rules": %s}' % (*pair, text))
+            return ", ".join(texts)
 
-        def chunks(texts):
-            first = True
-            for chunk in iter(lambda: list(islice(texts, 1024)), []):
-                yield ("" if first else ", ") + ", ".join(chunk)
-                first = False
+        def listed(items, render) -> Iterator[str]:
+            for start in range(0, len(items), 1024):
+                yield ", " * (start > 0) + render(items[start:start + 1024])
 
         yield '{"candidate_count": %d, "clusters": [' % len(self.candidates)
-        yield from chunks(
-            json.dumps({
-                "left_tids": sorted(cluster.left_tids),
-                "right_tids": sorted(cluster.right_tids),
-            })
-            for cluster in self.clusters
-        )
+        yield from listed(self.clusters, clusters)
         yield '], "matches": ['
-        yield from chunks(map("[%d, %d]".__mod__, self.matches))
+        yield from listed(self.matches, pairs)
         yield '], "mode": %s, "provenance": [' % json.dumps(self.mode)
-        yield from chunks(entries(self.matches))
+        yield from listed([pair for pair in self.matches if pair in provenance], entries)
         yield '], "spec_fingerprint": %s, "stats": %s}' % (
             json.dumps(self.fingerprint), json.dumps(dict(self.stats), sort_keys=True)
         )

@@ -237,9 +237,9 @@ class ChaseLayout(NamedTuple):
     and the chase unions only the representative's cells; every other
     RHS pair — and every one over shared storage, where the order of the
     unions is observable — is a group of one.  ``writes`` is per rule the
-    bitmask of the groups it writes, ``reads`` per rule the bitmasks of
-    the ranks its LHS reads on the left and on the right (bit ``r`` =
-    rank ``r``), ``left_places`` / ``right_places`` per rank where its
+    bitmask of the groups it writes, ``reads`` per rule the bitmask of
+    the cells its LHS reads (bit ``r`` is left rank ``r``, bit ``len(
+    left_names) + r`` right rank ``r``), ``left_places`` / ``right_places`` per rank where its
     cells live (:data:`Place`), and :meth:`unions` the group unions a
     set of firing rules makes at one pair."""
 
@@ -251,7 +251,7 @@ class ChaseLayout(NamedTuple):
     rules: Tuple[tuple, ...]
     groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     writes: Tuple[int, ...]
-    reads: Tuple[Tuple[int, int], ...]
+    reads: Tuple[int, ...]
     left_places: Tuple[Place, ...]
     right_places: Tuple[Place, ...]
     #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
@@ -298,10 +298,9 @@ class ChaseLayout(NamedTuple):
         )
         # An atom ends in its (left rank, right rank), similarity or not.
         reads = tuple(
-            (
-                sum({1 << atom[-2] for atom in (*equalities, *similarities)}),
-                sum({1 << atom[-1] for atom in (*equalities, *similarities)}),
-            )
+            sum({1 << atom[-2] for atom in (*equalities, *similarities)})
+            | sum({1 << atom[-1] for atom in (*equalities, *similarities)})
+            << len(left_names)
             for equalities, similarities, _ in lowered
         )
         left_places = [_ALONE] * len(left_names)
@@ -738,13 +737,6 @@ class EnforcementResult:
     _rhs_test: Optional[Callable[[Sequence[Sequence[int]]], bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def pairs(self):
-        """The chased candidate set
-        (:class:`~repro.plan.blocking.CandidateSet`): every position in
-        this result — masks, ``holding``, :meth:`matching` — indexes it."""
-        return self.merged_cells.pairs
 
     @cached_property
     def repairs(self) -> Dict[Cell, object]:

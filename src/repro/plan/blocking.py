@@ -41,7 +41,7 @@ semantics a spec declares.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import compress, count, islice, repeat
 from operator import attrgetter, ne
 from typing import (
@@ -102,12 +102,11 @@ class CandidateSet(Sequence[Pair]):
     tuples holds some sixty.
 
     As a ``Sequence`` it reads as the pairs ascending by ``(left,
-    right)``: ``len``, iteration (a fresh tuple per pair), ``[i]`` by
-    bisecting ``starts`` and ``in`` by bisecting ``lefts`` then a run.
-    Position ``i`` is the ``i``-th pair in that order, which is what a
-    chase's positions index.  Two sets are ``==`` when they hold the
-    same runs; a set never equals a list or tuple (compare
-    ``list(candidates)``).
+    right)``: ``len``, iteration (a fresh tuple per pair) and ``[i]`` by
+    bisecting ``starts``.  Position ``i`` is the ``i``-th pair in that
+    order, which is what a chase's positions index.  Two sets are ``==``
+    when they hold the same runs; a set never equals a list or tuple
+    (compare ``list(candidates)``).
 
     >>> candidates = CandidateSet.of([(2, 9), (0, 4), (0, 1), (2, 9)])
     >>> list(candidates), len(candidates.lefts), candidates[3]
@@ -147,11 +146,10 @@ class CandidateSet(Sequence[Pair]):
 
     def add_run(self, left: int, rights: Iterable[int]) -> None:
         """Pair ``left`` — above every left tid so far — with ``rights``,
-        ascending; an empty run adds nothing."""
+        a non-empty ascending run."""
+        self.lefts.append(left)
         self.rights.extend(rights)
-        if len(self.rights) > self.starts[-1]:
-            self.lefts.append(left)
-            self.starts.append(len(self.rights))
+        self.starts.append(len(self.rights))
 
     def __len__(self) -> int:
         return len(self.rights)
@@ -161,26 +159,12 @@ class CandidateSet(Sequence[Pair]):
         for left, start, end in zip(self.lefts, self.starts, islice(self.starts, 1, None)):
             yield from zip(repeat(left, end - start), rights[start:end])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> Pair:
         if index < 0:
             index += len(self.rights)
         if not 0 <= index < len(self.rights):
             raise IndexError("candidate index out of range")
         return self.lefts[bisect_right(self.starts, index) - 1], self.rights[index]
-
-    def __contains__(self, pair: object) -> bool:
-        try:
-            left, right = pair  # type: ignore[misc]
-            run = bisect_left(self.lefts, left)
-            if run == len(self.lefts) or self.lefts[run] != left:
-                return False
-            start, end = self.starts[run], self.starts[run + 1]
-            at = bisect_left(self.rights, right, start, end)
-        except (TypeError, ValueError):
-            return False
-        return at < end and self.rights[at] == right
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CandidateSet):
@@ -188,8 +172,6 @@ class CandidateSet(Sequence[Pair]):
         return (self.lefts, self.starts, self.rights) == (
             other.lefts, other.starts, other.rights
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"CandidateSet({len(self)} pairs, {len(self.lefts)} left tuples)"

@@ -49,11 +49,14 @@ indexed by such ints:
   fired at the pair, rather than a set of positions per rule; the
   stability check answers the same way, a mask per position of the
   rules whose LHS holds;
-* **round state** — a flag per slot for the tuples a round repaired, a
-  flag per cell for the classes it resolved, and ``last_write``, the
-  last round that wrote each slot (what the stability check and the
-  diff read; a slot's value before is the instance's).  None of it
-  holds an int object per cell.
+* **round state** — a flag per slot for the tuples a round repaired
+  and, per repaired tuple, a mask of the ranks it wrote (what the next
+  round's per-rule re-selection reads against each rule's LHS ranks,
+  :attr:`~repro.core.semantics.ChaseLayout.reads`), a flag per cell for
+  the classes it resolved, and ``last_write``, the last round that
+  wrote each slot (what the stability check and the diff read; a slot's
+  value before is the instance's).  None of it holds an int object per
+  cell.
 
 The input instance is only read.  The result
 (:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
@@ -147,7 +150,7 @@ def chase(
     :class:`~repro.plan.blocking.CandidateSet`, which is chased as it is.
     Pairs in any other form are sorted into one on entry (the result does
     not depend on the order they were listed in); every position the
-    result names indexes the set chased (``result.pairs``).
+    result names indexes the set chased (``result.merged_cells.pairs``).
     """
     pairs = CandidateSet.of(
         instance.tuple_pairs() if candidate_pairs is None else candidate_pairs
@@ -320,11 +323,18 @@ def chase(
     #: first round, at every slot — and the count of such tuples.
     changed = bytearray(b"\x01") * len(values)
     repaired_tuples = len(values)
-    #: Per side, the first slot of every tuple the last round repaired ->
-    #: a bit per rank it wrote there; over shared storage one map, a right
-    #: tuple's slots being its left twin's.
-    left_written: Dict[int, int] = {}
-    right_written = left_written if shared else {}
+    #: The first slot of every tuple the last round repaired -> a bit per
+    #: rank it wrote there, and every such bit as the rules' LHS masks
+    #: (``ChaseLayout.reads``) count them: a left rank ``r`` as bit ``r``,
+    #: a right one as bit ``left_width + r`` (over shared storage a slot
+    #: is both, its right tuple's slots being its left twin's).
+    written: Dict[int, int] = {}
+    written_get = written.get
+    written_any = 0
+    left_bits = 1 | 1 << left_width if shared else 1
+    #: Per active position, what ``written`` says of its pair, as a mask
+    #: of the rules' kind; listed once per round, if a rule scans.
+    active_written: Optional[List[int]] = None
     reads = layout.reads
     #: Those pairs' positions, listed only if some rule has to scan them.
     active: Optional[Sequence[int]] = everything
@@ -367,19 +377,12 @@ def chase(
             zip(rules, fired_in)
         ):
             bit = 1 << index
-            if rounds > 1:
-                # Semi-naive per rule: the tuples the last round wrote one
-                # of this rule's LHS cells of; no pair of any other tuple
-                # can change its verdict, and with none the rule sits out.
-                left_reads, right_reads = reads[index]
-                dirty_left = {
-                    slot for slot, ranks in left_written.items() if ranks & left_reads
-                }
-                dirty_right = {
-                    slot for slot, ranks in right_written.items() if ranks & right_reads
-                }
-                if not (dirty_left or dirty_right):
-                    continue
+            # Semi-naive per rule: only a pair one of whose tuples the last
+            # round wrote an LHS cell of this rule at can change its
+            # verdict, and with no such tuple the rule sits the round out.
+            lhs = reads[index]
+            if rounds > 1 and not written_any & lhs:
+                continue
             # What a scan would read — the active pairs: their count once
             # they are listed, until then a repaired tuple's mean number
             # of pairs for each tuple repaired.
@@ -392,16 +395,32 @@ def chase(
             if not joined:
                 selection = active if active is not None else list_active()
                 scanned += len(selection)
+                if rounds > 1:
+                    if active_written is None:
+                        active_written = [
+                            written_get(left_slots[i], 0)
+                            | written_get(right_slots[i], 0) << left_width
+                            for i in selection
+                        ]
+                    selection = [
+                        i
+                        for i, ranks in zip(selection, active_written)
+                        if ranks & lhs and not fired[i] & bit
+                    ]
             else:
                 joins += 1
                 selection, equalities = joined
-            if rounds > 1:
-                selection = [
-                    i
-                    for i in selection
-                    if (left_slots[i] in dirty_left or right_slots[i] in dirty_right)
-                    and not fired[i] & bit
-                ]
+                if rounds > 1:
+                    selection = [
+                        i
+                        for i in selection
+                        if (
+                            written_get(left_slots[i], 0)
+                            | written_get(right_slots[i], 0) << left_width
+                        )
+                        & lhs
+                        and not fired[i] & bit
+                    ]
             selection = select(selection, equalities, similarities)
             if selection:
                 for i in selection:
@@ -505,8 +524,9 @@ def chase(
             round_span.__exit__(None, None, None)
             break
         changed = bytearray(len(values))
-        left_written.clear()
-        right_written.clear()
+        written.clear()
+        written_any = 0
+        active_written = None
         with tracer.span("resolve-merged") as resolve_span:
             #: A flag per cell: its class was resolved this round.
             seen = bytearray(len(root))
@@ -555,12 +575,13 @@ def chase(
                             # its pairs can behave differently next round,
                             # and only under a rule reading ``rank``.
                             if slot < right_base:
-                                rank, written = slot % left_width, left_written
+                                rank = slot % left_width
+                                written_any |= left_bits << rank
                             else:
                                 rank = (slot - right_base) % right_width
-                                written = right_written
+                                written_any |= 1 << left_width + rank
                             changed[slot - rank] = 1
-                            written[slot - rank] = written.get(slot - rank, 0) | 1 << rank
+                            written[slot - rank] = written_get(slot - rank, 0) | 1 << rank
             repaired_tuples = changed.count(1)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)

@@ -8,6 +8,7 @@ golden reports (histograms included), on constructed edge cases, and as
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -91,6 +92,15 @@ CONSTRUCTED = {
     "clusters without matches": _report(
         clusters=(Cluster(frozenset({5}), frozenset()), Cluster(frozenset(), frozenset({1, 0}))),
     ),
+    # More items than one written piece holds (1 024), on every list.
+    "several pieces a list": _report(
+        matches=tuple((tid, tid + 1) for tid in range(2_500)),
+        candidates=tuple((tid, tid + 1) for tid in range(2_500)),
+        clusters=tuple(
+            Cluster(frozenset({tid}), frozenset({tid + 1})) for tid in range(2_049)
+        ),
+        provenance={(tid, tid + 1): SHARED for tid in range(0, 2_500, 2)},
+    ),
 }
 
 
@@ -98,6 +108,9 @@ CONSTRUCTED = {
 def test_constructed_reports_encode_alike(name):
     report = CONSTRUCTED[name]
     assert report.to_json() == _encoded(report)
+    written = io.StringIO()
+    report.write_json(written)
+    assert written.getvalue() == report.to_json()
 
 
 def test_repro_match_json_prints_the_report_it_built(tmp_path, monkeypatch, capsys):

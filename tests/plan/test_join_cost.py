@@ -68,7 +68,7 @@ def _chase(pair, instance, pairs, joins=True):
     tracemalloc.start()
     with nullcontext() if joins else unjoinable:
         result = plan.enforce(instance, candidate_pairs=pairs)
-        chased = result.pairs
+        chased = result.merged_cells.pairs
         holding = [sorted(chased[i] for i in positions) for positions in result.holding]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -89,7 +89,7 @@ def test_a_joined_chase_does_a_quarter_of_the_work_and_holds_no_table():
 
     # A shuffled list is the same candidate set: the same chase, the same
     # work, join for join.
-    assert list(reordered.pairs) == pairs
+    assert list(reordered.merged_cells.pairs) == pairs
     assert (reordered.rounds, reordered.applications, reordered.repairs) == (
         joined.rounds, joined.applications, joined.repairs
     )

@@ -122,7 +122,7 @@ def assert_same_chase_with_nan(plan, instance, resolver=prefer_informative,
         frozenset(group) for group in result.merged_cells.classes()
     } == expected.classes
     assert _values(result.instance) == expected.values
-    chased = list(result.pairs)
+    chased = list(result.merged_cells.pairs)
     assert chased == sorted(instance.tuple_pairs() if pairs is None else pairs)
     assert [[chased[i] for i in positions] for positions in result.holding] == [
         [pair for pair in chased if rule in expected.firing(*pair)]
@@ -318,6 +318,24 @@ def test_shared_storage_joins_one_value_list_against_itself():
     )
     assert _joins(plan)[0] > 0
     assert result.merged_cells.same((0, 0, "B"), (1, 6, "B"))
+
+
+def test_a_cell_a_rule_reads_on_its_right_side_alone_brings_it_back():
+    """Rounds after the first re-select a rule's pairs by the LHS cells
+    written on each side.  Over shared storage the second rule reads
+    ``C`` only through its right tuple: round 1 writes tuple 1's ``C``,
+    and round 2 must select the pair again, and fire it."""
+    plan, pair = _plan(
+        ["R[A] = S[A] -> R[C] <=> S[C]", "R[B] = S[C] -> R[A] <=> S[A]"], "R", "R"
+    )
+    shared = Relation(
+        pair.left,
+        [{"A": "k", "B": "long", "C": "long"}, {"A": "k", "B": None, "C": None}],
+    )
+    result, _ = assert_same_chase(plan, InstancePair(pair, shared, shared))
+    assert result.first_round == [[0], []]
+    assert result.holding == [[0], [0]]
+    assert result.merged_cells.same((0, 0, "A"), (1, 1, "A"))
 
 
 @pytest.mark.parametrize("max_rounds", (0, 1, 2))

@@ -107,7 +107,7 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # Per rule, exactly the pairs whose LHS holds in D' — whatever the
     # chase ended on (stable, unstable, cut off).
     # Positions index the set chased: the pairs handed in, sorted.
-    chased = list(result.pairs)
+    chased = list(result.merged_cells.pairs)
     assert chased == sorted(instance.tuple_pairs() if pairs is None else pairs)
     # Round 1 reads D: per rule, the pairs whose LHS holds before any
     # repair (the chase's first round in any order; no round, no pairs).
