@@ -343,8 +343,8 @@ class Workspace:
         """Chase ``instance`` over ``candidates`` and read off the matches
         and, if asked, each match's rules.  The chase's result is dropped
         on return: clustering and the report need only what is read here.
-        A match is one tuple, of the tid ints the chase's classes hold,
-        shared by ``matches`` and the provenance keys.
+        A match is one tuple, of the tid ints the relations key their
+        rows by, shared by ``matches`` and the provenance keys.
 
         ``enforce``: a match is a pair whose target cells the chase
         identified, justified by the rules whose LHS holds in ``D'``.

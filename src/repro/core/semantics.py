@@ -238,10 +238,11 @@ class ChaseLayout(NamedTuple):
     RHS pair — and every one over shared storage, where the order of the
     unions is observable — is a group of one.  ``writes`` is per rule the
     bitmask of the groups it writes, ``reads`` per rule the bitmask of
-    the cells its LHS reads (bit ``r`` is left rank ``r``, bit ``len(
-    left_names) + r`` right rank ``r``), ``left_places`` / ``right_places`` per rank where its
-    cells live (:data:`Place`), and :meth:`unions` the group unions a
-    set of firing rules makes at one pair."""
+    the cells its LHS reads (bit ``r`` for left rank ``r``, bit
+    ``len(left_names) + r`` for right rank ``r``), ``left_places`` /
+    ``right_places`` per rank where its cells live (:data:`Place`), and
+    :meth:`unions` the group unions a set of firing rules makes at one
+    pair."""
 
     shared: bool
     left_names: Tuple[str, ...]
@@ -815,10 +816,8 @@ class EnforcementResult:
         self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> List[Tuple[int, int]]:
         """The chased pairs (in order) for which :meth:`identified` holds —
-        the read-off every matcher ends with — each a tuple of the tid
-        ints ``original``'s relations hold (:meth:`CellClasses.pairs_at`)."""
-        cells = self.merged_cells
-        return cells.pairs_at(cells.matching(attribute_pairs), self.original)
+        the read-off every matcher ends with."""
+        return self.merged_cells.matches(attribute_pairs)
 
     def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
         """The positions into the chased pair list of :meth:`matches`."""

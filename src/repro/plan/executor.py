@@ -155,7 +155,7 @@ def chase(
     pairs = CandidateSet.of(
         instance.tuple_pairs() if candidate_pairs is None else candidate_pairs
     )
-    pair_count = len(pairs)
+    pair_count = len(pairs.rights)
     stats = plan.stats
     stats.enforcements += 1
     stats.pairs_compared += pair_count
