@@ -498,11 +498,16 @@ class CellClasses:
         #: Per side, ``tid -> the tuple's first cell`` (its rank-0 attribute).
         self._first = (left_first, right_first)
         #: Per pair, the first cell of its left and of its right tuple.
-        self.left_cells: List[int] = list(chain.from_iterable(map(
-            repeat,  # each run's left cell, once per pair of the run
-            map(left_first.__getitem__, lefts),
-            map(sub, islice(starts, 1, None), starts),
-        )))
+        run_firsts = map(left_first.__getitem__, lefts)
+        self.left_cells: List[int] = list(
+            run_firsts
+            if len(lefts) == len(rights)  # every run one pair long
+            else chain.from_iterable(map(
+                repeat,  # each run's left cell, once per pair of the run
+                run_firsts,
+                map(sub, islice(starts, 1, None), starts),
+            ))
+        )
         self.right_cells = list(map(right_first.__getitem__, rights))
         #: Per left tuple (``left_tids`` order), where its run starts; a
         #: tuple only ever paired on the right has an empty one.

@@ -75,7 +75,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
@@ -300,29 +299,24 @@ class IncrementalMatcher:
             other_tids = store.neighbors(round_side, round_tid)
             if self._sn_blocking:
                 self.metrics.count("engine.sn_probes")
-            if round_side == LEFT:
-                pairs: List[Pair] = [(round_tid, other) for other in other_tids]
-            else:
-                pairs = [(other, round_tid) for other in other_tids]
-            store.comparisons += len(pairs)
-            if not pairs:
+            store.comparisons += len(other_tids)
+            if not other_tids:
                 continue
-            all_pairs.extend(pairs)
-            if rounds > 1 and self._cannot_union(round_side, round_tid, pairs):
+            # The pairs as the chase reads them, over the probe's list (its
+            # tids ascend, each once): one run when the record is left, a
+            # run of one per partner when it is right.
+            if round_side == LEFT:
+                delta = CandidateSet([round_tid], [0, len(other_tids)], other_tids)
+            else:
+                delta = CandidateSet(
+                    other_tids, range(len(other_tids) + 1), [round_tid] * len(other_tids)
+                )
+            all_pairs.extend(delta)
+            if rounds > 1 and self._cannot_union(round_side, round_tid, delta):
                 self.metrics.count("engine.chases.skipped.cannot_union")
                 continue
-            # The pairs as the chase reads them (a probe's tids ascend, each
-            # once): one run when the record is left, a run of one per
-            # partner when it is right.
-            delta = (
-                CandidateSet((round_tid,), (0, len(pairs)), other_tids)
-                if round_side == LEFT
-                else CandidateSet(
-                    other_tids, range(len(pairs) + 1), repeat(round_tid, len(pairs))
-                )
-            )
             if rounds == 1:
-                found = self._match_pairs(pairs, delta)
+                found = self._match_pairs(delta)
             else:
                 found = self._chase(delta, "reexamination")
             touched: List[Node] = []
@@ -409,9 +403,8 @@ class IncrementalMatcher:
     # Delta enforcement
     # ------------------------------------------------------------------
 
-    def _match_pairs(self, pairs: Sequence[Pair], delta: CandidateSet) -> List[Pair]:
-        """Decide an arriving delta — ``pairs``, and the same pairs as the
-        chase reads them — by local enforcement; no store side effects.
+    def _match_pairs(self, delta: CandidateSet) -> List[Pair]:
+        """Decide an arriving delta by local enforcement; no store side effects.
 
         Every pair is chased over the involved records' *arrival* values —
         the batch chase evaluates every candidate pair on pristine values
@@ -426,8 +419,8 @@ class IncrementalMatcher:
         undecided (:meth:`_all_matched`).
         """
         matches = self._chase(delta, "arrival")
-        if self._any_repaired(pairs):
-            if self._all_matched(pairs, matches):
+        if self._any_repaired(delta):
+            if self._all_matched(delta, matches):
                 self.metrics.count("engine.chases.skipped.all_matched")
             else:
                 for match in self._chase(delta, "current"):
@@ -440,23 +433,25 @@ class IncrementalMatcher:
     # whatever they answer (tests/engine/test_chase_pruning.py forces
     # each to "run it anyway" and compares).
 
-    def _any_repaired(self, pairs: Sequence[Pair]) -> bool:
-        """Whether a consensus repair moved any record the pairs involve
+    def _any_repaired(self, delta: CandidateSet) -> bool:
+        """Whether a consensus repair moved any record the delta involves
         off its arrival values on an attribute some rule reads (the store
         compares the two rows in place)."""
         read = self.plan.read_attributes
-        involved = {(LEFT, tid) for tid, _ in pairs} | {(RIGHT, tid) for _, tid in pairs}
+        is_repaired = self.store.is_repaired
         return any(
-            self.store.is_repaired(side, tid, read[side]) for side, tid in involved
+            is_repaired(side, tid, read[side])
+            for side, tids in ((LEFT, delta.lefts), (RIGHT, set(delta.rights)))
+            for tid in tids
         )
 
     @staticmethod
-    def _all_matched(pairs: Sequence[Pair], matches: Sequence[Pair]) -> bool:
+    def _all_matched(delta: CandidateSet, matches: Sequence[Pair]) -> bool:
         """Whether a chase matched every pair of its delta (both hold
         each pair once): no further chase of these pairs can add one."""
-        return len(matches) == len(pairs)
+        return len(matches) == len(delta)
 
-    def _cannot_union(self, side: int, tid: int, pairs: Sequence[Pair]) -> bool:
+    def _cannot_union(self, side: int, tid: int, delta: CandidateSet) -> bool:
         """Whether a chase of record ``(side, tid)``'s re-examined pairs
         can union nothing, read off current values: (b) every pair inside
         its cluster carries equal values (``==``) on every rule's RHS
@@ -471,13 +466,13 @@ class IncrementalMatcher:
         store, plan = self.store, self.plan
         members = store.cluster_nodes(side, tid)
         record = store.relation(side)[tid]
-        other, position = (RIGHT, 1) if side == LEFT else (LEFT, 0)
+        other, other_tids = (RIGHT, delta.rights) if side == LEFT else (LEFT, delta.lefts)
         others = store.relation(other)
         leaving = []
-        for pair in pairs:
-            row = others[pair[position]]
+        for other_tid in other_tids:
+            row = others[other_tid]
             t1, t2 = (record, row) if side == LEFT else (row, record)
-            if node_of(other, pair[position]) not in members:
+            if node_of(other, other_tid) not in members:
                 leaving.append((t1, t2))
             elif any(t1[left] != t2[right] for left, right in plan.rhs_pairs):
                 return False
@@ -487,7 +482,7 @@ class IncrementalMatcher:
             for rule in plan.rules
         )
 
-    def _chase(self, pairs: CandidateSet, kind: str) -> List[Pair]:
+    def _chase(self, delta: CandidateSet, kind: str) -> List[Pair]:
         """One enforcement chase over the delta, read off the store.
 
         ``kind`` names who asked and thereby the values read: an
@@ -497,7 +492,7 @@ class IncrementalMatcher:
         again) read the current values.  The instance is the store's own
         (:attr:`~repro.engine.store.MatchStore.instances`, taken per chase:
         a durable store's rollback replaces it) and the kernel projects
-        only the tuples occurring in ``pairs``, so nothing is copied or
+        only the tuples occurring in ``delta``, so nothing is copied or
         rescanned: the cost is bounded by the delta.  A pair matches
         when the chase identified all target cells, exactly the batch
         matcher's decision rule: both run
@@ -509,7 +504,7 @@ class IncrementalMatcher:
         result = self.plan.enforce(
             self.store.instances[kind == "arrival"],
             resolver=self.resolver,
-            candidate_pairs=pairs,
+            candidate_pairs=delta,
             max_rounds=self.max_rounds,
         )
         return result.matches(self._target_pairs)

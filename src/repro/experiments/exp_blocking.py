@@ -27,8 +27,8 @@ from repro.datagen.noise import NoiseModel
 from repro.datagen.schemas import extended_mds
 from repro.matching.evaluate import evaluate_reduction
 from repro.plan.blocking import (
+    CandidateSet,
     HashBlockingBackend,
-    Pair,
     RCKIndex,
     leading_attribute_pairs,
 )
@@ -76,12 +76,14 @@ def manual_index() -> RCKIndex:
 
 def key_candidates(
     index: RCKIndex, left, right, mode: str = "blocking", window: int = 10
-) -> List[Pair]:
+) -> CandidateSet:
     """One Exp-4 configuration's candidates: one hash pass over the key
     (``blocking``), or one global window sorted on it (``windowing``)."""
     if mode == "blocking":
         return HashBlockingBackend([index]).candidates(left, right)
-    return window_candidates(left, right, index.left_key, index.right_key, window)
+    return CandidateSet.of(
+        window_candidates(left, right, index.left_key, index.right_key, window)
+    )
 
 
 def run_point(

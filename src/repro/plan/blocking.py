@@ -42,13 +42,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import compress, count, islice, repeat
-from operator import attrgetter, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, eq, ne, sub
 from typing import (
     Callable,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -93,19 +94,23 @@ class CandidateSet(Sequence[Pair]):
     """A set of candidate pairs as runs: each left tuple once, with the
     ascending run of right tuples it is paired with.
 
-    Compressed sparse rows over three ``array('i')`` (tids are C ints):
-    ``lefts`` the distinct left tids, ascending; ``rights`` one run per
-    left tid, ascending (a pair listed twice sits at adjacent positions);
+    Compressed sparse rows over three int sequences: ``lefts`` the
+    distinct left tids, ascending; ``rights`` one non-empty run per left
+    tid, ascending (a pair listed twice sits at adjacent positions);
     ``starts`` the runs' offsets into ``rights``, ``len(lefts) + 1`` of
     them — left tid ``lefts[k]`` is paired with ``rights[starts[k]:
-    starts[k + 1]]``.  About four bytes a pair, where a list of pair
-    tuples holds some sixty.
+    starts[k + 1]]``.  Blocking and :meth:`of` pack them into
+    ``array('i')``, about four bytes a pair where a list of pair tuples
+    holds some sixty; a tid beyond a C int (an external record id, say)
+    widens its column to ``array('q')``, and one beyond 64 bits to a
+    list.  Given sequences are held as they are: the streaming engine's
+    delta is its probe's list of partner tids, not a copy.
 
     As a ``Sequence`` it reads as the pairs ascending by ``(left,
     right)``: ``len``, iteration (a fresh tuple per pair) and ``[i]`` by
     bisecting ``starts``.  Position ``i`` is the ``i``-th pair in that
     order, which is what a chase's positions index.  Two sets are ``==``
-    when they hold the same runs; a set never equals a list or tuple
+    when they hold the same pairs; a set never equals a list or tuple
     (compare ``list(candidates)``).
 
     >>> candidates = CandidateSet.of([(2, 9), (0, 4), (0, 1), (2, 9)])
@@ -113,19 +118,23 @@ class CandidateSet(Sequence[Pair]):
     ([(0, 1), (0, 4), (2, 9), (2, 9)], 2, (2, 9))
     >>> (0, 4) in candidates, (2, 4) in candidates
     (True, False)
+    >>> CandidateSet.of([(2**40, 1)]).lefts.typecode
+    'q'
     """
 
     __slots__ = ("lefts", "starts", "rights")
 
     def __init__(
         self,
-        lefts: Iterable[int] = (),
-        starts: Iterable[int] = (0,),
-        rights: Iterable[int] = (),
+        lefts: Optional[Sequence[int]] = None,
+        starts: Optional[Sequence[int]] = None,
+        rights: Optional[Sequence[int]] = None,
     ) -> None:
-        self.lefts = array("i", lefts)
-        self.starts = array("i", starts)
-        self.rights = array("i", rights)
+        """The runs given, held as they are; with none, an empty set to
+        :meth:`add_run` to."""
+        self.lefts = array("i") if lefts is None else lefts
+        self.starts = array("i", (0,)) if starts is None else starts
+        self.rights = array("i") if rights is None else rights
 
     @classmethod
     def of(cls, pairs: Iterable[Pair]) -> "CandidateSet":
@@ -139,25 +148,38 @@ class CandidateSet(Sequence[Pair]):
         # A run starts at 0 and wherever the left tid changes.
         firsts = [0, *compress(count(1), map(ne, islice(lefts, 1, None), lefts))]
         return cls(
-            [lefts[first] for first in firsts],
-            firsts + [len(ordered)],
-            [right for _, right in ordered],
+            _extended(array("i"), [lefts[first] for first in firsts]),
+            _extended(array("i"), firsts + [len(ordered)]),
+            _extended(array("i"), [right for _, right in ordered]),
         )
 
-    def add_run(self, left: int, rights: Iterable[int]) -> None:
+    def add_run(self, left: int, rights: Sequence[int]) -> None:
         """Pair ``left`` — above every left tid so far — with ``rights``,
         a non-empty ascending run."""
-        self.lefts.append(left)
-        self.rights.extend(rights)
+        end = len(self.rights)
+        try:
+            self.rights.extend(rights)
+            self.lefts.append(left)
+        except OverflowError:  # a tid beyond the columns' type: widen
+            del self.rights[end:]
+            self.lefts = _extended(self.lefts, (left,))
+            self.rights = _extended(self.rights, rights)
         self.starts.append(len(self.rights))
 
     def __len__(self) -> int:
         return len(self.rights)
 
-    def __iter__(self):
-        rights = self.rights
-        for left, start, end in zip(self.lefts, self.starts, islice(self.starts, 1, None)):
-            yield from zip(repeat(left, end - start), rights[start:end])
+    def __iter__(self) -> Iterator[Pair]:
+        if len(self.lefts) == len(self.rights):  # every run one pair long
+            return zip(self.lefts, self.rights)
+        starts = self.starts
+        # Each run's left tid once per pair of the run, beside the rights.
+        return zip(
+            chain.from_iterable(
+                map(repeat, self.lefts, map(sub, islice(starts, 1, None), starts))
+            ),
+            self.rights,
+        )
 
     def __getitem__(self, index: int) -> Pair:
         if index < 0:
@@ -169,12 +191,25 @@ class CandidateSet(Sequence[Pair]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CandidateSet):
             return NotImplemented
-        return (self.lefts, self.starts, self.rights) == (
-            other.lefts, other.starts, other.rights
-        )
+        # Runs are non-empty, so equal pair sequences are equal runs.
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
         return f"CandidateSet({len(self)} pairs, {len(self.lefts)} left tuples)"
+
+
+def _extended(column: Sequence[int], values: Sequence[int]) -> Sequence[int]:
+    """``column`` with ``values`` appended: the same column, or a wider
+    copy when a value does not fit its type — ``array('i')`` gives way to
+    ``array('q')``, and that to a list."""
+    end = len(column)
+    try:
+        column.extend(values)
+    except OverflowError:
+        del column[end:]  # an array extended item by item keeps what fit
+        wider = array("q", column) if column.typecode == "i" else list(column)
+        return _extended(wider, values)
+    return column
 
 
 def attribute_key(

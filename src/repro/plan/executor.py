@@ -49,9 +49,9 @@ indexed by such ints:
   fired at the pair, rather than a set of positions per rule; the
   stability check answers the same way, a mask per position of the
   rules whose LHS holds;
-* **round state** — a flag per slot for the tuples a round repaired
-  and, per repaired tuple, a mask of the ranks it wrote (what the next
-  round's per-rule re-selection reads against each rule's LHS ranks,
+* **round state** — per tuple a round repaired, a mask of the ranks
+  it wrote (what the next round's per-rule re-selection reads against
+  each rule's LHS ranks,
   :attr:`~repro.core.semantics.ChaseLayout.reads`), a flag per cell for
   the classes it resolved, and ``last_write``, the last round that
   wrote each slot (what the stability check and the diff read; a slot's
@@ -318,10 +318,8 @@ def chase(
     everything = list(range(pair_count))
     applications = 0
     rounds = 0
-    #: A flag per slot, set at the first slot of every tuple the last
-    #: round repaired (only their pairs can match anew) — before the
-    #: first round, at every slot — and the count of such tuples.
-    changed = bytearray(b"\x01") * len(values)
+    #: The count of tuples the last round repaired (only their pairs can
+    #: match anew); round 1 lists every pair as active and never reads it.
     repaired_tuples = len(values)
     #: The first slot of every tuple the last round repaired -> a bit per
     #: rank it wrote there, and every such bit as the rules' LHS masks
@@ -362,7 +360,7 @@ def chase(
     def list_active():
         nonlocal active
         active = [
-            i for i in everything if changed[left_slots[i]] or changed[right_slots[i]]
+            i for i in everything if left_slots[i] in written or right_slots[i] in written
         ]
         return active
 
@@ -402,11 +400,11 @@ def chase(
                             | written_get(right_slots[i], 0) << left_width
                             for i in selection
                         ]
-                    selection = [
-                        i
-                        for i, ranks in zip(selection, active_written)
-                        if ranks & lhs and not fired[i] & bit
-                    ]
+                    selection = list(
+                        compress(selection, map(lhs.__and__, active_written))
+                    )
+                    if history:
+                        selection = [i for i in selection if not fired[i] & bit]
             else:
                 joins += 1
                 selection, equalities = joined
@@ -523,7 +521,6 @@ def chase(
         if not merged_this_round:
             round_span.__exit__(None, None, None)
             break
-        changed = bytearray(len(values))
         written.clear()
         written_any = 0
         active_written = None
@@ -580,9 +577,9 @@ def chase(
                             else:
                                 rank = (slot - right_base) % right_width
                                 written_any |= 1 << left_width + rank
-                            changed[slot - rank] = 1
-                            written[slot - rank] = written_get(slot - rank, 0) | 1 << rank
-            repaired_tuples = changed.count(1)
+                            tuple_slot = slot - rank
+                            written[tuple_slot] = written_get(tuple_slot, 0) | 1 << rank
+            repaired_tuples = len(written)
             resolve_span.set("classes", resolved_classes)
             resolve_span.set("uniform", uniform)
             resolve_span.set("repairs", repaired)

@@ -87,6 +87,33 @@ class TestSingleCompile:
         assert tuple(report.candidates) == ((0, 0), (0, 1))
         assert handed is held is report.candidates
 
+    @pytest.mark.parametrize("offset", [2**31, -(2**31) - 5, 2**70])
+    def test_tids_beyond_a_c_int_match_as_small_ones_do(self, fig1_workspace, offset):
+        """A tid outside a C int (an external record id, say) widens the
+        candidate set's columns instead of overflowing them: blocked or
+        handed in, the match is the small-tid one's, shifted."""
+        workspace, credit, billing = fig1_workspace
+
+        def shifted(relation):
+            copy = Relation(relation.schema)
+            for row in relation:
+                copy.insert(row.values(), tid=row.tid + offset)
+            return copy
+
+        def shift(pairs):
+            return [(left + offset, right + offset) for left, right in pairs]
+
+        wide_credit, wide_billing = shifted(credit), shifted(billing)
+        blocked = workspace.match(credit, billing)
+        assert blocked.matches
+        report = workspace.match(wide_credit, wide_billing)
+        assert list(report.candidates) == shift(blocked.candidates)
+        assert list(report.matches) == shift(blocked.matches)
+        everything = [(left, right) for left in credit.tids() for right in billing.tids()]
+        handed = workspace.match(credit, billing, candidates=everything)
+        report = workspace.match(wide_credit, wide_billing, candidates=shift(everything))
+        assert list(report.matches) == shift(handed.matches)
+
 
     def test_the_chase_result_is_let_go_before_clustering(
         self, fig1_workspace, monkeypatch

@@ -61,6 +61,31 @@ class TestStreamingFig1:
         assert matcher.store.clusters() == list(report.clusters)
 
 
+    @pytest.mark.parametrize("offset", [2**31, -(2**31) - 5, 2**70])
+    def test_tids_beyond_a_c_int_stream_as_small_ones_do(self, workspace, fig1, offset):
+        """A tid outside a C int (an external record id, say) streams like
+        any other: a delta is chased over the probe's own list of partner
+        tids, and the clusters are the small-tid stream's, shifted."""
+        _, credit, billing = fig1
+
+        def clusters(shift):
+            matcher = workspace.stream()
+            for side, relation in ((LEFT, credit), (RIGHT, billing)):
+                for row in relation:
+                    matcher.ingest(side, row.values(), tid=row.tid + shift)
+            return [
+                (sorted(cluster.left_tids), sorted(cluster.right_tids))
+                for cluster in matcher.store.clusters()
+            ]
+
+        small = clusters(0)
+        assert small
+        assert clusters(offset) == [
+            ([tid + offset for tid in lefts], [tid + offset for tid in rights])
+            for lefts, rights in small
+        ]
+
+
 class TestEdgeCases:
     def test_a_keys_only_plan_streams_its_keys(
         self, workspace_for, workspace, target, fig1

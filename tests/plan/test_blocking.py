@@ -179,6 +179,41 @@ def test_candidates_come_back_once_each_ascending(
         assert_runs(candidates)
 
 
+@pytest.mark.parametrize("wide, typecode", [
+    (2**31, "q"), (-(2**31) - 1, "q"), (2**63, None), (-(2**63) - 1, None),
+], ids=("above-int", "below-int", "above-int64", "below-int64"))
+def test_a_tid_beyond_a_c_int_widens_its_column(wide, typecode):
+    """A tid that does not fit ``array('i')`` widens the column it lands
+    in — to ``array('q')``, or a list beyond 64 bits — keeping every tid
+    added before it; ``starts`` stays packed."""
+    lefts = sorted([-3, 0, wide])
+    runs = [[1, 2], sorted([5, 9, wide]), [7]]
+    candidates = CandidateSet()
+    for left, run in zip(lefts, runs):
+        candidates.add_run(left, run)
+    expected = [(left, right) for left, run in zip(lefts, runs) for right in run]
+    assert list(candidates) == expected
+    assert candidates[3] == expected[3] and candidates[-1] == expected[-1]
+    assert getattr(candidates.lefts, "typecode", None) == typecode
+    assert getattr(candidates.rights, "typecode", None) == typecode
+    assert candidates.starts.typecode == "i"
+    assert candidates == CandidateSet.of(reversed(expected))
+    assert getattr(CandidateSet.of(expected).rights, "typecode", None) == typecode
+
+
+def test_a_set_over_lists_reads_as_the_packed_one():
+    """Runs handed in as lists (an engine delta's probe) are held as
+    they are, and read and compare as the packed set of the same pairs."""
+    probe = [1, 4, 6]
+    as_left = CandidateSet([9], [0, 3], probe)
+    as_right = CandidateSet(probe, range(4), [9] * 3)
+    assert as_left.rights is probe and as_right.lefts is probe
+    assert as_left == CandidateSet.of([(9, 1), (9, 4), (9, 6)])
+    assert list(as_right) == [(1, 9), (4, 9), (6, 9)]
+    assert as_right == CandidateSet.of(list(as_right)) != as_left
+    assert as_right[1] == (4, 9) and len(as_right) == 3
+
+
 # ----------------------------------------------------------------------
 # The one hash loop, held to the definition
 # ----------------------------------------------------------------------
