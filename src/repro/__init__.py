@@ -37,7 +37,7 @@ cheap, and ``from repro import Workspace`` pulls in only what it needs.
 
 from importlib import import_module
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 #: The curated public API: attribute name -> defining module.  Heavy
 #: submodules are imported only when one of their names is touched.

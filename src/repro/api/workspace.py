@@ -276,23 +276,14 @@ class Workspace:
         keying in every backend, so the setting always means something
         when it appears in the fingerprint.
         ``key_length`` configures the hash backend (per-RCK index keys).
-        The stores a stream runs over resolve the same section through
-        the same function.
+        The stores a stream runs over take this backend's passes.
         """
-        if not rcks and not self.spec.key_pairs:
-            return None
-        return build_blocking(rcks, *self._blocking_section())
-
-    def _blocking_section(self) -> tuple:
-        """The spec's blocking section, in the order ``build_blocking`` and
-        both store constructors take it after the RCKs."""
         spec = self.spec
-        return (
-            spec.key_length,
-            spec.encode,
-            spec.blocking_backend,
-            spec.window,
-            spec.key_pairs,
+        if not rcks and not spec.key_pairs:
+            return None
+        return build_blocking(
+            rcks, spec.key_length, spec.encode, spec.blocking_backend,
+            spec.window, spec.key_pairs,
         )
 
     # ------------------------------------------------------------------
@@ -398,11 +389,11 @@ class Workspace:
         it was not built with).  New and legacy (unfingerprinted) stores
         are stamped with this spec's fingerprint.
 
-        The stream always runs under the spec's declared
-        ``blocking.backend``: a store whose live blocking structures
-        were built under different semantics (e.g. a store from the
-        era when sorted-neighborhood specs silently streamed under hash)
-        is rejected with :class:`SpecError` rather than silently
+        The stream always runs under the plan's blocking passes: a store
+        indexing under other passes (another family, key or window — a
+        hand-built store no spec stamped, say, or one from the era when
+        sorted-neighborhood specs silently streamed under hash) is
+        rejected with :class:`SpecError` rather than silently
         substituting semantics.
 
         With ``persistence.backend = "sqlite"`` in the spec and no
@@ -423,9 +414,7 @@ class Workspace:
             opened_here = True
         if store is None:
             # A fresh memory store, built from this spec: nothing to check.
-            store = MatchStore(
-                self.plan.target, self.plan.rcks, *self._blocking_section()
-            )
+            store = MatchStore(self.plan.target, self.plan.blocking)
         else:
             errors = []
             stamp = getattr(store, "spec_fingerprint", None)
@@ -435,13 +424,17 @@ class Workspace:
                     f"workspace's spec is {self.fingerprint}; "
                     "rebuild the store or load the matching spec"
                 )
-            family = store.blocking_backend
-            if family != spec.blocking_backend:
+            blocking = self.plan.blocking
+            if blocking is None or store.passes != blocking.to_dict():
+                # The store's passes, described without loading its records.
+                theirs = BlockingBackend.from_dict(store.passes).describe()
                 errors.append(
-                    f"store streams under {family!r} blocking, but the "
-                    f"spec declares {spec.blocking_backend!r}; its "
-                    "candidate semantics would silently diverge from the "
-                    "batch run — rebuild the store under this spec"
+                    f"store streams under {store.passes['family']!r} blocking "
+                    f"({theirs}), but the spec's plan blocks under "
+                    f"{spec.blocking_backend!r} "
+                    f"({'nothing' if blocking is None else blocking.describe()}); "
+                    "its candidate semantics would silently diverge from "
+                    "the batch run — rebuild the store under this spec"
                 )
             if errors:
                 if opened_here:
@@ -493,8 +486,7 @@ class Workspace:
             return SQLiteMatchStore(
                 target,
                 self.plan.target,
-                self.plan.rcks,
-                *self._blocking_section(),
+                self.plan.blocking,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )

@@ -197,7 +197,7 @@ class IncrementalMatcher:
         self.store = store
         #: Whether the store streams under sorted-neighborhood semantics
         #: (drives the engine.sn_* observability signals).
-        self._sn_blocking = store.blocking_backend == "sorted-neighborhood"
+        self._sn_blocking = store.passes["family"] == "sorted-neighborhood"
         self._target_pairs = self.target.attribute_pairs()
         # Observability: the plan's tracer and registry (a Workspace hands
         # its own to the plan), which the delta chases record into too.

@@ -13,9 +13,9 @@ from ``records`` in memory.  The fifth, ``events``, is the tail:
 
 ``meta``
     Key/value strings: schema version, the store configuration (the JSON
-    document of :func:`config_to_dict`: schema pair, target, RCK triples,
-    key length, encoded attributes, blocking), the owning spec's
-    fingerprint and the ``release`` of ``repro`` that wrote the tail.
+    document of :func:`config_to_dict`: schema pair, target and the
+    blocking passes), the owning spec's fingerprint and the ``release``
+    of ``repro`` that wrote the tail.
 ``records``
     One row per ingested record, keyed ``(side, tid)``, holding both the
     *arrival* values (what blocking keys and consensus resolution work
@@ -39,20 +39,23 @@ from ``records`` in memory.  The fifth, ``events``, is the tail:
     checkpoint empties it.
 
 Version 1 also kept the blocking index on disk, in two tables of
-postings; version 2 had no ``events``.  :func:`upgrade` brings either
-to this version.
+postings; version 2 had no ``events``; versions 1 to 3 kept the blocking
+recipe (RCKs and options) in ``meta.config``, not its passes.
+:func:`upgrade` brings any of them to this version.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import ComparableLists, RelationSchema, SchemaPair
+from repro.plan.blocking import build_blocking
 
 #: Version of the on-disk layout; bumped on any incompatible change.
-SQLITE_SCHEMA_VERSION = 3
+SQLITE_SCHEMA_VERSION = 4
 
 _TABLES = (
     """
@@ -107,17 +110,55 @@ def initialize(connection: sqlite3.Connection) -> None:
 
 
 def upgrade(connection: sqlite3.Connection) -> None:
-    """Bring a version-1 or version-2 store to this version in one
+    """Bring a version-1, -2 or -3 store to this version in one
     transaction: drop a version-1 on-disk blocking index, add the empty
-    ``events`` tail and stamp the version, so an older build refuses the
-    file instead of probing postings that no longer follow its records
-    or missing the records its tail holds."""
+    ``events`` tail, resolve the recipe in ``meta.config`` to its passes
+    and stamp the version, so an older build refuses the file instead of
+    probing postings that no longer follow its records, missing the
+    records its tail holds or misreading its configuration.
+
+    A version-3 file whose tail is not empty is refused unchanged: the
+    tail replays only under the release that wrote it, and that release
+    reads no version-4 file.
+    """
+    version = read_meta(connection, "schema_version")
+    if version == "3":
+        (pending,) = connection.execute("SELECT COUNT(*) FROM events").fetchone()
+        if pending:
+            raise ValueError(
+                f"a version-3 store with {pending} event(s) not yet "
+                f"checkpointed; open and close it once with repro "
+                f"{read_meta(connection, 'release')} first"
+            )
     connection.execute("BEGIN")
-    connection.execute("DROP TABLE IF EXISTS buckets")
-    connection.execute("DROP TABLE IF EXISTS ranks")
-    initialize(connection)
-    write_meta(connection, "schema_version", str(SQLITE_SCHEMA_VERSION))
-    connection.commit()
+    with connection:  # commits, or rolls back what raised
+        connection.execute("DROP TABLE IF EXISTS buckets")
+        connection.execute("DROP TABLE IF EXISTS ranks")
+        initialize(connection)
+        raw = read_meta(connection, "config")
+        if raw is not None:
+            config = _passes_config(json.loads(raw))
+            write_meta(connection, "config", json.dumps(config, sort_keys=True))
+        write_meta(connection, "schema_version", str(SQLITE_SCHEMA_VERSION))
+
+
+def _passes_config(recipe: Dict[str, object]) -> Dict[str, object]:
+    """A version-1 to -3 ``meta.config`` document with its blocking
+    recipe resolved to passes, by the function the plan's come from.
+    Stores written before the recipe had a ``blocking`` section were all
+    hash-blocked."""
+    target, _ = config_from_dict(recipe)
+    rcks = [
+        RelativeKey.from_triples(target, [tuple(triple) for triple in triples])
+        for triples in recipe["rcks"]
+    ]
+    blocking = recipe.get("blocking") or {}
+    backend = build_blocking(
+        rcks, int(recipe["key_length"]), recipe["encode_attributes"],
+        blocking.get("backend", "hash"), int(blocking.get("window", 10)),
+        [tuple(pair) for pair in blocking.get("key_pairs") or ()],
+    )
+    return config_to_dict(target, backend.to_dict())
 
 
 def read_meta(connection: sqlite3.Connection, key: str):
@@ -137,69 +178,37 @@ def write_meta(connection: sqlite3.Connection, key: str, value) -> None:
     )
 
 
-def config_to_dict(store) -> Dict[str, object]:
-    """The store's *configuration*, as ``meta.config`` holds it:
+def config_to_dict(
+    target: ComparableLists, passes: Dict[str, object]
+) -> Dict[str, object]:
+    """A store's *configuration*, as ``meta.config`` holds it:
     everything needed to rebuild an empty store probing identically —
-    schema pair, target lists, RCK operator triples, key length, encoded
-    attributes, blocking."""
+    the schema pair and target lists of ``target``, and the blocking
+    ``passes`` (a :meth:`~repro.plan.blocking.BlockingBackend.to_dict`
+    document, a store's ``passes``)."""
+    pair = target.pair
     return {
         "schema": {
-            "left": {
-                "name": store.pair.left.name,
-                "attributes": list(store.pair.left.attribute_names),
-            },
-            "right": {
-                "name": store.pair.right.name,
-                "attributes": list(store.pair.right.attribute_names),
-            },
+            side: {"name": schema.name, "attributes": list(schema.attribute_names)}
+            for side, schema in (("left", pair.left), ("right", pair.right))
         },
         "target": {
-            "left": list(store.target.left_list),
-            "right": list(store.target.right_list),
+            "left": list(target.left_list),
+            "right": list(target.right_list),
         },
-        "rcks": [
-            [[atom.left, atom.right, atom.operator.name] for atom in key.atoms]
-            for key in store.rcks
-        ],
-        "key_length": store.key_length,
-        "encode_attributes": list(store.encode_attributes),
-        "blocking": {
-            "backend": store.blocking_backend,
-            "window": store.window,
-            "key_pairs": (
-                [list(pair) for pair in store.key_pairs]
-                if store.key_pairs
-                else None
-            ),
-        },
+        "blocking": passes,
     }
 
 
-def config_from_dict(data: Dict[str, object]) -> Dict[str, object]:
-    """The store constructor's keyword arguments (``target``, ``rcks``,
-    ``key_length``, ``encode_attributes`` and the blocking configuration)
-    from a :func:`config_to_dict` document.  Stores written before the
-    blocking section existed were all hash-blocked, and open as such."""
+def config_from_dict(
+    data: Dict[str, object]
+) -> Tuple[ComparableLists, Dict[str, object]]:
+    """The target and the blocking passes document of a
+    :func:`config_to_dict` document."""
     schema = data["schema"]
     pair = SchemaPair(
         RelationSchema(schema["left"]["name"], schema["left"]["attributes"]),
         RelationSchema(schema["right"]["name"], schema["right"]["attributes"]),
     )
     target = ComparableLists(pair, data["target"]["left"], data["target"]["right"])
-    rcks = [
-        RelativeKey.from_triples(target, [tuple(triple) for triple in triples])
-        for triples in data["rcks"]
-    ]
-    blocking = data.get("blocking") or {}
-    key_pairs = blocking.get("key_pairs")
-    return {
-        "target": target,
-        "rcks": rcks,
-        "key_length": int(data["key_length"]),
-        "encode_attributes": tuple(data["encode_attributes"]),
-        "blocking_backend": blocking.get("backend", "hash"),
-        "window": int(blocking.get("window", 10)),
-        "key_pairs": (
-            [tuple(pair) for pair in key_pairs] if key_pairs else None
-        ),
-    }
+    return target, data.get("blocking")

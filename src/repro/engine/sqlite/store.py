@@ -61,15 +61,14 @@ import os
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
-from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.matching.clustering import _SIDE_TAGS, Node, node_of
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.plan.blocking import DEFAULT_ENCODED_ATTRIBUTES
+from repro.plan.blocking import BlockingBackend
 from repro.relations.relation import Row
 
 from ..store import MatchStore
@@ -109,10 +108,11 @@ def _encode(row: Row) -> str:
 class SQLiteMatchStore(MatchStore):
     """Durable matcher state in one SQLite file.
 
-    Creating a store requires ``target`` and ``rcks`` (the configuration
-    is persisted in the ``meta`` table); opening an existing file needs
-    only the path — the configuration is reconstructed from ``meta`` and,
-    when the caller *does* pass one, verified to match.
+    Creating a store requires ``target`` and ``blocking`` (the plan's
+    backend; the store file keeps its passes in the ``meta`` table);
+    opening an existing file needs only the path — the configuration is
+    read from ``meta`` and, when the caller *does* pass one, verified to
+    be the same document.
     """
 
     backend_name = "sqlite"
@@ -121,43 +121,28 @@ class SQLiteMatchStore(MatchStore):
         self,
         path,
         target: Optional[ComparableLists] = None,
-        rcks: Optional[Sequence[RelativeKey]] = None,
-        key_length: int = 1,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-        blocking_backend: str = "hash",
-        window: int = 10,
-        key_pairs=None,
+        blocking: Optional[BlockingBackend] = None,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.path = Path(path)
         self.tracer = tracer
         self.metrics = metrics
-        requested = (
-            target,
-            rcks,
-            key_length,
-            encode_attributes,
-            blocking_backend,
-            window,
-            key_pairs,
-        )
         existing = self.path.exists() and self.path.stat().st_size > 0
         if not existing:
             # Refused before connect() writes a file: a failed creation
             # leaves no table-less database for every later open to fail on.
-            if target is None or rcks is None:
+            if target is None or blocking is None:
                 raise ValueError(
                     f"creating a new SQLite store at {self.path} requires "
-                    "target and rcks"
+                    "target and blocking"
                 )
             # An empty store's halves are complete.
-            self._start_records(self._configure(*requested))
-            self._start_clusters()
+            super().__init__(target, blocking)
         self.connection = connect(self.path)
         try:
             if existing:
-                self._open_existing(*requested)
+                self._open_existing(target, blocking)
             else:
                 self._create_fresh()
             self._read_ledger()
@@ -188,7 +173,7 @@ class SQLiteMatchStore(MatchStore):
         write_meta(
             self.connection,
             "config",
-            json.dumps(config_to_dict(self), sort_keys=True),
+            json.dumps(config_to_dict(self.target, self.passes), sort_keys=True),
         )
         write_meta(self.connection, "release", __version__)
         self.connection.executemany(
@@ -198,17 +183,12 @@ class SQLiteMatchStore(MatchStore):
         self.connection.commit()
 
     def _open_existing(
-        self,
-        target,
-        rcks,
-        key_length,
-        encode_attributes,
-        blocking_backend,
-        window,
-        key_pairs,
-    ):
+        self, target: Optional[ComparableLists], blocking: Optional[BlockingBackend]
+    ) -> None:
+        """Read the configuration (upgrading an older file first) and,
+        when one is requested, refuse a file whose document differs."""
         version = read_meta(self.connection, "schema_version")
-        if version in ("1", "2"):
+        if version in ("1", "2", "3"):
             upgrade(self.connection)
         elif version != str(SQLITE_SCHEMA_VERSION):
             raise ValueError(
@@ -219,32 +199,17 @@ class SQLiteMatchStore(MatchStore):
         raw = read_meta(self.connection, "config")
         if raw is None:
             raise ValueError(f"store {self.path} has no configuration")
-        # Stores written before the blocking section existed were all
-        # hash-blocked; config_from_dict defaults accordingly.
-        self._configure(**config_from_dict(json.loads(raw)))
-        requested_pairs = (
-            tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
+        stored = json.loads(raw)
+        self.target, self.passes = config_from_dict(stored)
+        self.pair = self.target.pair
+        requested = config_to_dict(
+            self.target if target is None else target,
+            self.passes if blocking is None else blocking.to_dict(),
         )
-        windowed = blocking_backend == "sorted-neighborhood"
-        if target is not None and (
-            target != self.target
-            or (rcks is not None and list(rcks) != self.rcks)
-            or key_length != self.key_length
-            or tuple(encode_attributes) != self.encode_attributes
-            or blocking_backend != self.blocking_backend
-            or (windowed and int(window) != self.window)
-            # A sorted-neighborhood store records the pairs it resolved:
-            # requesting none asks for the RCKs' recipe, which the RCK
-            # comparison above covers.
-            or (
-                requested_pairs != self.key_pairs
-                and not (windowed and requested_pairs is None)
-            )
-        ):
+        if requested != stored:
             raise ValueError(
                 f"store {self.path} was created with a different "
-                "configuration (target/RCKs/key length/blocking) than "
-                "requested"
+                "configuration (target/blocking passes) than requested"
             )
 
     def _read_ledger(self) -> None:
@@ -284,7 +249,7 @@ class SQLiteMatchStore(MatchStore):
     def _load_records(self) -> None:
         """Both relations from one scan of ``records`` in insertion order,
         and the blocking index derived from the arrival values."""
-        self._start_records(self._new_blocking())
+        self._start_records(BlockingBackend.from_dict(self.passes))
         arrivals = self._arrival
         for side, tid, arrival, current in self.connection.execute(
             "SELECT side, tid, arrival, current FROM records ORDER BY rowid"
@@ -651,14 +616,7 @@ def save_store(store: MatchStore, path) -> None:
     scratch = path.with_name(path.name + ".tmp")
     _remove(scratch)
     copy = SQLiteMatchStore(
-        scratch,
-        store.target,
-        store.rcks,
-        store.key_length,
-        store.encode_attributes,
-        store.blocking_backend,
-        store.window,
-        store.key_pairs,
+        scratch, store.target, BlockingBackend.from_dict(store.passes)
     )
     try:
         for side in (LEFT, RIGHT):

@@ -7,10 +7,11 @@ tuple ids, and the clusters folded from its matches:
 * the ingested records themselves, one :class:`~repro.relations.relation.Relation`
   per side of the schema pair for the current values and one for the
   values as they arrived;
-* a blocking backend updated on every :meth:`MatchStore.add`, built by
-  :func:`~repro.plan.blocking.build_blocking` — the function the batch
-  plan's backend comes from, so a stream probes under exactly the keys
-  and window semantics the batch run of the same spec uses;
+* a blocking backend updated on every :meth:`MatchStore.add`: an empty
+  twin of the batch plan's backend, built from its passes document
+  (:meth:`~repro.plan.blocking.BlockingBackend.to_dict`), so a stream
+  probes under exactly the keys and window semantics the batch run of
+  the same spec uses;
 * the entity clusters that pairwise match decisions are folded into as
   they are made: a :class:`~repro.matching.clustering.Clusters` — the
   same union-find, over the same ``("L" | "R", tid)`` nodes, that
@@ -36,29 +37,33 @@ re-matching.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.core.semantics import InstancePair
 from repro.matching.clustering import Cluster, Clusters, Node, node_of
-from repro.plan.blocking import (
-    DEFAULT_ENCODED_ATTRIBUTES,
-    BlockingBackend,
-    RCKIndex,
-    build_blocking,
-)
+from repro.plan.blocking import BlockingBackend
 from repro.relations.relation import Relation, Row
+
+def check_tid(tid: object) -> None:
+    """Refuse, with a ``ValueError`` naming it, a tid SQLite cannot hold
+    (a ``bool`` is not a tid), so a memory store takes only what its
+    durable twin can write."""
+    if isinstance(tid, bool) or not isinstance(tid, int) or not -(2**63) <= tid < 2**63:
+        raise ValueError(f"tid {tid!r} is not an integer in SQLite's signed 64-bit range")
+
 
 class MatchStore:
     """Incrementally maintained records + indexes + identity clusters.
 
-    >>> from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
-    >>> from repro.core.findrcks import find_rcks
-    >>> pair = credit_billing_pair()
-    >>> target = paper_target(pair)
-    >>> store = MatchStore(target, find_rcks(paper_mds(pair), target, m=5))
-    >>> tid = store.add(LEFT, {"c#": "111", "FN": "Mark", "LN": "Clifford"})
+    >>> from repro.api import Workspace
+    >>> plan = (Workspace.builder()
+    ...     .schema("R", ["A", "B"], "S", ["A", "B"])
+    ...     .target(["A"], ["A"])
+    ...     .mds(["R[B] = S[B] -> R[A] <=> S[A]"])
+    ...     .workspace().plan)
+    >>> store = MatchStore(plan.target, plan.blocking)
+    >>> tid = store.add(LEFT, {"A": "a", "B": "b"})
     >>> store.stats()["left_rows"]
     1
     """
@@ -66,28 +71,19 @@ class MatchStore:
     #: Persistence backend identifier, reported by :meth:`stats`.
     backend_name = "memory"
 
-    def __init__(
-        self,
-        target: ComparableLists,
-        rcks: Sequence[RelativeKey],
-        key_length: int = 1,
-        encode_attributes: Iterable[str] = DEFAULT_ENCODED_ATTRIBUTES,
-        blocking_backend: str = "hash",
-        window: int = 10,
-        key_pairs: Optional[Sequence[Tuple[str, str]]] = None,
-    ) -> None:
-        if not rcks:
-            raise ValueError("need at least one RCK to build indexes")
-        blocking = self._configure(
-            target,
-            rcks,
-            key_length,
-            encode_attributes,
-            blocking_backend,
-            window,
-            key_pairs,
-        )
-        self._start_records(blocking)
+    def __init__(self, target: ComparableLists, blocking: BlockingBackend) -> None:
+        """A store streaming over an empty twin of ``blocking`` (the
+        plan's backend).  Raises ``ValueError`` when it cannot back a
+        store, before anything is stored."""
+        if blocking is None:
+            raise ValueError("a store needs a blocking backend to index under")
+        self.target = target
+        self.pair = target.pair
+        #: The blocking passes as a document
+        #: (:meth:`~repro.plan.blocking.BlockingBackend.to_dict`): what a
+        #: store file keeps and a stream compares with its plan's.
+        self.passes: Dict[str, object] = blocking.to_dict()
+        self._start_records(BlockingBackend.from_dict(self.passes))
         self._start_clusters()
         #: Candidate pair comparisons charged so far.
         self.comparisons = 0
@@ -98,50 +94,6 @@ class MatchStore:
         #: API).  Store files persist it; ``Workspace.stream`` refuses to
         #: resume a store fingerprinted by a different spec.
         self.spec_fingerprint: Optional[str] = None
-
-    def _configure(
-        self,
-        target: ComparableLists,
-        rcks: Sequence[RelativeKey],
-        key_length: int,
-        encode_attributes: Iterable[str],
-        blocking_backend: str,
-        window: int,
-        key_pairs: Optional[Sequence[Tuple[str, str]]],
-    ) -> BlockingBackend:
-        """Set the store's configuration; return an empty backend for it.
-
-        Raises ``ValueError`` when the configuration cannot block, before
-        anything is stored.
-        """
-        self.target = target
-        self.pair = target.pair
-        self.rcks: List[RelativeKey] = list(rcks)
-        self.key_length = key_length
-        self.encode_attributes: Tuple[str, ...] = tuple(encode_attributes)
-        self.blocking_backend = blocking_backend
-        self.window = int(window)
-        #: The explicit key pairs; a sorted-neighborhood store records the
-        #: pairs it resolved, so its persisted configuration is
-        #: self-contained.
-        self.key_pairs: Optional[Tuple[Tuple[str, str], ...]] = (
-            tuple(tuple(pair) for pair in key_pairs) if key_pairs else None
-        )
-        blocking = self._new_blocking()
-        if blocking.family == "sorted-neighborhood":
-            self.key_pairs = blocking.pairs
-        return blocking
-
-    def _new_blocking(self) -> BlockingBackend:
-        """An empty backend over the configuration's passes."""
-        return build_blocking(
-            self.rcks,
-            self.key_length,
-            self.encode_attributes,
-            self.blocking_backend,
-            self.window,
-            self.key_pairs,
-        )
 
     def _start_records(self, blocking: BlockingBackend) -> None:
         """The records half, empty: both value sets of both sides, the
@@ -182,11 +134,13 @@ class MatchStore:
     def add(self, side: int, values: Dict[str, object], tid: Optional[int] = None) -> int:
         """Insert a record and index it; no matching happens here.
 
-        Returns the assigned tuple id.  The record starts as a singleton
+        Returns the assigned tuple id, held to :func:`check_tid` first
+        (given or the relation's next).  The record starts as a singleton
         cluster; :class:`~repro.engine.matcher.IncrementalMatcher.ingest`
         is the entry point that also probes and matches.
         """
         relation = self.relation(side)
+        check_tid(relation.next_tid if tid is None else tid)
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
         self._index(side, row)
@@ -199,13 +153,6 @@ class MatchStore:
         blocking = self.blocking
         keys = self._keys[side][row.tid] = blocking.keys_for(side, row)
         blocking.add(side, row, keys)
-
-    @property
-    def indexes(self) -> List[RCKIndex]:
-        """The hash passes' inverted indexes (empty for a
-        sorted-neighborhood store, whose rank index is not an
-        :class:`~repro.plan.blocking.RCKIndex`)."""
-        return getattr(self.blocking, "indexes", [])
 
     def neighbors(self, side: int, tid: int) -> List[int]:
         """Other-side tuple ids sharing at least one index bucket with the

@@ -24,10 +24,13 @@ generator as a pluggable component:
   indexes, serving batch candidate generation *and* the streaming
   engine's per-record ``add``/``probe``;
 * :func:`build_blocking` — the one place a blocking configuration (a
-  spec's ``blocking`` section plus the RCKs) is resolved to its passes;
-  the batch plan, the memory store and the SQLite store all build their
-  backend from it: hash, or the sorted-neighborhood
-  :class:`~repro.plan.sn_index.WindowedSNIndex`.
+  spec's ``blocking`` section plus the RCKs) is resolved to its passes,
+  as the plan's backend: hash, or the sorted-neighborhood
+  :class:`~repro.plan.sn_index.WindowedSNIndex`.  A backend reports its
+  passes as a JSON document (:meth:`BlockingBackend.to_dict`) and builds
+  an empty twin from one (:meth:`BlockingBackend.from_dict`): a store
+  streams over a twin of the plan's backend and its file keeps the
+  document.
 
 Batch and streaming thereby share one blocking implementation: probing an
 index with a new record yields exactly the pairs a batch
@@ -272,6 +275,20 @@ def pair_keys(
     )
 
 
+def encoded_names(
+    pairs: Sequence[Tuple[str, str]], encode_attributes: Iterable[str]
+) -> Tuple[str, ...]:
+    """The names of ``pairs`` listed in ``encode_attributes``, sorted: all
+    of the list :func:`pair_keys` reads, so two lists that key ``pairs``
+    alike give one tuple.
+
+    >>> encoded_names([("FN", "FN"), ("tel", "phn")], ["LN", "FN"])
+    ('FN',)
+    """
+    names = {name for pair in pairs for name in pair}
+    return tuple(sorted(names.intersection(encode_attributes)))
+
+
 def leading_attribute_pairs(
     rcks: Sequence[RelativeKey],
     attribute_count: int = 3,
@@ -388,8 +405,9 @@ class RCKIndex:
         if not pairs:
             raise ValueError("an index needs at least one attribute pair")
         self.name = name
-        self.pairs: Tuple[Tuple[str, str], ...] = tuple(pairs)
-        self.left_key, self.right_key = pair_keys(self.pairs, encode_attributes)
+        self.pairs: Tuple[Tuple[str, str], ...] = tuple((l, r) for l, r in pairs)
+        self.encode_attributes = encoded_names(self.pairs, encode_attributes)
+        self.left_key, self.right_key = pair_keys(self.pairs, self.encode_attributes)
         self._buckets: Dict[Hashable, Tuple[List[int], List[int]]] = {}
 
     def key_for(self, side: int, row: Row) -> Hashable:
@@ -458,15 +476,52 @@ class BlockingBackend:
 
     Implementations provide ``name`` plus :meth:`candidates` (batch) and
     :meth:`describe` (for ``repro plan explain``).  Backends that also
-    support incremental maintenance additionally expose ``add``/``probe``
-    (see :class:`HashBlockingBackend`).
+    support incremental maintenance — the ones a store streams over —
+    additionally expose ``keys_for``/``add``/``probe``/``index_stats``
+    and their passes as a document (:meth:`to_dict`; see
+    :class:`HashBlockingBackend`).
     """
 
     name: str = "none"
 
-    #: Candidate-generation semantics this backend implements; stores
-    #: compare it against the spec's declared ``blocking.backend``.
+    #: Candidate-generation semantics this backend implements: the
+    #: ``family`` of its :meth:`to_dict` document.
     family: str = "none"
+
+    def to_dict(self) -> Dict[str, object]:
+        """The resolved passes as a JSON document — ``family`` plus what
+        :meth:`from_dict` needs to build an empty twin: a store's file
+        keeps it, and two backends with one document block alike."""
+        raise ValueError(
+            f"{type(self).__name__} cannot back a store; "
+            "stores stream under 'hash' or 'sorted-neighborhood'"
+        )
+
+    @staticmethod
+    def from_dict(document: Dict[str, object]) -> "BlockingBackend":
+        """An empty backend over the passes of a :meth:`to_dict` document.
+
+        >>> twin = BlockingBackend.from_dict(
+        ...     {"family": "hash", "indexes": [
+        ...         {"name": "ln", "pairs": [["LN", "LN"]], "encode": ["LN"]}]})
+        >>> twin.describe(), twin.to_dict()["indexes"][0]["encode"]
+        ('hash(1 passes: LN~LN)', ['LN'])
+        """
+        family = document.get("family")
+        if family == "hash":
+            return HashBlockingBackend([
+                RCKIndex(index["name"], index["pairs"], index["encode"])
+                for index in document["indexes"]
+            ])
+        if family == "sorted-neighborhood":
+            # sn_index builds on this module.
+            from .sn_index import WindowedSNIndex
+
+            return WindowedSNIndex(document["pairs"], document["window"], document["encode"])
+        raise ValueError(
+            f"unsupported blocking family {family!r}; "
+            "stores stream under 'hash' or 'sorted-neighborhood'"
+        )
 
     def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """All candidate pairs for a batch instance pair, each once: a
@@ -553,6 +608,21 @@ class HashBlockingBackend(BlockingBackend):
             for index in self.indexes
         }
 
+    def to_dict(self) -> Dict[str, object]:
+        """One entry per index: its name (``index_stats``' key), pairs
+        and encoded names."""
+        return {
+            "family": self.family,
+            "indexes": [
+                {
+                    "name": index.name,
+                    "pairs": [list(pair) for pair in index.pairs],
+                    "encode": list(index.encode_attributes),
+                }
+                for index in self.indexes
+            ],
+        }
+
     def describe(self) -> str:
         keys = ", ".join(
             "+".join(f"{left}~{right}" for left, right in index.pairs)
@@ -571,8 +641,6 @@ def build_blocking(
 ) -> BlockingBackend:
     """A blocking configuration resolved to its passes, as a backend.
 
-    Arguments in the order the store constructors take them.
-
     ``"hash"`` blocks on one pass over the explicit ``key_pairs`` when
     given, else on one pass per RCK's leading ``key_length`` attribute
     pairs; ``"sorted-neighborhood"`` sorts on ``key_pairs`` when given,
@@ -580,8 +648,9 @@ def build_blocking(
     pass each).  Either way a pair is encoded on both sides when either
     of its names is in ``encode_attributes`` (:func:`pair_keys`).
     ``Workspace`` compiles the result into its plan and each store
-    streams over an instance of its own — so a configuration never means
-    different keys to different layers.
+    streams over an empty twin of it (:meth:`BlockingBackend.from_dict`)
+    — so a configuration never means different keys to different
+    layers.
     """
     if backend == "hash":
         if key_pairs:

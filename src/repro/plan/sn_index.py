@@ -74,6 +74,7 @@ from repro.plan.blocking import (
     PartnerTable,
     RowKey,
     emit_unions,
+    encoded_names,
     pair_keys,
     run_pairs,
 )
@@ -166,7 +167,7 @@ class WindowedSNIndex(BlockingBackend):
             (left, right) for left, right in pairs
         )
         self.window = int(window)
-        self.encode_attributes: Tuple[str, ...] = tuple(encode_attributes)
+        self.encode_attributes = encoded_names(self.pairs, encode_attributes)
         #: Per-pass sort keys: rotation *i* leads with ``pairs[i]``.
         self.passes: Tuple[Tuple[Tuple[str, str], ...], ...] = _rotations(
             self.pairs
@@ -321,6 +322,16 @@ class WindowedSNIndex(BlockingBackend):
                 ),
             }
         return stats
+
+    def to_dict(self) -> Dict[str, object]:
+        """The pairs (pass *i* leads with pair *i*), window and encoded
+        names."""
+        return {
+            "family": self.family,
+            "pairs": [list(pair) for pair in self.pairs],
+            "window": self.window,
+            "encode": list(self.encode_attributes),
+        }
 
     def describe(self) -> str:
         detail = "+".join(f"{left}~{right}" for left, right in self.pairs)

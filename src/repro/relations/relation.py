@@ -181,6 +181,11 @@ class Relation:
     def __len__(self) -> int:
         return len(self._rows)
 
+    @property
+    def next_tid(self) -> int:
+        """The tuple id :meth:`insert` assigns when given none."""
+        return self._next_tid
+
     def tids(self) -> List[int]:
         """All tuple ids, in insertion order."""
         return list(self._rows)

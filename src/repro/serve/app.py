@@ -31,6 +31,7 @@ from typing import Dict, Optional
 
 from repro.api.spec import ResolutionSpec, SpecError
 from repro.api.workspace import Workspace
+from repro.engine.store import check_tid
 from repro.obs.metrics import MetricsRegistry
 
 from .batching import QueueFull
@@ -313,10 +314,11 @@ class ResolutionServer:
                     f"records[{position}].values: expected an object"
                 )
             tid = record.get("tid")
-            if tid is not None and not isinstance(tid, int):
-                raise BadRequest(
-                    f"records[{position}].tid: expected an integer"
-                )
+            if tid is not None:
+                try:
+                    check_tid(tid)
+                except ValueError as error:
+                    raise BadRequest(f"records[{position}].tid: {error}") from None
             futures.append((side, values, tid))
         # All-or-nothing admission: either every record of the request
         # fits the queue or QueueFull sheds the whole request — a client

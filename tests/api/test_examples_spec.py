@@ -113,6 +113,26 @@ def test_engine_ingest_embeds_the_spec_fingerprint(tmp_path, capsys):
     store.close(commit=False)
 
 
+def test_an_unstamped_store_under_other_passes_is_refused():
+    """A hand-built store no spec stamped is held to the plan's passes,
+    not just its family: a sorted-neighbourhood store windowed at 3 is
+    refused under this spec's window of 10, and left unstamped; the same
+    passes stream and are stamped."""
+    from repro.api import SpecError
+    from repro.engine import MatchStore
+    from repro.plan import WindowedSNIndex
+
+    workspace = Workspace.from_file(SPEC_PATH)
+    plan = workspace.plan
+    pairs, encode = plan.blocking.pairs, plan.blocking.encode_attributes
+    narrow = MatchStore(plan.target, WindowedSNIndex(pairs, 3, encode))
+    with pytest.raises(SpecError, match=r"window=3.*window=10"):
+        workspace.stream(store=narrow)
+    assert narrow.spec_fingerprint is None
+    same = MatchStore(plan.target, WindowedSNIndex(pairs, 10, encode))
+    assert workspace.stream(store=same).store.spec_fingerprint == "bb08144399820b1a"
+
+
 def test_plain_spec_run_raises_no_deprecation_warning():
     """``src/`` reaches nothing deprecated — its own or the standard
     library's — on the path every workload runs."""

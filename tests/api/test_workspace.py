@@ -428,7 +428,7 @@ class TestRemovedEntryPoints:
 
         workspace, _, _ = fig1_workspace
         plan = workspace.plan
-        store = MatchStore(plan.target, plan.rcks)
+        store = MatchStore(plan.target, plan.blocking)
         with pytest.raises(TypeError, match=knob):
             IncrementalMatcher(plan, store, **{knob: None})
         matcher = IncrementalMatcher(plan, store)
@@ -453,7 +453,7 @@ class TestRetiredTuning:
         workspace, _, _ = fig1_workspace
         plan = workspace.plan
         with pytest.raises(TypeError, match="max_cascade"):
-            IncrementalMatcher(plan, MatchStore(plan.target, plan.rcks), max_cascade=1)
+            IncrementalMatcher(plan, MatchStore(plan.target, plan.blocking), max_cascade=1)
 
     def test_write_trace_takes_no_format(self, tmp_path):
         from repro.obs import Tracer, write_trace

@@ -61,11 +61,12 @@ class TestStreamingFig1:
         assert matcher.store.clusters() == list(report.clusters)
 
 
-    @pytest.mark.parametrize("offset", [2**31, -(2**31) - 5, 2**70])
+    @pytest.mark.parametrize("offset", [2**31, -(2**31) - 5, 2**63 - 10])
     def test_tids_beyond_a_c_int_stream_as_small_ones_do(self, workspace, fig1, offset):
         """A tid outside a C int (an external record id, say) streams like
-        any other: a delta is chased over the probe's own list of partner
-        tids, and the clusters are the small-tid stream's, shifted."""
+        any other, up to SQLite's 64-bit bound: a delta is chased over the
+        probe's own list of partner tids, and the clusters are the
+        small-tid stream's, shifted."""
         _, credit, billing = fig1
 
         def clusters(shift):
@@ -112,7 +113,7 @@ class TestEdgeCases:
         """A chase-only plan (no target) has no matches to read off."""
         chase_only = compile_plan(workspace.plan.sigma)
         with pytest.raises(ValueError, match="without a target"):
-            IncrementalMatcher(chase_only, MatchStore(target, workspace.plan.rcks))
+            IncrementalMatcher(chase_only, MatchStore(target, workspace.plan.blocking))
 
     def test_store_target_mismatch(self, workspace, workspace_for, ext_target):
         foreign = workspace_for(ext_target).stream().store

@@ -11,6 +11,7 @@ from the database equals a never-interrupted run.
 
 from __future__ import annotations
 
+import json
 import re
 import sqlite3
 
@@ -28,7 +29,7 @@ from repro.datagen.streams import (
 from repro.engine import SQLiteMatchStore
 from repro.relations.relation import Row
 
-from store_state import state as _state
+from store_state import recipe_config, state as _state
 
 SCENARIOS = [duplicate_burst_stream, arrival_stream, late_duplicate_stream]
 SCENARIO_IDS = ["duplicate-burst", "arrival", "late-duplicate"]
@@ -146,27 +147,25 @@ def test_resume_under_changed_spec_is_rejected(dataset, tmp_path):
     matcher.ingest_stream(list(arrival_stream(dataset, seed=5).events)[:5])
     matcher.store.close()
 
-    # Same RCK configuration (so the store itself opens fine), different
-    # matching semantics — the fingerprint is what catches it.
-    other = (
-        _builder(dataset)
-        .persistence("sqlite", str(path))
-        .resolution("lexicographic-min")
-        .workspace()
-    )
-    with pytest.raises(SpecError, match="built from spec"):
-        other.stream()
+    # Same blocking passes (so the store itself opens fine), different
+    # matching semantics or rules — the fingerprint is what catches it.
+    for other in (
+        _builder(dataset).resolution("lexicographic-min"),
+        _builder(dataset).execution(top_k=3),
+    ):
+        with pytest.raises(SpecError, match="built from spec"):
+            other.persistence("sqlite", str(path)).workspace().stream()
 
-    # A materially different rule configuration is rejected by the store
-    # itself (the RCKs it was created with are pinned in its meta table).
-    different_rules = (
+    # Other passes are rejected by the store itself: its file keeps the
+    # passes it was created to index under.
+    longer_keys = (
         _builder(dataset)
         .persistence("sqlite", str(path))
-        .execution(top_k=3)
+        .blocking("hash", key_length=2)
         .workspace()
     )
-    with pytest.raises(ValueError, match="different"):
-        different_rules.stream()
+    with pytest.raises(SpecError, match="different configuration"):
+        longer_keys.stream()
 
 
 # ----------------------------------------------------------------------
@@ -418,17 +417,19 @@ def test_a_reopened_store_builds_its_index_on_first_use(
 
 
 @pytest.mark.parametrize("blocking", ("hash", "sorted-neighborhood"))
-@pytest.mark.parametrize("version", (1, 2))
-def test_an_older_store_opens_as_version_3_and_streams_on(
+@pytest.mark.parametrize("version", (1, 2, 3))
+def test_an_older_store_opens_as_version_4_and_streams_on(
     dataset, version, blocking, tmp_path
 ):
-    """A file written by a version-2 build has no ``events`` tail (nor a
-    ``release`` stamp); one by a version-1 build also kept its blocking
-    index in two tables of postings.  Opening either upgrades it in one
-    transaction — the postings dropped, an empty tail added, version 3
-    stamped, so an older build refuses the file rather than probe
-    postings that no longer follow it or miss the records its tail
-    holds — and the stream goes on as if never interrupted."""
+    """Files by versions 1 to 3 keep the blocking recipe in
+    ``meta.config``; one by a version-2 build also has no ``events``
+    tail (nor a ``release`` stamp), and one by a version-1 build kept its
+    blocking index in two tables of postings besides.  Opening any of
+    them upgrades it in one transaction — the postings dropped, an empty
+    tail added, the recipe resolved to its passes, version 4 stamped, so
+    an older build refuses the file rather than probe postings that no
+    longer follow it, miss the records its tail holds or misread its
+    configuration — and the stream goes on as if never interrupted."""
     events = list(arrival_stream(dataset, seed=5).events)
     cut = len(events) // 2
     path = tmp_path / f"v{version}.db"
@@ -439,10 +440,16 @@ def test_an_older_store_opens_as_version_3_and_streams_on(
     first = workspace().stream()
     first_results = first.ingest_stream(events[:cut])
     first.store.close()
+    passes = json.loads(_meta(path, "config"))
     connection = sqlite3.connect(path)
     with connection:
-        connection.execute("DROP TABLE events")
-        connection.execute("DELETE FROM meta WHERE key = 'release'")
+        connection.execute(
+            "UPDATE meta SET value = ? WHERE key = 'config'",
+            (json.dumps(recipe_config(workspace())),),
+        )
+        if version < 3:
+            connection.execute("DROP TABLE events")
+            connection.execute("DELETE FROM meta WHERE key = 'release'")
         if version == 1:
             # The version-1 blocking tables, populated with postings a
             # probe would go wrong on: every record under one key.
@@ -474,10 +481,8 @@ def test_an_older_store_opens_as_version_3_and_streams_on(
         )
     }
     assert tables == {"meta", "records", "clusters", "counters", "events"}
-    (version,) = resumed.store.connection.execute(
-        "SELECT value FROM meta WHERE key = 'schema_version'"
-    ).fetchone()
-    assert version == "3"
+    assert _meta(path, "schema_version") == "4"
+    assert json.loads(_meta(path, "config")) == passes
     resumed_results = resumed.ingest_stream(events[cut:])
     assert resumed.store.pending_events == len(events) - cut
 
@@ -489,6 +494,18 @@ def test_an_older_store_opens_as_version_3_and_streams_on(
     resumed.store.close()
     # ... and the tail the upgraded file took resumes in another process.
     assert _state(workspace().stream().store) == _state(uninterrupted.store)
+
+
+def _meta(path, key):
+    """One ``meta`` value of the store file at ``path``, read aside."""
+    connection = sqlite3.connect(path)
+    try:
+        (value,) = connection.execute(
+            "SELECT value FROM meta WHERE key = ?", (key,)
+        ).fetchone()
+    finally:
+        connection.close()
+    return value
 
 
 def test_second_writer_gets_database_is_locked_and_nothing_half_applied(

@@ -12,14 +12,22 @@ from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
 from repro.core.findrcks import find_rcks
 from repro.engine import MatchStore, SQLiteMatchStore
 from repro.engine.sqlite import SQLITE_MAGIC, is_sqlite_file
+from repro.plan import BlockingBackend, HashBlockingBackend
 
 
 @pytest.fixture(scope="module")
 def config():
     pair = credit_billing_pair()
     target = paper_target(pair)
-    rcks = find_rcks(paper_mds(pair), target, m=5)
-    return target, rcks
+    blocking = HashBlockingBackend.per_rck(find_rcks(paper_mds(pair), target, m=5))
+    return target, blocking
+
+
+def _longer_keys(config):
+    """Other passes over the same RCKs: two leading pairs per key."""
+    target, _ = config
+    rcks = find_rcks(paper_mds(target.pair), target, m=5)
+    return HashBlockingBackend.per_rck(rcks, key_length=2)
 
 
 ROW = {"c#": "111", "FN": "Mark", "LN": "Clifford", "tel": "212-5550234"}
@@ -30,8 +38,8 @@ MATCHING_ROW = {
 
 @pytest.fixture
 def store(config, tmp_path):
-    target, rcks = config
-    store = SQLiteMatchStore(tmp_path / "store.db", target, rcks)
+    target, blocking = config
+    store = SQLiteMatchStore(tmp_path / "store.db", target, blocking)
     yield store
     store.close(commit=False)
 
@@ -41,23 +49,23 @@ class TestCreateAndOpen:
         with pytest.raises(ValueError, match="requires"):
             SQLiteMatchStore(tmp_path / "fresh.db")
 
-    @pytest.mark.parametrize("refused", ["no-configuration", "unknown-backend"])
+    @pytest.mark.parametrize("refused", ["no-configuration", "batch-only-backend"])
     def test_a_refused_creation_leaves_the_path_usable(
         self, config, tmp_path, refused
     ):
         """A creation refused for its arguments writes no file: a
         table-less database there would fail every later open with
         ``no such table: meta``, a full configuration included."""
-        target, rcks = config
+        target, blocking = config
         path = tmp_path / "fresh.db"
         if refused == "no-configuration":
             with pytest.raises(ValueError, match="requires"):
                 SQLiteMatchStore(path)
         else:
-            with pytest.raises(ValueError, match="unsupported blocking backend"):
-                SQLiteMatchStore(path, target, rcks, blocking_backend="nope")
+            with pytest.raises(ValueError, match="cannot back a store"):
+                SQLiteMatchStore(path, target, BlockingBackend())
         assert not path.exists()
-        with SQLiteMatchStore(path, target, rcks) as store:
+        with SQLiteMatchStore(path, target, blocking) as store:
             store.add(LEFT, ROW)
         reopened = SQLiteMatchStore(path)
         assert len(reopened.left) == 1
@@ -69,14 +77,14 @@ class TestCreateAndOpen:
         from repro.engine.sqlite import connect
         from repro.engine.sqlite import store as store_module
 
-        target, rcks = config
+        target, _ = config
         store.close()
         opened = []
         monkeypatch.setattr(
             store_module, "connect", lambda path: opened.append(connect(path)) or opened[-1]
         )
         with pytest.raises(ValueError, match="different"):
-            SQLiteMatchStore(store.path, target, rcks, key_length=2)
+            SQLiteMatchStore(store.path, target, _longer_keys(config))
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             opened[0].execute("SELECT 1")
 
@@ -86,30 +94,28 @@ class TestCreateAndOpen:
         assert store.path.read_bytes()[: len(SQLITE_MAGIC)] == SQLITE_MAGIC
 
     def test_reopen_restores_configuration(self, store, config, tmp_path):
-        target, rcks = config
+        target, blocking = config
         store.add(LEFT, ROW)
         store.close()
         reopened = SQLiteMatchStore(store.path)
         assert reopened.target == target
-        assert reopened.rcks == list(rcks)
-        assert [index.name for index in reopened.indexes] == [
-            index.name for index in store.indexes
-        ]
+        assert reopened.passes == blocking.to_dict()
+        assert reopened.blocking.describe() == store.blocking.describe()
         assert len(reopened.left) == 1
         reopened.close(commit=False)
 
     def test_reopen_with_matching_configuration_accepted(self, store, config):
-        target, rcks = config
+        target, blocking = config
         store.close()
-        reopened = SQLiteMatchStore(store.path, target, rcks)
+        reopened = SQLiteMatchStore(store.path, target, blocking)
         assert reopened.target == target
         reopened.close(commit=False)
 
     def test_reopen_with_different_configuration_rejected(self, store, config):
-        target, rcks = config
+        target, _ = config
         store.close()
         with pytest.raises(ValueError, match="different"):
-            SQLiteMatchStore(store.path, target, rcks, key_length=2)
+            SQLiteMatchStore(store.path, target, _longer_keys(config))
 
     def test_unsupported_schema_version_rejected(self, store):
         store.connection.execute(
@@ -252,8 +258,8 @@ class TestDurability:
         reopened.close(commit=False)
 
     def test_context_manager_commits(self, config, tmp_path):
-        target, rcks = config
-        with SQLiteMatchStore(tmp_path / "ctx.db", target, rcks) as store:
+        target, blocking = config
+        with SQLiteMatchStore(tmp_path / "ctx.db", target, blocking) as store:
             store.add(LEFT, ROW)
         reopened = SQLiteMatchStore(tmp_path / "ctx.db")
         assert len(reopened.left) == 1
@@ -271,14 +277,12 @@ class TestStats:
         assert stats["left_rows"] == 1
 
     def test_memory_store_reports_backend(self, config):
-        target, rcks = config
-        stats = MatchStore(target, rcks).stats()
+        stats = MatchStore(*config).stats()
         assert stats["backend"] == "memory"
         assert "disk_bytes" not in stats
 
     def test_index_stats_match_memory_backend(self, store, config):
-        target, rcks = config
-        memory = MatchStore(target, rcks)
+        memory = MatchStore(*config)
         for s in (store, memory):
             s.add(LEFT, ROW)
             s.add(RIGHT, MATCHING_ROW)
@@ -298,7 +302,6 @@ def test_a_foreign_sqlite_file_is_refused_unchanged(config, tmp_path):
     """A SQLite database without a store's ``meta`` is refused before any
     pragma runs: its journal mode (``wal`` persists in the file) and its
     schema are as they were, whether or not a configuration is given."""
-    target, rcks = config
     path = tmp_path / "foreign.db"
     with sqlite3.connect(path) as connection:
         connection.execute("CREATE TABLE readings (at TEXT, value REAL)")
@@ -316,7 +319,36 @@ def test_a_foreign_sqlite_file_is_refused_unchanged(config, tmp_path):
 
     before = observed()
     assert before[0] == ("delete",)
-    for arguments in ((), (target, rcks)):
+    for arguments in ((), config):
         with pytest.raises(ValueError, match="schema_version|schema version"):
             SQLiteMatchStore(path, *arguments)
         assert observed() == before
+
+
+@pytest.mark.parametrize("tid", [True, False, 2**63, -(2**63) - 1])
+@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+def test_a_tid_sqlite_cannot_hold_is_refused_before_anything_is_stored(
+    config, tmp_path, kind, tid
+):
+    """A ``bool``, or an int outside SQLite's signed 64 bits — given, or
+    the next one after the largest — is one ``ValueError`` naming it, and
+    the store holds nothing of it: the same tid as an int is free, and a
+    durable store commits."""
+    store = (
+        MatchStore(*config)
+        if kind == "memory"
+        else SQLiteMatchStore(tmp_path / "store.db", *config)
+    )
+    with pytest.raises(ValueError, match=re.escape(f"tid {tid!r} is not an integer")):
+        store.add(LEFT, ROW, tid=tid)
+    assert len(store.left) == 0 and store.clusters(include_singletons=True) == []
+    assert store.add(LEFT, ROW, tid=int(tid) % 2) == int(tid) % 2
+    for edge in (2**63 - 1, -(2**63)):
+        store.add(RIGHT, MATCHING_ROW, tid=edge)
+    with pytest.raises(ValueError, match=f"tid {2**63} is not"):
+        store.add(RIGHT, MATCHING_ROW)
+    store.close()
+    if kind == "sqlite":
+        reopened = SQLiteMatchStore(store.path)
+        assert sorted(reopened.right.tids()) == [-(2**63), 2**63 - 1]
+        reopened.close(commit=False)

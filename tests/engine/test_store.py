@@ -7,13 +7,13 @@ import pytest
 from repro.core.findrcks import find_rcks
 from repro.core.schema import LEFT, RIGHT
 from repro.engine import MatchStore, node_of
-from repro.plan import RCKIndex, indexes_from_rcks
+from repro.plan import HashBlockingBackend, RCKIndex, indexes_from_rcks
 from repro.relations.relation import Relation
 
 
 @pytest.fixture
 def store(sigma, target):
-    return MatchStore(target, find_rcks(sigma, target, m=5))
+    return MatchStore(target, HashBlockingBackend.per_rck(find_rcks(sigma, target, m=5)))
 
 
 class TestRCKIndex:
@@ -56,9 +56,9 @@ class TestRCKIndex:
 
 
 class TestMatchStore:
-    def test_needs_rcks(self, target):
-        with pytest.raises(ValueError):
-            MatchStore(target, [])
+    def test_needs_a_blocking_backend(self, target):
+        with pytest.raises(ValueError, match="blocking backend"):
+            MatchStore(target, None)
 
     def test_add_registers_singleton(self, store):
         tid = store.add(LEFT, {"FN": "Mark", "LN": "Clifford"})
@@ -115,4 +115,4 @@ class TestMatchStore:
         assert stats["right_rows"] == 0
         assert stats["matched_clusters"] == 0
         assert stats["comparisons"] == 0
-        assert set(stats["indexes"]) == {index.name for index in store.indexes}
+        assert set(stats["indexes"]) == {index.name for index in store.blocking.indexes}

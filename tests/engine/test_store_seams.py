@@ -290,7 +290,7 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
     def count(prefix):
         return sum(statement.startswith(prefix) for statement in statements)
 
-    assert len(store.indexes) > 1 and any(result.merged for result in results)
+    assert len(store.blocking.indexes) > 1 and any(result.merged for result in results)
     # The unit that would bring the tail to 64 events is a checkpoint:
     # the 64th, 128th, 192nd and 256th ingests; 44 events stay pending.
     units_written = " ".join(statements).split("COMMIT")[:-1]
@@ -332,7 +332,7 @@ def test_cost_of_a_fixed_stream_over_sqlite(dataset, events, tmp_path, monkeypat
     # record's keys are derived once, at add ...
     counters = matcher.metrics.counters
     assert counters["store.probes"] > len(stream)
-    assert len(derivations) == len(store.indexes) * len(stream)
+    assert len(derivations) == len(store.blocking.indexes) * len(stream)
     # ... a unit is counted as a commit, a checkpoint as a checkpoint
     # too (the fingerprint stamp at stream() was the first of each) ...
     assert counters["store.commits"] == len(stream) + 1

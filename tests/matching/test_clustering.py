@@ -13,6 +13,7 @@ from repro.core.findrcks import find_rcks
 from repro.core.schema import LEFT, RIGHT
 from repro.datagen.schemas import credit_billing_pair, paper_mds, paper_target
 from repro.engine import MatchStore, SQLiteMatchStore
+from repro.plan import HashBlockingBackend
 from repro.matching.clustering import (
     Cluster,
     Clusters,
@@ -213,8 +214,12 @@ MATCHES = [(0, 0), (3, 1), (1, 1), (2, 5), (4, 5), (0, 2), (6, 6), (3, 1), (5, 6
 def _store(path=None):
     pair = credit_billing_pair()
     target = paper_target(pair)
-    rcks = find_rcks(paper_mds(pair), target, m=5)
-    store = MatchStore(target, rcks) if path is None else SQLiteMatchStore(path, target, rcks)
+    blocking = HashBlockingBackend.per_rck(find_rcks(paper_mds(pair), target, m=5))
+    store = (
+        MatchStore(target, blocking)
+        if path is None
+        else SQLiteMatchStore(path, target, blocking)
+    )
     row = {"c#": "111", "FN": "Mark", "LN": "Clifford"}
     for tid in range(8):
         store.add(LEFT, row, tid=tid)

@@ -15,6 +15,7 @@ One spec, one front door: :meth:`Workspace.match` and
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -28,6 +29,7 @@ from repro.datagen.streams import (
     late_duplicate_stream,
 )
 from repro.engine.store import MatchStore
+from repro.plan.blocking import HashBlockingBackend
 from repro.plan.sn_index import WindowedSNIndex
 
 SCENARIOS = {
@@ -161,9 +163,7 @@ class TestStreamGuard:
     ):
         sn_workspace = workspace_for(dataset, blocking=SN)
         plan = sn_workspace.plan
-        hash_store = MatchStore(
-            plan.target, plan.rcks, blocking_backend="hash"
-        )
+        hash_store = MatchStore(plan.target, HashBlockingBackend.per_rck(plan.rcks))
         hash_store.spec_fingerprint = sn_workspace.fingerprint
         with pytest.raises(SpecError, match="streams under 'hash'"):
             sn_workspace.stream(store=hash_store)
@@ -183,8 +183,8 @@ class TestStreamGuard:
         self, dataset, workspace_for, tmp_path
     ):
         """What a pre-2.0 build wrote under ``hash`` + ``key_pairs``: the
-        configuration names the key, the records were indexed per RCK.
-        The index is derived from the configuration, so the store opens
+        configuration's passes name the key, the records were indexed per
+        RCK.  The index is derived from the passes, so the store opens
         and probes exactly like a fresh ``key_pairs`` store over the same
         records."""
         path = tmp_path / "parent.db"
@@ -204,10 +204,12 @@ class TestStreamGuard:
                 "UPDATE meta SET value = ? WHERE key = 'spec_fingerprint'",
                 (keyed.fingerprint,),
             )
+            (raw,) = connection.execute(
+                "SELECT value FROM meta WHERE key = 'config'"
+            ).fetchone()
+            config = dict(json.loads(raw), blocking=keyed.plan.blocking.to_dict())
             connection.execute(
-                "UPDATE meta SET value = replace(value, "
-                "'\"key_pairs\": null', '\"key_pairs\": [[\"zip\", \"zip\"]]') "
-                "WHERE key = 'config'"
+                "UPDATE meta SET value = ? WHERE key = 'config'", (json.dumps(config),)
             )
         connection.close()
 

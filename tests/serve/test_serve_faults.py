@@ -374,3 +374,34 @@ def test_failed_micro_batch_is_rolled_back_as_a_unit(tmp_path):
     offline = builder(dataset(60, seed=7)).workspace().stream()
     offline.ingest_stream(events[:8] + events[12:] + failed)
     assert resumed_state == state(offline.store)
+
+
+@pytest.mark.parametrize("tid", [True, 2**63, -(2**63) - 1, "7"])
+def test_an_ingest_tid_sqlite_cannot_hold_is_a_400_naming_it(tmp_path, tid):
+    """``POST /ingest`` refuses a ``bool`` tid, an int outside SQLite's
+    signed 64 bits or a non-integer with a 400 naming ``records[i].tid``,
+    before any record of the request is queued; the store takes the
+    request once the tid is mended."""
+    spec = builder(dataset()).persistence("sqlite", str(tmp_path / "s.db")).build()
+    thread, host, port = start_server(spec)
+    try:
+        client = ServeClient(host, port)
+        try:
+            good, bad = (
+                event_record(event)
+                for event in arrival_stream(dataset(), seed=5).events[:2]
+            )
+            status, body, _ = client.request(
+                "POST", "/ingest", {"records": [good, dict(bad, tid=tid)]}
+            )
+            assert status == 400
+            assert body["error"].startswith("records[1].tid: tid ")
+            status, body, _ = client.request("POST", "/ingest", {"records": [good, bad]})
+            assert status == 200
+            assert [result["tid"] for result in body["results"]] == [
+                good["tid"], bad["tid"]
+            ]
+        finally:
+            client.close()
+    finally:
+        thread.stop()

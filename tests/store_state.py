@@ -31,7 +31,7 @@ def state(store) -> Dict[str, object]:
     (backend, file path, size on disk, events since the last
     checkpoint)."""
     return {
-        "config": config_to_dict(store),
+        "config": config_to_dict(store.target, store.passes),
         "spec_fingerprint": store.spec_fingerprint,
         "rows": rows(store),
         "clusters": [
@@ -46,3 +46,28 @@ def state(store) -> Dict[str, object]:
             if key not in ("backend", "path", "disk_bytes", "pending_events")
         },
     }
+
+
+def recipe_config(workspace) -> Dict[str, object]:
+    """The ``meta.config`` a version-1 to -3 store file of ``workspace``'s
+    spec kept: the blocking *recipe* — RCK operator triples, key length,
+    encoded attributes, backend, window, key pairs (a sorted-neighborhood
+    store kept the pairs it resolved) — where version 4 keeps passes."""
+    plan, spec = workspace.plan, workspace.spec
+    config = config_to_dict(plan.target, {})
+    windowed = plan.blocking.family == "sorted-neighborhood"
+    key_pairs = plan.blocking.pairs if windowed else spec.key_pairs
+    config.update(
+        rcks=[
+            [[atom.left, atom.right, atom.operator.name] for atom in key.atoms]
+            for key in plan.rcks
+        ],
+        key_length=spec.key_length,
+        encode_attributes=list(spec.encode),
+        blocking={
+            "backend": spec.blocking_backend,
+            "window": spec.window,
+            "key_pairs": [list(pair) for pair in key_pairs] if key_pairs else None,
+        },
+    )
+    return config

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Workspace
 from repro.cli import main
 from repro.datagen.generator import figure1_instances
 from repro.relations.csvio import save_relation
+
+from store_state import recipe_config
 
 
 #: Example 1.1's schemas and target with the three MDs of Example 2.1.
@@ -631,15 +634,15 @@ class TestEngineStreamGuard:
         # A store from the era before the blocking section existed opens
         # as a hash-blocked store: same fingerprint, different streaming
         # semantics — refused, not silently substituted.
+        config = recipe_config(Workspace.from_file(sn_spec_file))
+        del config["blocking"]
         with sqlite3.connect(store_path) as connection:
-            (raw,) = connection.execute(
-                "SELECT value FROM meta WHERE key = 'config'"
-            ).fetchone()
-            config = json.loads(raw)
-            del config["blocking"]
             connection.execute(
                 "UPDATE meta SET value = ? WHERE key = 'config'",
                 (json.dumps(config),),
+            )
+            connection.execute(
+                "UPDATE meta SET value = '3' WHERE key = 'schema_version'"
             )
         connection.close()
         code = main(
