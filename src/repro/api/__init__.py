@@ -10,8 +10,9 @@
 * :class:`~repro.api.workspace.Workspace` — the façade that compiles the
   spec through the :mod:`repro.plan` kernel exactly once and executes it
   in batch (``match``/``enforce``) or streaming (``stream``) mode;
-* :class:`~repro.api.workspace.MatchReport` — the unified result object
-  (pairs, clusters, per-rule provenance, plan stats, spec fingerprint).
+* :class:`~repro.api.report.MatchReport` — the unified result object
+  (pairs, clusters, per-rule provenance — views over the positions the
+  chase matched — plan stats, spec fingerprint).
 
 Typical use::
 

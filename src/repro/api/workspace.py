@@ -22,15 +22,15 @@ The one batch method returns one result type, :class:`MatchReport`.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from array import array
+from itertools import compress
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.findrcks import find_rcks
 from repro.core.rck import RelativeKey
 from repro.core.semantics import InstancePair
-from repro.matching.clustering import Cluster, cluster_matches
+from repro.matching.clustering import cluster_matches
 from repro.matching.evaluate import Pair
 from repro.plan.blocking import BlockingBackend, CandidateSet, build_blocking
 from repro.obs import (
@@ -43,122 +43,8 @@ from repro.obs import (
 from repro.plan.compile import EnforcementPlan, compile_plan
 from repro.relations.relation import Relation
 
+from .report import Matches, MatchReport, Provenance
 from .spec import ResolutionSpec, SpecError
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """The unified result of any spec-driven batch matching run.
-
-    Attributes
-    ----------
-    matches, candidates:
-        The declared matches, ascending, and the candidate pairs they were
-        drawn from: the :class:`~repro.plan.blocking.CandidateSet` the
-        chase ran over (pairs handed in another form, sorted into one).
-    clusters:
-        The matches consolidated into entity clusters (transitive closure).
-    provenance:
-        For each matched pair, the names of the compiled rules/keys that
-        justified it (``rck0``/``md1`` — the names ``plan explain`` prints).
-    stats:
-        A snapshot of the plan's cumulative :class:`~repro.plan.compile.PlanStats`
-        counters taken when the report was built (``compiles`` stays 1 for
-        a workspace's whole lifetime), merged with the workspace's
-        :class:`~repro.obs.MetricsRegistry` — its counters flat alongside
-        the plan counters, plus ``"gauges"`` and ``"histograms"``
-        (p50/p95/p99 summaries) sub-mappings.  Every pre-existing
-        ``PlanStats`` field keeps its key and meaning.
-    fingerprint:
-        The spec fingerprint the run executed under.
-    mode:
-        ``"direct"`` or ``"enforce"``.
-    """
-
-    matches: Tuple[Pair, ...]
-    candidates: CandidateSet
-    clusters: Tuple[Cluster, ...]
-    provenance: Mapping[Pair, Tuple[str, ...]]
-    stats: Mapping[str, object]
-    fingerprint: str
-    mode: str
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable rendering of the report."""
-        return {
-            "mode": self.mode,
-            "spec_fingerprint": self.fingerprint,
-            "matches": [list(pair) for pair in self.matches],
-            "candidate_count": len(self.candidates),
-            "clusters": [
-                {
-                    "left_tids": sorted(cluster.left_tids),
-                    "right_tids": sorted(cluster.right_tids),
-                }
-                for cluster in self.clusters
-            ],
-            "provenance": [
-                {"pair": list(pair), "rules": list(self.provenance[pair])}
-                for pair in self.matches
-                if pair in self.provenance
-            ],
-            "stats": dict(self.stats),
-        }
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte,
-        without building the tree: what ``repro match --json`` prints."""
-        return "".join(self._json_pieces())
-
-    def write_json(self, stream) -> None:
-        """Write :meth:`to_json`'s text to ``stream`` a piece at a time —
-        how ``repro match --json`` prints it, never holding all of it."""
-        for piece in self._json_pieces():
-            stream.write(piece)
-
-    def _json_pieces(self) -> Iterator[str]:
-        """The JSON text in pieces of up to 1 024 list items.  The pair
-        lists are formatted straight from the tid pairs, each distinct
-        provenance rule tuple is encoded once, and only the clusters and
-        the small ``stats`` mapping go through the encoder."""
-        provenance = self.provenance
-        encoded_rules: Dict[Tuple[str, ...], str] = {}
-
-        def clusters(chunk) -> str:
-            return json.dumps([
-                {
-                    "left_tids": sorted(cluster.left_tids),
-                    "right_tids": sorted(cluster.right_tids),
-                }
-                for cluster in chunk
-            ])[1:-1]
-
-        def pairs(chunk) -> str:
-            return ", ".join(map("[%d, %d]".__mod__, chunk))
-
-        def entries(chunk) -> str:
-            texts = []
-            for pair in chunk:
-                rules = provenance[pair]
-                text = encoded_rules.get(rules)
-                if text is None:
-                    text = encoded_rules[rules] = json.dumps(list(rules))
-                texts.append('{"pair": [%d, %d], "rules": %s}' % (*pair, text))
-            return ", ".join(texts)
-
-        def listed(items, render) -> Iterator[str]:
-            for start in range(0, len(items), 1024):
-                yield ", " * (start > 0) + render(items[start:start + 1024])
-
-        yield '{"candidate_count": %d, "clusters": [' % len(self.candidates)
-        yield from listed(self.clusters, clusters)
-        yield '], "matches": ['
-        yield from listed(self.matches, pairs)
-        yield '], "mode": %s, "provenance": [' % json.dumps(self.mode)
-        yield from listed([pair for pair in self.matches if pair in provenance], entries)
-        yield '], "spec_fingerprint": %s, "stats": %s}' % (
-            json.dumps(self.fingerprint), json.dumps(dict(self.stats), sort_keys=True)
-        )
 
 
 class Workspace:
@@ -320,22 +206,22 @@ class Workspace:
             # One candidate set, held by the chase and the report alike.
             candidates = CandidateSet.of(candidates)
             span.set("candidates", len(candidates))
-            matches, rule_names = self._chase(instance, candidates, provenance)
-            span.set("matches", len(matches))
+            matched, masks = self._chase(instance, candidates, provenance)
+            span.set("matches", len(matched))
+            span.set_peak_rss()
         self.metrics.observe("match.seconds", time.perf_counter() - started)
-        return self._report(matches, candidates, rule_names)
+        return self._report(candidates, matched, masks)
 
     def _chase(
         self,
         instance: InstancePair,
         candidates: CandidateSet,
         provenance: bool,
-    ) -> Tuple[Tuple[Pair, ...], Dict[Pair, Tuple[str, ...]]]:
-        """Chase ``instance`` over ``candidates`` and read off the matches
-        and, if asked, each match's rules.  The chase's result is dropped
-        on return: clustering and the report need only what is read here.
-        A match is one tuple, of the tid ints the relations key their
-        rows by, shared by ``matches`` and the provenance keys.
+    ) -> Tuple[array, Optional[Sequence[int]]]:
+        """Chase ``instance`` over ``candidates`` and read off the matched
+        positions (ascending, an ``array('i')``) and, if asked, each
+        one's rule mask (else ``None``).  The chase's result is dropped on
+        return: clustering and the report need only what is read here.
 
         ``enforce``: a match is a pair whose target cells the chase
         identified, justified by the rules whose LHS holds in ``D'``.
@@ -352,32 +238,19 @@ class Workspace:
         direct = self.spec.mode == "direct"
         if direct:
             held = result.first_round_masks
-            matched = [i for i, mask in enumerate(held) if mask]
+            matched = array("i", compress(range(len(held)), held))
         else:
             matched = result.matching(plan.target.attribute_pairs())
-        matches = tuple(result.merged_cells.pairs_at(matched, instance))
-        rule_names: Dict[Pair, Tuple[str, ...]] = {}
-        if provenance:
-            with self.tracer.span("provenance"):
-                if not direct:
-                    # The chase already knows which rules' LHS hold in
-                    # the chased instance, position by position.
-                    held = result.holding_masks
-                # Name each distinct set of rules once (a pair listed
-                # twice holds at two positions).
-                masks: Dict[Pair, int] = {}
-                for pair, i in zip(matches, matched):
-                    masks[pair] = masks.get(pair, 0) | held[i]
-                names: Dict[int, Tuple[str, ...]] = {}
-                for pair, mask in masks.items():
-                    if mask not in names:
-                        names[mask] = tuple(
-                            rule.name
-                            for index, rule in enumerate(plan.rules)
-                            if mask >> index & 1
-                        )
-                    rule_names[pair] = names[mask]
-        return matches, rule_names
+        if not provenance:
+            return matched, None
+        with self.tracer.span("provenance"):
+            if not direct:
+                # The chase already knows which rules' LHS hold in the
+                # chased instance, position by position.
+                held = result.holding_masks
+            picked = map(held.__getitem__, matched)
+            masks = array(held.typecode, picked) if isinstance(held, array) else list(picked)
+        return matched, masks
 
     def stream(self, store=None):
         """A spec-configured incremental matcher over this workspace's plan.
@@ -549,9 +422,9 @@ class Workspace:
 
     def _report(
         self,
-        matches: Tuple[Pair, ...],
         candidates: CandidateSet,
-        provenance: Dict[Pair, Tuple[str, ...]],
+        matched: array,
+        masks: Optional[Sequence[int]],
     ) -> MatchReport:
         # One stats mapping for every consumer: the plan's cumulative
         # counters flat at the top (backward compatible), the registry's
@@ -562,10 +435,20 @@ class Workspace:
         stats.update(rendered["counters"])
         stats["gauges"] = rendered["gauges"]
         stats["histograms"] = rendered["histograms"]
+        matches = Matches(candidates, matched)
+        rules = [rule.name for rule in self.plan.rules]
+        if masks is None:  # not asked: provenance over no matches
+            provenance = Provenance(Matches(candidates, array("i")), (), rules)
+        else:
+            provenance = Provenance(matches, masks, rules)
+        with self.tracer.span("cluster", matches=len(matches)) as span:
+            clusters = cluster_matches(matches)
+            span.set("clusters", len(clusters))
+            span.set_peak_rss()
         return MatchReport(
             matches=matches,
             candidates=candidates,
-            clusters=tuple(cluster_matches(matches)),
+            clusters=clusters,
             provenance=provenance,
             stats=stats,
             fingerprint=self.fingerprint,

@@ -11,7 +11,7 @@ the command builds a :class:`repro.api.Workspace` from it.
 * ``check``   — decide Σ ⊨m φ for an MD given on the command line
   (``--explain`` prints the closure's derivation, or what it misses);
 * ``match``   — match two CSV files (``--json`` prints the full
-  :class:`~repro.api.workspace.MatchReport`);
+  :class:`~repro.api.report.MatchReport`);
 * ``plan``    — ``plan explain`` prints the compiled ``EnforcementPlan``;
 * ``demo``    — run the paper's Fig. 1 example end to end;
 * ``engine``  — the incremental streaming engine: ``engine ingest``
@@ -254,21 +254,20 @@ def _match(args) -> int:
             f"(rules in play: {', '.join(r.name for r in plan.rules)})",
             file=sys.stderr,
         )
-    rows = list(report.matches)
     if args.output:
         with Path(args.output).open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["left_tid", "right_tid"])
-            writer.writerows(rows)
+            writer.writerows(report.matches)
     if args.json:
         report.write_json(sys.stdout)
         sys.stdout.write("\n")
         return 0
     if not args.output:
-        for left_tid, right_tid in rows:
+        for left_tid, right_tid in report.matches:
             print(f"{left_tid},{right_tid}")
     print(
-        f"# {len(rows)} match(es) from {len(report.candidates)} candidate "
+        f"# {len(report.matches)} match(es) from {len(report.candidates)} candidate "
         f"pair(s); keys used: {len(plan.keys)}",
         file=sys.stderr,
     )

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
@@ -385,6 +384,20 @@ class ChaseLayout(NamedTuple):
         return self.right_places[(cell - right_base) % len(self.right_names)]
 
 
+#: A zero of each unsigned array typecode, narrowest first, with its bits.
+_MASK_ZEROS = tuple((array(code).itemsize * 8, array(code, [0])) for code in "BHILQ")
+
+
+def rule_masks(rule_count: int, count: int) -> Sequence[int]:
+    """``count`` zero rule masks (bit ``k`` for rule ``k``), held in an
+    array of the smallest unsigned typecode ``rule_count`` bits fit — a
+    byte a position for up to 8 rules — and in a list beyond 64 rules."""
+    for bits, zero in _MASK_ZEROS:
+        if bits >= rule_count:
+            return zero * count
+    return [0] * count
+
+
 _SENTINEL, _ZERO, _ONE = array("i", [-1]), array("i", [0]), array("i", [1])
 _BYTES = bytes(range(256))
 #: Where each byte of an ``array('i')`` item sits, least significant first.
@@ -487,6 +500,8 @@ class CellClasses:
         #: The first right cell; over shared storage also the distance
         #: between a tuple's left cell and its right twin.
         self.right_base = len(self.left_tids) * left_width
+        # Per side, ``tid -> the tuple's first cell`` (its rank-0
+        # attribute): needed only to lay out the pairs' cells below.
         left_first = {
             tid: position * left_width
             for position, tid in enumerate(self.left_tids)
@@ -495,18 +510,9 @@ class CellClasses:
             tid: self.right_base + position * right_width
             for position, tid in enumerate(self.right_tids)
         }
-        #: Per side, ``tid -> the tuple's first cell`` (its rank-0 attribute).
-        self._first = (left_first, right_first)
         #: Per pair, the first cell of its left and of its right tuple.
-        run_firsts = map(left_first.__getitem__, lefts)
         self.left_cells: List[int] = list(
-            run_firsts
-            if len(lefts) == len(rights)  # every run one pair long
-            else chain.from_iterable(map(
-                repeat,  # each run's left cell, once per pair of the run
-                run_firsts,
-                map(sub, islice(starts, 1, None), starts),
-            ))
+            pairs.per_pair(map(left_first.__getitem__, lefts))
         )
         self.right_cells = list(map(right_first.__getitem__, rights))
         #: Per left tuple (``left_tids`` order), where its run starts; a
@@ -548,11 +554,18 @@ class CellClasses:
     def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
         """The int of a cell, ``None`` for one outside the encoding (a
         tuple no pair mentions, or an attribute no rule reads or writes)."""
-        first = self._first[side].get(tid)
-        rank = (self.left_rank if side == LEFT else self.right_rank).get(attribute)
-        if first is None or rank is None:
+        if side == LEFT:
+            tids, base, ranks = self.left_tids, 0, self.left_rank
+        else:
+            tids, base, ranks = self.right_tids, self.right_base, self.right_rank
+        try:
+            position = bisect_left(tids, tid)
+        except TypeError:  # not an int: no pair mentions it
             return None
-        return first + rank
+        rank = ranks.get(attribute)
+        if position == len(tids) or tids[position] != tid or rank is None:
+            return None
+        return base + position * len(ranks) + rank
 
     def decode(self, cell: int) -> Cell:
         """The ``(side, tid, attribute)`` an int stands for."""
@@ -631,13 +644,13 @@ class CellClasses:
             for members in self._lanes(cell)
         ]
 
-    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
-        """The positions (ascending) of the pairs whose cells of every
-        given attribute pair were identified: one root comparison per pair
-        and RHS group the attribute pairs fall in."""
+    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> array:
+        """The positions (ascending, an ``array('i')``) of the pairs whose
+        cells of every given attribute pair were identified: one root
+        comparison per pair and RHS group the attribute pairs fall in."""
         homes = self.layout.homes(attribute_pairs)
         if homes is None:
-            return []
+            return array("i")
         root, left_cells, right_cells = self.root, self.left_cells, self.right_cells
         selection: Sequence[int] = range(len(left_cells))
         for left_rank, right_rank in homes:
@@ -646,7 +659,7 @@ class CellClasses:
                 for i in selection
                 if root[left_cells[i] + left_rank] == root[right_cells[i] + right_rank]
             ]
-        return list(selection)
+        return array("i", selection)
 
     def matches(
         self, attribute_pairs: Iterable[Tuple[str, str]]
@@ -654,13 +667,8 @@ class CellClasses:
         """The pairs (in order) at the positions :meth:`matching` names."""
         return self.pairs_at(self.matching(attribute_pairs))
 
-    def pairs_at(
-        self, positions: Sequence[int], instance: Optional[InstancePair] = None
-    ) -> List[Tuple[int, int]]:
-        """The pairs at ``positions``, a tuple each.  Given the chased
-        ``instance``, of the tid ints its relations key their rows by:
-        read out of the candidate set's arrays, every tid would be an int
-        object of its own, kept alive by the pairs."""
+    def pairs_at(self, positions: Sequence[int]) -> List[Tuple[int, int]]:
+        """The pairs at ``positions``, a tuple each."""
         if not positions:
             return []
         left_width = len(self.left_names) or 1
@@ -672,9 +680,6 @@ class CellClasses:
             self.right_tids[(right_cells[i] - right_base) // right_width]
             for i in positions
         ]
-        if instance is not None:
-            lefts = [row.tid for row in instance.left.rows_of(lefts)]
-            rights = [row.tid for row in instance.right.rows_of(rights)]
         return list(zip(lefts, rights))
 
 
@@ -698,12 +703,15 @@ class EnforcementResult:
     rule_count:
         How many rules the chase ran (``plan.rules``): the bits a rule
         mask below can carry.
-    first_round_masks:
-        Per position into the chased pair list, a bit per rule (``1 <<
-        index``, ``plan.rules`` order) that fired at the pair in round 1
-        — its LHS holds on ``D``, since a round reads only its start
-        values (a ``direct`` spec's matches and their provenance).  All 0
-        when no round ran.
+    round_one:
+        Per rule (``plan.rules`` order), the positions into the chased
+        pair list it fired at in round 1, in the order the round selected
+        them (the chase's own lists, not copies; empty when it did not
+        fire or no round ran).  A round reads only its start values, so
+        there a rule's LHS holds on ``D``: :attr:`first_round` and
+        :attr:`first_round_masks` read these.  Not part of the result's
+        value (the order depends on join or scan): left out of ``==``
+        and ``repr``.
     diff:
         Builds :attr:`repairs` from the chase's working lists, on its
         first read; then dropped.  Not part of the result's value.
@@ -713,7 +721,7 @@ class EnforcementResult:
         :attr:`stable`), then dropped.  It answers the masks and leaves
         the RHS test behind, which only the first read of :attr:`stable`
         runs over :attr:`holding` (a result answered both ways keeps no
-        chase state alive).
+        chase state alive but :attr:`round_one`).
         Not part of the result's value: left out of ``==`` and ``repr``.
     rounds_exhausted:
         True when the chase stopped because ``max_rounds`` ran out while
@@ -729,7 +737,7 @@ class EnforcementResult:
     merged_cells: CellClasses
     applications: int
     rule_count: int
-    first_round_masks: Sequence[int]
+    round_one: Sequence[Sequence[int]] = field(repr=False, compare=False)
     diff: Optional[Callable[[], Dict[Cell, object]]] = field(
         repr=False, compare=False
     )
@@ -786,9 +794,22 @@ class EnforcementResult:
 
     @cached_property
     def first_round(self) -> Sequence[Sequence[int]]:
-        """Per rule, the ascending positions it fired at in round 1:
-        :attr:`first_round_masks` read rule by rule, on first access."""
-        return self._per_rule(self.first_round_masks)
+        """Per rule, the ascending positions it fired at in round 1 — on
+        ``D`` — :attr:`round_one` sorted, on first access."""
+        return [sorted(positions) for positions in self.round_one]
+
+    @cached_property
+    def first_round_masks(self) -> Sequence[int]:
+        """Per position into the chased pair list, a bit per rule (``1 <<
+        index``, ``plan.rules`` order) that fired at the pair in round 1
+        (a ``direct`` spec's matches and their provenance), built from
+        :attr:`round_one` on first read.  All 0 when no round ran."""
+        masks = rule_masks(self.rule_count, len(self.merged_cells.pairs))
+        for index, positions in enumerate(self.round_one):
+            bit = 1 << index
+            for i in positions:
+                masks[i] |= bit
+        return masks
 
     def _per_rule(self, masks: Sequence[int]) -> List[List[int]]:
         return [
@@ -824,8 +845,9 @@ class EnforcementResult:
         the read-off every matcher ends with."""
         return self.merged_cells.matches(attribute_pairs)
 
-    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[int]:
-        """The positions into the chased pair list of :meth:`matches`."""
+    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> array:
+        """The positions into the chased pair list of :meth:`matches`, an
+        ``array('i')``."""
         return self.merged_cells.matching(attribute_pairs)
 
 

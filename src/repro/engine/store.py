@@ -13,8 +13,8 @@ tuple ids, and the clusters folded from its matches:
   probes under exactly the keys and window semantics the batch run of
   the same spec uses;
 * the entity clusters that pairwise match decisions are folded into as
-  they are made: a :class:`~repro.matching.clustering.Clusters` — the
-  same union-find, over the same ``("L" | "R", tid)`` nodes, that
+  they are made: a :class:`~repro.matching.clustering.Clusters`, a
+  union-find over ``("L" | "R", tid)`` nodes whose clusters equal those
   :func:`~repro.matching.clustering.cluster_matches` folds a batch run's
   matches into;
 * counters (``comparisons``, ``merges``) so the cost of incremental

@@ -17,10 +17,15 @@ RCK-based rules keep bridges rare.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from itertools import accumulate, repeat
+from operator import eq
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
+from repro.plan.blocking import column_like, sequence_index
 
 from .evaluate import MatchQuality, Pair
 
@@ -66,9 +71,11 @@ class Clusters:
     """The record-level union-find: which records are one entity.
 
     Union by size — a tie keeps the first argument's root — with path
-    compression, and the member set of every root.  The batch report
-    (:func:`cluster_matches`) and the engine's stores
-    (:class:`~repro.engine.store.MatchStore`) both fold matches into one.
+    compression, and the member set of every root, over ``("L" | "R",
+    tid)`` nodes: what the engine's stores
+    (:class:`~repro.engine.store.MatchStore`) fold matches into as they
+    arrive, and persist root by root.  A batch run's matches are all
+    known at once and cluster through :func:`cluster_matches` instead.
 
     >>> clusters = Clusters()
     >>> clusters.union(("L", 0), ("R", 3)), clusters.find(("R", 3))
@@ -129,21 +136,140 @@ class Clusters:
         self.members.setdefault(root, set()).add(node)
 
 
-def cluster_matches(matches: Iterable[Pair]) -> List[Cluster]:
+class ClusterList(Sequence[Cluster]):
+    """Entity clusters as columns, what :func:`cluster_matches` returns.
+
+    Compressed rows over int columns, a record once: cluster ``c``'s
+    left tids, ascending, are ``lefts[left_starts[c]:left_starts[c +
+    1]]``, and its right tids likewise in ``rights``.  As a ``Sequence``
+    item ``c`` is a :class:`Cluster`, built when read, and a slice is a
+    tuple of them; it compares equal to a list or tuple of the same
+    clusters, as the list it replaces did.
+    """
+
+    __slots__ = ("left_starts", "lefts", "right_starts", "rights")
+
+    def __init__(
+        self,
+        left_starts: Sequence[int],
+        lefts: Sequence[int],
+        right_starts: Sequence[int],
+        rights: Sequence[int],
+    ) -> None:
+        self.left_starts, self.lefts = left_starts, lefts
+        self.right_starts, self.rights = right_starts, rights
+
+    def tids(self, index: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """Cluster ``index``'s left and right tids, each ascending."""
+        left_starts, right_starts = self.left_starts, self.right_starts
+        return (
+            self.lefts[left_starts[index]:left_starts[index + 1]],
+            self.rights[right_starts[index]:right_starts[index + 1]],
+        )
+
+    def __len__(self) -> int:
+        return len(self.left_starts) - 1
+
+    def __getitem__(self, index):
+        index = sequence_index(index, len(self), "cluster")
+        if isinstance(index, range):
+            return tuple(map(self.__getitem__, index))
+        lefts, rights = self.tids(index)
+        return Cluster(frozenset(lefts), frozenset(rights))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ClusterList, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ClusterList({len(self)} clusters)"
+
+
+def cluster_matches(matches: Iterable[Pair]) -> ClusterList:
     """Transitive closure of pairwise matches into clusters, in the order
     their first record appears in ``matches``.
 
     Singleton tuples (never matched) do not appear — callers that need
     them can add one cluster per unmatched tid.
 
+    A flat union-find over *slots*: each side's distinct tids numbered in
+    the order they first appear, the right ones after the left.  Two
+    ``array('i')`` — ``parent`` and ``size`` — union by size; no node
+    tuple or set is built.  A sequence with ``columns()`` (the batch
+    report's :class:`~repro.api.report.Matches`) hands over its left and
+    right tid columns; any other is read pair by pair.
+
     >>> clusters = cluster_matches([(0, 0), (0, 1), (2, 3)])
     >>> sorted(cluster.size for cluster in clusters)
     [2, 3]
     """
-    clusters = Clusters()
-    for left_tid, right_tid in matches:
-        clusters.union(("L", left_tid), ("R", right_tid))
-    return clusters.groups()
+    columns = getattr(matches, "columns", None)
+    if columns is not None:
+        lefts, rights = columns()
+    else:
+        pairs = list(matches)
+        lefts, rights = [left for left, _ in pairs], [right for _, right in pairs]
+        del pairs
+    left_slots, left_tids = _slots(lefts)
+    right_slots, right_tids = _slots(rights)
+    del lefts, rights
+    base = len(left_tids)
+    nodes = base + len(right_tids)
+    parent = array("i", range(nodes))
+    size = array("i", [1]) * nodes
+    for a, b in zip(left_slots, map(base.__add__, right_slots)):
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+    del size, left_slots, right_slots
+    # Every node's root, by pointer jumping: the trees are shallow.
+    roots = parent
+    while True:
+        jumped = array("i", map(roots.__getitem__, roots))
+        if jumped == roots:
+            break
+        roots = jumped
+    # The clusters in the order their first match comes: a match's left
+    # record is in its cluster, and the left slots are in match order.
+    numbers = {root: number for number, root in enumerate(dict.fromkeys(roots[:base]))}
+    ids = array("i", map(numbers.__getitem__, roots))
+    return ClusterList(
+        *_grouped(ids[:base], left_tids, len(numbers)),
+        *_grouped(ids[base:], right_tids, len(numbers)),
+    )
+
+
+def _slots(tids: Sequence[int]) -> Tuple[array, Sequence[int]]:
+    """Per item of ``tids``, its slot — its tid's number among the
+    distinct ones, in the order they first appear — and those distinct
+    tids in that order, in a column like ``tids``'."""
+    numbers: Dict[int, int] = {}
+    # ``len(numbers)`` is read as each tid comes: the next number.
+    slots = array("i", map(numbers.setdefault, tids, map(len, repeat(numbers))))
+    return slots, column_like(tids, numbers)
+
+
+def _grouped(
+    ids: Sequence[int], tids: Sequence[int], clusters: int
+) -> Tuple[array, Sequence[int]]:
+    """``tids`` bucketed by cluster id: each cluster's run start, and the
+    tids in cluster order, ascending within each (the second sort, by
+    cluster, is stable)."""
+    sizes = Counter(ids)
+    starts = array("i", accumulate(map(sizes.__getitem__, range(clusters)), initial=0))
+    ascending = sorted(range(len(tids)), key=tids.__getitem__)
+    return starts, column_like(
+        tids, map(tids.__getitem__, sorted(ascending, key=ids.__getitem__))
+    )
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,23 @@ def summarize_trace(document: Dict[str, object]) -> str:
     if kernel:
         lines.append("")
         lines.extend(kernel)
+    # The phases that recorded the resident-memory high-water mark at
+    # their close, in time order: the first to read the highest value is
+    # the one the peak was reached in (or before, if outside every one).
+    peaks = sorted(
+        (float(event.get("ts", 0.0)), str(event["name"]), float(attrs["peak_rss_mb"]))
+        for event in events
+        if isinstance(attrs := event.get("args"), dict) and "peak_rss_mb" in attrs
+    )
+    if peaks:
+        highest = max(peak for _, _, peak in peaks)
+        reached = next(name for _, name, peak in peaks if peak == highest)
+        lines.append("")
+        lines.append(
+            "peak RSS at close: "
+            + ", ".join(f"{name} {peak:.2f} MB" for _, name, peak in peaks)
+            + f" (the peak was reached by the close of {reached})"
+        )
     metrics = document.get("metrics")
     if isinstance(metrics, dict):
         histograms = metrics.get("histograms") or {}

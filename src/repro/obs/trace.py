@@ -21,8 +21,21 @@ Everything here is pure standard library; the exporter (Chrome
 
 from __future__ import annotations
 
+import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size so far, in MB (``ru_maxrss``:
+    kilobytes on Linux, bytes on macOS), or ``None`` without the
+    ``resource`` module.  Imported here, so only a traced run loads it."""
+    try:
+        import resource
+    except ImportError:  # not a Unix: no getrusage
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
 class Span:
@@ -85,6 +98,14 @@ class Span:
         """Set an annotation attribute on this span."""
         self.attrs[key] = value
 
+    def set_peak_rss(self) -> None:
+        """Record the process's resident-memory high-water mark so far as
+        ``peak_rss_mb`` (where the platform reports it): the spans of
+        successive phases then show which one set the peak."""
+        peak = peak_rss_mb()
+        if peak is not None:
+            self.attrs["peak_rss_mb"] = round(peak, 2)
+
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -125,6 +146,9 @@ class _NullSpan:
         pass
 
     def set(self, key: str, value: object) -> None:
+        pass
+
+    def set_peak_rss(self) -> None:
         pass
 
 

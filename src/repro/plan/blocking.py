@@ -43,6 +43,7 @@ semantics a spec declares.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_right
 from itertools import chain, compress, count, islice, repeat
@@ -58,12 +59,16 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
+    Union,
 )
 
 from repro.core.rck import RelativeKey
 from repro.core.schema import LEFT
 from repro.metrics.soundex import soundex
 from repro.relations.relation import Relation, Row
+
+T = TypeVar("T")
 
 #: A candidate pair: (left tuple id, right tuple id).
 Pair = Tuple[int, int]
@@ -110,15 +115,17 @@ class CandidateSet(Sequence[Pair]):
     delta is its probe's list of partner tids, not a copy.
 
     As a ``Sequence`` it reads as the pairs ascending by ``(left,
-    right)``: ``len``, iteration (a fresh tuple per pair) and ``[i]`` by
-    bisecting ``starts``.  Position ``i`` is the ``i``-th pair in that
-    order, which is what a chase's positions index.  Two sets are ``==``
-    when they hold the same pairs; a set never equals a list or tuple
-    (compare ``list(candidates)``).
+    right)``: ``len``, iteration (a fresh tuple per pair), ``[i]`` by
+    bisecting ``starts`` and ``[i:j]`` as a tuple of pairs.  Position
+    ``i`` is the ``i``-th pair in that order, which is what a chase's
+    positions index.  Two sets are ``==`` when they hold the same pairs;
+    a set never equals a list or tuple (compare ``list(candidates)``).
 
     >>> candidates = CandidateSet.of([(2, 9), (0, 4), (0, 1), (2, 9)])
     >>> list(candidates), len(candidates.lefts), candidates[3]
     ([(0, 1), (0, 4), (2, 9), (2, 9)], 2, (2, 9))
+    >>> candidates[1:3]
+    ((0, 4), (2, 9))
     >>> (0, 4) in candidates, (2, 4) in candidates
     (True, False)
     >>> CandidateSet.of([(2**40, 1)]).lefts.typecode
@@ -172,23 +179,24 @@ class CandidateSet(Sequence[Pair]):
     def __len__(self) -> int:
         return len(self.rights)
 
-    def __iter__(self) -> Iterator[Pair]:
+    def per_pair(self, values: Iterable[T]) -> Iterator[T]:
+        """``values``, one per left tuple in ``lefts`` order, each repeated
+        once per pair of its run: per pair, in order, what its left tuple
+        maps to (given ``lefts``, its left tid)."""
         if len(self.lefts) == len(self.rights):  # every run one pair long
-            return zip(self.lefts, self.rights)
+            return iter(values)
         starts = self.starts
-        # Each run's left tid once per pair of the run, beside the rights.
-        return zip(
-            chain.from_iterable(
-                map(repeat, self.lefts, map(sub, islice(starts, 1, None), starts))
-            ),
-            self.rights,
+        return chain.from_iterable(
+            map(repeat, values, map(sub, islice(starts, 1, None), starts))
         )
 
-    def __getitem__(self, index: int) -> Pair:
-        if index < 0:
-            index += len(self.rights)
-        if not 0 <= index < len(self.rights):
-            raise IndexError("candidate index out of range")
+    def __iter__(self) -> Iterator[Pair]:
+        return zip(self.per_pair(self.lefts), self.rights)
+
+    def __getitem__(self, index):
+        index = sequence_index(index, len(self.rights), "candidate")
+        if isinstance(index, range):
+            return tuple(map(self.__getitem__, index))
         return self.lefts[bisect_right(self.starts, index) - 1], self.rights[index]
 
     def __eq__(self, other: object) -> bool:
@@ -199,6 +207,35 @@ class CandidateSet(Sequence[Pair]):
 
     def __repr__(self) -> str:
         return f"CandidateSet({len(self)} pairs, {len(self.lefts)} left tuples)"
+
+
+def sequence_index(index: object, length: int, name: str) -> Union[int, range]:
+    """``index`` into a sequence of ``length`` items, as ``tuple`` reads
+    one: an int (negative counts from the end) is checked and returned
+    as a position, a slice as the ``range`` of positions it selects, and
+    any other key is a ``TypeError`` naming its type.  ``name`` names
+    the items in the errors."""
+    if isinstance(index, slice):
+        return range(*index.indices(length))
+    try:
+        position = operator.index(index)
+    except TypeError:
+        raise TypeError(
+            f"{name} indices must be integers or slices, not {type(index).__name__}"
+        ) from None
+    if position < 0:
+        position += length
+    if not 0 <= position < length:
+        raise IndexError(f"{name} index out of range")
+    return position
+
+
+def column_like(column: Sequence[int], values: Iterable[int]) -> Sequence[int]:
+    """``values`` in a column of ``column``'s kind (an array of its
+    typecode, or a list): a column read at some positions, say."""
+    like = column[:0]
+    like.extend(values)
+    return like
 
 
 def _extended(column: Sequence[int], values: Sequence[int]) -> Sequence[int]:

@@ -45,8 +45,10 @@ indexed by such ints:
   ``pair -> position`` table because the table is no faster and costs
   memory the runs do not (+18 % peak RSS on the dense benchmark workload
   when it was tried);
-* **firings** — one small-int mask per position, a bit per rule that
-  fired at the pair, rather than a set of positions per rule; the
+* **firings** — one rule mask per position, a bit per rule that fired
+  at the pair, rather than a set of positions per rule, held in an array
+  of the smallest unsigned typecode the rule count fits (a byte a
+  position up to 8 rules; :func:`~repro.core.semantics.rule_masks`); the
   stability check answers the same way, a mask per position of the
   rules whose LHS holds;
 * **round state** — per tuple a round repaired, a mask of the ranks
@@ -63,13 +65,14 @@ The input instance is only read.  The result
 already knows instead of making callers re-derive it — ``repairs`` (the
 cell-wise diff, decoded on first read; ``instance`` is ``D`` + repairs,
 built on first access), ``matches`` (a root comparison per pair and RHS
-group) and ``first_round_masks`` (per position, the rules that fired at
-it in round 1, which reads ``D``: a ``direct`` spec's matches) — and
-answers the rest when asked: ``holding_masks`` (per position, the rules
-whose LHS holds in ``D'``, which are also every match's provenance) runs
-the stability check on first read, and ``stable`` adds the RHS test to
-it on its own first read.  Provenance is masks throughout; the per-rule
-``first_round`` and ``holding`` are those masks read rule by rule.
+group) and ``round_one`` (per rule, the positions it fired at in round
+1, which reads ``D``: a ``direct`` spec's matches, read as masks through
+``first_round_masks`` and sorted through ``first_round`` on first read)
+— and answers the rest when asked: ``holding_masks`` (per position, the
+rules whose LHS holds in ``D'``, which are also every match's
+provenance) runs the stability check on first read, and ``stable`` adds
+the RHS test to it on its own first read.  Provenance is masks
+throughout; the per-rule ``holding`` is those masks read rule by rule.
 Both end-of-chase passes pay only for what the repairs touched: the
 check re-selects a fired (rule, pair) only if a later repair wrote one
 of its LHS cells, and between two relations ``resolve-merged`` resolves
@@ -101,6 +104,7 @@ from repro.core.semantics import (
     InstancePair,
     ValueResolver,
     prefer_informative,
+    rule_masks,
 )
 
 from .blocking import CandidateSet, Pair
@@ -339,11 +343,11 @@ def chase(
     #: Tuple hits the joins have looked up so far.
     probed = 0
     #: Per position, a bit per rule that fired at it (``1 << index``).
-    fired = [0] * pair_count
+    fired = rule_masks(len(rules), pair_count)
     #: Per rule, ``(round, positions)`` for every round it fired in.
     fired_in: List[List[tuple]] = [[] for _ in rules]
-    #: Per position, a bit per rule that fired at it in round 1.
-    first_round = fired
+    #: Per rule, the positions it fired at in round 1 (on ``D``).
+    round_one: List[Sequence[int]] = [()] * len(rules)
     #: Per slot, the last round whose resolution wrote it (0: never; the
     #: value it had before is the instance's).
     last_write = array("i", [0]) * len(values)
@@ -425,8 +429,8 @@ def chase(
                     fired[i] |= bit
                 history.append((rounds, selection))
                 firing.append((selection, bit))
-        if rounds == 1:
-            first_round = fired.copy()
+                if rounds == 1:
+                    round_one[index] = selection
         round_span.set("joined", joins)
         round_span.set("join_probes", probed - probed_before)
         round_span.set("scanned", scanned)
@@ -622,7 +626,7 @@ def chase(
             ))
             return merged, -start
 
-        masks = [0] * pair_count
+        masks = rule_masks(len(rules), pair_count)
         with tracer.span("stability-check") as span:
             joins = fresh_pairs = reevaluated = 0
             listed = active if active is not None else list_active()
@@ -702,7 +706,7 @@ def chase(
         return repairs
 
     result = EnforcementResult(
-        instance, rounds, cells, applications, len(rules), first_round, diff, check
+        instance, rounds, cells, applications, len(rules), round_one, diff, check
     )
     stats.chase_rounds += rounds
     stats.rule_applications += applications

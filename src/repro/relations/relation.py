@@ -216,12 +216,6 @@ class Relation:
         indexes = [self._positions[attribute] for attribute in attributes]
         return [values[k] for values in selected for k in indexes]
 
-    def rows_of(self, tids: Iterable[int]) -> List[Row]:
-        """The listed tuples' rows, in order.  A row's ``tid`` is the int
-        object the relation keys it by: a caller keeping tids read off
-        rows shares the relation's ints instead of holding its own."""
-        return list(map(self._rows.__getitem__, tids))
-
     # ------------------------------------------------------------------
     # Extension semantics
     # ------------------------------------------------------------------

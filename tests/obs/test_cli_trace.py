@@ -75,6 +75,55 @@ class TestMatchTrace:
             document
         )
 
+    def test_the_phases_record_the_peak_they_closed_at(
+        self, matching_run, tmp_path, capsys
+    ):
+        """The batch clustering is a ``cluster`` span after ``enforce``;
+        both record the resident-memory high-water mark at their close,
+        and ``trace summarize`` names the phase the peak was reached in."""
+        spec, left, right = matching_run
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["match", "--spec", str(spec), "--left", str(left),
+             "--right", str(right), "--trace", str(trace), "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        events = {
+            event["name"]: event
+            for event in read_trace(trace)["traceEvents"]
+            if event.get("ph") == "X"
+        }
+        enforce, cluster = events["enforce"], events["cluster"]
+        assert cluster["ts"] >= enforce["ts"] + enforce["dur"]
+        assert cluster["args"]["matches"] == len(report["matches"])
+        assert cluster["args"]["clusters"] == len(report["clusters"])
+        peaks = [enforce["args"]["peak_rss_mb"], cluster["args"]["peak_rss_mb"]]
+        assert 0 < peaks[0] <= peaks[1]
+        assert main(["trace", "summarize", str(trace)]) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("peak RSS at close: ")
+        ]
+        reached = "enforce" if peaks[0] == peaks[1] else "cluster"
+        assert line == (
+            f"peak RSS at close: enforce {peaks[0]:.2f} MB, cluster {peaks[1]:.2f} MB"
+            f" (the peak was reached by the close of {reached})"
+        )
+
+    def test_an_untraced_match_reads_no_peak(self, matching_run, monkeypatch, capsys):
+        import repro.obs.trace as trace_module
+
+        def refuse():
+            raise AssertionError("an untraced run read its peak RSS")
+
+        monkeypatch.setattr(trace_module, "peak_rss_mb", refuse)
+        spec, left, right = matching_run
+        assert main(
+            ["match", "--spec", str(spec), "--left", str(left),
+             "--right", str(right), "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["matches"]
+
     def test_no_trace_flag_writes_nothing(self, matching_run, tmp_path, capsys):
         spec, left, right = matching_run
         code = main(

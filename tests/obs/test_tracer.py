@@ -222,3 +222,21 @@ class TestExport:
             "stability over 2 check(s): 13 fired pair(s) fresh, 2 re-evaluated; "
             "RHS test run in 1 (9 pair(s))"
         ) in text
+
+    def test_summarize_names_the_phase_the_peak_was_reached_in(self):
+        """Peak RSS only rises: the first phase, in time order, to close
+        at the highest reading is the one the peak was reached in."""
+        tracer = Tracer()
+        for name, peak in (("enforce", 50.314), ("cluster", 53.3), ("late", 53.3)):
+            with tracer.span(name) as span:
+                span.set("peak_rss_mb", peak)
+        with tracer.span("untouched"):
+            pass
+        text = summarize_trace(trace_document(tracer, manifest=run_manifest()))
+        assert (
+            "peak RSS at close: enforce 50.31 MB, cluster 53.30 MB, late 53.30 MB "
+            "(the peak was reached by the close of cluster)"
+        ) in text.splitlines()
+        assert "peak RSS" not in summarize_trace(
+            trace_document(Tracer(), manifest=run_manifest())
+        )

@@ -214,6 +214,29 @@ def test_a_set_over_lists_reads_as_the_packed_one():
     assert as_right[1] == (4, 9) and len(as_right) == 3
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1), (0, 4), (2, 9), (2, 9), (5, 3)],
+        [(2**40, 1), (2**40, 2**70), (-(2**31) - 1, 7)],
+        [(1, 1), (2, 2), (3, 3)],  # every run one pair long
+        [],
+    ],
+)
+def test_a_candidate_set_slices_as_a_tuple_of_its_pairs(pairs):
+    """``candidates[i:j:k]`` is the tuple ``tuple(candidates)[i:j:k]``
+    reads; any key but an int or a slice is a ``TypeError`` naming its
+    type, as a tuple's is."""
+    candidates = CandidateSet.of(pairs)
+    listed = tuple(candidates)
+    for key in (slice(1, 3), slice(None), slice(None, None, -1), slice(-2, None),
+                slice(0, 5, 2), slice(4, 1, -2), slice(7, 9)):
+        assert candidates[key] == listed[key]
+    for key, name in (("1", "str"), (1.0, "float"), ((0, 1), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"indices must be integers or slices, not {name}"):
+            candidates[key]
+
+
 # ----------------------------------------------------------------------
 # The one hash loop, held to the definition
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.api.spec import VALUE_POLICIES
 from repro.core.md import MatchingDependency
 from repro.core.schema import LEFT, SchemaPair
-from repro.core.semantics import CellClasses, InstancePair, _identity
+from repro.core.semantics import CellClasses, InstancePair, _identity, rule_masks
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
@@ -226,3 +226,36 @@ def test_a_finished_chase_holds_its_classes_in_three_item_sizes_a_cell():
     assert freed >= 3 * array("i").itemsize * count
     # ... and no more than them and their headers.
     assert freed <= 3 * array("i").itemsize * count + 3 * 128
+
+
+@pytest.mark.parametrize("rules", [0, 1, 8, 9, 16, 17, 32, 33, 64, 65, 200])
+def test_rule_masks_take_the_narrowest_unsigned_type_the_rules_fit(rules):
+    masks = rule_masks(rules, 5)
+    assert list(masks) == [0] * 5
+    if rules > 64:
+        assert type(masks) is list
+    else:
+        assert masks.typecode in "BHILQ"
+        bits = masks.itemsize * 8
+        assert bits >= rules and (bits == 8 or bits // 2 < rules)
+    if rules:
+        masks[4] |= 1 << rules - 1  # the last rule's bit fits
+        assert masks[4] == 1 << rules - 1
+
+
+def test_a_chase_keeps_a_byte_a_position_for_its_masks():
+    """Seven rules fit a byte: the firings, the stability check's masks
+    and round 1's, each one byte a position; round 1's are built from the
+    per-rule positions only when read."""
+    data = generate_dataset(60, seed=7)
+    plan = compile_plan(sigma=extended_mds(data.pair))
+    instance = InstancePair(data.pair, data.credit, data.billing)
+    result = plan.enforce(instance, candidate_pairs=list(instance.tuple_pairs()))
+    assert len(plan.rules) == 7
+    assert "first_round_masks" not in vars(result)
+    for masks in (result.holding_masks, result.first_round_masks):
+        assert masks.typecode == "B" and len(masks) == len(result.merged_cells.pairs)
+    assert [
+        [i for i, mask in enumerate(result.first_round_masks) if mask >> rule & 1]
+        for rule in range(7)
+    ] == result.first_round
