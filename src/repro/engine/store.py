@@ -43,13 +43,13 @@ from repro.core.schema import LEFT, RIGHT, ComparableLists
 from repro.core.semantics import InstancePair
 from repro.matching.clustering import Cluster, Clusters, Node, node_of
 from repro.plan.blocking import BlockingBackend
-from repro.relations.relation import Relation, Row
+from repro.relations.relation import Relation, Row, is_tid
 
 def check_tid(tid: object) -> None:
     """Refuse, with a ``ValueError`` naming it, a tid SQLite cannot hold
     (a ``bool`` is not a tid), so a memory store takes only what its
     durable twin can write."""
-    if isinstance(tid, bool) or not isinstance(tid, int) or not -(2**63) <= tid < 2**63:
+    if not is_tid(tid) or not -(2**63) <= tid < 2**63:
         raise ValueError(f"tid {tid!r} is not an integer in SQLite's signed 64-bit range")
 
 

@@ -22,6 +22,18 @@ from typing import (
 from repro.core.schema import RelationSchema
 
 
+def is_tid(tid: object) -> bool:
+    """Whether ``tid`` can be a tuple id: an ``int``, not a ``bool`` nor
+    any other subclass (one type test, cheap enough for every row a CSV
+    load adopts)."""
+    return type(tid) is int
+
+
+def _check_tid(tid: object) -> None:
+    if not is_tid(tid):
+        raise ValueError(f"tuple id {tid!r} is not an int")
+
+
 class Row:
     """A single tuple: an id plus attribute values.
 
@@ -116,7 +128,8 @@ class Relation:
         """Insert a row; missing schema attributes are filled with ``None``.
 
         Unknown attribute names are rejected.  An explicit ``tid`` may be
-        supplied (the engine's stores preserve ids); it must be fresh.
+        supplied (the engine's stores preserve ids); it must be a fresh
+        ``int`` (:func:`is_tid`), else ``ValueError`` and nothing stored.
         """
         names = self.schema.attribute_names
         unknown = set(values).difference(names)
@@ -126,6 +139,7 @@ class Relation:
             )
         if tid is None:
             tid = self._next_tid
+        _check_tid(tid)
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
         self._rows[tid] = Row(tid, list(map(values.get, names)), self._positions)
@@ -144,7 +158,9 @@ class Relation:
         as is, not validated, not copied: the caller must hand over a list
         of the schema's length that nothing else will write to.  A mapping
         (a stored record's name-keyed form) is read into such a list.
+        ``tid`` is held to :func:`is_tid` like :meth:`insert`'s.
         """
+        _check_tid(tid)
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
         if not isinstance(values, list):

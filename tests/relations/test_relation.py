@@ -127,6 +127,37 @@ class TestAdopt:
             relation.adopt(4, {"A": "again", "B": None})
 
 
+#: Tids a relation refuses: not an ``int``, or a ``bool``.
+BAD_TIDS = ("x", 1.5, 2.0, True, False)
+
+
+class TestTidType:
+    """A tid that is not an ``int`` is refused before anything is stored:
+    the rows and the next automatic tid stay as they were."""
+
+    @pytest.mark.parametrize("tid", BAD_TIDS, ids=repr)
+    def test_insert_refuses_it(self, schema, tid):
+        relation = Relation(schema, [{"A": "kept"}])
+        with pytest.raises(ValueError, match="is not an int") as raised:
+            relation.insert({"A": "a"}, tid=tid)
+        assert repr(tid) in str(raised.value)
+        assert relation.tids() == [0] and relation.next_tid == 1
+        assert relation.insert({"A": "b"}) == 1
+
+    @pytest.mark.parametrize("tid", BAD_TIDS, ids=repr)
+    @pytest.mark.parametrize("values", (["a", None], {"A": "a", "B": None}))
+    def test_adopt_refuses_it(self, schema, tid, values):
+        relation = Relation(schema, [{"A": "kept"}])
+        with pytest.raises(ValueError, match="is not an int"):
+            relation.adopt(tid, values)
+        assert relation.tids() == [0] and relation.next_tid == 1
+
+    def test_an_int_beyond_64_bits_is_a_tid(self, schema):
+        relation = Relation(schema)
+        assert relation.insert({"A": "a"}, tid=2**70) == 2**70
+        assert relation.next_tid == 2**70 + 1
+
+
 class TestExtension:
     def test_copy_preserves_tids_and_is_extension(self, schema):
         relation = Relation(schema, [{"A": 1}, {"A": 2}])
