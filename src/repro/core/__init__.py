@@ -38,7 +38,6 @@ from .schema import (
     SchemaPair,
 )
 from .semantics import (
-    EnforcementResult,
     InstancePair,
     enforce,
     is_stable,
@@ -62,7 +61,6 @@ __all__ = [
     "Step",
     "explain",
     "Justification",
-    "EnforcementResult",
     "IdentificationAtom",
     "InstancePair",
     "MDSyntaxError",

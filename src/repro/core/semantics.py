@@ -25,12 +25,9 @@ are int-encoded (``side_base + position * width + rank``, int order =
 cell order) — the attribute half of the encoding once per plan
 (:class:`ChaseLayout`), the tuple half per chase — and the classes live
 in flat int arrays; the tuple form above appears only at its boundary
-(``same`` / ``members`` / ``classes``).  An :class:`EnforcementResult` is
-``D`` plus what the chase did to it — the ``repairs`` and the classes —
-and what it can still be asked: ``stable`` and ``holding_masks`` (per
-pair, the rules whose LHS holds on it; ``holding`` is the same per rule)
-run the stability check when first read, the extension ``D'`` is
-materialised when someone asks for ``instance``.
+(``same`` / ``members`` / ``classes``).  The chase itself and its
+result are one object, :class:`~repro.plan.executor.ChaseState`, which
+:func:`enforce` returns.
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.metrics.registry import DEFAULT_REGISTRY, MetricRegistry
@@ -475,8 +471,8 @@ class CellClasses:
     pairs (``runs[p]`` to ``runs[p + 1]``), ascending by right tuple:
     where a joined pair is found by bisection.
 
-    :func:`repro.plan.executor.chase` does the unions, in its round
-    loop, over the representative cells of the layout's RHS groups only
+    :class:`repro.plan.executor.ChaseState` does the unions, in its
+    rounds, over the representative cells of the layout's RHS groups only
     (a cell of another pair in a group, a *follower*, is never unioned
     nor walked, so its ``root`` / ``next`` entries are ``-1``);
     everything tuple-facing (:meth:`same`, :meth:`members`,
@@ -683,174 +679,6 @@ class CellClasses:
         return list(zip(lefts, rights))
 
 
-@dataclass
-class EnforcementResult:
-    """Outcome of :func:`enforce`: ``D`` plus what the chase did to it.
-
-    Attributes
-    ----------
-    original:
-        The instance ``D`` that was chased (never mutated).
-    rounds:
-        Number of chase rounds executed.
-    merged_cells:
-        The cell classes after the chase, exposing which cells were
-        identified (the matcher reads match decisions from them).
-    applications:
-        Count of successful rule applications (new cell merges: a union
-        of an RHS group's representative cells counts one per RHS pair of
-        the group).
-    rule_count:
-        How many rules the chase ran (``plan.rules``): the bits a rule
-        mask below can carry.
-    round_one:
-        Per rule (``plan.rules`` order), the positions into the chased
-        pair list it fired at in round 1, in the order the round selected
-        them (the chase's own lists, not copies; empty when it did not
-        fire or no round ran).  A round reads only its start values, so
-        there a rule's LHS holds on ``D``: :attr:`first_round` and
-        :attr:`first_round_masks` read these.  Not part of the result's
-        value (the order depends on join or scan): left out of ``==``
-        and ``repr``.
-    diff:
-        Builds :attr:`repairs` from the chase's working lists, on its
-        first read; then dropped.  Not part of the result's value.
-    check:
-        The kernel's stability check over its working lists: run by the
-        first read of :attr:`holding_masks` (or :attr:`holding`,
-        :attr:`stable`), then dropped.  It answers the masks and leaves
-        the RHS test behind, which only the first read of :attr:`stable`
-        runs over :attr:`holding` (a result answered both ways keeps no
-        chase state alive but :attr:`round_one`).
-        Not part of the result's value: left out of ``==`` and ``repr``.
-    rounds_exhausted:
-        True when the chase stopped because ``max_rounds`` ran out while
-        merges were still happening *and* the result is not stable — a
-        partial extension, not a fixpoint (``rounds_exhausted`` implies
-        ``not stable``; a chase that converged on its last permitted
-        round is not exhausted).  Previously this case was silent;
-        callers that bound the chase should check (or assert) this flag.
-    """
-
-    original: InstancePair
-    rounds: int
-    merged_cells: CellClasses
-    applications: int
-    rule_count: int
-    round_one: Sequence[Sequence[int]] = field(repr=False, compare=False)
-    diff: Optional[Callable[[], Dict[Cell, object]]] = field(
-        repr=False, compare=False
-    )
-    check: Optional[
-        Callable[
-            [], Tuple[Sequence[int], Callable[[Sequence[Sequence[int]]], bool]]
-        ]
-    ] = field(repr=False, compare=False)
-    rounds_exhausted: bool = False
-    #: The RHS test ``check`` left behind, until :attr:`stable` runs it.
-    _rhs_test: Optional[Callable[[Sequence[Sequence[int]]], bool]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @cached_property
-    def repairs(self) -> Dict[Cell, object]:
-        """``cell -> final value`` for every cell whose value in ``D'``
-        differs from ``D`` — the cell-wise diff, decoded on first read (a
-        match read-off never needs it).  The chase keeps no copy of a
-        written cell's value before: the diff compares against ``D`` as
-        it is when this is first read, so ``D`` must not change between
-        the chase and that read.  Over shared storage (``left is right``)
-        a repaired cell appears under both side tags."""
-        diff, self.diff = self.diff, None
-        return diff()
-
-    @cached_property
-    def stable(self) -> bool:
-        """Whether ``(D', D') ⊨ Σ`` — true in all but adversarial resolver
-        cases: :attr:`holding` plus the test that every holding pair's RHS
-        cells carry equal values.  Checked when first read (a chase cut
-        off by ``max_rounds`` already has): a caller that needs the
-        guarantee asserts it, one that does not never pays for the test."""
-        holding = self.holding
-        test, self._rhs_test = self._rhs_test, None
-        return test(holding)
-
-    @cached_property
-    def holding_masks(self) -> Sequence[int]:
-        """Per position into the chased pair list, a bit per rule
-        (``1 << index``, ``plan.rules`` order) whose LHS holds on the pair
-        in ``D'`` — what the stability check writes, and every match's
-        provenance."""
-        check, self.check = self.check, None
-        masks, self._rhs_test = check()
-        return masks
-
-    @cached_property
-    def holding(self) -> Sequence[Sequence[int]]:
-        """Per rule (in ``plan.rules`` order), the ascending positions of
-        the pairs whose LHS holds in ``D'``: :attr:`holding_masks` read
-        rule by rule, on first access."""
-        return self._per_rule(self.holding_masks)
-
-    @cached_property
-    def first_round(self) -> Sequence[Sequence[int]]:
-        """Per rule, the ascending positions it fired at in round 1 — on
-        ``D`` — :attr:`round_one` sorted, on first access."""
-        return [sorted(positions) for positions in self.round_one]
-
-    @cached_property
-    def first_round_masks(self) -> Sequence[int]:
-        """Per position into the chased pair list, a bit per rule (``1 <<
-        index``, ``plan.rules`` order) that fired at the pair in round 1
-        (a ``direct`` spec's matches and their provenance), built from
-        :attr:`round_one` on first read.  All 0 when no round ran."""
-        masks = rule_masks(self.rule_count, len(self.merged_cells.pairs))
-        for index, positions in enumerate(self.round_one):
-            bit = 1 << index
-            for i in positions:
-                masks[i] |= bit
-        return masks
-
-    def _per_rule(self, masks: Sequence[int]) -> List[List[int]]:
-        return [
-            [i for i, mask in enumerate(masks) if mask >> index & 1]
-            for index in range(self.rule_count)
-        ]
-
-    @cached_property
-    def instance(self) -> InstancePair:
-        """The resulting extension ``D'`` = ``D`` + :attr:`repairs`,
-        materialised on first access (a match read-off never needs it)."""
-        extended = self.original.copy()
-        for (side, tid, attribute), value in self.repairs.items():
-            relation = extended.left if side == LEFT else extended.right
-            relation.set_value(tid, attribute, value)
-        return extended
-
-    def identified(
-        self, left_tid: int, right_tid: int, attribute_pairs: Iterable[Tuple[str, str]]
-    ) -> bool:
-        """Were all the given attribute pairs of the two tuples identified?"""
-        return all(
-            self.merged_cells.same(
-                (LEFT, left_tid, left_attr), (RIGHT, right_tid, right_attr)
-            )
-            for left_attr, right_attr in attribute_pairs
-        )
-
-    def matches(
-        self, attribute_pairs: Iterable[Tuple[str, str]]
-    ) -> List[Tuple[int, int]]:
-        """The chased pairs (in order) for which :meth:`identified` holds —
-        the read-off every matcher ends with."""
-        return self.merged_cells.matches(attribute_pairs)
-
-    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> array:
-        """The positions into the chased pair list of :meth:`matches`, an
-        ``array('i')``."""
-        return self.merged_cells.matching(attribute_pairs)
-
-
 def enforce(
     instance: InstancePair,
     sigma: Sequence[MatchingDependency],
@@ -858,15 +686,16 @@ def enforce(
     resolver: ValueResolver = prefer_informative,
     candidate_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     max_rounds: int = 100,
-) -> EnforcementResult:
-    """Chase ``instance`` with Σ to a stable extension.
+):
+    """Chase ``instance`` with Σ to a stable extension: a
+    :class:`~repro.plan.executor.ChaseState`.
 
     This is the *reference entry point*: it compiles Σ into a throwaway
-    :class:`~repro.plan.compile.EnforcementPlan` and delegates to the one
-    chase kernel (:func:`repro.plan.executor.chase`).  Matchers that chase
-    repeatedly hold a long-lived plan instead and call
-    :meth:`~repro.plan.compile.EnforcementPlan.enforce` directly, sharing
-    the compiled predicates and the similarity memo cache across runs.
+    :class:`~repro.plan.compile.EnforcementPlan` and runs
+    :meth:`~repro.plan.compile.EnforcementPlan.enforce`, the one entry
+    point of the chase.  Matchers that chase repeatedly hold a long-lived
+    plan instead, sharing the compiled predicates and the similarity memo
+    cache across runs.
 
     ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
     output of blocking/windowing here.

@@ -51,12 +51,13 @@ from .compile import (
     PlanStats,
     compile_plan,
 )
-from .executor import chase
+from .executor import ChaseState
 from .sn_index import WindowedSNIndex
 
 __all__ = [
     "BlockingBackend",
     "CandidateSet",
+    "ChaseState",
     "CompiledKey",
     "CompiledPredicate",
     "CompiledRule",
@@ -71,7 +72,6 @@ __all__ = [
     "WindowedSNIndex",
     "attribute_key",
     "build_blocking",
-    "chase",
     "compile_plan",
     "hash_candidates",
     "indexes_from_rcks",

@@ -53,7 +53,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
 from .blocking import BlockingBackend, CandidateSet, Pair
-from .executor import chase
+from .executor import ChaseState
 
 #: Bound on the memoized (predicate, value, value) entries; the memo
 #: is cleared wholesale when it fills (simple, allocation-free policy).
@@ -121,7 +121,7 @@ class PlanStats:
     chase_rounds: int = 0
     enforcements: int = 0
     #: Chases that hit ``max_rounds`` before reaching a fixpoint (each
-    #: such chase also sets ``EnforcementResult.rounds_exhausted``; the
+    #: such chase also sets ``ChaseState.rounds_exhausted``; the
     #: CLI surfaces this as a warning).
     rounds_exhausted: int = 0
     #: Always 0: the kernel does not group candidate pairs.  The names
@@ -327,16 +327,22 @@ class EnforcementPlan:
         resolver=None,
         candidate_pairs: Optional[Sequence[Pair]] = None,
         max_rounds: int = 100,
-    ):
-        """Run the enforcement chase; see :func:`repro.plan.executor.chase`."""
-        resolver = resolver if resolver is not None else prefer_informative
-        return chase(
-            self,
-            instance,
-            resolver=resolver,
-            candidate_pairs=candidate_pairs,
-            max_rounds=max_rounds,
+    ) -> ChaseState:
+        """Chase ``instance`` with the plan's rules toward a stable
+        extension: a :class:`~repro.plan.executor.ChaseState` over
+        ``candidate_pairs``, run for at most ``max_rounds`` rounds.
+
+        ``candidate_pairs`` bounds the quadratic pair scan (every pair of
+        ``instance`` when omitted); matchers pass the blocking backend's
+        :class:`~repro.plan.blocking.CandidateSet`, chased as it is.
+        Pairs in any other form are sorted into one, so the result does
+        not depend on the order they were listed in.
+        """
+        pairs = CandidateSet.of(
+            instance.tuple_pairs() if candidate_pairs is None else candidate_pairs
         )
+        resolver = resolver if resolver is not None else prefer_informative
+        return ChaseState(self, instance, pairs, resolver).run(max_rounds)
 
     def candidates(self, left: Relation, right: Relation) -> CandidateSet:
         """Candidate pairs from the plan's blocking backend."""

@@ -1,91 +1,37 @@
-"""The enforcement chase, executed over a compiled plan.
+"""The enforcement chase over a compiled plan: one :class:`ChaseState`.
 
-One kernel, :func:`chase`, rule-at-a-time over **flat arrays**.  The
-encoding has a half per plan (:class:`~repro.core.semantics.ChaseLayout`:
-the chase attributes' ranks in sorted-name order and the rules as rank
-offsets, built at compile time) and a half per chase
-(:class:`~repro.core.semantics.CellClasses`: the tuples the candidate
-pairs mention get positions in sorted-tid order); a cell is the int
-``side_base + position * width + rank``, so int order is ``(side, tid,
-attribute)`` order.  Everything the chase keeps is an array or a list
-indexed by such ints:
+A chase is the paper's enforcement (Section 2.1): from ``D`` it builds an
+extension ``D'`` with ``(D, D') ⊨ Σ`` by merging cells into classes and
+resolving every merged class to one value.  :class:`ChaseState` is that
+computation and its result in one object.  Built over ``(plan, instance,
+candidate set, resolver)``, it lays the chase out in flat arrays and marks
+every position *fresh*; :meth:`ChaseState.run` does the rounds.  A cell is
+the int ``side_base + position * width + rank``
+(:class:`~repro.core.semantics.CellClasses` over the plan's
+:class:`~repro.core.semantics.ChaseLayout`), so int order is ``(side, tid,
+attribute)`` order, and the state holds:
 
-* **classes** — ``root`` / ``size`` / ``next`` in ``CellClasses``, three
-  ``array('i')``; the round loop inlines the union (relabel the smaller
-  class along its ``next`` ring, swap two entries to join the rings),
-  once per (pair, RHS group) and only over the group representative's
-  cells (the layout's RHS groups: pairs whose classes are copies of one
-  tuple partition; see :class:`~repro.core.semantics.ChaseLayout`);
-* **values** — one flat working list indexed by *slot*, filled by the
-  instance's ``project`` (a ``Relation``'s, or a store view's).  Between
-  two relations a cell is its own slot.  Over shared storage
-  (``left is right``) a right cell's slot is its left twin's, so a
-  repair through either side tag lands where both read it — and only
-  there is the order of the unions observable, so only there it is kept
-  pair-major and, after a round that merged, every merged class is
-  resolved again, in the order of its first union (the reference's
-  rule);
-* **selections** — lists of positions into the candidate list, narrowed
-  per rule atom by atom: equality atoms first, each one comprehension
-  reading ``values[left_slot[i] + rank]``, similarity atoms last through
-  the plan's value-keyed memo
-  (:meth:`~repro.plan.compile.EnforcementPlan.evaluate`).  Cheap
-  selective atoms prune before an expensive one runs (the FAQ ordering),
-  and a metric is computed once per distinct value pair (the FDB saving);
-* **joins** — an equality atom is a join between the two sides' tuples
-  restricted to the candidate set, and where a rule's selection holds
-  more pairs than the chase has tuples the first narrowing step is one:
-  the rule's cheapest ``=`` atom is hash-joined tuple against tuple and
-  each hit looked up by bisection in its left tuple's run (the candidate
-  set is runs, one per left tuple, each ascending by right tuple), so
-  that step costs what it keeps, not what it reads.  Join or filter is a
-  cost comparison made from the data, rule by rule and round by round
-  (``tuples + hits < |selection|``); small selections and unhashable
-  values are filtered as before.  The lookup is a bisection and not a
-  ``pair -> position`` table because the table is no faster and costs
-  memory the runs do not (+18 % peak RSS on the dense benchmark workload
-  when it was tried);
-* **firings** — one rule mask per position, a bit per rule that fired
-  at the pair, rather than a set of positions per rule, held in an array
-  of the smallest unsigned typecode the rule count fits (a byte a
-  position up to 8 rules; :func:`~repro.core.semantics.rule_masks`); the
-  stability check answers the same way, a mask per position of the
-  rules whose LHS holds;
-* **round state** — per tuple a round repaired, a mask of the ranks
-  it wrote (what the next round's per-rule re-selection reads against
-  each rule's LHS ranks,
-  :attr:`~repro.core.semantics.ChaseLayout.reads`), a flag per cell for
-  the classes it resolved, and ``last_write``, the last round that
-  wrote each slot (what the stability check and the diff read; a slot's
-  value before is the instance's).  None of it holds an int object per
-  cell.
+* **classes** — ``root`` / ``size`` / ``next``, three ``array('i')`` in
+  ``CellClasses``; a union relabels the smaller class and joins the two
+  rings, once per (pair, RHS group) over the group representative's cells;
+* **values** — one working list indexed by slot, projected from the
+  instance; over shared storage (``left is right``) a right cell's slot is
+  its left twin's;
+* **firings** — per position a rule mask
+  (:func:`~repro.core.semantics.rule_masks`), per rule the ``(round,
+  positions)`` of every round it fired in;
+* **writes** — per slot the last round that wrote it, and per tuple the
+  ranks the last round wrote: its pairs are *dirty* for every rule whose
+  LHS reads one of them (:attr:`~repro.core.semantics.ChaseLayout.reads`).
 
-The input instance is only read.  The result
-(:class:`~repro.core.semantics.EnforcementResult`) carries what the chase
-already knows instead of making callers re-derive it — ``repairs`` (the
-cell-wise diff, decoded on first read; ``instance`` is ``D`` + repairs,
-built on first access), ``matches`` (a root comparison per pair and RHS
-group) and ``round_one`` (per rule, the positions it fired at in round
-1, which reads ``D``: a ``direct`` spec's matches, read as masks through
-``first_round_masks`` and sorted through ``first_round`` on first read)
-— and answers the rest when asked: ``holding_masks`` (per position, the
-rules whose LHS holds in ``D'``, which are also every match's
-provenance) runs the stability check on first read, and ``stable`` adds
-the RHS test to it on its own first read.  Provenance is masks
-throughout; the per-rule ``holding`` is those masks read rule by rule.
-Both end-of-chase passes pay only for what the repairs touched: the
-check re-selects a fired (rule, pair) only if a later repair wrote one
-of its LHS cells, and between two relations ``resolve-merged`` resolves
-only the classes a round's unions made *mixed* (a union of classes that
-agree resolves to the value they share).  The kernel reads ``stable``
-itself only where ``rounds_exhausted`` depends on the answer.
-
-``repro.core.semantics.enforce`` compiles a throwaway plan and delegates
-here; :class:`~repro.api.workspace.Workspace` and the streaming
-:class:`~repro.engine.matcher.IncrementalMatcher` it builds hold one
-long-lived plan and call :meth:`EnforcementPlan.enforce`, sharing the
-layouts and the memo across runs and ingests (the engine reads matches
-only, so its delta chases run no stability pass).
+Each round every rule examines its *pending* positions — the fresh ones
+and the dirty ones it has not fired on — and narrows them atom by atom:
+equality atoms first (as a hash join over the tuples where that reads less
+than a scan), similarity atoms last through the plan's value-keyed memo.
+Round 1 is the case with no dirty position, every later round the case
+with no fresh one.  :meth:`~repro.plan.compile.EnforcementPlan.enforce` is
+the one entry point; the streaming engine reads matches only, so its delta
+chases never pay for the stability check.
 """
 
 from __future__ import annotations
@@ -94,113 +40,400 @@ import time
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from functools import cached_property
 from itertools import compress
 from operator import ne
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import (
+    Cell,
     CellClasses,
-    EnforcementResult,
     InstancePair,
     ValueResolver,
-    prefer_informative,
     rule_masks,
 )
 
-from .blocking import CandidateSet, Pair
+from .blocking import CandidateSet
 
 
-def chase(
-    plan,
-    instance: InstancePair,
-    resolver: ValueResolver = prefer_informative,
-    candidate_pairs: Optional[Sequence[Pair]] = None,
-    max_rounds: int = 100,
-) -> EnforcementResult:
-    """Chase ``instance`` with the plan's compiled rules to a stable extension.
+class ChaseState:
+    """One enforcement chase of ``instance`` over a candidate set — the
+    rounds and what they leave.
 
-    Each round evaluates every rule's LHS on the active pairs against the
-    *current* values, a slot at a time, merges the RHS cells of the pairs
-    that matched, and re-resolves every class that grew to a single
-    value (over shared storage every merged class, in first-union
-    order).  Rounds repeat until no merge happens.
-    ``instance`` is only ever read (the paper: "in the matching process
-    instance D may not be updated"): the result carries the repairs, and
-    builds ``D'`` from them when asked.
+    Positions index the candidate set chased
+    (``merged_cells.pairs``).  A position is *fresh* until a round has
+    examined it — every one until the first round, none after — and
+    *dirty* for a rule when one of its two tuples had one of the rule's
+    LHS ranks written by the last round.  A rule's verdict on a pair reads
+    nothing else, so every other pair keeps its last verdict, and a pair
+    the rule fired on stays merged for good.  Within a round the values
+    are fixed, so which (rule, pair)s fire depends neither on evaluation
+    order nor on join or scan, and the merges counted are the drop in the
+    number of classes (a union of an RHS group's representative cells
+    counts one per RHS pair of the group).  Between two relations a union
+    of classes whose values agree is not resolved: it would write nothing.
 
-    None of the kernel's economies is observable in the result.  Within a
-    round the instance is fixed, so the set of firing (rule, pair)s does
-    not depend on evaluation order — or on whether an equality atom was
-    evaluated as a filter over the pairs or as a hash join over the
-    tuples — and the count of cell merges is the drop in the number of
-    cell classes whatever order they run in.  A union of an RHS group's
-    representative cells stands for one union per RHS pair of the group
-    (their classes are copies of one partition of the tuples) and counts
-    as that many.
-    Rounds after the first are semi-naive per rule: a rule re-examines
-    only pairs one of whose tuples the last round's repairs wrote an LHS
-    cell of *that rule* at (its verdict reads nothing else, so any other
-    pair's cannot change), sits out a round in which no tuple had one
-    written, and skips a (rule, pair) that already fired (its RHS cells are merged
-    for good, so its unions would all be idempotent).  Between two
-    relations a union of two classes whose values agree is not resolved:
-    it would write nothing.
-    The stability check, run when the result is first asked, re-examines
-    only a fired pair one of whose LHS cells a later repair wrote, and the
-    pairs still active; the RHS test waits until ``stable`` is read.
+    The results are read off the state's own arrays, each on first read:
+    ``matching`` / ``matches`` / ``identified`` (a root comparison per
+    pair and RHS group), ``first_round`` / ``first_round_masks`` (the
+    round-1 firings, on ``D``: a ``direct`` spec's matches),
+    ``holding_masks`` / ``holding`` (the stability check), ``stable``
+    (its RHS test), ``repairs`` (the cell-wise diff) and ``instance``
+    (``D'``).  ``D`` is only read, and must not change while the state is
+    read.  Equality is identity.
 
-    ``candidate_pairs`` bounds the quadratic pair scan; matchers pass the
-    output of the plan's blocking backend here, a
-    :class:`~repro.plan.blocking.CandidateSet`, which is chased as it is.
-    Pairs in any other form are sorted into one on entry (the result does
-    not depend on the order they were listed in); every position the
-    result names indexes the set chased (``result.merged_cells.pairs``).
+    Attributes
+    ----------
+    original:
+        The instance ``D`` chased.
+    merged_cells:
+        The cell classes (:class:`~repro.core.semantics.CellClasses`).
+    rounds:
+        Rounds run.
+    applications:
+        Successful merges, one per RHS pair a union identified.
+    rounds_exhausted:
+        True when ``max_rounds`` ran out before a round merged nothing
+        (or no round ran) *and* the result is not stable: a partial
+        extension, not a fixpoint.
     """
-    pairs = CandidateSet.of(
-        instance.tuple_pairs() if candidate_pairs is None else candidate_pairs
-    )
-    pair_count = len(pairs.rights)
-    stats = plan.stats
-    stats.enforcements += 1
-    stats.pairs_compared += pair_count
-    tracer = plan.tracer
-    chase_start = time.perf_counter()
 
-    chase_span = tracer.span(
-        "chase", pairs=pair_count, rules=len(plan.rules), max_rounds=max_rounds
-    )
-    chase_span.__enter__()
-    layout = plan.layouts[instance.left is instance.right]
-    shared, rules = layout.shared, layout.rules
-    union_memo = layout.union_memo
-    left_places, right_places = layout.left_places, layout.right_places
-    cells = CellClasses(pairs, layout)
-    root, size, ring = cells.root, cells.size, cells.next
-    left_cells, right_cells = cells.left_cells, cells.right_cells
-    right_base = cells.right_base
-    left_width, right_width = len(layout.left_names), len(layout.right_names)
-    # The working values, one per slot.  Between two relations a cell is
-    # its own slot.  Over shared storage a right cell's slot is its left
-    # twin's: a repair through either side tag lands where both read it.
-    values = instance.left.project(cells.left_tids, layout.left_names)
-    if shared:
-        left_slots = left_cells
-        right_slots = [cell - right_base for cell in right_cells]
-    else:
-        values += instance.right.project(cells.right_tids, layout.right_names)
-        left_slots, right_slots = left_cells, right_cells
-    evaluate = plan.evaluate
+    def __init__(
+        self, plan, instance: InstancePair, pairs: CandidateSet, resolver: ValueResolver
+    ) -> None:
+        plan.stats.enforcements += 1
+        plan.stats.pairs_compared += len(pairs)
+        layout = plan.layouts[instance.left is instance.right]
+        cells = CellClasses(pairs, layout)
+        self.plan, self.original, self.resolver = plan, instance, resolver
+        self.layout, self.merged_cells = layout, cells
+        self.left_width = len(layout.left_names)
+        values = instance.left.project(cells.left_tids, layout.left_names)
+        if layout.shared:
+            self.right_slots = [cell - cells.right_base for cell in cells.right_cells]
+            self.right_tuples = cells.left_tuples
+        else:
+            values += instance.right.project(cells.right_tids, layout.right_names)
+            self.right_slots = cells.right_cells
+            self.right_tuples = cells.right_tuples
+        #: The working values, one per slot.
+        self.values = values
+        self.left_slots = cells.left_cells
+        self.tuples = len(cells.left_tuples) + (0 if layout.shared else len(cells.right_tuples))
+        #: No selection outgrows the pairs: a chase with no more pairs than
+        #: tuples (every delta chase of the engine) never considers a join.
+        self.dense = len(pairs) > self.tuples
+        #: Every position, listed once: every selection shares its ints.
+        self.everything = list(range(len(pairs)))
+        #: The positions no round has examined yet.
+        self.fresh: List[int] = self.everything
+        #: The first slot of every tuple the last round wrote -> a bit per
+        #: rank written; ``written_any`` ORs them as the rules' ``reads``
+        #: count a rank (left ``r``: bit ``r``; right: ``left_width + r``).
+        self.written: Dict[int, int] = {}
+        self.written_any = 0
+        #: The dirty pairs listed, with their write masks, once per round.
+        self._dirty: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+        #: Per position, a bit per rule that fired at it.
+        self.fired = rule_masks(len(layout.rules), len(pairs))
+        #: Per rule, ``(round, positions)`` for every round it fired in.
+        self.fired_in: List[List[Tuple[int, List[int]]]] = [[] for _ in layout.rules]
+        #: Per slot, the last round that wrote it (0: never).
+        self.last_write = array("i", [0]) * len(values)
+        #: Over shared storage, root -> the order of its class's first
+        #: union, for every merged class: the order they are resolved in.
+        self.first_union: Dict[int, int] = {}
+        self.unions_made = 0
+        #: Per equality atom, its tuple-level join and the positions
+        #: satisfying it, for one evaluation against fixed values.
+        self._partners: Dict[tuple, Optional[tuple]] = {}
+        self._satisfying: Dict[tuple, List[int]] = {}
+        self.probed = self.rounds = self.applications = 0
+        self.converged = self.rounds_exhausted = False
 
-    def select(selection, equalities, similarities):
+    def __repr__(self) -> str:
+        return (
+            f"ChaseState({len(self.everything)} pairs, {self.rounds} rounds, "
+            f"{self.applications} applications)"
+        )
+
+    # -- the rounds --------------------------------------------------------
+
+    def run(self, max_rounds: int = 100) -> "ChaseState":
+        """Run rounds until one merges nothing or ``max_rounds`` have run,
+        then tell a cut-off (:attr:`rounds_exhausted`).  Returns the state."""
+        plan = self.plan
+        tracer, stats = plan.tracer, plan.stats
+        started = time.perf_counter()
+        with tracer.span(
+            "chase", pairs=len(self.everything), rules=len(plan.rules),
+            max_rounds=max_rounds,
+        ) as span:
+            while not self.converged and self.rounds < max_rounds:
+                self.rounds += 1
+                with tracer.span("chase-round", round=self.rounds) as round_span:
+                    touched, mixed = self._unite(self._fire(round_span), round_span)
+                    if touched:
+                        with tracer.span("resolve-merged") as resolve_span:
+                            self._resolve(touched, mixed, resolve_span)
+                    else:
+                        self.converged = True
+            stats.chase_rounds += self.rounds
+            stats.rule_applications += self.applications
+            span.set("rounds", self.rounds)
+            span.set("applications", self.applications)
+            # Cut off: the last permitted round still merged (or none ran)
+            # and the result is not stable.  Further rounds after a stable
+            # one could only merge cells that already agree, so only here
+            # does the chase read its own stability.
+            if not self.converged:
+                span.set("stable", self.stable)
+                if not self.stable:
+                    self.rounds_exhausted = True
+                    stats.rounds_exhausted += 1
+                    span.set("rounds_exhausted", True)
+                    span.set("rule_set", [rule.name for rule in plan.rules])
+        plan.metrics.observe("chase.rounds", self.rounds)
+        plan.metrics.observe("chase.seconds", time.perf_counter() - started)
+        return self
+
+    def _fire(self, span) -> List[Tuple[List[int], int]]:
+        """Every rule's firing positions against the round's start values,
+        with its bit; then every position counts as examined."""
+        fired, fired_in, reads = self.fired, self.fired_in, self.layout.reads
+        fresh, written_any = self.fresh, self.written_any
+        firing = []
+        joins = scanned = 0
+        probed = self.probed
+        for index, (equalities, similarities, _) in enumerate(self.layout.rules):
+            if not fresh and not written_any & reads[index]:
+                continue  # nothing the rule reads was written: it sits out
+            joined = self.dense and self._join(equalities, self._pending_size())
+            if joined:
+                joins += 1
+                hits, equalities = joined
+                selection = self._pending(index, hits)
+            else:
+                selection = self._pending(index)
+                scanned += len(fresh) + len(self._dirty_pairs()[0])
+            selection = self._select(selection, equalities, similarities)
+            if selection:
+                bit = 1 << index
+                for i in selection:
+                    fired[i] |= bit
+                fired_in[index].append((self.rounds, selection))
+                firing.append((selection, bit))
+        span.set("joined", joins)
+        span.set("join_probes", self.probed - probed)
+        span.set("scanned", scanned)
+        self._partners.clear()
+        self._satisfying.clear()
+        self.fresh = []
+        self.written.clear()
+        self.written_any = 0
+        self._dirty = None
+        return firing
+
+    def _pending(self, index: int, hits: Optional[List[int]] = None) -> List[int]:
+        """The positions rule ``index`` has yet to examine against the
+        current values — the fresh ones, and the dirty ones it has not
+        fired on — drawn from a join's ``hits`` when given.  Positions are
+        fresh all together (every one before the first round, none after),
+        so while any is fresh every hit is, and none is dirty."""
+        if self.fresh:
+            return self.fresh if hits is None else hits
+        positions, marks = (
+            self._dirty_pairs() if hits is None else (hits, self._write_marks(hits))
+        )
+        dirty = list(compress(positions, map(self.layout.reads[index].__and__, marks)))
+        if self.fired_in[index]:
+            bit, fired = 1 << index, self.fired
+            dirty = [i for i in dirty if not fired[i] & bit]
+        return dirty
+
+    def _dirty_pairs(self) -> Tuple[List[int], List[int]]:
+        """The positions of the pairs with a tuple the last round wrote,
+        and their :meth:`_write_marks`; listed once per round on first
+        need."""
+        if self._dirty is None:
+            written, left_slots, right_slots = self.written, self.left_slots, self.right_slots
+            listed = [
+                i
+                for i in (self.everything if written else ())
+                if left_slots[i] in written or right_slots[i] in written
+            ]
+            self._dirty = listed, self._write_marks(listed)
+        return self._dirty
+
+    def _write_marks(self, positions: Sequence[int]) -> List[int]:
+        """Per position, the ranks the last round wrote at its pair's two
+        tuples, as bits the way ``ChaseLayout.reads`` counts them."""
+        get, left_slots, right_slots = self.written.get, self.left_slots, self.right_slots
+        shift = self.left_width
+        return [get(left_slots[i], 0) | get(right_slots[i], 0) << shift for i in positions]
+
+    def _pending_size(self) -> int:
+        """What a scan of the pending positions would read: once the dirty
+        pairs are listed their count, until then a written tuple's mean
+        number of pairs for each written tuple."""
+        size = len(self.fresh)
+        if self._dirty is not None:
+            return size + len(self._dirty[0])
+        pairs = len(self.everything)
+        return size + min(pairs, len(self.written) * 2 * pairs // self.tuples)
+
+    def _unite(self, firing, span) -> Tuple[array, Dict[int, int]]:
+        """Union, once per (pair, RHS group), the representative cells of
+        the groups the firing rules write (``ChaseLayout.unions``).
+        Returns one member of every class a union made, and, between two
+        relations, root -> a bit per lane of its group whose cells may
+        disagree (a class leaves a round's resolution carrying one value,
+        so a union of classes that agree lane by lane stays uniform)."""
+        layout, cells, values = self.layout, self.merged_cells, self.values
+        shared, union_memo, first = layout.shared, layout.union_memo, self.first_union
+        root, size, ring = cells.root, cells.size, cells.next
+        left_cells, right_cells, right_base = cells.left_cells, cells.right_cells, cells.right_base
+        # OR the firing rules into one mask per position.  Over shared
+        # storage one slot sits in two classes, the order of the unions
+        # is observable, and it is kept pair-major, the groups in the
+        # order the rules declare them.
+        masks: Dict[int, int] = {}
+        for selection, bit in firing:
+            if not masks:
+                masks = dict.fromkeys(selection, bit)
+                continue
+            get = masks.get
+            for i in selection:
+                masks[i] = get(i, 0) | bit
+        touched = array("i")
+        mixed: Dict[int, int] = {}
+        mixed_get = mixed.get
+        merges = attempts = 0
+        for i, mask in sorted(masks.items()) if shared else masks.items():
+            unions = union_memo.get(mask) or layout.unions(mask)
+            attempts += len(unions)
+            left_cell, right_cell = left_cells[i], right_cells[i]
+            for left, right, width, lanes in unions:
+                a = root[left_cell + left]
+                b = root[right_cell + right]
+                if a == b:
+                    continue
+                if shared:
+                    bits = 1
+                    for new in (a, b):
+                        if new not in first:
+                            first[new] = self.unions_made
+                            self.unions_made += 1
+                else:
+                    bits = mixed_get(a, 0) | mixed_get(b, 0)
+                    if not bits & 1 and values[a] != values[b]:
+                        bits |= 1
+                    for bit, left_offset, right_offset in lanes:
+                        if not bits & bit and values[
+                            a + (left_offset if a < right_base else right_offset)
+                        ] != values[
+                            b + (left_offset if b < right_base else right_offset)
+                        ]:
+                            bits |= bit
+                size_a, size_b = size[a], size[b]
+                if size_a < size_b:
+                    a, b = b, a
+                if shared:
+                    first[a] = min(first[a], first.pop(b))
+                size[a] = size_a + size_b
+                member = b
+                while True:
+                    root[member] = a
+                    member = ring[member]
+                    if member == b:
+                        break
+                ring[a], ring[b] = ring[b], ring[a]
+                if bits:
+                    mixed[a] = bits
+                touched.append(a)
+                merges += width
+        self.applications += merges
+        span.set("union_attempts", attempts)
+        span.set("merges", merges)
+        return touched, mixed
+
+    def _resolve(self, touched: array, mixed: Dict[int, int], span) -> None:
+        """Resolve every class a union this round made that may disagree —
+        over shared storage every class ever merged, in the order of its
+        first union (the paper's chase, as the reference runs it) — and
+        record the writes: what makes pairs dirty for the next round."""
+        layout, cells, values = self.layout, self.merged_cells, self.values
+        shared, root, right_base = layout.shared, cells.root, cells.right_base
+        left_width, right_width = self.left_width, len(layout.right_names)
+        last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
+        written, written_any = self.written, 0
+        written_get = written.get
+        left_bits = 1 | 1 << left_width if shared else 1
+        #: A flag per cell: its class was resolved this round.
+        seen = bytearray(len(root))
+        repaired = uniform = resolved_classes = 0
+        first_union = self.first_union
+        anchors = sorted(first_union, key=first_union.__getitem__) if shared else touched
+        for anchor in anchors:
+            anchor = root[anchor]
+            if seen[anchor]:
+                continue
+            seen[anchor] = 1
+            lanes = layout.place(anchor, right_base)[2]
+            bits = 1 if shared else mixed.get(anchor, 0)
+            if not bits:
+                uniform += len(lanes)
+                continue
+            # The resolver sees the members in int order, (side, tid,
+            # attribute); a lane's members are the representative's, shifted.
+            members = sorted(cells.ring(anchor))
+            split = bisect_left(members, right_base)
+            for lane, (left_offset, right_offset) in enumerate(lanes):
+                if not bits >> lane & 1:
+                    uniform += 1
+                    continue
+                resolved_classes += 1
+                if shared:
+                    slots = [member % right_base for member in members]
+                elif left_offset or right_offset:
+                    slots = [member + left_offset for member in members[:split]] + [
+                        member + right_offset for member in members[split:]
+                    ]
+                else:
+                    slots = members
+                resolved = resolver([values[slot] for slot in slots])
+                for slot in slots:
+                    if values[slot] != resolved:
+                        last_write[slot] = rounds
+                        values[slot] = resolved
+                        repaired += 1
+                        if slot < right_base:
+                            rank = slot % left_width
+                            written_any |= left_bits << rank
+                        else:
+                            rank = (slot - right_base) % right_width
+                            written_any |= 1 << left_width + rank
+                        tuple_slot = slot - rank
+                        written[tuple_slot] = written_get(tuple_slot, 0) | 1 << rank
+        self.written_any = written_any
+        span.set("classes", resolved_classes)
+        span.set("uniform", uniform)
+        span.set("repairs", repaired)
+
+    # -- narrowing a selection --------------------------------------------
+
+    def _select(self, selection, equalities, similarities) -> List[int]:
         """The positions of ``selection`` whose pair matches one rule's LHS.
 
         Equality is the paper's ``=``: never true on a null
         (:func:`repro.metrics.base.exact_equality`, inlined).
         """
+        values, left_slots, right_slots = self.values, self.left_slots, self.right_slots
         for left, right in equalities:
             if not selection:
                 break
-            stats.metric_evaluations += len(selection)
+            self.plan.stats.metric_evaluations += len(selection)
             selection = [
                 i
                 for i in selection
@@ -208,6 +441,7 @@ def chase(
                 and (w := values[right_slots[i] + right]) is not None
                 and v == w
             ]
+        evaluate = self.plan.evaluate
         for predicate, left, right in similarities:
             if not selection:
                 break
@@ -222,43 +456,22 @@ def chase(
             ]
         return selection
 
-    # An equality atom is a join between the two sides' tuples, and the
-    # candidate set can be probed for its result: one left tuple's pairs
-    # are a run, ascending by right tuple, so a pair is found by
-    # bisection within it — no ``pair -> position`` table to build and
-    # keep.  Both caches below hold for one evaluation of the rules
-    # against fixed values (a round's, the stability check's) and are
-    # emptied after it.
-    left_tuples = cells.left_tuples
-    runs = cells.runs
-    right_tuples = left_tuples if shared else cells.right_tuples
-    tuples = len(left_tuples) + (0 if shared else len(right_tuples))
-    #: No selection outgrows the list: a chase with no more pairs than
-    #: tuples (every delta chase of the engine) never considers a join.
-    dense = pair_count > tuples
-    #: atom -> its tuple-level join (see ``match_tuples``), None if a
-    #: cell under it is unhashable.
-    partners: Dict[tuple, Optional[tuple]] = {}
-    #: atom -> the positions of the pairs that satisfy it (ascending by
-    #: left tuple; a value's right tuples come last to first).
-    satisfying: Dict[tuple, List[int]] = {}
-
-    def match_tuples(atom):
+    def _match_tuples(self, atom):
         """Hash-join the two sides' tuples on one equality atom.
 
         The right tuples are indexed by value — nulls and NaN left out,
-        ``=`` is never true on them — as chains through flat lists (a
-        list per value would be one more object per tuple for the
-        collector to walk): ``latest`` names the last right tuple under a
-        value, ``earlier`` the one before each.  Probing with a left
-        tuple's value gives its chain's head.  Returns ``(probes, heads,
-        earlier)`` — ``probes`` counts the (left, right) tuple hits, which
-        is what locating them in the pair list costs — or ``None`` when a
-        value cannot be hashed: that atom stays a filter.
+        ``=`` is never true on them — as chains through flat lists:
+        ``latest`` names the last right tuple under a value, ``earlier``
+        the one before each.  Returns ``(probes, heads, earlier)`` —
+        ``probes`` counts the (left, right) tuple hits, what locating them
+        costs, and ``heads`` is per left tuple its chain's head — or
+        ``None`` when a value cannot be hashed: that atom stays a filter.
         """
         left, right = atom
-        theirs = values[right_tuples.start + right :: right_width]
-        ours = values[left:right_base:left_width]
+        values, cells = self.values, self.merged_cells
+        right_width = len(self.layout.right_names)
+        theirs = values[self.right_tuples.start + right :: right_width]
+        ours = values[left : cells.right_base : self.left_width]
         latest: Dict[object, int] = {}
         earlier = []
         try:
@@ -272,41 +485,39 @@ def chase(
             sizes = Counter(theirs)
         except TypeError:
             return None
-        probes = sum(
-            sizes[value] for value, head in zip(ours, heads) if head is not None
-        )
+        probes = sum(sizes[value] for value, head in zip(ours, heads) if head is not None)
         return probes, heads, earlier
 
-    def join(equalities, size):
+    def _join(self, equalities, size: int):
         """Serve the cheapest of one rule's equality atoms by a hash join,
         if that reads less than filtering ``size`` positions would:
         ``(positions of the pairs satisfying it, the other atoms)``, else
-        ``None``.  Decided from the data — a selection no larger than the
-        tuple count is not worth an index, nor is an atom whose join has
-        more hits than the selection has pairs."""
-        nonlocal probed
-        if size <= tuples:
+        ``None``.  A left tuple's pairs are its run, ascending by right
+        tuple, so a hit is found by bisection within it — no ``pair ->
+        position`` table to build and keep."""
+        if size <= self.tuples:
             return None
+        partners = self._partners
         for atom in equalities:
             if atom not in partners:
-                partners[atom] = match_tuples(atom)
+                partners[atom] = self._match_tuples(atom)
         joinable = [atom for atom in equalities if partners[atom] is not None]
         if not joinable:
             return None
         atom = min(joinable, key=lambda atom: partners[atom][0])
         probes, heads, earlier = partners[atom]
-        if tuples + probes >= size:
+        if self.tuples + probes >= size:
             return None
-        hits = satisfying.get(atom)
+        hits = self._satisfying.get(atom)
         if hits is None:
-            probed += probes
-            stats.metric_evaluations += probes
-            hits = satisfying[atom] = []
+            self.probed += probes
+            self.plan.stats.metric_evaluations += probes
+            hits = self._satisfying[atom] = []
+            runs, right_tuples = self.merged_cells.runs, self.right_tuples
+            right_slots, everything = self.right_slots, self.everything
             for position, head in enumerate(heads):
                 if head is None:
                     continue
-                # A left tuple's pairs are its run, ascending by right
-                # tuple; a pair listed twice is two neighbours.
                 start, end = runs[position], runs[position + 1]
                 while head >= 0:
                     partner = right_tuples[head]
@@ -317,333 +528,58 @@ def chase(
                     head = earlier[head]
         return hits, [other for other in equalities if other != atom]
 
-    #: Every position, listed once: each selection is filtered from it
-    #: (or from a join's hits, taken from it), so they all share its ints.
-    everything = list(range(pair_count))
-    applications = 0
-    rounds = 0
-    #: The count of tuples the last round repaired (only their pairs can
-    #: match anew); round 1 lists every pair as active and never reads it.
-    repaired_tuples = len(values)
-    #: The first slot of every tuple the last round repaired -> a bit per
-    #: rank it wrote there, and every such bit as the rules' LHS masks
-    #: (``ChaseLayout.reads``) count them: a left rank ``r`` as bit ``r``,
-    #: a right one as bit ``left_width + r`` (over shared storage a slot
-    #: is both, its right tuple's slots being its left twin's).
-    written: Dict[int, int] = {}
-    written_get = written.get
-    written_any = 0
-    left_bits = 1 | 1 << left_width if shared else 1
-    #: Per active position, what ``written`` says of its pair, as a mask
-    #: of the rules' kind; listed once per round, if a rule scans.
-    active_written: Optional[List[int]] = None
-    reads = layout.reads
-    #: Those pairs' positions, listed only if some rule has to scan them.
-    active: Optional[Sequence[int]] = everything
-    #: Tuple hits the joins have looked up so far.
-    probed = 0
-    #: Per position, a bit per rule that fired at it (``1 << index``).
-    fired = rule_masks(len(rules), pair_count)
-    #: Per rule, ``(round, positions)`` for every round it fired in.
-    fired_in: List[List[tuple]] = [[] for _ in rules]
-    #: Per rule, the positions it fired at in round 1 (on ``D``).
-    round_one: List[Sequence[int]] = [()] * len(rules)
-    #: Per slot, the last round whose resolution wrote it (0: never; the
-    #: value it had before is the instance's).
-    last_write = array("i", [0]) * len(values)
-    merged_this_round = False
-    # Over shared storage one slot sits in two classes, so resolving one
-    # can rewrite a slot of another and the order classes resolve in is
-    # observable.  After a round that merged, every merged class is
-    # resolved again in the order of its first cell's first union
-    # (``first``: root -> that position, counted by ``involved``) — the
-    # paper's chase, as the reference runs it.
-    first: Dict[int, int] = {}
-    involved = 0
+    # -- read-offs ---------------------------------------------------------
 
-    def list_active():
-        nonlocal active
-        active = [
-            i for i in everything if left_slots[i] in written or right_slots[i] in written
-        ]
-        return active
+    @cached_property
+    def holding_masks(self) -> Sequence[int]:
+        """Per position, a bit per rule (``1 << index``, ``plan.rules``
+        order) whose LHS holds on the pair in ``D'`` — the stability
+        check, and every match's provenance.
 
-    while rounds < max_rounds:
-        rounds += 1
-        round_span = tracer.span("chase-round", round=rounds)
-        round_span.__enter__()
-        firing = []
-        joins = scanned = 0
-        probed_before = probed
-        for index, ((equalities, similarities, _), history) in enumerate(
-            zip(rules, fired_in)
-        ):
-            bit = 1 << index
-            # Semi-naive per rule: only a pair one of whose tuples the last
-            # round wrote an LHS cell of this rule at can change its
-            # verdict, and with no such tuple the rule sits the round out.
-            lhs = reads[index]
-            if rounds > 1 and not written_any & lhs:
-                continue
-            # What a scan would read — the active pairs: their count once
-            # they are listed, until then a repaired tuple's mean number
-            # of pairs for each tuple repaired.
-            joined = dense and join(
-                equalities,
-                len(active)
-                if active is not None
-                else min(pair_count, repaired_tuples * 2 * pair_count // tuples),
-            )
-            if not joined:
-                selection = active if active is not None else list_active()
-                scanned += len(selection)
-                if rounds > 1:
-                    if active_written is None:
-                        active_written = [
-                            written_get(left_slots[i], 0)
-                            | written_get(right_slots[i], 0) << left_width
-                            for i in selection
-                        ]
-                    selection = list(
-                        compress(selection, map(lhs.__and__, active_written))
-                    )
-                    if history:
-                        selection = [i for i in selection if not fired[i] & bit]
-            else:
-                joins += 1
-                selection, equalities = joined
-                if rounds > 1:
-                    selection = [
-                        i
-                        for i in selection
-                        if (
-                            written_get(left_slots[i], 0)
-                            | written_get(right_slots[i], 0) << left_width
-                        )
-                        & lhs
-                        and not fired[i] & bit
-                    ]
-            selection = select(selection, equalities, similarities)
-            if selection:
-                for i in selection:
-                    fired[i] |= bit
-                history.append((rounds, selection))
-                firing.append((selection, bit))
-                if rounds == 1:
-                    round_one[index] = selection
-        round_span.set("joined", joins)
-        round_span.set("join_probes", probed - probed_before)
-        round_span.set("scanned", scanned)
-        partners.clear()
-        satisfying.clear()
-        # One union per (pair, RHS group): OR the firing rules into one
-        # mask per position, then union each group's representative cells
-        # once (``ChaseLayout.unions``).  Over shared storage one tuple's
-        # slot can sit in two classes (tagged left in one, right in the
-        # other), and then the order classes are resolved in is
-        # observable.  It follows the order of the unions: keep that
-        # pair-major, the groups in the order the rules declare them
-        # within a pair.  Between two relations classes never share
-        # storage and no order is observable.
-        masks: Dict[int, int] = {}
-        for selection, bit in firing:
-            if not masks:
-                masks = dict.fromkeys(selection, bit)
-                continue
-            get = masks.get
-            for i in selection:
-                masks[i] = get(i, 0) | bit
-        positions = sorted(masks.items()) if shared else masks.items()
-        #: One member of every class a union made (as raw ints: a root
-        #: read from ``root`` is a fresh int object).
-        touched = array("i")
-        #: Root -> a bit per lane of its group whose class may disagree.
-        #: Between two relations every class leaves a round's resolution
-        #: carrying one value (all ``==``), so a union of two such classes
-        #: whose cells agree lane by lane is still uniform; over shared
-        #: storage one slot can sit in two classes and every union counts
-        #: as mixed.
-        mixed: Dict[int, int] = {}
-        mixed_get = mixed.get
-        merges = attempts = 0
-        for i, mask in positions:
-            unions = union_memo.get(mask) or layout.unions(mask)
-            attempts += len(unions)
-            left_cell, right_cell = left_cells[i], right_cells[i]
-            for left, right, width, lanes in unions:
-                # Union by size over the flat root / size / next lists.
-                a = root[left_cell + left]
-                b = root[right_cell + right]
-                if a != b:
-                    if shared:
-                        bits = 1
-                        for fresh in (a, b):
-                            if fresh not in first:
-                                first[fresh] = involved
-                                involved += 1
-                    else:
-                        bits = mixed_get(a, 0) | mixed_get(b, 0)
-                        if not bits & 1 and values[a] != values[b]:
-                            bits |= 1
-                        for bit, left_offset, right_offset in lanes:
-                            if not bits & bit and values[
-                                a + (left_offset if a < right_base else right_offset)
-                            ] != values[
-                                b + (left_offset if b < right_base else right_offset)
-                            ]:
-                                bits |= bit
-                    size_a, size_b = size[a], size[b]
-                    if size_a < size_b:
-                        a, b = b, a
-                    if shared:
-                        first[a] = min(first[a], first.pop(b))
-                    size[a] = size_a + size_b
-                    member = b
-                    while True:
-                        root[member] = a
-                        member = ring[member]
-                        if member == b:
-                            break
-                    ring[a], ring[b] = ring[b], ring[a]
-                    if bits:
-                        mixed[a] = bits
-                    touched.append(a)
-                    merges += width
-        merged_this_round = bool(touched)
-        applications += merges
-        round_span.set("union_attempts", attempts)
-        round_span.set("merges", merges)
-        # Re-resolve every class that gained a member this round and may
-        # disagree — over shared storage, every merged class (``touched``
-        # holds one member per successful union; none means nothing was
-        # repaired, and every active pair has just been examined against
-        # the final instance).  A class whose
-        # members all carry ``==`` values — one whose membership did not
-        # change, or a union of such classes that agree — resolves to one
-        # of them (the ``ValueResolver`` contract), which writes nothing.
-        active = None if merged_this_round else []
-        if not merged_this_round:
-            round_span.__exit__(None, None, None)
-            break
-        written.clear()
-        written_any = 0
-        active_written = None
-        with tracer.span("resolve-merged") as resolve_span:
-            #: A flag per cell: its class was resolved this round.
-            seen = bytearray(len(root))
-            repaired = uniform = resolved_classes = 0
-            # ``first`` holds the root of every merged class.
-            anchors = sorted(first, key=first.__getitem__) if shared else touched
-            for anchor in anchors:
-                anchor = root[anchor]
-                if seen[anchor]:
-                    continue
-                seen[anchor] = 1
-                lanes = (
-                    left_places[anchor % left_width]
-                    if anchor < right_base
-                    else right_places[(anchor - right_base) % right_width]
-                )[2]
-                bits = 1 if shared else mixed_get(anchor, 0)
-                if not bits:
-                    uniform += len(lanes)
-                    continue
-                # The resolver sees the members in (side, tid, attribute)
-                # order — int order — not in the order of the unions; a
-                # lane's members are the representative's, shifted.
-                members = sorted(cells.ring(anchor))
-                split = bisect_left(members, right_base)
-                for lane, (left_offset, right_offset) in enumerate(lanes):
-                    if not bits >> lane & 1:
-                        uniform += 1
-                        continue
-                    resolved_classes += 1
-                    if shared:
-                        slots = [member % right_base for member in members]
-                    elif left_offset or right_offset:
-                        slots = [
-                            member + left_offset for member in members[:split]
-                        ] + [member + right_offset for member in members[split:]]
-                    else:
-                        slots = members
-                    resolved = resolver([values[slot] for slot in slots])
-                    for slot in slots:
-                        if values[slot] != resolved:
-                            last_write[slot] = rounds
-                            values[slot] = resolved
-                            repaired += 1
-                            # The first slot of the tuple written to: only
-                            # its pairs can behave differently next round,
-                            # and only under a rule reading ``rank``.
-                            if slot < right_base:
-                                rank = slot % left_width
-                                written_any |= left_bits << rank
-                            else:
-                                rank = (slot - right_base) % right_width
-                                written_any |= 1 << left_width + rank
-                            tuple_slot = slot - rank
-                            written[tuple_slot] = written_get(tuple_slot, 0) | 1 << rank
-            repaired_tuples = len(written)
-            resolve_span.set("classes", resolved_classes)
-            resolve_span.set("uniform", uniform)
-            resolve_span.set("repairs", repaired)
-        round_span.__exit__(None, None, None)
-
-    def check():
-        """Per position, the rules whose LHS holds in ``D'``, and the RHS
-        test that makes it stability.
-
-        Only a (rule, pair) that fired, or a pair still active — dirtied
-        by the last permitted round's repairs, or never examined because
-        no round was permitted — can match now: any other was last
+        A pair a rule fired on holds unevaluated when no repair wrote one
+        of the rule's LHS cells of its tuples in or after the round it
+        fired in (the span's ``fresh``); the rest of the fired ones, and
+        the fresh and dirty positions the rule has not fired on, are
+        selected again (``reevaluated``).  Any other pair was last
         evaluated against the values its tuples still carry, and did not
-        match.  A fired pair is *fresh* when no repair wrote one of the
-        rule's LHS cells of its two tuples in or after the round it fired
-        in: its LHS reads what it read then, and holds unevaluated.  Only
-        the stale and the active pairs are selected again.
-
-        Returns ``(masks, test)``: per position, a bit per rule whose LHS
-        holds there.  ``test(holding)``, given those masks read per rule,
-        is ``(D', D') ⊨ Σ``:
-        every holding pair's RHS cells carry equal values — values, not
-        classes, so merged cells that carry a value unequal to itself
-        (NaN) are not identified.  The span nests under whoever asked;
-        the test, run only if ``stable`` is read, records on it later.
+        match.
         """
+        fired_in, last_write = self.fired_in, self.last_write
+        cells, left_width = self.merged_cells, self.left_width
+        right_width = len(self.layout.right_names)
+        left_slots, right_slots = self.left_slots, self.right_slots
 
         def last_lhs_write(tuples, ranks):
             """``(writes, offset)``: ``writes[slot + offset]`` is the last
             round a repair wrote one of ``ranks`` of the tuple whose first
-            slot is ``slot`` (0: none did).  Over shared storage a right
-            tuple is its left twin's storage."""
+            slot is ``slot`` (0: none did)."""
             if len(ranks) == 1:
-                return last_write, next(iter(ranks))
+                return last_write, ranks[0]
             start, stop, width = tuples.start, tuples.stop, tuples.step
-            # Spanning the side's slots only: a slot is read ``start`` lower.
             merged = array("i", [0]) * (stop - start)
             merged[::width] = array("i", map(
-                max, *(last_write[start + rank:stop:width] for rank in ranks)
+                max, *(last_write[start + rank : stop : width] for rank in ranks)
             ))
             return merged, -start
 
-        masks = rule_masks(len(rules), pair_count)
-        with tracer.span("stability-check") as span:
-            joins = fresh_pairs = reevaluated = 0
-            listed = active if active is not None else list_active()
+        masks = rule_masks(len(fired_in), len(self.everything))
+        fired, listed = self.fired, self.fresh + self._dirty_pairs()[0]
+        with self.plan.tracer.span("stability-check") as span:
+            joins = kept = reevaluated = 0
             for index, ((equalities, similarities, _), history) in enumerate(
-                zip(rules, fired_in)
+                zip(self.layout.rules, fired_in)
             ):
-                bit = 1 << index
-                left_ranks = {left for left, _ in equalities}.union(
-                    left for _, left, _ in similarities
-                )
-                right_ranks = {right for _, right in equalities}.union(
-                    right for _, _, right in similarities
-                )
-                if history:
-                    lefts, left_at = last_lhs_write(left_tuples, left_ranks)
-                    rights, right_at = last_lhs_write(right_tuples, right_ranks)
+                bit, lhs = 1 << index, self.layout.reads[index]
                 stale: List[int] = []
+                if history:
+                    lefts, left_at = last_lhs_write(
+                        cells.left_tuples,
+                        [rank for rank in range(left_width) if lhs >> rank & 1],
+                    )
+                    rights, right_at = last_lhs_write(
+                        self.right_tuples,
+                        [rank for rank in range(right_width) if lhs >> left_width + rank & 1],
+                    )
                 for fired_round, positions in history:
                     for i in positions:
                         if (
@@ -651,85 +587,128 @@ def chase(
                             and rights[right_slots[i] + right_at] < fired_round
                         ):
                             masks[i] |= bit
-                            fresh_pairs += 1
+                            kept += 1
                         else:
                             stale.append(i)
                 selection = stale + [i for i in listed if not fired[i] & bit]
-                joined = dense and join(equalities, len(selection))
+                joined = self.dense and self._join(equalities, len(selection))
                 if joined:
                     joins += 1
                     hits, equalities = joined
                     selection = list(set(selection).intersection(hits))
                 reevaluated += len(selection)
-                for i in select(selection, equalities, similarities):
+                for i in self._select(selection, equalities, similarities):
                     masks[i] |= bit
             span.set("joined", joins)
-            span.set("fresh", fresh_pairs)
+            span.set("fresh", kept)
             span.set("reevaluated", reevaluated)
-            partners.clear()
-            satisfying.clear()
+            self._partners.clear()
+            self._satisfying.clear()
+        self._check_span = span
+        return masks
 
-        def test(holding):
-            tested = 0
-            for rule, (_, _, rhs), selection in zip(plan.rules, rules, holding):
-                if not selection:
-                    continue
-                tested += len(selection)
-                lefts = [left_slots[i] for i in selection]
-                rights = [right_slots[i] for i in selection]
-                for left, right in rhs:
-                    if any(map(
-                        ne,
-                        [values[slot + left] for slot in lefts],
-                        [values[slot + right] for slot in rights],
-                    )):
-                        span.set("rhs_tested", tested)
-                        span.set("unstable_rule", rule.name)
-                        return False
-            span.set("rhs_tested", tested)
-            return True
+    @cached_property
+    def holding(self) -> List[List[int]]:
+        """Per rule (``plan.rules`` order), the ascending positions of the
+        pairs whose LHS holds in ``D'``: :attr:`holding_masks` by rule."""
+        masks = self.holding_masks
+        return [
+            [i for i, mask in enumerate(masks) if mask >> index & 1]
+            for index in range(len(self.fired_in))
+        ]
 
-        return masks, test
+    @cached_property
+    def stable(self) -> bool:
+        """Whether ``(D', D') ⊨ Σ``: every pair of :attr:`holding` carries
+        equal RHS values — values, not classes, so merged cells holding a
+        value unequal to itself (NaN) are not identified.  Run on first
+        read; it records on the ``stability-check`` span."""
+        holding, span = self.holding, self._check_span
+        values, left_slots, right_slots = self.values, self.left_slots, self.right_slots
+        tested = 0
+        for rule, (_, _, rhs), selection in zip(self.plan.rules, self.layout.rules, holding):
+            if not selection:
+                continue
+            tested += len(selection)
+            lefts = [left_slots[i] for i in selection]
+            rights = [right_slots[i] for i in selection]
+            for left, right in rhs:
+                if any(map(
+                    ne,
+                    [values[slot + left] for slot in lefts],
+                    [values[slot + right] for slot in rights],
+                )):
+                    span.set("rhs_tested", tested)
+                    span.set("unstable_rule", rule.name)
+                    return False
+        span.set("rhs_tested", tested)
+        return True
 
-    def diff():
-        """``repairs``: every written slot whose value moved from the
-        instance's, decoded."""
+    def _round_one(self) -> Iterable[Sequence[int]]:
+        """Per rule, the positions it fired at in round 1, as selected."""
+        return (
+            history[0][1] if history and history[0][0] == 1 else ()
+            for history in self.fired_in
+        )
+
+    @cached_property
+    def first_round(self) -> List[List[int]]:
+        """Per rule, the ascending positions it fired at in round 1 — on
+        ``D``, since a round reads only its start values."""
+        return [sorted(positions) for positions in self._round_one()]
+
+    @cached_property
+    def first_round_masks(self) -> Sequence[int]:
+        """Per position, a bit per rule that fired at the pair in round 1
+        (a ``direct`` spec's matches and their provenance)."""
+        masks = rule_masks(len(self.fired_in), len(self.everything))
+        for index, positions in enumerate(self._round_one()):
+            bit = 1 << index
+            for i in positions:
+                masks[i] |= bit
+        return masks
+
+    @cached_property
+    def repairs(self) -> Dict[Cell, object]:
+        """``cell -> final value`` for every cell whose value in ``D'``
+        differs from ``D`` — decoded from the written slots on first read.
+        Over shared storage a repaired cell appears under both side tags."""
+        cells, values = self.merged_cells, self.values
+        relations = (self.original.left, self.original.right)
         repairs = {}
-        relations = (instance.left, instance.right)
-        for slot in compress(range(len(last_write)), last_write):
+        for slot in compress(range(len(self.last_write)), self.last_write):
             side, tid, attribute = cell = cells.decode(slot)
             value = values[slot]
             if value != relations[side][tid][attribute]:
                 repairs[cell] = value
-                if shared:
-                    repairs[cells.decode(slot + right_base)] = value
+                if self.layout.shared:
+                    repairs[cells.decode(slot + cells.right_base)] = value
         return repairs
 
-    result = EnforcementResult(
-        instance, rounds, cells, applications, len(rules), round_one, diff, check
-    )
-    stats.chase_rounds += rounds
-    stats.rule_applications += applications
-    chase_span.set("rounds", rounds)
-    chase_span.set("applications", applications)
-    # Exhaustion: the round budget ran out AND the result is not a
-    # fixpoint — the last permitted round still merged, or no round was
-    # permitted at all.  A chase whose last permitted round merged but
-    # left a stable instance did converge — further rounds could only
-    # merge cells that already carry equal values, never rewrite one —
-    # so only instability makes the cut-off observable, and only here
-    # does the kernel itself need the stability check's answer.
-    if merged_this_round or rounds == 0:
-        chase_span.set("stable", result.stable)
-        if not result.stable:
-            result.rounds_exhausted = True
-            stats.rounds_exhausted += 1
-            # Record the cut-off (the ``stability-check`` child span
-            # names the rule whose RHS was still unequal at the budget)
-            # and the full rule set in play.
-            chase_span.set("rounds_exhausted", True)
-            chase_span.set("rule_set", [rule.name for rule in plan.rules])
-    chase_span.__exit__(None, None, None)
-    plan.metrics.observe("chase.rounds", rounds)
-    plan.metrics.observe("chase.seconds", time.perf_counter() - chase_start)
-    return result
+    @cached_property
+    def instance(self) -> InstancePair:
+        """The extension ``D'`` = ``D`` + :attr:`repairs`, on first read."""
+        extended = self.original.copy()
+        for (side, tid, attribute), value in self.repairs.items():
+            relation = extended.left if side == LEFT else extended.right
+            relation.set_value(tid, attribute, value)
+        return extended
+
+    def identified(
+        self, left_tid: int, right_tid: int, attribute_pairs: Iterable[Tuple[str, str]]
+    ) -> bool:
+        """Were all the given attribute pairs of the two tuples identified?"""
+        return all(
+            self.merged_cells.same((LEFT, left_tid, left), (RIGHT, right_tid, right))
+            for left, right in attribute_pairs
+        )
+
+    def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> array:
+        """The positions (ascending, an ``array('i')``) of the pairs whose
+        cells of every given attribute pair were identified."""
+        return self.merged_cells.matching(attribute_pairs)
+
+    def matches(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[Tuple[int, int]]:
+        """The pairs at :meth:`matching`'s positions — the read-off every
+        matcher ends with."""
+        return self.merged_cells.matches(attribute_pairs)

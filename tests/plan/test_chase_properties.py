@@ -29,7 +29,6 @@ from repro.core.parser import parse_md
 from repro.core.schema import LEFT, RIGHT, RelationSchema, SchemaPair
 from repro.core.semantics import InstancePair
 from repro.plan import compile_plan
-from repro.plan.executor import chase
 from repro.relations.relation import Relation
 
 ATTRIBUTES = ("A", "B", "C")
@@ -97,7 +96,7 @@ def _identified_cells(result):
 def test_original_instance_never_mutated(left_rows, right_rows, md_shapes):
     plan, instance = _build(left_rows, right_rows, md_shapes)
     before = _values(instance)
-    chase(plan, instance)
+    plan.enforce(instance)
     assert _values(instance) == before
 
 
@@ -105,13 +104,13 @@ def test_original_instance_never_mutated(left_rows, right_rows, md_shapes):
 @given(rows, rows, mds)
 def test_chase_is_idempotent(left_rows, right_rows, md_shapes):
     plan, instance = _build(left_rows, right_rows, md_shapes)
-    first = chase(plan, instance)
+    first = plan.enforce(instance)
     assert first.stable
     assert not first.rounds_exhausted
     # Idempotence is a *value-level* fixpoint: re-chasing may re-identify
     # cells (each chase starts a fresh union-find), but those classes
     # already carry one value, so nothing is ever rewritten again.
-    again = chase(plan, first.instance)
+    again = plan.enforce(first.instance)
     assert again.stable
     assert _values(again.instance) == _values(first.instance)
 
@@ -122,8 +121,8 @@ def test_merges_grow_monotonically_with_rounds(
     left_rows, right_rows, md_shapes, bound
 ):
     plan, instance = _build(left_rows, right_rows, md_shapes)
-    bounded = chase(plan, instance, max_rounds=bound)
-    full = chase(plan, instance)
+    bounded = plan.enforce(instance, max_rounds=bound)
+    full = plan.enforce(instance)
     # Every class merged under the bound survives (possibly having grown)
     # in the unbounded chase.
     for group in bounded.merged_cells.classes():

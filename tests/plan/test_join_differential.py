@@ -3,7 +3,7 @@
 Where a rule's selection holds more pairs than the chase has tuples, the
 kernel serves the rule's cheapest equality atom by a hash join over the
 candidate set's runs instead of filtering the set by it
-(:func:`repro.plan.executor.chase`).  Every instance here has more pairs
+(:class:`repro.plan.executor.ChaseState`).  Every instance here has more pairs
 than tuples, so the choice comes up, and ``assert_same_chase`` holds the
 outcome to the naive reference on everything the join could get wrong:
 nulls and NaN (``=`` is never true on them — a dict would find the one

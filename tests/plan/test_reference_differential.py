@@ -1,7 +1,7 @@
 """Differential suite: the chase kernel ≡ the naive reference chase.
 
 ``reference.py`` is the paper's chase written the slow, obvious way; the
-kernel (:func:`repro.plan.executor.chase`) reorders, prunes and memoizes.
+kernel (:class:`repro.plan.executor.ChaseState`) reorders, prunes and memoizes.
 Nothing of that may be observable: on every instance here the two agree
 on ``rounds``, ``applications``, ``stable``, ``rounds_exhausted``, the
 merged cell classes, every cell value, the repairs and the pairs each
@@ -13,7 +13,6 @@ sets, and one explicit case per input shape the kernel treats specially.
 
 from __future__ import annotations
 
-import weakref
 
 import pytest
 from hypothesis import event, given, settings
@@ -37,7 +36,7 @@ from repro.datagen.streams import (
 from repro.experiments.harness import resolution_spec_document
 from repro.matching.clustering import cluster_matches
 from repro.obs.trace import Tracer
-from repro.plan import compile_plan
+from repro.plan import ChaseState, compile_plan
 from repro.relations.relation import Relation
 
 SCENARIOS = {
@@ -70,6 +69,11 @@ def _on_d(plan, instance, resolver=prefer_informative, pairs=None):
     ).firing
 
 
+def _checked(result):
+    """Whether the stability check has run: the state caches its masks."""
+    return "holding_masks" in vars(result)
+
+
 def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
                       max_rounds=100):
     """Chase with the kernel and the reference; every observable agrees."""
@@ -85,9 +89,9 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # off), and ``stable`` / ``holding`` are read below after everything
     # else — what they answer may not depend on when they are asked.
     if expected.rounds_exhausted:
-        assert result.check is None
+        assert _checked(result)
     elif 0 < expected.rounds < max_rounds:
-        assert result.check is not None
+        assert not _checked(result)
     assert result.rounds == expected.rounds
     assert result.applications == expected.applications
     assert result.rounds_exhausted == expected.rounds_exhausted
@@ -120,7 +124,6 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
         [i for i, pair in enumerate(chased) if max_rounds and rule in on_d(*pair)]
         for rule in range(len(plan.rules))
     ]
-    pending = None if result.check is None else weakref.ref(result.check)
     shown = repr(result)
     holding = result.holding
     assert [[chased[i] for i in positions] for positions in holding] == [
@@ -138,11 +141,14 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
         for rule in range(len(plan.rules))
     ]
     assert result.stable == expected.stable
-    # Answered once: the same objects on every later read, and the check
-    # — with the chase's working lists it closed over — is let go.
-    assert result.holding is holding and result.check is None
+    # Answered once: the same objects on every later read, read off the
+    # state's own arrays — no field holds a callable but the resolver the
+    # state was built over.
+    assert result.holding is holding and _checked(result)
     assert result.holding_masks is masks
-    assert pending is None or pending() is None
+    assert [name for name, value in vars(result).items() if callable(value)] == [
+        "resolver"
+    ]
     # ... and is no part of the result's value: asking changes nothing.
     assert repr(result) == shown and "check" not in shown
     return result, expected
@@ -451,7 +457,7 @@ def test_max_rounds_cut_off(max_rounds, rules):
     assert plan.stats.rounds_exhausted == 2 * (max_rounds < 2)
     # Budget 2 ends on a merging round too, so the check ran eagerly and
     # found the instance stable; budget 3 converged and left it unasked.
-    assert (fresh.check is None) == (max_rounds <= 2)
+    assert _checked(fresh) == (max_rounds <= 2)
 
 
 def test_an_unread_stability_check_costs_nothing():
@@ -792,7 +798,7 @@ def test_reading_holding_runs_no_rhs_test():
     assert not result.rounds_exhausted
     assert result.holding == [[0, 1], [0, 1]]
     (check,) = _spans(plan, "stability-check")
-    assert "rhs_tested" not in check and result.check is None
+    assert "rhs_tested" not in check and _checked(result)
     assert result.stable == expected.stable
     assert not expected.stable
     assert check["rhs_tested"] > 0 and check["unstable_rule"] == plan.rules[1].name
@@ -976,3 +982,24 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
         assert seen == twin_seen
     else:
         assert sorted(map(repr, seen)) == sorted(map(repr, twin_seen))
+
+
+def test_the_chase_is_one_state_and_enforce_its_one_entry_point():
+    """``plan.enforce`` returns the :class:`ChaseState` that ran the
+    rounds; the kernel function and the separate result class are gone."""
+    import repro.core
+    import repro.plan
+    import repro.plan.executor
+
+    assert not hasattr(repro.plan.executor, "chase")
+    assert not hasattr(repro.plan, "chase")
+    assert not hasattr(repro.core, "EnforcementResult")
+    plan, pair = _abc_plan(*CASCADE)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, [{"A": "x", "B": "long-b", "C": "long-c"}]),
+        Relation(pair.right, [{"A": "x", "B": None, "C": None}]),
+    )
+    result = plan.enforce(instance)
+    assert type(result) is ChaseState and result.rounds == 3
+    assert result == result and result != plan.enforce(instance)

@@ -1,11 +1,11 @@
-"""``chase(max_rounds=...)`` must report exhaustion, never stop silently.
+"""``plan.enforce(max_rounds=...)`` must report exhaustion, never stop silently.
 
 The adversarial rule set is a dependency chain: rule *i* repairs the
 attribute rule *i+1* needs, so every chase round enables exactly one
 more rule and a chain of length K needs K+1 rounds to converge.  A
 ``max_rounds`` below that used to exhaust silently, returning a partial
 extension indistinguishable from a converged one; now
-:class:`~repro.core.semantics.EnforcementResult.rounds_exhausted` says
+:attr:`~repro.plan.executor.ChaseState.rounds_exhausted` says
 so, through the kernel and the reference ``enforce`` entry point alike.
 """
 
