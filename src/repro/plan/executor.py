@@ -144,12 +144,15 @@ class ChaseState:
         #: Over shared storage, root -> the order of its class's first
         #: union, for every merged class: the order they are resolved in.
         self.first_union: Dict[int, int] = {}
+        #: The order number the next class entering ``first_union`` gets.
         self.unions_made = 0
         #: Per equality atom, its tuple-level join and the positions
         #: satisfying it, for one evaluation against fixed values.
         self._partners: Dict[tuple, Optional[tuple]] = {}
         self._satisfying: Dict[tuple, List[int]] = {}
+        #: Tuple hits the joins looked up; rounds run; cell merges.
         self.probed = self.rounds = self.applications = 0
+        #: ``converged``: a round merged nothing, so no later one can.
         self.converged = self.rounds_exhausted = False
 
     def __repr__(self) -> str:
@@ -209,14 +212,18 @@ class ChaseState:
         for index, (equalities, similarities, _) in enumerate(self.layout.rules):
             if not fresh and not written_any & reads[index]:
                 continue  # nothing the rule reads was written: it sits out
+            # Pending: the fresh positions and the dirty ones the rule has
+            # not fired on.  Positions are fresh all together (every one
+            # before the first round, none after), so while any is, every
+            # pair is fresh and none is dirty.
             joined = self.dense and self._join(equalities, self._pending_size())
             if joined:
                 joins += 1
                 hits, equalities = joined
-                selection = self._pending(index, hits)
+                selection = hits if fresh else self._dirty_for(index, hits)
             else:
-                selection = self._pending(index)
-                scanned += len(fresh) + len(self._dirty_pairs()[0])
+                selection = fresh or self._dirty_for(index)
+                scanned += len(fresh) if fresh else len(self._dirty[0])
             selection = self._select(selection, equalities, similarities)
             if selection:
                 bit = 1 << index
@@ -235,14 +242,10 @@ class ChaseState:
         self._dirty = None
         return firing
 
-    def _pending(self, index: int, hits: Optional[List[int]] = None) -> List[int]:
-        """The positions rule ``index`` has yet to examine against the
-        current values — the fresh ones, and the dirty ones it has not
-        fired on — drawn from a join's ``hits`` when given.  Positions are
-        fresh all together (every one before the first round, none after),
-        so while any is fresh every hit is, and none is dirty."""
-        if self.fresh:
-            return self.fresh if hits is None else hits
+    def _dirty_for(self, index: int, hits: Optional[List[int]] = None) -> List[int]:
+        """The dirty positions rule ``index`` has not fired on (its RHS
+        cells are merged for good there), drawn from a join's ``hits``
+        when given, else from the listed dirty pairs."""
         positions, marks = (
             self._dirty_pairs() if hits is None else (hits, self._write_marks(hits))
         )
@@ -274,9 +277,9 @@ class ChaseState:
         return [get(left_slots[i], 0) | get(right_slots[i], 0) << shift for i in positions]
 
     def _pending_size(self) -> int:
-        """What a scan of the pending positions would read: once the dirty
-        pairs are listed their count, until then a written tuple's mean
-        number of pairs for each written tuple."""
+        """What a scan of the pending positions would read: the fresh ones,
+        and once the dirty pairs are listed their count, until then a
+        written tuple's mean number of pairs for each written tuple."""
         size = len(self.fresh)
         if self._dirty is not None:
             return size + len(self._dirty[0])
