@@ -368,10 +368,11 @@ class ChaseState:
         record the writes: what makes pairs dirty for the next round."""
         layout, cells, values = self.layout, self.merged_cells, self.values
         shared, root, right_base = layout.shared, cells.root, cells.right_base
+        left_places, right_places = layout.left_places, layout.right_places
         left_width, right_width = self.left_width, len(layout.right_names)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
         written, written_any = self.written, 0
-        written_get = written.get
+        written_get, mixed_get = written.get, mixed.get
         left_bits = 1 | 1 << left_width if shared else 1
         #: A flag per cell: its class was resolved this round.
         seen = bytearray(len(root))
@@ -383,8 +384,12 @@ class ChaseState:
             if seen[anchor]:
                 continue
             seen[anchor] = 1
-            lanes = layout.place(anchor, right_base)[2]
-            bits = 1 if shared else mixed.get(anchor, 0)
+            lanes = (
+                left_places[anchor % left_width]
+                if anchor < right_base
+                else right_places[(anchor - right_base) % right_width]
+            )[2]
+            bits = 1 if shared else mixed_get(anchor, 0)
             if not bits:
                 uniform += len(lanes)
                 continue

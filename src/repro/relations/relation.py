@@ -29,9 +29,8 @@ def is_tid(tid: object) -> bool:
     return type(tid) is int
 
 
-def _check_tid(tid: object) -> None:
-    if not is_tid(tid):
-        raise ValueError(f"tuple id {tid!r} is not an int")
+def _not_a_tid(tid: object) -> ValueError:
+    return ValueError(f"tuple id {tid!r} is not an int")
 
 
 class Row:
@@ -139,7 +138,8 @@ class Relation:
             )
         if tid is None:
             tid = self._next_tid
-        _check_tid(tid)
+        elif not is_tid(tid):
+            raise _not_a_tid(tid)
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
         self._rows[tid] = Row(tid, list(map(values.get, names)), self._positions)
@@ -160,7 +160,8 @@ class Relation:
         (a stored record's name-keyed form) is read into such a list.
         ``tid`` is held to :func:`is_tid` like :meth:`insert`'s.
         """
-        _check_tid(tid)
+        if not is_tid(tid):
+            raise _not_a_tid(tid)
         if tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
         if not isinstance(values, list):
