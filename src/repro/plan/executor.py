@@ -205,7 +205,7 @@ class ChaseState:
         """Every rule's firing positions against the round's start values,
         with its bit; then every position counts as examined."""
         fired, fired_in, reads = self.fired, self.fired_in, self.layout.reads
-        fresh, written_any = self.fresh, self.written_any
+        fresh, written_any, dense, rounds = self.fresh, self.written_any, self.dense, self.rounds
         firing = []
         joins = scanned = 0
         probed = self.probed
@@ -216,7 +216,7 @@ class ChaseState:
             # not fired on.  Positions are fresh all together (every one
             # before the first round, none after), so while any is, every
             # pair is fresh and none is dirty.
-            joined = self.dense and self._join(equalities, self._pending_size())
+            joined = dense and self._join(equalities, self._pending_size())
             if joined:
                 joins += 1
                 hits, equalities = joined
@@ -224,12 +224,12 @@ class ChaseState:
             else:
                 selection = fresh or self._dirty_for(index)
                 scanned += len(fresh) if fresh else len(self._dirty[0])
-            selection = self._select(selection, equalities, similarities)
+            selection = selection and self._select(selection, equalities, similarities)
             if selection:
                 bit = 1 << index
                 for i in selection:
                     fired[i] |= bit
-                fired_in[index].append((self.rounds, selection))
+                fired_in[index].append((rounds, selection))
                 firing.append((selection, bit))
         span.set("joined", joins)
         span.set("join_probes", self.probed - probed)
@@ -449,10 +449,10 @@ class ChaseState:
                 and (w := values[right_slots[i] + right]) is not None
                 and v == w
             ]
-        evaluate = self.plan.evaluate
         for predicate, left, right in similarities:
             if not selection:
                 break
+            evaluate = self.plan.evaluate
             selection = [
                 i
                 for i in selection
@@ -552,24 +552,9 @@ class ChaseState:
         evaluated against the values its tuples still carry, and did not
         match.
         """
-        fired_in, last_write = self.fired_in, self.last_write
-        cells, left_width = self.merged_cells, self.left_width
+        fired_in, cells, left_width = self.fired_in, self.merged_cells, self.left_width
         right_width = len(self.layout.right_names)
         left_slots, right_slots = self.left_slots, self.right_slots
-
-        def last_lhs_write(tuples, ranks):
-            """``(writes, offset)``: ``writes[slot + offset]`` is the last
-            round a repair wrote one of ``ranks`` of the tuple whose first
-            slot is ``slot`` (0: none did)."""
-            if len(ranks) == 1:
-                return last_write, ranks[0]
-            start, stop, width = tuples.start, tuples.stop, tuples.step
-            merged = array("i", [0]) * (stop - start)
-            merged[::width] = array("i", map(
-                max, *(last_write[start + rank : stop : width] for rank in ranks)
-            ))
-            return merged, -start
-
         masks = rule_masks(len(fired_in), len(self.everything))
         fired, listed = self.fired, self.fresh + self._dirty_pairs()[0]
         with self.plan.tracer.span("stability-check") as span:
@@ -580,11 +565,11 @@ class ChaseState:
                 bit, lhs = 1 << index, self.layout.reads[index]
                 stale: List[int] = []
                 if history:
-                    lefts, left_at = last_lhs_write(
+                    lefts, left_at = self._last_lhs_write(
                         cells.left_tuples,
                         [rank for rank in range(left_width) if lhs >> rank & 1],
                     )
-                    rights, right_at = last_lhs_write(
+                    rights, right_at = self._last_lhs_write(
                         self.right_tuples,
                         [rank for rank in range(right_width) if lhs >> left_width + rank & 1],
                     )
@@ -614,6 +599,20 @@ class ChaseState:
             self._satisfying.clear()
         self._check_span = span
         return masks
+
+    def _last_lhs_write(self, tuples: range, ranks: List[int]) -> Tuple[Sequence[int], int]:
+        """``(writes, offset)``: ``writes[slot + offset]`` is the last round
+        a repair wrote one of ``ranks`` of the tuple whose first slot is
+        ``slot`` (0: none did)."""
+        last_write = self.last_write
+        if len(ranks) == 1:
+            return last_write, ranks[0]
+        start, stop, width = tuples.start, tuples.stop, tuples.step
+        merged = array("i", [0]) * (stop - start)
+        merged[::width] = array("i", map(
+            max, *(last_write[start + rank : stop : width] for rank in ranks)
+        ))
+        return merged, -start
 
     @cached_property
     def holding(self) -> List[List[int]]:
