@@ -165,7 +165,8 @@ class ChaseState:
 
     def run(self, max_rounds: int = 100) -> "ChaseState":
         """Run rounds until one merges nothing or ``max_rounds`` have run,
-        then tell a cut-off (:attr:`rounds_exhausted`).  Returns the state."""
+        then tell a cut-off (:attr:`rounds_exhausted`).  Returns the state.
+        A state runs once: its counters go into ``plan.stats`` here."""
         plan = self.plan
         tracer, stats = plan.tracer, plan.stats
         started = time.perf_counter()
