@@ -3,8 +3,10 @@
 CI starts ``repro serve --spec examples/spec.json`` in the background,
 then runs this script against it: wait for ``/healthz``, ingest the
 example CSVs (credit cards left, billings right), query one record's
-cluster, round-trip one ``/match`` request, and read the queue-wait
-percentiles off ``/metrics``.  Exit status 0 means every step answered
+cluster, check that a request with one record outside the schema is
+refused whole (a 400, and its good record is not stored), round-trip one
+``/match`` request, and read the queue-wait percentiles off
+``/metrics``.  Exit status 0 means every step answered
 correctly.
 
 Usage::
@@ -100,6 +102,19 @@ def main() -> int:
         f"{len(cluster['left_tids'])} left, "
         f"{len(cluster['right_tids'])} right"
     )
+
+    # A request is admitted whole or not at all: one record naming an
+    # attribute outside the schema refuses the request, good record too.
+    unused = max(record["tid"] for record in credit + billing) + 1000
+    good = dict(credit[0], tid=unused)
+    status, body = request(
+        host, port, "POST", "/ingest",
+        {"records": [good, {"side": "left", "values": {"NOPE": "y"}}]},
+    )
+    assert status == 400, f"unknown attribute admitted: {status} {body}"
+    status, body = request(host, port, "GET", f"/query/{unused}?side=left")
+    assert status == 404, f"refused request stored its good record: {status} {body}"
+    print(f"refused request stored nothing: {body['error']}")
 
     status, report = request(
         host, port, "POST", "/match",

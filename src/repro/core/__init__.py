@@ -10,7 +10,8 @@ Public surface:
 * deduction: ``Σ ⊨m φ`` — :mod:`repro.core.closure` (Section 4)
 * RCK discovery — :mod:`repro.core.findrcks` (Section 5) with the quality
   model of :mod:`repro.core.quality`
-* dynamic semantics and the enforcement chase — :mod:`repro.core.semantics`
+* dynamic semantics: satisfaction and stability — :mod:`repro.core.semantics`
+  (the enforcement chase is :mod:`repro.plan`'s)
 """
 
 from .closure import ClosureEngine, ClosureStats, Justification, deduces
@@ -39,7 +40,6 @@ from .schema import (
 )
 from .semantics import (
     InstancePair,
-    enforce,
     is_stable,
     lhs_matches,
     prefer_informative,
@@ -75,7 +75,6 @@ __all__ = [
     "all_rcks",
     "as_operator",
     "deduces",
-    "enforce",
     "equality_md",
     "find_rcks",
     "format_md",

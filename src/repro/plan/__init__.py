@@ -12,10 +12,11 @@ engine (:mod:`repro.engine`), the experiments, and the CLI
 (``repro plan explain``).  The chase is serial and runs in the calling
 process; README "Execution" has the measurements behind that.
 
-Layering: :mod:`repro.plan` depends only on ``core``, ``metrics`` and
-``relations``; the matching and engine layers depend on it, never the
-other way around (``repro.core.semantics.enforce`` delegates to the
-kernel through a deliberate lazy import).
+Layering: :mod:`repro.plan` depends only on ``core``, ``metrics``,
+``relations`` and ``obs``; the matching and engine layers depend on it,
+and ``core`` never imports it (``tests/test_front_door.py`` holds
+``repro.core`` to that).  A one-off chase of Σ is
+``compile_plan(sigma=Σ).enforce(instance, …)``.
 
 Typical use::
 

@@ -31,9 +31,8 @@ module lowers a rule set **once**:
 
 Batch matching (:class:`repro.api.Workspace`) and the streaming engine
 (:mod:`repro.engine.matcher`) execute through the same plan and the same
-rules — Σ, or under a ``direct`` spec the keys as MDs (Σ_Γ); the
-reference entry point :func:`repro.core.semantics.enforce` compiles a
-throwaway plan and delegates to the same kernel.
+rules — Σ, or under a ``direct`` spec the keys as MDs (Σ_Γ); a one-off
+chase of Σ is ``compile_plan(sigma=Σ).enforce(instance, …)``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.core.findrcks import find_rcks
 from repro.core.md import MatchingDependency
 from repro.core.rck import RelativeKey
 from repro.core.schema import ComparableLists, SchemaPair
-from repro.core.semantics import ChaseLayout, prefer_informative
+from repro.core.semantics import prefer_informative
 from repro.metrics.base import SimilarityPredicate
 from repro.metrics.registry import DEFAULT_REGISTRY, EQ, MetricRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -53,7 +52,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.relations.relation import Relation, Row
 
 from .blocking import BlockingBackend, CandidateSet, Pair
-from .executor import ChaseState
+from .executor import ChaseLayout, ChaseState
 
 #: Bound on the memoized (predicate, value, value) entries; the memo
 #: is cleared wholesale when it fills (simple, allocation-free policy).
@@ -502,8 +501,8 @@ def compile_plan(
     """Compile MDs (and/or RCKs) into an :class:`EnforcementPlan`.
 
     ``rcks=None`` with a ``target`` deduces the top ``top_k`` RCKs from
-    Σ; ``target=None`` compiles a chase-only plan with no keys (what
-    :func:`repro.core.semantics.enforce` uses).  An empty Σ compiles the
+    Σ; ``target=None`` compiles a chase-only plan with no keys (a one-off
+    chase: ``compile_plan(sigma=Σ).enforce(instance, …)``).  An empty Σ compiles the
     keys as the rules, Σ_Γ = {ψ.to_md() | ψ ∈ Γ}, named ``rck{i}`` like
     the keys (what a ``direct`` spec runs).  The plan generates
     candidates with the ``blocking`` backend it is handed

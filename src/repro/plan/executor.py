@@ -6,23 +6,22 @@ resolving every merged class to one value.  :class:`ChaseState` is that
 computation and its result in one object.  Built over ``(plan, instance,
 candidate set, resolver)``, it lays the chase out in flat arrays and marks
 every position *fresh*; :meth:`ChaseState.run` does the rounds.  A cell is
-the int ``side_base + position * width + rank``
-(:class:`~repro.core.semantics.CellClasses` over the plan's
-:class:`~repro.core.semantics.ChaseLayout`), so int order is ``(side, tid,
+the int ``side_base + position * width + rank``: the tuples the pairs
+mention get positions in sorted-tid order, the attributes their ranks in
+the plan's :class:`ChaseLayout`, so int order is ``(side, tid,
 attribute)`` order, and the state holds:
 
-* **classes** — ``root`` / ``size`` / ``next``, three ``array('i')`` in
-  ``CellClasses``; a union relabels the smaller class and joins the two
-  rings, once per (pair, RHS group) over the group representative's cells;
+* **classes** — ``root`` / ``size`` / ``next``, three ``array('i')``; a
+  union relabels the smaller class and joins the two rings, once per
+  (pair, RHS group) over the group representative's cells;
 * **values** — one working list indexed by slot, projected from the
   instance; over shared storage (``left is right``) a right cell's slot is
   its left twin's;
-* **firings** — per position a rule mask
-  (:func:`~repro.core.semantics.rule_masks`), per rule the ``(round,
-  positions)`` of every round it fired in;
+* **firings** — per position a rule mask (:func:`rule_masks`), per rule
+  the ``(round, positions)`` of every round it fired in;
 * **writes** — per slot the last round that wrote it, and per tuple the
   ranks the last round wrote: its pairs are *dirty* for every rule whose
-  LHS reads one of them (:attr:`~repro.core.semantics.ChaseLayout.reads`).
+  LHS reads one of them (:attr:`ChaseLayout.reads`).
 
 Each round every rule examines its *pending* positions — the fresh ones
 and the dirty ones it has not fired on — and narrows them atom by atom:
@@ -36,6 +35,7 @@ chases never pay for the stability check.
 
 from __future__ import annotations
 
+import sys
 import time
 from array import array
 from bisect import bisect_left
@@ -43,36 +43,280 @@ from collections import Counter
 from functools import cached_property
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
-from repro.core.semantics import (
-    Cell,
-    CellClasses,
-    InstancePair,
-    ValueResolver,
-    rule_masks,
-)
+from repro.core.semantics import InstancePair, ValueResolver
 
 from .blocking import CandidateSet
+
+#: A cell of an instance pair: (side, tuple id, attribute name).
+Cell = Tuple[int, int, str]
+
+
+#: Where a rank's cells live (:attr:`ChaseLayout.left_places`): the
+#: offset from a cell to its group representative's cell, the cell's
+#: lane (the index of its RHS pair in the group), and the group's lanes —
+#: per RHS pair, its ``(left, right)`` rank offsets from the
+#: representative pair.  Outside a group: ``(0, 0, ((0, 0),))``.
+Place = Tuple[int, int, Tuple[Tuple[int, int], ...]]
+_ALONE: Place = (0, 0, ((0, 0),))
+
+
+class ChaseLayout(NamedTuple):
+    """The plan's half of a chase's encoding, built once per plan and
+    storage layout (:attr:`~repro.plan.compile.EnforcementPlan.layouts`):
+    per side the chase attributes in sorted-name order and their ranks,
+    and every rule as rank offsets from a pair's two tuples —
+    ``(equalities, similarities, rhs)`` in selection order, an atom as
+    ``(left rank, right rank)``, a similarity led by its predicate.  A
+    chase adds only what its pairs decide (:class:`ChaseState`).
+
+    An MD identifies attribute *lists*, so the RHS pairs one set of rules
+    writes are identified by the same firings: when none of their
+    attributes sits in another RHS pair, their cell classes are copies of
+    one partition of the tuples.  Such pairs form an **RHS group**
+    (``groups``, each a tuple of rank pairs, its representative first),
+    and the chase unions only the representative's cells; every other
+    RHS pair — and every one over shared storage, where the order of the
+    unions is observable — is a group of one.  ``writes`` is per rule the
+    bitmask of the groups it writes, ``reads`` per rule the bitmask of
+    the cells its LHS reads (bit ``r`` for left rank ``r``, bit
+    ``len(left_names) + r`` for right rank ``r``), ``left_places`` /
+    ``right_places`` per rank where its cells live (:data:`Place`), and
+    :meth:`unions` the group unions a set of firing rules makes at one
+    pair."""
+
+    shared: bool
+    left_names: Tuple[str, ...]
+    right_names: Tuple[str, ...]
+    left_rank: Dict[str, int]
+    right_rank: Dict[str, int]
+    rules: Tuple[tuple, ...]
+    groups: Tuple[Tuple[Tuple[int, int], ...], ...]
+    writes: Tuple[int, ...]
+    reads: Tuple[int, ...]
+    left_places: Tuple[Place, ...]
+    right_places: Tuple[Place, ...]
+    #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
+    union_memo: Dict[int, tuple]
+    #: attribute pairs -> :meth:`homes`' answer, filled as they are read.
+    home_memo: Dict[tuple, Optional[Tuple[Tuple[int, int], ...]]]
+
+    @classmethod
+    def of(cls, attributes, rules: Iterable[tuple], shared: bool) -> "ChaseLayout":
+        """Lower ``rules`` — ``(equalities, similarities, rhs)`` over the
+        per-side names in ``attributes`` — to rank offsets, and group
+        their RHS pairs; over shared storage both sides use one attribute
+        table."""
+        left, right = set(attributes[0]), set(attributes[1])
+        if shared:
+            left = right = left | right
+        left_names, right_names = tuple(sorted(left)), tuple(sorted(right))
+        left_rank = {name: rank for rank, name in enumerate(left_names)}
+        right_rank = {name: rank for rank, name in enumerate(right_names)}
+        lowered = tuple(
+            (
+                [(left_rank[a], right_rank[b]) for a, b in equalities],
+                [(p, left_rank[p.left], right_rank[p.right]) for p in similarities],
+                [(left_rank[a], right_rank[b]) for a, b in rhs],
+            )
+            for equalities, similarities, rhs in rules
+        )
+        # The distinct RHS pairs in first-occurrence order, with the
+        # bitmask of the rules writing each.
+        writers: Dict[Tuple[int, int], int] = {}
+        for position, (_, _, rhs) in enumerate(lowered):
+            for pair in rhs:
+                writers[pair] = writers.get(pair, 0) | 1 << position
+        lefts = Counter(left for left, _ in writers)
+        rights = Counter(right for _, right in writers)
+        grouped: Dict[object, List[Tuple[int, int]]] = {}
+        for pair, mask in writers.items():
+            private = not shared and lefts[pair[0]] == 1 and rights[pair[1]] == 1
+            grouped.setdefault(mask if private else pair, []).append(pair)
+        groups = tuple(tuple(pairs) for pairs in grouped.values())
+        group_of = {pair: g for g, pairs in enumerate(groups) for pair in pairs}
+        writes = tuple(
+            sum({1 << group_of[pair] for pair in rhs}) for _, _, rhs in lowered
+        )
+        # An atom ends in its (left rank, right rank), similarity or not.
+        reads = tuple(
+            sum({1 << atom[-2] for atom in (*equalities, *similarities)})
+            | sum({1 << atom[-1] for atom in (*equalities, *similarities)})
+            << len(left_names)
+            for equalities, similarities, _ in lowered
+        )
+        left_places = [_ALONE] * len(left_names)
+        right_places = [_ALONE] * len(right_names)
+        for pairs in groups:
+            if len(pairs) == 1:
+                continue
+            (left0, right0) = pairs[0]
+            lanes = tuple((left - left0, right - right0) for left, right in pairs)
+            for lane, (left, right) in enumerate(pairs):
+                left_places[left] = (left0 - left, lane, lanes)
+                right_places[right] = (right0 - right, lane, lanes)
+        return cls(
+            shared, left_names, right_names, left_rank, right_rank, lowered,
+            groups, writes, reads, tuple(left_places), tuple(right_places), {}, {},
+        )
+
+    def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:
+        """The unions the rules in ``mask`` (bit ``k`` = rule ``k``) make
+        at one pair: a ``(left rank, right rank, size, lanes)`` per group,
+        the representative's ranks, the group's size and, per further
+        RHS pair, ``(its bit, left offset, right offset)``.  In the order
+        the rules and their RHS name the groups — over shared storage the
+        order of the unions is observable, and this is the order the
+        rules declare.  Memoized per mask."""
+        found = self.union_memo.get(mask)
+        if found is not None:
+            return found
+        group_of = {pair: g for g, pairs in enumerate(self.groups) for pair in pairs}
+        seen: Dict[int, None] = {}
+        for position, (_, _, rhs) in enumerate(self.rules):
+            if mask >> position & 1:
+                for pair in rhs:
+                    seen[group_of[pair]] = None
+        unions = []
+        for g in seen:
+            (left0, right0), *others = self.groups[g]
+            lanes = tuple(
+                (1 << lane, left - left0, right - right0)
+                for lane, (left, right) in enumerate(others, 1)
+            )
+            unions.append((left0, right0, 1 + len(others), lanes))
+        found = self.union_memo[mask] = tuple(unions)
+        return found
+
+    def homes(
+        self, attribute_pairs: Iterable[Tuple[str, str]]
+    ) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """The ``(left rank, right rank)`` cells a pair is read at to tell
+        whether its cells of every given attribute pair were identified:
+        one representative pair per RHS group the attribute pairs fall in.
+        ``None`` when no pair can be — an attribute outside the encoding,
+        or two cells of different lanes, which never share a class.
+        Memoized per attribute pair sequence."""
+        key = tuple(attribute_pairs)
+        try:
+            return self.home_memo[key]
+        except KeyError:
+            pass
+        homes: Optional[Dict[Tuple[int, int], None]] = {}
+        for left_attr, right_attr in key:
+            left_rank = self.left_rank.get(left_attr)
+            right_rank = self.right_rank.get(right_attr)
+            if left_rank is None or right_rank is None:
+                homes = None
+                break
+            left_offset, lane, _ = self.left_places[left_rank]
+            right_offset, other, _ = self.right_places[right_rank]
+            if lane != other:
+                homes = None
+                break
+            homes[left_rank + left_offset, right_rank + right_offset] = None
+        found = self.home_memo[key] = None if homes is None else tuple(homes)
+        return found
+
+    def place(self, cell: int, right_base: int) -> Place:
+        """Where ``cell`` of a chase whose right cells start at
+        ``right_base`` lives (:data:`Place`)."""
+        if cell < right_base:
+            return self.left_places[cell % len(self.left_names)]
+        return self.right_places[(cell - right_base) % len(self.right_names)]
+
+
+#: A zero of each unsigned array typecode, narrowest first, with its bits.
+_MASK_ZEROS = tuple((array(code).itemsize * 8, array(code, [0])) for code in "BHILQ")
+
+
+def rule_masks(rule_count: int, count: int) -> Sequence[int]:
+    """``count`` zero rule masks (bit ``k`` for rule ``k``), held in an
+    array of the smallest unsigned typecode ``rule_count`` bits fit — a
+    byte a position for up to 8 rules — and in a list beyond 64 rules."""
+    for bits, zero in _MASK_ZEROS:
+        if bits >= rule_count:
+            return zero * count
+    return [0] * count
+
+
+_SENTINEL, _ZERO, _ONE = array("i", [-1]), array("i", [0]), array("i", [1])
+_BYTES = bytes(range(256))
+#: Where each byte of an ``array('i')`` item sits, least significant first.
+_BYTE_ORDER = range(4) if sys.byteorder == "little" else range(3, -1, -1)
+
+
+def _build_identity(count: int) -> array:
+    """``array('i', range(count))``, assembled plane by plane: byte ``k``
+    of item ``v`` is ``v >> 8k & 255``, constant over runs of ``256**k``
+    items and cycling through 256 values.  Only bytes are copied, so it
+    beats converting one int per cell (CPython 3.11, 2 vCPU: 2.1 against
+    17.5 ms at a batch chase's 286 380 cells)."""
+    raw = bytearray(4 * count)
+    for shift, offset in enumerate(_BYTE_ORDER):
+        run = 256 ** shift
+        runs = -(-count // run)
+        if runs <= 1:
+            break  # every item is below ``run``: this plane and the rest are 0
+        period = (
+            _BYTES
+            if run == 1
+            else b"".join(bytes([byte]) * run for byte in range(min(runs, 256)))
+        )
+        raw[offset::4] = (period * -(-runs // 256))[:count]
+    # Copied into an array of exactly ``count`` items (``frombytes``
+    # would leave room to grow).
+    identity = _ZERO * count
+    with memoryview(identity).cast("B") as view:
+        view[:] = raw
+    return identity
+
+
+#: The first 16 384 cells' identity, built at import (64 KB).  The
+#: streaming engine's delta chases fit in it (``stream_durable``: median
+#: 84 cells, at most 1 608, over 4 669 chases) and copy theirs out of it:
+#: one slice, where a build per chase cost ~2 % of ``stream_durable``'s
+#: ``records_per_s``.  A batch chase builds its own.
+_IDENTITY = _build_identity(1 << 14)
+
+
+def _identity(count: int) -> array:
+    """``array('i', range(count))``, a fresh array of ``count`` items."""
+    if count <= len(_IDENTITY):
+        return _IDENTITY[:count]
+    return _build_identity(count)
 
 
 class ChaseState:
     """One enforcement chase of ``instance`` over a candidate set — the
-    rounds and what they leave.
+    rounds, the cell classes and what they leave.
 
-    Positions index the candidate set chased
-    (``merged_cells.pairs``).  A position is *fresh* until a round has
-    examined it — every one until the first round, none after — and
-    *dirty* for a rule when one of its two tuples had one of the rule's
-    LHS ranks written by the last round.  A rule's verdict on a pair reads
-    nothing else, so every other pair keeps its last verdict, and a pair
-    the rule fired on stays merged for good.  Within a round the values
-    are fixed, so which (rule, pair)s fire depends neither on evaluation
-    order nor on join or scan, and the merges counted are the drop in the
-    number of classes (a union of an RHS group's representative cells
-    counts one per RHS pair of the group).  Between two relations a union
-    of classes whose values agree is not resolved: it would write nothing.
+    Positions index the candidate set chased (:attr:`pairs`: each left
+    tuple's ascending run of right tids).  A position is *fresh* until a
+    round has examined it — every one until the first round, none after —
+    and *dirty* for a rule when one of its two tuples had one of the
+    rule's LHS ranks written by the last round.  A rule's verdict on a
+    pair reads nothing else, so every other pair keeps its last verdict,
+    and a pair the rule fired on stays merged for good.  Within a round
+    the values are fixed, so which (rule, pair)s fire depends neither on
+    evaluation order nor on join or scan, and the merges counted are the
+    drop in the number of classes (a union of an RHS group's
+    representative cells counts one per RHS pair of the group).  Between
+    two relations a union of classes whose values agree is not resolved:
+    it would write nothing.
+
+    The classes are kept over the representative cells of the layout's
+    RHS groups only: a cell of another pair in a group, a *follower*, is
+    never unioned nor walked, so its ``root`` / ``next`` entries are
+    ``-1``, and the tuple-facing reads (:meth:`same`, :meth:`members`,
+    :meth:`classes`) map a cell to its representative and decode at the
+    boundary.  ``root`` is kept flat (a union relabels the smaller
+    class), so a class test is one array comparison.  Over shared storage
+    (``left is right``) both sides use one tid and one attribute table; a
+    tuple's cell still exists once per side tag — ``right_base`` apart —
+    because the chase identifies *qualified* cells.
 
     The results are read off the state's own arrays, each on first read:
     ``matching`` / ``matches`` / ``identified`` (a root comparison per
@@ -87,8 +331,8 @@ class ChaseState:
     ----------
     original:
         The instance ``D`` chased.
-    merged_cells:
-        The cell classes (:class:`~repro.core.semantics.CellClasses`).
+    pairs:
+        The :class:`~repro.plan.blocking.CandidateSet` chased.
     rounds:
         Rounds run.
     applications:
@@ -105,22 +349,71 @@ class ChaseState:
         plan.stats.enforcements += 1
         plan.stats.pairs_compared += len(pairs)
         layout = plan.layouts[instance.left is instance.right]
-        cells = CellClasses(pairs, layout)
-        self.plan, self.original, self.resolver = plan, instance, resolver
-        self.layout, self.merged_cells = layout, cells
-        self.left_width = len(layout.left_names)
-        values = instance.left.project(cells.left_tids, layout.left_names)
-        if layout.shared:
-            self.right_slots = [cell - cells.right_base for cell in cells.right_cells]
-            self.right_tuples = cells.left_tuples
+        self.plan, self.original, self.pairs, self.resolver = plan, instance, pairs, resolver
+        self.layout, shared = layout, layout.shared
+        lefts, starts, rights = pairs.lefts, pairs.starts, pairs.rights
+        left_width = self.left_width = len(layout.left_names)
+        right_width = len(layout.right_names)
+        #: Per side, the tids in ascending order.
+        if shared:
+            self.left_tids = self.right_tids = sorted(set(lefts).union(rights))
         else:
-            values += instance.right.project(cells.right_tids, layout.right_names)
-            self.right_slots = cells.right_cells
-            self.right_tuples = cells.right_tuples
+            self.left_tids, self.right_tids = list(lefts), sorted(set(rights))
+        #: The first right cell; over shared storage also the distance
+        #: between a tuple's left cell and its right twin.
+        right_base = self.right_base = len(self.left_tids) * left_width
+        count = right_base + len(self.right_tids) * right_width
+        left_first = {tid: position * left_width for position, tid in enumerate(self.left_tids)}
+        right_first = {
+            tid: right_base + position * right_width
+            for position, tid in enumerate(self.right_tids)
+        }
+        #: Per pair, the first cell of its left and of its right tuple; a
+        #: left cell is its slot, and so is a right one between two
+        #: relations (``right_slots`` is ``right_cells``).
+        self.left_slots: List[int] = list(pairs.per_pair(map(left_first.__getitem__, lefts)))
+        self.right_cells = list(map(right_first.__getitem__, rights))
+        #: Per side, every tuple's first slot, in tid order.
+        self.left_tuples = range(0, right_base, left_width or 1)
+        values = instance.left.project(self.left_tids, layout.left_names)
+        #: Per left tuple (``left_tids`` order), where its run of pairs
+        #: starts (``runs[p]`` to ``runs[p + 1]``, ascending by right
+        #: tuple); a tuple only ever paired on the right has an empty one.
+        if shared:
+            self.right_slots = [cell - right_base for cell in self.right_cells]
+            self.right_tuples = self.left_tuples
+            self.tuples = len(self.left_tuples)
+            self.runs = array("i")
+            run = 0
+            for tid in self.left_tids:
+                self.runs.append(starts[run])
+                if run < len(lefts) and lefts[run] == tid:
+                    run += 1
+            self.runs.append(len(rights))
+        else:
+            values += instance.right.project(self.right_tids, layout.right_names)
+            self.right_slots = self.right_cells
+            self.right_tuples = range(right_base, count, right_width or 1)
+            self.tuples = len(self.left_tuples) + len(self.right_tuples)
+            self.runs = starts
         #: The working values, one per slot.
         self.values = values
-        self.left_slots = cells.left_cells
-        self.tuples = len(cells.left_tuples) + (0 if layout.shared else len(cells.right_tuples))
+        # Only a representative's cells and read-only ones are ever
+        # unioned or walked; a follower's entries are ``-1``.
+        root = _identity(count)
+        for base, end, width, places in (
+            (0, right_base, left_width, layout.left_places),
+            (right_base, count, right_width, layout.right_places),
+        ):
+            sentinels = None
+            for rank, (_, lane, _) in enumerate(places):
+                if lane:
+                    if sentinels is None:
+                        sentinels = _SENTINEL * ((end - base) // width)
+                    root[base + rank:end:width] = sentinels
+        #: The classes: per cell its root, per root its class's size, and
+        #: per cell the next member of its class's circular ring.
+        self.root, self.size, self.next = root, _ONE * count, root[:]
         #: No selection outgrows the pairs: a chase with no more pairs than
         #: tuples (every delta chase of the engine) never considers a join.
         self.dense = len(pairs) > self.tuples
@@ -294,10 +587,10 @@ class ChaseState:
         relations, root -> a bit per lane of its group whose cells may
         disagree (a class leaves a round's resolution carrying one value,
         so a union of classes that agree lane by lane stays uniform)."""
-        layout, cells, values = self.layout, self.merged_cells, self.values
+        layout, values = self.layout, self.values
         shared, union_memo, first = layout.shared, layout.union_memo, self.first_union
-        root, size, ring = cells.root, cells.size, cells.next
-        left_cells, right_cells, right_base = cells.left_cells, cells.right_cells, cells.right_base
+        root, size, ring = self.root, self.size, self.next
+        left_cells, right_cells, right_base = self.left_slots, self.right_cells, self.right_base
         # OR the firing rules into one mask per position.  Over shared
         # storage one slot sits in two classes, the order of the unions
         # is observable, and it is kept pair-major, the groups in the
@@ -367,8 +660,8 @@ class ChaseState:
         over shared storage every class ever merged, in the order of its
         first union (the paper's chase, as the reference runs it) — and
         record the writes: what makes pairs dirty for the next round."""
-        layout, cells, values = self.layout, self.merged_cells, self.values
-        shared, root, right_base = layout.shared, cells.root, cells.right_base
+        layout, values = self.layout, self.values
+        shared, root, right_base = layout.shared, self.root, self.right_base
         left_places, right_places = layout.left_places, layout.right_places
         left_width, right_width = self.left_width, len(layout.right_names)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
@@ -396,7 +689,7 @@ class ChaseState:
                 continue
             # The resolver sees the members in int order, (side, tid,
             # attribute); a lane's members are the representative's, shifted.
-            members = sorted(cells.ring(anchor))
+            members = sorted(self.ring(anchor))
             split = bisect_left(members, right_base)
             for lane, (left_offset, right_offset) in enumerate(lanes):
                 if not bits >> lane & 1:
@@ -477,10 +770,9 @@ class ChaseState:
         ``None`` when a value cannot be hashed: that atom stays a filter.
         """
         left, right = atom
-        values, cells = self.values, self.merged_cells
-        right_width = len(self.layout.right_names)
+        values, right_width = self.values, len(self.layout.right_names)
         theirs = values[self.right_tuples.start + right :: right_width]
-        ours = values[left : cells.right_base : self.left_width]
+        ours = values[left : self.right_base : self.left_width]
         latest: Dict[object, int] = {}
         earlier = []
         try:
@@ -522,7 +814,7 @@ class ChaseState:
             self.probed += probes
             self.plan.stats.metric_evaluations += probes
             hits = self._satisfying[atom] = []
-            runs, right_tuples = self.merged_cells.runs, self.right_tuples
+            runs, right_tuples = self.runs, self.right_tuples
             right_slots, everything = self.right_slots, self.everything
             for position, head in enumerate(heads):
                 if head is None:
@@ -553,7 +845,7 @@ class ChaseState:
         evaluated against the values its tuples still carry, and did not
         match.
         """
-        fired_in, cells, left_width = self.fired_in, self.merged_cells, self.left_width
+        fired_in, left_width = self.fired_in, self.left_width
         right_width = len(self.layout.right_names)
         left_slots, right_slots = self.left_slots, self.right_slots
         masks = rule_masks(len(fired_in), len(self.everything))
@@ -567,7 +859,7 @@ class ChaseState:
                 stale: List[int] = []
                 if history:
                     lefts, left_at = self._last_lhs_write(
-                        cells.left_tuples,
+                        self.left_tuples,
                         [rank for rank in range(left_width) if lhs >> rank & 1],
                     )
                     rights, right_at = self._last_lhs_write(
@@ -681,16 +973,16 @@ class ChaseState:
         """``cell -> final value`` for every cell whose value in ``D'``
         differs from ``D`` — decoded from the written slots on first read.
         Over shared storage a repaired cell appears under both side tags."""
-        cells, values = self.merged_cells, self.values
+        values = self.values
         relations = (self.original.left, self.original.right)
         repairs = {}
         for slot in compress(range(len(self.last_write)), self.last_write):
-            side, tid, attribute = cell = cells.decode(slot)
+            side, tid, attribute = cell = self.decode(slot)
             value = values[slot]
             if value != relations[side][tid][attribute]:
                 repairs[cell] = value
                 if self.layout.shared:
-                    repairs[cells.decode(slot + cells.right_base)] = value
+                    repairs[self.decode(slot + self.right_base)] = value
         return repairs
 
     @cached_property
@@ -702,21 +994,126 @@ class ChaseState:
             relation.set_value(tid, attribute, value)
         return extended
 
+    # -- the cells, tuple-facing ------------------------------------------
+    #
+    # Only a group representative's cells are ever unioned: a cell of
+    # another pair in its group is read through the representative's cell
+    # of its tuple (``offset`` away), and a representative class stands
+    # for one class per lane — its members shifted by the lane's offsets.
+
+    def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
+        """The int of a cell, ``None`` for one outside the encoding (a
+        tuple no pair mentions, or an attribute no rule reads or writes)."""
+        if side == LEFT:
+            tids, base, ranks = self.left_tids, 0, self.layout.left_rank
+        else:
+            tids, base, ranks = self.right_tids, self.right_base, self.layout.right_rank
+        try:
+            position = bisect_left(tids, tid)
+        except TypeError:  # not an int: no pair mentions it
+            return None
+        rank = ranks.get(attribute)
+        if position == len(tids) or tids[position] != tid or rank is None:
+            return None
+        return base + position * len(ranks) + rank
+
+    def decode(self, cell: int) -> Cell:
+        """The ``(side, tid, attribute)`` an int stands for."""
+        layout = self.layout
+        if cell < self.right_base:
+            position, rank = divmod(cell, self.left_width)
+            return (LEFT, self.left_tids[position], layout.left_names[rank])
+        position, rank = divmod(cell - self.right_base, len(layout.right_names))
+        return (RIGHT, self.right_tids[position], layout.right_names[rank])
+
+    def ring(self, cell: int) -> List[int]:
+        """The members of ``cell``'s class, from ``cell`` round (unsorted);
+        a follower cell is never unioned, so it is alone in its ring."""
+        ring = self.next
+        members = [cell]
+        member = ring[cell]
+        if member < 0:
+            return members
+        while member != cell:
+            members.append(member)
+            member = ring[member]
+        return members
+
+    def _home(self, cell: int) -> Tuple[int, int]:
+        """The representative cell ``cell`` is read through, and its lane."""
+        offset, lane, _ = self.layout.place(cell, self.right_base)
+        return cell + offset, lane
+
+    def _lanes(self, home: int) -> Iterable[List[int]]:
+        """Per lane of ``home``'s group, the (sorted) members of the class
+        the representative class of ``home`` stands for there."""
+        right_base = self.right_base
+        members = sorted(self.ring(home))
+        for left, right in self.layout.place(home, right_base)[2]:
+            yield [member + (left if member < right_base else right) for member in members]
+
+    def same(self, a: Cell, b: Cell) -> bool:
+        """Whether the two cells are in one class.  A cell outside the
+        encoding was never merged: it is only ever in a class with itself."""
+        if a == b:
+            return True
+        a, b = self.cell(*a), self.cell(*b)
+        if a is None or b is None:
+            return False
+        (a, lane), (b, other) = self._home(a), self._home(b)
+        return lane == other and self.root[a] == self.root[b]
+
+    def members(self, cell: Cell) -> Set[Cell]:
+        """All cells in the class of ``cell``."""
+        encoded = self.cell(*cell)
+        if encoded is None:
+            return {cell}
+        home, lane = self._home(encoded)
+        return {self.decode(member) for member in list(self._lanes(home))[lane]}
+
+    def classes(self) -> List[Set[Cell]]:
+        """Every merged class with more than one member (a singleton
+        carries no identification)."""
+        root, size = self.root, self.size
+        return [
+            {self.decode(member) for member in members}
+            for cell in range(len(root))
+            if root[cell] == cell and size[cell] > 1
+            for members in self._lanes(cell)
+        ]
+
     def identified(
         self, left_tid: int, right_tid: int, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> bool:
         """Were all the given attribute pairs of the two tuples identified?"""
         return all(
-            self.merged_cells.same((LEFT, left_tid, left), (RIGHT, right_tid, right))
+            self.same((LEFT, left_tid, left), (RIGHT, right_tid, right))
             for left, right in attribute_pairs
         )
 
     def matching(self, attribute_pairs: Iterable[Tuple[str, str]]) -> array:
         """The positions (ascending, an ``array('i')``) of the pairs whose
-        cells of every given attribute pair were identified."""
-        return self.merged_cells.matching(attribute_pairs)
+        cells of every given attribute pair were identified: one root
+        comparison per pair and RHS group the attribute pairs fall in."""
+        homes = self.layout.homes(attribute_pairs)
+        if homes is None:
+            return array("i")
+        root, left_cells, right_cells = self.root, self.left_slots, self.right_cells
+        selection: Sequence[int] = self.everything
+        for left_rank, right_rank in homes:
+            selection = [
+                i
+                for i in selection
+                if root[left_cells[i] + left_rank] == root[right_cells[i] + right_rank]
+            ]
+        return array("i", selection)
 
     def matches(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[Tuple[int, int]]:
         """The pairs at :meth:`matching`'s positions — the read-off every
         matcher ends with."""
-        return self.merged_cells.matches(attribute_pairs)
+        left_tids, left_slots, rights = self.left_tids, self.left_slots, self.pairs.rights
+        width = self.left_width or 1
+        return [
+            (left_tids[left_slots[i] // width], rights[i])
+            for i in self.matching(attribute_pairs)
+        ]

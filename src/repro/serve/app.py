@@ -303,7 +303,13 @@ class ResolutionServer:
         else:
             records = [document]
         tenant = self.tenant
+        spec = tenant.workspace.spec
+        schemas = (
+            (spec.left_name, spec.left_attributes),
+            (spec.right_name, spec.right_attributes),
+        )
         futures = []
+        named = set()
         for position, record in enumerate(records):
             if not isinstance(record, dict):
                 raise BadRequest(f"records[{position}]: expected an object")
@@ -313,18 +319,34 @@ class ResolutionServer:
                 raise BadRequest(
                     f"records[{position}].values: expected an object"
                 )
+            name, attributes = schemas[side]
+            unknown = set(values).difference(attributes)
+            if unknown:
+                raise BadRequest(
+                    f"records[{position}].values: attributes {sorted(unknown)} "
+                    f"not in schema {name!r}"
+                )
             tid = record.get("tid")
             if tid is not None:
                 try:
                     check_tid(tid)
                 except ValueError as error:
                     raise BadRequest(f"records[{position}].tid: {error}") from None
+                if (side, tid) in named:
+                    raise BadRequest(
+                        f"records[{position}].tid: tuple id {tid} appears "
+                        "twice in this request"
+                    )
+                named.add((side, tid))
             futures.append((side, values, tid))
-        # All-or-nothing admission: either every record of the request
-        # fits the queue or QueueFull sheds the whole request — a client
-        # retries the request as a unit, so nothing is half-applied on
-        # 429.  The capacity check and the submits run without an await
-        # in between, so no other handler can take the headroom first.
+        # All-or-nothing admission: a record the store would refuse for
+        # its own shape is a 400 above, and either every record of the
+        # request fits the queue or QueueFull sheds the whole request — a
+        # client retries the request as a unit, so nothing is
+        # half-applied on 400 or 429.  (A tid already stored or queued
+        # still fails its batch.)  The capacity check and the submits run
+        # without an await in between, so no other handler can take the
+        # headroom first.
         if len(futures) > tenant.queue.limit - tenant.queue.pending:
             self.metrics.count("serve.ingest.shed")
             self.metrics.count("serve.ingest.shed_records", len(futures))

@@ -4,6 +4,7 @@ and pins that the pre-1.1 entry points are gone."""
 import gc
 import importlib
 import weakref
+from array import array
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestSingleCompile:
 
         def keep(instance, **options):
             result = enforce(instance, **options)
-            chased.append((options["candidate_pairs"], result.merged_cells.pairs))
+            chased.append((options["candidate_pairs"], result.pairs))
             return result
 
         monkeypatch.setattr(plan, "enforce", keep)
@@ -298,9 +299,12 @@ class TestModesAgree:
     def test_a_pair_listed_twice_names_the_rules_of_both_positions(
         self, monkeypatch
     ):
-        """Provenance is per pair: a pair the candidate list holds twice
-        gets the rules holding at either position, each once, in declared
-        rule order — even when its two positions hold different rules."""
+        """Provenance is per pair: a pair the candidate list holds twice is
+        reported at both positions, each naming the rules of the mask the
+        chase holds there, in declared rule order.  A real chase gives one
+        pair's positions one mask, and ``Provenance`` names that mask; the
+        masks are crafted here (``md0`` and ``md2`` where the chase holds
+        all three) so that a report not reading them fails."""
         workspace = (
             Workspace.builder()
             .schema("R", ["A", "B"], "S", ["A", "B"])
@@ -319,17 +323,18 @@ class TestModesAgree:
 
         def crafted(*args, **kwargs):
             result = enforce(*args, **kwargs)
-            # Position 0 and 2 are the same pair; each holds one rule of
-            # its own, and both hold the last one.
-            result.__dict__["holding"] = [[2], [0], [0, 2]]
+            # The list is chased sorted: positions 0 and 1 are (0, 0).
+            assert list(result.pairs) == [(0, 0), (0, 0), (0, 1)]
+            assert list(result.holding_masks) == [0b111, 0b111, 0]
+            result.__dict__["holding_masks"] = array("B", [0b101, 0b101, 0])
             return result
 
         monkeypatch.setattr(plan, "enforce", crafted)
         report = workspace.match(left, right, candidates=[(0, 0), (0, 1), (0, 0)])
         assert report.matches == ((0, 0), (0, 0))
-        assert report.provenance == {(0, 0): ("md0", "md1", "md2")}
+        assert report.provenance == {(0, 0): ("md0", "md2")}
         assert report.to_dict()["provenance"] == [
-            {"pair": [0, 0], "rules": ["md0", "md1", "md2"]}
+            {"pair": [0, 0], "rules": ["md0", "md2"]}
         ] * 2
 
 

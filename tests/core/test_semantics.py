@@ -1,11 +1,10 @@
-"""Tests for the dynamic semantics and the enforcement chase."""
+"""Tests for the dynamic semantics, and the chase against them."""
 
 import pytest
 
 from repro.core.md import MatchingDependency
 from repro.core.semantics import (
     InstancePair,
-    enforce,
     is_stable,
     lhs_matches,
     prefer_informative,
@@ -13,7 +12,13 @@ from repro.core.semantics import (
     satisfies_all,
 )
 from repro.core.schema import RelationSchema, SchemaPair
+from repro.plan import compile_plan
 from repro.relations.relation import Relation
+
+
+def enforce(instance, sigma, **options):
+    """Chase ``instance`` with Σ over a throwaway plan."""
+    return compile_plan(sigma=sigma).enforce(instance, **options)
 
 
 @pytest.fixture

@@ -87,7 +87,7 @@ def _values(instance: InstancePair):
 def _identified_cells(result):
     """Every merged (cell, cell) identification as a canonical frozenset."""
     return {
-        frozenset(group) for group in result.merged_cells.classes()
+        frozenset(group) for group in result.classes()
     }
 
 
@@ -125,10 +125,10 @@ def test_merges_grow_monotonically_with_rounds(
     full = plan.enforce(instance)
     # Every class merged under the bound survives (possibly having grown)
     # in the unbounded chase.
-    for group in bounded.merged_cells.classes():
+    for group in bounded.classes():
         anchor, *rest = sorted(group)
         for member in rest:
-            assert full.merged_cells.same(anchor, member)
+            assert full.same(anchor, member)
     # A non-exhausted bounded chase reached a stable instance: later
     # rounds may still merge cells that already carry equal values, but
     # they can never rewrite one — the *values* are final.

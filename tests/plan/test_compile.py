@@ -5,7 +5,7 @@ import pytest
 from reference import reference_chase
 
 from repro.core.findrcks import find_rcks
-from repro.core.semantics import InstancePair, enforce
+from repro.core.semantics import InstancePair
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.experiments.exp_blocking import exp4_key_pairs
@@ -163,12 +163,12 @@ class TestSimilarityCache:
 
 class TestKernelChase:
     def test_plan_enforce_matches_reference_enforce(self, sigma, fig1, target):
-        """The kernel is the reference: same rounds, merges, stability."""
+        """A plan with keys chases as a throwaway chase-only plan of Σ
+        does: same rounds, merges, stability."""
         pair, credit, billing = fig1
         candidates = [(l, r) for l in range(2) for r in range(4)]
-        reference = enforce(
-            InstancePair(pair, credit, billing), sigma,
-            candidate_pairs=candidates,
+        reference = compile_plan(sigma=sigma).enforce(
+            InstancePair(pair, credit, billing), candidate_pairs=candidates,
         )
         plan = compile_plan(sigma, target)
         result = plan.enforce(

@@ -1,10 +1,10 @@
 """Follower cells: the ``-1`` sentinel, the same answers.
 
 Between two relations the chase unions only an RHS group's
-representative cells (:class:`~repro.core.semantics.ChaseLayout`); a cell
+representative cells (:class:`~repro.plan.executor.ChaseLayout`); a cell
 of another pair in the group, a *follower*, is read through its
 representative and never unioned nor walked.  So
-:class:`~repro.core.semantics.CellClasses` leaves a follower's ``root`` /
+:class:`~repro.plan.executor.ChaseState` leaves a follower's ``root`` /
 ``next`` entries ``-1``; only representative and read-only cells carry
 their own.  Everything tuple-facing must answer for every cell what an
 encoding with an entry of its own per cell answers (:class:`IntPerCell`).
@@ -26,15 +26,16 @@ from hypothesis import strategies as st
 from repro.api.spec import VALUE_POLICIES
 from repro.core.md import MatchingDependency
 from repro.core.schema import LEFT, SchemaPair
-from repro.core.semantics import CellClasses, InstancePair, _identity, rule_masks
+from repro.core.semantics import InstancePair, prefer_informative
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
 from repro.plan import CandidateSet, compile_plan
+from repro.plan.executor import ChaseState, _identity, rule_masks
 from repro.relations.relation import Relation
 
 
-class IntPerCell(CellClasses):
+class IntPerCell(ChaseState):
     """The encoding with an entry of its own per cell, followers included."""
 
     def __init__(self, *args) -> None:
@@ -70,12 +71,13 @@ def test_followers_hold_the_sentinel_and_every_other_cell_its_own():
     assert (len(left_followers), len(layout.left_names)) == (5, 12)
     assert (len(right_followers), len(layout.right_names)) == (5, 12)
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
-    cells = CellClasses(CandidateSet.of(pairs), layout)
+    instance = InstancePair(data.pair, data.credit, data.billing)
+    cells = ChaseState(plan, instance, CandidateSet.of(pairs), prefer_informative)
     assert {cells.root.typecode, cells.next.typecode, cells.size.typecode} == {"i"}
     owned = 0
     for cell, (entry, following) in enumerate(zip(cells.root, cells.next)):
         side, _, attribute = cells.decode(cell)
-        rank = (cells.left_rank if side == LEFT else cells.right_rank)[attribute]
+        rank = (layout.left_rank if side == LEFT else layout.right_rank)[attribute]
         if rank in (left_followers if side == LEFT else right_followers):
             assert entry == following == -1
             assert cells.ring(cell) == [cell]
@@ -154,10 +156,10 @@ def test_follower_cells_answer_as_an_int_per_cell_encoding(
     event(f"read-only attributes: {len(layout.left_names) > len(written)}")
 
     placeheld = plan.enforce(instance, resolver=resolver)
-    with mock.patch("repro.plan.executor.CellClasses", IntPerCell):
+    with mock.patch("repro.plan.compile.ChaseState", IntPerCell):
         dense = plan.enforce(instance, resolver=resolver)
-    cells, reference = placeheld.merged_cells, dense.merged_cells
-    assert type(reference) is IntPerCell and type(cells) is CellClasses
+    cells, reference = placeheld, dense
+    assert type(reference) is IntPerCell and type(cells) is ChaseState
     assert (placeheld.applications, placeheld.repairs) == (
         dense.applications, dense.repairs
     )
@@ -212,7 +214,7 @@ def test_a_finished_chase_holds_its_classes_in_three_item_sizes_a_cell():
     try:
         result = workspace.plan.enforce(instance, candidate_pairs=candidates)
         result.holding_masks, result.repairs
-        cells = result.merged_cells
+        cells = result
         count = len(cells.root)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
@@ -254,7 +256,7 @@ def test_a_chase_keeps_a_byte_a_position_for_its_masks():
     assert len(plan.rules) == 7
     assert "first_round_masks" not in vars(result)
     for masks in (result.holding_masks, result.first_round_masks):
-        assert masks.typecode == "B" and len(masks) == len(result.merged_cells.pairs)
+        assert masks.typecode == "B" and len(masks) == len(result.pairs)
     assert [
         [i for i, mask in enumerate(result.first_round_masks) if mask >> rule & 1]
         for rule in range(7)

@@ -119,10 +119,10 @@ def assert_same_chase_with_nan(plan, instance, resolver=prefer_informative,
         expected.rounds, expected.applications, expected.rounds_exhausted
     )
     assert {
-        frozenset(group) for group in result.merged_cells.classes()
+        frozenset(group) for group in result.classes()
     } == expected.classes
     assert _values(result.instance) == expected.values
-    chased = list(result.merged_cells.pairs)
+    chased = list(result.pairs)
     assert chased == sorted(instance.tuple_pairs() if pairs is None else pairs)
     assert [[chased[i] for i in positions] for positions in result.holding] == [
         [pair for pair in chased if rule in expected.firing(*pair)]
@@ -179,7 +179,7 @@ def _observables(result, target=(("C", "C"),)):
         result.applications,
         result.rounds_exhausted,
         result.repairs,
-        {frozenset(group) for group in result.merged_cells.classes()},
+        {frozenset(group) for group in result.classes()},
         result.matches(target),
         result.holding,
         result.stable,
@@ -317,7 +317,7 @@ def test_shared_storage_joins_one_value_list_against_itself():
         plan, InstancePair(pair, shared, shared), max_rounds=1
     )
     assert _joins(plan)[0] > 0
-    assert result.merged_cells.same((0, 0, "B"), (1, 6, "B"))
+    assert result.same((0, 0, "B"), (1, 6, "B"))
 
 
 def test_a_cell_a_rule_reads_on_its_right_side_alone_brings_it_back():
@@ -335,7 +335,7 @@ def test_a_cell_a_rule_reads_on_its_right_side_alone_brings_it_back():
     result, _ = assert_same_chase(plan, InstancePair(pair, shared, shared))
     assert result.first_round == [[0], []]
     assert result.holding == [[0], [0]]
-    assert result.merged_cells.same((0, 0, "A"), (1, 1, "A"))
+    assert result.same((0, 0, "A"), (1, 1, "A"))
 
 
 @pytest.mark.parametrize("max_rounds", (0, 1, 2))

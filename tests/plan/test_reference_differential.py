@@ -24,7 +24,7 @@ from repro.api import Workspace
 from repro.api.spec import VALUE_POLICIES
 from repro.core.parser import parse_md
 from repro.core.schema import LEFT, RIGHT, RelationSchema, SchemaPair
-from repro.core.semantics import CellClasses, InstancePair, prefer_informative
+from repro.core.semantics import InstancePair, prefer_informative
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
@@ -58,7 +58,7 @@ def _no_copy(relation):
     raise AssertionError(f"{relation!r} was copied")
 
 
-def _no_decode(cells, cell):
+def _no_decode(state, cell):
     raise AssertionError(f"cell {cell} was decoded")
 
 
@@ -96,7 +96,7 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     assert result.applications == expected.applications
     assert result.rounds_exhausted == expected.rounds_exhausted
     assert {
-        frozenset(group) for group in result.merged_cells.classes()
+        frozenset(group) for group in result.classes()
     } == expected.classes
     after = _values(result.instance)
     assert after == expected.values
@@ -111,7 +111,7 @@ def assert_same_chase(plan, instance, resolver=prefer_informative, pairs=None,
     # Per rule, exactly the pairs whose LHS holds in D' — whatever the
     # chase ended on (stable, unstable, cut off).
     # Positions index the set chased: the pairs handed in, sorted.
-    chased = list(result.merged_cells.pairs)
+    chased = list(result.pairs)
     assert chased == sorted(instance.tuple_pairs() if pairs is None else pairs)
     # Round 1 reads D: per rule, the pairs whose LHS holds before any
     # repair (the chase's first round in any order; no round, no pairs).
@@ -204,7 +204,7 @@ def test_scenarios_match_the_reference(scenario, seed, mode, monkeypatch):
     # A match reads matches and provenance off the chase: D' is never
     # built, and the repairs are never decoded.
     monkeypatch.setattr(Relation, "copy", _no_copy)
-    monkeypatch.setattr(CellClasses, "decode", _no_decode)
+    monkeypatch.setattr(ChaseState, "decode", _no_decode)
     report = workspace.match(left, right, candidates=candidates)
     assert matches  # the scenario exercises merges, not only rejections
     assert list(report.matches) == matches
@@ -371,7 +371,7 @@ def test_shared_storage_resolves_in_pair_major_union_order():
         plan, InstancePair(pair, shared, shared), max_rounds=2
     )
     assert (result.rounds, result.applications, result.stable) == (2, 14, True)
-    assert not result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
+    assert not result.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
     assert {row.tid: row.values() for row in result.instance.left} == {
         tid: {"A": "ba", "B": "abc", "C": "abc"} for tid in range(4)
     }
@@ -508,7 +508,7 @@ def test_cells_outside_the_encoding():
         ]),
     )
     result, _ = assert_same_chase(plan, instance, pairs=[(0, 0)])
-    cells = result.merged_cells
+    cells = result
     assert cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
     assert not cells.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
     assert not cells.same((LEFT, 0, "C"), (RIGHT, 0, "C"))
@@ -530,7 +530,7 @@ def test_nan_class_is_merged_but_not_stable():
         Relation(pair.right, [{"A": "k", "B": None, "C": None}]),
     )
     result, _ = assert_same_chase(plan, instance)
-    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert result.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
     assert not result.stable
 
 
@@ -698,8 +698,8 @@ def test_a_union_of_agreeing_classes_calls_no_resolver(rhs, left, right, calls):
     assert (round_["union_attempts"], round_["merges"]) == (1, len(rhs))
     assert result.applications == len(rhs)
     for name in rhs:
-        assert result.merged_cells.same((LEFT, 0, name), (RIGHT, 0, name))
-    assert not result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "C"))
+        assert result.same((LEFT, 0, name), (RIGHT, 0, name))
+    assert not result.same((LEFT, 0, "B"), (RIGHT, 0, "C"))
 
 
 @pytest.mark.parametrize("spellings", ((1, 1.0), (1.0, True), (True, 1)))
@@ -717,7 +717,7 @@ def test_equal_spellings_stay_as_they_were(spellings):
     spy, seen = _spy(prefer_informative)
     result = plan.enforce(instance, resolver=spy)
     assert seen == [] and result.repairs == {}
-    assert result.merged_cells.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
+    assert result.same((LEFT, 0, "B"), (RIGHT, 0, "B"))
     assert repr(result.instance.left[0]["B"]) == repr(left_b)
     assert repr(result.instance.right[0]["B"]) == repr(right_b)
     assert result.stable
@@ -860,7 +860,7 @@ def test_int_order_is_cell_order(left_tids, right_tids, data):
         plan, InstancePair(pair, left, right),
         VALUE_POLICIES["first-non-null"], pairs=pairs,
     )
-    cells = result.merged_cells
+    cells = result
     for root in set(cells.root):
         members = [cells.decode(member) for member in sorted(cells.ring(root))]
         assert members == sorted(members)
@@ -961,7 +961,7 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
     result, expected = assert_same_chase(plan, instance, resolver)
     classes = expected.classes
 
-    cells = result.merged_cells
+    cells = result
     class_of = {cell: members for members in classes for cell in members}
     encoded = [cells.decode(cell) for cell in range(len(cells.root))]
     for cell in encoded:
@@ -976,7 +976,7 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
     split = twin.enforce(instance, resolver=twin_spy)
     assert grouped.applications == split.applications
     assert grouped.repairs == split.repairs
-    assert {frozenset(members) for members in split.merged_cells.classes()} == classes
+    assert {frozenset(members) for members in split.classes()} == classes
     if shared:
         # The order of the unions, and so of the resolutions, is kept.
         assert seen == twin_seen
@@ -986,14 +986,21 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
 
 def test_the_chase_is_one_state_and_enforce_its_one_entry_point():
     """``plan.enforce`` returns the :class:`ChaseState` that ran the
-    rounds; the kernel function and the separate result class are gone."""
+    rounds and holds the cell classes; the kernel function, the separate
+    result and classes objects, and the second entry point in
+    ``repro.core`` are gone."""
     import repro.core
+    import repro.core.semantics
     import repro.plan
     import repro.plan.executor
 
     assert not hasattr(repro.plan.executor, "chase")
     assert not hasattr(repro.plan, "chase")
     assert not hasattr(repro.core, "EnforcementResult")
+    assert not hasattr(repro.core, "enforce")
+    for name in ("enforce", "CellClasses", "ChaseLayout", "rule_masks"):
+        assert not hasattr(repro.core.semantics, name)
+    assert not hasattr(repro.plan.executor, "CellClasses")
     plan, pair = _abc_plan(*CASCADE)
     instance = InstancePair(
         pair,
@@ -1002,4 +1009,5 @@ def test_the_chase_is_one_state_and_enforce_its_one_entry_point():
     )
     result = plan.enforce(instance)
     assert type(result) is ChaseState and result.rounds == 3
+    assert not hasattr(result, "merged_cells")
     assert result == result and result != plan.enforce(instance)

@@ -6,7 +6,7 @@ more rule and a chain of length K needs K+1 rounds to converge.  A
 ``max_rounds`` below that used to exhaust silently, returning a partial
 extension indistinguishable from a converged one; now
 :attr:`~repro.plan.executor.ChaseState.rounds_exhausted` says
-so, through the kernel and the reference ``enforce`` entry point alike.
+so.
 """
 
 from __future__ import annotations
@@ -15,8 +15,15 @@ import pytest
 
 from repro.core.parser import parse_md
 from repro.core.schema import RelationSchema, SchemaPair
-from repro.core.semantics import InstancePair, enforce
+from repro.core.semantics import InstancePair
+from repro.plan import compile_plan
 from repro.relations.relation import Relation
+
+
+def enforce(instance, sigma, **options):
+    """Chase ``instance`` with Σ over a throwaway plan."""
+    return compile_plan(sigma=sigma).enforce(instance, **options)
+
 
 #: Chain length: rule i reads A{i}, repairs A{i+1}.
 CHAIN = 4

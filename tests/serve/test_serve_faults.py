@@ -30,6 +30,7 @@ import time
 
 import pytest
 
+from repro.core.schema import LEFT
 from repro.datagen.streams import arrival_stream, duplicate_burst_stream
 
 from serve_helpers import ServeClient, builder, dataset, event_record, start_server
@@ -405,3 +406,59 @@ def test_an_ingest_tid_sqlite_cannot_hold_is_a_400_naming_it(tmp_path, tid):
             client.close()
     finally:
         thread.stop()
+
+
+def _left_record(tid, **values):
+    record = event_record(
+        next(e for e in arrival_stream(dataset(60, 11), seed=5).events if e.side == LEFT)
+    )
+    return dict(record, tid=tid, values=dict(record["values"], **values))
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        (
+            {"side": "left", "values": {"NOPE": "y"}},
+            "records[1].values: attributes ['NOPE'] not in schema 'credit'",
+        ),
+        (
+            _left_record(900, FN="Another"),
+            "records[1].tid: tuple id 900 appears twice in this request",
+        ),
+    ],
+    ids=["unknown attribute", "repeated tid"],
+)
+def test_a_refused_ingest_request_stores_none_of_its_records(tmp_path, refused, error):
+    """``POST /ingest`` refuses a record naming an attribute outside its
+    side's schema, or a ``(side, tid)`` the request already named, with a
+    400 naming ``records[i]`` before any record of the request is queued:
+    a memory tenant and a SQLite tenant store nothing of it, and take the
+    good record alone afterwards, ending with the same rows."""
+    good = _left_record(900)
+    states = []
+    for persistence in ("memory", "sqlite"):
+        spec_builder = builder(dataset(60, 11))
+        if persistence == "sqlite":
+            spec_builder.persistence("sqlite", str(tmp_path / "s.db"))
+        thread, host, port = start_server(spec_builder.build())
+        try:
+            client = ServeClient(host, port)
+            try:
+                status, body, _ = client.request(
+                    "POST", "/ingest", {"records": [good, refused]}
+                )
+                assert (status, body["error"]) == (400, error)
+                assert 900 not in thread.server.tenant.matcher.store.relation(LEFT)
+                status, body, _ = client.request("POST", "/ingest", {"records": [good]})
+                assert status == 200
+                assert [result["tid"] for result in body["results"]] == [900]
+            finally:
+                client.close()
+            store = thread.server.tenant.matcher.store
+            states.append(state(store))
+            assert list(store.relation(LEFT).tids()) == [900]
+        finally:
+            thread.stop()
+    memory, sqlite = states
+    assert memory == sqlite

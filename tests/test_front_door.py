@@ -10,10 +10,12 @@ reached.  A name looked up in a table and imported by string
 (``importlib.import_module``) does not: a lazy re-export keeps code off
 the start-up path without making the front door run it.
 
-Two rules follow: every module outside ``repro.experiments`` is reached,
-and none of them imports from ``repro.experiments`` (the figures, the
-Fig. 9 baselines and the Section 8 extensions build on the library,
-never the other way round).
+Three rules follow: every module outside ``repro.experiments`` is
+reached; none of them imports from ``repro.experiments`` (the figures,
+the Fig. 9 baselines and the Section 8 extensions build on the library,
+never the other way round); and no module of ``repro.core``, the
+paper's reasoning, imports a layer built on it (the chase kernel, the
+engine, the front door, the service, clustering, observability).
 """
 
 from __future__ import annotations
@@ -28,6 +30,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FRONT_DOOR = ("repro.cli", "repro.__main__")
 
 EXPERIMENTS = "repro.experiments"
+
+CORE = "repro.core"
+
+#: The layers built on ``repro.core``.
+ABOVE_CORE = (
+    "repro.plan", "repro.engine", "repro.api", "repro.serve", "repro.matching", "repro.obs",
+)
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
 
 
 @lru_cache(maxsize=1)
@@ -87,10 +100,7 @@ def _reached(roots) -> Set[str]:
 
 
 def _outside_experiments() -> Set[str]:
-    return {
-        name for name in _modules()
-        if name != EXPERIMENTS and not name.startswith(EXPERIMENTS + ".")
-    }
+    return {name for name in _modules() if not _within(name, EXPERIMENTS)}
 
 
 def test_the_walk_resolves_relative_and_function_level_imports():
@@ -113,9 +123,20 @@ def test_the_front_door_reaches_every_module_outside_the_experiments():
 def test_no_module_outside_the_experiments_imports_from_them():
     offenders = {
         name: sorted(
-            imported for imported in _own_imports(name)
-            if imported == EXPERIMENTS or imported.startswith(EXPERIMENTS + ".")
+            imported for imported in _own_imports(name) if _within(imported, EXPERIMENTS)
         )
         for name in _outside_experiments()
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_no_module_of_the_core_imports_a_layer_above_it():
+    offenders = {
+        name: sorted(
+            imported for imported in _own_imports(name)
+            if any(_within(imported, layer) for layer in ABOVE_CORE)
+        )
+        for name in _modules()
+        if _within(name, CORE)
     }
     assert {name: found for name, found in offenders.items() if found} == {}

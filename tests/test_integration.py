@@ -11,7 +11,7 @@ import pytest
 from repro.core.closure import ClosureEngine
 from repro.core.findrcks import find_rcks
 from repro.core.parser import parse_mds
-from repro.core.semantics import InstancePair, enforce, satisfies
+from repro.core.semantics import InstancePair, satisfies
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
 from repro.datagen.schemas import extended_mds
@@ -19,6 +19,7 @@ from repro.experiments.baselines.comparison import union_of_rcks
 from repro.experiments.baselines.fellegi_sunter import FellegiSunter
 from repro.experiments.baselines.windowing import rck_sort_keys, window_candidates
 from repro.matching.evaluate import evaluate_matches, evaluate_reduction
+from repro.plan import compile_plan
 from repro.experiments.exp_sn import hand_rule_keys, match_on_keys
 
 
@@ -82,7 +83,7 @@ class TestDeductionEnforcementRoundTrip:
                 {name: f"v{index}" for name in pair.right.attribute_names}
             )
         instance = InstancePair(pair, left_rel, right_rel)
-        result = enforce(instance, sigma)
+        result = compile_plan(sigma=sigma).enforce(instance)
         assert result.stable
 
         for phi in candidates:
