@@ -23,6 +23,10 @@ attribute)`` order, and the state holds:
   ranks the last round wrote: its pairs are *dirty* for every rule whose
   LHS reads one of them (:attr:`ChaseLayout.reads`).
 
+Positions are a ``range`` and every selection of them the state keeps
+or lists an ``array('i')`` (a per-position mask a :func:`rule_masks`
+array): nothing it holds has an int object per pair or per cell.
+
 Each round every rule examines its *pending* positions — the fresh ones
 and the dirty ones it has not fired on — and narrows them atom by atom:
 equality atoms first (as a hash join over the tuples where that reads less
@@ -42,11 +46,12 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import compress
-from operator import ne
+from operator import ne, or_
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import InstancePair, ValueResolver
+from repro.relations.relation import is_tid
 
 from .blocking import CandidateSet
 
@@ -98,6 +103,8 @@ class ChaseLayout(NamedTuple):
     reads: Tuple[int, ...]
     left_places: Tuple[Place, ...]
     right_places: Tuple[Place, ...]
+    #: Per side, the ranks of the follower cells (a lane past the first).
+    followers: Tuple[Tuple[int, ...], Tuple[int, ...]]
     #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
     union_memo: Dict[int, tuple]
     #: attribute pairs -> :meth:`homes`' answer, filled as they are read.
@@ -157,9 +164,13 @@ class ChaseLayout(NamedTuple):
             for lane, (left, right) in enumerate(pairs):
                 left_places[left] = (left0 - left, lane, lanes)
                 right_places[right] = (right0 - right, lane, lanes)
+        followers = tuple(
+            tuple(rank for rank, (_, lane, _) in enumerate(places) if lane)
+            for places in (left_places, right_places)
+        )
         return cls(
-            shared, left_names, right_names, left_rank, right_rank, lowered,
-            groups, writes, reads, tuple(left_places), tuple(right_places), {}, {},
+            shared, left_names, right_names, left_rank, right_rank, lowered, groups,
+            writes, reads, tuple(left_places), tuple(right_places), followers, {}, {},
         )
 
     def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:
@@ -235,7 +246,9 @@ _MASK_ZEROS = tuple((array(code).itemsize * 8, array(code, [0])) for code in "BH
 def rule_masks(rule_count: int, count: int) -> Sequence[int]:
     """``count`` zero rule masks (bit ``k`` for rule ``k``), held in an
     array of the smallest unsigned typecode ``rule_count`` bits fit — a
-    byte a position for up to 8 rules — and in a list beyond 64 rules."""
+    byte a position for up to 8 rules — and in a list beyond 64 rules.
+    The chase keeps every ``rule_count``-bit value this way: write marks
+    over ranks, round numbers."""
     for bits, zero in _MASK_ZEROS:
         if bits >= rule_count:
             return zero * count
@@ -243,6 +256,7 @@ def rule_masks(rule_count: int, count: int) -> Sequence[int]:
 
 
 _SENTINEL, _ZERO, _ONE = array("i", [-1]), array("i", [0]), array("i", [1])
+_BYTE = array("B", [0])
 _BYTES = bytes(range(256))
 #: Where each byte of an ``array('i')`` item sits, least significant first.
 _BYTE_ORDER = range(4) if sys.byteorder == "little" else range(3, -1, -1)
@@ -371,8 +385,8 @@ class ChaseState:
         #: Per pair, the first cell of its left and of its right tuple; a
         #: left cell is its slot, and so is a right one between two
         #: relations (``right_slots`` is ``right_cells``).
-        self.left_slots: List[int] = list(pairs.per_pair(map(left_first.__getitem__, lefts)))
-        self.right_cells = list(map(right_first.__getitem__, rights))
+        self.left_slots = array("i", list(pairs.per_pair(map(left_first.__getitem__, lefts))))
+        self.right_cells = array("i", list(map(right_first.__getitem__, rights)))
         #: Per side, every tuple's first slot, in tid order.
         self.left_tuples = range(0, right_base, left_width or 1)
         values = instance.left.project(self.left_tids, layout.left_names)
@@ -380,7 +394,7 @@ class ChaseState:
         #: starts (``runs[p]`` to ``runs[p + 1]``, ascending by right
         #: tuple); a tuple only ever paired on the right has an empty one.
         if shared:
-            self.right_slots = [cell - right_base for cell in self.right_cells]
+            self.right_slots = array("i", map(right_base.__rsub__, self.right_cells))
             self.right_tuples = self.left_tuples
             self.tuples = len(self.left_tuples)
             self.runs = array("i")
@@ -401,15 +415,13 @@ class ChaseState:
         # Only a representative's cells and read-only ones are ever
         # unioned or walked; a follower's entries are ``-1``.
         root = _identity(count)
-        for base, end, width, places in (
-            (0, right_base, left_width, layout.left_places),
-            (right_base, count, right_width, layout.right_places),
+        for base, end, width, followers in (
+            (0, right_base, left_width, layout.followers[0]),
+            (right_base, count, right_width, layout.followers[1]),
         ):
-            sentinels = None
-            for rank, (_, lane, _) in enumerate(places):
-                if lane:
-                    if sentinels is None:
-                        sentinels = _SENTINEL * ((end - base) // width)
+            if followers:
+                sentinels = _SENTINEL * ((end - base) // width)
+                for rank in followers:
                     root[base + rank:end:width] = sentinels
         #: The classes: per cell its root, per root its class's size, and
         #: per cell the next member of its class's circular ring.
@@ -417,23 +429,24 @@ class ChaseState:
         #: No selection outgrows the pairs: a chase with no more pairs than
         #: tuples (every delta chase of the engine) never considers a join.
         self.dense = len(pairs) > self.tuples
-        #: Every position, listed once: every selection shares its ints.
-        self.everything = list(range(len(pairs)))
+        #: Every position.
+        self.everything = range(len(pairs))
         #: The positions no round has examined yet.
-        self.fresh: List[int] = self.everything
+        self.fresh: Sequence[int] = self.everything
         #: The first slot of every tuple the last round wrote -> a bit per
         #: rank written; ``written_any`` ORs them as the rules' ``reads``
         #: count a rank (left ``r``: bit ``r``; right: ``left_width + r``).
         self.written: Dict[int, int] = {}
         self.written_any = 0
         #: The dirty pairs listed, with their write masks, once per round.
-        self._dirty: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+        self._dirty: Optional[Tuple[array, Sequence[int]]] = None
         #: Per position, a bit per rule that fired at it.
         self.fired = rule_masks(len(layout.rules), len(pairs))
         #: Per rule, ``(round, positions)`` for every round it fired in.
-        self.fired_in: List[List[Tuple[int, List[int]]]] = [[] for _ in layout.rules]
-        #: Per slot, the last round that wrote it (0: never).
-        self.last_write = array("i", [0]) * len(values)
+        self.fired_in: List[List[Tuple[int, Sequence[int]]]] = [[] for _ in layout.rules]
+        #: Per slot, the last round that wrote it (0: never): a byte a
+        #: slot, widened by :meth:`run` for a budget past 255 rounds.
+        self.last_write = _BYTE * len(values)
         #: Over shared storage, root -> the order of its class's first
         #: union, for every merged class: the order they are resolved in.
         self.first_union: Dict[int, int] = {}
@@ -463,6 +476,10 @@ class ChaseState:
         plan = self.plan
         tracer, stats = plan.tracer, plan.stats
         started = time.perf_counter()
+        if max_rounds >> 8 * self.last_write.itemsize:
+            # A round number in the bits the budget needs (a budget past
+            # 2**64 rounds runs out of time first).
+            self.last_write = rule_masks(min(max_rounds.bit_length(), 64), len(self.values))
         with tracer.span(
             "chase", pairs=len(self.everything), rules=len(plan.rules),
             max_rounds=max_rounds,
@@ -495,7 +512,7 @@ class ChaseState:
         plan.metrics.observe("chase.seconds", time.perf_counter() - started)
         return self
 
-    def _fire(self, span) -> List[Tuple[List[int], int]]:
+    def _fire(self, span) -> List[Tuple[Sequence[int], int]]:
         """Every rule's firing positions against the round's start values,
         with its bit; then every position counts as examined."""
         fired, fired_in, reads = self.fired, self.fired_in, self.layout.reads
@@ -523,6 +540,7 @@ class ChaseState:
                 bit = 1 << index
                 for i in selection:
                     fired[i] |= bit
+                selection = array("i", selection)
                 fired_in[index].append((rounds, selection))
                 firing.append((selection, bit))
         span.set("joined", joins)
@@ -530,45 +548,52 @@ class ChaseState:
         span.set("scanned", scanned)
         self._partners.clear()
         self._satisfying.clear()
-        self.fresh = []
+        self.fresh = range(0)
         self.written.clear()
         self.written_any = 0
         self._dirty = None
         return firing
 
-    def _dirty_for(self, index: int, hits: Optional[List[int]] = None) -> List[int]:
+    def _dirty_for(self, index: int, hits: Optional[array] = None) -> array:
         """The dirty positions rule ``index`` has not fired on (its RHS
         cells are merged for good there), drawn from a join's ``hits``
         when given, else from the listed dirty pairs."""
         positions, marks = (
             self._dirty_pairs() if hits is None else (hits, self._write_marks(hits))
         )
-        dirty = list(compress(positions, map(self.layout.reads[index].__and__, marks)))
+        dirty = array("i", compress(positions, map(self.layout.reads[index].__and__, marks)))
         if self.fired_in[index]:
-            bit, fired = 1 << index, self.fired
-            dirty = [i for i in dirty if not fired[i] & bit]
+            dirty = self._unfired(dirty, 1 << index)
         return dirty
 
-    def _dirty_pairs(self) -> Tuple[List[int], List[int]]:
+    def _unfired(self, positions: Sequence[int], bit: int) -> array:
+        """The positions of ``positions`` the rule of ``bit`` has not fired on."""
+        fired = self.fired
+        return array("i", [i for i in positions if not fired[i] & bit])
+
+    def _dirty_pairs(self) -> Tuple[array, Sequence[int]]:
         """The positions of the pairs with a tuple the last round wrote,
         and their :meth:`_write_marks`; listed once per round on first
         need."""
         if self._dirty is None:
-            written, left_slots, right_slots = self.written, self.left_slots, self.right_slots
-            listed = [
-                i
-                for i in (self.everything if written else ())
-                if left_slots[i] in written or right_slots[i] in written
-            ]
+            written = self.written
+            listed = array("i", compress(self.everything, map(
+                or_,
+                map(written.__contains__, self.left_slots),
+                map(written.__contains__, self.right_slots),
+            )) if written else ())
             self._dirty = listed, self._write_marks(listed)
         return self._dirty
 
-    def _write_marks(self, positions: Sequence[int]) -> List[int]:
+    def _write_marks(self, positions: Sequence[int]) -> Sequence[int]:
         """Per position, the ranks the last round wrote at its pair's two
-        tuples, as bits the way ``ChaseLayout.reads`` counts them."""
+        tuples, as bits the way ``ChaseLayout.reads`` counts them (a
+        :func:`rule_masks` array of both sides' ranks)."""
         get, left_slots, right_slots = self.written.get, self.left_slots, self.right_slots
         shift = self.left_width
-        return [get(left_slots[i], 0) | get(right_slots[i], 0) << shift for i in positions]
+        marks = rule_masks(shift + len(self.layout.right_names), 0)
+        marks.extend(get(left_slots[i], 0) | get(right_slots[i], 0) << shift for i in positions)
+        return marks
 
     def _pending_size(self) -> int:
         """What a scan of the pending positions would read: the fresh ones,
@@ -591,23 +616,23 @@ class ChaseState:
         shared, union_memo, first = layout.shared, layout.union_memo, self.first_union
         root, size, ring = self.root, self.size, self.next
         left_cells, right_cells, right_base = self.left_slots, self.right_cells, self.right_base
-        # OR the firing rules into one mask per position.  Over shared
-        # storage one slot sits in two classes, the order of the unions
-        # is observable, and it is kept pair-major, the groups in the
-        # order the rules declare them.
-        masks: Dict[int, int] = {}
+        # OR the firing rules into one mask per position (a
+        # :func:`rule_masks` array), listing each position once.  Over
+        # shared storage one slot sits in two classes, the order of the
+        # unions is observable, and it is kept pair-major, the groups in
+        # the order the rules declare them.
+        masks, listed = rule_masks(len(self.fired_in), len(self.fired)), array("i")
         for selection, bit in firing:
-            if not masks:
-                masks = dict.fromkeys(selection, bit)
-                continue
-            get = masks.get
             for i in selection:
-                masks[i] = get(i, 0) | bit
+                if not masks[i]:
+                    listed.append(i)
+                masks[i] |= bit
         touched = array("i")
         mixed: Dict[int, int] = {}
         mixed_get = mixed.get
         merges = attempts = 0
-        for i, mask in sorted(masks.items()) if shared else masks.items():
+        for i in sorted(listed) if shared else listed:
+            mask = masks[i]
             unions = union_memo.get(mask) or layout.unions(mask)
             attempts += len(unions)
             left_cell, right_cell = left_cells[i], right_cells[i]
@@ -725,8 +750,10 @@ class ChaseState:
 
     # -- narrowing a selection --------------------------------------------
 
-    def _select(self, selection, equalities, similarities) -> List[int]:
-        """The positions of ``selection`` whose pair matches one rule's LHS.
+    def _select(self, selection: Sequence[int], equalities, similarities) -> Sequence[int]:
+        """The positions of ``selection`` whose pair matches one rule's LHS
+        (``selection`` itself for an LHS with no atom), a transient list:
+        what the state keeps of it is an ``array('i')``.
 
         Equality is the paper's ``=``: never true on a null
         (:func:`repro.metrics.base.exact_equality`, inlined).
@@ -762,9 +789,9 @@ class ChaseState:
         """Hash-join the two sides' tuples on one equality atom.
 
         The right tuples are indexed by value — nulls and NaN left out,
-        ``=`` is never true on them — as chains through flat lists:
-        ``latest`` names the last right tuple under a value, ``earlier``
-        the one before each.  Returns ``(probes, heads, earlier)`` —
+        ``=`` is never true on them — as chains: ``latest`` names the last
+        right tuple under a value, ``earlier`` (an ``array('i')``) the one
+        before each.  Returns ``(probes, heads, earlier)`` —
         ``probes`` counts the (left, right) tuple hits, what locating them
         costs, and ``heads`` is per left tuple its chain's head — or
         ``None`` when a value cannot be hashed: that atom stays a filter.
@@ -787,7 +814,7 @@ class ChaseState:
         except TypeError:
             return None
         probes = sum(sizes[value] for value, head in zip(ours, heads) if head is not None)
-        return probes, heads, earlier
+        return probes, heads, array("i", earlier)
 
     def _join(self, equalities, size: int):
         """Serve the cheapest of one rule's equality atoms by a hash join,
@@ -813,9 +840,8 @@ class ChaseState:
         if hits is None:
             self.probed += probes
             self.plan.stats.metric_evaluations += probes
-            hits = self._satisfying[atom] = []
-            runs, right_tuples = self.runs, self.right_tuples
-            right_slots, everything = self.right_slots, self.everything
+            hits = self._satisfying[atom] = array("i")
+            runs, right_tuples, right_slots = self.runs, self.right_tuples, self.right_slots
             for position, head in enumerate(heads):
                 if head is None:
                     continue
@@ -824,7 +850,7 @@ class ChaseState:
                     partner = right_tuples[head]
                     at = bisect_left(right_slots, partner, start, end)
                     while at < end and right_slots[at] == partner:
-                        hits.append(everything[at])
+                        hits.append(at)
                         at += 1
                     head = earlier[head]
         return hits, [other for other in equalities if other != atom]
@@ -849,14 +875,15 @@ class ChaseState:
         right_width = len(self.layout.right_names)
         left_slots, right_slots = self.left_slots, self.right_slots
         masks = rule_masks(len(fired_in), len(self.everything))
-        fired, listed = self.fired, self.fresh + self._dirty_pairs()[0]
+        # Positions are fresh only while no round ran, and then none is dirty.
+        listed = self.fresh or self._dirty_pairs()[0]
         with self.plan.tracer.span("stability-check") as span:
             joins = kept = reevaluated = 0
             for index, ((equalities, similarities, _), history) in enumerate(
                 zip(self.layout.rules, fired_in)
             ):
                 bit, lhs = 1 << index, self.layout.reads[index]
-                stale: List[int] = []
+                stale = array("i")
                 if history:
                     lefts, left_at = self._last_lhs_write(
                         self.left_tuples,
@@ -876,12 +903,15 @@ class ChaseState:
                             kept += 1
                         else:
                             stale.append(i)
-                selection = stale + [i for i in listed if not fired[i] & bit]
+                selection = stale + self._unfired(listed, bit)
                 joined = self.dense and self._join(equalities, len(selection))
                 if joined:
                     joins += 1
                     hits, equalities = joined
-                    selection = list(set(selection).intersection(hits))
+                    hit = bytearray(len(masks))
+                    for i in hits:
+                        hit[i] = 1
+                    selection = array("i", compress(selection, map(hit.__getitem__, selection)))
                 reevaluated += len(selection)
                 for i in self._select(selection, equalities, similarities):
                     masks[i] |= bit
@@ -901,8 +931,8 @@ class ChaseState:
         if len(ranks) == 1:
             return last_write, ranks[0]
         start, stop, width = tuples.start, tuples.stop, tuples.step
-        merged = array("i", [0]) * (stop - start)
-        merged[::width] = array("i", map(
+        merged = array(last_write.typecode, [0]) * (stop - start)
+        merged[::width] = array(last_write.typecode, map(
             max, *(last_write[start + rank : stop : width] for rank in ranks)
         ))
         return merged, -start
@@ -913,7 +943,7 @@ class ChaseState:
         pairs whose LHS holds in ``D'``: :attr:`holding_masks` by rule."""
         masks = self.holding_masks
         return [
-            [i for i, mask in enumerate(masks) if mask >> index & 1]
+            list(compress(self.everything, map((1 << index).__and__, masks)))
             for index in range(len(self.fired_in))
         ]
 
@@ -1003,15 +1033,16 @@ class ChaseState:
 
     def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
         """The int of a cell, ``None`` for one outside the encoding (a
-        tuple no pair mentions, or an attribute no rule reads or writes)."""
+        tuple no pair mentions, an attribute no rule reads or writes, or a
+        ``tid`` that is no tuple id: ``False`` or ``0.0`` equals tid 0,
+        and is not it)."""
+        if not is_tid(tid):
+            return None
         if side == LEFT:
             tids, base, ranks = self.left_tids, 0, self.layout.left_rank
         else:
             tids, base, ranks = self.right_tids, self.right_base, self.layout.right_rank
-        try:
-            position = bisect_left(tids, tid)
-        except TypeError:  # not an int: no pair mentions it
-            return None
+        position = bisect_left(tids, tid)
         rank = ranks.get(attribute)
         if position == len(tids) or tids[position] != tid or rank is None:
             return None
@@ -1098,9 +1129,17 @@ class ChaseState:
         homes = self.layout.homes(attribute_pairs)
         if homes is None:
             return array("i")
+        if not homes:
+            return array("i", self.everything)
         root, left_cells, right_cells = self.root, self.left_slots, self.right_cells
-        selection: Sequence[int] = self.everything
-        for left_rank, right_rank in homes:
+        # The first home scans the cell columns in step with the positions.
+        (left_rank, right_rank), *others = homes
+        selection = [
+            i
+            for i, left, right in zip(self.everything, left_cells, right_cells)
+            if root[left + left_rank] == root[right + right_rank]
+        ]
+        for left_rank, right_rank in others:
             selection = [
                 i
                 for i in selection

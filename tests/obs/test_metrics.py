@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ import threading
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import EXACT_CAP
 
 
 class TestPercentile:
@@ -160,6 +162,72 @@ class TestHistogram:
         assert errors == []
         assert histogram.summary()["count"] == 16000
         assert histogram.values == [float(value) for value in range(16000)]
+
+
+    def test_summaries_up_to_the_cap_are_exact_and_the_next_observation_folds(self):
+        """Up to :data:`EXACT_CAP` observations a summary is the exact one
+        — the mean summed over the sorted values, as it always was — and
+        the observation past the cap trades the values for buckets."""
+        rng = random.Random(7)
+        seen = [rng.expovariate(1.0) for _ in range(EXACT_CAP)]
+        histogram = Histogram()
+        for value in seen:
+            histogram.observe(value)
+        ordered = sorted(seen)
+        assert histogram.summary() == {
+            "count": EXACT_CAP,
+            "min": ordered[0],
+            "max": ordered[-1],
+            "mean": sum(ordered) / EXACT_CAP,
+            "p50": percentile(seen, 50.0),
+            "p95": percentile(seen, 95.0),
+            "p99": percentile(seen, 99.0),
+        }
+        assert histogram.buckets is None
+        histogram.observe(1.0)
+        assert histogram.values == [] and histogram.count == EXACT_CAP + 1
+        assert sum(histogram.buckets.values()) == EXACT_CAP + 1
+
+    def test_a_million_observations_hold_at_most_the_cap(self):
+        """A long-running service observes without end: past the cap the
+        histogram holds buckets, not values — at most 128 a power of two
+        its magnitudes span — with count, min, max and mean exact and
+        every percentile within 1/256 of the exact one."""
+        rng = random.Random(7)
+        seen = [rng.lognormvariate(-6.0, 1.5) for _ in range(10**6)]
+        histogram = Histogram()
+        for value in seen:
+            histogram.observe(value)
+        assert len(histogram.values) <= EXACT_CAP
+        binades = math.frexp(max(seen))[1] - math.frexp(min(seen))[1] + 1
+        assert len(histogram.buckets) <= 128 * binades
+        summary = histogram.summary()
+        assert (summary["count"], summary["min"], summary["max"]) == (
+            10**6, min(seen), max(seen)
+        )
+        assert summary["mean"] == pytest.approx(math.fsum(seen) / 10**6, rel=1e-9)
+        for q in (0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0):
+            exact = percentile(seen, q)
+            assert abs(histogram.percentile(q) - exact) <= exact / 256, q
+            if q in (50.0, 95.0, 99.0):
+                assert summary[f"p{q:g}"] == histogram.percentile(q)
+
+    def test_buckets_keep_the_order_of_signs_zero_and_infinities(self):
+        histogram = Histogram()
+        seen = [-math.inf, -1e300, -2.5, -1e-300, 0.0, 5e-324, 3.0, 1e300, math.inf]
+        for value in seen * (EXACT_CAP // len(seen) + 1):
+            histogram.observe(value)
+        assert histogram.buckets is not None
+        # Each value fills ``share`` adjacent ranks: read the middle one.
+        share, ranks = histogram.count // len(seen), histogram.count - 1
+        estimates = [
+            histogram.percentile(100.0 * (k * share + share // 2) / ranks)
+            for k in range(len(seen))
+        ]
+        assert estimates[0] == -math.inf and estimates[-1] == math.inf
+        assert estimates[4] == 0.0
+        for estimate, value in zip(estimates[1:-1], seen[1:-1]):
+            assert abs(estimate - value) <= abs(value) / 256
 
 
 class TestMetricsRegistry:
