@@ -25,11 +25,21 @@ any mode (batch direct, batch enforcement, streaming).  The
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+
+# SHA-256 from CPython's built-in module, which ``hashlib`` itself falls
+# back to: ``hashlib`` loads OpenSSL's libcrypto (~3.5 MB resident) for a
+# digest the fingerprint takes 16 hex digits of.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:  # pragma: no cover - depends on the interpreter
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from repro.core.md import MatchingDependency
 from repro.core.parser import format_md, parse_md
@@ -695,7 +705,7 @@ class ResolutionSpec:
             payload = json.dumps(
                 document, sort_keys=True, separators=(",", ":")
             )
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+            cached = _sha256(payload.encode("utf-8")).hexdigest()[:16]
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

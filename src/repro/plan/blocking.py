@@ -158,9 +158,9 @@ class CandidateSet(Sequence[Pair]):
         # A run starts at 0 and wherever the left tid changes.
         firsts = [0, *compress(count(1), map(ne, islice(lefts, 1, None), lefts))]
         return cls(
-            _extended(array("i"), [lefts[first] for first in firsts]),
-            _extended(array("i"), firsts + [len(ordered)]),
-            _extended(array("i"), [right for _, right in ordered]),
+            int_column([lefts[first] for first in firsts]),
+            int_column(firsts + [len(ordered)]),
+            int_column([right for _, right in ordered]),
         )
 
     def add_run(self, left: int, rights: Sequence[int]) -> None:
@@ -236,6 +236,13 @@ def column_like(column: Sequence[int], values: Iterable[int]) -> Sequence[int]:
     like = column[:0]
     like.extend(values)
     return like
+
+
+def int_column(values: Sequence[int]) -> Sequence[int]:
+    """``values`` in the narrowest column they fit, as the candidate
+    columns are packed: an ``array('i')``, an ``array('q')`` past a C
+    int, a list past 64 bits."""
+    return _extended(array("i"), values)
 
 
 def _extended(column: Sequence[int], values: Sequence[int]) -> Sequence[int]:

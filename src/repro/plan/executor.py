@@ -11,21 +11,25 @@ mention get positions in sorted-tid order, the attributes their ranks in
 the plan's :class:`ChaseLayout`, so int order is ``(side, tid,
 attribute)`` order, and the state holds:
 
-* **classes** — ``root`` / ``size`` / ``next``, three ``array('i')``; a
-  union relabels the smaller class and joins the two rings, once per
-  (pair, RHS group) over the group representative's cells;
+* **classes** — ``root`` / ``size`` / ``next``, three ``array('i')``
+  over the group representatives' cells only (a *class* is ``side_base +
+  position * representatives + k``, the ``k``-th representative rank of
+  the side, :attr:`ChaseLayout.classes`); a union relabels the smaller
+  class and joins the two rings, once per (pair, RHS group);
 * **values** — one working list indexed by slot, projected from the
   instance; over shared storage (``left is right``) a right cell's slot is
   its left twin's;
 * **firings** — per position a rule mask (:func:`rule_masks`), per rule
   the ``(round, positions)`` of every round it fired in;
-* **writes** — per slot the last round that wrote it, and per tuple the
-  ranks the last round wrote: its pairs are *dirty* for every rule whose
-  LHS reads one of them (:attr:`ChaseLayout.reads`).
+* **writes** — per slot the last round that wrote it, and per side and
+  tuple the ranks the last round wrote: its pairs are *dirty* for every
+  rule whose LHS reads one of them (:attr:`ChaseLayout.reads`).
 
 Positions are a ``range`` and every selection of them the state keeps
 or lists an ``array('i')`` (a per-position mask a :func:`rule_masks`
-array): nothing it holds has an int object per pair or per cell.
+array), and so is what a round builds and drops — its write marks per
+tuple, its disagreeing lanes per class: nothing the state keeps or a
+round builds has an int object per pair or per cell.
 
 Each round every rule examines its *pending* positions — the fresh ones
 and the dirty ones it has not fired on — and narrows them atom by atom:
@@ -45,15 +49,15 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import compress
-from operator import ne, or_
+from itertools import chain, compress, islice, repeat
+from operator import floordiv, ne, or_, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import InstancePair, ValueResolver
 from repro.relations.relation import is_tid
 
-from .blocking import CandidateSet
+from .blocking import CandidateSet, column_like, int_column
 
 #: A cell of an instance pair: (side, tuple id, attribute name).
 Cell = Tuple[int, int, str]
@@ -61,11 +65,13 @@ Cell = Tuple[int, int, str]
 
 #: Where a rank's cells live (:attr:`ChaseLayout.left_places`): the
 #: offset from a cell to its group representative's cell, the cell's
-#: lane (the index of its RHS pair in the group), and the group's lanes —
+#: lane (the index of its RHS pair in the group), the group's lanes —
 #: per RHS pair, its ``(left, right)`` rank offsets from the
-#: representative pair.  Outside a group: ``(0, 0, ((0, 0),))``.
-Place = Tuple[int, int, Tuple[Tuple[int, int], ...]]
-_ALONE: Place = (0, 0, ((0, 0),))
+#: representative pair — and the representative's class rank (its index
+#: in the side's :attr:`ChaseLayout.classes`).  A read-only rank, in no
+#: RHS pair: ``(0, 0, ((0, 0),), -1)``, a cell in no class.
+Place = Tuple[int, int, Tuple[Tuple[int, int], ...], int]
+_READ_ONLY: Place = (0, 0, ((0, 0),), -1)
 
 
 class ChaseLayout(NamedTuple):
@@ -84,7 +90,10 @@ class ChaseLayout(NamedTuple):
     (``groups``, each a tuple of rank pairs, its representative first),
     and the chase unions only the representative's cells; every other
     RHS pair — and every one over shared storage, where the order of the
-    unions is observable — is a group of one.  ``writes`` is per rule the
+    unions is observable — is a group of one.  ``classes`` is per side
+    the ranks whose cells a chase keeps classes for, the groups'
+    representatives (ascending; a follower or read-only cell is never
+    unioned, so it is alone in its class).  ``writes`` is per rule the
     bitmask of the groups it writes, ``reads`` per rule the bitmask of
     the cells its LHS reads (bit ``r`` for left rank ``r``, bit
     ``len(left_names) + r`` for right rank ``r``), ``left_places`` /
@@ -103,8 +112,13 @@ class ChaseLayout(NamedTuple):
     reads: Tuple[int, ...]
     left_places: Tuple[Place, ...]
     right_places: Tuple[Place, ...]
-    #: Per side, the ranks of the follower cells (a lane past the first).
-    followers: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    #: Per side, the representative ranks: class rank ``k`` is rank
+    #: ``classes[side][k]``.
+    classes: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    #: Per side and class rank, the lanes of the representative's group.
+    class_lanes: Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]
+    #: The most RHS pairs in one group: the bits of a class's lanes.
+    widest: int
     #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
     union_memo: Dict[int, tuple]
     #: attribute pairs -> :meth:`homes`' answer, filled as they are read.
@@ -154,30 +168,34 @@ class ChaseLayout(NamedTuple):
             << len(left_names)
             for equalities, similarities, _ in lowered
         )
-        left_places = [_ALONE] * len(left_names)
-        right_places = [_ALONE] * len(right_names)
+        classes = tuple(
+            tuple(sorted({pairs[0][side] for pairs in groups})) for side in (0, 1)
+        )
+        left_class, right_class = ({rank: k for k, rank in enumerate(ranks)} for ranks in classes)
+        left_places = [_READ_ONLY] * len(left_names)
+        right_places = [_READ_ONLY] * len(right_names)
         for pairs in groups:
-            if len(pairs) == 1:
-                continue
             (left0, right0) = pairs[0]
             lanes = tuple((left - left0, right - right0) for left, right in pairs)
             for lane, (left, right) in enumerate(pairs):
-                left_places[left] = (left0 - left, lane, lanes)
-                right_places[right] = (right0 - right, lane, lanes)
-        followers = tuple(
-            tuple(rank for rank, (_, lane, _) in enumerate(places) if lane)
-            for places in (left_places, right_places)
+                left_places[left] = (left0 - left, lane, lanes, left_class[left0])
+                right_places[right] = (right0 - right, lane, lanes, right_class[right0])
+        class_lanes = tuple(
+            tuple(places[rank][2] for rank in ranks)
+            for places, ranks in zip((left_places, right_places), classes)
         )
         return cls(
             shared, left_names, right_names, left_rank, right_rank, lowered, groups,
-            writes, reads, tuple(left_places), tuple(right_places), followers, {}, {},
+            writes, reads, tuple(left_places), tuple(right_places), classes,
+            class_lanes, max(map(len, groups), default=1), {}, {},
         )
 
     def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:
         """The unions the rules in ``mask`` (bit ``k`` = rule ``k``) make
-        at one pair: a ``(left rank, right rank, size, lanes)`` per group,
-        the representative's ranks, the group's size and, per further
-        RHS pair, ``(its bit, left offset, right offset)``.  In the order
+        at one pair: a ``(left class rank, right class rank, left rank,
+        right rank, size, lanes)`` per group, the representative's class
+        ranks (:attr:`classes`) and ranks, the group's size and, per
+        further RHS pair, ``(its bit, left offset, right offset)``.  In the order
         the rules and their RHS name the groups — over shared storage the
         order of the unions is observable, and this is the order the
         rules declare.  Memoized per mask."""
@@ -197,19 +215,23 @@ class ChaseLayout(NamedTuple):
                 (1 << lane, left - left0, right - right0)
                 for lane, (left, right) in enumerate(others, 1)
             )
-            unions.append((left0, right0, 1 + len(others), lanes))
+            unions.append((
+                self.left_places[left0][3], self.right_places[right0][3],
+                left0, right0, 1 + len(others), lanes,
+            ))
         found = self.union_memo[mask] = tuple(unions)
         return found
 
     def homes(
         self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """The ``(left rank, right rank)`` cells a pair is read at to tell
-        whether its cells of every given attribute pair were identified:
-        one representative pair per RHS group the attribute pairs fall in.
-        ``None`` when no pair can be — an attribute outside the encoding,
-        or two cells of different lanes, which never share a class.
-        Memoized per attribute pair sequence."""
+        """The ``(left class rank, right class rank)`` classes a pair is
+        read at to tell whether its cells of every given attribute pair
+        were identified: one representative pair per RHS group the
+        attribute pairs fall in.  ``None`` when no pair can be — an
+        attribute outside the encoding, a read-only cell, or two cells of
+        different lanes, which never share a class.  Memoized per
+        attribute pair sequence."""
         key = tuple(attribute_pairs)
         try:
             return self.home_memo[key]
@@ -222,25 +244,22 @@ class ChaseLayout(NamedTuple):
             if left_rank is None or right_rank is None:
                 homes = None
                 break
-            left_offset, lane, _ = self.left_places[left_rank]
-            right_offset, other, _ = self.right_places[right_rank]
-            if lane != other:
+            _, lane, _, left_class = self.left_places[left_rank]
+            _, other, _, right_class = self.right_places[right_rank]
+            if lane != other or left_class < 0 or right_class < 0:
                 homes = None
                 break
-            homes[left_rank + left_offset, right_rank + right_offset] = None
+            homes[left_class, right_class] = None
         found = self.home_memo[key] = None if homes is None else tuple(homes)
         return found
 
-    def place(self, cell: int, right_base: int) -> Place:
-        """Where ``cell`` of a chase whose right cells start at
-        ``right_base`` lives (:data:`Place`)."""
-        if cell < right_base:
-            return self.left_places[cell % len(self.left_names)]
-        return self.right_places[(cell - right_base) % len(self.right_names)]
 
-
-#: A zero of each unsigned array typecode, narrowest first, with its bits.
-_MASK_ZEROS = tuple((array(code).itemsize * 8, array(code, [0])) for code in "BHILQ")
+#: Per bit count up to 64, a zero of the narrowest unsigned array
+#: typecode with that many bits.
+_MASK_ZEROS = tuple(
+    next(zero for zero in map(array, "BHILQ", repeat([0])) if zero.itemsize * 8 >= bits)
+    for bits in range(65)
+)
 
 
 def rule_masks(rule_count: int, count: int) -> Sequence[int]:
@@ -249,13 +268,12 @@ def rule_masks(rule_count: int, count: int) -> Sequence[int]:
     byte a position for up to 8 rules — and in a list beyond 64 rules.
     The chase keeps every ``rule_count``-bit value this way: write marks
     over ranks, round numbers."""
-    for bits, zero in _MASK_ZEROS:
-        if bits >= rule_count:
-            return zero * count
+    if rule_count < len(_MASK_ZEROS):
+        return _MASK_ZEROS[rule_count] * count
     return [0] * count
 
 
-_SENTINEL, _ZERO, _ONE = array("i", [-1]), array("i", [0]), array("i", [1])
+_ZERO, _ONE = array("i", [0]), array("i", [1])
 _BYTE = array("B", [0])
 _BYTES = bytes(range(256))
 #: Where each byte of an ``array('i')`` item sits, least significant first.
@@ -322,12 +340,14 @@ class ChaseState:
     it would write nothing.
 
     The classes are kept over the representative cells of the layout's
-    RHS groups only: a cell of another pair in a group, a *follower*, is
-    never unioned nor walked, so its ``root`` / ``next`` entries are
-    ``-1``, and the tuple-facing reads (:meth:`same`, :meth:`members`,
-    :meth:`classes`) map a cell to its representative and decode at the
-    boundary.  ``root`` is kept flat (a union relabels the smaller
-    class), so a class test is one array comparison.  Over shared storage
+    RHS groups only (:attr:`ChaseLayout.classes`): a cell of another pair
+    in a group, a *follower*, or of an attribute no rule writes is never
+    unioned nor walked, so it has no entry, and the tuple-facing reads
+    (:meth:`same`, :meth:`members`, :meth:`classes`) map a cell to its
+    representative's class and decode at the boundary.  Class ids keep
+    the order of the cells they stand for.  ``root`` is kept flat (a
+    union relabels the smaller class), so a class test is one array
+    comparison.  Over shared storage
     (``left is right``) both sides use one tid and one attribute table; a
     tuple's cell still exists once per side tag — ``right_base`` apart —
     because the chase identifies *qualified* cells.
@@ -368,16 +388,17 @@ class ChaseState:
         lefts, starts, rights = pairs.lefts, pairs.starts, pairs.rights
         left_width = self.left_width = len(layout.left_names)
         right_width = len(layout.right_names)
-        #: Per side, the tids in ascending order.
+        #: Per side, the tids in ascending order: columns as the candidate
+        #: set's are (between two relations ``left_tids`` is its ``lefts``).
         if shared:
-            self.left_tids = self.right_tids = sorted(set(lefts).union(rights))
+            self.left_tids = self.right_tids = int_column(sorted(set(lefts).union(rights)))
         else:
-            self.left_tids, self.right_tids = list(lefts), sorted(set(rights))
+            self.left_tids = lefts
+            self.right_tids = column_like(rights, sorted(set(rights)))
         #: The first right cell; over shared storage also the distance
         #: between a tuple's left cell and its right twin.
         right_base = self.right_base = len(self.left_tids) * left_width
         count = right_base + len(self.right_tids) * right_width
-        left_first = {tid: position * left_width for position, tid in enumerate(self.left_tids)}
         right_first = {
             tid: right_base + position * right_width
             for position, tid in enumerate(self.right_tids)
@@ -385,8 +406,16 @@ class ChaseState:
         #: Per pair, the first cell of its left and of its right tuple; a
         #: left cell is its slot, and so is a right one between two
         #: relations (``right_slots`` is ``right_cells``).
-        self.left_slots = array("i", list(pairs.per_pair(map(left_first.__getitem__, lefts))))
+        if shared:
+            left_first = {
+                tid: position * left_width for position, tid in enumerate(self.left_tids)
+            }
+            left_cells = map(left_first.__getitem__, lefts)
+        else:  # ``lefts`` are the left tuples, in order
+            left_cells = map(left_width.__mul__, range(len(lefts)))
+        self.left_slots = array("i", list(pairs.per_pair(left_cells)))
         self.right_cells = array("i", list(map(right_first.__getitem__, rights)))
+        del right_first
         #: Per side, every tuple's first slot, in tid order.
         self.left_tuples = range(0, right_base, left_width or 1)
         values = instance.left.project(self.left_tids, layout.left_names)
@@ -412,20 +441,16 @@ class ChaseState:
             self.runs = starts
         #: The working values, one per slot.
         self.values = values
-        # Only a representative's cells and read-only ones are ever
-        # unioned or walked; a follower's entries are ``-1``.
-        root = _identity(count)
-        for base, end, width, followers in (
-            (0, right_base, left_width, layout.followers[0]),
-            (right_base, count, right_width, layout.followers[1]),
-        ):
-            if followers:
-                sentinels = _SENTINEL * ((end - base) // width)
-                for rank in followers:
-                    root[base + rank:end:width] = sentinels
-        #: The classes: per cell its root, per root its class's size, and
-        #: per cell the next member of its class's circular ring.
-        self.root, self.size, self.next = root, _ONE * count, root[:]
+        #: Per side, the classes a tuple has (its representative cells):
+        #: the class of a left tuple's ``k``-th one is ``position *
+        #: class_widths[0] + k``, a right one's ``right_class_base`` more.
+        self.class_widths = tuple(map(len, layout.classes))
+        self.right_class_base = len(self.left_tids) * self.class_widths[0]
+        classes = self.right_class_base + len(self.right_tids) * self.class_widths[1]
+        #: The classes: per class its root, per root its class's size, and
+        #: per class the next member of its class's circular ring.
+        self.root = _identity(classes)
+        self.size, self.next = _ONE * classes, self.root[:]
         #: No selection outgrows the pairs: a chase with no more pairs than
         #: tuples (every delta chase of the engine) never considers a join.
         self.dense = len(pairs) > self.tuples
@@ -433,11 +458,14 @@ class ChaseState:
         self.everything = range(len(pairs))
         #: The positions no round has examined yet.
         self.fresh: Sequence[int] = self.everything
-        #: The first slot of every tuple the last round wrote -> a bit per
-        #: rank written; ``written_any`` ORs them as the rules' ``reads``
+        #: Per side and tuple, a bit per rank the last round wrote, at the
+        #: tuple's first slot over the side's width (:func:`rule_masks`
+        #: arrays, one over shared storage; ``None`` while no round since
+        #: the last listing wrote); ``written_tuples`` counts the tuples
+        #: with one, and ``written_any`` ORs them as the rules' ``reads``
         #: count a rank (left ``r``: bit ``r``; right: ``left_width + r``).
-        self.written: Dict[int, int] = {}
-        self.written_any = 0
+        self.written: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+        self.written_tuples = self.written_any = 0
         #: The dirty pairs listed, with their write masks, once per round.
         self._dirty: Optional[Tuple[array, Sequence[int]]] = None
         #: Per position, a bit per rule that fired at it.
@@ -493,6 +521,7 @@ class ChaseState:
                             self._resolve(touched, mixed, resolve_span)
                     else:
                         self.converged = True
+                    del touched, mixed  # the round's: not kept through the next
             stats.chase_rounds += self.rounds
             stats.rule_applications += self.applications
             span.set("rounds", self.rounds)
@@ -549,8 +578,9 @@ class ChaseState:
         self._partners.clear()
         self._satisfying.clear()
         self.fresh = range(0)
-        self.written.clear()
-        self.written_any = 0
+        if self.written_tuples:
+            self.written = None
+            self.written_tuples = self.written_any = 0
         self._dirty = None
         return firing
 
@@ -576,12 +606,18 @@ class ChaseState:
         and their :meth:`_write_marks`; listed once per round on first
         need."""
         if self._dirty is None:
-            written = self.written
-            listed = array("i", compress(self.everything, map(
-                or_,
-                map(written.__contains__, self.left_slots),
-                map(written.__contains__, self.right_slots),
-            )) if written else ())
+            listed = array("i")
+            if self.written_tuples:
+                # A left tuple's mark repeated over its run, a right
+                # tuple's read per pair.
+                (left, right), runs = self.written, self.runs
+                listed.extend(compress(self.everything, map(
+                    or_,
+                    chain.from_iterable(map(repeat, left, map(sub, islice(runs, 1, None), runs))),
+                    map(right.__getitem__, map(floordiv, self.right_slots, repeat(
+                        self.right_tuples.step
+                    ))),
+                )))
             self._dirty = listed, self._write_marks(listed)
         return self._dirty
 
@@ -589,10 +625,15 @@ class ChaseState:
         """Per position, the ranks the last round wrote at its pair's two
         tuples, as bits the way ``ChaseLayout.reads`` counts them (a
         :func:`rule_masks` array of both sides' ranks)."""
-        get, left_slots, right_slots = self.written.get, self.left_slots, self.right_slots
         shift = self.left_width
         marks = rule_masks(shift + len(self.layout.right_names), 0)
-        marks.extend(get(left_slots[i], 0) | get(right_slots[i], 0) << shift for i in positions)
+        if positions:
+            (left, right), left_slots, right_slots = self.written, self.left_slots, self.right_slots
+            left_step, right_step = self.left_tuples.step, self.right_tuples.step
+            marks.extend(
+                left[left_slots[i] // left_step] | right[right_slots[i] // right_step] << shift
+                for i in positions
+            )
         return marks
 
     def _pending_size(self) -> int:
@@ -603,19 +644,22 @@ class ChaseState:
         if self._dirty is not None:
             return size + len(self._dirty[0])
         pairs = len(self.everything)
-        return size + min(pairs, len(self.written) * 2 * pairs // self.tuples)
+        return size + min(pairs, self.written_tuples * 2 * pairs // self.tuples)
 
-    def _unite(self, firing, span) -> Tuple[array, Dict[int, int]]:
-        """Union, once per (pair, RHS group), the representative cells of
-        the groups the firing rules write (``ChaseLayout.unions``).
+    def _unite(self, firing, span) -> Tuple[array, Optional[Sequence[int]]]:
+        """Union, once per (pair, RHS group), the representative classes
+        of the groups the firing rules write (``ChaseLayout.unions``).
         Returns one member of every class a union made, and, between two
-        relations, root -> a bit per lane of its group whose cells may
-        disagree (a class leaves a round's resolution carrying one value,
-        so a union of classes that agree lane by lane stays uniform)."""
+        relations, per class a bit per lane of its group whose cells may
+        disagree (a :func:`rule_masks` array, read at roots: a class
+        leaves a round's resolution carrying one value, so a union of
+        classes that agree lane by lane stays uniform)."""
         layout, values = self.layout, self.values
         shared, union_memo, first = layout.shared, layout.union_memo, self.first_union
         root, size, ring = self.root, self.size, self.next
         left_cells, right_cells, right_base = self.left_slots, self.right_cells, self.right_base
+        left_step, right_step = self.left_tuples.step, self.right_tuples.step
+        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
         # OR the firing rules into one mask per position (a
         # :func:`rule_masks` array), listing each position once.  Over
         # shared storage one slot sits in two classes, the order of the
@@ -628,17 +672,18 @@ class ChaseState:
                     listed.append(i)
                 masks[i] |= bit
         touched = array("i")
-        mixed: Dict[int, int] = {}
-        mixed_get = mixed.get
+        mixed = None if shared else rule_masks(layout.widest, len(root))
         merges = attempts = 0
         for i in sorted(listed) if shared else listed:
             mask = masks[i]
             unions = union_memo.get(mask) or layout.unions(mask)
             attempts += len(unions)
             left_cell, right_cell = left_cells[i], right_cells[i]
-            for left, right, width, lanes in unions:
-                a = root[left_cell + left]
-                b = root[right_cell + right]
+            left_class = left_cell // left_step * left_classes
+            right_class = (right_cell - right_base) // right_step * right_classes + right_class_base
+            for left, right, left_rank, right_rank, width, lanes in unions:
+                a = root[left_class + left]
+                b = root[right_class + right]
                 if a == b:
                     continue
                 if shared:
@@ -648,21 +693,26 @@ class ChaseState:
                             first[new] = self.unions_made
                             self.unions_made += 1
                 else:
-                    bits = mixed_get(a, 0) | mixed_get(b, 0)
-                    if not bits & 1 and values[a] != values[b]:
+                    # A lane of a class not mixed this round is uniform — its
+                    # cells hold equal values, or one NaN object resolved
+                    # into them all — so the pair's own cells compare as
+                    # the two roots would.
+                    bits = mixed[a] | mixed[b]
+                    a_cell, b_cell = left_cell + left_rank, right_cell + right_rank
+                    if not bits & 1 and values[a_cell] != values[b_cell]:
                         bits |= 1
                     for bit, left_offset, right_offset in lanes:
-                        if not bits & bit and values[
-                            a + (left_offset if a < right_base else right_offset)
-                        ] != values[
-                            b + (left_offset if b < right_base else right_offset)
-                        ]:
+                        if not bits & bit and (
+                            values[a_cell + left_offset] != values[b_cell + right_offset]
+                        ):
                             bits |= bit
                 size_a, size_b = size[a], size[b]
                 if size_a < size_b:
                     a, b = b, a
                 if shared:
                     first[a] = min(first[a], first.pop(b))
+                else:
+                    mixed[a] = bits
                 size[a] = size_a + size_b
                 member = b
                 while True:
@@ -671,8 +721,6 @@ class ChaseState:
                     if member == b:
                         break
                 ring[a], ring[b] = ring[b], ring[a]
-                if bits:
-                    mixed[a] = bits
                 touched.append(a)
                 merges += width
         self.applications += merges
@@ -680,20 +728,32 @@ class ChaseState:
         span.set("merges", merges)
         return touched, mixed
 
-    def _resolve(self, touched: array, mixed: Dict[int, int], span) -> None:
+    def _resolve(self, touched: array, mixed: Optional[Sequence[int]], span) -> None:
         """Resolve every class a union this round made that may disagree —
         over shared storage every class ever merged, in the order of its
         first union (the paper's chase, as the reference runs it) — and
         record the writes: what makes pairs dirty for the next round."""
         layout, values = self.layout, self.values
-        shared, root, right_base = layout.shared, self.root, self.right_base
-        left_places, right_places = layout.left_places, layout.right_places
+        shared, root, ring, right_base = layout.shared, self.root, self.next, self.right_base
         left_width, right_width = self.left_width, len(layout.right_names)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
-        written, written_any = self.written, 0
-        written_get, mixed_get = written.get, mixed.get
+        if self.written is None:
+            # A tuple's marks are at its first slot over its side's width:
+            # a right tuple's ``right_base // right_width`` past its number.
+            left_written = rule_masks(left_width, len(self.left_tids))
+            right_written = left_written if shared else rule_masks(
+                right_width, self.right_tuples.stop // right_width
+            )
+            self.written = left_written, right_written
+        else:
+            left_written, right_written = self.written
+        written_any = 0
+        written_tuples = self.written_tuples
         left_bits = 1 | 1 << left_width if shared else 1
-        #: A flag per cell: its class was resolved this round.
+        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
+        left_ranks, right_ranks = layout.classes
+        left_lanes, right_lanes = layout.class_lanes
+        #: A flag per class: it was resolved this round.
         seen = bytearray(len(root))
         repaired = uniform = resolved_classes = 0
         first_union = self.first_union
@@ -704,17 +764,31 @@ class ChaseState:
                 continue
             seen[anchor] = 1
             lanes = (
-                left_places[anchor % left_width]
-                if anchor < right_base
-                else right_places[(anchor - right_base) % right_width]
-            )[2]
-            bits = 1 if shared else mixed_get(anchor, 0)
+                left_lanes[anchor % left_classes]
+                if anchor < right_class_base
+                else right_lanes[(anchor - right_class_base) % right_classes]
+            )
+            bits = 1 if shared else mixed[anchor]
             if not bits:
                 uniform += len(lanes)
                 continue
             # The resolver sees the members in int order, (side, tid,
             # attribute); a lane's members are the representative's, shifted.
-            members = sorted(self.ring(anchor))
+            # The ring walked as cells (:meth:`_class_cell`), then sorted.
+            members, member = [], anchor
+            append = members.append
+            while True:
+                if member < right_class_base:
+                    append(member // left_classes * left_width + left_ranks[member % left_classes])
+                else:
+                    append(
+                        (member - right_class_base) // right_classes * right_width + right_base
+                        + right_ranks[(member - right_class_base) % right_classes]
+                    )
+                member = ring[member]
+                if member == anchor:
+                    break
+            members.sort()
             split = bisect_left(members, right_base)
             for lane, (left_offset, right_offset) in enumerate(lanes):
                 if not bits >> lane & 1:
@@ -736,14 +810,18 @@ class ChaseState:
                         values[slot] = resolved
                         repaired += 1
                         if slot < right_base:
-                            rank = slot % left_width
+                            position, rank = divmod(slot, left_width)
                             written_any |= left_bits << rank
+                            marks = left_written
                         else:
                             rank = (slot - right_base) % right_width
+                            position = (slot - rank) // right_width
                             written_any |= 1 << left_width + rank
-                        tuple_slot = slot - rank
-                        written[tuple_slot] = written_get(tuple_slot, 0) | 1 << rank
-        self.written_any = written_any
+                            marks = right_written
+                        if not marks[position]:
+                            written_tuples += 1
+                        marks[position] |= 1 << rank
+        self.written_any, self.written_tuples = written_any, written_tuples
         span.set("classes", resolved_classes)
         span.set("uniform", uniform)
         span.set("repairs", repaired)
@@ -1057,30 +1135,52 @@ class ChaseState:
         position, rank = divmod(cell - self.right_base, len(layout.right_names))
         return (RIGHT, self.right_tids[position], layout.right_names[rank])
 
-    def ring(self, cell: int) -> List[int]:
-        """The members of ``cell``'s class, from ``cell`` round (unsorted);
-        a follower cell is never unioned, so it is alone in its ring."""
+    def _class_cell(self, klass: int) -> int:
+        """The representative cell ``klass`` stands for."""
+        layout = self.layout
+        if klass < self.right_class_base:
+            position, k = divmod(klass, self.class_widths[0])
+            return position * self.left_width + layout.classes[0][k]
+        position, k = divmod(klass - self.right_class_base, self.class_widths[1])
+        return self.right_base + position * len(layout.right_names) + layout.classes[1][k]
+
+    def _class(self, cell: int) -> Tuple[Optional[int], int]:
+        """The class ``cell`` is read through — its representative's;
+        ``None`` for a read-only cell, alone in its class — and its lane."""
+        if cell < self.right_base:
+            position, rank = divmod(cell, self.left_width)
+            _, lane, _, k = self.layout.left_places[rank]
+            base = position * self.class_widths[0]
+        else:
+            position, rank = divmod(cell - self.right_base, len(self.layout.right_names))
+            _, lane, _, k = self.layout.right_places[rank]
+            base = self.right_class_base + position * self.class_widths[1]
+        return (None if k < 0 else base + k), lane
+
+    def ring(self, klass: int) -> List[int]:
+        """The members of class ``klass``'s class (class ids), from
+        ``klass`` round (unsorted)."""
         ring = self.next
-        members = [cell]
-        member = ring[cell]
-        if member < 0:
-            return members
-        while member != cell:
+        members = [klass]
+        member = ring[klass]
+        while member != klass:
             members.append(member)
             member = ring[member]
         return members
 
-    def _home(self, cell: int) -> Tuple[int, int]:
-        """The representative cell ``cell`` is read through, and its lane."""
-        offset, lane, _ = self.layout.place(cell, self.right_base)
-        return cell + offset, lane
-
-    def _lanes(self, home: int) -> Iterable[List[int]]:
-        """Per lane of ``home``'s group, the (sorted) members of the class
-        the representative class of ``home`` stands for there."""
-        right_base = self.right_base
-        members = sorted(self.ring(home))
-        for left, right in self.layout.place(home, right_base)[2]:
+    def _lanes(self, klass: int) -> Iterable[List[int]]:
+        """Per lane of its group, the (sorted) cells of the class the
+        representative class ``klass`` stands for there."""
+        right_base, right_class_base = self.right_base, self.right_class_base
+        left_classes, right_classes = self.class_widths
+        left_lanes, right_lanes = self.layout.class_lanes
+        lanes = (
+            left_lanes[klass % left_classes]
+            if klass < right_class_base
+            else right_lanes[(klass - right_class_base) % right_classes]
+        )
+        members = [self._class_cell(member) for member in sorted(self.ring(klass))]
+        for left, right in lanes:
             yield [member + (left if member < right_base else right) for member in members]
 
     def same(self, a: Cell, b: Cell) -> bool:
@@ -1091,16 +1191,16 @@ class ChaseState:
         a, b = self.cell(*a), self.cell(*b)
         if a is None or b is None:
             return False
-        (a, lane), (b, other) = self._home(a), self._home(b)
-        return lane == other and self.root[a] == self.root[b]
+        (a, lane), (b, other) = self._class(a), self._class(b)
+        return a is not None and b is not None and lane == other and self.root[a] == self.root[b]
 
     def members(self, cell: Cell) -> Set[Cell]:
         """All cells in the class of ``cell``."""
         encoded = self.cell(*cell)
-        if encoded is None:
+        klass, lane = (None, 0) if encoded is None else self._class(encoded)
+        if klass is None:
             return {cell}
-        home, lane = self._home(encoded)
-        return {self.decode(member) for member in list(self._lanes(home))[lane]}
+        return {self.decode(member) for member in list(self._lanes(klass))[lane]}
 
     def classes(self) -> List[Set[Cell]]:
         """Every merged class with more than one member (a singleton
@@ -1108,9 +1208,9 @@ class ChaseState:
         root, size = self.root, self.size
         return [
             {self.decode(member) for member in members}
-            for cell in range(len(root))
-            if root[cell] == cell and size[cell] > 1
-            for members in self._lanes(cell)
+            for klass in range(len(root))
+            if root[klass] == klass and size[klass] > 1
+            for members in self._lanes(klass)
         ]
 
     def identified(
@@ -1132,20 +1232,34 @@ class ChaseState:
         if not homes:
             return array("i", self.everything)
         root, left_cells, right_cells = self.root, self.left_slots, self.right_cells
-        # The first home scans the cell columns in step with the positions.
-        (left_rank, right_rank), *others = homes
+        left_step, right_step = self.left_tuples.step, self.right_tuples.step
+        (left_classes, right_classes), right_base = self.class_widths, self.right_base
+        # A pair's class at a home is its tuple's first class (the tuple's
+        # number times the side's classes a tuple) plus the home's rank.
+        # The first home scans the cell columns in step with the positions,
+        # its roots read per tuple; a pair it keeps is read at the others
+        # with its classes found once.
+        (left_home, right_home), *others = homes
+        right_class_base = self.right_class_base
+        lefts = root[left_home:right_class_base:left_classes]
+        rights = root[right_class_base + right_home :: right_classes]
         selection = [
             i
             for i, left, right in zip(self.everything, left_cells, right_cells)
-            if root[left + left_rank] == root[right + right_rank]
+            if lefts[left // left_step] == rights[(right - right_base) // right_step]
         ]
-        for left_rank, right_rank in others:
-            selection = [
-                i
-                for i in selection
-                if root[left_cells[i] + left_rank] == root[right_cells[i] + right_rank]
-            ]
-        return array("i", selection)
+        if not others:
+            return array("i", selection)
+        kept = array("i")
+        for i in selection:
+            left = left_cells[i] // left_step * left_classes
+            right = (right_cells[i] - right_base) // right_step * right_classes + right_class_base
+            for left_home, right_home in others:
+                if root[left + left_home] != root[right + right_home]:
+                    break
+            else:
+                kept.append(i)
+        return kept
 
     def matches(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[Tuple[int, int]]:
         """The pairs at :meth:`matching`'s positions — the read-off every

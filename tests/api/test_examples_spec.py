@@ -54,6 +54,36 @@ def test_example_spec_fingerprint_is_pinned():
     assert ResolutionSpec.from_file(SPEC_PATH).fingerprint() == "bb08144399820b1a"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {},
+        {"blocking": {"backend": "hash", "key_length": 2}},
+        {"blocking": {"backend": "sorted-neighborhood", "window": 3, "encode": []}},
+        {"resolution": {"policy": "first-non-null"}},
+        {"execution": {"mode": "direct", "max_rounds": 7}},
+        {"serve": {"port": 9000}, "observability": {"enabled": True}},
+    ],
+)
+def test_the_fingerprint_is_the_sha256_hashlib_gives(edit, monkeypatch):
+    """``fingerprint`` takes SHA-256 from CPython's built-in module
+    (``_sha2`` on 3.12+, ``_sha256`` before), never loading OpenSSL
+    through ``hashlib``: on every spec the digest is ``hashlib``'s."""
+    import hashlib
+
+    from repro.api import spec as spec_module
+
+    document = {**json.loads(SPEC_PATH.read_text()), **edit}
+    builtin = ResolutionSpec.from_dict(document).fingerprint()
+    monkeypatch.setattr(spec_module, "_sha256", hashlib.sha256)
+    assert ResolutionSpec.from_dict(document).fingerprint() == builtin
+    if not edit:
+        assert builtin == "bb08144399820b1a"
+    assert len(builtin) == 16 and int(builtin, 16) >= 0
+    monkeypatch.undo()
+    assert spec_module._sha256.__module__ in ("_sha2", "_sha256")
+
+
 def test_cli_spec_validate_accepts_it(capsys):
     assert main(["spec", "validate", str(SPEC_PATH)]) == 0
     assert "OK:" in capsys.readouterr().out

@@ -6,11 +6,12 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry, percentile
-from repro.obs.metrics import EXACT_CAP
+from repro.obs.metrics import EXACT_CAP, _bucket
 
 
 class TestPercentile:
@@ -228,6 +229,44 @@ class TestHistogram:
         assert estimates[4] == 0.0
         for estimate, value in zip(estimates[1:-1], seen[1:-1]):
             assert abs(estimate - value) <= abs(value) / 256
+
+
+    def test_past_the_cap_every_observation_lands_in_its_bucket(self):
+        """The last-bucket shortcut counts an observation where
+        ``_bucket`` puts it, over a sweep of zeros, both signs, subnormals,
+        bucket edges from either side, the largest floats, infinities and
+        NaN, each observed in runs and alone."""
+        edges = [
+            math.ldexp(0.5 + sub / 256, exponent)
+            for exponent in (-1073, -1022, -1021, -1, 0, 1, 60, 1023, 1024)
+            for sub in (0, 1, 127)
+        ]
+        near = [
+            math.nextafter(edge, direction)
+            for edge in edges
+            for direction in (0.0, math.inf)
+        ]
+        sweep = [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+            sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+            1, 3, 0.37, 0.5, 1e300, -2.5, -1e-300,
+            *edges, *near, *(-value for value in edges + near),
+        ]
+        rng = random.Random(7)
+        runs = [value for value in sweep for _ in range(rng.choice((1, 2, 5)))]
+        shuffled = rng.sample(sweep * 3, len(sweep) * 3)
+        histogram = Histogram()
+        first = [0.5] * (EXACT_CAP + 1)
+        for value in first + runs + shuffled:
+            histogram.observe(value)
+        expected = Counter(map(_bucket, first + runs + shuffled))
+        assert histogram.buckets == expected
+        # Reading the buckets settles the last run once.
+        histogram.observe(0.5)
+        histogram.observe(0.5)
+        expected[_bucket(0.5)] += 2
+        assert histogram.buckets == expected and histogram.buckets == expected
+        assert histogram.count == sum(expected.values())
 
 
 class TestMetricsRegistry:

@@ -1,15 +1,17 @@
-"""Follower cells: the ``-1`` sentinel, the same answers.
+"""Representative classes: only a group representative's cells have one.
 
 Between two relations the chase unions only an RHS group's
 representative cells (:class:`~repro.plan.executor.ChaseLayout`); a cell
 of another pair in the group, a *follower*, is read through its
-representative and never unioned nor walked.  So
-:class:`~repro.plan.executor.ChaseState` leaves a follower's ``root`` /
-``next`` entries ``-1``; only representative and read-only cells carry
-their own.  Everything tuple-facing must answer for every cell what an
-encoding with an entry of its own per cell answers (:class:`IntPerCell`).
-The classes are ``array('i')``: a finished chase holds them in three
-item sizes a cell, and no int object.
+representative and never unioned nor walked, and a cell of an attribute
+no rule writes is never unioned at all.  So
+:class:`~repro.plan.executor.ChaseState` keeps ``root`` / ``size`` /
+``next`` over the representatives' cells only
+(:attr:`ChaseLayout.classes`) and nothing for the other cells.
+Everything tuple-facing must answer for every cell what the naive
+reference chase, with a class of its own per cell, answers.  The classes
+are ``array('i')``: a finished chase holds them in three item sizes a
+representative cell, and no int object.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+
+from reference import reference_chase
 
 from repro.api.spec import VALUE_POLICIES
 from repro.core.md import MatchingDependency
@@ -33,15 +36,6 @@ from repro.datagen.schemas import extended_mds
 from repro.plan import CandidateSet, compile_plan
 from repro.plan.executor import ChaseState, _identity, rule_masks
 from repro.relations.relation import Relation
-
-
-class IntPerCell(ChaseState):
-    """The encoding with an entry of its own per cell, followers included."""
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.root = array("i", range(len(self.root)))
-        self.next = array("i", self.root)
 
 
 @pytest.mark.parametrize(
@@ -57,34 +51,42 @@ def test_the_identity_array_is_the_range_it_stands_for(count):
         assert _identity(count)[0] == 0
 
 
-def _followers(places):
-    return {rank for rank, (_, lane, _) in enumerate(places) if lane}
+def _cells(state):
+    """Every cell of a chase, as ints: both sides' tuples × attributes."""
+    layout = state.layout
+    return range(state.right_base + len(state.right_tids) * len(layout.right_names))
 
 
-def test_followers_hold_the_sentinel_and_every_other_cell_its_own():
+def test_only_the_representatives_cells_have_a_class():
     data = generate_dataset(40, seed=7)
     plan = compile_plan(sigma=extended_mds(data.pair))
     layout = plan.layouts[False]
-    left_followers = _followers(layout.left_places)
-    right_followers = _followers(layout.right_places)
-    # extended_mds: 5 of the 12 ranks of each side follow a representative.
-    assert (len(left_followers), len(layout.left_names)) == (5, 12)
-    assert (len(right_followers), len(layout.right_names)) == (5, 12)
+    # extended_mds: of the 12 ranks of each side 5 follow a representative,
+    # one no rule writes, and the other 6 represent an RHS group.
+    for places, classes in zip((layout.left_places, layout.right_places), layout.classes):
+        followers = {rank for rank, (_, lane, _, _) in enumerate(places) if lane}
+        read_only = {rank for rank, (*_, k) in enumerate(places) if k < 0}
+        assert (len(followers), len(read_only), len(places)) == (5, 1, 12)
+        assert classes == tuple(sorted(set(range(12)) - followers - read_only))
+        for rank, (offset, _, _, k) in enumerate(places):
+            if k >= 0:
+                assert classes[k] == rank + offset
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
     instance = InstancePair(data.pair, data.credit, data.billing)
     cells = ChaseState(plan, instance, CandidateSet.of(pairs), prefer_informative)
     assert {cells.root.typecode, cells.next.typecode, cells.size.typecode} == {"i"}
-    owned = 0
-    for cell, (entry, following) in enumerate(zip(cells.root, cells.next)):
-        side, _, attribute = cells.decode(cell)
-        rank = (layout.left_rank if side == LEFT else layout.right_rank)[attribute]
-        if rank in (left_followers if side == LEFT else right_followers):
-            assert entry == following == -1
-            assert cells.ring(cell) == [cell]
-        else:
-            assert entry == following == cell
-            owned += 1
-    assert owned == 7 * (len(cells.left_tids) + len(cells.right_tids))
+    assert len(cells.root) == 6 * (len(cells.left_tids) + len(cells.right_tids))
+    assert list(cells.root) == list(cells.next) == list(range(len(cells.root)))
+    assert set(cells.size) == {1}
+    # A class stands for one representative cell, in the cells' order.
+    represented = [cells._class_cell(klass) for klass in range(len(cells.root))]
+    assert represented == sorted(represented)
+    for klass, cell in enumerate(represented):
+        assert cells._class(cell) == (klass, 0)
+    # Every other cell is read through its representative's class, or is
+    # in none.
+    classless = [cell for cell in _cells(cells) if cells._class(cell)[0] is None]
+    assert len(classless) == len(cells.left_tids) + len(cells.right_tids)
 
 
 #: Few values, so ``=`` and the metrics hold often.
@@ -106,17 +108,17 @@ def _shared(workload):
     ]
 
 
-def _ring(cells, cell):
-    """``cell``'s ring through ``next``, walked at most ``count`` steps."""
+def _ring(cells, klass):
+    """``klass``'s ring through ``next``, walked at most ``count`` steps."""
     ring, count = cells.next, len(cells.next)
-    members = [cell]
-    member = ring[cell]
+    members = [klass]
+    member = ring[klass]
     for _ in range(count):
-        if member < 0 or member == cell:
+        if member == klass:
             return members
         members.append(member)
         member = ring[member]
-    raise AssertionError(f"the ring of cell {cell} is longer than {count} cells")
+    raise AssertionError(f"the ring of class {klass} is longer than {count} classes")
 
 
 @settings(max_examples=120, deadline=None)
@@ -127,7 +129,7 @@ def _ring(cells, cell):
     st.data(),
     st.sampled_from(sorted(VALUE_POLICIES)),
 )
-def test_follower_cells_answer_as_an_int_per_cell_encoding(
+def test_cells_without_a_class_answer_as_the_reference_chase_does(
     seed, md_count, shared, data, policy
 ):
     # Wide RHSs over few attributes: most rule sets form a multi-pair
@@ -155,46 +157,47 @@ def test_follower_cells_answer_as_an_int_per_cell_encoding(
     event(f"largest RHS group: {max(len(group) for group in layout.groups)}")
     event(f"read-only attributes: {len(layout.left_names) > len(written)}")
 
-    placeheld = plan.enforce(instance, resolver=resolver)
-    with mock.patch("repro.plan.compile.ChaseState", IntPerCell):
-        dense = plan.enforce(instance, resolver=resolver)
-    cells, reference = placeheld, dense
-    assert type(reference) is IntPerCell and type(cells) is ChaseState
-    assert (placeheld.applications, placeheld.repairs) == (
-        dense.applications, dense.repairs
-    )
+    cells = plan.enforce(instance, resolver=resolver)
+    expected = reference_chase(plan.sigma, instance, resolver, None, 100, plan.registry)
+    assert cells.applications == expected.applications
+    assert {frozenset(members) for members in cells.classes()} == expected.classes
+    class_of = {cell: members for members in expected.classes for cell in members}
 
-    count = len(cells.root)
-    assert len(reference.root) == count
-    for cell in range(count):
-        assert _ring(cells, cell) == cells.ring(cell)
-        assert sorted(cells.ring(cell)) == sorted(reference.ring(cell))
-    assert sorted(map(sorted, cells.classes())) == sorted(
-        map(sorted, reference.classes())
-    )
+    root = cells.root
+    for klass in range(len(root)):
+        assert _ring(cells, klass) == cells.ring(klass)
+        assert sorted(cells.ring(klass)) == [
+            other for other in range(len(root)) if root[other] == root[klass]
+        ]
     # Every encoded cell, and one outside the encoding.
-    every = [cells.decode(cell) for cell in range(count)]
+    every = [cells.decode(cell) for cell in _cells(cells)]
     every.append((LEFT, 10_000, pair.left.attribute_names[0]))
     for cell in every:
-        assert cells.members(cell) == reference.members(cell)
+        members = class_of.get(cell, {cell})
+        assert cells.members(cell) == members
         for other in every:
-            assert cells.same(cell, other) == reference.same(cell, other)
+            assert cells.same(cell, other) == (other in members)
+    chased = list(cells.pairs)
     attribute_pairs = [
-        (a, b) for a in pair.left.attribute_names for b in pair.right.attribute_names
+        [(a, b)] for a in pair.left.attribute_names for b in pair.right.attribute_names
     ]
-    for attribute_pair in attribute_pairs:
-        assert cells.matching([attribute_pair]) == reference.matching([attribute_pair])
     for group in layout.groups + (tuple(sum(layout.groups, ())),):
-        names = [(layout.left_names[a], layout.right_names[b]) for a, b in group]
-        assert cells.matching(names) == reference.matching(names)
-        assert cells.matches(names) == reference.matches(names)
+        attribute_pairs.append(
+            [(layout.left_names[a], layout.right_names[b]) for a, b in group]
+        )
+    for names in attribute_pairs:
+        matched = sorted(expected.matches(names))
+        assert [chased[i] for i in cells.matching(names)] == matched
+        assert cells.matches(names) == matched
 
 
-def test_a_finished_chase_holds_its_classes_in_three_item_sizes_a_cell():
+def test_a_finished_chase_holds_its_classes_in_six_bytes_a_cell():
     """``root``, ``next`` and ``size`` of a K=2000 sorted-neighbourhood
     chase (the benchmark's sparse shape) cost what dropping them frees
-    under tracemalloc: 3 × 4 bytes a cell, plus the three array
-    headers.  A list per field costs 8 bytes a cell each, before the int
+    under tracemalloc: 3 × 4 bytes a class, plus the three array headers.
+    Under ``extended_mds`` 6 of a tuple's 12 cells a side represent a
+    group, so that is at most 6 bytes a cell of the chase.  A class per
+    cell costs 12; a list per field 8 bytes a cell each, before the int
     objects its entries point at."""
     from repro.api import Workspace
 
@@ -214,20 +217,19 @@ def test_a_finished_chase_holds_its_classes_in_three_item_sizes_a_cell():
     try:
         result = workspace.plan.enforce(instance, candidate_pairs=candidates)
         result.holding_masks, result.repairs
-        cells = result
-        count = len(cells.root)
+        classes, cells = len(result.root), len(result.values)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        cells.root = cells.next = cells.size = None
+        result.root = result.next = result.size = None
         gc.collect()
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert result.applications > 0 and count > 20_000
+    assert result.applications > 0 and cells > 20_000
     # At least the three buffers, so the drop did release them ...
-    assert freed >= 3 * array("i").itemsize * count
-    # ... and no more than them and their headers.
-    assert freed <= 3 * array("i").itemsize * count + 3 * 128
+    assert freed >= 3 * array("i").itemsize * classes
+    # ... and no more than 6 bytes a chase cell and the headers.
+    assert freed <= 6 * cells + 3 * 128
 
 
 @pytest.mark.parametrize("rules", [0, 1, 8, 9, 16, 17, 32, 33, 64, 65, 200])

@@ -78,6 +78,31 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert probe.stdout.strip() == "False"
 
 
+def test_a_whole_match_leaves_openssl_unloaded():
+    """The spec fingerprint's SHA-256 is CPython's own: a ``repro match
+    --json`` loads no ``_hashlib`` (OpenSSL's libcrypto) from start to
+    end."""
+    root = Path(__file__).resolve().parents[1]
+    data = root / "examples" / "data"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, io, contextlib\n"
+         "from repro.cli import main\n"
+         "out = io.StringIO()\n"
+         "with contextlib.redirect_stdout(out):\n"
+         "    code = main(sys.argv[1:])\n"
+         "print(code, '\"spec_fingerprint\"' in out.getvalue(), "
+         "sorted(m for m in sys.modules if 'hashlib' in m))",
+         "match", "--spec", str(root / "examples" / "spec.json"),
+         "--left", str(data / "credit.csv"), "--right", str(data / "billing.csv"),
+         "--json"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(root / "src")},
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "0 True []"
+
+
 #: Modules ``repro match`` never runs: the store's ``sqlite3`` (and the
 #: ``datetime`` it pulls in), the trace manifest's ``platform``, and the
 #: experiments package (the figures, the Fig. 9 baselines and the
