@@ -18,11 +18,13 @@ interpolating between the neighboring observations.
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: The percentiles every histogram summary reports.
 SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
@@ -41,11 +43,14 @@ _SUB_BUCKETS = 128
 _BIAS = 1074 * _SUB_BUCKETS
 #: The bucket of an infinite magnitude (and of NaN): above every finite one.
 _TOP = 2100 * _SUB_BUCKETS
-#: The smallest positive float: zero's bucket is ``[0.0, _SMALLEST)``.
-_SMALLEST = 5e-324
-#: The ``frexp`` exponents of the buckets whose span :func:`_span` gives:
-#: normal magnitudes below ``2**1023``.
-_NORMAL_EXPONENTS = (-1021, 1023)
+#: Past the cap, the observations kept between folds.  A fold buckets them
+#: together from their bits, about 0.26 µs each against about 0.7 µs for
+#: :func:`_bucket` alone, and holds the lock for about 0.3 ms (2 vCPU,
+#: CPython 3.11).
+_FOLD_EVERY = 1024
+#: A positive normal double's bits over ``2**45`` are its biased exponent
+#: and the top 7 bits of its fraction: its :func:`_bucket` less this.
+_NORMAL_SHIFT = _BIAS - 1022 * _SUB_BUCKETS
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -92,23 +97,6 @@ def _bucket(value: float) -> int:
     return -bucket if value < 0 else bucket
 
 
-def _span(bucket: int) -> Tuple[float, float]:
-    """``[floor, ceiling)``, the values :func:`_bucket` maps to ``bucket``,
-    where both ends are exact: zero's, and a normal positive magnitude's
-    (its ends are ``frexp``'s mantissa bounds scaled by a power of two).
-    Any other bucket's span is given empty, ``(0.0, 0.0)``."""
-    if not bucket:
-        return 0.0, _SMALLEST
-    exponent, sub = divmod(bucket - _BIAS, _SUB_BUCKETS)
-    if not _NORMAL_EXPONENTS[0] <= exponent <= _NORMAL_EXPONENTS[1]:
-        return 0.0, 0.0  # negative, subnormal, at the top, or its end overflows
-    width = 2 * _SUB_BUCKETS
-    return (
-        math.ldexp(0.5 + sub / width, exponent),
-        math.ldexp(0.5 + (sub + 1) / width, exponent),
-    )
-
-
 def _middle(bucket: int) -> float:
     """The middle of a bucket's values (an infinity for the top ones)."""
     magnitude = abs(bucket)
@@ -133,16 +121,15 @@ class Histogram:
     A long-running service observes without end, so the observation past
     the cap folds them all into log buckets (``buckets``: bucket ->
     observations in it, :data:`_SUB_BUCKETS` a binade) and ``values``
-    empties.  From then on count, min, max and mean stay exact (a running
-    sum), and a percentile reads the middle of the bucket holding each
-    rank it interpolates, clamped to ``[min, max]``: within 1/256 (0.4 %)
-    of the exact percentile for observations of one sign.  Successive
-    observations mostly land in one bucket, so the histogram keeps the
-    last bucket's span and a count of the observations in it not yet
-    added: one more in it costs two comparisons, no bucket arithmetic and
-    no dict update.  The buckets grow with the range of magnitudes seen,
-    not their number (at most 128 per power of two; a NaN counts at the
-    top).
+    empties.  From then on ``values`` keeps at most :data:`_FOLD_EVERY`
+    observations, folded when it fills or a summary reads, so an
+    observation costs what it does below the cap plus its share of a
+    fold.  Count, min, max and mean stay exact (a running sum), and a
+    percentile reads the middle of the bucket holding each rank it
+    interpolates, clamped to ``[min, max]``: within 1/256 (0.4 %) of the
+    exact percentile for observations of one sign.  The buckets
+    grow with the range of magnitudes seen, not their number (at most
+    128 per power of two; a NaN counts at the top).
 
     A service also summarises in one thread while the engine observes in
     another, so observing and summarising hold the histogram's lock: no
@@ -150,80 +137,63 @@ class Histogram:
     """
 
     __slots__ = (
-        "values", "_buckets", "_last", "_run", "_floor", "_ceiling",
-        "_count", "_total", "_low", "_high", "_lock",
+        "values", "buckets", "_limit", "_count", "_total", "_low", "_high", "_lock",
     )
 
     def __init__(self) -> None:
         self.values: List[float] = []
-        #: Past the cap, bucket -> observations in it (``_run`` short of
-        #: :attr:`buckets`); ``None`` before.
-        self._buckets: Optional[Dict[int, int]] = None
-        #: Past the cap: the last observation's bucket, the observations in
-        #: it not yet in ``_buckets``, and its :func:`_span`.
-        self._last, self._run, self._floor, self._ceiling = 0, 0, 0.0, 0.0
-        #: Past the cap: the count, sum, min and max of every observation.
+        #: The observations ``values`` holds before they fold.
+        self._limit = EXACT_CAP
+        #: Past the cap, bucket -> folded observations in it; ``None`` before.
+        self.buckets: Optional[Counter[int]] = None
+        #: Past the cap: the count, sum, min and max of the folded observations.
         self._count, self._total, self._low, self._high = 0, 0.0, math.inf, -math.inf
         self._lock = threading.Lock()
 
-    @property
-    def buckets(self) -> Optional[Dict[int, int]]:
-        """Past the cap, bucket -> observations in it; ``None`` before."""
-        with self._lock:
-            return self._settled()
-
-    def _settled(self) -> Optional[Dict[int, int]]:
-        """``_buckets`` with the last bucket's run added (lock held)."""
-        buckets = self._buckets
-        if self._run:
-            buckets[self._last] = buckets.get(self._last, 0) + self._run
-            self._run = 0
-        return buckets
-
     def observe(self, value: float) -> None:
         with self._lock:
-            if self._buckets is None:
-                values = self.values
-                values.append(float(value))
-                if len(values) > EXACT_CAP:
-                    self._fold()
-                return
-            value = float(value)
-            if self._floor <= value < self._ceiling:
-                self._run += 1
-            else:
-                self._settled()
-                bucket = self._last = _bucket(value)
-                self._run = 1
-                self._floor, self._ceiling = _span(bucket)
-            self._count += 1
-            self._total += value
-            if value < self._low:
-                self._low = value
-            if value > self._high:
-                self._high = value
+            values = self.values
+            values.append(float(value))
+            if len(values) > self._limit:
+                self._fold()
 
     def _fold(self) -> None:
-        """Trade the kept observations for their buckets."""
+        """Add the kept observations to the buckets, count, sum, min and
+        max (lock held); ``values`` empties."""
         values = self.values
-        self._buckets = dict(Counter(map(_bucket, values)))
-        self._count, self._total = len(values), sum(values)
-        self._low, self._high = min(values), max(values)
+        if not values:
+            return
+        if self.buckets is None:
+            self.buckets = Counter()
+        total = sum(values)
+        if min(values) >= sys.float_info.min and total < math.inf:
+            # Every one is positive, normal and finite (a NaN or an
+            # infinity makes ``total`` fail): bucket them from their bits.
+            words = array("q", array("d", values).tobytes())
+            self.buckets.update([(word >> 45) + _NORMAL_SHIFT for word in words])
+        else:
+            self.buckets.update(map(_bucket, values))
+        self._count += len(values)
+        self._total += total
+        self._low = min(self._low, *values)
+        self._high = max(self._high, *values)
         self.values = []
+        self._limit = _FOLD_EVERY
 
     @property
     def count(self) -> int:
-        return len(self.values) if self._buckets is None else self._count
+        return self._count + len(self.values)
 
     def percentile(self, q: float) -> float:
         with self._lock:
-            if self._buckets is not None:
+            if self.buckets is not None:
+                self._fold()
                 return self._bucket_percentile(q)
             self.values.sort()
             return _sorted_percentile(self.values, q)
 
     def _bucket_percentile(self, q: float) -> float:
-        buckets, low, high = self._settled(), self._low, self._high
+        buckets, low, high = self.buckets, self._low, self._high
         ordered = sorted(buckets)
         ends = list(accumulate(map(buckets.__getitem__, ordered)))
 
@@ -235,7 +205,8 @@ class Histogram:
     def summary(self) -> Dict[str, float]:
         """count/min/max/mean plus p50/p95/p99, JSON-ready."""
         with self._lock:
-            if self._buckets is not None:
+            if self.buckets is not None:
+                self._fold()
                 out: Dict[str, float] = {
                     "count": self._count,
                     "min": self._low,

@@ -51,7 +51,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import floordiv, ne, or_, sub
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import InstancePair, ValueResolver
@@ -64,14 +64,13 @@ Cell = Tuple[int, int, str]
 
 
 #: Where a rank's cells live (:attr:`ChaseLayout.left_places`): the
-#: offset from a cell to its group representative's cell, the cell's
-#: lane (the index of its RHS pair in the group), the group's lanes —
-#: per RHS pair, its ``(left, right)`` rank offsets from the
+#: cell's lane (the index of its RHS pair in its group), the group's
+#: lanes — per RHS pair, its ``(left, right)`` rank offsets from the
 #: representative pair — and the representative's class rank (its index
 #: in the side's :attr:`ChaseLayout.classes`).  A read-only rank, in no
-#: RHS pair: ``(0, 0, ((0, 0),), -1)``, a cell in no class.
-Place = Tuple[int, int, Tuple[Tuple[int, int], ...], int]
-_READ_ONLY: Place = (0, 0, ((0, 0),), -1)
+#: RHS pair: ``(0, ((0, 0),), -1)``, a cell in no class.
+Place = Tuple[int, Tuple[Tuple[int, int], ...], int]
+_READ_ONLY: Place = (0, ((0, 0),), -1)
 
 
 class ChaseLayout(NamedTuple):
@@ -178,10 +177,10 @@ class ChaseLayout(NamedTuple):
             (left0, right0) = pairs[0]
             lanes = tuple((left - left0, right - right0) for left, right in pairs)
             for lane, (left, right) in enumerate(pairs):
-                left_places[left] = (left0 - left, lane, lanes, left_class[left0])
-                right_places[right] = (right0 - right, lane, lanes, right_class[right0])
+                left_places[left] = (lane, lanes, left_class[left0])
+                right_places[right] = (lane, lanes, right_class[right0])
         class_lanes = tuple(
-            tuple(places[rank][2] for rank in ranks)
+            tuple(places[rank][1] for rank in ranks)
             for places, ranks in zip((left_places, right_places), classes)
         )
         return cls(
@@ -216,7 +215,7 @@ class ChaseLayout(NamedTuple):
                 for lane, (left, right) in enumerate(others, 1)
             )
             unions.append((
-                self.left_places[left0][3], self.right_places[right0][3],
+                self.left_places[left0][2], self.right_places[right0][2],
                 left0, right0, 1 + len(others), lanes,
             ))
         found = self.union_memo[mask] = tuple(unions)
@@ -244,8 +243,8 @@ class ChaseLayout(NamedTuple):
             if left_rank is None or right_rank is None:
                 homes = None
                 break
-            _, lane, _, left_class = self.left_places[left_rank]
-            _, other, _, right_class = self.right_places[right_rank]
+            lane, _, left_class = self.left_places[left_rank]
+            other, _, right_class = self.right_places[right_rank]
             if lane != other or left_class < 0 or right_class < 0:
                 homes = None
                 break
@@ -734,7 +733,7 @@ class ChaseState:
         first union (the paper's chase, as the reference runs it) — and
         record the writes: what makes pairs dirty for the next round."""
         layout, values = self.layout, self.values
-        shared, root, ring, right_base = layout.shared, self.root, self.next, self.right_base
+        shared, root, right_base = layout.shared, self.root, self.right_base
         left_width, right_width = self.left_width, len(layout.right_names)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
         if self.written is None:
@@ -750,9 +749,7 @@ class ChaseState:
         written_any = 0
         written_tuples = self.written_tuples
         left_bits = 1 | 1 << left_width if shared else 1
-        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
-        left_ranks, right_ranks = layout.classes
-        left_lanes, right_lanes = layout.class_lanes
+        group_lanes, ring_cells = self._group_lanes, self._ring_cells()
         #: A flag per class: it was resolved this round.
         seen = bytearray(len(root))
         repaired = uniform = resolved_classes = 0
@@ -763,31 +760,14 @@ class ChaseState:
             if seen[anchor]:
                 continue
             seen[anchor] = 1
-            lanes = (
-                left_lanes[anchor % left_classes]
-                if anchor < right_class_base
-                else right_lanes[(anchor - right_class_base) % right_classes]
-            )
+            lanes = group_lanes(anchor)
             bits = 1 if shared else mixed[anchor]
             if not bits:
                 uniform += len(lanes)
                 continue
             # The resolver sees the members in int order, (side, tid,
             # attribute); a lane's members are the representative's, shifted.
-            # The ring walked as cells (:meth:`_class_cell`), then sorted.
-            members, member = [], anchor
-            append = members.append
-            while True:
-                if member < right_class_base:
-                    append(member // left_classes * left_width + left_ranks[member % left_classes])
-                else:
-                    append(
-                        (member - right_class_base) // right_classes * right_width + right_base
-                        + right_ranks[(member - right_class_base) % right_classes]
-                    )
-                member = ring[member]
-                if member == anchor:
-                    break
+            members = ring_cells(anchor)
             members.sort()
             split = bisect_left(members, right_base)
             for lane, (left_offset, right_offset) in enumerate(lanes):
@@ -1105,8 +1085,8 @@ class ChaseState:
     # -- the cells, tuple-facing ------------------------------------------
     #
     # Only a group representative's cells are ever unioned: a cell of
-    # another pair in its group is read through the representative's cell
-    # of its tuple (``offset`` away), and a representative class stands
+    # another pair in its group is read through its tuple's class of the
+    # representative (:meth:`_class`), and a representative class stands
     # for one class per lane — its members shifted by the lane's offsets.
 
     def cell(self, side: int, tid: int, attribute: str) -> Optional[int]:
@@ -1135,52 +1115,57 @@ class ChaseState:
         position, rank = divmod(cell - self.right_base, len(layout.right_names))
         return (RIGHT, self.right_tids[position], layout.right_names[rank])
 
-    def _class_cell(self, klass: int) -> int:
-        """The representative cell ``klass`` stands for."""
-        layout = self.layout
+    def _ring_cells(self) -> Callable[[int], List[int]]:
+        """The decoder of the classes: from a class, the representative
+        cells of its class, walked from it round its ring (unsorted; class
+        order is cell order).  Class ``position * class_widths[side] + k``
+        (a right one ``right_class_base`` more) is rank
+        ``classes[side][k]`` of the side's tuple ``position``."""
+        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
+        left_ranks, right_ranks = self.layout.classes
+        left_width, right_width = self.left_width, len(self.layout.right_names)
+        right_base, ring = self.right_base, self.next
+
+        def ring_cells(klass: int) -> List[int]:
+            cells, member = [], klass
+            append = cells.append
+            while True:
+                if member < right_class_base:
+                    append(member // left_classes * left_width + left_ranks[member % left_classes])
+                else:
+                    position, k = divmod(member - right_class_base, right_classes)
+                    append(right_base + position * right_width + right_ranks[k])
+                member = ring[member]
+                if member == klass:
+                    return cells
+
+        return ring_cells
+
+    def _group_lanes(self, klass: int) -> tuple:
+        """The lanes of the group whose representative class is ``klass``."""
         if klass < self.right_class_base:
-            position, k = divmod(klass, self.class_widths[0])
-            return position * self.left_width + layout.classes[0][k]
-        position, k = divmod(klass - self.right_class_base, self.class_widths[1])
-        return self.right_base + position * len(layout.right_names) + layout.classes[1][k]
+            return self.layout.class_lanes[0][klass % self.class_widths[0]]
+        return self.layout.class_lanes[1][(klass - self.right_class_base) % self.class_widths[1]]
 
     def _class(self, cell: int) -> Tuple[Optional[int], int]:
         """The class ``cell`` is read through — its representative's;
         ``None`` for a read-only cell, alone in its class — and its lane."""
         if cell < self.right_base:
             position, rank = divmod(cell, self.left_width)
-            _, lane, _, k = self.layout.left_places[rank]
+            lane, _, k = self.layout.left_places[rank]
             base = position * self.class_widths[0]
         else:
             position, rank = divmod(cell - self.right_base, len(self.layout.right_names))
-            _, lane, _, k = self.layout.right_places[rank]
+            lane, _, k = self.layout.right_places[rank]
             base = self.right_class_base + position * self.class_widths[1]
         return (None if k < 0 else base + k), lane
-
-    def ring(self, klass: int) -> List[int]:
-        """The members of class ``klass``'s class (class ids), from
-        ``klass`` round (unsorted)."""
-        ring = self.next
-        members = [klass]
-        member = ring[klass]
-        while member != klass:
-            members.append(member)
-            member = ring[member]
-        return members
 
     def _lanes(self, klass: int) -> Iterable[List[int]]:
         """Per lane of its group, the (sorted) cells of the class the
         representative class ``klass`` stands for there."""
-        right_base, right_class_base = self.right_base, self.right_class_base
-        left_classes, right_classes = self.class_widths
-        left_lanes, right_lanes = self.layout.class_lanes
-        lanes = (
-            left_lanes[klass % left_classes]
-            if klass < right_class_base
-            else right_lanes[(klass - right_class_base) % right_classes]
-        )
-        members = [self._class_cell(member) for member in sorted(self.ring(klass))]
-        for left, right in lanes:
+        right_base = self.right_base
+        members = sorted(self._ring_cells()(klass))
+        for left, right in self._group_lanes(klass):
             yield [member + (left if member < right_base else right) for member in members]
 
     def same(self, a: Cell, b: Cell) -> bool:

@@ -7,6 +7,7 @@ checked-in Fig. 1 data, each run compiling its plan exactly once
 must at least import: nothing else runs them.
 """
 
+import importlib.util
 import json
 import runpy
 import subprocess
@@ -81,7 +82,8 @@ def test_the_fingerprint_is_the_sha256_hashlib_gives(edit, monkeypatch):
         assert builtin == "bb08144399820b1a"
     assert len(builtin) == 16 and int(builtin, 16) >= 0
     monkeypatch.undo()
-    assert spec_module._sha256.__module__ in ("_sha2", "_sha256")
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert spec_module._sha256.__module__ in ("_sha2", "_sha256")
 
 
 def test_cli_spec_validate_accepts_it(capsys):

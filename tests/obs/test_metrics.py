@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry, percentile
-from repro.obs.metrics import EXACT_CAP, _bucket
+from repro.obs.metrics import _FOLD_EVERY, EXACT_CAP, _bucket
 
 
 class TestPercentile:
@@ -232,10 +232,11 @@ class TestHistogram:
 
 
     def test_past_the_cap_every_observation_lands_in_its_bucket(self):
-        """The last-bucket shortcut counts an observation where
-        ``_bucket`` puts it, over a sweep of zeros, both signs, subnormals,
-        bucket edges from either side, the largest floats, infinities and
-        NaN, each observed in runs and alone."""
+        """A fold counts an observation where ``_bucket`` puts it, from its
+        bits or one by one: over folds of positive normal magnitudes, of
+        those with infinities and NaN, of small ones with subnormals,
+        and of a sweep of zeros, both signs, subnormals, bucket edges from
+        either side and the largest floats."""
         edges = [
             math.ldexp(0.5 + sub / 256, exponent)
             for exponent in (-1073, -1022, -1021, -1, 0, 1, 60, 1023, 1024)
@@ -252,21 +253,26 @@ class TestHistogram:
             1, 3, 0.37, 0.5, 1e300, -2.5, -1e-300,
             *edges, *near, *(-value for value in edges + near),
         ]
+        # Positive normal magnitudes whose folds' sums stay finite.
+        normal = [value for value in sweep if sys.float_info.min <= value < 2.0**1000]
         rng = random.Random(7)
-        runs = [value for value in sweep for _ in range(rng.choice((1, 2, 5)))]
-        shuffled = rng.sample(sweep * 3, len(sweep) * 3)
+        stream = (
+            [0.5] * (EXACT_CAP + 1)
+            + rng.choices(normal, k=2 * _FOLD_EVERY)
+            + rng.choices(normal + [math.inf, math.nan], k=2 * _FOLD_EVERY)
+            + rng.choices([value for value in sweep if 0 < value < 1], k=2 * _FOLD_EVERY)
+            + rng.choices(sweep, k=2 * _FOLD_EVERY)
+        )
         histogram = Histogram()
-        first = [0.5] * (EXACT_CAP + 1)
-        for value in first + runs + shuffled:
+        for value in stream:
             histogram.observe(value)
-        expected = Counter(map(_bucket, first + runs + shuffled))
-        assert histogram.buckets == expected
-        # Reading the buckets settles the last run once.
-        histogram.observe(0.5)
-        histogram.observe(0.5)
-        expected[_bucket(0.5)] += 2
-        assert histogram.buckets == expected and histogram.buckets == expected
-        assert histogram.count == sum(expected.values())
+        assert 0 < len(histogram.values) <= _FOLD_EVERY
+        summary = histogram.summary()  # folds the rest
+        assert histogram.values == []
+        assert histogram.buckets == Counter(map(_bucket, stream))
+        assert (summary["count"], summary["min"], summary["max"]) == (
+            len(stream), -math.inf, math.inf
+        )
 
 
 class TestMetricsRegistry:

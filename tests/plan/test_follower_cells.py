@@ -64,13 +64,17 @@ def test_only_the_representatives_cells_have_a_class():
     # extended_mds: of the 12 ranks of each side 5 follow a representative,
     # one no rule writes, and the other 6 represent an RHS group.
     for places, classes in zip((layout.left_places, layout.right_places), layout.classes):
-        followers = {rank for rank, (_, lane, _, _) in enumerate(places) if lane}
+        followers = {rank for rank, (lane, _, _) in enumerate(places) if lane}
         read_only = {rank for rank, (*_, k) in enumerate(places) if k < 0}
         assert (len(followers), len(read_only), len(places)) == (5, 1, 12)
         assert classes == tuple(sorted(set(range(12)) - followers - read_only))
-        for rank, (offset, _, _, k) in enumerate(places):
-            if k >= 0:
-                assert classes[k] == rank + offset
+    # A rank's class rank is its group representative's.
+    for pairs in layout.groups:
+        for side, (places, classes) in enumerate(
+            zip((layout.left_places, layout.right_places), layout.classes)
+        ):
+            for pair in pairs:
+                assert classes[places[pair[side]][2]] == pairs[0][side]
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
     instance = InstancePair(data.pair, data.credit, data.billing)
     cells = ChaseState(plan, instance, CandidateSet.of(pairs), prefer_informative)
@@ -79,7 +83,8 @@ def test_only_the_representatives_cells_have_a_class():
     assert list(cells.root) == list(cells.next) == list(range(len(cells.root)))
     assert set(cells.size) == {1}
     # A class stands for one representative cell, in the cells' order.
-    represented = [cells._class_cell(klass) for klass in range(len(cells.root))]
+    ring_cells = cells._ring_cells()
+    represented = [ring_cells(klass)[0] for klass in range(len(cells.root))]
     assert represented == sorted(represented)
     for klass, cell in enumerate(represented):
         assert cells._class(cell) == (klass, 0)
@@ -165,8 +170,7 @@ def test_cells_without_a_class_answer_as_the_reference_chase_does(
 
     root = cells.root
     for klass in range(len(root)):
-        assert _ring(cells, klass) == cells.ring(klass)
-        assert sorted(cells.ring(klass)) == [
+        assert sorted(_ring(cells, klass)) == [
             other for other in range(len(root)) if root[other] == root[klass]
         ]
     # Every encoded cell, and one outside the encoding.

@@ -861,8 +861,9 @@ def test_int_order_is_cell_order(left_tids, right_tids, data):
         VALUE_POLICIES["first-non-null"], pairs=pairs,
     )
     cells = result
+    ring_cells = cells._ring_cells()
     for root in set(cells.root):
-        members = [cells.decode(member) for member in sorted(cells.ring(root))]
+        members = [cells.decode(cell) for cell in sorted(ring_cells(root))]
         assert members == sorted(members)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import importlib.util
 import json
 import sqlite3
 import subprocess
@@ -78,6 +79,10 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert probe.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module: the fingerprint falls back to hashlib",
+)
 def test_a_whole_match_leaves_openssl_unloaded():
     """The spec fingerprint's SHA-256 is CPython's own: a ``repro match
     --json`` loads no ``_hashlib`` (OpenSSL's libcrypto) from start to
