@@ -47,7 +47,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, eq, ne, sub
+from operator import eq, ne, sub
 from typing import (
     Callable,
     Dict,
@@ -73,7 +73,8 @@ T = TypeVar("T")
 #: A candidate pair: (left tuple id, right tuple id).
 Pair = Tuple[int, int]
 
-#: Derives a blocking/sorting key from a row.
+#: Derives a blocking/sorting key from a row (an :class:`AttributeKey`
+#: is one, and also reads a relation's columns).
 RowKey = Callable[[Row], object]
 
 #: Per-attribute value encoders applied before keying.
@@ -89,13 +90,6 @@ _RIGHT = 1
 #: One ranked element of a sorted run: (sort key, side marker, tuple id).
 Entry = Tuple[Tuple[str, ...], int, int]
 
-#: One pass of :func:`emit_unions`: a left row's lookup key, and the
-#: lookup from it to that pass's ascending right tids.
-PartnerTable = Tuple[
-    Callable[[Row], Hashable], Callable[[Hashable], Optional[Sequence[int]]]
-]
-
-_tid = attrgetter("tid")
 
 
 class CandidateSet(Sequence[Pair]):
@@ -259,49 +253,80 @@ def _extended(column: Sequence[int], values: Sequence[int]) -> Sequence[int]:
     return column
 
 
+class AttributeKey:
+    """A blocking/sorting key: the tuple of a record's (encoded) values of
+    ``attributes``, a null keyed as ``""`` (then encoded), so nulls share
+    a block.
+
+    One key, two readers: called on a row (``key(row)``, the streaming
+    path: one record at a time) or run over a relation's columns
+    (:meth:`over`, the batch path: one pass over each keyed column).
+    ``str`` stands in for "no encoder": it returns a str argument itself.
+    """
+
+    __slots__ = ("attributes", "_fields")
+
+    def __init__(
+        self,
+        attributes: Sequence[str],
+        encoders: Optional[Sequence[Optional[Encoder]]] = None,
+    ) -> None:
+        if encoders is not None and len(encoders) != len(attributes):
+            raise ValueError("encoders must align with attributes")
+        self.attributes = tuple(attributes)
+        #: Per attribute, ``(name, value -> key component)``.
+        self._fields = tuple(
+            (attribute, _component(encoder or str))
+            for attribute, encoder in zip(self.attributes, encoders or repeat(None))
+        )
+
+    def __call__(self, row: Row) -> Tuple[str, ...]:
+        return tuple([component(row[attribute]) for attribute, component in self._fields])
+
+    def over(self, relation: Relation, positions: Iterable[int]) -> Iterator[Tuple[str, ...]]:
+        """The keys of ``relation``'s records at ``positions`` (a
+        re-iterable, :meth:`Relation.by_tid`'s), in that order."""
+        return zip(*self.columns(relation, positions))
+
+    def columns(self, relation: Relation, positions: Iterable[int]) -> List[Iterator[str]]:
+        """Per keyed attribute, its key components at ``positions``, as an
+        iterator: the keys of :meth:`over`, column by column."""
+        return [
+            map(component, map(relation.column(attribute).__getitem__, positions))
+            for attribute, component in self._fields
+        ]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"AttributeKey({list(self.attributes)})"
+
+
+def _component(encoder: Encoder) -> Callable[[object], str]:
+    """A value's key component under ``encoder``."""
+
+    def component(value: object) -> str:
+        return encoder("" if value is None else str(value))
+
+    return component
+
+
 def attribute_key(
     attributes: Sequence[str],
     encoders: Optional[Sequence[Optional[Encoder]]] = None,
-) -> RowKey:
-    """A key function concatenating (encoded) attribute values.
+) -> AttributeKey:
+    """A key concatenating (encoded) attribute values.
 
     ``encoders[i]`` (when given) transforms the i-th attribute's value —
-    e.g. :func:`~repro.metrics.soundex.soundex` for names.  A null is
-    keyed as ``""`` (then encoded), so nulls share a block.
+    e.g. :func:`~repro.metrics.soundex.soundex` for names.
 
     >>> key = attribute_key(["LN"], [soundex])
     >>> # rows with phonetically equal last names collide
     """
-    if encoders is not None and len(encoders) != len(attributes):
-        raise ValueError("encoders must align with attributes")
-    # Every row of every pass is keyed here: one closure per shape and no
-    # per-row generator.  ``str`` stands in for "no encoder": it returns
-    # a str argument itself.
-    fields = [
-        (attribute, encoder or str)
-        for attribute, encoder in zip(attributes, encoders or repeat(None))
-    ]
-    if len(fields) == 1:
-        ((attribute, encoder),) = fields
-
-        def derive_one(row: Row) -> Tuple[str, ...]:
-            value = row[attribute]
-            return (encoder("" if value is None else str(value)),)
-
-        return derive_one
-
-    def derive(row: Row) -> Tuple[str, ...]:
-        return tuple([
-            encoder("" if (value := row[attribute]) is None else str(value))
-            for attribute, encoder in fields
-        ])
-
-    return derive
+    return AttributeKey(attributes, encoders)
 
 
 def pair_keys(
     pairs: Sequence[Tuple[str, str]], encode_attributes: Iterable[str]
-) -> Tuple[RowKey, RowKey]:
+) -> Tuple[AttributeKey, AttributeKey]:
     """The left and right key functions of one pass over attribute pairs.
 
     A pair is Soundex-encoded on both sides when either of its names is
@@ -355,24 +380,24 @@ def leading_attribute_pairs(
 
 
 def emit_unions(
-    left_rows: Iterable[Row], tables: Sequence[PartnerTable]
+    left_tids: Iterable[int], tables: Sequence[Iterable[Optional[Sequence[int]]]]
 ) -> CandidateSet:
-    """Each left row, in the order given, paired with the sorted union of
-    its partner lists: the emission both blocking families share.
+    """Each left tuple, in the order given, paired with the sorted union
+    of its partner lists: the emission both blocking families share.
 
-    A table is ``(key, lookup)``: ``lookup(key(row))`` is ``row``'s
+    A table is one pass: per left tuple of ``left_tids``, in step, its
     ascending list of right tids in that pass, or ``None``/empty.  Given
-    the rows in tid order, each row with a partner is one run of the
+    the tids ascending, each tuple with a partner is one run of the
     :class:`CandidateSet`, every pair once and ascending by construction:
     no pair tuple, no set of them, no global sort.
     """
     candidates = CandidateSet()
-    for row in left_rows:
-        hits = [bucket for key, lookup in tables if (bucket := lookup(key(row)))]
+    for tid, buckets in zip(left_tids, zip(*tables)):
+        hits = [bucket for bucket in buckets if bucket]
         if hits:
             # One bucket is ascending already; several are unioned.
             candidates.add_run(
-                row.tid, hits[0] if len(hits) == 1 else sorted(set().union(*hits))
+                tid, hits[0] if len(hits) == 1 else sorted(set().union(*hits))
             )
     return candidates
 
@@ -380,29 +405,31 @@ def emit_unions(
 def _union_candidates(
     left: Relation,
     right: Relation,
-    passes: Sequence[Tuple[RowKey, RowKey]],
+    passes: Sequence[Tuple[AttributeKey, AttributeKey]],
 ) -> CandidateSet:
     """The hash loop: cross-relation pairs sharing a bucket in some pass.
 
-    Per pass the right rows are bucketed by key in tid order, so every
-    bucket is ascending; :func:`emit_unions` then walks the left rows in
-    tid order.
+    Per pass the right tids are bucketed by key in tid order, so every
+    bucket is ascending; :func:`emit_unions` then walks the left tuples
+    in tid order, each pass's left keys derived as it goes.  Keys come
+    off the columns (:meth:`AttributeKey.over`): no row is read.
     """
-    right_rows = sorted(right, key=_tid)
+    right_tids, right_positions = right.by_tid()
+    left_tids, left_positions = left.by_tid()
     tables = []
     for left_key, right_key in passes:
         buckets: Dict[Hashable, List[int]] = {}
-        for row in right_rows:
-            buckets.setdefault(right_key(row), []).append(row.tid)
-        tables.append((left_key, buckets.get))
-    return emit_unions(sorted(left, key=_tid), tables)
+        for tid, key in zip(right_tids, right_key.over(right, right_positions)):
+            buckets.setdefault(key, []).append(tid)
+        tables.append(map(buckets.get, left_key.over(left, left_positions)))
+    return emit_unions(left_tids, tables)
 
 
 def hash_candidates(
     left: Relation,
     right: Relation,
-    left_key: RowKey,
-    right_key: RowKey,
+    left_key: AttributeKey,
+    right_key: AttributeKey,
 ) -> CandidateSet:
     """Candidate pairs: all cross-relation pairs sharing a block key,
     ascending by ``(left_tid, right_tid)``."""

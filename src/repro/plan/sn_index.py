@@ -33,15 +33,16 @@ were never going to satisfy an RCK built from those comparisons.
 
 A batch :meth:`~WindowedSNIndex.candidates` call is the hash loop of
 :mod:`repro.plan.blocking` run on each pass's leading encoded key.  Every
-row is keyed once (pass *i*'s block is component *i* of pass 0's key),
-and per pass the right tids are bucketed by block in tid order.  A block
+keyed column is encoded once, off the relation's columns (pass *i*'s
+block is component *i* of pass 0's key), and per pass the right tids are
+bucketed by block in tid order.  A block
 of at most ``window`` entries is its own window, so each of its left
 tuples is paired with its whole right bucket; only a longer block is
 sorted by (rotated key, side, tid) and windowed into per-left partner
 lists.  Each left tuple, in tid order, then emits the sorted union of
 its partners across passes (:func:`~repro.plan.blocking.emit_unions`):
-no entry is rotated outside a long block, and no set of pairs is built
-or sorted.
+no row is read, no key is rotated outside a long block, and no set of
+pairs is built or sorted.
 
 Streaming and batch agree by construction on the *final* state: a run's
 layout depends only on the key/side/tid triples, never on arrival order,
@@ -58,21 +59,20 @@ clusters still converge to the batch run's.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from itertools import repeat
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT
 from repro.plan.blocking import (
     _LEFT,
     _RIGHT,
-    _tid,
     DEFAULT_ENCODED_ATTRIBUTES,
+    AttributeKey,
     BlockingBackend,
     CandidateSet,
     Entry,
     Pair,
-    PartnerTable,
-    RowKey,
     emit_unions,
     encoded_names,
     pair_keys,
@@ -119,6 +119,71 @@ def _rotations(
     return tuple(
         pairs[position:] + pairs[:position] for position in range(len(pairs))
     )
+
+
+class _Side:
+    """One side of a batch :meth:`WindowedSNIndex.candidates` call: its
+    tids ascending and, per keyed attribute of pass 0, the encoded
+    values in the same order (a record's *rank* indexes both)."""
+
+    __slots__ = ("tids", "columns")
+
+    def __init__(self, tids: Sequence[int], columns: Iterable[Iterable[str]]) -> None:
+        self.tids = tids
+        self.columns = [list(column) for column in columns]
+
+    def ranks_in(self, position: int, blocks: Set[str]) -> Dict[str, List[int]]:
+        """Per block of ``blocks``, the ranks whose pass-``position``
+        block it is, ascending."""
+        ranks: Dict[str, List[int]] = {block: [] for block in blocks}
+        for rank, block in enumerate(self.columns[position]):
+            if block in ranks:
+                ranks[block].append(rank)
+        return ranks
+
+    def entries(self, position: int, ranks: List[int], marker: int) -> List[Entry]:
+        """The run entries of the records at ``ranks``: each one's pass
+        ``position`` key (pass 0's rotated by ``position``), side and tid."""
+        rotated = self.columns[position:] + self.columns[:position]
+        keys = zip(*[map(column.__getitem__, ranks) for column in rotated])
+        return list(zip(keys, repeat(marker), map(self.tids.__getitem__, ranks)))
+
+
+def _partners(
+    position: int, window: int, lefts: _Side, rights: _Side
+) -> List[Optional[Sequence[int]]]:
+    """Pass ``position``'s partners of each left tuple, by rank: the
+    ascending right tids within its window, or ``None``.
+
+    The right tids are bucketed by block in tid order.  Rank distances in
+    a block reach its length - 1, so in a block no longer than the
+    window every left-right pair is a candidate, and a left tuple's
+    partners are its block's bucket.  Only a longer block is sorted by
+    rotated key and windowed.
+    """
+    blocks = lefts.columns[position]
+    buckets: Dict[str, List[int]] = {}
+    for tid, block in zip(rights.tids, rights.columns[position]):
+        buckets.setdefault(block, []).append(tid)
+    partners: List[Optional[Sequence[int]]] = list(map(buckets.get, blocks))
+    longer = {
+        block for block, count in Counter(blocks).items()
+        if (bucket := buckets.get(block)) is not None and count + len(bucket) > window
+    }
+    if not longer:
+        return partners
+    left_ranks = lefts.ranks_in(position, longer)
+    right_ranks = rights.ranks_in(position, longer)
+    for block in longer:
+        run = rights.entries(position, right_ranks[block], _RIGHT)
+        run += lefts.entries(position, left_ranks[block], _LEFT)
+        run.sort()
+        windowed: Dict[int, List[int]] = {}
+        for left_tid, right_tid in sorted(run_pairs(run, window)):
+            windowed.setdefault(left_tid, []).append(right_tid)
+        for rank in left_ranks[block]:
+            partners[rank] = windowed.get(lefts.tids[rank])
+    return partners
 
 
 class WindowedSNIndex(BlockingBackend):
@@ -172,8 +237,8 @@ class WindowedSNIndex(BlockingBackend):
         self.passes: Tuple[Tuple[Tuple[str, str], ...], ...] = _rotations(
             self.pairs
         )
-        self._left_keys: List[RowKey] = []
-        self._right_keys: List[RowKey] = []
+        self._left_keys: List[AttributeKey] = []
+        self._right_keys: List[AttributeKey] = []
         for rotation in self.passes:
             left_key, right_key = pair_keys(rotation, self.encode_attributes)
             self._left_keys.append(left_key)
@@ -262,42 +327,16 @@ class WindowedSNIndex(BlockingBackend):
         window = self.window
         if window < 2:
             return CandidateSet()
-        left_rows = sorted(left, key=_tid)
+        left_tids, left_positions = left.by_tid()
+        right_tids, right_positions = right.by_tid()
         # Pass i's key is pass 0's rotated by i, so its block is pass 0's
-        # component i: every row is keyed once.
-        left_key, right_key = self._left_keys[0], self._right_keys[0]
-        left_keys = {row.tid: left_key(row) for row in left_rows}
-        right_keys = {row.tid: right_key(row) for row in sorted(right, key=_tid)}
-        tables: List[PartnerTable] = []
-        for position in range(self.pass_count):
-            rights: Dict[str, List[int]] = {}
-            for tid, key in right_keys.items():
-                rights.setdefault(key[position], []).append(tid)
-            lefts: Dict[str, List[int]] = {}
-            for tid, key in left_keys.items():
-                lefts.setdefault(key[position], []).append(tid)
-            partners: Dict[int, Sequence[int]] = {}
-            for block, block_lefts in lefts.items():
-                block_rights = rights.get(block)
-                if block_rights is None:
-                    continue
-                # Rank distances in a block reach its length - 1: below
-                # the window, every left-right pair of it is a candidate.
-                if window > len(block_lefts) + len(block_rights) - 1:
-                    partners.update(zip(block_lefts, repeat(block_rights)))
-                    continue
-                run: List[Entry] = [
-                    (right_keys[tid][position:] + right_keys[tid][:position], _RIGHT, tid)
-                    for tid in block_rights
-                ] + [
-                    (left_keys[tid][position:] + left_keys[tid][:position], _LEFT, tid)
-                    for tid in block_lefts
-                ]
-                run.sort()
-                for left_tid, right_tid in sorted(run_pairs(run, window)):
-                    partners.setdefault(left_tid, []).append(right_tid)
-            tables.append((_tid, partners.get))
-        return emit_unions(left_rows, tables)
+        # component i: every keyed column is encoded once, in tid order.
+        lefts = _Side(left_tids, self._left_keys[0].columns(left, left_positions))
+        rights = _Side(right_tids, self._right_keys[0].columns(right, right_positions))
+        return emit_unions(left_tids, [
+            _partners(position, window, lefts, rights)
+            for position in range(self.pass_count)
+        ])
 
     # -- introspection -------------------------------------------------
 

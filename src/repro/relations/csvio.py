@@ -9,8 +9,9 @@ standardization in the paper's pipeline works on string-typed attributes).
 from __future__ import annotations
 
 import csv
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.core.schema import RelationSchema
 
@@ -19,24 +20,28 @@ from .relation import Relation
 #: Sentinel written for null values (empty CSV field).
 _NULL = ""
 
+#: Records read per step: the relation's columns grow a chunk at a time.
+_CHUNK = 128
+
 
 def save_relation(relation: Relation, path: Union[str, Path]) -> None:
-    """Write ``relation`` to ``path`` as a headered CSV file.
+    """Write ``relation`` to ``path`` as a headered CSV file, records in
+    insertion order, read off the columns.
 
     The first column is the tuple id, so identities survive a round-trip.
     """
     path = Path(path)
+    names = relation.schema.attribute_names
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("__tid__",) + relation.schema.attribute_names)
-        for row in relation:
-            writer.writerow(
-                [row.tid]
-                + [
-                    _NULL if row[name] is None else str(row[name])
-                    for name in relation.schema.attribute_names
-                ]
-            )
+        writer.writerow(("__tid__",) + names)
+        writer.writerows(zip(
+            relation.tids(), *[map(_field, relation.column(name)) for name in names]
+        ))
+
+
+def _field(value: object) -> str:
+    return _NULL if value is None else str(value)
 
 
 def load_relation(
@@ -47,26 +52,28 @@ def load_relation(
     Two headers are accepted.  The one :func:`save_relation` writes —
     ``__tid__``, then exactly the schema's attributes — keeps the tuple
     ids; any other header led by ``__tid__`` raises ``ValueError`` rather
-    than silently mis-aligning columns, and a short record reads as
-    trailing nulls.  A *plain* header names some of the schema's
-    attributes, in any order: its records get fresh ids in file order,
-    and the attributes it does not name read as null.  Under either
-    header a record with more fields than the header raises
-    ``ValueError``.
+    than silently mis-aligning columns.  A *plain* header names some of
+    the schema's attributes, each once, in any order: its records get
+    fresh ids in file order, and the attributes it does not name read as
+    null.  Under either header a short record reads as trailing nulls,
+    and a record with more fields than the header raises ``ValueError``.
+    A leading UTF-8 byte-order mark is dropped.
 
-    Equal field texts are read as one ``str`` object (one table per
-    call): a column repeats its values many times over, and matching
-    only ever reads them.
+    The records are read a chunk at a time and stored column by column
+    (:meth:`Relation.extend`); equal field texts are read as one ``str``
+    object (one table per call): a column repeats its values many times
+    over, and matching only ever reads them.
 
     Blank records are skipped.  A tuple id that is not an integer or
-    repeats an earlier one, a column the schema lacks, and text that is
-    not UTF-8 raise ``ValueError`` naming the file; a file that cannot be
-    opened raises ``OSError``.
+    repeats an earlier one, a column the schema lacks or the header
+    repeats, and text that is not UTF-8 raise ``ValueError`` naming the
+    file (and the line, for a record); a file that cannot be opened raises
+    ``OSError``.
     """
     path = Path(path)
     relation = Relation(schema)
     try:
-        with path.open("r", newline="", encoding="utf-8") as handle:
+        with path.open("r", newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is not None:
@@ -79,64 +86,88 @@ def load_relation(
     return relation
 
 
+def _chunks(
+    reader, width: int, path: Path
+) -> Iterator[Tuple[List[Tuple[str, ...]], Sequence[int]]]:
+    """The non-blank records, ``_CHUNK`` at a time, as ``(fields, lines)``:
+    ``fields`` the chunk transposed — one tuple per column of the header,
+    a short record padded with empty fields — and ``lines`` the line each
+    record ends on.  A record longer than ``width`` raises ``ValueError``."""
+    # Each record is paired with the line it ends on: ``line_num`` read
+    # right after the reader yields it.
+    numbered = zip(reader, map(getattr, repeat(reader), repeat("line_num")))
+    while block := list(islice(numbered, _CHUNK)):
+        records, lines = zip(*block)
+        if not all(records):
+            lines = tuple(compress(lines, records))
+            records = tuple(filter(None, records))
+            if not records:
+                continue
+        if max(map(len, records)) > width:
+            at = next(k for k, record in enumerate(records) if len(record) > width)
+            raise ValueError(
+                f"{path}, line {lines[at]}: "
+                f"{len(records[at])} fields, the header has {width}"
+            )
+        if min(map(len, records)) < width:
+            records = [record + [_NULL] * (width - len(record)) for record in records]
+        yield list(zip(*records)), lines
+
+
 def _read_saved(relation: Relation, header, reader, path: Path, intern) -> None:
     """The records under a :func:`save_relation` header, ids kept; every
     field text passes through ``intern`` (``intern(text, text)`` is the
     value it reads as)."""
-    names = relation.schema.attribute_names
-    expected = ["__tid__"] + list(names)
+    expected = ["__tid__", *relation.schema.attribute_names]
     if header != expected:
         raise ValueError(
             f"{path}: CSV header {header} does not match schema "
             f"{relation.schema.name!r} ({expected})"
         )
-    # The header was checked, so every record's interned field list is
-    # adopted as a schema-complete positional row (a short record reads
-    # as trailing nulls).
-    for record in reader:
-        if not record:
-            continue
-        if len(record) > len(header):
-            raise ValueError(
-                f"{path}, line {reader.line_num}: "
-                f"{len(record)} fields, the header has {len(header)}"
-            )
-        fields = record[1:]
-        if len(fields) < len(names):
-            fields += [_NULL] * (len(names) - len(fields))
-        # The form ``save_relation`` writes: an optional ``-``, then ASCII
-        # digits (``int()`` alone would also take ``+``, ``_`` and spaces).
-        digits = record[0].removeprefix("-")
-        try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(record[0])
-            tid = int(record[0])
-        except ValueError:
-            raise ValueError(
-                f"{path}, line {reader.line_num}: "
-                f"tuple id {record[0]!r} is not an integer"
-            ) from None
-        try:
-            relation.adopt(tid, list(map(intern, fields, fields)))
-        except ValueError as error:
-            raise ValueError(f"{path}, line {reader.line_num}: {error}") from None
+    for (texts, *columns), lines in _chunks(reader, len(header), path):
+        tids = []
+        seen = set()
+        for text, line in zip(texts, lines):
+            # The form ``save_relation`` writes: an optional ``-``, then
+            # ASCII digits (``int()`` alone would also take ``+``, ``_``
+            # and spaces).
+            digits = text.removeprefix("-")
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(text)
+                tid = int(text)
+            except ValueError:  # the form, or beyond ``int``'s digit limit
+                raise ValueError(
+                    f"{path}, line {line}: tuple id {text!r} is not an integer"
+                ) from None
+            if tid in seen or tid in relation:
+                raise ValueError(
+                    f"{path}, line {line}: tuple id {tid} already present"
+                )
+            seen.add(tid)
+            tids.append(tid)
+        relation.extend(tids, [map(intern, column, column) for column in columns])
 
 
 def _read_plain(relation: Relation, header, reader, path: Path, intern) -> None:
     """The records under a plain header of attribute names, fresh ids;
     every field text passes through ``intern``."""
-    unknown = set(header) - set(relation.schema.attribute_names)
+    names = relation.schema.attribute_names
+    unknown = set(header).difference(names)
     if unknown:
         raise ValueError(
             f"{path}: columns {sorted(unknown)} not in schema "
             f"{relation.schema.name!r}"
         )
-    for record in reader:
-        if not record:
-            continue
-        if len(record) > len(header):
-            raise ValueError(
-                f"{path}, line {reader.line_num}: "
-                f"{len(record)} fields, the header has {len(header)}"
-            )
-        relation.insert(dict(zip(header, map(intern, record, record))))
+    if len(set(header)) < len(header):
+        repeated = next(name for k, name in enumerate(header) if name in header[:k])
+        raise ValueError(f"{path}: column {repeated!r} appears twice in the CSV header")
+    where = {name: k for k, name in enumerate(header)}
+    for fields, _ in _chunks(reader, len(header), path):
+        count = len(fields[0]) if fields else 0
+        start = relation.next_tid
+        relation.extend(range(start, start + count), [
+            repeat(None, count) if (k := where.get(name)) is None
+            else map(intern, fields[k], fields[k])
+            for name in names
+        ])

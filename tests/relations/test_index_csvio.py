@@ -2,6 +2,7 @@
 
 import gc
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -132,6 +133,30 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3: 3 fields, the header has 2"):
             load_relation(schema, path)
 
+    def test_a_plain_header_naming_a_column_twice_is_refused(self, tmp_path):
+        schema = RelationSchema("R", ["A", "B"])
+        path = tmp_path / "twice.csv"
+        path.write_text("A,B,A\n1,2,3\n")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: column 'A' appears twice")
+        ):
+            load_relation(schema, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["__tid__,A,B\n4,x,\n5,\ufeffy,z\n", "B,A\n,x\nz,\ufeffy\n"],
+        ids=["saved", "plain"],
+    )
+    def test_a_leading_byte_order_mark_is_dropped(self, text, tmp_path):
+        """Only the file's leading mark: one inside a field is text."""
+        schema = RelationSchema("R", ["A", "B"])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        loaded = load_relation(schema, path)
+        assert [row.values() for row in loaded] == [
+            {"A": "x", "B": None}, {"A": "\ufeffy", "B": "z"},
+        ]
+
     def test_unreadable_files_name_the_path(self, tmp_path):
         schema = RelationSchema("R", ["A"])
         path = tmp_path / "b.csv"
@@ -142,30 +167,37 @@ class TestCsvRoundTrip:
             load_relation(schema, tmp_path)
 
 
-#: Bytes ``load_relation`` keeps per row of the K=1000 seed-7 credit and
-#: billing files: 556 on CPython 3.11 with positional rows, + 15 %.  A
-#: dict per row (22 keys on billing) kept 774.
-BYTES_PER_ROW_BOUND = 640
+#: Bytes a loaded relation keeps per cell beyond its value objects, for
+#: the K=1000 seed-7 credit and billing files: 13.4 on CPython 3.11 with a
+#: column of references per attribute, + 12 %.  A ``Row`` and a value
+#: list per record kept 17.8.
+BYTES_PER_CELL_BOUND = 15.0
 
 
-def test_a_loaded_row_holds_one_list_not_a_dict(tmp_path):
-    """What a loaded relation keeps, per row: the row, its value list and
-    the values no earlier row shares — traced, not sampled from RSS."""
+def test_a_loaded_relation_holds_columns_not_rows(tmp_path):
+    """What a loaded relation keeps beyond the values it holds — columns,
+    tids and the tid map — traced, not sampled from RSS, and divided by
+    its cells (records × attributes)."""
     data = generate_dataset(1000, seed=7)
     files = []
     for relation in (data.credit, data.billing):
         path = tmp_path / f"{relation.schema.name}.csv"
         save_relation(relation, path)
         files.append((relation.schema, path))
-    kept = rows = 0
+    load_relation(*files[0])  # the codec's first use is not the relation's
+    overhead = cells = 0
     for schema, path in files:
         gc.collect()
         tracemalloc.start()
         try:
             loaded = load_relation(schema, path)
-            kept += tracemalloc.get_traced_memory()[0]
+            gc.collect()  # the free lists are not the relation's either
+            kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        rows += len(loaded)
+        values = {id(value): value for row in loaded for value in row.values().values()}
+        values.pop(id(None), None)
+        overhead += kept - sum(map(sys.getsizeof, values.values()))
+        cells += len(loaded) * len(schema.attribute_names)
         del loaded
-    assert kept / rows <= BYTES_PER_ROW_BOUND
+    assert overhead / cells <= BYTES_PER_CELL_BOUND

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.schema import RelationSchema
-from repro.relations.relation import Relation
+from repro.relations.relation import Relation, Row
 
 
 @pytest.fixture
@@ -190,3 +190,70 @@ class TestExtension:
     def test_different_schema_never_extends(self, schema):
         other = Relation(RelationSchema("S", ["A", "B"]))
         assert not other.extends(Relation(schema))
+
+
+class TestColumns:
+    """A relation stores a column per attribute; its rows are views."""
+
+    @pytest.fixture
+    def shuffled(self, schema):
+        """Tids inserted out of order, some values null."""
+        relation = Relation(schema)
+        for tid in (7, 3, 11, 0):
+            relation.insert({"A": f"a{tid}", "B": None if tid % 2 else f"b{tid}"}, tid=tid)
+        return relation
+
+    def test_a_row_read_before_set_value_sees_the_new_value(self, shuffled):
+        row = shuffled[3]
+        shuffled.set_value(3, "B", "new")
+        assert row["B"] == "new" and row.values() == {"A": "a3", "B": "new"}
+
+    def test_copy_is_independent_of_the_original(self, shuffled):
+        duplicate = shuffled.copy()
+        duplicate.set_value(7, "A", "changed")
+        duplicate.insert({"A": "more"})
+        shuffled.set_value(0, "B", "other")
+        assert [row.values() for row in shuffled] == [
+            {"A": "a7", "B": None}, {"A": "a3", "B": None},
+            {"A": "a11", "B": None}, {"A": "a0", "B": "other"},
+        ]
+        assert [row.values() for row in duplicate] == [
+            {"A": "changed", "B": None}, {"A": "a3", "B": None},
+            {"A": "a11", "B": None}, {"A": "a0", "B": "b0"},
+            {"A": "more", "B": None},
+        ]
+        assert 12 in duplicate and 12 not in shuffled
+
+    def test_project_equals_per_row_reads(self, shuffled):
+        tids = [11, 0, 7, 3, 7]
+        for attributes in (["A"], ["B", "A"], ["B", "B"], []):
+            assert shuffled.project(tids, attributes) == [
+                shuffled[tid][attribute] for tid in tids for attribute in attributes
+            ]
+
+    def test_iteration_keeps_insertion_order(self, shuffled):
+        assert [row.tid for row in shuffled] == shuffled.tids() == [7, 3, 11, 0]
+        assert [row["A"] for row in shuffled.rows()] == ["a7", "a3", "a11", "a0"]
+        tids, positions = shuffled.by_tid()
+        assert list(tids) == [0, 3, 7, 11]
+        assert [shuffled.column("A")[p] for p in positions] == ["a0", "a3", "a7", "a11"]
+
+    def test_a_standalone_row_equals_and_hashes_as_before(self, schema, shuffled):
+        mapping = {"A": "a3", "B": None}
+        standalone = Row(3, mapping)
+        mapping["A"] = "later"  # the row keeps its own copy
+        assert standalone == shuffled[3] and hash(standalone) == hash(3)
+        assert standalone != Row(3, {"A": "a3", "B": "b"})
+        assert standalone != Row(4, {"A": "a3", "B": None})
+        assert len({standalone, shuffled[3]}) == 1
+        assert standalone["A"] == "a3" and standalone.get("Z", "d") == "d"
+        assert repr(standalone) == "Row(tid=3, {'A': 'a3', 'B': None})"
+
+    def test_extend_refuses_a_stale_tid_and_stores_nothing(self, shuffled):
+        with pytest.raises(ValueError, match="tuple id 3 already present"):
+            shuffled.extend([20, 3], [["x", "y"], [None, None]])
+        with pytest.raises(ValueError, match="tuple id 21 already present"):
+            shuffled.extend([21, 21], [["x", "y"], [None, None]])
+        assert shuffled.tids() == [7, 3, 11, 0] and len(shuffled.column("A")) == 4
+        shuffled.extend(range(20, 22), [["x", "y"], [None, "z"]])
+        assert shuffled[21].values() == {"A": "y", "B": "z"} and shuffled.next_tid == 22

@@ -490,6 +490,17 @@ class TestMalformedCsv:
         )
 
     @pytest.mark.parametrize("command", ["match", "ingest"])
+    def test_a_plain_header_naming_a_column_twice(
+        self, command, spec_file, fig1_csvs, tmp_path, capsys
+    ):
+        left_path, right_path = fig1_csvs
+        left_path.write_text("FN,LN,FN\nMark,Clifford,Marc\n")
+        code, store = self._run(command, spec_file, left_path, right_path, tmp_path)
+        self._refused(
+            capsys, code, store, f"error: {left_path}: column 'FN' appears twice"
+        )
+
+    @pytest.mark.parametrize("command", ["match", "ingest"])
     def test_a_directory_for_a_file(self, command, spec_file, fig1_csvs, tmp_path, capsys):
         _, right_path = fig1_csvs
         directory = tmp_path / "data"
