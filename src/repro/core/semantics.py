@@ -70,11 +70,13 @@ def prefer_informative(values: Sequence[object]) -> object:
 
 @dataclass(frozen=True)
 class InstancePair:
-    """An instance ``D = (I1, I2)`` of a schema pair.
+    """An instance ``D = (I1, I2)`` of a schema pair, over two relations.
 
-    ``left`` and ``right`` may be the *same* Relation object when matching
-    a relation against itself (deduplication); cells are still qualified by
-    side, mirroring the qualified attributes of the reasoning layer.
+    Matching a relation against itself (deduplication, ``R1 = R2``) is the
+    pair of the relation and its ``copy()``: cells are qualified by side,
+    mirroring the qualified attributes of the reasoning layer, and a
+    repair to one side's cell is not seen by the other.  One ``Relation``
+    object on both sides is refused.
     """
 
     pair: SchemaPair
@@ -86,12 +88,14 @@ class InstancePair:
             raise ValueError("left relation schema does not match the pair")
         if self.right.schema != self.pair.right:
             raise ValueError("right relation schema does not match the pair")
+        if self.left is self.right:
+            raise ValueError(
+                "left and right are one Relation object; to match a relation "
+                "against itself, pass it and relation.copy()"
+            )
 
     def copy(self) -> "InstancePair":
         """An extension-ready copy (same tuple ids, fresh storage)."""
-        if self.left is self.right:
-            shared = self.left.copy()
-            return InstancePair(self.pair, shared, shared)
         return InstancePair(self.pair, self.left.copy(), self.right.copy())
 
     def extends(self, original: "InstancePair") -> bool:
@@ -101,20 +105,10 @@ class InstancePair:
         )
 
     def tuple_pairs(self) -> Iterable[Tuple[int, int]]:
-        """All ``(t1, t2) ∈ D`` as (left tid, right tid) pairs.
-
-        When both sides are the same relation (self-matching), reflexive
-        pairs are skipped and each unordered pair is reported once.
-        """
-        if self.left is self.right:
-            tids = self.left.tids()
-            for position, tid1 in enumerate(tids):
-                for tid2 in tids[position + 1 :]:
-                    yield tid1, tid2
-        else:
-            for tid1 in self.left.tids():
-                for tid2 in self.right.tids():
-                    yield tid1, tid2
+        """All ``(t1, t2) ∈ D`` as (left tid, right tid) pairs."""
+        for tid1 in self.left.tids():
+            for tid2 in self.right.tids():
+                yield tid1, tid2
 
 
 def lhs_matches(

@@ -221,11 +221,10 @@ class EnforcementPlan:
         #: each kind).  ``chase_attributes`` names the (left, right)
         #: attributes a chase reads or writes — every LHS atom and RHS
         #: pair; only they get cells in the chase's encoding.
-        #: ``layouts[shared]`` is that encoding's plan-side half — sorted
-        #: names, ranks, the rules as rank offsets — for two relations
-        #: and for shared storage.  ``read_attributes`` is the per-side
-        #: subset of them whose *values* a chase can depend on (see
-        #: :func:`read_attributes`); ``rhs_pairs`` the distinct
+        #: ``layout`` is that encoding's plan-side half — sorted names,
+        #: ranks, the rules as rank offsets.  ``read_attributes`` is the
+        #: per-side subset of them whose *values* a chase can depend on
+        #: (see :func:`read_attributes`); ``rhs_pairs`` the distinct
         #: ``(left, right)`` pairs some rule identifies.  All are derived
         #: here, once, because the streaming engine runs thousands of tiny
         #: chases over one plan.
@@ -261,10 +260,7 @@ class EnforcementPlan:
         by_name = [
             (*selection, rule.rhs) for rule, selection in zip(self.rules, selections)
         ]
-        self.layouts: Tuple[ChaseLayout, ChaseLayout] = (
-            ChaseLayout.of(self.chase_attributes, by_name, shared=False),
-            ChaseLayout.of(self.chase_attributes, by_name, shared=True),
-        )
+        self.layout = ChaseLayout.of(self.chase_attributes, by_name)
 
     # ------------------------------------------------------------------
     # Predicate evaluation (the memoized hot path)
@@ -383,11 +379,10 @@ class EnforcementPlan:
         return f"{type(metric).__name__} >= {theta.rstrip(')')}"
 
     def rhs_groups(self) -> List[Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]]:
-        """The RHS attribute groups of a chase over two relations —
-        ``(its (left, right) attribute pairs, the rules writing them)``,
-        one union per pair and group (:class:`ChaseLayout`; over shared
-        storage every RHS pair is a group of its own)."""
-        layout = self.layouts[False]
+        """The RHS attribute groups of a chase — ``(its (left, right)
+        attribute pairs, the rules writing them)``, one union per pair and
+        group (:class:`ChaseLayout`)."""
+        layout = self.layout
         return [
             (
                 tuple(

@@ -16,9 +16,8 @@ attribute)`` order, and the state holds:
   position * representatives + k``, the ``k``-th representative rank of
   the side, :attr:`ChaseLayout.classes`); a union relabels the smaller
   class and joins the two rings, once per (pair, RHS group);
-* **values** — one working list indexed by slot, projected from the
-  instance; over shared storage (``left is right``) a right cell's slot is
-  its left twin's;
+* **values** — one working list, a slot per cell, projected from the
+  instance;
 * **firings** — per position a rule mask (:func:`rule_masks`), per rule
   the ``(round, positions)`` of every round it fired in;
 * **writes** — per slot the last round that wrote it, and per side and
@@ -57,7 +56,7 @@ from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import InstancePair, ValueResolver
 from repro.relations.relation import is_tid
 
-from .blocking import CandidateSet, column_like, int_column
+from .blocking import CandidateSet, column_like
 
 #: A cell of an instance pair: (side, tuple id, attribute name).
 Cell = Tuple[int, int, str]
@@ -74,10 +73,10 @@ _READ_ONLY: Place = (0, ((0, 0),), -1)
 
 
 class ChaseLayout(NamedTuple):
-    """The plan's half of a chase's encoding, built once per plan and
-    storage layout (:attr:`~repro.plan.compile.EnforcementPlan.layouts`):
-    per side the chase attributes in sorted-name order and their ranks,
-    and every rule as rank offsets from a pair's two tuples —
+    """The plan's half of a chase's encoding, built once per plan
+    (:attr:`~repro.plan.compile.EnforcementPlan.layout`): per side the
+    chase attributes in sorted-name order and their ranks, and every
+    rule as rank offsets from a pair's two tuples —
     ``(equalities, similarities, rhs)`` in selection order, an atom as
     ``(left rank, right rank)``, a similarity led by its predicate.  A
     chase adds only what its pairs decide (:class:`ChaseState`).
@@ -88,11 +87,10 @@ class ChaseLayout(NamedTuple):
     one partition of the tuples.  Such pairs form an **RHS group**
     (``groups``, each a tuple of rank pairs, its representative first),
     and the chase unions only the representative's cells; every other
-    RHS pair — and every one over shared storage, where the order of the
-    unions is observable — is a group of one.  ``classes`` is per side
-    the ranks whose cells a chase keeps classes for, the groups'
-    representatives (ascending; a follower or read-only cell is never
-    unioned, so it is alone in its class).  ``writes`` is per rule the
+    RHS pair is a group of one.  ``classes`` is per side the ranks whose
+    cells a chase keeps classes for, the groups' representatives
+    (ascending; a follower or read-only cell is never unioned, so it is
+    alone in its class).  ``writes`` is per rule the
     bitmask of the groups it writes, ``reads`` per rule the bitmask of
     the cells its LHS reads (bit ``r`` for left rank ``r``, bit
     ``len(left_names) + r`` for right rank ``r``), ``left_places`` /
@@ -100,7 +98,6 @@ class ChaseLayout(NamedTuple):
     :meth:`unions` the group unions a set of firing rules makes at one
     pair."""
 
-    shared: bool
     left_names: Tuple[str, ...]
     right_names: Tuple[str, ...]
     left_rank: Dict[str, int]
@@ -124,15 +121,11 @@ class ChaseLayout(NamedTuple):
     home_memo: Dict[tuple, Optional[Tuple[Tuple[int, int], ...]]]
 
     @classmethod
-    def of(cls, attributes, rules: Iterable[tuple], shared: bool) -> "ChaseLayout":
+    def of(cls, attributes, rules: Iterable[tuple]) -> "ChaseLayout":
         """Lower ``rules`` — ``(equalities, similarities, rhs)`` over the
         per-side names in ``attributes`` — to rank offsets, and group
-        their RHS pairs; over shared storage both sides use one attribute
-        table."""
-        left, right = set(attributes[0]), set(attributes[1])
-        if shared:
-            left = right = left | right
-        left_names, right_names = tuple(sorted(left)), tuple(sorted(right))
+        their RHS pairs."""
+        left_names, right_names = tuple(sorted(attributes[0])), tuple(sorted(attributes[1]))
         left_rank = {name: rank for rank, name in enumerate(left_names)}
         right_rank = {name: rank for rank, name in enumerate(right_names)}
         lowered = tuple(
@@ -153,7 +146,7 @@ class ChaseLayout(NamedTuple):
         rights = Counter(right for _, right in writers)
         grouped: Dict[object, List[Tuple[int, int]]] = {}
         for pair, mask in writers.items():
-            private = not shared and lefts[pair[0]] == 1 and rights[pair[1]] == 1
+            private = lefts[pair[0]] == 1 and rights[pair[1]] == 1
             grouped.setdefault(mask if private else pair, []).append(pair)
         groups = tuple(tuple(pairs) for pairs in grouped.values())
         group_of = {pair: g for g, pairs in enumerate(groups) for pair in pairs}
@@ -184,7 +177,7 @@ class ChaseLayout(NamedTuple):
             for places, ranks in zip((left_places, right_places), classes)
         )
         return cls(
-            shared, left_names, right_names, left_rank, right_rank, lowered, groups,
+            left_names, right_names, left_rank, right_rank, lowered, groups,
             writes, reads, tuple(left_places), tuple(right_places), classes,
             class_lanes, max(map(len, groups), default=1), {}, {},
         )
@@ -194,10 +187,8 @@ class ChaseLayout(NamedTuple):
         at one pair: a ``(left class rank, right class rank, left rank,
         right rank, size, lanes)`` per group, the representative's class
         ranks (:attr:`classes`) and ranks, the group's size and, per
-        further RHS pair, ``(its bit, left offset, right offset)``.  In the order
-        the rules and their RHS name the groups — over shared storage the
-        order of the unions is observable, and this is the order the
-        rules declare.  Memoized per mask."""
+        further RHS pair, ``(its bit, left offset, right offset)``.  In the
+        order the rules and their RHS name the groups.  Memoized per mask."""
         found = self.union_memo.get(mask)
         if found is not None:
             return found
@@ -334,9 +325,8 @@ class ChaseState:
     the values are fixed, so which (rule, pair)s fire depends neither on
     evaluation order nor on join or scan, and the merges counted are the
     drop in the number of classes (a union of an RHS group's
-    representative cells counts one per RHS pair of the group).  Between
-    two relations a union of classes whose values agree is not resolved:
-    it would write nothing.
+    representative cells counts one per RHS pair of the group).  A union
+    of classes whose values agree is not resolved: it would write nothing.
 
     The classes are kept over the representative cells of the layout's
     RHS groups only (:attr:`ChaseLayout.classes`): a cell of another pair
@@ -346,10 +336,7 @@ class ChaseState:
     representative's class and decode at the boundary.  Class ids keep
     the order of the cells they stand for.  ``root`` is kept flat (a
     union relabels the smaller class), so a class test is one array
-    comparison.  Over shared storage
-    (``left is right``) both sides use one tid and one attribute table; a
-    tuple's cell still exists once per side tag — ``right_base`` apart —
-    because the chase identifies *qualified* cells.
+    comparison.
 
     The results are read off the state's own arrays, each on first read:
     ``matching`` / ``matches`` / ``identified`` (a root comparison per
@@ -381,65 +368,41 @@ class ChaseState:
     ) -> None:
         plan.stats.enforcements += 1
         plan.stats.pairs_compared += len(pairs)
-        layout = plan.layouts[instance.left is instance.right]
+        layout = self.layout = plan.layout
         self.plan, self.original, self.pairs, self.resolver = plan, instance, pairs, resolver
-        self.layout, shared = layout, layout.shared
-        lefts, starts, rights = pairs.lefts, pairs.starts, pairs.rights
+        lefts, rights = pairs.lefts, pairs.rights
         left_width = self.left_width = len(layout.left_names)
         right_width = len(layout.right_names)
         #: Per side, the tids in ascending order: columns as the candidate
-        #: set's are (between two relations ``left_tids`` is its ``lefts``).
-        if shared:
-            self.left_tids = self.right_tids = int_column(sorted(set(lefts).union(rights)))
-        else:
-            self.left_tids = lefts
-            self.right_tids = column_like(rights, sorted(set(rights)))
-        #: The first right cell; over shared storage also the distance
-        #: between a tuple's left cell and its right twin.
-        right_base = self.right_base = len(self.left_tids) * left_width
+        #: set's are (``left_tids`` is its ``lefts``).
+        self.left_tids = lefts
+        self.right_tids = column_like(rights, sorted(set(rights)))
+        #: The first right cell.
+        right_base = self.right_base = len(lefts) * left_width
         count = right_base + len(self.right_tids) * right_width
         right_first = {
             tid: right_base + position * right_width
             for position, tid in enumerate(self.right_tids)
         }
-        #: Per pair, the first cell of its left and of its right tuple; a
-        #: left cell is its slot, and so is a right one between two
-        #: relations (``right_slots`` is ``right_cells``).
-        if shared:
-            left_first = {
-                tid: position * left_width for position, tid in enumerate(self.left_tids)
-            }
-            left_cells = map(left_first.__getitem__, lefts)
-        else:  # ``lefts`` are the left tuples, in order
-            left_cells = map(left_width.__mul__, range(len(lefts)))
-        self.left_slots = array("i", list(pairs.per_pair(left_cells)))
-        self.right_cells = array("i", list(map(right_first.__getitem__, rights)))
+        #: Per pair, the first cell of its left and of its right tuple (a
+        #: cell is its slot); ``lefts`` are the left tuples, in order.
+        self.left_slots = array(
+            "i", list(pairs.per_pair(map(left_width.__mul__, range(len(lefts)))))
+        )
+        self.right_slots = array("i", list(map(right_first.__getitem__, rights)))
         del right_first
         #: Per side, every tuple's first slot, in tid order.
         self.left_tuples = range(0, right_base, left_width or 1)
-        values = instance.left.project(self.left_tids, layout.left_names)
-        #: Per left tuple (``left_tids`` order), where its run of pairs
-        #: starts (``runs[p]`` to ``runs[p + 1]``, ascending by right
-        #: tuple); a tuple only ever paired on the right has an empty one.
-        if shared:
-            self.right_slots = array("i", map(right_base.__rsub__, self.right_cells))
-            self.right_tuples = self.left_tuples
-            self.tuples = len(self.left_tuples)
-            self.runs = array("i")
-            run = 0
-            for tid in self.left_tids:
-                self.runs.append(starts[run])
-                if run < len(lefts) and lefts[run] == tid:
-                    run += 1
-            self.runs.append(len(rights))
-        else:
-            values += instance.right.project(self.right_tids, layout.right_names)
-            self.right_slots = self.right_cells
-            self.right_tuples = range(right_base, count, right_width or 1)
-            self.tuples = len(self.left_tuples) + len(self.right_tuples)
-            self.runs = starts
+        self.right_tuples = range(right_base, count, right_width or 1)
+        self.tuples = len(self.left_tuples) + len(self.right_tuples)
+        values = instance.left.project(lefts, layout.left_names)
+        values += instance.right.project(self.right_tids, layout.right_names)
         #: The working values, one per slot.
         self.values = values
+        #: Per left tuple (``left_tids`` order), where its run of pairs
+        #: starts (``runs[p]`` to ``runs[p + 1]``, ascending by right
+        #: tuple).
+        self.runs = pairs.starts
         #: Per side, the classes a tuple has (its representative cells):
         #: the class of a left tuple's ``k``-th one is ``position *
         #: class_widths[0] + k``, a right one's ``right_class_base`` more.
@@ -459,10 +422,10 @@ class ChaseState:
         self.fresh: Sequence[int] = self.everything
         #: Per side and tuple, a bit per rank the last round wrote, at the
         #: tuple's first slot over the side's width (:func:`rule_masks`
-        #: arrays, one over shared storage; ``None`` while no round since
-        #: the last listing wrote); ``written_tuples`` counts the tuples
-        #: with one, and ``written_any`` ORs them as the rules' ``reads``
-        #: count a rank (left ``r``: bit ``r``; right: ``left_width + r``).
+        #: arrays; ``None`` while no round since the last listing wrote);
+        #: ``written_tuples`` counts the tuples with one, and
+        #: ``written_any`` ORs them as the rules' ``reads`` count a rank
+        #: (left ``r``: bit ``r``; right: ``left_width + r``).
         self.written: Optional[Tuple[Sequence[int], Sequence[int]]] = None
         self.written_tuples = self.written_any = 0
         #: The dirty pairs listed, with their write masks, once per round.
@@ -474,11 +437,6 @@ class ChaseState:
         #: Per slot, the last round that wrote it (0: never): a byte a
         #: slot, widened by :meth:`run` for a budget past 255 rounds.
         self.last_write = _BYTE * len(values)
-        #: Over shared storage, root -> the order of its class's first
-        #: union, for every merged class: the order they are resolved in.
-        self.first_union: Dict[int, int] = {}
-        #: The order number the next class entering ``first_union`` gets.
-        self.unions_made = 0
         #: Per equality atom, its tuple-level join and the positions
         #: satisfying it, for one evaluation against fixed values.
         self._partners: Dict[tuple, Optional[tuple]] = {}
@@ -645,25 +603,21 @@ class ChaseState:
         pairs = len(self.everything)
         return size + min(pairs, self.written_tuples * 2 * pairs // self.tuples)
 
-    def _unite(self, firing, span) -> Tuple[array, Optional[Sequence[int]]]:
+    def _unite(self, firing, span) -> Tuple[array, Sequence[int]]:
         """Union, once per (pair, RHS group), the representative classes
         of the groups the firing rules write (``ChaseLayout.unions``).
-        Returns one member of every class a union made, and, between two
-        relations, per class a bit per lane of its group whose cells may
-        disagree (a :func:`rule_masks` array, read at roots: a class
-        leaves a round's resolution carrying one value, so a union of
-        classes that agree lane by lane stays uniform)."""
-        layout, values = self.layout, self.values
-        shared, union_memo, first = layout.shared, layout.union_memo, self.first_union
+        Returns one member of every class a union made, and per class a
+        bit per lane of its group whose cells may disagree (a
+        :func:`rule_masks` array, read at roots: a class leaves a round's
+        resolution carrying one value, so a union of classes that agree
+        lane by lane stays uniform)."""
+        layout, values, union_memo = self.layout, self.values, self.layout.union_memo
         root, size, ring = self.root, self.size, self.next
-        left_cells, right_cells, right_base = self.left_slots, self.right_cells, self.right_base
+        left_cells, right_cells, right_base = self.left_slots, self.right_slots, self.right_base
         left_step, right_step = self.left_tuples.step, self.right_tuples.step
         (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
         # OR the firing rules into one mask per position (a
-        # :func:`rule_masks` array), listing each position once.  Over
-        # shared storage one slot sits in two classes, the order of the
-        # unions is observable, and it is kept pair-major, the groups in
-        # the order the rules declare them.
+        # :func:`rule_masks` array), listing each position once.
         masks, listed = rule_masks(len(self.fired_in), len(self.fired)), array("i")
         for selection, bit in firing:
             for i in selection:
@@ -671,9 +625,9 @@ class ChaseState:
                     listed.append(i)
                 masks[i] |= bit
         touched = array("i")
-        mixed = None if shared else rule_masks(layout.widest, len(root))
+        mixed = rule_masks(layout.widest, len(root))
         merges = attempts = 0
-        for i in sorted(listed) if shared else listed:
+        for i in listed:
             mask = masks[i]
             unions = union_memo.get(mask) or layout.unions(mask)
             attempts += len(unions)
@@ -685,33 +639,23 @@ class ChaseState:
                 b = root[right_class + right]
                 if a == b:
                     continue
-                if shared:
-                    bits = 1
-                    for new in (a, b):
-                        if new not in first:
-                            first[new] = self.unions_made
-                            self.unions_made += 1
-                else:
-                    # A lane of a class not mixed this round is uniform — its
-                    # cells hold equal values, or one NaN object resolved
-                    # into them all — so the pair's own cells compare as
-                    # the two roots would.
-                    bits = mixed[a] | mixed[b]
-                    a_cell, b_cell = left_cell + left_rank, right_cell + right_rank
-                    if not bits & 1 and values[a_cell] != values[b_cell]:
-                        bits |= 1
-                    for bit, left_offset, right_offset in lanes:
-                        if not bits & bit and (
-                            values[a_cell + left_offset] != values[b_cell + right_offset]
-                        ):
-                            bits |= bit
+                # A lane of a class not mixed this round is uniform — its
+                # cells hold equal values, or one NaN object resolved into
+                # them all — so the pair's own cells compare as the two
+                # roots would.
+                bits = mixed[a] | mixed[b]
+                a_cell, b_cell = left_cell + left_rank, right_cell + right_rank
+                if not bits & 1 and values[a_cell] != values[b_cell]:
+                    bits |= 1
+                for bit, left_offset, right_offset in lanes:
+                    if not bits & bit and (
+                        values[a_cell + left_offset] != values[b_cell + right_offset]
+                    ):
+                        bits |= bit
                 size_a, size_b = size[a], size[b]
                 if size_a < size_b:
                     a, b = b, a
-                if shared:
-                    first[a] = min(first[a], first.pop(b))
-                else:
-                    mixed[a] = bits
+                mixed[a] = bits
                 size[a] = size_a + size_b
                 member = b
                 while True:
@@ -727,41 +671,33 @@ class ChaseState:
         span.set("merges", merges)
         return touched, mixed
 
-    def _resolve(self, touched: array, mixed: Optional[Sequence[int]], span) -> None:
-        """Resolve every class a union this round made that may disagree —
-        over shared storage every class ever merged, in the order of its
-        first union (the paper's chase, as the reference runs it) — and
-        record the writes: what makes pairs dirty for the next round."""
-        layout, values = self.layout, self.values
-        shared, root, right_base = layout.shared, self.root, self.right_base
+    def _resolve(self, touched: array, mixed: Sequence[int], span) -> None:
+        """Resolve every class a union this round made that may disagree,
+        and record the writes: what makes pairs dirty for the next round."""
+        layout, values, root, right_base = self.layout, self.values, self.root, self.right_base
         left_width, right_width = self.left_width, len(layout.right_names)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
         if self.written is None:
             # A tuple's marks are at its first slot over its side's width:
             # a right tuple's ``right_base // right_width`` past its number.
             left_written = rule_masks(left_width, len(self.left_tids))
-            right_written = left_written if shared else rule_masks(
-                right_width, self.right_tuples.stop // right_width
-            )
+            right_written = rule_masks(right_width, self.right_tuples.stop // right_width)
             self.written = left_written, right_written
         else:
             left_written, right_written = self.written
         written_any = 0
         written_tuples = self.written_tuples
-        left_bits = 1 | 1 << left_width if shared else 1
         group_lanes, ring_cells = self._group_lanes, self._ring_cells()
         #: A flag per class: it was resolved this round.
         seen = bytearray(len(root))
         repaired = uniform = resolved_classes = 0
-        first_union = self.first_union
-        anchors = sorted(first_union, key=first_union.__getitem__) if shared else touched
-        for anchor in anchors:
+        for anchor in touched:
             anchor = root[anchor]
             if seen[anchor]:
                 continue
             seen[anchor] = 1
             lanes = group_lanes(anchor)
-            bits = 1 if shared else mixed[anchor]
+            bits = mixed[anchor]
             if not bits:
                 uniform += len(lanes)
                 continue
@@ -775,9 +711,7 @@ class ChaseState:
                     uniform += 1
                     continue
                 resolved_classes += 1
-                if shared:
-                    slots = [member % right_base for member in members]
-                elif left_offset or right_offset:
+                if left_offset or right_offset:
                     slots = [member + left_offset for member in members[:split]] + [
                         member + right_offset for member in members[split:]
                     ]
@@ -791,7 +725,7 @@ class ChaseState:
                         repaired += 1
                         if slot < right_base:
                             position, rank = divmod(slot, left_width)
-                            written_any |= left_bits << rank
+                            written_any |= 1 << rank
                             marks = left_written
                         else:
                             rank = (slot - right_base) % right_width
@@ -1059,8 +993,7 @@ class ChaseState:
     @cached_property
     def repairs(self) -> Dict[Cell, object]:
         """``cell -> final value`` for every cell whose value in ``D'``
-        differs from ``D`` — decoded from the written slots on first read.
-        Over shared storage a repaired cell appears under both side tags."""
+        differs from ``D`` — decoded from the written slots on first read."""
         values = self.values
         relations = (self.original.left, self.original.right)
         repairs = {}
@@ -1069,8 +1002,6 @@ class ChaseState:
             value = values[slot]
             if value != relations[side][tid][attribute]:
                 repairs[cell] = value
-                if self.layout.shared:
-                    repairs[self.decode(slot + self.right_base)] = value
         return repairs
 
     @cached_property
@@ -1216,7 +1147,7 @@ class ChaseState:
             return array("i")
         if not homes:
             return array("i", self.everything)
-        root, left_cells, right_cells = self.root, self.left_slots, self.right_cells
+        root, left_cells, right_cells = self.root, self.left_slots, self.right_slots
         left_step, right_step = self.left_tuples.step, self.right_tuples.step
         (left_classes, right_classes), right_base = self.class_widths, self.right_base
         # A pair's class at a home is its tuple's first class (the tuple's

@@ -338,6 +338,23 @@ class TestModesAgree:
         ] * 2
 
 
+class TestSelfMatch:
+    def test_one_relation_on_both_sides_is_refused(self, self_pair):
+        """Matching a relation against itself is the relation and its
+        copy: one ``Relation`` object on both sides is refused, naming
+        that route."""
+        workspace = (
+            Workspace.builder()
+            .pair(self_pair)
+            .target(["A", "B"], ["A", "B"])
+            .mds("R[A] = R[A] -> R[A] <=> R[A] & R[B] <=> R[B]")
+            .workspace()
+        )
+        relation = Relation(self_pair.left, [{"A": "a", "B": "b", "C": "c"}])
+        with pytest.raises(ValueError, match=r"relation\.copy\(\)"):
+            workspace.match(relation, relation)
+
+
 class TestValuePolicies:
     def test_policy_changes_resolved_values(self, fig1_workspace):
         workspace, credit, billing = fig1_workspace

@@ -28,8 +28,9 @@ def abc_pair():
 
 
 def _instance(pair, rows):
+    """``rows`` matched against themselves: the relation and its copy."""
     relation = Relation(pair.left, rows)
-    return InstancePair(pair, relation, relation)
+    return InstancePair(pair, relation, relation.copy())
 
 
 @pytest.fixture
@@ -203,16 +204,10 @@ class TestInstancePair:
         with pytest.raises(ValueError):
             InstancePair(abc_pair, wrong, wrong)
 
-    def test_copy_shares_single_relation_for_self_match(self, example23):
-        duplicate = example23.copy()
-        assert duplicate.left is duplicate.right
-        assert duplicate.extends(example23)
-
-    def test_self_match_pairs_skip_reflexive(self, example23):
-        pairs = list(example23.tuple_pairs())
-        assert (0, 0) not in pairs
-        assert (0, 1) in pairs
-        assert (1, 0) not in pairs  # unordered, reported once
+    def test_one_relation_on_both_sides_is_refused(self, abc_pair):
+        relation = Relation(abc_pair.left, [{"A": "a", "B": "b", "C": "c"}])
+        with pytest.raises(ValueError, match=r"relation\.copy\(\)"):
+            InstancePair(abc_pair, relation, relation)
 
     def test_cross_relation_pairs(self, fig1):
         pair, credit, billing = fig1

@@ -6,8 +6,7 @@ rescanned and every merged class re-resolved each round.  It shares no
 code with ``repro.plan``; the differential suite
 (``test_reference_differential.py``) holds the kernel to it.
 
-Cells are ``(side, tid, attribute)`` as in ``repro.core.semantics``; a
-self-match (``left is right``) keeps the side tags over one storage.
+Cells are ``(side, tid, attribute)`` as in ``repro.core.semantics``.
 """
 
 from __future__ import annotations
@@ -23,11 +22,7 @@ def reference_chase(
     registry=DEFAULT_REGISTRY,
 ):
     left = {row.tid: row.values() for row in instance.left}
-    right = (
-        left
-        if instance.left is instance.right
-        else {row.tid: row.values() for row in instance.right}
-    )
+    right = {row.tid: row.values() for row in instance.right}
     store = {LEFT: left, RIGHT: right}
     pairs = list(instance.tuple_pairs() if pairs is None else pairs)
     class_of = {}  # cell -> the (shared) set of cells identified with it

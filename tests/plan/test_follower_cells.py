@@ -1,12 +1,11 @@
 """Representative classes: only a group representative's cells have one.
 
-Between two relations the chase unions only an RHS group's
-representative cells (:class:`~repro.plan.executor.ChaseLayout`); a cell
-of another pair in the group, a *follower*, is read through its
-representative and never unioned nor walked, and a cell of an attribute
-no rule writes is never unioned at all.  So
-:class:`~repro.plan.executor.ChaseState` keeps ``root`` / ``size`` /
-``next`` over the representatives' cells only
+The chase unions only an RHS group's representative cells
+(:class:`~repro.plan.executor.ChaseLayout`); a cell of another pair in
+the group, a *follower*, is read through its representative and never
+unioned nor walked, and a cell of an attribute no rule writes is never
+unioned at all.  So :class:`~repro.plan.executor.ChaseState` keeps
+``root`` / ``size`` / ``next`` over the representatives' cells only
 (:attr:`ChaseLayout.classes`) and nothing for the other cells.
 Everything tuple-facing must answer for every cell what the naive
 reference chase, with a class of its own per cell, answers.  The classes
@@ -27,8 +26,7 @@ from hypothesis import strategies as st
 from reference import reference_chase
 
 from repro.api.spec import VALUE_POLICIES
-from repro.core.md import MatchingDependency
-from repro.core.schema import LEFT, SchemaPair
+from repro.core.schema import LEFT
 from repro.core.semantics import InstancePair, prefer_informative
 from repro.datagen.generator import generate_dataset
 from repro.datagen.mdgen import generate_workload
@@ -60,7 +58,7 @@ def _cells(state):
 def test_only_the_representatives_cells_have_a_class():
     data = generate_dataset(40, seed=7)
     plan = compile_plan(sigma=extended_mds(data.pair))
-    layout = plan.layouts[False]
+    layout = plan.layout
     # extended_mds: of the 12 ranks of each side 5 follow a representative,
     # one no rule writes, and the other 6 represent an RHS group.
     for places, classes in zip((layout.left_places, layout.right_places), layout.classes):
@@ -98,21 +96,6 @@ def test_only_the_representatives_cells_have_a_class():
 VALUES = st.sampled_from([None, "a", "ab", "abc", "b"])
 
 
-def _shared(workload):
-    """The workload's Σ over one schema, ``R1`` against itself (mdgen
-    pairs position ``i`` with position ``i``)."""
-    schema = workload.pair.left
-    pair = SchemaPair(schema, schema)
-    return pair, [
-        MatchingDependency(
-            pair,
-            [(atom.left, atom.left, atom.operator) for atom in md.lhs],
-            [(atom.left, atom.left) for atom in md.rhs],
-        )
-        for md in workload.sigma
-    ]
-
-
 def _ring(cells, klass):
     """``klass``'s ring through ``next``, walked at most ``count`` steps."""
     ring, count = cells.next, len(cells.next)
@@ -130,12 +113,11 @@ def _ring(cells, klass):
 @given(
     st.integers(0, 10_000),
     st.integers(1, 3),
-    st.booleans(),
     st.data(),
     st.sampled_from(sorted(VALUE_POLICIES)),
 )
 def test_cells_without_a_class_answer_as_the_reference_chase_does(
-    seed, md_count, shared, data, policy
+    seed, md_count, data, policy
 ):
     # Wide RHSs over few attributes: most rule sets form a multi-pair
     # group between two relations, and leave some attribute read-only.
@@ -143,9 +125,9 @@ def test_cells_without_a_class_answer_as_the_reference_chase_does(
         md_count, target_length=2, arity=5, max_lhs=2, max_rhs=4, seed=seed,
         rhs_target_bias=0.0,
     )
-    pair, sigma = _shared(workload) if shared else (workload.pair, workload.sigma)
-    plan = compile_plan(sigma=sigma)
-    layout = plan.layouts[shared]
+    pair = workload.pair
+    plan = compile_plan(sigma=workload.sigma)
+    layout = plan.layout
     rows = {
         schema.name: st.lists(
             st.fixed_dictionaries({name: VALUES for name in schema.attribute_names}),
@@ -153,12 +135,13 @@ def test_cells_without_a_class_answer_as_the_reference_chase_does(
         )
         for schema in (pair.left, pair.right)
     }
-    left = Relation(pair.left, data.draw(rows[pair.left.name]))
-    right = left if shared else Relation(pair.right, data.draw(rows[pair.right.name]))
-    instance = InstancePair(pair, left, right)
+    instance = InstancePair(
+        pair,
+        Relation(pair.left, data.draw(rows[pair.left.name])),
+        Relation(pair.right, data.draw(rows[pair.right.name])),
+    )
     resolver = VALUE_POLICIES[policy]
     written = {left for _, _, rhs in layout.rules for left, _ in rhs}
-    event(f"shared storage: {shared}")
     event(f"largest RHS group: {max(len(group) for group in layout.groups)}")
     event(f"read-only attributes: {len(layout.left_names) > len(written)}")
 

@@ -11,8 +11,8 @@ NaN object), ``1`` / ``1.0`` / ``True`` (equal and hashed alike under
 ``=``, three spellings under a string metric), an unhashable cell (its
 atom stays a filter), a pair listed twice (found at both positions), a
 shuffled list (sorted into a candidate set on entry, and joined all the
-same), shared storage, and a round budget that leaves the stability
-check a strict subset to intersect with.
+same), a relation matched against its copy, and a round budget that
+leaves the stability check a strict subset to intersect with.
 """
 
 from __future__ import annotations
@@ -194,12 +194,13 @@ def _observables(result, target=(("C", "C"),)):
     st.sampled_from([0, 1, 2, 100]),
 )
 def test_joined_self_matches_equal_scanned_ones(rules, rows, policy, max_rounds):
-    """Shared storage, 28 pairs over 8 tuples: the joined chase is the
-    reference's, and the kernel with no atom it can index (same chase,
-    every atom a filter) observes the same."""
+    """A relation against its copy, 64 pairs over 16 tuples (reflexive
+    ones included): the joined chase is the reference's, and the kernel
+    with no atom it can index (same chase, every atom a filter) observes
+    the same."""
     plan, pair = _plan(rules, "R", "R")
-    shared = Relation(pair.left, rows)
-    instance = InstancePair(pair, shared, shared)
+    relation = Relation(pair.left, rows)
+    instance = InstancePair(pair, relation, relation.copy())
     resolver = VALUE_POLICIES[policy]
     has_nan = any(NAN in row.values() for row in rows)
     joined, _ = (assert_same_chase_with_nan if has_nan else assert_same_chase)(
@@ -305,37 +306,22 @@ def test_a_shuffled_list_is_chased_as_its_sorted_set():
     assert _observables(shuffled) == _observables(ordered)
 
 
-def test_shared_storage_joins_one_value_list_against_itself():
-    plan, pair = _plan(
-        ["R[A] = S[A] -> R[B] <=> S[B]", "R[B] = S[B] -> R[C] <=> S[C]"], "R", "R"
-    )
-    rows = _keyed(6, B="b") + [
-        {"A": "k0", "B": None, "C": "long-c"}, {"A": "k1", "B": "b", "C": None}
-    ]
-    shared = Relation(pair.left, rows)
-    result, _ = assert_same_chase(
-        plan, InstancePair(pair, shared, shared), max_rounds=1
-    )
-    assert _joins(plan)[0] > 0
-    assert result.same((0, 0, "B"), (1, 6, "B"))
-
-
 def test_a_cell_a_rule_reads_on_its_right_side_alone_brings_it_back():
     """Rounds after the first re-select a rule's pairs by the LHS cells
-    written on each side.  Over shared storage the second rule reads
-    ``C`` only through its right tuple: round 1 writes tuple 1's ``C``,
-    and round 2 must select the pair again, and fire it."""
+    written on each side.  The second rule reads ``C`` only through its
+    right tuple: round 1 writes the right tuple's ``C``, and round 2 must
+    select the pair again, and fire it."""
     plan, pair = _plan(
-        ["R[A] = S[A] -> R[C] <=> S[C]", "R[B] = S[C] -> R[A] <=> S[A]"], "R", "R"
+        ["R[A] = S[A] -> R[C] <=> S[C]", "R[B] = S[C] -> R[A] <=> S[A]"]
     )
-    shared = Relation(
-        pair.left,
-        [{"A": "k", "B": "long", "C": "long"}, {"A": "k", "B": None, "C": None}],
+    instance = _block_instance(
+        pair, [{"A": "k", "B": "long", "C": "long"}], [{"A": "k", "B": None, "C": None}]
     )
-    result, _ = assert_same_chase(plan, InstancePair(pair, shared, shared))
+    result, _ = assert_same_chase(plan, instance)
     assert result.first_round == [[0], []]
     assert result.holding == [[0], [0]]
-    assert result.same((0, 0, "A"), (1, 1, "A"))
+    assert result.instance.right[0]["C"] == "long"
+    assert result.same((0, 0, "A"), (1, 0, "A"))
 
 
 @pytest.mark.parametrize("max_rounds", (0, 1, 2))

@@ -37,6 +37,7 @@ from repro.experiments.harness import resolution_spec_document
 from repro.matching.clustering import cluster_matches
 from repro.obs.trace import Tracer
 from repro.plan import ChaseState, compile_plan
+from repro.plan.executor import ChaseLayout
 from repro.relations.relation import Relation
 
 SCENARIOS = {
@@ -324,82 +325,6 @@ def test_unhashable_cell_values():
     assert plan.stats.cache_hits == 0
 
 
-def test_shared_instance_self_match():
-    schema = RelationSchema("R", ABC)
-    pair = SchemaPair(schema, schema)
-    plan = compile_plan(sigma=[
-        parse_md(text, pair)
-        for text in ("R[A] = R[A] -> R[B] <=> R[B]", "R[B] = R[B] -> R[C] <=> R[C]")
-    ])
-    shared = Relation(schema, [
-        {"A": "k", "B": "long-b", "C": "c"},
-        {"A": "k", "B": None, "C": "long-c"},
-        {"A": "z", "B": "long-b", "C": None},
-    ])
-    instance = InstancePair(pair, shared, shared)
-    result, _ = assert_same_chase(plan, instance, pairs=[(0, 1), (1, 2)])
-    assert result.instance.left is result.instance.right
-    # Pair (0, 1) repairs tuple 1's B through its *right* cell; pair
-    # (1, 2) reads the same storage through its *left* cell, and only
-    # that repair lets the C rule fire on it.
-    assert result.instance.left[1]["B"] == "long-b"
-    assert result.instance.left[2]["C"] == "long-c"
-
-
-def test_shared_storage_resolves_in_pair_major_union_order():
-    """In a self-match a tuple's cell can sit in two merged classes at
-    once (tagged left in one, right in the other), so the values a round
-    leaves behind depend on the order its classes are resolved in.  The
-    kernel takes the reference's: classes resolve in the order of their
-    first cell's first union, unions running pair by pair with the rules
-    in declared order.  Pinned on an instance where a rule-major union
-    order repairs differently and fires a 15th union.
-    """
-    schema = RelationSchema("R", ABC)
-    pair = SchemaPair(schema, schema)
-    plan = compile_plan(sigma=[
-        parse_md("R[B] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
-        parse_md("R[C] = R[C] -> R[B] <=> R[B] & R[C] <=> R[C]", pair),
-    ])
-    shared = Relation(schema, [
-        {"A": "a", "B": None, "C": "ab"},
-        {"A": None, "B": "b", "C": "abc"},
-        {"A": None, "B": "abc", "C": "ab"},
-        {"A": "ba", "B": "abc", "C": "abc"},
-    ])
-    result, _ = assert_same_chase(
-        plan, InstancePair(pair, shared, shared), max_rounds=2
-    )
-    assert (result.rounds, result.applications, result.stable) == (2, 14, True)
-    assert not result.same((LEFT, 0, "B"), (RIGHT, 1, "B"))
-    assert {row.tid: row.values() for row in result.instance.left} == {
-        tid: {"A": "ba", "B": "abc", "C": "abc"} for tid in range(4)
-    }
-
-
-def test_shared_storage_resolves_a_class_whose_twin_slot_was_rewritten():
-    """Resolving one class can rewrite a slot another class holds under
-    the other side tag.  That class is resolved again, later in the same
-    round if it comes later in the order, else in the next round, as the
-    reference re-resolving every class does.  Without it the kernel made
-    11 cell merges here and the reference 13."""
-    schema = RelationSchema("R", ("A", "B", "C", "D"))
-    pair = SchemaPair(schema, schema)
-    plan = compile_plan(sigma=[
-        parse_md("R[A] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
-        parse_md("R[A] = R[D] -> R[B] <=> R[B]", pair),
-    ])
-    shared = Relation(schema, [
-        {"A": "mark"}, {"A": "mark"}, {"A": "marx", "D": "mark"},
-        {"B": "mark", "D": "marx"},
-    ])
-    result, expected = assert_same_chase(
-        plan, InstancePair(pair, shared, shared),
-        VALUE_POLICIES["first-non-null"],
-    )
-    assert result.applications == expected.applications == 13
-
-
 def test_sparse_tuple_ids():
     # The engine's local instances keep store tids: neither dense nor
     # starting at 0, and different on each side.
@@ -680,7 +605,7 @@ def test_a_union_of_agreeing_classes_calls_no_resolver(rhs, left, right, calls):
     plan, pair = _abc_plan(
         "R[A] = S[A] -> " + " & ".join(f"R[{name}] <=> S[{name}]" for name in rhs)
     )
-    assert [len(group) for group in plan.layouts[False].groups] == [len(rhs)]
+    assert [len(group) for group in plan.layout.groups] == [len(rhs)]
     plan.tracer = Tracer()
     instance = InstancePair(
         pair,
@@ -736,43 +661,6 @@ def test_a_nan_class_is_resolved_and_unstable(right_b):
     result = plan.enforce(instance, resolver=spy)
     assert len(seen) == 1
     assert not result.stable
-
-
-def test_shared_storage_resolves_every_union():
-    """Over shared storage one slot can sit in two classes, so no class is
-    known to agree: the resolver is called once per grown class per round,
-    and once more for a class another's resolution rewrote a slot of, in
-    the order of the classes' first unions — the reference's calls (pinned,
-    with their arguments)."""
-    schema = RelationSchema("R", ABC)
-    pair = SchemaPair(schema, schema)
-    plan = compile_plan(sigma=[
-        parse_md("R[B] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
-        parse_md("R[C] = R[C] -> R[B] <=> R[B] & R[C] <=> R[C]", pair),
-    ])
-    plan.tracer = Tracer()
-    shared = Relation(schema, [
-        {"A": "a", "B": None, "C": "ab"},
-        {"A": None, "B": "b", "C": "abc"},
-        {"A": None, "B": "abc", "C": "ab"},
-        {"A": "ba", "B": "abc", "C": "abc"},
-    ])
-    spy, seen = _spy(prefer_informative)
-    result = plan.enforce(InstancePair(pair, shared, shared), resolver=spy,
-                          max_rounds=2)
-    assert (result.rounds, result.applications) == (2, 14)
-    # (``['ab', 'ab']`` and the all-``abc`` class agree, and are resolved)
-    assert seen == [
-        [None, "abc"], ["ab", "ab"], ["b", "abc"], ["abc", "ab", "abc"],
-        [None, "ba"], ["abc", "abc", "abc", "abc", "abc"],
-        ["ab", "abc", "abc", "abc", "abc", "abc"],
-        ["a", None, "ba", None, "ba", "ba"],
-    ]
-    reference_spy, reference_seen = _spy(prefer_informative)
-    reference_chase(plan.sigma, InstancePair(pair, shared, shared),
-                    reference_spy, None, 2, plan.registry)
-    assert seen == reference_seen
-    assert all(resolve["uniform"] == 0 for resolve in _spans(plan, "resolve-merged"))
 
 
 def test_reading_holding_runs_no_rhs_test():
@@ -926,7 +814,7 @@ def _grouped_plans(rules, pair):
     ]
     plan = compile_plan(sigma=[parse_md(text, pair) for text in texts])
     twin = compile_plan(sigma=[parse_md(text, pair) for text in texts + never])
-    assert all(len(group) == 1 for group in twin.layouts[False].groups)
+    assert all(len(group) == 1 for group in twin.layout.groups)
     return plan, twin
 
 
@@ -937,28 +825,19 @@ ROWS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(grouped_rules(), ROWS, ROWS, st.booleans(), st.sampled_from(sorted(VALUE_POLICIES)))
-def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, policy):
+@given(grouped_rules(), ROWS, ROWS, st.sampled_from(sorted(VALUE_POLICIES)))
+def test_group_unions_match_the_reference(rules, left_rows, right_rows, policy):
     """Grouped unions are invisible: ``same`` and ``members`` answer for
     every encoded cell what the classes say, and the resolver is called
     with what the same chase without groups calls it with.  The classes
-    are the reference's, and the whole chase agrees with it — over shared
-    storage too, where resolution is order-dependent (see
-    ``test_shared_storage_resolves_in_pair_major_union_order``)."""
-    left_schema = RelationSchema("R", ABCDE)
-    pair = SchemaPair(
-        left_schema, left_schema if shared else RelationSchema("S", ABCDE)
-    )
+    are the reference's, and the whole chase agrees with it."""
+    pair = SchemaPair(RelationSchema("R", ABCDE), RelationSchema("S", ABCDE))
     plan, twin = _grouped_plans(rules, pair)
-    left = Relation(pair.left, left_rows)
-    right = left if shared else Relation(pair.right, right_rows)
-    instance = InstancePair(pair, left, right)
-    resolver = VALUE_POLICIES[policy]
-    event(f"shared storage: {shared}")
-    event(
-        "largest RHS group: "
-        f"{max(len(group) for group in plan.layouts[shared].groups)}"
+    instance = InstancePair(
+        pair, Relation(pair.left, left_rows), Relation(pair.right, right_rows)
     )
+    resolver = VALUE_POLICIES[policy]
+    event(f"largest RHS group: {max(len(group) for group in plan.layout.groups)}")
     result, expected = assert_same_chase(plan, instance, resolver)
     classes = expected.classes
 
@@ -978,18 +857,14 @@ def test_group_unions_match_the_reference(rules, left_rows, right_rows, shared, 
     assert grouped.applications == split.applications
     assert grouped.repairs == split.repairs
     assert {frozenset(members) for members in split.classes()} == classes
-    if shared:
-        # The order of the unions, and so of the resolutions, is kept.
-        assert seen == twin_seen
-    else:
-        assert sorted(map(repr, seen)) == sorted(map(repr, twin_seen))
+    assert sorted(map(repr, seen)) == sorted(map(repr, twin_seen))
 
 
 def test_the_chase_is_one_state_and_enforce_its_one_entry_point():
     """``plan.enforce`` returns the :class:`ChaseState` that ran the
     rounds and holds the cell classes; the kernel function, the separate
-    result and classes objects, and the second entry point in
-    ``repro.core`` are gone."""
+    result and classes objects, the second entry point in ``repro.core``
+    and the second storage layout (one relation on both sides) are gone."""
     import repro.core
     import repro.core.semantics
     import repro.plan
@@ -1011,4 +886,7 @@ def test_the_chase_is_one_state_and_enforce_its_one_entry_point():
     result = plan.enforce(instance)
     assert type(result) is ChaseState and result.rounds == 3
     assert not hasattr(result, "merged_cells")
+    assert not hasattr(plan, "layouts") and "shared" not in ChaseLayout._fields
+    for name in ("first_union", "unions_made", "right_cells"):
+        assert not hasattr(result, name)
     assert result == result and result != plan.enforce(instance)

@@ -35,7 +35,7 @@ BYTES_PER_PAIR = 16
 
 #: Everything the state holds once per candidate position.
 PER_POSITION = (
-    "everything", "fresh", "left_slots", "right_cells", "right_slots",
+    "everything", "fresh", "left_slots", "right_slots",
     "fired", "fired_in", "_dirty",
 )
 
@@ -88,7 +88,7 @@ def test_selections_are_int_arrays_and_positions_a_range():
     workspace, instance, candidates = _hash_chase(300)
     result = workspace.plan.enforce(instance, candidate_pairs=candidates)
     assert result.everything == range(len(candidates))
-    for column in (result.left_slots, result.right_cells, result.right_slots):
+    for column in (result.left_slots, result.right_slots):
         assert column.typecode == "i" and len(column) == len(candidates)
     histories = [positions for history in result.fired_in for _, positions in history]
     assert histories and all(positions.typecode == "i" for positions in histories)

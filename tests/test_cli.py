@@ -14,7 +14,7 @@ import pytest
 from repro.api import Workspace
 from repro.cli import main
 from repro.datagen.generator import figure1_instances
-from repro.relations.csvio import save_relation
+from repro.relations.csvio import load_relation, save_relation
 
 from store_state import recipe_config
 
@@ -257,6 +257,56 @@ class TestMatch:
         # Windowed candidates catch t1 with several billing tuples.
         assert matched
         assert all(left == 0 for left, _ in matched)  # only t1 matches
+
+    def test_a_csv_matched_against_itself_is_the_relation_and_its_copy(
+        self, tmp_path, capsys
+    ):
+        """Deduplication through the front door: a spec over one schema
+        ``(R, R)`` and one CSV as ``--left`` and ``--right``.  The CLI
+        loads the file twice, so its matches are those of
+        ``Workspace.match(relation, relation.copy())``."""
+        attributes = ["FN", "LN", "addr", "tel"]
+        spec_path = tmp_path / "dedup.json"
+        spec_path.write_text(json.dumps({
+            "version": 1,
+            "schema": {
+                "left": {"name": "person", "attributes": attributes},
+                "right": {"name": "person", "attributes": attributes},
+            },
+            "target": {"left": attributes[:3], "right": attributes[:3]},
+            "rules": {
+                "mds": [
+                    "person[LN] = person[LN] & person[addr] = person[addr] & "
+                    "person[FN] ~dl(0.7) person[FN] -> "
+                    "person[FN] <=> person[FN] & person[LN] <=> person[LN]",
+                    "person[tel] = person[tel] -> person[addr] <=> person[addr]",
+                ],
+                "top_k": 3,
+            },
+        }))
+        people = tmp_path / "people.csv"
+        people.write_text(
+            "FN,LN,addr,tel\n"
+            "Mark,Clifford,10 Oak Street,908-1111111\n"
+            "Marx,Clifford,10 Oak Street,908-1111111\n"
+            "Mark,Clifford,NJ,908-1111111\n"
+            "David,Smith,620 Elm Street,908-2222222\n"
+            "Dave,Smith,620 Elm Street,908-3333333\n"
+        )
+        code = main(
+            ["match", "--spec", str(spec_path),
+             "--left", str(people), "--right", str(people), "--json"]
+        )
+        assert code == 0
+        matched = [tuple(pair) for pair in json.loads(capsys.readouterr().out)["matches"]]
+        workspace = Workspace.from_file(spec_path)
+        relation = load_relation(workspace.plan.pair.left, people)
+        assert matched == list(workspace.match(relation, relation.copy()).matches)
+        # The three Mark Cliffords are one person, each other tuple itself.
+        assert matched == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+            (3, 3), (4, 4),
+        ]
 
     def test_match_workers_flag_is_gone(self, spec_file, tmp_path, capsys):
         """There is one executor: argparse rejects the flag (exit 2)."""
