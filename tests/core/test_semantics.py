@@ -209,6 +209,18 @@ class TestInstancePair:
         with pytest.raises(ValueError, match=r"relation\.copy\(\)"):
             InstancePair(abc_pair, relation, relation)
 
+    def test_copy_of_a_self_match_copies_both_relations(self, example23):
+        duplicate = example23.copy()
+        assert duplicate.left is not duplicate.right
+        assert duplicate.left is not example23.left
+        assert duplicate.extends(example23)
+        duplicate.right.set_value(0, "B", "b2")
+        assert duplicate.left[0]["B"] == example23.right[0]["B"] == "b1"
+
+    def test_self_match_pairs_include_reflexive_and_both_orders(self, example23):
+        pairs = list(example23.tuple_pairs())
+        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_cross_relation_pairs(self, fig1):
         pair, credit, billing = fig1
         instance = InstancePair(pair, credit, billing)

@@ -306,6 +306,24 @@ def test_a_shuffled_list_is_chased_as_its_sorted_set():
     assert _observables(shuffled) == _observables(ordered)
 
 
+def test_a_relation_joins_one_value_list_against_its_copy():
+    plan, pair = _plan(
+        ["R[A] = S[A] -> R[B] <=> S[B]", "R[B] = S[B] -> R[C] <=> S[C]"], "R", "R"
+    )
+    rows = _keyed(6, B="b") + [
+        {"A": "k0", "B": None, "C": "long-c"}, {"A": "k1", "B": "b", "C": None}
+    ]
+    relation = Relation(pair.left, rows)
+    result, _ = assert_same_chase(
+        plan, InstancePair(pair, relation, relation.copy()), max_rounds=1
+    )
+    assert _joins(plan)[0] > 0
+    # Each side of the pair (0, 6) and (6, 0) is repaired on its own.
+    assert result.same((0, 0, "B"), (1, 6, "B"))
+    assert result.same((0, 6, "B"), (1, 0, "B"))
+    assert result.repairs == {(0, 6, "B"): "b", (1, 6, "B"): "b"}
+
+
 def test_a_cell_a_rule_reads_on_its_right_side_alone_brings_it_back():
     """Rounds after the first re-select a rule's pairs by the LHS cells
     written on each side.  The second rule reads ``C`` only through its

@@ -325,6 +325,76 @@ def test_unhashable_cell_values():
     assert plan.stats.cache_hits == 0
 
 
+def test_self_match_on_a_copy_repairs_each_side_apart():
+    """A relation matched against its copy: a repair made through a
+    tuple's right cell is not seen by its left one."""
+    schema = RelationSchema("R", ABC)
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md(text, pair)
+        for text in ("R[A] = R[A] -> R[B] <=> R[B]", "R[B] = R[B] -> R[C] <=> R[C]")
+    ])
+    relation = Relation(schema, [
+        {"A": "k", "B": "long-b", "C": "c"},
+        {"A": "k", "B": None, "C": "long-c"},
+        {"A": "z", "B": "long-b", "C": None},
+    ])
+    instance = InstancePair(pair, relation, relation.copy())
+    result, _ = assert_same_chase(plan, instance, pairs=[(0, 1), (1, 2)])
+    # Pair (0, 1) repairs tuple 1's B on the right only; pair (1, 2) reads
+    # tuple 1's unrepaired left B, so the C rule never fires on it.
+    assert result.repairs == {(LEFT, 0, "C"): "long-c", (RIGHT, 1, "B"): "long-b"}
+    assert result.instance.left[1]["B"] is None
+    assert result.instance.right[2]["C"] is None
+
+
+def test_self_match_on_a_copy_converges_as_the_reference_does():
+    """Every pair of four tuples, reflexive ones included, under two rules
+    that share RHS attributes: both sides converge on one row, in the
+    reference's rounds and applications."""
+    schema = RelationSchema("R", ABC)
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md("R[B] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
+        parse_md("R[C] = R[C] -> R[B] <=> R[B] & R[C] <=> R[C]", pair),
+    ])
+    relation = Relation(schema, [
+        {"A": "a", "B": None, "C": "ab"},
+        {"A": None, "B": "b", "C": "abc"},
+        {"A": None, "B": "abc", "C": "ab"},
+        {"A": "ba", "B": "abc", "C": "abc"},
+    ])
+    result, _ = assert_same_chase(
+        plan, InstancePair(pair, relation, relation.copy()), max_rounds=2
+    )
+    assert (result.rounds, result.applications, result.stable) == (2, 21, True)
+    for side in (result.instance.left, result.instance.right):
+        assert {row.tid: row.values() for row in side} == {
+            tid: {"A": "ba", "B": "abc", "C": "abc"} for tid in range(4)
+        }
+
+
+def test_self_match_on_a_copy_resolves_rewritten_classes_as_the_reference_does():
+    """Resolving one class rewrites a cell another rule reads in the next
+    round; the kernel makes the reference's cell merges."""
+    schema = RelationSchema("R", ("A", "B", "C", "D"))
+    pair = SchemaPair(schema, schema)
+    plan = compile_plan(sigma=[
+        parse_md("R[A] = R[B] -> R[A] <=> R[A] & R[C] <=> R[C]", pair),
+        parse_md("R[A] = R[D] -> R[B] <=> R[B]", pair),
+    ])
+    relation = Relation(schema, [
+        {"A": "mark"}, {"A": "mark"}, {"A": "marx", "D": "mark"},
+        {"B": "mark", "D": "marx"},
+    ])
+    result, expected = assert_same_chase(
+        plan, InstancePair(pair, relation, relation.copy()),
+        VALUE_POLICIES["first-non-null"],
+    )
+    assert result.rounds == 2
+    assert result.applications == expected.applications == 7
+
+
 def test_sparse_tuple_ids():
     # The engine's local instances keep store tids: neither dense nor
     # starting at 0, and different on each side.
