@@ -96,7 +96,7 @@ _FILES = ("", "-wal", "-shm")
 
 #: The attributes each half of the in-memory state sets; reading one
 #: that is not set loads its half.
-_RECORDS_HALF = ("blocking", "left", "right", "_arrival", "_keys", "instances")
+_RECORDS_HALF = ("blocking", "left", "right", "_arrival", "_keys", "_off_arrival", "instances")
 _CLUSTERS_HALF = ("identities",)
 
 
@@ -255,9 +255,17 @@ class SQLiteMatchStore(MatchStore):
             "SELECT side, tid, arrival, current FROM records ORDER BY rowid"
         ):
             # Each name-keyed record is read into a positional row.
-            arrivals[side].adopt(tid, json.loads(arrival))
-            self.relation(side).adopt(tid, json.loads(current))
+            arrival_values, current_values = json.loads(arrival), json.loads(current)
+            arrivals[side].adopt(tid, arrival_values)
+            self.relation(side).adopt(tid, current_values)
             self._index(side, arrivals[side][tid])
+            moved = current != arrival and {
+                name
+                for name in arrivals[side].schema.attribute_names
+                if current_values.get(name) != arrival_values.get(name)
+            }
+            if moved:
+                self._off_arrival[side][tid] = moved
 
     def _load_clusters(self) -> None:
         """The union-find from one scan of the direct root pointers."""

@@ -108,6 +108,9 @@ class MatchStore:
         self._arrival = (Relation(self.pair.left), Relation(self.pair.right))
         #: Per side, ``tid -> blocking keys``, derived once per record.
         self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
+        #: Per side, ``tid -> the attributes whose current value a repair
+        #: moved off the arrival one`` (a record with none is absent).
+        self._off_arrival: Tuple[Dict[int, Set[str]], Dict[int, Set[str]]] = ({}, {})
         #: The instance a delta is chased over, indexed by "read the
         #: arrival values": the current values, then the arrival values.
         self.instances = (
@@ -180,15 +183,20 @@ class MatchStore:
 
     def is_repaired(self, side: int, tid: int, attributes: Iterable[str]) -> bool:
         """Whether the record's current value differs from its arrival
-        value on any of ``attributes``."""
-        current, arrival = self.relation(side)[tid], self._arrival[side][tid]
-        return any(current[name] != arrival[name] for name in attributes)
+        value on any of ``attributes`` (kept by :meth:`repair`, the one
+        writer of current values: no cell is read)."""
+        moved = self._off_arrival[side].get(tid)
+        return moved is not None and not moved.isdisjoint(attributes)
 
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
         """Overwrite the listed cells of the record's current values."""
-        relation = self.relation(side)
+        relation, arrival = self.relation(side), self._arrival[side][tid]
+        moved = self._off_arrival[side].setdefault(tid, set())
         for attribute, value in changes.items():
             relation.set_value(tid, attribute, value)
+            (moved.add if value != arrival[attribute] else moved.discard)(attribute)
+        if not moved:
+            del self._off_arrival[side][tid]
 
     # ------------------------------------------------------------------
     # Identity clusters (``identities``, a Clusters union-find)

@@ -18,9 +18,7 @@ interpolating between the neighboring observations.
 from __future__ import annotations
 
 import math
-import sys
 import threading
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
@@ -43,14 +41,8 @@ _SUB_BUCKETS = 128
 _BIAS = 1074 * _SUB_BUCKETS
 #: The bucket of an infinite magnitude (and of NaN): above every finite one.
 _TOP = 2100 * _SUB_BUCKETS
-#: Past the cap, the observations kept between folds.  A fold buckets them
-#: together from their bits, about 0.26 µs each against about 0.7 µs for
-#: :func:`_bucket` alone, and holds the lock for about 0.3 ms (2 vCPU,
-#: CPython 3.11).
+#: Past the cap, the observations kept between folds.
 _FOLD_EVERY = 1024
-#: A positive normal double's bits over ``2**45`` are its biased exponent
-#: and the top 7 bits of its fraction: its :func:`_bucket` less this.
-_NORMAL_SHIFT = _BIAS - 1022 * _SUB_BUCKETS
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -165,16 +157,9 @@ class Histogram:
             return
         if self.buckets is None:
             self.buckets = Counter()
-        total = sum(values)
-        if min(values) >= sys.float_info.min and total < math.inf:
-            # Every one is positive, normal and finite (a NaN or an
-            # infinity makes ``total`` fail): bucket them from their bits.
-            words = array("q", array("d", values).tobytes())
-            self.buckets.update([(word >> 45) + _NORMAL_SHIFT for word in words])
-        else:
-            self.buckets.update(map(_bucket, values))
+        self.buckets.update(map(_bucket, values))
         self._count += len(values)
-        self._total += total
+        self._total += sum(values)
         self._low = min(self._low, *values)
         self._high = max(self._high, *values)
         self.values = []

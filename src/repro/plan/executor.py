@@ -5,19 +5,21 @@ extension ``D'`` with ``(D, D') ⊨ Σ`` by merging cells into classes and
 resolving every merged class to one value.  :class:`ChaseState` is that
 computation and its result in one object.  Built over ``(plan, instance,
 candidate set, resolver)``, it lays the chase out in flat arrays and marks
-every position *fresh*; :meth:`ChaseState.run` does the rounds.  A cell is
-the int ``side_base + position * width + rank``: the tuples the pairs
-mention get positions in sorted-tid order, the attributes their ranks in
-the plan's :class:`ChaseLayout`, so int order is ``(side, tid,
-attribute)`` order, and the state holds:
+every position *fresh*; :meth:`ChaseState.run` does the rounds.  The
+tuples the pairs mention get positions in sorted-tid order, the
+attributes their ranks in the plan's :class:`ChaseLayout`, and the cells
+are laid out by column: a cell is the int ``columns[side][rank] +
+position``, every column one block of ints, in four regions — the left
+RHS-group representatives' columns, the right ones', then each side's
+other columns (:attr:`ChaseLayout.blocks`).  So the representatives'
+cells are the ints ``[0, classes)``, and the state holds:
 
 * **classes** — ``root`` / ``size`` / ``next``, three ``array('i')``
-  over the group representatives' cells only (a *class* is ``side_base +
-  position * representatives + k``, the ``k``-th representative rank of
-  the side, :attr:`ChaseLayout.classes`); a union relabels the smaller
-  class and joins the two rings, once per (pair, RHS group);
+  over the representative cells only: a class *is* the int of its
+  representative cell (:attr:`ChaseLayout.classes`); a union relabels
+  the smaller class and joins the two rings, once per (pair, RHS group);
 * **values** — one working list, a slot per cell, projected from the
-  instance;
+  instance column by column;
 * **firings** — per position a rule mask (:func:`rule_masks`), per rule
   the ``(round, positions)`` of every round it fired in;
 * **writes** — per slot the last round that wrote it, and per side and
@@ -45,12 +47,12 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import floordiv, ne, or_, sub
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import accumulate, compress, repeat
+from operator import ne, or_
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT
 from repro.core.semantics import InstancePair, ValueResolver
@@ -63,13 +65,10 @@ Cell = Tuple[int, int, str]
 
 
 #: Where a rank's cells live (:attr:`ChaseLayout.left_places`): the
-#: cell's lane (the index of its RHS pair in its group), the group's
-#: lanes — per RHS pair, its ``(left, right)`` rank offsets from the
-#: representative pair — and the representative's class rank (its index
-#: in the side's :attr:`ChaseLayout.classes`).  A read-only rank, in no
-#: RHS pair: ``(0, ((0, 0),), -1)``, a cell in no class.
-Place = Tuple[int, Tuple[Tuple[int, int], ...], int]
-_READ_ONLY: Place = (0, ((0, 0),), -1)
+#: cell's lane (the index of its RHS pair in its group) and the group's
+#: ``(left rank, right rank)`` pairs, the representative first.  A
+#: read-only rank, in no RHS pair, has none: its cells are in no class.
+Place = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
 class ChaseLayout(NamedTuple):
@@ -94,9 +93,14 @@ class ChaseLayout(NamedTuple):
     bitmask of the groups it writes, ``reads`` per rule the bitmask of
     the cells its LHS reads (bit ``r`` for left rank ``r``, bit
     ``len(left_names) + r`` for right rank ``r``), ``left_places`` /
-    ``right_places`` per rank where its cells live (:data:`Place`), and
-    :meth:`unions` the group unions a set of firing rules makes at one
-    pair."""
+    ``right_places`` per rank where its cells live (:data:`Place`, or
+    ``None``), and :meth:`unions` the group unions a set of firing rules
+    makes at one pair.
+
+    A chase lays its cells out by column, one block of ints per column
+    (:class:`ChaseState`): ``regions`` are the four runs of columns in
+    that order — per side the representatives' names, then per side the
+    other ranks' — and ``blocks`` every column as ``(side, rank)``."""
 
     left_names: Tuple[str, ...]
     right_names: Tuple[str, ...]
@@ -106,13 +110,14 @@ class ChaseLayout(NamedTuple):
     groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     writes: Tuple[int, ...]
     reads: Tuple[int, ...]
-    left_places: Tuple[Place, ...]
-    right_places: Tuple[Place, ...]
-    #: Per side, the representative ranks: class rank ``k`` is rank
-    #: ``classes[side][k]``.
+    left_places: Tuple[Optional[Place], ...]
+    right_places: Tuple[Optional[Place], ...]
+    #: Per side, the representative ranks, ascending.
     classes: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    #: Per side and class rank, the lanes of the representative's group.
-    class_lanes: Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]
+    #: ``(side, attribute names)`` per region of columns, in cell order.
+    regions: Tuple[Tuple[int, Tuple[str, ...]], ...]
+    #: ``(side, rank)`` per column, in cell order.
+    blocks: Tuple[Tuple[int, int], ...]
     #: The most RHS pairs in one group: the bits of a class's lanes.
     widest: int
     #: rule bitmask -> :meth:`unions`' answer, filled as masks occur.
@@ -163,32 +168,31 @@ class ChaseLayout(NamedTuple):
         classes = tuple(
             tuple(sorted({pairs[0][side] for pairs in groups})) for side in (0, 1)
         )
-        left_class, right_class = ({rank: k for k, rank in enumerate(ranks)} for ranks in classes)
-        left_places = [_READ_ONLY] * len(left_names)
-        right_places = [_READ_ONLY] * len(right_names)
+        left_places: List[Optional[Place]] = [None] * len(left_names)
+        right_places: List[Optional[Place]] = [None] * len(right_names)
         for pairs in groups:
-            (left0, right0) = pairs[0]
-            lanes = tuple((left - left0, right - right0) for left, right in pairs)
             for lane, (left, right) in enumerate(pairs):
-                left_places[left] = (lane, lanes, left_class[left0])
-                right_places[right] = (lane, lanes, right_class[right0])
-        class_lanes = tuple(
-            tuple(places[rank][1] for rank in ranks)
-            for places, ranks in zip((left_places, right_places), classes)
+                left_places[left] = right_places[right] = (lane, pairs)
+        names = (left_names, right_names)
+        others = tuple(
+            tuple(rank for rank in range(len(names[side])) if rank not in classes[side])
+            for side in (0, 1)
         )
+        columns = tuple(zip((0, 1, 0, 1), classes + others))
         return cls(
             left_names, right_names, left_rank, right_rank, lowered, groups,
             writes, reads, tuple(left_places), tuple(right_places), classes,
-            class_lanes, max(map(len, groups), default=1), {}, {},
+            tuple((side, tuple(names[side][rank] for rank in ranks)) for side, ranks in columns),
+            tuple((side, rank) for side, ranks in columns for rank in ranks),
+            max(map(len, groups), default=1), {}, {},
         )
 
     def unions(self, mask: int) -> Tuple[Tuple[int, int, int, tuple], ...]:
         """The unions the rules in ``mask`` (bit ``k`` = rule ``k``) make
-        at one pair: a ``(left class rank, right class rank, left rank,
-        right rank, size, lanes)`` per group, the representative's class
-        ranks (:attr:`classes`) and ranks, the group's size and, per
-        further RHS pair, ``(its bit, left offset, right offset)``.  In the
-        order the rules and their RHS name the groups.  Memoized per mask."""
+        at one pair: a ``(left rank, right rank, size, lanes)`` per group,
+        the representative's ranks, the group's size and, per further RHS
+        pair, ``(its bit, left rank, right rank)``.  In the order the
+        rules and their RHS name the groups.  Memoized per mask."""
         found = self.union_memo.get(mask)
         if found is not None:
             return found
@@ -202,26 +206,22 @@ class ChaseLayout(NamedTuple):
         for g in seen:
             (left0, right0), *others = self.groups[g]
             lanes = tuple(
-                (1 << lane, left - left0, right - right0)
-                for lane, (left, right) in enumerate(others, 1)
+                (1 << lane, left, right) for lane, (left, right) in enumerate(others, 1)
             )
-            unions.append((
-                self.left_places[left0][2], self.right_places[right0][2],
-                left0, right0, 1 + len(others), lanes,
-            ))
+            unions.append((left0, right0, 1 + len(others), lanes))
         found = self.union_memo[mask] = tuple(unions)
         return found
 
     def homes(
         self, attribute_pairs: Iterable[Tuple[str, str]]
     ) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """The ``(left class rank, right class rank)`` classes a pair is
-        read at to tell whether its cells of every given attribute pair
-        were identified: one representative pair per RHS group the
-        attribute pairs fall in.  ``None`` when no pair can be — an
-        attribute outside the encoding, a read-only cell, or two cells of
-        different lanes, which never share a class.  Memoized per
-        attribute pair sequence."""
+        """The ``(left rank, right rank)`` representatives a pair is read
+        at to tell whether its cells of every given attribute pair were
+        identified: one representative pair per RHS group the attribute
+        pairs fall in.  ``None`` when no pair can be — an attribute
+        outside the encoding, a read-only cell, or two cells of different
+        lanes, which never share a class.  Memoized per attribute pair
+        sequence."""
         key = tuple(attribute_pairs)
         try:
             return self.home_memo[key]
@@ -234,12 +234,12 @@ class ChaseLayout(NamedTuple):
             if left_rank is None or right_rank is None:
                 homes = None
                 break
-            lane, _, left_class = self.left_places[left_rank]
-            other, _, right_class = self.right_places[right_rank]
-            if lane != other or left_class < 0 or right_class < 0:
+            left_place = self.left_places[left_rank]
+            right_place = self.right_places[right_rank]
+            if left_place is None or right_place is None or left_place[0] != right_place[0]:
                 homes = None
                 break
-            homes[left_class, right_class] = None
+            homes[left_place[1][0][0], right_place[1][0][1]] = None
         found = self.home_memo[key] = None if homes is None else tuple(homes)
         return found
 
@@ -328,15 +328,17 @@ class ChaseState:
     representative cells counts one per RHS pair of the group).  A union
     of classes whose values agree is not resolved: it would write nothing.
 
-    The classes are kept over the representative cells of the layout's
-    RHS groups only (:attr:`ChaseLayout.classes`): a cell of another pair
-    in a group, a *follower*, or of an attribute no rule writes is never
-    unioned nor walked, so it has no entry, and the tuple-facing reads
-    (:meth:`same`, :meth:`members`, :meth:`classes`) map a cell to its
-    representative's class and decode at the boundary.  Class ids keep
-    the order of the cells they stand for.  ``root`` is kept flat (a
-    union relabels the smaller class), so a class test is one array
-    comparison.
+    The cells are laid out by column (:attr:`ChaseLayout.blocks`): the
+    cell of a side's tuple at ``position`` and rank ``rank`` is
+    ``left_columns[rank] + position`` (``right_columns`` on the right),
+    the representatives' columns first.  The classes are kept over those
+    cells only, ``[0, classes)``, and a class is its representative
+    cell: a cell of another pair in a group, a *follower*, or of an
+    attribute no rule writes is never unioned nor walked, so it has no
+    entry, and the tuple-facing reads (:meth:`same`, :meth:`members`,
+    :meth:`classes`) map a cell to its representative's class.  ``root``
+    is kept flat (a union relabels the smaller class), so a class test
+    is one array comparison.
 
     The results are read off the state's own arrays, each on first read:
     ``matching`` / ``matches`` / ``identified`` (a root comparison per
@@ -371,44 +373,41 @@ class ChaseState:
         layout = self.layout = plan.layout
         self.plan, self.original, self.pairs, self.resolver = plan, instance, pairs, resolver
         lefts, rights = pairs.lefts, pairs.rights
-        left_width = self.left_width = len(layout.left_names)
-        right_width = len(layout.right_names)
+        self.left_width = len(layout.left_names)
         #: Per side, the tids in ascending order: columns as the candidate
         #: set's are (``left_tids`` is its ``lefts``).
         self.left_tids = lefts
         self.right_tids = column_like(rights, sorted(set(rights)))
-        #: The first right cell.
-        right_base = self.right_base = len(lefts) * left_width
-        count = right_base + len(self.right_tids) * right_width
-        right_first = {
-            tid: right_base + position * right_width
-            for position, tid in enumerate(self.right_tids)
-        }
-        #: Per pair, the first cell of its left and of its right tuple (a
-        #: cell is its slot); ``lefts`` are the left tuples, in order.
-        self.left_slots = array(
-            "i", list(pairs.per_pair(map(left_width.__mul__, range(len(lefts)))))
-        )
-        self.right_slots = array("i", list(map(right_first.__getitem__, rights)))
-        del right_first
-        #: Per side, every tuple's first slot, in tid order.
-        self.left_tuples = range(0, right_base, left_width or 1)
-        self.right_tuples = range(right_base, count, right_width or 1)
-        self.tuples = len(self.left_tuples) + len(self.right_tuples)
-        values = instance.left.project(lefts, layout.left_names)
-        values += instance.right.project(self.right_tids, layout.right_names)
+        tids = (lefts, self.right_tids)
+        #: Per pair, the positions of its left and of its right tuple
+        #: (``lefts`` are the left tuples, in order).
+        self.left_positions = array("i", list(pairs.per_pair(range(len(lefts)))))
+        right_at = dict(zip(self.right_tids, range(len(rights))))
+        self.right_positions = array("i", list(map(right_at.__getitem__, rights)))
+        del right_at
+        self.tuples = len(lefts) + len(self.right_tids)
+        #: Per column (``layout.blocks``), its first cell, then the cell
+        #: count; per side and rank, its column's first cell.
+        self.starts = list(accumulate((len(tids[side]) for side, _ in layout.blocks), initial=0))
+        columns = ([0] * self.left_width, [0] * len(layout.right_names))
+        for (side, rank), start in zip(layout.blocks, self.starts):
+            columns[side][rank] = start
+        self.left_columns, self.right_columns = columns
+        relations = (instance.left, instance.right)
+        values: List[object] = []
+        for side, names in layout.regions:
+            values += relations[side].project(tids[side], names)
         #: The working values, one per slot.
         self.values = values
         #: Per left tuple (``left_tids`` order), where its run of pairs
         #: starts (``runs[p]`` to ``runs[p + 1]``, ascending by right
         #: tuple).
         self.runs = pairs.starts
-        #: Per side, the classes a tuple has (its representative cells):
-        #: the class of a left tuple's ``k``-th one is ``position *
-        #: class_widths[0] + k``, a right one's ``right_class_base`` more.
-        self.class_widths = tuple(map(len, layout.classes))
-        self.right_class_base = len(self.left_tids) * self.class_widths[0]
-        classes = self.right_class_base + len(self.right_tids) * self.class_widths[1]
+        #: The representative cells: the left ones, then from
+        #: ``right_classes`` on the right ones.
+        representatives = len(layout.classes[0]), len(layout.classes[1])
+        self.right_classes = self.starts[representatives[0]]
+        classes = self.starts[sum(representatives)]
         #: The classes: per class its root, per root its class's size, and
         #: per class the next member of its class's circular ring.
         self.root = _identity(classes)
@@ -420,12 +419,12 @@ class ChaseState:
         self.everything = range(len(pairs))
         #: The positions no round has examined yet.
         self.fresh: Sequence[int] = self.everything
-        #: Per side and tuple, a bit per rank the last round wrote, at the
-        #: tuple's first slot over the side's width (:func:`rule_masks`
-        #: arrays; ``None`` while no round since the last listing wrote);
-        #: ``written_tuples`` counts the tuples with one, and
-        #: ``written_any`` ORs them as the rules' ``reads`` count a rank
-        #: (left ``r``: bit ``r``; right: ``left_width + r``).
+        #: Per side and tuple, a bit per rank the last round wrote, by
+        #: position (:func:`rule_masks` arrays; ``None`` while no round
+        #: since the last listing wrote); ``written_tuples`` counts the
+        #: tuples with one, and ``written_any`` ORs them as the rules'
+        #: ``reads`` count a rank (left ``r``: bit ``r``; right:
+        #: ``left_width + r``).
         self.written: Optional[Tuple[Sequence[int], Sequence[int]]] = None
         self.written_tuples = self.written_any = 0
         #: The dirty pairs listed, with their write masks, once per round.
@@ -567,13 +566,11 @@ class ChaseState:
             if self.written_tuples:
                 # A left tuple's mark repeated over its run, a right
                 # tuple's read per pair.
-                (left, right), runs = self.written, self.runs
+                left, right = self.written
                 listed.extend(compress(self.everything, map(
                     or_,
-                    chain.from_iterable(map(repeat, left, map(sub, islice(runs, 1, None), runs))),
-                    map(right.__getitem__, map(floordiv, self.right_slots, repeat(
-                        self.right_tuples.step
-                    ))),
+                    self.pairs.per_pair(left),
+                    map(right.__getitem__, self.right_positions),
                 )))
             self._dirty = listed, self._write_marks(listed)
         return self._dirty
@@ -585,12 +582,8 @@ class ChaseState:
         shift = self.left_width
         marks = rule_masks(shift + len(self.layout.right_names), 0)
         if positions:
-            (left, right), left_slots, right_slots = self.written, self.left_slots, self.right_slots
-            left_step, right_step = self.left_tuples.step, self.right_tuples.step
-            marks.extend(
-                left[left_slots[i] // left_step] | right[right_slots[i] // right_step] << shift
-                for i in positions
-            )
+            (left, right), lefts, rights = self.written, self.left_positions, self.right_positions
+            marks.extend(left[lefts[i]] | right[rights[i]] << shift for i in positions)
         return marks
 
     def _pending_size(self) -> int:
@@ -613,9 +606,8 @@ class ChaseState:
         lane by lane stays uniform)."""
         layout, values, union_memo = self.layout, self.values, self.layout.union_memo
         root, size, ring = self.root, self.size, self.next
-        left_cells, right_cells, right_base = self.left_slots, self.right_slots, self.right_base
-        left_step, right_step = self.left_tuples.step, self.right_tuples.step
-        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
+        lefts, rights = self.left_positions, self.right_positions
+        left_columns, right_columns = self.left_columns, self.right_columns
         # OR the firing rules into one mask per position (a
         # :func:`rule_masks` array), listing each position once.
         masks, listed = rule_masks(len(self.fired_in), len(self.fired)), array("i")
@@ -631,12 +623,12 @@ class ChaseState:
             mask = masks[i]
             unions = union_memo.get(mask) or layout.unions(mask)
             attempts += len(unions)
-            left_cell, right_cell = left_cells[i], right_cells[i]
-            left_class = left_cell // left_step * left_classes
-            right_class = (right_cell - right_base) // right_step * right_classes + right_class_base
-            for left, right, left_rank, right_rank, width, lanes in unions:
-                a = root[left_class + left]
-                b = root[right_class + right]
+            left_at, right_at = lefts[i], rights[i]
+            for left, right, width, lanes in unions:
+                # A representative cell is its class.
+                a_cell = left_columns[left] + left_at
+                b_cell = right_columns[right] + right_at
+                a, b = root[a_cell], root[b_cell]
                 if a == b:
                     continue
                 # A lane of a class not mixed this round is uniform — its
@@ -644,12 +636,12 @@ class ChaseState:
                 # them all — so the pair's own cells compare as the two
                 # roots would.
                 bits = mixed[a] | mixed[b]
-                a_cell, b_cell = left_cell + left_rank, right_cell + right_rank
                 if not bits & 1 and values[a_cell] != values[b_cell]:
                     bits |= 1
-                for bit, left_offset, right_offset in lanes:
+                for bit, left, right in lanes:
                     if not bits & bit and (
-                        values[a_cell + left_offset] != values[b_cell + right_offset]
+                        values[left_columns[left] + left_at]
+                        != values[right_columns[right] + right_at]
                     ):
                         bits |= bit
                 size_a, size_b = size[a], size[b]
@@ -674,20 +666,19 @@ class ChaseState:
     def _resolve(self, touched: array, mixed: Sequence[int], span) -> None:
         """Resolve every class a union this round made that may disagree,
         and record the writes: what makes pairs dirty for the next round."""
-        layout, values, root, right_base = self.layout, self.values, self.root, self.right_base
-        left_width, right_width = self.left_width, len(layout.right_names)
+        values, root, blocks = self.values, self.root, self.layout.blocks
+        starts, right_classes, left_width = self.starts, self.right_classes, self.left_width
+        left_columns, right_columns = self.left_columns, self.right_columns
+        places = (self.layout.left_places, self.layout.right_places)
         last_write, rounds, resolver = self.last_write, self.rounds, self.resolver
         if self.written is None:
-            # A tuple's marks are at its first slot over its side's width:
-            # a right tuple's ``right_base // right_width`` past its number.
             left_written = rule_masks(left_width, len(self.left_tids))
-            right_written = rule_masks(right_width, self.right_tuples.stop // right_width)
+            right_written = rule_masks(len(self.layout.right_names), len(self.right_tids))
             self.written = left_written, right_written
         else:
             left_written, right_written = self.written
         written_any = 0
         written_tuples = self.written_tuples
-        group_lanes, ring_cells = self._group_lanes, self._ring_cells()
         #: A flag per class: it was resolved this round.
         seen = bytearray(len(root))
         repaired = uniform = resolved_classes = 0
@@ -696,21 +687,24 @@ class ChaseState:
             if seen[anchor]:
                 continue
             seen[anchor] = 1
-            lanes = group_lanes(anchor)
+            side, rank = blocks[bisect_right(starts, anchor) - 1]
+            group = places[side][rank][1]
             bits = mixed[anchor]
             if not bits:
-                uniform += len(lanes)
+                uniform += len(group)
                 continue
-            # The resolver sees the members in int order, (side, tid,
-            # attribute); a lane's members are the representative's, shifted.
-            members = ring_cells(anchor)
-            members.sort()
-            split = bisect_left(members, right_base)
-            for lane, (left_offset, right_offset) in enumerate(lanes):
+            members = self._members(anchor)
+            split = bisect_left(members, right_classes)
+            # A lane's members are the representative's, shifted by the
+            # distance between the two columns.
+            left0, right0 = left_columns[group[0][0]], right_columns[group[0][1]]
+            for lane, (left, right) in enumerate(group):
                 if not bits >> lane & 1:
                     uniform += 1
                     continue
                 resolved_classes += 1
+                left_offset = left_columns[left] - left0
+                right_offset = right_columns[right] - right0
                 if left_offset or right_offset:
                     slots = [member + left_offset for member in members[:split]] + [
                         member + right_offset for member in members[split:]
@@ -723,15 +717,15 @@ class ChaseState:
                         last_write[slot] = rounds
                         values[slot] = resolved
                         repaired += 1
-                        if slot < right_base:
-                            position, rank = divmod(slot, left_width)
-                            written_any |= 1 << rank
-                            marks = left_written
-                        else:
-                            rank = (slot - right_base) % right_width
-                            position = (slot - rank) // right_width
+                        block = bisect_right(starts, slot) - 1
+                        side, rank = blocks[block]
+                        position = slot - starts[block]
+                        if side:
                             written_any |= 1 << left_width + rank
                             marks = right_written
+                        else:
+                            written_any |= 1 << rank
+                            marks = left_written
                         if not marks[position]:
                             written_tuples += 1
                         marks[position] |= 1 << rank
@@ -739,6 +733,27 @@ class ChaseState:
         span.set("classes", resolved_classes)
         span.set("uniform", uniform)
         span.set("repairs", repaired)
+
+    def _members(self, klass: int) -> List[int]:
+        """The representative cells of class ``klass`` in ``(side, tid,
+        attribute)`` order, the order the resolver sees.  Int order is
+        ``(side, attribute, tid)``: the same unless a side's cells span two
+        columns (a class across attributes), which are sorted by cell."""
+        ring, right_classes = self.next, self.right_classes
+        members, member = [klass], ring[klass]
+        while member != klass:
+            members.append(member)
+            member = ring[member]
+        members.sort()
+        split = bisect_left(members, right_classes)
+        left_count, right_count = len(self.left_tids), len(self.right_tids)
+        if (split and members[0] // left_count != members[split - 1] // left_count) or (
+            split < len(members)
+            and (members[split] - right_classes) // right_count
+            != (members[-1] - right_classes) // right_count
+        ):
+            members.sort(key=self.decode)
+        return members
 
     # -- narrowing a selection --------------------------------------------
 
@@ -750,32 +765,38 @@ class ChaseState:
         Equality is the paper's ``=``: never true on a null
         (:func:`repro.metrics.base.exact_equality`, inlined).
         """
-        values, left_slots, right_slots = self.values, self.left_slots, self.right_slots
+        values, lefts, rights = self.values, self.left_positions, self.right_positions
+        left_columns, right_columns = self.left_columns, self.right_columns
         for left, right in equalities:
             if not selection:
                 break
             self.plan.stats.metric_evaluations += len(selection)
+            left, right = left_columns[left], right_columns[right]
             selection = [
                 i
                 for i in selection
-                if (v := values[left_slots[i] + left]) is not None
-                and (w := values[right_slots[i] + right]) is not None
+                if (v := values[left + lefts[i]]) is not None
+                and (w := values[right + rights[i]]) is not None
                 and v == w
             ]
         for predicate, left, right in similarities:
             if not selection:
                 break
             evaluate = self.plan.evaluate
+            left, right = left_columns[left], right_columns[right]
             selection = [
                 i
                 for i in selection
-                if evaluate(
-                    predicate,
-                    values[left_slots[i] + left],
-                    values[right_slots[i] + right],
-                )
+                if evaluate(predicate, values[left + lefts[i]], values[right + rights[i]])
             ]
         return selection
+
+    def _column(self, side: int, rank: int, cells: Optional[Sequence] = None) -> Sequence:
+        """A copy of one column's block of ``cells`` (:attr:`values` when
+        not given): a side's entries of one rank, by position."""
+        start = (self.right_columns if side else self.left_columns)[rank]
+        count = len(self.right_tids if side else self.left_tids)
+        return (self.values if cells is None else cells)[start : start + count]
 
     def _match_tuples(self, atom):
         """Hash-join the two sides' tuples on one equality atom.
@@ -789,9 +810,7 @@ class ChaseState:
         ``None`` when a value cannot be hashed: that atom stays a filter.
         """
         left, right = atom
-        values, right_width = self.values, len(self.layout.right_names)
-        theirs = values[self.right_tuples.start + right :: right_width]
-        ours = values[left : self.right_base : self.left_width]
+        theirs, ours = self._column(1, right), self._column(0, left)
         latest: Dict[object, int] = {}
         earlier = []
         try:
@@ -833,15 +852,14 @@ class ChaseState:
             self.probed += probes
             self.plan.stats.metric_evaluations += probes
             hits = self._satisfying[atom] = array("i")
-            runs, right_tuples, right_slots = self.runs, self.right_tuples, self.right_slots
+            runs, rights = self.runs, self.right_positions
             for position, head in enumerate(heads):
                 if head is None:
                     continue
                 start, end = runs[position], runs[position + 1]
                 while head >= 0:
-                    partner = right_tuples[head]
-                    at = bisect_left(right_slots, partner, start, end)
-                    while at < end and right_slots[at] == partner:
+                    at = bisect_left(rights, head, start, end)
+                    while at < end and rights[at] == head:
                         hits.append(at)
                         at += 1
                     head = earlier[head]
@@ -865,7 +883,7 @@ class ChaseState:
         """
         fired_in, left_width = self.fired_in, self.left_width
         right_width = len(self.layout.right_names)
-        left_slots, right_slots = self.left_slots, self.right_slots
+        left_positions, right_positions = self.left_positions, self.right_positions
         masks = rule_masks(len(fired_in), len(self.everything))
         # Positions are fresh only while no round ran, and then none is dirty.
         listed = self.fresh or self._dirty_pairs()[0]
@@ -877,19 +895,17 @@ class ChaseState:
                 bit, lhs = 1 << index, self.layout.reads[index]
                 stale = array("i")
                 if history:
-                    lefts, left_at = self._last_lhs_write(
-                        self.left_tuples,
-                        [rank for rank in range(left_width) if lhs >> rank & 1],
+                    lefts = self._last_lhs_write(
+                        0, [rank for rank in range(left_width) if lhs >> rank & 1]
                     )
-                    rights, right_at = self._last_lhs_write(
-                        self.right_tuples,
-                        [rank for rank in range(right_width) if lhs >> left_width + rank & 1],
+                    rights = self._last_lhs_write(
+                        1, [rank for rank in range(right_width) if lhs >> left_width + rank & 1]
                     )
                 for fired_round, positions in history:
                     for i in positions:
                         if (
-                            lefts[left_slots[i] + left_at] < fired_round
-                            and rights[right_slots[i] + right_at] < fired_round
+                            lefts[left_positions[i]] < fired_round
+                            and rights[right_positions[i]] < fired_round
                         ):
                             masks[i] |= bit
                             kept += 1
@@ -915,19 +931,13 @@ class ChaseState:
         self._check_span = span
         return masks
 
-    def _last_lhs_write(self, tuples: range, ranks: List[int]) -> Tuple[Sequence[int], int]:
-        """``(writes, offset)``: ``writes[slot + offset]`` is the last round
-        a repair wrote one of ``ranks`` of the tuple whose first slot is
-        ``slot`` (0: none did)."""
-        last_write = self.last_write
-        if len(ranks) == 1:
-            return last_write, ranks[0]
-        start, stop, width = tuples.start, tuples.stop, tuples.step
-        merged = array(last_write.typecode, [0]) * (stop - start)
-        merged[::width] = array(last_write.typecode, map(
-            max, *(last_write[start + rank : stop : width] for rank in ranks)
-        ))
-        return merged, -start
+    def _last_lhs_write(self, side: int, ranks: List[int]) -> Sequence[int]:
+        """Per tuple of ``side``, by position, the last round a repair
+        wrote one of its ``ranks`` (0: none did)."""
+        writes = [self._column(side, rank, self.last_write) for rank in ranks]
+        if len(writes) == 1:
+            return writes[0]
+        return array(self.last_write.typecode, map(max, *writes))
 
     @cached_property
     def holding(self) -> List[List[int]]:
@@ -946,19 +956,19 @@ class ChaseState:
         value unequal to itself (NaN) are not identified.  Run on first
         read; it records on the ``stability-check`` span."""
         holding, span = self.holding, self._check_span
-        values, left_slots, right_slots = self.values, self.left_slots, self.right_slots
+        left_positions, right_positions = self.left_positions, self.right_positions
         tested = 0
         for rule, (_, _, rhs), selection in zip(self.plan.rules, self.layout.rules, holding):
             if not selection:
                 continue
             tested += len(selection)
-            lefts = [left_slots[i] for i in selection]
-            rights = [right_slots[i] for i in selection]
+            lefts = [left_positions[i] for i in selection]
+            rights = [right_positions[i] for i in selection]
             for left, right in rhs:
                 if any(map(
                     ne,
-                    [values[slot + left] for slot in lefts],
-                    [values[slot + right] for slot in rights],
+                    map(self._column(0, left).__getitem__, lefts),
+                    map(self._column(1, right).__getitem__, rights),
                 )):
                     span.set("rhs_tested", tested)
                     span.set("unstable_rule", rule.name)
@@ -993,12 +1003,17 @@ class ChaseState:
     @cached_property
     def repairs(self) -> Dict[Cell, object]:
         """``cell -> final value`` for every cell whose value in ``D'``
-        differs from ``D`` — decoded from the written slots on first read."""
+        differs from ``D``, in ``(side, tid, attribute)`` order — decoded
+        from the written slots on first read."""
         values = self.values
         relations = (self.original.left, self.original.right)
+        written = sorted(
+            (self.decode(slot), slot)
+            for slot in compress(range(len(self.last_write)), self.last_write)
+        )
         repairs = {}
-        for slot in compress(range(len(self.last_write)), self.last_write):
-            side, tid, attribute = cell = self.decode(slot)
+        for cell, slot in written:
+            side, tid, attribute = cell
             value = values[slot]
             if value != relations[side][tid][attribute]:
                 repairs[cell] = value
@@ -1028,76 +1043,52 @@ class ChaseState:
         if not is_tid(tid):
             return None
         if side == LEFT:
-            tids, base, ranks = self.left_tids, 0, self.layout.left_rank
+            tids, columns, ranks = self.left_tids, self.left_columns, self.layout.left_rank
         else:
-            tids, base, ranks = self.right_tids, self.right_base, self.layout.right_rank
+            tids, columns, ranks = self.right_tids, self.right_columns, self.layout.right_rank
         position = bisect_left(tids, tid)
         rank = ranks.get(attribute)
         if position == len(tids) or tids[position] != tid or rank is None:
             return None
-        return base + position * len(ranks) + rank
+        return columns[rank] + position
+
+    def _block(self, cell: int) -> Tuple[int, int, int]:
+        """The ``(side, rank, position)`` of a cell: its column's, and its
+        place in the column."""
+        block = bisect_right(self.starts, cell) - 1
+        side, rank = self.layout.blocks[block]
+        return side, rank, cell - self.starts[block]
 
     def decode(self, cell: int) -> Cell:
         """The ``(side, tid, attribute)`` an int stands for."""
-        layout = self.layout
-        if cell < self.right_base:
-            position, rank = divmod(cell, self.left_width)
-            return (LEFT, self.left_tids[position], layout.left_names[rank])
-        position, rank = divmod(cell - self.right_base, len(layout.right_names))
-        return (RIGHT, self.right_tids[position], layout.right_names[rank])
-
-    def _ring_cells(self) -> Callable[[int], List[int]]:
-        """The decoder of the classes: from a class, the representative
-        cells of its class, walked from it round its ring (unsorted; class
-        order is cell order).  Class ``position * class_widths[side] + k``
-        (a right one ``right_class_base`` more) is rank
-        ``classes[side][k]`` of the side's tuple ``position``."""
-        (left_classes, right_classes), right_class_base = self.class_widths, self.right_class_base
-        left_ranks, right_ranks = self.layout.classes
-        left_width, right_width = self.left_width, len(self.layout.right_names)
-        right_base, ring = self.right_base, self.next
-
-        def ring_cells(klass: int) -> List[int]:
-            cells, member = [], klass
-            append = cells.append
-            while True:
-                if member < right_class_base:
-                    append(member // left_classes * left_width + left_ranks[member % left_classes])
-                else:
-                    position, k = divmod(member - right_class_base, right_classes)
-                    append(right_base + position * right_width + right_ranks[k])
-                member = ring[member]
-                if member == klass:
-                    return cells
-
-        return ring_cells
-
-    def _group_lanes(self, klass: int) -> tuple:
-        """The lanes of the group whose representative class is ``klass``."""
-        if klass < self.right_class_base:
-            return self.layout.class_lanes[0][klass % self.class_widths[0]]
-        return self.layout.class_lanes[1][(klass - self.right_class_base) % self.class_widths[1]]
+        side, rank, position = self._block(cell)
+        if side:
+            return (RIGHT, self.right_tids[position], self.layout.right_names[rank])
+        return (LEFT, self.left_tids[position], self.layout.left_names[rank])
 
     def _class(self, cell: int) -> Tuple[Optional[int], int]:
-        """The class ``cell`` is read through — its representative's;
-        ``None`` for a read-only cell, alone in its class — and its lane."""
-        if cell < self.right_base:
-            position, rank = divmod(cell, self.left_width)
-            lane, _, k = self.layout.left_places[rank]
-            base = position * self.class_widths[0]
-        else:
-            position, rank = divmod(cell - self.right_base, len(self.layout.right_names))
-            lane, _, k = self.layout.right_places[rank]
-            base = self.right_class_base + position * self.class_widths[1]
-        return (None if k < 0 else base + k), lane
+        """The class ``cell`` is read through — its representative's cell
+        in the same tuple; ``None`` for a read-only cell, alone in its
+        class — and its lane."""
+        side, rank, position = self._block(cell)
+        place = (self.layout.right_places if side else self.layout.left_places)[rank]
+        if place is None:
+            return None, 0
+        lane, group = place
+        columns = self.right_columns if side else self.left_columns
+        return columns[group[0][side]] + position, lane
 
     def _lanes(self, klass: int) -> Iterable[List[int]]:
-        """Per lane of its group, the (sorted) cells of the class the
-        representative class ``klass`` stands for there."""
-        right_base = self.right_base
-        members = sorted(self._ring_cells()(klass))
-        for left, right in self._group_lanes(klass):
-            yield [member + (left if member < right_base else right) for member in members]
+        """Per lane of its group, the cells of the class the
+        representative class ``klass`` stands for there, in order."""
+        members, right_classes = self._members(klass), self.right_classes
+        side, rank, _ = self._block(klass)
+        group = (self.layout.right_places if side else self.layout.left_places)[rank][1]
+        left_columns, right_columns = self.left_columns, self.right_columns
+        left0, right0 = left_columns[group[0][0]], right_columns[group[0][1]]
+        for left, right in group:
+            left, right = left_columns[left] - left0, right_columns[right] - right0
+            yield [member + (left if member < right_classes else right) for member in members]
 
     def same(self, a: Cell, b: Cell) -> bool:
         """Whether the two cells are in one class.  A cell outside the
@@ -1147,31 +1138,27 @@ class ChaseState:
             return array("i")
         if not homes:
             return array("i", self.everything)
-        root, left_cells, right_cells = self.root, self.left_slots, self.right_slots
-        left_step, right_step = self.left_tuples.step, self.right_tuples.step
-        (left_classes, right_classes), right_base = self.class_widths, self.right_base
-        # A pair's class at a home is its tuple's first class (the tuple's
-        # number times the side's classes a tuple) plus the home's rank.
-        # The first home scans the cell columns in step with the positions,
-        # its roots read per tuple; a pair it keeps is read at the others
-        # with its classes found once.
+        root, lefts, rights = self.root, self.left_positions, self.right_positions
+        left_columns, right_columns = self.left_columns, self.right_columns
+        # A pair's class at a home is its tuple's cell in the home's
+        # column.  The first home scans the position columns in step, its
+        # roots read per tuple off the two columns' blocks; a pair it
+        # keeps is read at the others.
         (left_home, right_home), *others = homes
-        right_class_base = self.right_class_base
-        lefts = root[left_home:right_class_base:left_classes]
-        rights = root[right_class_base + right_home :: right_classes]
+        ours, theirs = self._column(0, left_home, root), self._column(1, right_home, root)
         selection = [
             i
-            for i, left, right in zip(self.everything, left_cells, right_cells)
-            if lefts[left // left_step] == rights[(right - right_base) // right_step]
+            for i, left, right in zip(self.everything, lefts, rights)
+            if ours[left] == theirs[right]
         ]
         if not others:
             return array("i", selection)
+        others = [(left_columns[left], right_columns[right]) for left, right in others]
         kept = array("i")
         for i in selection:
-            left = left_cells[i] // left_step * left_classes
-            right = (right_cells[i] - right_base) // right_step * right_classes + right_class_base
-            for left_home, right_home in others:
-                if root[left + left_home] != root[right + right_home]:
+            left, right = lefts[i], rights[i]
+            for left_start, right_start in others:
+                if root[left_start + left] != root[right_start + right]:
                     break
             else:
                 kept.append(i)
@@ -1180,9 +1167,5 @@ class ChaseState:
     def matches(self, attribute_pairs: Iterable[Tuple[str, str]]) -> List[Tuple[int, int]]:
         """The pairs at :meth:`matching`'s positions — the read-off every
         matcher ends with."""
-        left_tids, left_slots, rights = self.left_tids, self.left_slots, self.pairs.rights
-        width = self.left_width or 1
-        return [
-            (left_tids[left_slots[i] // width], rights[i])
-            for i in self.matching(attribute_pairs)
-        ]
+        left_tids, lefts, rights = self.left_tids, self.left_positions, self.pairs.rights
+        return [(left_tids[lefts[i]], rights[i]) for i in self.matching(attribute_pairs)]

@@ -287,9 +287,9 @@ class Relation:
         self, tids: Iterable[int], attributes: Sequence[str]
     ) -> List[object]:
         """The listed tuples' values of the listed attributes as one flat,
-        row-major list (a snapshot: later :meth:`set_value` calls do not
+        column-major list (a snapshot: later :meth:`set_value` calls do not
         reach it) — the value of ``tids[p]``'s ``attributes[k]`` sits at
-        ``p * len(attributes) + k``."""
+        ``k * len(tids) + p``."""
         if not self.schema.name_set.issuperset(attributes):
             unknown = next(a for a in attributes if a not in self.schema.name_set)
             raise KeyError(
@@ -302,7 +302,7 @@ class Relation:
                 f"no tuple with id {error.args[0]} in {self.schema.name!r}"
             ) from None
         columns = [self._columns[attribute] for attribute in attributes]
-        return [column[position] for position in at for column in columns]
+        return [column[position] for column in columns for position in at]
 
     # ------------------------------------------------------------------
     # Extension semantics

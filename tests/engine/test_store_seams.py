@@ -106,7 +106,7 @@ def assert_views_read_the_rows(store, expected=None):
             tids = sorted(rows, reverse=True)[::2]
             attributes = names[::-1][:5]
             assert view.project(tids, attributes) == [
-                rows[tid][attribute] for tid in tids for attribute in attributes
+                rows[tid][attribute] for attribute in attributes for tid in tids
             ]
             assert view.project([], names) == []
             assert tids  # (a view validates against the rows it reads)
@@ -206,6 +206,52 @@ def test_views_read_a_cold_reopened_store(dataset, events, tmp_path):
     assert resumed.ingest_stream(events[120:150]) == uninterrupted.ingest_stream(
         events[120:150]
     )
+    reopened.close()
+
+
+def _repaired_cells(store):
+    """Per record, the attributes whose current value left the arrival one."""
+    return {
+        (side, tid): {
+            name for name in _names(store, side) if store.is_repaired(side, tid, [name])
+        }
+        for side in SIDES
+        for tid in store.relation(side).tids()
+    }
+
+
+def test_is_repaired_follows_repairs_and_a_reopen(dataset, events, tmp_path):
+    """``is_repaired`` answers from what ``repair`` kept, not from the
+    cells: a repair moves an attribute off its arrival value, one writing
+    the arrival value back drops it, and a reopened store rebuilds the
+    same answer from its ``records`` rows."""
+    path = tmp_path / "repaired.db"
+    matcher = _workspace(dataset, path).stream()
+    store = matcher.store
+    matcher.ingest_stream(events[:120])
+    late = events[120]
+    store.add(late.side, late.values, tid=late.tid)
+    store.repair(late.side, late.tid, {"FN": "Changed", "LN": late.values["LN"]})
+    assert store.is_repaired(late.side, late.tid, ["FN"])
+    assert not store.is_repaired(late.side, late.tid, ["LN"])
+    store.repair(late.side, late.tid, {"FN": late.values["FN"]})
+    assert not store.is_repaired(late.side, late.tid, _names(store, late.side))
+    store.repair(late.side, late.tid, {"LN": "Changed"})
+    expected = _repaired_cells(store)
+    # What the cells say, record by record.
+    assert expected == {
+        (side, tid): {
+            name
+            for name, value in store.relation(side)[tid].values().items()
+            if value != store.arrival_values(side, tid)[name]
+        }
+        for side, tid in expected
+    }
+    assert expected[late.side, late.tid] == {"LN"}
+    assert any(len(cells) > 0 for cells in expected.values())
+    store.close()
+    reopened = SQLiteMatchStore(path)
+    assert _repaired_cells(reopened) == expected
     reopened.close()
 
 

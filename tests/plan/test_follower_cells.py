@@ -4,9 +4,10 @@ The chase unions only an RHS group's representative cells
 (:class:`~repro.plan.executor.ChaseLayout`); a cell of another pair in
 the group, a *follower*, is read through its representative and never
 unioned nor walked, and a cell of an attribute no rule writes is never
-unioned at all.  So :class:`~repro.plan.executor.ChaseState` keeps
-``root`` / ``size`` / ``next`` over the representatives' cells only
-(:attr:`ChaseLayout.classes`) and nothing for the other cells.
+unioned at all.  So :class:`~repro.plan.executor.ChaseState` lays the
+representatives' columns out first and keeps ``root`` / ``size`` /
+``next`` over their cells only (:attr:`ChaseLayout.classes`), a class
+the int of its representative cell, and nothing for the other cells.
 Everything tuple-facing must answer for every cell what the naive
 reference chase, with a class of its own per cell, answers.  The classes
 are ``array('i')``: a finished chase holds them in three item sizes a
@@ -51,8 +52,7 @@ def test_the_identity_array_is_the_range_it_stands_for(count):
 
 def _cells(state):
     """Every cell of a chase, as ints: both sides' tuples × attributes."""
-    layout = state.layout
-    return range(state.right_base + len(state.right_tids) * len(layout.right_names))
+    return range(len(state.values))
 
 
 def test_only_the_representatives_cells_have_a_class():
@@ -62,17 +62,15 @@ def test_only_the_representatives_cells_have_a_class():
     # extended_mds: of the 12 ranks of each side 5 follow a representative,
     # one no rule writes, and the other 6 represent an RHS group.
     for places, classes in zip((layout.left_places, layout.right_places), layout.classes):
-        followers = {rank for rank, (lane, _, _) in enumerate(places) if lane}
-        read_only = {rank for rank, (*_, k) in enumerate(places) if k < 0}
+        followers = {rank for rank, place in enumerate(places) if place and place[0]}
+        read_only = {rank for rank, place in enumerate(places) if place is None}
         assert (len(followers), len(read_only), len(places)) == (5, 1, 12)
         assert classes == tuple(sorted(set(range(12)) - followers - read_only))
-    # A rank's class rank is its group representative's.
+    # A rank's place names its group, the representative first.
     for pairs in layout.groups:
-        for side, (places, classes) in enumerate(
-            zip((layout.left_places, layout.right_places), layout.classes)
-        ):
-            for pair in pairs:
-                assert classes[places[pair[side]][2]] == pairs[0][side]
+        for side, places in enumerate((layout.left_places, layout.right_places)):
+            for lane, pair in enumerate(pairs):
+                assert places[pair[side]] == (lane, pairs)
     pairs = [(0, 0), (0, 3), (2, 1), (5, 1)]
     instance = InstancePair(data.pair, data.credit, data.billing)
     cells = ChaseState(plan, instance, CandidateSet.of(pairs), prefer_informative)
@@ -80,12 +78,13 @@ def test_only_the_representatives_cells_have_a_class():
     assert len(cells.root) == 6 * (len(cells.left_tids) + len(cells.right_tids))
     assert list(cells.root) == list(cells.next) == list(range(len(cells.root)))
     assert set(cells.size) == {1}
-    # A class stands for one representative cell, in the cells' order.
-    ring_cells = cells._ring_cells()
-    represented = [ring_cells(klass)[0] for klass in range(len(cells.root))]
-    assert represented == sorted(represented)
-    for klass, cell in enumerate(represented):
-        assert cells._class(cell) == (klass, 0)
+    # A class is the int of a representative cell: the representatives'
+    # columns come first.
+    for klass in range(len(cells.root)):
+        side, _, attribute = cells.decode(klass)
+        names = (layout.left_names, layout.right_names)[side]
+        assert names.index(attribute) in layout.classes[side]
+        assert cells._class(klass) == (klass, 0)
     # Every other cell is read through its representative's class, or is
     # in none.
     classless = [cell for cell in _cells(cells) if cells._class(cell)[0] is None]

@@ -36,7 +36,7 @@ from repro.datagen.streams import (
 from repro.experiments.harness import resolution_spec_document
 from repro.matching.clustering import cluster_matches
 from repro.obs.trace import Tracer
-from repro.plan import ChaseState, compile_plan
+from repro.plan import CandidateSet, ChaseState, compile_plan
 from repro.plan.executor import ChaseLayout
 from repro.relations.relation import Relation
 
@@ -794,10 +794,10 @@ SPARSE_TIDS = st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=Tru
 
 @settings(max_examples=60, deadline=None)
 @given(SPARSE_TIDS, SPARSE_TIDS, st.data())
-def test_int_order_is_cell_order(left_tids, right_tids, data):
-    """Sorted int members decode to sorted ``(side, tid, attribute)``
-    cells — the order ``first-non-null`` observes — for tids that are
-    sparse and differ per side (the engine's local instances)."""
+def test_the_resolver_sees_a_class_in_cell_order(left_tids, right_tids, data):
+    """The resolver is called with a class's cells in ``(side, tid,
+    attribute)`` order — the order ``first-non-null`` observes — for tids
+    that are sparse and differ per side (the engine's local instances)."""
     # Cross-attribute identifications put several attributes of one tuple
     # in one class, so the attribute ranks matter as well as the tids.
     plan, pair = _abc_plan(
@@ -814,17 +814,24 @@ def test_int_order_is_cell_order(left_tids, right_tids, data):
         st.sampled_from([(l, r) for l in left_tids for r in right_tids]),
         unique=True,
     ))
-    result, _ = assert_same_chase(
-        plan, InstancePair(pair, left, right),
-        VALUE_POLICIES["first-non-null"], pairs=pairs,
-    )
-    cells = result
-    ring_cells = cells._ring_cells()
-    for root in set(cells.root):
-        members = [cells.decode(cell) for cell in sorted(ring_cells(root))]
-        assert members == sorted(members)
+    instance = InstancePair(pair, left, right)
+    resolver = VALUE_POLICIES["first-non-null"]
+    assert_same_chase(plan, instance, resolver, pairs=pairs)
 
+    # At each call the chase's classes are merged and their cells hold
+    # the values the call is made with: the call is one class's values,
+    # read in cell order.
+    def spy(values):
+        in_order = [
+            [state.values[state.cell(*cell)] for cell in sorted(members)]
+            for members in state.classes()
+        ]
+        assert list(values) in in_order
+        event(f"cells in a resolved class: {len(values)}")
+        return resolver(values)
 
+    state = ChaseState(plan, instance, CandidateSet.of(pairs), spy)
+    assert state.run().repairs == plan.enforce(instance, resolver, pairs).repairs
 # ----------------------------------------------------------------------
 # RHS groups: one union per (pair, group), one class per lane
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@
 ``range`` and every selection of them — the per-rule firing histories,
 the join hits, the dirty listing — as an ``array('i')``, its per-position
 masks as :func:`~repro.plan.executor.rule_masks` arrays, its per-pair
-slot columns as ``array('i')`` and ``last_write`` in the narrowest
+tuple position columns as ``array('i')`` and ``last_write`` in the narrowest
 unsigned type the round budget fits.  A list of positions would cost 8
 bytes a pair for the reference and about 32 more for the int it points
 at.  Also here: the tuple-facing :meth:`ChaseState.cell` names no tuple
@@ -35,7 +35,7 @@ BYTES_PER_PAIR = 16
 
 #: Everything the state holds once per candidate position.
 PER_POSITION = (
-    "everything", "fresh", "left_slots", "right_slots",
+    "everything", "fresh", "left_positions", "right_positions",
     "fired", "fired_in", "_dirty",
 )
 
@@ -60,10 +60,10 @@ def _hash_chase(size: int, **run):
 
 def test_the_per_position_structures_cost_at_most_16_bytes_a_pair():
     """Dropping every per-position structure of a finished seed-7 hash
-    chase frees at most 16 bytes a pair under tracemalloc: two slot
-    columns of 4, a mask byte and the fired selections.  A list of
-    positions with an int object each, and slot columns as lists, cost
-    about 55."""
+    chase frees at most 16 bytes a pair under tracemalloc: two tuple
+    position columns of 4, a mask byte and the fired selections.  A list
+    of positions with an int object each, and position columns as lists,
+    cost about 55."""
     workspace, instance, candidates = _hash_chase(2000)
     tracemalloc.start()
     try:
@@ -78,7 +78,7 @@ def test_the_per_position_structures_cost_at_most_16_bytes_a_pair():
         tracemalloc.stop()
     pairs = len(candidates)
     assert pairs > 10_000 and result.rounds > 2 and result.applications > 0
-    # At least the two slot columns, so the drop did release them ...
+    # At least the two position columns, so the drop did release them ...
     assert freed >= 2 * array("i").itemsize * pairs
     # ... and not an int object per pair.
     assert freed <= BYTES_PER_PAIR * pairs, freed / pairs
@@ -88,7 +88,7 @@ def test_selections_are_int_arrays_and_positions_a_range():
     workspace, instance, candidates = _hash_chase(300)
     result = workspace.plan.enforce(instance, candidate_pairs=candidates)
     assert result.everything == range(len(candidates))
-    for column in (result.left_slots, result.right_slots):
+    for column in (result.left_positions, result.right_positions):
         assert column.typecode == "i" and len(column) == len(candidates)
     histories = [positions for history in result.fired_in for _, positions in history]
     assert histories and all(positions.typecode == "i" for positions in histories)

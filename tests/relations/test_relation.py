@@ -93,15 +93,15 @@ class TestRow:
 
 
 class TestProject:
-    def test_project_is_a_row_major_snapshot(self, schema):
+    def test_project_is_a_column_major_snapshot(self, schema):
         relation = Relation(schema)
         relation.insert({"A": "x"}, tid=5)
         relation.insert({"B": "y"}, tid=2)
-        flat = relation.project([2, 5], ["B", "A"])
-        assert flat == ["y", None, None, "x"]
+        flat = relation.project([2, 5, 2], ["B", "A"])
+        assert flat == ["y", None, "y", None, "x", None]
         relation.set_value(5, "A", "changed")
         flat[0] = "local"
-        assert flat[3] == "x" and relation[2]["B"] == "y"
+        assert flat[4] == "x" and relation[2]["B"] == "y"
 
     def test_unknown_attribute_or_tid(self, schema):
         with pytest.raises(KeyError, match="not an attribute"):
@@ -228,7 +228,7 @@ class TestColumns:
         tids = [11, 0, 7, 3, 7]
         for attributes in (["A"], ["B", "A"], ["B", "B"], []):
             assert shuffled.project(tids, attributes) == [
-                shuffled[tid][attribute] for tid in tids for attribute in attributes
+                shuffled[tid][attribute] for attribute in attributes for tid in tids
             ]
 
     def test_iteration_keeps_insertion_order(self, shuffled):
