@@ -460,7 +460,19 @@ def _read_trace_file(path: str):
 
 def cmd_serve(args) -> int:
     """Run the asyncio resolution service until SIGINT/SIGTERM."""
-    from repro.serve import ResolutionServer, serve_forever
+    # The service binds plain HTTP only, so asyncio is imported as on a
+    # CPython built without OpenSSL: a ``None`` in ``sys.modules`` makes
+    # its ``import ssl`` fail, and ``_ssl``, ``libssl`` and ``libcrypto``
+    # (≈ 4 MB resident) stay unloaded.  The entry is taken out again, so
+    # a later ``import ssl`` still works.
+    blocked = "ssl" not in sys.modules
+    if blocked:
+        sys.modules["ssl"] = None
+    try:
+        from repro.serve import ResolutionServer, serve_forever
+    finally:
+        if blocked:
+            sys.modules.pop("ssl", None)
 
     serve_forever(ResolutionServer(_effective_spec(args)))
     return 0

@@ -96,7 +96,9 @@ _FILES = ("", "-wal", "-shm")
 
 #: The attributes each half of the in-memory state sets; reading one
 #: that is not set loads its half.
-_RECORDS_HALF = ("blocking", "left", "right", "_arrival", "_keys", "_off_arrival", "instances")
+_RECORDS_HALF = (
+    "blocking", "_texts", "left", "right", "_arrival", "_keys", "_off_arrival", "instances",
+)
 _CLUSTERS_HALF = ("identities",)
 
 
@@ -250,22 +252,28 @@ class SQLiteMatchStore(MatchStore):
         """Both relations from one scan of ``records`` in insertion order,
         and the blocking index derived from the arrival values."""
         self._start_records(BlockingBackend.from_dict(self.passes))
-        arrivals = self._arrival
+        arrivals, shared = self._arrival, self._shared
         for side, tid, arrival, current in self.connection.execute(
             "SELECT side, tid, arrival, current FROM records ORDER BY rowid"
         ):
-            # Each name-keyed record is read into a positional row.
-            arrival_values, current_values = json.loads(arrival), json.loads(current)
+            # Each name-keyed record is read into a positional row, its
+            # texts the store's objects; an unrepaired record's current
+            # row is its arrival row.
+            arrival_values = shared(json.loads(arrival))
+            current_values = (
+                arrival_values if current == arrival else shared(json.loads(current))
+            )
             arrivals[side].adopt(tid, arrival_values)
             self.relation(side).adopt(tid, current_values)
             self._index(side, arrivals[side][tid])
-            moved = current != arrival and {
-                name
-                for name in arrivals[side].schema.attribute_names
-                if current_values.get(name) != arrival_values.get(name)
-            }
-            if moved:
-                self._off_arrival[side][tid] = moved
+            if current_values is not arrival_values:
+                moved = sum(
+                    bit
+                    for name, bit in self._bits[side].items()
+                    if current_values.get(name) != arrival_values.get(name)
+                )
+                if moved:
+                    self._off_arrival[side][tid] = moved
 
     def _load_clusters(self) -> None:
         """The union-find from one scan of the direct root pointers."""

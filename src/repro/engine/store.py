@@ -37,6 +37,7 @@ re-matching.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.schema import LEFT, RIGHT, ComparableLists
@@ -101,6 +102,9 @@ class MatchStore:
         #: The kernel's blocking backend doubles as the store's index
         #: set: streaming ingest calls ``blocking.add``/``probe`` on it.
         self.blocking = blocking
+        #: ``text -> the one str object`` every equal text the store holds
+        #: is (:meth:`_shared`): a stream repeats its texts many times over.
+        self._texts: Dict[str, str] = {}
         self.left = Relation(self.pair.left)
         self.right = Relation(self.pair.right)
         #: Per side, the records as ingested (a second relation: the chase
@@ -109,13 +113,23 @@ class MatchStore:
         #: Per side, ``tid -> blocking keys``, derived once per record.
         self._keys: Tuple[Dict[int, tuple], Dict[int, tuple]] = ({}, {})
         #: Per side, ``tid -> the attributes whose current value a repair
-        #: moved off the arrival one`` (a record with none is absent).
-        self._off_arrival: Tuple[Dict[int, Set[str]], Dict[int, Set[str]]] = ({}, {})
+        #: moved off the arrival one``, as a mask of their :attr:`_bits`
+        #: (a record with none is absent).
+        self._off_arrival: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         #: The instance a delta is chased over, indexed by "read the
         #: arrival values": the current values, then the arrival values.
         self.instances = (
             InstancePair(self.pair, self.left, self.right),
             InstancePair(self.pair, *self._arrival),
+        )
+
+    @cached_property
+    def _bits(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Per side, ``attribute -> 1 << its schema rank``: its bit in a
+        repair mask."""
+        return tuple(
+            {name: 1 << rank for rank, name in enumerate(schema.attribute_names)}
+            for schema in (self.pair.left, self.pair.right)
         )
 
     def _start_clusters(self) -> None:
@@ -138,18 +152,31 @@ class MatchStore:
         """Insert a record and index it; no matching happens here.
 
         Returns the assigned tuple id, held to :func:`check_tid` first
-        (given or the relation's next).  The record starts as a singleton
+        (given or the relation's next).  Both value sets hold the
+        record's texts as the store's objects (:meth:`_shared`; ``values``
+        itself is left as it is).  The record starts as a singleton
         cluster; :class:`~repro.engine.matcher.IncrementalMatcher.ingest`
         is the entry point that also probes and matches.
         """
         relation = self.relation(side)
         check_tid(relation.next_tid if tid is None else tid)
+        values = self._shared(values)
         tid = relation.insert(values, tid=tid)
         row = relation[tid]
         self._index(side, row)
         self._arrival[side].insert(values, tid=tid)
         self.find(node_of(side, tid))  # register the singleton cluster
         return tid
+
+    def _shared(self, values: Dict[str, object]) -> Dict[str, object]:
+        """A copy of ``values`` in which each ``str`` is the store's one
+        object for its text (:attr:`_texts`).  Any other value, a ``str``
+        subclass included, is kept as given."""
+        text = self._texts.setdefault
+        return {
+            name: text(value, value) if type(value) is str else value
+            for name, value in values.items()
+        }
 
     def _index(self, side: int, row: Row) -> None:
         """Derive the record's keys from its arrival ``row`` and add it."""
@@ -185,18 +212,27 @@ class MatchStore:
         """Whether the record's current value differs from its arrival
         value on any of ``attributes`` (kept by :meth:`repair`, the one
         writer of current values: no cell is read)."""
-        moved = self._off_arrival[side].get(tid)
-        return moved is not None and not moved.isdisjoint(attributes)
+        moved = self._off_arrival[side].get(tid, 0)
+        if not moved:
+            return False
+        bits = self._bits[side]
+        return any(moved & bits.get(name, 0) for name in attributes)
 
     def repair(self, side: int, tid: int, changes: Dict[str, object]) -> None:
         """Overwrite the listed cells of the record's current values."""
         relation, arrival = self.relation(side), self._arrival[side][tid]
-        moved = self._off_arrival[side].setdefault(tid, set())
+        marks, bits = self._off_arrival[side], self._bits[side]
+        moved = marks.get(tid, 0)
         for attribute, value in changes.items():
             relation.set_value(tid, attribute, value)
-            (moved.add if value != arrival[attribute] else moved.discard)(attribute)
-        if not moved:
-            del self._off_arrival[side][tid]
+            if value != arrival[attribute]:
+                moved |= bits[attribute]
+            else:
+                moved &= ~bits[attribute]
+        if moved:
+            marks[tid] = moved
+        else:
+            marks.pop(tid, None)
 
     # ------------------------------------------------------------------
     # Identity clusters (``identities``, a Clusters union-find)

@@ -393,10 +393,22 @@ class ChaseState:
         for (side, rank), start in zip(layout.blocks, self.starts):
             columns[side][rank] = start
         self.left_columns, self.right_columns = columns
-        relations = (instance.left, instance.right)
-        values: List[object] = []
-        for side, names in layout.regions:
-            values += relations[side].project(tids[side], names)
+        # Each side's tids are mapped to positions once, for both of its
+        # regions.  The constructor peaks as the values take the last
+        # region, so the position lists go first, and that region's list
+        # goes before anything else is allocated.
+        left, right = instance.left, instance.right
+        (_, left_classes), (_, right_classes), (_, left_others), (_, right_others) = (
+            layout.regions
+        )
+        left_at, right_at = left.positions(lefts), right.positions(self.right_tids)
+        values: List[object] = left.gather(left_at, left_classes)
+        values += right.gather(right_at, right_classes)
+        values += left.gather(left_at, left_others)
+        others = right.gather(right_at, right_others)
+        del left_at, right_at
+        values += others
+        del others
         #: The working values, one per slot.
         self.values = values
         #: Per left tuple (``left_tids`` order), where its run of pairs

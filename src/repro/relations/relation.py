@@ -283,26 +283,40 @@ class Relation:
         order = sorted(range(len(tids)), key=tids.__getitem__)
         return [tids[position] for position in order], order
 
-    def project(
-        self, tids: Iterable[int], attributes: Sequence[str]
-    ) -> List[object]:
-        """The listed tuples' values of the listed attributes as one flat,
-        column-major list (a snapshot: later :meth:`set_value` calls do not
-        reach it) — the value of ``tids[p]``'s ``attributes[k]`` sits at
-        ``k * len(tids) + p``."""
-        if not self.schema.name_set.issuperset(attributes):
-            unknown = next(a for a in attributes if a not in self.schema.name_set)
-            raise KeyError(
-                f"{unknown!r} is not an attribute of {self.schema.name!r}"
-            )
+    def positions(self, tids: Iterable[int]) -> List[int]:
+        """The listed tuples' positions, in order: what :meth:`gather`
+        reads at."""
         try:
-            at = list(map(self._positions.__getitem__, tids))
+            return list(map(self._positions.__getitem__, tids))
         except KeyError as error:
             raise KeyError(
                 f"no tuple with id {error.args[0]} in {self.schema.name!r}"
             ) from None
-        columns = [self._columns[attribute] for attribute in attributes]
-        return [column[position] for column in columns for position in at]
+
+    def gather(
+        self, positions: Sequence[int], attributes: Sequence[str]
+    ) -> List[object]:
+        """The values of the listed attributes at the listed positions as
+        one flat, column-major list (a snapshot: later :meth:`set_value`
+        calls do not reach it) — ``positions[p]``'s ``attributes[k]`` sits
+        at ``k * len(positions) + p``."""
+        try:
+            return [
+                column[position]
+                for column in map(self._columns.__getitem__, attributes)
+                for position in positions
+            ]
+        except KeyError as error:
+            raise KeyError(
+                f"{error.args[0]!r} is not an attribute of {self.schema.name!r}"
+            ) from None
+
+    def project(
+        self, tids: Iterable[int], attributes: Sequence[str]
+    ) -> List[object]:
+        """:meth:`gather` at the listed tuples: the value of ``tids[p]``'s
+        ``attributes[k]`` sits at ``k * len(tids) + p``."""
+        return self.gather(self.positions(tids), attributes)
 
     # ------------------------------------------------------------------
     # Extension semantics

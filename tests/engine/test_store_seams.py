@@ -3,13 +3,16 @@
 The matcher chases the store's own rows (``store.instances`` — the part
 of a ``Relation`` the kernel reads, over current and over arrival values),
 asks the store whether a record was repaired, writes a repaired record
-once, and probes under the keys a record was indexed with.  Each of
+once, and probes under the keys a record was indexed with; the store
+holds each distinct text once.  Each of
 those is pinned here against the slow, obvious read — row by row,
 statement by statement — on both stores; nothing here looks at a clock.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 import re
 
 import pytest
@@ -19,7 +22,7 @@ from repro.core.schema import LEFT, RIGHT
 from repro.datagen.generator import generate_dataset
 from repro.datagen.schemas import extended_mds
 from repro.datagen.streams import arrival_stream
-from repro.engine import SQLiteMatchStore, save_store
+from repro.engine import MatchStore, SQLiteMatchStore, save_store
 from repro.engine.sqlite import connect
 from repro.engine.sqlite import store as store_module
 from repro.plan.blocking import RCKIndex
@@ -470,3 +473,121 @@ def test_chases_of_a_fixed_stream(dataset, events, blocking):
         "hash": {"all_matched": 23, "cannot_union": 175, "unread_repair": 36},
         "sorted-neighborhood": {"all_matched": 37, "cannot_union": 200, "unread_repair": 36},
     }[blocking]
+
+
+# ----------------------------------------------------------------------
+# (iv) one object per distinct text
+# ----------------------------------------------------------------------
+
+
+def _decoded(values):
+    """``values`` as a request body decodes them: equal texts, new objects."""
+    return json.loads(json.dumps(values))
+
+
+def _stored_texts(store):
+    """Every ``str`` the store holds: both sides, arrival and current."""
+    return [
+        value
+        for side in SIDES
+        for arrival in (True, False)
+        for row in _view(store, side, arrival)
+        for value in row.values().values()
+        if type(value) is str
+    ]
+
+
+def _one_object_per_text(texts):
+    first = {}
+    return all(first.setdefault(text, text) is text for text in texts)
+
+
+def test_equal_texts_are_one_object_in_the_store(matcher, events):
+    """A text is one object however often the store holds it — across
+    records, sides, arrival and current values, repairs included — and
+    the mapping a caller ingests is left as it was."""
+    given = [_decoded(event.values) for event in events[:150]]
+    kept = [dict(values) for values in given]
+    assert not _one_object_per_text(
+        value for values in given for value in values.values() if type(value) is str
+    )
+    for event, values in zip(events[:150], given):
+        matcher.ingest(event.side, values, tid=event.tid)
+    store = matcher.store
+    assert all(
+        values.keys() == before.keys() and all(map(operator.is_, values.values(), before.values()))
+        for values, before in zip(given, kept)
+    )
+    texts = _stored_texts(store)
+    assert len(set(texts)) < len(texts) // 4
+    assert _one_object_per_text(texts)
+    assert any(_repaired_cells(store).values())
+
+
+def test_a_reopened_store_reads_equal_texts_as_one_object(dataset, events, tmp_path):
+    """A SQLite reopen decodes ``records`` through the same table: equal
+    texts are one object, an unrepaired record's current values are its
+    arrival values' objects, and the store still equals the memory one."""
+    path = tmp_path / "texts.db"
+    durable = _workspace(dataset, path).stream()
+    durable.ingest_stream(events[:150])
+    durable.store.close()
+    memory = _workspace(dataset).stream()
+    memory.ingest_stream(events[:150])
+    reopened = SQLiteMatchStore(path)
+    texts = _stored_texts(reopened)
+    assert len(set(texts)) < len(texts) // 4
+    assert _one_object_per_text(texts)
+    repaired = _repaired_cells(reopened)
+    for side in SIDES:
+        for tid in reopened.relation(side).tids():
+            if not repaired[side, tid]:
+                current = reopened.relation(side)[tid].values().values()
+                arrival = reopened.arrival_row(side, tid).values().values()
+                assert all(map(operator.is_, current, arrival))
+    assert state(reopened) == state(memory.store)
+    reopened.close(commit=False)
+
+
+class Text(str):
+    """A ``str`` subclass: kept as given, not read as a plain text."""
+
+
+def test_only_plain_texts_are_shared(tmp_path):
+    """``1``, ``1.0`` and ``True`` are equal and hash alike, so a table
+    keyed on values would fold them into one; only ``type(v) is str``
+    goes through it.  Other values keep their type and identity — a
+    ``str`` subclass, an unhashable list and ``None`` included — on both
+    stores, and their type across a SQLite reopen (a subclass is stored
+    as its text)."""
+    plan = (
+        Workspace.builder()
+        .schema("R", ["A", "B", "C", "D", "E", "F"], "S", ["A", "B", "C", "D", "E", "F"])
+        .target(["A"], ["A"])
+        .mds(["R[B] = S[B] -> R[A] <=> S[A]"])
+        .workspace()
+        .plan
+    )
+    first = {"A": 1, "B": "b", "C": 1.0, "D": True, "E": Text("e"), "F": ["f"]}
+    second = {"A": True, "B": "b", "C": 1, "D": 1.0, "E": Text("e"), "F": None}
+    stores = (
+        MatchStore(plan.target, plan.blocking),
+        SQLiteMatchStore(tmp_path / "values.db", plan.target, plan.blocking),
+    )
+    for store in stores:
+        for side in SIDES:
+            for values in (first, second):
+                tid = store.add(side, values)
+                for row in (store.relation(side)[tid], store.arrival_row(side, tid)):
+                    assert all(row[name] is value for name, value in values.items())
+    durable = stores[1]
+    durable.close()
+    reopened = SQLiteMatchStore(durable.path)
+    assert state(reopened) == state(stores[0])
+    for side in SIDES:
+        for tid, values in enumerate((first, second)):
+            for row in (reopened.relation(side)[tid], reopened.arrival_row(side, tid)):
+                assert [type(row[name]) for name in values] == [
+                    str if type(value) is Text else type(value) for value in values.values()
+                ]
+    reopened.close(commit=False)

@@ -2,11 +2,15 @@
 
 import csv
 import gc
+import http.client
 import importlib.util
 import json
+import re
+import signal
 import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +110,100 @@ def test_a_whole_match_leaves_openssl_unloaded():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "0 True []"
+
+
+#: What OpenSSL maps into a process: CPython's ``_ssl`` module and the
+#: two libraries it links.
+OPENSSL_MAPPINGS = ("_ssl", "libssl", "libcrypto")
+
+
+def _serve_request(port, method, path, body=None):
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        payload = json.dumps(body).encode("utf-8") if body is not None else None
+        connection.request(method, path, body=payload)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="no /proc to read a child's mappings from"
+)
+def test_a_serving_child_maps_no_openssl(tmp_path):
+    """``repro serve`` binds plain HTTP only: booted, asked ``/healthz``
+    and sent one ``/ingest``, the child has mapped none of ``_ssl``,
+    ``libssl`` and ``libcrypto``."""
+    root = Path(__file__).resolve().parents[1]
+    log = tmp_path / "serve.log"
+    with log.open("wb") as sink:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--spec", str(root / "examples" / "spec.json"),
+             "--host", "127.0.0.1", "--port", "0"],
+            stdout=sink, env={"PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": "1"},
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while b"listening on" not in log.read_bytes():
+            assert child.poll() is None, "the serve child exited"
+            assert time.monotonic() < deadline, "the serve child never listened"
+            time.sleep(0.01)
+        port = int(re.search(rb"listening on http://[^:]+:(\d+)", log.read_bytes())[1])
+        assert _serve_request(port, "GET", "/healthz")[0] == 200
+        status, reply = _serve_request(
+            port, "POST", "/ingest", {"side": "left", "values": {"FN": "Mark"}}
+        )
+        assert (status, reply["results"][0]["tid"]) == (200, 0)
+        maps = Path(f"/proc/{child.pid}/maps").read_text()
+        assert [name for name in OPENSSL_MAPPINGS if name in maps] == []
+    finally:
+        child.send_signal(signal.SIGINT)
+        try:
+            child.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+
+
+def _asyncio_tls_after(code):
+    """In a fresh interpreter: run ``code``, then whether asyncio has its
+    TLS support (``asyncio.base_events.ssl``) and ``import ssl`` works."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         code + "\n"
+         "import asyncio.base_events, importlib\n"
+         "try:\n"
+         "    importlib.import_module('ssl')\n"
+         "    importable = True\n"
+         "except ImportError:\n"
+         "    importable = False\n"
+         "print(asyncio.base_events.ssl is not None, importable)"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.split()[-2:]
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_ssl") is None, reason="a CPython built without OpenSSL"
+)
+def test_serve_imports_asyncio_without_tls_and_leaves_ssl_importable():
+    """``cmd_serve`` imports ``repro.serve`` (and asyncio) with ``ssl``
+    unavailable, then restores ``sys.modules``: asyncio runs without TLS
+    and a later ``import ssl`` works.  (A missing spec stops the command
+    after its import, exit 2.)  A plain library ``import repro.serve``
+    leaves asyncio's TLS support as a plain ``import asyncio`` has it."""
+    served = (
+        "from repro.cli import main\n"
+        "assert main(['serve', '--spec', 'no-such-spec.json']) == 2"
+    )
+    assert _asyncio_tls_after(served) == ["False", "True"]
+    assert _asyncio_tls_after("import repro.serve") == ["True", "True"]
+    assert _asyncio_tls_after("import asyncio") == ["True", "True"]
 
 
 #: Modules ``repro match`` never runs: the store's ``sqlite3`` (and the
